@@ -1,50 +1,36 @@
 //! Interpreter dispatch microbenchmarks: wall time of the pre-decoded
 //! execution loop on small kernels that isolate one dispatch shape each
 //! (scalar arithmetic, set churn, map read/write, seq push + sum, dense
-//! read-modify-write, data-dependent branching, sequence filter-sum
-//! streaming, bulk set probing, tuple field-projection folds).
+//! read-modify-write, data-dependent branching, sequence filter-sum,
+//! set copy and probe loops).
 //!
 //! Unlike `collection_ops` (which times the collection library
-//! natively), this times the *interpreter* end to end, so it is the
-//! regression gate for the decoded instruction stream, the borrow-based
-//! operand path, superinstruction fusion, unboxed scalar storage,
-//! loop-granular stream fusion and columnar (SoA) tuple storage. Every
-//! kernel runs under seven optimization configurations; results go to
-//! `BENCH_interp.json` at the workspace root: per-kernel best wall
-//! seconds and logical ops/sec per configuration, the fully-optimized
-//! speedup over the unoptimized interpreter, the `full` vs `no_soa`
-//! speedup (the tuple kernels' CI floor), and the geometric-mean
-//! speedup across kernels.
+//! natively), this times the *interpreter* end to end, so it is a
+//! diagnostic for the decoded instruction stream, the borrow-based
+//! operand path, the superinstruction peephole and loop fusion. It is
+//! not the headline: `e2e_bench` measures the paper programs. Every
+//! kernel runs on the reference decode and the default one; results go
+//! to `BENCH_interp.json` at the workspace root: per-kernel best wall
+//! seconds and logical ops/sec per decode, the default-over-reference
+//! speedup, and its geometric mean across kernels.
 //!
 //! Self-timed (`harness = false`): run via `cargo bench --bench
 //! interp_dispatch`.
 
 use std::time::Instant;
 
-use ade_interp::{ExecConfig, Interpreter};
+use ade_interp::{DecodeOptions, DecodedModule, ExecConfig, Interpreter};
 use ade_ir::builder::FunctionBuilder;
-use ade_ir::{BinOp, CmpOp, MapSel, Module, Operand, Type};
+use ade_ir::{MapSel, Module, Type};
 
 /// Iteration count per kernel — large enough that dispatch dominates
 /// the fixed per-run setup (decode + frame allocation).
 const N: u64 = 200_000;
 const RUNS: usize = 9;
 
-/// The optimization sweep: `base` is the unoptimized interpreter, the
-/// rest toggle superinstruction fusion, unboxed scalar storage,
-/// loop-granular stream fusion and columnar (SoA) tuple storage.
-/// `no_soa` is the production default minus columnar tuples — the
-/// reference the tuple kernels' CI floor compares `full` against —
-/// and `full` is the production default.
-const CONFIGS: [(&str, bool, bool, bool, bool); 7] = [
-    ("base", false, false, false, false),
-    ("fused", true, false, false, false),
-    ("unboxed", false, true, false, false),
-    ("fused_unboxed", true, true, false, false),
-    ("loop_fused", false, false, true, false),
-    ("no_soa", true, true, true, false),
-    ("full", true, true, true, true),
-];
+/// The two decodes ([`DecodeOptions::reference`]): the plain stream and
+/// the production default (peephole plus loop fusion).
+const CONFIGS: [(&str, bool); 2] = [("reference", true), ("default", false)];
 
 struct Kernel {
     name: &'static str,
@@ -272,10 +258,9 @@ fn branchy_classify() -> Kernel {
 }
 
 /// Build a sequence with `for_range` pushes, then filter-sum it with a
-/// `foreach` whose body is exactly `cmp`/`if`(add | pass) — the shape
-/// loop fusion classifies as a `FilterReduce` streaming kernel over the
-/// unboxed sequence slice. Half the elements pass the threshold, so the
-/// branch is unpredictable for the dispatch-based configurations.
+/// `foreach` whose body is exactly `cmp`/`if`(add | pass) — a bulk plan
+/// with one branch. Half the elements pass the threshold, so the branch
+/// is unpredictable.
 fn seq_filter_sum() -> Kernel {
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
     let seq = b.new_collection(Type::seq(Type::U64));
@@ -305,10 +290,9 @@ fn seq_filter_sum() -> Kernel {
 }
 
 /// Copy a sequence into a hash set with one `foreach`, then count how
-/// many elements of a second sequence are members with another — the
-/// `CopyInto` and `ProbeCount` streaming kernels, which bulk-insert and
-/// group-probe the hash backend instead of re-resolving the handle and
-/// re-dispatching `has`/`cast`/`add` per element (~50% hit rate).
+/// many elements of a second sequence are members with another — bulk
+/// plans that insert and probe the hash backend without per-element
+/// dispatch of `has`/`cast`/`add` (~50% hit rate).
 fn set_bulk_probe() -> Kernel {
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
     let evens = b.new_collection(Type::seq(Type::U64));
@@ -348,101 +332,10 @@ fn set_bulk_probe() -> Kernel {
     }
 }
 
-/// Folds a built `Seq<(u64, u64)>` repeats every tuple-kernel fold so
-/// the projection loop — where the layouts differ — dominates wall
-/// time over the one-off build (which pays the same tuple-pack cost
-/// under every configuration).
-const TUPLE_FOLDS: u64 = 16;
-
-/// Build a `Seq<(u64, u64)>` with `for_range` pushes, then fold its
-/// second field [`TUPLE_FOLDS`] times with a `foreach` whose body is
-/// exactly `add %acc, %t.1` — the projected `Reduce` streaming kernel.
-/// With columnar storage on, each fold streams the flat payload column
-/// and never materializes a tuple; `full` vs `no_soa` isolates the
-/// layout win (the CI floor for this kernel).
-fn tuple_project_sum() -> Kernel {
-    let mut b = FunctionBuilder::new("main", &[], Type::Void);
-    let pair = Type::Tuple(vec![Type::U64, Type::U64]);
-    let seq = b.new_collection(Type::seq(pair));
-    let lo = b.const_u64(0);
-    let hi = b.const_u64(N);
-    let seq = b.for_range(lo, hi, &[seq], |b, i, c| {
-        let three = b.const_u64(3);
-        let payload = b.mul(i, three);
-        let t = b.make_tuple(&[i, payload]);
-        vec![b.push(c[0], t)]
-    })[0];
-    let mut acc = b.const_u64(0);
-    for _ in 0..TUPLE_FOLDS {
-        acc = b.for_each(seq, &[acc], |b, _i, v, c| {
-            let t = v.expect("sequence iteration binds values");
-            vec![b.bin_at(BinOp::Add, c[0], Operand::field(t, 1))]
-        })[0];
-    }
-    b.print(&[acc]);
-    b.ret_void();
-    let mut module = Module::new();
-    module.add_function(b.finish());
-    Kernel {
-        name: "tuple_project_sum",
-        ops: N * (2 + TUPLE_FOLDS), // tuple pack + push, then projected adds
-        module,
-    }
-}
-
-/// Filter a `Seq<(u64, u64)>` on its first field and fold the second,
-/// [`TUPLE_FOLDS`] times — `lt %t.0, %cut` / `if`(`add %acc, %t.1` |
-/// pass), the projected `FilterReduce` streaming kernel. Both fields
-/// stream as flat columns under columnar storage; half the keys pass,
-/// so the branch is unpredictable for the dispatch-based
-/// configurations.
-fn tuple_filter_by_field() -> Kernel {
-    let mut b = FunctionBuilder::new("main", &[], Type::Void);
-    let pair = Type::Tuple(vec![Type::U64, Type::U64]);
-    let seq = b.new_collection(Type::seq(pair));
-    let lo = b.const_u64(0);
-    let hi = b.const_u64(N);
-    let seq = b.for_range(lo, hi, &[seq], |b, i, c| {
-        let three = b.const_u64(3);
-        let payload = b.mul(i, three);
-        let t = b.make_tuple(&[i, payload]);
-        vec![b.push(c[0], t)]
-    })[0];
-    let mut acc = b.const_u64(0);
-    let cut = b.const_u64(N / 2); // half the keys pass the filter
-    for _ in 0..TUPLE_FOLDS {
-        acc = b.for_each(seq, &[acc], |b, _i, v, c| {
-            let t = v.expect("sequence iteration binds values");
-            let keep = b.cmp_at(CmpOp::Lt, Operand::field(t, 0), cut);
-            b.if_else(
-                keep,
-                |b| vec![b.bin_at(BinOp::Add, c[0], Operand::field(t, 1))],
-                |_b| vec![c[0]],
-            )
-        })[0];
-    }
-    b.print(&[acc]);
-    b.ret_void();
-    let mut module = Module::new();
-    module.add_function(b.finish());
-    Kernel {
-        // tuple pack + push, then per fold: N compares + ~N/2 taken adds
-        ops: N * 2 + TUPLE_FOLDS * (N + N / 2),
-        name: "tuple_filter_by_field",
-        module,
-    }
-}
-
-fn run_once(k: &Kernel, fuse: bool, unbox: bool, loop_fuse: bool, soa: bool) -> usize {
-    let config = ExecConfig {
-        fuse,
-        unbox,
-        loop_fuse,
-        soa,
-        ..ExecConfig::default()
-    };
-    Interpreter::new(&k.module, config)
-        .run_inline("main")
+fn run_once(k: &Kernel, reference: bool) -> usize {
+    let decoded = DecodedModule::decode_with(&k.module, &DecodeOptions { reference });
+    Interpreter::new(&k.module, ExecConfig::default())
+        .run_decoded_inline(&decoded, "main")
         .unwrap_or_else(|e| panic!("[{}] run: {e}", k.name))
         .output
         .len()
@@ -452,15 +345,15 @@ fn run_once(k: &Kernel, fuse: bool, unbox: bool, loop_fuse: bool, soa: bool) -> 
 /// (one timed run per config per round) so slow drift — frequency
 /// scaling, co-tenant noise — hits all configs alike instead of
 /// whichever happened to run last.
-fn time_kernel(k: &Kernel) -> [f64; 7] {
-    for (_, fuse, unbox, loop_fuse, soa) in CONFIGS {
-        run_once(k, fuse, unbox, loop_fuse, soa); // warm-up (decode, allocator, caches)
+fn time_kernel(k: &Kernel) -> [f64; 2] {
+    for (_, reference) in CONFIGS {
+        run_once(k, reference); // warm-up (decode, allocator, caches)
     }
-    let mut best = [f64::INFINITY; 7];
+    let mut best = [f64::INFINITY; 2];
     for _ in 0..RUNS {
-        for (slot, (_, fuse, unbox, loop_fuse, soa)) in CONFIGS.into_iter().enumerate() {
+        for (slot, (_, reference)) in CONFIGS.into_iter().enumerate() {
             let t = Instant::now();
-            std::hint::black_box(run_once(k, fuse, unbox, loop_fuse, soa));
+            std::hint::black_box(run_once(k, reference));
             best[slot] = best[slot].min(t.elapsed().as_secs_f64());
         }
     }
@@ -478,8 +371,6 @@ fn main() {
         branchy_classify(),
         seq_filter_sum(),
         set_bulk_probe(),
-        tuple_project_sum(),
-        tuple_filter_by_field(),
     ];
     let mut rows = Vec::new();
     let mut log_speedup_sum = 0.0;
@@ -488,7 +379,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("[{}] verify: {e}", k.name));
         let best = time_kernel(k);
         let mut walls = Vec::new();
-        for (slot, (cname, _, _, _, _)) in CONFIGS.into_iter().enumerate() {
+        for (slot, (cname, _)) in CONFIGS.into_iter().enumerate() {
             let wall = best[slot];
             println!(
                 "{:>16} {:>14}  {:>12.1} ops/s  {:.4} s",
@@ -499,14 +390,9 @@ fn main() {
             );
             walls.push((cname, wall));
         }
-        let base = walls[0].1;
-        let no_soa = walls[walls.len() - 2].1;
-        let optimized = walls[walls.len() - 1].1;
-        let speedup = base / optimized;
-        let speedup_soa = no_soa / optimized;
+        let speedup = walls[0].1 / walls[1].1;
         log_speedup_sum += speedup.ln();
         println!("{:>16} {:>14}  {speedup:>11.2}x", k.name, "speedup");
-        println!("{:>16} {:>14}  {speedup_soa:>11.2}x", k.name, "soa speedup");
         let wall_fields: Vec<String> = walls
             .iter()
             .map(|(c, w)| format!("\"{c}\": {w:.6}"))
@@ -519,25 +405,23 @@ fn main() {
             concat!(
                 "    {{\"kernel\": \"{}\", \"ops\": {}, ",
                 "\"wall_seconds\": {{{}}}, \"ops_per_sec\": {{{}}}, ",
-                "\"speedup_full\": {:.3}, \"speedup_soa\": {:.3}}}"
+                "\"speedup\": {:.3}}}"
             ),
             k.name,
             k.ops,
             wall_fields.join(", "),
             rate_fields.join(", "),
-            speedup,
-            speedup_soa
+            speedup
         ));
     }
     let geomean = (log_speedup_sum / kernels.len() as f64).exp();
-    println!("{:>16} {:>14}  {geomean:>11.2}x", "GEOMEAN", "full");
+    println!("{:>16} {:>14}  {geomean:>11.2}x", "GEOMEAN", "default");
     let json = format!(
         concat!(
             "{{\n  \"iterations\": {},\n  \"runs\": {},\n",
-            "  \"configs\": [\"base\", \"fused\", \"unboxed\", \"fused_unboxed\", ",
-            "\"loop_fused\", \"no_soa\", \"full\"],\n",
+            "  \"configs\": [\"reference\", \"default\"],\n",
             "  \"kernels\": [\n{}\n  ],\n",
-            "  \"geomean_speedup_full\": {:.3}\n}}\n"
+            "  \"geomean_speedup\": {:.3}\n}}\n"
         ),
         N,
         RUNS,

@@ -19,7 +19,7 @@ use ade_workloads::bench::{all_benchmarks, benchmark_by_abbrev};
 use ade_workloads::ConfigKind;
 
 use crate::checkpoint::Checkpoint;
-use crate::runner::{geomean, CellError, RunResult};
+use crate::runner::{geomean, CellError, CellSpec, RunResult};
 
 /// The `(benchmark, configuration)` cells one figure target consumes.
 ///
@@ -166,7 +166,7 @@ pub struct Session {
     scheduled: usize,
     timeline: Option<Arc<Timeline>>,
     checkpoint: Option<Arc<Checkpoint>>,
-    interp_opts: crate::runner::InterpOpts,
+    reference: bool,
     metrics: MetricsRegistry,
     /// Flight-recorder dumps for degraded cells, keyed `abbrev_config`.
     postmortems: Arc<Mutex<BTreeMap<String, String>>>,
@@ -194,20 +194,20 @@ impl Session {
             scheduled: 0,
             timeline: None,
             checkpoint: None,
-            interp_opts: crate::runner::InterpOpts::default(),
+            reference: false,
             metrics: MetricsRegistry::disabled(),
             postmortems: Arc::new(Mutex::new(BTreeMap::new())),
             cache: BTreeMap::new(),
         }
     }
 
-    /// Overrides the interpreter-optimization toggles (superinstruction
-    /// fusion, unboxed scalar storage) for every cell this session runs.
-    /// Figures and statistics are identical for all four combinations —
-    /// the differential tests sweep this knob to prove it.
+    /// Runs every cell of this session on the reference decode (no
+    /// peephole, no loop fusion; see [`CellSpec::reference`]). Figures
+    /// and statistics are identical either way — the differential tests
+    /// flip this knob to prove it.
     #[must_use]
-    pub fn interp_opts(mut self, opts: crate::runner::InterpOpts) -> Self {
-        self.interp_opts = opts;
+    pub fn reference(mut self, reference: bool) -> Self {
+        self.reference = reference;
         self
     }
 
@@ -437,7 +437,7 @@ impl Session {
         let timeline = self.timeline.clone();
         let fault = self.fault;
         let checkpoint = self.checkpoint.clone();
-        let interp_opts = self.interp_opts;
+        let reference = self.reference;
         let timeout = self.cell_timeout;
         let postmortems = Arc::clone(&self.postmortems);
         let work = move |worker: usize,
@@ -515,7 +515,7 @@ impl Session {
                 abbrev,
                 kind,
                 fuel,
-                interp_opts,
+                reference,
                 timeout.is_some().then_some(cancel),
             );
             if cancel.is_cancelled() {
@@ -1129,7 +1129,7 @@ impl Session {
         // come back in declaration order, so rendering stays strictly
         // ordered below.
         let abbrevs = self.abbrevs();
-        let (scale, trials, interp_opts) = (self.scale, self.trials, self.interp_opts);
+        let (scale, trials, reference) = (self.scale, self.trials, self.reference);
         let timeline = self.timeline.clone();
         let feedback_runs: Vec<(
             &'static str,
@@ -1137,7 +1137,7 @@ impl Session {
         )> = crate::pool::run_ordered_with(abbrevs.clone(), self.jobs, move |worker, abbrev| {
             let bench = benchmark_by_abbrev(abbrev).expect("known benchmark");
             let started = timeline.as_deref().map(Timeline::now_ns);
-            let r = crate::runner::try_run_feedback_cell(&bench, scale, trials, interp_opts);
+            let r = crate::runner::try_run_feedback_cell(&bench, scale, trials, reference);
             if let (Some(t), Some(started)) = (timeline.as_deref(), started) {
                 let mut args = vec![("scale".to_string(), scale.to_string())];
                 if let Err(e) = &r {
@@ -1235,22 +1235,20 @@ fn try_run_cell(
     worker: usize,
     abbrev: &str,
     kind: ConfigKind,
-    fuel_override: Option<u64>,
-    interp_opts: crate::runner::InterpOpts,
+    fuel: Option<u64>,
+    reference: bool,
     cancel: Option<&crate::pool::CancelToken>,
 ) -> Result<RunResult, CellError> {
     let bench = benchmark_by_abbrev(abbrev).expect("known benchmark");
     let started = timeline.map(Timeline::now_ns);
-    let r = crate::runner::try_run_benchmark_cell_cancellable(
-        &bench,
-        kind,
-        scale,
+    let r = crate::runner::run_cell(&CellSpec {
         trials,
         profile,
-        fuel_override,
-        interp_opts,
+        fuel,
+        reference,
         cancel,
-    );
+        ..CellSpec::new(&bench, kind, scale)
+    });
     if cancel.is_some_and(crate::pool::CancelToken::is_cancelled) {
         // The watchdog fired: the pool reports `timeout` and discards
         // this outcome, so don't record an event for it either.

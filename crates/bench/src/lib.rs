@@ -13,4 +13,4 @@ pub mod runner;
 
 pub use figures::{CellResult, FaultKind, FaultSpec};
 pub use pool::CellFailure;
-pub use runner::{run_benchmark, CellError, RunResult};
+pub use runner::{run_cell, CellError, CellSpec, RunResult};

@@ -2,9 +2,13 @@
 //! measurement the figures need.
 
 use std::fmt;
+use std::sync::Arc;
 
 use ade_interp::cost::CostModel;
-use ade_interp::{ExecError, Interpreter, Phase, SiteProfile, Stats};
+use ade_interp::{
+    DecodeOptions, DecodedModule, ExecConfig, ExecError, Interpreter, Phase, SiteProfile, Stats,
+};
+use ade_ir::Module;
 use ade_workloads::{Benchmark, Config, ConfigKind};
 
 use crate::pool::CancelToken;
@@ -79,198 +83,105 @@ impl fmt::Display for CellError {
     }
 }
 
-/// Runs `bench` at `scale` under `kind`.
-///
-/// # Panics
-///
-/// Panics if the program fails to verify or execute — benchmark modules
-/// are trusted inputs here.
-pub fn run_benchmark(bench: &Benchmark, kind: ConfigKind, scale: u32) -> RunResult {
-    run_benchmark_trials(bench, kind, scale, 1)
+/// One `(benchmark, configuration)` cell and how to run it. Build one
+/// with [`CellSpec::new`] and override the fields a caller needs.
+#[derive(Clone, Copy)]
+pub struct CellSpec<'a> {
+    /// The benchmark to build.
+    pub bench: &'a Benchmark,
+    /// The configuration to compile and execute it under.
+    pub kind: ConfigKind,
+    /// Input scale (≈ log2 nodes).
+    pub scale: u32,
+    /// Executions of the decoded module; the fastest wall-clock
+    /// observation is kept (the artifact's `TRIALS` knob). Operation
+    /// counts and memory are deterministic across trials.
+    pub trials: u32,
+    /// Record a per-site profile. Profiling never changes op counts or
+    /// figures — it only records where the counts came from.
+    pub profile: bool,
+    /// Caps the interpreter's instruction budget (the deterministic
+    /// `--inject-fault kind=fuel` hook); `None` keeps the
+    /// configuration's limits (off by default).
+    pub fuel: Option<u64>,
+    /// Execute the reference decode ([`DecodeOptions::reference`]):
+    /// figures and statistics are identical either way, which the
+    /// differential tests pin.
+    pub reference: bool,
+    /// Run preemptibly through [`ade_interp::ExecSession`], stepping
+    /// [`CELL_QUANTUM`] instructions at a time and polling the token at
+    /// every boundary — the `--cell-timeout` machinery. Quantum slicing
+    /// is observationally inert, so an uncancelled run returns exactly
+    /// the batch path's stats and output.
+    pub cancel: Option<&'a CancelToken>,
 }
 
-/// Runs `bench` `trials` times (the artifact's `TRIALS` knob), keeping
-/// the fastest wall-clock observation. Operation counts and memory are
-/// deterministic across trials, so only the wall times vary.
-///
-/// # Panics
-///
-/// Panics if the program fails to verify or execute, or `trials == 0`.
-pub fn run_benchmark_trials(
-    bench: &Benchmark,
-    kind: ConfigKind,
-    scale: u32,
-    trials: u32,
-) -> RunResult {
-    run_benchmark_trials_profiled(bench, kind, scale, trials, false)
-}
-
-/// [`run_benchmark_trials`] with optional per-site profiling. Profiling
-/// never changes op counts or figures — it only records where the counts
-/// came from — so the returned stats are identical either way; the
-/// best-wall trial's profile is the one kept.
-///
-/// # Panics
-///
-/// Panics if the program fails to verify or execute, or `trials == 0`.
-pub fn run_benchmark_trials_profiled(
-    bench: &Benchmark,
-    kind: ConfigKind,
-    scale: u32,
-    trials: u32,
-    profile: bool,
-) -> RunResult {
-    try_run_benchmark_trials_profiled(bench, kind, scale, trials, profile, None)
-        .unwrap_or_else(|e| panic!("[{} {}] {e}", bench.abbrev, kind.name()))
-}
-
-/// Interpreter-optimization toggles the harness threads through to
-/// [`ade_interp::ExecConfig`]. Production runs keep all four on (the
-/// default); the differential tests sweep every combination to pin
-/// down that figures and statistics are independent of them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InterpOpts {
-    /// Superinstruction fusion ([`ade_interp::ExecConfig::fuse`]).
-    pub fuse: bool,
-    /// Unboxed scalar storage ([`ade_interp::ExecConfig::unbox`]).
-    pub unbox: bool,
-    /// Loop-granular stream fusion
-    /// ([`ade_interp::ExecConfig::loop_fuse`]).
-    pub loop_fuse: bool,
-    /// Columnar tuple storage ([`ade_interp::ExecConfig::soa`]).
-    pub soa: bool,
-}
-
-impl Default for InterpOpts {
-    fn default() -> InterpOpts {
-        InterpOpts {
-            fuse: true,
-            unbox: true,
-            loop_fuse: true,
-            soa: true,
+impl<'a> CellSpec<'a> {
+    /// A single-trial, unprofiled, unlimited batch run of `bench` under
+    /// `kind` at `scale` on the default decode.
+    pub fn new(bench: &'a Benchmark, kind: ConfigKind, scale: u32) -> Self {
+        CellSpec {
+            bench,
+            kind,
+            scale,
+            trials: 1,
+            profile: false,
+            fuel: None,
+            reference: false,
+            cancel: None,
         }
     }
 }
 
-/// [`run_benchmark_trials_profiled`] returning a typed [`CellError`]
-/// instead of panicking, so the evaluation matrix can degrade one cell
-/// without losing the rest. `fuel_override`, when set, caps the
-/// interpreter's instruction budget for this run (the deterministic
-/// `--inject-fault kind=fuel` hook); `None` leaves the configuration's
-/// limits (off by default) untouched.
+/// Builds, compiles, verifies and runs one cell.
 ///
 /// # Errors
 ///
 /// [`CellError::Verify`] if the compiled module fails verification,
-/// [`CellError::Exec`] if any trial's interpretation fails.
+/// [`CellError::Exec`] if any trial's interpretation fails; a fired
+/// cancel token surfaces as `CellError::Exec(ExecError::Preempted { .. })`.
 ///
 /// # Panics
 ///
-/// Panics if `trials == 0` (a harness bug, not a cell fault).
-pub fn try_run_benchmark_trials_profiled(
-    bench: &Benchmark,
-    kind: ConfigKind,
-    scale: u32,
-    trials: u32,
-    profile: bool,
-    fuel_override: Option<u64>,
-) -> Result<RunResult, CellError> {
-    try_run_benchmark_cell(
-        bench,
-        kind,
-        scale,
-        trials,
-        profile,
-        fuel_override,
-        InterpOpts::default(),
-    )
-}
-
-/// [`try_run_benchmark_trials_profiled`] with explicit [`InterpOpts`].
-///
-/// # Errors
-///
-/// As [`try_run_benchmark_trials_profiled`].
-///
-/// # Panics
-///
-/// Panics if `trials == 0` (a harness bug, not a cell fault).
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_benchmark_cell(
-    bench: &Benchmark,
-    kind: ConfigKind,
-    scale: u32,
-    trials: u32,
-    profile: bool,
-    fuel_override: Option<u64>,
-    opts: InterpOpts,
-) -> Result<RunResult, CellError> {
-    try_run_benchmark_cell_cancellable(bench, kind, scale, trials, profile, fuel_override, opts, None)
-}
-
-/// Fuel quantum for cancellable cell runs: large enough that the
-/// park/grant handshake is noise next to real work, small enough that
-/// a hung guest loop reaches a boundary (and sees a fired token)
-/// promptly.
-const CELL_QUANTUM: u64 = 1 << 16;
-
-/// [`try_run_benchmark_cell`], optionally preemptible. With `cancel`
-/// set the trials run through [`ade_interp::ExecSession`], stepping
-/// [`CELL_QUANTUM`] instructions at a time and polling the token at
-/// every boundary — the `--cell-timeout` machinery. Quantum slicing is
-/// observationally inert, so an uncancelled run returns exactly the
-/// batch path's stats and output (the robustness suite pins the figure
-/// text). With `cancel == None` the batch path runs unchanged.
-///
-/// # Errors
-///
-/// As [`try_run_benchmark_cell`]; a fired token additionally surfaces
-/// as `CellError::Exec(ExecError::Preempted { .. })`.
-///
-/// # Panics
-///
-/// Panics if `trials == 0` (a harness bug, not a cell fault).
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_benchmark_cell_cancellable(
-    bench: &Benchmark,
-    kind: ConfigKind,
-    scale: u32,
-    trials: u32,
-    profile: bool,
-    fuel_override: Option<u64>,
-    opts: InterpOpts,
-    cancel: Option<&CancelToken>,
-) -> Result<RunResult, CellError> {
-    assert!(trials > 0, "at least one trial");
-    let config = Config::new(kind);
-    let mut module = (bench.build)(scale);
+/// Panics if `spec.trials == 0` (a harness bug, not a cell fault).
+pub fn run_cell(spec: &CellSpec<'_>) -> Result<RunResult, CellError> {
+    let config = Config::new(spec.kind);
+    let mut module = (spec.bench.build)(spec.scale);
     config.compile(&mut module);
     ade_ir::verify::verify_module(&module).map_err(|e| CellError::Verify(e.to_string()))?;
     let mut exec = config.exec.clone();
-    exec.profile = profile;
-    exec.fuse = opts.fuse;
-    exec.unbox = opts.unbox;
-    exec.loop_fuse = opts.loop_fuse;
-    exec.soa = opts.soa;
-    if let Some(fuel) = fuel_override {
+    exec.profile = spec.profile;
+    if let Some(fuel) = spec.fuel {
         exec.fuel = Some(fuel);
     }
-    // Decode (and run the fusion tiers) once; every trial executes
-    // the same pre-decoded stream, so repeated trials measure the
-    // interpreter, not flattening overhead.
-    let decoded = ade_interp::DecodedModule::decode_with(
-        &module,
-        &ade_interp::DecodeOptions {
-            fuse: exec.fuse,
-            loop_fuse: exec.loop_fuse,
-        },
-    );
-    let decoded = std::sync::Arc::new(decoded);
+    let outcome = best_of(&module, &exec, spec)?;
+    Ok(RunResult {
+        abbrev: spec.bench.abbrev,
+        config: spec.kind,
+        output: outcome.output,
+        stats: outcome.stats,
+        profile: outcome.profile,
+    })
+}
+
+/// Decodes `module` once and executes it `spec.trials` times, keeping
+/// the fastest wall-clock outcome, so repeated trials measure the
+/// interpreter, not flattening overhead.
+fn best_of(
+    module: &Module,
+    exec: &ExecConfig,
+    spec: &CellSpec<'_>,
+) -> Result<ade_interp::Outcome, CellError> {
+    assert!(spec.trials > 0, "at least one trial");
+    let options = DecodeOptions {
+        reference: spec.reference,
+    };
+    let decoded = Arc::new(DecodedModule::decode_with(module, &options));
     let mut best: Option<ade_interp::Outcome> = None;
-    for _ in 0..trials {
-        let outcome = match cancel {
+    for _ in 0..spec.trials {
+        let outcome = match spec.cancel {
             Some(token) => run_preemptible(&decoded, exec.clone(), token),
-            None => Interpreter::new(&module, exec.clone()).run_decoded(&decoded, "main"),
+            None => Interpreter::new(module, exec.clone()).run_decoded(&decoded, "main"),
         }
         .map_err(CellError::Exec)?;
         let better = best
@@ -280,26 +191,24 @@ pub fn try_run_benchmark_cell_cancellable(
             best = Some(outcome);
         }
     }
-    let outcome = best.expect("ran at least once");
-    Ok(RunResult {
-        abbrev: bench.abbrev,
-        config: kind,
-        output: outcome.output,
-        stats: outcome.stats,
-        profile: outcome.profile,
-    })
+    Ok(best.expect("ran at least once"))
 }
+
+/// Fuel quantum for cancellable cell runs: large enough that the
+/// park/grant handshake is noise next to real work, small enough that
+/// a hung guest loop reaches a boundary (and sees a fired token)
+/// promptly.
+const CELL_QUANTUM: u64 = 1 << 16;
 
 /// One preemptible trial: an [`ade_interp::ExecSession`] stepped one
 /// [`CELL_QUANTUM`] at a time, cancelling at the first boundary after
 /// the token fires.
 fn run_preemptible(
-    decoded: &std::sync::Arc<ade_interp::DecodedModule>,
-    exec: ade_interp::ExecConfig,
+    decoded: &Arc<DecodedModule>,
+    exec: ExecConfig,
     token: &CancelToken,
 ) -> Result<ade_interp::Outcome, ExecError> {
-    let mut session =
-        ade_interp::ExecSession::spawn(std::sync::Arc::clone(decoded), "main", exec)?;
+    let mut session = ade_interp::ExecSession::spawn(Arc::clone(decoded), "main", exec)?;
     loop {
         if token.is_cancelled() {
             session.cancel(ade_interp::StopReason::Cancelled);
@@ -313,9 +222,10 @@ fn run_preemptible(
 
 /// Runs the profile → compile loop for one benchmark: profile the
 /// static `ade` configuration, feed the measured op mixes back into
-/// selection, and run the feedback-directed result. Returns the
-/// feedback run plus the selection ledger its compile produced (for the
-/// figure's "picked" column and the explain report).
+/// selection, and run the feedback-directed result (best of `trials`,
+/// on the reference decode when `reference`). Returns the feedback run
+/// plus the selection ledger its compile produced (for the figure's
+/// "picked" column and the explain report).
 ///
 /// # Errors
 ///
@@ -331,9 +241,18 @@ pub fn try_run_feedback_cell(
     bench: &Benchmark,
     scale: u32,
     trials: u32,
-    opts: InterpOpts,
+    reference: bool,
 ) -> Result<(RunResult, ade_obs::SelectionLedger), CellError> {
-    let profiled = try_run_benchmark_cell(bench, ConfigKind::Ade, scale, 1, true, None, opts)?;
+    let spec = CellSpec {
+        trials,
+        reference,
+        ..CellSpec::new(bench, ConfigKind::Ade, scale)
+    };
+    let profiled = run_cell(&CellSpec {
+        trials: 1,
+        profile: true,
+        ..spec
+    })?;
     let json = profiled.profile.as_ref().expect("profiled run").to_json();
     let data = ade_obs::read_profile(&json)
         .unwrap_or_else(|e| panic!("[{}] interpreter wrote an invalid profile: {e}", bench.abbrev));
@@ -344,32 +263,7 @@ pub fn try_run_feedback_cell(
     let mut module = (bench.build)(scale);
     let report = config.compile(&mut module).expect("ade pass ran");
     ade_ir::verify::verify_module(&module).map_err(|e| CellError::Verify(e.to_string()))?;
-    let mut exec = config.exec.clone();
-    exec.fuse = opts.fuse;
-    exec.unbox = opts.unbox;
-    exec.loop_fuse = opts.loop_fuse;
-    exec.soa = opts.soa;
-    let decoded = ade_interp::DecodedModule::decode_with(
-        &module,
-        &ade_interp::DecodeOptions {
-            fuse: exec.fuse,
-            loop_fuse: exec.loop_fuse,
-        },
-    );
-    assert!(trials > 0, "at least one trial");
-    let mut best: Option<ade_interp::Outcome> = None;
-    for _ in 0..trials {
-        let outcome = Interpreter::new(&module, exec.clone())
-            .run_decoded(&decoded, "main")
-            .map_err(CellError::Exec)?;
-        let better = best
-            .as_ref()
-            .is_none_or(|b| outcome.stats.wall_total_ns() < b.stats.wall_total_ns());
-        if better {
-            best = Some(outcome);
-        }
-    }
-    let outcome = best.expect("ran at least once");
+    let outcome = best_of(&module, &config.exec, &spec)?;
     Ok((
         RunResult {
             abbrev: bench.abbrev,
@@ -411,8 +305,9 @@ mod tests {
     #[test]
     fn memoir_and_ade_agree_and_ade_is_modeled_faster_on_bfs() {
         let bench = benchmark_by_abbrev("BFS").expect("bfs");
-        let memoir = run_benchmark(&bench, ConfigKind::Memoir, 6);
-        let ade = run_benchmark(&bench, ConfigKind::Ade, 6);
+        let run = |kind| run_cell(&CellSpec::new(&bench, kind, 6)).expect("runs");
+        let memoir = run(ConfigKind::Memoir);
+        let ade = run(ConfigKind::Ade);
         assert_eq!(memoir.output, ade.output);
         let model = CostModel::intel_x64();
         assert!(

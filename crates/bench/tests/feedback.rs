@@ -1,11 +1,11 @@
 //! The feedback RQ must be deterministic infrastructure, not a new
 //! source of noise: its figure text is byte-identical for every
-//! `--jobs` count and every interpreter-optimization combination, the
+//! `--jobs` count and on the reference and default decodes, the
 //! feedback-directed runs preserve program behavior exactly, and
 //! running the RQ leaves every pre-existing figure untouched.
 
 use ade_bench::figures::{cells_for_target, Session};
-use ade_bench::runner::{try_run_feedback_cell, InterpOpts};
+use ade_bench::runner::{run_cell, try_run_feedback_cell, CellSpec};
 use ade_workloads::bench::benchmark_by_abbrev;
 use ade_workloads::ConfigKind;
 
@@ -30,31 +30,14 @@ fn feedback_figure_is_byte_identical_across_job_counts() {
 }
 
 #[test]
-fn feedback_figure_is_byte_identical_across_interp_opts() {
-    let combos = [
-        InterpOpts {
-            fuse: false,
-            unbox: false,
-            loop_fuse: false,
-            soa: false,
-        },
-        InterpOpts {
-            fuse: true,
-            unbox: false,
-            loop_fuse: true,
-            soa: false,
-        },
-        InterpOpts::default(),
-    ];
-    let mut reference: Option<String> = None;
-    for opts in combos {
-        let mut session = Session::new(4).include_wall(false).interp_opts(opts);
-        let text = session.feedback_rq();
-        match &reference {
-            None => reference = Some(text),
-            Some(reference) => assert_eq!(&text, reference, "{opts:?}"),
-        }
-    }
+fn feedback_figure_is_byte_identical_reference_vs_default() {
+    let text = |reference: bool| {
+        Session::new(4)
+            .include_wall(false)
+            .reference(reference)
+            .feedback_rq()
+    };
+    assert_eq!(text(true), text(false));
 }
 
 #[test]
@@ -62,8 +45,9 @@ fn feedback_runs_preserve_behavior_and_the_ledger_explains_them() {
     for abbrev in ["BFS", "KT", "PTA"] {
         let bench = benchmark_by_abbrev(abbrev).expect("known benchmark");
         let (run, ledger) =
-            try_run_feedback_cell(&bench, SCALE, 1, InterpOpts::default()).expect("feedback runs");
-        let baseline = ade_bench::runner::run_benchmark(&bench, ConfigKind::Memoir, SCALE);
+            try_run_feedback_cell(&bench, SCALE, 1, false).expect("feedback runs");
+        let baseline =
+            run_cell(&CellSpec::new(&bench, ConfigKind::Memoir, SCALE)).expect("baseline runs");
         assert_eq!(run.output, baseline.output, "[{abbrev}] behavior changed");
         assert!(!ledger.is_empty(), "[{abbrev}] no decisions recorded");
         for d in &ledger.decisions {

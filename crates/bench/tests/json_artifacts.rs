@@ -60,9 +60,8 @@ fn site_profile_validates_and_round_trips() {
 #[test]
 fn selection_ledger_validates() {
     let bench = ade_workloads::bench::benchmark_by_abbrev("BFS").expect("known benchmark");
-    let (_result, ledger) =
-        ade_bench::runner::try_run_feedback_cell(&bench, SCALE, 1, Default::default())
-            .expect("feedback cell runs");
+    let (_result, ledger) = ade_bench::runner::try_run_feedback_cell(&bench, SCALE, 1, false)
+        .expect("feedback cell runs");
     let text = ledger.to_json();
     json::validate(&text).expect("selection ledger is valid JSON");
     assert!(text.contains("\"schema\":\"ade-selection-ledger-v1\""), "{text}");
@@ -89,40 +88,37 @@ fn metrics_snapshot_validates() {
 
 /// The interpreter's metrics snapshot counts one backend instantiation
 /// per collection by kind (`exec_backend_selected_total{kind=…}`),
-/// including the columnar (SoA) kinds, and the snapshot is
-/// byte-deterministic: two identical runs render identical JSON.
+/// distinguishing unboxed scalar storage from boxed fallbacks, and the
+/// snapshot is byte-deterministic: two identical runs render identical
+/// JSON.
 #[test]
 fn backend_selection_metrics_are_deterministic_by_kind() {
     use ade_interp::{ExecConfig, Interpreter};
     use ade_ir::builder::FunctionBuilder;
-    use ade_ir::{BinOp, Module, Operand, Type};
+    use ade_ir::{BinOp, Module, Type};
 
     let build = || {
         let mut b = FunctionBuilder::new("main", &[], Type::Void);
-        let pair = Type::Tuple(vec![Type::U64, Type::U64]);
-        let seq = b.new_collection(Type::seq(pair));
+        let seq = b.new_collection(Type::seq(Type::U64));
+        let names = b.new_collection(Type::seq(Type::Str));
         let lo = b.const_u64(0);
         let hi = b.const_u64(64);
-        let seq = b.for_range(lo, hi, &[seq], |b, i, c| {
-            let t = b.make_tuple(&[i, i]);
-            vec![b.push(c[0], t)]
-        })[0];
+        let seq = b.for_range(lo, hi, &[seq], |b, i, c| vec![b.push(c[0], i)])[0];
         let zero = b.const_u64(0);
         let sum = b.for_each(seq, &[zero], |b, _i, v, c| {
-            let t = v.expect("bound");
-            vec![b.bin_at(BinOp::Add, c[0], Operand::field(t, 1))]
+            vec![b.bin(BinOp::Add, c[0], v.expect("bound"))]
         })[0];
-        b.print(&[sum]);
+        let n = b.size(names);
+        b.print(&[sum, n]);
         b.ret_void();
         let mut module = Module::new();
         module.add_function(b.finish());
         module
     };
 
-    let snapshot = |soa: bool| {
+    let snapshot = || {
         let m = MetricsRegistry::enabled();
         let config = ExecConfig {
-            soa,
             metrics: m.clone(),
             ..ExecConfig::default()
         };
@@ -132,25 +128,15 @@ fn backend_selection_metrics_are_deterministic_by_kind() {
         m.snapshot().to_json(false)
     };
 
-    let with_soa = snapshot(true);
-    json::validate(&with_soa).expect("metrics snapshot is valid JSON");
+    let text = snapshot();
+    json::validate(&text).expect("metrics snapshot is valid JSON");
     assert!(
-        with_soa.contains("exec_backend_selected_total{kind=\\\"soa_seq\\\"}")
-            || with_soa.contains("soa_seq"),
-        "SoA kind counted: {with_soa}"
+        text.contains("exec_backend_selected_total"),
+        "backend instantiations counted: {text}"
     );
-    assert_eq!(with_soa, snapshot(true), "snapshot must be deterministic");
-
-    let without_soa = snapshot(false);
-    assert!(
-        without_soa.contains("exec_backend_selected_total"),
-        "backend instantiations counted: {without_soa}"
-    );
-    assert!(
-        !without_soa.contains("soa"),
-        "no SoA backend without `soa`: {without_soa}"
-    );
-    assert_eq!(without_soa, snapshot(false), "snapshot must be deterministic");
+    assert!(text.contains("unboxed_seq"), "unboxed kind counted: {text}");
+    assert!(text.contains("\\\"seq\\\""), "boxed kind counted: {text}");
+    assert_eq!(text, snapshot(), "snapshot must be deterministic");
 }
 
 #[test]

@@ -1,0 +1,123 @@
+//! The decode optimizations — the superinstruction peephole and loop
+//! fusion — must be invisible everywhere except wall time: every figure
+//! byte, operation count, program output (checksums), memory highwater
+//! and per-site profile is identical between the reference decode and
+//! the default one. These tests are the safety net that lets the
+//! interpreter's fast paths change (or be deleted) — never weaken them
+//! to make a change pass.
+
+use ade_bench::figures::{cells_for_target, Session};
+use ade_bench::runner::{run_cell, CellSpec};
+use ade_workloads::bench::benchmark_by_abbrev;
+
+const SCALE: u32 = 5;
+
+/// Fig. 5 text (wall ratios suppressed) is byte-identical on the
+/// reference and the default decode.
+#[test]
+fn fig5_text_is_byte_identical_reference_vs_default() {
+    let text = |reference: bool| {
+        let mut session = Session::new(SCALE).include_wall(false).reference(reference);
+        session.prewarm(&["fig5"]);
+        session.fig5_or_6(false)
+    };
+    assert_eq!(text(false), text(true), "fig5 text diverged");
+}
+
+/// Every fig5 cell carries identical per-phase operation counts,
+/// program output (order-insensitive checksums) and memory highwater on
+/// both decodes.
+#[test]
+fn cell_stats_match_exactly_reference_vs_default() {
+    let cells = cells_for_target("fig5");
+    assert!(!cells.is_empty(), "fig5 must plan a non-empty matrix");
+
+    let mut reference = Session::new(SCALE).reference(true);
+    reference.prewarm(&["fig5"]);
+    let mut default = Session::new(SCALE).jobs(2);
+    default.prewarm(&["fig5"]);
+    for &(abbrev, kind) in &cells {
+        let r = reference.cell(abbrev, kind);
+        let d = default.cell(abbrev, kind);
+        let tag = format!("[{abbrev} {}]", kind.name());
+        assert_eq!(
+            r.stats.per_phase, d.stats.per_phase,
+            "{tag} op counts diverged"
+        );
+        assert_eq!(r.output, d.output, "{tag} program output diverged");
+        assert_eq!(
+            r.stats.peak_bytes, d.stats.peak_bytes,
+            "{tag} peak memory diverged"
+        );
+    }
+}
+
+/// Default execution attributes work to the same instruction sites as
+/// the reference: the per-site profiles are byte-identical, and the
+/// default profile still sums exactly to the aggregate statistics.
+#[test]
+fn site_profiles_are_identical_reference_vs_default() {
+    let cells = cells_for_target("fig5");
+
+    let mut reference = Session::new(SCALE).profile(true).reference(true);
+    reference.prewarm(&["fig5"]);
+    let mut default = Session::new(SCALE).profile(true);
+    default.prewarm(&["fig5"]);
+
+    for (abbrev, kind) in cells {
+        let r = reference.cell(abbrev, kind);
+        let d = default.cell(abbrev, kind);
+        let rp = r.profile.as_ref().expect("reference profile collected");
+        let dp = d.profile.as_ref().expect("default profile collected");
+        assert_eq!(
+            rp.to_json(),
+            dp.to_json(),
+            "[{abbrev} {}] per-site profile diverged",
+            kind.name()
+        );
+        assert_eq!(
+            dp.totals(),
+            d.stats.totals(),
+            "[{abbrev} {}] default profile no longer sums to the aggregate stats",
+            kind.name()
+        );
+    }
+}
+
+/// A fuel budget that trips mid-loop must trip at the identical point on
+/// both decodes: fused windows and bulk loops never change where a limit
+/// (or any trap) lands. Sweeps budgets from "trips immediately" through
+/// "completes" and requires bit-identical outcomes — same error text on
+/// the trapping side, same output/stats on the completing side.
+#[test]
+fn fuel_trap_point_is_identical_reference_vs_default() {
+    let cells = cells_for_target("fig5");
+    let &(abbrev, kind) = cells.first().expect("fig5 plans at least one cell");
+    let bench = benchmark_by_abbrev(abbrev).expect("known benchmark");
+
+    for fuel in [1u64, 37, 1_000, 25_000, u64::MAX] {
+        let run = |reference: bool| {
+            run_cell(&CellSpec {
+                fuel: Some(fuel),
+                reference,
+                ..CellSpec::new(&bench, kind, SCALE)
+            })
+        };
+        let tag = format!("[{abbrev} fuel={fuel}]");
+        match (run(true), run(false)) {
+            (Ok(r), Ok(d)) => {
+                assert_eq!(r.output, d.output, "{tag} output diverged");
+                assert_eq!(
+                    r.stats.per_phase, d.stats.per_phase,
+                    "{tag} op counts diverged"
+                );
+            }
+            (Err(r), Err(d)) => {
+                assert_eq!(r.to_string(), d.to_string(), "{tag} trap point diverged")
+            }
+            (r, d) => {
+                panic!("{tag} one side trapped, the other did not: reference={r:?} default={d:?}")
+            }
+        }
+    }
+}

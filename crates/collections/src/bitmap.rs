@@ -154,23 +154,6 @@ impl<V: Default> BitMap<V> {
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.iter().map(|(_, v)| v)
     }
-
-    /// Folds over the present values in ascending key order with a
-    /// fallible step, stopping at the first error. The presence scan is
-    /// the bit-set's word loop; the value array is indexed directly, so
-    /// bulk loop kernels stream the dense storage without materializing
-    /// `(key, value)` pairs.
-    pub fn try_fold_values<B, E>(
-        &self,
-        init: B,
-        mut f: impl FnMut(B, &V) -> Result<B, E>,
-    ) -> Result<B, E> {
-        let mut acc = init;
-        for k in self.present.iter() {
-            acc = f(acc, &self.values[k])?;
-        }
-        Ok(acc)
-    }
 }
 
 impl<V: fmt::Debug + Default> fmt::Debug for BitMap<V> {

@@ -433,38 +433,6 @@ impl<T: Hash + Eq> ChainedHashSet<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.map.keys()
     }
-
-    /// Bulk membership: how many of `values` are in the set.
-    ///
-    /// One pass over the keys with the bucket mask hoisted out of the
-    /// loop — each key is hashed once and its chain scanned directly,
-    /// with no per-call empty-table branch. Semantically identical to
-    /// counting [`ChainedHashSet::contains`] hits one key at a time.
-    pub fn contains_batch(&self, values: &[T]) -> u64 {
-        if self.map.buckets.is_empty() {
-            return 0;
-        }
-        let mask = self.map.buckets.len() - 1;
-        values
-            .iter()
-            .filter(|v| {
-                let b = (hash_one(*v) as usize) & mask;
-                self.map.buckets[b].as_slice().iter().any(|(k, _)| k == *v)
-            })
-            .count() as u64
-    }
-
-    /// Bulk insert: adds every value, returning how many were newly
-    /// inserted. Equivalent to repeated [`ChainedHashSet::insert`]
-    /// (growth happens at exactly the same points, so the resulting
-    /// bucket layout is identical to the one-at-a-time history).
-    pub fn insert_batch<I: IntoIterator<Item = T>>(&mut self, values: I) -> u64 {
-        let mut added = 0;
-        for v in values {
-            added += u64::from(self.insert(v));
-        }
-        added
-    }
 }
 
 impl<T: fmt::Debug> fmt::Debug for ChainedHashSet<T> {

@@ -51,7 +51,6 @@ mod flat;
 pub mod fx;
 mod hash;
 mod seq;
-mod soa;
 mod sparsebit;
 mod swiss;
 
@@ -60,7 +59,6 @@ pub use bitset::DynamicBitSet;
 pub use flat::FlatSet;
 pub use hash::{ChainedHashMap, ChainedHashSet};
 pub use seq::ArraySeq;
-pub use soa::{ColumnMap, ColumnSeq};
 pub use sparsebit::SparseBitSet;
 pub use swiss::{SwissMap, SwissSet};
 

@@ -130,18 +130,6 @@ impl<T> ArraySeq<T> {
         &self.items
     }
 
-    /// Folds over the elements in index order with a fallible step,
-    /// stopping at the first error. This is the streaming entry point
-    /// bulk loop kernels use: one tight slice loop, no per-element
-    /// bounds checks or cursor state.
-    pub fn try_fold<B, E>(
-        &self,
-        init: B,
-        f: impl FnMut(B, &T) -> Result<B, E>,
-    ) -> Result<B, E> {
-        self.items.iter().try_fold(init, f)
-    }
-
     /// Constant-time estimate of the heap footprint (array capacity;
     /// element-owned heap data excluded).
     pub fn heap_bytes_fast(&self) -> usize {

@@ -404,33 +404,6 @@ impl<T: Hash + Eq> SwissSet<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.map.keys()
     }
-
-    /// Bulk membership: how many of `values` are in the set.
-    ///
-    /// Each key is hashed once and resolved with the same group-wise
-    /// SWAR probe as [`SwissSet::contains`] — 8 control bytes per step,
-    /// slot array touched only on `h2` candidates — without the
-    /// per-call wrapper overhead. Semantically identical to counting
-    /// `contains` hits one key at a time.
-    pub fn contains_batch(&self, values: &[T]) -> u64 {
-        values
-            .iter()
-            .filter(|v| self.map.find(v, hash_one(*v)).is_some())
-            .count() as u64
-    }
-
-    /// Bulk insert: adds every value, returning how many were newly
-    /// inserted. Equivalent to repeated [`SwissSet::insert`] (growth
-    /// and tombstone accounting happen at exactly the same points, so
-    /// the resulting table layout is identical to the one-at-a-time
-    /// history).
-    pub fn insert_batch<I: IntoIterator<Item = T>>(&mut self, values: I) -> u64 {
-        let mut added = 0;
-        for v in values {
-            added += u64::from(self.insert(v));
-        }
-        added
-    }
 }
 
 impl<T: fmt::Debug> fmt::Debug for SwissSet<T> {

@@ -126,46 +126,6 @@ pub struct SelectionFeedback {
     pub candidates: Vec<BackendCandidate>,
 }
 
-/// One element-*layout* choice for tuple-of-scalar collections: boxed
-/// rows (one `Arc<[Value]>` per element) or columnar
-/// structure-of-arrays storage (one unboxed column per field).
-///
-/// Unlike [`BackendCandidate`] this is not a selection-pass decision —
-/// the interpreter picks the layout at collection-creation time from
-/// static IR types, and both layouts are observationally identical —
-/// but pricing the rule through the same modeled-cost machinery keeps
-/// it inspectable: the per-column terms below are why tuple-of-scalar
-/// elements default to columnar storage (DESIGN.md §17).
-#[derive(Clone, Copy, Debug)]
-pub struct LayoutCandidate {
-    /// Display name (`Boxed`, `Soa`).
-    pub name: &'static str,
-    /// Scalar columns (tuple arity) this row was priced for. A boxed
-    /// layout is insensitive to arity on access (one pointer chase
-    /// regardless); a columnar one scales its store cost with it.
-    pub columns: u32,
-    /// Per-element cost of storing one whole row — a boxed layout pays
-    /// one allocation plus refcount traffic, a columnar one pays one
-    /// flat write *per column*, already multiplied in here, ns.
-    pub store_ns: f64,
-    /// Per-access cost of reading one *field* of one element, ns.
-    pub field_read_ns: f64,
-    /// Per-access cost of materializing one whole row (an escaping
-    /// tuple read: a clone for boxed rows, a rebox for columnar), ns.
-    pub row_read_ns: f64,
-}
-
-impl LayoutCandidate {
-    /// Modeled cost of building `rows` elements, then performing
-    /// `field_reads` single-field accesses (projection loops) and
-    /// `row_reads` whole-row materializations.
-    pub fn cost_ns(&self, rows: u64, field_reads: u64, row_reads: u64) -> f64 {
-        rows as f64 * self.store_ns
-            + field_reads as f64 * self.field_read_ns
-            + row_reads as f64 * self.row_read_ns
-    }
-}
-
 /// The assumed mix static selection is scored under in the ledger: a
 /// balanced access-heavy workload (the regime where the paper defaults
 /// to dense bit arrays). Chosen so the dense default wins under every

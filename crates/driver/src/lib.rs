@@ -102,22 +102,11 @@ pub struct Options {
     /// first quantum boundary past the deadline, surfacing the stable
     /// `deadline` reason code (exit 1, like any runtime limit).
     pub deadline_ms: Option<u64>,
-    /// Fuse hot instruction pairs/triples into superinstructions at
-    /// decode time (`--no-fuse` clears it; default: on). Counts, figures
-    /// and traps are identical either way — the flag exists to isolate
-    /// the dispatch optimization when debugging the interpreter.
-    pub fuse: bool,
-    /// Store scalar-typed collections unboxed (`--no-unbox` clears it;
-    /// default: on). Observationally inert like `fuse`.
-    pub unbox: bool,
-    /// Compile straight-line collection loops into bulk backend kernels
-    /// at decode time (`--no-loop-fuse` clears it; default: on).
-    /// Observationally inert like `fuse`.
-    pub loop_fuse: bool,
-    /// Store tuple-of-scalar collections as columns (structure of
-    /// arrays; `--no-soa` clears it; default: on). Observationally
-    /// inert like `fuse`.
-    pub soa: bool,
+    /// Execute the reference decode: no superinstruction peephole and
+    /// no loop fusion (`--reference`; default: off). Counts, figures and
+    /// traps are identical either way — the flag isolates the decode
+    /// optimizations when debugging the interpreter.
+    pub reference: bool,
 }
 
 impl Default for Options {
@@ -138,10 +127,7 @@ impl Default for Options {
             max_heap_cells: None,
             max_depth: None,
             deadline_ms: None,
-            fuse: true,
-            unbox: true,
-            loop_fuse: true,
-            soa: true,
+            reference: false,
         }
     }
 }
@@ -307,10 +293,6 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
         exec.fuel = options.fuel.or(exec.fuel);
         exec.max_heap_cells = options.max_heap_cells.or(exec.max_heap_cells);
         exec.max_depth = options.max_depth.or(exec.max_depth);
-        exec.fuse = options.fuse && exec.fuse;
-        exec.unbox = options.unbox && exec.unbox;
-        exec.loop_fuse = options.loop_fuse && exec.loop_fuse;
-        exec.soa = options.soa && exec.soa;
         let metrics = options.metrics.as_ref().map(|_| MetricsRegistry::enabled());
         if let Some(m) = &metrics {
             exec.metrics = m.clone();
@@ -337,7 +319,7 @@ const DEADLINE_QUANTUM: u64 = 1 << 16;
 
 /// Runs the program, batch or preemptibly depending on `--deadline-ms`.
 ///
-/// Without a deadline this is the plain inline interpreter. With one,
+/// Without a deadline this is the plain batch interpreter. With one,
 /// the run goes through a resumable [`ExecSession`] (the serve layer's
 /// primitive, which is quantum-size invariant: output, statistics and
 /// trap sites are byte-identical to the batch path) and is cancelled
@@ -350,16 +332,16 @@ fn execute(
 ) -> Result<ade_interp::Outcome, ade_interp::ExecError> {
     use ade_interp::{DecodeOptions, DecodedModule, ExecSession, Step, StopReason};
 
-    let Some(ms) = options.deadline_ms else {
-        return Interpreter::new(module, exec).run(&options.entry);
-    };
-    let decoded = std::sync::Arc::new(DecodedModule::decode_with(
+    let decoded = DecodedModule::decode_with(
         module,
         &DecodeOptions {
-            fuse: exec.fuse,
-            loop_fuse: exec.loop_fuse,
+            reference: options.reference,
         },
-    ));
+    );
+    let Some(ms) = options.deadline_ms else {
+        return Interpreter::new(module, exec).run_decoded(&decoded, &options.entry);
+    };
+    let decoded = std::sync::Arc::new(decoded);
     let deadline = std::time::Instant::now() + std::time::Duration::from_millis(ms);
     let mut session = ExecSession::spawn(decoded, &options.entry, exec)?;
     loop {
@@ -393,10 +375,9 @@ fn format_stats(stats: &ade_interp::Stats) -> String {
 pub const USAGE: &str = "\
 usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
             [--fuel N] [--max-heap-cells N] [--max-depth N]
-            [--deadline-ms N] [--no-fuse] [--no-unbox] [--no-loop-fuse]
-            [--no-soa] [--trace[=FILE]] [--trace-json FILE] [--profile FILE]
-            [--metrics FILE] [--profile-in FILE] [--explain[=FILE]]
-            INPUT.memoir
+            [--deadline-ms N] [--reference] [--trace[=FILE]]
+            [--trace-json FILE] [--profile FILE] [--metrics FILE]
+            [--profile-in FILE] [--explain[=FILE]] INPUT.memoir
 
   --config NAME, -c    artifact configuration (memoir, ade, ade-sparse, ...)
   --run, -r            execute the program after compilation
@@ -409,14 +390,9 @@ usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
   --deadline-ms N      preempt execution after N wall-clock milliseconds
                        (quantum-sliced resumable session; stops with the
                        stable `deadline` reason code and exit 1)
-  --no-fuse            disable interpreter superinstruction fusion (counts,
-                       figures and traps are identical; isolates dispatch)
-  --no-unbox           disable unboxed scalar collection storage (identical
-                       observables; isolates the storage representation)
-  --no-loop-fuse       disable bulk collection-loop kernels (identical
-                       observables; isolates loop-granular stream fusion)
-  --no-soa             disable columnar (structure-of-arrays) tuple storage
-                       (identical observables; isolates the tuple layout)
+  --reference          run the reference interpreter: no superinstruction
+                       peephole, no loop fusion (counts, figures and traps
+                       are identical; isolates the decode optimizations)
   --trace[=FILE]       human-readable pass/decision log to stderr (or FILE)
   --trace-json FILE    machine-readable trace events as JSON
   --profile FILE       per-site interpreter profile as JSON (implies --run);
@@ -496,10 +472,7 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<Cli, String> {
                 }
                 options.deadline_ms = Some(ms);
             }
-            "--no-fuse" => options.fuse = false,
-            "--no-unbox" => options.unbox = false,
-            "--no-loop-fuse" => options.loop_fuse = false,
-            "--no-soa" => options.soa = false,
+            "--reference" => options.reference = true,
             "--trace" => options.trace = TraceMode::Stderr,
             "--trace-json" => {
                 options.trace_json = Some(args.next().ok_or("missing value for --trace-json")?);
@@ -818,46 +791,33 @@ fn @main() -> u64 {
     }
 
     #[test]
-    fn cli_optimization_toggles_parse_and_stay_inert() {
-        let (opts, _) = parse_drive(&[
-            "--no-fuse",
-            "--no-unbox",
-            "--no-loop-fuse",
-            "--no-soa",
-            "p.memoir",
-        ])
-        .expect("parses");
-        assert!(!opts.fuse && !opts.unbox && !opts.loop_fuse && !opts.soa);
+    fn cli_reference_flag_parses_and_stays_inert() {
+        let (opts, _) = parse_drive(&["--reference", "p.memoir"]).expect("parses");
+        assert!(opts.reference);
+        for flag in ["--no-fuse", "--no-unbox", "--no-loop-fuse", "--no-soa"] {
+            assert!(parse_drive(&[flag, "p.memoir"]).is_err(), "{flag} is gone");
+        }
 
-        let run = |fuse: bool, unbox: bool, loop_fuse: bool, soa: bool| {
-            drive(
+        let run = |reference: bool| {
+            let out = drive(
                 PROGRAM,
                 &Options {
-                    run: true,
-                    fuse,
-                    unbox,
-                    loop_fuse,
-                    soa,
+                    stats: true,
+                    reference,
                     ..Options::default()
                 },
             )
-            .expect("drives")
-            .program_output
+            .expect("drives");
+            // Everything but the wall-clock line is deterministic.
+            let stats = out.stats.map(|s| {
+                s.lines()
+                    .filter(|l| !l.starts_with("wall"))
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            });
+            (out.program_output, stats)
         };
-        let reference = run(true, true, true, true);
-        for (fuse, unbox, loop_fuse, soa) in [
-            (false, false, false, false),
-            (false, true, true, true),
-            (true, false, true, true),
-            (true, true, false, true),
-            (true, true, true, false),
-        ] {
-            assert_eq!(
-                run(fuse, unbox, loop_fuse, soa),
-                reference,
-                "fuse={fuse} unbox={unbox} loop_fuse={loop_fuse} soa={soa}"
-            );
-        }
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
-//!      [--fuel N] [--max-heap-cells N] [--max-depth N] [--no-fuse]
-//!      [--no-unbox] [--no-loop-fuse] [--no-soa] [--trace[=FILE]]
-//!      [--trace-json FILE] [--profile FILE] [--metrics FILE]
-//!      [--profile-in FILE] [--explain[=FILE]] INPUT.memoir
+//!      [--fuel N] [--max-heap-cells N] [--max-depth N] [--reference]
+//!      [--trace[=FILE]] [--trace-json FILE] [--profile FILE]
+//!      [--metrics FILE] [--profile-in FILE] [--explain[=FILE]]
+//!      INPUT.memoir
 //! ```
 //!
 //! With no action flags the transformed IR is printed (`--emit-ir`).
@@ -22,11 +22,10 @@
 //! `--explain[=FILE]` renders the selection ledger (candidates, modeled
 //! costs, winner, deciding term).
 //! `--fuel`/`--max-heap-cells`/`--max-depth` bound execution; a tripped
-//! limit reports a typed error, like any guest trap. `--no-fuse` turns
-//! off interpreter superinstruction fusion, `--no-unbox` boxed-width
-//! scalar storage, `--no-loop-fuse` bulk collection-loop kernels,
-//! `--no-soa` columnar tuple storage (all observationally inert; for
-//! isolating one optimization at a time).
+//! limit reports a typed error, like any guest trap. `--reference` runs
+//! the reference interpreter (no superinstruction peephole, no loop
+//! fusion; observationally inert, for isolating the decode
+//! optimizations).
 //!
 //! Exit codes: 0 success; 1 guest trap or limit at runtime; 2 usage
 //! error (bad flags, unknown `--config`, unreadable input, an invalid

@@ -31,17 +31,8 @@ fn success_is_zero() {
 }
 
 #[test]
-fn optimization_toggles_are_accepted_and_listed_in_help() {
-    let (code, err) = adec(&[
-        "--config",
-        "ade",
-        "--run",
-        "--no-fuse",
-        "--no-unbox",
-        "--no-loop-fuse",
-        "--no-soa",
-        &sample(),
-    ]);
+fn reference_switch_is_accepted_and_listed_in_help() {
+    let (code, err) = adec(&["--config", "ade", "--run", "--reference", &sample()]);
     assert_eq!(code, 0, "{err}");
 
     let out = Command::new(env!("CARGO_BIN_EXE_adec"))
@@ -50,8 +41,14 @@ fn optimization_toggles_are_accepted_and_listed_in_help() {
         .expect("adec runs");
     assert_eq!(out.status.code(), Some(0));
     let help = String::from_utf8_lossy(&out.stdout);
+    assert!(help.contains("--reference"), "--help must list --reference");
+
+    // The retired per-tier toggles are unknown flags now.
     for flag in ["--no-fuse", "--no-unbox", "--no-loop-fuse", "--no-soa"] {
-        assert!(help.contains(flag), "--help must list {flag}");
+        assert!(!help.contains(flag), "--help must not list {flag}");
+        let (code, err) = adec(&["--config", "ade", "--run", flag, &sample()]);
+        assert_eq!(code, 2, "{flag}: {err}");
+        assert!(err.contains("unknown flag"), "{flag}: {err}");
     }
 }
 

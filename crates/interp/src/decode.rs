@@ -24,8 +24,8 @@
 //! never hide behind the faster execution path.
 
 use ade_ir::{
-    Access, BinOp, CmpOp, ConstVal, FuncId, Function, Inst, InstKind, MapSel, Module, Operand,
-    RegionId, Scalar, SetSel, Type, ValueId,
+    Access, BinOp, CmpOp, ConstVal, FuncId, Function, Inst, InstKind, Module, Operand, RegionId,
+    Scalar, Type,
 };
 
 use crate::value::Value;
@@ -360,8 +360,8 @@ pub enum DInst {
 
     // ── Fused superinstructions ─────────────────────────────────────
     //
-    // Built by the decode-time peephole (see [`DecodeOptions::fuse`])
-    // from windows of consecutive slot-operand instructions within one
+    // Built by the decode-time peephole (off under
+    // [`DecodeOptions::reference`]) from windows of consecutive slot-operand instructions within one
     // region. A fused instruction replaces the *first* instruction of
     // its window; the remaining originals stay in `code` as padding the
     // dispatch loop steps over, so code length, per-site profile
@@ -482,8 +482,8 @@ pub enum DInst {
 
     // ── Bulk loop superinstructions ─────────────────────────────────
     //
-    // Built by the loop-granular fusion tier (see
-    // [`DecodeOptions::loop_fuse`]): a [`DInst::ForEach`] /
+    // Built by the loop-granular fusion tier (off under
+    // [`DecodeOptions::reference`]): a [`DInst::ForEach`] /
     // [`DInst::ForRange`] whose whole body compiled into a [`BulkPlan`]
     // is replaced in place by its bulk twin. The body region's
     // instructions stay in `code` untouched, so code length, per-site
@@ -588,9 +588,8 @@ pub enum EncKeyKind {
 ///
 /// The plan is built from the loop body's *components* — peephole
 /// windows ([`DInst::FusedScalars`] etc.) are expanded back into their
-/// constituent ops with their original code indices — so the same plan
-/// is produced whether or not [`DecodeOptions::fuse`] ran, and every
-/// [`PlanOp::site`] names the exact code slot the unfused loop would
+/// constituent ops with their original code indices — so the plan does
+/// not depend on the peephole, and every [`PlanOp::site`] names the exact code slot the unfused loop would
 /// trap at.
 #[derive(Clone, Debug)]
 pub struct BulkPlan {
@@ -606,23 +605,6 @@ pub struct BulkPlan {
     /// carried argument slots after each iteration (already checked for
     /// write-before-read hazards, like [`DInst::YieldDirect`]).
     pub yield_srcs: Box<[u32]>,
-    /// A recognized streaming shape the interpreter may execute as one
-    /// call into the collection backend (`None` runs the plan op by
-    /// op, which already skips per-component dispatch and region
-    /// machinery).
-    pub fast: Option<FastKind>,
-    /// When `fast` was classified over a tuple-element loop, the field
-    /// projections its roles read (`for t in c { acc += t.k }` and
-    /// friends). The kernels then stream single flat columns of a
-    /// columnar source; any other runtime representation falls back to
-    /// the op-by-op plan, which materializes rows exactly.
-    pub fast_proj: Option<FastProj>,
-    /// A register-specialized twin of the body (`forrange` plans whose
-    /// every slot is statically scalar or a linearly threaded
-    /// collection handle) — the tier between the streaming kernels and
-    /// the op-by-op plan executor. `None` when any component needs the
-    /// general boxed machinery.
-    pub spec: Option<Box<SpecPlan>>,
 }
 
 /// One component of a [`BulkPlan`] with its trap/profile site.
@@ -791,474 +773,6 @@ pub enum BulkOp {
     },
 }
 
-/// A streaming loop shape the interpreter can hand to the collection
-/// backend as one bulk call. Classified only for [`DInst::ForEachBulk`]
-/// with a single carried value; the element slot and the carried
-/// (accumulator) slot are implied by the body region's arguments.
-/// Whether a shape actually streams is re-checked at run time against
-/// the live collection representation — any mismatch falls back to the
-/// op-by-op plan, which is always semantically exact.
-#[derive(Clone, Copy, Debug)]
-pub enum FastKind {
-    /// `acc = op(acc, elem)` (sum, min-max, and friends).
-    Reduce {
-        /// The folded operator.
-        op: BinOp,
-        /// `true` if the element is the left operand.
-        elem_first: bool,
-        /// Code site of the `bin` component (division traps).
-        site: u32,
-    },
-    /// `if cmp(elem, rhs) { acc = bin(acc, x) }` — filtered fold
-    /// (filter-sum when `x` is the element, conditional count when `x`
-    /// is a loop-invariant constant).
-    FilterReduce {
-        /// The filter comparison.
-        cmp: CmpOp,
-        /// `true` if the element is the comparison's left operand.
-        elem_lhs: bool,
-        /// Loop-invariant slot compared against the element.
-        rhs: u32,
-        /// `true` if the fold happens on the comparison's then-arm.
-        acc_on_true: bool,
-        /// The folded operator.
-        bin: BinOp,
-        /// `true` if the accumulator is the fold's left operand.
-        acc_lhs: bool,
-        /// `true` if the fold's other operand is the element (otherwise
-        /// it is the loop-invariant slot `bin_other`).
-        bin_elem: bool,
-        /// Loop-invariant fold operand when `bin_elem` is `false`.
-        bin_other: u32,
-        /// Code site of the `bin` component (division traps).
-        bin_site: u32,
-    },
-    /// `acc = acc + (has(set, elem) as u64)` — bulk membership count.
-    ProbeCount {
-        /// Loop-invariant slot holding the probed set's handle.
-        set: u32,
-    },
-    /// `set = insert(set, elem)` — bulk copy into the carried set.
-    CopyInto,
-    /// `if cmp(elem, rhs) { set = insert(set, elem) }` — filtered bulk
-    /// copy into the carried set.
-    FilterInto {
-        /// The filter comparison.
-        cmp: CmpOp,
-        /// `true` if the element is the comparison's left operand.
-        elem_lhs: bool,
-        /// Loop-invariant slot compared against the element.
-        rhs: u32,
-        /// `true` if the insert happens on the comparison's then-arm.
-        insert_on_true: bool,
-    },
-}
-
-/// The tuple fields a projected streaming shape reads — the loop binds
-/// a tuple element but every use is a single-field projection, so a
-/// columnar source can stream one flat column per role instead of
-/// materializing a boxed row per iteration.
-#[derive(Clone, Copy, Debug)]
-pub struct FastProj {
-    /// Field standing in for the element in the shape's primary role:
-    /// the reduce/fold operand, the filter comparison's element side,
-    /// the probed key, or the inserted element.
-    pub elem: u32,
-    /// Field for the secondary role when a filter shape reads a
-    /// *different* field there (`FilterReduce`'s fold operand,
-    /// `FilterInto`'s inserted element); `None` reuses `elem`'s
-    /// column or the shape's loop-invariant operand.
-    pub other: Option<u32>,
-}
-
-/// Static scalar kind of a specialized register. Register payloads are
-/// raw `u64`s; the tag records how to rebox them (and how inputs must
-/// be tagged at loop entry).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpecTag {
-    /// [`Value::U64`] — payload is the number itself.
-    U64,
-    /// [`Value::Idx`] — payload is the index widened to `u64`.
-    Idx,
-    /// [`Value::Bool`] — payload is 0 or 1.
-    Bool,
-}
-
-/// The unboxed collection representation a specialized group requires
-/// at run time. The decode-time choice is made from the static IR type
-/// under the active configuration's selection rules; the live heap cell
-/// is re-checked at loop entry, and any mismatch abandons the
-/// specialization before its first side effect.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpecBackend {
-    /// [`crate::heap::Collection::UnboxedSeq`].
-    Seq,
-    /// [`crate::heap::Collection::UnboxedHashSet`].
-    HashSet,
-    /// [`crate::heap::Collection::UnboxedHashMap`].
-    HashMap,
-    /// [`crate::heap::Collection::UnboxedBitMap`].
-    BitMap,
-    /// [`crate::heap::Collection::SoaSeq`] — a columnar tuple sequence.
-    /// Reads stay abstract ([`SpecVal::Row`]) and field projections
-    /// resolve to column base + index, so no row is ever gathered.
-    SoaSeq,
-}
-
-/// Abstract content of a specialized frame slot at loop exit: either a
-/// scalar register (rebox with the tag) or a collection group handle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpecVal {
-    /// Scalar register; the payload lives in the register file.
-    Reg(SpecTag),
-    /// Collection handle; the group index names the `CollId` resolved
-    /// at loop entry.
-    Coll(u8),
-    /// A tuple row read from a columnar sequence, kept abstract: the
-    /// group plus the register holding the row index. Only field
-    /// projections may consume it (each fetches one column cell); a
-    /// slot abstracted as a row can never be yielded, carried, or
-    /// reboxed — the builder rejects those plans.
-    Row {
-        /// The [`SpecVal::Coll`] group of the columnar sequence.
-        grp: u8,
-        /// Register holding the row index (bounds-checked by the
-        /// [`SpecKind::SoaRead`] that produced this abstraction).
-        index: u32,
-    },
-}
-
-/// One specialized operation with its trap/profile site.
-#[derive(Clone, Debug)]
-pub struct SpecOp {
-    /// Absolute index into [`DFunc::code`] of the component this op
-    /// replays — the site a trap raised here must be attributed to.
-    pub site: u32,
-    /// The operation.
-    pub kind: SpecKind,
-}
-
-/// A register-specialized [`BulkPlan`] operation. Operands name slots
-/// of a flat `u64` register file (tags are static); collections are
-/// pre-resolved groups whose [`ImplKind`](crate::stats::ImplKind) is
-/// implied by the backend, so every collection op feeds the same stats
-/// bump and capacity refresh the generic executor would.
-#[derive(Clone, Debug)]
-pub enum SpecKind {
-    /// Load an immediate payload.
-    Const {
-        /// The raw payload.
-        val: u64,
-        /// Destination register.
-        dst: u32,
-    },
-    /// Binary arithmetic on `U64`/`Idx` registers.
-    Bin {
-        /// Operator.
-        op: BinOp,
-        /// `true` when the result is an `Idx` and must re-wrap through
-        /// `usize` width, matching [`Value::Idx`] arithmetic.
-        idx: bool,
-        /// Left operand register.
-        a: u32,
-        /// Right operand register.
-        b: u32,
-        /// Destination register.
-        dst: u32,
-    },
-    /// Boolean `and`/`or`/`xor` on 0/1 payloads.
-    BinBool {
-        /// Operator (only `And`/`Or`/`Xor`).
-        op: BinOp,
-        /// Left operand register.
-        a: u32,
-        /// Right operand register.
-        b: u32,
-        /// Destination register.
-        dst: u32,
-    },
-    /// Comparison of two same-tagged registers (payload order matches
-    /// [`Value`] order for every scalar tag).
-    Cmp {
-        /// Operator.
-        op: CmpOp,
-        /// Left operand register.
-        a: u32,
-        /// Right operand register.
-        b: u32,
-        /// Destination register.
-        dst: u32,
-    },
-    /// Boolean negation (`payload ^ 1`).
-    Not {
-        /// Operand register.
-        a: u32,
-        /// Destination register.
-        dst: u32,
-    },
-    /// Scalar conversion: payload move, re-wrapped through `usize`
-    /// width when the target is `Idx`.
-    Cast {
-        /// `true` when the target type is `Idx`.
-        idx: bool,
-        /// Operand register.
-        a: u32,
-        /// Destination register.
-        dst: u32,
-    },
-    /// `size(c)`.
-    Size {
-        /// Collection group.
-        grp: u8,
-        /// Destination register.
-        dst: u32,
-    },
-    /// `read(seq, i)` on an unboxed sequence.
-    SeqRead {
-        /// Collection group.
-        grp: u8,
-        /// Index register.
-        index: u32,
-        /// Static element tag (what the loaded scalar must unpack as).
-        vtag: SpecTag,
-        /// Destination register.
-        dst: u32,
-    },
-    /// `read(seq, i)` on a columnar tuple sequence: the read's stats
-    /// bump and bounds check, with no data movement — the row stays
-    /// abstract ([`SpecVal::Row`]) and each consuming projection
-    /// fetches its own column cell.
-    SoaRead {
-        /// Collection group.
-        grp: u8,
-        /// Index register.
-        index: u32,
-    },
-    /// One field of an abstract row: `cols[field][index]` of the
-    /// columnar sequence. In-bounds by the producing [`SpecKind::SoaRead`]
-    /// (no columnar mutator exists in the spec tier, so the length
-    /// cannot change in between).
-    SoaField {
-        /// Collection group.
-        grp: u8,
-        /// Index register (same register the `SoaRead` checked).
-        index: u32,
-        /// Field / column index.
-        field: u32,
-        /// Static field tag (what the loaded scalar must unpack as).
-        vtag: SpecTag,
-        /// Destination register.
-        dst: u32,
-    },
-    /// `write(seq, i, v)` on an unboxed sequence.
-    SeqWrite {
-        /// Collection group.
-        grp: u8,
-        /// Index register.
-        index: u32,
-        /// Value register.
-        val: u32,
-        /// Value tag.
-        vtag: SpecTag,
-    },
-    /// `insert(seq, i, v)` on an unboxed sequence.
-    SeqInsert {
-        /// Collection group.
-        grp: u8,
-        /// Index register.
-        index: u32,
-        /// Value register.
-        val: u32,
-        /// Value tag.
-        vtag: SpecTag,
-    },
-    /// `insert(set, e)` on an unboxed hash set.
-    SetInsert {
-        /// Collection group.
-        grp: u8,
-        /// Element register.
-        elem: u32,
-        /// Element tag.
-        tag: SpecTag,
-    },
-    /// `has(set, k)` on an unboxed hash set.
-    SetHas {
-        /// Collection group.
-        grp: u8,
-        /// Key register.
-        key: u32,
-        /// Key tag.
-        tag: SpecTag,
-        /// Destination register.
-        dst: u32,
-    },
-    /// `remove(set, k)` on an unboxed hash set.
-    SetRemove {
-        /// Collection group.
-        grp: u8,
-        /// Key register.
-        key: u32,
-        /// Key tag.
-        tag: SpecTag,
-    },
-    /// `read(map, k)` on an unboxed hash map.
-    MapRead {
-        /// Collection group.
-        grp: u8,
-        /// Key register.
-        key: u32,
-        /// Key tag.
-        ktag: SpecTag,
-        /// Static value tag (what the loaded scalar must unpack as).
-        vtag: SpecTag,
-        /// Destination register.
-        dst: u32,
-    },
-    /// `write(map, k, v)` on an unboxed hash map.
-    MapWrite {
-        /// Collection group.
-        grp: u8,
-        /// Key register.
-        key: u32,
-        /// Key tag.
-        ktag: SpecTag,
-        /// Value register.
-        val: u32,
-        /// Value tag.
-        vtag: SpecTag,
-    },
-    /// `has(map, k)` on an unboxed hash map.
-    MapHas {
-        /// Collection group.
-        grp: u8,
-        /// Key register.
-        key: u32,
-        /// Key tag.
-        ktag: SpecTag,
-        /// Destination register.
-        dst: u32,
-    },
-    /// Map-flavored `insert(map, k)` (default-initializing) on an
-    /// unboxed hash map.
-    MapInsert {
-        /// Collection group.
-        grp: u8,
-        /// Key register.
-        key: u32,
-        /// Key tag.
-        ktag: SpecTag,
-        /// Default value tag (payload 0 of this tag).
-        vtag: SpecTag,
-    },
-    /// `remove(map, k)` on an unboxed hash map.
-    MapRemove {
-        /// Collection group.
-        grp: u8,
-        /// Key register.
-        key: u32,
-        /// Key tag.
-        ktag: SpecTag,
-    },
-    /// `read(map, k)` on an unboxed bit map (dense keys).
-    DenseRead {
-        /// Collection group.
-        grp: u8,
-        /// Key register.
-        key: u32,
-        /// Static value tag (what the loaded scalar must unpack as).
-        vtag: SpecTag,
-        /// Destination register.
-        dst: u32,
-    },
-    /// `write(map, k, v)` on an unboxed bit map (sentinel-checked).
-    DenseWrite {
-        /// Collection group.
-        grp: u8,
-        /// Key register.
-        key: u32,
-        /// Value register.
-        val: u32,
-        /// Value tag.
-        vtag: SpecTag,
-    },
-    /// `has(map, k)` on an unboxed bit map (sentinel-tolerant probe).
-    DenseHas {
-        /// Collection group.
-        grp: u8,
-        /// Key register.
-        key: u32,
-        /// Destination register.
-        dst: u32,
-    },
-    /// Map-flavored `insert(map, k)` on an unboxed bit map
-    /// (sentinel-checked, default-initializing).
-    DenseInsert {
-        /// Collection group.
-        grp: u8,
-        /// Key register.
-        key: u32,
-        /// Default value tag (payload 0 of this tag).
-        vtag: SpecTag,
-    },
-    /// `remove(map, k)` on an unboxed bit map.
-    DenseRemove {
-        /// Collection group.
-        grp: u8,
-        /// Key register.
-        key: u32,
-    },
-    /// Structured if-else over straight-line specialized arms.
-    If {
-        /// Condition register (0/1).
-        cond: u32,
-        /// Then-arm operations.
-        then_ops: Box<[SpecOp]>,
-        /// Then-arm `(dst, src)` register copies for the yield.
-        then_copies: Box<[(u32, u32)]>,
-        /// Else-arm operations.
-        else_ops: Box<[SpecOp]>,
-        /// Else-arm `(dst, src)` register copies for the yield.
-        else_copies: Box<[(u32, u32)]>,
-    },
-}
-
-/// A register-specialized `forrange` body: the middle execution tier
-/// between the bulk streaming kernels and the op-by-op [`BulkPlan`]
-/// executor. Every frame slot the body touches is statically a scalar
-/// (`u64`/`idx`/`bool`) or a linearly threaded handle to an unboxed
-/// collection, so iterations run over a flat `u64` register file with
-/// collections resolved to concrete heap cells once at loop entry —
-/// no per-op boxing, handle re-resolution, or `Value` dispatch.
-///
-/// Observational inertness: every collection op performs the same
-/// stats bump and capacity refresh, in the same order, as its
-/// [`BulkOp`] twin (the backend fixes the `ImplKind` statically);
-/// traps carry the same site and kind; handles are stable across the
-/// loop because the IR's linear-update discipline mutates collections
-/// in place (`write(c, ..) → c` returns the same `CollId`), which the
-/// builder enforces by requiring every yielded handle to be the same
-/// group as the carried slot it feeds.
-#[derive(Clone, Debug)]
-pub struct SpecPlan {
-    /// Register of the loop induction variable (`args[0]`).
-    pub loop_var: u32,
-    /// Scalar frame slots read at loop entry, with the tag each must
-    /// carry — a mismatch abandons the specialization.
-    pub scalar_inputs: Box<[(u32, SpecTag)]>,
-    /// Collection frame slots resolved at loop entry, with the heap
-    /// representation each must have — a mismatch abandons the
-    /// specialization.
-    pub coll_inputs: Box<[(u32, SpecBackend)]>,
-    /// The per-iteration operations.
-    pub ops: Box<[SpecOp]>,
-    /// `(carried slot, yield source)` register copies applied after
-    /// each iteration (only pairs whose slots differ).
-    pub scalar_yields: Box<[(u32, u32)]>,
-    /// Frame writebacks at loop exit: rebox a register or store a
-    /// group's handle.
-    pub writebacks: Box<[(u32, SpecVal)]>,
-}
-
 impl DInst {
     /// How many code slots this instruction occupies: the window length
     /// for fused superinstructions (whose tail slots are skipped-over
@@ -1330,53 +844,25 @@ pub struct DecodedModule {
 }
 
 /// Options for [`DecodedModule::decode_with`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct DecodeOptions {
-    /// Run the superinstruction peephole (see the `Fused*` arms of
-    /// [`DInst`]). Defaults to `true`; [`DecodedModule::decode`] stays
-    /// purely structural (no fusion) for tests and tools that inspect
-    /// the stream one source instruction at a time.
-    pub fuse: bool,
-    /// Run the loop-granular fusion tier (see [`DInst::ForEachBulk`] /
-    /// [`DInst::ForRangeBulk`] and [`BulkPlan`]). Defaults to `true`;
-    /// independent of `fuse` — the matcher normalizes peephole windows
-    /// back into their components, so the compiled plan is identical
-    /// whether or not the peephole ran first.
-    pub loop_fuse: bool,
-}
-
-impl Default for DecodeOptions {
-    fn default() -> DecodeOptions {
-        DecodeOptions {
-            fuse: true,
-            loop_fuse: true,
-        }
-    }
+    /// Decode the reference stream: one [`DInst`] per source
+    /// instruction, with no superinstruction peephole (the `Fused*` arms
+    /// and [`DInst::YieldDirect`]) and no loop fusion
+    /// ([`DInst::ForEachBulk`] / [`DInst::ForRangeBulk`]). The default
+    /// (`false`) runs both; they are observationally inert, so the
+    /// reference interpreter is the differential oracle for them.
+    pub reference: bool,
 }
 
 impl DecodedModule {
-    /// Decodes every function of `module`.
+    /// Decodes every function of `module`; the default [`DecodeOptions`]
+    /// run the superinstruction peephole and loop fusion.
     ///
     /// In debug builds this first runs the IR verifier: the decoded
     /// stream bakes in static facts (insert flavors, binding shapes)
     /// that are only sound on well-formed, linear IR, so decoding must
     /// never outrun verification.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the module fails verification.
-    pub fn decode(module: &Module) -> Self {
-        Self::decode_with(
-            module,
-            &DecodeOptions {
-                fuse: false,
-                loop_fuse: false,
-            },
-        )
-    }
-
-    /// [`DecodedModule::decode`] with explicit [`DecodeOptions`]
-    /// (notably the superinstruction peephole).
     ///
     /// # Panics
     ///
@@ -1391,11 +877,9 @@ impl DecodedModule {
             .iter()
             .map(|f| {
                 let mut d = decode_function(f);
-                if options.fuse {
+                if !options.reference {
                     fuse_function(&mut d);
-                }
-                if options.loop_fuse {
-                    loop_fuse_function(&mut d, f);
+                    loop_fuse_function(&mut d);
                 }
                 d
             })
@@ -1995,10 +1479,9 @@ fn match_window(w: &[DInst]) -> Option<DInst> {
 /// the generic loop path can still execute the region when
 /// per-iteration accounting is observable.
 ///
-/// Runs after [`fuse_function`] when both tiers are on; the component
-/// expansion in [`compile_ops`] makes the result independent of whether
-/// the peephole ran.
-fn loop_fuse_function(d: &mut DFunc, f: &Function) {
+/// Runs after [`fuse_function`]; the component expansion in
+/// [`compile_ops`] makes the result independent of the peephole.
+fn loop_fuse_function(d: &mut DFunc) {
     // Field-projection operands decompose into `BulkOp::Proj` writes to
     // scratch slots past the function's SSA slots. Each loop allocates
     // its own run starting at the original frame size (bulk loops never
@@ -2011,7 +1494,7 @@ fn loop_fuse_function(d: &mut DFunc, f: &Function) {
         while i < end {
             let adv = d.code[i].advance();
             let mut scratch = ssa_slots;
-            if let Some(bulk) = try_bulk_loop(d, f, i, &mut scratch) {
+            if let Some(bulk) = try_bulk_loop(d, i, &mut scratch) {
                 d.code[i] = bulk;
                 frame_size = frame_size.max(scratch);
             }
@@ -2025,7 +1508,7 @@ fn loop_fuse_function(d: &mut DFunc, f: &Function) {
 /// a straight-line single-level window the plan language can express.
 /// `scratch` is the loop's projection-slot allocator, seeded at the
 /// function's SSA slot count.
-fn try_bulk_loop(d: &DFunc, f: &Function, idx: usize, scratch: &mut u32) -> Option<DInst> {
+fn try_bulk_loop(d: &DFunc, idx: usize, scratch: &mut u32) -> Option<DInst> {
     match &d.code[idx] {
         DInst::ForEach {
             coll,
@@ -2038,12 +1521,7 @@ fn try_bulk_loop(d: &DFunc, f: &Function, idx: usize, scratch: &mut u32) -> Opti
             let region = &d.regions[*body as usize];
             let skip = 1 + usize::from(*binds_value);
             let carried_args = region.args.get(skip..)?;
-            let mut plan = compile_plan(d, region, carried_args, scratch)?;
-            if carried.len() == 1 {
-                let elem = if *binds_value { region.args[1] } else { region.args[0] };
-                (plan.fast, plan.fast_proj) =
-                    classify_fast(d, &plan, region.args[0], elem, carried_args[0]);
-            }
+            let plan = compile_plan(d, region, carried_args, scratch)?;
             Some(DInst::ForEachBulk {
                 coll: coll.clone(),
                 carried: carried.clone(),
@@ -2063,8 +1541,7 @@ fn try_bulk_loop(d: &DFunc, f: &Function, idx: usize, scratch: &mut u32) -> Opti
         } => {
             let region = &d.regions[*body as usize];
             let carried_args = region.args.get(1..)?;
-            let mut plan = compile_plan(d, region, carried_args, scratch)?;
-            plan.spec = specialize_forrange(f, d, &plan, &region.args, *scratch);
+            let plan = compile_plan(d, region, carried_args, scratch)?;
             Some(DInst::ForRangeBulk {
                 lo: lo.clone(),
                 hi: hi.clone(),
@@ -2104,9 +1581,6 @@ fn compile_plan(
         prelude: prelude.into_boxed_slice(),
         ops: ops.into_boxed_slice(),
         yield_srcs: yield_srcs.into_boxed_slice(),
-        fast: None,
-        fast_proj: None,
-        spec: None,
     })
 }
 
@@ -2586,1102 +2060,14 @@ fn push_components(
     Some(())
 }
 
-/// Pushes every slot the component list writes per iteration
-/// (including branch destinations and arm-internal writes).
-fn collect_dsts(ops: &[PlanOp], out: &mut Vec<u32>) {
-    for p in ops {
-        match &p.op {
-            BulkOp::Const { dst, .. }
-            | BulkOp::Bin { dst, .. }
-            | BulkOp::Cmp { dst, .. }
-            | BulkOp::Not { dst, .. }
-            | BulkOp::Cast { dst, .. }
-            | BulkOp::Proj { dst, .. }
-            | BulkOp::Read { dst, .. }
-            | BulkOp::Write { dst, .. }
-            | BulkOp::Has { dst, .. }
-            | BulkOp::InsertSet { dst, .. }
-            | BulkOp::InsertMap { dst, .. }
-            | BulkOp::InsertSeq { dst, .. }
-            | BulkOp::Remove { dst, .. }
-            | BulkOp::Size { dst, .. } => out.push(*dst),
-            BulkOp::If {
-                then_ops,
-                else_ops,
-                dsts,
-                ..
-            } => {
-                out.extend(dsts.iter().copied());
-                collect_dsts(then_ops, out);
-                collect_dsts(else_ops, out);
-            }
-        }
-    }
-}
-
-/// What one branch arm of a candidate filter loop does.
-enum ArmShape {
-    /// Passes the accumulator through unchanged.
-    Pass,
-    /// Folds into the accumulator: `bin(acc, x)` in some order.
-    Fold {
-        bin: BinOp,
-        acc_lhs: bool,
-        bin_elem: bool,
-        bin_other: u32,
-        site: u32,
-    },
-    /// Inserts the element into the carried set.
-    Insert,
-}
-
-/// Classifies one branch arm against the `(elem, acc)` pair.
-fn arm_shape(
-    ops: &[PlanOp],
-    srcs: &[u32],
-    elem: u32,
-    acc: u32,
-    inv: &dyn Fn(u32) -> bool,
-) -> Option<ArmShape> {
-    match (ops, srcs) {
-        ([], [s]) if *s == acc => Some(ArmShape::Pass),
-        ([PlanOp {
-            site,
-            op: BulkOp::Bin { op, a, b, dst },
-        }], [s])
-            if *s == *dst =>
-        {
-            let (acc_lhs, other) = if *a == acc {
-                (true, *b)
-            } else if *b == acc {
-                (false, *a)
-            } else {
-                return None;
-            };
-            let (bin_elem, bin_other) = if other == elem {
-                (true, 0)
-            } else if inv(other) {
-                (false, other)
-            } else {
-                return None;
-            };
-            Some(ArmShape::Fold {
-                bin: *op,
-                acc_lhs,
-                bin_elem,
-                bin_other,
-                site: *site,
-            })
-        }
-        ([PlanOp {
-            op: BulkOp::InsertSet { coll, elem: e, dst },
-            ..
-        }], [s])
-            if *coll == acc && *e == elem && *s == *dst =>
-        {
-            Some(ArmShape::Insert)
-        }
-        _ => None,
-    }
-}
-
-/// Recognizes the streaming shapes of a single-carry `foreach` plan
-/// (see [`FastKind`]). Operands that must be loop-invariant are checked
-/// against the set of slots written per iteration; prelude-const slots
-/// count as invariant (the prelude runs once, before the loop). A plan
-/// opening with a projection of the element routes through the
-/// proj-aware matcher, which surfaces the consumed fields as
-/// [`FastProj`].
-fn classify_fast(
-    d: &DFunc,
-    plan: &BulkPlan,
-    key_slot: u32,
-    elem: u32,
-    acc: u32,
-) -> (Option<FastKind>, Option<FastProj>) {
-    let mut variant = vec![key_slot, elem, acc];
-    collect_dsts(&plan.ops, &mut variant);
-    let inv = |s: u32| !variant.contains(&s);
-    if let [PlanOp {
-        op: BulkOp::Proj { base, field, dst },
-        ..
-    }, rest @ ..] = &plan.ops[..]
-    {
-        if *base != elem {
-            return (None, None);
-        }
-        return match classify_fast_proj(d, plan, rest, elem, *dst, *field, acc, &inv) {
-            Some((fast, proj)) => (Some(fast), Some(proj)),
-            None => (None, None),
-        };
-    }
-    (classify_fast_scalar(d, plan, elem, acc, &inv), None)
-}
-
-/// The scalar-element streaming shapes (the element slot itself fills
-/// every element role).
-fn classify_fast_scalar(
-    d: &DFunc,
-    plan: &BulkPlan,
-    elem: u32,
-    acc: u32,
-    inv: &dyn Fn(u32) -> bool,
-) -> Option<FastKind> {
-    match &plan.ops[..] {
-        // acc = op(acc, elem)
-        [PlanOp {
-            site,
-            op: BulkOp::Bin { op, a, b, dst },
-        }] if plan.yield_srcs.as_ref() == [*dst] => {
-            let elem_first = if *a == elem && *b == acc {
-                true
-            } else if *a == acc && *b == elem {
-                false
-            } else {
-                return None;
-            };
-            Some(FastKind::Reduce {
-                op: *op,
-                elem_first,
-                site: *site,
-            })
-        }
-        // set = insert(set, elem)
-        [PlanOp {
-            op: BulkOp::InsertSet { coll, elem: e, dst },
-            ..
-        }] if *coll == acc && *e == elem && plan.yield_srcs.as_ref() == [*dst] => {
-            Some(FastKind::CopyInto)
-        }
-        // acc = acc + (has(set, elem) as u64)
-        [PlanOp {
-            op:
-                BulkOp::Has {
-                    coll: set,
-                    key,
-                    dst: hdst,
-                },
-            ..
-        }, PlanOp {
-            op:
-                BulkOp::Cast {
-                    ty,
-                    a: cast_a,
-                    dst: cdst,
-                },
-            ..
-        }, PlanOp {
-            op:
-                BulkOp::Bin {
-                    op: BinOp::Add,
-                    a: ba,
-                    b: bb,
-                    dst: sum,
-                },
-            ..
-        }] if *key == elem
-            && inv(*set)
-            && *cast_a == *hdst
-            && d.types.get(*ty as usize) == Some(&Type::U64)
-            && ((*ba == acc && *bb == *cdst) || (*ba == *cdst && *bb == acc))
-            && plan.yield_srcs.as_ref() == [*sum] =>
-        {
-            Some(FastKind::ProbeCount { set: *set })
-        }
-        // if cmp(elem, rhs) { fold or insert } else { pass } (either arm)
-        [PlanOp {
-            op:
-                BulkOp::Cmp {
-                    op: cmp,
-                    a: ca,
-                    b: cb,
-                    dst: cdst,
-                },
-            ..
-        }, PlanOp {
-            op:
-                BulkOp::If {
-                    cond,
-                    then_ops,
-                    then_srcs,
-                    else_ops,
-                    else_srcs,
-                    dsts,
-                },
-            ..
-        }] if *cond == *cdst && dsts.len() == 1 && plan.yield_srcs.as_ref() == [dsts[0]] => {
-            let (elem_lhs, rhs) = if *ca == elem && inv(*cb) {
-                (true, *cb)
-            } else if *cb == elem && inv(*ca) {
-                (false, *ca)
-            } else {
-                return None;
-            };
-            let then_shape = arm_shape(then_ops, then_srcs, elem, acc, &inv)?;
-            let else_shape = arm_shape(else_ops, else_srcs, elem, acc, &inv)?;
-            match (then_shape, else_shape) {
-                (
-                    ArmShape::Fold {
-                        bin,
-                        acc_lhs,
-                        bin_elem,
-                        bin_other,
-                        site,
-                    },
-                    ArmShape::Pass,
-                ) => Some(FastKind::FilterReduce {
-                    cmp: *cmp,
-                    elem_lhs,
-                    rhs,
-                    acc_on_true: true,
-                    bin,
-                    acc_lhs,
-                    bin_elem,
-                    bin_other,
-                    bin_site: site,
-                }),
-                (
-                    ArmShape::Pass,
-                    ArmShape::Fold {
-                        bin,
-                        acc_lhs,
-                        bin_elem,
-                        bin_other,
-                        site,
-                    },
-                ) => Some(FastKind::FilterReduce {
-                    cmp: *cmp,
-                    elem_lhs,
-                    rhs,
-                    acc_on_true: false,
-                    bin,
-                    acc_lhs,
-                    bin_elem,
-                    bin_other,
-                    bin_site: site,
-                }),
-                (ArmShape::Insert, ArmShape::Pass) => Some(FastKind::FilterInto {
-                    cmp: *cmp,
-                    elem_lhs,
-                    rhs,
-                    insert_on_true: true,
-                }),
-                (ArmShape::Pass, ArmShape::Insert) => Some(FastKind::FilterInto {
-                    cmp: *cmp,
-                    elem_lhs,
-                    rhs,
-                    insert_on_true: false,
-                }),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
-
-/// [`arm_shape`] with an optional leading projection of the tuple
-/// element: `[Proj(tuple.f -> q), rest]` classifies `rest` with `q` in
-/// the element role and surfaces `f`. A projection the matched shape
-/// does not consume rejects the arm — dead work stays on the generic
-/// path. Without a projection the arm may not touch the element at all
-/// (`u32::MAX` never names a real slot).
-fn arm_shape_proj(
-    ops: &[PlanOp],
-    srcs: &[u32],
-    tuple: u32,
-    acc: u32,
-    inv: &dyn Fn(u32) -> bool,
-) -> Option<(ArmShape, Option<u32>)> {
-    if let [PlanOp {
-        op: BulkOp::Proj { base, field, dst },
-        ..
-    }, tail @ ..] = ops
-    {
-        if *base != tuple {
-            return None;
-        }
-        let shape = arm_shape(tail, srcs, *dst, acc, inv)?;
-        let consumed = match &shape {
-            ArmShape::Fold { bin_elem, .. } => *bin_elem,
-            ArmShape::Insert => true,
-            ArmShape::Pass => false,
-        };
-        return consumed.then_some((shape, Some(*field)));
-    }
-    Some((arm_shape(ops, srcs, u32::MAX, acc, inv)?, None))
-}
-
-/// The projected-tuple streaming shapes: the element is a tuple and
-/// every element role is filled by a single-field projection of it
-/// (`rest` is the plan after the leading `tuple.pf -> p`), so the
-/// kernels can stream flat columns instead of materializing rows.
-#[allow(clippy::too_many_arguments)]
-fn classify_fast_proj(
-    d: &DFunc,
-    plan: &BulkPlan,
-    rest: &[PlanOp],
-    tuple: u32,
-    p: u32,
-    pf: u32,
-    acc: u32,
-    inv: &dyn Fn(u32) -> bool,
-) -> Option<(FastKind, FastProj)> {
-    let one = FastProj {
-        elem: pf,
-        other: None,
-    };
-    match rest {
-        // acc = op(acc, t.pf)
-        [PlanOp {
-            site,
-            op: BulkOp::Bin { op, a, b, dst },
-        }] if plan.yield_srcs.as_ref() == [*dst] => {
-            let elem_first = if *a == p && *b == acc {
-                true
-            } else if *a == acc && *b == p {
-                false
-            } else {
-                return None;
-            };
-            Some((
-                FastKind::Reduce {
-                    op: *op,
-                    elem_first,
-                    site: *site,
-                },
-                one,
-            ))
-        }
-        // set = insert(set, t.pf)
-        [PlanOp {
-            op: BulkOp::InsertSet { coll, elem: e, dst },
-            ..
-        }] if *coll == acc && *e == p && plan.yield_srcs.as_ref() == [*dst] => {
-            Some((FastKind::CopyInto, one))
-        }
-        // acc = acc + (has(set, t.pf) as u64)
-        [PlanOp {
-            op:
-                BulkOp::Has {
-                    coll: set,
-                    key,
-                    dst: hdst,
-                },
-            ..
-        }, PlanOp {
-            op:
-                BulkOp::Cast {
-                    ty,
-                    a: cast_a,
-                    dst: cdst,
-                },
-            ..
-        }, PlanOp {
-            op:
-                BulkOp::Bin {
-                    op: BinOp::Add,
-                    a: ba,
-                    b: bb,
-                    dst: sum,
-                },
-            ..
-        }] if *key == p
-            && inv(*set)
-            && *cast_a == *hdst
-            && d.types.get(*ty as usize) == Some(&Type::U64)
-            && ((*ba == acc && *bb == *cdst) || (*ba == *cdst && *bb == acc))
-            && plan.yield_srcs.as_ref() == [*sum] =>
-        {
-            Some((FastKind::ProbeCount { set: *set }, one))
-        }
-        // if cmp(t.pf, rhs) { fold or insert (possibly of t.f2) } else
-        // { pass } (either arm)
-        [PlanOp {
-            op:
-                BulkOp::Cmp {
-                    op: cmp,
-                    a: ca,
-                    b: cb,
-                    dst: cdst,
-                },
-            ..
-        }, PlanOp {
-            op:
-                BulkOp::If {
-                    cond,
-                    then_ops,
-                    then_srcs,
-                    else_ops,
-                    else_srcs,
-                    dsts,
-                },
-            ..
-        }] if *cond == *cdst && dsts.len() == 1 && plan.yield_srcs.as_ref() == [dsts[0]] => {
-            let (elem_lhs, rhs) = if *ca == p && inv(*cb) {
-                (true, *cb)
-            } else if *cb == p && inv(*ca) {
-                (false, *ca)
-            } else {
-                return None;
-            };
-            let then_arm = arm_shape_proj(then_ops, then_srcs, tuple, acc, inv)?;
-            let else_arm = arm_shape_proj(else_ops, else_srcs, tuple, acc, inv)?;
-            match (then_arm, else_arm) {
-                (
-                    (
-                        ArmShape::Fold {
-                            bin,
-                            acc_lhs,
-                            bin_elem,
-                            bin_other,
-                            site,
-                        },
-                        fold_field,
-                    ),
-                    (ArmShape::Pass, None),
-                ) => Some((
-                    FastKind::FilterReduce {
-                        cmp: *cmp,
-                        elem_lhs,
-                        rhs,
-                        acc_on_true: true,
-                        bin,
-                        acc_lhs,
-                        bin_elem,
-                        bin_other,
-                        bin_site: site,
-                    },
-                    FastProj {
-                        elem: pf,
-                        other: fold_field,
-                    },
-                )),
-                (
-                    (ArmShape::Pass, None),
-                    (
-                        ArmShape::Fold {
-                            bin,
-                            acc_lhs,
-                            bin_elem,
-                            bin_other,
-                            site,
-                        },
-                        fold_field,
-                    ),
-                ) => Some((
-                    FastKind::FilterReduce {
-                        cmp: *cmp,
-                        elem_lhs,
-                        rhs,
-                        acc_on_true: false,
-                        bin,
-                        acc_lhs,
-                        bin_elem,
-                        bin_other,
-                        bin_site: site,
-                    },
-                    FastProj {
-                        elem: pf,
-                        other: fold_field,
-                    },
-                )),
-                ((ArmShape::Insert, Some(f)), (ArmShape::Pass, None)) => Some((
-                    FastKind::FilterInto {
-                        cmp: *cmp,
-                        elem_lhs,
-                        rhs,
-                        insert_on_true: true,
-                    },
-                    FastProj {
-                        elem: pf,
-                        other: Some(f),
-                    },
-                )),
-                ((ArmShape::Pass, None), (ArmShape::Insert, Some(f))) => Some((
-                    FastKind::FilterInto {
-                        cmp: *cmp,
-                        elem_lhs,
-                        rhs,
-                        insert_on_true: false,
-                    },
-                    FastProj {
-                        elem: pf,
-                        other: Some(f),
-                    },
-                )),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
-
-/// What a collection group statically is: the required unboxed backend
-/// plus the value/element tag its static type prescribes (key tags are
-/// taken from the key *operand*'s static type at each use, which is
-/// what the generic executor passes through verbatim).
-#[derive(Clone, Copy)]
-struct GroupInfo {
-    backend: SpecBackend,
-    vtag: SpecTag,
-}
-
-/// The static scalar tag of a type, when the spec tier can register it.
-fn spec_tag(ty: &Type) -> Option<SpecTag> {
-    match ty {
-        Type::U64 => Some(SpecTag::U64),
-        Type::Idx => Some(SpecTag::Idx),
-        Type::Bool => Some(SpecTag::Bool),
-        _ => None,
-    }
-}
-
-/// The unboxed backend a collection type selects under the default
-/// configuration (`unbox` on, hash defaults). The live heap cell is
-/// re-checked at loop entry, so a run under any other configuration
-/// simply abandons the specialization there.
-fn spec_backend(ty: &Type) -> Option<GroupInfo> {
-    match ty {
-        Type::Seq(elem) => match spec_tag(elem) {
-            Some(vtag) => Some(GroupInfo {
-                backend: SpecBackend::Seq,
-                vtag,
-            }),
-            // Tuple-of-scalar elements select the columnar backend; the
-            // vtag is unused (projections carry their own field tags).
-            None => match elem.as_ref() {
-                Type::Tuple(fields)
-                    if !fields.is_empty() && fields.iter().all(|t| spec_tag(t).is_some()) =>
-                {
-                    Some(GroupInfo {
-                        backend: SpecBackend::SoaSeq,
-                        vtag: SpecTag::U64,
-                    })
-                }
-                _ => None,
-            },
-        },
-        Type::Set {
-            elem,
-            sel: SetSel::Auto | SetSel::Hash,
-        } => Some(GroupInfo {
-            backend: SpecBackend::HashSet,
-            vtag: spec_tag(elem)?,
-        }),
-        Type::Map {
-            key,
-            val,
-            sel: MapSel::Auto | MapSel::Hash,
-        } => {
-            spec_tag(key)?;
-            Some(GroupInfo {
-                backend: SpecBackend::HashMap,
-                vtag: spec_tag(val)?,
-            })
-        }
-        Type::Map {
-            key,
-            val,
-            sel: MapSel::Bit,
-        } => {
-            if spec_tag(key)? == SpecTag::Bool {
-                return None;
-            }
-            Some(GroupInfo {
-                backend: SpecBackend::BitMap,
-                vtag: spec_tag(val)?,
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Abstract interpreter that compiles a [`BulkPlan`] into its
-/// [`SpecPlan`] twin. Walks the per-iteration ops tracking, per frame
-/// slot, whether it holds a scalar register or a collection group;
-/// slots read before any write are loop inputs typed from the static
-/// IR (the same `ValueId` index is the frame slot, by construction of
-/// [`decode_function`]).
-struct SpecBuilder<'a> {
-    f: &'a Function,
-    abs: Vec<Option<SpecVal>>,
-    scalar_inputs: Vec<(u32, SpecTag)>,
-    coll_inputs: Vec<(u32, SpecBackend)>,
-    groups: Vec<GroupInfo>,
-}
-
-impl SpecBuilder<'_> {
-    /// The abstract value of a slot, registering it as a loop input on
-    /// first read. `None` rejects the specialization (a type the
-    /// register file cannot carry).
-    fn read(&mut self, slot: u32) -> Option<SpecVal> {
-        if let Some(v) = self.abs[slot as usize] {
-            return Some(v);
-        }
-        let ty = self.f.value_ty(ValueId::from_index(slot as usize));
-        let v = if let Some(tag) = spec_tag(ty) {
-            self.scalar_inputs.push((slot, tag));
-            SpecVal::Reg(tag)
-        } else {
-            let info = spec_backend(ty)?;
-            let g = u8::try_from(self.groups.len()).ok()?;
-            self.coll_inputs.push((slot, info.backend));
-            self.groups.push(info);
-            SpecVal::Coll(g)
-        };
-        self.abs[slot as usize] = Some(v);
-        Some(v)
-    }
-
-    fn read_reg(&mut self, slot: u32) -> Option<SpecTag> {
-        match self.read(slot)? {
-            SpecVal::Reg(t) => Some(t),
-            SpecVal::Coll(_) | SpecVal::Row { .. } => None,
-        }
-    }
-
-    fn read_coll(&mut self, slot: u32) -> Option<(u8, GroupInfo)> {
-        match self.read(slot)? {
-            SpecVal::Coll(g) => Some((g, self.groups[g as usize])),
-            SpecVal::Reg(_) | SpecVal::Row { .. } => None,
-        }
-    }
-
-    /// The register tag of one field of a columnar group's row type,
-    /// read off the group slot's static `Seq<Tuple<..>>` type.
-    fn soa_field_tag(&self, grp: u8, field: u32) -> Option<SpecTag> {
-        let slot = self.coll_inputs.get(grp as usize)?.0;
-        let Type::Seq(elem) = self.f.value_ty(ValueId::from_index(slot as usize)) else {
-            return None;
-        };
-        let Type::Tuple(fields) = elem.as_ref() else {
-            return None;
-        };
-        spec_tag(fields.get(field as usize)?)
-    }
-
-    fn write(&mut self, slot: u32, v: SpecVal) {
-        self.abs[slot as usize] = Some(v);
-    }
-
-    /// A key register for a dense (bit-map) backend: `u64` keys are
-    /// coerced to `idx` by the executor, `bool` keys never reach a
-    /// dense implementation the builder accepts.
-    fn dense_key_reg(&mut self, slot: u32) -> Option<u32> {
-        match self.read_reg(slot)? {
-            SpecTag::U64 | SpecTag::Idx => Some(slot),
-            SpecTag::Bool => None,
-        }
-    }
-
-    /// Compiles one plan op, updating the abstract state. `None`
-    /// rejects the whole specialization.
-    fn compile(&mut self, d: &DFunc, p: &PlanOp) -> Option<SpecOp> {
-        let kind = match &p.op {
-            BulkOp::Const { pool, dst } => {
-                let (val, tag) = match &d.consts[*pool as usize] {
-                    Value::U64(n) => (*n, SpecTag::U64),
-                    Value::Idx(i) => (*i as u64, SpecTag::Idx),
-                    Value::Bool(b) => (u64::from(*b), SpecTag::Bool),
-                    _ => return None,
-                };
-                self.write(*dst, SpecVal::Reg(tag));
-                SpecKind::Const { val, dst: *dst }
-            }
-            BulkOp::Bin { op, a, b, dst } => {
-                let (ta, tb) = (self.read_reg(*a)?, self.read_reg(*b)?);
-                if ta != tb {
-                    return None;
-                }
-                match ta {
-                    SpecTag::U64 | SpecTag::Idx => {
-                        self.write(*dst, SpecVal::Reg(ta));
-                        SpecKind::Bin {
-                            op: *op,
-                            idx: ta == SpecTag::Idx,
-                            a: *a,
-                            b: *b,
-                            dst: *dst,
-                        }
-                    }
-                    SpecTag::Bool => {
-                        if !matches!(op, BinOp::And | BinOp::Or | BinOp::Xor) {
-                            return None;
-                        }
-                        self.write(*dst, SpecVal::Reg(SpecTag::Bool));
-                        SpecKind::BinBool {
-                            op: *op,
-                            a: *a,
-                            b: *b,
-                            dst: *dst,
-                        }
-                    }
-                }
-            }
-            BulkOp::Cmp { op, a, b, dst } => {
-                if self.read_reg(*a)? != self.read_reg(*b)? {
-                    return None;
-                }
-                self.write(*dst, SpecVal::Reg(SpecTag::Bool));
-                SpecKind::Cmp {
-                    op: *op,
-                    a: *a,
-                    b: *b,
-                    dst: *dst,
-                }
-            }
-            BulkOp::Not { a, dst } => {
-                if self.read_reg(*a)? != SpecTag::Bool {
-                    return None;
-                }
-                self.write(*dst, SpecVal::Reg(SpecTag::Bool));
-                SpecKind::Not { a: *a, dst: *dst }
-            }
-            BulkOp::Cast { ty, a, dst } => {
-                self.read_reg(*a)?;
-                let idx = match &d.types[*ty as usize] {
-                    Type::U64 => false,
-                    Type::Idx => true,
-                    _ => return None,
-                };
-                let tag = if idx { SpecTag::Idx } else { SpecTag::U64 };
-                self.write(*dst, SpecVal::Reg(tag));
-                SpecKind::Cast {
-                    idx,
-                    a: *a,
-                    dst: *dst,
-                }
-            }
-            BulkOp::Read { coll, key, dst } => {
-                let (grp, info) = self.read_coll(*coll)?;
-                if info.backend == SpecBackend::SoaSeq {
-                    // The row is never materialized: the abstract value
-                    // records where it lives and later projections fetch
-                    // single column cells. The key register is SSA-stable
-                    // for the rest of the iteration, and no compiled op
-                    // mutates a columnar group, so the recorded position
-                    // stays valid.
-                    let kind = SpecKind::SoaRead {
-                        grp,
-                        index: self.dense_key_reg(*key)?,
-                    };
-                    self.write(*dst, SpecVal::Row { grp, index: *key });
-                    kind
-                } else {
-                    let kind = match info.backend {
-                        SpecBackend::Seq => SpecKind::SeqRead {
-                            grp,
-                            index: self.dense_key_reg(*key)?,
-                            vtag: info.vtag,
-                            dst: *dst,
-                        },
-                        SpecBackend::HashMap => SpecKind::MapRead {
-                            grp,
-                            key: *key,
-                            ktag: self.read_reg(*key)?,
-                            vtag: info.vtag,
-                            dst: *dst,
-                        },
-                        SpecBackend::BitMap => SpecKind::DenseRead {
-                            grp,
-                            key: self.dense_key_reg(*key)?,
-                            vtag: info.vtag,
-                            dst: *dst,
-                        },
-                        SpecBackend::HashSet | SpecBackend::SoaSeq => return None,
-                    };
-                    self.write(*dst, SpecVal::Reg(info.vtag));
-                    kind
-                }
-            }
-            BulkOp::Proj { base, field, dst } => {
-                let Some(&Some(SpecVal::Row { grp, index })) = self.abs.get(*base as usize)
-                else {
-                    return None;
-                };
-                let vtag = self.soa_field_tag(grp, *field)?;
-                self.write(*dst, SpecVal::Reg(vtag));
-                SpecKind::SoaField {
-                    grp,
-                    index,
-                    field: *field,
-                    vtag,
-                    dst: *dst,
-                }
-            }
-            BulkOp::Write {
-                coll,
-                key,
-                val,
-                dst,
-            } => {
-                let (grp, info) = self.read_coll(*coll)?;
-                let vtag = self.read_reg(*val)?;
-                let kind = match info.backend {
-                    SpecBackend::Seq => SpecKind::SeqWrite {
-                        grp,
-                        index: self.dense_key_reg(*key)?,
-                        val: *val,
-                        vtag,
-                    },
-                    SpecBackend::HashMap => SpecKind::MapWrite {
-                        grp,
-                        key: *key,
-                        ktag: self.read_reg(*key)?,
-                        val: *val,
-                        vtag,
-                    },
-                    SpecBackend::BitMap => SpecKind::DenseWrite {
-                        grp,
-                        key: self.dense_key_reg(*key)?,
-                        val: *val,
-                        vtag,
-                    },
-                    SpecBackend::HashSet | SpecBackend::SoaSeq => return None,
-                };
-                self.write(*dst, SpecVal::Coll(grp));
-                kind
-            }
-            BulkOp::Has { coll, key, dst } => {
-                let (grp, info) = self.read_coll(*coll)?;
-                let kind = match info.backend {
-                    SpecBackend::HashSet => SpecKind::SetHas {
-                        grp,
-                        key: *key,
-                        tag: self.read_reg(*key)?,
-                        dst: *dst,
-                    },
-                    SpecBackend::HashMap => SpecKind::MapHas {
-                        grp,
-                        key: *key,
-                        ktag: self.read_reg(*key)?,
-                        dst: *dst,
-                    },
-                    SpecBackend::BitMap => SpecKind::DenseHas {
-                        grp,
-                        key: self.dense_key_reg(*key)?,
-                        dst: *dst,
-                    },
-                    SpecBackend::Seq | SpecBackend::SoaSeq => return None,
-                };
-                self.write(*dst, SpecVal::Reg(SpecTag::Bool));
-                kind
-            }
-            BulkOp::InsertSet { coll, elem, dst } => {
-                let (grp, info) = self.read_coll(*coll)?;
-                if info.backend != SpecBackend::HashSet {
-                    return None;
-                }
-                let tag = self.read_reg(*elem)?;
-                self.write(*dst, SpecVal::Coll(grp));
-                SpecKind::SetInsert {
-                    grp,
-                    elem: *elem,
-                    tag,
-                }
-            }
-            BulkOp::InsertMap {
-                coll,
-                key,
-                val_ty,
-                dst,
-            } => {
-                let (grp, info) = self.read_coll(*coll)?;
-                let vtag = spec_tag(&d.types[*val_ty as usize])?;
-                let kind = match info.backend {
-                    SpecBackend::HashMap => SpecKind::MapInsert {
-                        grp,
-                        key: *key,
-                        ktag: self.read_reg(*key)?,
-                        vtag,
-                    },
-                    SpecBackend::BitMap => SpecKind::DenseInsert {
-                        grp,
-                        key: self.dense_key_reg(*key)?,
-                        vtag,
-                    },
-                    _ => return None,
-                };
-                self.write(*dst, SpecVal::Coll(grp));
-                kind
-            }
-            BulkOp::InsertSeq {
-                coll,
-                index,
-                val,
-                dst,
-            } => {
-                let (grp, info) = self.read_coll(*coll)?;
-                if info.backend != SpecBackend::Seq {
-                    return None;
-                }
-                let index = self.dense_key_reg(*index)?;
-                let vtag = self.read_reg(*val)?;
-                self.write(*dst, SpecVal::Coll(grp));
-                SpecKind::SeqInsert {
-                    grp,
-                    index,
-                    val: *val,
-                    vtag,
-                }
-            }
-            BulkOp::Remove { coll, key, dst } => {
-                let (grp, info) = self.read_coll(*coll)?;
-                let kind = match info.backend {
-                    SpecBackend::HashSet => SpecKind::SetRemove {
-                        grp,
-                        key: *key,
-                        tag: self.read_reg(*key)?,
-                    },
-                    SpecBackend::HashMap => SpecKind::MapRemove {
-                        grp,
-                        key: *key,
-                        ktag: self.read_reg(*key)?,
-                    },
-                    SpecBackend::BitMap => SpecKind::DenseRemove {
-                        grp,
-                        key: self.dense_key_reg(*key)?,
-                    },
-                    SpecBackend::Seq | SpecBackend::SoaSeq => return None,
-                };
-                self.write(*dst, SpecVal::Coll(grp));
-                kind
-            }
-            BulkOp::Size { coll, dst } => {
-                let (grp, _) = self.read_coll(*coll)?;
-                self.write(*dst, SpecVal::Reg(SpecTag::U64));
-                SpecKind::Size { grp, dst: *dst }
-            }
-            BulkOp::If {
-                cond,
-                then_ops,
-                then_srcs,
-                else_ops,
-                else_srcs,
-                dsts,
-            } => {
-                if self.read_reg(*cond)? != SpecTag::Bool {
-                    return None;
-                }
-                // SSA single assignment makes the arm-local dsts
-                // disjoint between arms, so both arms can be compiled
-                // in one shared abstract state.
-                let (then_ops, then_copies) = self.compile_arm(d, then_ops, then_srcs, dsts)?;
-                let (else_ops, else_copies) = self.compile_arm(d, else_ops, else_srcs, dsts)?;
-                // The branch dst takes the taken arm's yield; both
-                // arms must agree on what that abstractly is.
-                for (j, &dst) in dsts.iter().enumerate() {
-                    let tv = self.read(then_srcs[j])?;
-                    let ev = self.read(else_srcs[j])?;
-                    if tv != ev {
-                        return None;
-                    }
-                    self.write(dst, tv);
-                }
-                SpecKind::If {
-                    cond: *cond,
-                    then_ops,
-                    then_copies,
-                    else_ops,
-                    else_copies,
-                }
-            }
-        };
-        Some(SpecOp { site: p.site, kind })
-    }
-
-    /// Compiles one branch arm plus its `(dst, src)` register copies
-    /// (collection yields need no copy — the group already names the
-    /// handle).
-    fn compile_arm(
-        &mut self,
-        d: &DFunc,
-        ops: &[PlanOp],
-        srcs: &[u32],
-        dsts: &[u32],
-    ) -> Option<(Box<[SpecOp]>, Box<[(u32, u32)]>)> {
-        let compiled = ops
-            .iter()
-            .map(|q| self.compile(d, q))
-            .collect::<Option<Vec<_>>>()?;
-        let mut copies = Vec::new();
-        for (&s, &t) in srcs.iter().zip(dsts.iter()) {
-            if let SpecVal::Reg(_) = self.read(s)? {
-                if s != t {
-                    copies.push((t, s));
-                }
-            }
-        }
-        Some((compiled.into_boxed_slice(), copies.into_boxed_slice()))
-    }
-}
-
-/// Builds the register-specialized twin of a `forrange` plan, or
-/// `None` when any component, operand type, or yield shape needs the
-/// general boxed machinery. `args` are the body region's argument
-/// slots (`args[0]` is the induction variable); `scratch_end` is one
-/// past the highest slot the plan touches (projection scratch slots
-/// live beyond the function's SSA frame).
-fn specialize_forrange(
-    f: &Function,
-    d: &DFunc,
-    plan: &BulkPlan,
-    args: &[u32],
-    scratch_end: u32,
-) -> Option<Box<SpecPlan>> {
-    let mut b = SpecBuilder {
-        f,
-        abs: vec![None; scratch_end.max(d.frame_size) as usize],
-        scalar_inputs: Vec::new(),
-        coll_inputs: Vec::new(),
-        groups: Vec::new(),
-    };
-    // The induction variable is defined by the loop itself, not loaded
-    // from the frame.
-    b.abs[args[0] as usize] = Some(SpecVal::Reg(SpecTag::U64));
-    let ops = plan
-        .ops
-        .iter()
-        .map(|p| b.compile(d, p))
-        .collect::<Option<Box<[SpecOp]>>>()?;
-    let mut scalar_yields = Vec::new();
-    for (&s, &a) in plan.yield_srcs.iter().zip(args[1..].iter()) {
-        let v = b.read(s)?;
-        match (v, b.abs[a as usize]) {
-            // A carried handle must thread back to itself: yielding a
-            // *different* group would rebind the slot to a handle the
-            // entry-time resolution never saw.
-            (_, Some(prev)) if prev != v => return None,
-            // A recorded row position must not outlive the iteration
-            // that read it.
-            (SpecVal::Row { .. }, _) => return None,
-            (SpecVal::Reg(_), _) => {
-                if s != a {
-                    scalar_yields.push((a, s));
-                }
-            }
-            (SpecVal::Coll(_), _) => {}
-        }
-        b.abs[a as usize] = Some(v);
-    }
-    let writebacks = args[1..]
-        .iter()
-        .map(|&a| Some((a, b.abs[a as usize]?)))
-        .collect::<Option<Box<[(u32, SpecVal)]>>>()?;
-    Some(Box::new(SpecPlan {
-        loop_var: args[0],
-        scalar_inputs: b.scalar_inputs.into_boxed_slice(),
-        coll_inputs: b.coll_inputs.into_boxed_slice(),
-        ops,
-        scalar_yields: scalar_yields.into_boxed_slice(),
-        writebacks,
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ade_ir::parse::parse_module;
+
+    fn reference(m: &Module) -> DecodedModule {
+        DecodedModule::decode_with(m, &DecodeOptions { reference: true })
+    }
 
     #[test]
     fn decode_keeps_region_indices_and_frame_slots() {
@@ -3689,7 +2075,7 @@ mod tests {
             "fn @main() -> void {\n  %s = new Set<u64>\n  %x = const 1u64\n  %s1 = insert %s, %x\n  %h = has %s1, %x\n  print %h\n  ret\n}\n",
         )
         .expect("parses");
-        let d = DecodedModule::decode(&m);
+        let d = reference(&m);
         let f = &d.funcs[0];
         assert_eq!(f.regions.len(), m.funcs[0].regions.len());
         assert_eq!(f.code.len(), m.funcs[0].insts.len());
@@ -3715,7 +2101,7 @@ fn @main() -> void {
 "#,
         )
         .expect("parses");
-        let d = DecodedModule::decode(&m);
+        let d = reference(&m);
         let fe = d.funcs[0]
             .code
             .iter()
@@ -3732,7 +2118,7 @@ fn @main() -> void {
     }
 
     #[test]
-    fn loop_fuse_classifies_projected_tuple_reduce() {
+    fn loop_fuse_decomposes_field_operands_into_projections() {
         let m = parse_module(
             r#"
 fn @main() -> void {
@@ -3761,15 +2147,13 @@ fn @main() -> void {
             })
             .expect("projected loop still bulk-compiles");
         assert!(matches!(
-            plan.fast,
-            Some(FastKind::Reduce {
-                op: BinOp::Add,
-                elem_first: false,
+            plan.ops[0].op,
+            BulkOp::Proj {
+                field: 1,
+                dst,
                 ..
-            })
+            } if dst >= ssa_slots
         ));
-        let proj = plan.fast_proj.expect("projection surfaced");
-        assert_eq!((proj.elem, proj.other), (1, None));
         // The projection's scratch slot lives past the SSA frame.
         assert!(
             f.frame_size > ssa_slots,
@@ -3779,103 +2163,11 @@ fn @main() -> void {
     }
 
     #[test]
-    fn loop_fuse_classifies_filter_on_one_field_folding_another() {
-        let m = parse_module(
-            r#"
-fn @main() -> void {
-  %s = new Seq<(u64, u64)>
-  %zero = const 0u64
-  %k = const 10u64
-  %sum = foreach %s carry(%zero) as (%i: u64, %t: (u64, u64), %acc: u64) {
-    %c = lt %t.0, %k
-    %out = if %c then {
-      %a = add %acc, %t.1
-      yield %a
-    } else {
-      yield %acc
-    }
-    yield %out
-  }
-  print %sum
-  ret
-}
-"#,
-        )
-        .expect("parses");
-        ade_ir::verify::verify_module(&m).expect("verifies");
-        let d = DecodedModule::decode_with(&m, &DecodeOptions::default());
-        let plan = d.funcs[0]
-            .code
-            .iter()
-            .find_map(|i| match i {
-                DInst::ForEachBulk { plan, .. } => Some(plan),
-                _ => None,
-            })
-            .expect("bulk-compiles");
-        assert!(matches!(
-            plan.fast,
-            Some(FastKind::FilterReduce {
-                acc_on_true: true,
-                bin_elem: true,
-                ..
-            })
-        ));
-        let proj = plan.fast_proj.expect("projection surfaced");
-        assert_eq!((proj.elem, proj.other), (0, Some(1)));
-    }
-
-    #[test]
-    fn forrange_specializes_columnar_reads() {
-        let m = parse_module(
-            r#"
-fn @main() -> void {
-  %s = new Seq<(u64, u64)>
-  %zero = const 0u64
-  %n = size %s
-  %sum = forrange %zero, %n carry(%zero) as (%i: u64, %acc: u64) {
-    %t = read %s, %i
-    %a = add %acc, %t.0
-    yield %a
-  }
-  print %sum
-  ret
-}
-"#,
-        )
-        .expect("parses");
-        ade_ir::verify::verify_module(&m).expect("verifies");
-        let d = DecodedModule::decode_with(&m, &DecodeOptions::default());
-        let plan = d.funcs[0]
-            .code
-            .iter()
-            .find_map(|i| match i {
-                DInst::ForRangeBulk { plan, .. } => Some(plan),
-                _ => None,
-            })
-            .expect("bulk-compiles");
-        let spec = plan.spec.as_ref().expect("tuple reads specialize");
-        assert!(matches!(
-            spec.coll_inputs.as_ref(),
-            [(_, SpecBackend::SoaSeq)]
-        ));
-        let kinds: Vec<&SpecKind> = spec.ops.iter().map(|o| &o.kind).collect();
-        assert!(matches!(kinds[0], SpecKind::SoaRead { .. }));
-        assert!(matches!(
-            kinds[1],
-            SpecKind::SoaField {
-                field: 0,
-                vtag: SpecTag::U64,
-                ..
-            }
-        ));
-    }
-
-    #[test]
     fn string_consts_are_pooled_once() {
         let m =
             parse_module("fn @main() -> void {\n  %a = const \"hello\"\n  print %a\n  ret\n}\n")
                 .expect("parses");
-        let d = DecodedModule::decode(&m);
+        let d = reference(&m);
         assert_eq!(d.funcs[0].consts.len(), 1);
         assert_eq!(d.funcs[0].consts[0], Value::Str("hello".into()));
     }
@@ -3897,8 +2189,8 @@ fn @main() -> void {
     #[test]
     fn peephole_fuses_rmw_triple_in_place() {
         let m = parse_module(RMW).expect("parses");
-        let unfused = DecodedModule::decode(&m);
-        let fused = DecodedModule::decode_with(&m, &DecodeOptions { fuse: true, loop_fuse: false });
+        let unfused = reference(&m);
+        let fused = DecodedModule::decode_with(&m, &DecodeOptions::default());
         let (u, f) = (&unfused.funcs[0], &fused.funcs[0]);
         // Head replacement: code length, region boundaries and the
         // padding slots' original instructions are all preserved.
@@ -3943,7 +2235,7 @@ fn @main() -> void {
 "#,
         )
         .expect("parses");
-        let fused = DecodedModule::decode_with(&m, &DecodeOptions { fuse: true, loop_fuse: false });
+        let fused = DecodedModule::decode_with(&m, &DecodeOptions::default());
         let f = &fused.funcs[0];
         assert!(f.code.iter().any(|i| matches!(i, DInst::FusedHasIf { .. })));
         let run = f
@@ -3977,18 +2269,18 @@ fn @main() -> void {
         .expect("parses");
         // Plain decode keeps the buffered yield; the fuse peephole
         // rewrites it to copy straight into the body's carried slot.
-        let plain = DecodedModule::decode(&m);
+        let plain = reference(&m);
         assert!(plain.funcs[0]
             .code
             .iter()
             .all(|i| !matches!(i, DInst::YieldDirect { .. })));
-        let fused = DecodedModule::decode_with(&m, &DecodeOptions { fuse: true, loop_fuse: false });
+        let fused = DecodedModule::decode_with(&m, &DecodeOptions::default());
         let f = &fused.funcs[0];
         let body = f
             .code
             .iter()
             .find_map(|i| match i {
-                DInst::ForRange { body, .. } => Some(*body),
+                DInst::ForRange { body, .. } | DInst::ForRangeBulk { body, .. } => Some(*body),
                 _ => None,
             })
             .expect("forrange decoded");
@@ -4004,10 +2296,10 @@ fn @main() -> void {
     #[test]
     fn peephole_is_off_for_plain_decode() {
         let m = parse_module(RMW).expect("parses");
-        let d = DecodedModule::decode(&m);
+        let d = reference(&m);
         assert!(
             !d.funcs[0].code.iter().any(|i| i.advance() != 1),
-            "decode() must stay purely structural"
+            "the reference decode must stay purely structural"
         );
     }
 
@@ -4029,7 +2321,7 @@ fn @main() -> void {
 "#;
 
     #[test]
-    fn loop_fuse_compiles_forrange_bulk_with_spec_twin() {
+    fn loop_fuse_compiles_forrange_bulk_and_hoists_consts() {
         let m = parse_module(CHURN_LOOP).expect("parses");
         let d = DecodedModule::decode_with(&m, &DecodeOptions::default());
         let plan = d.funcs[0]
@@ -4040,58 +2332,38 @@ fn @main() -> void {
                 _ => None,
             })
             .expect("scalar forrange body compiles to a bulk header");
-        let spec = plan
-            .spec
-            .as_ref()
-            .expect("all-scalar hash-set body register-specializes");
-        assert_eq!(spec.coll_inputs.len(), 1);
-        assert!(matches!(spec.coll_inputs[0].1, SpecBackend::HashSet));
-    }
-
-    #[test]
-    fn spec_twin_is_absent_for_non_scalar_payloads() {
-        // A `str` element can't live in the u64 register file; the
-        // generic bulk plan still applies, the specialized twin must not.
-        let m = parse_module(
-            r#"
-fn @main() -> void {
-  %s = new Set<str>
-  %lo = const 0u64
-  %hi = const 100u64
-  %k = const "tag"
-  %sf = forrange %lo, %hi carry(%s) as (%i: u64, %c: Set<str>) {
-    %c1 = insert %c, %k
-    yield %c1
-  }
-  %n = size %sf
-  print %n
-  ret
-}
-"#,
-        )
-        .expect("parses");
-        let d = DecodedModule::decode_with(&m, &DecodeOptions::default());
-        let plan = d.funcs[0]
-            .code
-            .iter()
-            .find_map(|i| match i {
-                DInst::ForRangeBulk { plan, .. } => Some(plan),
-                _ => None,
-            })
-            .expect("boxed-payload body still gets the generic bulk plan");
-        assert!(plan.spec.is_none(), "str payloads must not specialize");
+        assert!(matches!(
+            plan.prelude.as_ref(),
+            [PlanOp {
+                op: BulkOp::Const { .. },
+                ..
+            }]
+        ));
+        assert!(matches!(
+            plan.ops.as_ref(),
+            [
+                PlanOp {
+                    op: BulkOp::Bin { op: BinOp::Mul, .. },
+                    ..
+                },
+                PlanOp {
+                    op: BulkOp::InsertSet { .. },
+                    ..
+                }
+            ]
+        ));
     }
 
     #[test]
     fn plain_decode_has_no_bulk_headers() {
         let m = parse_module(CHURN_LOOP).expect("parses");
-        let d = DecodedModule::decode(&m);
+        let d = reference(&m);
         assert!(
             d.funcs[0]
                 .code
                 .iter()
                 .all(|i| !matches!(i, DInst::ForRangeBulk { .. } | DInst::ForEachBulk { .. })),
-            "decode() must not run the loop-fusion tier"
+            "the reference decode must not run loop fusion"
         );
     }
 }

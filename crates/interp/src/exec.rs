@@ -17,14 +17,14 @@ use ade_collections::SwissMap;
 use ade_ir::{BinOp, CmpOp, FuncId, Module, Type};
 
 use crate::decode::{
-    BulkOp, BulkPlan, DAccess, DFunc, DInst, DOp, DPath, DScalar, DecodedModule, EncKeyKind,
-    FastKind, FastProj, PlanOp, SpecBackend, SpecKind, SpecOp, SpecPlan, SpecTag, SpecVal, UScalar,
+    BulkOp, DAccess, DFunc, DInst, DOp, DPath, DScalar, DecodeOptions, DecodedModule, EncKeyKind,
+    PlanOp, UScalar,
 };
 use crate::heap::{CollId, Collection, SelectionDefaults};
 use crate::profile::{Recorder, SiteProfile};
 use crate::stats::{CollOp, ImplKind, Phase, Stats};
-use crate::trap::{Limit, StopReason, TrapKind, TrapSite, ENC_SENTINEL};
-use crate::value::{Res, ScalarVal, Value};
+use crate::trap::{Limit, StopReason, TrapKind, TrapSite};
+use crate::value::{Res, Value};
 
 /// Interpreter configuration.
 #[derive(Clone, Debug)]
@@ -46,33 +46,6 @@ pub struct ExecConfig {
     /// Costs nothing when `false`: the hot loop's only extra work is a
     /// branch on an `Option` discriminant.
     pub profile: bool,
-    /// Fuse hot instruction pairs/triples into superinstructions at
-    /// decode time (default `true`; see [`crate::decode`]'s peephole).
-    /// Observationally inert: fused arms replay the unfused sequence's
-    /// fuel ticks, statistic bumps, and site attribution exactly.
-    pub fuse: bool,
-    /// Compile whole collection/range loops into bulk superinstructions
-    /// at decode time (default `true`; see [`crate::decode`]'s
-    /// loop-fusion tier) and execute them as streaming backend kernels.
-    /// Observationally inert: bulk execution replays the unfused loop's
-    /// statistic bumps, byte accounting, and trap sites exactly, and any
-    /// configuration that makes per-iteration accounting observable
-    /// (fuel, profiling, a depth limit) routes bulk headers through the
-    /// generic per-instruction loop.
-    pub loop_fuse: bool,
-    /// Select unboxed monomorphic storage when a collection's static
-    /// element/key types are scalar (default `true`; see
-    /// [`Collection::new_for`]). Observationally inert: unboxed
-    /// backends report the boxed twin's [`ImplKind`] and byte
-    /// accounting and preserve iteration order.
-    pub unbox: bool,
-    /// Select columnar structure-of-arrays storage when a collection's
-    /// static element (or map payload) type is a tuple of scalars
-    /// (default `true`; see [`Collection::new_for`]). Observationally
-    /// inert like `unbox`: SoA backends report the boxed twin's
-    /// [`ImplKind`] and byte accounting, keep its hash/iteration order,
-    /// and rematerialize boxed tuples on any escaping read.
-    pub soa: bool,
     /// Runtime metrics registry (default disabled). When enabled, the
     /// run publishes quantum grants (`exec_quanta_total`), counted fuel
     /// ticks (`exec_fuel_ticks_total`; see [`Outcome::fuel_ticks`] for
@@ -97,10 +70,6 @@ impl Default for ExecConfig {
             max_heap_cells: None,
             max_depth: None,
             profile: false,
-            fuse: true,
-            unbox: true,
-            loop_fuse: true,
-            soa: true,
             metrics: ade_obs::MetricsRegistry::disabled(),
             flight: None,
         }
@@ -432,7 +401,8 @@ impl<'m> Interpreter<'m> {
                 },
                 Err(spawn_err) => Err(ExecError::Host {
                     message: format!(
-                        "could not start the interpreter thread ({spawn_err});                          use run_inline on a thread with adequate stack"
+                        "could not start the interpreter thread ({spawn_err}); \
+                         use run_inline on a thread with adequate stack"
                     ),
                 }),
             }
@@ -446,13 +416,7 @@ impl<'m> Interpreter<'m> {
     /// avoid per-run thread-spawn overhead).
     pub fn run_inline(self, entry: &str) -> Result<Outcome, ExecError> {
         let module = self.module.expect("run_inline needs a source module");
-        let decoded = DecodedModule::decode_with(
-            module,
-            &crate::decode::DecodeOptions {
-                fuse: self.config.fuse,
-                loop_fuse: self.config.loop_fuse,
-            },
-        );
+        let decoded = DecodedModule::decode_with(module, &DecodeOptions::default());
         self.run_decoded_inline(&decoded, entry)
     }
 
@@ -599,7 +563,7 @@ impl<'m> Interpreter<'m> {
                 });
             }
         }
-        let coll = Collection::new_for(ty, self.config.defaults, self.config.unbox, self.config.soa);
+        let coll = Collection::new_for(ty, self.config.defaults);
         self.config
             .metrics
             .add("exec_backend_selected_total", &[("kind", coll.kind_label())], 1);
@@ -1739,7 +1703,7 @@ impl<'m> Interpreter<'m> {
         Ok(Flow::Continue)
     }
 
-    /// Whether bulk loop kernels may run. Any configuration that makes
+    /// Whether bulk loop plans may run. Any configuration that makes
     /// per-iteration accounting observable — a fuel budget (each body
     /// instruction ticks fuel), an attached profiler (per-site
     /// attribution and size high-water marks), a depth limit (each
@@ -1757,10 +1721,9 @@ impl<'m> Interpreter<'m> {
 
     /// Bulk `foreach`: one header dispatch for the whole nest. The
     /// common prefix (collection resolution, iteration bumps, carried
-    /// resolution, hoisted constants) replays the generic loop; then
-    /// either a backend streaming kernel (Tier B, recognized
-    /// single-carry shapes over dense storage) or the plan executor
-    /// (Tier A) runs the body without per-instruction dispatch.
+    /// resolution, hoisted constants) replays the generic loop; then the
+    /// plan executor runs the body without per-instruction dispatch or
+    /// per-iteration region entry.
     #[inline(never)]
     fn exec_foreach_bulk(
         &mut self,
@@ -1794,43 +1757,28 @@ impl<'m> Interpreter<'m> {
             let v = self.resolve(frame, op)?.into_owned();
             frame[args[skip + j] as usize] = v;
         }
-        // The prelude holds hoisted loop constants; fast kernels read
-        // their invariant operands from the frame, so it runs first.
         for p in plan.prelude.iter() {
             self.exec_plan_op(fid, func, frame, p)?;
         }
-        let mut done = false;
-        if *binds_value {
-            if let Some(fast) = plan.fast {
-                done = match plan.fast_proj {
-                    Some(proj) => {
-                        self.try_fast_foreach_proj(fid, frame, id, fast, proj, plan, args[skip])?
-                    }
-                    None => self.try_fast_foreach(fid, frame, id, fast, plan, args[skip])?,
-                };
+        let mut entries = self.heap[id.0 as usize].snapshot();
+        if *uncoerce_u64 {
+            for (k, _) in &mut entries {
+                if let Value::Idx(i) = k {
+                    *k = Value::U64(*i as u64);
+                }
             }
         }
-        if !done {
-            let mut entries = self.heap[id.0 as usize].snapshot();
-            if *uncoerce_u64 {
-                for (k, _) in &mut entries {
-                    if let Value::Idx(i) = k {
-                        *k = Value::U64(*i as u64);
-                    }
-                }
+        for (key, value) in entries {
+            frame[args[0] as usize] = key;
+            if *binds_value {
+                frame[args[1] as usize] = value;
             }
-            for (key, value) in entries {
-                frame[args[0] as usize] = key;
-                if *binds_value {
-                    frame[args[1] as usize] = value;
-                }
-                for p in plan.ops.iter() {
-                    self.exec_plan_op(fid, func, frame, p)?;
-                }
-                for (&s, &a) in plan.yield_srcs.iter().zip(args[skip..].iter()) {
-                    if s != a {
-                        frame[a as usize] = frame[s as usize].clone();
-                    }
+            for p in plan.ops.iter() {
+                self.exec_plan_op(fid, func, frame, p)?;
+            }
+            for (&s, &a) in plan.yield_srcs.iter().zip(args[skip..].iter()) {
+                if s != a {
+                    frame[a as usize] = frame[s as usize].clone();
                 }
             }
         }
@@ -1872,20 +1820,14 @@ impl<'m> Interpreter<'m> {
         for p in plan.prelude.iter() {
             self.exec_plan_op(fid, func, frame, p)?;
         }
-        let specialized = match &plan.spec {
-            Some(spec) => self.try_spec_forrange(fid, frame, lo, hi, spec)?,
-            None => false,
-        };
-        if !specialized {
-            for i in lo..hi {
-                frame[args[0] as usize] = Value::U64(i);
-                for p in plan.ops.iter() {
-                    self.exec_plan_op(fid, func, frame, p)?;
-                }
-                for (&s, &a) in plan.yield_srcs.iter().zip(args[1..].iter()) {
-                    if s != a {
-                        frame[a as usize] = frame[s as usize].clone();
-                    }
+        for i in lo..hi {
+            frame[args[0] as usize] = Value::U64(i);
+            for p in plan.ops.iter() {
+                self.exec_plan_op(fid, func, frame, p)?;
+            }
+            for (&s, &a) in plan.yield_srcs.iter().zip(args[1..].iter()) {
+                if s != a {
+                    frame[a as usize] = frame[s as usize].clone();
                 }
             }
         }
@@ -1893,438 +1835,6 @@ impl<'m> Interpreter<'m> {
             frame[r as usize] = frame[a as usize].clone();
         }
         Ok(Flow::Continue)
-    }
-
-    /// Runs a `forrange` plan's register-specialized twin, or returns
-    /// `Ok(false)` — before any side effect — when the live frame and
-    /// heap don't match the specialization's static assumptions (boxed
-    /// backends, non-default selections, unexpected value shapes).
-    ///
-    /// The register file holds raw payloads (`u64` bits of the
-    /// statically known tags); collections are resolved to heap cells
-    /// once at entry. Handles stay valid across iterations because the
-    /// verified IR's linear-update discipline mutates collections in
-    /// place — a threaded `write(c, ..) → c'` yields the same `CollId`.
-    /// Every collection op replays the same stats bump and byte
-    /// refresh, in the same order, as its [`BulkOp`] twin, so the tier
-    /// is observationally inert.
-    fn try_spec_forrange(
-        &mut self,
-        fid: FuncId,
-        frame: &mut [Value],
-        lo: u64,
-        hi: u64,
-        spec: &SpecPlan,
-    ) -> Result<bool, ExecError> {
-        if lo >= hi {
-            // An empty range leaves every carried slot at its entry
-            // value; the generic loop does that for free.
-            return Ok(false);
-        }
-        let mut groups: Vec<CollId> = Vec::with_capacity(spec.coll_inputs.len());
-        for &(slot, backend) in spec.coll_inputs.iter() {
-            let Value::Coll(id) = frame[slot as usize] else {
-                return Ok(false);
-            };
-            let ok = matches!(
-                (backend, &self.heap[id.0 as usize]),
-                (SpecBackend::Seq, Collection::UnboxedSeq(_))
-                    | (SpecBackend::SoaSeq, Collection::SoaSeq(_))
-                    | (SpecBackend::HashSet, Collection::UnboxedHashSet(_))
-                    | (SpecBackend::HashMap, Collection::UnboxedHashMap(_))
-                    | (SpecBackend::BitMap, Collection::UnboxedBitMap(_))
-            );
-            if !ok {
-                return Ok(false);
-            }
-            groups.push(id);
-        }
-        let mut regs = vec![0u64; frame.len()];
-        for &(slot, tag) in spec.scalar_inputs.iter() {
-            regs[slot as usize] = match (tag, &frame[slot as usize]) {
-                (SpecTag::U64, Value::U64(n)) => *n,
-                (SpecTag::Idx, Value::Idx(i)) => *i as u64,
-                (SpecTag::Bool, Value::Bool(b)) => u64::from(*b),
-                _ => return Ok(false),
-            };
-        }
-        for i in lo..hi {
-            regs[spec.loop_var as usize] = i;
-            for op in spec.ops.iter() {
-                self.exec_spec_op(fid, &mut regs, &groups, op)?;
-            }
-            for &(a, s) in spec.scalar_yields.iter() {
-                regs[a as usize] = regs[s as usize];
-            }
-        }
-        // What the generic loop leaves behind: the induction variable's
-        // last value and the carried slots' final values. Other body
-        // slots are region-scoped and dead after the loop.
-        frame[spec.loop_var as usize] = Value::U64(hi - 1);
-        for &(slot, v) in spec.writebacks.iter() {
-            frame[slot as usize] = match v {
-                SpecVal::Reg(tag) => spec_rebox(tag, regs[slot as usize]),
-                SpecVal::Coll(g) => Value::Coll(groups[g as usize]),
-                // The builder rejects any plan that would carry a row
-                // position across iterations.
-                SpecVal::Row { .. } => unreachable!(),
-            };
-        }
-        Ok(true)
-    }
-
-    /// One specialized component. Mirrors the corresponding
-    /// [`BulkOp`] arm bump-for-bump on pre-resolved groups, siting
-    /// traps at the component's original code index.
-    fn exec_spec_op(
-        &mut self,
-        fid: FuncId,
-        regs: &mut [u64],
-        groups: &[CollId],
-        op: &SpecOp,
-    ) -> Result<(), ExecError> {
-        let site = op.site as usize;
-        match &op.kind {
-            SpecKind::Const { val, dst } => regs[*dst as usize] = *val,
-            SpecKind::Bin { op, idx, a, b, dst } => {
-                let v = eval_bin_u64(*op, regs[*a as usize], regs[*b as usize])
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                // `Idx` arithmetic re-wraps through `usize` width,
-                // matching `eval_bin` on boxed `Idx` operands.
-                regs[*dst as usize] = if *idx { v as usize as u64 } else { v };
-            }
-            SpecKind::BinBool { op, a, b, dst } => {
-                let (x, y) = (regs[*a as usize], regs[*b as usize]);
-                regs[*dst as usize] = match op {
-                    BinOp::And => x & y,
-                    BinOp::Or => x | y,
-                    _ => x ^ y,
-                };
-            }
-            SpecKind::Cmp { op, a, b, dst } => {
-                // Same-tag payloads compare exactly like their boxed
-                // twins (`false < true` is `0 < 1`).
-                regs[*dst as usize] =
-                    u64::from(cmp_u64(*op, regs[*a as usize], regs[*b as usize]));
-            }
-            SpecKind::Not { a, dst } => regs[*dst as usize] = regs[*a as usize] ^ 1,
-            SpecKind::Cast { idx, a, dst } => {
-                let v = regs[*a as usize];
-                regs[*dst as usize] = if *idx { v as usize as u64 } else { v };
-            }
-            SpecKind::Size { grp, dst } => {
-                let id = groups[*grp as usize];
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Size, 1);
-                regs[*dst as usize] = self.heap[id.0 as usize].len() as u64;
-            }
-            SpecKind::SeqRead {
-                grp,
-                index,
-                vtag,
-                dst,
-            } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::Seq, CollOp::Read, 1);
-                let i = regs[*index as usize];
-                let Collection::UnboxedSeq(s) = &self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                let (got, len) = (s.get(i as usize).copied(), s.len());
-                let Some(sv) = got else {
-                    return Err(self.trap_at(fid, site, TrapKind::OutOfBounds { index: i, len }));
-                };
-                regs[*dst as usize] =
-                    spec_payload(sv, *vtag).map_err(|k| self.trap_at(fid, site, k))?;
-            }
-            SpecKind::SoaRead { grp, index } => {
-                // The read's bump and bounds check, with no row
-                // materialization — later `SoaField` ops fetch single
-                // column cells from the recorded position.
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::Seq, CollOp::Read, 1);
-                let i = regs[*index as usize];
-                let Collection::SoaSeq(s) = &self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                let len = s.len();
-                if i as usize >= len {
-                    return Err(self.trap_at(fid, site, TrapKind::OutOfBounds { index: i, len }));
-                }
-            }
-            SpecKind::SoaField {
-                grp,
-                index,
-                field,
-                vtag,
-                dst,
-            } => {
-                // Field projection bumps no stats (operand paths don't);
-                // the position was bounds-checked by the paired
-                // `SoaRead` and no compiled op mutates a columnar group.
-                let id = groups[*grp as usize];
-                let i = regs[*index as usize] as usize;
-                let Collection::SoaSeq(s) = &self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                let sv = *s
-                    .col(*field as usize)
-                    .get(i)
-                    .expect("position validated by the paired SoaRead");
-                regs[*dst as usize] =
-                    spec_payload(sv, *vtag).map_err(|k| self.trap_at(fid, site, k))?;
-            }
-            SpecKind::SeqWrite {
-                grp,
-                index,
-                val,
-                vtag,
-            } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::Seq, CollOp::Write, 1);
-                let i = regs[*index as usize];
-                let sv = spec_scalar(*vtag, regs[*val as usize]);
-                let Collection::UnboxedSeq(s) = &mut self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                if i as usize >= s.len() {
-                    let len = s.len();
-                    return Err(self.trap_at(fid, site, TrapKind::OutOfBounds { index: i, len }));
-                }
-                s.set(i as usize, sv);
-                self.refresh_bytes(id);
-            }
-            SpecKind::SeqInsert {
-                grp,
-                index,
-                val,
-                vtag,
-            } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::Seq, CollOp::Insert, 1);
-                let i = regs[*index as usize] as usize;
-                let sv = spec_scalar(*vtag, regs[*val as usize]);
-                let Collection::UnboxedSeq(s) = &mut self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                if i > s.len() {
-                    let (index, len) = (i as u64, s.len());
-                    return Err(self.trap_at(fid, site, TrapKind::OutOfBounds { index, len }));
-                }
-                if i == s.len() {
-                    s.push(sv);
-                } else {
-                    s.insert(i, sv);
-                }
-                self.refresh_bytes(id);
-            }
-            SpecKind::SetInsert { grp, elem, tag } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::HashSet, CollOp::Insert, 1);
-                let sv = spec_scalar(*tag, regs[*elem as usize]);
-                let Collection::UnboxedHashSet(s) = &mut self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                s.insert(sv);
-                self.refresh_bytes(id);
-            }
-            SpecKind::SetHas { grp, key, tag, dst } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::HashSet, CollOp::Has, 1);
-                let sv = spec_scalar(*tag, regs[*key as usize]);
-                let Collection::UnboxedHashSet(s) = &self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                regs[*dst as usize] = u64::from(s.contains(&sv));
-            }
-            SpecKind::SetRemove { grp, key, tag } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::HashSet, CollOp::Remove, 1);
-                let sv = spec_scalar(*tag, regs[*key as usize]);
-                let Collection::UnboxedHashSet(s) = &mut self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                s.remove(&sv);
-                self.refresh_bytes(id);
-            }
-            SpecKind::MapRead {
-                grp,
-                key,
-                ktag,
-                vtag,
-                dst,
-            } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::HashMap, CollOp::Read, 1);
-                let kp = regs[*key as usize];
-                let k = spec_scalar(*ktag, kp);
-                let Collection::UnboxedHashMap(m) = &self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                let Some(sv) = m.get(&k).copied() else {
-                    let key = spec_rebox(*ktag, kp).to_string();
-                    return Err(self.trap_at(fid, site, TrapKind::MissingKey { key }));
-                };
-                regs[*dst as usize] =
-                    spec_payload(sv, *vtag).map_err(|k| self.trap_at(fid, site, k))?;
-            }
-            SpecKind::MapWrite {
-                grp,
-                key,
-                ktag,
-                val,
-                vtag,
-            } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::HashMap, CollOp::Write, 1);
-                let k = spec_scalar(*ktag, regs[*key as usize]);
-                let v = spec_scalar(*vtag, regs[*val as usize]);
-                let Collection::UnboxedHashMap(m) = &mut self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                m.insert(k, v);
-                self.refresh_bytes(id);
-            }
-            SpecKind::MapHas {
-                grp,
-                key,
-                ktag,
-                dst,
-            } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::HashMap, CollOp::Has, 1);
-                let k = spec_scalar(*ktag, regs[*key as usize]);
-                let Collection::UnboxedHashMap(m) = &self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                regs[*dst as usize] = u64::from(m.contains_key(&k));
-            }
-            SpecKind::MapInsert {
-                grp,
-                key,
-                ktag,
-                vtag,
-            } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::HashMap, CollOp::Insert, 1);
-                let k = spec_scalar(*ktag, regs[*key as usize]);
-                let Collection::UnboxedHashMap(m) = &mut self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                if !m.contains_key(&k) {
-                    m.insert(k, spec_scalar(*vtag, 0));
-                }
-                self.refresh_bytes(id);
-            }
-            SpecKind::MapRemove { grp, key, ktag } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::HashMap, CollOp::Remove, 1);
-                let k = spec_scalar(*ktag, regs[*key as usize]);
-                let Collection::UnboxedHashMap(m) = &mut self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                m.remove(&k);
-                self.refresh_bytes(id);
-            }
-            SpecKind::DenseRead {
-                grp,
-                key,
-                vtag,
-                dst,
-            } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::BitMap, CollOp::Read, 1);
-                // `u64` keys coerce to `idx` before a dense access,
-                // exactly like `coerce_key_res`.
-                let i = regs[*key as usize] as usize;
-                let Collection::UnboxedBitMap(m) = &self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                let Some(sv) = m.get(i).copied() else {
-                    let key = Value::Idx(i).to_string();
-                    return Err(self.trap_at(fid, site, TrapKind::MissingKey { key }));
-                };
-                regs[*dst as usize] =
-                    spec_payload(sv, *vtag).map_err(|k| self.trap_at(fid, site, k))?;
-            }
-            SpecKind::DenseWrite {
-                grp,
-                key,
-                val,
-                vtag,
-            } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::BitMap, CollOp::Write, 1);
-                let i = regs[*key as usize] as usize;
-                if i == ENC_SENTINEL {
-                    return Err(self.trap_at(fid, site, TrapKind::SentinelInsert));
-                }
-                let sv = spec_scalar(*vtag, regs[*val as usize]);
-                let Collection::UnboxedBitMap(m) = &mut self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                m.insert(i, sv);
-                self.refresh_bytes(id);
-            }
-            SpecKind::DenseHas { grp, key, dst } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::BitMap, CollOp::Has, 1);
-                let i = regs[*key as usize] as usize;
-                let Collection::UnboxedBitMap(m) = &self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                regs[*dst as usize] = u64::from(m.contains_key(i));
-            }
-            SpecKind::DenseInsert { grp, key, vtag } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::BitMap, CollOp::Insert, 1);
-                let i = regs[*key as usize] as usize;
-                let sv = spec_scalar(*vtag, 0);
-                let Collection::UnboxedBitMap(m) = &mut self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                // The membership probe is sentinel-tolerant; only an
-                // actual insertion trips the sentinel check (the same
-                // split `InsertMap` gets from `dense_key`).
-                if !m.contains_key(i) {
-                    if i == ENC_SENTINEL {
-                        return Err(self.trap_at(fid, site, TrapKind::SentinelInsert));
-                    }
-                    m.insert(i, sv);
-                }
-                self.refresh_bytes(id);
-            }
-            SpecKind::DenseRemove { grp, key } => {
-                let id = groups[*grp as usize];
-                self.bump(ImplKind::BitMap, CollOp::Remove, 1);
-                let i = regs[*key as usize] as usize;
-                let Collection::UnboxedBitMap(m) = &mut self.heap[id.0 as usize] else {
-                    unreachable!()
-                };
-                m.remove(i);
-                self.refresh_bytes(id);
-            }
-            SpecKind::If {
-                cond,
-                then_ops,
-                then_copies,
-                else_ops,
-                else_copies,
-            } => {
-                let (ops, copies) = if regs[*cond as usize] != 0 {
-                    (then_ops, then_copies)
-                } else {
-                    (else_ops, else_copies)
-                };
-                for q in ops.iter() {
-                    self.exec_spec_op(fid, regs, groups, q)?;
-                }
-                for &(t, s) in copies.iter() {
-                    regs[t as usize] = regs[s as usize];
-                }
-            }
-        }
-        Ok(())
     }
 
     /// One plan component. Mirrors the corresponding arm of
@@ -2535,769 +2045,6 @@ impl<'m> Interpreter<'m> {
         Ok(())
     }
 
-    /// Dispatches a recognized streaming shape to its backend kernel.
-    /// Returns `Ok(false)` when the runtime operands don't fit the
-    /// kernel's requirements (collection variants, scalar accumulator,
-    /// distinct source/destination) — the caller falls back to the plan
-    /// executor, which handles every case bit-identically.
-    fn try_fast_foreach(
-        &mut self,
-        fid: FuncId,
-        frame: &mut Vec<Value>,
-        src: CollId,
-        fast: FastKind,
-        plan: &BulkPlan,
-        acc_slot: u32,
-    ) -> Result<bool, ExecError> {
-        match fast {
-            FastKind::Reduce {
-                op,
-                elem_first,
-                site,
-            } => self.fast_reduce(fid, frame, src, op, elem_first, site, acc_slot),
-            FastKind::FilterReduce { .. } => {
-                self.fast_filter_reduce(fid, frame, src, fast, acc_slot)
-            }
-            FastKind::ProbeCount { set } => {
-                let has_site = plan.ops[0].site;
-                self.fast_probe_count(fid, frame, src, set, has_site, acc_slot)
-            }
-            FastKind::CopyInto => {
-                let insert_site = plan.ops[0].site;
-                self.fast_copy_into(fid, frame, src, insert_site, acc_slot)
-            }
-            FastKind::FilterInto {
-                cmp,
-                elem_lhs,
-                rhs,
-                insert_on_true,
-            } => {
-                let BulkOp::If {
-                    then_ops, else_ops, ..
-                } = &plan.ops[1].op
-                else {
-                    unreachable!("FilterInto plans end in a branch")
-                };
-                let arm = if insert_on_true { then_ops } else { else_ops };
-                let insert_site = arm[0].site;
-                self.fast_filter_into(
-                    fid,
-                    frame,
-                    src,
-                    cmp,
-                    elem_lhs,
-                    rhs,
-                    insert_on_true,
-                    insert_site,
-                    acc_slot,
-                )
-            }
-        }
-    }
-
-    /// Streams `src`'s values (in iteration order) through a fallible
-    /// fold. Callers have already checked that `src` is a value-stream
-    /// source (sequence or dense map).
-    fn stream_fold(
-        &self,
-        src: CollId,
-        acc0: Value,
-        mut step: impl FnMut(Value, &Value) -> Result<Value, ExecError>,
-    ) -> Result<Value, ExecError> {
-        match &self.heap[src.0 as usize] {
-            Collection::Seq(s) => s.try_fold(acc0, &mut step),
-            Collection::UnboxedSeq(s) => s.try_fold(acc0, |a, sv| step(a, &sv.to_value())),
-            Collection::BitMap(m) => m.try_fold_values(acc0, &mut step),
-            Collection::UnboxedBitMap(m) => m.try_fold_values(acc0, |a, sv| step(a, &sv.to_value())),
-            _ => unreachable!("caller checked the source variant"),
-        }
-    }
-
-    /// `acc = op(acc, elem)` over every streamed value: the unboxed u64
-    /// storage gets a tight slice/word loop; everything else streams
-    /// through [`eval_bin`] with the unfused loop's exact trap behavior.
-    fn fast_reduce(
-        &mut self,
-        fid: FuncId,
-        frame: &mut Vec<Value>,
-        src: CollId,
-        op: BinOp,
-        elem_first: bool,
-        site: u32,
-        acc_slot: u32,
-    ) -> Result<bool, ExecError> {
-        if !is_stream_src(&self.heap[src.0 as usize]) {
-            return Ok(false);
-        }
-        let acc0 = frame[acc_slot as usize].clone();
-        let fastened = match (&self.heap[src.0 as usize], &acc0) {
-            (Collection::UnboxedSeq(s), Value::U64(a0)) => {
-                fold_u64(op, elem_first, *a0, s.as_slice().iter().map(|sv| sv.as_u64()))
-            }
-            (Collection::UnboxedBitMap(m), Value::U64(a0)) => {
-                fold_u64(op, elem_first, *a0, m.values().map(|sv| sv.as_u64()))
-            }
-            _ => None,
-        };
-        let acc = match fastened {
-            Some(r) => Value::U64(r),
-            None => {
-                let site = site as usize;
-                self.stream_fold(src, acc0, |acc, v| {
-                    let (l, r) = if elem_first { (v, &acc) } else { (&acc, v) };
-                    eval_bin(op, l, r).map_err(|k| self.trap_at(fid, site, k))
-                })?
-            }
-        };
-        frame[acc_slot as usize] = acc;
-        Ok(true)
-    }
-
-    /// `if cmp(elem, rhs) { acc = bin(acc, x) }` over every streamed
-    /// value (either branch polarity, either operand order).
-    fn fast_filter_reduce(
-        &mut self,
-        fid: FuncId,
-        frame: &mut Vec<Value>,
-        src: CollId,
-        fast: FastKind,
-        acc_slot: u32,
-    ) -> Result<bool, ExecError> {
-        let FastKind::FilterReduce {
-            cmp,
-            elem_lhs,
-            rhs,
-            acc_on_true,
-            bin,
-            acc_lhs,
-            bin_elem,
-            bin_other,
-            bin_site,
-        } = fast
-        else {
-            unreachable!()
-        };
-        if !is_stream_src(&self.heap[src.0 as usize]) {
-            return Ok(false);
-        }
-        let acc0 = frame[acc_slot as usize].clone();
-        let rhs_val = frame[rhs as usize].clone();
-        let other_val = if bin_elem {
-            Value::Void
-        } else {
-            frame[bin_other as usize].clone()
-        };
-        let other_u64 = if bin_elem {
-            Some(0)
-        } else if let Value::U64(o) = &other_val {
-            Some(*o)
-        } else {
-            None
-        };
-        let fastened = match (&self.heap[src.0 as usize], &acc0, &rhs_val, other_u64) {
-            (Collection::UnboxedSeq(s), Value::U64(a0), Value::U64(r0), Some(o)) => {
-                filter_fold_u64(
-                    cmp,
-                    elem_lhs,
-                    *r0,
-                    acc_on_true,
-                    bin,
-                    acc_lhs,
-                    bin_elem,
-                    o,
-                    *a0,
-                    s.as_slice().iter().map(|sv| sv.as_u64()),
-                )
-            }
-            (Collection::UnboxedBitMap(m), Value::U64(a0), Value::U64(r0), Some(o)) => {
-                filter_fold_u64(
-                    cmp,
-                    elem_lhs,
-                    *r0,
-                    acc_on_true,
-                    bin,
-                    acc_lhs,
-                    bin_elem,
-                    o,
-                    *a0,
-                    m.values().map(|sv| sv.as_u64()),
-                )
-            }
-            _ => None,
-        };
-        let acc = match fastened {
-            Some(r) => Value::U64(r),
-            None => {
-                let site = bin_site as usize;
-                self.stream_fold(src, acc0, |acc, v| {
-                    let c = if elem_lhs {
-                        eval_cmp(cmp, v, &rhs_val)
-                    } else {
-                        eval_cmp(cmp, &rhs_val, v)
-                    };
-                    if c != acc_on_true {
-                        return Ok(acc);
-                    }
-                    let x = if bin_elem { v } else { &other_val };
-                    let (l, r) = if acc_lhs { (&acc, x) } else { (x, &acc) };
-                    eval_bin(bin, l, r).map_err(|k| self.trap_at(fid, site, k))
-                })?
-            }
-        };
-        frame[acc_slot as usize] = acc;
-        Ok(true)
-    }
-
-    /// `acc += has(set, elem) as u64` over every streamed value: one
-    /// `Has` bump of the stream length, then group-probing bulk
-    /// membership on the hash backends.
-    fn fast_probe_count(
-        &mut self,
-        fid: FuncId,
-        frame: &mut Vec<Value>,
-        src: CollId,
-        set: u32,
-        has_site: u32,
-        acc_slot: u32,
-    ) -> Result<bool, ExecError> {
-        let Value::U64(a0) = frame[acc_slot as usize] else {
-            return Ok(false);
-        };
-        let Ok(set_id) = frame[set as usize].try_as_coll() else {
-            return Ok(false);
-        };
-        let set_imp = self.impl_of(set_id);
-        // Hash/swiss probes take any key without coercion and never
-        // trap; other implementations fall back to the plan executor.
-        if !matches!(set_imp, ImplKind::HashSet | ImplKind::SwissSet) {
-            return Ok(false);
-        }
-        if !is_stream_src(&self.heap[src.0 as usize]) {
-            return Ok(false);
-        }
-        let n = self.heap[src.0 as usize].len() as u64;
-        self.bump(set_imp, CollOp::Has, n);
-        let src_ref = &self.heap[src.0 as usize];
-        let set_ref = &self.heap[set_id.0 as usize];
-        let hits = match (src_ref, set_ref) {
-            // Aligned unboxed pair: probe the chained table's groups
-            // directly over the packed element slice.
-            (Collection::UnboxedSeq(s), Collection::UnboxedHashSet(hs)) => {
-                hs.contains_batch(s.as_slice())
-            }
-            (Collection::Seq(s), Collection::SwissSet(ss)) => ss.contains_batch(s.as_slice()),
-            (Collection::Seq(s), Collection::HashSet(hs)) => hs.contains_batch(s.as_slice()),
-            (src_ref, set_ref) => {
-                let mut hits = 0u64;
-                let probe = |v: &Value| set_ref.try_has(v).unwrap_or(false);
-                match src_ref {
-                    Collection::Seq(s) => {
-                        hits += s.iter().filter(|v| probe(v)).count() as u64;
-                    }
-                    Collection::UnboxedSeq(s) => {
-                        hits += s
-                            .iter()
-                            .filter(|sv| probe(&sv.to_value()))
-                            .count() as u64;
-                    }
-                    Collection::BitMap(m) => {
-                        hits += m.values().filter(|v| probe(v)).count() as u64;
-                    }
-                    Collection::UnboxedBitMap(m) => {
-                        hits += m.values().filter(|sv| probe(&sv.to_value())).count() as u64;
-                    }
-                    _ => unreachable!("caller checked the source variant"),
-                }
-                hits
-            }
-        };
-        let _ = (fid, has_site);
-        frame[acc_slot as usize] = Value::U64(a0.wrapping_add(hits));
-        Ok(true)
-    }
-
-    /// `insert(dst, elem)` for every streamed value: one `Insert` bump
-    /// of the stream length, batch insertion, a single byte-accounting
-    /// refresh (hash footprints grow monotonically under insert-only
-    /// histories, so the final estimate is also the running peak).
-    fn fast_copy_into(
-        &mut self,
-        fid: FuncId,
-        frame: &mut Vec<Value>,
-        src: CollId,
-        insert_site: u32,
-        acc_slot: u32,
-    ) -> Result<bool, ExecError> {
-        let Ok(dst_id) = frame[acc_slot as usize].try_as_coll() else {
-            return Ok(false);
-        };
-        if dst_id == src {
-            return Ok(false);
-        }
-        let dst_imp = self.impl_of(dst_id);
-        if !matches!(dst_imp, ImplKind::HashSet | ImplKind::SwissSet) {
-            return Ok(false);
-        }
-        if !is_stream_src(&self.heap[src.0 as usize]) {
-            return Ok(false);
-        }
-        let n = self.heap[src.0 as usize].len() as u64;
-        self.bump(dst_imp, CollOp::Insert, n);
-        let (dst_mut, src_ref) = two_heap(&mut self.heap, dst_id, src);
-        let failed: Option<TrapKind> = match (dst_mut, src_ref) {
-            (Collection::UnboxedHashSet(hs), Collection::UnboxedSeq(s)) => {
-                hs.insert_batch(s.as_slice().iter().copied());
-                None
-            }
-            (Collection::HashSet(hs), Collection::Seq(s)) => {
-                hs.insert_batch(s.as_slice().iter().cloned());
-                None
-            }
-            (Collection::SwissSet(ss), Collection::Seq(s)) => {
-                ss.insert_batch(s.as_slice().iter().cloned());
-                None
-            }
-            (dst_mut, src_ref) => {
-                let mut step = |v: Value| dst_mut.try_insert_elem(v).map(|_| ());
-                let r: Result<(), TrapKind> = match src_ref {
-                    Collection::Seq(s) => s.try_fold((), |(), v| step(v.clone())),
-                    Collection::UnboxedSeq(s) => s.try_fold((), |(), sv| step(sv.to_value())),
-                    Collection::BitMap(m) => m.try_fold_values((), |(), v| step(v.clone())),
-                    Collection::UnboxedBitMap(m) => {
-                        m.try_fold_values((), |(), sv| step(sv.to_value()))
-                    }
-                    _ => unreachable!("caller checked the source variant"),
-                };
-                r.err()
-            }
-        };
-        if let Some(k) = failed {
-            return Err(self.trap_at(fid, insert_site as usize, k));
-        }
-        self.refresh_bytes(dst_id);
-        Ok(true)
-    }
-
-    /// `if cmp(elem, rhs) { insert(dst, elem) }` for every streamed
-    /// value (either branch polarity).
-    #[allow(clippy::too_many_arguments)]
-    fn fast_filter_into(
-        &mut self,
-        fid: FuncId,
-        frame: &mut Vec<Value>,
-        src: CollId,
-        cmp: CmpOp,
-        elem_lhs: bool,
-        rhs: u32,
-        insert_on_true: bool,
-        insert_site: u32,
-        acc_slot: u32,
-    ) -> Result<bool, ExecError> {
-        let Ok(dst_id) = frame[acc_slot as usize].try_as_coll() else {
-            return Ok(false);
-        };
-        if dst_id == src {
-            return Ok(false);
-        }
-        let dst_imp = self.impl_of(dst_id);
-        if !matches!(dst_imp, ImplKind::HashSet | ImplKind::SwissSet) {
-            return Ok(false);
-        }
-        if !is_stream_src(&self.heap[src.0 as usize]) {
-            return Ok(false);
-        }
-        let rhs_val = frame[rhs as usize].clone();
-        let (dst_mut, src_ref) = two_heap(&mut self.heap, dst_id, src);
-        let mut count = 0u64;
-        let keep = |v: &Value| {
-            let c = if elem_lhs {
-                eval_cmp(cmp, v, &rhs_val)
-            } else {
-                eval_cmp(cmp, &rhs_val, v)
-            };
-            c == insert_on_true
-        };
-        let mut step = |v: &Value| -> Result<(), TrapKind> {
-            if keep(v) {
-                count += 1;
-                dst_mut.try_insert_elem(v.clone())?;
-            }
-            Ok(())
-        };
-        let r: Result<(), TrapKind> = match src_ref {
-            Collection::Seq(s) => s.try_fold((), |(), v| step(v)),
-            Collection::UnboxedSeq(s) => s.try_fold((), |(), sv| step(&sv.to_value())),
-            Collection::BitMap(m) => m.try_fold_values((), |(), v| step(v)),
-            Collection::UnboxedBitMap(m) => m.try_fold_values((), |(), sv| step(&sv.to_value())),
-            _ => unreachable!("caller checked the source variant"),
-        };
-        drop(step);
-        // On a trap the run's statistics are discarded with the error,
-        // so the bump accompanies only successful sweeps.
-        self.bump(dst_imp, CollOp::Insert, count);
-        if let Err(k) = r {
-            return Err(self.trap_at(fid, insert_site as usize, k));
-        }
-        self.refresh_bytes(dst_id);
-        Ok(true)
-    }
-
-    /// [`Self::try_fast_foreach`] for projected tuple loops: every
-    /// element role streams a flat column of the columnar sequence
-    /// instead of materializing row tuples. Any other live backend (the
-    /// snapshot path materializes rows correctly everywhere) falls back
-    /// to the plan executor.
-    #[allow(clippy::too_many_arguments)]
-    fn try_fast_foreach_proj(
-        &mut self,
-        fid: FuncId,
-        frame: &mut Vec<Value>,
-        src: CollId,
-        fast: FastKind,
-        proj: FastProj,
-        plan: &BulkPlan,
-        acc_slot: u32,
-    ) -> Result<bool, ExecError> {
-        match fast {
-            FastKind::Reduce {
-                op,
-                elem_first,
-                site,
-            } => self.fast_proj_reduce(fid, frame, src, op, elem_first, site, proj.elem, acc_slot),
-            FastKind::FilterReduce { .. } => {
-                self.fast_proj_filter_reduce(fid, frame, src, fast, proj, acc_slot)
-            }
-            FastKind::ProbeCount { set } => {
-                let has_site = plan.ops[1].site;
-                self.fast_proj_probe_count(fid, frame, src, set, has_site, proj.elem, acc_slot)
-            }
-            FastKind::CopyInto => {
-                let insert_site = plan.ops[1].site;
-                self.fast_proj_copy_into(fid, frame, src, insert_site, proj.elem, acc_slot)
-            }
-            FastKind::FilterInto {
-                cmp,
-                elem_lhs,
-                rhs,
-                insert_on_true,
-            } => {
-                let BulkOp::If {
-                    then_ops, else_ops, ..
-                } = &plan.ops[2].op
-                else {
-                    unreachable!("FilterInto plans end in a branch")
-                };
-                let arm = if insert_on_true { then_ops } else { else_ops };
-                let insert_site = arm.last().expect("insert arm is non-empty").site;
-                self.fast_proj_filter_into(
-                    fid,
-                    frame,
-                    src,
-                    cmp,
-                    elem_lhs,
-                    rhs,
-                    insert_on_true,
-                    insert_site,
-                    proj.elem,
-                    proj.other.unwrap_or(proj.elem),
-                    acc_slot,
-                )
-            }
-        }
-    }
-
-    /// `acc = op(acc, t.field)` streaming one column.
-    #[allow(clippy::too_many_arguments)]
-    fn fast_proj_reduce(
-        &mut self,
-        fid: FuncId,
-        frame: &mut Vec<Value>,
-        src: CollId,
-        op: BinOp,
-        elem_first: bool,
-        site: u32,
-        field: u32,
-        acc_slot: u32,
-    ) -> Result<bool, ExecError> {
-        let Some(col) = soa_col(&self.heap[src.0 as usize], field) else {
-            return Ok(false);
-        };
-        let acc0 = frame[acc_slot as usize].clone();
-        let fastened = match &acc0 {
-            Value::U64(a0) => fold_u64(op, elem_first, *a0, col.iter().map(|sv| sv.as_u64())),
-            _ => None,
-        };
-        let acc = match fastened {
-            Some(r) => Value::U64(r),
-            None => {
-                // Boxed fold over the column: single field cells rebox,
-                // whole rows never do.
-                let site = site as usize;
-                let mut acc = acc0;
-                for sv in col {
-                    let v = sv.to_value();
-                    let (l, r) = if elem_first { (&v, &acc) } else { (&acc, &v) };
-                    acc = eval_bin(op, l, r).map_err(|k| self.trap_at(fid, site, k))?;
-                }
-                acc
-            }
-        };
-        frame[acc_slot as usize] = acc;
-        Ok(true)
-    }
-
-    /// `if cmp(t.a, rhs) { acc = bin(acc, t.b | inv) }` streaming the
-    /// comparison column zipped with the fold column (when the fold
-    /// reads a field) or an invariant operand.
-    fn fast_proj_filter_reduce(
-        &mut self,
-        fid: FuncId,
-        frame: &mut Vec<Value>,
-        src: CollId,
-        fast: FastKind,
-        proj: FastProj,
-        acc_slot: u32,
-    ) -> Result<bool, ExecError> {
-        let FastKind::FilterReduce {
-            cmp,
-            elem_lhs,
-            rhs,
-            acc_on_true,
-            bin,
-            acc_lhs,
-            bin_elem,
-            bin_other,
-            bin_site,
-        } = fast
-        else {
-            unreachable!()
-        };
-        let cell = &self.heap[src.0 as usize];
-        let Some(cmp_col) = soa_col(cell, proj.elem) else {
-            return Ok(false);
-        };
-        let fold_col = if bin_elem {
-            match soa_col(cell, proj.other.unwrap_or(proj.elem)) {
-                Some(c) => Some(c),
-                None => return Ok(false),
-            }
-        } else {
-            None
-        };
-        let acc0 = frame[acc_slot as usize].clone();
-        let rhs_val = frame[rhs as usize].clone();
-        let other_val = if bin_elem {
-            Value::Void
-        } else {
-            frame[bin_other as usize].clone()
-        };
-        let other_u64 = if bin_elem {
-            Some(0)
-        } else if let Value::U64(o) = &other_val {
-            Some(*o)
-        } else {
-            None
-        };
-        let fastened = match (&acc0, &rhs_val, other_u64) {
-            (Value::U64(a0), Value::U64(r0), Some(o)) => filter_fold_cols_u64(
-                cmp, elem_lhs, *r0, acc_on_true, bin, acc_lhs, o, *a0, cmp_col, fold_col,
-            ),
-            _ => None,
-        };
-        let acc = match fastened {
-            Some(r) => Value::U64(r),
-            None => {
-                let site = bin_site as usize;
-                let mut acc = acc0;
-                for (i, sv) in cmp_col.iter().enumerate() {
-                    let v = sv.to_value();
-                    let c = if elem_lhs {
-                        eval_cmp(cmp, &v, &rhs_val)
-                    } else {
-                        eval_cmp(cmp, &rhs_val, &v)
-                    };
-                    if c != acc_on_true {
-                        continue;
-                    }
-                    // The fold operand is only fetched on kept rows,
-                    // like the untaken branch of the unfused loop.
-                    let x = match fold_col {
-                        Some(fc) => fc[i].to_value(),
-                        None => other_val.clone(),
-                    };
-                    let (l, r) = if acc_lhs { (&acc, &x) } else { (&x, &acc) };
-                    acc = eval_bin(bin, l, r).map_err(|k| self.trap_at(fid, site, k))?;
-                }
-                acc
-            }
-        };
-        frame[acc_slot as usize] = acc;
-        Ok(true)
-    }
-
-    /// `acc += has(set, t.field) as u64` streaming one column into the
-    /// membership probes.
-    #[allow(clippy::too_many_arguments)]
-    fn fast_proj_probe_count(
-        &mut self,
-        fid: FuncId,
-        frame: &mut Vec<Value>,
-        src: CollId,
-        set: u32,
-        has_site: u32,
-        field: u32,
-        acc_slot: u32,
-    ) -> Result<bool, ExecError> {
-        let Value::U64(a0) = frame[acc_slot as usize] else {
-            return Ok(false);
-        };
-        let Ok(set_id) = frame[set as usize].try_as_coll() else {
-            return Ok(false);
-        };
-        let set_imp = self.impl_of(set_id);
-        // Hash/swiss probes take any key without coercion and never
-        // trap; other implementations fall back to the plan executor.
-        if !matches!(set_imp, ImplKind::HashSet | ImplKind::SwissSet) {
-            return Ok(false);
-        }
-        if soa_col(&self.heap[src.0 as usize], field).is_none() {
-            return Ok(false);
-        }
-        let n = self.heap[src.0 as usize].len() as u64;
-        self.bump(set_imp, CollOp::Has, n);
-        let col = soa_col(&self.heap[src.0 as usize], field).expect("validated above");
-        let set_ref = &self.heap[set_id.0 as usize];
-        let hits = match set_ref {
-            // Aligned unboxed pair: probe the chained table's groups
-            // directly over the packed column.
-            Collection::UnboxedHashSet(hs) => hs.contains_batch(col),
-            set_ref => col
-                .iter()
-                .filter(|sv| set_ref.try_has(&sv.to_value()).unwrap_or(false))
-                .count() as u64,
-        };
-        let _ = (fid, has_site);
-        frame[acc_slot as usize] = Value::U64(a0.wrapping_add(hits));
-        Ok(true)
-    }
-
-    /// `insert(dst, t.field)` for every row, streaming one column into
-    /// batch insertion (same bump/refresh discipline as
-    /// [`Self::fast_copy_into`]).
-    fn fast_proj_copy_into(
-        &mut self,
-        fid: FuncId,
-        frame: &mut Vec<Value>,
-        src: CollId,
-        insert_site: u32,
-        field: u32,
-        acc_slot: u32,
-    ) -> Result<bool, ExecError> {
-        let Ok(dst_id) = frame[acc_slot as usize].try_as_coll() else {
-            return Ok(false);
-        };
-        if dst_id == src {
-            return Ok(false);
-        }
-        let dst_imp = self.impl_of(dst_id);
-        if !matches!(dst_imp, ImplKind::HashSet | ImplKind::SwissSet) {
-            return Ok(false);
-        }
-        if soa_col(&self.heap[src.0 as usize], field).is_none() {
-            return Ok(false);
-        }
-        let n = self.heap[src.0 as usize].len() as u64;
-        self.bump(dst_imp, CollOp::Insert, n);
-        let (dst_mut, src_ref) = two_heap(&mut self.heap, dst_id, src);
-        let col = soa_col(src_ref, field).expect("validated above");
-        let failed: Option<TrapKind> = match dst_mut {
-            Collection::UnboxedHashSet(hs) => {
-                hs.insert_batch(col.iter().copied());
-                None
-            }
-            dst_mut => {
-                let mut r = None;
-                for sv in col {
-                    if let Err(k) = dst_mut.try_insert_elem(sv.to_value()).map(|_| ()) {
-                        r = Some(k);
-                        break;
-                    }
-                }
-                r
-            }
-        };
-        if let Some(k) = failed {
-            return Err(self.trap_at(fid, insert_site as usize, k));
-        }
-        self.refresh_bytes(dst_id);
-        Ok(true)
-    }
-
-    /// `if cmp(t.a, rhs) { insert(dst, t.b) }` streaming the comparison
-    /// column zipped with the inserted column.
-    #[allow(clippy::too_many_arguments)]
-    fn fast_proj_filter_into(
-        &mut self,
-        fid: FuncId,
-        frame: &mut Vec<Value>,
-        src: CollId,
-        cmp: CmpOp,
-        elem_lhs: bool,
-        rhs: u32,
-        insert_on_true: bool,
-        insert_site: u32,
-        cmp_field: u32,
-        ins_field: u32,
-        acc_slot: u32,
-    ) -> Result<bool, ExecError> {
-        let Ok(dst_id) = frame[acc_slot as usize].try_as_coll() else {
-            return Ok(false);
-        };
-        if dst_id == src {
-            return Ok(false);
-        }
-        let dst_imp = self.impl_of(dst_id);
-        if !matches!(dst_imp, ImplKind::HashSet | ImplKind::SwissSet) {
-            return Ok(false);
-        }
-        {
-            let cell = &self.heap[src.0 as usize];
-            if soa_col(cell, cmp_field).is_none() || soa_col(cell, ins_field).is_none() {
-                return Ok(false);
-            }
-        }
-        let rhs_val = frame[rhs as usize].clone();
-        let (dst_mut, src_ref) = two_heap(&mut self.heap, dst_id, src);
-        let cmp_col = soa_col(src_ref, cmp_field).expect("validated above");
-        let ins_col = soa_col(src_ref, ins_field).expect("validated above");
-        let mut count = 0u64;
-        let mut r: Result<(), TrapKind> = Ok(());
-        for (i, sv) in cmp_col.iter().enumerate() {
-            let v = sv.to_value();
-            let c = if elem_lhs {
-                eval_cmp(cmp, &v, &rhs_val)
-            } else {
-                eval_cmp(cmp, &rhs_val, &v)
-            };
-            if c != insert_on_true {
-                continue;
-            }
-            count += 1;
-            if let Err(k) = dst_mut.try_insert_elem(ins_col[i].to_value()).map(|_| ()) {
-                r = Err(k);
-                break;
-            }
-        }
-        // On a trap the run's statistics are discarded with the error,
-        // so the bump accompanies only successful sweeps.
-        self.bump(dst_imp, CollOp::Insert, count);
-        if let Err(k) = r {
-            return Err(self.trap_at(fid, insert_site as usize, k));
-        }
-        self.refresh_bytes(dst_id);
-        Ok(true)
-    }
-
     fn enum_add(&mut self, e: usize, key: Value) -> usize {
         // Bumps go through `self.bump` (so the profiler sees them too),
         // which means the `&mut self.enums[e]` borrow cannot be held
@@ -3499,198 +2246,6 @@ fn eval_cast(a: &Value, ty: &Type) -> Result<Value, TrapKind> {
                 got: format!("{other}"),
             })
         }
-    })
-}
-
-/// Collections whose values bulk kernels can stream in iteration order:
-/// sequences (index order) and dense maps (ascending key order).
-fn is_stream_src(c: &Collection) -> bool {
-    matches!(
-        c,
-        Collection::Seq(_)
-            | Collection::UnboxedSeq(_)
-            | Collection::BitMap(_)
-            | Collection::UnboxedBitMap(_)
-    )
-}
-
-/// The named column of a columnar-sequence heap cell, when `c` is one
-/// and the field is in range. `None` sends the caller to the plan
-/// executor, whose projection op raises the proper trap on a malformed
-/// module.
-fn soa_col(c: &Collection, field: u32) -> Option<&[ScalarVal]> {
-    let Collection::SoaSeq(s) = c else {
-        return None;
-    };
-    ((field as usize) < s.arity()).then(|| s.col(field as usize))
-}
-
-/// [`filter_fold_u64`] over parallel columns: the comparison streams
-/// `cmp_col`; the fold operand streams the same row of `fold_col` when
-/// present, else the invariant `other`. Fold cells are only inspected
-/// on kept rows, mirroring the unfused loop's untaken branch.
-#[allow(clippy::too_many_arguments)]
-fn filter_fold_cols_u64(
-    cmp: CmpOp,
-    elem_lhs: bool,
-    rhs: u64,
-    keep_on: bool,
-    bin: BinOp,
-    acc_lhs: bool,
-    other: u64,
-    acc0: u64,
-    cmp_col: &[ScalarVal],
-    fold_col: Option<&[ScalarVal]>,
-) -> Option<u64> {
-    if matches!(bin, BinOp::Div | BinOp::Rem) {
-        return None;
-    }
-    let mut acc = acc0;
-    for (i, sv) in cmp_col.iter().enumerate() {
-        let x = sv.as_u64()?;
-        let c = if elem_lhs {
-            cmp_u64(cmp, x, rhs)
-        } else {
-            cmp_u64(cmp, rhs, x)
-        };
-        if c != keep_on {
-            continue;
-        }
-        let e = match fold_col {
-            Some(fc) => fc[i].as_u64()?,
-            None => other,
-        };
-        let (l, r) = if acc_lhs { (acc, e) } else { (e, acc) };
-        acc = eval_bin_u64(bin, l, r).ok()?;
-    }
-    Some(acc)
-}
-
-/// Disjoint mutable/shared borrows of two distinct heap cells.
-fn two_heap(heap: &mut [Collection], dst: CollId, src: CollId) -> (&mut Collection, &Collection) {
-    let (di, si) = (dst.0 as usize, src.0 as usize);
-    if di < si {
-        let (lo, hi) = heap.split_at_mut(si);
-        (&mut lo[di], &hi[0])
-    } else {
-        let (lo, hi) = heap.split_at_mut(di);
-        (&mut hi[0], &lo[si])
-    }
-}
-
-/// Reboxes a specialized register payload into its tagged [`Value`].
-fn spec_rebox(tag: SpecTag, p: u64) -> Value {
-    match tag {
-        SpecTag::U64 => Value::U64(p),
-        SpecTag::Idx => Value::Idx(p as usize),
-        SpecTag::Bool => Value::Bool(p != 0),
-    }
-}
-
-/// Packs a specialized register payload into the [`ScalarVal`] its
-/// boxed twin would store (same tag, same bits, same hash).
-fn spec_scalar(tag: SpecTag, p: u64) -> ScalarVal {
-    ScalarVal::from_value(&spec_rebox(tag, p)).expect("scalar tags pack")
-}
-
-/// Unpacks a stored scalar into a register payload of the statically
-/// expected tag. A tag mismatch is unreachable on verified IR (the
-/// stored value's type is the collection's static element/value type,
-/// which is what the builder recorded); an unverified module traps
-/// instead of computing with misinterpreted bits.
-fn spec_payload(sv: ScalarVal, tag: SpecTag) -> Result<u64, TrapKind> {
-    let v = sv.to_value();
-    match (tag, &v) {
-        (SpecTag::U64, Value::U64(n)) => Ok(*n),
-        (SpecTag::Idx, Value::Idx(i)) => Ok(*i as u64),
-        (SpecTag::Bool, Value::Bool(b)) => Ok(u64::from(*b)),
-        _ => Err(TrapKind::TypeMismatch {
-            expected: "specialized scalar",
-            got: format!("{v:?}"),
-        }),
-    }
-}
-
-/// `eval_cmp` restricted to `u64` operands (identical to comparing the
-/// boxed `Value::U64`s: equality is value equality, ordering is integer
-/// ordering).
-fn cmp_u64(op: CmpOp, a: u64, b: u64) -> bool {
-    match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-    }
-}
-
-/// Unboxed reduce kernel: folds a `u64` stream with [`eval_bin_u64`]
-/// semantics. Returns `None` when an element is not a `u64` or the op
-/// can trap (`Div`/`Rem`), sending the caller to the boxed stream.
-fn fold_u64(
-    op: BinOp,
-    elem_first: bool,
-    acc0: u64,
-    mut it: impl Iterator<Item = Option<u64>>,
-) -> Option<u64> {
-    match op {
-        BinOp::Add => it.try_fold(acc0, |a, x| Some(a.wrapping_add(x?))),
-        BinOp::Min => it.try_fold(acc0, |a, x| Some(a.min(x?))),
-        BinOp::Max => it.try_fold(acc0, |a, x| Some(a.max(x?))),
-        BinOp::Div | BinOp::Rem => None,
-        op => it.try_fold(acc0, |a, x| {
-            let x = x?;
-            let (l, r) = if elem_first { (x, a) } else { (a, x) };
-            eval_bin_u64(op, l, r).ok()
-        }),
-    }
-}
-
-/// Unboxed filter-reduce kernel: `if cmp(elem, rhs) { acc = bin(acc, x) }`
-/// over a `u64` stream, with the sum shape (`bin == Add`) getting a
-/// branch-light specialization.
-#[allow(clippy::too_many_arguments)]
-fn filter_fold_u64(
-    cmp: CmpOp,
-    elem_lhs: bool,
-    rhs: u64,
-    keep_on: bool,
-    bin: BinOp,
-    acc_lhs: bool,
-    bin_elem: bool,
-    other: u64,
-    acc0: u64,
-    mut it: impl Iterator<Item = Option<u64>>,
-) -> Option<u64> {
-    if matches!(bin, BinOp::Div | BinOp::Rem) {
-        return None;
-    }
-    if bin == BinOp::Add {
-        return it.try_fold(acc0, |acc, x| {
-            let x = x?;
-            let c = if elem_lhs {
-                cmp_u64(cmp, x, rhs)
-            } else {
-                cmp_u64(cmp, rhs, x)
-            };
-            let e = if bin_elem { x } else { other };
-            Some(if c == keep_on { acc.wrapping_add(e) } else { acc })
-        });
-    }
-    it.try_fold(acc0, |acc, x| {
-        let x = x?;
-        let c = if elem_lhs {
-            cmp_u64(cmp, x, rhs)
-        } else {
-            cmp_u64(cmp, rhs, x)
-        };
-        if c != keep_on {
-            return Some(acc);
-        }
-        let e = if bin_elem { x } else { other };
-        let (l, r) = if acc_lhs { (acc, e) } else { (e, acc) };
-        eval_bin_u64(bin, l, r).ok()
     })
 }
 

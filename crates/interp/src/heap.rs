@@ -2,14 +2,14 @@
 //! implementations, selected from the static type annotation.
 
 use ade_collections::{
-    ArraySeq, BitMap, ChainedHashMap, ChainedHashSet, ColumnMap, ColumnSeq, DynamicBitSet,
-    FlatSet, SparseBitSet, SwissMap, SwissSet,
+    ArraySeq, BitMap, ChainedHashMap, ChainedHashSet, DynamicBitSet, FlatSet, SparseBitSet,
+    SwissMap, SwissSet,
 };
 use ade_ir::{MapSel, SetSel, Type};
 
 use crate::stats::ImplKind;
 use crate::trap::{TrapKind, ENC_SENTINEL};
-use crate::value::{ScalarRow, ScalarVal, Value};
+use crate::value::{ScalarVal, Value};
 
 /// Handle into the interpreter's collection heap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -74,24 +74,6 @@ pub enum Collection {
     UnboxedHashMap(ChainedHashMap<ScalarVal, ScalarVal>),
     /// [`Collection::BitMap`] with unboxed scalar values.
     UnboxedBitMap(BitMap<ScalarVal>),
-    /// [`Collection::Seq`] with columnar (structure-of-arrays) tuple
-    /// storage: one unboxed scalar column per tuple field instead of a
-    /// boxed `Arc<[Value]>` row per element, picked when the static
-    /// element type is a tuple of scalars. Like the `Unboxed*` family,
-    /// a pure physical-representation swap: same [`ImplKind`], same
-    /// byte accounting, same iteration order; tuple reads that escape
-    /// rematerialize the boxed row lazily.
-    SoaSeq(ColumnSeq<ScalarVal>),
-    /// [`Collection::HashSet`] with packed unboxed tuple rows
-    /// ([`ScalarRow`]) as elements. Same hash/eq as the boxed twin, so
-    /// the same bucket order.
-    SoaHashSet(ChainedHashSet<ScalarRow>),
-    /// [`Collection::HashMap`] with unboxed scalar keys and packed
-    /// unboxed tuple rows as payloads.
-    SoaHashMap(ChainedHashMap<ScalarVal, ScalarRow>),
-    /// [`Collection::BitMap`] with columnar tuple payloads: presence
-    /// bits plus one dense unboxed column per tuple field.
-    SoaBitMap(ColumnMap<ScalarVal>),
 }
 
 /// Whether a static element/key type can be stored unboxed.
@@ -100,17 +82,6 @@ fn unboxable(ty: &Type) -> bool {
         ty,
         Type::Bool | Type::U64 | Type::I64 | Type::F64 | Type::Idx
     )
-}
-
-/// The column count when a static element/payload type can be stored
-/// columnar: a tuple whose every field is an unboxed scalar.
-fn soa_arity(ty: &Type) -> Option<usize> {
-    match ty {
-        Type::Tuple(fields) if !fields.is_empty() && fields.iter().all(unboxable) => {
-            Some(fields.len())
-        }
-        _ => None,
-    }
 }
 
 /// Packs a value for an unboxed *store* (insert/write). Conversion can
@@ -124,60 +95,22 @@ fn unbox_store(value: &Value) -> Result<ScalarVal, TrapKind> {
     })
 }
 
-/// Packs a tuple for an SoA hash-backend *store*. Like [`unbox_store`],
-/// failure means IR the verifier would reject (a non-tuple flowing into
-/// a tuple-typed collection); the columnar backend traps where the
-/// boxed twin would silently store the mistyped value.
-fn soa_pack(value: &Value) -> Result<ScalarRow, TrapKind> {
-    ScalarRow::from_value(value).ok_or_else(|| TrapKind::TypeMismatch {
-        expected: "scalar tuple row",
-        got: format!("{value:?}"),
-    })
-}
-
-/// [`soa_pack`] for a fixed-arity columnar target: the row must match
-/// the column count.
-fn soa_store(value: &Value, arity: usize) -> Result<ScalarRow, TrapKind> {
-    soa_pack(value).and_then(|row| {
-        if row.len() == arity {
-            Ok(row)
-        } else {
-            Err(TrapKind::TypeMismatch {
-                expected: "scalar tuple row of matching arity",
-                got: format!("{value:?}"),
-            })
-        }
-    })
-}
-
-/// Rematerializes a boxed tuple from gathered column scalars.
-fn soa_tuple(row: Vec<ScalarVal>) -> Value {
-    Value::Tuple(row.into_iter().map(ScalarVal::to_value).collect())
-}
-
 impl Collection {
     /// Allocates the implementation selected by `ty` (with `defaults`
-    /// resolving empty selections). When `unbox` is set and the static
-    /// element/key/value types are scalar, the chained-hash, sequence,
-    /// and dense-map backends store packed [`ScalarVal`]s instead of
-    /// boxed [`Value`]s; when `soa` is set and the element (or map
-    /// payload) type is a tuple of scalars, the same backends store
-    /// columnar [`ScalarRow`]s/columns instead — `soa` wins over
-    /// `unbox` where both could apply (they never overlap: a type is
-    /// scalar or a scalar tuple, not both). The boxed variants remain
-    /// the general fallback (and the swiss/flat/bit backends are
-    /// unaffected — the bit sets already store raw indices).
+    /// resolving empty selections). When the static element/key/value
+    /// types are scalar, the chained-hash, sequence, and dense-map
+    /// backends store packed [`ScalarVal`]s instead of boxed [`Value`]s;
+    /// the boxed variants remain the general fallback (and the
+    /// swiss/flat/bit backends are unaffected — the bit sets already
+    /// store raw indices).
     ///
     /// # Panics
     ///
     /// Panics if `ty` is not a collection type.
-    pub fn new_for(ty: &Type, defaults: SelectionDefaults, unbox: bool, soa: bool) -> Collection {
+    pub fn new_for(ty: &Type, defaults: SelectionDefaults) -> Collection {
         match ty {
-            Type::Seq(elem) => match soa_arity(elem).filter(|_| soa) {
-                Some(ar) => Collection::SoaSeq(ColumnSeq::new(ar)),
-                None if unbox && unboxable(elem) => Collection::UnboxedSeq(ArraySeq::new()),
-                None => Collection::Seq(ArraySeq::new()),
-            },
+            Type::Seq(elem) if unboxable(elem) => Collection::UnboxedSeq(ArraySeq::new()),
+            Type::Seq(_) => Collection::Seq(ArraySeq::new()),
             Type::Set { elem, sel } => {
                 let sel = if *sel == SetSel::Auto {
                     defaults.set
@@ -185,15 +118,10 @@ impl Collection {
                     *sel
                 };
                 match sel {
-                    SetSel::Auto | SetSel::Hash => {
-                        if soa && soa_arity(elem).is_some() {
-                            Collection::SoaHashSet(ChainedHashSet::new())
-                        } else if unbox && unboxable(elem) {
-                            Collection::UnboxedHashSet(ChainedHashSet::new())
-                        } else {
-                            Collection::HashSet(ChainedHashSet::new())
-                        }
+                    SetSel::Auto | SetSel::Hash if unboxable(elem) => {
+                        Collection::UnboxedHashSet(ChainedHashSet::new())
                     }
+                    SetSel::Auto | SetSel::Hash => Collection::HashSet(ChainedHashSet::new()),
                     SetSel::Swiss => Collection::SwissSet(SwissSet::new()),
                     SetSel::Flat => Collection::FlatSet(FlatSet::new()),
                     SetSel::Bit => Collection::BitSet(DynamicBitSet::new()),
@@ -207,23 +135,13 @@ impl Collection {
                     *sel
                 };
                 match sel {
-                    MapSel::Auto | MapSel::Hash => {
-                        if soa && unboxable(key) && soa_arity(val).is_some() {
-                            Collection::SoaHashMap(ChainedHashMap::new())
-                        } else if unbox && unboxable(key) && unboxable(val) {
-                            Collection::UnboxedHashMap(ChainedHashMap::new())
-                        } else {
-                            Collection::HashMap(ChainedHashMap::new())
-                        }
+                    MapSel::Auto | MapSel::Hash if unboxable(key) && unboxable(val) => {
+                        Collection::UnboxedHashMap(ChainedHashMap::new())
                     }
+                    MapSel::Auto | MapSel::Hash => Collection::HashMap(ChainedHashMap::new()),
                     MapSel::Swiss => Collection::SwissMap(SwissMap::new()),
-                    MapSel::Bit => match soa_arity(val).filter(|_| soa) {
-                        Some(ar) => Collection::SoaBitMap(ColumnMap::new(ar)),
-                        None if unbox && unboxable(val) => {
-                            Collection::UnboxedBitMap(BitMap::new())
-                        }
-                        None => Collection::BitMap(BitMap::new()),
-                    },
+                    MapSel::Bit if unboxable(val) => Collection::UnboxedBitMap(BitMap::new()),
+                    MapSel::Bit => Collection::BitMap(BitMap::new()),
                 }
             }
             other => panic!("cannot allocate non-collection type {other}"),
@@ -233,7 +151,7 @@ impl Collection {
     /// The instantiated backend's physical-layout label, for the
     /// `exec_backend_selected_total{kind=…}` metric. Unlike
     /// [`Collection::impl_kind`], this *does* distinguish the unboxed
-    /// and columnar twins from their boxed fallbacks — the metric
+    /// twins from their boxed fallbacks — the metric
     /// exists to observe which physical layouts a run instantiated.
     pub fn kind_label(&self) -> &'static str {
         match self {
@@ -250,10 +168,6 @@ impl Collection {
             Collection::UnboxedHashSet(_) => "unboxed_hash_set",
             Collection::UnboxedHashMap(_) => "unboxed_hash_map",
             Collection::UnboxedBitMap(_) => "unboxed_bit_map",
-            Collection::SoaSeq(_) => "soa_seq",
-            Collection::SoaHashSet(_) => "soa_hash_set",
-            Collection::SoaHashMap(_) => "soa_hash_map",
-            Collection::SoaBitMap(_) => "soa_bit_map",
         }
     }
 
@@ -276,12 +190,6 @@ impl Collection {
             Collection::UnboxedHashSet(_) => ImplKind::HashSet,
             Collection::UnboxedHashMap(_) => ImplKind::HashMap,
             Collection::UnboxedBitMap(_) => ImplKind::BitMap,
-            // Columnar storage likewise: same Table I implementation,
-            // different physical layout.
-            Collection::SoaSeq(_) => ImplKind::Seq,
-            Collection::SoaHashSet(_) => ImplKind::HashSet,
-            Collection::SoaHashMap(_) => ImplKind::HashMap,
-            Collection::SoaBitMap(_) => ImplKind::BitMap,
         }
     }
 
@@ -301,10 +209,6 @@ impl Collection {
             Collection::UnboxedHashSet(s) => s.len(),
             Collection::UnboxedHashMap(m) => m.len(),
             Collection::UnboxedBitMap(m) => m.len(),
-            Collection::SoaSeq(s) => s.len(),
-            Collection::SoaHashSet(s) => s.len(),
-            Collection::SoaHashMap(m) => m.len(),
-            Collection::SoaBitMap(m) => m.len(),
         }
     }
 
@@ -339,18 +243,6 @@ impl Collection {
                 m.heap_bytes_fast_as(std::mem::size_of::<(Value, Value)>())
             }
             Collection::UnboxedBitMap(m) => m.heap_bytes_fast_as(std::mem::size_of::<Value>()),
-            // Columnar backends price per boxed *row entry* the same
-            // way: all columns share one capacity trajectory, so
-            // `capacity × boxed width` is the boxed twin's footprint.
-            // (The boxed twin's per-element `Arc<[Value]>` field arrays
-            // are value-owned heap data, which the fast estimates
-            // exclude for every backend.)
-            Collection::SoaSeq(s) => s.heap_bytes_fast_as(std::mem::size_of::<Value>()),
-            Collection::SoaHashSet(s) => s.heap_bytes_fast_as(std::mem::size_of::<(Value, ())>()),
-            Collection::SoaHashMap(m) => {
-                m.heap_bytes_fast_as(std::mem::size_of::<(Value, Value)>())
-            }
-            Collection::SoaBitMap(m) => m.heap_bytes_fast_as(std::mem::size_of::<Value>()),
         }
     }
 
@@ -381,14 +273,7 @@ impl Collection {
                 ScalarVal::from_value(key).is_some_and(|k| m.contains_key(&k))
             }
             Collection::UnboxedBitMap(m) => m.contains_key(key.try_as_index()?),
-            Collection::SoaHashSet(s) => {
-                ScalarRow::from_value(key).is_some_and(|k| s.contains(&k))
-            }
-            Collection::SoaHashMap(m) => {
-                ScalarVal::from_value(key).is_some_and(|k| m.contains_key(&k))
-            }
-            Collection::SoaBitMap(m) => m.contains_key(key.try_as_index()?),
-            Collection::Seq(_) | Collection::UnboxedSeq(_) | Collection::SoaSeq(_) => {
+            Collection::Seq(_) | Collection::UnboxedSeq(_) => {
                 return Err(TrapKind::UnsupportedOp {
                     op: "has",
                     on: "a sequence".to_string(),
@@ -435,25 +320,6 @@ impl Collection {
             Collection::UnboxedBitMap(m) => m
                 .get(key.try_as_index()?)
                 .map(|v| v.to_value())
-                .ok_or_else(absent),
-            // Escaping reads rematerialize the boxed tuple from the
-            // gathered columns (or the packed row) lazily.
-            Collection::SoaSeq(s) => {
-                let i = key.try_as_u64()?;
-                s.row(i as usize)
-                    .map(soa_tuple)
-                    .ok_or(TrapKind::OutOfBounds {
-                        index: i,
-                        len: s.len(),
-                    })
-            }
-            Collection::SoaHashMap(m) => ScalarVal::from_value(key)
-                .and_then(|k| m.get(&k))
-                .map(ScalarRow::to_value)
-                .ok_or_else(absent),
-            Collection::SoaBitMap(m) => m
-                .row(key.try_as_index()?)
-                .map(soa_tuple)
                 .ok_or_else(absent),
             other => Err(TrapKind::UnsupportedOp {
                 op: "read",
@@ -507,25 +373,6 @@ impl Collection {
             Collection::UnboxedBitMap(m) => {
                 m.insert(Self::dense_key(key)?, unbox_store(&value)?);
             }
-            Collection::SoaSeq(s) => {
-                let i = key.try_as_u64()?;
-                if i as usize >= s.len() {
-                    return Err(TrapKind::OutOfBounds {
-                        index: i,
-                        len: s.len(),
-                    });
-                }
-                let row = soa_store(&value, s.arity())?;
-                s.set_row(i as usize, row.fields());
-            }
-            Collection::SoaHashMap(m) => {
-                m.insert(unbox_store(key)?, soa_pack(&value)?);
-            }
-            Collection::SoaBitMap(m) => {
-                let i = Self::dense_key(key)?;
-                let row = soa_store(&value, m.arity())?;
-                m.insert(i, row.fields());
-            }
             other => {
                 return Err(TrapKind::UnsupportedOp {
                     op: "write",
@@ -551,7 +398,6 @@ impl Collection {
             Collection::BitSet(s) => s.insert(Self::dense_key(&value)?),
             Collection::SparseBitSet(s) => s.insert(Self::dense_key(&value)?),
             Collection::UnboxedHashSet(s) => s.insert(unbox_store(&value)?),
-            Collection::SoaHashSet(s) => s.insert(soa_pack(&value)?),
             other => {
                 return Err(TrapKind::UnsupportedOp {
                     op: "set insert",
@@ -598,19 +444,6 @@ impl Collection {
                     m.insert(i, unbox_store(&default)?);
                 }
             }
-            Collection::SoaHashMap(m) => {
-                let k = unbox_store(key)?;
-                if !m.contains_key(&k) {
-                    m.insert(k, soa_pack(&default)?);
-                }
-            }
-            Collection::SoaBitMap(m) => {
-                let i = Self::dense_key(key)?;
-                if !m.contains_key(i) {
-                    let row = soa_store(&default, m.arity())?;
-                    m.insert(i, row.fields());
-                }
-            }
             other => {
                 return Err(TrapKind::UnsupportedOp {
                     op: "map insert",
@@ -654,21 +487,6 @@ impl Collection {
                     s.push(v);
                 } else {
                     s.insert(index, v);
-                }
-                Ok(())
-            }
-            Collection::SoaSeq(s) => {
-                if index > s.len() {
-                    return Err(TrapKind::OutOfBounds {
-                        index: index as u64,
-                        len: s.len(),
-                    });
-                }
-                let row = soa_store(&value, s.arity())?;
-                if index == s.len() {
-                    s.push_row(row.fields());
-                } else {
-                    s.insert_row(index, row.fields());
                 }
                 Ok(())
             }
@@ -744,29 +562,6 @@ impl Collection {
                 }
             }
             Collection::UnboxedBitMap(m) => {
-                m.remove(key.try_as_index()?);
-            }
-            Collection::SoaSeq(s) => {
-                let i = key.try_as_u64()?;
-                if i as usize >= s.len() {
-                    return Err(TrapKind::OutOfBounds {
-                        index: i,
-                        len: s.len(),
-                    });
-                }
-                s.remove_row(i as usize);
-            }
-            Collection::SoaHashSet(s) => {
-                if let Some(k) = ScalarRow::from_value(key) {
-                    s.remove(&k);
-                }
-            }
-            Collection::SoaHashMap(m) => {
-                if let Some(k) = ScalarVal::from_value(key) {
-                    m.remove(&k);
-                }
-            }
-            Collection::SoaBitMap(m) => {
                 m.remove(key.try_as_index()?);
             }
         }
@@ -877,10 +672,6 @@ impl Collection {
             Collection::UnboxedHashSet(s) => s.clear(),
             Collection::UnboxedHashMap(m) => m.clear(),
             Collection::UnboxedBitMap(m) => m.clear(),
-            Collection::SoaSeq(s) => s.clear(),
-            Collection::SoaHashSet(s) => s.clear(),
-            Collection::SoaHashMap(m) => m.clear(),
-            Collection::SoaBitMap(m) => m.clear(),
         }
     }
 
@@ -918,23 +709,6 @@ impl Collection {
                 .iter()
                 .map(|(k, v)| (Value::Idx(k), v.to_value()))
                 .collect(),
-            Collection::SoaSeq(s) => (0..s.len())
-                .map(|i| {
-                    (
-                        Value::U64(i as u64),
-                        soa_tuple(s.row(i).expect("in bounds")),
-                    )
-                })
-                .collect(),
-            Collection::SoaHashSet(s) => s.iter().map(|r| (r.to_value(), Value::Void)).collect(),
-            Collection::SoaHashMap(m) => m
-                .iter()
-                .map(|(k, r)| (k.to_value(), r.to_value()))
-                .collect(),
-            Collection::SoaBitMap(m) => m
-                .keys()
-                .map(|k| (Value::Idx(k), soa_tuple(m.row(k).expect("present"))))
-                .collect(),
         }
     }
 
@@ -955,17 +729,11 @@ impl Collection {
             // Unboxed twins charge from the boxed-width estimate so the
             // IterWord counts (and hence modeled time) match the boxed
             // run exactly.
-            Collection::UnboxedBitMap(_) | Collection::SoaBitMap(_) => {
-                (self.bytes_estimate() / 8) as u64
+            Collection::UnboxedBitMap(_) => (self.bytes_estimate() / 8) as u64,
+            Collection::UnboxedHashSet(_) | Collection::UnboxedHashMap(_) => {
+                (self.bytes_estimate() / 64) as u64
             }
-            Collection::UnboxedHashSet(_)
-            | Collection::UnboxedHashMap(_)
-            | Collection::SoaHashSet(_)
-            | Collection::SoaHashMap(_) => (self.bytes_estimate() / 64) as u64,
-            Collection::Seq(_)
-            | Collection::UnboxedSeq(_)
-            | Collection::SoaSeq(_)
-            | Collection::FlatSet(_) => 0,
+            Collection::Seq(_) | Collection::UnboxedSeq(_) | Collection::FlatSet(_) => 0,
         }
     }
 }
@@ -978,17 +746,21 @@ mod tests {
         Collection::new_for(
             &Type::set_with(Type::Idx, sel),
             SelectionDefaults::default(),
-            false,
-            false,
         )
     }
 
-    fn pair_ty() -> Type {
-        Type::Tuple(vec![Type::U64, Type::U64])
-    }
-
-    fn pair(a: u64, b: u64) -> Value {
-        Value::Tuple(vec![Value::U64(a), Value::U64(b)].into())
+    /// The boxed backend behind a scalar-typed hash/sequence/dense-map
+    /// type: the storage reference its unboxed twin is diffed against.
+    fn boxed_for(ty: &Type) -> Collection {
+        match ty {
+            Type::Seq(_) => Collection::Seq(ArraySeq::new()),
+            Type::Set { .. } => Collection::HashSet(ChainedHashSet::new()),
+            Type::Map {
+                sel: MapSel::Bit, ..
+            } => Collection::BitMap(BitMap::new()),
+            Type::Map { .. } => Collection::HashMap(ChainedHashMap::new()),
+            other => panic!("no boxed twin for {other}"),
+        }
     }
 
     #[test]
@@ -1004,8 +776,6 @@ mod tests {
         let m = Collection::new_for(
             &Type::map_with(Type::Idx, Type::U64, MapSel::Bit),
             SelectionDefaults::default(),
-            false,
-            false,
         );
         assert_eq!(m.impl_kind(), ImplKind::BitMap);
     }
@@ -1016,9 +786,9 @@ mod tests {
             set: SetSel::Swiss,
             map: MapSel::Swiss,
         };
-        let s = Collection::new_for(&Type::set(Type::U64), swiss_default, false, false);
+        let s = Collection::new_for(&Type::set(Type::U64), swiss_default);
         assert_eq!(s.impl_kind(), ImplKind::SwissSet);
-        let m = Collection::new_for(&Type::map(Type::U64, Type::U64), swiss_default, false, false);
+        let m = Collection::new_for(&Type::map(Type::U64, Type::U64), swiss_default);
         assert_eq!(m.impl_kind(), ImplKind::SwissMap);
     }
 
@@ -1048,8 +818,6 @@ mod tests {
             let mut m = Collection::new_for(
                 &Type::map_with(Type::Idx, Type::U64, sel),
                 SelectionDefaults::default(),
-                false,
-                false,
             );
             m.insert_key_default(&Value::Idx(3), Value::U64(0));
             assert_eq!(m.read(&Value::Idx(3)), Value::U64(0));
@@ -1063,12 +831,7 @@ mod tests {
 
     #[test]
     fn seq_ops() {
-        let mut s = Collection::new_for(
-            &Type::seq(Type::U64),
-            SelectionDefaults::default(),
-            false,
-            false,
-        );
+        let mut s = Collection::new_for(&Type::seq(Type::U64), SelectionDefaults::default());
         s.insert_seq(0, Value::U64(1));
         s.insert_seq(1, Value::U64(3));
         s.insert_seq(1, Value::U64(2));
@@ -1098,8 +861,8 @@ mod tests {
         assert!(s.bytes_estimate() > before);
     }
 
-    /// Every scalar-typed collection flavor selects the unboxed backend
-    /// when asked, and the twin pair stays observationally identical —
+    /// Every scalar-typed collection flavor selects the unboxed backend,
+    /// and it stays observationally identical to its boxed twin —
     /// same reported implementation kind, same snapshot (iteration
     /// order included), same byte estimate — across an op history long
     /// enough to trigger bucket growth and `Vec` reallocation.
@@ -1113,8 +876,9 @@ mod tests {
             Type::map_with(Type::Idx, Type::U64, MapSel::Bit),
         ];
         for ty in tys {
-            let mut boxed = Collection::new_for(&ty, defaults, false, false);
-            let mut unboxed = Collection::new_for(&ty, defaults, true, false);
+            let mut boxed = boxed_for(&ty);
+            let mut unboxed = Collection::new_for(&ty, defaults);
+            assert!(unboxed.kind_label().starts_with("unboxed_"), "{ty:?}");
             assert_eq!(boxed.impl_kind(), unboxed.impl_kind(), "{ty:?}");
             for target in [&mut boxed, &mut unboxed] {
                 for i in 0..100u64 {
@@ -1157,13 +921,11 @@ mod tests {
     /// membership probes observe clean absence.
     #[test]
     fn unboxed_dense_backends_keep_the_sentinel_discipline() {
-        for unbox in [false, true] {
-            let mut m = Collection::new_for(
-                &Type::map_with(Type::Idx, Type::U64, MapSel::Bit),
-                SelectionDefaults::default(),
-                unbox,
-                false,
-            );
+        let ty = Type::map_with(Type::Idx, Type::U64, MapSel::Bit);
+        for mut m in [
+            boxed_for(&ty),
+            Collection::new_for(&ty, SelectionDefaults::default()),
+        ] {
             let sentinel = Value::Idx(ENC_SENTINEL);
             assert!(matches!(
                 m.try_write(&sentinel, Value::U64(1)),
@@ -1179,142 +941,6 @@ mod tests {
     /// twin's capacity trajectory. This is the assumption behind
     /// `heap_bytes_fast_as` (see `ade_collections::seq`); the twin test
     /// above exercises it end-to-end, this one isolates the claim.
-    /// `soa` routes every tuple-of-scalars flavor to a columnar backend
-    /// reporting the boxed twin's [`ImplKind`]; non-tuple types and
-    /// disqualified tuples (nested, stringy, boxed map keys) fall back.
-    #[test]
-    fn soa_selection_picks_columnar_backends() {
-        let defaults = SelectionDefaults::default();
-        let cases = [
-            (Type::seq(pair_ty()), "soa_seq", ImplKind::Seq),
-            (
-                Type::set_with(pair_ty(), SetSel::Hash),
-                "soa_hash_set",
-                ImplKind::HashSet,
-            ),
-            (
-                Type::map_with(Type::U64, pair_ty(), MapSel::Hash),
-                "soa_hash_map",
-                ImplKind::HashMap,
-            ),
-            (
-                Type::map_with(Type::Idx, pair_ty(), MapSel::Bit),
-                "soa_bit_map",
-                ImplKind::BitMap,
-            ),
-        ];
-        for (ty, label, kind) in cases {
-            let c = Collection::new_for(&ty, defaults, true, true);
-            assert_eq!(c.kind_label(), label, "{ty:?}");
-            assert_eq!(c.impl_kind(), kind, "{ty:?}");
-            // The flag off means the boxed fallback, not unboxing —
-            // tuples are not scalars.
-            let off = Collection::new_for(&ty, defaults, true, false);
-            assert!(!off.kind_label().starts_with("soa_"), "{ty:?}");
-            assert!(!off.kind_label().starts_with("unboxed_"), "{ty:?}");
-        }
-        // Disqualified element types keep their usual backends.
-        let stringy = Type::seq(Type::Tuple(vec![Type::U64, Type::Str]));
-        assert_eq!(
-            Collection::new_for(&stringy, defaults, true, true).kind_label(),
-            "seq"
-        );
-        let boxed_key = Type::map_with(Type::Str, pair_ty(), MapSel::Hash);
-        assert_eq!(
-            Collection::new_for(&boxed_key, defaults, true, true).kind_label(),
-            "hash_map"
-        );
-        let scalar = Type::seq(Type::U64);
-        assert_eq!(
-            Collection::new_for(&scalar, defaults, true, true).kind_label(),
-            "unboxed_seq"
-        );
-    }
-
-    /// The columnar twins stay observationally identical to their boxed
-    /// fallbacks over an op history exercising growth, overwrite,
-    /// removal, and membership — same kind, snapshot (iteration order
-    /// included), byte estimate, and scan words.
-    #[test]
-    fn soa_twins_are_observationally_identical() {
-        let defaults = SelectionDefaults::default();
-        let tys = [
-            Type::seq(pair_ty()),
-            Type::set_with(pair_ty(), SetSel::Hash),
-            Type::map_with(Type::U64, pair_ty(), MapSel::Hash),
-            Type::map_with(Type::Idx, pair_ty(), MapSel::Bit),
-        ];
-        for ty in tys {
-            let mut boxed = Collection::new_for(&ty, defaults, false, false);
-            let mut soa = Collection::new_for(&ty, defaults, false, true);
-            assert_eq!(boxed.impl_kind(), soa.impl_kind(), "{ty:?}");
-            for target in [&mut boxed, &mut soa] {
-                for i in 0..100u64 {
-                    let k = (i * 7) % 64;
-                    match &ty {
-                        Type::Seq(_) => {
-                            target.insert_seq(target.len(), pair(k, i));
-                            if i % 3 == 0 {
-                                target.write(&Value::U64(i / 3), pair(i, k));
-                            }
-                        }
-                        Type::Set { .. } => {
-                            target.insert_elem(pair(k, k + 1));
-                        }
-                        Type::Map { key, .. } if **key == Type::Idx => {
-                            target.write(&Value::Idx(k as usize), pair(i, k));
-                        }
-                        _ => target.write(&Value::U64(k), pair(i, k)),
-                    }
-                }
-                match &ty {
-                    Type::Seq(_) => target.remove(&Value::U64(7)),
-                    Type::Set { .. } => {
-                        assert!(target.has(&pair(7, 8)));
-                        assert!(!target.has(&pair(7, 7)));
-                        target.remove(&pair(7, 8));
-                    }
-                    Type::Map { key, .. } if **key == Type::Idx => {
-                        assert!(target.has(&Value::Idx(7)));
-                        target.remove(&Value::Idx(7));
-                    }
-                    _ => {
-                        assert!(target.has(&Value::U64(7)));
-                        target.remove(&Value::U64(7));
-                    }
-                }
-            }
-            assert_eq!(boxed.len(), soa.len(), "{ty:?}");
-            assert_eq!(boxed.snapshot(), soa.snapshot(), "{ty:?} iteration order");
-            assert_eq!(
-                boxed.bytes_estimate(),
-                soa.bytes_estimate(),
-                "{ty:?} byte accounting"
-            );
-            assert_eq!(boxed.iter_scan_words(), soa.iter_scan_words(), "{ty:?}");
-        }
-    }
-
-    /// The `enc` sentinel discipline holds for the columnar dense map
-    /// exactly as for its boxed twin: inserts trap, probes see absence.
-    #[test]
-    fn soa_dense_backend_keeps_the_sentinel_discipline() {
-        for soa in [false, true] {
-            let mut m = Collection::new_for(
-                &Type::map_with(Type::Idx, pair_ty(), MapSel::Bit),
-                SelectionDefaults::default(),
-                false,
-                soa,
-            );
-            let sentinel = Value::Idx(ENC_SENTINEL);
-            assert!(matches!(
-                m.try_write(&sentinel, pair(1, 2)),
-                Err(TrapKind::SentinelInsert),
-            ));
-            assert!(!m.try_has(&sentinel).expect("probe tolerates the sentinel"));
-        }
-    }
-
     #[test]
     fn capacity_trajectories_match_across_element_widths() {
         use crate::value::ScalarVal;

@@ -211,16 +211,6 @@ impl ScalarVal {
         Some(ScalarVal { tag, bits })
     }
 
-    /// The raw `u64` payload when this scalar is a `U64`, `None`
-    /// otherwise. Bulk loop kernels use this to stream unboxed storage
-    /// through tight integer loops without constructing boxed values;
-    /// any non-`U64` tag routes the element through the general
-    /// [`ScalarVal::to_value`] path instead.
-    #[inline]
-    pub(crate) fn as_u64(self) -> Option<u64> {
-        matches!(self.tag, ScalarTag::U64).then_some(self.bits)
-    }
-
     /// Unpacks back into the boxed representation.
     #[inline]
     pub fn to_value(self) -> Value {
@@ -247,98 +237,6 @@ impl Hash for ScalarVal {
 impl ade_collections::HeapSize for ScalarVal {
     fn heap_bytes(&self) -> usize {
         0
-    }
-}
-
-/// An unboxed tuple row: the packed representation the columnar (SoA)
-/// hash backends store instead of a boxed `Value::Tuple` — one flat
-/// scalar array, no `Arc` indirection or refcount traffic per field.
-///
-/// Like [`ScalarVal`], equality and hashing MUST agree with the boxed
-/// twin (`Value::Tuple` over the same scalars), because the chained
-/// hash backends' bucket assignment and iteration order are observable
-/// through `snapshot()`. `Hash` replays the boxed tuple's exact stream:
-/// the `Value::Tuple` discriminant, then the slice hash of the fields
-/// (length prefix + per-element `Value` hash, which [`ScalarVal`]'s
-/// delegation already reproduces). The parity is pinned by
-/// `row_hash_matches_boxed_tuple_hash` below.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScalarRow(Box<[ScalarVal]>);
-
-/// The discriminant `Value::hash` feeds for the `Tuple` variant,
-/// computed once (building an empty `Arc<[Value]>` allocates).
-fn tuple_discriminant() -> std::mem::Discriminant<Value> {
-    static DISC: std::sync::OnceLock<std::mem::Discriminant<Value>> = std::sync::OnceLock::new();
-    *DISC.get_or_init(|| std::mem::discriminant(&Value::Tuple(Vec::new().into())))
-}
-
-impl ScalarRow {
-    /// Packs the fields of a tuple `Value`; `None` if `v` is not a
-    /// tuple or any field is non-scalar (those stay boxed).
-    #[inline]
-    pub fn from_value(v: &Value) -> Option<ScalarRow> {
-        match v {
-            Value::Tuple(fields) => Self::from_fields(fields),
-            _ => None,
-        }
-    }
-
-    /// Packs a slice of scalar field values; `None` if any is
-    /// non-scalar.
-    #[inline]
-    pub fn from_fields(fields: &[Value]) -> Option<ScalarRow> {
-        fields
-            .iter()
-            .map(ScalarVal::from_value)
-            .collect::<Option<Box<[ScalarVal]>>>()
-            .map(ScalarRow)
-    }
-
-    /// Wraps already-packed scalars.
-    #[inline]
-    pub fn from_scalars(fields: Vec<ScalarVal>) -> ScalarRow {
-        ScalarRow(fields.into())
-    }
-
-    /// Number of fields.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Returns `true` if the row has no fields (never constructed by
-    /// selection, which requires arity ≥ 1).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The packed fields.
-    #[inline]
-    pub fn fields(&self) -> &[ScalarVal] {
-        &self.0
-    }
-
-    /// Rematerializes the boxed `Value::Tuple` twin.
-    #[inline]
-    pub fn to_value(&self) -> Value {
-        Value::Tuple(self.0.iter().map(|s| s.to_value()).collect())
-    }
-}
-
-impl Hash for ScalarRow {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // `Value::Tuple(t)` hashes its discriminant, then `t` as a
-        // slice: length prefix followed by each element's `Value` hash.
-        tuple_discriminant().hash(state);
-        state.write_usize(self.0.len());
-        for f in self.0.iter() {
-            f.hash(state);
-        }
-    }
-}
-
-impl ade_collections::HeapSize for ScalarRow {
-    fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val::<[ScalarVal]>(&self.0)
     }
 }
 
@@ -575,35 +473,6 @@ mod tests {
             assert_eq!(hash_one(&v), hash_one(&s), "{v:?}");
             assert_eq!(s.to_value(), v, "round trip");
         }
-    }
-
-    /// The packed tuple row must hash exactly like its boxed
-    /// `Value::Tuple` twin under the collections' hasher — same bucket
-    /// assignment, same iteration order, same downstream figures (see
-    /// `scalar_hash_matches_boxed_value_hash` for the scalar analogue).
-    #[test]
-    fn row_hash_matches_boxed_tuple_hash() {
-        use ade_collections::fx::hash_one;
-        let samples = [
-            vec![Value::U64(0)],
-            vec![Value::U64(7), Value::U64(9)],
-            vec![Value::I64(-3), Value::F64(-0.0), Value::Bool(true)],
-            vec![Value::Idx(5), Value::U64(5)],
-            vec![Value::Void, Value::F64(f64::NAN)],
-        ];
-        for fields in samples {
-            let boxed = Value::Tuple(fields.clone().into());
-            let row = ScalarRow::from_value(&boxed).expect("scalar tuple");
-            assert_eq!(hash_one(&boxed), hash_one(&row), "{boxed:?}");
-            assert_eq!(row.to_value(), boxed, "round trip");
-            assert_eq!(row.len(), fields.len());
-        }
-        // Non-tuples and tuples with non-scalar fields stay boxed.
-        assert!(ScalarRow::from_value(&Value::U64(1)).is_none());
-        assert!(ScalarRow::from_value(&Value::Tuple(
-            vec![Value::U64(1), Value::Str("s".into())].into()
-        ))
-        .is_none());
     }
 
     /// `U64(n)` and `Idx(n)` carry the same bits but are distinct keys —

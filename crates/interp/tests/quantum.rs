@@ -1,10 +1,10 @@
 //! Quantum-size invariance: slicing an execution into fuel quanta must
 //! not be observable. For every quantum size {1, 7, 1024, unlimited}
-//! and every point of the fuse × loop-fuse × unbox grid, a session-run
+//! and on both the reference and the default decode, a session-run
 //! program must produce byte-identical output, identical operation
 //! statistics and memory peaks, an identical per-site profile, and —
 //! for failing programs — the same typed error at the same trap site
-//! as the batch interpreter.
+//! as the batch interpreter on the reference decode.
 
 use std::sync::Arc;
 
@@ -12,6 +12,7 @@ use ade_interp::{
     DecodeOptions, DecodedModule, ExecConfig, ExecError, ExecSession, Interpreter, Outcome, Step,
 };
 use ade_ir::parse::parse_module;
+use ade_ir::Module;
 
 /// Collection-heavy program whose loops are bulk-eligible: a `forrange`
 /// filling a map and a set, and a `foreach` reduction over the set.
@@ -59,23 +60,15 @@ fn @main() -> void {
 }
 "#;
 
-/// All eight fuse × loop-fuse × unbox configurations.
-fn grid() -> Vec<ExecConfig> {
-    let mut configs = Vec::new();
-    for fuse in [true, false] {
-        for loop_fuse in [true, false] {
-            for unbox in [true, false] {
-                configs.push(ExecConfig {
-                    fuse,
-                    loop_fuse,
-                    unbox,
-                    profile: true,
-                    ..ExecConfig::default()
-                });
-            }
-        }
+/// Both decodes ([`DecodeOptions::reference`]).
+const DECODES: [bool; 2] = [true, false];
+
+/// Sessions profile, so the per-site attribution is compared too.
+fn config() -> ExecConfig {
+    ExecConfig {
+        profile: true,
+        ..ExecConfig::default()
     }
-    configs
 }
 
 const QUANTA: [Option<u64>; 4] = [Some(1), Some(7), Some(1024), None];
@@ -94,15 +87,17 @@ fn run_session(
     }
 }
 
-fn decode_for(src: &str, config: &ExecConfig) -> Arc<DecodedModule> {
-    let module = parse_module(src).expect("parses");
+fn decode(module: &Module, reference: bool) -> Arc<DecodedModule> {
     Arc::new(DecodedModule::decode_with(
-        &module,
-        &DecodeOptions {
-            fuse: config.fuse,
-            loop_fuse: config.loop_fuse,
-        },
+        module,
+        &DecodeOptions { reference },
     ))
+}
+
+/// The batch run on the reference decode: the oracle every session run
+/// (either decode, any quantum) must reproduce.
+fn reference_batch(module: &Module, config: &ExecConfig) -> Result<Outcome, ExecError> {
+    Interpreter::new(module, config.clone()).run_decoded(&decode(module, true), "main")
 }
 
 /// Everything observable about a successful run except wall time.
@@ -119,48 +114,39 @@ fn fingerprint(o: &Outcome) -> String {
 }
 
 #[test]
-fn successful_runs_are_quantum_invariant_across_the_grid() {
+fn successful_runs_are_quantum_invariant_on_both_decodes() {
     let module = parse_module(BULK).expect("parses");
-    for config in grid() {
-        let label = format!(
-            "fuse={} loop_fuse={} unbox={}",
-            config.fuse, config.loop_fuse, config.unbox
-        );
-        let batch = Interpreter::new(&module, config.clone())
-            .run("main")
-            .unwrap_or_else(|e| panic!("batch run fails under {label}: {e}"));
-        let baseline = fingerprint(&batch);
-        let decoded = decode_for(BULK, &config);
+    let config = config();
+    let batch = reference_batch(&module, &config).expect("reference batch run");
+    let baseline = fingerprint(&batch);
+    for reference in DECODES {
+        let decoded = decode(&module, reference);
         for quantum in QUANTA {
-            let outcome = run_session(&decoded, &config, quantum)
-                .unwrap_or_else(|e| panic!("session fails under {label}, quantum {quantum:?}: {e}"));
+            let outcome = run_session(&decoded, &config, quantum).unwrap_or_else(|e| {
+                panic!("session fails (reference={reference}, quantum {quantum:?}): {e}")
+            });
             assert_eq!(
                 fingerprint(&outcome),
                 baseline,
-                "observable divergence under {label}, quantum {quantum:?}"
+                "observable divergence (reference={reference}, quantum {quantum:?})"
             );
         }
     }
 }
 
 #[test]
-fn trap_sites_are_quantum_invariant_across_the_grid() {
+fn trap_sites_are_quantum_invariant_on_both_decodes() {
     let module = parse_module(TRAPPING).expect("parses");
-    for config in grid() {
-        let label = format!(
-            "fuse={} loop_fuse={} unbox={}",
-            config.fuse, config.loop_fuse, config.unbox
-        );
-        let batch_err = Interpreter::new(&module, config.clone())
-            .run("main")
-            .expect_err("must trap");
-        assert_eq!(batch_err.code(), "missing-key");
-        let decoded = decode_for(TRAPPING, &config);
+    let config = config();
+    let batch_err = reference_batch(&module, &config).expect_err("must trap");
+    assert_eq!(batch_err.code(), "missing-key");
+    for reference in DECODES {
+        let decoded = decode(&module, reference);
         for quantum in QUANTA {
             let err = run_session(&decoded, &config, quantum).expect_err("must trap");
             assert_eq!(
                 err, batch_err,
-                "trap divergence under {label}, quantum {quantum:?}"
+                "trap divergence (reference={reference}, quantum {quantum:?})"
             );
         }
     }
@@ -173,21 +159,19 @@ fn fuel_trap_sites_are_quantum_invariant() {
     // when the quantum and the fuel budget interleave awkwardly.
     let module = parse_module(BULK).expect("parses");
     for fuel in [10u64, 97, 333] {
-        for config in grid() {
-            let config = ExecConfig {
-                fuel: Some(fuel),
-                ..config
-            };
-            let batch_err = Interpreter::new(&module, config.clone())
-                .run("main")
-                .expect_err("must exhaust fuel");
-            assert_eq!(batch_err.code(), "fuel");
-            let decoded = decode_for(BULK, &config);
+        let config = ExecConfig {
+            fuel: Some(fuel),
+            ..config()
+        };
+        let batch_err = reference_batch(&module, &config).expect_err("must exhaust fuel");
+        assert_eq!(batch_err.code(), "fuel");
+        for reference in DECODES {
+            let decoded = decode(&module, reference);
             for quantum in QUANTA {
                 let err = run_session(&decoded, &config, quantum).expect_err("must exhaust fuel");
                 assert_eq!(
                     err, batch_err,
-                    "fuel-trap divergence at fuel={fuel}, quantum {quantum:?}"
+                    "fuel-trap divergence at fuel={fuel} (reference={reference}, quantum {quantum:?})"
                 );
             }
         }
@@ -199,7 +183,7 @@ fn sessions_share_one_decoded_module_concurrently() {
     // `Arc<DecodedModule>` is the point of the refactor: many sessions
     // over one decode, in parallel, all byte-identical.
     let config = ExecConfig::default();
-    let decoded = decode_for(BULK, &config);
+    let decoded = decode(&parse_module(BULK).expect("parses"), false);
     let baseline = run_session(&decoded, &config, None).expect("runs");
     let baseline = fingerprint(&baseline);
     std::thread::scope(|scope| {

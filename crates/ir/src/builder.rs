@@ -209,22 +209,8 @@ impl FunctionBuilder {
         self.bin(BinOp::Max, a, b)
     }
 
-    /// Emits a binary operation over operands, which may carry
-    /// projection paths (e.g. [`Operand::field`] for `%t.k`); the
-    /// result takes the left operand's resolved type.
-    pub fn bin_at(&mut self, op: BinOp, a: impl Into<Operand>, b: impl Into<Operand>) -> ValueId {
-        let a = a.into();
-        let ty = self.operand_type(&a);
-        self.emit1(InstKind::Bin(op), vec![a, b.into()], ty)
-    }
-
     /// Emits a comparison producing `bool`.
     pub fn cmp(&mut self, op: CmpOp, a: ValueId, b: ValueId) -> ValueId {
-        self.emit1(InstKind::Cmp(op), vec![a.into(), b.into()], Type::Bool)
-    }
-
-    /// Emits a comparison over (possibly projected) operands.
-    pub fn cmp_at(&mut self, op: CmpOp, a: impl Into<Operand>, b: impl Into<Operand>) -> ValueId {
         self.emit1(InstKind::Cmp(op), vec![a.into(), b.into()], Type::Bool)
     }
 

@@ -85,6 +85,36 @@ enum Order {
     Enclosing,
 }
 
+/// The values in scope during [`Verifier::check_scoping`]: a stack of
+/// definitions (popped on region exit) plus a per-value count of its
+/// entries on the stack, so membership is one lookup instead of a scan —
+/// the scan made verification quadratic in function size.
+struct Scope {
+    defined: Vec<ValueId>,
+    live: Vec<u32>,
+}
+
+impl Scope {
+    fn define(&mut self, values: &[ValueId]) {
+        for &v in values {
+            if let Some(n) = self.live.get_mut(v.index()) {
+                *n += 1;
+                self.defined.push(v);
+            }
+        }
+    }
+
+    fn contains(&self, v: ValueId) -> bool {
+        self.live.get(v.index()).is_some_and(|&n| n > 0)
+    }
+
+    fn truncate(&mut self, mark: usize) {
+        for v in self.defined.drain(mark..) {
+            self.live[v.index()] -= 1;
+        }
+    }
+}
+
 struct Verifier<'a> {
     func: &'a Function,
     module: Option<&'a Module>,
@@ -171,17 +201,21 @@ impl<'a> Verifier<'a> {
     // -- scoping -----------------------------------------------------------
 
     fn check_scoping(&self) -> Result<(), VerifyError> {
-        let mut defined: Vec<ValueId> = self.func.params.clone();
-        self.scope_region(self.func.body, &mut defined)
+        let mut scope = Scope {
+            defined: Vec::new(),
+            live: vec![0; self.func.values.len()],
+        };
+        scope.define(&self.func.params);
+        self.scope_region(self.func.body, &mut scope)
     }
 
-    fn scope_region(&self, region: RegionId, defined: &mut Vec<ValueId>) -> Result<(), VerifyError> {
-        let mark = defined.len();
-        defined.extend(&self.func.region(region).args);
+    fn scope_region(&self, region: RegionId, scope: &mut Scope) -> Result<(), VerifyError> {
+        let mark = scope.defined.len();
+        scope.define(&self.func.region(region).args);
         for &inst_id in &self.func.region(region).insts {
             let inst = self.func.inst(inst_id);
             for used in inst.used_values() {
-                if !defined.contains(&used) {
+                if !scope.contains(used) {
                     return Err(self.err(
                         Some(inst_id),
                         format!("use of {used} before its definition"),
@@ -189,11 +223,11 @@ impl<'a> Verifier<'a> {
                 }
             }
             for &sub in &inst.regions {
-                self.scope_region(sub, defined)?;
+                self.scope_region(sub, scope)?;
             }
-            defined.extend(&inst.results);
+            scope.define(&inst.results);
         }
-        defined.truncate(mark);
+        scope.truncate(mark);
         Ok(())
     }
 
@@ -1004,6 +1038,29 @@ fn @g(%a: u64) -> void {
         let f = b.finish();
         let err = verify_function(&f).expect_err("should fail");
         assert!(err.message.contains("must end in ret"), "{err}");
+    }
+
+    #[test]
+    fn rejects_use_outside_the_defining_region() {
+        // `%x` is defined in the then-arm; after the `if` it is out of
+        // scope again, while `%r` and the parameter stay visible.
+        let err = verify_text(
+            r#"
+fn @f(%c: bool) -> u64 {
+  %r = if %c then {
+    %x = const 1u64
+    yield %x
+  } else {
+    %y = const 2u64
+    yield %y
+  }
+  %z = add %x, %r
+  ret %z
+}
+"#,
+        )
+        .expect_err("should fail");
+        assert!(err.message.contains("before its definition"), "{err}");
     }
 
     #[test]

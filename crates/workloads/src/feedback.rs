@@ -10,9 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use ade_core::feedback::{
-    BackendCandidate, FuncMeasurement, LayoutCandidate, OpCostTable, SelectionFeedback,
-};
+use ade_core::feedback::{BackendCandidate, FuncMeasurement, OpCostTable, SelectionFeedback};
 use ade_interp::cost::CostModel;
 use ade_interp::{CollOp, ImplKind};
 use ade_obs::profile::ProfileData;
@@ -62,46 +60,6 @@ pub fn feedback_candidates() -> Vec<BackendCandidate> {
             map_impl: ade_ir::MapSel::Bit,
             charges_word_ops: true,
             costs: cost_table(&model, ImplKind::SparseBitSet),
-        },
-    ]
-}
-
-/// The element-layout candidates for a tuple-of-scalar collection of
-/// `columns` fields, priced per column from the intel cost model's
-/// `Seq` row: the boxed layout pays one allocation-weight store per
-/// row and a pointer chase per field access, the columnar (SoA) layout
-/// pays one flat write per column on store, a flat read per field
-/// access, and the boxed layout's allocation weight only when a whole
-/// row escapes (lazy rematerialization). This prices the interpreter's
-/// creation-time layout rule (`ExecConfig::soa`, DESIGN.md §17); it is
-/// deliberately *not* a selection-pass candidate — layout never changes
-/// observable behavior, so it needs no ledger entry.
-pub fn soa_layout_candidates(columns: u32) -> Vec<LayoutCandidate> {
-    let model = CostModel::intel_x64();
-    // `Seq` insert carries the paper-calibrated allocation weight of a
-    // boxed element store; elementwise iteration is the flat-scan cost.
-    let store = model.cost_ns(ImplKind::Seq, CollOp::Insert);
-    let flat = model.cost_ns(ImplKind::Seq, CollOp::IterElem);
-    // A boxed field access is a pointer chase — modeled as a
-    // hash-grade probe, since the dominant cost is the dependent cache
-    // miss — while a boxed whole-row escape is only a refcount bump
-    // (flat-scan grade). A columnar escape is the expensive direction:
-    // reboxing allocates, so it pays the boxed store weight per read.
-    let chase = model.cost_ns(ImplKind::HashSet, CollOp::Has);
-    vec![
-        LayoutCandidate {
-            name: "Boxed",
-            columns,
-            store_ns: store,
-            field_read_ns: chase,
-            row_read_ns: flat,
-        },
-        LayoutCandidate {
-            name: "Soa",
-            columns,
-            store_ns: flat * columns as f64,
-            field_read_ns: flat,
-            row_read_ns: store,
         },
     ]
 }
@@ -199,32 +157,6 @@ mod tests {
         };
         let cands = feedback_candidates();
         assert!(cands[1].cost_ns(&mix) < cands[0].cost_ns(&mix));
-    }
-
-    #[test]
-    fn columnar_layout_wins_projection_loops_and_loses_escape_heavy_rows() {
-        // A projection-dominated life cycle (build once, stream one
-        // field many times — the tuple kernels) must price columnar
-        // storage cheaper for any small arity...
-        for columns in 2..=4 {
-            let cands = soa_layout_candidates(columns);
-            assert_eq!(cands[0].name, "Boxed");
-            assert_eq!(cands[1].name, "Soa");
-            let (rows, field_reads) = (1_000, 8_000);
-            assert!(
-                cands[1].cost_ns(rows, field_reads, 0) < cands[0].cost_ns(rows, field_reads, 0),
-                "columnar must win a projection-heavy mix at arity {columns}"
-            );
-        }
-        // ...while a mix where every stored row escapes whole (pure
-        // rematerialization, no projections) keeps boxed rows cheaper:
-        // columnar would pay the per-column stores *and* rebox every
-        // read.
-        let cands = soa_layout_candidates(2);
-        assert!(
-            cands[0].cost_ns(1_000, 0, 10_000) < cands[1].cost_ns(1_000, 0, 10_000),
-            "boxed must win an escape-only mix"
-        );
     }
 
     #[test]

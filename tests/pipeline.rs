@@ -2,7 +2,7 @@
 //! the ADE pass to execution, spanning every workspace crate.
 
 use ade::ade::{run_ade, AdeOptions};
-use ade::interp::{ExecConfig, Interpreter};
+use ade::interp::{DecodeOptions, DecodedModule, ExecConfig, Interpreter};
 use ade::ir::parse::parse_module;
 use ade::ir::print::print_module;
 use ade::workloads::{Config, ConfigKind};
@@ -76,7 +76,9 @@ fn @main() -> void {
     assert!(out.contains("Map{Bit}<idx, u64>"), "{out}");
 }
 
-/// Every artifact configuration agrees on every benchmark's output.
+/// Every artifact configuration agrees on every benchmark's output, and
+/// every cell's default decode (peephole plus loop fusion) matches the
+/// reference decode on output, per-phase statistics and peak memory.
 #[test]
 fn all_configurations_agree_on_all_benchmarks() {
     for bench in ade::workloads::all_benchmarks() {
@@ -92,9 +94,27 @@ fn all_configurations_agree_on_all_benchmarks() {
             config.compile(&mut module);
             ade::ir::verify::verify_module(&module)
                 .unwrap_or_else(|e| panic!("[{} {}] {e}", bench.abbrev, kind.name()));
-            let outcome = Interpreter::new(&module, config.exec.clone())
-                .run("main")
-                .unwrap_or_else(|e| panic!("[{} {}] {e}", bench.abbrev, kind.name()));
+            let tag = format!("[{} {}]", bench.abbrev, kind.name());
+            let run = |reference: bool| {
+                let decoded = DecodedModule::decode_with(&module, &DecodeOptions { reference });
+                Interpreter::new(&module, config.exec.clone())
+                    .run_decoded(&decoded, "main")
+                    .unwrap_or_else(|e| panic!("{tag} reference={reference}: {e}"))
+            };
+            let outcome = run(false);
+            let plain = run(true);
+            assert_eq!(
+                plain.output, outcome.output,
+                "{tag} reference output diverged"
+            );
+            assert_eq!(
+                plain.stats.per_phase, outcome.stats.per_phase,
+                "{tag} reference op counts diverged"
+            );
+            assert_eq!(
+                plain.stats.peak_bytes, outcome.stats.peak_bytes,
+                "{tag} reference peak memory diverged"
+            );
             match &reference {
                 None => reference = Some(outcome.output),
                 Some(r) => assert_eq!(
