@@ -29,16 +29,21 @@
 //! appends each completed cell as it finishes and resumes from a
 //! compatible file (same scale/trials), recomputing only missing
 //! cells; a corrupt or unusable checkpoint degrades to a fresh run
-//! with a warning, never an abort. `--cell-timeout MS` arms a per-cell
-//! wall-clock budget: trials run preemptibly (quantum-sliced sessions
-//! polling a cancellation token, which is observationally inert — the
-//! figure text of surviving cells is unchanged) and a cell that
-//! overruns degrades to `✗(timeout)` instead of hanging the run.
-//! `--inject-fault cell=K,kind=panic|fuel|hang` deterministically
-//! fails the K-th scheduled cell (worker panic, a 100-instruction fuel
-//! budget that trips the interpreter's typed limit, or a fuel-free
-//! busy-wait that only a `--cell-timeout` cancellation ends) — the CI
-//! smoke hooks for the isolation and timeout machinery.
+//! with a warning, never an abort. `--cell-timeout MS` gives every cell
+//! attempt a wall-clock deadline of its start plus MS: trials run as
+//! quantum-sliced sessions that stop at the first quantum boundary past
+//! it (slicing is observationally inert — the figure text of surviving
+//! cells is unchanged), and a cell that overruns fails with the typed
+//! `timeout` error, rendered `✗(timeout)` instead of hanging the run.
+//! A timeout is never retried, and `--strict` fails on it like on any
+//! other cell error. `--inject-fault cell=K,kind=panic|fuel|hang`
+//! deterministically fails the K-th scheduled cell: a worker panic, a
+//! 100-instruction fuel budget that trips the interpreter's typed
+//! limit, or (`kind=hang`) a fuel-free sleep until the cell's deadline
+//! that then returns the same `timeout` error, so the cell degrades
+//! exactly like a real overrun (without `--cell-timeout` there is no
+//! deadline and the cell sleeps forever) — the CI smoke hooks for the
+//! isolation and deadline machinery.
 //!
 //! `--feedback` (or the `feedback` target) runs the profile → compile
 //! loop RQ: per benchmark, profile the static `ade` configuration, feed
@@ -56,8 +61,8 @@
 //! `postmortem-<bench>_<config>.json` flight-recorder dump for every
 //! cell that degraded to `✗(code)`. `--metrics FILE` writes the run's
 //! metrics snapshot (schema `ade-metrics-v1`): cell scheduling and
-//! degradation counters plus the worker pool's attempt/retry/timeout
-//! accounting. Every deterministic metric is order-independent, so the
+//! degradation counters (`cells_degraded_total{code}`, timeouts
+//! included) plus the worker pool's attempt/retry/panic accounting. Every deterministic metric is order-independent, so the
 //! snapshot is byte-identical across `--jobs` values; `--no-wall` also
 //! excludes the wall-class series (per-worker cell counts) exactly as
 //! it blanks wall ratios in figures.

@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use ade_interp::cost::CostModel;
 use ade_interp::{CollOp, ImplKind, SiteProfile};
@@ -77,7 +78,7 @@ pub enum CellResult {
     /// into figure text.
     Failed {
         /// Deterministic reason code: `panic`, `trap`, `limit`,
-        /// `verify` or `exec`.
+        /// `timeout`, `verify` or `exec`.
         code: &'static str,
         /// Human-readable detail (panic payload or error rendering).
         detail: String,
@@ -93,11 +94,12 @@ pub enum FaultKind {
     /// Run the cell with a tiny instruction budget so the interpreter
     /// returns a typed limit error (degrades to `✗(limit)`).
     Fuel,
-    /// Busy-wait in the worker until the cell's [`CancelToken`] fires —
-    /// a deterministic, fuel-free hung cell. With `--cell-timeout` the
-    /// watchdog fires the token and the cell degrades to `✗(timeout)`;
-    /// without one it reproduces the original hang (that is the point:
-    /// the smoke proves the timeout machinery, not the fault).
+    /// Sleep in the worker until the cell's deadline, then fail with
+    /// the same [`CellError::Timeout`] a real overrun returns — a
+    /// deterministic, fuel-free hung cell that degrades to `✗(timeout)`.
+    /// Without `--cell-timeout` there is no deadline and it sleeps
+    /// forever (that is the point: the smoke proves the deadline, not
+    /// the fault).
     Hang,
 }
 
@@ -161,7 +163,7 @@ pub struct Session {
     profile: bool,
     strict: bool,
     fault: Option<FaultSpec>,
-    cell_timeout: Option<std::time::Duration>,
+    cell_timeout: Option<Duration>,
     /// Cells handed to workers so far (the `FaultSpec::cell` index).
     scheduled: usize,
     timeline: Option<Arc<Timeline>>,
@@ -230,14 +232,14 @@ impl Session {
     }
 
     /// Arms per-cell wall-clock timeouts (`--cell-timeout`): each cell
-    /// gets a [`CancelToken`]-carrying watchdog, benchmark trials run
-    /// preemptibly (an [`ade_interp::ExecSession`] stepped by fuel
-    /// quanta, polling the token at each boundary), and a cell whose
-    /// budget elapses degrades to `✗(timeout)` — or fails fast under
-    /// strict mode. Quantum slicing is observationally inert, so cells
-    /// that finish in time produce byte-identical figure text.
+    /// attempt gets a deadline of its start plus `timeout`
+    /// ([`CellSpec::deadline`]), benchmark trials run through
+    /// [`ade_interp::ExecSession::run_until`], and a cell whose deadline
+    /// passes degrades to `✗(timeout)` — or fails fast under strict
+    /// mode. Quantum slicing is observationally inert, so cells that
+    /// finish in time produce byte-identical figure text.
     #[must_use]
-    pub fn cell_timeout(mut self, timeout: std::time::Duration) -> Self {
+    pub fn cell_timeout(mut self, timeout: Duration) -> Self {
         self.cell_timeout = Some(timeout);
         self
     }
@@ -325,10 +327,11 @@ impl Session {
     }
 
     /// Attaches a metrics registry (`--metrics`): the session publishes
-    /// scheduling counters (`cells_scheduled/completed/degraded_total`)
-    /// and the worker pool publishes attempt/retry/panic/timeout
-    /// accounting into it. Every counter is order-independent, so the
-    /// non-wall snapshot is byte-identical across `--jobs` values;
+    /// scheduling counters (`cells_scheduled/completed/degraded_total`,
+    /// the last by reason code) and the worker pool publishes
+    /// attempt/retry/panic accounting into it. Every counter is
+    /// order-independent, so the non-wall snapshot is byte-identical
+    /// across `--jobs` values;
     /// per-worker cell counts are wall-classed (scheduling noise) and
     /// excluded unless wall metrics are requested. Figure text is
     /// byte-identical with metrics on or off.
@@ -422,9 +425,9 @@ impl Session {
 
     /// Runs a batch of indexed cells on the worker pool and folds every
     /// outcome into the cache. Default mode isolates: a cell that
-    /// panics (retried once), times out (with `--cell-timeout` armed),
-    /// or returns a typed error becomes [`CellResult::Failed`] and the
-    /// rest of the batch completes. Strict mode fails fast instead.
+    /// panics (retried once) or returns a typed error — a timeout
+    /// included — becomes [`CellResult::Failed`] and the rest of the
+    /// batch completes. Strict mode fails fast instead.
     fn execute_batch(&mut self, pending: Vec<(usize, (&'static str, ConfigKind))>) {
         if pending.is_empty() {
             return;
@@ -441,8 +444,10 @@ impl Session {
         let timeout = self.cell_timeout;
         let postmortems = Arc::clone(&self.postmortems);
         let work = move |worker: usize,
-                         (idx, (abbrev, kind)): (usize, (&'static str, ConfigKind)),
-                         cancel: &crate::pool::CancelToken| {
+                         (idx, (abbrev, kind)): (usize, (&'static str, ConfigKind))| {
+            // Every attempt gets its own deadline; a retried cell starts
+            // afresh.
+            let deadline = timeout.map(|t| Instant::now() + t);
             // One flight recorder per cell *attempt*: events are scoped
             // to a deterministic entity and carry no timestamps, so a
             // retried attempt produces a byte-identical dump.
@@ -458,7 +463,8 @@ impl Session {
                     ("trials", FieldValue::from(u64::from(trials))),
                 ],
             );
-            if matches!(fault, Some(f) if f.cell == idx && f.kind == FaultKind::Panic) {
+            let fault = fault.filter(|f| f.cell == idx).map(|f| f.kind);
+            if fault == Some(FaultKind::Panic) {
                 // Dump *before* panicking so the degraded cell has a
                 // post-mortem; the retry overwrites it identically.
                 flight.record("pool", "fault", &[("kind", FieldValue::from("panic"))]);
@@ -475,55 +481,47 @@ impl Session {
                     kind.name()
                 );
             }
-            if matches!(fault, Some(f) if f.cell == idx && f.kind == FaultKind::Hang) {
-                // Deterministic hung cell: no fuel burned, no wall-time
-                // dependence in the result — the cell only ends when the
-                // watchdog fires the token (or never, without one). The
-                // pool discards this cell's outcome (its token fired),
-                // so any error value serves; Preempted matches what a
-                // cancelled real cell returns.
-                flight.record("pool", "fault", &[("kind", FieldValue::from("hang"))]);
-                while !cancel.is_cancelled() {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
+            let started = timeline.as_deref().map(Timeline::now_ns);
+            let r = match fault {
+                Some(FaultKind::Hang) => {
+                    flight.record("pool", "fault", &[("kind", FieldValue::from("hang"))]);
+                    let Some(deadline) = deadline else {
+                        loop {
+                            std::thread::park();
+                        }
+                    };
+                    std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                    Err(CellError::Timeout)
                 }
-                flight.record("pool", "trip", &[("code", FieldValue::from("timeout"))]);
-                let dump = flight.dump_json(&[
-                    ("cell", FieldValue::from(key.as_str())),
-                    ("code", FieldValue::from("timeout")),
-                ]);
-                postmortems
-                    .lock()
-                    .expect("postmortem map poisoned")
-                    .insert(key, dump);
-                return Err(CellError::Exec(ade_interp::ExecError::Preempted {
-                    reason: ade_interp::StopReason::Cancelled,
-                }));
-            }
-            let fuel = match fault {
-                Some(f) if f.cell == idx && f.kind == FaultKind::Fuel => {
-                    flight.record("pool", "fault", &[("kind", FieldValue::from("fuel"))]);
-                    Some(INJECTED_FUEL)
+                _ => {
+                    let fuel = (fault == Some(FaultKind::Fuel)).then(|| {
+                        flight.record("pool", "fault", &[("kind", FieldValue::from("fuel"))]);
+                        INJECTED_FUEL
+                    });
+                    let bench = benchmark_by_abbrev(abbrev).expect("known benchmark");
+                    crate::runner::run_cell(&CellSpec {
+                        trials,
+                        profile,
+                        fuel,
+                        reference,
+                        deadline,
+                        ..CellSpec::new(&bench, kind, scale)
+                    })
                 }
-                _ => None,
             };
-            let r = try_run_cell(
-                scale,
-                trials,
-                profile,
-                timeline.as_deref(),
-                worker,
-                abbrev,
-                kind,
-                fuel,
-                reference,
-                timeout.is_some().then_some(cancel),
-            );
-            if cancel.is_cancelled() {
-                // The watchdog fired: the pool discards this outcome and
-                // reports `timeout` itself (the fold loop synthesizes
-                // the post-mortem so its event list never depends on how
-                // far the racing cell got).
-                return r;
+            // One complete timeline event per finished cell (lane =
+            // worker index); a failing cell's event carries an extra
+            // `status: failed:<code>` arg. A cell that *panics* unwinds
+            // past here and records no event.
+            if let (Some(t), Some(started)) = (timeline.as_deref(), started) {
+                let mut args = vec![
+                    ("scale".to_string(), scale.to_string()),
+                    ("trials".to_string(), trials.to_string()),
+                ];
+                if let Err(e) = &r {
+                    args.push(("status".to_string(), format!("failed:{}", e.code())));
+                }
+                t.complete(format!("{abbrev}/{}", kind.name()), "cell", worker as u32, started, args);
             }
             match &r {
                 Ok(result) => {
@@ -552,21 +550,13 @@ impl Session {
             r
         };
         let outcomes: Vec<Result<Result<RunResult, CellError>, crate::pool::CellFailure>> =
-            if self.strict && self.cell_timeout.is_none() {
-                crate::pool::run_ordered_with(pending, self.jobs, |worker, item| {
-                    work(worker, item, &crate::pool::CancelToken::new())
-                })
-                .into_iter()
-                .map(Ok)
-                .collect()
+            if self.strict {
+                crate::pool::run_ordered_with(pending, self.jobs, work)
+                    .into_iter()
+                    .map(Ok)
+                    .collect()
             } else {
-                crate::pool::run_ordered_isolated_metered(
-                    pending,
-                    self.jobs,
-                    self.cell_timeout,
-                    &self.metrics,
-                    work,
-                )
+                crate::pool::run_ordered_isolated_metered(pending, self.jobs, &self.metrics, work)
             };
         for ((abbrev, kind), outcome) in plan.into_iter().zip(outcomes) {
             let cell = match outcome {
@@ -582,15 +572,26 @@ impl Session {
                     }
                 }
                 Err(f) => {
-                    if self.strict {
-                        panic!("[{abbrev} {}] cell failed ({}): {}", kind.name(), f.code, f.reason);
-                    }
                     eprintln!(
                         "[cell {abbrev}/{}] failed after {} attempts: {}",
                         kind.name(),
                         f.attempts,
                         f.reason
                     );
+                    // A panic that unwound past the worker's own dump
+                    // still gets a post-mortem: an empty ring with the
+                    // cell key and reason code as context.
+                    let key = format!("{abbrev}_{}", kind.name());
+                    self.postmortems
+                        .lock()
+                        .expect("postmortem map poisoned")
+                        .entry(key.clone())
+                        .or_insert_with(|| {
+                            FlightRecorder::new(FLIGHT_CAPACITY).dump_json(&[
+                                ("cell", FieldValue::from(key.as_str())),
+                                ("code", FieldValue::from(f.code)),
+                            ])
+                        });
                     CellResult::Failed {
                         code: f.code,
                         detail: f.reason,
@@ -602,19 +603,6 @@ impl Session {
                 CellResult::Failed { code, .. } => {
                     self.metrics
                         .add("cells_degraded_total", &[("code", code)], 1);
-                    // A cell the pool failed without a worker-side dump
-                    // (a pool-propagated panic, a watchdog-discarded
-                    // result) still gets a post-mortem: an empty ring
-                    // with the cell key and reason code as context.
-                    let key = format!("{abbrev}_{}", kind.name());
-                    let mut dumps = self.postmortems.lock().expect("postmortem map poisoned");
-                    if !dumps.contains_key(&key) {
-                        let dump = FlightRecorder::new(FLIGHT_CAPACITY).dump_json(&[
-                            ("cell", FieldValue::from(key.as_str())),
-                            ("code", FieldValue::from(*code)),
-                        ]);
-                        dumps.insert(key, dump);
-                    }
                 }
             }
             self.cache.insert((abbrev.to_string(), kind), cell);
@@ -1218,59 +1206,6 @@ impl Session {
         );
         out
     }
-}
-
-/// Runs one `(benchmark, configuration)` cell, recording a complete
-/// timeline event (lane = worker index) when a timeline is attached. A
-/// failing cell's event carries an extra `status: failed:<code>` arg;
-/// successful cells record exactly what they always did, keeping the
-/// observability byte-identity contract. A cell that *panics* unwinds
-/// through here and records no event (the pool layer reports it).
-#[allow(clippy::too_many_arguments)]
-fn try_run_cell(
-    scale: u32,
-    trials: u32,
-    profile: bool,
-    timeline: Option<&Timeline>,
-    worker: usize,
-    abbrev: &str,
-    kind: ConfigKind,
-    fuel: Option<u64>,
-    reference: bool,
-    cancel: Option<&crate::pool::CancelToken>,
-) -> Result<RunResult, CellError> {
-    let bench = benchmark_by_abbrev(abbrev).expect("known benchmark");
-    let started = timeline.map(Timeline::now_ns);
-    let r = crate::runner::run_cell(&CellSpec {
-        trials,
-        profile,
-        fuel,
-        reference,
-        cancel,
-        ..CellSpec::new(&bench, kind, scale)
-    });
-    if cancel.is_some_and(crate::pool::CancelToken::is_cancelled) {
-        // The watchdog fired: the pool reports `timeout` and discards
-        // this outcome, so don't record an event for it either.
-        return r;
-    }
-    if let (Some(t), Some(started)) = (timeline, started) {
-        let mut args = vec![
-            ("scale".to_string(), scale.to_string()),
-            ("trials".to_string(), trials.to_string()),
-        ];
-        if let Err(e) = &r {
-            args.push(("status".to_string(), format!("failed:{}", e.code())));
-        }
-        t.complete(
-            format!("{abbrev}/{}", kind.name()),
-            "cell",
-            worker as u32,
-            started,
-            args,
-        );
-    }
-    r
 }
 
 /// Single-linkage agglomerative clustering of benchmark op-mix vectors.

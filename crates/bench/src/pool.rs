@@ -15,20 +15,16 @@
 //! Fault isolation: the evaluation harness schedules cells through
 //! [`run_ordered_isolated`], which catches a panicking cell, retries it
 //! once, and on a second panic records a [`CellFailure`] in that cell's
-//! slot while the rest of the matrix keeps running.
-//! [`run_ordered_isolated_timeout`] additionally arms a per-cell
-//! wall-clock budget: a watchdog fires the cell's [`CancelToken`], the
-//! work function unwinds at its next preemption point, and the cell
-//! degrades to a `timeout`-coded failure instead of wedging its
-//! worker. The propagating variants ([`run_ordered`] /
-//! [`run_ordered_with`]) remain the strict contract — `reproduce
-//! --strict` and the transformation pipeline use them so a genuine
-//! host bug still fails fast.
+//! slot while the rest of the matrix keeps running. The pool isolates
+//! panics only: wall-clock cell timeouts are a typed cell error raised
+//! by the cell itself (`CellSpec::deadline`). The propagating variants
+//! ([`run_ordered`] / [`run_ordered_with`]) remain the strict contract —
+//! `reproduce --strict` and the transformation pipeline use them so a
+//! genuine host bug still fails fast.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Stack size for pool workers. Workers run the ADE pipeline (whose
 /// transformation passes recurse over regions) but not the interpreter
@@ -121,43 +117,15 @@ where
         .collect()
 }
 
-/// A cooperative cancellation token handed to every isolated work item.
-/// The pool fires it when the cell's wall-clock timeout elapses; work
-/// functions poll it at natural preemption points (the interpreter's
-/// fuel-quantum boundaries, the injected-hang busy loop) and unwind
-/// promptly, so a hung cell degrades instead of wedging its worker.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-fired token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Fires the token.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether the token has fired.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
-
 /// Why an isolated cell failed: a stable failure code, the rendered
 /// reason, and how many attempts were made before giving up.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellFailure {
-    /// Stable failure class: `panic` (the work function panicked twice)
-    /// or `timeout` (the cell's wall-clock budget elapsed).
+    /// Stable failure class: `panic` (the work function panicked twice).
     pub code: &'static str,
-    /// Rendering of the failure (the first attempt's panic payload, or
-    /// the timeout description).
+    /// Rendering of the failure (the first attempt's panic payload).
     pub reason: String,
-    /// Attempts made (2 for panics — the initial run and one retry;
-    /// 1 for timeouts, which are never retried).
+    /// Attempts made: the initial run and one retry.
     pub attempts: u32,
 }
 
@@ -181,103 +149,45 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    run_ordered_isolated_timeout(items, jobs, None, |worker, item, _cancel| work(worker, item))
+    run_ordered_isolated_metered(items, jobs, &ade_obs::MetricsRegistry::disabled(), work)
 }
 
-/// [`run_ordered_isolated`], with per-cell wall-clock timeouts. Every
-/// attempt gets a fresh [`CancelToken`]; with `timeout` set, a detached
-/// watchdog thread fires the token once the budget elapses (and exits
-/// as soon as the cell finishes). A cell whose token fired is recorded
-/// as `Err(CellFailure { code: "timeout", .. })` — whatever the work
-/// function returned after cancellation is discarded, and timeouts are
-/// not retried (a deterministic hang would just hang twice).
-///
-/// Cancellation is cooperative: the work function must poll the token
-/// at its preemption points. Benchmark cells run the interpreter
-/// through [`ade_interp::ExecSession`] when a timeout is armed, which
-/// checks the token at every fuel-quantum boundary, so guest programs
-/// — including non-terminating ones — are always cancellable.
-pub fn run_ordered_isolated_timeout<T, R, F>(
-    items: Vec<T>,
-    jobs: usize,
-    timeout: Option<Duration>,
-    work: F,
-) -> Vec<Result<R, CellFailure>>
-where
-    T: Send + Clone,
-    R: Send,
-    F: Fn(usize, T, &CancelToken) -> R + Sync,
-{
-    run_ordered_isolated_metered(items, jobs, timeout, &ade_obs::MetricsRegistry::disabled(), work)
-}
-
-/// [`run_ordered_isolated_timeout`], publishing pool accounting into
-/// `metrics`:
+/// [`run_ordered_isolated`], publishing pool accounting into `metrics`:
 ///
 /// * `pool_attempts_total` — work-function invocations (including
 ///   retries), `pool_retries_total` — panicked first attempts that got a
-///   second chance, `pool_cell_panics_total` / `pool_cell_timeouts_total`
-///   — cells recorded as failed. All scheduling-independent for
-///   deterministic work, since retry/failure classification is.
+///   second chance, `pool_cell_panics_total` — cells recorded as
+///   failed. All scheduling-independent for deterministic work, since
+///   retry/failure classification is.
 /// * `pool_worker_cells_total{worker=…}` — cells completed per worker.
 ///   Which worker claims which cell depends on scheduling, so the metric
 ///   is marked wall-class (excluded from deterministic snapshots).
 ///
-/// A disabled registry makes this exactly
-/// [`run_ordered_isolated_timeout`].
+/// A disabled registry makes this exactly [`run_ordered_isolated`].
 pub fn run_ordered_isolated_metered<T, R, F>(
     items: Vec<T>,
     jobs: usize,
-    timeout: Option<Duration>,
     metrics: &ade_obs::MetricsRegistry,
     work: F,
 ) -> Vec<Result<R, CellFailure>>
 where
     T: Send + Clone,
     R: Send,
-    F: Fn(usize, T, &CancelToken) -> R + Sync,
+    F: Fn(usize, T) -> R + Sync,
 {
     metrics.mark_wall("pool_worker_cells_total");
-    let attempt = |worker: usize, item: T| -> Result<Result<R, CellFailure>, Box<dyn std::any::Any + Send>> {
+    let attempt = |worker: usize, item: T| {
         metrics.add("pool_attempts_total", &[], 1);
-        let cancel = CancelToken::new();
-        let watchdog = timeout.map(|budget| {
-            let token = cancel.clone();
-            let (done_tx, done_rx) = mpsc::channel::<()>();
-            let handle = std::thread::Builder::new()
-                .name("ade-cell-watchdog".to_string())
-                .spawn(move || {
-                    if done_rx.recv_timeout(budget).is_err() {
-                        token.cancel();
-                    }
-                })
-                .expect("spawn watchdog");
-            (done_tx, handle)
-        });
-        let outcome = catch_unwind(AssertUnwindSafe(|| work(worker, item, &cancel)));
-        if let Some((done_tx, handle)) = watchdog {
-            let _ = done_tx.send(());
-            let _ = handle.join();
-        }
-        if cancel.is_cancelled() {
-            let ms = timeout.expect("only armed timeouts cancel").as_millis();
-            metrics.add("pool_cell_timeouts_total", &[], 1);
-            return Ok(Err(CellFailure {
-                code: "timeout",
-                reason: format!("cell timed out after {ms}ms"),
-                attempts: 1,
-            }));
-        }
-        outcome.map(Ok)
+        catch_unwind(AssertUnwindSafe(|| work(worker, item)))
     };
     run_ordered_with(items, jobs, |worker, item: T| {
         let retry = item.clone();
         let result = match attempt(worker, item) {
-            Ok(r) => r,
+            Ok(r) => Ok(r),
             Err(first) => {
                 metrics.add("pool_retries_total", &[], 1);
                 match attempt(worker, retry) {
-                    Ok(r) => r,
+                    Ok(r) => Ok(r),
                     Err(_) => {
                         metrics.add("pool_cell_panics_total", &[], 1);
                         Err(CellFailure {
@@ -395,44 +305,6 @@ mod tests {
         assert_eq!(attempts.load(Ordering::Relaxed), 2, "initial run + one retry");
     }
 
-    /// A cell that only finishes when cancelled (the injected-hang
-    /// shape) degrades to a deterministic `timeout` failure while its
-    /// neighbors complete.
-    #[test]
-    fn timeout_degrades_hung_cells() {
-        let results = run_ordered_isolated_timeout(
-            vec![1, 2, 3],
-            2,
-            Some(Duration::from_millis(50)),
-            |_w, x, cancel| {
-                if x == 2 {
-                    while !cancel.is_cancelled() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-                x * 10
-            },
-        );
-        assert_eq!(results[0], Ok(10));
-        assert_eq!(results[2], Ok(30));
-        let failure = results[1].as_ref().expect_err("cell 2 must time out");
-        assert_eq!(failure.code, "timeout");
-        assert_eq!(failure.reason, "cell timed out after 50ms");
-        assert_eq!(failure.attempts, 1, "timeouts are not retried");
-    }
-
-    /// With no timeout armed, the token never fires and the semantics
-    /// are exactly `run_ordered_isolated`'s.
-    #[test]
-    fn unarmed_timeout_is_inert() {
-        let results =
-            run_ordered_isolated_timeout(vec![5u64], 1, None, |_w, x, cancel| {
-                assert!(!cancel.is_cancelled());
-                x + 1
-            });
-        assert_eq!(results, vec![Ok(6)]);
-    }
-
     /// The metered runner publishes attempt/retry/failure accounting;
     /// the deterministic counters are identical across job counts, and
     /// the per-worker lane counter is wall-classed.
@@ -440,26 +312,12 @@ mod tests {
     fn metered_pool_publishes_deterministic_accounting() {
         let run = |jobs: usize| {
             let metrics = ade_obs::MetricsRegistry::enabled();
-            let results = run_ordered_isolated_metered(
-                (0..6).collect::<Vec<i32>>(),
-                jobs,
-                Some(Duration::from_millis(50)),
-                &metrics,
-                |_w, x, cancel| {
-                    match x {
-                        2 => panic!("boom"),
-                        4 => {
-                            while !cancel.is_cancelled() {
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                        }
-                        _ => {}
-                    }
+            let results =
+                run_ordered_isolated_metered((0..6).collect::<Vec<i32>>(), jobs, &metrics, |_w, x| {
+                    assert!(x != 2, "boom");
                     x
-                },
-            );
+                });
             assert_eq!(results[2].as_ref().expect_err("panic cell").code, "panic");
-            assert_eq!(results[4].as_ref().expect_err("hung cell").code, "timeout");
             metrics.snapshot()
         };
         let serial = run(1);
@@ -478,7 +336,6 @@ mod tests {
         assert_eq!(by_id["pool_attempts_total"], ade_obs::MetricValue::Counter(7));
         assert_eq!(by_id["pool_retries_total"], ade_obs::MetricValue::Counter(1));
         assert_eq!(by_id["pool_cell_panics_total"], ade_obs::MetricValue::Counter(1));
-        assert_eq!(by_id["pool_cell_timeouts_total"], ade_obs::MetricValue::Counter(1));
         // Worker lanes are recorded but wall-classed out of the
         // deterministic rendering.
         assert!(serial.rows.iter().any(|r| r.name == "pool_worker_cells_total" && r.wall));

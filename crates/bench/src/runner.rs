@@ -3,15 +3,15 @@
 
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 use ade_interp::cost::CostModel;
 use ade_interp::{
-    DecodeOptions, DecodedModule, ExecConfig, ExecError, Interpreter, Phase, SiteProfile, Stats,
+    DecodeOptions, DecodedModule, ExecConfig, ExecError, ExecSession, Interpreter, Phase,
+    SiteProfile, Stats, StopReason,
 };
 use ade_ir::Module;
 use ade_workloads::{Benchmark, Config, ConfigKind};
-
-use crate::pool::CancelToken;
 
 /// The measurements from one run.
 #[derive(Clone, Debug)]
@@ -55,17 +55,22 @@ pub enum CellError {
     /// The interpreter returned a typed execution error (guest trap,
     /// limit, missing entry, host failure).
     Exec(ExecError),
+    /// The cell's wall-clock deadline ([`CellSpec::deadline`]) passed
+    /// before it finished. Never retried: a deterministic hang would
+    /// just hang twice.
+    Timeout,
 }
 
 impl CellError {
     /// Short deterministic reason code, the figure placeholder text
-    /// (`✗(code)`). `"verify"`, `"limit"`, `"trap"`, `"exec"`, or a
-    /// preemption reason (`"deadline"` / `"cancelled"` / `"shed"`);
-    /// panicking and timed-out cells are reported as `"panic"` /
-    /// `"timeout"` by the pool layer.
+    /// (`✗(code)`). `"verify"`, `"limit"`, `"trap"`, `"exec"`,
+    /// `"timeout"`, or a preemption reason (`"deadline"` / `"cancelled"`
+    /// / `"shed"`); panicking cells are reported as `"panic"` by the
+    /// pool layer.
     pub fn code(&self) -> &'static str {
         match self {
             CellError::Verify(_) => "verify",
+            CellError::Timeout => "timeout",
             CellError::Exec(e) if e.is_limit() => "limit",
             CellError::Exec(ExecError::GuestTrap { .. }) => "trap",
             CellError::Exec(ExecError::Preempted { reason }) => reason.code(),
@@ -79,6 +84,7 @@ impl fmt::Display for CellError {
         match self {
             CellError::Verify(e) => write!(f, "verify: {e}"),
             CellError::Exec(e) => write!(f, "{e}"),
+            CellError::Timeout => f.write_str("cell timed out: its wall-clock deadline passed"),
         }
     }
 }
@@ -108,12 +114,12 @@ pub struct CellSpec<'a> {
     /// figures and statistics are identical either way, which the
     /// differential tests pin.
     pub reference: bool,
-    /// Run preemptibly through [`ade_interp::ExecSession`], stepping
-    /// [`CELL_QUANTUM`] instructions at a time and polling the token at
-    /// every boundary — the `--cell-timeout` machinery. Quantum slicing
-    /// is observationally inert, so an uncancelled run returns exactly
-    /// the batch path's stats and output.
-    pub cancel: Option<&'a CancelToken>,
+    /// Wall-clock deadline (`--cell-timeout`): trials run through
+    /// [`ExecSession::run_until`], and a deadline that passes mid-run
+    /// fails the cell with [`CellError::Timeout`]. Quantum slicing is
+    /// observationally inert, so a run that finishes in time returns
+    /// exactly the batch path's stats and output.
+    pub deadline: Option<Instant>,
 }
 
 impl<'a> CellSpec<'a> {
@@ -128,7 +134,7 @@ impl<'a> CellSpec<'a> {
             profile: false,
             fuel: None,
             reference: false,
-            cancel: None,
+            deadline: None,
         }
     }
 }
@@ -138,8 +144,8 @@ impl<'a> CellSpec<'a> {
 /// # Errors
 ///
 /// [`CellError::Verify`] if the compiled module fails verification,
-/// [`CellError::Exec`] if any trial's interpretation fails; a fired
-/// cancel token surfaces as `CellError::Exec(ExecError::Preempted { .. })`.
+/// [`CellError::Exec`] if any trial's interpretation fails,
+/// [`CellError::Timeout`] if [`CellSpec::deadline`] passes first.
 ///
 /// # Panics
 ///
@@ -179,11 +185,17 @@ fn best_of(
     let decoded = Arc::new(DecodedModule::decode_with(module, &options));
     let mut best: Option<ade_interp::Outcome> = None;
     for _ in 0..spec.trials {
-        let outcome = match spec.cancel {
-            Some(token) => run_preemptible(&decoded, exec.clone(), token),
+        let outcome = match spec.deadline {
+            Some(deadline) => ExecSession::spawn(Arc::clone(&decoded), "main", exec.clone())
+                .and_then(|session| session.run_until(deadline)),
             None => Interpreter::new(module, exec.clone()).run_decoded(&decoded, "main"),
         }
-        .map_err(CellError::Exec)?;
+        .map_err(|e| match e {
+            ExecError::Preempted {
+                reason: StopReason::Deadline,
+            } => CellError::Timeout,
+            e => CellError::Exec(e),
+        })?;
         let better = best
             .as_ref()
             .is_none_or(|b| outcome.stats.wall_total_ns() < b.stats.wall_total_ns());
@@ -192,32 +204,6 @@ fn best_of(
         }
     }
     Ok(best.expect("ran at least once"))
-}
-
-/// Fuel quantum for cancellable cell runs: large enough that the
-/// park/grant handshake is noise next to real work, small enough that
-/// a hung guest loop reaches a boundary (and sees a fired token)
-/// promptly.
-const CELL_QUANTUM: u64 = 1 << 16;
-
-/// One preemptible trial: an [`ade_interp::ExecSession`] stepped one
-/// [`CELL_QUANTUM`] at a time, cancelling at the first boundary after
-/// the token fires.
-fn run_preemptible(
-    decoded: &Arc<DecodedModule>,
-    exec: ExecConfig,
-    token: &CancelToken,
-) -> Result<ade_interp::Outcome, ExecError> {
-    let mut session = ade_interp::ExecSession::spawn(Arc::clone(decoded), "main", exec)?;
-    loop {
-        if token.is_cancelled() {
-            session.cancel(ade_interp::StopReason::Cancelled);
-        }
-        match session.step(Some(CELL_QUANTUM))? {
-            ade_interp::Step::Running => {}
-            ade_interp::Step::Done(outcome) => return Ok(*outcome),
-        }
-    }
 }
 
 /// Runs the profile → compile loop for one benchmark: profile the

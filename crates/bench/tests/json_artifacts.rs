@@ -123,7 +123,7 @@ fn backend_selection_metrics_are_deterministic_by_kind() {
             ..ExecConfig::default()
         };
         Interpreter::new(&build(), config)
-            .run_inline("main")
+            .run("main")
             .expect("kernel runs");
         m.snapshot().to_json(false)
     };

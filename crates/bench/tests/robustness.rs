@@ -124,7 +124,7 @@ fn checkpoint_resume_reproduces_figure_text() {
     let _ = std::fs::remove_dir(&dir);
 }
 
-/// An injected hang (fuel-free busy wait) would stall the run forever;
+/// An injected hang (a fuel-free sleep) would stall the run forever;
 /// with `--cell-timeout` armed it degrades to a deterministic
 /// `✗(timeout)` row while the rest of the matrix completes, identically
 /// across runs and job counts.

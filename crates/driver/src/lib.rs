@@ -312,25 +312,20 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
     Ok(out)
 }
 
-/// Fuel quantum for deadline-sliced runs: coarse enough that the
-/// session handshake is noise, fine enough to react to a deadline
-/// within milliseconds on any realistic instruction rate.
-const DEADLINE_QUANTUM: u64 = 1 << 16;
-
 /// Runs the program, batch or preemptibly depending on `--deadline-ms`.
 ///
 /// Without a deadline this is the plain batch interpreter. With one,
 /// the run goes through a resumable [`ExecSession`] (the serve layer's
 /// primitive, which is quantum-size invariant: output, statistics and
-/// trap sites are byte-identical to the batch path) and is cancelled
-/// with [`StopReason::Deadline`] at the first quantum boundary past
-/// the wall deadline.
+/// trap sites are byte-identical to the batch path) and
+/// [`ExecSession::run_until`] cancels it with the `deadline` reason at
+/// the first quantum boundary past the wall deadline.
 fn execute(
     module: &ade_ir::Module,
     exec: ade_interp::ExecConfig,
     options: &Options,
 ) -> Result<ade_interp::Outcome, ade_interp::ExecError> {
-    use ade_interp::{DecodeOptions, DecodedModule, ExecSession, Step, StopReason};
+    use ade_interp::{DecodeOptions, DecodedModule, ExecSession};
 
     let decoded = DecodedModule::decode_with(
         module,
@@ -341,18 +336,8 @@ fn execute(
     let Some(ms) = options.deadline_ms else {
         return Interpreter::new(module, exec).run_decoded(&decoded, &options.entry);
     };
-    let decoded = std::sync::Arc::new(decoded);
     let deadline = std::time::Instant::now() + std::time::Duration::from_millis(ms);
-    let mut session = ExecSession::spawn(decoded, &options.entry, exec)?;
-    loop {
-        if std::time::Instant::now() >= deadline {
-            session.cancel(StopReason::Deadline);
-        }
-        match session.step(Some(DEADLINE_QUANTUM))? {
-            Step::Running => {}
-            Step::Done(outcome) => return Ok(*outcome),
-        }
-    }
+    ExecSession::spawn(std::sync::Arc::new(decoded), &options.entry, exec)?.run_until(deadline)
 }
 
 fn format_stats(stats: &ade_interp::Stats) -> String {

@@ -7,7 +7,14 @@
 //! frame ([`Res::Ref`]) instead of cloning; only nested-path operands
 //! materialize values. Instrumentation is bit-identical to the original
 //! tree-walking core: the same [`CollOp`] bumps in the same phases, one
-//! fuel tick per executed instruction.
+//! tick per executed instruction.
+//!
+//! Every instruction budget — [`ExecConfig::fuel`] and a session's
+//! quantum grants — shares one countdown, `ticks_left`, holding the
+//! smaller of the two remainders (`u64::MAX` when neither is armed).
+//! The dispatch loop's only budget check is that countdown reaching
+//! zero; what happens there (fuel exhausted, or the next grant) is
+//! decided out of line in `tick_boundary`.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -55,11 +62,6 @@ pub struct ExecConfig {
     /// the published values are independent of scheduling; execution
     /// itself is untouched either way.
     pub metrics: ade_obs::MetricsRegistry,
-    /// Flight recorder for post-mortem dumps (default `None`). When
-    /// attached, the run records structured `exec` events — entry
-    /// (`enter`), quantum grants (`grant`), the final stop (`stop`) —
-    /// into the bounded ring; the owner dumps it on degradation.
-    pub flight: Option<std::sync::Arc<ade_obs::FlightRecorder>>,
 }
 
 impl Default for ExecConfig {
@@ -71,7 +73,6 @@ impl Default for ExecConfig {
             max_depth: None,
             profile: false,
             metrics: ade_obs::MetricsRegistry::disabled(),
-            flight: None,
         }
     }
 }
@@ -200,10 +201,11 @@ pub struct Outcome {
     pub result: Option<Value>,
     /// Per-instruction-site profile (when [`ExecConfig::profile`]).
     pub profile: Option<SiteProfile>,
-    /// Instruction (fuel) ticks the run counted. Tick counting is only
-    /// live when something observes it — a fuel limit, a profiler, or a
-    /// preemption session; a plain unlimited run skips the bookkeeping
-    /// in its fused fast paths and reports `0` here.
+    /// Instructions executed, one tick per decoded slot (fused padding
+    /// included). Exact whenever per-instruction accounting is
+    /// observable — a fuel limit, a profiler, a preemption session or a
+    /// depth limit; a plain unlimited run skips the bookkeeping in its
+    /// fused and bulk fast paths and reports `0` here.
     pub fuel_ticks: u64,
 }
 
@@ -235,7 +237,7 @@ enum Flow {
 #[derive(Debug)]
 pub struct Interpreter<'m> {
     /// The source module — only needed to decode on the fly
-    /// ([`Interpreter::run`] / [`Interpreter::run_inline`]). Session
+    /// ([`Interpreter::run`]). Session
     /// execution over a shared [`DecodedModule`] runs detached
     /// (`None`): everything the hot paths read lives in the decoded
     /// stream.
@@ -253,7 +255,23 @@ pub struct Interpreter<'m> {
     output: String,
     phase: Phase,
     tracked_bytes: usize,
-    fuel_used: u64,
+    /// The one instruction countdown: ticks left before the next
+    /// budget decision (fuel spent, or the next session grant). Loaded
+    /// with `window` = min(fuel left, grant) by `tick_boundary`.
+    ticks_left: u64,
+    /// The value `ticks_left` was last loaded with.
+    window: u64,
+    /// Ticks consumed by the windows before the current one.
+    ticks_spent: u64,
+    /// Whether per-instruction accounting is observable, fixed at run
+    /// start: a fuel limit (every slot ticks), a profiler (per-site
+    /// attribution), a session (every slot is a grant boundary) or a
+    /// depth limit (every loop iteration enters its body region). When
+    /// set, fused windows replay each component's tick and bulk loop
+    /// plans fall back to the per-instruction loop; when clear, both
+    /// fast paths skip the bookkeeping and [`Outcome::fuel_ticks`] is
+    /// `0`.
+    observed: bool,
     depth: u32,
     /// Function names copied from the decoded module at run start, so
     /// trap sites can be attributed without the source [`Module`].
@@ -262,14 +280,9 @@ pub struct Interpreter<'m> {
     /// case costs one word in the interpreter struct.
     profiler: Option<Box<Recorder>>,
     /// Preemption handshake ([`crate::ExecSession`]); `None` for plain
-    /// batch runs. When set, the instruction dispatch loop counts down
-    /// `quantum_left` and parks on the shared state at exhaustion, and
-    /// the bulk/fused fast paths are disabled so every instruction
-    /// passes a quantum boundary check.
-    preempt: Option<std::sync::Arc<crate::session::SessionShared>>,
-    /// Instructions left in the current quantum grant (meaningful only
-    /// with `preempt` attached).
-    quantum_left: u64,
+    /// batch runs. When set, `tick_boundary` parks on the shared state
+    /// whenever a grant is used up.
+    session: Option<std::sync::Arc<crate::session::SessionShared>>,
     /// Free list of spent [`Flow::Yield`] buffers. Every loop iteration
     /// and branch join yields a `Vec<Value>`; recycling them turns the
     /// hottest allocation in the dispatch loop into a pop/push pair.
@@ -279,25 +292,7 @@ pub struct Interpreter<'m> {
 impl<'m> Interpreter<'m> {
     /// Creates an interpreter over `module`.
     pub fn new(module: &'m Module, config: ExecConfig) -> Self {
-        Self {
-            module: Some(module),
-            config,
-            heap: Vec::new(),
-            coll_impls: Vec::new(),
-            coll_bytes: Vec::new(),
-            enums: Vec::new(),
-            stats: Stats::default(),
-            output: String::new(),
-            phase: Phase::Init,
-            tracked_bytes: 0,
-            fuel_used: 0,
-            depth: 0,
-            func_names: Box::new([]),
-            profiler: None,
-            preempt: None,
-            quantum_left: 0,
-            flow_pool: Vec::new(),
-        }
+        Self::with_parts(Some(module), config, None)
     }
 
     /// A module-less interpreter for session execution over a shared
@@ -307,8 +302,16 @@ impl<'m> Interpreter<'m> {
         config: ExecConfig,
         shared: std::sync::Arc<crate::session::SessionShared>,
     ) -> Interpreter<'static> {
-        Interpreter {
-            module: None,
+        Interpreter::with_parts(None, config, Some(shared))
+    }
+
+    fn with_parts(
+        module: Option<&'m Module>,
+        config: ExecConfig,
+        session: Option<std::sync::Arc<crate::session::SessionShared>>,
+    ) -> Self {
+        Self {
+            module,
             config,
             heap: Vec::new(),
             coll_impls: Vec::new(),
@@ -318,12 +321,14 @@ impl<'m> Interpreter<'m> {
             output: String::new(),
             phase: Phase::Init,
             tracked_bytes: 0,
-            fuel_used: 0,
+            ticks_left: 0,
+            window: 0,
+            ticks_spent: 0,
+            observed: false,
             depth: 0,
             func_names: Box::new([]),
             profiler: None,
-            preempt: Some(shared),
-            quantum_left: 0,
+            session,
             flow_pool: Vec::new(),
         }
     }
@@ -391,7 +396,11 @@ impl<'m> Interpreter<'m> {
             let interp = carrier.take().expect("interpreter present");
             match builder.spawn_scoped(scope, move || match decoded {
                 Some(d) => interp.run_decoded_inline(d, entry),
-                None => interp.run_inline(entry),
+                None => {
+                    let module = interp.module.expect("batch runs have a source module");
+                    let decoded = DecodedModule::decode_with(module, &DecodeOptions::default());
+                    interp.run_decoded_inline(&decoded, entry)
+                }
             }) {
                 Ok(handle) => match handle.join() {
                     Ok(result) => result,
@@ -402,26 +411,18 @@ impl<'m> Interpreter<'m> {
                 Err(spawn_err) => Err(ExecError::Host {
                     message: format!(
                         "could not start the interpreter thread ({spawn_err}); \
-                         use run_inline on a thread with adequate stack"
+                         use run_decoded_inline on a thread with adequate stack"
                     ),
                 }),
             }
         })
     }
 
-    /// Runs on the caller's thread. Deeply recursive guest programs may
-    /// need more stack than a default worker thread provides; prefer
-    /// [`Interpreter::run`] unless the caller controls its own stack
-    /// (e.g. benchmarks measuring non-recursive programs that want to
-    /// avoid per-run thread-spawn overhead).
-    pub fn run_inline(self, entry: &str) -> Result<Outcome, ExecError> {
-        let module = self.module.expect("run_inline needs a source module");
-        let decoded = DecodedModule::decode_with(module, &DecodeOptions::default());
-        self.run_decoded_inline(&decoded, entry)
-    }
-
-    /// [`Interpreter::run_inline`] over a pre-decoded stream (see
-    /// [`Interpreter::run_decoded`]).
+    /// [`Interpreter::run_decoded`] on the caller's thread. Deeply
+    /// recursive guest programs may need more stack than a default
+    /// worker thread provides; prefer [`Interpreter::run_decoded`]
+    /// unless the caller controls its own stack (sessions, and
+    /// benchmarks that want to avoid per-run thread-spawn overhead).
     ///
     /// # Errors
     ///
@@ -447,9 +448,17 @@ impl<'m> Interpreter<'m> {
                 decoded.funcs.iter().map(|d| (d.name.clone(), d.code.len())),
             )));
         }
-        if let Some(fr) = &self.config.flight {
-            fr.record("exec", "enter", &[("entry", ade_obs::FieldValue::from(entry))]);
-        }
+        self.observed = self.config.fuel.is_some()
+            || self.profiler.is_some()
+            || self.session.is_some()
+            || self.config.max_depth.is_some();
+        // A session starts paused: an empty window makes the first
+        // instruction wait for the first grant.
+        self.window = match self.session {
+            Some(_) => 0,
+            None => self.config.fuel.unwrap_or(u64::MAX),
+        };
+        self.ticks_left = self.window;
         let start = Instant::now();
         let mut phase_start = start;
         // Wall-time bookkeeping happens at ROI transitions; we thread the
@@ -469,50 +478,38 @@ impl<'m> Interpreter<'m> {
         self.sample_peak();
         self.record_stop(None);
         Ok(Outcome {
+            fuel_ticks: self.fuel_ticks(),
             output: self.output,
             stats: self.stats,
             result,
             profile: self.profiler.map(|r| r.finish()),
-            fuel_ticks: self.fuel_used,
         })
     }
 
-    /// Whether instruction ticks are being counted (see
-    /// [`Outcome::fuel_ticks`]): the fused fast paths skip the
-    /// bookkeeping when nothing observes it.
-    fn counting_ticks(&self) -> bool {
-        self.config.fuel.is_some() || self.profiler.is_some() || self.preempt.is_some()
+    /// Ticks executed so far, or `0` when nothing observes them (see
+    /// [`Outcome::fuel_ticks`]).
+    fn fuel_ticks(&self) -> u64 {
+        if self.observed {
+            self.ticks_spent + (self.window - self.ticks_left)
+        } else {
+            0
+        }
     }
 
     /// Publishes the run's terminal accounting — reason tally, counted
-    /// fuel ticks, heap high-water mark — into the metrics registry and
-    /// the flight recorder. Called exactly once per run, on both the
-    /// success and the error path; a disabled registry and a detached
-    /// recorder make this a pair of cheap branches.
+    /// fuel ticks, heap high-water mark — into the metrics registry.
+    /// Called exactly once per run, on both the success and the error
+    /// path; a disabled registry makes this one cheap branch.
     fn record_stop(&mut self, err: Option<&ExecError>) {
         let reason = err.map_or("ok", ExecError::code);
         self.sample_peak();
         let m = &self.config.metrics;
         if m.is_enabled() {
             m.add("exec_stops_total", &[("reason", reason)], 1);
-            if self.counting_ticks() {
-                m.add("exec_fuel_ticks_total", &[], self.fuel_used);
+            if self.observed {
+                m.add("exec_fuel_ticks_total", &[], self.fuel_ticks());
             }
             m.gauge_max("exec_heap_hwm_bytes", &[], self.stats.peak_bytes as u64);
-        }
-        if let Some(fr) = &self.config.flight {
-            fr.record(
-                "exec",
-                "stop",
-                &[
-                    ("reason", ade_obs::FieldValue::from(reason)),
-                    ("fuel_ticks", ade_obs::FieldValue::from(self.fuel_used)),
-                    (
-                        "heap_hwm_bytes",
-                        ade_obs::FieldValue::from(self.stats.peak_bytes),
-                    ),
-                ],
-            );
         }
     }
 
@@ -763,24 +760,7 @@ impl<'m> Interpreter<'m> {
         // a per-instruction stride rather than a fixed 1.
         while idx < end {
             let inst = &func.code[idx];
-            self.fuel_used += 1;
-            if let Some(fuel) = self.config.fuel {
-                if self.fuel_used > fuel {
-                    return Err(ExecError::LimitExceeded {
-                        limit: Limit::Fuel,
-                        budget: fuel,
-                    });
-                }
-            }
-            // Quantum countdown piggybacks on the fuel tick: one unit
-            // per executed instruction, checked only when a session is
-            // attached (one branch on an `Option` discriminant, like
-            // the profiler). Parking at quantum exhaustion has no
-            // observable effect, so results are byte-identical for
-            // every quantum size.
-            if self.preempt.is_some() {
-                self.quantum_tick()?;
-            }
+            self.tick()?;
             // Point the profiler's attribution cursor at this site.
             // Nested regions re-aim it per instruction, so work done by a
             // loop body lands on the body's sites, not the loop header's.
@@ -861,15 +841,17 @@ impl<'m> Interpreter<'m> {
             }
             DInst::ForEach { .. } => self.exec_foreach(d, fid, func, frame, inst, phase_start),
             DInst::ForRange { .. } => self.exec_forrange(d, fid, func, frame, inst, phase_start),
+            // Bulk loop plans run only when per-instruction accounting
+            // is unobserved; otherwise the generic loop replays it.
             DInst::ForEachBulk { .. } => {
-                if self.bulk_enabled() {
+                if !self.observed {
                     self.exec_foreach_bulk(fid, func, frame, inst)
                 } else {
                     self.exec_foreach(d, fid, func, frame, inst, phase_start)
                 }
             }
             DInst::ForRangeBulk { .. } => {
-                if self.bulk_enabled() {
+                if !self.observed {
                     self.exec_forrange_bulk(fid, func, frame, inst)
                 } else {
                     self.exec_forrange(d, fid, func, frame, inst, phase_start)
@@ -978,67 +960,63 @@ impl<'m> Interpreter<'m> {
     }
 
     /// Per-component preamble for the non-head slots of a fused window:
-    /// the fuel tick, fuel check, and profiler re-aim the dispatch loop
-    /// would have performed had the component dispatched on its own.
+    /// the tick and profiler re-aim the dispatch loop would have
+    /// performed had the component dispatched on its own.
     #[inline]
     fn fused_step(&mut self, fid: FuncId, site: usize) -> Result<(), ExecError> {
-        // With no fuel limit and no profiler attached, the replayed
-        // bookkeeping has no observable effect (`fuel_used` is only
-        // ever compared against `config.fuel`), so the straight-line
+        // When nothing observes per-instruction accounting, the
+        // replayed bookkeeping has no effect, so the straight-line
         // window skips it — this is where fusion buys its wall time.
-        if self.config.fuel.is_none() && self.profiler.is_none() && self.preempt.is_none() {
+        if !self.observed {
             return Ok(());
         }
-        self.fuel_used += 1;
-        if let Some(fuel) = self.config.fuel {
-            if self.fuel_used > fuel {
-                return Err(ExecError::LimitExceeded {
-                    limit: Limit::Fuel,
-                    budget: fuel,
-                });
-            }
-        }
-        if self.preempt.is_some() {
-            self.quantum_tick()?;
-        }
+        self.tick()?;
         if let Some(p) = self.profiler.as_deref_mut() {
             p.set_site(fid.0, site as u32);
         }
         Ok(())
     }
 
-    /// One quantum unit consumed; refills (parking if necessary) at
-    /// exhaustion. Split so the common decrement inlines into the
-    /// dispatch loop and the handshake stays out of line.
+    /// One instruction tick: the single budget check. Only the
+    /// countdown reaching zero leaves the inlined fast path.
     #[inline]
-    fn quantum_tick(&mut self) -> Result<(), ExecError> {
-        if self.quantum_left > 0 {
-            self.quantum_left -= 1;
-            return Ok(());
+    fn tick(&mut self) -> Result<(), ExecError> {
+        if self.ticks_left == 0 {
+            self.tick_boundary()?;
         }
-        self.quantum_refill()
+        self.ticks_left -= 1;
+        Ok(())
     }
 
-    /// Blocks until the session controller grants the next quantum (or
-    /// returns the cancellation it requested). Pausing here is the only
-    /// thing that distinguishes sliced execution from a straight run —
-    /// and it touches no interpreter state, which is why checksums,
-    /// stats, profiles and trap sites are byte-identical for every
-    /// quantum size.
+    /// The countdown ran out: either the fuel is spent
+    /// ([`Limit::Fuel`]) or the session grant is, in which case this
+    /// blocks until the controller grants the next quantum (or returns
+    /// the cancellation it requested). Parking touches no interpreter
+    /// state, which is why checksums, stats, profiles and trap sites
+    /// are byte-identical for every quantum size. Leaves at least one
+    /// tick in the countdown on success.
     #[cold]
-    fn quantum_refill(&mut self) -> Result<(), ExecError> {
-        let shared = std::sync::Arc::clone(self.preempt.as_ref().expect("preempt attached"));
-        let granted = shared.take_grant()?;
+    #[inline(never)]
+    fn tick_boundary(&mut self) -> Result<(), ExecError> {
+        self.ticks_spent += self.window;
+        self.window = 0;
+        let fuel_left = match self.config.fuel {
+            Some(fuel) if self.ticks_spent >= fuel => {
+                return Err(ExecError::LimitExceeded {
+                    limit: Limit::Fuel,
+                    budget: fuel,
+                })
+            }
+            Some(fuel) => fuel - self.ticks_spent,
+            None => u64::MAX,
+        };
+        // Fuel is left, so the window that ran out was a session grant
+        // (an unarmed batch window is `u64::MAX` ticks long).
+        let session = self.session.as_ref().expect("only a session grant ends early");
+        let granted = session.take_grant()?;
         self.config.metrics.add("exec_quanta_total", &[], 1);
-        if let Some(fr) = &self.config.flight {
-            fr.record(
-                "exec",
-                "grant",
-                &[("fuel", ade_obs::FieldValue::from(granted))],
-            );
-        }
-        // The instruction that triggered the refill consumes one unit.
-        self.quantum_left = granted.saturating_sub(1);
+        self.window = fuel_left.min(granted);
+        self.ticks_left = self.window;
         Ok(())
     }
 
@@ -1701,22 +1679,6 @@ impl<'m> Interpreter<'m> {
         }
         self.pool_put(carried);
         Ok(Flow::Continue)
-    }
-
-    /// Whether bulk loop plans may run. Any configuration that makes
-    /// per-iteration accounting observable — a fuel budget (each body
-    /// instruction ticks fuel), an attached profiler (per-site
-    /// attribution and size high-water marks), a depth limit (each
-    /// iteration enters the body region), or a preemption session
-    /// (each instruction is a quantum boundary) — routes bulk headers
-    /// through the generic loop instead, which replays those
-    /// observables per-instruction and byte-identically.
-    #[inline]
-    fn bulk_enabled(&self) -> bool {
-        self.config.fuel.is_none()
-            && self.profiler.is_none()
-            && self.config.max_depth.is_none()
-            && self.preempt.is_none()
     }
 
     /// Bulk `foreach`: one header dispatch for the whole nest. The

@@ -9,7 +9,10 @@
 //! can be cancelled ([`ExecSession::cancel`]) with a typed
 //! [`StopReason`] (`deadline`, `cancelled`, `shed`), which the
 //! interpreter observes at the next quantum boundary and returns as
-//! [`ExecError::Preempted`].
+//! [`ExecError::Preempted`]. [`ExecSession::run_until`] is the one
+//! wall-deadline loop (`adec --deadline-ms`, `reproduce --cell-timeout`):
+//! it steps fixed quanta and cancels with [`StopReason::Deadline`] at
+//! the first boundary past an [`Instant`].
 //!
 //! The interpreter is a recursive tree-walker, so "pause" is
 //! implemented as a thread handshake rather than a state-machine
@@ -17,11 +20,13 @@
 //! that blocks on a condvar whenever its quantum runs out. Parking
 //! touches no interpreter state, and a session-attached interpreter
 //! routes the bulk/fused fast paths through the generic
-//! per-instruction loop, so outputs, statistics, per-site profiles and
+//! per-instruction loop (a grant is one more input to the
+//! interpreter's single tick countdown), so outputs, statistics, per-site profiles and
 //! trap sites are byte-identical for **every** quantum size — the
 //! quantum-invariance differential tests pin this.
 
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
 use crate::decode::DecodedModule;
 use crate::exec::{ExecConfig, ExecError, Interpreter, Outcome};
@@ -138,6 +143,11 @@ impl ExecSession {
     /// size batch runs use ([`Interpreter::run`]), since guest programs
     /// may recurse deeply.
     const STACK: usize = 256 * 1024 * 1024;
+
+    /// Instructions per grant under [`ExecSession::run_until`]: coarse
+    /// enough that the park/grant handshake is noise next to real work,
+    /// fine enough that a deadline is noticed within milliseconds.
+    const DEADLINE_SLICE: u64 = 1 << 16;
 
     /// Spawns a session executing `entry` under `config`. The session
     /// starts *paused*: no guest instruction runs until the first
@@ -266,6 +276,26 @@ impl ExecSession {
             Step::Running => unreachable!("an unlimited grant only returns on completion"),
         }
     }
+
+    /// Runs the remainder of the program in fixed quanta, cancelling
+    /// with [`StopReason::Deadline`] at the first quantum boundary at or
+    /// past `deadline`. Slicing is observationally inert, so a run that
+    /// finishes in time returns exactly the batch outcome.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExecSession::step`]; `Preempted { reason: Deadline }` once
+    /// the deadline passes.
+    pub fn run_until(mut self, deadline: Instant) -> Result<Outcome, ExecError> {
+        loop {
+            if Instant::now() >= deadline {
+                self.cancel(StopReason::Deadline);
+            }
+            if let Step::Done(outcome) = self.step(Some(Self::DEADLINE_SLICE))? {
+                return Ok(*outcome);
+            }
+        }
+    }
 }
 
 impl Drop for ExecSession {
@@ -340,6 +370,67 @@ mod tests {
         let outcome = session.run_to_completion().expect("completes");
         assert_eq!(outcome.result, batch.result);
         assert_eq!(outcome.stats.totals(), batch.stats.totals());
+    }
+
+    #[test]
+    fn fuel_ticks_are_exact_when_observed_and_zero_otherwise() {
+        let module = parse_module(LOOPY).expect("parses");
+        let batch = |config: ExecConfig| Interpreter::new(&module, config).run("main");
+        let ticks = |config: ExecConfig| batch(config).expect("runs").fuel_ticks;
+        assert_eq!(ticks(ExecConfig::default()), 0, "a plain run counts nothing");
+        let exact = ExecSession::spawn(decoded(LOOPY), "main", ExecConfig::default())
+            .expect("spawns")
+            .run_to_completion()
+            .expect("completes")
+            .fuel_ticks;
+        assert!(exact > 3 * 200, "every slot of 200 iterations, fused padding included: {exact}");
+        let fuel = |n| ExecConfig {
+            fuel: Some(n),
+            ..ExecConfig::default()
+        };
+        assert_eq!(ticks(fuel(exact)), exact, "fuel");
+        let profiled = ExecConfig {
+            profile: true,
+            ..ExecConfig::default()
+        };
+        assert_eq!(ticks(profiled), exact, "profiler");
+        let depth = ExecConfig {
+            max_depth: Some(64),
+            ..ExecConfig::default()
+        };
+        assert_eq!(ticks(depth), exact, "depth limit");
+        assert_eq!(
+            batch(fuel(exact - 1)).expect_err("one tick short"),
+            ExecError::LimitExceeded {
+                limit: crate::trap::Limit::Fuel,
+                budget: exact - 1
+            }
+        );
+    }
+
+    #[test]
+    fn run_until_completes_before_the_deadline_and_stops_after_it() {
+        let module = parse_module(LOOPY).expect("parses");
+        let batch = Interpreter::new(&module, ExecConfig::default())
+            .run("main")
+            .expect("batch runs");
+        let later = Instant::now() + std::time::Duration::from_secs(600);
+        let outcome = ExecSession::spawn(decoded(LOOPY), "main", ExecConfig::default())
+            .expect("spawns")
+            .run_until(later)
+            .expect("finishes in time");
+        assert_eq!(outcome.output, batch.output);
+        assert_eq!(outcome.stats.totals(), batch.stats.totals());
+        let err = ExecSession::spawn(decoded(LOOPY), "main", ExecConfig::default())
+            .expect("spawns")
+            .run_until(Instant::now())
+            .expect_err("deadline already passed");
+        assert_eq!(
+            err,
+            ExecError::Preempted {
+                reason: StopReason::Deadline
+            }
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Minimal JSON support: escaped string/number writers for the fixed
-//! schemas this workspace emits, a tiny validating parser so tests and
-//! CI can check emitted files without external tooling, and a [`Value`]
-//! tree parser for the schemas this workspace also *reads back*
-//! (`ade-site-profile-v1`).
+//! schemas this workspace emits, and one [`Value`] tree parser for the
+//! schemas this workspace also *reads back* (`ade-site-profile-v1`).
+//! [`validate`] runs the same parser, so tests and CI can check emitted
+//! files without external tooling.
 
 /// Appends `s` as a JSON string literal (with quotes) to `out`.
 pub fn write_string(out: &mut String, s: &str) {
@@ -36,94 +36,19 @@ pub fn write_f64(out: &mut String, v: f64) {
 }
 
 /// Validates that `s` is a single well-formed JSON value (with optional
-/// surrounding whitespace).
+/// surrounding whitespace) — exactly what [`Value::parse`] accepts,
+/// nesting bound included.
 ///
 /// # Errors
 ///
 /// Returns a byte-offset-tagged message on the first syntax error.
 pub fn validate(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
+    Value::parse(s).map(|_| ())
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}", pos = *pos)),
-        None => Err(format!("unexpected end of input at byte {pos}", pos = *pos)),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-        }
     }
 }
 
@@ -490,5 +415,6 @@ mod tests {
         // Nesting past the recursion bound is an error, not a crash.
         let deep = format!("{}1{}", "[".repeat(4000), "]".repeat(4000));
         assert!(Value::parse(&deep).is_err());
+        assert!(validate(&deep).is_err());
     }
 }

@@ -233,3 +233,51 @@ fn ade_bench_run(
         .run("main")
         .expect("runs")
 }
+
+/// The interpreter's one tick countdown serves both fuel and session
+/// grants. With N = a paper program's exact tick count (taken from a
+/// session run), fuel N must suffice and fuel N−1 must fail with the
+/// same limit error under batch execution and under sessions at every
+/// quantum size, whichever of the two budgets runs out first.
+#[test]
+fn fuel_boundary_is_exact_under_batch_and_every_quantum() {
+    use ade::interp::{ExecError, ExecSession, Limit, Outcome, Step};
+    use std::sync::Arc;
+
+    let bench = ade::workloads::bench::benchmark_by_abbrev("BFS").expect("bfs");
+    let config = Config::new(ConfigKind::Ade);
+    let mut module = (bench.build)(4);
+    config.compile(&mut module);
+    let decoded = Arc::new(DecodedModule::decode_with(&module, &DecodeOptions::default()));
+    let with_fuel = |fuel| ExecConfig {
+        fuel,
+        ..config.exec.clone()
+    };
+    let session = |exec: ExecConfig, quantum: Option<u64>| -> Result<Outcome, ExecError> {
+        let mut session = ExecSession::spawn(Arc::clone(&decoded), "main", exec)?;
+        loop {
+            if let Step::Done(outcome) = session.step(quantum)? {
+                return Ok(*outcome);
+            }
+        }
+    };
+    let batch = |fuel| Interpreter::new(&module, with_fuel(Some(fuel))).run_decoded(&decoded, "main");
+
+    let n = session(with_fuel(None), None).expect("runs").fuel_ticks;
+    assert!(n > 0, "a session counts every tick");
+    let full = batch(n).expect("fuel N suffices");
+    assert_eq!(full.fuel_ticks, n);
+    let tripped = ExecError::LimitExceeded {
+        limit: Limit::Fuel,
+        budget: n - 1,
+    };
+    assert_eq!(batch(n - 1).expect_err("fuel N-1 trips"), tripped);
+    for quantum in [Some(1), Some(7), Some(4096), None] {
+        let sliced = session(with_fuel(Some(n)), quantum)
+            .unwrap_or_else(|e| panic!("quantum {quantum:?}: fuel N must suffice: {e}"));
+        assert_eq!(sliced.output, full.output, "quantum {quantum:?}");
+        assert_eq!(sliced.fuel_ticks, n, "quantum {quantum:?}");
+        let err = session(with_fuel(Some(n - 1)), quantum).expect_err("fuel N-1 trips");
+        assert_eq!(err, tripped, "quantum {quantum:?}");
+    }
+}
