@@ -421,8 +421,7 @@ pub fn plan_module_traced(
                 };
                 let fa = &analyses[fidx as usize];
                 if !elem_matches
-                    || crate::patch::uses_to_patch_propagator(fa.func, &fa.chains, entity)
-                        .is_none()
+                    || fa.piece(entity, true).is_none()
                 {
                     role.propagator = false;
                 }
@@ -489,8 +488,7 @@ pub fn plan_module_traced(
                     };
                     let fa = &analyses[fidx as usize];
                     if !elem_matches
-                        || crate::patch::uses_to_patch_propagator(fa.func, &fa.chains, entity)
-                            .is_none()
+                        || fa.piece(entity, true).is_none()
                     {
                         role.propagator = false;
                     }

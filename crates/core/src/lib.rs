@@ -24,6 +24,10 @@
 //!    local CSE of translations, followed by [`opt`] cleanup (dead code
 //!    elimination and constant folding).
 //!
+//! Steps 1–4 query each function through one [`index::FuncIndex`] (use
+//! sites, parent regions, region owners) built once per function, so
+//! the pass stays near-linear in function size.
+//!
 //! # Examples
 //!
 //! Enumerate the paper's Listing 1 histogram and check the program still
@@ -73,6 +77,7 @@
 #![forbid(unsafe_code)]
 
 pub mod feedback;
+pub mod index;
 pub mod interproc;
 pub mod opt;
 pub mod patch;

@@ -106,14 +106,12 @@ pub struct PatchSets {
 }
 
 impl PatchSets {
-    /// Union of two patch sets (used when computing a candidate's
-    /// combined benefit, Algorithm 3).
-    pub fn merged(&self, other: &PatchSets) -> PatchSets {
-        PatchSets {
-            to_enc: self.to_enc.union(&other.to_enc).copied().collect(),
-            to_dec: self.to_dec.union(&other.to_dec).copied().collect(),
-            to_add: self.to_add.union(&other.to_add).copied().collect(),
-        }
+    /// Adds every site of `other` (merging one member's sets into a
+    /// candidate's, Algorithm 3).
+    pub fn extend(&mut self, other: &PatchSets) {
+        self.to_enc.extend(&other.to_enc);
+        self.to_dec.extend(&other.to_dec);
+        self.to_add.extend(&other.to_add);
     }
 
     /// Total number of sites.
@@ -189,33 +187,6 @@ fn path_index_steps(op: &ade_ir::Operand) -> usize {
         .iter()
         .filter(|a| matches!(a, Access::Index(_)))
         .count()
-}
-
-/// Every use site of `value` in the function (plain operands and path
-/// indices).
-pub fn uses_of(func: &Function, value: ValueId) -> Vec<UseSite> {
-    use_index(func).remove(&value).unwrap_or_default()
-}
-
-/// All use sites of every value, from one scan of the function — build
-/// this once when querying many values (the φ-web closure does).
-pub fn use_index(func: &Function) -> std::collections::HashMap<ValueId, Vec<UseSite>> {
-    let mut out: std::collections::HashMap<ValueId, Vec<UseSite>> = Default::default();
-    for inst_id in func.all_insts() {
-        let inst = func.inst(inst_id);
-        for (n, op) in inst.operands.iter().enumerate() {
-            out.entry(op.base).or_default().push(UseSite::plain(inst_id, n));
-            for (step, a) in op.path.iter().enumerate() {
-                if let Access::Index(Scalar::Value(v)) = a {
-                    out.entry(*v).or_default().push(UseSite {
-                        inst: inst_id,
-                        pos: OperandPos::PathIndex { operand: n, step },
-                    });
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Algorithm 1: uses to patch for an enumerated (key-translated)

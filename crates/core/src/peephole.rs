@@ -13,6 +13,7 @@
 //!   enumeration reuse the first result (identifiers are stable because
 //!   values are never removed from an enumeration).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 use ade_ir::{CmpOp, EnumId, Function, InstKind, Module, Operand, RegionId, ValueId};
@@ -98,14 +99,22 @@ pub fn run_function(func: &mut Function) -> usize {
         // add to the same enumeration (an absent key encodes to a
         // sentinel), so enc entries are invalidated at adds, calls and
         // control flow; `add` and `dec` results are stable forever.
-        let mut seen: HashMap<(u8, EnumId, ValueId), (ValueId, TransKind)> = HashMap::new();
+        let mut seen = CseMap::new();
+        // The arguments of each enumeration's live plain-`enc` entries
+        // (an entry since strengthened to `add` may linger), so that
+        // invalidation visits only the entries it removes.
+        let mut live_encs: HashMap<EnumId, Vec<ValueId>> = HashMap::new();
         let insts = func.region(r).insts.clone();
         for inst_id in insts {
             let inst = func.inst(inst_id);
             let Some((kind, e)) = translation_of(&inst.kind) else {
                 if matches!(inst.kind, InstKind::Call(_)) || inst.kind.is_control() {
                     // Callees and nested regions may add to enumerations.
-                    seen.retain(|_, (_, k)| *k != TransKind::Enc);
+                    for (e, args) in live_encs.drain() {
+                        for v in args {
+                            forget_enc(&mut seen, e, v);
+                        }
+                    }
                 }
                 continue;
             };
@@ -117,9 +126,15 @@ pub fn run_function(func: &mut Function) -> usize {
             if kind == TransKind::Add {
                 // Invalidate every enc of this enumeration except a
                 // same-value one, which the add strengthens below.
-                seen.retain(|(_, se, sv), (_, k)| {
-                    !(*k == TransKind::Enc && *se == e && *sv != arg)
-                });
+                if let Some(args) = live_encs.get_mut(&e) {
+                    args.retain(|&v| {
+                        if v == arg {
+                            return true;
+                        }
+                        forget_enc(&mut seen, e, v);
+                        false
+                    });
+                }
             }
             match seen.get(&(class, e, arg)).copied() {
                 Some((prev, prev_kind)) => {
@@ -135,6 +150,9 @@ pub fn run_function(func: &mut Function) -> usize {
                 }
                 None => {
                     seen.insert((class, e, arg), (inst.results[0], kind));
+                    if kind == TransKind::Enc {
+                        live_encs.entry(e).or_default().push(arg);
+                    }
                 }
             }
         }
@@ -145,6 +163,20 @@ pub fn run_function(func: &mut Function) -> usize {
     // shared DCE removes them (adds are kept for their side effect).
     crate::opt::eliminate_dead(func);
     removed
+}
+
+/// Per-region CSE entries: (0 for `enc`/`add`, 1 for `dec`; enumeration;
+/// argument) → (first result, its translation kind).
+type CseMap = HashMap<(u8, EnumId, ValueId), (ValueId, TransKind)>;
+
+/// Removes the CSE entry of `enc(e, v)` unless an `add` has since
+/// strengthened it.
+fn forget_enc(seen: &mut CseMap, e: EnumId, v: ValueId) {
+    if let Entry::Occupied(entry) = seen.entry((0, e, v)) {
+        if entry.get().1 == TransKind::Enc {
+            entry.remove();
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -304,6 +336,113 @@ fn @f(%i: idx, %s: Set{Bit}<idx>) -> void {
         assert_eq!(removed, 0);
         let text = print_module(&m);
         assert!(text.contains("enc e1"), "{text}");
+    }
+
+    /// Runs the peephole on `@f`'s body (with a callee `@g` available)
+    /// and returns the printed module and the number of rewrites.
+    fn run_body(body: &str) -> (String, usize) {
+        let (m, removed) = run_on(&format!(
+            "enum e0: u64\nenum e1: u64\n\n\
+             fn @f(%v: u64, %w: u64, %i: idx, %t: bool, %n: u64, %s: Set{{Bit}}<idx>) -> void {{\n\
+             {body}\n  ret\n}}\n\n\
+             fn @g() -> void {{\n  ret\n}}\n"
+        ));
+        (print_module(&m), removed)
+    }
+
+    #[test]
+    fn enumadd_of_another_value_invalidates_enc() {
+        // The add may grow e0, so the second enc of %v (which could have
+        // encoded to the sentinel before) must be recomputed.
+        let (text, removed) = run_body(
+            r#"
+  %a = enc e0, %v
+  %b = enumadd e0, %w
+  %c = enc e0, %v
+  %h1 = has %s, %a
+  %h2 = has %s, %c
+  print %h1, %h2, %b"#,
+        );
+        assert_eq!(removed, 0, "{text}");
+        assert_eq!(text.matches("enc e0, %v").count(), 2, "{text}");
+        assert!(text.contains("enumadd e0, %w"), "{text}");
+    }
+
+    #[test]
+    fn enumadd_in_another_enumeration_keeps_enc() {
+        let (text, removed) = run_body(
+            r#"
+  %a = enc e0, %v
+  %b = enumadd e1, %w
+  %c = enc e0, %v
+  %h1 = has %s, %a
+  %h2 = has %s, %c
+  print %h1, %h2, %b"#,
+        );
+        assert_eq!(removed, 1, "{text}");
+        assert_eq!(text.matches("enc e0, %v").count(), 1, "{text}");
+        assert!(text.contains("%h2 = has %s, %a"), "{text}");
+    }
+
+    #[test]
+    fn calls_and_control_flow_invalidate_enc() {
+        let between = [
+            "call @1()",
+            "if %t then {\n    yield\n  } else {\n    yield\n  }",
+            "%z = const 0u64\n  forrange %z, %n as (%k: u64) {\n    yield\n  }",
+        ];
+        for mid in between {
+            let (text, removed) = run_body(&format!(
+                r#"
+  %a = enc e0, %v
+  {mid}
+  %c = enc e0, %v
+  %h1 = has %s, %a
+  %h2 = has %s, %c
+  print %h1, %h2"#
+            ));
+            assert_eq!(removed, 0, "{mid}: {text}");
+            assert_eq!(text.matches("enc e0, %v").count(), 2, "{mid}: {text}");
+        }
+    }
+
+    #[test]
+    fn enc_then_add_of_same_value_keeps_add_and_later_enc_reuses_it() {
+        let (text, removed) = run_body(
+            r#"
+  %a = enc e0, %v
+  %b = enumadd e0, %v
+  %c = enc e0, %v
+  %h1 = has %s, %a
+  %h2 = has %s, %c
+  print %h1, %h2, %b"#,
+        );
+        assert_eq!(removed, 1, "{text}");
+        assert!(text.contains("%b = enumadd e0, %v"), "{text}");
+        assert!(text.contains("%h1 = has %s, %a"), "{text}");
+        assert!(text.contains("%h2 = has %s, %b"), "{text}");
+        assert_eq!(text.matches("enc e0, %v").count(), 1, "{text}");
+    }
+
+    #[test]
+    fn dec_and_add_entries_survive_control_flow() {
+        let (text, removed) = run_body(
+            r#"
+  %a = enumadd e0, %v
+  %x = dec e0, %i
+  call @1()
+  if %t then {
+    yield
+  } else {
+    yield
+  }
+  %b = enumadd e0, %v
+  %y = dec e0, %i
+  print %a, %x, %b, %y"#,
+        );
+        assert_eq!(removed, 2, "{text}");
+        assert!(text.contains("print %a, %x, %a, %x"), "{text}");
+        assert_eq!(text.matches("dec e0").count(), 1, "{text}");
     }
 
     #[test]

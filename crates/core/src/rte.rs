@@ -97,7 +97,7 @@ mod tests {
     use ade_ir::ValueId;
 
     use crate::patch::CollectionEntity;
-    use crate::share::{analyze_function, entity_patch_sets, members_patch_sets, Member, MemberRole};
+    use crate::share::{analyze_function, members_patch_sets, Member, MemberRole};
 
     fn entity(func: &ade_ir::Function, fa: &crate::share::FuncAnalysis<'_>, name: &str) -> CollectionEntity {
         let root = func
@@ -148,8 +148,10 @@ fn @f(%a: Set<u64>, %b: Set<u64>) -> void {
         let ea = entity(f, &fa, "a");
         let eb = entity(f, &fa, "b");
         let empty = Default::default();
-        let (sa, _, _) = entity_patch_sets(&fa, ea, KEYS, &empty).expect("sets");
-        let (sb, _, _) = entity_patch_sets(&fa, eb, KEYS, &empty).expect("sets");
+        let member = [Member { entity: ea, role: KEYS }];
+        let (sa, _, _) = members_patch_sets(&fa, &member, &empty).expect("sets");
+        let member = [Member { entity: eb, role: KEYS }];
+        let (sb, _, _) = members_patch_sets(&fa, &member, &empty).expect("sets");
         // Individually: no redundancy.
         assert_eq!(benefit(f, &sa), 0, "{sa:?}");
         assert_eq!(benefit(f, &sb), 0);
@@ -217,7 +219,8 @@ fn @find(%uf: Map<u64, u64>, %v: u64) -> u64 {
         let e = entity(f, &fa, "uf");
         let both = MemberRole { keys: true, propagator: true };
         let empty = Default::default();
-        let (sets, _, _) = entity_patch_sets(&fa, e, both, &empty).expect("propagatable");
+        let member = [Member { entity: e, role: both }];
+        let (sets, _, _) = members_patch_sets(&fa, &member, &empty).expect("propagatable");
         let trims = find_redundant(f, &sets);
         // read key (dec∩enc) and both `ne` operands → at least 4 trims.
         assert!(trims.benefit() >= 4, "{trims:?} from {sets:?}");
@@ -239,7 +242,8 @@ fn @find(%uf: Map<u64, u64>, %v: u64) -> u64 {
         let fa = analyze_function(&m, f);
         let e = entity(f, &fa, "s");
         let empty = Default::default();
-        let (sets, _, _) = entity_patch_sets(&fa, e, KEYS, &empty).expect("sets");
+        let member = [Member { entity: e, role: KEYS }];
+        let (sets, _, _) = members_patch_sets(&fa, &member, &empty).expect("sets");
         assert_eq!(benefit(f, &sets), 0);
     }
 }

@@ -9,11 +9,14 @@
 //! greedy and must beat the sum of its parts on the benefit heuristic;
 //! §III-I directives override the heuristic.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::rc::Rc;
 
 use ade_analysis::{EscapeAnalysis, RedefChains};
 use ade_ir::{Function, InstId, InstKind, Module, Type, ValueId};
 
+use crate::index::FuncIndex;
 use crate::patch::{
     key_roots, propagator_roots, uses_to_patch_keys, uses_to_patch_propagator, CollectionEntity,
     PatchSets,
@@ -53,8 +56,20 @@ pub struct Candidate {
     pub forced: bool,
 }
 
+/// One entity's contribution to a candidate in one role: its patch sets
+/// (Algorithm 1 for keys, Algorithm 4 for a propagator) and the
+/// identifier roots its φ-web grows from.
+#[derive(Debug)]
+pub(crate) struct RolePiece {
+    /// Sites to patch before the φ-web closure.
+    pub(crate) sets: PatchSets,
+    /// Identifier roots (for-each key bindings, or propagator reads and
+    /// value bindings).
+    pub(crate) roots: BTreeSet<ValueId>,
+}
+
 /// Cached per-function analysis state shared by candidate formation and
-/// the transformer.
+/// interprocedural planning.
 pub struct FuncAnalysis<'f> {
     /// The function under analysis.
     pub func: &'f Function,
@@ -68,6 +83,46 @@ pub struct FuncAnalysis<'f> {
     /// All entities that may join candidates (seeds plus sequences and
     /// nested collections).
     pub all_entities: Vec<(CollectionEntity, Option<InstId>)>,
+    /// Use sites, parent regions and region owners.
+    pub index: FuncIndex,
+    /// Memoized [`FuncAnalysis::piece`] answers.
+    pieces: RefCell<PieceMemo>,
+}
+
+/// [`FuncAnalysis::piece`] answers keyed by entity and whether the role
+/// is the propagator one.
+type PieceMemo = HashMap<(CollectionEntity, bool), Option<Rc<RolePiece>>>;
+
+impl FuncAnalysis<'_> {
+    /// `entity`'s patch sets and identifier roots as a keys member
+    /// (`propagator == false`) or as a propagator (`None` when Algorithm 4
+    /// rejects it). Each answer is computed once and shared by every
+    /// benefit query of Algorithm 3.
+    pub(crate) fn piece(
+        &self,
+        entity: CollectionEntity,
+        propagator: bool,
+    ) -> Option<Rc<RolePiece>> {
+        if let Some(piece) = self.pieces.borrow().get(&(entity, propagator)) {
+            return piece.clone();
+        }
+        let piece = if propagator {
+            uses_to_patch_propagator(self.func, &self.chains, entity).map(|sets| RolePiece {
+                sets,
+                roots: propagator_roots(self.func, &self.chains, entity),
+            })
+        } else {
+            Some(RolePiece {
+                sets: uses_to_patch_keys(self.func, &self.chains, entity),
+                roots: key_roots(self.func, &self.chains, entity),
+            })
+        }
+        .map(Rc::new);
+        self.pieces
+            .borrow_mut()
+            .insert((entity, propagator), piece.clone());
+        piece
+    }
 }
 
 /// Builds the per-function analysis state.
@@ -146,6 +201,8 @@ pub fn analyze_function<'f>(module: &Module, func: &'f Function) -> FuncAnalysis
         escape,
         seed_entities,
         all_entities,
+        index: FuncIndex::build(func),
+        pieces: RefCell::default(),
     }
 }
 
@@ -156,37 +213,10 @@ fn allocations(func: &Function) -> Vec<InstId> {
         .collect()
 }
 
-/// The patch sets for one entity in one role, with φ-web closure
-/// (`claimed` values belong to other enumerations' webs).
-pub fn entity_patch_sets(
-    fa: &FuncAnalysis<'_>,
-    entity: CollectionEntity,
-    role: MemberRole,
-    claimed: &BTreeSet<ValueId>,
-) -> Option<(PatchSets, PhiWeb, BTreeSet<ValueId>)> {
-    let mut sets = PatchSets::default();
-    let mut roots = BTreeSet::new();
-    if role.keys {
-        sets = sets.merged(&uses_to_patch_keys(fa.func, &fa.chains, entity));
-        roots.extend(key_roots(fa.func, &fa.chains, entity));
-    }
-    if role.propagator {
-        let prop = uses_to_patch_propagator(fa.func, &fa.chains, entity)?;
-        sets = sets.merged(&prop);
-        roots.extend(propagator_roots(fa.func, &fa.chains, entity));
-    }
-    let web = compute_web(fa.func, &roots, claimed);
-    for &s in &web.sinks {
-        sets.to_dec.insert(s);
-    }
-    for &s in &web.boundary_adds {
-        sets.to_add.insert(s);
-    }
-    Some((sets, web, roots))
-}
-
 /// Merged patch sets of a whole member list (one shared enumeration):
-/// one φ-web over all members' roots.
+/// the members' memoized pieces plus one φ-web over all their roots
+/// (`claimed` values belong to other enumerations' webs). `None` when a
+/// propagator member cannot propagate.
 pub fn members_patch_sets(
     fa: &FuncAnalysis<'_>,
     members: &[Member],
@@ -195,23 +225,17 @@ pub fn members_patch_sets(
     let mut sets = PatchSets::default();
     let mut roots = BTreeSet::new();
     for m in members {
-        if m.role.keys {
-            sets = sets.merged(&uses_to_patch_keys(fa.func, &fa.chains, m.entity));
-            roots.extend(key_roots(fa.func, &fa.chains, m.entity));
-        }
-        if m.role.propagator {
-            let prop = uses_to_patch_propagator(fa.func, &fa.chains, m.entity)?;
-            sets = sets.merged(&prop);
-            roots.extend(propagator_roots(fa.func, &fa.chains, m.entity));
+        for (wanted, propagator) in [(m.role.keys, false), (m.role.propagator, true)] {
+            if wanted {
+                let piece = fa.piece(m.entity, propagator)?;
+                sets.extend(&piece.sets);
+                roots.extend(&piece.roots);
+            }
         }
     }
-    let web = compute_web(fa.func, &roots, claimed);
-    for &s in &web.sinks {
-        sets.to_dec.insert(s);
-    }
-    for &s in &web.boundary_adds {
-        sets.to_add.insert(s);
-    }
+    let web = compute_web(fa.func, &fa.index, &roots, claimed);
+    sets.to_dec.extend(&web.sinks);
+    sets.to_add.extend(&web.boundary_adds);
     Some((sets, web, roots))
 }
 

@@ -9,6 +9,8 @@
 //! identifiers propagate through carried values exactly as in the
 //! paper's Listing 4 without any explicit φ surgery.
 
+use std::collections::HashMap;
+
 use ade_analysis::RedefChains;
 use ade_ir::{
     Access, ConstVal, EnumDecl, EnumId, Function, Inst, InstId, InstKind, Module, Operand,
@@ -95,21 +97,23 @@ pub fn apply_traced(
         }
         // All decodes first, then all encodes/adds, so that a site owned
         // by two enumerations composes as `enc(e1, dec(e2, x))`.
+        let mut placed = Vec::new();
         for cand in &func_plan.candidates {
             let enum_id = EnumId::from_index(enum_base + cand.enum_idx);
-            for site in cand.sets.to_dec.iter().copied().collect::<Vec<_>>() {
-                wrap_site(func, site, InstKind::Dec(enum_id));
+            for &site in &cand.sets.to_dec {
+                wrap_site(func, site, InstKind::Dec(enum_id), &mut placed);
             }
         }
         for cand in &func_plan.candidates {
             let enum_id = EnumId::from_index(enum_base + cand.enum_idx);
-            for site in cand.sets.to_enc.iter().copied().collect::<Vec<_>>() {
-                wrap_site(func, site, InstKind::Enc(enum_id));
+            for &site in &cand.sets.to_enc {
+                wrap_site(func, site, InstKind::Enc(enum_id), &mut placed);
             }
-            for site in cand.sets.to_add.iter().copied().collect::<Vec<_>>() {
-                wrap_site(func, site, InstKind::EnumAdd(enum_id));
+            for &site in &cand.sets.to_add {
+                wrap_site(func, site, InstKind::EnumAdd(enum_id), &mut placed);
             }
         }
+        splice_before(func, &placed);
         repair_types_with_enums(func, &ret_tys, &enum_tys);
     }
     report
@@ -181,10 +185,16 @@ fn retype_roots(func: &mut Function, cand: &PlannedCandidate) {
     }
 }
 
-/// Wraps the value at `site` in a translation instruction inserted just
-/// before the using instruction. Result types are provisional
-/// (`repair_types` finalizes them).
-fn wrap_site(func: &mut Function, site: UseSite, kind: InstKind) {
+/// Wraps the value at `site` in a translation instruction, recorded in
+/// `placed` to be spliced just before the using instruction (see
+/// [`splice_before`]). Result types are provisional (`repair_types`
+/// finalizes them).
+fn wrap_site(
+    func: &mut Function,
+    site: UseSite,
+    kind: InstKind,
+    placed: &mut Vec<(InstId, InstId)>,
+) {
     // The value currently used at the site (it may already have been
     // rewritten by an earlier patch at the same position).
     let current: Operand = match site.pos {
@@ -196,6 +206,7 @@ fn wrap_site(func: &mut Function, site: UseSite, kind: InstKind) {
                     // Materialize the constant so it can be translated.
                     let cv = new_inst_before(
                         func,
+                        placed,
                         site.inst,
                         InstKind::Const(ConstVal::U64(c)),
                         vec![],
@@ -214,7 +225,7 @@ fn wrap_site(func: &mut Function, site: UseSite, kind: InstKind) {
         InstKind::Enc(_) | InstKind::EnumAdd(_) => Type::Idx,
         _ => Type::Void, // Dec: fixed by repair from the enum declaration.
     };
-    let new_val = new_inst_before(func, site.inst, kind, vec![current], result_ty);
+    let new_val = new_inst_before(func, placed, site.inst, kind, vec![current], result_ty);
     match site.pos {
         OperandPos::Plain(n) => {
             func.inst_mut(site.inst).operands[n] = Operand::value(new_val);
@@ -226,10 +237,11 @@ fn wrap_site(func: &mut Function, site: UseSite, kind: InstKind) {
     }
 }
 
-/// Creates an instruction with one result and inserts it immediately
-/// before `before` in its containing region.
+/// Creates an instruction with one result and records it in `placed`
+/// to be spliced immediately before `before`.
 fn new_inst_before(
     func: &mut Function,
+    placed: &mut Vec<(InstId, InstId)>,
     before: InstId,
     kind: InstKind,
     operands: Vec<Operand>,
@@ -251,14 +263,34 @@ fn new_inst_before(
         regions: vec![],
         results: vec![value],
     });
-    let region = func.parent_region(before);
-    let pos = func.regions[region.index()]
-        .insts
-        .iter()
-        .position(|&i| i == before)
-        .expect("inst in region");
-    func.regions[region.index()].insts.insert(pos, inst_id);
+    placed.push((before, inst_id));
     value
+}
+
+/// Inserts each `(before, new)` pair's new instruction immediately
+/// before `before` in the region containing it, keeping the pairs'
+/// order among instructions placed before the same one — one pass over
+/// the function's regions.
+fn splice_before(func: &mut Function, placed: &[(InstId, InstId)]) {
+    let mut pending: HashMap<InstId, Vec<InstId>> = HashMap::new();
+    for &(before, new) in placed {
+        pending.entry(before).or_default().push(new);
+    }
+    for region in &mut func.regions {
+        if pending.is_empty() {
+            break;
+        }
+        if !region.insts.iter().any(|i| pending.contains_key(i)) {
+            continue;
+        }
+        let mut insts = Vec::with_capacity(region.insts.len());
+        for i in std::mem::take(&mut region.insts) {
+            insts.extend(pending.remove(&i).unwrap_or_default());
+            insts.push(i);
+        }
+        region.insts = insts;
+    }
+    assert!(pending.is_empty(), "translation site outside every region");
 }
 
 /// Recomputes every derived value type from operand types until a fixed
@@ -407,6 +439,151 @@ fn set_ty(func: &mut Function, v: ValueId, ty: Type) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::FuncIndex;
+    use crate::interproc::FuncPlan;
+    use crate::patch::PatchSets;
+    use ade_ir::parse::parse_module;
+
+    /// Applies hand-written patch sets (one candidate per entry, each
+    /// with its own `u64` enumeration and no retyped members) to `@f`.
+    fn apply_sets(text: &str, sets: impl Fn(&Function) -> Vec<PatchSets>) -> Module {
+        let mut module = parse_module(text).expect("parses");
+        let candidates: Vec<PlannedCandidate> = sets(&module.funcs[0])
+            .into_iter()
+            .enumerate()
+            .map(|(enum_idx, sets)| PlannedCandidate {
+                enum_idx,
+                members: Vec::new(),
+                sets,
+                web_members: Default::default(),
+                benefit: 0,
+            })
+            .collect();
+        let plan = ModulePlan {
+            enum_key_tys: vec![Type::U64; candidates.len()],
+            func_plans: [(0, FuncPlan { candidates })].into_iter().collect(),
+            ..ModulePlan::default()
+        };
+        apply(&mut module, &plan, &AdeOptions::default());
+        module
+    }
+
+    /// The instruction defining the value named `name`.
+    fn def_of(func: &Function, name: &str) -> InstId {
+        let v = func
+            .values
+            .iter()
+            .position(|v| v.name.as_deref() == Some(name))
+            .expect("named value");
+        match func.values[v].def {
+            ValueDef::InstResult { inst, .. } => inst,
+            other => panic!("%{name} is not an instruction result: {other:?}"),
+        }
+    }
+
+    /// The instructions directly before `inst` in its region, nearest
+    /// last.
+    fn preceding(func: &Function, inst: InstId, n: usize) -> Vec<InstId> {
+        let region = FuncIndex::build(func).parent_region(inst).expect("placed");
+        let insts = &func.region(region).insts;
+        let pos = insts.iter().position(|&i| i == inst).expect("in region");
+        insts[pos - n..pos].to_vec()
+    }
+
+    #[test]
+    fn site_owned_by_two_enumerations_decodes_first() {
+        let module = apply_sets(
+            "fn @f(%x: u64, %s: Set<u64>) -> void {\n  %h = has %s, %x\n  print %h\n  ret\n}\n",
+            |f| {
+                let site = UseSite::plain(def_of(f, "h"), 1);
+                let mut enc = PatchSets::default();
+                enc.to_enc.insert(site);
+                let mut dec = PatchSets::default();
+                dec.to_dec.insert(site);
+                vec![enc, dec]
+            },
+        );
+        let f = &module.funcs[0];
+        let has = def_of(f, "h");
+        let before = preceding(f, has, 2);
+        let (dec, enc) = (before[0], before[1]);
+        assert_eq!(f.inst(dec).kind, InstKind::Dec(EnumId::from_index(1)));
+        assert_eq!(f.inst(enc).kind, InstKind::Enc(EnumId::from_index(0)));
+        // enc(e0, dec(e1, %x)) feeds the has.
+        assert_eq!(f.inst(dec).operands[0].base, f.params[0]);
+        assert_eq!(f.inst(enc).operands[0].base, f.inst(dec).results[0]);
+        assert_eq!(f.inst(has).operands[1].base, f.inst(enc).results[0]);
+    }
+
+    #[test]
+    fn constant_path_index_is_materialized_before_its_translation() {
+        let module = apply_sets(
+            "fn @f(%m: Map<u64, Set<u64>>, %v: u64) -> void {\n  %h = has %m[3], %v\n  print %h\n  ret\n}\n",
+            |f| {
+                let mut sets = PatchSets::default();
+                sets.to_enc.insert(UseSite {
+                    inst: def_of(f, "h"),
+                    pos: OperandPos::PathIndex { operand: 0, step: 0 },
+                });
+                vec![sets]
+            },
+        );
+        let f = &module.funcs[0];
+        let has = def_of(f, "h");
+        let before = preceding(f, has, 2);
+        let (cst, enc) = (before[0], before[1]);
+        assert_eq!(f.inst(cst).kind, InstKind::Const(ConstVal::U64(3)));
+        assert_eq!(f.inst(enc).operands[0].base, f.inst(cst).results[0]);
+        assert_eq!(
+            f.inst(has).operands[0].path[0],
+            Access::Index(Scalar::Value(f.inst(enc).results[0]))
+        );
+    }
+
+    #[test]
+    fn translations_in_nested_bodies_land_before_their_users() {
+        let module = apply_sets(
+            r#"
+fn @f(%s: Set<u64>, %t: Set<u64>, %c: bool) -> void {
+  %z = const 0u64
+  %r = foreach %s carry(%z) as (%v: u64, %acc: u64) {
+    %x = if %c then {
+      %h = has %t, %v
+      yield %acc
+    } else {
+      yield %acc
+    }
+    %g = has %t, %v
+    yield %x
+  }
+  %p = add %r, %z
+  print %p
+  ret
+}
+"#,
+            |f| {
+                let mut sets = PatchSets::default();
+                sets.to_enc.insert(UseSite::plain(def_of(f, "h"), 1));
+                sets.to_enc.insert(UseSite::plain(def_of(f, "g"), 1));
+                sets.to_dec.insert(UseSite::plain(def_of(f, "p"), 0));
+                vec![sets]
+            },
+        );
+        let f = &module.funcs[0];
+        for (user, operand, kind) in [
+            ("h", 1, InstKind::Enc(EnumId::from_index(0))),
+            ("g", 1, InstKind::Enc(EnumId::from_index(0))),
+            ("p", 0, InstKind::Dec(EnumId::from_index(0))),
+        ] {
+            let user = def_of(f, user);
+            let t = preceding(f, user, 1)[0];
+            assert_eq!(f.inst(t).kind, kind);
+            assert_eq!(f.inst(user).operands[operand].base, f.inst(t).results[0]);
+        }
+        // Every new instruction sits in exactly one region.
+        let placed: usize = f.regions.iter().map(|r| r.insts.len()).sum();
+        assert_eq!(placed, f.insts.len());
+    }
 
     #[test]
     fn rewrite_entity_type_depths_and_roles() {

@@ -16,9 +16,10 @@
 
 use std::collections::BTreeSet;
 
-use ade_ir::{Function, InstId, InstKind, RegionId, ValueId};
+use ade_ir::{Function, InstId, InstKind, ValueId};
 
-use crate::patch::{use_index, OperandPos, UseSite};
+use crate::index::FuncIndex;
+use crate::patch::{OperandPos, UseSite};
 
 /// The result of the φ-web closure.
 #[derive(Clone, Debug, Default)]
@@ -34,14 +35,15 @@ pub struct PhiWeb {
 /// Both φ targets of a value used at `site`, if the site is φ plumbing:
 /// the region argument receiving it on the next iteration/entry and the
 /// control instruction's result receiving it on exit.
-fn phi_targets(func: &Function, site: UseSite) -> Option<Vec<ValueId>> {
+fn phi_targets(func: &Function, index: &FuncIndex, site: UseSite) -> Option<Vec<ValueId>> {
     let OperandPos::Plain(pos) = site.pos else {
         return None;
     };
     let inst = func.inst(site.inst);
     match inst.kind {
         InstKind::Yield => {
-            let (owner, owner_inst) = owner_of_region(func, site.inst)?;
+            let owner = index.owner_of(index.parent_region(site.inst)?)?;
+            let owner_inst = func.inst(owner);
             let args = &func.region(owner_inst.regions[0]).args;
             match owner_inst.kind {
                 InstKind::If => owner_inst.results.get(pos).map(|&r| vec![r]),
@@ -101,29 +103,15 @@ fn iter_arg_count(func: &Function, foreach: InstId) -> usize {
     ade_ir::builder::operand_type_in(func, &inst.operands[0]).foreach_iter_args()
 }
 
-/// The control instruction owning the region that contains `yield_inst`.
-fn owner_of_region(
-    func: &Function,
-    yield_inst: InstId,
-) -> Option<(InstId, &ade_ir::Inst)> {
-    for (idx, inst) in func.insts.iter().enumerate() {
-        for &r in &inst.regions {
-            if func.region(r).insts.contains(&yield_inst) {
-                return Some((InstId::from_index(idx), inst));
-            }
-        }
-    }
-    None
-}
-
 /// φ-source sites of a web member (the uses that feed it).
-fn phi_sources(func: &Function, member: ValueId) -> Vec<UseSite> {
+fn phi_sources(func: &Function, func_index: &FuncIndex, member: ValueId) -> Vec<UseSite> {
     let mut out = Vec::new();
     match func.value(member).def {
         ade_ir::ValueDef::RegionArg { region, index } => {
-            let Some((owner_id, owner)) = owner_inst_of(func, region) else {
+            let Some(owner_id) = func_index.owner_of(region) else {
                 return out;
             };
+            let owner = func.inst(owner_id);
             let (carry_base, iter) = match owner.kind {
                 InstKind::ForEach => (1, iter_arg_count(func, owner_id)),
                 InstKind::ForRange => (2, 1),
@@ -191,32 +179,21 @@ fn yield_site(
     Some(UseSite::plain(last, carried + usize::from(skip_cond)))
 }
 
-fn owner_inst_of(func: &Function, region: RegionId) -> Option<(InstId, &ade_ir::Inst)> {
-    for (idx, inst) in func.insts.iter().enumerate() {
-        if inst.regions.contains(&region) {
-            return Some((InstId::from_index(idx), inst));
-        }
-    }
-    None
-}
-
-/// Computes the φ-web of `roots` within `func`, never claiming values in
-/// `claimed` (values already owned by another enumeration's web — those
-/// uses fall back to boundary translation).
+/// Computes the φ-web of `roots` within `func` (whose index is `index`),
+/// never claiming values in `claimed` (values already owned by another
+/// enumeration's web — those uses fall back to boundary translation).
 pub fn compute_web(
     func: &Function,
+    index: &FuncIndex,
     roots: &BTreeSet<ValueId>,
     claimed: &BTreeSet<ValueId>,
 ) -> PhiWeb {
     let mut members: BTreeSet<ValueId> = BTreeSet::new();
-    // One scan builds the use index for the whole closure.
-    let all_uses = use_index(func);
-    let uses_of = |v: ValueId| all_uses.get(&v).map(Vec::as_slice).unwrap_or(&[]);
     // Forward closure.
     let mut work: Vec<ValueId> = roots.iter().copied().collect();
     while let Some(v) = work.pop() {
-        for &site in uses_of(v) {
-            if let Some(targets) = phi_targets(func, site) {
+        for &site in index.uses_of(v) {
+            if let Some(targets) = phi_targets(func, index, site) {
                 // All-or-nothing: a φ whose targets cannot all carry
                 // identifiers (claimed by another enumeration's web, or
                 // non-scalar) stays outside the web, and the use becomes
@@ -245,7 +222,7 @@ pub fn compute_web(
         ..PhiWeb::default()
     };
     for &m in &web.members {
-        for source in phi_sources(func, m) {
+        for source in phi_sources(func, index, m) {
             if let Some(v) = source.value(func) {
                 if !web.members.contains(&v) && !roots.contains(&v) {
                     web.boundary_adds.insert(source);
@@ -254,8 +231,8 @@ pub fn compute_web(
         }
     }
     for v in roots.iter().chain(web.members.iter()) {
-        for &site in uses_of(*v) {
-            match phi_targets(func, site) {
+        for &site in index.uses_of(*v) {
+            match phi_targets(func, index, site) {
                 Some(targets)
                     if targets
                         .iter()
@@ -300,7 +277,7 @@ fn @find(%uf: Map<u64, u64>, %v: u64) -> u64 {
         .expect("parses");
         // Root: %parent (the propagator read result).
         let roots: BTreeSet<ValueId> = [named(&f, "parent")].into_iter().collect();
-        let web = compute_web(&f, &roots, &BTreeSet::new());
+        let web = compute_web(&f, &FuncIndex::build(&f), &roots, &BTreeSet::new());
         // %curr and %found join the web.
         assert!(web.members.contains(&named(&f, "curr")), "{web:?}");
         assert!(web.members.contains(&named(&f, "found")), "{web:?}");
@@ -328,7 +305,7 @@ fn @f(%s: Set<u64>) -> void {
         .expect("parses");
         let roots: BTreeSet<ValueId> = [named(&f, "v")].into_iter().collect();
         let claimed: BTreeSet<ValueId> = [named(&f, "acc")].into_iter().collect();
-        let web = compute_web(&f, &roots, &claimed);
+        let web = compute_web(&f, &FuncIndex::build(&f), &roots, &claimed);
         assert!(!web.members.contains(&named(&f, "acc")));
         // The yield feeding a claimed φ becomes a sink (decoded there).
         assert!(!web.sinks.is_empty());
@@ -356,7 +333,7 @@ fn @f(%s: Set<u64>, %c: bool) -> void {
         )
         .expect("parses");
         let roots: BTreeSet<ValueId> = [named(&f, "v")].into_iter().collect();
-        let web = compute_web(&f, &roots, &BTreeSet::new());
+        let web = compute_web(&f, &FuncIndex::build(&f), &roots, &BTreeSet::new());
         assert!(web.members.contains(&named(&f, "x")));
         // Two boundary adds: %k (the other if branch) and %z (the loop
         // carry-in feeding %acc, which joined the web through %x).

@@ -119,16 +119,6 @@ impl Function {
         }
     }
 
-    /// Returns the region that directly contains instruction `i`.
-    pub fn parent_region(&self, i: InstId) -> RegionId {
-        for (ridx, region) in self.regions.iter().enumerate() {
-            if region.insts.contains(&i) {
-                return RegionId::from_index(ridx);
-            }
-        }
-        panic!("instruction {i} is not in any region");
-    }
-
     /// Allocation instructions (`new`) of associative collection type —
     /// the `A` input set of Algorithm 3.
     pub fn assoc_allocations(&self) -> Vec<InstId> {
@@ -233,18 +223,6 @@ mod tests {
             .position(|&i| f.inst(i).kind == InstKind::Insert)
             .expect("insert");
         assert!(fe < ins);
-    }
-
-    #[test]
-    fn parent_region_of_nested_inst() {
-        let f = sample();
-        let all = f.all_insts();
-        let ins = *all
-            .iter()
-            .find(|&&i| f.inst(i).kind == InstKind::Insert)
-            .expect("insert");
-        let parent = f.parent_region(ins);
-        assert_ne!(parent, f.body);
     }
 
     #[test]

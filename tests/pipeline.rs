@@ -76,11 +76,26 @@ fn @main() -> void {
     assert!(out.contains("Map{Bit}<idx, u64>"), "{out}");
 }
 
+/// Printed-IR fingerprints of every benchmark × configuration at scale 4:
+/// one `ABBREV config lines fnv1a64` row per compiled module.
+const GOLDEN_IR: &str = include_str!("golden/compiled_ir_scale4.txt");
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Every artifact configuration agrees on every benchmark's output, and
 /// every cell's default decode (peephole plus loop fusion) matches the
 /// reference decode on output, per-phase statistics and peak memory.
+/// Each compiled module's printed IR must also match its row in
+/// `tests/golden/compiled_ir_scale4.txt`, so a compile-time rewrite of
+/// the ADE pass cannot change the code it produces unnoticed.
 #[test]
 fn all_configurations_agree_on_all_benchmarks() {
+    let mut fingerprints = String::new();
     for bench in ade::workloads::all_benchmarks() {
         let mut reference: Option<String> = None;
         for kind in ConfigKind::ALL {
@@ -94,6 +109,14 @@ fn all_configurations_agree_on_all_benchmarks() {
             config.compile(&mut module);
             ade::ir::verify::verify_module(&module)
                 .unwrap_or_else(|e| panic!("[{} {}] {e}", bench.abbrev, kind.name()));
+            let text = print_module(&module);
+            fingerprints.push_str(&format!(
+                "{} {} {} {:016x}\n",
+                bench.abbrev,
+                kind.name(),
+                text.lines().count(),
+                fnv1a64(text.as_bytes())
+            ));
             let tag = format!("[{} {}]", bench.abbrev, kind.name());
             let run = |reference: bool| {
                 let decoded = DecodedModule::decode_with(&module, &DecodeOptions { reference });
@@ -127,6 +150,25 @@ fn all_configurations_agree_on_all_benchmarks() {
             }
         }
     }
+    let golden: Vec<&str> = GOLDEN_IR
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    let actual: Vec<&str> = fingerprints.lines().collect();
+    let changed: Vec<String> = actual
+        .iter()
+        .zip(&golden)
+        .filter(|(a, g)| a != g)
+        .map(|(a, g)| format!("  want {g}\n  got  {a}"))
+        .collect();
+    assert!(
+        changed.is_empty() && actual.len() == golden.len(),
+        "compiled IR differs from tests/golden/compiled_ir_scale4.txt \
+         ({} rows, {} expected):\n{}\nfull table:\n{fingerprints}",
+        actual.len(),
+        golden.len(),
+        changed.join("\n")
+    );
 }
 
 /// Interprocedural cloning end to end: a callee shared between an
