@@ -198,7 +198,7 @@ fn main() {
     if let Some(path) = &checkpoint_path {
         // A damaged or unopenable checkpoint must never cost the run:
         // degrade to a fresh, unpersisted session with a warning.
-        session = session.checkpoint_lenient(std::path::Path::new(path));
+        session = session.checkpoint(std::path::Path::new(path));
     }
     if let Some(tl) = &timeline {
         session = session.timeline(Arc::clone(tl));

@@ -251,28 +251,14 @@ impl Session {
     /// are never persisted — a resume retries them. Restored cells
     /// carry no per-site profile.
     ///
-    /// # Errors
-    ///
-    /// Any I/O error opening or creating the file.
-    pub fn checkpoint(mut self, path: &std::path::Path) -> std::io::Result<Self> {
-        let (ck, restored) = Checkpoint::open(path, self.scale, self.trials)?;
-        for r in restored {
-            self.cache
-                .insert((r.abbrev.to_string(), r.config), CellResult::Ok(r));
-        }
-        self.checkpoint = Some(Arc::new(ck));
-        Ok(self)
-    }
-
-    /// [`Session::checkpoint`], degrading instead of failing: an
-    /// unusable checkpoint file (unreadable path, unwritable directory)
-    /// prints a warning and the session continues as a fresh run
-    /// without persistence. Corruption *inside* a readable file never
-    /// errors in the first place — a bad header discards the file and
-    /// bad lines are skipped. This is the `reproduce --checkpoint`
-    /// behavior: a damaged resume artifact must never cost the run.
+    /// An unusable checkpoint file (unreadable path, unwritable
+    /// directory) prints a warning and the session continues as a fresh
+    /// run without persistence. Corruption *inside* a readable file
+    /// never errors in the first place — a bad header discards the file
+    /// and bad lines are skipped. A damaged resume artifact must never
+    /// cost the run.
     #[must_use]
-    pub fn checkpoint_lenient(mut self, path: &std::path::Path) -> Self {
+    pub fn checkpoint(mut self, path: &std::path::Path) -> Self {
         match Checkpoint::open(path, self.scale, self.trials) {
             Ok((ck, restored)) => {
                 for r in restored {

@@ -13,14 +13,15 @@
 //! identical for every `jobs` value. Only wall-clock readings differ.
 //!
 //! Fault isolation: the evaluation harness schedules cells through
-//! [`run_ordered_isolated`], which catches a panicking cell, retries it
-//! once, and on a second panic records a [`CellFailure`] in that cell's
-//! slot while the rest of the matrix keeps running. The pool isolates
-//! panics only: wall-clock cell timeouts are a typed cell error raised
-//! by the cell itself (`CellSpec::deadline`). The propagating variants
-//! ([`run_ordered`] / [`run_ordered_with`]) remain the strict contract —
-//! `reproduce --strict` and the transformation pipeline use them so a
-//! genuine host bug still fails fast.
+//! [`run_ordered_isolated_metered`], which catches a panicking cell,
+//! retries it once, and on a second panic records a [`CellFailure`] in
+//! that cell's slot while the rest of the matrix keeps running. The pool
+//! isolates panics only: wall-clock cell timeouts are a typed cell error
+//! raised by the cell itself (`CellSpec::deadline`). The propagating
+//! [`run_ordered_with`] remains the strict contract: `reproduce
+//! --strict` schedules the matrix through it so a genuine host bug still
+//! fails fast, and the RQ4 tuning sweep and the feedback loop run their
+//! own cells through it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,26 +34,13 @@ use std::sync::Mutex;
 const WORKER_STACK: usize = 64 * 1024 * 1024;
 
 /// Runs `work` over every item, `jobs` at a time, preserving input
-/// order in the returned vector.
+/// order in the returned vector. `work` also receives the zero-based
+/// index of the executing worker (the serial `jobs == 1` path is always
+/// worker `0`); timeline recording uses it as the lane (`tid`) of each
+/// cell.
 ///
 /// `jobs == 1` runs everything on the calling thread with no spawns —
 /// byte-for-byte the serial harness.
-///
-/// # Panics
-///
-/// Panics if a worker panics (the first payload is propagated).
-pub fn run_ordered<T, R, F>(items: Vec<T>, jobs: usize, work: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    run_ordered_with(items, jobs, |_worker, item| work(item))
-}
-
-/// [`run_ordered`], with the zero-based index of the executing worker
-/// passed to `work` (the serial `jobs == 1` path is always worker `0`).
-/// Timeline recording uses this as the lane (`tid`) of each cell.
 ///
 /// # Panics
 ///
@@ -139,20 +127,9 @@ pub struct CellFailure {
 ///
 /// `T: Clone` is required for the retry; items are cheap cell
 /// descriptors, not run state.
-pub fn run_ordered_isolated<T, R, F>(
-    items: Vec<T>,
-    jobs: usize,
-    work: F,
-) -> Vec<Result<R, CellFailure>>
-where
-    T: Send + Clone,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    run_ordered_isolated_metered(items, jobs, &ade_obs::MetricsRegistry::disabled(), work)
-}
-
-/// [`run_ordered_isolated`], publishing pool accounting into `metrics`:
+///
+/// Pool accounting is published into `metrics` (pass
+/// [`ade_obs::MetricsRegistry::disabled`] to skip it):
 ///
 /// * `pool_attempts_total` — work-function invocations (including
 ///   retries), `pool_retries_total` — panicked first attempts that got a
@@ -162,8 +139,6 @@ where
 /// * `pool_worker_cells_total{worker=…}` — cells completed per worker.
 ///   Which worker claims which cell depends on scheduling, so the metric
 ///   is marked wall-class (excluded from deterministic snapshots).
-///
-/// A disabled registry makes this exactly [`run_ordered_isolated`].
 pub fn run_ordered_isolated_metered<T, R, F>(
     items: Vec<T>,
     jobs: usize,
@@ -233,22 +208,22 @@ mod tests {
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..100).collect();
-        let doubled = run_ordered(items.clone(), 8, |x| x * 2);
+        let doubled = run_ordered_with(items.clone(), 8, |_w, x| x * 2);
         assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn serial_path_matches_parallel() {
         let items: Vec<u64> = (0..37).collect();
-        let serial = run_ordered(items.clone(), 1, |x| x * x);
-        let parallel = run_ordered(items, 6, |x| x * x);
+        let serial = run_ordered_with(items.clone(), 1, |_w, x| x * x);
+        let parallel = run_ordered_with(items, 6, |_w, x| x * x);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn every_item_runs_exactly_once() {
         let count = AtomicUsize::new(0);
-        let results = run_ordered((0..50).collect::<Vec<_>>(), 4, |x| {
+        let results = run_ordered_with((0..50).collect::<Vec<_>>(), 4, |_w, x| {
             count.fetch_add(1, Ordering::Relaxed);
             x
         });
@@ -258,8 +233,8 @@ mod tests {
 
     #[test]
     fn empty_and_oversized_job_counts() {
-        assert!(run_ordered(Vec::<u8>::new(), 4, |x| x).is_empty());
-        assert_eq!(run_ordered(vec![1], 64, |x| x + 1), vec![2]);
+        assert!(run_ordered_with(Vec::<u8>::new(), 4, |_w, x| x).is_empty());
+        assert_eq!(run_ordered_with(vec![1], 64, |_w, x| x + 1), vec![2]);
     }
 
     #[test]
@@ -272,12 +247,12 @@ mod tests {
         assert_eq!(serial, vec![0, 0, 0]);
     }
 
-    /// The strict contract: `run_ordered` (what `--strict` and the
-    /// compilation pipeline use) still propagates the first panic.
+    /// The strict contract: `run_ordered_with` (what `--strict` uses)
+    /// still propagates the first panic.
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
-        run_ordered(vec![1, 2, 3], 2, |x| {
+        run_ordered_with(vec![1, 2, 3], 2, |_w, x| {
             assert!(x != 2, "boom");
             x
         });
@@ -289,7 +264,8 @@ mod tests {
     #[test]
     fn isolated_pool_degrades_panicking_cells() {
         let attempts = AtomicUsize::new(0);
-        let results = run_ordered_isolated(vec![1, 2, 3], 2, |_w, x| {
+        let metrics = ade_obs::MetricsRegistry::disabled();
+        let results = run_ordered_isolated_metered(vec![1, 2, 3], 2, &metrics, |_w, x| {
             if x == 2 {
                 attempts.fetch_add(1, Ordering::Relaxed);
                 panic!("boom on {x}");
@@ -347,7 +323,8 @@ mod tests {
     #[test]
     fn isolated_pool_retries_transient_failures() {
         let first = AtomicUsize::new(0);
-        let results = run_ordered_isolated(vec![7], 1, |_w, x| {
+        let metrics = ade_obs::MetricsRegistry::disabled();
+        let results = run_ordered_isolated_metered(vec![7], 1, &metrics, |_w, x| {
             if first.fetch_add(1, Ordering::Relaxed) == 0 {
                 panic!("transient");
             }

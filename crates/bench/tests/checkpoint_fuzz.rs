@@ -145,7 +145,7 @@ fn corrupt_file_corpus_degrades_to_fresh_runs() {
         std::fs::write(&path, contents).expect("write corpus file");
         // Session-level: attaching the damaged file must not panic or
         // abort, and the session must still run cells.
-        let mut session = Session::new(3).include_wall(false).checkpoint_lenient(&path);
+        let mut session = Session::new(3).include_wall(false).checkpoint(&path);
         let r = session.cell("BFS", ConfigKind::Ade);
         assert!(!r.output.is_empty(), "corpus {i} broke the session");
         let _ = std::fs::remove_file(&path);
@@ -157,7 +157,7 @@ fn corrupt_file_corpus_degrades_to_fresh_runs() {
 #[test]
 fn unopenable_checkpoint_path_degrades_to_fresh_run() {
     let path = std::path::Path::new("/nonexistent-ade-dir/ck.txt");
-    let mut session = Session::new(3).include_wall(false).checkpoint_lenient(path);
+    let mut session = Session::new(3).include_wall(false).checkpoint(path);
     let r = session.cell("BFS", ConfigKind::Ade);
     assert!(!r.output.is_empty());
 }

@@ -104,8 +104,7 @@ fn checkpoint_resume_reproduces_figure_text() {
     // "Kill" a checkpointed run after a prefix of the matrix: run only
     // the first three planned cells, then drop the session.
     {
-        let mut partial =
-            Session::new(SCALE).include_wall(false).checkpoint(&path).expect("open checkpoint");
+        let mut partial = Session::new(SCALE).include_wall(false).checkpoint(&path);
         for &(abbrev, kind) in cells_for_target("fig5").iter().take(3) {
             let _ = partial.cell(abbrev, kind);
         }
@@ -113,8 +112,7 @@ fn checkpoint_resume_reproduces_figure_text() {
 
     // Resume: restored cells pre-fill the cache, the rest recompute.
     let resumed = {
-        let mut s =
-            Session::new(SCALE).include_wall(false).checkpoint(&path).expect("reopen checkpoint");
+        let mut s = Session::new(SCALE).include_wall(false).checkpoint(&path);
         s.prewarm(&["fig5"]);
         s.fig5_or_6(false)
     };

@@ -528,7 +528,9 @@ pub enum DInst {
     },
 }
 
-/// One micro-op of a [`DInst::FusedScalars`] run.
+/// A scalar micro-op over plain slots: one component of a
+/// [`DInst::FusedScalars`] run, or a [`BulkOp::Scalar`] plan step. Both
+/// execute it through the interpreter's one scalar step.
 #[derive(Clone, Copy, Debug)]
 pub enum UScalar {
     /// Copy a pooled constant into `dst`.
@@ -586,11 +588,10 @@ pub enum EncKeyKind {
 /// single-collection `iter` loop, with every operand resolved to a
 /// plain frame slot at decode time.
 ///
-/// The plan is built from the loop body's *components* — peephole
-/// windows ([`DInst::FusedScalars`] etc.) are expanded back into their
-/// constituent ops with their original code indices — so the plan does
-/// not depend on the peephole, and every [`PlanOp::site`] names the exact code slot the unfused loop would
-/// trap at.
+/// Loop fusion runs before the superinstruction peephole, so the plan
+/// is compiled from the unfused body: one component per instruction,
+/// and every [`PlanOp::site`] names the exact code slot the unfused
+/// loop would trap at.
 #[derive(Clone, Debug)]
 pub struct BulkPlan {
     /// Loop-invariant `const` components hoisted out of the body. SSA
@@ -617,46 +618,15 @@ pub struct PlanOp {
     pub op: BulkOp,
 }
 
-/// A [`BulkPlan`] operation. Mirrors the corresponding [`DInst`] arms
-/// with every operand already a plain frame slot.
+/// A [`BulkPlan`] operation: one unfused [`DInst`] with every operand
+/// already a plain frame slot. The interpreter executes each through
+/// the same kernel as the instruction it replaces (scalar micro-ops
+/// through the [`UScalar`] step [`DInst::FusedScalars`] also uses), so
+/// a plan op only differs from dispatch in how it sites its traps.
 #[derive(Clone, Debug)]
 pub enum BulkOp {
-    /// Copy a pooled constant into `dst`.
-    Const {
-        /// Index into [`DFunc::consts`].
-        pool: u32,
-        /// Destination slot.
-        dst: u32,
-    },
-    /// Binary arithmetic/logic.
-    Bin {
-        /// Operator.
-        op: BinOp,
-        /// Left operand slot.
-        a: u32,
-        /// Right operand slot.
-        b: u32,
-        /// Destination slot.
-        dst: u32,
-    },
-    /// Comparison.
-    Cmp {
-        /// Operator.
-        op: CmpOp,
-        /// Left operand slot.
-        a: u32,
-        /// Right operand slot.
-        b: u32,
-        /// Destination slot.
-        dst: u32,
-    },
-    /// Logical negation.
-    Not {
-        /// Operand slot.
-        a: u32,
-        /// Destination slot.
-        dst: u32,
-    },
+    /// A `const`, arithmetic, comparison or negation step.
+    Scalar(UScalar),
     /// Numeric conversion to a pooled type.
     Cast {
         /// Pooled target type.
@@ -878,8 +848,8 @@ impl DecodedModule {
             .map(|f| {
                 let mut d = decode_function(f);
                 if !options.reference {
-                    fuse_function(&mut d);
                     loop_fuse_function(&mut d);
+                    fuse_function(&mut d);
                 }
                 d
             })
@@ -1228,7 +1198,9 @@ fn fuse_function(d: &mut DFunc) {
 /// Rewrites the terminal [`DInst::Yield`] of loop bodies and branch
 /// arms into [`DInst::YieldDirect`] targeting the consumer's slots.
 /// Runs after window fusion so branches that became
-/// [`DInst::FusedHasIf`]/[`DInst::FusedCmpIf`] are covered too.
+/// [`DInst::FusedHasIf`]/[`DInst::FusedCmpIf`] are covered too, and
+/// after loop fusion, so bulk loop bodies are covered for the observed
+/// runs that execute them per instruction.
 ///
 /// Observables are unchanged: the terminator keeps its code slot (same
 /// fuel tick, same profiler site), slot-only yields bump no statistics
@@ -1240,11 +1212,14 @@ fn direct_yields(d: &mut DFunc) {
     let mut plans: Vec<(u32, Box<[u32]>)> = Vec::new();
     for inst in d.code.iter() {
         match inst {
-            DInst::ForRange { body, .. } => {
+            DInst::ForRange { body, .. } | DInst::ForRangeBulk { body, .. } => {
                 let args = &d.regions[*body as usize].args;
                 plans.push((*body, args[1..].into()));
             }
             DInst::ForEach {
+                body, binds_value, ..
+            }
+            | DInst::ForEachBulk {
                 body, binds_value, ..
             } => {
                 let skip = 1 + usize::from(*binds_value);
@@ -1281,23 +1256,62 @@ fn direct_yields(d: &mut DFunc) {
             continue;
         }
         let term = region.end as usize - 1;
-        let DInst::Yield { ops } = &d.code[term] else {
-            continue;
-        };
-        if ops.len() != dsts.len() {
-            continue;
+        if let Some(srcs) = direct_srcs(&d.code[term], &dsts) {
+            d.code[term] = DInst::YieldDirect {
+                srcs: srcs.into(),
+                dsts,
+            };
         }
-        let Some(srcs) = ops.iter().map(sl).collect::<Option<Vec<u32>>>() else {
-            continue;
-        };
-        if srcs.iter().enumerate().any(|(j, s)| dsts[..j].contains(s)) {
-            continue;
-        }
-        d.code[term] = DInst::YieldDirect {
-            srcs: srcs.into(),
-            dsts,
-        };
     }
+}
+
+/// The source slots of a region terminator that can be copied straight
+/// into the consumer's `dsts`: an all-slot [`DInst::Yield`] of matching
+/// length with no write-before-read hazard between the in-order copies.
+/// `None` for anything else (path operands bump read counts and must
+/// stay per-instruction).
+fn direct_srcs(term: &DInst, dsts: &[u32]) -> Option<Vec<u32>> {
+    let DInst::Yield { ops } = term else {
+        return None;
+    };
+    if ops.len() != dsts.len() {
+        return None;
+    }
+    let srcs = ops.iter().map(sl).collect::<Option<Vec<u32>>>()?;
+    if srcs.iter().enumerate().any(|(j, s)| dsts[..j].contains(s)) {
+        return None;
+    }
+    Some(srcs)
+}
+
+/// The scalar micro-op behind a `const`, arithmetic, comparison or
+/// negation instruction, each operand mapped to a slot by `slot_of`.
+/// `None` for any other instruction, or when `slot_of` rejects an
+/// operand.
+fn uscalar(inst: &DInst, mut slot_of: impl FnMut(&DOp) -> Option<u32>) -> Option<UScalar> {
+    Some(match inst {
+        DInst::Const { pool, dst } => UScalar::Const {
+            pool: *pool,
+            dst: *dst,
+        },
+        DInst::Bin { op, a, b, dst } => UScalar::Bin {
+            op: *op,
+            a: slot_of(a)?,
+            b: slot_of(b)?,
+            dst: *dst,
+        },
+        DInst::Cmp { op, a, b, dst } => UScalar::Cmp {
+            op: *op,
+            a: slot_of(a)?,
+            b: slot_of(b)?,
+            dst: *dst,
+        },
+        DInst::Not { a, dst } => UScalar::Not {
+            a: slot_of(a)?,
+            dst: *dst,
+        },
+        _ => return None,
+    })
 }
 
 /// Tries every fusion pattern at the head of `w`, longest/most-specific
@@ -1434,32 +1448,7 @@ fn match_window(w: &[DInst]) -> Option<DInst> {
         }
         // a run of pure scalar micro-ops.
         _ => {
-            let as_uop = |inst: &DInst| -> Option<UScalar> {
-                Some(match inst {
-                    DInst::Const { pool, dst } => UScalar::Const {
-                        pool: *pool,
-                        dst: *dst,
-                    },
-                    DInst::Bin { op, a, b, dst } => UScalar::Bin {
-                        op: *op,
-                        a: sl(a)?,
-                        b: sl(b)?,
-                        dst: *dst,
-                    },
-                    DInst::Cmp { op, a, b, dst } => UScalar::Cmp {
-                        op: *op,
-                        a: sl(a)?,
-                        b: sl(b)?,
-                        dst: *dst,
-                    },
-                    DInst::Not { a, dst } => UScalar::Not {
-                        a: sl(a)?,
-                        dst: *dst,
-                    },
-                    _ => return None,
-                })
-            };
-            let uops: Vec<UScalar> = w.iter().map_while(as_uop).collect();
+            let uops: Vec<UScalar> = w.iter().map_while(|inst| uscalar(inst, sl)).collect();
             if uops.len() < 2 {
                 return None;
             }
@@ -1470,7 +1459,7 @@ fn match_window(w: &[DInst]) -> Option<DInst> {
     }
 }
 
-/// Runs the loop-granular fusion tier over every region of `d`:
+/// Runs the loop-granular fusion tier over every instruction of `d`:
 /// `foreach`/`forrange` headers whose whole body compiles to a
 /// [`BulkPlan`] are replaced in place by [`DInst::ForEachBulk`] /
 /// [`DInst::ForRangeBulk`]. The body region's instructions are left
@@ -1479,8 +1468,8 @@ fn match_window(w: &[DInst]) -> Option<DInst> {
 /// the generic loop path can still execute the region when
 /// per-iteration accounting is observable.
 ///
-/// Runs after [`fuse_function`]; the component expansion in
-/// [`compile_ops`] makes the result independent of the peephole.
+/// Runs before [`fuse_function`], so plans compile from the unfused
+/// body.
 fn loop_fuse_function(d: &mut DFunc) {
     // Field-projection operands decompose into `BulkOp::Proj` writes to
     // scratch slots past the function's SSA slots. Each loop allocates
@@ -1488,17 +1477,11 @@ fn loop_fuse_function(d: &mut DFunc) {
     // nest, so runs can overlap); the frame grows to the widest run.
     let ssa_slots = d.frame_size;
     let mut frame_size = d.frame_size;
-    for ri in 0..d.regions.len() {
-        let (start, end) = (d.regions[ri].start as usize, d.regions[ri].end as usize);
-        let mut i = start;
-        while i < end {
-            let adv = d.code[i].advance();
-            let mut scratch = ssa_slots;
-            if let Some(bulk) = try_bulk_loop(d, i, &mut scratch) {
-                d.code[i] = bulk;
-                frame_size = frame_size.max(scratch);
-            }
-            i += adv;
+    for i in 0..d.code.len() {
+        let mut scratch = ssa_slots;
+        if let Some(bulk) = try_bulk_loop(d, i, &mut scratch) {
+            d.code[i] = bulk;
+            frame_size = frame_size.max(scratch);
         }
     }
     d.frame_size = frame_size;
@@ -1556,27 +1539,20 @@ fn try_bulk_loop(d: &DFunc, idx: usize, scratch: &mut u32) -> Option<DInst> {
 }
 
 /// Compiles a loop body region into a [`BulkPlan`]: every component
-/// must be expressible as a [`BulkOp`], the terminator must be an
-/// all-slot yield of the carried values, and the copies back into the
-/// carried argument slots must be hazard-free (the same rule
-/// [`direct_yields`] applies). Top-level `const` components are hoisted
-/// into the prelude.
+/// must be expressible as a [`BulkOp`], and the terminator must be a
+/// yield of the carried values that [`direct_srcs`] accepts (the same
+/// rule [`direct_yields`] applies). Top-level `const` components are
+/// hoisted into the prelude.
 fn compile_plan(
     d: &DFunc,
     region: &DRegion,
     carried_args: &[u32],
     scratch: &mut u32,
 ) -> Option<BulkPlan> {
-    let (start, end) = (region.start as usize, region.end as usize);
-    if end == start {
-        return None;
-    }
-    let term = end - 1;
-    let body = compile_ops(d, start, term, true, scratch)?;
-    let yield_srcs = yield_slots(&d.code[term], carried_args)?;
-    let (prelude, ops): (Vec<PlanOp>, Vec<PlanOp>) = body
+    let (ops, yield_srcs) = compile_body(d, region, carried_args, true, scratch)?;
+    let (prelude, ops): (Vec<PlanOp>, Vec<PlanOp>) = ops
         .into_iter()
-        .partition(|p| matches!(p.op, BulkOp::Const { .. }));
+        .partition(|p| matches!(p.op, BulkOp::Scalar(UScalar::Const { .. })));
     Some(BulkPlan {
         prelude: prelude.into_boxed_slice(),
         ops: ops.into_boxed_slice(),
@@ -1584,68 +1560,29 @@ fn compile_plan(
     })
 }
 
-/// The all-slot source list of a region terminator, checked against the
-/// consumer's destination slots for length and write-before-read
-/// hazards. `None` for anything else (buffered yields with path
-/// operands bump read counts and must stay per-instruction).
-fn yield_slots(term: &DInst, dsts: &[u32]) -> Option<Vec<u32>> {
-    let srcs: Vec<u32> = match term {
-        DInst::Yield { ops } => ops.iter().map(sl).collect::<Option<Vec<u32>>>()?,
-        DInst::YieldDirect { srcs, .. } => srcs.to_vec(),
-        _ => return None,
-    };
-    if srcs.len() != dsts.len() {
-        return None;
-    }
-    if srcs.iter().enumerate().any(|(j, s)| dsts[..j].contains(s)) {
-        return None;
-    }
-    Some(srcs)
-}
-
-/// Compiles the code range `[start, end)` into plan components,
-/// expanding peephole windows back into their constituent ops at their
-/// original code indices. `allow_if` is `true` only at the top level:
-/// branch arms must be straight-line (one nesting level keeps the plan
-/// executor non-recursive in spirit and the inertness argument short).
-fn compile_ops(
+/// Compiles a loop body or branch arm: its components plus the source
+/// slots of its terminal yield into `dsts`. `allow_if` is `true` only
+/// for loop bodies: branch arms must be straight-line (one nesting
+/// level keeps the plan executor non-recursive in spirit and the
+/// inertness argument short).
+fn compile_body(
     d: &DFunc,
-    start: usize,
-    end: usize,
+    region: &DRegion,
+    dsts: &[u32],
     allow_if: bool,
     scratch: &mut u32,
-) -> Option<Vec<PlanOp>> {
-    let mut out = Vec::new();
-    let mut i = start;
-    while i < end {
-        let inst = &d.code[i];
-        let adv = inst.advance();
-        if i + adv > end {
-            return None;
-        }
-        push_components(d, i, inst, allow_if, scratch, &mut out)?;
-        i += adv;
-    }
-    Some(out)
-}
-
-/// Compiles one branch arm: straight-line components plus a terminal
-/// yield of the branch's destination count.
-fn compile_arm(
-    d: &DFunc,
-    r: u32,
-    if_dsts: &[u32],
-    scratch: &mut u32,
-) -> Option<(Box<[PlanOp]>, Box<[u32]>)> {
-    let region = &d.regions[r as usize];
+) -> Option<(Vec<PlanOp>, Vec<u32>)> {
     let (start, end) = (region.start as usize, region.end as usize);
     if end == start {
         return None;
     }
     let term = end - 1;
-    let ops = compile_ops(d, start, term, false, scratch)?;
-    let srcs = yield_slots(&d.code[term], if_dsts)?;
-    Some((ops.into_boxed_slice(), srcs.into_boxed_slice()))
+    let mut ops = Vec::new();
+    for idx in start..term {
+        compile_inst(d, idx, allow_if, scratch, &mut ops)?;
+    }
+    let srcs = direct_srcs(&d.code[term], dsts)?;
+    Some((ops, srcs))
 }
 
 /// Resolves a scalar-position operand to a plan slot: plain slots pass
@@ -1675,186 +1612,92 @@ fn scalar_operand(op: &DOp, site: u32, scratch: &mut u32, out: &mut Vec<PlanOp>)
     }
 }
 
-/// Appends the plan components of the instruction (or peephole window)
-/// at `idx`. Component `j` of a window gets site `idx + j` — the code
-/// slot of the original instruction it replays — so bulk execution
-/// traps at exactly the site the unfused loop would. Single-`Field`
-/// path operands in scalar positions decompose into projections (see
-/// [`scalar_operand`]); anything with a deeper path operand, observable
-/// side channel (print, ROI, calls, enumeration ops), allocation, or
-/// nested control flow rejects the whole loop.
-fn push_components(
+/// Appends the plan component of the instruction at `idx`, sited at
+/// `idx` so bulk execution traps at exactly the site the unfused loop
+/// would. Single-`Field` path operands in scalar positions decompose
+/// into projections (see [`scalar_operand`]); anything with a deeper
+/// path operand, observable side channel (print, ROI, calls,
+/// enumeration ops), allocation, or nested control flow rejects the
+/// whole loop.
+fn compile_inst(
     d: &DFunc,
     idx: usize,
-    inst: &DInst,
     allow_if: bool,
     scratch: &mut u32,
     out: &mut Vec<PlanOp>,
 ) -> Option<()> {
-    let site = |j: usize| slot(idx + j);
-    match inst {
-        DInst::Const { pool, dst } => out.push(PlanOp {
-            site: site(0),
-            op: BulkOp::Const {
-                pool: *pool,
-                dst: *dst,
-            },
-        }),
-        DInst::Bin { op, a, b, dst } => {
-            let a = scalar_operand(a, site(0), scratch, out)?;
-            let b = scalar_operand(b, site(0), scratch, out)?;
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::Bin {
-                    op: *op,
-                    a,
-                    b,
-                    dst: *dst,
-                },
-            });
-        }
-        DInst::Cmp { op, a, b, dst } => {
-            let a = scalar_operand(a, site(0), scratch, out)?;
-            let b = scalar_operand(b, site(0), scratch, out)?;
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::Cmp {
-                    op: *op,
-                    a,
-                    b,
-                    dst: *dst,
-                },
-            });
-        }
-        DInst::Not { a, dst } => {
-            let a = scalar_operand(a, site(0), scratch, out)?;
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::Not { a, dst: *dst },
-            });
-        }
-        DInst::Cast { ty, a, dst } => {
-            let a = scalar_operand(a, site(0), scratch, out)?;
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::Cast {
-                    ty: *ty,
-                    a,
-                    dst: *dst,
-                },
-            });
-        }
-        DInst::Read { coll, key, dst } => {
-            let coll = sl(coll)?;
-            let key = scalar_operand(key, site(0), scratch, out)?;
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::Read {
-                    coll,
-                    key,
-                    dst: *dst,
-                },
-            });
-        }
+    let site = slot(idx);
+    let inst = &d.code[idx];
+    if let Some(u) = uscalar(inst, |op| scalar_operand(op, site, scratch, out)) {
+        out.push(PlanOp {
+            site,
+            op: BulkOp::Scalar(u),
+        });
+        return Some(());
+    }
+    let op = match inst {
+        DInst::Cast { ty, a, dst } => BulkOp::Cast {
+            ty: *ty,
+            a: scalar_operand(a, site, scratch, out)?,
+            dst: *dst,
+        },
+        DInst::Read { coll, key, dst } => BulkOp::Read {
+            coll: sl(coll)?,
+            key: scalar_operand(key, site, scratch, out)?,
+            dst: *dst,
+        },
         DInst::Write {
             coll,
             key,
             val,
             dst,
-        } => {
-            let coll = sl(coll)?;
-            let key = scalar_operand(key, site(0), scratch, out)?;
-            let val = scalar_operand(val, site(0), scratch, out)?;
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::Write {
-                    coll,
-                    key,
-                    val,
-                    dst: *dst,
-                },
-            });
-        }
-        DInst::Has { coll, key, dst } => {
-            let coll = sl(coll)?;
-            let key = scalar_operand(key, site(0), scratch, out)?;
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::Has {
-                    coll,
-                    key,
-                    dst: *dst,
-                },
-            });
-        }
-        DInst::InsertSet { coll, elem, dst } => {
-            let coll = sl(coll)?;
-            let elem = scalar_operand(elem, site(0), scratch, out)?;
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::InsertSet {
-                    coll,
-                    elem,
-                    dst: *dst,
-                },
-            });
-        }
+        } => BulkOp::Write {
+            coll: sl(coll)?,
+            key: scalar_operand(key, site, scratch, out)?,
+            val: scalar_operand(val, site, scratch, out)?,
+            dst: *dst,
+        },
+        DInst::Has { coll, key, dst } => BulkOp::Has {
+            coll: sl(coll)?,
+            key: scalar_operand(key, site, scratch, out)?,
+            dst: *dst,
+        },
+        DInst::InsertSet { coll, elem, dst } => BulkOp::InsertSet {
+            coll: sl(coll)?,
+            elem: scalar_operand(elem, site, scratch, out)?,
+            dst: *dst,
+        },
         DInst::InsertMap {
             coll,
             key,
             val_ty,
             dst,
-        } => {
-            let coll = sl(coll)?;
-            let key = scalar_operand(key, site(0), scratch, out)?;
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::InsertMap {
-                    coll,
-                    key,
-                    val_ty: *val_ty,
-                    dst: *dst,
-                },
-            });
-        }
+        } => BulkOp::InsertMap {
+            coll: sl(coll)?,
+            key: scalar_operand(key, site, scratch, out)?,
+            val_ty: *val_ty,
+            dst: *dst,
+        },
         DInst::InsertSeq {
             coll,
             index,
             val,
             dst,
-        } => {
-            let coll = sl(coll)?;
-            let index = scalar_operand(index, site(0), scratch, out)?;
-            let val = scalar_operand(val, site(0), scratch, out)?;
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::InsertSeq {
-                    coll,
-                    index,
-                    val,
-                    dst: *dst,
-                },
-            });
-        }
-        DInst::Remove { coll, key, dst } => {
-            let coll = sl(coll)?;
-            let key = scalar_operand(key, site(0), scratch, out)?;
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::Remove {
-                    coll,
-                    key,
-                    dst: *dst,
-                },
-            });
-        }
-        DInst::Size { coll, dst } => out.push(PlanOp {
-            site: site(0),
-            op: BulkOp::Size {
-                coll: sl(coll)?,
-                dst: *dst,
-            },
-        }),
+        } => BulkOp::InsertSeq {
+            coll: sl(coll)?,
+            index: scalar_operand(index, site, scratch, out)?,
+            val: scalar_operand(val, site, scratch, out)?,
+            dst: *dst,
+        },
+        DInst::Remove { coll, key, dst } => BulkOp::Remove {
+            coll: sl(coll)?,
+            key: scalar_operand(key, site, scratch, out)?,
+            dst: *dst,
+        },
+        DInst::Size { coll, dst } => BulkOp::Size {
+            coll: sl(coll)?,
+            dst: *dst,
+        },
         DInst::If {
             cond,
             then_r,
@@ -1862,201 +1705,23 @@ fn push_components(
             dsts,
         } if allow_if => {
             let cond = sl(cond)?;
-            let (then_ops, then_srcs) = compile_arm(d, *then_r, dsts, scratch)?;
-            let (else_ops, else_srcs) = compile_arm(d, *else_r, dsts, scratch)?;
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::If {
-                    cond,
-                    then_ops,
-                    then_srcs,
-                    else_ops,
-                    else_srcs,
-                    dsts: dsts.clone(),
-                },
-            });
-        }
-        DInst::FusedScalars { uops } => {
-            for (j, u) in uops.iter().enumerate() {
-                let op = match u {
-                    UScalar::Const { pool, dst } => BulkOp::Const {
-                        pool: *pool,
-                        dst: *dst,
-                    },
-                    UScalar::Bin { op, a, b, dst } => BulkOp::Bin {
-                        op: *op,
-                        a: *a,
-                        b: *b,
-                        dst: *dst,
-                    },
-                    UScalar::Cmp { op, a, b, dst } => BulkOp::Cmp {
-                        op: *op,
-                        a: *a,
-                        b: *b,
-                        dst: *dst,
-                    },
-                    UScalar::Not { a, dst } => BulkOp::Not { a: *a, dst: *dst },
-                };
-                out.push(PlanOp { site: site(j), op });
+            let arm = |r: u32, scratch: &mut u32| {
+                compile_body(d, &d.regions[r as usize], dsts, false, scratch)
+            };
+            let (then_ops, then_srcs) = arm(*then_r, scratch)?;
+            let (else_ops, else_srcs) = arm(*else_r, scratch)?;
+            BulkOp::If {
+                cond,
+                then_ops: then_ops.into_boxed_slice(),
+                then_srcs: then_srcs.into_boxed_slice(),
+                else_ops: else_ops.into_boxed_slice(),
+                else_srcs: else_srcs.into_boxed_slice(),
+                dsts: dsts.clone(),
             }
         }
-        DInst::FusedReadBin {
-            coll,
-            key,
-            rdst,
-            op,
-            a,
-            b,
-            bdst,
-        } => {
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::Read {
-                    coll: *coll,
-                    key: *key,
-                    dst: *rdst,
-                },
-            });
-            out.push(PlanOp {
-                site: site(1),
-                op: BulkOp::Bin {
-                    op: *op,
-                    a: *a,
-                    b: *b,
-                    dst: *bdst,
-                },
-            });
-        }
-        DInst::FusedBinWrite {
-            op,
-            a,
-            b,
-            bdst,
-            coll,
-            key,
-            wdst,
-        } => {
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::Bin {
-                    op: *op,
-                    a: *a,
-                    b: *b,
-                    dst: *bdst,
-                },
-            });
-            out.push(PlanOp {
-                site: site(1),
-                op: BulkOp::Write {
-                    coll: *coll,
-                    key: *key,
-                    val: *bdst,
-                    dst: *wdst,
-                },
-            });
-        }
-        DInst::FusedReadBinWrite {
-            coll,
-            rkey,
-            rdst,
-            op,
-            a,
-            b,
-            bdst,
-            wkey,
-            wdst,
-        } => {
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::Read {
-                    coll: *coll,
-                    key: *rkey,
-                    dst: *rdst,
-                },
-            });
-            out.push(PlanOp {
-                site: site(1),
-                op: BulkOp::Bin {
-                    op: *op,
-                    a: *a,
-                    b: *b,
-                    dst: *bdst,
-                },
-            });
-            out.push(PlanOp {
-                site: site(2),
-                op: BulkOp::Write {
-                    coll: *coll,
-                    key: *wkey,
-                    val: *bdst,
-                    dst: *wdst,
-                },
-            });
-        }
-        DInst::FusedHasIf {
-            coll,
-            key,
-            hdst,
-            then_r,
-            else_r,
-            dsts,
-        } if allow_if => {
-            let (then_ops, then_srcs) = compile_arm(d, *then_r, dsts, scratch)?;
-            let (else_ops, else_srcs) = compile_arm(d, *else_r, dsts, scratch)?;
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::Has {
-                    coll: *coll,
-                    key: *key,
-                    dst: *hdst,
-                },
-            });
-            out.push(PlanOp {
-                site: site(1),
-                op: BulkOp::If {
-                    cond: *hdst,
-                    then_ops,
-                    then_srcs,
-                    else_ops,
-                    else_srcs,
-                    dsts: dsts.clone(),
-                },
-            });
-        }
-        DInst::FusedCmpIf {
-            op,
-            a,
-            b,
-            cdst,
-            then_r,
-            else_r,
-            dsts,
-        } if allow_if => {
-            let (then_ops, then_srcs) = compile_arm(d, *then_r, dsts, scratch)?;
-            let (else_ops, else_srcs) = compile_arm(d, *else_r, dsts, scratch)?;
-            out.push(PlanOp {
-                site: site(0),
-                op: BulkOp::Cmp {
-                    op: *op,
-                    a: *a,
-                    b: *b,
-                    dst: *cdst,
-                },
-            });
-            out.push(PlanOp {
-                site: site(1),
-                op: BulkOp::If {
-                    cond: *cdst,
-                    then_ops,
-                    then_srcs,
-                    else_ops,
-                    else_srcs,
-                    dsts: dsts.clone(),
-                },
-            });
-        }
         _ => return None,
-    }
+    };
+    out.push(PlanOp { site, op });
     Some(())
 }
 
@@ -2335,7 +2000,7 @@ fn @main() -> void {
         assert!(matches!(
             plan.prelude.as_ref(),
             [PlanOp {
-                op: BulkOp::Const { .. },
+                op: BulkOp::Scalar(UScalar::Const { .. }),
                 ..
             }]
         ));
@@ -2343,7 +2008,7 @@ fn @main() -> void {
             plan.ops.as_ref(),
             [
                 PlanOp {
-                    op: BulkOp::Bin { op: BinOp::Mul, .. },
+                    op: BulkOp::Scalar(UScalar::Bin { op: BinOp::Mul, .. }),
                     ..
                 },
                 PlanOp {

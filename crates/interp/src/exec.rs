@@ -24,8 +24,8 @@ use ade_collections::SwissMap;
 use ade_ir::{BinOp, CmpOp, FuncId, Module, Type};
 
 use crate::decode::{
-    BulkOp, DAccess, DFunc, DInst, DOp, DPath, DScalar, DecodeOptions, DecodedModule, EncKeyKind,
-    PlanOp, UScalar,
+    BulkOp, BulkPlan, DAccess, DFunc, DInst, DOp, DPath, DScalar, DecodeOptions, DecodedModule,
+    EncKeyKind, PlanOp, UScalar,
 };
 use crate::heap::{CollId, Collection, SelectionDefaults};
 use crate::profile::{Recorder, SiteProfile};
@@ -190,6 +190,29 @@ fn trap(kind: TrapKind) -> ExecError {
     ExecError::GuestTrap { site: None, kind }
 }
 
+/// A guest trap attributed to instruction `inst` of `func`. Fused
+/// windows and bulk plan ops site the traps of components that did not
+/// dispatch on their own at the code slot of the original instruction,
+/// matching unfused execution.
+fn trap_at(func: &DFunc, inst: usize, kind: TrapKind) -> ExecError {
+    ExecError::GuestTrap {
+        site: Some(TrapSite {
+            func: func.name.clone(),
+            inst: inst as u32,
+        }),
+        kind,
+    }
+}
+
+/// Attributes a site-less guest trap to instruction `inst` of `func`;
+/// sited traps and every other error pass through unchanged.
+fn site_at(func: &DFunc, inst: usize, e: ExecError) -> ExecError {
+    match e {
+        ExecError::GuestTrap { site: None, kind } => trap_at(func, inst, kind),
+        other => other,
+    }
+}
+
 /// The result of a program run.
 #[derive(Debug, Clone)]
 pub struct Outcome {
@@ -273,9 +296,6 @@ pub struct Interpreter<'m> {
     /// `0`.
     observed: bool,
     depth: u32,
-    /// Function names copied from the decoded module at run start, so
-    /// trap sites can be attributed without the source [`Module`].
-    func_names: Box<[String]>,
     /// `Some` only when [`ExecConfig::profile`]; boxed so the disabled
     /// case costs one word in the interpreter struct.
     profiler: Option<Box<Recorder>>,
@@ -326,7 +346,6 @@ impl<'m> Interpreter<'m> {
             ticks_spent: 0,
             observed: false,
             depth: 0,
-            func_names: Box::new([]),
             profiler: None,
             session,
             flow_pool: Vec::new(),
@@ -442,7 +461,6 @@ impl<'m> Interpreter<'m> {
             });
         };
         self.enums = (0..decoded.enum_count).map(|_| RuntimeEnum::default()).collect();
-        self.func_names = decoded.funcs.iter().map(|d| d.name.clone()).collect();
         if self.config.profile {
             self.profiler = Some(Box::new(Recorder::new(
                 decoded.funcs.iter().map(|d| (d.name.clone(), d.code.len())),
@@ -613,10 +631,14 @@ impl<'m> Interpreter<'m> {
             cur = match access {
                 DAccess::Index(s) => {
                     let id = cur.try_as_coll().map_err(trap)?;
-                    let imp = self.impl_of(id);
-                    self.bump(imp, CollOp::Read, 1);
-                    let key = self.path_key(frame, s, id);
-                    self.heap[id.0 as usize].try_read(&key).map_err(trap)?
+                    let key = match s {
+                        DScalar::Slot(v) => Res::Ref(&frame[*v as usize]),
+                        DScalar::Const(n) => Res::Owned(Value::U64(*n)),
+                        DScalar::End => {
+                            Res::Owned(Value::U64(self.heap[id.0 as usize].len() as u64))
+                        }
+                    };
+                    self.read(id, &key).map_err(trap)?
                 }
                 DAccess::Field(n) => match cur {
                     Value::Tuple(t) => t.get(*n as usize).cloned().ok_or_else(|| {
@@ -637,41 +659,7 @@ impl<'m> Interpreter<'m> {
         Ok(cur)
     }
 
-    fn path_key(&mut self, frame: &[Value], s: &DScalar, id: CollId) -> Value {
-        match s {
-            DScalar::Slot(v) => {
-                let key = frame[*v as usize].clone();
-                self.coerce_key(id, key)
-            }
-            DScalar::Const(n) => self.coerce_key(id, Value::U64(*n)),
-            DScalar::End => Value::U64(self.heap[id.0 as usize].len() as u64),
-        }
-    }
-
-    /// Dense implementations index by `idx`; accept `u64` keys for
-    /// directive-forced dense collections over integer domains.
-    fn coerce_key(&self, id: CollId, key: Value) -> Value {
-        match (self.impl_of(id), &key) {
-            (ImplKind::BitSet | ImplKind::SparseBitSet | ImplKind::BitMap, Value::U64(n)) => {
-                Value::Idx(*n as usize)
-            }
-            _ => key,
-        }
-    }
-
-    /// [`Self::coerce_key`] over a resolved operand: the common
-    /// no-coercion case passes the borrow through untouched.
-    #[inline]
-    fn coerce_key_res<'a>(&self, id: CollId, key: Res<'a>) -> Res<'a> {
-        match (self.impl_of(id), &*key) {
-            (ImplKind::BitSet | ImplKind::SparseBitSet | ImplKind::BitMap, Value::U64(n)) => {
-                Res::Owned(Value::Idx(*n as usize))
-            }
-            _ => key,
-        }
-    }
-
-    /// The inverse of [`Self::coerce_key`]: dense implementations store
+    /// The inverse of [`coerce_key`]: dense implementations store
     /// `usize` keys and yield `Value::Idx` when iterated or drained, but
     /// a directive-forced dense collection with a `u64` static domain
     /// must present `u64` values to the program — otherwise comparisons
@@ -691,6 +679,123 @@ impl<'m> Interpreter<'m> {
             DOp::Slot(s) => frame[*s as usize].try_as_coll().map_err(trap),
             DOp::Path(p) => self.resolve_path(frame, p)?.try_as_coll().map_err(trap),
         }
+    }
+
+    // ── Operation kernels ───────────────────────────────────────────
+    //
+    // The one definition of each counted operation: key coercion, the
+    // statistics bump, the heap call and byte accounting. Plain
+    // dispatch, fused windows, bulk plan ops and nested-path reads all
+    // resolve their own operands, call the kernel, and site the trap it
+    // returns themselves (site-less for the dispatch loop to attribute,
+    // or at an explicit code slot). Writers leave the handle copy into
+    // their destination slot to the caller, which knows the operand's
+    // base slot.
+
+    /// `read(c, k)`.
+    #[inline]
+    fn read(&mut self, id: CollId, key: &Value) -> Result<Value, TrapKind> {
+        let imp = self.impl_of(id);
+        let key = coerce_key(imp, Res::Ref(key));
+        self.bump(imp, CollOp::Read, 1);
+        self.heap[id.0 as usize].try_read(&key)
+    }
+
+    /// `write(c, k, v)`.
+    #[inline]
+    fn write(&mut self, id: CollId, key: &Value, value: Value) -> Result<(), TrapKind> {
+        let imp = self.impl_of(id);
+        let key = coerce_key(imp, Res::Ref(key));
+        self.bump(imp, CollOp::Write, 1);
+        self.heap[id.0 as usize].try_write(&key, value)?;
+        self.refresh_bytes(id);
+        Ok(())
+    }
+
+    /// `has(c, k)`.
+    #[inline]
+    fn has(&mut self, id: CollId, key: &Value) -> Result<bool, TrapKind> {
+        let imp = self.impl_of(id);
+        let key = coerce_key(imp, Res::Ref(key));
+        self.bump(imp, CollOp::Has, 1);
+        self.heap[id.0 as usize].try_has(&key)
+    }
+
+    /// `remove(c, k)`.
+    #[inline]
+    fn remove(&mut self, id: CollId, key: &Value) -> Result<(), TrapKind> {
+        let imp = self.impl_of(id);
+        let key = coerce_key(imp, Res::Ref(key));
+        self.bump(imp, CollOp::Remove, 1);
+        self.heap[id.0 as usize].try_remove(&key)?;
+        self.refresh_bytes(id);
+        Ok(())
+    }
+
+    /// `size(c)`.
+    #[inline]
+    fn size(&mut self, id: CollId) -> u64 {
+        let imp = self.impl_of(id);
+        self.bump(imp, CollOp::Size, 1);
+        self.heap[id.0 as usize].len() as u64
+    }
+
+    /// Set-flavored `insert(c, e)`.
+    #[inline]
+    fn insert_elem(&mut self, id: CollId, elem: Value) -> Result<(), TrapKind> {
+        let imp = self.impl_of(id);
+        self.bump(imp, CollOp::Insert, 1);
+        let elem = coerce_key(imp, Res::Owned(elem)).into_owned();
+        self.heap[id.0 as usize].try_insert_elem(elem)?;
+        self.refresh_bytes(id);
+        Ok(())
+    }
+
+    /// Map-flavored `insert(c, k)`: an absent key gets a default value of
+    /// `val_ty`. The only kernel that can fail with something other than
+    /// a guest trap (allocating a nested default may exceed
+    /// [`ExecConfig::max_heap_cells`]), so it returns a site-less
+    /// [`ExecError`].
+    #[inline]
+    fn insert_key(&mut self, id: CollId, key: &Value, val_ty: &Type) -> Result<(), ExecError> {
+        let imp = self.impl_of(id);
+        self.bump(imp, CollOp::Insert, 1);
+        let key = coerce_key(imp, Res::Ref(key));
+        // Only allocate a default if the key is absent.
+        if !self.heap[id.0 as usize].try_has(&key).map_err(trap)? {
+            let default = self.default_value(val_ty)?;
+            self.heap[id.0 as usize]
+                .try_insert_key_default(&key, default)
+                .map_err(trap)?;
+        }
+        self.refresh_bytes(id);
+        Ok(())
+    }
+
+    /// Sequence-flavored `insert(c, i, v)`.
+    #[inline]
+    fn insert_seq(&mut self, id: CollId, index: usize, value: Value) -> Result<(), TrapKind> {
+        let imp = self.impl_of(id);
+        self.bump(imp, CollOp::Insert, 1);
+        self.heap[id.0 as usize].try_insert_seq(index, value)?;
+        self.refresh_bytes(id);
+        Ok(())
+    }
+
+    /// `enc(e, v)`. Values outside the enumeration encode to a sentinel
+    /// identifier that is a member of no collection: the paper leaves
+    /// @enc undefined there, and ADE only emits such encodes for
+    /// membership probes (`has`, `remove`, guarded `read`), which must
+    /// observe absence. A dense insert of the sentinel raises a typed
+    /// trap instead.
+    #[inline]
+    fn enc(&mut self, e: u32, key: &Value) -> usize {
+        self.bump(ImplKind::EnumEnc, CollOp::Read, 1);
+        self.enums[e as usize]
+            .enc
+            .get(key)
+            .copied()
+            .unwrap_or(crate::trap::ENC_SENTINEL)
     }
 
     fn call_function(
@@ -774,16 +879,7 @@ impl<'m> Interpreter<'m> {
                 // to the instruction that raised it. Traps from nested
                 // regions/calls arrive already sited and pass through.
                 // (Fused arms site their non-head components themselves.)
-                Err(ExecError::GuestTrap { site: None, kind }) => {
-                    return Err(ExecError::GuestTrap {
-                        site: Some(TrapSite {
-                            func: func.name.clone(),
-                            inst: idx as u32,
-                        }),
-                        kind,
-                    })
-                }
-                Err(other) => return Err(other),
+                Err(e) => return Err(site_at(func, idx, e)),
             }
             idx += inst.advance();
         }
@@ -827,17 +923,8 @@ impl<'m> Interpreter<'m> {
             } => {
                 let cond = self.resolve(frame, cond)?.try_as_bool().map_err(trap)?;
                 let region = if cond { *then_r } else { *else_r };
-                match self.exec_region(d, fid, func, frame, region, phase_start)? {
-                    Flow::YieldedDirect => Ok(Flow::Continue),
-                    Flow::Yield(mut vals) => {
-                        for (&r, v) in dsts.iter().zip(vals.drain(..)) {
-                            frame[r as usize] = v;
-                        }
-                        self.pool_put(vals);
-                        Ok(Flow::Continue)
-                    }
-                    other => Ok(other),
-                }
+                let flow = self.exec_region(d, fid, func, frame, region, phase_start)?;
+                Ok(self.land_branch(frame, flow, dsts))
             }
             DInst::ForEach { .. } => self.exec_foreach(d, fid, func, frame, inst, phase_start),
             DInst::ForRange { .. } => self.exec_forrange(d, fid, func, frame, inst, phase_start),
@@ -845,14 +932,14 @@ impl<'m> Interpreter<'m> {
             // is unobserved; otherwise the generic loop replays it.
             DInst::ForEachBulk { .. } => {
                 if !self.observed {
-                    self.exec_foreach_bulk(fid, func, frame, inst)
+                    self.exec_foreach_bulk(func, frame, inst)
                 } else {
                     self.exec_foreach(d, fid, func, frame, inst, phase_start)
                 }
             }
             DInst::ForRangeBulk { .. } => {
                 if !self.observed {
-                    self.exec_forrange_bulk(fid, func, frame, inst)
+                    self.exec_forrange_bulk(func, frame, inst)
                 } else {
                     self.exec_forrange(d, fid, func, frame, inst, phase_start)
                 }
@@ -866,11 +953,7 @@ impl<'m> Interpreter<'m> {
                 Ok(Flow::Yield(vals))
             }
             DInst::YieldDirect { srcs, dsts } => {
-                for (&s, &t) in srcs.iter().zip(dsts.iter()) {
-                    if s != t {
-                        frame[t as usize] = frame[s as usize].clone();
-                    }
-                }
+                copy_slots(frame, srcs, dsts);
                 Ok(Flow::YieldedDirect)
             }
             DInst::Ret { op } => {
@@ -899,25 +982,13 @@ impl<'m> Interpreter<'m> {
             } => {
                 // Component 0: the membership probe, exactly as `has`.
                 let id = frame[*coll as usize].try_as_coll().map_err(trap)?;
-                let key = self.coerce_key_res(id, Res::Ref(&frame[*key as usize]));
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Has, 1);
-                let cond = self.heap[id.0 as usize].try_has(&key).map_err(trap)?;
+                let cond = self.has(id, &frame[*key as usize]).map_err(trap)?;
                 frame[*hdst as usize] = Value::Bool(cond);
                 // Component 1: the branch, exactly as `if` at `idx + 1`.
                 self.fused_step(fid, idx + 1)?;
                 let region = if cond { *then_r } else { *else_r };
-                match self.exec_region(d, fid, func, frame, region, phase_start)? {
-                    Flow::YieldedDirect => Ok(Flow::Continue),
-                    Flow::Yield(mut vals) => {
-                        for (&r, v) in dsts.iter().zip(vals.drain(..)) {
-                            frame[r as usize] = v;
-                        }
-                        self.pool_put(vals);
-                        Ok(Flow::Continue)
-                    }
-                    other => Ok(other),
-                }
+                let flow = self.exec_region(d, fid, func, frame, region, phase_start)?;
+                Ok(self.land_branch(frame, flow, dsts))
             }
             DInst::FusedCmpIf {
                 op,
@@ -932,17 +1003,8 @@ impl<'m> Interpreter<'m> {
                 frame[*cdst as usize] = Value::Bool(cond);
                 self.fused_step(fid, idx + 1)?;
                 let region = if cond { *then_r } else { *else_r };
-                match self.exec_region(d, fid, func, frame, region, phase_start)? {
-                    Flow::YieldedDirect => Ok(Flow::Continue),
-                    Flow::Yield(mut vals) => {
-                        for (&r, v) in dsts.iter().zip(vals.drain(..)) {
-                            frame[r as usize] = v;
-                        }
-                        self.pool_put(vals);
-                        Ok(Flow::Continue)
-                    }
-                    other => Ok(other),
-                }
+                let flow = self.exec_region(d, fid, func, frame, region, phase_start)?;
+                Ok(self.land_branch(frame, flow, dsts))
             }
             DInst::FusedScalars { .. }
             | DInst::FusedReadBin { .. }
@@ -956,6 +1018,23 @@ impl<'m> Interpreter<'m> {
                 self.exec_simple_inst(func, frame, simple)?;
                 Ok(Flow::Continue)
             }
+        }
+    }
+
+    /// Lands the yields of a branch's taken arm in the branch's
+    /// destination slots (a direct yield already has); a `ret` from the
+    /// arm passes through.
+    fn land_branch(&mut self, frame: &mut [Value], flow: Flow, dsts: &[u32]) -> Flow {
+        match flow {
+            Flow::YieldedDirect => Flow::Continue,
+            Flow::Yield(mut vals) => {
+                for (&r, v) in dsts.iter().zip(vals.drain(..)) {
+                    frame[r as usize] = v;
+                }
+                self.pool_put(vals);
+                Flow::Continue
+            }
+            other => other,
         }
     }
 
@@ -1020,30 +1099,19 @@ impl<'m> Interpreter<'m> {
         Ok(())
     }
 
-    /// A guest trap attributed to `inst` of `fid`. Fused arms use this to
-    /// site errors raised by non-head window components at the padding
-    /// slot holding the original instruction, matching unfused execution.
-    fn trap_at(&self, fid: FuncId, inst: usize, kind: TrapKind) -> ExecError {
-        ExecError::GuestTrap {
-            site: Some(TrapSite {
-                func: self.func_names[fid.index()].clone(),
-                inst: inst as u32,
-            }),
-            kind,
-        }
-    }
-
     /// Straight-line fused superinstructions. Each component replays its
     /// unfused opcode's exact observable sequence — fuel tick, statistic
-    /// bumps, intermediate destination writes, trap sites — so every
-    /// figure, profile, and trap message is bit-identical with fusion
-    /// off. Only dispatch and operand re-resolution are saved.
+    /// bumps, intermediate destination writes, trap sites — by calling
+    /// the same kernel; only dispatch and operand re-resolution are
+    /// saved. The head component's traps stay site-less (the dispatch
+    /// loop attributes them to `idx`); component `j` sites its own at
+    /// `idx + j`.
     #[inline(never)]
     fn exec_fused_straight(
         &mut self,
         fid: FuncId,
         func: &DFunc,
-        frame: &mut Vec<Value>,
+        frame: &mut [Value],
         inst: &DInst,
         idx: usize,
     ) -> Result<(), ExecError> {
@@ -1053,26 +1121,7 @@ impl<'m> Interpreter<'m> {
                     if j > 0 {
                         self.fused_step(fid, idx + j)?;
                     }
-                    match *u {
-                        UScalar::Const { pool, dst } => {
-                            frame[dst as usize] = func.consts[pool as usize].clone();
-                        }
-                        UScalar::Bin { op, a, b, dst } => {
-                            let v = eval_bin(op, &frame[a as usize], &frame[b as usize])
-                                .map_err(|k| self.trap_at(fid, idx + j, k))?;
-                            frame[dst as usize] = v;
-                        }
-                        UScalar::Cmp { op, a, b, dst } => {
-                            let v = eval_cmp(op, &frame[a as usize], &frame[b as usize]);
-                            frame[dst as usize] = Value::Bool(v);
-                        }
-                        UScalar::Not { a, dst } => {
-                            let v = !frame[a as usize]
-                                .try_as_bool()
-                                .map_err(|k| self.trap_at(fid, idx + j, k))?;
-                            frame[dst as usize] = Value::Bool(v);
-                        }
-                    }
+                    exec_scalar(func, frame, *u).map_err(|k| trap_at(func, idx + j, k))?;
                 }
             }
             DInst::FusedReadBin {
@@ -1085,15 +1134,15 @@ impl<'m> Interpreter<'m> {
                 bdst,
             } => {
                 let id = frame[*coll as usize].try_as_coll().map_err(trap)?;
-                let key = self.coerce_key_res(id, Res::Ref(&frame[*key as usize]));
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Read, 1);
-                let v = self.heap[id.0 as usize].try_read(&key).map_err(trap)?;
-                frame[*rdst as usize] = v;
+                frame[*rdst as usize] = self.read(id, &frame[*key as usize]).map_err(trap)?;
                 self.fused_step(fid, idx + 1)?;
-                let v = eval_bin(*op, &frame[*a as usize], &frame[*b as usize])
-                    .map_err(|k| self.trap_at(fid, idx + 1, k))?;
-                frame[*bdst as usize] = v;
+                let bin = UScalar::Bin {
+                    op: *op,
+                    a: *a,
+                    b: *b,
+                    dst: *bdst,
+                };
+                exec_scalar(func, frame, bin).map_err(|k| trap_at(func, idx + 1, k))?;
             }
             DInst::FusedBinWrite {
                 op,
@@ -1104,10 +1153,19 @@ impl<'m> Interpreter<'m> {
                 key,
                 wdst,
             } => {
-                let v = eval_bin(*op, &frame[*a as usize], &frame[*b as usize]).map_err(trap)?;
-                frame[*bdst as usize] = v;
+                let bin = UScalar::Bin {
+                    op: *op,
+                    a: *a,
+                    b: *b,
+                    dst: *bdst,
+                };
+                exec_scalar(func, frame, bin).map_err(trap)?;
                 self.fused_step(fid, idx + 1)?;
-                self.fused_write(fid, idx + 1, frame, *coll, *key, *bdst, *wdst)?;
+                let at = |k| trap_at(func, idx + 1, k);
+                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                let value = frame[*bdst as usize].clone();
+                self.write(id, &frame[*key as usize], value).map_err(at)?;
+                frame[*wdst as usize] = frame[*coll as usize].clone();
             }
             DInst::FusedReadBinWrite {
                 coll,
@@ -1121,27 +1179,23 @@ impl<'m> Interpreter<'m> {
                 wdst,
             } => {
                 let id = frame[*coll as usize].try_as_coll().map_err(trap)?;
-                let key = self.coerce_key_res(id, Res::Ref(&frame[*rkey as usize]));
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Read, 1);
-                let v = self.heap[id.0 as usize].try_read(&key).map_err(trap)?;
-                frame[*rdst as usize] = v;
+                frame[*rdst as usize] = self.read(id, &frame[*rkey as usize]).map_err(trap)?;
                 self.fused_step(fid, idx + 1)?;
-                let v = eval_bin(*op, &frame[*a as usize], &frame[*b as usize])
-                    .map_err(|k| self.trap_at(fid, idx + 1, k))?;
-                frame[*bdst as usize] = v;
+                let bin = UScalar::Bin {
+                    op: *op,
+                    a: *a,
+                    b: *b,
+                    dst: *bdst,
+                };
+                exec_scalar(func, frame, bin).map_err(|k| trap_at(func, idx + 1, k))?;
                 self.fused_step(fid, idx + 2)?;
                 // The matcher pins the write to the read's collection
                 // slot and the interposed `Bin` writes only its scalar
                 // destination, so the handle resolved for the read is
                 // still the write's collection — no re-resolution.
-                let key = self.coerce_key_res(id, Res::Ref(&frame[*wkey as usize]));
                 let value = frame[*bdst as usize].clone();
-                self.bump(imp, CollOp::Write, 1);
-                self.heap[id.0 as usize]
-                    .try_write(&key, value)
-                    .map_err(|k| self.trap_at(fid, idx + 2, k))?;
-                self.refresh_bytes(id);
+                self.write(id, &frame[*wkey as usize], value)
+                    .map_err(|k| trap_at(func, idx + 2, k))?;
                 frame[*wdst as usize] = frame[*coll as usize].clone();
             }
             DInst::FusedEncKey {
@@ -1152,77 +1206,24 @@ impl<'m> Interpreter<'m> {
                 coll,
                 dst2,
             } => {
-                // Component 0: the `enc`, including the sentinel fallback
-                // for values outside the enumeration (see `DInst::Enc`).
-                self.bump(ImplKind::EnumEnc, CollOp::Read, 1);
-                let translated = self.enums[*e as usize]
-                    .enc
-                    .get(&frame[*v as usize])
-                    .copied()
-                    .unwrap_or(crate::trap::ENC_SENTINEL);
-                frame[*edst as usize] = Value::Idx(translated);
+                // Component 0: the `enc`, sentinel fallback included.
+                frame[*edst as usize] = Value::Idx(self.enc(*e, &frame[*v as usize]));
                 // Component 1: the keyed membership-class op at `idx + 1`.
                 self.fused_step(fid, idx + 1)?;
-                let id = frame[*coll as usize]
-                    .try_as_coll()
-                    .map_err(|k| self.trap_at(fid, idx + 1, k))?;
-                let key = self.coerce_key_res(id, Res::Ref(&frame[*edst as usize]));
-                let imp = self.impl_of(id);
-                match kind {
-                    EncKeyKind::Has => {
-                        self.bump(imp, CollOp::Has, 1);
-                        let present = self.heap[id.0 as usize]
-                            .try_has(&key)
-                            .map_err(|k| self.trap_at(fid, idx + 1, k))?;
-                        frame[*dst2 as usize] = Value::Bool(present);
-                    }
+                let at = |k| trap_at(func, idx + 1, k);
+                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                let key = &frame[*edst as usize];
+                frame[*dst2 as usize] = match kind {
+                    EncKeyKind::Has => Value::Bool(self.has(id, key).map_err(at)?),
                     EncKeyKind::Remove => {
-                        self.bump(imp, CollOp::Remove, 1);
-                        self.heap[id.0 as usize]
-                            .try_remove(&key)
-                            .map_err(|k| self.trap_at(fid, idx + 1, k))?;
-                        self.refresh_bytes(id);
-                        frame[*dst2 as usize] = frame[*coll as usize].clone();
+                        self.remove(id, key).map_err(at)?;
+                        frame[*coll as usize].clone()
                     }
-                    EncKeyKind::Read => {
-                        self.bump(imp, CollOp::Read, 1);
-                        let v = self.heap[id.0 as usize]
-                            .try_read(&key)
-                            .map_err(|k| self.trap_at(fid, idx + 1, k))?;
-                        frame[*dst2 as usize] = v;
-                    }
-                }
+                    EncKeyKind::Read => self.read(id, key).map_err(at)?,
+                };
             }
             other => unreachable!("non-fused opcode {other:?} reached exec_fused_straight"),
         }
-        Ok(())
-    }
-
-    /// The `write` component of a fused window: replays the unfused
-    /// `DInst::Write` sequence (re-resolving the collection slot, as the
-    /// standalone instruction would), siting any trap at `site`.
-    fn fused_write(
-        &mut self,
-        fid: FuncId,
-        site: usize,
-        frame: &mut Vec<Value>,
-        coll: u32,
-        key: u32,
-        val: u32,
-        dst: u32,
-    ) -> Result<(), ExecError> {
-        let id = frame[coll as usize]
-            .try_as_coll()
-            .map_err(|k| self.trap_at(fid, site, k))?;
-        let key = self.coerce_key_res(id, Res::Ref(&frame[key as usize]));
-        let value = frame[val as usize].clone();
-        let imp = self.impl_of(id);
-        self.bump(imp, CollOp::Write, 1);
-        self.heap[id.0 as usize]
-            .try_write(&key, value)
-            .map_err(|k| self.trap_at(fid, site, k))?;
-        self.refresh_bytes(id);
-        frame[dst as usize] = frame[coll as usize].clone();
         Ok(())
     }
 
@@ -1232,7 +1233,7 @@ impl<'m> Interpreter<'m> {
     fn exec_simple_inst(
         &mut self,
         func: &DFunc,
-        frame: &mut Vec<Value>,
+        frame: &mut [Value],
         inst: &DInst,
     ) -> Result<(), ExecError> {
         match inst {
@@ -1251,10 +1252,7 @@ impl<'m> Interpreter<'m> {
             DInst::Read { coll, key, dst } => {
                 let id = self.resolve_coll(frame, coll)?;
                 let key = self.resolve(frame, key)?;
-                let key = self.coerce_key_res(id, key);
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Read, 1);
-                let v = self.heap[id.0 as usize].try_read(&key).map_err(trap)?;
+                let v = self.read(id, &key).map_err(trap)?;
                 frame[*dst as usize] = v;
             }
             DInst::Write {
@@ -1265,35 +1263,20 @@ impl<'m> Interpreter<'m> {
             } => {
                 let id = self.resolve_coll(frame, coll)?;
                 let key = self.resolve(frame, key)?;
-                let key = self.coerce_key_res(id, key);
                 let value = self.resolve(frame, val)?.into_owned();
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Write, 1);
-                self.heap[id.0 as usize]
-                    .try_write(&key, value)
-                    .map_err(trap)?;
-                self.refresh_bytes(id);
+                self.write(id, &key, value).map_err(trap)?;
                 frame[*dst as usize] = frame[coll.base_slot() as usize].clone();
             }
             DInst::Has { coll, key, dst } => {
                 let id = self.resolve_coll(frame, coll)?;
                 let key = self.resolve(frame, key)?;
-                let key = self.coerce_key_res(id, key);
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Has, 1);
-                let v = self.heap[id.0 as usize].try_has(&key).map_err(trap)?;
+                let v = self.has(id, &key).map_err(trap)?;
                 frame[*dst as usize] = Value::Bool(v);
             }
             DInst::InsertSet { coll, elem, dst } => {
                 let id = self.resolve_coll(frame, coll)?;
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Insert, 1);
                 let elem = self.resolve(frame, elem)?.into_owned();
-                let elem = self.coerce_key(id, elem);
-                self.heap[id.0 as usize]
-                    .try_insert_elem(elem)
-                    .map_err(trap)?;
-                self.refresh_bytes(id);
+                self.insert_elem(id, elem).map_err(trap)?;
                 frame[*dst as usize] = frame[coll.base_slot() as usize].clone();
             }
             DInst::InsertMap {
@@ -1303,18 +1286,8 @@ impl<'m> Interpreter<'m> {
                 dst,
             } => {
                 let id = self.resolve_coll(frame, coll)?;
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Insert, 1);
                 let key = self.resolve(frame, key)?;
-                let key = self.coerce_key_res(id, key);
-                // Only allocate a default if the key is absent.
-                if !self.heap[id.0 as usize].try_has(&key).map_err(trap)? {
-                    let default = self.default_value(&func.types[*val_ty as usize])?;
-                    self.heap[id.0 as usize]
-                        .try_insert_key_default(&key, default)
-                        .map_err(trap)?;
-                }
-                self.refresh_bytes(id);
+                self.insert_key(id, &key, &func.types[*val_ty as usize])?;
                 frame[*dst as usize] = frame[coll.base_slot() as usize].clone();
             }
             DInst::InsertSeq {
@@ -1324,24 +1297,15 @@ impl<'m> Interpreter<'m> {
                 dst,
             } => {
                 let id = self.resolve_coll(frame, coll)?;
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Insert, 1);
                 let index = self.resolve(frame, index)?.try_as_u64().map_err(trap)? as usize;
                 let value = self.resolve(frame, val)?.into_owned();
-                self.heap[id.0 as usize]
-                    .try_insert_seq(index, value)
-                    .map_err(trap)?;
-                self.refresh_bytes(id);
+                self.insert_seq(id, index, value).map_err(trap)?;
                 frame[*dst as usize] = frame[coll.base_slot() as usize].clone();
             }
             DInst::Remove { coll, key, dst } => {
                 let id = self.resolve_coll(frame, coll)?;
                 let key = self.resolve(frame, key)?;
-                let key = self.coerce_key_res(id, key);
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Remove, 1);
-                self.heap[id.0 as usize].try_remove(&key).map_err(trap)?;
-                self.refresh_bytes(id);
+                self.remove(id, &key).map_err(trap)?;
                 frame[*dst as usize] = frame[coll.base_slot() as usize].clone();
             }
             DInst::Clear { coll, dst } => {
@@ -1354,10 +1318,7 @@ impl<'m> Interpreter<'m> {
             }
             DInst::Size { coll, dst } => {
                 let id = self.resolve_coll(frame, coll)?;
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Size, 1);
-                let n = self.heap[id.0 as usize].len() as u64;
-                frame[*dst as usize] = Value::U64(n);
+                frame[*dst as usize] = Value::U64(self.size(id));
             }
             DInst::UnionInto {
                 dst_coll,
@@ -1408,18 +1369,7 @@ impl<'m> Interpreter<'m> {
             }
             DInst::Enc { e, v, dst } => {
                 let key = self.resolve(frame, v)?;
-                self.bump(ImplKind::EnumEnc, CollOp::Read, 1);
-                // Values outside the enumeration encode to a sentinel
-                // identifier that is a member of no collection: the
-                // paper leaves @enc undefined there, and ADE only emits
-                // such encodes for membership probes (`has`, `remove`,
-                // guarded `read`), which must observe absence. A dense
-                // insert of the sentinel raises a typed trap instead.
-                let idx = self.enums[*e as usize]
-                    .enc
-                    .get(&key)
-                    .copied()
-                    .unwrap_or(crate::trap::ENC_SENTINEL);
+                let idx = self.enc(*e, &key);
                 frame[*dst as usize] = Value::Idx(idx);
             }
             DInst::Dec { e, v, dst } => {
@@ -1449,6 +1399,32 @@ impl<'m> Interpreter<'m> {
             }
         }
         Ok(())
+    }
+
+    /// The `foreach` prelude shared by the generic and the bulk loop:
+    /// snapshots the collection, counts the iteration (`IterElem` per
+    /// entry, `IterWord` per scanned occupancy word) and presents dense
+    /// keys as `u64` where the static key type asks for it.
+    fn foreach_entries(
+        &mut self,
+        frame: &[Value],
+        coll: &DOp,
+        uncoerce_u64: bool,
+    ) -> Result<Vec<(Value, Value)>, ExecError> {
+        let id = self.resolve_coll(frame, coll)?;
+        let imp = self.impl_of(id);
+        let mut entries = self.heap[id.0 as usize].snapshot();
+        let words = self.heap[id.0 as usize].iter_scan_words();
+        self.bump(imp, CollOp::IterElem, entries.len() as u64);
+        self.bump(imp, CollOp::IterWord, words);
+        if uncoerce_u64 {
+            for (k, _) in &mut entries {
+                if let Value::Idx(i) = k {
+                    *k = Value::U64(*i as u64);
+                }
+            }
+        }
+        Ok(entries)
     }
 
     #[inline(never)]
@@ -1481,19 +1457,7 @@ impl<'m> Interpreter<'m> {
         else {
             unreachable!()
         };
-        let id = self.resolve_coll(frame, coll)?;
-        let imp = self.impl_of(id);
-        let mut entries = self.heap[id.0 as usize].snapshot();
-        let words = self.heap[id.0 as usize].iter_scan_words();
-        self.bump(imp, CollOp::IterElem, entries.len() as u64);
-        self.bump(imp, CollOp::IterWord, words);
-        if *uncoerce_u64 {
-            for (k, _) in &mut entries {
-                if let Value::Idx(i) = k {
-                    *k = Value::U64(*i as u64);
-                }
-            }
-        }
+        let entries = self.foreach_entries(frame, coll, *uncoerce_u64)?;
         let region = &func.regions[*body as usize];
         let args = &region.args;
         // Direct-yield bodies keep the carried values in the arg slots
@@ -1519,9 +1483,7 @@ impl<'m> Interpreter<'m> {
                     other => return Ok(other),
                 }
             }
-            for (&r, &a) in dsts.iter().zip(args[skip..].iter()) {
-                frame[r as usize] = frame[a as usize].clone();
-            }
+            copy_slots(frame, &args[skip..], dsts);
             return Ok(Flow::Continue);
         }
         let mut carried: Vec<Value> = carried_ops
@@ -1603,9 +1565,7 @@ impl<'m> Interpreter<'m> {
                     other => return Ok(other),
                 }
             }
-            for (&r, &a) in dsts.iter().zip(args[1..].iter()) {
-                frame[r as usize] = frame[a as usize].clone();
-            }
+            copy_slots(frame, &args[1..], dsts);
             return Ok(Flow::Continue);
         }
         let mut carried: Vec<Value> = carried_ops
@@ -1682,16 +1642,15 @@ impl<'m> Interpreter<'m> {
     }
 
     /// Bulk `foreach`: one header dispatch for the whole nest. The
-    /// common prefix (collection resolution, iteration bumps, carried
-    /// resolution, hoisted constants) replays the generic loop; then the
-    /// plan executor runs the body without per-instruction dispatch or
-    /// per-iteration region entry.
+    /// common prefix (the `foreach` prelude, carried resolution, hoisted
+    /// constants) replays the generic loop; then the plan executor runs
+    /// the body without per-instruction dispatch or per-iteration region
+    /// entry.
     #[inline(never)]
     fn exec_foreach_bulk(
         &mut self,
-        fid: FuncId,
         func: &DFunc,
-        frame: &mut Vec<Value>,
+        frame: &mut [Value],
         inst: &DInst,
     ) -> Result<Flow, ExecError> {
         let DInst::ForEachBulk {
@@ -1706,47 +1665,18 @@ impl<'m> Interpreter<'m> {
         else {
             unreachable!()
         };
-        let id = self.resolve_coll(frame, coll)?;
-        let imp = self.impl_of(id);
-        let n = self.heap[id.0 as usize].len() as u64;
-        let words = self.heap[id.0 as usize].iter_scan_words();
-        self.bump(imp, CollOp::IterElem, n);
-        self.bump(imp, CollOp::IterWord, words);
-        let region = &func.regions[*body as usize];
-        let args = &region.args;
-        let skip = 1 + usize::from(*binds_value);
-        for (j, op) in carried_ops.iter().enumerate() {
-            let v = self.resolve(frame, op)?.into_owned();
-            frame[args[skip + j] as usize] = v;
-        }
-        for p in plan.prelude.iter() {
-            self.exec_plan_op(fid, func, frame, p)?;
-        }
-        let mut entries = self.heap[id.0 as usize].snapshot();
-        if *uncoerce_u64 {
-            for (k, _) in &mut entries {
-                if let Value::Idx(i) = k {
-                    *k = Value::U64(*i as u64);
-                }
-            }
-        }
+        let entries = self.foreach_entries(frame, coll, *uncoerce_u64)?;
+        let args = &func.regions[*body as usize].args;
+        let carried_args = &args[1 + usize::from(*binds_value)..];
+        self.exec_plan_prelude(func, frame, carried_ops, carried_args, plan)?;
         for (key, value) in entries {
             frame[args[0] as usize] = key;
             if *binds_value {
                 frame[args[1] as usize] = value;
             }
-            for p in plan.ops.iter() {
-                self.exec_plan_op(fid, func, frame, p)?;
-            }
-            for (&s, &a) in plan.yield_srcs.iter().zip(args[skip..].iter()) {
-                if s != a {
-                    frame[a as usize] = frame[s as usize].clone();
-                }
-            }
+            self.exec_plan_iteration(func, frame, plan, carried_args)?;
         }
-        for (&r, &a) in dsts.iter().zip(args[skip..].iter()) {
-            frame[r as usize] = frame[a as usize].clone();
-        }
+        copy_slots(frame, carried_args, dsts);
         Ok(Flow::Continue)
     }
 
@@ -1755,9 +1685,8 @@ impl<'m> Interpreter<'m> {
     #[inline(never)]
     fn exec_forrange_bulk(
         &mut self,
-        fid: FuncId,
         func: &DFunc,
-        frame: &mut Vec<Value>,
+        frame: &mut [Value],
         inst: &DInst,
     ) -> Result<Flow, ExecError> {
         let DInst::ForRangeBulk {
@@ -1773,67 +1702,71 @@ impl<'m> Interpreter<'m> {
         };
         let lo = self.resolve(frame, lo)?.try_as_u64().map_err(trap)?;
         let hi = self.resolve(frame, hi)?.try_as_u64().map_err(trap)?;
-        let region = &func.regions[*body as usize];
-        let args = &region.args;
-        for (j, op) in carried_ops.iter().enumerate() {
-            let v = self.resolve(frame, op)?.into_owned();
-            frame[args[1 + j] as usize] = v;
-        }
-        for p in plan.prelude.iter() {
-            self.exec_plan_op(fid, func, frame, p)?;
-        }
+        let args = &func.regions[*body as usize].args;
+        let carried_args = &args[1..];
+        self.exec_plan_prelude(func, frame, carried_ops, carried_args, plan)?;
         for i in lo..hi {
             frame[args[0] as usize] = Value::U64(i);
-            for p in plan.ops.iter() {
-                self.exec_plan_op(fid, func, frame, p)?;
-            }
-            for (&s, &a) in plan.yield_srcs.iter().zip(args[1..].iter()) {
-                if s != a {
-                    frame[a as usize] = frame[s as usize].clone();
-                }
-            }
+            self.exec_plan_iteration(func, frame, plan, carried_args)?;
         }
-        for (&r, &a) in dsts.iter().zip(args[1..].iter()) {
-            frame[r as usize] = frame[a as usize].clone();
-        }
+        copy_slots(frame, carried_args, dsts);
         Ok(Flow::Continue)
     }
 
-    /// One plan component. Mirrors the corresponding arm of
-    /// [`Self::exec_simple_inst`] bump-for-bump (operands are plain
-    /// slots by construction), siting traps at the component's original
-    /// code index — the site the unfused loop would report.
+    /// Loads a bulk loop's initial carried values into the body's carried
+    /// argument slots and runs the plan's hoisted prelude.
+    fn exec_plan_prelude(
+        &mut self,
+        func: &DFunc,
+        frame: &mut [Value],
+        carried_ops: &[DOp],
+        carried_args: &[u32],
+        plan: &BulkPlan,
+    ) -> Result<(), ExecError> {
+        for (op, &a) in carried_ops.iter().zip(carried_args) {
+            let v = self.resolve(frame, op)?.into_owned();
+            frame[a as usize] = v;
+        }
+        for p in plan.prelude.iter() {
+            self.exec_plan_op(func, frame, p)?;
+        }
+        Ok(())
+    }
+
+    /// One bulk loop iteration: the plan's ops, then the terminal yield
+    /// copied into the carried argument slots.
+    #[inline]
+    fn exec_plan_iteration(
+        &mut self,
+        func: &DFunc,
+        frame: &mut [Value],
+        plan: &BulkPlan,
+        carried_args: &[u32],
+    ) -> Result<(), ExecError> {
+        for p in plan.ops.iter() {
+            self.exec_plan_op(func, frame, p)?;
+        }
+        copy_slots(frame, &plan.yield_srcs, carried_args);
+        Ok(())
+    }
+
+    /// One plan component: the same kernel as the corresponding arm of
+    /// [`Self::exec_simple_inst`] (operands are plain slots by
+    /// construction), with traps sited at the component's original code
+    /// index — the site the unfused loop would report.
     fn exec_plan_op(
         &mut self,
-        fid: FuncId,
         func: &DFunc,
-        frame: &mut Vec<Value>,
+        frame: &mut [Value],
         p: &PlanOp,
     ) -> Result<(), ExecError> {
         let site = p.site as usize;
+        let at = |k| trap_at(func, site, k);
         match &p.op {
-            BulkOp::Const { pool, dst } => {
-                frame[*dst as usize] = func.consts[*pool as usize].clone();
-            }
-            BulkOp::Bin { op, a, b, dst } => {
-                let v = eval_bin(*op, &frame[*a as usize], &frame[*b as usize])
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                frame[*dst as usize] = v;
-            }
-            BulkOp::Cmp { op, a, b, dst } => {
-                let v = eval_cmp(*op, &frame[*a as usize], &frame[*b as usize]);
-                frame[*dst as usize] = Value::Bool(v);
-            }
-            BulkOp::Not { a, dst } => {
-                let v = !frame[*a as usize]
-                    .try_as_bool()
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                frame[*dst as usize] = Value::Bool(v);
-            }
+            BulkOp::Scalar(u) => exec_scalar(func, frame, *u).map_err(at)?,
             BulkOp::Cast { ty, a, dst } => {
-                let v = eval_cast(&frame[*a as usize], &func.types[*ty as usize])
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                frame[*dst as usize] = v;
+                frame[*dst as usize] =
+                    eval_cast(&frame[*a as usize], &func.types[*ty as usize]).map_err(at)?;
             }
             BulkOp::Proj { base, field, dst } => {
                 // Mirrors the `Field` step of `resolve_path` (no stats
@@ -1851,20 +1784,12 @@ impl<'m> Interpreter<'m> {
                         got: format!("{other:?}"),
                     }),
                 }
-                .map_err(|k| self.trap_at(fid, site, k))?;
+                .map_err(at)?;
                 frame[*dst as usize] = v;
             }
             BulkOp::Read { coll, key, dst } => {
-                let id = frame[*coll as usize]
-                    .try_as_coll()
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                let key = self.coerce_key_res(id, Res::Ref(&frame[*key as usize]));
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Read, 1);
-                let v = self.heap[id.0 as usize]
-                    .try_read(&key)
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                frame[*dst as usize] = v;
+                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                frame[*dst as usize] = self.read(id, &frame[*key as usize]).map_err(at)?;
             }
             BulkOp::Write {
                 coll,
@@ -1872,42 +1797,20 @@ impl<'m> Interpreter<'m> {
                 val,
                 dst,
             } => {
-                let id = frame[*coll as usize]
-                    .try_as_coll()
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                let key = self.coerce_key_res(id, Res::Ref(&frame[*key as usize]));
+                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
                 let value = frame[*val as usize].clone();
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Write, 1);
-                self.heap[id.0 as usize]
-                    .try_write(&key, value)
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                self.refresh_bytes(id);
+                self.write(id, &frame[*key as usize], value).map_err(at)?;
                 frame[*dst as usize] = frame[*coll as usize].clone();
             }
             BulkOp::Has { coll, key, dst } => {
-                let id = frame[*coll as usize]
-                    .try_as_coll()
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                let key = self.coerce_key_res(id, Res::Ref(&frame[*key as usize]));
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Has, 1);
-                let v = self.heap[id.0 as usize]
-                    .try_has(&key)
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                frame[*dst as usize] = Value::Bool(v);
+                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                frame[*dst as usize] =
+                    Value::Bool(self.has(id, &frame[*key as usize]).map_err(at)?);
             }
             BulkOp::InsertSet { coll, elem, dst } => {
-                let id = frame[*coll as usize]
-                    .try_as_coll()
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Insert, 1);
-                let elem = self.coerce_key(id, frame[*elem as usize].clone());
-                self.heap[id.0 as usize]
-                    .try_insert_elem(elem)
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                self.refresh_bytes(id);
+                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                self.insert_elem(id, frame[*elem as usize].clone())
+                    .map_err(at)?;
                 frame[*dst as usize] = frame[*coll as usize].clone();
             }
             BulkOp::InsertMap {
@@ -1916,23 +1819,9 @@ impl<'m> Interpreter<'m> {
                 val_ty,
                 dst,
             } => {
-                let id = frame[*coll as usize]
-                    .try_as_coll()
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Insert, 1);
-                let key = self.coerce_key_res(id, Res::Ref(&frame[*key as usize]));
-                if !self.heap[id.0 as usize]
-                    .try_has(&key)
-                    .map_err(|k| self.trap_at(fid, site, k))?
-                {
-                    let key = key.into_owned();
-                    let default = self.default_value(&func.types[*val_ty as usize])?;
-                    self.heap[id.0 as usize]
-                        .try_insert_key_default(&key, default)
-                        .map_err(|k| self.trap_at(fid, site, k))?;
-                }
-                self.refresh_bytes(id);
+                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                self.insert_key(id, &frame[*key as usize], &func.types[*val_ty as usize])
+                    .map_err(|e| site_at(func, site, e))?;
                 frame[*dst as usize] = frame[*coll as usize].clone();
             }
             BulkOp::InsertSeq {
@@ -1941,42 +1830,20 @@ impl<'m> Interpreter<'m> {
                 val,
                 dst,
             } => {
-                let id = frame[*coll as usize]
-                    .try_as_coll()
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Insert, 1);
-                let index = frame[*index as usize]
-                    .try_as_u64()
-                    .map_err(|k| self.trap_at(fid, site, k))? as usize;
+                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                let index = frame[*index as usize].try_as_u64().map_err(at)? as usize;
                 let value = frame[*val as usize].clone();
-                self.heap[id.0 as usize]
-                    .try_insert_seq(index, value)
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                self.refresh_bytes(id);
+                self.insert_seq(id, index, value).map_err(at)?;
                 frame[*dst as usize] = frame[*coll as usize].clone();
             }
             BulkOp::Remove { coll, key, dst } => {
-                let id = frame[*coll as usize]
-                    .try_as_coll()
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                let key = self.coerce_key_res(id, Res::Ref(&frame[*key as usize]));
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Remove, 1);
-                self.heap[id.0 as usize]
-                    .try_remove(&key)
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                self.refresh_bytes(id);
+                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                self.remove(id, &frame[*key as usize]).map_err(at)?;
                 frame[*dst as usize] = frame[*coll as usize].clone();
             }
             BulkOp::Size { coll, dst } => {
-                let id = frame[*coll as usize]
-                    .try_as_coll()
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Size, 1);
-                let len = self.heap[id.0 as usize].len() as u64;
-                frame[*dst as usize] = Value::U64(len);
+                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                frame[*dst as usize] = Value::U64(self.size(id));
             }
             BulkOp::If {
                 cond,
@@ -1986,22 +1853,15 @@ impl<'m> Interpreter<'m> {
                 else_srcs,
                 dsts,
             } => {
-                let c = frame[*cond as usize]
-                    .try_as_bool()
-                    .map_err(|k| self.trap_at(fid, site, k))?;
-                let (ops, srcs) = if c {
+                let (ops, srcs) = if frame[*cond as usize].try_as_bool().map_err(at)? {
                     (then_ops, then_srcs)
                 } else {
                     (else_ops, else_srcs)
                 };
                 for q in ops.iter() {
-                    self.exec_plan_op(fid, func, frame, q)?;
+                    self.exec_plan_op(func, frame, q)?;
                 }
-                for (&s, &t) in srcs.iter().zip(dsts.iter()) {
-                    if s != t {
-                        frame[t as usize] = frame[s as usize].clone();
-                    }
-                }
+                copy_slots(frame, srcs, dsts);
             }
         }
         Ok(())
@@ -2076,13 +1936,56 @@ impl<'m> Interpreter<'m> {
                 self.bump(dst_imp, CollOp::UnionElem, entries.len() as u64);
                 for (key, _) in entries {
                     let key = Self::uncoerce_key(dst_elem_ty, key);
-                    let key = self.coerce_key(dst, key);
+                    let key = coerce_key(dst_imp, Res::Owned(key)).into_owned();
                     self.heap[di].try_insert_elem(key).map_err(trap)?;
                 }
             }
         }
         Ok(())
     }
+}
+
+/// Dense implementations index by `idx`; accept `u64` keys for
+/// directive-forced dense collections over integer domains. The common
+/// no-coercion case passes a borrowed key through untouched.
+#[inline]
+fn coerce_key(imp: ImplKind, key: Res<'_>) -> Res<'_> {
+    match (imp, &*key) {
+        (ImplKind::BitSet | ImplKind::SparseBitSet | ImplKind::BitMap, Value::U64(n)) => {
+            Res::Owned(Value::Idx(*n as usize))
+        }
+        _ => key,
+    }
+}
+
+/// Copies `frame[srcs[j]]` into `frame[dsts[j]]` in order, skipping
+/// self-copies: yields landing in their consumer's slots.
+#[inline]
+fn copy_slots(frame: &mut [Value], srcs: &[u32], dsts: &[u32]) {
+    for (&s, &t) in srcs.iter().zip(dsts) {
+        if s != t {
+            frame[t as usize] = frame[s as usize].clone();
+        }
+    }
+}
+
+/// The scalar step shared by [`DInst::FusedScalars`] windows, the
+/// arithmetic components of the other fused windows and bulk plans.
+#[inline]
+fn exec_scalar(func: &DFunc, frame: &mut [Value], u: UScalar) -> Result<(), TrapKind> {
+    let (dst, v) = match u {
+        UScalar::Const { pool, dst } => (dst, func.consts[pool as usize].clone()),
+        UScalar::Bin { op, a, b, dst } => {
+            (dst, eval_bin(op, &frame[a as usize], &frame[b as usize])?)
+        }
+        UScalar::Cmp { op, a, b, dst } => (
+            dst,
+            Value::Bool(eval_cmp(op, &frame[a as usize], &frame[b as usize])),
+        ),
+        UScalar::Not { a, dst } => (dst, Value::Bool(!frame[a as usize].try_as_bool()?)),
+    };
+    frame[dst as usize] = v;
+    Ok(())
 }
 
 fn eval_bin(op: BinOp, a: &Value, b: &Value) -> Result<Value, TrapKind> {

@@ -192,39 +192,6 @@ impl ProfileData {
     pub fn function(&self, name: &str) -> Option<&ProfileFunc> {
         self.functions.iter().find(|f| f.name == name)
     }
-
-    /// Renders the top `n` sites by operation count as a small table —
-    /// the same shape the interpreter's hot-site summary prints, but
-    /// derivable from any read-back profile. An empty or all-zero
-    /// profile renders a stable `(no sites)` line instead of a bare
-    /// header, so downstream `diff`s and log scrapers always see at
-    /// least one row.
-    pub fn hot_site_summary(&self, n: usize) -> String {
-        let mut rows: Vec<(&str, u64, u64, u64)> = self
-            .functions
-            .iter()
-            .flat_map(|f| {
-                f.sites
-                    .iter()
-                    .map(move |s| (f.name.as_str(), s.inst, s.total_ops, s.size_hwm))
-            })
-            .filter(|&(_, _, total_ops, _)| total_ops > 0)
-            .collect();
-        rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)).then(a.1.cmp(&b.1)));
-        rows.truncate(n);
-        let mut out = format!("top {} sites by total ops:\n", rows.len());
-        out.push_str(&format!("  {:>12} {:>12}  site\n", "ops", "hwm"));
-        if rows.is_empty() {
-            out.push_str("  (no sites)\n");
-            return out;
-        }
-        for (func, inst, total_ops, size_hwm) in rows {
-            out.push_str(&format!(
-                "  {total_ops:>12} {size_hwm:>12}  @{func}#{inst}\n"
-            ));
-        }
-        out
-    }
 }
 
 fn schema_err(msg: impl Into<String>) -> ProfileReadError {
@@ -493,40 +460,6 @@ mod tests {
                 "{what} must be a schema error"
             );
         }
-    }
-
-    #[test]
-    fn hot_site_summary_ranks_sites_and_hardens_empties() {
-        let p = read_profile(SAMPLE).expect("reads");
-        let summary = p.hot_site_summary(10);
-        assert!(summary.starts_with("top 2 sites by total ops:"), "{summary}");
-        let first = summary.lines().nth(2).expect("first row");
-        assert!(first.ends_with("@main#1"), "busiest site first: {summary}");
-        assert!(summary.contains("@main#3"), "{summary}");
-        // Truncation keeps only the busiest rows.
-        assert!(p.hot_site_summary(1).contains("top 1 sites"), "{}", p.hot_site_summary(1));
-        assert!(!p.hot_site_summary(1).contains("@main#3"));
-        // Empty and all-zero profiles render the stable stub line.
-        let empty = ProfileData::default().hot_site_summary(10);
-        assert!(empty.starts_with("top 0 sites by total ops:"), "{empty}");
-        assert!(empty.contains("(no sites)"), "{empty}");
-        assert_eq!(empty, ProfileData::default().hot_site_summary(10));
-        let zero = ProfileData {
-            functions: vec![ProfileFunc {
-                name: "idle".to_string(),
-                sites: vec![ProfileSite {
-                    inst: 0,
-                    ops: Vec::new(),
-                    mix: OpMix::default(),
-                    total_ops: 0,
-                    size_hwm: 0,
-                }],
-                mix: OpMix::default(),
-                size_hwm: 0,
-            }],
-            total_ops: 0,
-        };
-        assert!(zero.hot_site_summary(10).contains("(no sites)"));
     }
 
     #[test]

@@ -323,3 +323,74 @@ fn fuel_boundary_is_exact_under_batch_and_every_quantum() {
         assert_eq!(err, tripped, "quantum {quantum:?}");
     }
 }
+
+/// Per-module decode shape at scale 4: `ABBREV config fused bulk
+/// components` rows for every benchmark under `memoir` and `ade`.
+const GOLDEN_SHAPE: &str = include_str!("golden/decoded_shape_scale4.txt");
+
+/// Counts the default decode's `Fused*` superinstructions, bulk loop
+/// headers (`ForEachBulk`/`ForRangeBulk`) and bulk plan components
+/// (prelude plus per-iteration ops, each `If` arm's ops included).
+fn decoded_shape(decoded: &DecodedModule) -> (usize, usize, usize) {
+    use ade::interp::decode::{BulkOp, DInst, PlanOp};
+    fn components(ops: &[PlanOp]) -> usize {
+        ops.iter()
+            .map(|p| match &p.op {
+                BulkOp::If {
+                    then_ops, else_ops, ..
+                } => 1 + components(then_ops) + components(else_ops),
+                _ => 1,
+            })
+            .sum()
+    }
+    let (mut fused, mut bulk, mut plan_ops) = (0, 0, 0);
+    for inst in decoded.funcs.iter().flat_map(|f| f.code.iter()) {
+        match inst {
+            DInst::FusedScalars { .. }
+            | DInst::FusedReadBin { .. }
+            | DInst::FusedBinWrite { .. }
+            | DInst::FusedReadBinWrite { .. }
+            | DInst::FusedHasIf { .. }
+            | DInst::FusedCmpIf { .. }
+            | DInst::FusedEncKey { .. } => fused += 1,
+            DInst::ForEachBulk { plan, .. } | DInst::ForRangeBulk { plan, .. } => {
+                bulk += 1;
+                plan_ops += components(&plan.prelude) + components(&plan.ops);
+            }
+            _ => {}
+        }
+    }
+    (fused, bulk, plan_ops)
+}
+
+/// The default decode builds the same peephole windows, bulk loops and
+/// plan components for every paper program as recorded in
+/// `tests/golden/decoded_shape_scale4.txt`, so a change to the decoder's
+/// pass structure cannot silently drop a fast path.
+#[test]
+fn decode_keeps_every_window_and_plan() {
+    let mut table = String::new();
+    for bench in ade::workloads::all_benchmarks() {
+        for kind in [ConfigKind::Memoir, ConfigKind::Ade] {
+            let config = Config::new(kind);
+            let mut module = (bench.build)(4);
+            config.compile(&mut module);
+            let decoded = DecodedModule::decode_with(&module, &DecodeOptions::default());
+            let (fused, bulk, plan_ops) = decoded_shape(&decoded);
+            table.push_str(&format!(
+                "{} {} {fused} {bulk} {plan_ops}\n",
+                bench.abbrev,
+                kind.name()
+            ));
+        }
+    }
+    let golden: String = GOLDEN_SHAPE
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(
+        table, golden,
+        "decode shape differs from tests/golden/decoded_shape_scale4.txt; full table:\n{table}"
+    );
+}

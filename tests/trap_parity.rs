@@ -1,0 +1,250 @@
+//! Guest traps raised inside bulk loop plans and fused peephole windows
+//! on the unobserved default path (no fuel, profiler or session, so
+//! bulk plans run) must match the reference decode exactly: the same
+//! trap kind, code and `@fn:inst` site.
+
+use ade::interp::decode::DInst;
+use ade::interp::{DecodeOptions, DecodedModule, ExecConfig, ExecError, Interpreter};
+use ade::ir::parse::parse_module;
+
+/// One trapping program and the decode shape it must exercise.
+struct Case {
+    name: &'static str,
+    text: &'static str,
+    /// The expected [`ExecError::code`].
+    code: &'static str,
+    /// A peephole window the default decode must contain, if any.
+    window: Option<fn(&DInst) -> bool>,
+}
+
+const CASES: &[Case] = &[
+    Case {
+        name: "missing key in a read+bin+write window of a forrange",
+        text: r#"
+fn @main() -> void {
+  %m = new Map<u64, u64>
+  %k0 = const 0u64
+  %m0 = insert %m, %k0
+  %lo = const 0u64
+  %hi = const 5u64
+  %r = forrange %lo, %hi carry(%m0) as (%i: u64, %c: Map<u64, u64>) {
+    %one = const 1u64
+    %v = read %c, %i
+    %v1 = add %v, %one
+    %c1 = write %c, %i, %v1
+    yield %c1
+  }
+  %n = size %r
+  print %n
+  ret
+}
+"#,
+        code: "missing-key",
+        window: Some(|i| matches!(i, DInst::FusedReadBinWrite { .. })),
+    },
+    Case {
+        name: "missing key in the arm of a has+if window of a foreach",
+        text: r#"
+fn @main() -> void {
+  %s = new Set<u64>
+  %a = const 1u64
+  %b = const 2u64
+  %s1 = insert %s, %a
+  %s2 = insert %s1, %b
+  %m = new Map<u64, u64>
+  %m1 = insert %m, %a
+  %zero = const 0u64
+  %t = foreach %s2 carry(%zero) as (%v: u64, %acc: u64) {
+    %h = has %s2, %v
+    %x = if %h then {
+      %y = read %m1, %v
+      yield %y
+    } else {
+      yield %zero
+    }
+    %acc1 = add %acc, %x
+    yield %acc1
+  }
+  print %t
+  ret
+}
+"#,
+        code: "missing-key",
+        window: Some(|i| matches!(i, DInst::FusedHasIf { .. })),
+    },
+    Case {
+        name: "out-of-range seq insert in a foreach",
+        text: r#"
+fn @main() -> void {
+  %in = new Seq<u64>
+  %z = const 0u64
+  %five = const 5u64
+  %in1 = insert %in, %z, %five
+  %out = new Seq<u64>
+  %r = foreach %in1 carry(%out) as (%i: u64, %v: u64, %c: Seq<u64>) {
+    %c1 = insert %c, %v, %v
+    yield %c1
+  }
+  %n = size %r
+  print %n
+  ret
+}
+"#,
+        code: "out-of-bounds",
+        window: None,
+    },
+    Case {
+        name: "out-of-range seq insert after a scalar window of a forrange",
+        text: r#"
+fn @main() -> void {
+  %out = new Seq<u64>
+  %lo = const 0u64
+  %hi = const 4u64
+  %r = forrange %lo, %hi carry(%out) as (%i: u64, %c: Seq<u64>) {
+    %two = const 2u64
+    %j = mul %i, %two
+    %c1 = insert %c, %j, %i
+    yield %c1
+  }
+  %n = size %r
+  print %n
+  ret
+}
+"#,
+        code: "out-of-bounds",
+        window: Some(|i| matches!(i, DInst::FusedScalars { .. })),
+    },
+    Case {
+        name: "enc sentinel inserted into a bit set in a forrange, after an enc+has window",
+        text: r#"
+enum e0: u64
+
+fn @main() -> void {
+  %x = const 42u64
+  %s = new Set{Bit}<idx>
+  %id = enc e0, %x
+  %h = has %s, %id
+  %lo = const 0u64
+  %hi = const 3u64
+  %r = forrange %lo, %hi carry(%s) as (%i: u64, %c: Set{Bit}<idx>) {
+    %c1 = insert %c, %id
+    yield %c1
+  }
+  print %h
+  ret
+}
+"#,
+        code: "sentinel-insert",
+        window: Some(|i| matches!(i, DInst::FusedEncKey { .. })),
+    },
+    Case {
+        name: "division by zero inside a scalar window of a forrange",
+        text: r#"
+fn @main() -> void {
+  %lo = const 0u64
+  %hi = const 4u64
+  %zero = const 0u64
+  %r = forrange %lo, %hi carry(%zero) as (%i: u64, %acc: u64) {
+    %ten = const 10u64
+    %q = div %ten, %i
+    %acc1 = add %acc, %q
+    yield %acc1
+  }
+  print %r
+  ret
+}
+"#,
+        code: "div-by-zero",
+        window: Some(|i| matches!(i, DInst::FusedScalars { .. })),
+    },
+    Case {
+        name: "division by zero in a read+bin window of a foreach",
+        text: r#"
+fn @main() -> void {
+  %in = new Seq<u64>
+  %z = const 0u64
+  %five = const 5u64
+  %in1 = insert %in, %z, %five
+  %zero = const 0u64
+  %r = foreach %in1 carry(%zero) as (%i: u64, %v: u64, %acc: u64) {
+    %w = read %in1, %i
+    %q = div %w, %i
+    %acc1 = add %acc, %q
+    yield %acc1
+  }
+  print %r
+  ret
+}
+"#,
+        code: "div-by-zero",
+        window: Some(|i| matches!(i, DInst::FusedReadBin { .. })),
+    },
+];
+
+fn run(module: &ade::ir::Module, reference: bool) -> (DecodedModule, ExecError) {
+    let decoded = DecodedModule::decode_with(module, &DecodeOptions { reference });
+    let err = Interpreter::new(module, ExecConfig::default())
+        .run_decoded(&decoded, "main")
+        .expect_err("the program traps");
+    (decoded, err)
+}
+
+/// Each trapping program traps identically on both decodes, and the
+/// default decode really ran the trap through a bulk loop plan (and the
+/// named peephole window, where the case has one).
+#[test]
+fn bulk_and_fused_traps_match_the_reference_decode() {
+    for case in CASES {
+        let module = parse_module(case.text).unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        ade::ir::verify::verify_module(&module).unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        let (decoded, default) = run(&module, false);
+        let code = || decoded.funcs.iter().flat_map(|f| f.code.iter());
+        assert!(
+            code().any(|i| matches!(i, DInst::ForEachBulk { .. } | DInst::ForRangeBulk { .. })),
+            "{}: the loop must compile to a bulk plan",
+            case.name
+        );
+        if let Some(window) = case.window {
+            assert!(code().any(window), "{}: the window must fuse", case.name);
+        }
+        let (_, reference) = run(&module, true);
+        assert_eq!(default, reference, "{}", case.name);
+        assert_eq!(default.code(), case.code, "{}: {default}", case.name);
+        assert!(
+            matches!(default, ExecError::GuestTrap { site: Some(_), .. }),
+            "{}: the trap is sited: {default}",
+            case.name
+        );
+    }
+}
+
+/// A trap raised by the second slot of a fused `enc`+`read` window is
+/// sited at that slot, as the reference decode sites it.
+#[test]
+fn enc_read_window_traps_at_its_read() {
+    let module = parse_module(
+        r#"
+enum e0: u64
+
+fn @main() -> void {
+  %m = new Map{Bit}<idx, u64>
+  %x = const 42u64
+  %id = enc e0, %x
+  %v = read %m, %id
+  print %v
+  ret
+}
+"#,
+    )
+    .expect("parses");
+    ade::ir::verify::verify_module(&module).expect("verifies");
+    let (decoded, default) = run(&module, false);
+    assert!(decoded.funcs[0]
+        .code
+        .iter()
+        .any(|i| matches!(i, DInst::FusedEncKey { .. })));
+    let (_, reference) = run(&module, true);
+    assert_eq!(default, reference);
+    assert_eq!(default.code(), "missing-key");
+    assert!(default.to_string().contains("@main:3"), "{default}");
+}
