@@ -335,7 +335,7 @@ fn set_bulk_probe() -> Kernel {
 fn run_once(k: &Kernel, reference: bool) -> usize {
     let decoded = DecodedModule::decode_with(&k.module, &DecodeOptions { reference });
     Interpreter::new(&k.module, ExecConfig::default())
-        .run_decoded_inline(&decoded, "main")
+        .run_decoded(&decoded, "main")
         .unwrap_or_else(|e| panic!("[{}] run: {e}", k.name))
         .output
         .len()

@@ -28,9 +28,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Stack size for pool workers. Workers run the ADE pipeline (whose
-/// transformation passes recurse over regions) but not the interpreter
-/// itself — `Interpreter::run` moves execution to its own dedicated
-/// big-stack thread — so a moderate stack suffices.
+/// transformation passes recurse over regions) and the interpreter,
+/// which keeps guest calls and regions on its own heap-allocated stacks
+/// rather than the host's, so a moderate stack suffices.
 const WORKER_STACK: usize = 64 * 1024 * 1024;
 
 /// Runs `work` over every item, `jobs` at a time, preserving input

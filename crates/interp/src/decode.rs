@@ -488,10 +488,10 @@ pub enum DInst {
     // is replaced in place by its bulk twin. The body region's
     // instructions stay in `code` untouched, so code length, per-site
     // profile indices, and trap-site numbering are unchanged, and the
-    // interpreter can still run the loop generically (it does so
-    // whenever fuel metering, profiling, or a depth limit is active —
-    // exactly the configurations where per-iteration accounting is
-    // observable).
+    // interpreter can still run the loop generically: a profiled run
+    // does so throughout, as does a loop whose regions would not fit
+    // under the depth limit, and any run does so for an iteration the
+    // tick countdown cannot cover ([`BulkPlan::worst`]).
     /// [`DInst::ForEach`] with a compiled bulk body plan.
     ForEachBulk {
         /// Collection operand.
@@ -606,6 +606,17 @@ pub struct BulkPlan {
     /// carried argument slots after each iteration (already checked for
     /// write-before-read hazards, like [`DInst::YieldDirect`]).
     pub yield_srcs: Box<[u32]>,
+    /// Body slots after the last op, terminator included: the ticks an
+    /// iteration takes beyond its ops' [`PlanOp::ticks`].
+    pub tail: u32,
+    /// The most ticks one iteration can take (the longer arm of every
+    /// `if`): an iteration runs through the plan only when the tick
+    /// countdown covers this, so no budget boundary falls inside it.
+    pub worst: u32,
+    /// Regions the unfused loop enters per iteration: the body, plus an
+    /// `if` arm when the body branches. The plan runs only when these
+    /// fit under the depth limit.
+    pub depth: u32,
 }
 
 /// One component of a [`BulkPlan`] with its trap/profile site.
@@ -614,6 +625,11 @@ pub struct PlanOp {
     /// Absolute index into [`DFunc::code`] of the component this op
     /// replays — the site a trap raised here must be attributed to.
     pub site: u32,
+    /// Code slots the unfused loop ticks for this op: its own slot and
+    /// those since the previous op's (hoisted `const`s), or `0` for an
+    /// op sharing the previous op's slot (a projection's consumer).
+    /// Prelude ops tick nothing: their slots count in every iteration.
+    pub ticks: u32,
     /// The operation.
     pub op: BulkOp,
 }
@@ -738,6 +754,10 @@ pub enum BulkOp {
         else_ops: Box<[PlanOp]>,
         /// Else-arm yield source slots.
         else_srcs: Box<[u32]>,
+        /// Then-arm slots after its last op, terminator included.
+        then_tail: u32,
+        /// Else-arm slots after its last op, terminator included.
+        else_tail: u32,
         /// Destination slots receiving the taken arm's yields.
         dsts: Box<[u32]>,
     },
@@ -1199,8 +1219,8 @@ fn fuse_function(d: &mut DFunc) {
 /// arms into [`DInst::YieldDirect`] targeting the consumer's slots.
 /// Runs after window fusion so branches that became
 /// [`DInst::FusedHasIf`]/[`DInst::FusedCmpIf`] are covered too, and
-/// after loop fusion, so bulk loop bodies are covered for the observed
-/// runs that execute them per instruction.
+/// after loop fusion, so bulk loop bodies are covered for the
+/// iterations that run them per instruction.
 ///
 /// Observables are unchanged: the terminator keeps its code slot (same
 /// fuel tick, same profiler site), slot-only yields bump no statistics
@@ -1465,8 +1485,8 @@ fn match_window(w: &[DInst]) -> Option<DInst> {
 /// [`DInst::ForRangeBulk`]. The body region's instructions are left
 /// untouched (the header occupies one code slot either way), so code
 /// length, profile indices, and trap-site numbering are unchanged and
-/// the generic loop path can still execute the region when
-/// per-iteration accounting is observable.
+/// the generic loop path can still execute the region whenever the plan
+/// may not run.
 ///
 /// Runs before [`fuse_function`], so plans compile from the unfused
 /// body.
@@ -1550,14 +1570,52 @@ fn compile_plan(
     scratch: &mut u32,
 ) -> Option<BulkPlan> {
     let (ops, yield_srcs) = compile_body(d, region, carried_args, true, scratch)?;
-    let (prelude, ops): (Vec<PlanOp>, Vec<PlanOp>) = ops
+    let (prelude, mut ops): (Vec<PlanOp>, Vec<PlanOp>) = ops
         .into_iter()
         .partition(|p| matches!(p.op, BulkOp::Scalar(UScalar::Const { .. })));
+    let tail = assign_ticks(&mut ops, region);
+    let branches = ops.iter().any(|p| matches!(p.op, BulkOp::If { .. }));
     Some(BulkPlan {
+        worst: worst_ticks(&ops, tail),
+        depth: 1 + u32::from(branches),
         prelude: prelude.into_boxed_slice(),
         ops: ops.into_boxed_slice(),
         yield_srcs: yield_srcs.into_boxed_slice(),
+        tail,
     })
+}
+
+/// Gives each op of a region's compiled sequence its
+/// [`PlanOp::ticks`] and returns the region's slots after the last op,
+/// terminator included.
+fn assign_ticks(ops: &mut [PlanOp], region: &DRegion) -> u32 {
+    let mut next = region.start;
+    for p in ops.iter_mut() {
+        p.ticks = if p.site >= next {
+            let ticks = p.site - next + 1;
+            next = p.site + 1;
+            ticks
+        } else {
+            0
+        };
+    }
+    region.end - next
+}
+
+/// The most ticks a compiled sequence plus `tail` can take: every op's
+/// slots and the longer arm of each `if`.
+fn worst_ticks(ops: &[PlanOp], tail: u32) -> u32 {
+    let arm = |p: &PlanOp| match &p.op {
+        BulkOp::If {
+            then_ops,
+            then_tail,
+            else_ops,
+            else_tail,
+            ..
+        } => worst_ticks(then_ops, *then_tail).max(worst_ticks(else_ops, *else_tail)),
+        _ => 0,
+    };
+    ops.iter().map(|p| p.ticks + arm(p)).sum::<u32>() + tail
 }
 
 /// Compiles a loop body or branch arm: its components plus the source
@@ -1599,6 +1657,7 @@ fn scalar_operand(op: &DOp, site: u32, scratch: &mut u32, out: &mut Vec<PlanOp>)
                 *scratch = scratch.checked_add(1)?;
                 out.push(PlanOp {
                     site,
+                    ticks: 0,
                     op: BulkOp::Proj {
                         base: p.base,
                         field: *f,
@@ -1631,6 +1690,7 @@ fn compile_inst(
     if let Some(u) = uscalar(inst, |op| scalar_operand(op, site, scratch, out)) {
         out.push(PlanOp {
             site,
+            ticks: 0,
             op: BulkOp::Scalar(u),
         });
         return Some(());
@@ -1706,22 +1766,27 @@ fn compile_inst(
         } if allow_if => {
             let cond = sl(cond)?;
             let arm = |r: u32, scratch: &mut u32| {
-                compile_body(d, &d.regions[r as usize], dsts, false, scratch)
+                let region = &d.regions[r as usize];
+                let (mut ops, srcs) = compile_body(d, region, dsts, false, scratch)?;
+                let tail = assign_ticks(&mut ops, region);
+                Some((ops, srcs, tail))
             };
-            let (then_ops, then_srcs) = arm(*then_r, scratch)?;
-            let (else_ops, else_srcs) = arm(*else_r, scratch)?;
+            let (then_ops, then_srcs, then_tail) = arm(*then_r, scratch)?;
+            let (else_ops, else_srcs, else_tail) = arm(*else_r, scratch)?;
             BulkOp::If {
                 cond,
                 then_ops: then_ops.into_boxed_slice(),
                 then_srcs: then_srcs.into_boxed_slice(),
                 else_ops: else_ops.into_boxed_slice(),
                 else_srcs: else_srcs.into_boxed_slice(),
+                then_tail,
+                else_tail,
                 dsts: dsts.clone(),
             }
         }
         _ => return None,
     };
-    out.push(PlanOp { site, op });
+    out.push(PlanOp { site, ticks: 0, op });
     Some(())
 }
 
@@ -2017,6 +2082,14 @@ fn @main() -> void {
                 }
             ]
         ));
+        // Each of the body's four slots ticks once per iteration: the
+        // hoisted const's slot goes to the first op, the yield's to the
+        // tail.
+        let ticks: Vec<u32> = plan.ops.iter().map(|p| p.ticks).collect();
+        assert_eq!(
+            (plan.prelude[0].ticks, ticks, plan.tail, plan.worst, plan.depth),
+            (0, vec![2, 1], 1, 4, 1)
+        );
     }
 
     #[test]

@@ -9,12 +9,25 @@
 //! tree-walking core: the same [`CollOp`] bumps in the same phases, one
 //! tick per executed instruction.
 //!
+//! Control flow does not recurse on the host stack. A run's continuation
+//! is an explicit [`Machine`]: one activation (frame) per live call and
+//! one region cursor per entered region — function body, `if` arm, or
+//! loop body with its loop state (the `foreach` snapshot and position,
+//! the `forrange` counter). Calls, returns and region entry and exit
+//! push and pop them, so a run can stop between any two instructions
+//! and resume later, and guest recursion depth is bounded by the heap.
+//!
 //! Every instruction budget — [`ExecConfig::fuel`] and a session's
 //! quantum grants — shares one countdown, `ticks_left`, holding the
 //! smaller of the two remainders (`u64::MAX` when neither is armed).
 //! The dispatch loop's only budget check is that countdown reaching
-//! zero; what happens there (fuel exhausted, or the next grant) is
-//! decided out of line in `tick_boundary`.
+//! zero; what happens there (fuel exhausted, or the grant used up, which
+//! suspends the run) is decided out of line in `tick_boundary`. The
+//! fast paths count ticks exactly under every budget: a fused window
+//! runs fused only when the countdown covers all its slots, and a bulk
+//! loop iteration runs through its plan only when the countdown covers
+//! the iteration's worst case, so no budget boundary ever falls inside
+//! either.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -51,14 +64,17 @@ pub struct ExecConfig {
     pub max_depth: Option<u32>,
     /// Record a per-instruction-site profile (see [`crate::profile`]).
     /// Costs nothing when `false`: the hot loop's only extra work is a
-    /// branch on an `Option` discriminant.
+    /// branch on an `Option` discriminant. A profiled run dispatches
+    /// every instruction at its own site, so it takes neither fused
+    /// windows nor bulk loop plans.
     pub profile: bool,
     /// Runtime metrics registry (default disabled). When enabled, the
-    /// run publishes quantum grants (`exec_quanta_total`), counted fuel
-    /// ticks (`exec_fuel_ticks_total`; see [`Outcome::fuel_ticks`] for
-    /// when ticks are counted), the heap high-water mark
-    /// (`exec_heap_hwm_bytes`) and per-reason stop tallies
-    /// (`exec_stops_total{reason=…}`). Every update is commutative, so
+    /// run publishes quantum grants (`exec_quanta_total`), executed
+    /// ticks (`exec_fuel_ticks_total`, [`Outcome::fuel_ticks`]), loop
+    /// entries by tier (`exec_loop_tier_total{tier=…}`: `bulk` when
+    /// iterations may run through a plan, else `generic`), the heap
+    /// high-water mark (`exec_heap_hwm_bytes`) and per-reason stop
+    /// tallies (`exec_stops_total{reason=…}`). Every update is commutative, so
     /// the published values are independent of scheduling; execution
     /// itself is untouched either way.
     pub metrics: ade_obs::MetricsRegistry,
@@ -106,8 +122,8 @@ pub enum ExecError {
         /// The configured budget value.
         budget: u64,
     },
-    /// A host-side failure (e.g. the interpreter thread could not be
-    /// spawned) — not attributable to the guest program.
+    /// A host-side failure (e.g. a panic inside a session's step) —
+    /// not attributable to the guest program.
     Host {
         /// Human-readable description.
         message: String,
@@ -184,7 +200,7 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Shorthand for a site-less guest trap; [`Interpreter::exec_region`]
+/// Shorthand for a site-less guest trap; [`Interpreter::run_activation`]
 /// fills in the site as the error unwinds past the raising instruction.
 fn trap(kind: TrapKind) -> ExecError {
     ExecError::GuestTrap { site: None, kind }
@@ -225,10 +241,8 @@ pub struct Outcome {
     /// Per-instruction-site profile (when [`ExecConfig::profile`]).
     pub profile: Option<SiteProfile>,
     /// Instructions executed, one tick per decoded slot (fused padding
-    /// included). Exact whenever per-instruction accounting is
-    /// observable — a fuel limit, a profiler, a preemption session or a
-    /// depth limit; a plain unlimited run skips the bookkeeping in its
-    /// fused and bulk fast paths and reports `0` here.
+    /// and the slots of bulk plan iterations included). Always exact,
+    /// and identical for every decode, budget and quantum size.
     pub fuel_ticks: u64,
 }
 
@@ -247,13 +261,180 @@ impl RuntimeEnum {
     }
 }
 
-enum Flow {
-    Continue,
-    Yield(Vec<Value>),
-    /// A [`DInst::YieldDirect`] already copied its values into the
-    /// consumer's destination slots; there is nothing to carry.
-    YieldedDirect,
+/// A run's continuation between two instructions: one [`Activation`] per
+/// live call and one [`Cursor`] per entered region, innermost last. An
+/// [`crate::ExecSession`] keeps it between quanta; a batch run drops it
+/// when the entry function returns.
+#[derive(Debug)]
+pub(crate) struct Machine {
+    /// The entry function, until the first resume calls it.
+    entry: Option<FuncId>,
+    acts: Vec<Activation>,
+    /// The region cursors of every activation. Its length is the region
+    /// depth [`ExecConfig::max_depth`] bounds.
+    cursors: Vec<Cursor>,
+}
+
+impl Machine {
+    /// A machine that calls `entry` (with no arguments) when first
+    /// resumed.
+    pub(crate) fn new(entry: FuncId) -> Machine {
+        Machine {
+            entry: Some(entry),
+            acts: Vec::new(),
+            cursors: Vec::new(),
+        }
+    }
+
+    /// Pops the top activation and every region cursor it still holds
+    /// (a `ret` may leave from inside arms and loop bodies).
+    fn pop_call(&mut self) -> Activation {
+        let done = self.acts.pop().expect("a returning activation");
+        self.cursors.truncate(done.base);
+        done
+    }
+}
+
+/// One live call.
+#[derive(Debug)]
+struct Activation {
+    fid: FuncId,
+    frame: Vec<Value>,
+    /// The caller's `call` slot: where the return value lands, and where
+    /// an error the callee cannot site is attributed. Unused for the
+    /// entry activation.
+    call_site: u32,
+    /// Index of this activation's body cursor in [`Machine::cursors`].
+    base: usize,
+}
+
+/// One entered region: the next code slot to run, the region's bounds,
+/// and what its terminator resumes. Code slots are `u32`, like trap
+/// sites (decoding checks that every function's code fits).
+#[derive(Debug)]
+struct Cursor {
+    pc: u32,
+    start: u32,
+    end: u32,
+    kind: RegionKind,
+}
+
+#[derive(Debug)]
+enum RegionKind {
+    /// A function body, left only by `ret`.
+    Body,
+    /// An `if` arm of the `If`, `FusedHasIf` or `FusedCmpIf` at
+    /// `header`, whose destinations receive the arm's yields.
+    Arm { header: u32 },
+    /// A `forrange` body: `next` is the next index to bind, `hi` the
+    /// bound. `bulk` (fixed at loop entry) lets iterations run through
+    /// the header's plan.
+    Range {
+        header: u32,
+        next: u64,
+        hi: u64,
+        bulk: bool,
+    },
+    /// A `foreach` body over the snapshot entries not yet bound.
+    Each {
+        header: u32,
+        rest: std::vec::IntoIter<(Value, Value)>,
+        bulk: bool,
+    },
+    /// A `dowhile` body.
+    DoWhile { header: u32 },
+}
+
+impl RegionKind {
+    /// The code slot of the instruction that entered the region; `None`
+    /// for a function body.
+    fn header(&self) -> Option<usize> {
+        match self {
+            RegionKind::Body => None,
+            RegionKind::Arm { header }
+            | RegionKind::Range { header, .. }
+            | RegionKind::Each { header, .. }
+            | RegionKind::DoWhile { header } => Some(*header as usize),
+        }
+    }
+}
+
+/// Where [`Interpreter::resume`] stopped.
+pub(crate) enum Poll {
+    /// A session's grant ran out before the next instruction; the
+    /// machine holds the rest of the run.
+    Suspended,
+    /// The entry function returned this value.
+    Done(Option<Value>),
+}
+
+/// Where the dispatch loop goes after one instruction.
+enum Next {
+    /// The given slot of the current region.
+    At(usize),
+    /// Slot `.0` of a region ending at `.1`: a region was entered, left
+    /// or restarted.
+    Jump(usize, usize),
+    /// Out of the current activation.
+    Leave(Transfer),
+}
+
+/// Why [`Interpreter::run_activation`] left its activation.
+enum Transfer {
+    /// The grant ran out; the top cursor holds the next slot.
+    Suspend,
+    /// A call from code slot `site`; the top cursor already holds the
+    /// slot after it.
+    Call {
+        callee: FuncId,
+        args: Vec<Value>,
+        site: usize,
+    },
     Ret(Option<Value>),
+    /// An error the caller sites at its `call`: the function body ended
+    /// without `ret`, or ran past its last slot.
+    Unwind(ExecError),
+}
+
+/// The static parts of a `foreach`/`forrange` header: body region,
+/// number of leading body arguments bound per iteration (the carried
+/// arguments follow), destinations and plan.
+struct LoopParts<'a> {
+    body: u32,
+    bound: usize,
+    dsts: &'a [u32],
+    plan: Option<&'a BulkPlan>,
+}
+
+impl LoopParts<'_> {
+    fn of(inst: &DInst) -> LoopParts<'_> {
+        let (body, bound, dsts, plan) = match inst {
+            DInst::ForRange { body, dsts, .. } => (body, 1, dsts, None),
+            DInst::ForRangeBulk {
+                body, dsts, plan, ..
+            } => (body, 1, dsts, Some(&**plan)),
+            DInst::ForEach {
+                body,
+                binds_value,
+                dsts,
+                ..
+            } => (body, 1 + usize::from(*binds_value), dsts, None),
+            DInst::ForEachBulk {
+                body,
+                binds_value,
+                dsts,
+                plan,
+                ..
+            } => (body, 1 + usize::from(*binds_value), dsts, Some(&**plan)),
+            other => unreachable!("{other:?} is not a foreach/forrange header"),
+        };
+        LoopParts {
+            body: *body,
+            bound,
+            dsts,
+            plan,
+        }
+    }
 }
 
 /// Executes IR modules against instrumented runtime collections.
@@ -277,6 +458,8 @@ pub struct Interpreter<'m> {
     stats: Stats,
     output: String,
     phase: Phase,
+    /// When the current phase's wall-time interval started.
+    phase_start: Instant,
     tracked_bytes: usize,
     /// The one instruction countdown: ticks left before the next
     /// budget decision (fuel spent, or the next session grant). Loaded
@@ -286,24 +469,17 @@ pub struct Interpreter<'m> {
     window: u64,
     /// Ticks consumed by the windows before the current one.
     ticks_spent: u64,
-    /// Whether per-instruction accounting is observable, fixed at run
-    /// start: a fuel limit (every slot ticks), a profiler (per-site
-    /// attribution), a session (every slot is a grant boundary) or a
-    /// depth limit (every loop iteration enters its body region). When
-    /// set, fused windows replay each component's tick and bulk loop
-    /// plans fall back to the per-instruction loop; when clear, both
-    /// fast paths skip the bookkeeping and [`Outcome::fuel_ticks`] is
-    /// `0`.
-    observed: bool,
-    depth: u32,
+    /// Whether the run is a session's: its windows are quantum grants,
+    /// and it suspends when one is used up.
+    sliced: bool,
+    /// The session grant `tick_boundary` loads next, if any.
+    grant: Option<u64>,
     /// `Some` only when [`ExecConfig::profile`]; boxed so the disabled
-    /// case costs one word in the interpreter struct.
+    /// case costs one word in the interpreter struct. Per-site
+    /// attribution needs every instruction dispatched at its own site,
+    /// so a profiled run takes neither fused windows nor bulk plans.
     profiler: Option<Box<Recorder>>,
-    /// Preemption handshake ([`crate::ExecSession`]); `None` for plain
-    /// batch runs. When set, `tick_boundary` parks on the shared state
-    /// whenever a grant is used up.
-    session: Option<std::sync::Arc<crate::session::SessionShared>>,
-    /// Free list of spent [`Flow::Yield`] buffers. Every loop iteration
+    /// Free list of spent yield buffers. Every buffered loop iteration
     /// and branch join yields a `Vec<Value>`; recycling them turns the
     /// hottest allocation in the dispatch loop into a pop/push pair.
     flow_pool: Vec<Vec<Value>>,
@@ -312,24 +488,16 @@ pub struct Interpreter<'m> {
 impl<'m> Interpreter<'m> {
     /// Creates an interpreter over `module`.
     pub fn new(module: &'m Module, config: ExecConfig) -> Self {
-        Self::with_parts(Some(module), config, None)
+        Self::with_parts(Some(module), config)
     }
 
     /// A module-less interpreter for session execution over a shared
-    /// [`DecodedModule`], with the preemption handshake attached. Only
-    /// [`Interpreter::run_decoded_inline`] may be called on it.
-    pub(crate) fn for_session(
-        config: ExecConfig,
-        shared: std::sync::Arc<crate::session::SessionShared>,
-    ) -> Interpreter<'static> {
-        Interpreter::with_parts(None, config, Some(shared))
+    /// [`DecodedModule`].
+    pub(crate) fn detached(config: ExecConfig) -> Interpreter<'static> {
+        Interpreter::with_parts(None, config)
     }
 
-    fn with_parts(
-        module: Option<&'m Module>,
-        config: ExecConfig,
-        session: Option<std::sync::Arc<crate::session::SessionShared>>,
-    ) -> Self {
+    fn with_parts(module: Option<&'m Module>, config: ExecConfig) -> Self {
         Self {
             module,
             config,
@@ -340,14 +508,14 @@ impl<'m> Interpreter<'m> {
             stats: Stats::default(),
             output: String::new(),
             phase: Phase::Init,
+            phase_start: Instant::now(),
             tracked_bytes: 0,
             ticks_left: 0,
             window: 0,
             ticks_spent: 0,
-            observed: false,
-            depth: 0,
+            sliced: false,
+            grant: None,
             profiler: None,
-            session,
             flow_pool: Vec::new(),
         }
     }
@@ -376,77 +544,21 @@ impl<'m> Interpreter<'m> {
     /// undefined behavior is trapped, or a configured execution limit
     /// (fuel, heap cells, depth) runs out.
     pub fn run(self, entry: &str) -> Result<Outcome, ExecError> {
-        self.run_threaded(None, entry)
+        let module = self.module.expect("batch runs have a source module");
+        let decoded = DecodedModule::decode_with(module, &DecodeOptions::default());
+        self.run_decoded(&decoded, entry)
     }
 
     /// [`Interpreter::run`] over a pre-decoded instruction stream,
     /// letting callers that execute one module many times (benchmark
     /// trials) pay for decoding and the peephole once. `decoded` must
-    /// come from this interpreter's module.
+    /// come from this interpreter's module. Runs on the caller's thread
+    /// with bounded host stack, however deeply the guest recurses.
     ///
     /// # Errors
     ///
     /// As [`Interpreter::run`].
     pub fn run_decoded(
-        self,
-        decoded: &DecodedModule,
-        entry: &str,
-    ) -> Result<Outcome, ExecError> {
-        self.run_threaded(Some(decoded), entry)
-    }
-
-    fn run_threaded(
-        self,
-        decoded: Option<&DecodedModule>,
-        entry: &str,
-    ) -> Result<Outcome, ExecError> {
-        // Guest programs may recurse deeply (the IR has first-class
-        // calls); debug-build interpreter frames would exhaust a worker
-        // thread's default 2 MiB stack, so execution gets its own
-        // generously sized stack.
-        const STACK: usize = 256 * 1024 * 1024;
-        let mut carrier = Some(self);
-        std::thread::scope(|scope| {
-            let builder = std::thread::Builder::new()
-                .name(format!("interp-{entry}"))
-                .stack_size(STACK);
-            // `spawn_scoped` consumes the closure only on success, so the
-            // interpreter can be reclaimed for the fallback path.
-            let interp = carrier.take().expect("interpreter present");
-            match builder.spawn_scoped(scope, move || match decoded {
-                Some(d) => interp.run_decoded_inline(d, entry),
-                None => {
-                    let module = interp.module.expect("batch runs have a source module");
-                    let decoded = DecodedModule::decode_with(module, &DecodeOptions::default());
-                    interp.run_decoded_inline(&decoded, entry)
-                }
-            }) {
-                Ok(handle) => match handle.join() {
-                    Ok(result) => result,
-                    // Guest undefined behavior returns a typed error;
-                    // only genuine host bugs panic, and those propagate.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                },
-                Err(spawn_err) => Err(ExecError::Host {
-                    message: format!(
-                        "could not start the interpreter thread ({spawn_err}); \
-                         use run_decoded_inline on a thread with adequate stack"
-                    ),
-                }),
-            }
-        })
-    }
-
-    /// [`Interpreter::run_decoded`] on the caller's thread. Deeply
-    /// recursive guest programs may need more stack than a default
-    /// worker thread provides; prefer [`Interpreter::run_decoded`]
-    /// unless the caller controls its own stack (sessions, and
-    /// benchmarks that want to avoid per-run thread-spawn overhead).
-    ///
-    /// # Errors
-    ///
-    /// As [`Interpreter::run`].
-    pub fn run_decoded_inline(
         mut self,
         decoded: &DecodedModule,
         entry: &str,
@@ -460,73 +572,78 @@ impl<'m> Interpreter<'m> {
                 entry: entry.to_string(),
             });
         };
+        self.start(decoded, false);
+        match self.resume(decoded, &mut Machine::new(fid)) {
+            Ok(Poll::Done(result)) => Ok(self.finish(result)),
+            Ok(Poll::Suspended) => unreachable!("a batch run renews its window"),
+            Err(e) => {
+                self.record_stop(Some(&e));
+                Err(e)
+            }
+        }
+    }
+
+    /// Prepares a run of `decoded`: runtime enumerations, the profiler,
+    /// the wall clock and the first tick window. A session (`sliced`)
+    /// starts paused: its empty window makes the first instruction wait
+    /// for the first grant.
+    pub(crate) fn start(&mut self, decoded: &DecodedModule, sliced: bool) {
         self.enums = (0..decoded.enum_count).map(|_| RuntimeEnum::default()).collect();
         if self.config.profile {
             self.profiler = Some(Box::new(Recorder::new(
                 decoded.funcs.iter().map(|d| (d.name.clone(), d.code.len())),
             )));
         }
-        self.observed = self.config.fuel.is_some()
-            || self.profiler.is_some()
-            || self.session.is_some()
-            || self.config.max_depth.is_some();
-        // A session starts paused: an empty window makes the first
-        // instruction wait for the first grant.
-        self.window = match self.session {
-            Some(_) => 0,
-            None => self.config.fuel.unwrap_or(u64::MAX),
+        self.sliced = sliced;
+        self.window = if sliced {
+            0
+        } else {
+            self.config.fuel.unwrap_or(u64::MAX)
         };
         self.ticks_left = self.window;
-        let start = Instant::now();
-        let mut phase_start = start;
-        // Wall-time bookkeeping happens at ROI transitions; we thread the
-        // phase-start instant through a cell on self via a small closure
-        // protocol: exec notes transitions in `stats.wall_ns` directly.
-        let result = match self.call_function(decoded, fid, Vec::new(), &mut phase_start) {
-            Ok(result) => result,
-            Err(e) => {
-                self.record_stop(Some(&e));
-                return Err(e);
-            }
-        };
-        let elapsed = Stats::clamp_ns(phase_start.elapsed().as_nanos());
+        self.phase_start = Instant::now();
+    }
+
+    /// Grants a session `ticks` more instructions, loaded at the next
+    /// tick boundary.
+    pub(crate) fn grant(&mut self, ticks: u64) {
+        self.grant = Some(ticks);
+    }
+
+    /// The finished run's outcome: closes the last wall-time phase and
+    /// publishes the run's terminal accounting.
+    pub(crate) fn finish(&mut self, result: Option<Value>) -> Outcome {
+        let elapsed = Stats::clamp_ns(self.phase_start.elapsed().as_nanos());
         self.stats.wall_ns[self.phase as usize] =
             self.stats.wall_ns[self.phase as usize].saturating_add(elapsed);
         self.stats.final_bytes = self.tracked_bytes;
         self.sample_peak();
         self.record_stop(None);
-        Ok(Outcome {
+        Outcome {
             fuel_ticks: self.fuel_ticks(),
-            output: self.output,
-            stats: self.stats,
+            output: std::mem::take(&mut self.output),
+            stats: std::mem::take(&mut self.stats),
             result,
-            profile: self.profiler.map(|r| r.finish()),
-        })
-    }
-
-    /// Ticks executed so far, or `0` when nothing observes them (see
-    /// [`Outcome::fuel_ticks`]).
-    fn fuel_ticks(&self) -> u64 {
-        if self.observed {
-            self.ticks_spent + (self.window - self.ticks_left)
-        } else {
-            0
+            profile: self.profiler.take().map(|r| r.finish()),
         }
     }
 
-    /// Publishes the run's terminal accounting — reason tally, counted
-    /// fuel ticks, heap high-water mark — into the metrics registry.
+    /// Ticks executed so far.
+    fn fuel_ticks(&self) -> u64 {
+        self.ticks_spent + (self.window - self.ticks_left)
+    }
+
+    /// Publishes the run's terminal accounting — reason tally, fuel
+    /// ticks, heap high-water mark — into the metrics registry.
     /// Called exactly once per run, on both the success and the error
     /// path; a disabled registry makes this one cheap branch.
-    fn record_stop(&mut self, err: Option<&ExecError>) {
+    pub(crate) fn record_stop(&mut self, err: Option<&ExecError>) {
         let reason = err.map_or("ok", ExecError::code);
         self.sample_peak();
         let m = &self.config.metrics;
         if m.is_enabled() {
             m.add("exec_stops_total", &[("reason", reason)], 1);
-            if self.observed {
-                m.add("exec_fuel_ticks_total", &[], self.fuel_ticks());
-            }
+            m.add("exec_fuel_ticks_total", &[], self.fuel_ticks());
             m.gauge_max("exec_heap_hwm_bytes", &[], self.stats.peak_bytes as u64);
         }
     }
@@ -798,13 +915,56 @@ impl<'m> Interpreter<'m> {
             .unwrap_or(crate::trap::ENC_SENTINEL)
     }
 
-    fn call_function(
+    // ── Control: the continuation machine ──────────────────────────
+
+    /// Runs `m` until the entry function returns, an error stops the
+    /// run, or a session's grant runs out before the next instruction.
+    pub(crate) fn resume(&mut self, d: &DecodedModule, m: &mut Machine) -> Result<Poll, ExecError> {
+        if let Some(entry) = m.entry.take() {
+            self.push_call(d, m, entry, Vec::new(), 0)?;
+        }
+        loop {
+            let act = m.acts.last_mut().expect("a live machine has an activation");
+            let caller = act.fid;
+            match self.run_activation(d, act.fid, &mut act.frame, &mut m.cursors)? {
+                Transfer::Suspend => return Ok(Poll::Suspended),
+                Transfer::Call { callee, args, site } => {
+                    self.push_call(d, m, callee, args, site)
+                        .map_err(|e| site_at(d.func(caller), site, e))?
+                }
+                Transfer::Ret(value) => {
+                    let done = m.pop_call();
+                    let Some(caller) = m.acts.last_mut() else {
+                        return Ok(Poll::Done(value));
+                    };
+                    if let DInst::Call { dst: Some(dst), .. } =
+                        &d.func(caller.fid).code[done.call_site as usize]
+                    {
+                        caller.frame[*dst as usize] = value.unwrap_or(Value::Void);
+                    }
+                }
+                Transfer::Unwind(e) => {
+                    let done = m.pop_call();
+                    return Err(match m.acts.last() {
+                        Some(caller) => site_at(d.func(caller.fid), done.call_site as usize, e),
+                        None => e,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Enters `fid` with `args` from the `call` at `site` (0 for the
+    /// entry): checks arity and depth, then pushes its activation and
+    /// body cursor.
+    fn push_call(
         &mut self,
         d: &DecodedModule,
+        m: &mut Machine,
         fid: FuncId,
         args: Vec<Value>,
-        phase_start: &mut Instant,
-    ) -> Result<Option<Value>, ExecError> {
+        site: usize,
+    ) -> Result<(), ExecError> {
         let func = d.func(fid);
         if args.len() != func.params.len() {
             // The verifier rejects arity mismatches; guard anyway so an
@@ -813,164 +973,130 @@ impl<'m> Interpreter<'m> {
                 what: "call arity mismatch",
             }));
         }
+        self.check_depth(m.cursors.len())?;
         let mut frame = vec![Value::Void; func.frame_size as usize];
         for (&p, a) in func.params.iter().zip(args) {
             frame[p as usize] = a;
         }
-        match self.exec_region(d, fid, func, &mut frame, func.body, phase_start)? {
-            Flow::Ret(v) => Ok(v),
-            _ => Err(trap(TrapKind::Malformed {
-                what: "function body ended without ret",
-            })),
+        let body = &func.regions[func.body as usize];
+        m.acts.push(Activation {
+            fid,
+            frame,
+            call_site: site as u32,
+            base: m.cursors.len(),
+        });
+        m.cursors.push(Cursor {
+            pc: body.start,
+            start: body.start,
+            end: body.end,
+            kind: RegionKind::Body,
+        });
+        Ok(())
+    }
+
+    /// [`ExecConfig::max_depth`]'s check on entering a region with
+    /// `height` regions already entered.
+    #[inline]
+    fn check_depth(&self, height: usize) -> Result<(), ExecError> {
+        match self.config.max_depth {
+            Some(max) if height >= max as usize => Err(ExecError::LimitExceeded {
+                limit: Limit::Depth,
+                budget: u64::from(max),
+            }),
+            _ => Ok(()),
         }
     }
 
-    fn exec_region(
+    /// The dispatch loop over one activation's code, until it calls,
+    /// returns or suspends.
+    fn run_activation(
         &mut self,
         d: &DecodedModule,
         fid: FuncId,
-        func: &DFunc,
-        frame: &mut Vec<Value>,
-        region: u32,
-        phase_start: &mut Instant,
-    ) -> Result<Flow, ExecError> {
-        if let Some(max) = self.config.max_depth {
-            if self.depth >= max {
-                return Err(ExecError::LimitExceeded {
-                    limit: Limit::Depth,
-                    budget: u64::from(max),
-                });
+        frame: &mut [Value],
+        cursors: &mut Vec<Cursor>,
+    ) -> Result<Transfer, ExecError> {
+        let func = d.func(fid);
+        let top = cursors.last().expect("an activation has a body cursor");
+        let (mut pc, mut end) = (top.pc as usize, top.end as usize);
+        loop {
+            if pc >= end {
+                return self.fell_through(func, cursors);
             }
-        }
-        self.depth += 1;
-        let flow = self.exec_region_inner(d, fid, func, frame, region, phase_start);
-        self.depth -= 1;
-        flow
-    }
-
-    fn exec_region_inner(
-        &mut self,
-        d: &DecodedModule,
-        fid: FuncId,
-        func: &DFunc,
-        frame: &mut Vec<Value>,
-        region: u32,
-        phase_start: &mut Instant,
-    ) -> Result<Flow, ExecError> {
-        let r = &func.regions[region as usize];
-        let end = r.end as usize;
-        let mut idx = r.start as usize;
-        // Fused superinstructions occupy `advance()` code slots (their
-        // window tails are skipped-over padding), so the cursor moves by
-        // a per-instruction stride rather than a fixed 1.
-        while idx < end {
-            let inst = &func.code[idx];
-            self.tick()?;
+            if self.ticks_left == 0 && !self.tick_boundary()? {
+                cursors.last_mut().expect("current region").pc = pc as u32;
+                return Ok(Transfer::Suspend);
+            }
+            self.ticks_left -= 1;
             // Point the profiler's attribution cursor at this site.
             // Nested regions re-aim it per instruction, so work done by a
             // loop body lands on the body's sites, not the loop header's.
             if let Some(p) = self.profiler.as_deref_mut() {
-                p.set_site(fid.0, idx as u32);
+                p.set_site(fid.0, pc as u32);
             }
-            match self.exec_inst(d, fid, func, frame, inst, idx, phase_start) {
-                Ok(Flow::Continue) => {}
-                Ok(other) => return Ok(other),
-                // A trap bubbling up without a site is ours: attribute it
-                // to the instruction that raised it. Traps from nested
-                // regions/calls arrive already sited and pass through.
-                // (Fused arms site their non-head components themselves.)
-                Err(e) => return Err(site_at(func, idx, e)),
+            match self.exec_inst(func, frame, cursors, pc) {
+                Ok(Next::At(next)) => pc = next,
+                Ok(Next::Jump(next, next_end)) => (pc, end) = (next, next_end),
+                Ok(Next::Leave(transfer)) => return Ok(transfer),
+                // A trap without a site is this instruction's. Traps
+                // sited elsewhere (fused components, plan ops, loop
+                // conditions) pass through.
+                Err(e) => return Err(site_at(func, pc, e)),
             }
-            idx += inst.advance();
         }
-        Err(trap(TrapKind::Malformed {
-            what: "region fell through without a terminator",
-        }))
     }
 
-    /// Control-flow instructions recurse through `exec_region`; keeping
-    /// every other opcode in [`Self::exec_simple_inst`] keeps this
-    /// function's stack frame small, which bounds the Rust stack used
-    /// per level of *interpreted* recursion (deeply recursive guest
-    /// programs would otherwise exhaust the stack in debug builds).
+    /// A region ran past its last slot: malformed code, attributed to
+    /// the instruction that entered the region (for a function body, the
+    /// caller's `call`).
+    #[cold]
+    fn fell_through(&self, func: &DFunc, cursors: &[Cursor]) -> Result<Transfer, ExecError> {
+        let e = trap(TrapKind::Malformed {
+            what: "region fell through without a terminator",
+        });
+        match cursors.last().expect("current region").kind.header() {
+            Some(header) => Err(site_at(func, header, e)),
+            None => Ok(Transfer::Unwind(e)),
+        }
+    }
+
+    /// Executes the instruction at `pc`, which has already ticked.
     fn exec_inst(
         &mut self,
-        d: &DecodedModule,
-        fid: FuncId,
         func: &DFunc,
-        frame: &mut Vec<Value>,
-        inst: &DInst,
-        idx: usize,
-        phase_start: &mut Instant,
-    ) -> Result<Flow, ExecError> {
+        frame: &mut [Value],
+        cursors: &mut Vec<Cursor>,
+        pc: usize,
+    ) -> Result<Next, ExecError> {
+        let inst = &func.code[pc];
         match inst {
-            DInst::Call { callee, args, dst } => {
+            DInst::Call { callee, args, .. } => {
                 let args: Vec<Value> = args
                     .iter()
                     .map(|op| self.resolve(frame, op).map(Res::into_owned))
                     .collect::<Result<_, _>>()?;
-                let result = self.call_function(d, *callee, args, phase_start)?;
-                if let Some(dst) = dst {
-                    frame[*dst as usize] = result.unwrap_or(Value::Void);
-                }
-                Ok(Flow::Continue)
+                cursors.last_mut().expect("current region").pc = (pc + 1) as u32;
+                Ok(Next::Leave(Transfer::Call {
+                    callee: *callee,
+                    args,
+                    site: pc,
+                }))
             }
             DInst::If {
                 cond,
                 then_r,
                 else_r,
-                dsts,
+                ..
             } => {
                 let cond = self.resolve(frame, cond)?.try_as_bool().map_err(trap)?;
-                let region = if cond { *then_r } else { *else_r };
-                let flow = self.exec_region(d, fid, func, frame, region, phase_start)?;
-                Ok(self.land_branch(frame, flow, dsts))
-            }
-            DInst::ForEach { .. } => self.exec_foreach(d, fid, func, frame, inst, phase_start),
-            DInst::ForRange { .. } => self.exec_forrange(d, fid, func, frame, inst, phase_start),
-            // Bulk loop plans run only when per-instruction accounting
-            // is unobserved; otherwise the generic loop replays it.
-            DInst::ForEachBulk { .. } => {
-                if !self.observed {
-                    self.exec_foreach_bulk(func, frame, inst)
-                } else {
-                    self.exec_foreach(d, fid, func, frame, inst, phase_start)
-                }
-            }
-            DInst::ForRangeBulk { .. } => {
-                if !self.observed {
-                    self.exec_forrange_bulk(func, frame, inst)
-                } else {
-                    self.exec_forrange(d, fid, func, frame, inst, phase_start)
-                }
-            }
-            DInst::DoWhile { .. } => self.exec_dowhile(d, fid, func, frame, inst, phase_start),
-            DInst::Yield { ops } => {
-                let mut vals = self.pool_get();
-                for op in ops.iter() {
-                    vals.push(self.resolve(frame, op)?.into_owned());
-                }
-                Ok(Flow::Yield(vals))
-            }
-            DInst::YieldDirect { srcs, dsts } => {
-                copy_slots(frame, srcs, dsts);
-                Ok(Flow::YieldedDirect)
-            }
-            DInst::Ret { op } => {
-                let v = match op {
-                    Some(op) => Some(self.resolve(frame, op)?.into_owned()),
-                    None => None,
-                };
-                Ok(Flow::Ret(v))
-            }
-            DInst::Roi { begin } => {
-                let now = Instant::now();
-                let elapsed = Stats::clamp_ns(now.duration_since(*phase_start).as_nanos());
-                self.stats.wall_ns[self.phase as usize] =
-                    self.stats.wall_ns[self.phase as usize].saturating_add(elapsed);
-                *phase_start = now;
-                self.phase = if *begin { Phase::Roi } else { Phase::Init };
-                Ok(Flow::Continue)
+                let arm = if cond { *then_r } else { *else_r };
+                self.enter_region(
+                    func,
+                    cursors,
+                    pc + 1,
+                    arm,
+                    RegionKind::Arm { header: pc as u32 },
+                )
             }
             DInst::FusedHasIf {
                 coll,
@@ -978,17 +1104,26 @@ impl<'m> Interpreter<'m> {
                 hdst,
                 then_r,
                 else_r,
-                dsts,
+                ..
             } => {
                 // Component 0: the membership probe, exactly as `has`.
                 let id = frame[*coll as usize].try_as_coll().map_err(trap)?;
                 let cond = self.has(id, &frame[*key as usize]).map_err(trap)?;
                 frame[*hdst as usize] = Value::Bool(cond);
-                // Component 1: the branch, exactly as `if` at `idx + 1`.
-                self.fused_step(fid, idx + 1)?;
-                let region = if cond { *then_r } else { *else_r };
-                let flow = self.exec_region(d, fid, func, frame, region, phase_start)?;
-                Ok(self.land_branch(frame, flow, dsts))
+                // Component 1: the branch at `pc + 1`, fused or from its
+                // padding slot.
+                if !self.whole_window(2) {
+                    return Ok(Next::At(pc + 1));
+                }
+                self.ticks_left -= 1;
+                let arm = if cond { *then_r } else { *else_r };
+                self.enter_region(
+                    func,
+                    cursors,
+                    pc + 2,
+                    arm,
+                    RegionKind::Arm { header: pc as u32 },
+                )
             }
             DInst::FusedCmpIf {
                 op,
@@ -997,86 +1132,162 @@ impl<'m> Interpreter<'m> {
                 cdst,
                 then_r,
                 else_r,
-                dsts,
+                ..
             } => {
                 let cond = eval_cmp(*op, &frame[*a as usize], &frame[*b as usize]);
                 frame[*cdst as usize] = Value::Bool(cond);
-                self.fused_step(fid, idx + 1)?;
-                let region = if cond { *then_r } else { *else_r };
-                let flow = self.exec_region(d, fid, func, frame, region, phase_start)?;
-                Ok(self.land_branch(frame, flow, dsts))
+                if !self.whole_window(2) {
+                    return Ok(Next::At(pc + 1));
+                }
+                self.ticks_left -= 1;
+                let arm = if cond { *then_r } else { *else_r };
+                self.enter_region(
+                    func,
+                    cursors,
+                    pc + 2,
+                    arm,
+                    RegionKind::Arm { header: pc as u32 },
+                )
             }
             DInst::FusedScalars { .. }
             | DInst::FusedReadBin { .. }
             | DInst::FusedBinWrite { .. }
             | DInst::FusedReadBinWrite { .. }
-            | DInst::FusedEncKey { .. } => {
-                self.exec_fused_straight(fid, func, frame, inst, idx)?;
-                Ok(Flow::Continue)
+            | DInst::FusedEncKey { .. } => self.exec_fused_straight(func, frame, inst, pc),
+            DInst::ForEach { .. } | DInst::ForEachBulk { .. } => {
+                self.enter_foreach(func, frame, cursors, pc)
+            }
+            DInst::ForRange { .. } | DInst::ForRangeBulk { .. } => {
+                self.enter_forrange(func, frame, cursors, pc)
+            }
+            DInst::DoWhile { carried, body, .. } => {
+                self.load_carried(frame, carried, &func.regions[*body as usize].args)?;
+                self.count_loop(false);
+                self.enter_region(
+                    func,
+                    cursors,
+                    pc + 1,
+                    *body,
+                    RegionKind::DoWhile { header: pc as u32 },
+                )
+            }
+            DInst::Yield { ops } => {
+                let mut vals = self.pool_get();
+                for op in ops.iter() {
+                    vals.push(self.resolve(frame, op)?.into_owned());
+                }
+                self.leave_region(func, frame, cursors, Some(vals))
+            }
+            DInst::YieldDirect { srcs, dsts } => {
+                copy_slots(frame, srcs, dsts);
+                self.leave_region(func, frame, cursors, None)
+            }
+            DInst::Ret { op } => {
+                let v = match op {
+                    Some(op) => Some(self.resolve(frame, op)?.into_owned()),
+                    None => None,
+                };
+                Ok(Next::Leave(Transfer::Ret(v)))
+            }
+            DInst::Roi { begin } => {
+                let now = Instant::now();
+                let elapsed = Stats::clamp_ns(now.duration_since(self.phase_start).as_nanos());
+                self.stats.wall_ns[self.phase as usize] =
+                    self.stats.wall_ns[self.phase as usize].saturating_add(elapsed);
+                self.phase_start = now;
+                self.phase = if *begin { Phase::Roi } else { Phase::Init };
+                Ok(Next::At(pc + 1))
             }
             simple => {
                 self.exec_simple_inst(func, frame, simple)?;
-                Ok(Flow::Continue)
+                Ok(Next::At(pc + 1))
             }
         }
     }
 
-    /// Lands the yields of a branch's taken arm in the branch's
-    /// destination slots (a direct yield already has); a `ret` from the
-    /// arm passes through.
-    fn land_branch(&mut self, frame: &mut [Value], flow: Flow, dsts: &[u32]) -> Flow {
-        match flow {
-            Flow::YieldedDirect => Flow::Continue,
-            Flow::Yield(mut vals) => {
-                for (&r, v) in dsts.iter().zip(vals.drain(..)) {
-                    frame[r as usize] = v;
+    /// Enters `region` from the header at the current slot: checks the
+    /// depth limit, leaves `resume` in the current cursor for when the
+    /// region is left, and pushes the region's cursor.
+    fn enter_region(
+        &mut self,
+        func: &DFunc,
+        cursors: &mut Vec<Cursor>,
+        resume: usize,
+        region: u32,
+        kind: RegionKind,
+    ) -> Result<Next, ExecError> {
+        self.check_depth(cursors.len())?;
+        cursors.last_mut().expect("current region").pc = resume as u32;
+        let r = &func.regions[region as usize];
+        cursors.push(Cursor {
+            pc: r.start,
+            start: r.start,
+            end: r.end,
+            kind,
+        });
+        Ok(Next::Jump(r.start as usize, r.end as usize))
+    }
+
+    /// The region's terminator ran, with its buffered values (`None`
+    /// after a [`DInst::YieldDirect`], which already copied them).
+    /// An arm lands them in its header's destinations and resumes the
+    /// enclosing region; a loop body passes them to the next iteration.
+    fn leave_region(
+        &mut self,
+        func: &DFunc,
+        frame: &mut [Value],
+        cursors: &mut Vec<Cursor>,
+        vals: Option<Vec<Value>>,
+    ) -> Result<Next, ExecError> {
+        let kind = &cursors.last().expect("current region").kind;
+        match *kind {
+            RegionKind::Body => Ok(Next::Leave(Transfer::Unwind(trap(TrapKind::Malformed {
+                what: "function body ended without ret",
+            })))),
+            RegionKind::Arm { header } => {
+                if let Some(vals) = vals {
+                    let (DInst::If { dsts, .. }
+                    | DInst::FusedHasIf { dsts, .. }
+                    | DInst::FusedCmpIf { dsts, .. }) = &func.code[header as usize]
+                    else {
+                        unreachable!("an arm's header is a branch")
+                    };
+                    self.land(frame, vals, dsts);
                 }
-                self.pool_put(vals);
-                Flow::Continue
+                Ok(leave_to_parent(cursors))
             }
-            other => other,
+            RegionKind::Range { header, .. } | RegionKind::Each { header, .. } => {
+                if let Some(vals) = vals {
+                    let parts = LoopParts::of(&func.code[header as usize]);
+                    let args = &func.regions[parts.body as usize].args;
+                    self.land(frame, vals, &args[parts.bound..]);
+                }
+                self.next_iteration(func, frame, cursors)
+            }
+            RegionKind::DoWhile { header } => {
+                self.next_dowhile(func, frame, cursors, header as usize, vals)
+            }
         }
     }
 
-    /// Per-component preamble for the non-head slots of a fused window:
-    /// the tick and profiler re-aim the dispatch loop would have
-    /// performed had the component dispatched on its own.
-    #[inline]
-    fn fused_step(&mut self, fid: FuncId, site: usize) -> Result<(), ExecError> {
-        // When nothing observes per-instruction accounting, the
-        // replayed bookkeeping has no effect, so the straight-line
-        // window skips it — this is where fusion buys its wall time.
-        if !self.observed {
-            return Ok(());
+    /// Moves yielded values into `dsts` and recycles their buffer.
+    fn land(&mut self, frame: &mut [Value], mut vals: Vec<Value>, dsts: &[u32]) {
+        for (&r, v) in dsts.iter().zip(vals.drain(..)) {
+            frame[r as usize] = v;
         }
-        self.tick()?;
-        if let Some(p) = self.profiler.as_deref_mut() {
-            p.set_site(fid.0, site as u32);
-        }
-        Ok(())
+        self.pool_put(vals);
     }
 
-    /// One instruction tick: the single budget check. Only the
-    /// countdown reaching zero leaves the inlined fast path.
-    #[inline]
-    fn tick(&mut self) -> Result<(), ExecError> {
-        if self.ticks_left == 0 {
-            self.tick_boundary()?;
-        }
-        self.ticks_left -= 1;
-        Ok(())
-    }
-
-    /// The countdown ran out: either the fuel is spent
-    /// ([`Limit::Fuel`]) or the session grant is, in which case this
-    /// blocks until the controller grants the next quantum (or returns
-    /// the cancellation it requested). Parking touches no interpreter
-    /// state, which is why checksums, stats, profiles and trap sites
-    /// are byte-identical for every quantum size. Leaves at least one
-    /// tick in the countdown on success.
+    /// The countdown ran out. A spent fuel budget fails the run
+    /// ([`Limit::Fuel`], which wins over any grant); otherwise a batch
+    /// run renews its window, and a session loads its pending grant —
+    /// or, with none left, returns `false` to suspend before the
+    /// instruction that wanted the tick. Suspending touches no other
+    /// interpreter state, which is why checksums, stats, profiles and
+    /// trap sites are byte-identical for every quantum size.
     #[cold]
     #[inline(never)]
-    fn tick_boundary(&mut self) -> Result<(), ExecError> {
+    fn tick_boundary(&mut self) -> Result<bool, ExecError> {
         self.ticks_spent += self.window;
         self.window = 0;
         let fuel_left = match self.config.fuel {
@@ -1089,39 +1300,60 @@ impl<'m> Interpreter<'m> {
             Some(fuel) => fuel - self.ticks_spent,
             None => u64::MAX,
         };
-        // Fuel is left, so the window that ran out was a session grant
-        // (an unarmed batch window is `u64::MAX` ticks long).
-        let session = self.session.as_ref().expect("only a session grant ends early");
-        let granted = session.take_grant()?;
-        self.config.metrics.add("exec_quanta_total", &[], 1);
-        self.window = fuel_left.min(granted);
+        let window = if self.sliced {
+            let Some(granted) = self.grant.take() else {
+                return Ok(false);
+            };
+            self.config.metrics.add("exec_quanta_total", &[], 1);
+            granted
+        } else {
+            u64::MAX
+        };
+        self.window = fuel_left.min(window);
         self.ticks_left = self.window;
-        Ok(())
+        Ok(true)
+    }
+
+    /// Whether the rest of a fused window of `k` slots, whose head has
+    /// ticked, runs fused: nothing attributes work per site (no
+    /// profiler) and the countdown covers the other `k - 1` ticks, so no
+    /// budget boundary falls inside the window. Otherwise only the head
+    /// component runs and the padding slots, which keep their original
+    /// instructions, dispatch one by one.
+    #[inline]
+    fn whole_window(&self, k: usize) -> bool {
+        self.profiler.is_none() && self.ticks_left >= (k - 1) as u64
     }
 
     /// Straight-line fused superinstructions. Each component replays its
-    /// unfused opcode's exact observable sequence — fuel tick, statistic
+    /// unfused opcode's exact observable sequence — tick, statistic
     /// bumps, intermediate destination writes, trap sites — by calling
     /// the same kernel; only dispatch and operand re-resolution are
     /// saved. The head component's traps stay site-less (the dispatch
     /// loop attributes them to `idx`); component `j` sites its own at
-    /// `idx + j`.
+    /// `idx + j`. Unless the whole window runs ([`Self::whole_window`]),
+    /// only the head does, and dispatch continues at the first padding
+    /// slot.
     #[inline(never)]
     fn exec_fused_straight(
         &mut self,
-        fid: FuncId,
         func: &DFunc,
         frame: &mut [Value],
         inst: &DInst,
         idx: usize,
-    ) -> Result<(), ExecError> {
+    ) -> Result<Next, ExecError> {
+        let whole = self.whole_window(inst.advance());
         match inst {
             DInst::FusedScalars { uops } => {
-                for (j, u) in uops.iter().enumerate() {
+                let run = if whole { uops.len() } else { 1 };
+                for (j, u) in uops[..run].iter().enumerate() {
                     if j > 0 {
-                        self.fused_step(fid, idx + j)?;
+                        self.ticks_left -= 1;
                     }
                     exec_scalar(func, frame, *u).map_err(|k| trap_at(func, idx + j, k))?;
+                }
+                if !whole {
+                    return Ok(Next::At(idx + 1));
                 }
             }
             DInst::FusedReadBin {
@@ -1135,7 +1367,10 @@ impl<'m> Interpreter<'m> {
             } => {
                 let id = frame[*coll as usize].try_as_coll().map_err(trap)?;
                 frame[*rdst as usize] = self.read(id, &frame[*key as usize]).map_err(trap)?;
-                self.fused_step(fid, idx + 1)?;
+                if !whole {
+                    return Ok(Next::At(idx + 1));
+                }
+                self.ticks_left -= 1;
                 let bin = UScalar::Bin {
                     op: *op,
                     a: *a,
@@ -1160,7 +1395,10 @@ impl<'m> Interpreter<'m> {
                     dst: *bdst,
                 };
                 exec_scalar(func, frame, bin).map_err(trap)?;
-                self.fused_step(fid, idx + 1)?;
+                if !whole {
+                    return Ok(Next::At(idx + 1));
+                }
+                self.ticks_left -= 1;
                 let at = |k| trap_at(func, idx + 1, k);
                 let id = frame[*coll as usize].try_as_coll().map_err(at)?;
                 let value = frame[*bdst as usize].clone();
@@ -1180,7 +1418,10 @@ impl<'m> Interpreter<'m> {
             } => {
                 let id = frame[*coll as usize].try_as_coll().map_err(trap)?;
                 frame[*rdst as usize] = self.read(id, &frame[*rkey as usize]).map_err(trap)?;
-                self.fused_step(fid, idx + 1)?;
+                if !whole {
+                    return Ok(Next::At(idx + 1));
+                }
+                self.ticks_left -= 1;
                 let bin = UScalar::Bin {
                     op: *op,
                     a: *a,
@@ -1188,7 +1429,7 @@ impl<'m> Interpreter<'m> {
                     dst: *bdst,
                 };
                 exec_scalar(func, frame, bin).map_err(|k| trap_at(func, idx + 1, k))?;
-                self.fused_step(fid, idx + 2)?;
+                self.ticks_left -= 1;
                 // The matcher pins the write to the read's collection
                 // slot and the interposed `Bin` writes only its scalar
                 // destination, so the handle resolved for the read is
@@ -1208,8 +1449,11 @@ impl<'m> Interpreter<'m> {
             } => {
                 // Component 0: the `enc`, sentinel fallback included.
                 frame[*edst as usize] = Value::Idx(self.enc(*e, &frame[*v as usize]));
+                if !whole {
+                    return Ok(Next::At(idx + 1));
+                }
                 // Component 1: the keyed membership-class op at `idx + 1`.
-                self.fused_step(fid, idx + 1)?;
+                self.ticks_left -= 1;
                 let at = |k| trap_at(func, idx + 1, k);
                 let id = frame[*coll as usize].try_as_coll().map_err(at)?;
                 let key = &frame[*edst as usize];
@@ -1224,7 +1468,7 @@ impl<'m> Interpreter<'m> {
             }
             other => unreachable!("non-fused opcode {other:?} reached exec_fused_straight"),
         }
-        Ok(())
+        Ok(Next::At(idx + inst.advance()))
     }
 
     /// Straight-line (non-control) opcodes.
@@ -1427,314 +1671,261 @@ impl<'m> Interpreter<'m> {
         Ok(entries)
     }
 
-    #[inline(never)]
-    fn exec_foreach(
+    /// Enters a `foreach` (generic or bulk): snapshots the collection,
+    /// then starts the loop.
+    fn enter_foreach(
         &mut self,
-        d: &DecodedModule,
-        fid: FuncId,
         func: &DFunc,
-        frame: &mut Vec<Value>,
-        inst: &DInst,
-        phase_start: &mut Instant,
-    ) -> Result<Flow, ExecError> {
+        frame: &mut [Value],
+        cursors: &mut Vec<Cursor>,
+        pc: usize,
+    ) -> Result<Next, ExecError> {
+        let inst = &func.code[pc];
         let (DInst::ForEach {
             coll,
-            carried: carried_ops,
-            body,
-            binds_value,
+            carried,
             uncoerce_u64,
-            dsts,
+            ..
         }
         | DInst::ForEachBulk {
             coll,
-            carried: carried_ops,
-            body,
-            binds_value,
+            carried,
             uncoerce_u64,
-            dsts,
-            plan: _,
+            ..
         }) = inst
         else {
             unreachable!()
         };
         let entries = self.foreach_entries(frame, coll, *uncoerce_u64)?;
-        let region = &func.regions[*body as usize];
-        let args = &region.args;
-        // Direct-yield bodies keep the carried values in the arg slots
-        // across iterations; the buffered path below is the fallback.
-        if region.end > region.start
-            && matches!(
-                func.code[region.end as usize - 1],
-                DInst::YieldDirect { .. }
-            )
-        {
-            let skip = 1 + usize::from(*binds_value);
-            for (j, op) in carried_ops.iter().enumerate() {
-                let v = self.resolve(frame, op)?.into_owned();
-                frame[args[skip + j] as usize] = v;
-            }
-            for (key, value) in entries {
-                frame[args[0] as usize] = key;
-                if *binds_value {
-                    frame[args[1] as usize] = value;
-                }
-                match self.exec_region(d, fid, func, frame, *body, phase_start)? {
-                    Flow::YieldedDirect => {}
-                    other => return Ok(other),
-                }
-            }
-            copy_slots(frame, &args[skip..], dsts);
-            return Ok(Flow::Continue);
+        let parts = LoopParts::of(inst);
+        let bulk = self.start_loop(func, frame, carried, &parts, cursors.len())?;
+        if entries.is_empty() {
+            return Ok(self.skip_loop(func, frame, &parts, pc));
         }
-        let mut carried: Vec<Value> = carried_ops
-            .iter()
-            .map(|op| self.resolve(frame, op).map(Res::into_owned))
-            .collect::<Result<_, _>>()?;
-        for (key, value) in entries {
-            let mut slot = 0;
-            frame[args[slot] as usize] = key;
-            slot += 1;
-            if *binds_value {
-                frame[args[slot] as usize] = value;
-                slot += 1;
-            }
-            for (i, c) in carried.drain(..).enumerate() {
-                frame[args[slot + i] as usize] = c;
-            }
-            match self.exec_region(d, fid, func, frame, *body, phase_start)? {
-                Flow::Yield(next) => self.pool_put(std::mem::replace(&mut carried, next)),
-                other => return Ok(other),
-            }
-        }
-        for (&r, v) in dsts.iter().zip(carried.drain(..)) {
-            frame[r as usize] = v;
-        }
-        self.pool_put(carried);
-        Ok(Flow::Continue)
+        self.enter_region(
+            func,
+            cursors,
+            pc + 1,
+            parts.body,
+            RegionKind::Each {
+                header: pc as u32,
+                rest: entries.into_iter(),
+                bulk,
+            },
+        )?;
+        self.next_iteration(func, frame, cursors)
     }
 
-    #[inline(never)]
-    fn exec_forrange(
+    /// Enters a `forrange` (generic or bulk): resolves the bounds, then
+    /// starts the loop.
+    fn enter_forrange(
         &mut self,
-        d: &DecodedModule,
-        fid: FuncId,
         func: &DFunc,
-        frame: &mut Vec<Value>,
-        inst: &DInst,
-        phase_start: &mut Instant,
-    ) -> Result<Flow, ExecError> {
+        frame: &mut [Value],
+        cursors: &mut Vec<Cursor>,
+        pc: usize,
+    ) -> Result<Next, ExecError> {
+        let inst = &func.code[pc];
         let (DInst::ForRange {
-            lo,
-            hi,
-            carried: carried_ops,
-            body,
-            dsts,
+            lo, hi, carried, ..
         }
         | DInst::ForRangeBulk {
-            lo,
-            hi,
-            carried: carried_ops,
-            body,
-            dsts,
-            plan: _,
+            lo, hi, carried, ..
         }) = inst
         else {
             unreachable!()
         };
         let lo = self.resolve(frame, lo)?.try_as_u64().map_err(trap)?;
         let hi = self.resolve(frame, hi)?.try_as_u64().map_err(trap)?;
-        let region = &func.regions[*body as usize];
-        let args = &region.args;
-        // A body whose terminator was rewritten to `YieldDirect` keeps
-        // the carried values in the arg slots across iterations; the
-        // buffered path below is the fallback.
-        if region.end > region.start
-            && matches!(
-                func.code[region.end as usize - 1],
-                DInst::YieldDirect { .. }
-            )
-        {
-            for (j, op) in carried_ops.iter().enumerate() {
-                let v = self.resolve(frame, op)?.into_owned();
-                frame[args[1 + j] as usize] = v;
-            }
-            for i in lo..hi {
-                frame[args[0] as usize] = Value::U64(i);
-                match self.exec_region(d, fid, func, frame, *body, phase_start)? {
-                    Flow::YieldedDirect => {}
-                    other => return Ok(other),
-                }
-            }
-            copy_slots(frame, &args[1..], dsts);
-            return Ok(Flow::Continue);
+        let parts = LoopParts::of(inst);
+        let bulk = self.start_loop(func, frame, carried, &parts, cursors.len())?;
+        if lo >= hi {
+            return Ok(self.skip_loop(func, frame, &parts, pc));
         }
-        let mut carried: Vec<Value> = carried_ops
-            .iter()
-            .map(|op| self.resolve(frame, op).map(Res::into_owned))
-            .collect::<Result<_, _>>()?;
-        for i in lo..hi {
-            frame[args[0] as usize] = Value::U64(i);
-            // The carried values are dead after this fill (the body's
-            // yield replaces them), so move instead of cloning.
-            for (j, c) in carried.drain(..).enumerate() {
-                frame[args[1 + j] as usize] = c;
-            }
-            match self.exec_region(d, fid, func, frame, *body, phase_start)? {
-                Flow::Yield(next) => self.pool_put(std::mem::replace(&mut carried, next)),
-                other => return Ok(other),
-            }
-        }
-        for (&r, v) in dsts.iter().zip(carried.drain(..)) {
-            frame[r as usize] = v;
-        }
-        self.pool_put(carried);
-        Ok(Flow::Continue)
+        self.enter_region(
+            func,
+            cursors,
+            pc + 1,
+            parts.body,
+            RegionKind::Range {
+                header: pc as u32,
+                next: lo,
+                hi,
+                bulk,
+            },
+        )?;
+        self.next_iteration(func, frame, cursors)
     }
 
-    #[inline(never)]
-    fn exec_dowhile(
-        &mut self,
-        d: &DecodedModule,
-        fid: FuncId,
-        func: &DFunc,
-        frame: &mut Vec<Value>,
-        inst: &DInst,
-        phase_start: &mut Instant,
-    ) -> Result<Flow, ExecError> {
-        let DInst::DoWhile {
-            carried: carried_ops,
-            body,
-            dsts,
-        } = inst
-        else {
-            unreachable!()
-        };
-        let args = &func.regions[*body as usize].args;
-        let mut carried: Vec<Value> = carried_ops
-            .iter()
-            .map(|op| self.resolve(frame, op).map(Res::into_owned))
-            .collect::<Result<_, _>>()?;
-        loop {
-            for (j, c) in carried.drain(..).enumerate() {
-                frame[args[j] as usize] = c;
-            }
-            match self.exec_region(d, fid, func, frame, *body, phase_start)? {
-                Flow::Yield(mut vals) => {
-                    if vals.is_empty() {
-                        return Err(trap(TrapKind::Malformed {
-                            what: "dowhile yield without a condition",
-                        }));
-                    }
-                    let cond = vals.remove(0).try_as_bool().map_err(trap)?;
-                    self.pool_put(std::mem::replace(&mut carried, vals));
-                    if !cond {
-                        break;
-                    }
-                }
-                other => return Ok(other),
-            }
-        }
-        for (&r, v) in dsts.iter().zip(carried.drain(..)) {
-            frame[r as usize] = v;
-        }
-        self.pool_put(carried);
-        Ok(Flow::Continue)
-    }
-
-    /// Bulk `foreach`: one header dispatch for the whole nest. The
-    /// common prefix (the `foreach` prelude, carried resolution, hoisted
-    /// constants) replays the generic loop; then the plan executor runs
-    /// the body without per-instruction dispatch or per-iteration region
-    /// entry.
-    #[inline(never)]
-    fn exec_foreach_bulk(
+    /// What every `foreach`/`forrange` entry shares: loads the initial
+    /// carried values into the body's carried argument slots, decides
+    /// whether iterations may run through the header's plan, counts the
+    /// loop's tier and runs the plan's prelude. A plan may run only when
+    /// no profiler is attached and its regions (body, and an `if` arm if
+    /// it has one) fit under the depth limit from `height`, so the
+    /// generic loop could not have tripped it either.
+    fn start_loop(
         &mut self,
         func: &DFunc,
         frame: &mut [Value],
-        inst: &DInst,
-    ) -> Result<Flow, ExecError> {
-        let DInst::ForEachBulk {
-            coll,
-            carried: carried_ops,
-            body,
-            binds_value,
-            uncoerce_u64,
-            dsts,
-            plan,
-        } = inst
-        else {
-            unreachable!()
-        };
-        let entries = self.foreach_entries(frame, coll, *uncoerce_u64)?;
-        let args = &func.regions[*body as usize].args;
-        let carried_args = &args[1 + usize::from(*binds_value)..];
-        self.exec_plan_prelude(func, frame, carried_ops, carried_args, plan)?;
-        for (key, value) in entries {
-            frame[args[0] as usize] = key;
-            if *binds_value {
-                frame[args[1] as usize] = value;
+        carried: &[DOp],
+        parts: &LoopParts<'_>,
+        height: usize,
+    ) -> Result<bool, ExecError> {
+        let args = &func.regions[parts.body as usize].args;
+        self.load_carried(frame, carried, &args[parts.bound..])?;
+        let plan = parts.plan.filter(|p| {
+            self.profiler.is_none()
+                && self
+                    .config
+                    .max_depth
+                    .is_none_or(|max| height + p.depth as usize <= max as usize)
+        });
+        self.count_loop(plan.is_some());
+        if let Some(plan) = plan {
+            for p in plan.prelude.iter() {
+                self.exec_plan_op(func, frame, p)?;
             }
-            self.exec_plan_iteration(func, frame, plan, carried_args)?;
         }
-        copy_slots(frame, carried_args, dsts);
-        Ok(Flow::Continue)
+        Ok(plan.is_some())
     }
 
-    /// Bulk `forrange`: the plan executor over an integer range, with no
-    /// per-iteration region entry or instruction dispatch.
-    #[inline(never)]
-    fn exec_forrange_bulk(
-        &mut self,
+    /// A loop with no iterations: its carried values land in its
+    /// destinations without entering the body.
+    fn skip_loop(
+        &self,
         func: &DFunc,
         frame: &mut [Value],
-        inst: &DInst,
-    ) -> Result<Flow, ExecError> {
-        let DInst::ForRangeBulk {
-            lo,
-            hi,
-            carried: carried_ops,
-            body,
-            dsts,
-            plan,
-        } = inst
-        else {
-            unreachable!()
-        };
-        let lo = self.resolve(frame, lo)?.try_as_u64().map_err(trap)?;
-        let hi = self.resolve(frame, hi)?.try_as_u64().map_err(trap)?;
-        let args = &func.regions[*body as usize].args;
-        let carried_args = &args[1..];
-        self.exec_plan_prelude(func, frame, carried_ops, carried_args, plan)?;
-        for i in lo..hi {
-            frame[args[0] as usize] = Value::U64(i);
-            self.exec_plan_iteration(func, frame, plan, carried_args)?;
-        }
-        copy_slots(frame, carried_args, dsts);
-        Ok(Flow::Continue)
+        parts: &LoopParts<'_>,
+        pc: usize,
+    ) -> Next {
+        let args = &func.regions[parts.body as usize].args;
+        copy_slots(frame, &args[parts.bound..], parts.dsts);
+        Next::At(pc + 1)
     }
 
-    /// Loads a bulk loop's initial carried values into the body's carried
-    /// argument slots and runs the plan's hoisted prelude.
-    fn exec_plan_prelude(
+    /// Resolves a loop's initial carried values into its body's carried
+    /// argument slots, in operand order.
+    fn load_carried(
         &mut self,
-        func: &DFunc,
         frame: &mut [Value],
-        carried_ops: &[DOp],
-        carried_args: &[u32],
-        plan: &BulkPlan,
+        carried: &[DOp],
+        args: &[u32],
     ) -> Result<(), ExecError> {
-        for (op, &a) in carried_ops.iter().zip(carried_args) {
+        for (op, &a) in carried.iter().zip(args) {
             let v = self.resolve(frame, op)?.into_owned();
             frame[a as usize] = v;
-        }
-        for p in plan.prelude.iter() {
-            self.exec_plan_op(func, frame, p)?;
         }
         Ok(())
     }
 
+    /// Publishes one loop entry to `exec_loop_tier_total{tier}`: `bulk`
+    /// when its iterations may run through a plan, `generic` otherwise.
+    #[inline]
+    fn count_loop(&self, bulk: bool) {
+        let m = &self.config.metrics;
+        if m.is_enabled() {
+            let tier = if bulk { "bulk" } else { "generic" };
+            m.add("exec_loop_tier_total", &[("tier", tier)], 1);
+        }
+    }
+
+    /// Binds the next iteration of the `foreach`/`forrange` whose body
+    /// is the top cursor. While the loop may use its plan and the
+    /// countdown covers an iteration's worst case, iterations run right
+    /// here through the plan; the first one that cannot (it would
+    /// straddle a budget boundary) starts the body region generically.
+    /// After the last iteration the carried values land in the loop's
+    /// destinations and the enclosing region resumes.
+    fn next_iteration(
+        &mut self,
+        func: &DFunc,
+        frame: &mut [Value],
+        cursors: &mut Vec<Cursor>,
+    ) -> Result<Next, ExecError> {
+        let top = cursors.last_mut().expect("loop region");
+        let (header, bulk) = match &top.kind {
+            RegionKind::Range { header, bulk, .. } | RegionKind::Each { header, bulk, .. } => {
+                (*header, *bulk)
+            }
+            other => unreachable!("{other:?} is not a foreach/forrange body"),
+        };
+        let parts = LoopParts::of(&func.code[header as usize]);
+        let args = &func.regions[parts.body as usize].args;
+        let carried_args = &args[parts.bound..];
+        let plan = parts.plan.filter(|_| bulk);
+        loop {
+            match &mut top.kind {
+                RegionKind::Range { next, hi, .. } => {
+                    if *next >= *hi {
+                        break;
+                    }
+                    frame[args[0] as usize] = Value::U64(*next);
+                    *next += 1;
+                }
+                RegionKind::Each { rest, .. } => {
+                    let Some((key, value)) = rest.next() else {
+                        break;
+                    };
+                    frame[args[0] as usize] = key;
+                    if parts.bound == 2 {
+                        frame[args[1] as usize] = value;
+                    }
+                }
+                _ => unreachable!(),
+            }
+            match plan {
+                Some(plan) if self.ticks_left >= u64::from(plan.worst) => {
+                    self.exec_plan_iteration(func, frame, plan, carried_args)?;
+                }
+                _ => {
+                    top.pc = top.start;
+                    return Ok(Next::Jump(top.start as usize, top.end as usize));
+                }
+            }
+        }
+        copy_slots(frame, carried_args, parts.dsts);
+        Ok(leave_to_parent(cursors))
+    }
+
+    /// The `dowhile` body at the top cursor yielded `vals`: the
+    /// condition, then the next carried values. Runs the body again or
+    /// lands the carried values in the loop's destinations. A malformed
+    /// yield traps at the loop header.
+    fn next_dowhile(
+        &mut self,
+        func: &DFunc,
+        frame: &mut [Value],
+        cursors: &mut Vec<Cursor>,
+        header: usize,
+        vals: Option<Vec<Value>>,
+    ) -> Result<Next, ExecError> {
+        let at = |k| trap_at(func, header, k);
+        let Some(mut vals) = vals.filter(|v| !v.is_empty()) else {
+            return Err(at(TrapKind::Malformed {
+                what: "dowhile yield without a condition",
+            }));
+        };
+        let cond = vals[0].try_as_bool().map_err(at)?;
+        vals.remove(0);
+        let DInst::DoWhile { body, dsts, .. } = &func.code[header] else {
+            unreachable!("a dowhile body's header is a dowhile")
+        };
+        if cond {
+            self.land(frame, vals, &func.regions[*body as usize].args);
+            let top = cursors.last_mut().expect("loop region");
+            top.pc = top.start;
+            Ok(Next::Jump(top.start as usize, top.end as usize))
+        } else {
+            self.land(frame, vals, dsts);
+            Ok(leave_to_parent(cursors))
+        }
+    }
+
     /// One bulk loop iteration: the plan's ops, then the terminal yield
-    /// copied into the carried argument slots.
+    /// copied into the carried argument slots. The caller checked that
+    /// the countdown covers the iteration's worst case; each op deducts
+    /// the slots it stands for, so a trap leaves the exact count.
     #[inline]
     fn exec_plan_iteration(
         &mut self,
@@ -1746,6 +1937,7 @@ impl<'m> Interpreter<'m> {
         for p in plan.ops.iter() {
             self.exec_plan_op(func, frame, p)?;
         }
+        self.ticks_left -= u64::from(plan.tail);
         copy_slots(frame, &plan.yield_srcs, carried_args);
         Ok(())
     }
@@ -1760,6 +1952,7 @@ impl<'m> Interpreter<'m> {
         frame: &mut [Value],
         p: &PlanOp,
     ) -> Result<(), ExecError> {
+        self.ticks_left -= u64::from(p.ticks);
         let site = p.site as usize;
         let at = |k| trap_at(func, site, k);
         match &p.op {
@@ -1849,18 +2042,21 @@ impl<'m> Interpreter<'m> {
                 cond,
                 then_ops,
                 then_srcs,
+                then_tail,
                 else_ops,
                 else_srcs,
+                else_tail,
                 dsts,
             } => {
-                let (ops, srcs) = if frame[*cond as usize].try_as_bool().map_err(at)? {
-                    (then_ops, then_srcs)
+                let (ops, srcs, tail) = if frame[*cond as usize].try_as_bool().map_err(at)? {
+                    (then_ops, then_srcs, then_tail)
                 } else {
-                    (else_ops, else_srcs)
+                    (else_ops, else_srcs, else_tail)
                 };
                 for q in ops.iter() {
                     self.exec_plan_op(func, frame, q)?;
                 }
+                self.ticks_left -= u64::from(*tail);
                 copy_slots(frame, srcs, dsts);
             }
         }
@@ -1967,6 +2163,16 @@ fn copy_slots(frame: &mut [Value], srcs: &[u32], dsts: &[u32]) {
             frame[t as usize] = frame[s as usize].clone();
         }
     }
+}
+
+/// Pops the top region's cursor and continues where the enclosing region
+/// left off.
+fn leave_to_parent(cursors: &mut Vec<Cursor>) -> Next {
+    cursors.pop();
+    let parent = cursors
+        .last()
+        .expect("an entered region has an enclosing one");
+    Next::Jump(parent.pc as usize, parent.end as usize)
 }
 
 /// The scalar step shared by [`DInst::FusedScalars`] windows, the

@@ -1,35 +1,35 @@
 //! Resumable, preemptible execution sessions.
 //!
 //! A batch run ([`crate::Interpreter::run`]) executes a program start
-//! to finish on one dedicated thread. An [`ExecSession`] runs the same
-//! interpreter over a *shared* decoded module (`Arc<DecodedModule>`)
-//! but slices execution into **fuel quanta**: each [`ExecSession::step`]
-//! grants the interpreter a bounded number of instructions, then the
-//! interpreter parks until the next grant. Between grants the session
-//! can be cancelled ([`ExecSession::cancel`]) with a typed
-//! [`StopReason`] (`deadline`, `cancelled`, `shed`), which the
-//! interpreter observes at the next quantum boundary and returns as
-//! [`ExecError::Preempted`]. [`ExecSession::run_until`] is the one
-//! wall-deadline loop (`adec --deadline-ms`, `reproduce --cell-timeout`):
-//! it steps fixed quanta and cancels with [`StopReason::Deadline`] at
-//! the first boundary past an [`Instant`].
+//! to finish. An [`ExecSession`] runs the same interpreter over a
+//! *shared* decoded module (`Arc<DecodedModule>`) but slices execution
+//! into **fuel quanta**: each [`ExecSession::step`] grants the
+//! interpreter a bounded number of instructions and runs them on the
+//! calling thread. When the grant is used up the interpreter suspends
+//! before the next instruction, and its continuation — the frames and
+//! region cursors of every live call and region, loop positions
+//! included — stays in the session until the next step. Between steps
+//! the session can be cancelled ([`ExecSession::cancel`]) with a typed
+//! [`StopReason`] (`deadline`, `cancelled`, `shed`), which the next
+//! step returns as [`ExecError::Preempted`] without running anything.
+//! [`ExecSession::run_until`] is the one wall-deadline loop (`adec
+//! --deadline-ms`, `reproduce --cell-timeout`): it steps fixed quanta
+//! and cancels with [`StopReason::Deadline`] at the first boundary past
+//! an [`Instant`].
 //!
-//! The interpreter is a recursive tree-walker, so "pause" is
-//! implemented as a thread handshake rather than a state-machine
-//! rewrite: the session owns a dedicated big-stack interpreter thread
-//! that blocks on a condvar whenever its quantum runs out. Parking
-//! touches no interpreter state, and a session-attached interpreter
-//! routes the bulk/fused fast paths through the generic
-//! per-instruction loop (a grant is one more input to the
-//! interpreter's single tick countdown), so outputs, statistics, per-site profiles and
-//! trap sites are byte-identical for **every** quantum size — the
-//! quantum-invariance differential tests pin this.
+//! Suspension touches no interpreter state, and the fused windows and
+//! bulk loop plans count their ticks exactly (they run only where no
+//! grant boundary falls inside them), so outputs, statistics, per-site
+//! profiles, tick counts and trap sites are byte-identical for
+//! **every** quantum size, and to the batch run — the
+//! quantum-invariance and budget-parity differential tests pin this.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::cell::Cell;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::decode::DecodedModule;
-use crate::exec::{ExecConfig, ExecError, Interpreter, Outcome};
+use crate::exec::{ExecConfig, ExecError, Interpreter, Machine, Outcome, Poll};
 use crate::trap::StopReason;
 
 /// What one [`ExecSession::step`] observed.
@@ -39,67 +39,6 @@ pub enum Step {
     Running,
     /// The program finished during this grant.
     Done(Box<Outcome>),
-}
-
-/// The controller ⇄ interpreter handshake. The interpreter side calls
-/// [`SessionShared::take_grant`] at every quantum exhaustion; the
-/// controller side grants fuel, requests cancellation, and collects
-/// the result.
-#[derive(Debug, Default)]
-pub(crate) struct SessionShared {
-    inner: Mutex<SessionInner>,
-    cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct SessionInner {
-    /// Instructions the interpreter may still take from the pool.
-    granted: u64,
-    /// `step(None)` / `run_to_completion`: stop slicing, run to the end.
-    unlimited: bool,
-    /// A pending cancellation; observed at the next grant boundary.
-    cancel: Option<StopReason>,
-    /// The interpreter is parked waiting for a grant.
-    parked: bool,
-    /// The finished run's result (set exactly once, by the thread).
-    result: Option<Result<Box<Outcome>, ExecError>>,
-}
-
-impl SessionShared {
-    /// Interpreter side: blocks until fuel is granted, returning how
-    /// many instructions may run before the next boundary (the calling
-    /// instruction included).
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::Preempted`] if the controller cancelled the session.
-    pub(crate) fn take_grant(&self) -> Result<u64, ExecError> {
-        let mut g = self.inner.lock().expect("session state poisoned");
-        loop {
-            if let Some(reason) = g.cancel {
-                return Err(ExecError::Preempted { reason });
-            }
-            if g.unlimited {
-                return Ok(u64::MAX);
-            }
-            if g.granted > 0 {
-                let n = g.granted;
-                g.granted = 0;
-                return Ok(n);
-            }
-            g.parked = true;
-            self.cv.notify_all();
-            g = self.cv.wait(g).expect("session state poisoned");
-        }
-    }
-
-    /// Thread side: publishes the finished result and wakes the
-    /// controller.
-    fn finish(&self, result: Result<Box<Outcome>, ExecError>) {
-        let mut g = self.inner.lock().expect("session state poisoned");
-        g.result = Some(result);
-        self.cv.notify_all();
-    }
 }
 
 /// A resumable execution of one entry point over a shared
@@ -133,88 +72,60 @@ impl SessionShared {
 /// ```
 #[derive(Debug)]
 pub struct ExecSession {
-    shared: Arc<SessionShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    interp: Interpreter<'static>,
+    decoded: Arc<DecodedModule>,
+    machine: Machine,
+    /// A pending cancellation, returned by the next step.
+    cancel: Cell<Option<StopReason>>,
     finished: bool,
 }
 
 impl ExecSession {
-    /// Stack for the session's interpreter thread — the same generous
-    /// size batch runs use ([`Interpreter::run`]), since guest programs
-    /// may recurse deeply.
-    const STACK: usize = 256 * 1024 * 1024;
-
-    /// Instructions per grant under [`ExecSession::run_until`]: coarse
-    /// enough that the park/grant handshake is noise next to real work,
-    /// fine enough that a deadline is noticed within milliseconds.
+    /// Instructions per grant under [`ExecSession::run_until`]: fine
+    /// enough that a deadline is noticed within milliseconds.
     const DEADLINE_SLICE: u64 = 1 << 16;
 
-    /// Spawns a session executing `entry` under `config`. The session
+    /// Creates a session executing `entry` under `config`. The session
     /// starts *paused*: no guest instruction runs until the first
     /// [`ExecSession::step`].
     ///
     /// # Errors
     ///
-    /// [`ExecError::NoEntry`] if `entry` does not exist;
-    /// [`ExecError::Host`] if the interpreter thread cannot be spawned.
+    /// [`ExecError::NoEntry`] if `entry` does not exist.
     pub fn spawn(
         decoded: Arc<DecodedModule>,
         entry: &str,
         config: ExecConfig,
     ) -> Result<ExecSession, ExecError> {
-        if decoded.function_by_name(entry).is_none() {
+        let Some(fid) = decoded.function_by_name(entry) else {
             return Err(ExecError::NoEntry {
                 entry: entry.to_string(),
             });
-        }
-        let shared = Arc::new(SessionShared::default());
-        let thread_shared = Arc::clone(&shared);
-        let entry = entry.to_string();
-        let builder = std::thread::Builder::new()
-            .name(format!("ade-session-{entry}"))
-            .stack_size(Self::STACK);
-        let handle = builder
-            .spawn(move || {
-                let interp = Interpreter::for_session(config, Arc::clone(&thread_shared));
-                // A panic would otherwise strand the controller on the
-                // condvar; surface it as a typed host error instead.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    interp.run_decoded_inline(&decoded, &entry)
-                }))
-                .unwrap_or_else(|payload| {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "panic with non-string payload".to_string());
-                    Err(ExecError::Host {
-                        message: format!("interpreter thread panicked: {msg}"),
-                    })
-                });
-                thread_shared.finish(result.map(Box::new));
-            })
-            .map_err(|e| ExecError::Host {
-                message: format!("could not start the session thread ({e})"),
-            })?;
+        };
+        let mut interp = Interpreter::detached(config);
+        interp.start(&decoded, true);
         Ok(ExecSession {
-            shared,
-            handle: Some(handle),
+            interp,
+            decoded,
+            machine: Machine::new(fid),
+            cancel: Cell::new(None),
             finished: false,
         })
     }
 
-    /// Grants one quantum (`Some(n)`: at most `n` instructions;
-    /// `None`: run to completion) and blocks until the interpreter
-    /// either parks at the next boundary or finishes.
+    /// Grants one quantum (`Some(n)`: at most `n` instructions, at least
+    /// one; `None`: run to completion) and runs it on the calling
+    /// thread, until the interpreter either suspends at the next
+    /// boundary or finishes.
     ///
-    /// A cancellation requested before or during the grant wins over
-    /// the grant: the interpreter checks for it first and returns
-    /// without executing further instructions.
+    /// A cancellation requested before the step wins over the grant:
+    /// the step returns it without executing further instructions.
     ///
     /// # Errors
     ///
-    /// The run's [`ExecError`] (guest trap, limit, host failure, or
-    /// [`ExecError::Preempted`] after a cancellation). Stepping an
+    /// The run's [`ExecError`] (guest trap, limit, or
+    /// [`ExecError::Preempted`] after a cancellation); a panic inside
+    /// the interpreter surfaces as [`ExecError::Host`]. Stepping an
     /// already-finished session is a host error.
     pub fn step(&mut self, quantum: Option<u64>) -> Result<Step, ExecError> {
         if self.finished {
@@ -222,40 +133,50 @@ impl ExecSession {
                 message: "session already finished".to_string(),
             });
         }
-        let mut g = self.shared.inner.lock().expect("session state poisoned");
-        if g.result.is_none() {
-            match quantum {
-                None => g.unlimited = true,
-                Some(n) => g.granted = g.granted.saturating_add(n.max(1)),
+        if let Some(reason) = self.cancel.get() {
+            return Err(self.fail(ExecError::Preempted { reason }));
+        }
+        self.interp.grant(quantum.map_or(u64::MAX, |n| n.max(1)));
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.interp.resume(&self.decoded, &mut self.machine)
+        }));
+        match run {
+            Ok(Ok(Poll::Suspended)) => Ok(Step::Running),
+            Ok(Ok(Poll::Done(result))) => {
+                self.finished = true;
+                Ok(Step::Done(Box::new(self.interp.finish(result))))
             }
-            g.parked = false;
-            self.shared.cv.notify_all();
-            while g.result.is_none() && !g.parked {
-                g = self.shared.cv.wait(g).expect("session state poisoned");
+            Ok(Err(e)) => Err(self.fail(e)),
+            Err(payload) => {
+                self.finished = true;
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "panic with non-string payload".to_string());
+                Err(ExecError::Host {
+                    message: format!("interpreter panicked: {msg}"),
+                })
             }
         }
-        if let Some(result) = g.result.take() {
-            drop(g);
-            self.finished = true;
-            if let Some(handle) = self.handle.take() {
-                let _ = handle.join();
-            }
-            return result.map(Step::Done);
-        }
-        Ok(Step::Running)
     }
 
-    /// Requests cancellation with `reason`. Observed at the next
-    /// quantum boundary (immediately if the interpreter is parked); the
-    /// next [`ExecSession::step`] then returns
-    /// `Err(ExecError::Preempted { reason })`. The first reason wins if
-    /// called twice. A no-op after the program finished.
+    /// Ends the session with `e`, publishing the run's terminal
+    /// accounting.
+    fn fail(&mut self, e: ExecError) -> ExecError {
+        self.finished = true;
+        self.interp.record_stop(Some(&e));
+        e
+    }
+
+    /// Requests cancellation with `reason`. The next
+    /// [`ExecSession::step`] returns `Err(ExecError::Preempted {
+    /// reason })` without running an instruction. The first reason wins
+    /// if called twice. A no-op after the program finished.
     pub fn cancel(&self, reason: StopReason) {
-        let mut g = self.shared.inner.lock().expect("session state poisoned");
-        if g.cancel.is_none() {
-            g.cancel = Some(reason);
+        if self.cancel.get().is_none() {
+            self.cancel.set(Some(reason));
         }
-        self.shared.cv.notify_all();
     }
 
     /// Whether the run has completed (successfully or not) and its
@@ -294,19 +215,6 @@ impl ExecSession {
             if let Step::Done(outcome) = self.step(Some(Self::DEADLINE_SLICE))? {
                 return Ok(*outcome);
             }
-        }
-    }
-}
-
-impl Drop for ExecSession {
-    /// Dropping a live session cancels it and joins the interpreter
-    /// thread. The thread exits at its next grant boundary — at most
-    /// one quantum of work away, since an unfinished session never
-    /// holds an unlimited grant (`step(None)` blocks to completion).
-    fn drop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.cancel(StopReason::Cancelled);
-            let _ = handle.join();
         }
     }
 }
@@ -373,17 +281,17 @@ mod tests {
     }
 
     #[test]
-    fn fuel_ticks_are_exact_when_observed_and_zero_otherwise() {
+    fn fuel_ticks_are_exact_for_every_run() {
         let module = parse_module(LOOPY).expect("parses");
         let batch = |config: ExecConfig| Interpreter::new(&module, config).run("main");
         let ticks = |config: ExecConfig| batch(config).expect("runs").fuel_ticks;
-        assert_eq!(ticks(ExecConfig::default()), 0, "a plain run counts nothing");
         let exact = ExecSession::spawn(decoded(LOOPY), "main", ExecConfig::default())
             .expect("spawns")
             .run_to_completion()
             .expect("completes")
             .fuel_ticks;
         assert!(exact > 3 * 200, "every slot of 200 iterations, fused padding included: {exact}");
+        assert_eq!(ticks(ExecConfig::default()), exact, "a plain run");
         let fuel = |n| ExecConfig {
             fuel: Some(n),
             ..ExecConfig::default()
@@ -458,6 +366,41 @@ mod tests {
         let mut session = session;
         let err = session.step(Some(1_000_000)).expect_err("shed");
         assert_eq!(err.code(), "shed");
+    }
+
+    #[test]
+    fn a_suspended_session_moves_to_another_thread() {
+        let module = parse_module(LOOPY).expect("parses");
+        let batch = Interpreter::new(&module, ExecConfig::default())
+            .run("main")
+            .expect("batch runs");
+        let mut session =
+            ExecSession::spawn(decoded(LOOPY), "main", ExecConfig::default()).expect("spawns");
+        assert!(matches!(session.step(Some(100)), Ok(Step::Running)));
+        let outcome = std::thread::spawn(move || session.run_to_completion())
+            .join()
+            .expect("no panic")
+            .expect("completes");
+        assert_eq!(outcome.output, batch.output);
+        assert_eq!(outcome.fuel_ticks, batch.fuel_ticks);
+    }
+
+    #[test]
+    fn a_host_panic_inside_step_is_a_host_error() {
+        let module = parse_module(LOOPY).expect("parses");
+        let mut decoded = DecodedModule::decode_with(&module, &Default::default());
+        let main = &mut decoded.funcs[0];
+        // A constant written past the end of the frame: an interpreter
+        // bug, not guest behavior.
+        main.code[0] = crate::decode::DInst::Const {
+            pool: 0,
+            dst: main.frame_size + 7,
+        };
+        let mut session =
+            ExecSession::spawn(Arc::new(decoded), "main", ExecConfig::default()).expect("spawns");
+        let err = session.step(Some(10)).expect_err("the step panics");
+        assert_eq!(err.code(), "host", "{err}");
+        assert!(session.is_finished());
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub const MODELED_COST_BOUNDS_NS: [u64; 5] = [1_000, 10_000, 100_000, 1_000_000,
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Instructions granted per scheduling step. Smaller quanta mean
-    /// finer-grained preemption and more handshake overhead; the
+    /// finer-grained preemption and more per-step overhead; the
     /// response content is identical either way.
     pub quantum: u64,
     /// Worker threads stepping sessions. Each admitted request is

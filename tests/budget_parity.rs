@@ -1,0 +1,561 @@
+//! Budget parity: the fast paths (fused windows and bulk loop plans) run
+//! under every budget, and a budget never changes what a run observes.
+//! Each program runs unprofiled on both decodes, as a batch run and as a
+//! session at quanta {1, 2, 3, 7, 4096, unlimited}, with no fuel limit
+//! and under every fuel limit within the last 40 ticks of its run. Every
+//! run must match the batch run on the reference decode under the same
+//! budget: output, return value, per-phase statistics, peak and final
+//! bytes, executed ticks, and the error (code and `@fn:inst` site).
+
+use std::sync::Arc;
+
+use ade::interp::decode::{BulkOp, DInst};
+use ade::interp::{
+    DecodeOptions, DecodedModule, ExecConfig, ExecError, ExecSession, Interpreter, Limit, Outcome,
+    Step,
+};
+use ade::ir::parse::parse_module;
+use ade::ir::Module;
+use ade_obs::{MetricValue, MetricsRegistry};
+
+/// One program, the decode shapes it must exercise, and the depth
+/// limits to run it under.
+struct Case {
+    name: &'static str,
+    text: &'static str,
+    /// Predicates the default decode must each satisfy on some
+    /// instruction.
+    shapes: &'static [fn(&DInst) -> bool],
+    depths: &'static [Option<u32>],
+}
+
+/// A bulk `forrange` whose body branches and writes, so its plan has
+/// `If` arms of different lengths, followed by a bulk `foreach`.
+const BULK: &str = r#"
+fn @main() -> void {
+  %m = new Map<u64, u64>
+  %s = new Set<u64>
+  %zero = const 0u64
+  %n = const 40u64
+  %mf, %sf = forrange %zero, %n carry(%m, %s) as (%i: u64, %mm: Map<u64, u64>, %ss: Set<u64>) {
+    %three = const 3u64
+    %r = rem %i, %three
+    %c = eq %r, %zero
+    %m2, %s2 = if %c then {
+      %t = mul %i, %three
+      %m1 = write %mm, %i, %t
+      yield %m1, %ss
+    } else {
+      %s1 = insert %ss, %i
+      yield %mm, %s1
+    }
+    yield %m2, %s2
+  }
+  %sum = foreach %sf carry(%zero) as (%v: u64, %acc: u64) {
+    %a = add %acc, %v
+    yield %a
+  }
+  %cnt = size %mf
+  print %sum, %cnt
+  ret
+}
+"#;
+
+/// Every `Fused*` window, in a `dowhile` body (never a bulk loop), so
+/// the windows straddle grant and fuel boundaries at every offset.
+const FUSED: &str = r#"
+enum e0: u64
+
+fn @main() -> void {
+  %m = new Map<u64, u64>
+  %ids = new Set{Bit}<idx>
+  %zero = const 0u64
+  %one = const 1u64
+  %two = const 2u64
+  %ten = const 10u64
+  %n = const 24u64
+  %last, %mf, %idf, %tot = dowhile carry(%zero, %m, %ids, %zero) as (%i: u64, %mm: Map<u64, u64>, %ss: Set{Bit}<idx>, %acc: u64) {
+    %seven = const 7u64
+    %k = rem %i, %seven
+    %h = has %mm, %k
+    %m2 = if %h then {
+      %old = read %mm, %k
+      %new = add %old, %i
+      %m1 = write %mm, %k, %new
+      yield %m1
+    } else {
+      %m1 = insert %mm, %k
+      yield %m1
+    }
+    %v = read %m2, %k
+    %w = add %v, %one
+    %d = mul %w, %two
+    %m3 = write %m2, %k, %d
+    %small = lt %i, %ten
+    %bonus = if %small then {
+      yield %one
+    } else {
+      yield %zero
+    }
+    %id = enumadd e0, %k
+    %s1 = insert %ss, %id
+    %e = enc e0, %i
+    %seen = has %s1, %e
+    %e2 = enc e0, %n
+    %s2 = remove %s1, %e2
+    %acc1 = add %acc, %bonus
+    %i2 = add %i, %one
+    %more = lt %i2, %n
+    yield %more, %i2, %m3, %s2, %acc1
+  }
+  %c = size %mf
+  %c2 = size %idf
+  print %tot, %c, %c2
+  ret
+}
+"#;
+
+/// A call inside a loop, and a bulk `foreach` nested in a generic
+/// `forrange`.
+const CALLS_AND_NESTING: &str = r#"
+fn @main() -> void {
+  %s = new Set<u64>
+  %zero = const 0u64
+  %n = const 12u64
+  %sf = forrange %zero, %n carry(%s) as (%i: u64, %ss: Set<u64>) {
+    %sq = call @1(%i)
+    %s1 = insert %ss, %sq
+    yield %s1
+  }
+  %tot = forrange %zero, %n carry(%zero) as (%j: u64, %acc: u64) {
+    %inner = foreach %sf carry(%acc) as (%v: u64, %a: u64) {
+      %b = add %a, %v
+      %c = add %b, %j
+      yield %c
+    }
+    yield %inner
+  }
+  print %tot
+  ret
+}
+
+fn @square(%x: u64) -> u64 {
+  %y = mul %x, %x
+  ret %y
+}
+"#;
+
+/// A `missing-key` trap in the eleventh iteration of a bulk `forrange`.
+const TRAP_IN_PLAN: &str = r#"
+fn @main() -> void {
+  %m = new Map<u64, u64>
+  %zero = const 0u64
+  %ten = const 10u64
+  %mf = forrange %zero, %ten carry(%m) as (%i: u64, %mm: Map<u64, u64>) {
+    %m1 = write %mm, %i, %i
+    yield %m1
+  }
+  %n = const 20u64
+  %tot = forrange %zero, %n carry(%zero) as (%i: u64, %acc: u64) {
+    %one = const 1u64
+    %v = read %mf, %i
+    %w = add %acc, %v
+    %x = add %w, %one
+    yield %x
+  }
+  print %tot
+  ret
+}
+"#;
+
+/// A `div-by-zero` trap in the second component of a `read`+`bin`
+/// window, in a `dowhile` body.
+const TRAP_IN_WINDOW: &str = r#"
+fn @main() -> void {
+  %m = new Map<u64, u64>
+  %zero = const 0u64
+  %one = const 1u64
+  %five = const 5u64
+  %mf = forrange %zero, %five carry(%m) as (%i: u64, %mm: Map<u64, u64>) {
+    %k = sub %five, %i
+    %j = sub %k, %one
+    %m1 = write %mm, %i, %j
+    yield %m1
+  }
+  %hundred = const 100u64
+  %last, %tot = dowhile carry(%zero, %zero) as (%i: u64, %acc: u64) {
+    %v = read %mf, %i
+    %q = div %hundred, %v
+    %acc1 = add %acc, %q
+    %i2 = add %i, %one
+    %more = lt %i2, %five
+    yield %more, %i2, %acc1
+  }
+  print %tot
+  ret
+}
+"#;
+
+/// Recursion to depth 4 ending in a bulk `forrange` whose body branches:
+/// under a depth limit the plan's regions either fit (plans run) or do
+/// not (the generic loop trips the limit where the reference does).
+const DEPTH: &str = r#"
+fn @main() -> void {
+  %n = const 4u64
+  %r = call @1(%n)
+  print %r
+  ret
+}
+
+fn @rec(%n: u64) -> u64 {
+  %zero = const 0u64
+  %done = eq %n, %zero
+  %r = if %done then {
+    %m = new Map<u64, u64>
+    %hi = const 8u64
+    %mf = forrange %zero, %hi carry(%m) as (%i: u64, %mm: Map<u64, u64>) {
+      %two = const 2u64
+      %par = rem %i, %two
+      %even = eq %par, %zero
+      %m2 = if %even then {
+        %m1 = write %mm, %i, %i
+        yield %m1
+      } else {
+        yield %mm
+      }
+      yield %m2
+    }
+    %sz = size %mf
+    yield %sz
+  } else {
+    %one = const 1u64
+    %p = sub %n, %one
+    %q = call @1(%p)
+    %q1 = add %q, %one
+    yield %q1
+  }
+  ret %r
+}
+"#;
+
+fn bulk_range_with_if(i: &DInst) -> bool {
+    matches!(i, DInst::ForRangeBulk { plan, .. }
+        if plan.ops.iter().any(|p| matches!(p.op, BulkOp::If { .. })))
+}
+
+fn bulk_foreach(i: &DInst) -> bool {
+    matches!(i, DInst::ForEachBulk { .. })
+}
+
+const NO_DEPTH_LIMIT: &[Option<u32>] = &[None];
+
+const CASES: &[Case] = &[
+    Case {
+        name: "bulk forrange with if arms, bulk foreach",
+        text: BULK,
+        shapes: &[bulk_range_with_if, bulk_foreach],
+        depths: NO_DEPTH_LIMIT,
+    },
+    Case {
+        name: "every fused window",
+        text: FUSED,
+        shapes: &[
+            |i| matches!(i, DInst::FusedScalars { .. }),
+            |i| matches!(i, DInst::FusedReadBin { .. }),
+            |i| matches!(i, DInst::FusedBinWrite { .. }),
+            |i| matches!(i, DInst::FusedReadBinWrite { .. }),
+            |i| matches!(i, DInst::FusedHasIf { .. }),
+            |i| matches!(i, DInst::FusedCmpIf { .. }),
+            |i| matches!(i, DInst::FusedEncKey { .. }),
+        ],
+        depths: NO_DEPTH_LIMIT,
+    },
+    Case {
+        name: "call in a loop, bulk loop nested in a generic one",
+        text: CALLS_AND_NESTING,
+        shapes: &[bulk_foreach, |i| matches!(i, DInst::ForRange { .. })],
+        depths: NO_DEPTH_LIMIT,
+    },
+    Case {
+        name: "trap inside a bulk iteration",
+        text: TRAP_IN_PLAN,
+        shapes: &[|i| matches!(i, DInst::ForRangeBulk { .. })],
+        depths: NO_DEPTH_LIMIT,
+    },
+    Case {
+        name: "trap inside a fused window",
+        text: TRAP_IN_WINDOW,
+        shapes: &[|i| matches!(i, DInst::FusedReadBin { .. })],
+        depths: NO_DEPTH_LIMIT,
+    },
+    Case {
+        name: "depth limit around a bulk loop's regions",
+        text: DEPTH,
+        shapes: &[bulk_range_with_if],
+        depths: &[None, Some(9), Some(10), Some(11), Some(12), Some(13)],
+    },
+];
+
+const QUANTA: [Option<u64>; 6] = [Some(1), Some(2), Some(3), Some(7), Some(4096), None];
+
+/// Fuel limits below the full tick count that the sweep covers.
+const FUEL_SWEEP: u64 = 40;
+
+/// Everything a run observes except wall time.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// `Ok`: output, return value, per-phase stats, peak and final bytes.
+    outcome: Result<String, ExecError>,
+    /// Executed ticks, as published to `exec_fuel_ticks_total`.
+    ticks: u64,
+}
+
+fn counter(metrics: &MetricsRegistry, id: &str) -> u64 {
+    metrics
+        .snapshot()
+        .rows
+        .iter()
+        .find(|r| r.id == id)
+        .map_or(0, |r| match r.value {
+            MetricValue::Counter(n) => n,
+            _ => panic!("{id} is not a counter"),
+        })
+}
+
+fn observe(result: Result<Outcome, ExecError>, metrics: &MetricsRegistry) -> Observed {
+    let ticks = counter(metrics, "exec_fuel_ticks_total");
+    let outcome = result.map(|o| {
+        assert_eq!(
+            o.fuel_ticks, ticks,
+            "Outcome::fuel_ticks vs the published ticks"
+        );
+        format!(
+            "output={:?} result={:?} phases={:?} peak={} final={}",
+            o.output, o.result, o.stats.per_phase, o.stats.peak_bytes, o.stats.final_bytes
+        )
+    });
+    Observed { outcome, ticks }
+}
+
+fn config(fuel: Option<u64>, max_depth: Option<u32>) -> ExecConfig {
+    ExecConfig {
+        fuel,
+        max_depth,
+        metrics: MetricsRegistry::enabled(),
+        ..ExecConfig::default()
+    }
+}
+
+fn decode(module: &Module, reference: bool) -> Arc<DecodedModule> {
+    Arc::new(DecodedModule::decode_with(
+        module,
+        &DecodeOptions { reference },
+    ))
+}
+
+fn batch(module: &Module, decoded: &DecodedModule, config: ExecConfig) -> Observed {
+    let metrics = config.metrics.clone();
+    observe(
+        Interpreter::new(module, config).run_decoded(decoded, "main"),
+        &metrics,
+    )
+}
+
+fn session_run(
+    decoded: &Arc<DecodedModule>,
+    config: ExecConfig,
+    quantum: Option<u64>,
+) -> Result<Outcome, ExecError> {
+    let mut session = ExecSession::spawn(Arc::clone(decoded), "main", config)?;
+    loop {
+        if let Step::Done(outcome) = session.step(quantum)? {
+            return Ok(*outcome);
+        }
+    }
+}
+
+fn session(decoded: &Arc<DecodedModule>, config: ExecConfig, quantum: Option<u64>) -> Observed {
+    let metrics = config.metrics.clone();
+    observe(session_run(decoded, config, quantum), &metrics)
+}
+
+fn check(case: &Case) {
+    let module = parse_module(case.text).unwrap_or_else(|e| panic!("{}: {e}", case.name));
+    ade::ir::verify::verify_module(&module).unwrap_or_else(|e| panic!("{}: {e}", case.name));
+    let decodes = [decode(&module, true), decode(&module, false)];
+    for (k, shape) in case.shapes.iter().enumerate() {
+        assert!(
+            decodes[1]
+                .funcs
+                .iter()
+                .flat_map(|f| f.code.iter())
+                .any(shape),
+            "{}: the default decode lacks shape #{k}",
+            case.name
+        );
+    }
+    for &depth in case.depths {
+        let full = batch(&module, &decodes[0], config(None, depth));
+        let fuels = std::iter::once(None)
+            .chain((full.ticks.saturating_sub(FUEL_SWEEP)..=full.ticks).map(Some));
+        for fuel in fuels {
+            let want = batch(&module, &decodes[0], config(fuel, depth));
+            for (decoded, reference) in decodes.iter().zip([true, false]) {
+                let tag = format!(
+                    "{}: reference={reference} fuel={fuel:?} depth={depth:?}",
+                    case.name
+                );
+                assert_eq!(
+                    batch(&module, decoded, config(fuel, depth)),
+                    want,
+                    "{tag} batch"
+                );
+                for quantum in QUANTA {
+                    assert_eq!(
+                        session(decoded, config(fuel, depth), quantum),
+                        want,
+                        "{tag} quantum={quantum:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn bulk_loops_with_branches_match_the_reference_under_every_budget() {
+    check(&CASES[0]);
+}
+
+#[test]
+fn fused_windows_match_the_reference_under_every_budget() {
+    check(&CASES[1]);
+}
+
+#[test]
+fn calls_and_nested_loops_match_the_reference_under_every_budget() {
+    check(&CASES[2]);
+}
+
+#[test]
+fn traps_in_plans_and_windows_match_the_reference_under_every_budget() {
+    check(&CASES[3]);
+    check(&CASES[4]);
+}
+
+#[test]
+fn depth_limits_match_the_reference_under_every_budget() {
+    let case = &CASES[5];
+    check(case);
+    // The sweep covers both sides of the limit: runs that finish, and
+    // runs the limit stops.
+    let module = parse_module(case.text).expect("parses");
+    let decoded = decode(&module, true);
+    let outcomes: Vec<bool> = case
+        .depths
+        .iter()
+        .map(|&d| batch(&module, &decoded, config(None, d)).outcome.is_ok())
+        .collect();
+    assert!(
+        outcomes.contains(&true) && outcomes.contains(&false),
+        "{outcomes:?}"
+    );
+    for &d in case.depths {
+        if let Err(e) = batch(&module, &decoded, config(None, d)).outcome {
+            assert_eq!(
+                e,
+                ExecError::LimitExceeded {
+                    limit: Limit::Depth,
+                    budget: u64::from(d.expect("only a limit stops the run")),
+                }
+            );
+        }
+    }
+}
+
+/// The loop-tier counter shows the plans running under a session: the
+/// default decode enters its bulk loops as `bulk`, the reference decode
+/// every loop as `generic`.
+#[test]
+fn bulk_plans_run_under_a_session() {
+    let module = parse_module(BULK).expect("parses");
+    for (reference, bulk_entries) in [(false, 2), (true, 0)] {
+        let config = config(None, None);
+        let metrics = config.metrics.clone();
+        session_run(&decode(&module, reference), config, Some(4096)).expect("runs");
+        assert_eq!(
+            counter(&metrics, r#"exec_loop_tier_total{tier="bulk"}"#),
+            bulk_entries,
+            "reference={reference}"
+        );
+        assert_eq!(
+            counter(&metrics, r#"exec_loop_tier_total{tier="generic"}"#),
+            2 - bulk_entries,
+            "reference={reference}"
+        );
+    }
+}
+
+/// Guest recursion 100,000 calls deep.
+const DEEP: &str = r#"
+fn @main() -> void {
+  %n = const 100000u64
+  %r = call @1(%n)
+  print %r
+  ret
+}
+
+fn @down(%n: u64) -> u64 {
+  %zero = const 0u64
+  %done = eq %n, %zero
+  %r = if %done then {
+    yield %zero
+  } else {
+    %one = const 1u64
+    %p = sub %n, %one
+    %q = call @1(%p)
+    %q1 = add %q, %one
+    yield %q1
+  }
+  ret %r
+}
+"#;
+
+/// Ticks executed when a depth limit of 1000 stops [`DEEP`]: a limit
+/// trips at the same instruction as before calls stopped recursing on
+/// the host stack.
+const DEEP_DEPTH_LIMIT_TICKS: u64 = 2999;
+
+/// Guest calls grow the interpreter's own stacks, not the host's: a run
+/// 100,000 calls deep completes on a thread with a 1 MiB stack, batch
+/// and in quanta of 7.
+#[test]
+fn deep_guest_recursion_runs_on_a_small_host_stack() {
+    let module = parse_module(DEEP).expect("parses");
+    let decoded = decode(&module, false);
+    let worker = std::thread::Builder::new()
+        .stack_size(1 << 20)
+        .spawn(move || {
+            let whole = Interpreter::new(&module, ExecConfig::default())
+                .run_decoded(&decoded, "main")
+                .expect("batch run completes");
+            assert_eq!(whole.output, "100000\n");
+            let sliced = session_run(&decoded, ExecConfig::default(), Some(7))
+                .expect("sliced run completes");
+            assert_eq!(sliced.output, whole.output);
+            assert_eq!(sliced.fuel_ticks, whole.fuel_ticks);
+            let limited = batch(&module, &decoded, config(None, Some(1000)));
+            assert_eq!(
+                limited,
+                Observed {
+                    outcome: Err(ExecError::LimitExceeded {
+                        limit: Limit::Depth,
+                        budget: 1000,
+                    }),
+                    ticks: DEEP_DEPTH_LIMIT_TICKS,
+                }
+            );
+        })
+        .expect("spawns a 1 MiB thread");
+    worker.join().expect("no host stack overflow");
+}

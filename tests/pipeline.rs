@@ -394,3 +394,66 @@ fn decode_keeps_every_window_and_plan() {
         "decode shape differs from tests/golden/decoded_shape_scale4.txt; full table:\n{table}"
     );
 }
+
+/// Per-program executed work at scale 4: `ABBREV config ticks quanta
+/// enc dec` rows for every benchmark under `memoir` and `ade`.
+const GOLDEN_EXEC: &str = include_str!("golden/exec_counts_scale4.txt");
+
+/// Every paper program executes exactly the work recorded in
+/// `tests/golden/exec_counts_scale4.txt`: the ticks of a session run in
+/// 4096-instruction quanta, the number of those quanta, and the
+/// `EnumEnc`/`EnumDec` read counts. A batch run must tick exactly as
+/// many instructions. A rewrite that changes how much work a program
+/// does — or how the interpreter counts it — shows up as a diff here.
+#[test]
+fn executed_work_matches_the_golden_counts() {
+    use ade::interp::{CollOp, ExecSession, ImplKind, Step};
+    use std::sync::Arc;
+
+    let mut table = String::new();
+    for bench in ade::workloads::all_benchmarks() {
+        for kind in [ConfigKind::Memoir, ConfigKind::Ade] {
+            let config = Config::new(kind);
+            let mut module = (bench.build)(4);
+            config.compile(&mut module);
+            let decoded = Arc::new(DecodedModule::decode_with(
+                &module,
+                &DecodeOptions::default(),
+            ));
+            let tag = format!("[{} {}]", bench.abbrev, kind.name());
+            let mut session = ExecSession::spawn(Arc::clone(&decoded), "main", config.exec.clone())
+                .unwrap_or_else(|e| panic!("{tag} {e}"));
+            let mut quanta = 0u64;
+            let outcome = loop {
+                quanta += 1;
+                match session.step(Some(4096)) {
+                    Ok(Step::Running) => {}
+                    Ok(Step::Done(outcome)) => break outcome,
+                    Err(e) => panic!("{tag} {e}"),
+                }
+            };
+            let batch = Interpreter::new(&module, config.exec.clone())
+                .run_decoded(&decoded, "main")
+                .unwrap_or_else(|e| panic!("{tag} {e}"));
+            assert_eq!(batch.fuel_ticks, outcome.fuel_ticks, "{tag} batch ticks");
+            let totals = outcome.stats.totals();
+            table.push_str(&format!(
+                "{} {} {} {quanta} {} {}\n",
+                bench.abbrev,
+                kind.name(),
+                outcome.fuel_ticks,
+                totals.get(ImplKind::EnumEnc, CollOp::Read),
+                totals.get(ImplKind::EnumDec, CollOp::Read),
+            ));
+        }
+    }
+    let golden: String = GOLDEN_EXEC
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(
+        table, golden,
+        "executed work differs from tests/golden/exec_counts_scale4.txt; full table:\n{table}"
+    );
+}
