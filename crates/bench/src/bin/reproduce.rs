@@ -5,8 +5,8 @@
 //! reproduce [--scale N] [--trials N] [--jobs N] [--no-wall]
 //!           [--strict] [--checkpoint FILE] [--inject-fault SPEC]
 //!           [--cell-timeout MS] [--timeline FILE] [--obs-dir DIR]
-//!           [--metrics FILE] [--feedback]
-//!           [fig4|fig5|fig6|fig7|fig8|fig9|table2|table3|rq4|feedback|all]
+//!           [--metrics FILE]
+//!           [fig4|fig5|fig6|fig7|fig8|fig9|table2|table3|rq4|all]
 //! ```
 //!
 //! The default scale (9: ≈512-node graphs with thousands of edges) runs
@@ -44,13 +44,6 @@
 //! exactly like a real overrun (without `--cell-timeout` there is no
 //! deadline and the cell sleeps forever) — the CI smoke hooks for the
 //! isolation and deadline machinery.
-//!
-//! `--feedback` (or the `feedback` target) runs the profile → compile
-//! loop RQ: per benchmark, profile the static `ade` configuration, feed
-//! the measured op mixes back into selection, re-run, and print a
-//! static vs feedback-directed vs oracle comparison. It is not part of
-//! `all`, so every pre-existing figure is byte-identical with the flag
-//! off.
 //!
 //! Observability (figure text stays byte-identical either way):
 //! `--timeline FILE` writes a Chrome-trace JSON of the worker pool —
@@ -146,11 +139,6 @@ fn main() {
                 metrics_path =
                     Some(args.next().unwrap_or_else(|| usage("missing value for --metrics")));
             }
-            "--feedback" => {
-                if !targets.iter().any(|t| t == "feedback") {
-                    targets.push("feedback".to_string());
-                }
-            }
             other => targets.push(other.to_string()),
         }
     }
@@ -161,11 +149,7 @@ fn main() {
         "fig4", "fig5", "fig6", "table2", "table3", "fig7", "fig8", "fig9", "rq4",
     ];
     for target in &targets {
-        if !(target == "all"
-            || target == "fig10"
-            || target == "feedback"
-            || ALL.contains(&target.as_str()))
-        {
+        if !(target == "all" || target == "fig10" || ALL.contains(&target.as_str())) {
             usage(&format!("unknown target `{target}`"));
         }
     }
@@ -220,7 +204,6 @@ fn main() {
                 "table2" => print!("{}", session.table2()),
                 "table3" => print!("{}", session.table3()),
                 "rq4" => print!("{}", session.rq4()),
-                "feedback" => print!("{}", session.feedback_rq()),
                 "all" => {
                     for part in [
                         session.fig4(),
@@ -293,7 +276,7 @@ fn write_file(path: &str, contents: &str) {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: reproduce [--scale N] [--trials N] [--jobs N] [--no-wall] [--strict] [--checkpoint FILE] [--inject-fault cell=K,kind=panic|fuel|hang] [--cell-timeout MS] [--timeline FILE] [--obs-dir DIR] [--metrics FILE] [--feedback] [fig4|fig5|fig6|fig7|fig8|fig9|table2|table3|rq4|feedback|all]"
+        "usage: reproduce [--scale N] [--trials N] [--jobs N] [--no-wall] [--strict] [--checkpoint FILE] [--inject-fault cell=K,kind=panic|fuel|hang] [--cell-timeout MS] [--timeline FILE] [--obs-dir DIR] [--metrics FILE] [fig4|fig5|fig6|fig7|fig8|fig9|table2|table3|rq4|all]"
     );
     std::process::exit(2);
 }

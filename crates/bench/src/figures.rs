@@ -47,15 +47,6 @@ pub fn cells_for_target(target: &str) -> Vec<(&'static str, ConfigKind)> {
             ConfigKind::Ade,
             ConfigKind::AdeAbseil,
         ],
-        // The feedback RQ's static and oracle columns are ordinary
-        // cells; the feedback-directed runs themselves re-compile per
-        // benchmark and parallelize internally (like rq4).
-        "feedback" => &[
-            ConfigKind::Memoir,
-            ConfigKind::Ade,
-            ConfigKind::AdeSparse,
-            ConfigKind::AdeNestedSparse,
-        ],
         _ => &[],
     };
     let mut cells = Vec::new();
@@ -1063,133 +1054,6 @@ impl Session {
             let mem = r.peak_bytes() as f64 / base_mem * 100.0;
             let _ = writeln!(out, "{name:>18} {sp:>9.2}x {mem:>9.1}%");
         }
-        out
-    }
-
-    // ---- Feedback RQ: the profile → compile loop ------------------------
-
-    /// The feedback RQ (`reproduce --feedback`): per benchmark, profile
-    /// the static `ade` configuration, feed the measured op mixes back
-    /// into selection, re-run, and compare three columns — static
-    /// selection, feedback-directed selection, and the per-benchmark
-    /// *oracle* (the best fixed configuration among `ade`, `ade-sparse`
-    /// and `ade-nested-sparse`) — as modeled speedups over MEMOIR.
-    ///
-    /// The "picked" column summarizes the measured decisions of the
-    /// feedback compile (set implementation histogram, `-` when no site
-    /// was keyed). Everything rendered is modeled, so the text is
-    /// byte-identical for any `--jobs` count and interpreter-
-    /// optimization setting.
-    ///
-    /// The feedback sweep re-compiles per benchmark, so (like `rq4`)
-    /// those runs are not matrix cells and fault isolation does not
-    /// apply to them: a failing feedback run renders the row as
-    /// `✗(code)`, but a panicking one propagates. The static and oracle
-    /// columns are ordinary cells with the usual degradation.
-    pub fn feedback_rq(&mut self) -> String {
-        let model = CostModel::intel_x64();
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Feedback RQ: profile-directed selection at scale {} (modeled {}; vs memoir)",
-            self.scale, model.name
-        );
-        let _ = writeln!(
-            out,
-            "{:>5} {:>9} {:>9} {:>9}  {}",
-            "bench", "static", "feedback", "oracle", "picked"
-        );
-        // The feedback runs parallelize on the session's pool; results
-        // come back in declaration order, so rendering stays strictly
-        // ordered below.
-        let abbrevs = self.abbrevs();
-        let (scale, trials, reference) = (self.scale, self.trials, self.reference);
-        let timeline = self.timeline.clone();
-        let feedback_runs: Vec<(
-            &'static str,
-            Result<(RunResult, ade_obs::SelectionLedger), CellError>,
-        )> = crate::pool::run_ordered_with(abbrevs.clone(), self.jobs, move |worker, abbrev| {
-            let bench = benchmark_by_abbrev(abbrev).expect("known benchmark");
-            let started = timeline.as_deref().map(Timeline::now_ns);
-            let r = crate::runner::try_run_feedback_cell(&bench, scale, trials, reference);
-            if let (Some(t), Some(started)) = (timeline.as_deref(), started) {
-                let mut args = vec![("scale".to_string(), scale.to_string())];
-                if let Err(e) = &r {
-                    args.push(("status".to_string(), format!("failed:{}", e.code())));
-                }
-                t.complete(format!("FB/{abbrev}"), "feedback", worker as u32, started, args);
-            }
-            (abbrev, r)
-        });
-        let (mut statics, mut feedbacks, mut oracles) = (Vec::new(), Vec::new(), Vec::new());
-        for (abbrev, fb_result) in feedback_runs {
-            let row = match self.row(
-                abbrev,
-                &[
-                    ConfigKind::Memoir,
-                    ConfigKind::Ade,
-                    ConfigKind::AdeSparse,
-                    ConfigKind::AdeNestedSparse,
-                ],
-            ) {
-                Ok(row) => row,
-                Err(code) => {
-                    let _ = writeln!(out, "{abbrev:>5} ✗({code})");
-                    continue;
-                }
-            };
-            let (fb_run, ledger) = match fb_result {
-                Ok(ok) => ok,
-                Err(e) => {
-                    let _ = writeln!(out, "{abbrev:>5} ✗({})", e.code());
-                    continue;
-                }
-            };
-            let memoir = &row[0];
-            assert_eq!(
-                memoir.output, fb_run.output,
-                "[{abbrev}] feedback-directed run diverged"
-            );
-            let base_ns = memoir.modeled_total_ns(&model);
-            let static_sp = base_ns / row[1].modeled_total_ns(&model);
-            let feedback_sp = base_ns / fb_run.modeled_total_ns(&model);
-            // Oracle: the best fixed configuration in hindsight (ade,
-            // ade-sparse, ade-nested-sparse).
-            let oracle_ns = row[1..]
-                .iter()
-                .map(|r| r.modeled_total_ns(&model))
-                .fold(f64::INFINITY, f64::min);
-            let oracle_sp = base_ns / oracle_ns;
-            let mut picked: BTreeMap<&str, usize> = BTreeMap::new();
-            for d in &ledger.decisions {
-                *picked.entry(d.set_impl.as_str()).or_default() += 1;
-            }
-            let picked = if picked.is_empty() {
-                "-".to_string()
-            } else {
-                picked
-                    .iter()
-                    .map(|(name, n)| format!("{name} x{n}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
-            let _ = writeln!(
-                out,
-                "{:>5} {:>8.2}x {:>8.2}x {:>8.2}x  {}",
-                abbrev, static_sp, feedback_sp, oracle_sp, picked
-            );
-            statics.push(static_sp);
-            feedbacks.push(feedback_sp);
-            oracles.push(oracle_sp);
-        }
-        let _ = writeln!(
-            out,
-            "{:>5} {:>8.2}x {:>8.2}x {:>8.2}x  (GEO)",
-            "GEO",
-            geomean(statics),
-            geomean(feedbacks),
-            geomean(oracles)
-        );
         out
     }
 }

@@ -20,8 +20,7 @@
 //! raised by the cell itself (`CellSpec::deadline`). The propagating
 //! [`run_ordered_with`] remains the strict contract: `reproduce
 //! --strict` schedules the matrix through it so a genuine host bug still
-//! fails fast, and the RQ4 tuning sweep and the feedback loop run their
-//! own cells through it.
+//! fails fast, and the RQ4 tuning sweep runs its own cells through it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

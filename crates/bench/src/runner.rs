@@ -64,9 +64,8 @@ pub enum CellError {
 impl CellError {
     /// Short deterministic reason code, the figure placeholder text
     /// (`✗(code)`). `"verify"`, `"limit"`, `"trap"`, `"exec"`,
-    /// `"timeout"`, or a preemption reason (`"deadline"` / `"cancelled"`
-    /// / `"shed"`); panicking cells are reported as `"panic"` by the
-    /// pool layer.
+    /// `"timeout"`, or the preemption reason `"deadline"`; panicking
+    /// cells are reported as `"panic"` by the pool layer.
     pub fn code(&self) -> &'static str {
         match self {
             CellError::Verify(_) => "verify",
@@ -204,62 +203,6 @@ fn best_of(
         }
     }
     Ok(best.expect("ran at least once"))
-}
-
-/// Runs the profile → compile loop for one benchmark: profile the
-/// static `ade` configuration, feed the measured op mixes back into
-/// selection, and run the feedback-directed result (best of `trials`,
-/// on the reference decode when `reference`). Returns the feedback run
-/// plus the selection ledger its compile produced (for the figure's
-/// "picked" column and the explain report).
-///
-/// # Errors
-///
-/// [`CellError`] from either the profiling run or the feedback-directed
-/// run.
-///
-/// # Panics
-///
-/// Panics if `trials == 0`, or if the interpreter emits a profile the
-/// strict reader rejects (a contract violation between the two, not a
-/// cell fault).
-pub fn try_run_feedback_cell(
-    bench: &Benchmark,
-    scale: u32,
-    trials: u32,
-    reference: bool,
-) -> Result<(RunResult, ade_obs::SelectionLedger), CellError> {
-    let spec = CellSpec {
-        trials,
-        reference,
-        ..CellSpec::new(bench, ConfigKind::Ade, scale)
-    };
-    let profiled = run_cell(&CellSpec {
-        trials: 1,
-        profile: true,
-        ..spec
-    })?;
-    let json = profiled.profile.as_ref().expect("profiled run").to_json();
-    let data = ade_obs::read_profile(&json)
-        .unwrap_or_else(|e| panic!("[{}] interpreter wrote an invalid profile: {e}", bench.abbrev));
-    let fb = ade_workloads::feedback::feedback_from_profile("in-run profile", &data);
-
-    let mut config = Config::new(ConfigKind::Ade);
-    config.ade.as_mut().expect("ade configuration has a pass").feedback = Some(fb);
-    let mut module = (bench.build)(scale);
-    let report = config.compile(&mut module).expect("ade pass ran");
-    ade_ir::verify::verify_module(&module).map_err(|e| CellError::Verify(e.to_string()))?;
-    let outcome = best_of(&module, &config.exec, &spec)?;
-    Ok((
-        RunResult {
-            abbrev: bench.abbrev,
-            config: ConfigKind::Ade,
-            output: outcome.output,
-            stats: outcome.stats,
-            profile: None,
-        },
-        report.ledger,
-    ))
 }
 
 /// Geometric mean of a sequence of ratios.

@@ -76,7 +76,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod feedback;
 pub mod index;
 pub mod interproc;
 pub mod opt;
@@ -118,11 +117,6 @@ pub struct AdeOptions {
     pub nested_set_impl: Option<SetSel>,
     /// Honor `#pragma ade` directives (§III-I).
     pub respect_directives: bool,
-    /// Measured feedback for selection (`adec --profile-in`): per-
-    /// function op mixes plus a candidate cost table. `None` (the
-    /// default) keeps the static heuristics bit-for-bit; see
-    /// [`feedback`].
-    pub feedback: Option<feedback::SelectionFeedback>,
 }
 
 impl Default for AdeOptions {
@@ -134,7 +128,6 @@ impl Default for AdeOptions {
             enumerated_set_impl: SetSel::Bit,
             nested_set_impl: None,
             respect_directives: true,
-            feedback: None,
         }
     }
 }
@@ -178,8 +171,8 @@ pub struct AdeReport {
     pub cloned_functions: Vec<String>,
     /// Total trim-set sizes (the benefit actually realized).
     pub total_benefit: usize,
-    /// Every selection decision the pass made, with candidate costs
-    /// (the `adec --explain` report's data).
+    /// Every selection decision the pass made and the rule that
+    /// decided it (the `adec --explain` report's data).
     pub ledger: ade_obs::SelectionLedger,
 }
 

@@ -3,11 +3,8 @@
 //! `SparseBitSet` under the `ade-sparse` knobs — and `select(...)`
 //! directives override any choice (§III-I).
 //!
-//! When [`AdeOptions::feedback`] carries measured per-function op mixes
-//! (`adec --profile-in`), the pass prices every candidate backend under
-//! the class's merged measured mix and picks the cheapest instead of
-//! applying the static default. Either way it records every keyed-site
-//! decision — candidates, costs, winner, deciding term — in a
+//! The pass records every keyed-site decision — the applied
+//! implementations and the rule that decided them — in a
 //! [`ade_obs::SelectionLedger`] (the `adec --explain` report) and as
 //! decision events on the tracer.
 
@@ -17,35 +14,32 @@ use ade_analysis::RedefChains;
 use ade_ir::{
     Function, InstKind, MapSel, Module, SelectionChoice, SetSel, Type, ValueDef, ValueId,
 };
-use ade_obs::ledger::{CandidateEval, DecisionSource, SelectionDecision, SelectionLedger};
+use ade_obs::ledger::{DecisionSource, SelectionDecision, SelectionLedger};
 
-use crate::feedback::{static_reference_mix, FuncMeasurement, OpMix, SelectionFeedback};
 use crate::interproc::ModulePlan;
 use crate::AdeOptions;
 
 /// Applies implementation selection: `select(...)` directives on any
 /// allocation (enumerated or not — paper Listing 5 pins a swiss map on a
-/// `noenumerate` collection), then the dense defaults (or the
-/// measured-cheapest candidate, under feedback) for enumerated entities.
+/// `noenumerate` collection), then the dense defaults for enumerated
+/// entities.
 pub fn apply_selection(module: &mut Module, plan: &ModulePlan, options: &AdeOptions) {
     apply_selection_traced(module, plan, options, &ade_obs::Tracer::disabled());
 }
 
-/// How one enumeration class was decided (computed once per class so
-/// members unified across call boundaries keep identical physical
-/// types, then recorded per keyed member).
+/// How one keyed member was decided (the class's directive, if any,
+/// governs every member so members unified across call boundaries keep
+/// identical physical types).
 struct ClassDecision {
     set_sel: SetSel,
     map_sel: MapSel,
     source: DecisionSource,
     deciding: String,
-    candidates: Vec<CandidateEval>,
 }
 
 /// [`apply_selection`] with a decision record per keyed member: the
-/// returned ledger holds every candidate's modeled costs, the winner
-/// and the deciding term; the tracer gets a `choice` event per member
-/// plus a `candidate` event per priced backend.
+/// returned ledger holds the applied implementations and the deciding
+/// rule; the tracer gets a `choice` event per member.
 pub fn apply_selection_traced(
     module: &mut Module,
     plan: &ModulePlan,
@@ -73,24 +67,6 @@ pub fn apply_selection_traced(
             }
         }
     }
-    // Merge the measured mixes of every function holding a keyed member
-    // of each class: the class gets one physical type, so it gets one
-    // (combined) measurement.
-    let mut class_measured: BTreeMap<usize, FuncMeasurement> = BTreeMap::new();
-    if let Some(fb) = &options.feedback {
-        for (&fidx, func_plan) in &plan.func_plans {
-            let Some(m) = fb.funcs.get(&module.funcs[fidx as usize].name) else {
-                continue;
-            };
-            for cand in &func_plan.candidates {
-                if cand.members.iter().any(|member| member.role.keys) {
-                    let entry = class_measured.entry(cand.enum_idx).or_default();
-                    entry.mix.merge(&m.mix);
-                    entry.size_hwm = entry.size_hwm.max(m.size_hwm);
-                }
-            }
-        }
-    }
     let mut ledger = SelectionLedger::default();
     for (&fidx, func_plan) in &plan.func_plans {
         let func = &mut module.funcs[fidx as usize];
@@ -105,12 +81,7 @@ pub fn apply_selection_traced(
                 } else {
                     options.enumerated_set_impl
                 };
-                let decision = decide_class(
-                    options.feedback.as_ref(),
-                    directive_sel,
-                    class_measured.get(&cand.enum_idx),
-                    static_set,
-                );
+                let decision = decide_class(directive_sel, static_set);
                 let root_label = ade_analysis::value_label(func, m.entity.root);
                 tracer
                     .event("select", "choice")
@@ -122,20 +93,6 @@ pub fn apply_selection_traced(
                     .field("directive", directive_sel.is_some())
                     .field("source", decision.source.to_string())
                     .emit();
-                for c in &decision.candidates {
-                    let event = tracer
-                        .event("select", "candidate")
-                        .field("func", func.name.as_str())
-                        .field("root", root_label.clone())
-                        .field("class", cand.enum_idx)
-                        .field("backend", c.backend.as_str())
-                        .field("static_ns", c.static_ns)
-                        .field("winner", c.backend == format!("{:?}", decision.set_sel));
-                    match c.measured_ns {
-                        Some(ns) => event.field("measured_ns", ns).emit(),
-                        None => event.emit(),
-                    }
-                }
                 ledger.decisions.push(SelectionDecision {
                     func: func.name.clone(),
                     member: root_label,
@@ -145,7 +102,6 @@ pub fn apply_selection_traced(
                     map_impl: format!("{:?}", decision.map_sel),
                     source: decision.source,
                     deciding: decision.deciding,
-                    candidates: decision.candidates,
                 });
                 retype_selection(
                     func,
@@ -160,120 +116,24 @@ pub fn apply_selection_traced(
     ledger
 }
 
-/// Picks the winner for one keyed member and prices the candidates for
-/// the ledger. Precedence: directive > measured argmin > static
-/// heuristic. Without feedback the result is exactly the pre-feedback
-/// static behavior (and the candidate table is empty — there is nothing
-/// to price with).
-fn decide_class(
-    feedback: Option<&SelectionFeedback>,
-    directive_sel: Option<SelectionChoice>,
-    measured: Option<&FuncMeasurement>,
-    static_set: SetSel,
-) -> ClassDecision {
-    let static_mix = static_reference_mix();
-    let measured_mix: Option<&OpMix> = measured.map(|m| &m.mix);
-    let candidates: Vec<CandidateEval> = feedback
-        .map(|fb| {
-            fb.candidates
-                .iter()
-                .map(|c| CandidateEval {
-                    backend: c.name.to_string(),
-                    static_ns: c.cost_ns(&static_mix),
-                    measured_ns: measured_mix.map(|mix| c.cost_ns(mix)),
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-
-    if let Some(choice) = directive_sel {
-        return ClassDecision {
+/// Picks the implementations for one keyed member: the class's
+/// `select(...)` directive when it has one, else the static dense
+/// default for its depth.
+fn decide_class(directive_sel: Option<SelectionChoice>, static_set: SetSel) -> ClassDecision {
+    match directive_sel {
+        Some(choice) => ClassDecision {
             set_sel: selection_to_set(choice),
             map_sel: selection_to_map(choice),
             source: DecisionSource::Directive,
             deciding: "select(...) directive governs the class".to_string(),
-            candidates,
-        };
-    }
-
-    if let (Some(fb), Some(mix)) = (feedback, measured_mix) {
-        if !fb.candidates.is_empty() {
-            // Argmin under the measured mix; ties keep the earlier
-            // candidate (the dense default leads the table).
-            let mut winner = 0usize;
-            for (i, c) in fb.candidates.iter().enumerate().skip(1) {
-                if c.cost_ns(mix) < fb.candidates[winner].cost_ns(mix) {
-                    winner = i;
-                }
-            }
-            let w = &fb.candidates[winner];
-            return ClassDecision {
-                set_sel: w.set_impl,
-                map_sel: w.map_impl,
-                source: DecisionSource::Measured,
-                deciding: deciding_term(fb, winner, mix, "measured"),
-                candidates,
-            };
-        }
-    }
-
-    // Static fallback: price the heuristic's pick under the reference
-    // mix when the candidate table knows it, so the ledger's static
-    // column annotates the same choice the heuristic made.
-    let deciding = match feedback {
-        Some(fb) => match fb
-            .candidates
-            .iter()
-            .position(|c| c.set_impl == static_set && c.map_impl == MapSel::Bit)
-        {
-            Some(idx) if fb.candidates.len() > 1 => {
-                deciding_term(fb, idx, &static_mix, "static reference mix")
-            }
-            _ => format!("static heuristic ({static_set:?})"),
         },
-        None => format!("static heuristic ({static_set:?})"),
-    };
-    ClassDecision {
-        set_sel: static_set,
-        map_sel: MapSel::Bit,
-        source: DecisionSource::Static,
-        deciding,
-        candidates,
+        None => ClassDecision {
+            set_sel: static_set,
+            map_sel: MapSel::Bit,
+            source: DecisionSource::Static,
+            deciding: format!("static heuristic ({static_set:?})"),
+        },
     }
-}
-
-/// Names the operation kind that separates `winner` from the runner-up
-/// under `mix` — the term whose cost difference contributes most to the
-/// winner's advantage (ties keep the earliest op in declaration order).
-fn deciding_term(fb: &SelectionFeedback, winner: usize, mix: &OpMix, label: &str) -> String {
-    let w = &fb.candidates[winner];
-    let runner_up = fb
-        .candidates
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != winner)
-        .min_by(|(_, a), (_, b)| a.cost_ns(mix).total_cmp(&b.cost_ns(mix)));
-    let Some((_, r)) = runner_up else {
-        return format!("only candidate ({label})");
-    };
-    let w_terms = w.terms(mix);
-    let r_terms = r.terms(mix);
-    let mut best = 0usize;
-    let mut best_gap = f64::MIN;
-    for (i, ((_, w_ns), (_, r_ns))) in w_terms.iter().zip(r_terms.iter()).enumerate() {
-        let gap = r_ns - w_ns;
-        if gap > best_gap {
-            best_gap = gap;
-            best = i;
-        }
-    }
-    format!(
-        "{} favors {} over {} by {:.1} ns ({label})",
-        w_terms[best].0,
-        w.name,
-        r.name,
-        r.cost_ns(mix) - w.cost_ns(mix)
-    )
 }
 
 /// Honors every `select(...)` directive in the module, at every nesting
@@ -440,140 +300,35 @@ fn @main() -> void {
 }
 "#;
 
-    /// A hand-written two-candidate table for tests: a dense backend
-    /// that pays per word scanned, a sparse one that pays a premium per
-    /// element but skips empty words.
-    fn test_candidates() -> Vec<crate::feedback::BackendCandidate> {
-        use crate::feedback::{BackendCandidate, OpCostTable};
-        let dense = OpCostTable {
-            read: 3.0,
-            write: 3.0,
-            insert: 3.0,
-            remove: 3.0,
-            has: 3.0,
-            size: 1.0,
-            clear: 1.0,
-            iter_elem: 2.0,
-            iter_word: 0.5,
-            union_elem: 3.0,
-            union_word: 0.5,
-        };
-        let sparse = OpCostTable {
-            read: 9.0,
-            write: 9.0,
-            insert: 9.0,
-            remove: 9.0,
-            has: 9.0,
-            size: 1.0,
-            clear: 1.0,
-            iter_elem: 4.0,
-            iter_word: 0.5,
-            union_elem: 9.0,
-            union_word: 0.5,
-        };
-        vec![
-            BackendCandidate {
-                name: "Bit",
-                set_impl: SetSel::Bit,
-                map_impl: MapSel::Bit,
-                charges_word_ops: true,
-                costs: dense,
-            },
-            BackendCandidate {
-                name: "SparseBit",
-                set_impl: SetSel::SparseBit,
-                map_impl: MapSel::Bit,
-                charges_word_ops: false,
-                costs: sparse,
-            },
-        ]
-    }
-
-    fn run_dedup(feedback: Option<crate::feedback::SelectionFeedback>) -> (String, crate::AdeReport) {
-        let mut module = ade_ir::parse::parse_module(DEDUP).expect("parses");
-        let options = crate::AdeOptions {
-            feedback,
-            ..crate::AdeOptions::default()
-        };
-        let report = crate::run_ade(&mut module, &options);
+    fn run_dedup(text: &str) -> (String, crate::AdeReport) {
+        let mut module = ade_ir::parse::parse_module(text).expect("parses");
+        let report = crate::run_ade(&mut module, &crate::AdeOptions::default());
         ade_ir::verify::verify_module(&module).expect("verifies post-ADE");
         (ade_ir::print::print_module(&module), report)
     }
 
     #[test]
-    fn feedback_none_keeps_static_choice_and_ledger_records_it() {
-        let (ir, report) = run_dedup(None);
+    fn static_choice_is_recorded_in_the_ledger() {
+        let (ir, report) = run_dedup(DEDUP);
         assert!(ir.contains("Set{Bit}<idx>"), "{ir}");
         assert_eq!(report.ledger.decisions.len(), 1);
         let d = &report.ledger.decisions[0];
         assert_eq!(d.source, ade_obs::DecisionSource::Static);
-        assert!(d.candidates.is_empty(), "no cost table, nothing to price");
-        assert!(d.deciding.contains("static heuristic"), "{}", d.deciding);
+        assert_eq!((d.set_impl.as_str(), d.map_impl.as_str()), ("Bit", "Bit"));
+        assert_eq!(d.deciding, "static heuristic (Bit)");
     }
 
     #[test]
-    fn measured_word_heavy_mix_flips_the_class_to_sparse() {
-        use crate::feedback::{FuncMeasurement, OpMix, SelectionFeedback};
-        // A mix dominated by word scans over a huge, nearly-empty
-        // bitset: dense pays 40_000 * 0.5 ns in IterWord, sparse skips
-        // the empty words entirely.
-        let mix = OpMix {
-            insert: 10,
-            has: 10,
-            iter_elem: 10,
-            iter_word: 40_000,
-            ..OpMix::default()
-        };
-        let mut funcs = std::collections::BTreeMap::new();
-        funcs.insert(
-            "main".to_string(),
-            FuncMeasurement {
-                mix,
-                size_hwm: 10,
-            },
+    fn directive_governs_the_class_and_is_recorded() {
+        let text = DEDUP.replace(
+            "%seen = new Set<u64>",
+            "%seen = new Set<u64> #[enumerate, select(SparseBit)]",
         );
-        let fb = SelectionFeedback {
-            source: "test".to_string(),
-            funcs,
-            candidates: test_candidates(),
-        };
-        let (ir, report) = run_dedup(Some(fb));
+        let (ir, report) = run_dedup(&text);
         assert!(ir.contains("Set{SparseBit}<idx>"), "{ir}");
         let d = &report.ledger.decisions[0];
-        assert_eq!(d.source, ade_obs::DecisionSource::Measured);
+        assert_eq!(d.source, ade_obs::DecisionSource::Directive);
         assert_eq!(d.set_impl, "SparseBit");
-        assert_eq!(d.candidates.len(), 2);
-        let bit = &d.candidates[0];
-        let sparse = &d.candidates[1];
-        assert!(bit.measured_ns.unwrap() > sparse.measured_ns.unwrap());
-        assert!(
-            d.deciding.contains("IterWord favors SparseBit over Bit"),
-            "{}",
-            d.deciding
-        );
-        // Static column still prices the reference mix, under which the
-        // dense default is cheaper.
-        assert!(bit.static_ns < sparse.static_ns);
-    }
-
-    #[test]
-    fn feedback_without_measurements_prices_but_keeps_static_choice() {
-        use crate::feedback::SelectionFeedback;
-        let fb = SelectionFeedback {
-            source: "no profile".to_string(),
-            funcs: std::collections::BTreeMap::new(),
-            candidates: test_candidates(),
-        };
-        let (ir, report) = run_dedup(Some(fb));
-        assert!(ir.contains("Set{Bit}<idx>"), "{ir}");
-        let d = &report.ledger.decisions[0];
-        assert_eq!(d.source, ade_obs::DecisionSource::Static);
-        assert_eq!(d.candidates.len(), 2);
-        assert!(d.candidates.iter().all(|c| c.measured_ns.is_none()));
-        assert!(
-            d.deciding.contains("static reference mix"),
-            "{}",
-            d.deciding
-        );
+        assert!(d.deciding.contains("directive"), "{}", d.deciding);
     }
 }

@@ -79,12 +79,9 @@ pub struct Options {
     /// tallies, fuel ticks, quantum grants and the heap high-water
     /// mark.
     pub metrics: Option<String>,
-    /// Read a previously written `ade-site-profile-v1` profile and feed
-    /// its measured op mixes into selection (`--profile-in FILE`).
-    pub profile_in: Option<String>,
     /// Selection-ledger explain report destination (`--explain[=FILE]`):
-    /// per keyed site, every candidate backend, its modeled cost under
-    /// static and measured inputs, the winner and the deciding term.
+    /// per keyed site, the applied implementations and the rule that
+    /// decided them.
     pub explain: ExplainMode,
     /// Abort execution after this many interpreted instructions
     /// (`--fuel`; default: unlimited).
@@ -121,7 +118,6 @@ impl Default for Options {
             trace_json: None,
             profile: None,
             metrics: None,
-            profile_in: None,
             explain: ExplainMode::Off,
             fuel: None,
             max_heap_cells: None,
@@ -169,8 +165,7 @@ pub struct DriveOutput {
 /// A driver failure with a phase tag.
 #[derive(Debug)]
 pub struct DriveError {
-    /// Which phase failed (`parse`, `verify`, `config`, `profile-in`,
-    /// `exec`).
+    /// Which phase failed (`parse`, `verify`, `config`, `exec`).
     pub phase: &'static str,
     /// Human-readable message.
     pub message: String,
@@ -178,14 +173,13 @@ pub struct DriveError {
 
 impl DriveError {
     /// The `adec` process exit code for this failure: 3 for a rejected
-    /// input (`parse`/`verify`), 2 for a usage-class mistake (`config`,
-    /// or an unreadable/invalid `--profile-in` file), 1 for a guest
-    /// failure at runtime (`exec`). 0 is success.
+    /// input (`parse`/`verify`), 2 for a usage-class mistake (`config`),
+    /// 1 for a guest failure at runtime (`exec`). 0 is success.
     #[must_use]
     pub fn exit_code(&self) -> i32 {
         match self.phase {
             "parse" | "verify" => 3,
-            "config" | "profile-in" => 2,
+            "config" => 2,
             _ => 1,
         }
     }
@@ -220,22 +214,7 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
             format!("unknown configuration `{}`", options.config),
         )
     })?;
-    let mut config = Config::new(kind);
-    let feedback = if let Some(path) = &options.profile_in {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| err("profile-in", format!("cannot read `{path}`: {e}")))?;
-        let data = ade_obs::read_profile(&text)
-            .map_err(|e| err("profile-in", format!("`{path}`: {e}")))?;
-        Some(ade_workloads::feedback::feedback_from_profile(path, &data))
-    } else if options.wants_explain() {
-        // No measurements, but --explain still wants priced candidates.
-        Some(ade_workloads::feedback::static_feedback())
-    } else {
-        None
-    };
-    if let (Some(fb), Some(ade)) = (feedback, config.ade.as_mut()) {
-        ade.feedback = Some(fb);
-    }
+    let config = Config::new(kind);
     let tracer = if options.wants_trace() {
         Tracer::enabled()
     } else {
@@ -270,17 +249,7 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
     }
     if options.wants_explain() {
         out.explain = Some(match &out.report {
-            Some(report) => {
-                let source = config
-                    .ade
-                    .as_ref()
-                    .and_then(|a| a.feedback.as_ref())
-                    .map_or("static", |f| f.source.as_str());
-                format!(
-                    "feedback source: {source}\n{}",
-                    report.ledger.render_report()
-                )
-            }
+            Some(report) => report.ledger.render_report(),
             None => format!(
                 "no ADE pass ran (configuration `{}`); no selection decisions to explain\n",
                 options.config
@@ -315,9 +284,9 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
 /// Runs the program, batch or preemptibly depending on `--deadline-ms`.
 ///
 /// Without a deadline this is the plain batch interpreter. With one,
-/// the run goes through a resumable [`ExecSession`] (the serve layer's
-/// primitive, which is quantum-size invariant: output, statistics and
-/// trap sites are byte-identical to the batch path) and
+/// the run goes through a resumable [`ExecSession`] (quantum-size
+/// invariant: output, statistics and trap sites are byte-identical to
+/// the batch path) and
 /// [`ExecSession::run_until`] cancels it with the `deadline` reason at
 /// the first quantum boundary past the wall deadline.
 fn execute(
@@ -362,7 +331,7 @@ usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
             [--fuel N] [--max-heap-cells N] [--max-depth N]
             [--deadline-ms N] [--reference] [--trace[=FILE]]
             [--trace-json FILE] [--profile FILE] [--metrics FILE]
-            [--profile-in FILE] [--explain[=FILE]] INPUT.memoir
+            [--explain[=FILE]] INPUT.memoir
 
   --config NAME, -c    artifact configuration (memoir, ade, ade-sparse, ...)
   --run, -r            execute the program after compilation
@@ -385,17 +354,14 @@ usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
   --metrics FILE       execution metrics snapshot as JSON (implies --run):
                        stop-reason tallies, fuel ticks, quantum grants and
                        the heap high-water mark (schema ade-metrics-v1)
-  --profile-in FILE    feed a previously written profile (ade-site-profile-v1)
-                       back into selection: measured op mixes bias the
-                       per-class backend choice
-  --explain[=FILE]     selection-ledger report to stderr (or FILE): every
-                       candidate backend per keyed site, modeled costs under
-                       static and measured inputs, winner and deciding term
+  --explain[=FILE]     selection-ledger report to stderr (or FILE): per keyed
+                       site, the applied set/map implementations and whether
+                       a select(...) directive or the static default decided
   --help, -h           show this message
 
 exit codes: 0 success, 1 guest trap, limit or deadline at runtime, 2 usage error
-(including unknown --config, unreadable input, an invalid --profile-in
-file, and unwritable output paths), 3 parse or verify error
+(including unknown --config, unreadable input and unwritable output
+paths), 3 parse or verify error
 ";
 
 /// A parsed `adec` command line.
@@ -469,9 +435,6 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<Cli, String> {
             "--metrics" => {
                 options.metrics = Some(args.next().ok_or("missing value for --metrics")?);
                 options.run = true;
-            }
-            "--profile-in" => {
-                options.profile_in = Some(args.next().ok_or("missing value for --profile-in")?);
             }
             "--explain" => options.explain = ExplainMode::Stderr,
             flag if flag.starts_with("--trace=") => {
@@ -838,57 +801,20 @@ fn @main() -> u64 {
     }
 
     #[test]
-    fn cli_feedback_flags() {
-        let (opts, _) = parse_drive(&["--profile-in", "p.json", "--explain", "p.memoir"])
-            .expect("parses");
-        assert_eq!(opts.profile_in.as_deref(), Some("p.json"));
+    fn cli_explain_flags() {
+        let (opts, _) = parse_drive(&["--explain", "p.memoir"]).expect("parses");
         assert_eq!(opts.explain, ExplainMode::Stderr);
         assert!(opts.wants_explain());
 
         let (opts, _) = parse_drive(&["--explain=ledger.txt", "p.memoir"]).expect("parses");
         assert_eq!(opts.explain, ExplainMode::File("ledger.txt".to_string()));
 
-        assert!(parse_drive(&["--profile-in"]).is_err(), "missing value");
         let (opts, _) = parse_drive(&["p.memoir"]).expect("parses");
         assert!(!opts.wants_explain());
     }
 
     #[test]
-    fn profile_in_errors_are_usage_class() {
-        let missing = drive(
-            PROGRAM,
-            &Options {
-                profile_in: Some("/nonexistent/profile.json".to_string()),
-                ..Options::default()
-            },
-        )
-        .expect_err("unreadable profile must fail");
-        assert_eq!(missing.phase, "profile-in");
-        assert_eq!(missing.exit_code(), 2);
-
-        let dir = std::env::temp_dir().join("ade-driver-lib-tests");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let bad = dir.join("bad-version.json");
-        std::fs::write(&bad, r#"{"schema":"ade-site-profile-v2","functions":[]}"#)
-            .expect("write");
-        let wrong_version = drive(
-            PROGRAM,
-            &Options {
-                profile_in: Some(bad.to_string_lossy().into_owned()),
-                ..Options::default()
-            },
-        )
-        .expect_err("wrong schema version must fail");
-        assert_eq!(wrong_version.phase, "profile-in");
-        assert!(
-            wrong_version.message.contains("ade-site-profile-v2"),
-            "{wrong_version}"
-        );
-    }
-
-    #[test]
-    fn explain_reports_the_ledger_and_profiles_round_trip() {
-        // --explain without a profile: static source, priced candidates.
+    fn explain_reports_the_ledger() {
         let explained = drive(
             PROGRAM,
             &Options {
@@ -898,41 +824,12 @@ fn @main() -> u64 {
         )
         .expect("drives");
         let text = explained.explain.expect("explain text");
-        assert!(text.contains("feedback source: static (no profile)"), "{text}");
-        assert!(text.contains("selection ledger: 1 decision(s)"), "{text}");
-        assert!(text.contains("> Bit"), "static winner marked: {text}");
+        assert!(
+            text.starts_with("selection ledger: 1 decision(s) (1 static, 0 directive)"),
+            "{text}"
+        );
+        assert!(text.contains("set=Bit map=Bit [static]"), "{text}");
         assert!(text.contains("per-function summary:"), "{text}");
-
-        // Round trip: --profile output feeds --profile-in unchanged.
-        let profiled = drive(
-            PROGRAM,
-            &Options {
-                run: true,
-                profile: Some("unused.json".to_string()),
-                ..Options::default()
-            },
-        )
-        .expect("profiling run drives");
-        let json = profiled.profile.expect("profile").to_json();
-        let dir = std::env::temp_dir().join("ade-driver-lib-tests");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("round-trip.json");
-        std::fs::write(&path, &json).expect("write profile");
-        let fed = drive(
-            PROGRAM,
-            &Options {
-                run: true,
-                profile_in: Some(path.to_string_lossy().into_owned()),
-                explain: ExplainMode::Stderr,
-                ..Options::default()
-            },
-        )
-        .expect("feedback run drives");
-        // Feedback must preserve behavior exactly.
-        assert_eq!(fed.program_output, profiled.program_output);
-        let text = fed.explain.expect("explain text");
-        assert!(text.contains("1 measured"), "{text}");
-        assert!(text.contains("measured-ns"), "{text}");
 
         // memoir runs no pass: the explain text says so instead of
         // rendering an empty ledger.

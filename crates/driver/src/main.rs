@@ -4,7 +4,7 @@
 //! adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
 //!      [--fuel N] [--max-heap-cells N] [--max-depth N] [--reference]
 //!      [--trace[=FILE]] [--trace-json FILE] [--profile FILE]
-//!      [--metrics FILE] [--profile-in FILE] [--explain[=FILE]]
+//!      [--metrics FILE] [--explain[=FILE]]
 //!      INPUT.memoir
 //! ```
 //!
@@ -17,10 +17,9 @@
 //! `--metrics FILE` executes the program with a metrics registry
 //! attached and writes the snapshot (stop-reason tallies, fuel ticks,
 //! quantum grants, heap high-water mark) as JSON.
-//! `--profile-in FILE` feeds such a profile back into selection so
-//! measured op mixes pick the backend per enumeration class, and
-//! `--explain[=FILE]` renders the selection ledger (candidates, modeled
-//! costs, winner, deciding term).
+//! `--explain[=FILE]` renders the selection ledger (per keyed site, the
+//! applied implementations and whether a directive or the static
+//! default decided them).
 //! `--fuel`/`--max-heap-cells`/`--max-depth` bound execution; a tripped
 //! limit reports a typed error, like any guest trap. `--reference` runs
 //! the reference interpreter (no superinstruction peephole, no loop
@@ -28,9 +27,8 @@
 //! optimizations).
 //!
 //! Exit codes: 0 success; 1 guest trap or limit at runtime; 2 usage
-//! error (bad flags, unknown `--config`, unreadable input, an invalid
-//! `--profile-in` file, unwritable output paths); 3 parse or verify
-//! error.
+//! error (bad flags, unknown `--config`, unreadable input, unwritable
+//! output paths); 3 parse or verify error.
 
 use ade_driver::{Cli, ExplainMode, TraceMode, USAGE};
 

@@ -1,7 +1,7 @@
 //! The `adec` process exit-code contract, end to end: 0 success,
 //! 1 guest trap or limit at runtime, 2 usage error (bad flags, unknown
-//! `--config`, unreadable input, invalid `--profile-in` files,
-//! unwritable output paths), 3 parse or verify error.
+//! `--config`, unreadable input, unwritable output paths), 3 parse or
+//! verify error.
 
 use std::process::Command;
 
@@ -106,27 +106,13 @@ fn unwritable_output_paths_are_two() {
     }
 }
 
+/// `--profile-in` no longer exists: it is rejected like any unknown
+/// flag.
 #[test]
 fn profile_in_errors_are_two() {
     let (code, err) = adec(&["--profile-in", "/nonexistent/p.json", &sample()]);
-    assert_eq!(code, 2, "unreadable profile: {err}");
-    assert!(err.contains("profile-in"), "{err}");
-
-    let malformed = temp_file("malformed-profile.json", "{ not json");
-    let (code, err) = adec(&["--profile-in", malformed.to_str().unwrap(), &sample()]);
-    assert_eq!(code, 2, "malformed profile: {err}");
-    assert!(err.contains("malformed JSON"), "{err}");
-
-    let wrong_version = temp_file(
-        "wrong-version.json",
-        r#"{"schema":"ade-site-profile-v9","functions":[]}"#,
-    );
-    let (code, err) = adec(&["--profile-in", wrong_version.to_str().unwrap(), &sample()]);
-    assert_eq!(code, 2, "version mismatch: {err}");
-    assert!(err.contains("ade-site-profile-v9"), "{err}");
-
-    let _ = std::fs::remove_file(malformed);
-    let _ = std::fs::remove_file(wrong_version);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("unknown flag `--profile-in`"), "{err}");
 }
 
 #[test]

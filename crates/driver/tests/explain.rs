@@ -1,8 +1,7 @@
-//! The profile → compile loop, end to end through the `adec` binary:
-//! `--profile` output feeds `--profile-in` unchanged, `--explain`
-//! renders the selection ledger, and the rendered report is
-//! byte-identical across repeated runs and every interpreter
-//! optimization combination (the ledger is modeled, not measured).
+//! The selection ledger, end to end through the `adec` binary:
+//! `--explain` renders it, and the rendered report is byte-identical
+//! across repeated runs and the `--reference` switch (the ledger holds
+//! compile-time decisions only).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -24,49 +23,7 @@ fn sample() -> String {
 }
 
 fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("adec-feedback-{}-{name}", std::process::id()))
-}
-
-#[test]
-fn profile_round_trips_into_explain() {
-    let profile = temp_path("profile.json");
-    let (code, _, err) = adec(&[
-        "--config",
-        "ade",
-        "--profile",
-        profile.to_str().unwrap(),
-        &sample(),
-    ]);
-    assert_eq!(code, 0, "{err}");
-    assert!(err.contains("top "), "hot-site summary on stderr: {err}");
-
-    let explain = temp_path("explain.txt");
-    let (code, stdout_a, err) = adec(&[
-        "--config",
-        "ade",
-        "--run",
-        "--profile-in",
-        profile.to_str().unwrap(),
-        &format!("--explain={}", explain.to_str().unwrap()),
-        &sample(),
-    ]);
-    assert_eq!(code, 0, "{err}");
-    let report = std::fs::read_to_string(&explain).expect("explain file written");
-    assert!(report.contains("selection ledger:"), "{report}");
-    assert!(report.contains("measured-ns"), "{report}");
-    assert!(
-        report.contains(&format!("feedback source: {}", profile.to_str().unwrap())),
-        "{report}"
-    );
-
-    // Feedback must preserve behavior exactly: same program output as a
-    // plain ade run.
-    let (code, stdout_b, err) = adec(&["--config", "ade", "--run", &sample()]);
-    assert_eq!(code, 0, "{err}");
-    assert_eq!(stdout_a, stdout_b, "feedback-directed run changed output");
-
-    let _ = std::fs::remove_file(profile);
-    let _ = std::fs::remove_file(explain);
+    std::env::temp_dir().join(format!("adec-explain-{}-{name}", std::process::id()))
 }
 
 #[test]
@@ -118,6 +75,6 @@ fn explain_to_stderr_renders_without_a_file() {
     let (code, _, err) = adec(&["--config", "ade", "--explain", &sample()]);
     assert_eq!(code, 0, "{err}");
     assert!(err.contains("selection ledger:"), "{err}");
-    assert!(err.contains("feedback source: static (no profile)"), "{err}");
+    assert!(err.contains("[static]"), "{err}");
     assert!(err.contains("per-function summary:"), "{err}");
 }

@@ -822,8 +822,7 @@ pub struct DFunc {
 /// Owns everything execution needs (instruction streams, constant
 /// pools, pooled types, function names), so it is `'static`, `Send`
 /// and `Sync`: decode a module once, wrap it in an `Arc`, and share it
-/// across concurrent [`crate::ExecSession`]s — the serving engine's
-/// load-module-once contract.
+/// across concurrent [`crate::ExecSession`]s.
 #[derive(Debug)]
 pub struct DecodedModule {
     /// Decoded functions, indexed by [`FuncId`].

@@ -129,7 +129,7 @@ pub enum ExecError {
         message: String,
     },
     /// Execution was stopped by the host scheduler before completion
-    /// (deadline, cancellation, or load shedding — see [`StopReason`]).
+    /// (a passed deadline — see [`StopReason`]).
     /// Like [`ExecError::LimitExceeded`], this is not guest UB: the
     /// program was well-behaved, the host chose to stop it.
     Preempted {
@@ -141,7 +141,7 @@ pub enum ExecError {
 impl ExecError {
     /// Short machine-readable failure code, stable across releases:
     /// `no-entry`, `host`, a [`TrapKind`] code, a [`Limit`] code, or a
-    /// [`StopReason`] code (`deadline`, `cancelled`, `shed`).
+    /// [`StopReason`] code (`deadline`).
     pub fn code(&self) -> &'static str {
         match self {
             ExecError::NoEntry { .. } => "no-entry",

@@ -10,7 +10,7 @@
 //! region cursors of every live call and region, loop positions
 //! included — stays in the session until the next step. Between steps
 //! the session can be cancelled ([`ExecSession::cancel`]) with a typed
-//! [`StopReason`] (`deadline`, `cancelled`, `shed`), which the next
+//! [`StopReason`] (`deadline`), which the next
 //! step returns as [`ExecError::Preempted`] without running anything.
 //! [`ExecSession::run_until`] is the one wall-deadline loop (`adec
 //! --deadline-ms`, `reproduce --cell-timeout`): it steps fixed quanta
@@ -362,10 +362,10 @@ mod tests {
     fn cancel_before_first_step_runs_nothing() {
         let session =
             ExecSession::spawn(decoded(LOOPY), "main", ExecConfig::default()).expect("spawns");
-        session.cancel(StopReason::Shed);
+        session.cancel(StopReason::Deadline);
         let mut session = session;
-        let err = session.step(Some(1_000_000)).expect_err("shed");
-        assert_eq!(err.code(), "shed");
+        let err = session.step(Some(1_000_000)).expect_err("cancelled");
+        assert_eq!(err.code(), "deadline");
     }
 
     #[test]

@@ -114,27 +114,21 @@ impl fmt::Display for TrapSite {
 }
 
 /// Why a preemptible execution was stopped before completion
-/// (carried by [`crate::ExecError::Preempted`]). These are *scheduler*
-/// decisions, not guest faults: the program was well-behaved but the
-/// host chose (or was asked) to stop it.
+/// (carried by [`crate::ExecError::Preempted`]). This is a *scheduler*
+/// decision, not a guest fault: the program was well-behaved but the
+/// host chose to stop it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopReason {
-    /// The request's wall-clock deadline passed.
+    /// The run's wall-clock deadline passed.
     Deadline,
-    /// The request was cancelled (a cancellation token fired).
-    Cancelled,
-    /// The executor refused admission under load.
-    Shed,
 }
 
 impl StopReason {
-    /// Short machine-readable code (stable across releases; the serve
-    /// layer's typed-error taxonomy and figure placeholders use it).
+    /// Short machine-readable code (stable across releases; figure
+    /// placeholders use it).
     pub fn code(self) -> &'static str {
         match self {
             StopReason::Deadline => "deadline",
-            StopReason::Cancelled => "cancelled",
-            StopReason::Shed => "shed",
         }
     }
 }
@@ -183,8 +177,6 @@ mod tests {
         assert_eq!(TrapKind::DivideByZero.code(), "div-by-zero");
         assert_eq!(Limit::Fuel.code(), "fuel");
         assert_eq!(StopReason::Deadline.code(), "deadline");
-        assert_eq!(StopReason::Cancelled.code(), "cancelled");
-        assert_eq!(StopReason::Shed.code(), "shed");
     }
 
     #[test]

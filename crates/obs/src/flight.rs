@@ -2,22 +2,22 @@
 //!
 //! [`FlightRecorder`] keeps the last N structured events (site enters,
 //! quantum grants, budget trips) in a ring buffer. When a cell degrades
-//! to `✗(code)`/`✗(timeout)` or a serve request is preempted, the ring
+//! to `✗(code)`/`✗(timeout)`, the ring
 //! is dumped as a deterministic JSON post-mortem
 //! ([`FlightRecorder::dump_json`], schema `ade-postmortem-v1`).
 //!
 //! Determinism: events carry a monotone sequence number and structured
 //! fields but **no timestamps**, so a dump is byte-identical across
 //! runs as long as the recorded execution is. Recorders are therefore
-//! scoped to one deterministic entity (one evaluation cell, one serve
-//! request) rather than shared across racing threads.
+//! scoped to one deterministic entity (one evaluation cell) rather
+//! than shared across racing threads.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::FieldValue;
 
-/// One recorded event: a category (`"exec"`, `"pool"`, `"serve"`), a
+/// One recorded event: a category (`"exec"`, `"pool"`), a
 /// name (`"grant"`, `"trip"`, …) and structured fields.
 #[derive(Clone, Debug)]
 pub struct FlightEvent {

@@ -1,8 +1,7 @@
 //! Minimal JSON support: escaped string/number writers for the fixed
-//! schemas this workspace emits, and one [`Value`] tree parser for the
-//! schemas this workspace also *reads back* (`ade-site-profile-v1`).
-//! [`validate`] runs the same parser, so tests and CI can check emitted
-//! files without external tooling.
+//! schemas this workspace emits, and one [`Value`] tree parser that
+//! reads them back. [`validate`] runs the same parser, so tests and CI
+//! can check emitted files without external tooling.
 
 /// Appends `s` as a JSON string literal (with quotes) to `out`.
 pub fn write_string(out: &mut String, s: &str) {
@@ -177,14 +176,6 @@ impl Value {
         }
     }
 
-    /// The object's entries, `None` for non-objects.
-    pub fn entries(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(entries) => Some(entries),
-            _ => None,
-        }
-    }
-
     /// The array's elements, `None` for non-arrays.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -206,14 +197,6 @@ impl Value {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Number(text) if text.bytes().all(|b| b.is_ascii_digit()) => text.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The number as an `f64` (`None` for non-numbers).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(text) => text.parse().ok(),
             _ => None,
         }
     }
@@ -391,8 +374,8 @@ mod tests {
         assert_eq!(v.get("a").unwrap().as_array().unwrap()[0].as_u64(), Some(1));
         assert_eq!(v.get("a").unwrap().as_array().unwrap()[1].as_u64(), None);
         assert_eq!(
-            v.get("a").unwrap().as_array().unwrap()[1].as_f64(),
-            Some(-2500.0)
+            v.get("a").unwrap().as_array().unwrap()[1],
+            Value::Number("-2.5e3".to_string())
         );
         assert_eq!(v.get("big").unwrap().as_u64(), Some(u64::MAX));
         assert_eq!(v.get("s").unwrap().as_str(), Some("x\né"));

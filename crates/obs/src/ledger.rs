@@ -1,11 +1,11 @@
 //! The selection ledger: a structured record of every backend decision
-//! the selection pass makes — which candidates were considered, their
-//! modeled cost under the static reference mix and (when a profile was
-//! fed back) under the measured mix, which one won and why.
+//! the selection pass makes — which implementations each keyed member
+//! received, and whether a `select(...)` directive or the static default
+//! decided them.
 //!
 //! The ledger is pure data plus a deterministic text renderer; the
-//! selection pass builds it, `adec --explain[=FILE]` prints it. Costs
-//! are modeled, so the rendered report is byte-identical across runs,
+//! selection pass builds it, `adec --explain[=FILE]` prints it. It holds
+//! no timings, so the rendered report is byte-identical across runs,
 //! job counts and interpreter-optimization settings.
 
 use std::collections::BTreeMap;
@@ -17,32 +17,23 @@ use std::fmt::Write as _;
 pub enum DecisionSource {
     /// A `select(...)` directive forced the choice.
     Directive,
-    /// Measured (profile-fed) costs picked the cheapest candidate.
-    Measured,
-    /// The static heuristic applied (no directive, no measured data).
+    /// The static default applied (no directive).
     Static,
+}
+
+impl DecisionSource {
+    fn as_str(self) -> &'static str {
+        match self {
+            DecisionSource::Directive => "directive",
+            DecisionSource::Static => "static",
+        }
+    }
 }
 
 impl fmt::Display for DecisionSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            DecisionSource::Directive => "directive",
-            DecisionSource::Measured => "measured",
-            DecisionSource::Static => "static",
-        })
+        f.write_str(self.as_str())
     }
-}
-
-/// One candidate backend's modeled costs for a decision.
-#[derive(Clone, Debug)]
-pub struct CandidateEval {
-    /// Backend name (`Bit`, `SparseBit`, …).
-    pub backend: String,
-    /// Modeled cost under the static reference mix, in nanoseconds.
-    pub static_ns: f64,
-    /// Modeled cost under the measured mix, when a profile supplied one
-    /// for this decision's enumeration class.
-    pub measured_ns: Option<f64>,
 }
 
 /// One keyed site's selection decision.
@@ -61,14 +52,11 @@ pub struct SelectionDecision {
     pub set_impl: String,
     /// The applied map implementation.
     pub map_impl: String,
-    /// What decided the winner.
+    /// What decided the choice.
     pub source: DecisionSource,
-    /// Human-readable deciding term: the cost component that separated
-    /// the winner from the runner-up (or the directive/heuristic note).
+    /// Human-readable rule that decided (the directive or the static
+    /// default it applied).
     pub deciding: String,
-    /// Every candidate considered, in evaluation order; empty when no
-    /// candidate cost table was supplied.
-    pub candidates: Vec<CandidateEval>,
 }
 
 /// The whole pass's selection decisions, in deterministic pass order.
@@ -88,12 +76,12 @@ impl SelectionLedger {
         self.decisions.iter().filter(|d| d.source == source).count()
     }
 
-    /// Serializes the ledger as JSON (schema `ade-selection-ledger-v1`),
-    /// decisions in pass order. Like the text report, everything is
-    /// modeled, so the output is byte-identical across runs.
+    /// Serializes the ledger as JSON (schema `ade-selection-ledger-v2`),
+    /// decisions in pass order. Like the text report, the output is
+    /// byte-identical across runs.
     pub fn to_json(&self) -> String {
-        use crate::json::{write_f64, write_string};
-        let mut out = String::from("{\"schema\":\"ade-selection-ledger-v1\",\"decisions\":[");
+        use crate::json::write_string;
+        let mut out = String::from("{\"schema\":\"ade-selection-ledger-v2\",\"decisions\":[");
         for (i, d) in self.decisions.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -110,26 +98,10 @@ impl SelectionLedger {
             out.push_str(",\"map_impl\":");
             write_string(&mut out, &d.map_impl);
             out.push_str(",\"source\":");
-            write_string(&mut out, &d.source.to_string());
+            write_string(&mut out, d.source.as_str());
             out.push_str(",\"deciding\":");
             write_string(&mut out, &d.deciding);
-            out.push_str(",\"candidates\":[");
-            for (j, c) in d.candidates.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"backend\":");
-                write_string(&mut out, &c.backend);
-                out.push_str(",\"static_ns\":");
-                write_f64(&mut out, c.static_ns);
-                out.push_str(",\"measured_ns\":");
-                match c.measured_ns {
-                    Some(ns) => write_f64(&mut out, ns),
-                    None => out.push_str("null"),
-                }
-                out.push('}');
-            }
-            out.push_str("]}");
+            out.push('}');
         }
         out.push_str("\n]}\n");
         out
@@ -137,14 +109,13 @@ impl SelectionLedger {
 
     /// Renders the human-readable explain report: one block per decision
     /// plus a per-function summary. Deterministic for a deterministic
-    /// pass (everything is modeled; no wall times).
+    /// pass.
     pub fn render_report(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "selection ledger: {} decision(s) ({} measured, {} static, {} directive)",
+            "selection ledger: {} decision(s) ({} static, {} directive)",
             self.decisions.len(),
-            self.count(DecisionSource::Measured),
             self.count(DecisionSource::Static),
             self.count(DecisionSource::Directive),
         );
@@ -154,25 +125,6 @@ impl SelectionLedger {
                 "\n@{} {} (depth {}, class {}) -> set={} map={} [{}]",
                 d.func, d.member, d.depth, d.enum_class, d.set_impl, d.map_impl, d.source
             );
-            if !d.candidates.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "    {:<12} {:>12} {:>12}",
-                    "candidate", "static-ns", "measured-ns"
-                );
-                for c in &d.candidates {
-                    let marker = if c.backend == d.set_impl { '>' } else { ' ' };
-                    let measured = match c.measured_ns {
-                        Some(ns) => format!("{ns:.1}"),
-                        None => "--".to_string(),
-                    };
-                    let _ = writeln!(
-                        out,
-                        "  {marker} {:<12} {:>12.1} {:>12}",
-                        c.backend, c.static_ns, measured
-                    );
-                }
-            }
             let _ = writeln!(out, "  deciding: {}", d.deciding);
         }
 
@@ -189,13 +141,7 @@ impl SelectionLedger {
             let mut by_source: BTreeMap<&'static str, usize> = BTreeMap::new();
             for d in &decisions {
                 *by_impl.entry(d.set_impl.as_str()).or_default() += 1;
-                *by_source
-                    .entry(match d.source {
-                        DecisionSource::Directive => "directive",
-                        DecisionSource::Measured => "measured",
-                        DecisionSource::Static => "static",
-                    })
-                    .or_default() += 1;
+                *by_source.entry(d.source.as_str()).or_default() += 1;
             }
             let impls: Vec<String> = by_impl
                 .iter()
@@ -231,20 +177,8 @@ mod tests {
                     enum_class: 0,
                     set_impl: "SparseBit".to_string(),
                     map_impl: "Bit".to_string(),
-                    source: DecisionSource::Measured,
-                    deciding: "IterWord favors SparseBit over Bit by 120.0 ns".to_string(),
-                    candidates: vec![
-                        CandidateEval {
-                            backend: "Bit".to_string(),
-                            static_ns: 4694.8,
-                            measured_ns: Some(250.0),
-                        },
-                        CandidateEval {
-                            backend: "SparseBit".to_string(),
-                            static_ns: 6574.1,
-                            measured_ns: Some(130.0),
-                        },
-                    ],
+                    source: DecisionSource::Directive,
+                    deciding: "select(...) directive governs the class".to_string(),
                 },
                 SelectionDecision {
                     func: "helper".to_string(),
@@ -254,8 +188,7 @@ mod tests {
                     set_impl: "Bit".to_string(),
                     map_impl: "Bit".to_string(),
                     source: DecisionSource::Static,
-                    deciding: "static heuristic".to_string(),
-                    candidates: Vec::new(),
+                    deciding: "static heuristic (Bit)".to_string(),
                 },
             ],
         }
@@ -267,13 +200,27 @@ mod tests {
         let a = ledger.render_report();
         let b = ledger.render_report();
         assert_eq!(a, b);
-        assert!(a.starts_with("selection ledger: 2 decision(s) (1 measured, 1 static, 0 directive)"), "{a}");
-        assert!(a.contains("@main %visited (depth 0, class 0) -> set=SparseBit map=Bit [measured]"), "{a}");
-        assert!(a.contains("> SparseBit"), "winner marked: {a}");
-        assert!(a.contains("  deciding: IterWord favors SparseBit over Bit by 120.0 ns"), "{a}");
+        assert!(
+            a.starts_with("selection ledger: 2 decision(s) (1 static, 1 directive)"),
+            "{a}"
+        );
+        assert!(
+            a.contains("@main %visited (depth 0, class 0) -> set=SparseBit map=Bit [directive]"),
+            "{a}"
+        );
+        assert!(
+            a.contains("  deciding: select(...) directive governs the class"),
+            "{a}"
+        );
         assert!(a.contains("per-function summary:"), "{a}");
-        assert!(a.contains("@helper: 1 keyed site(s); set Bit x1; static x1"), "{a}");
-        assert!(a.contains("@main: 1 keyed site(s); set SparseBit x1; measured x1"), "{a}");
+        assert!(
+            a.contains("@helper: 1 keyed site(s); set Bit x1; static x1"),
+            "{a}"
+        );
+        assert!(
+            a.contains("@main: 1 keyed site(s); set SparseBit x1; directive x1"),
+            "{a}"
+        );
     }
 
     #[test]
@@ -287,13 +234,26 @@ mod tests {
     fn json_dump_is_valid_and_complete() {
         let ledger = sample();
         let dump = ledger.to_json();
-        crate::json::validate(&dump).expect("valid JSON");
+        let v = crate::json::Value::parse(&dump).expect("valid JSON");
         assert_eq!(dump, ledger.to_json(), "deterministic");
-        assert!(dump.contains("\"schema\":\"ade-selection-ledger-v1\""), "{dump}");
-        assert!(dump.contains("\"set_impl\":\"SparseBit\""), "{dump}");
-        assert!(dump.contains("\"source\":\"measured\""), "{dump}");
-        assert!(dump.contains("\"measured_ns\":130"), "{dump}");
-        assert!(dump.contains("\"measured_ns\":null") || dump.contains("\"candidates\":[]"), "{dump}");
+        assert_eq!(
+            v.get("schema").and_then(|s| s.as_str()),
+            Some("ade-selection-ledger-v2")
+        );
+        let decisions = v
+            .get("decisions")
+            .and_then(|d| d.as_array())
+            .expect("decisions");
+        assert_eq!(decisions.len(), 2);
+        assert_eq!(
+            decisions[0].get("set_impl").and_then(|s| s.as_str()),
+            Some("SparseBit")
+        );
+        assert_eq!(
+            decisions[0].get("source").and_then(|s| s.as_str()),
+            Some("directive")
+        );
+        assert_eq!(decisions[1].get("depth").and_then(|s| s.as_u64()), Some(1));
         crate::json::validate(&SelectionLedger::default().to_json()).expect("empty valid");
     }
 }

@@ -12,12 +12,9 @@
 //!   formatting) plus a tiny validating parser and a [`json::Value`]
 //!   tree parser, so emitted files can be checked — and read back —
 //!   without external dependencies.
-//! - [`profile`]: a strict, versioned reader for the
-//!   `ade-site-profile-v1` JSON the interpreter emits, with a typed
-//!   error; feeds `adec --profile-in`.
 //! - [`ledger`]: the selection ledger — structured records of every
-//!   backend decision the selection pass makes, plus the deterministic
-//!   `--explain` report renderer.
+//!   backend decision the selection pass makes and the rule that
+//!   decided it, plus the deterministic `--explain` report renderer.
 //! - [`timeline::Timeline`]: a wall-clock recorder for coarse parallel
 //!   work (one complete event per evaluation-matrix cell) that exports
 //!   Chrome-trace-format JSON loadable in `chrome://tracing`/Perfetto.
@@ -40,13 +37,11 @@ pub mod flight;
 pub mod json;
 pub mod ledger;
 pub mod metrics;
-pub mod profile;
 pub mod timeline;
 
 pub use flight::{FlightEvent, FlightRecorder};
-pub use ledger::{CandidateEval, DecisionSource, SelectionDecision, SelectionLedger};
+pub use ledger::{DecisionSource, SelectionDecision, SelectionLedger};
 pub use metrics::{MetricRow, MetricValue, MetricsRegistry, MetricsSnapshot};
-pub use profile::{read_profile, OpMix, ProfileData, ProfileReadError};
 pub use timeline::{Timeline, TimelineEvent};
 
 use std::sync::atomic::{AtomicU32, Ordering};

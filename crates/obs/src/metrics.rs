@@ -1,22 +1,20 @@
 //! A zero-dependency runtime metrics registry.
 //!
-//! [`MetricsRegistry`] is the always-on accounting surface the serving
-//! executor, the interpreter, and the evaluation pool publish into:
-//! monotonic counters, gauges with high-water-mark semantics, and
-//! fixed-bucket histograms, each addressed by a name plus a small,
-//! sorted label set. Like [`crate::Tracer`], the default handle is
+//! [`MetricsRegistry`] is the always-on accounting surface the
+//! interpreter and the evaluation pool publish into: monotonic counters
+//! and gauges with high-water-mark semantics, each addressed by a name
+//! plus a small, sorted label set. Like [`crate::Tracer`], the default handle is
 //! *disabled* and every operation on it is a branch on an `Option`
 //! discriminant — attaching telemetry costs nothing until someone asks
 //! for it. Clones share the underlying store, so one registry can be
 //! threaded through many layers and threads.
 //!
 //! Determinism: every update is a commutative aggregate (addition,
-//! maximum, bucket increment), so the snapshot's *values* are
+//! maximum), so the snapshot's *values* are
 //! independent of thread interleaving — a parallel run publishes the
 //! same numbers as a serial one as long as the work itself is
-//! deterministic. The snapshot renders metrics sorted by id, making the
-//! JSON ([`MetricsSnapshot::to_json`]) and Prometheus-style text
-//! ([`MetricsSnapshot::to_prometheus`]) byte-identical across runs,
+//! deterministic. The snapshot renders metrics sorted by id, making its
+//! JSON ([`MetricsSnapshot::to_json`]) byte-identical across runs,
 //! worker counts, and `--jobs` values. The one escape hatch is the
 //! *wall class*: metrics whose base name was [`MetricsRegistry::
 //! mark_wall`]ed carry scheduling- or wall-clock-dependent values
@@ -32,21 +30,8 @@ use std::sync::{Arc, Mutex};
 pub enum MetricValue {
     /// A monotonically increasing count.
     Counter(u64),
-    /// A last-write or high-water-mark sample.
+    /// A high-water-mark sample.
     Gauge(u64),
-    /// A fixed-bucket histogram: `counts[i]` observations fell in
-    /// `(bounds[i-1], bounds[i]]`; the final slot is the overflow
-    /// (`+Inf`) bucket.
-    Histogram {
-        /// Upper bucket bounds, strictly increasing.
-        bounds: Vec<u64>,
-        /// Per-bucket observation counts (`bounds.len() + 1` slots).
-        counts: Vec<u64>,
-        /// Saturating sum of every observed value.
-        sum: u64,
-        /// Number of observations.
-        count: u64,
-    },
 }
 
 /// One metric as captured by [`MetricsRegistry::snapshot`].
@@ -143,21 +128,6 @@ impl MetricsRegistry {
         });
     }
 
-    /// Sets the gauge `name{labels}` to `v` (last write wins).
-    pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], v: u64) {
-        self.with_store(|s| {
-            let (id, sorted) = metric_id(name, labels);
-            match s
-                .metrics
-                .entry(id)
-                .or_insert_with(|| (name.to_string(), sorted, MetricValue::Gauge(v)))
-            {
-                (_, _, MetricValue::Gauge(g)) => *g = v,
-                _ => debug_assert!(false, "metric {name} is not a gauge"),
-            }
-        });
-    }
-
     /// Raises the gauge `name{labels}` to `v` if `v` exceeds its current
     /// value — high-water-mark semantics, commutative across threads.
     pub fn gauge_max(&self, name: &str, labels: &[(&str, &str)], v: u64) {
@@ -170,46 +140,6 @@ impl MetricsRegistry {
             {
                 (_, _, MetricValue::Gauge(g)) => *g = (*g).max(v),
                 _ => debug_assert!(false, "metric {name} is not a gauge"),
-            }
-        });
-    }
-
-    /// Records `v` into the histogram `name{labels}` with the given
-    /// upper bucket `bounds` (strictly increasing; an overflow bucket is
-    /// implicit). The first observation fixes the bounds; later calls
-    /// with different bounds keep the original ones.
-    pub fn observe(&self, name: &str, labels: &[(&str, &str)], bounds: &[u64], v: u64) {
-        self.with_store(|s| {
-            let (id, sorted) = metric_id(name, labels);
-            let entry = s.metrics.entry(id).or_insert_with(|| {
-                (
-                    name.to_string(),
-                    sorted,
-                    MetricValue::Histogram {
-                        bounds: bounds.to_vec(),
-                        counts: vec![0; bounds.len() + 1],
-                        sum: 0,
-                        count: 0,
-                    },
-                )
-            });
-            match entry {
-                (
-                    _,
-                    _,
-                    MetricValue::Histogram {
-                        bounds,
-                        counts,
-                        sum,
-                        count,
-                    },
-                ) => {
-                    let slot = bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len());
-                    counts[slot] += 1;
-                    *sum = sum.saturating_add(v);
-                    *count += 1;
-                }
-                _ => debug_assert!(false, "metric {name} is not a histogram"),
             }
         });
     }
@@ -308,98 +238,10 @@ impl MetricsSnapshot {
                 MetricValue::Gauge(g) => {
                     out.push_str(&format!(",\"type\":\"gauge\",\"value\":{g}"));
                 }
-                MetricValue::Histogram {
-                    bounds,
-                    counts,
-                    sum,
-                    count,
-                } => {
-                    out.push_str(",\"type\":\"histogram\",\"bounds\":[");
-                    for (i, b) in bounds.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&b.to_string());
-                    }
-                    out.push_str("],\"counts\":[");
-                    for (i, c) in counts.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&c.to_string());
-                    }
-                    out.push_str(&format!("],\"sum\":{sum},\"count\":{count}"));
-                }
             }
             out.push('}');
         }
         out.push_str("\n]}\n");
-        out
-    }
-
-    /// Renders the snapshot in Prometheus text exposition style: one
-    /// `# TYPE` line per base name, samples sorted by id, histograms
-    /// expanded into cumulative `_bucket`/`_sum`/`_count` series. Same
-    /// `include_wall` discipline as [`MetricsSnapshot::to_json`].
-    pub fn to_prometheus(&self, include_wall: bool) -> String {
-        let mut out = String::new();
-        let mut last_name: Option<&str> = None;
-        for r in self.visible(include_wall) {
-            if last_name != Some(r.name.as_str()) {
-                let kind = match r.value {
-                    MetricValue::Counter(_) => "counter",
-                    MetricValue::Gauge(_) => "gauge",
-                    MetricValue::Histogram { .. } => "histogram",
-                };
-                out.push_str(&format!("# TYPE {} {kind}\n", r.name));
-                last_name = Some(r.name.as_str());
-            }
-            let label_str = |extra: Option<(&str, &str)>| {
-                let mut pairs: Vec<String> = r
-                    .labels
-                    .iter()
-                    .map(|(k, v)| format!("{k}=\"{v}\""))
-                    .collect();
-                if let Some((k, v)) = extra {
-                    pairs.push(format!("{k}=\"{v}\""));
-                }
-                if pairs.is_empty() {
-                    String::new()
-                } else {
-                    format!("{{{}}}", pairs.join(","))
-                }
-            };
-            match &r.value {
-                MetricValue::Counter(c) => {
-                    out.push_str(&format!("{}{} {c}\n", r.name, label_str(None)));
-                }
-                MetricValue::Gauge(g) => {
-                    out.push_str(&format!("{}{} {g}\n", r.name, label_str(None)));
-                }
-                MetricValue::Histogram {
-                    bounds,
-                    counts,
-                    sum,
-                    count,
-                } => {
-                    let mut cumulative = 0u64;
-                    for (i, c) in counts.iter().enumerate() {
-                        cumulative += c;
-                        let le = match bounds.get(i) {
-                            Some(b) => b.to_string(),
-                            None => "+Inf".to_string(),
-                        };
-                        out.push_str(&format!(
-                            "{}_bucket{} {cumulative}\n",
-                            r.name,
-                            label_str(Some(("le", &le)))
-                        ));
-                    }
-                    out.push_str(&format!("{}_sum{} {sum}\n", r.name, label_str(None)));
-                    out.push_str(&format!("{}_count{} {count}\n", r.name, label_str(None)));
-                }
-            }
-        }
         out
     }
 }
@@ -414,40 +256,24 @@ mod tests {
         assert!(!m.is_enabled());
         m.add("a", &[], 3);
         m.gauge_max("b", &[], 9);
-        m.observe("c", &[], &[10], 5);
         assert!(m.snapshot().rows.is_empty());
         assert_eq!(m.snapshot().to_json(true), "{\"schema\":\"ade-metrics-v1\",\"metrics\":[\n]}\n");
     }
 
     #[test]
-    fn counters_gauges_and_histograms_aggregate() {
+    fn counters_and_gauges_aggregate() {
         let m = MetricsRegistry::enabled();
         m.add("req_total", &[("code", "ok")], 2);
         m.add("req_total", &[("code", "ok")], 3);
-        m.add("req_total", &[("code", "shed")], 1);
+        m.add("req_total", &[("code", "err")], 1);
         m.gauge_max("depth_hwm", &[], 4);
         m.gauge_max("depth_hwm", &[], 2); // lower sample does not regress
-        m.gauge_set("last", &[], 7);
-        m.gauge_set("last", &[], 5); // last write wins
-        m.observe("cost_ns", &[], &[10, 100], 7);
-        m.observe("cost_ns", &[], &[10, 100], 70);
-        m.observe("cost_ns", &[], &[10, 100], 700);
         let snap = m.snapshot();
         let by_id: BTreeMap<&str, &MetricValue> =
             snap.rows.iter().map(|r| (r.id.as_str(), &r.value)).collect();
         assert_eq!(by_id["req_total{code=\"ok\"}"], &MetricValue::Counter(5));
-        assert_eq!(by_id["req_total{code=\"shed\"}"], &MetricValue::Counter(1));
+        assert_eq!(by_id["req_total{code=\"err\"}"], &MetricValue::Counter(1));
         assert_eq!(by_id["depth_hwm"], &MetricValue::Gauge(4));
-        assert_eq!(by_id["last"], &MetricValue::Gauge(5));
-        assert_eq!(
-            by_id["cost_ns"],
-            &MetricValue::Histogram {
-                bounds: vec![10, 100],
-                counts: vec![1, 1, 1],
-                sum: 777,
-                count: 3,
-            }
-        );
     }
 
     #[test]
@@ -474,7 +300,6 @@ mod tests {
                     for i in 0..100u64 {
                         m.add("n", &[], 1);
                         m.gauge_max("hwm", &[], i);
-                        m.observe("h", &[], &[50], i);
                     }
                 });
             }
@@ -484,13 +309,6 @@ mod tests {
             snap.rows.iter().map(|r| (r.id.as_str(), &r.value)).collect();
         assert_eq!(by_id["n"], &MetricValue::Counter(400));
         assert_eq!(by_id["hwm"], &MetricValue::Gauge(99));
-        match by_id["h"] {
-            MetricValue::Histogram { counts, count, .. } => {
-                assert_eq!(counts, &vec![204, 196]);
-                assert_eq!(*count, 400);
-            }
-            other => panic!("not a histogram: {other:?}"),
-        }
     }
 
     #[test]
@@ -500,7 +318,6 @@ mod tests {
         m.add("a_total", &[], 2);
         m.add("worker_busy_ns", &[("worker", "0")], 123);
         m.mark_wall("worker_busy_ns");
-        m.observe("h", &[], &[10], 3);
         let snap = m.snapshot();
         let full = snap.to_json(true);
         crate::json::validate(&full).expect("valid JSON");
@@ -509,25 +326,8 @@ mod tests {
         let stable = snap.to_json(false);
         crate::json::validate(&stable).expect("valid JSON");
         assert!(!stable.contains("worker_busy_ns"));
-        assert_eq!(snap.len(false), 3);
-        assert_eq!(snap.len(true), 4);
-    }
-
-    #[test]
-    fn prometheus_rendering_expands_histograms_cumulatively() {
-        let m = MetricsRegistry::enabled();
-        m.add("req_total", &[("code", "ok")], 5);
-        m.observe("cost", &[("t", "0")], &[10, 100], 7);
-        m.observe("cost", &[("t", "0")], &[10, 100], 70);
-        let text = m.snapshot().to_prometheus(true);
-        assert!(text.contains("# TYPE req_total counter\n"), "{text}");
-        assert!(text.contains("req_total{code=\"ok\"} 5\n"), "{text}");
-        assert!(text.contains("# TYPE cost histogram\n"), "{text}");
-        assert!(text.contains("cost_bucket{t=\"0\",le=\"10\"} 1\n"), "{text}");
-        assert!(text.contains("cost_bucket{t=\"0\",le=\"100\"} 2\n"), "{text}");
-        assert!(text.contains("cost_bucket{t=\"0\",le=\"+Inf\"} 2\n"), "{text}");
-        assert!(text.contains("cost_sum{t=\"0\"} 77\n"), "{text}");
-        assert!(text.contains("cost_count{t=\"0\"} 2\n"), "{text}");
+        assert_eq!(snap.len(false), 2);
+        assert_eq!(snap.len(true), 3);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 
 pub mod bench;
 pub mod config;
-pub mod feedback;
 pub mod gen;
 
 pub use bench::{all_benchmarks, Benchmark};

@@ -457,3 +457,45 @@ fn executed_work_matches_the_golden_counts() {
         "executed work differs from tests/golden/exec_counts_scale4.txt; full table:\n{table}"
     );
 }
+
+/// Static selection at scale 4: `ABBREV func member depth class set map
+/// source` rows, one per ledger decision of every benchmark under `ade`.
+const GOLDEN_SELECTION: &str = include_str!("golden/selection_scale4.txt");
+
+/// Every paper program's selection ledger under `ade` matches
+/// `tests/golden/selection_scale4.txt`: which keyed member of which
+/// enumeration class received which set and map implementation, and
+/// whether a directive or the static default decided it. A change to
+/// the selection pass shows up here as a diff of decisions.
+#[test]
+fn static_selection_matches_the_golden_ledger() {
+    let mut table = String::new();
+    for bench in ade::workloads::all_benchmarks() {
+        let mut module = (bench.build)(4);
+        let report = Config::new(ConfigKind::Ade)
+            .compile(&mut module)
+            .expect("ade runs the pass");
+        for d in &report.ledger.decisions {
+            table.push_str(&format!(
+                "{} {} {} {} {} {} {} {}\n",
+                bench.abbrev,
+                d.func,
+                d.member,
+                d.depth,
+                d.enum_class,
+                d.set_impl,
+                d.map_impl,
+                d.source
+            ));
+        }
+    }
+    let golden: String = GOLDEN_SELECTION
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(
+        table, golden,
+        "selection differs from tests/golden/selection_scale4.txt; full table:\n{table}"
+    );
+}
