@@ -8,9 +8,67 @@
 
 use ade_bench::figures::{cells_for_target, Session};
 use ade_bench::runner::{run_cell, CellSpec};
+use ade_interp::decode::{BulkOp, DInst, PlanOp};
+use ade_interp::{DecodeOptions, DecodedModule};
 use ade_workloads::bench::benchmark_by_abbrev;
+use ade_workloads::{Config, ConfigKind};
 
 const SCALE: u32 = 5;
+
+/// Whether any bulk loop plan of `abbrev` compiled under `kind` has an
+/// op (at any depth) satisfying `pred`.
+fn decode_has(abbrev: &str, kind: ConfigKind, pred: fn(&BulkOp) -> bool) -> bool {
+    fn ops_have(ops: &[PlanOp], pred: fn(&BulkOp) -> bool) -> bool {
+        ops.iter().any(|p| {
+            pred(&p.op)
+                || match &p.op {
+                    BulkOp::If {
+                        then_ops, else_ops, ..
+                    } => ops_have(then_ops, pred) || ops_have(else_ops, pred),
+                    BulkOp::Loop { plan } => ops_have(&plan.ops, pred),
+                    _ => false,
+                }
+        })
+    }
+    let bench = benchmark_by_abbrev(abbrev).expect("known benchmark");
+    let config = Config::new(kind);
+    let mut module = (bench.build)(SCALE);
+    config.compile(&mut module);
+    let decoded = DecodedModule::decode_with(&module, &DecodeOptions::default());
+    decoded
+        .funcs
+        .iter()
+        .flat_map(|f| f.code.iter())
+        .any(|inst| match inst {
+            DInst::ForEachBulk { plan, .. } | DInst::ForRangeBulk { plan, .. } => {
+                ops_have(&plan.ops, pred)
+            }
+            _ => false,
+        })
+}
+
+/// The fig5 programs exercise every plan shape the tests below compare:
+/// plans that run nested loops in place and plans that translate, so
+/// byte-identity with the reference decode covers them.
+#[test]
+fn fig5_programs_nest_and_translate_inside_plans() {
+    assert!(decode_has("TC", ConfigKind::Ade, |op| matches!(
+        op,
+        BulkOp::Loop { .. }
+    )));
+    assert!(decode_has("TC", ConfigKind::Ade, |op| matches!(
+        op,
+        BulkOp::Dec { .. }
+    )));
+    assert!(decode_has("CD", ConfigKind::Ade, |op| matches!(
+        op,
+        BulkOp::Enc { .. } | BulkOp::EnumAdd { .. }
+    )));
+    assert!(decode_has("CD", ConfigKind::Memoir, |op| matches!(
+        op,
+        BulkOp::New { .. }
+    )));
+}
 
 /// Fig. 5 text (wall ratios suppressed) is byte-identical on the
 /// reference and the default decode.
@@ -89,10 +147,20 @@ fn site_profiles_are_identical_reference_vs_default() {
 /// (or any trap) lands. Sweeps budgets from "trips immediately" through
 /// "completes" and requires bit-identical outcomes — same error text on
 /// the trapping side, same output/stats on the completing side.
+///
+/// The sweep covers the first fig5 cell and TC under `ade`, whose plans
+/// hold nested loops: under a fuel limit those plans stay off and their
+/// loops run generically, which must not move the trap point either.
 #[test]
 fn fuel_trap_point_is_identical_reference_vs_default() {
     let cells = cells_for_target("fig5");
-    let &(abbrev, kind) = cells.first().expect("fig5 plans at least one cell");
+    let &first = cells.first().expect("fig5 plans at least one cell");
+    for (abbrev, kind) in [first, ("TC", ConfigKind::Ade)] {
+        fuel_sweep(abbrev, kind);
+    }
+}
+
+fn fuel_sweep(abbrev: &str, kind: ConfigKind) {
     let bench = benchmark_by_abbrev(abbrev).expect("known benchmark");
 
     for fuel in [1u64, 37, 1_000, 25_000, u64::MAX] {

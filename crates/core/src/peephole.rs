@@ -6,12 +6,16 @@
 //! after composition across enumerations:
 //!
 //! * `enc(e, dec(e, x)) → x` (dec is the inverse of enc);
-//! * `add(e, dec(e, x)) → x` (decoded values are already enumerated);
+//! * `add(e, dec(e, x)) → x` (decoded values are already enumerated, so
+//!   the `add` is deleted);
 //! * `dec(e, enc(e, x)) → x` and `dec(e, add(e, x)) → x`;
 //! * `eq(dec(e, x), dec(e, y)) → eq(x, y)` (dec is injective);
-//! * within a region, duplicate `enc`/`add`/`dec` of the same value and
-//!   enumeration reuse the first result (identifiers are stable because
-//!   values are never removed from an enumeration).
+//! * duplicate `enc`/`add`/`dec` of the same value and enumeration
+//!   reuse the first result (identifiers are stable because values are
+//!   never removed from an enumeration). `dec` and `add` results are
+//!   reused wherever they dominate, nested regions included; an `enc`
+//!   result only later in its own region, before any `add`, call or
+//!   control flow that could grow the enumeration.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -89,85 +93,113 @@ pub fn run_function(func: &mut Function) -> usize {
         }
     }
 
-    // Local CSE per region: duplicate translations of the same value.
-    let regions: Vec<RegionId> = (0..func.regions.len())
-        .map(RegionId::from_index)
-        .collect();
-    for r in regions {
-        // Per identifier-producing entry we remember whether it was a
-        // plain `enc`: `enc` results are only stable until the *next*
-        // add to the same enumeration (an absent key encodes to a
-        // sentinel), so enc entries are invalidated at adds, calls and
-        // control flow; `add` and `dec` results are stable forever.
-        let mut seen = CseMap::new();
-        // The arguments of each enumeration's live plain-`enc` entries
-        // (an entry since strengthened to `add` may linger), so that
-        // invalidation visits only the entries it removes.
-        let mut live_encs: HashMap<EnumId, Vec<ValueId>> = HashMap::new();
-        let insts = func.region(r).insts.clone();
-        for inst_id in insts {
-            let inst = func.inst(inst_id);
-            let Some((kind, e)) = translation_of(&inst.kind) else {
-                if matches!(inst.kind, InstKind::Call(_)) || inst.kind.is_control() {
-                    // Callees and nested regions may add to enumerations.
-                    for (e, args) in live_encs.drain() {
-                        for v in args {
-                            forget_enc(&mut seen, e, v);
-                        }
-                    }
-                }
-                continue;
-            };
-            let arg = resolve(&replace, inst.operands[0].base);
-            let class = match kind {
-                TransKind::Enc | TransKind::Add => 0u8,
-                TransKind::Dec => 1,
-            };
-            if kind == TransKind::Add {
-                // Invalidate every enc of this enumeration except a
-                // same-value one, which the add strengthens below.
-                if let Some(args) = live_encs.get_mut(&e) {
-                    args.retain(|&v| {
-                        if v == arg {
-                            return true;
-                        }
-                        forget_enc(&mut seen, e, v);
-                        false
-                    });
-                }
-            }
-            match seen.get(&(class, e, arg)).copied() {
-                Some((prev, prev_kind)) => {
-                    if kind == TransKind::Add && prev_kind == TransKind::Enc {
-                        // enc-then-add must keep the add (the enc may
-                        // have produced a sentinel); later lookups use
-                        // the add's result.
-                        seen.insert((class, e, arg), (inst.results[0], TransKind::Add));
-                        continue;
-                    }
-                    replace.insert(inst.results[0], prev);
-                    removed += 1;
-                }
-                None => {
-                    seen.insert((class, e, arg), (inst.results[0], kind));
-                    if kind == TransKind::Enc {
-                        live_encs.entry(e).or_default().push(arg);
-                    }
-                }
-            }
-        }
-    }
+    // Translation CSE, scoped by dominance: one walk from the body, one
+    // map of the translations available at each point.
+    removed += cse_region(func, func.body, &mut CseMap::new(), &mut replace);
 
     apply_replacements(func, &replace);
-    // Unused enc/dec forwarded above become dead pure instructions; the
-    // shared DCE removes them (adds are kept for their side effect).
+    // A forwarded `add` re-adds a value that is already enumerated, so it
+    // has no effect left and goes here. Forwarded `enc`/`dec`s become
+    // dead pure instructions, which the shared DCE removes (it keeps
+    // every other add for its side effect).
+    let insts = &func.insts;
+    for region in &mut func.regions {
+        region.insts.retain(|&i| {
+            let inst = &insts[i.index()];
+            !(matches!(inst.kind, InstKind::EnumAdd(_)) && replace.contains_key(&inst.results[0]))
+        });
+    }
     crate::opt::eliminate_dead(func);
     removed
 }
 
-/// Per-region CSE entries: (0 for `enc`/`add`, 1 for `dec`; enumeration;
-/// argument) → (first result, its translation kind).
+/// Available translations: (0 for `enc`/`add`, 1 for `dec`;
+/// enumeration; argument) → (first result, its translation kind).
 type CseMap = HashMap<(u8, EnumId, ValueId), (ValueId, TransKind)>;
+
+/// Duplicate-translation CSE over region `r`, entered with the
+/// translations in `seen` available: those of the enclosing regions that
+/// dominate `r`. Each instruction that owns regions hands them the map as
+/// it stands, one after another, and every entry a region adds is
+/// removed again when it is left (its undo log), so sibling arms share
+/// nothing and the enclosing region never sees an entry that does not
+/// dominate it. `enc` entries stay region-local: they are dropped before
+/// any call or nested region, because either may add to the
+/// enumeration (an absent key encodes to a sentinel until it is added).
+/// Returns the number of translations removed.
+fn cse_region(
+    func: &Function,
+    r: RegionId,
+    seen: &mut CseMap,
+    replace: &mut BTreeMap<ValueId, ValueId>,
+) -> usize {
+    let mut removed = 0;
+    let mut added = Vec::new();
+    // The arguments of each enumeration's live plain-`enc` entries (an
+    // entry since strengthened to `add` may linger), so that
+    // invalidation visits only the entries it removes.
+    let mut live_encs: HashMap<EnumId, Vec<ValueId>> = HashMap::new();
+    for &inst_id in &func.region(r).insts {
+        let inst = func.inst(inst_id);
+        let Some((kind, e)) = translation_of(&inst.kind) else {
+            if matches!(inst.kind, InstKind::Call(_)) || inst.kind.is_control() {
+                for (e, args) in live_encs.drain() {
+                    for v in args {
+                        forget_enc(seen, e, v);
+                    }
+                }
+            }
+            for &sub in &inst.regions {
+                removed += cse_region(func, sub, seen, replace);
+            }
+            continue;
+        };
+        let arg = resolve(replace, inst.operands[0].base);
+        let class = match kind {
+            TransKind::Enc | TransKind::Add => 0u8,
+            TransKind::Dec => 1,
+        };
+        if kind == TransKind::Add {
+            // Invalidate every enc of this enumeration except a
+            // same-value one, which the add strengthens below.
+            if let Some(args) = live_encs.get_mut(&e) {
+                args.retain(|&v| {
+                    if v == arg {
+                        return true;
+                    }
+                    forget_enc(seen, e, v);
+                    false
+                });
+            }
+        }
+        let key = (class, e, arg);
+        match seen.get(&key).copied() {
+            Some((prev, prev_kind)) => {
+                if kind == TransKind::Add && prev_kind == TransKind::Enc {
+                    // enc-then-add must keep the add (the enc may have
+                    // produced a sentinel); later lookups use the add's
+                    // result. The enc entry is this region's own, so the
+                    // undo log already holds its key.
+                    seen.insert(key, (inst.results[0], TransKind::Add));
+                    continue;
+                }
+                replace.insert(inst.results[0], prev);
+                removed += 1;
+            }
+            None => {
+                seen.insert(key, (inst.results[0], kind));
+                added.push(key);
+                if kind == TransKind::Enc {
+                    live_encs.entry(e).or_default().push(arg);
+                }
+            }
+        }
+    }
+    for key in added {
+        seen.remove(&key);
+    }
+    removed
+}
 
 /// Removes the CSE entry of `enc(e, v)` unless an `add` has since
 /// strengthened it.
@@ -275,6 +307,7 @@ fn @f(%i: idx, %s: Set{Bit}<idx>) -> void {
         assert!(removed >= 1);
         let text = print_module(&m);
         assert!(text.contains("insert %s, %i"), "{text}");
+        assert!(!text.contains("enumadd"), "{text}");
     }
 
     #[test]
@@ -315,6 +348,7 @@ fn @f(%v: u64, %s: Set{Bit}<idx>) -> void {
         assert_eq!(removed, 1);
         let text = print_module(&m);
         assert!(text.contains("insert %s1, %a"), "{text}");
+        assert_eq!(text.matches("enumadd").count(), 1, "{text}");
     }
 
     #[test]
@@ -443,6 +477,80 @@ fn @f(%i: idx, %s: Set{Bit}<idx>) -> void {
         assert_eq!(removed, 2, "{text}");
         assert!(text.contains("print %a, %x, %a, %x"), "{text}");
         assert_eq!(text.matches("dec e0").count(), 1, "{text}");
+    }
+
+    #[test]
+    fn nested_loop_reuses_the_dominating_dec_and_add() {
+        let (text, removed) = run_body(
+            r#"
+  %x = dec e0, %i
+  %a = enumadd e0, %v
+  %z = const 0u64
+  forrange %z, %n as (%k: u64) {
+    %y = dec e0, %i
+    %b = enumadd e0, %v
+    %c = enc e0, %v
+    print %y, %b, %c
+    yield
+  }
+  print %x, %a"#,
+        );
+        assert_eq!(removed, 3, "{text}");
+        assert!(text.contains("print %x, %a, %a"), "{text}");
+        assert_eq!(text.matches("dec e0").count(), 1, "{text}");
+        assert_eq!(text.matches("enumadd e0").count(), 1, "{text}");
+    }
+
+    #[test]
+    fn sibling_arms_share_nothing() {
+        let (text, removed) = run_body(
+            r#"
+  if %t then {
+    %x = dec e0, %i
+    %a = enumadd e0, %v
+    print %x, %a
+    yield
+  } else {
+    %y = dec e0, %i
+    %b = enumadd e0, %v
+    print %y, %b
+    yield
+  }
+  %w2 = dec e0, %i
+  print %w2"#,
+        );
+        assert_eq!(removed, 0, "{text}");
+        assert_eq!(text.matches("dec e0, %i").count(), 3, "{text}");
+        assert_eq!(text.matches("enumadd e0, %v").count(), 2, "{text}");
+    }
+
+    #[test]
+    fn enc_is_never_reused_across_regions() {
+        // The outer enc may have produced the sentinel; an add anywhere
+        // between it and a nested use could change the answer.
+        let (text, removed) = run_body(
+            r#"
+  %a = enc e0, %v
+  %z = const 0u64
+  forrange %z, %n as (%k: u64) {
+    %b = enc e0, %v
+    %h = has %s, %b
+    print %h
+    if %t then {
+      %c = enc e0, %v
+      %h2 = has %s, %c
+      print %h2
+      yield
+    } else {
+      yield
+    }
+    yield
+  }
+  %h3 = has %s, %a
+  print %h3"#,
+        );
+        assert_eq!(removed, 0, "{text}");
+        assert_eq!(text.matches("enc e0, %v").count(), 3, "{text}");
     }
 
     #[test]

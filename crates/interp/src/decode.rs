@@ -490,8 +490,9 @@ pub enum DInst {
     // profile indices, and trap-site numbering are unchanged, and the
     // interpreter can still run the loop generically: a profiled run
     // does so throughout, as does a loop whose regions would not fit
-    // under the depth limit, and any run does so for an iteration the
-    // tick countdown cannot cover ([`BulkPlan::worst`]).
+    // under the depth limit and, under a fuel limit or in a session, a
+    // loop whose plan holds a nested loop; any run does so for an
+    // iteration the tick countdown cannot cover ([`BulkPlan::worst`]).
     /// [`DInst::ForEach`] with a compiled bulk body plan.
     ForEachBulk {
         /// Collection operand.
@@ -584,9 +585,10 @@ pub enum EncKeyKind {
     Read,
 }
 
-/// A compiled loop body: the straight-line component sequence of a
-/// single-collection `iter` loop, with every operand resolved to a
-/// plain frame slot at decode time.
+/// A compiled loop body: the component sequence of a `foreach` or
+/// `forrange` body, with every operand resolved to a plain frame slot at
+/// decode time. Branches and loops nested in the body compile into
+/// [`BulkOp::If`] and [`BulkOp::Loop`] components, to any depth.
 ///
 /// Loop fusion runs before the superinstruction peephole, so the plan
 /// is compiled from the unfused body: one component per instruction,
@@ -612,10 +614,14 @@ pub struct BulkPlan {
     /// The most ticks one iteration can take (the longer arm of every
     /// `if`): an iteration runs through the plan only when the tick
     /// countdown covers this, so no budget boundary falls inside it.
-    pub worst: u32,
-    /// Regions the unfused loop enters per iteration: the body, plus an
-    /// `if` arm when the body branches. The plan runs only when these
-    /// fit under the depth limit.
+    /// `None` when the plan holds a loop, whose trip count only the run
+    /// knows: such a plan runs only when no fuel limit or session grant
+    /// can end a tick window, and no profiler is attached.
+    pub worst: Option<u32>,
+    /// The most regions the unfused loop has open at once per
+    /// iteration: the body, plus every `if` arm and nested loop body on
+    /// the deepest path. The plan runs only when these fit under the
+    /// depth limit.
     pub depth: u32,
 }
 
@@ -742,7 +748,50 @@ pub enum BulkOp {
         /// Destination slot.
         dst: u32,
     },
-    /// Structured if-else over straight-line arms (no nesting).
+    /// `enc(e, v)`.
+    Enc {
+        /// Enumeration index.
+        e: u32,
+        /// Key slot.
+        v: u32,
+        /// Destination slot.
+        dst: u32,
+    },
+    /// `dec(e, i)`.
+    Dec {
+        /// Enumeration index.
+        e: u32,
+        /// Identifier slot.
+        v: u32,
+        /// Destination slot.
+        dst: u32,
+    },
+    /// `add(e, v)`.
+    EnumAdd {
+        /// Enumeration index.
+        e: u32,
+        /// Key slot.
+        v: u32,
+        /// Destination slot.
+        dst: u32,
+    },
+    /// Allocate a collection (or default scalar/tuple) of a pooled type.
+    New {
+        /// Index into [`DFunc::types`].
+        ty: u32,
+        /// Destination slot.
+        dst: u32,
+    },
+    /// A nested `foreach`/`forrange`, run to completion in place through
+    /// its own plan. The loop header at this op's site supplies the
+    /// iterated collection or bounds, the carried operands and the
+    /// destinations, and the loop is opened exactly as dispatch opens it.
+    Loop {
+        /// The nested loop's body plan.
+        plan: Box<BulkPlan>,
+    },
+    /// Structured if-else; its arms may hold any plan op, nested
+    /// branches and loops included.
     If {
         /// Condition slot.
         cond: u32,
@@ -815,6 +864,16 @@ pub struct DFunc {
     pub consts: Box<[Value]>,
     /// Pooled static types (allocation, cast, defaults, union elems).
     pub types: Box<[Type]>,
+    /// Every `foreach`/`forrange` header loop fusion left generic, with
+    /// the stable reason its body did not compile to a [`BulkPlan`]
+    /// (sorted by header slot): the opcode that rejected it (`call`,
+    /// `print`, `roi`, `dowhile`, `union`, `clear`, `tuple`, `ret`),
+    /// `inner-loop` (a loop nested in the body stayed generic), `path` (a
+    /// nesting-path operand the plan cannot express), `yield-hazard` (a
+    /// yield whose in-order copies would overwrite one of their own
+    /// sources) or `malformed` (code the verifier rejects). Empty under
+    /// [`DecodeOptions::reference`], which tries no loop.
+    pub generic_loops: Box<[(u32, &'static str)]>,
 }
 
 /// A fully decoded module.
@@ -932,6 +991,7 @@ fn decode_function(func: &Function) -> DFunc {
         code: d.code.into_boxed_slice(),
         consts: d.consts.into_boxed_slice(),
         types: d.types.into_boxed_slice(),
+        generic_loops: Box::new([]),
     }
 }
 
@@ -1478,40 +1538,77 @@ fn match_window(w: &[DInst]) -> Option<DInst> {
     }
 }
 
-/// Runs the loop-granular fusion tier over every instruction of `d`:
+/// Runs the loop-granular fusion tier over every loop of `d`:
 /// `foreach`/`forrange` headers whose whole body compiles to a
 /// [`BulkPlan`] are replaced in place by [`DInst::ForEachBulk`] /
-/// [`DInst::ForRangeBulk`]. The body region's instructions are left
-/// untouched (the header occupies one code slot either way), so code
-/// length, profile indices, and trap-site numbering are unchanged and
-/// the generic loop path can still execute the region whenever the plan
-/// may not run.
+/// [`DInst::ForRangeBulk`]; every other header is recorded in
+/// [`DFunc::generic_loops`] with the reason it stayed generic. The body
+/// region's instructions are left untouched (the header occupies one
+/// code slot either way), so code length, profile indices, and trap-site
+/// numbering are unchanged and the generic loop path can still execute
+/// the region whenever the plan may not run.
 ///
-/// Runs before [`fuse_function`], so plans compile from the unfused
-/// body.
+/// Loops compile innermost first, so an enclosing body finds each
+/// nested loop already compiled and embeds its plan as a
+/// [`BulkOp::Loop`]. Runs before [`fuse_function`], so plans compile
+/// from the unfused body.
 fn loop_fuse_function(d: &mut DFunc) {
     // Field-projection operands decompose into `BulkOp::Proj` writes to
-    // scratch slots past the function's SSA slots. Each loop allocates
-    // its own run starting at the original frame size (bulk loops never
-    // nest, so runs can overlap); the frame grows to the widest run.
+    // scratch slots past the function's SSA slots. A scratch slot is
+    // dead once the op right after its projections has consumed it, so
+    // each loop allocates its own run starting at the original frame
+    // size, nested loops included; the frame grows to the widest run.
     let ssa_slots = d.frame_size;
     let mut frame_size = d.frame_size;
-    for i in 0..d.code.len() {
+    let mut generic = Vec::new();
+    for idx in loops_inner_first(d) {
         let mut scratch = ssa_slots;
-        if let Some(bulk) = try_bulk_loop(d, i, &mut scratch) {
-            d.code[i] = bulk;
-            frame_size = frame_size.max(scratch);
+        match try_bulk_loop(d, idx, &mut scratch) {
+            Ok(bulk) => {
+                d.code[idx] = bulk;
+                frame_size = frame_size.max(scratch);
+            }
+            Err(why) => generic.push((slot(idx), why)),
         }
     }
+    generic.sort_unstable();
+    d.generic_loops = generic.into_boxed_slice();
     d.frame_size = frame_size;
 }
 
+/// The `foreach`/`forrange` headers of `d`, each after every loop
+/// nested inside it. A header is found when the region holding it is
+/// scanned, which happens before its own body is; reversing that order
+/// puts nested loops first.
+fn loops_inner_first(d: &DFunc) -> Vec<usize> {
+    let mut headers = Vec::new();
+    let mut regions = vec![d.body];
+    while let Some(r) = regions.pop() {
+        let r = &d.regions[r as usize];
+        for idx in r.start as usize..r.end as usize {
+            match &d.code[idx] {
+                DInst::If { then_r, else_r, .. } => regions.extend([*then_r, *else_r]),
+                DInst::DoWhile { body, .. } => regions.push(*body),
+                DInst::ForEach { body, .. } | DInst::ForRange { body, .. } => {
+                    headers.push(idx);
+                    regions.push(*body);
+                }
+                _ => {}
+            }
+        }
+    }
+    headers.reverse();
+    headers
+}
+
+/// Why a loop stayed generic (see [`DFunc::generic_loops`]).
+type Reject = &'static str;
+
 /// Compiles the loop header at `idx` into its bulk twin, if its body is
-/// a straight-line single-level window the plan language can express.
-/// `scratch` is the loop's projection-slot allocator, seeded at the
-/// function's SSA slot count.
-fn try_bulk_loop(d: &DFunc, idx: usize, scratch: &mut u32) -> Option<DInst> {
-    match &d.code[idx] {
+/// a window the plan language can express. `scratch` is the loop's
+/// projection-slot allocator, seeded at the function's SSA slot count.
+fn try_bulk_loop(d: &DFunc, idx: usize, scratch: &mut u32) -> Result<DInst, Reject> {
+    Ok(match &d.code[idx] {
         DInst::ForEach {
             coll,
             carried,
@@ -1522,9 +1619,8 @@ fn try_bulk_loop(d: &DFunc, idx: usize, scratch: &mut u32) -> Option<DInst> {
         } => {
             let region = &d.regions[*body as usize];
             let skip = 1 + usize::from(*binds_value);
-            let carried_args = region.args.get(skip..)?;
-            let plan = compile_plan(d, region, carried_args, scratch)?;
-            Some(DInst::ForEachBulk {
+            let plan = compile_plan(d, region, &region.args[skip..], scratch)?;
+            DInst::ForEachBulk {
                 coll: coll.clone(),
                 carried: carried.clone(),
                 body: *body,
@@ -1532,7 +1628,7 @@ fn try_bulk_loop(d: &DFunc, idx: usize, scratch: &mut u32) -> Option<DInst> {
                 uncoerce_u64: *uncoerce_u64,
                 dsts: dsts.clone(),
                 plan: Box::new(plan),
-            })
+            }
         }
         DInst::ForRange {
             lo,
@@ -1542,19 +1638,18 @@ fn try_bulk_loop(d: &DFunc, idx: usize, scratch: &mut u32) -> Option<DInst> {
             dsts,
         } => {
             let region = &d.regions[*body as usize];
-            let carried_args = region.args.get(1..)?;
-            let plan = compile_plan(d, region, carried_args, scratch)?;
-            Some(DInst::ForRangeBulk {
+            let plan = compile_plan(d, region, &region.args[1..], scratch)?;
+            DInst::ForRangeBulk {
                 lo: lo.clone(),
                 hi: hi.clone(),
                 carried: carried.clone(),
                 body: *body,
                 dsts: dsts.clone(),
                 plan: Box::new(plan),
-            })
+            }
         }
-        _ => None,
-    }
+        other => unreachable!("{other:?} is not a foreach/forrange header"),
+    })
 }
 
 /// Compiles a loop body region into a [`BulkPlan`]: every component
@@ -1567,16 +1662,15 @@ fn compile_plan(
     region: &DRegion,
     carried_args: &[u32],
     scratch: &mut u32,
-) -> Option<BulkPlan> {
-    let (ops, yield_srcs) = compile_body(d, region, carried_args, true, scratch)?;
+) -> Result<BulkPlan, Reject> {
+    let (ops, yield_srcs) = compile_body(d, region, carried_args, scratch)?;
     let (prelude, mut ops): (Vec<PlanOp>, Vec<PlanOp>) = ops
         .into_iter()
         .partition(|p| matches!(p.op, BulkOp::Scalar(UScalar::Const { .. })));
     let tail = assign_ticks(&mut ops, region);
-    let branches = ops.iter().any(|p| matches!(p.op, BulkOp::If { .. }));
-    Some(BulkPlan {
+    Ok(BulkPlan {
         worst: worst_ticks(&ops, tail),
-        depth: 1 + u32::from(branches),
+        depth: 1 + nest_depth(&ops),
         prelude: prelude.into_boxed_slice(),
         ops: ops.into_boxed_slice(),
         yield_srcs: yield_srcs.into_boxed_slice(),
@@ -1602,44 +1696,66 @@ fn assign_ticks(ops: &mut [PlanOp], region: &DRegion) -> u32 {
 }
 
 /// The most ticks a compiled sequence plus `tail` can take: every op's
-/// slots and the longer arm of each `if`.
-fn worst_ticks(ops: &[PlanOp], tail: u32) -> u32 {
-    let arm = |p: &PlanOp| match &p.op {
-        BulkOp::If {
-            then_ops,
-            then_tail,
-            else_ops,
-            else_tail,
-            ..
-        } => worst_ticks(then_ops, *then_tail).max(worst_ticks(else_ops, *else_tail)),
-        _ => 0,
-    };
-    ops.iter().map(|p| p.ticks + arm(p)).sum::<u32>() + tail
+/// slots and the longer arm of each `if`. `None` when the sequence holds
+/// a loop.
+fn worst_ticks(ops: &[PlanOp], tail: u32) -> Option<u32> {
+    ops.iter().try_fold(tail, |sum, p| {
+        let arm = match &p.op {
+            BulkOp::If {
+                then_ops,
+                then_tail,
+                else_ops,
+                else_tail,
+                ..
+            } => worst_ticks(then_ops, *then_tail)?.max(worst_ticks(else_ops, *else_tail)?),
+            BulkOp::Loop { .. } => return None,
+            _ => 0,
+        };
+        Some(sum + p.ticks + arm)
+    })
+}
+
+/// The most regions the unfused code of `ops` opens below its own: an
+/// `if` arm and whatever that arm opens, or a nested loop's
+/// [`BulkPlan::depth`].
+fn nest_depth(ops: &[PlanOp]) -> u32 {
+    ops.iter()
+        .map(|p| match &p.op {
+            BulkOp::If {
+                then_ops, else_ops, ..
+            } => 1 + nest_depth(then_ops).max(nest_depth(else_ops)),
+            BulkOp::Loop { plan } => plan.depth,
+            _ => 0,
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 /// Compiles a loop body or branch arm: its components plus the source
-/// slots of its terminal yield into `dsts`. `allow_if` is `true` only
-/// for loop bodies: branch arms must be straight-line (one nesting
-/// level keeps the plan executor non-recursive in spirit and the
-/// inertness argument short).
+/// slots of its terminal yield into `dsts`.
 fn compile_body(
     d: &DFunc,
     region: &DRegion,
     dsts: &[u32],
-    allow_if: bool,
     scratch: &mut u32,
-) -> Option<(Vec<PlanOp>, Vec<u32>)> {
+) -> Result<(Vec<PlanOp>, Vec<u32>), Reject> {
     let (start, end) = (region.start as usize, region.end as usize);
     if end == start {
-        return None;
+        return Err("malformed");
     }
     let term = end - 1;
     let mut ops = Vec::new();
     for idx in start..term {
-        compile_inst(d, idx, allow_if, scratch, &mut ops)?;
+        compile_inst(d, idx, scratch, &mut ops)?;
     }
-    let srcs = direct_srcs(&d.code[term], dsts)?;
-    Some((ops, srcs))
+    let Some(srcs) = direct_srcs(&d.code[term], dsts) else {
+        let path = matches!(
+            &d.code[term],
+            DInst::Yield { ops } if ops.iter().any(|op| sl(op).is_none())
+        );
+        return Err(if path { "path" } else { "yield-hazard" });
+    };
+    Ok((ops, srcs))
 }
 
 /// Resolves a scalar-position operand to a plan slot: plain slots pass
@@ -1647,13 +1763,18 @@ fn compile_body(
 /// [`BulkOp::Proj`] into a fresh scratch slot, emitted in operand order
 /// at the consuming component's site. Deeper paths (any `Index` step
 /// touches a collection and bumps read counts) reject the loop.
-fn scalar_operand(op: &DOp, site: u32, scratch: &mut u32, out: &mut Vec<PlanOp>) -> Option<u32> {
+fn scalar_operand(
+    op: &DOp,
+    site: u32,
+    scratch: &mut u32,
+    out: &mut Vec<PlanOp>,
+) -> Result<u32, Reject> {
     match op {
-        DOp::Slot(s) => Some(*s),
+        DOp::Slot(s) => Ok(*s),
         DOp::Path(p) => match p.path.as_ref() {
             [DAccess::Field(f)] => {
                 let dst = *scratch;
-                *scratch = scratch.checked_add(1)?;
+                *scratch = scratch.checked_add(1).ok_or("path")?;
                 out.push(PlanOp {
                     site,
                     ticks: 0,
@@ -1663,45 +1784,45 @@ fn scalar_operand(op: &DOp, site: u32, scratch: &mut u32, out: &mut Vec<PlanOp>)
                         dst,
                     },
                 });
-                Some(dst)
+                Ok(dst)
             }
-            _ => None,
+            _ => Err("path"),
         },
     }
+}
+
+/// The slot of a collection operand; nesting paths reject the loop.
+fn coll_slot(op: &DOp) -> Result<u32, Reject> {
+    sl(op).ok_or("path")
 }
 
 /// Appends the plan component of the instruction at `idx`, sited at
 /// `idx` so bulk execution traps at exactly the site the unfused loop
 /// would. Single-`Field` path operands in scalar positions decompose
-/// into projections (see [`scalar_operand`]); anything with a deeper
-/// path operand, observable side channel (print, ROI, calls,
-/// enumeration ops), allocation, or nested control flow rejects the
-/// whole loop.
+/// into projections (see [`scalar_operand`]); a deeper path operand, an
+/// observable side channel (print, ROI, calls), an opcode without a
+/// plan op, or a nested loop that stayed generic rejects the whole loop.
 fn compile_inst(
     d: &DFunc,
     idx: usize,
-    allow_if: bool,
     scratch: &mut u32,
     out: &mut Vec<PlanOp>,
-) -> Option<()> {
+) -> Result<(), Reject> {
     let site = slot(idx);
     let inst = &d.code[idx];
-    if let Some(u) = uscalar(inst, |op| scalar_operand(op, site, scratch, out)) {
-        out.push(PlanOp {
-            site,
-            ticks: 0,
-            op: BulkOp::Scalar(u),
-        });
-        return Some(());
-    }
     let op = match inst {
+        DInst::Const { .. } | DInst::Bin { .. } | DInst::Cmp { .. } | DInst::Not { .. } => {
+            let u = uscalar(inst, |op| scalar_operand(op, site, scratch, out).ok());
+            BulkOp::Scalar(u.ok_or("path")?)
+        }
         DInst::Cast { ty, a, dst } => BulkOp::Cast {
             ty: *ty,
             a: scalar_operand(a, site, scratch, out)?,
             dst: *dst,
         },
+        DInst::New { ty, dst } => BulkOp::New { ty: *ty, dst: *dst },
         DInst::Read { coll, key, dst } => BulkOp::Read {
-            coll: sl(coll)?,
+            coll: coll_slot(coll)?,
             key: scalar_operand(key, site, scratch, out)?,
             dst: *dst,
         },
@@ -1711,18 +1832,18 @@ fn compile_inst(
             val,
             dst,
         } => BulkOp::Write {
-            coll: sl(coll)?,
+            coll: coll_slot(coll)?,
             key: scalar_operand(key, site, scratch, out)?,
             val: scalar_operand(val, site, scratch, out)?,
             dst: *dst,
         },
         DInst::Has { coll, key, dst } => BulkOp::Has {
-            coll: sl(coll)?,
+            coll: coll_slot(coll)?,
             key: scalar_operand(key, site, scratch, out)?,
             dst: *dst,
         },
         DInst::InsertSet { coll, elem, dst } => BulkOp::InsertSet {
-            coll: sl(coll)?,
+            coll: coll_slot(coll)?,
             elem: scalar_operand(elem, site, scratch, out)?,
             dst: *dst,
         },
@@ -1732,7 +1853,7 @@ fn compile_inst(
             val_ty,
             dst,
         } => BulkOp::InsertMap {
-            coll: sl(coll)?,
+            coll: coll_slot(coll)?,
             key: scalar_operand(key, site, scratch, out)?,
             val_ty: *val_ty,
             dst: *dst,
@@ -1743,18 +1864,33 @@ fn compile_inst(
             val,
             dst,
         } => BulkOp::InsertSeq {
-            coll: sl(coll)?,
+            coll: coll_slot(coll)?,
             index: scalar_operand(index, site, scratch, out)?,
             val: scalar_operand(val, site, scratch, out)?,
             dst: *dst,
         },
         DInst::Remove { coll, key, dst } => BulkOp::Remove {
-            coll: sl(coll)?,
+            coll: coll_slot(coll)?,
             key: scalar_operand(key, site, scratch, out)?,
             dst: *dst,
         },
         DInst::Size { coll, dst } => BulkOp::Size {
-            coll: sl(coll)?,
+            coll: coll_slot(coll)?,
+            dst: *dst,
+        },
+        DInst::Enc { e, v, dst } => BulkOp::Enc {
+            e: *e,
+            v: scalar_operand(v, site, scratch, out)?,
+            dst: *dst,
+        },
+        DInst::Dec { e, v, dst } => BulkOp::Dec {
+            e: *e,
+            v: scalar_operand(v, site, scratch, out)?,
+            dst: *dst,
+        },
+        DInst::EnumAdd { e, v, dst } => BulkOp::EnumAdd {
+            e: *e,
+            v: scalar_operand(v, site, scratch, out)?,
             dst: *dst,
         },
         DInst::If {
@@ -1762,16 +1898,16 @@ fn compile_inst(
             then_r,
             else_r,
             dsts,
-        } if allow_if => {
-            let cond = sl(cond)?;
-            let arm = |r: u32, scratch: &mut u32| {
+        } => {
+            let cond = sl(cond).ok_or("path")?;
+            let mut arm = |r: u32| {
                 let region = &d.regions[r as usize];
-                let (mut ops, srcs) = compile_body(d, region, dsts, false, scratch)?;
+                let (mut ops, srcs) = compile_body(d, region, dsts, scratch)?;
                 let tail = assign_ticks(&mut ops, region);
-                Some((ops, srcs, tail))
+                Ok::<_, Reject>((ops, srcs, tail))
             };
-            let (then_ops, then_srcs, then_tail) = arm(*then_r, scratch)?;
-            let (else_ops, else_srcs, else_tail) = arm(*else_r, scratch)?;
+            let (then_ops, then_srcs, then_tail) = arm(*then_r)?;
+            let (else_ops, else_srcs, else_tail) = arm(*else_r)?;
             BulkOp::If {
                 cond,
                 then_ops: then_ops.into_boxed_slice(),
@@ -1783,10 +1919,24 @@ fn compile_inst(
                 dsts: dsts.clone(),
             }
         }
-        _ => return None,
+        DInst::ForEachBulk { plan, .. } | DInst::ForRangeBulk { plan, .. } => {
+            BulkOp::Loop { plan: plan.clone() }
+        }
+        DInst::ForEach { .. } | DInst::ForRange { .. } => return Err("inner-loop"),
+        DInst::DoWhile { .. } => return Err("dowhile"),
+        DInst::Call { .. } => return Err("call"),
+        DInst::Print { .. } => return Err("print"),
+        DInst::Roi { .. } => return Err("roi"),
+        DInst::UnionInto { .. } => return Err("union"),
+        DInst::Clear { .. } => return Err("clear"),
+        DInst::MkTuple { .. } => return Err("tuple"),
+        DInst::Ret { .. } => return Err("ret"),
+        // A yield before the region's end: verified code has none (and
+        // the peephole's fused forms do not exist yet).
+        _ => return Err("malformed"),
     };
     out.push(PlanOp { site, ticks: 0, op });
-    Some(())
+    Ok(())
 }
 
 #[cfg(test)]
@@ -2087,8 +2237,70 @@ fn @main() -> void {
         let ticks: Vec<u32> = plan.ops.iter().map(|p| p.ticks).collect();
         assert_eq!(
             (plan.prelude[0].ticks, ticks, plan.tail, plan.worst, plan.depth),
-            (0, vec![2, 1], 1, 4, 1)
+            (0, vec![2, 1], 1, Some(4), 1)
         );
+    }
+
+    #[test]
+    fn nested_loops_compile_inner_first_and_generic_loops_keep_a_reason() {
+        let m = parse_module(
+            r#"
+fn @main() -> void {
+  %s = new Set<u64>
+  %zero = const 0u64
+  %n = const 4u64
+  %tot = forrange %zero, %n carry(%zero) as (%i: u64, %acc: u64) {
+    %in = foreach %s carry(%acc) as (%v: u64, %a: u64) {
+      %c = lt %v, %i
+      %a2 = if %c then {
+        %a1 = add %a, %v
+        yield %a1
+      } else {
+        yield %a
+      }
+      yield %a2
+    }
+    yield %in
+  }
+  %out = forrange %zero, %n carry(%zero) as (%i: u64, %acc: u64) {
+    %in = forrange %zero, %i carry(%acc) as (%j: u64, %a: u64) {
+      print %j
+      yield %a
+    }
+    yield %in
+  }
+  print %tot, %out
+  ret
+}
+"#,
+        )
+        .expect("parses");
+        let d = DecodedModule::decode_with(&m, &DecodeOptions::default());
+        let f = &d.funcs[0];
+        let outer = f
+            .code
+            .iter()
+            .find_map(|i| match i {
+                DInst::ForRangeBulk { plan, .. } => Some(plan),
+                _ => None,
+            })
+            .expect("the first forrange compiles");
+        let [PlanOp {
+            op: BulkOp::Loop { plan: inner },
+            ..
+        }] = outer.ops.as_ref()
+        else {
+            panic!("the outer plan runs the foreach in place: {outer:?}")
+        };
+        // Body, foreach body, `if` arm; a loop has no static worst case.
+        assert_eq!((outer.depth, outer.worst), (3, None));
+        assert_eq!((inner.depth, inner.worst.is_some()), (2, true));
+        assert!(f
+            .code
+            .iter()
+            .any(|i| matches!(i, DInst::ForEachBulk { .. })));
+        let reasons: Vec<&str> = f.generic_loops.iter().map(|&(_, why)| why).collect();
+        assert_eq!(reasons, ["inner-loop", "print"]);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! runs fused only when the countdown covers all its slots, and a bulk
 //! loop iteration runs through its plan only when the countdown covers
 //! the iteration's worst case, so no budget boundary ever falls inside
-//! either.
+//! either. A plan that holds a nested loop has no static worst case: it
+//! runs only when neither a fuel limit nor a session grant can end the
+//! countdown's window.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -326,23 +328,59 @@ enum RegionKind {
     /// An `if` arm of the `If`, `FusedHasIf` or `FusedCmpIf` at
     /// `header`, whose destinations receive the arm's yields.
     Arm { header: u32 },
-    /// A `forrange` body: `next` is the next index to bind, `hi` the
-    /// bound. `bulk` (fixed at loop entry) lets iterations run through
-    /// the header's plan.
-    Range {
+    /// A `foreach`/`forrange` body. `bulk` (fixed at loop entry) lets
+    /// iterations run through the header's plan.
+    Loop {
         header: u32,
-        next: u64,
-        hi: u64,
-        bulk: bool,
-    },
-    /// A `foreach` body over the snapshot entries not yet bound.
-    Each {
-        header: u32,
-        rest: std::vec::IntoIter<(Value, Value)>,
+        iter: LoopIter,
         bulk: bool,
     },
     /// A `dowhile` body.
     DoWhile { header: u32 },
+}
+
+/// What a `foreach`/`forrange` binds next.
+#[derive(Debug)]
+enum LoopIter {
+    /// A `forrange`: the next index to bind, and the bound.
+    Range { next: u64, hi: u64 },
+    /// A `foreach`: the snapshot entries not yet bound.
+    Each(std::vec::IntoIter<(Value, Value)>),
+}
+
+impl LoopIter {
+    /// Whether no iteration is left.
+    fn is_done(&self) -> bool {
+        match self {
+            LoopIter::Range { next, hi } => next >= hi,
+            LoopIter::Each(rest) => rest.len() == 0,
+        }
+    }
+
+    /// Binds the next iteration's leading body arguments (the first
+    /// `bound` of `args`); `false` once no iteration is left.
+    #[inline]
+    fn bind(&mut self, frame: &mut [Value], args: &[u32], bound: usize) -> bool {
+        match self {
+            LoopIter::Range { next, hi } => {
+                if *next >= *hi {
+                    return false;
+                }
+                frame[args[0] as usize] = Value::U64(*next);
+                *next += 1;
+            }
+            LoopIter::Each(rest) => {
+                let Some((key, value)) = rest.next() else {
+                    return false;
+                };
+                frame[args[0] as usize] = key;
+                if bound == 2 {
+                    frame[args[1] as usize] = value;
+                }
+            }
+        }
+        true
+    }
 }
 
 impl RegionKind {
@@ -352,8 +390,7 @@ impl RegionKind {
         match self {
             RegionKind::Body => None,
             RegionKind::Arm { header }
-            | RegionKind::Range { header, .. }
-            | RegionKind::Each { header, .. }
+            | RegionKind::Loop { header, .. }
             | RegionKind::DoWhile { header } => Some(*header as usize),
         }
     }
@@ -915,6 +952,44 @@ impl<'m> Interpreter<'m> {
             .unwrap_or(crate::trap::ENC_SENTINEL)
     }
 
+    /// `dec(e, i)`. An identifier the enumeration never issued (the
+    /// `enc` sentinel included) traps as out of bounds.
+    #[inline]
+    fn dec(&mut self, e: u32, id: &Value) -> Result<Value, TrapKind> {
+        let idx = id.try_as_index()?;
+        self.bump(ImplKind::EnumDec, CollOp::Read, 1);
+        let dec = &self.enums[e as usize].dec;
+        dec.get(idx).cloned().ok_or(TrapKind::OutOfBounds {
+            index: idx as u64,
+            len: dec.len(),
+        })
+    }
+
+    /// `add(e, v)`: `v`'s identifier, issuing the next one when `v` is
+    /// new.
+    fn enum_add(&mut self, e: u32, key: Value) -> usize {
+        // Bumps go through `self.bump` (so the profiler sees them too),
+        // which means the `&mut self.enums[e]` borrow cannot be held
+        // across them; the bump sequence (Read, then on a miss Insert
+        // into both Enc and Dec) is unchanged.
+        self.bump(ImplKind::EnumEnc, CollOp::Read, 1);
+        if let Some(&idx) = self.enums[e as usize].enc.get(&key) {
+            return idx;
+        }
+        self.bump(ImplKind::EnumEnc, CollOp::Insert, 1);
+        self.bump(ImplKind::EnumDec, CollOp::Insert, 1);
+        let re = &mut self.enums[e as usize];
+        let idx = re.dec.len();
+        re.enc.insert(key.clone(), idx);
+        re.dec.push(key);
+        let new = re.bytes_estimate();
+        let old = re.cached_bytes;
+        re.cached_bytes = new;
+        self.tracked_bytes = (self.tracked_bytes + new).saturating_sub(old);
+        self.sample_peak();
+        idx
+    }
+
     // ── Control: the continuation machine ──────────────────────────
 
     /// Runs `m` until the entry function returns, an error stops the
@@ -1154,12 +1229,10 @@ impl<'m> Interpreter<'m> {
             | DInst::FusedBinWrite { .. }
             | DInst::FusedReadBinWrite { .. }
             | DInst::FusedEncKey { .. } => self.exec_fused_straight(func, frame, inst, pc),
-            DInst::ForEach { .. } | DInst::ForEachBulk { .. } => {
-                self.enter_foreach(func, frame, cursors, pc)
-            }
-            DInst::ForRange { .. } | DInst::ForRangeBulk { .. } => {
-                self.enter_forrange(func, frame, cursors, pc)
-            }
+            DInst::ForEach { .. }
+            | DInst::ForEachBulk { .. }
+            | DInst::ForRange { .. }
+            | DInst::ForRangeBulk { .. } => self.enter_loop(func, frame, cursors, pc),
             DInst::DoWhile { carried, body, .. } => {
                 self.load_carried(frame, carried, &func.regions[*body as usize].args)?;
                 self.count_loop(false);
@@ -1256,7 +1329,7 @@ impl<'m> Interpreter<'m> {
                 }
                 Ok(leave_to_parent(cursors))
             }
-            RegionKind::Range { header, .. } | RegionKind::Each { header, .. } => {
+            RegionKind::Loop { header, .. } => {
                 if let Some(vals) = vals {
                     let parts = LoopParts::of(&func.code[header as usize]);
                     let args = &func.regions[parts.body as usize].args;
@@ -1485,13 +1558,7 @@ impl<'m> Interpreter<'m> {
                 frame[*dst as usize] = func.consts[*pool as usize].clone();
             }
             DInst::New { ty, dst } => {
-                let ty = &func.types[*ty as usize];
-                let v = if ty.is_collection() {
-                    Value::Coll(self.alloc_collection(ty)?)
-                } else {
-                    self.default_value(ty)?
-                };
-                frame[*dst as usize] = v;
+                frame[*dst as usize] = self.default_value(&func.types[*ty as usize])?;
             }
             DInst::Read { coll, key, dst } => {
                 let id = self.resolve_coll(frame, coll)?;
@@ -1617,24 +1684,12 @@ impl<'m> Interpreter<'m> {
                 frame[*dst as usize] = Value::Idx(idx);
             }
             DInst::Dec { e, v, dst } => {
-                let idx = self.resolve(frame, v)?.try_as_index().map_err(trap)?;
-                self.bump(ImplKind::EnumDec, CollOp::Read, 1);
-                let v = self.enums[*e as usize]
-                    .dec
-                    .get(idx)
-                    .cloned()
-                    .ok_or_else(|| {
-                        trap(TrapKind::OutOfBounds {
-                            index: idx as u64,
-                            len: self.enums[*e as usize].dec.len(),
-                        })
-                    })?;
-                frame[*dst as usize] = v;
+                let id = self.resolve(frame, v)?;
+                frame[*dst as usize] = self.dec(*e, &id).map_err(trap)?;
             }
             DInst::EnumAdd { e, v, dst } => {
                 let key = self.resolve(frame, v)?.into_owned();
-                let idx = self.enum_add(*e as usize, key);
-                frame[*dst as usize] = Value::Idx(idx);
+                frame[*dst as usize] = Value::Idx(self.enum_add(*e, key));
             }
             other => {
                 // The decoder routes every control opcode to `exec_inst`;
@@ -1645,10 +1700,10 @@ impl<'m> Interpreter<'m> {
         Ok(())
     }
 
-    /// The `foreach` prelude shared by the generic and the bulk loop:
-    /// snapshots the collection, counts the iteration (`IterElem` per
-    /// entry, `IterWord` per scanned occupancy word) and presents dense
-    /// keys as `u64` where the static key type asks for it.
+    /// Snapshots a `foreach`'s collection, whether dispatch or a nested
+    /// loop op opens it: counts the iteration (`IterElem` per entry,
+    /// `IterWord` per scanned occupancy word) and presents dense keys as
+    /// `u64` where the static key type asks for it.
     fn foreach_entries(
         &mut self,
         frame: &[Value],
@@ -1671,9 +1726,12 @@ impl<'m> Interpreter<'m> {
         Ok(entries)
     }
 
-    /// Enters a `foreach` (generic or bulk): snapshots the collection,
-    /// then starts the loop.
-    fn enter_foreach(
+    /// Enters a `foreach`/`forrange` (generic or bulk): opens the loop,
+    /// decides whether its iterations may run through the header's plan
+    /// (counting the loop's tier and running the plan's prelude if so),
+    /// then binds the first iteration. A loop with no iterations lands
+    /// its carried values in its destinations without entering the body.
+    fn enter_loop(
         &mut self,
         func: &DFunc,
         frame: &mut [Value],
@@ -1681,127 +1739,91 @@ impl<'m> Interpreter<'m> {
         pc: usize,
     ) -> Result<Next, ExecError> {
         let inst = &func.code[pc];
-        let (DInst::ForEach {
-            coll,
-            carried,
-            uncoerce_u64,
-            ..
-        }
-        | DInst::ForEachBulk {
-            coll,
-            carried,
-            uncoerce_u64,
-            ..
-        }) = inst
-        else {
-            unreachable!()
-        };
-        let entries = self.foreach_entries(frame, coll, *uncoerce_u64)?;
         let parts = LoopParts::of(inst);
-        let bulk = self.start_loop(func, frame, carried, &parts, cursors.len())?;
-        if entries.is_empty() {
-            return Ok(self.skip_loop(func, frame, &parts, pc));
-        }
-        self.enter_region(
-            func,
-            cursors,
-            pc + 1,
-            parts.body,
-            RegionKind::Each {
-                header: pc as u32,
-                rest: entries.into_iter(),
-                bulk,
-            },
-        )?;
-        self.next_iteration(func, frame, cursors)
-    }
-
-    /// Enters a `forrange` (generic or bulk): resolves the bounds, then
-    /// starts the loop.
-    fn enter_forrange(
-        &mut self,
-        func: &DFunc,
-        frame: &mut [Value],
-        cursors: &mut Vec<Cursor>,
-        pc: usize,
-    ) -> Result<Next, ExecError> {
-        let inst = &func.code[pc];
-        let (DInst::ForRange {
-            lo, hi, carried, ..
-        }
-        | DInst::ForRangeBulk {
-            lo, hi, carried, ..
-        }) = inst
-        else {
-            unreachable!()
-        };
-        let lo = self.resolve(frame, lo)?.try_as_u64().map_err(trap)?;
-        let hi = self.resolve(frame, hi)?.try_as_u64().map_err(trap)?;
-        let parts = LoopParts::of(inst);
-        let bulk = self.start_loop(func, frame, carried, &parts, cursors.len())?;
-        if lo >= hi {
-            return Ok(self.skip_loop(func, frame, &parts, pc));
-        }
-        self.enter_region(
-            func,
-            cursors,
-            pc + 1,
-            parts.body,
-            RegionKind::Range {
-                header: pc as u32,
-                next: lo,
-                hi,
-                bulk,
-            },
-        )?;
-        self.next_iteration(func, frame, cursors)
-    }
-
-    /// What every `foreach`/`forrange` entry shares: loads the initial
-    /// carried values into the body's carried argument slots, decides
-    /// whether iterations may run through the header's plan, counts the
-    /// loop's tier and runs the plan's prelude. A plan may run only when
-    /// no profiler is attached and its regions (body, and an `if` arm if
-    /// it has one) fit under the depth limit from `height`, so the
-    /// generic loop could not have tripped it either.
-    fn start_loop(
-        &mut self,
-        func: &DFunc,
-        frame: &mut [Value],
-        carried: &[DOp],
-        parts: &LoopParts<'_>,
-        height: usize,
-    ) -> Result<bool, ExecError> {
-        let args = &func.regions[parts.body as usize].args;
-        self.load_carried(frame, carried, &args[parts.bound..])?;
-        let plan = parts.plan.filter(|p| {
-            self.profiler.is_none()
-                && self
-                    .config
-                    .max_depth
-                    .is_none_or(|max| height + p.depth as usize <= max as usize)
-        });
+        let iter = self.open_loop(func, frame, inst, &parts)?;
+        let plan = parts.plan.filter(|p| self.plan_may_run(p, cursors.len()));
         self.count_loop(plan.is_some());
         if let Some(plan) = plan {
             for p in plan.prelude.iter() {
                 self.exec_plan_op(func, frame, p)?;
             }
         }
-        Ok(plan.is_some())
+        if iter.is_done() {
+            let args = &func.regions[parts.body as usize].args;
+            copy_slots(frame, &args[parts.bound..], parts.dsts);
+            return Ok(Next::At(pc + 1));
+        }
+        self.enter_region(
+            func,
+            cursors,
+            pc + 1,
+            parts.body,
+            RegionKind::Loop {
+                header: pc as u32,
+                iter,
+                bulk: plan.is_some(),
+            },
+        )?;
+        self.next_iteration(func, frame, cursors)
     }
 
-    /// A loop with no iterations: its carried values land in its
-    /// destinations without entering the body.
-    fn skip_loop(
-        &self,
+    /// Opens the `foreach`/`forrange` header `inst`, as dispatch and a
+    /// [`BulkOp::Loop`] both do: snapshots the collection or resolves
+    /// the bounds, then loads the initial carried values into the body's
+    /// carried argument slots.
+    fn open_loop(
+        &mut self,
         func: &DFunc,
         frame: &mut [Value],
+        inst: &DInst,
         parts: &LoopParts<'_>,
-        pc: usize,
-    ) -> Next {
+    ) -> Result<LoopIter, ExecError> {
+        let (iter, carried) = match inst {
+            DInst::ForEach {
+                coll,
+                carried,
+                uncoerce_u64,
+                ..
+            }
+            | DInst::ForEachBulk {
+                coll,
+                carried,
+                uncoerce_u64,
+                ..
+            } => {
+                let entries = self.foreach_entries(frame, coll, *uncoerce_u64)?;
+                (LoopIter::Each(entries.into_iter()), carried)
+            }
+            DInst::ForRange {
+                lo, hi, carried, ..
+            }
+            | DInst::ForRangeBulk {
+                lo, hi, carried, ..
+            } => {
+                let next = self.resolve(frame, lo)?.try_as_u64().map_err(trap)?;
+                let hi = self.resolve(frame, hi)?.try_as_u64().map_err(trap)?;
+                (LoopIter::Range { next, hi }, carried)
+            }
+            other => unreachable!("{other:?} is not a foreach/forrange header"),
+        };
         let args = &func.regions[parts.body as usize].args;
-        copy_slots(frame, &args[parts.bound..], parts.dsts);
-        Next::At(pc + 1)
+        self.load_carried(frame, carried, &args[parts.bound..])?;
+        Ok(iter)
+    }
+
+    /// Whether a loop entered with `height` regions open may run its
+    /// iterations through `plan`: no profiler attributes work per site,
+    /// the plan's regions fit under the depth limit from `height` (so the
+    /// generic loop could not have tripped it either), and a plan with no
+    /// static worst case (it holds a loop) runs only where no fuel limit
+    /// or session grant can end a tick window inside an iteration.
+    fn plan_may_run(&self, plan: &BulkPlan, height: usize) -> bool {
+        self.profiler.is_none()
+            && (plan.worst.is_some() || self.config.fuel.is_none() && !self.sliced)
+            && self
+                .config
+                .max_depth
+                .is_none_or(|max| height + plan.depth as usize <= max as usize)
     }
 
     /// Resolves a loop's initial carried values into its body's carried
@@ -1844,38 +1866,20 @@ impl<'m> Interpreter<'m> {
         cursors: &mut Vec<Cursor>,
     ) -> Result<Next, ExecError> {
         let top = cursors.last_mut().expect("loop region");
-        let (header, bulk) = match &top.kind {
-            RegionKind::Range { header, bulk, .. } | RegionKind::Each { header, bulk, .. } => {
-                (*header, *bulk)
-            }
-            other => unreachable!("{other:?} is not a foreach/forrange body"),
+        let RegionKind::Loop { header, iter, bulk } = &mut top.kind else {
+            unreachable!("{:?} is not a foreach/forrange body", top.kind)
         };
-        let parts = LoopParts::of(&func.code[header as usize]);
+        let parts = LoopParts::of(&func.code[*header as usize]);
         let args = &func.regions[parts.body as usize].args;
         let carried_args = &args[parts.bound..];
-        let plan = parts.plan.filter(|_| bulk);
-        loop {
-            match &mut top.kind {
-                RegionKind::Range { next, hi, .. } => {
-                    if *next >= *hi {
-                        break;
-                    }
-                    frame[args[0] as usize] = Value::U64(*next);
-                    *next += 1;
-                }
-                RegionKind::Each { rest, .. } => {
-                    let Some((key, value)) = rest.next() else {
-                        break;
-                    };
-                    frame[args[0] as usize] = key;
-                    if parts.bound == 2 {
-                        frame[args[1] as usize] = value;
-                    }
-                }
-                _ => unreachable!(),
-            }
+        let plan = parts.plan.filter(|_| *bulk);
+        while iter.bind(frame, args, parts.bound) {
             match plan {
-                Some(plan) if self.ticks_left >= u64::from(plan.worst) => {
+                Some(plan)
+                    if plan
+                        .worst
+                        .is_none_or(|worst| self.ticks_left >= u64::from(worst)) =>
+                {
                     self.exec_plan_iteration(func, frame, plan, carried_args)?;
                 }
                 _ => {
@@ -1942,10 +1946,40 @@ impl<'m> Interpreter<'m> {
         Ok(())
     }
 
+    /// The nested loop at code slot `header` (a [`BulkOp::Loop`]), run to
+    /// completion through its `plan`: opened as dispatch opens it, every
+    /// iteration through the plan, then the carried values landed in the
+    /// header's destinations. The enclosing plan may run only where this
+    /// one may (its depth counts this loop's regions, and its worst case
+    /// is unbounded), so no iteration needs the countdown check.
+    fn run_loop_in_place(
+        &mut self,
+        func: &DFunc,
+        frame: &mut [Value],
+        header: usize,
+        plan: &BulkPlan,
+    ) -> Result<(), ExecError> {
+        let inst = &func.code[header];
+        let parts = LoopParts::of(inst);
+        let mut iter = self.open_loop(func, frame, inst, &parts)?;
+        self.count_loop(true);
+        for p in plan.prelude.iter() {
+            self.exec_plan_op(func, frame, p)?;
+        }
+        let args = &func.regions[parts.body as usize].args;
+        let carried_args = &args[parts.bound..];
+        while iter.bind(frame, args, parts.bound) {
+            self.exec_plan_iteration(func, frame, plan, carried_args)?;
+        }
+        copy_slots(frame, carried_args, parts.dsts);
+        Ok(())
+    }
+
     /// One plan component: the same kernel as the corresponding arm of
     /// [`Self::exec_simple_inst`] (operands are plain slots by
-    /// construction), with traps sited at the component's original code
-    /// index — the site the unfused loop would report.
+    /// construction; a nested loop opens through [`Self::open_loop`]),
+    /// with traps sited at the component's original code index — the
+    /// site the unfused loop would report.
     fn exec_plan_op(
         &mut self,
         func: &DFunc,
@@ -2038,6 +2072,24 @@ impl<'m> Interpreter<'m> {
                 let id = frame[*coll as usize].try_as_coll().map_err(at)?;
                 frame[*dst as usize] = Value::U64(self.size(id));
             }
+            BulkOp::Enc { e, v, dst } => {
+                frame[*dst as usize] = Value::Idx(self.enc(*e, &frame[*v as usize]));
+            }
+            BulkOp::Dec { e, v, dst } => {
+                frame[*dst as usize] = self.dec(*e, &frame[*v as usize]).map_err(at)?;
+            }
+            BulkOp::EnumAdd { e, v, dst } => {
+                let key = frame[*v as usize].clone();
+                frame[*dst as usize] = Value::Idx(self.enum_add(*e, key));
+            }
+            BulkOp::New { ty, dst } => {
+                frame[*dst as usize] = self
+                    .default_value(&func.types[*ty as usize])
+                    .map_err(|e| site_at(func, site, e))?;
+            }
+            BulkOp::Loop { plan } => self
+                .run_loop_in_place(func, frame, site, plan)
+                .map_err(|e| site_at(func, site, e))?,
             BulkOp::If {
                 cond,
                 then_ops,
@@ -2061,29 +2113,6 @@ impl<'m> Interpreter<'m> {
             }
         }
         Ok(())
-    }
-
-    fn enum_add(&mut self, e: usize, key: Value) -> usize {
-        // Bumps go through `self.bump` (so the profiler sees them too),
-        // which means the `&mut self.enums[e]` borrow cannot be held
-        // across them; the bump sequence (Read, then on a miss Insert
-        // into both Enc and Dec) is unchanged.
-        self.bump(ImplKind::EnumEnc, CollOp::Read, 1);
-        if let Some(&idx) = self.enums[e].enc.get(&key) {
-            return idx;
-        }
-        self.bump(ImplKind::EnumEnc, CollOp::Insert, 1);
-        self.bump(ImplKind::EnumDec, CollOp::Insert, 1);
-        let re = &mut self.enums[e];
-        let idx = re.dec.len();
-        re.enc.insert(key.clone(), idx);
-        re.dec.push(key);
-        let new = re.bytes_estimate();
-        let old = re.cached_bytes;
-        re.cached_bytes = new;
-        self.tracked_bytes = (self.tracked_bytes + new).saturating_sub(old);
-        self.sample_peak();
-        idx
     }
 
     fn union_into(

@@ -19,7 +19,8 @@
 //!
 //! Suspension touches no interpreter state, and the fused windows and
 //! bulk loop plans count their ticks exactly (they run only where no
-//! grant boundary falls inside them), so outputs, statistics, per-site
+//! grant boundary falls inside them, so a plan holding a nested loop,
+//! which has no static worst case, never runs in a session), so outputs, statistics, per-site
 //! profiles, tick counts and trap sites are byte-identical for
 //! **every** quantum size, and to the batch run — the
 //! quantum-invariance and budget-parity differential tests pin this.

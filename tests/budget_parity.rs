@@ -6,6 +6,11 @@
 //! run must match the batch run on the reference decode under the same
 //! budget: output, return value, per-phase statistics, peak and final
 //! bytes, executed ticks, and the error (code and `@fn:inst` site).
+//! A plan that holds a nested loop has no static worst case, so it runs
+//! only in the unlimited batch runs; under fuel and in sessions its loop
+//! runs generically, and the sweep checks that it still matches.
+
+mod common;
 
 use std::sync::Arc;
 
@@ -17,6 +22,7 @@ use ade::interp::{
 use ade::ir::parse::parse_module;
 use ade::ir::Module;
 use ade_obs::{MetricValue, MetricsRegistry};
+use common::bulk_plan_has;
 
 /// One program, the decode shapes it must exercise, and the depth
 /// limits to run it under.
@@ -115,8 +121,8 @@ fn @main() -> void {
 }
 "#;
 
-/// A call inside a loop, and a bulk `foreach` nested in a generic
-/// `forrange`.
+/// A call inside a loop (which keeps that loop generic), and a bulk
+/// `foreach` nested in a `forrange` whose plan runs it in place.
 const CALLS_AND_NESTING: &str = r#"
 fn @main() -> void {
   %s = new Set<u64>
@@ -238,9 +244,70 @@ fn @rec(%n: u64) -> u64 {
 }
 "#;
 
+/// Nested loops, branches nested in branches and every enumeration op
+/// inside one plan, ending in a `dec` trap in an inner loop: outer
+/// `forrange`s whose plans hold inner loops, an `if` inside an `if` arm,
+/// `enc`/`dec`/`enumadd` and `new` components.
+const NESTED: &str = r#"
+enum e0: u64
+
+fn @main() -> void {
+  %zero = const 0u64
+  %two = const 2u64
+  %six = const 6u64
+  %s = new Set<u64>
+  %seed = forrange %zero, %six carry(%s) as (%i: u64, %ss: Set<u64>) {
+    %s1 = insert %ss, %i
+    yield %s1
+  }
+  %ids = new Set{Bit}<idx>
+  %idf, %tot = forrange %zero, %six carry(%ids, %zero) as (%j: u64, %is: Set{Bit}<idx>, %acc: u64) {
+    %id = enumadd e0, %j
+    %is1 = insert %is, %id
+    %seen = new Set<u64>
+    %inner, %sf = foreach %seed carry(%acc, %seen) as (%v: u64, %a: u64, %m: Set<u64>) {
+      %e = enc e0, %v
+      %h = has %is1, %e
+      %a2, %m2 = if %h then {
+        %back = dec e0, %e
+        %small = lt %back, %two
+        %a1, %m1 = if %small then {
+          %w = add %a, %back
+          %mi = insert %m, %back
+          yield %w, %mi
+        } else {
+          yield %a, %m
+        }
+        yield %a1, %m1
+      } else {
+        yield %a, %m
+      }
+      yield %a2, %m2
+    }
+    %n = size %sf
+    %acc1 = add %inner, %n
+    yield %is1, %acc1
+  }
+  %cnt = size %idf
+  %bad = forrange %zero, %two carry(%zero) as (%p: u64, %b: u64) {
+    %q = forrange %zero, %cnt carry(%b) as (%k: u64, %c: u64) {
+      %off = mul %p, %six
+      %kk = add %off, %k
+      %kid = cast %kk to idx
+      %d = dec e0, %kid
+      %c1 = add %c, %d
+      yield %c1
+    }
+    yield %q
+  }
+  print %tot, %bad
+  ret
+}
+"#;
+
 fn bulk_range_with_if(i: &DInst) -> bool {
-    matches!(i, DInst::ForRangeBulk { plan, .. }
-        if plan.ops.iter().any(|p| matches!(p.op, BulkOp::If { .. })))
+    matches!(i, DInst::ForRangeBulk { .. })
+        && bulk_plan_has(i, |op| matches!(op, BulkOp::If { .. }))
 }
 
 fn bulk_foreach(i: &DInst) -> bool {
@@ -271,9 +338,13 @@ const CASES: &[Case] = &[
         depths: NO_DEPTH_LIMIT,
     },
     Case {
-        name: "call in a loop, bulk loop nested in a generic one",
+        name: "call in a loop, bulk loop nested in a bulk one",
         text: CALLS_AND_NESTING,
-        shapes: &[bulk_foreach, |i| matches!(i, DInst::ForRange { .. })],
+        shapes: &[
+            bulk_foreach,
+            |i| matches!(i, DInst::ForRange { .. }),
+            |i| bulk_plan_has(i, |op| matches!(op, BulkOp::Loop { .. })),
+        ],
         depths: NO_DEPTH_LIMIT,
     },
     Case {
@@ -287,6 +358,32 @@ const CASES: &[Case] = &[
         text: TRAP_IN_WINDOW,
         shapes: &[|i| matches!(i, DInst::FusedReadBin { .. })],
         depths: NO_DEPTH_LIMIT,
+    },
+    Case {
+        name: "nested loops, nested branches and enumeration ops in one plan",
+        text: NESTED,
+        shapes: &[
+            |i| bulk_plan_has(i, |op| matches!(op, BulkOp::Loop { .. })),
+            |i| {
+                bulk_plan_has(i, |op| {
+                    let BulkOp::If {
+                        then_ops, else_ops, ..
+                    } = op
+                    else {
+                        return false;
+                    };
+                    then_ops
+                        .iter()
+                        .chain(else_ops.iter())
+                        .any(|p| matches!(p.op, BulkOp::If { .. }))
+                })
+            },
+            |i| bulk_plan_has(i, |op| matches!(op, BulkOp::Enc { .. })),
+            |i| bulk_plan_has(i, |op| matches!(op, BulkOp::Dec { .. })),
+            |i| bulk_plan_has(i, |op| matches!(op, BulkOp::EnumAdd { .. })),
+            |i| bulk_plan_has(i, |op| matches!(op, BulkOp::New { .. })),
+        ],
+        depths: &[None, Some(4), Some(5), Some(6)],
     },
     Case {
         name: "depth limit around a bulk loop's regions",
@@ -444,8 +541,13 @@ fn traps_in_plans_and_windows_match_the_reference_under_every_budget() {
 }
 
 #[test]
+fn nested_plans_match_the_reference_under_every_budget() {
+    check(&CASES[5]);
+}
+
+#[test]
 fn depth_limits_match_the_reference_under_every_budget() {
-    let case = &CASES[5];
+    let case = &CASES[6];
     check(case);
     // The sweep covers both sides of the limit: runs that finish, and
     // runs the limit stops.
@@ -494,6 +596,35 @@ fn bulk_plans_run_under_a_session() {
             "reference={reference}"
         );
     }
+}
+
+/// The loop-tier counter shows where a plan holding a nested loop runs:
+/// in an unlimited batch run the outer loop enters as `bulk` and runs
+/// each inner loop in place (also counted `bulk`); under a fuel limit or
+/// in a session the outer loop runs generically and each inner loop
+/// enters through its own plan.
+#[test]
+fn nested_plans_run_only_without_fuel_or_session() {
+    let module = parse_module(CALLS_AND_NESTING).expect("parses");
+    let decoded = decode(&module, false);
+    let tiers = |fuel: Option<u64>, quantum: Option<Option<u64>>| {
+        let config = config(fuel, None);
+        let metrics = config.metrics.clone();
+        match quantum {
+            Some(quantum) => drop(session_run(&decoded, config, quantum).expect("runs")),
+            None => drop(
+                Interpreter::new(&module, config)
+                    .run_decoded(&decoded, "main")
+                    .expect("runs"),
+            ),
+        }
+        let tier = |t: &str| counter(&metrics, &format!(r#"exec_loop_tier_total{{tier="{t}"}}"#));
+        (tier("bulk"), tier("generic"))
+    };
+    // The call loop stays generic; `%tot` and its 12 inner loops.
+    assert_eq!(tiers(None, None), (13, 1), "unlimited batch run");
+    assert_eq!(tiers(Some(u64::MAX), None), (12, 2), "fuel limit");
+    assert_eq!(tiers(None, Some(None)), (12, 2), "session");
 }
 
 /// Guest recursion 100,000 calls deep.

@@ -325,23 +325,30 @@ fn fuel_boundary_is_exact_under_batch_and_every_quantum() {
 }
 
 /// Per-module decode shape at scale 4: `ABBREV config fused bulk
-/// components` rows for every benchmark under `memoir` and `ade`.
+/// components generic` rows for every benchmark under `memoir` and
+/// `ade`.
 const GOLDEN_SHAPE: &str = include_str!("golden/decoded_shape_scale4.txt");
 
 /// Counts the default decode's `Fused*` superinstructions, bulk loop
 /// headers (`ForEachBulk`/`ForRangeBulk`) and bulk plan components
-/// (prelude plus per-iteration ops, each `If` arm's ops included).
-fn decoded_shape(decoded: &DecodedModule) -> (usize, usize, usize) {
-    use ade::interp::decode::{BulkOp, DInst, PlanOp};
+/// (prelude plus per-iteration ops, each `If` arm's and nested loop
+/// plan's ops included), and tallies the reasons the other loop headers
+/// stayed generic as `reason=count` pairs (`-` when none did).
+fn decoded_shape(decoded: &DecodedModule) -> (usize, usize, usize, String) {
+    use ade::interp::decode::{BulkOp, BulkPlan, DInst, PlanOp};
     fn components(ops: &[PlanOp]) -> usize {
         ops.iter()
             .map(|p| match &p.op {
                 BulkOp::If {
                     then_ops, else_ops, ..
                 } => 1 + components(then_ops) + components(else_ops),
+                BulkOp::Loop { plan } => 1 + plan_components(plan),
                 _ => 1,
             })
             .sum()
+    }
+    fn plan_components(plan: &BulkPlan) -> usize {
+        components(&plan.prelude) + components(&plan.ops)
     }
     let (mut fused, mut bulk, mut plan_ops) = (0, 0, 0);
     for inst in decoded.funcs.iter().flat_map(|f| f.code.iter()) {
@@ -355,12 +362,25 @@ fn decoded_shape(decoded: &DecodedModule) -> (usize, usize, usize) {
             | DInst::FusedEncKey { .. } => fused += 1,
             DInst::ForEachBulk { plan, .. } | DInst::ForRangeBulk { plan, .. } => {
                 bulk += 1;
-                plan_ops += components(&plan.prelude) + components(&plan.ops);
+                plan_ops += plan_components(plan);
             }
             _ => {}
         }
     }
-    (fused, bulk, plan_ops)
+    let mut generic = std::collections::BTreeMap::<&str, usize>::new();
+    for (_, why) in decoded.funcs.iter().flat_map(|f| f.generic_loops.iter()) {
+        *generic.entry(why).or_default() += 1;
+    }
+    let generic: Vec<String> = generic
+        .iter()
+        .map(|(why, n)| format!("{why}={n}"))
+        .collect();
+    let generic = if generic.is_empty() {
+        "-".to_string()
+    } else {
+        generic.join(",")
+    };
+    (fused, bulk, plan_ops, generic)
 }
 
 /// The default decode builds the same peephole windows, bulk loops and
@@ -376,9 +396,9 @@ fn decode_keeps_every_window_and_plan() {
             let mut module = (bench.build)(4);
             config.compile(&mut module);
             let decoded = DecodedModule::decode_with(&module, &DecodeOptions::default());
-            let (fused, bulk, plan_ops) = decoded_shape(&decoded);
+            let (fused, bulk, plan_ops, generic) = decoded_shape(&decoded);
             table.push_str(&format!(
-                "{} {} {fused} {bulk} {plan_ops}\n",
+                "{} {} {fused} {bulk} {plan_ops} {generic}\n",
                 bench.abbrev,
                 kind.name()
             ));

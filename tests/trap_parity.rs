@@ -1,11 +1,16 @@
 //! Guest traps raised inside bulk loop plans and fused peephole windows
 //! on the unobserved default path (no fuel, profiler or session, so
-//! bulk plans run) must match the reference decode exactly: the same
-//! trap kind, code and `@fn:inst` site.
+//! bulk plans run, nested ones included) must match the reference
+//! decode exactly: the same trap kind, code and `@fn:inst` site. A heap
+//! limit tripped inside a plan must stop the run at the same tick.
 
-use ade::interp::decode::DInst;
-use ade::interp::{DecodeOptions, DecodedModule, ExecConfig, ExecError, Interpreter};
+mod common;
+
+use ade::interp::decode::{BulkOp, DInst};
+use ade::interp::{DecodeOptions, DecodedModule, ExecConfig, ExecError, Interpreter, Limit};
 use ade::ir::parse::parse_module;
+use ade_obs::{MetricValue, MetricsRegistry};
+use common::bulk_plan_has;
 
 /// One trapping program and the decode shape it must exercise.
 struct Case {
@@ -13,8 +18,9 @@ struct Case {
     text: &'static str,
     /// The expected [`ExecError::code`].
     code: &'static str,
-    /// A peephole window the default decode must contain, if any.
-    window: Option<fn(&DInst) -> bool>,
+    /// A peephole window or plan shape the default decode must contain,
+    /// if any.
+    shape: Option<fn(&DInst) -> bool>,
 }
 
 const CASES: &[Case] = &[
@@ -40,7 +46,7 @@ fn @main() -> void {
 }
 "#,
         code: "missing-key",
-        window: Some(|i| matches!(i, DInst::FusedReadBinWrite { .. })),
+        shape: Some(|i| matches!(i, DInst::FusedReadBinWrite { .. })),
     },
     Case {
         name: "missing key in the arm of a has+if window of a foreach",
@@ -70,7 +76,7 @@ fn @main() -> void {
 }
 "#,
         code: "missing-key",
-        window: Some(|i| matches!(i, DInst::FusedHasIf { .. })),
+        shape: Some(|i| matches!(i, DInst::FusedHasIf { .. })),
     },
     Case {
         name: "out-of-range seq insert in a foreach",
@@ -91,7 +97,7 @@ fn @main() -> void {
 }
 "#,
         code: "out-of-bounds",
-        window: None,
+        shape: None,
     },
     Case {
         name: "out-of-range seq insert after a scalar window of a forrange",
@@ -112,7 +118,7 @@ fn @main() -> void {
 }
 "#,
         code: "out-of-bounds",
-        window: Some(|i| matches!(i, DInst::FusedScalars { .. })),
+        shape: Some(|i| matches!(i, DInst::FusedScalars { .. })),
     },
     Case {
         name: "enc sentinel inserted into a bit set in a forrange, after an enc+has window",
@@ -135,7 +141,7 @@ fn @main() -> void {
 }
 "#,
         code: "sentinel-insert",
-        window: Some(|i| matches!(i, DInst::FusedEncKey { .. })),
+        shape: Some(|i| matches!(i, DInst::FusedEncKey { .. })),
     },
     Case {
         name: "division by zero inside a scalar window of a forrange",
@@ -155,7 +161,7 @@ fn @main() -> void {
 }
 "#,
         code: "div-by-zero",
-        window: Some(|i| matches!(i, DInst::FusedScalars { .. })),
+        shape: Some(|i| matches!(i, DInst::FusedScalars { .. })),
     },
     Case {
         name: "division by zero in a read+bin window of a foreach",
@@ -177,7 +183,66 @@ fn @main() -> void {
 }
 "#,
         code: "div-by-zero",
-        window: Some(|i| matches!(i, DInst::FusedReadBin { .. })),
+        shape: Some(|i| matches!(i, DInst::FusedReadBin { .. })),
+    },
+    Case {
+        name: "missing key in an inner loop of a nested plan",
+        text: r#"
+fn @main() -> void {
+  %m = new Map<u64, u64>
+  %zero = const 0u64
+  %ten = const 10u64
+  %mf = forrange %zero, %ten carry(%m) as (%i: u64, %mm: Map<u64, u64>) {
+    %m1 = write %mm, %i, %i
+    yield %m1
+  }
+  %four = const 4u64
+  %three = const 3u64
+  %tot = forrange %zero, %three carry(%zero) as (%j: u64, %acc: u64) {
+    %base = mul %j, %four
+    %in = forrange %zero, %four carry(%acc) as (%k: u64, %a: u64) {
+      %key = add %base, %k
+      %v = read %mf, %key
+      %a1 = add %a, %v
+      yield %a1
+    }
+    yield %in
+  }
+  print %tot
+  ret
+}
+"#,
+        code: "missing-key",
+        shape: Some(|i| bulk_plan_has(i, |op| matches!(op, BulkOp::Loop { .. }))),
+    },
+    Case {
+        name: "dec of an identifier past the enumeration inside a plan",
+        text: r#"
+enum e0: u64
+
+fn @main() -> void {
+  %s = new Set<u64>
+  %zero = const 0u64
+  %three = const 3u64
+  %five = const 5u64
+  %ids = forrange %zero, %three carry(%s) as (%i: u64, %ss: Set<u64>) {
+    %id = enumadd e0, %i
+    %s1 = insert %ss, %i
+    yield %s1
+  }
+  %tot = forrange %zero, %five carry(%zero) as (%i: u64, %acc: u64) {
+    %id = cast %i to idx
+    %v = dec e0, %id
+    %acc1 = add %acc, %v
+    yield %acc1
+  }
+  %n = size %ids
+  print %tot, %n
+  ret
+}
+"#,
+        code: "out-of-bounds",
+        shape: Some(|i| bulk_plan_has(i, |op| matches!(op, BulkOp::Dec { .. }))),
     },
 ];
 
@@ -204,8 +269,12 @@ fn bulk_and_fused_traps_match_the_reference_decode() {
             "{}: the loop must compile to a bulk plan",
             case.name
         );
-        if let Some(window) = case.window {
-            assert!(code().any(window), "{}: the window must fuse", case.name);
+        if let Some(shape) = case.shape {
+            assert!(
+                code().any(shape),
+                "{}: the decode lacks its shape",
+                case.name
+            );
         }
         let (_, reference) = run(&module, true);
         assert_eq!(default, reference, "{}", case.name);
@@ -247,4 +316,71 @@ fn @main() -> void {
     assert_eq!(default, reference);
     assert_eq!(default.code(), "missing-key");
     assert!(default.to_string().contains("@main:3"), "{default}");
+}
+
+/// A `max_heap_cells` limit that trips at a `new` inside a bulk loop
+/// plan stops the run with the same error, after the same number of
+/// ticks, as on the reference decode.
+#[test]
+fn heap_cell_limit_trips_at_a_planned_new() {
+    let module = parse_module(
+        r#"
+fn @main() -> void {
+  %zero = const 0u64
+  %ten = const 10u64
+  %tot = forrange %zero, %ten carry(%zero) as (%i: u64, %acc: u64) {
+    %s = new Set<u64>
+    %s1 = insert %s, %i
+    %n = size %s1
+    %acc1 = add %acc, %n
+    yield %acc1
+  }
+  print %tot
+  ret
+}
+"#,
+    )
+    .expect("parses");
+    ade::ir::verify::verify_module(&module).expect("verifies");
+    let run = |reference: bool| {
+        let decoded = DecodedModule::decode_with(&module, &DecodeOptions { reference });
+        let metrics = MetricsRegistry::enabled();
+        let config = ExecConfig {
+            max_heap_cells: Some(6),
+            metrics: metrics.clone(),
+            ..ExecConfig::default()
+        };
+        let err = Interpreter::new(&module, config)
+            .run_decoded(&decoded, "main")
+            .expect_err("the heap limit trips");
+        let ticks = metrics
+            .snapshot()
+            .rows
+            .iter()
+            .find(|r| r.id == "exec_fuel_ticks_total")
+            .map(|r| match r.value {
+                MetricValue::Counter(n) => n,
+                _ => panic!("exec_fuel_ticks_total is a counter"),
+            });
+        (decoded, err, ticks)
+    };
+    let (decoded, default, ticks) = run(false);
+    assert!(
+        decoded.funcs[0]
+            .code
+            .iter()
+            .any(|i| bulk_plan_has(i, |op| matches!(op, BulkOp::New { .. }))),
+        "the loop's `new` must compile into its plan"
+    );
+    assert_eq!(
+        default,
+        ExecError::LimitExceeded {
+            limit: Limit::HeapCells,
+            budget: 6,
+        }
+    );
+    assert_eq!((default, ticks), {
+        let (_, reference, ticks) = run(true);
+        (reference, ticks)
+    });
 }
