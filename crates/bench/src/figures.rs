@@ -10,17 +10,26 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 use ade_interp::cost::CostModel;
 use ade_interp::{CollOp, ImplKind, SiteProfile};
-use ade_obs::{FieldValue, FlightRecorder, MetricsRegistry, Timeline};
+use ade_obs::Timeline;
 use ade_workloads::bench::{all_benchmarks, benchmark_by_abbrev};
 use ade_workloads::ConfigKind;
 
-use crate::checkpoint::Checkpoint;
-use crate::runner::{geomean, CellError, CellSpec, RunResult};
+use crate::runner::{geomean, run_cell, CellSpec, RunResult};
+
+/// Every figure target `reproduce all` renders, in output order.
+pub const ALL_TARGETS: [&str; 9] = [
+    "fig4", "fig5", "fig6", "table2", "table3", "fig7", "fig8", "fig9", "rq4",
+];
+
+/// Whether `target` names something [`Session::render`] can render:
+/// `all`, one of [`ALL_TARGETS`], or `fig10` (an alias of `fig9`).
+pub fn is_target(target: &str) -> bool {
+    target == "all" || target == "fig10" || ALL_TARGETS.contains(&target)
+}
 
 /// The `(benchmark, configuration)` cells one figure target consumes.
 ///
@@ -58,93 +67,11 @@ pub fn cells_for_target(target: &str) -> Vec<(&'static str, ConfigKind)> {
     cells
 }
 
-/// The outcome of one evaluation-matrix cell.
-#[derive(Clone, Debug)]
-pub enum CellResult {
-    /// The cell ran to completion.
-    Ok(RunResult),
-    /// The cell failed (after one retry, for panics); the figure row
-    /// renders a deterministic `✗(code)` placeholder and the row is
-    /// excluded from geomeans. The detail goes to stderr only, never
-    /// into figure text.
-    Failed {
-        /// Deterministic reason code: `panic`, `trap`, `limit`,
-        /// `timeout`, `verify` or `exec`.
-        code: &'static str,
-        /// Human-readable detail (panic payload or error rendering).
-        detail: String,
-    },
-}
-
-/// Which fault `--inject-fault` raises in the targeted cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Panic the worker while it runs the cell (exercises pool
-    /// isolation; degrades to `✗(panic)`).
-    Panic,
-    /// Run the cell with a tiny instruction budget so the interpreter
-    /// returns a typed limit error (degrades to `✗(limit)`).
-    Fuel,
-    /// Sleep in the worker until the cell's deadline, then fail with
-    /// the same [`CellError::Timeout`] a real overrun returns — a
-    /// deterministic, fuel-free hung cell that degrades to `✗(timeout)`.
-    /// Without `--cell-timeout` there is no deadline and it sleeps
-    /// forever (that is the point: the smoke proves the deadline, not
-    /// the fault).
-    Hang,
-}
-
-/// Deterministic fault injection (`--inject-fault cell=K,kind=...`):
-/// the `cell`-th cell a session schedules (0-based, in planning order,
-/// counted across prewarms and cache misses) raises `kind`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// 0-based index of the targeted cell in scheduling order.
-    pub cell: usize,
-    /// What to raise there.
-    pub kind: FaultKind,
-}
-
-impl FaultSpec {
-    /// Parses the `--inject-fault` argument form
-    /// `cell=K,kind=panic|fuel|hang`.
-    ///
-    /// # Errors
-    ///
-    /// A usage message naming the offending part.
-    pub fn parse(spec: &str) -> Result<FaultSpec, String> {
-        let (mut cell, mut kind) = (None, None);
-        for part in spec.split(',') {
-            match part.split_once('=') {
-                Some(("cell", v)) => {
-                    cell = Some(
-                        v.parse::<usize>()
-                            .map_err(|_| format!("bad cell index: {v}"))?,
-                    );
-                }
-                Some(("kind", "panic")) => kind = Some(FaultKind::Panic),
-                Some(("kind", "fuel")) => kind = Some(FaultKind::Fuel),
-                Some(("kind", "hang")) => kind = Some(FaultKind::Hang),
-                _ => return Err(format!("bad fault spec part: {part}")),
-            }
-        }
-        match (cell, kind) {
-            (Some(cell), Some(kind)) => Ok(FaultSpec { cell, kind }),
-            _ => Err("fault spec needs cell=K and kind=panic|fuel|hang".to_string()),
-        }
-    }
-}
-
-/// The instruction budget an injected `kind=fuel` fault runs under —
-/// small enough that every benchmark at every scale trips it.
-const INJECTED_FUEL: u64 = 100;
-
-/// How many flight-recorder events each cell retains for its
-/// post-mortem (oldest evicted first; eviction is visible as sequence
-/// gaps in the dump).
-const FLIGHT_CAPACITY: usize = 64;
-
 /// A memo of run results so one `reproduce all` never repeats a run.
+///
+/// A cell that fails panics with `[BENCH config] <CellError>`, the same
+/// contract as `rq4`'s variant sweep; the panic propagates through the
+/// worker pool and fails the run.
 #[derive(Default)]
 pub struct Session {
     scale: u32,
@@ -152,18 +79,9 @@ pub struct Session {
     jobs: usize,
     include_wall: bool,
     profile: bool,
-    strict: bool,
-    fault: Option<FaultSpec>,
-    cell_timeout: Option<Duration>,
-    /// Cells handed to workers so far (the `FaultSpec::cell` index).
-    scheduled: usize,
     timeline: Option<Arc<Timeline>>,
-    checkpoint: Option<Arc<Checkpoint>>,
     reference: bool,
-    metrics: MetricsRegistry,
-    /// Flight-recorder dumps for degraded cells, keyed `abbrev_config`.
-    postmortems: Arc<Mutex<BTreeMap<String, String>>>,
-    cache: BTreeMap<(String, ConfigKind), CellResult>,
+    cache: BTreeMap<(String, ConfigKind), RunResult>,
 }
 
 impl Session {
@@ -181,15 +99,8 @@ impl Session {
             jobs: 1,
             include_wall: true,
             profile: false,
-            strict: false,
-            fault: None,
-            cell_timeout: None,
-            scheduled: 0,
             timeline: None,
-            checkpoint: None,
             reference: false,
-            metrics: MetricsRegistry::disabled(),
-            postmortems: Arc::new(Mutex::new(BTreeMap::new())),
             cache: BTreeMap::new(),
         }
     }
@@ -201,70 +112,6 @@ impl Session {
     #[must_use]
     pub fn reference(mut self, reference: bool) -> Self {
         self.reference = reference;
-        self
-    }
-
-    /// Strict mode (`--strict`): restores fail-fast semantics — the
-    /// first failing cell panics out of the session (a worker panic is
-    /// propagated by the pool, a typed cell error is promoted to one)
-    /// instead of degrading to a `✗(code)` placeholder.
-    #[must_use]
-    pub fn strict(mut self, strict: bool) -> Self {
-        self.strict = strict;
-        self
-    }
-
-    /// Arms deterministic fault injection (`--inject-fault`); see
-    /// [`FaultSpec`].
-    #[must_use]
-    pub fn inject_fault(mut self, fault: FaultSpec) -> Self {
-        self.fault = Some(fault);
-        self
-    }
-
-    /// Arms per-cell wall-clock timeouts (`--cell-timeout`): each cell
-    /// attempt gets a deadline of its start plus `timeout`
-    /// ([`CellSpec::deadline`]), benchmark trials run through
-    /// [`ade_interp::ExecSession::run_until`], and a cell whose deadline
-    /// passes degrades to `✗(timeout)` — or fails fast under strict
-    /// mode. Quantum slicing is observationally inert, so cells that
-    /// finish in time produce byte-identical figure text.
-    #[must_use]
-    pub fn cell_timeout(mut self, timeout: Duration) -> Self {
-        self.cell_timeout = Some(timeout);
-        self
-    }
-
-    /// Attaches an incremental checkpoint (`--checkpoint`): completed
-    /// cells append to `path` as they finish, and a compatible existing
-    /// file (same format version, scale and trials) pre-fills the cache
-    /// so a resumed run recomputes only the missing cells. Failed cells
-    /// are never persisted — a resume retries them. Restored cells
-    /// carry no per-site profile.
-    ///
-    /// An unusable checkpoint file (unreadable path, unwritable
-    /// directory) prints a warning and the session continues as a fresh
-    /// run without persistence. Corruption *inside* a readable file
-    /// never errors in the first place — a bad header discards the file
-    /// and bad lines are skipped. A damaged resume artifact must never
-    /// cost the run.
-    #[must_use]
-    pub fn checkpoint(mut self, path: &std::path::Path) -> Self {
-        match Checkpoint::open(path, self.scale, self.trials) {
-            Ok((ck, restored)) => {
-                for r in restored {
-                    self.cache
-                        .insert((r.abbrev.to_string(), r.config), CellResult::Ok(r));
-                }
-                self.checkpoint = Some(Arc::new(ck));
-            }
-            Err(e) => {
-                eprintln!(
-                    "warning: checkpoint {} unusable ({e}); continuing without persistence",
-                    path.display()
-                );
-            }
-        }
         self
     }
 
@@ -303,45 +150,14 @@ impl Session {
         self
     }
 
-    /// Attaches a metrics registry (`--metrics`): the session publishes
-    /// scheduling counters (`cells_scheduled/completed/degraded_total`,
-    /// the last by reason code) and the worker pool publishes
-    /// attempt/retry/panic accounting into it. Every counter is
-    /// order-independent, so the non-wall snapshot is byte-identical
-    /// across `--jobs` values;
-    /// per-worker cell counts are wall-classed (scheduling noise) and
-    /// excluded unless wall metrics are requested. Figure text is
-    /// byte-identical with metrics on or off.
-    #[must_use]
-    pub fn metrics(mut self, metrics: MetricsRegistry) -> Self {
-        metrics.mark_wall("pool_worker_cells_total");
-        self.metrics = metrics;
-        self
-    }
-
     /// Every cached per-site profile, keyed by `(benchmark, config)` —
     /// what `reproduce --obs-dir` writes out, one file per cell.
     pub fn cached_profiles(&self) -> Vec<(&str, ConfigKind, &SiteProfile)> {
         self.cache
             .iter()
-            .filter_map(|((abbrev, kind), cell)| match cell {
-                CellResult::Ok(r) => r.profile.as_ref().map(|p| (abbrev.as_str(), *kind, p)),
-                CellResult::Failed { .. } => None,
+            .filter_map(|((abbrev, kind), r)| {
+                r.profile.as_ref().map(|p| (abbrev.as_str(), *kind, p))
             })
-            .collect()
-    }
-
-    /// Post-mortem flight-recorder dumps for every degraded cell, keyed
-    /// `abbrev_config` — what `reproduce --obs-dir` writes out as
-    /// `postmortem-<key>.json`, one file per failed cell. Sorted by key
-    /// and free of timestamps, so the set is byte-identical across
-    /// `--jobs` values and repeat runs.
-    pub fn postmortems(&self) -> Vec<(String, String)> {
-        self.postmortems
-            .lock()
-            .expect("postmortem map poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
     }
 
@@ -349,16 +165,66 @@ impl Session {
     /// `jobs` parallel workers, filling the cache. Rendering afterwards
     /// is pure cache lookup, so figure text is independent of `jobs`.
     pub fn prewarm(&mut self, targets: &[&str]) {
-        let mut pending: Vec<(usize, (&'static str, ConfigKind))> = Vec::new();
+        let mut pending: Vec<(&'static str, ConfigKind)> = Vec::new();
         for target in targets {
             for cell in cells_for_target(target) {
                 let key = (cell.0.to_string(), cell.1);
-                if !self.cache.contains_key(&key) && !pending.iter().any(|&(_, c)| c == cell) {
-                    pending.push((self.scheduled + pending.len(), cell));
+                if !self.cache.contains_key(&key) && !pending.contains(&cell) {
+                    pending.push(cell);
                 }
             }
         }
         self.execute_batch(pending);
+    }
+
+    /// Renders `targets` in order, exactly as `reproduce` prints them:
+    /// every cell the targets need is prewarmed on the worker pool first,
+    /// then each target's text is followed by a blank line (`all`
+    /// separates its nine parts with one too).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a target [`is_target`] rejects, or if a cell fails.
+    pub fn render(&mut self, targets: &[&str]) -> String {
+        let expanded: Vec<&str> = targets
+            .iter()
+            .flat_map(|&t| {
+                if t == "all" {
+                    ALL_TARGETS.to_vec()
+                } else {
+                    vec![t]
+                }
+            })
+            .collect();
+        self.prewarm(&expanded);
+        let mut out = String::new();
+        for &target in targets {
+            if target == "all" {
+                for part in ALL_TARGETS {
+                    out.push_str(&self.render_one(part));
+                    out.push('\n');
+                }
+            } else {
+                out.push_str(&self.render_one(target));
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    fn render_one(&mut self, target: &str) -> String {
+        match target {
+            "fig4" => self.fig4(),
+            "fig5" => self.fig5_or_6(false),
+            "fig6" => self.fig5_or_6(true),
+            "fig7" => self.fig7(),
+            "fig8" => self.fig8(),
+            "fig9" | "fig10" => self.fig9_10(),
+            "table2" => self.table2(),
+            "table3" => self.table3(),
+            "rq4" => self.rq4(),
+            other => panic!("unknown target `{other}`"),
+        }
     }
 
     /// The run result for one cell (running it now if not cached).
@@ -367,237 +233,59 @@ impl Session {
     ///
     /// # Panics
     ///
-    /// Panics if the cell failed (use [`Session::cell_result`] to
-    /// observe degradation without a panic).
+    /// Panics if the cell fails, with `[BENCH config] <CellError>`.
     pub fn cell(&mut self, abbrev: &str, kind: ConfigKind) -> RunResult {
-        match self.run(abbrev, kind) {
-            CellResult::Ok(r) => r,
-            CellResult::Failed { code, detail } => {
-                panic!("[{abbrev} {}] cell failed ({code}): {detail}", kind.name())
-            }
-        }
-    }
-
-    /// The [`CellResult`] for one cell (running it now if not cached) —
-    /// [`Session::cell`] without the panic on failure.
-    pub fn cell_result(&mut self, abbrev: &str, kind: ConfigKind) -> CellResult {
-        self.run(abbrev, kind)
-    }
-
-    fn run(&mut self, abbrev: &str, kind: ConfigKind) -> CellResult {
         let key = (abbrev.to_string(), kind);
-        if let Some(r) = self.cache.get(&key) {
-            return r.clone();
+        if !self.cache.contains_key(&key) {
+            // A cache miss runs as a one-cell batch on the calling thread
+            // (lane 0 on the timeline).
+            let abbrev = benchmark_by_abbrev(abbrev).expect("known benchmark").abbrev;
+            self.execute_batch(vec![(abbrev, kind)]);
         }
-        // Cache misses run as a one-cell batch on the calling thread
-        // (lane 0 on the timeline), under the same isolation, fault-
-        // injection and checkpoint plumbing as prewarmed cells.
-        let abbrev_static = benchmark_by_abbrev(abbrev).expect("known benchmark").abbrev;
-        self.execute_batch(vec![(self.scheduled, (abbrev_static, kind))]);
-        self.cache
-            .get(&key)
-            .expect("batch filled the cache")
-            .clone()
+        self.cache[&key].clone()
     }
 
-    /// Runs a batch of indexed cells on the worker pool and folds every
-    /// outcome into the cache. Default mode isolates: a cell that
-    /// panics (retried once) or returns a typed error — a timeout
-    /// included — becomes [`CellResult::Failed`] and the rest of the
-    /// batch completes. Strict mode fails fast instead.
-    fn execute_batch(&mut self, pending: Vec<(usize, (&'static str, ConfigKind))>) {
-        if pending.is_empty() {
-            return;
-        }
-        self.scheduled += pending.len();
-        self.metrics
-            .add("cells_scheduled_total", &[], pending.len() as u64);
-        let plan: Vec<(&'static str, ConfigKind)> = pending.iter().map(|&(_, c)| c).collect();
-        let (scale, trials, profile) = (self.scale, self.trials, self.profile);
-        let timeline = self.timeline.clone();
-        let fault = self.fault;
-        let checkpoint = self.checkpoint.clone();
-        let reference = self.reference;
-        let timeout = self.cell_timeout;
-        let postmortems = Arc::clone(&self.postmortems);
-        let work = move |worker: usize,
-                         (idx, (abbrev, kind)): (usize, (&'static str, ConfigKind))| {
-            // Every attempt gets its own deadline; a retried cell starts
-            // afresh.
-            let deadline = timeout.map(|t| Instant::now() + t);
-            // One flight recorder per cell *attempt*: events are scoped
-            // to a deterministic entity and carry no timestamps, so a
-            // retried attempt produces a byte-identical dump.
-            let key = format!("{abbrev}_{}", kind.name());
-            let flight = FlightRecorder::new(FLIGHT_CAPACITY);
-            flight.record(
-                "pool",
-                "start",
-                &[
-                    ("cell", FieldValue::from(key.as_str())),
-                    ("index", FieldValue::from(idx as u64)),
-                    ("scale", FieldValue::from(u64::from(scale))),
-                    ("trials", FieldValue::from(u64::from(trials))),
-                ],
-            );
-            let fault = fault.filter(|f| f.cell == idx).map(|f| f.kind);
-            if fault == Some(FaultKind::Panic) {
-                // Dump *before* panicking so the degraded cell has a
-                // post-mortem; the retry overwrites it identically.
-                flight.record("pool", "fault", &[("kind", FieldValue::from("panic"))]);
-                let dump = flight.dump_json(&[
-                    ("cell", FieldValue::from(key.as_str())),
-                    ("code", FieldValue::from("panic")),
-                ]);
-                postmortems
-                    .lock()
-                    .expect("postmortem map poisoned")
-                    .insert(key, dump);
-                panic!(
-                    "injected fault: panic at cell {idx} ({abbrev}/{})",
-                    kind.name()
-                );
-            }
-            let started = timeline.as_deref().map(Timeline::now_ns);
-            let r = match fault {
-                Some(FaultKind::Hang) => {
-                    flight.record("pool", "fault", &[("kind", FieldValue::from("hang"))]);
-                    let Some(deadline) = deadline else {
-                        loop {
-                            std::thread::park();
-                        }
-                    };
-                    std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
-                    Err(CellError::Timeout)
-                }
-                _ => {
-                    let fuel = (fault == Some(FaultKind::Fuel)).then(|| {
-                        flight.record("pool", "fault", &[("kind", FieldValue::from("fuel"))]);
-                        INJECTED_FUEL
-                    });
-                    let bench = benchmark_by_abbrev(abbrev).expect("known benchmark");
-                    crate::runner::run_cell(&CellSpec {
-                        trials,
-                        profile,
-                        fuel,
-                        reference,
-                        deadline,
-                        ..CellSpec::new(&bench, kind, scale)
-                    })
-                }
-            };
-            // One complete timeline event per finished cell (lane =
-            // worker index); a failing cell's event carries an extra
-            // `status: failed:<code>` arg. A cell that *panics* unwinds
-            // past here and records no event.
-            if let (Some(t), Some(started)) = (timeline.as_deref(), started) {
-                let mut args = vec![
-                    ("scale".to_string(), scale.to_string()),
-                    ("trials".to_string(), trials.to_string()),
-                ];
-                if let Err(e) = &r {
-                    args.push(("status".to_string(), format!("failed:{}", e.code())));
-                }
-                t.complete(format!("{abbrev}/{}", kind.name()), "cell", worker as u32, started, args);
-            }
-            match &r {
-                Ok(result) => {
-                    // A retried cell that now succeeds clears the dump
-                    // its panicking first attempt left behind.
-                    postmortems
-                        .lock()
-                        .expect("postmortem map poisoned")
-                        .remove(&key);
-                    if let Some(ck) = checkpoint.as_deref() {
-                        ck.record(result);
-                    }
-                }
-                Err(e) => {
-                    flight.record("pool", "trip", &[("code", FieldValue::from(e.code()))]);
-                    let dump = flight.dump_json(&[
-                        ("cell", FieldValue::from(key.as_str())),
-                        ("code", FieldValue::from(e.code())),
-                    ]);
-                    postmortems
-                        .lock()
-                        .expect("postmortem map poisoned")
-                        .insert(key, dump);
-                }
-            }
-            r
-        };
-        let outcomes: Vec<Result<Result<RunResult, CellError>, crate::pool::CellFailure>> =
-            if self.strict {
-                crate::pool::run_ordered_with(pending, self.jobs, work)
-                    .into_iter()
-                    .map(Ok)
-                    .collect()
-            } else {
-                crate::pool::run_ordered_isolated_metered(pending, self.jobs, &self.metrics, work)
-            };
-        for ((abbrev, kind), outcome) in plan.into_iter().zip(outcomes) {
-            let cell = match outcome {
-                Ok(Ok(r)) => CellResult::Ok(r),
-                Ok(Err(e)) => {
-                    if self.strict {
-                        panic!("[{abbrev} {}] {e}", kind.name());
-                    }
-                    eprintln!("[cell {abbrev}/{}] failed: {e}", kind.name());
-                    CellResult::Failed {
-                        code: e.code(),
-                        detail: e.to_string(),
-                    }
-                }
-                Err(f) => {
-                    eprintln!(
-                        "[cell {abbrev}/{}] failed after {} attempts: {}",
-                        kind.name(),
-                        f.attempts,
-                        f.reason
+    /// Runs a batch of cells on the worker pool and folds every result
+    /// into the cache. The first failing cell panics.
+    fn execute_batch(&mut self, pending: Vec<(&'static str, ConfigKind)>) {
+        let (scale, trials, profile, reference) =
+            (self.scale, self.trials, self.profile, self.reference);
+        let timeline = self.timeline.as_deref();
+        let results =
+            crate::pool::run_ordered_with(pending, self.jobs, |worker, (abbrev, kind)| {
+                let started = timeline.map(Timeline::now_ns);
+                let bench = benchmark_by_abbrev(abbrev).expect("known benchmark");
+                let r = run_cell(&CellSpec {
+                    trials,
+                    profile,
+                    reference,
+                    ..CellSpec::new(&bench, kind, scale)
+                })
+                .unwrap_or_else(|e| panic!("[{abbrev} {}] {e}", kind.name()));
+                // One complete timeline event per cell (lane = worker index).
+                if let (Some(t), Some(started)) = (timeline, started) {
+                    let args = vec![
+                        ("scale".to_string(), scale.to_string()),
+                        ("trials".to_string(), trials.to_string()),
+                    ];
+                    t.complete(
+                        format!("{abbrev}/{}", kind.name()),
+                        "cell",
+                        worker as u32,
+                        started,
+                        args,
                     );
-                    // A panic that unwound past the worker's own dump
-                    // still gets a post-mortem: an empty ring with the
-                    // cell key and reason code as context.
-                    let key = format!("{abbrev}_{}", kind.name());
-                    self.postmortems
-                        .lock()
-                        .expect("postmortem map poisoned")
-                        .entry(key.clone())
-                        .or_insert_with(|| {
-                            FlightRecorder::new(FLIGHT_CAPACITY).dump_json(&[
-                                ("cell", FieldValue::from(key.as_str())),
-                                ("code", FieldValue::from(f.code)),
-                            ])
-                        });
-                    CellResult::Failed {
-                        code: f.code,
-                        detail: f.reason,
-                    }
                 }
-            };
-            match &cell {
-                CellResult::Ok(_) => self.metrics.add("cells_completed_total", &[], 1),
-                CellResult::Failed { code, .. } => {
-                    self.metrics
-                        .add("cells_degraded_total", &[("code", code)], 1);
-                }
-            }
-            self.cache.insert((abbrev.to_string(), kind), cell);
+                r
+            });
+        for r in results {
+            self.cache.insert((r.abbrev.to_string(), r.config), r);
         }
     }
 
-    /// The row's runs under `kinds` in order, or the code of the first
-    /// failed cell (the row then renders as a `✗(code)` placeholder and
-    /// is excluded from geomeans).
-    fn row(&mut self, abbrev: &str, kinds: &[ConfigKind]) -> Result<Vec<RunResult>, &'static str> {
-        let mut out = Vec::with_capacity(kinds.len());
-        for &kind in kinds {
-            match self.run(abbrev, kind) {
-                CellResult::Ok(r) => out.push(r),
-                CellResult::Failed { code, .. } => return Err(code),
-            }
-        }
-        Ok(out)
+    /// The row's runs under `kinds`, in order.
+    fn row(&mut self, abbrev: &str, kinds: &[ConfigKind]) -> Vec<RunResult> {
+        kinds.iter().map(|&kind| self.cell(abbrev, kind)).collect()
     }
 
     fn abbrevs(&self) -> Vec<&'static str> {
@@ -629,13 +317,7 @@ impl Session {
         );
         let mut mixes: Vec<(&str, Vec<f64>)> = Vec::new();
         for abbrev in self.abbrevs() {
-            let r = match self.row(abbrev, &[ConfigKind::Memoir]) {
-                Ok(mut row) => row.remove(0),
-                Err(code) => {
-                    let _ = writeln!(out, "{abbrev:>5} ✗({code})");
-                    continue;
-                }
-            };
+            let r = self.cell(abbrev, ConfigKind::Memoir);
             let t = r.stats.totals();
             let counts: Vec<f64> = ops.iter().map(|&o| t.total_op(o) as f64).collect();
             let total: f64 = counts.iter().sum::<f64>().max(1.0);
@@ -681,13 +363,7 @@ impl Session {
         );
         let (mut wholes, mut rois, mut mems) = (Vec::new(), Vec::new(), Vec::new());
         for abbrev in self.abbrevs() {
-            let row = match self.row(abbrev, &[ConfigKind::Memoir, ConfigKind::Ade]) {
-                Ok(row) => row,
-                Err(code) => {
-                    let _ = writeln!(out, "{abbrev:>5} ✗({code})");
-                    continue;
-                }
-            };
+            let row = self.row(abbrev, &[ConfigKind::Memoir, ConfigKind::Ade]);
             let (memoir, ade) = (&row[0], &row[1]);
             assert_eq!(memoir.output, ade.output, "[{abbrev}] outputs diverge");
             let whole = memoir.modeled_total_ns(&model) / ade.modeled_total_ns(&model);
@@ -740,13 +416,7 @@ impl Session {
             "bench", "m.sparse", "m.dense", "a.sparse", "a.dense", "d.sparse", "d.dense", "d.total"
         );
         for abbrev in self.abbrevs() {
-            let row = match self.row(abbrev, &[ConfigKind::Memoir, ConfigKind::Ade]) {
-                Ok(row) => row,
-                Err(code) => {
-                    let _ = writeln!(out, "{abbrev:>5} ✗({code})");
-                    continue;
-                }
-            };
+            let row = self.row(abbrev, &[ConfigKind::Memoir, ConfigKind::Ade]);
             let (memoir, ade) = (&row[0], &row[1]);
             let mt = memoir.stats.totals();
             let at = ade.stats.totals();
@@ -838,16 +508,10 @@ impl Session {
             ConfigKind::AdeNoSharing,
         ];
         for abbrev in self.abbrevs() {
-            let cells = match self.row(
+            let cells = self.row(
                 abbrev,
                 &[ConfigKind::Ade, ablations[0], ablations[1], ablations[2]],
-            ) {
-                Ok(cells) => cells,
-                Err(code) => {
-                    let _ = writeln!(out, "{abbrev:>5} ✗({code})");
-                    continue;
-                }
-            };
+            );
             let ade = &cells[0];
             let base = ade.modeled_total_ns(&model);
             let mut row = [0.0f64; 3];
@@ -884,13 +548,7 @@ impl Session {
         );
         let mut ratios = Vec::new();
         for abbrev in self.abbrevs() {
-            let row = match self.row(abbrev, &[ConfigKind::Ade, ConfigKind::AdeNoSharing]) {
-                Ok(row) => row,
-                Err(code) => {
-                    let _ = writeln!(out, "{abbrev:>5} ✗({code})");
-                    continue;
-                }
-            };
+            let row = self.row(abbrev, &[ConfigKind::Ade, ConfigKind::AdeNoSharing]);
             let (ade, nosh) = (&row[0], &row[1]);
             let ratio = nosh.peak_bytes() as f64 / ade.peak_bytes().max(1) as f64;
             ratios.push(ratio);
@@ -924,7 +582,7 @@ impl Session {
         );
         let mut cols: [Vec<f64>; 6] = Default::default();
         for abbrev in self.abbrevs() {
-            let row = match self.row(
+            let row = self.row(
                 abbrev,
                 &[
                     ConfigKind::Memoir,
@@ -932,13 +590,7 @@ impl Session {
                     ConfigKind::Ade,
                     ConfigKind::AdeAbseil,
                 ],
-            ) {
-                Ok(row) => row,
-                Err(code) => {
-                    let _ = writeln!(out, "{abbrev:>5} ✗({code})");
-                    continue;
-                }
-            };
+            );
             let (memoir, swiss, ade, ade_swiss) = (&row[0], &row[1], &row[2], &row[3]);
             assert_eq!(memoir.output, swiss.output, "[{abbrev}] swiss diverged");
             assert_eq!(
@@ -983,11 +635,6 @@ impl Session {
     /// enumeration pathology scales with the pointer/object ratio (the
     /// paper's sqlite3 input has ~10⁴×; the artifact notes PTA "variance
     /// across machines" for the same reason).
-    ///
-    /// The variant sweep is not part of the cell matrix, so fault
-    /// isolation does not apply here: a failing variant propagates
-    /// regardless of strict mode (all six variants feed one comparison
-    /// table — there is no meaningful partial rendering).
     pub fn rq4(&mut self) -> String {
         use ade_workloads::bench::pta::{build_with, Tuning};
         let scale = self.scale + 3;

@@ -6,11 +6,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod checkpoint;
 pub mod figures;
 pub mod pool;
 pub mod runner;
 
-pub use figures::{CellResult, FaultKind, FaultSpec};
-pub use pool::CellFailure;
 pub use runner::{run_cell, CellError, CellSpec, RunResult};

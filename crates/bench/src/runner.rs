@@ -2,13 +2,10 @@
 //! measurement the figures need.
 
 use std::fmt;
-use std::sync::Arc;
-use std::time::Instant;
 
 use ade_interp::cost::CostModel;
 use ade_interp::{
-    DecodeOptions, DecodedModule, ExecConfig, ExecError, ExecSession, Interpreter, Phase,
-    SiteProfile, Stats, StopReason,
+    DecodeOptions, DecodedModule, ExecConfig, ExecError, Interpreter, Phase, SiteProfile, Stats,
 };
 use ade_ir::Module;
 use ade_workloads::{Benchmark, Config, ConfigKind};
@@ -55,27 +52,6 @@ pub enum CellError {
     /// The interpreter returned a typed execution error (guest trap,
     /// limit, missing entry, host failure).
     Exec(ExecError),
-    /// The cell's wall-clock deadline ([`CellSpec::deadline`]) passed
-    /// before it finished. Never retried: a deterministic hang would
-    /// just hang twice.
-    Timeout,
-}
-
-impl CellError {
-    /// Short deterministic reason code, the figure placeholder text
-    /// (`✗(code)`). `"verify"`, `"limit"`, `"trap"`, `"exec"`,
-    /// `"timeout"`, or the preemption reason `"deadline"`; panicking
-    /// cells are reported as `"panic"` by the pool layer.
-    pub fn code(&self) -> &'static str {
-        match self {
-            CellError::Verify(_) => "verify",
-            CellError::Timeout => "timeout",
-            CellError::Exec(e) if e.is_limit() => "limit",
-            CellError::Exec(ExecError::GuestTrap { .. }) => "trap",
-            CellError::Exec(ExecError::Preempted { reason }) => reason.code(),
-            CellError::Exec(_) => "exec",
-        }
-    }
 }
 
 impl fmt::Display for CellError {
@@ -83,7 +59,6 @@ impl fmt::Display for CellError {
         match self {
             CellError::Verify(e) => write!(f, "verify: {e}"),
             CellError::Exec(e) => write!(f, "{e}"),
-            CellError::Timeout => f.write_str("cell timed out: its wall-clock deadline passed"),
         }
     }
 }
@@ -105,20 +80,13 @@ pub struct CellSpec<'a> {
     /// Record a per-site profile. Profiling never changes op counts or
     /// figures — it only records where the counts came from.
     pub profile: bool,
-    /// Caps the interpreter's instruction budget (the deterministic
-    /// `--inject-fault kind=fuel` hook); `None` keeps the
+    /// Caps the interpreter's instruction budget; `None` keeps the
     /// configuration's limits (off by default).
     pub fuel: Option<u64>,
     /// Execute the reference decode ([`DecodeOptions::reference`]):
     /// figures and statistics are identical either way, which the
     /// differential tests pin.
     pub reference: bool,
-    /// Wall-clock deadline (`--cell-timeout`): trials run through
-    /// [`ExecSession::run_until`], and a deadline that passes mid-run
-    /// fails the cell with [`CellError::Timeout`]. Quantum slicing is
-    /// observationally inert, so a run that finishes in time returns
-    /// exactly the batch path's stats and output.
-    pub deadline: Option<Instant>,
 }
 
 impl<'a> CellSpec<'a> {
@@ -133,7 +101,6 @@ impl<'a> CellSpec<'a> {
             profile: false,
             fuel: None,
             reference: false,
-            deadline: None,
         }
     }
 }
@@ -143,8 +110,7 @@ impl<'a> CellSpec<'a> {
 /// # Errors
 ///
 /// [`CellError::Verify`] if the compiled module fails verification,
-/// [`CellError::Exec`] if any trial's interpretation fails,
-/// [`CellError::Timeout`] if [`CellSpec::deadline`] passes first.
+/// [`CellError::Exec`] if any trial's interpretation fails.
 ///
 /// # Panics
 ///
@@ -181,20 +147,12 @@ fn best_of(
     let options = DecodeOptions {
         reference: spec.reference,
     };
-    let decoded = Arc::new(DecodedModule::decode_with(module, &options));
+    let decoded = DecodedModule::decode_with(module, &options);
     let mut best: Option<ade_interp::Outcome> = None;
     for _ in 0..spec.trials {
-        let outcome = match spec.deadline {
-            Some(deadline) => ExecSession::spawn(Arc::clone(&decoded), "main", exec.clone())
-                .and_then(|session| session.run_until(deadline)),
-            None => Interpreter::new(module, exec.clone()).run_decoded(&decoded, "main"),
-        }
-        .map_err(|e| match e {
-            ExecError::Preempted {
-                reason: StopReason::Deadline,
-            } => CellError::Timeout,
-            e => CellError::Exec(e),
-        })?;
+        let outcome = Interpreter::new(module, exec.clone())
+            .run_decoded(&decoded, "main")
+            .map_err(CellError::Exec)?;
         let better = best
             .as_ref()
             .is_none_or(|b| outcome.stats.wall_total_ns() < b.stats.wall_total_ns());

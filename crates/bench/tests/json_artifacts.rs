@@ -1,13 +1,12 @@
 //! One round trip over every JSON artifact the toolchain emits — the
 //! Chrome-trace timeline, pipeline trace events, per-site interpreter
-//! profiles, the selection ledger, metrics snapshots (both wall
-//! settings) and
-//! flight-recorder post-mortems — validated with the shared `ade-obs`
+//! profiles, the selection ledger and metrics snapshots — validated
+//! with the shared `ade-obs`
 //! JSON validator, so a malformed emitter fails here before any
 //! external consumer sees it.
 
 use ade_bench::figures::{cells_for_target, Session};
-use ade_obs::{json, FieldValue, FlightRecorder, MetricsRegistry, Timeline, Tracer};
+use ade_obs::{json, FieldValue, MetricsRegistry, Timeline, Tracer};
 
 const SCALE: u32 = 4;
 
@@ -103,19 +102,14 @@ fn selection_ledger_validates() {
     assert_eq!(decisions.len(), ledger.decisions.len());
 }
 
-/// Metrics snapshots validate under both wall settings.
+/// Metrics snapshots validate, empty ones included.
 #[test]
 fn metrics_snapshot_validates() {
     let m = MetricsRegistry::enabled();
     m.add("requests_total", &[("cell", "1")], 3);
     m.gauge_max("queue_depth_hwm", &[], 7);
-    m.add("wall_cells_total", &[("worker", "0")], 1);
-    m.mark_wall("wall_cells_total");
-    let snapshot = m.snapshot();
-    for include_wall in [false, true] {
-        json::validate(&snapshot.to_json(include_wall)).expect("metrics snapshot is valid JSON");
-    }
-    json::validate(&ade_obs::MetricsRegistry::disabled().snapshot().to_json(true))
+    json::validate(&m.snapshot().to_json()).expect("metrics snapshot is valid JSON");
+    json::validate(&MetricsRegistry::disabled().snapshot().to_json())
         .expect("empty snapshot is valid JSON");
 }
 
@@ -158,7 +152,7 @@ fn backend_selection_metrics_are_deterministic_by_kind() {
         Interpreter::new(&build(), config)
             .run("main")
             .expect("kernel runs");
-        m.snapshot().to_json(false)
+        m.snapshot().to_json()
     };
 
     let text = snapshot();
@@ -170,23 +164,4 @@ fn backend_selection_metrics_are_deterministic_by_kind() {
     assert!(text.contains("unboxed_seq"), "unboxed kind counted: {text}");
     assert!(text.contains("\\\"seq\\\""), "boxed kind counted: {text}");
     assert_eq!(text, snapshot(), "snapshot must be deterministic");
-}
-
-#[test]
-fn flight_recorder_dump_validates() {
-    let fr = FlightRecorder::new(4);
-    fr.record("pool", "start", &[("cell", FieldValue::from("BFS_ade"))]);
-    fr.record(
-        "pool",
-        "trip",
-        &[("code", FieldValue::from("limit")), ("fuel", FieldValue::from(100u64))],
-    );
-    let dump = fr.dump_json(&[
-        ("cell", FieldValue::from("BFS_ade")),
-        ("code", FieldValue::from("limit")),
-    ]);
-    json::validate(&dump).expect("post-mortem is valid JSON");
-    // An empty, fold-synthesized dump validates too.
-    json::validate(&FlightRecorder::new(64).dump_json(&[("code", FieldValue::from("timeout"))]))
-        .expect("empty post-mortem is valid JSON");
 }

@@ -6,8 +6,8 @@
 
 use std::sync::Arc;
 
-use ade_bench::figures::{cells_for_target, FaultKind, FaultSpec, Session};
-use ade_obs::{json, MetricValue, MetricsRegistry, Timeline};
+use ade_bench::figures::{cells_for_target, Session};
+use ade_obs::{json, Timeline};
 
 #[test]
 fn fig5_text_is_byte_identical_with_observability_enabled() {
@@ -45,113 +45,4 @@ fn fig5_text_is_byte_identical_with_observability_enabled() {
     for (_, _, profile) in profiles {
         json::validate(&profile.to_json()).expect("profile is valid JSON");
     }
-}
-
-/// A metrics registry attached to the session is figure-inert, and its
-/// deterministic (non-wall) snapshot is byte-identical across `--jobs`
-/// values.
-#[test]
-fn metrics_are_figure_inert_and_jobs_independent() {
-    let mut plain = Session::new(5).include_wall(false);
-    plain.prewarm(&["fig5"]);
-    let expected = plain.fig5_or_6(false);
-
-    let observed = |jobs: usize| {
-        let metrics = MetricsRegistry::enabled();
-        let mut s = Session::new(5)
-            .include_wall(false)
-            .jobs(jobs)
-            .metrics(metrics.clone());
-        s.prewarm(&["fig5"]);
-        (s.fig5_or_6(false), metrics.snapshot())
-    };
-    let (serial_text, serial) = observed(1);
-    let (parallel_text, parallel) = observed(4);
-    assert_eq!(serial_text, expected, "metrics must not perturb figure text");
-    assert_eq!(parallel_text, expected);
-    assert_eq!(
-        serial.to_json(false),
-        parallel.to_json(false),
-        "deterministic metrics must not depend on --jobs"
-    );
-    json::validate(&serial.to_json(true)).expect("metrics snapshot is valid JSON");
-
-    let cells = cells_for_target("fig5").len() as u64;
-    let count = |snap: &ade_obs::MetricsSnapshot, id: &str| {
-        snap.rows
-            .iter()
-            .find(|r| r.id == id)
-            .map(|r| match r.value {
-                MetricValue::Counter(c) => c,
-                _ => panic!("{id} is a counter"),
-            })
-            .unwrap_or_else(|| panic!("missing metric {id}"))
-    };
-    assert_eq!(count(&serial, "cells_scheduled_total"), cells);
-    assert_eq!(count(&serial, "cells_completed_total"), cells);
-    assert_eq!(count(&serial, "pool_attempts_total"), cells);
-    assert!(
-        !serial.rows.iter().any(|r| r.name == "cells_degraded_total"),
-        "no degradations in a fault-free run"
-    );
-}
-
-/// A degraded cell leaves exactly one post-mortem flight dump — stable
-/// across runs and job counts, valid JSON, carrying the fault and trip
-/// events — and the degradation counter records its reason code.
-#[test]
-fn degraded_cells_leave_deterministic_postmortems() {
-    let run = |jobs: usize| {
-        let metrics = MetricsRegistry::enabled();
-        let mut s = Session::new(5)
-            .include_wall(false)
-            .jobs(jobs)
-            .metrics(metrics.clone())
-            .inject_fault(FaultSpec { cell: 1, kind: FaultKind::Fuel });
-        s.prewarm(&["fig5"]);
-        let _ = s.fig5_or_6(false);
-        (s.postmortems(), metrics.snapshot())
-    };
-    let (dumps, snapshot) = run(2);
-    assert_eq!(dumps.len(), 1, "exactly the faulted cell dumps");
-    let (key, dump) = &dumps[0];
-    json::validate(dump).expect("post-mortem is valid JSON");
-    assert!(dump.contains("\"schema\":\"ade-postmortem-v1\""), "{dump}");
-    assert!(dump.contains(&format!("\"cell\":\"{key}\"")), "{dump}");
-    assert!(dump.contains("\"code\":\"limit\""), "{dump}");
-    assert!(dump.contains("\"name\":\"fault\""), "{dump}");
-    assert!(
-        snapshot
-            .to_json(false)
-            .contains(r#"cells_degraded_total{code=\"limit\"}"#),
-        "{}",
-        snapshot.to_json(false)
-    );
-
-    let (serial_dumps, serial_snapshot) = run(1);
-    assert_eq!(dumps, serial_dumps, "post-mortems must not depend on --jobs");
-    assert_eq!(snapshot.to_json(false), serial_snapshot.to_json(false));
-}
-
-/// A cell the pool fails outright (a worker panic on both attempts)
-/// still yields a post-mortem — dumped by the attempt before it
-/// unwinds, identically on the retry.
-#[test]
-fn panicking_cells_dump_before_unwinding() {
-    let run = || {
-        let mut s = Session::new(5)
-            .include_wall(false)
-            .jobs(2)
-            .inject_fault(FaultSpec { cell: 0, kind: FaultKind::Panic });
-        s.prewarm(&["fig5"]);
-        s.postmortems()
-    };
-    let dumps = run();
-    assert_eq!(dumps.len(), 1);
-    let (key, dump) = &dumps[0];
-    json::validate(dump).expect("post-mortem is valid JSON");
-    assert!(dump.contains(&format!("\"cell\":\"{key}\"")), "{dump}");
-    assert!(dump.contains("\"code\":\"panic\""), "{dump}");
-    assert!(dump.contains("\"name\":\"start\""), "{dump}");
-    assert_eq!(dumps, run(), "dump must be byte-identical across runs");
 }

@@ -1,10 +1,7 @@
-//! The `reproduce` binary's output-path contract, end to end: an
-//! unwritable `--timeline`/`--obs-dir`/`--metrics` artifact is a usage
-//! error (exit 2, uniform `cannot write` message — the same contract as
-//! `adec`'s output flags), while an unusable `--checkpoint` is the
-//! deliberate exception: it degrades to a fresh run with a warning and
-//! exit 0, because a damaged resume artifact must never cost the
-//! evaluation (`checkpoint_fuzz.rs` pins the in-process side).
+//! The `reproduce` binary's usage contract, end to end: an unknown flag
+//! and an unwritable `--timeline`/`--obs-dir` artifact are usage errors
+//! (exit 2; an unwritable path reports a uniform `cannot write` message
+//! — the same contract as `adec`'s output flags).
 //!
 //! These run the cheapest real target (`fig4` needs only the memoir
 //! configuration) at a tiny scale.
@@ -41,15 +38,6 @@ fn unwritable_timeline_is_two() {
 }
 
 #[test]
-fn unwritable_metrics_is_two() {
-    let (blocker, path) = enotdir_path("metrics");
-    let (code, err) = reproduce(&["--metrics", &path]);
-    assert_eq!(code, 2, "{err}");
-    assert!(err.contains("cannot write"), "{err}");
-    let _ = std::fs::remove_file(blocker);
-}
-
-#[test]
 fn unwritable_obs_dir_is_two() {
     let (blocker, dir) = enotdir_path("obsdir");
     let (code, err) = reproduce(&["--obs-dir", &dir]);
@@ -58,36 +46,47 @@ fn unwritable_obs_dir_is_two() {
     let _ = std::fs::remove_file(blocker);
 }
 
+/// Flags of the removed resume, fault-isolation, fault-injection,
+/// timeout and metrics machinery are unknown flags now.
 #[test]
-fn unusable_checkpoint_degrades_to_exit_zero() {
-    let (blocker, path) = enotdir_path("checkpoint");
-    let (code, err) = reproduce(&["--checkpoint", &path]);
-    assert_eq!(code, 0, "{err}");
-    assert!(err.contains("unusable"), "{err}");
-    assert!(err.contains("continuing without persistence"), "{err}");
-    let _ = std::fs::remove_file(blocker);
+fn removed_flags_exit_two_as_unknown() {
+    for flag in [
+        &["--checkpoint", "f"][..],
+        &["--strict"],
+        &["--inject-fault", "cell=0,kind=panic"],
+        &["--cell-timeout", "5"],
+        &["--metrics", "m.json"],
+    ] {
+        let (code, err) = reproduce(flag);
+        assert_eq!(code, 2, "{flag:?}: {err}");
+        assert!(
+            err.contains(&format!("unknown flag `{}`", flag[0])),
+            "{err}"
+        );
+    }
 }
 
-/// The happy path: every observability artifact lands, the metrics
-/// snapshot is deterministic across job counts, and the exit code is 0.
+/// The happy path: every observability artifact lands and the exit
+/// code is 0.
 #[test]
 fn writable_observability_outputs_succeed() {
     let dir = std::env::temp_dir().join(format!("reproduce-exit-ok-{}", std::process::id()));
+    let timeline = dir.join("timeline.json");
+    let obs = dir.join("obs");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let metrics = |jobs: &str| {
-        let path = dir.join(format!("metrics-{jobs}.json"));
-        let (code, err) = reproduce(&["--jobs", jobs, "--metrics", path.to_str().unwrap()]);
-        assert_eq!(code, 0, "{err}");
-        assert!(err.contains("[obs] metrics:"), "{err}");
-        std::fs::read_to_string(&path).expect("metrics snapshot written")
-    };
-    let serial = metrics("1");
-    ade_obs::json::validate(&serial).expect("metrics snapshot is valid JSON");
-    assert!(serial.contains("cells_scheduled_total"), "{serial}");
-    assert_eq!(
-        serial,
-        metrics("4"),
-        "--no-wall metrics snapshot must be byte-identical across --jobs"
-    );
+    let (code, err) = reproduce(&[
+        "--timeline",
+        timeline.to_str().unwrap(),
+        "--obs-dir",
+        obs.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{err}");
+    assert!(err.contains("[obs] timeline:"), "{err}");
+    assert!(err.contains("[obs] profiles: 16 file(s)"), "{err}");
+    let trace = std::fs::read_to_string(&timeline).expect("timeline written");
+    ade_obs::json::validate(&trace).expect("timeline is valid JSON");
+    let profile =
+        std::fs::read_to_string(obs.join("BFS_memoir.profile.json")).expect("BFS profile written");
+    ade_obs::json::validate(&profile).expect("profile is valid JSON");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -275,7 +275,7 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
         }
         out.program_output = Some(outcome.output);
         out.profile = outcome.profile;
-        out.metrics = metrics.map(|m| m.snapshot().to_json(true));
+        out.metrics = metrics.map(|m| m.snapshot().to_json());
     }
     out.events = tracer.events();
     Ok(out)

@@ -13,7 +13,7 @@
 //! [`StopReason`] (`deadline`), which the next
 //! step returns as [`ExecError::Preempted`] without running anything.
 //! [`ExecSession::run_until`] is the one wall-deadline loop (`adec
-//! --deadline-ms`, `reproduce --cell-timeout`): it steps fixed quanta
+//! --deadline-ms`): it steps fixed quanta
 //! and cancels with [`StopReason::Deadline`] at the first boundary past
 //! an [`Instant`].
 //!

@@ -18,13 +18,10 @@
 //! - [`timeline::Timeline`]: a wall-clock recorder for coarse parallel
 //!   work (one complete event per evaluation-matrix cell) that exports
 //!   Chrome-trace-format JSON loadable in `chrome://tracing`/Perfetto.
-//! - [`metrics::MetricsRegistry`]: runtime counters, high-water gauges
-//!   and fixed-bucket histograms with deterministic id-sorted snapshots
-//!   (JSON + Prometheus-style text); every update is commutative, so
-//!   snapshot values are independent of thread interleaving.
-//! - [`flight::FlightRecorder`]: a bounded ring of recent structured
-//!   events, dumped as a deterministic `ade-postmortem-v1` JSON when a
-//!   cell degrades or a request is preempted.
+//! - [`metrics::MetricsRegistry`]: runtime counters and high-water
+//!   gauges with deterministic id-sorted JSON snapshots; every update is
+//!   commutative, so snapshot values are independent of thread
+//!   interleaving.
 //!
 //! Event *sequences* are deterministic for a deterministic caller; only
 //! the timestamps vary run to run. Rendering helpers therefore take an
@@ -33,13 +30,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod flight;
 pub mod json;
 pub mod ledger;
 pub mod metrics;
 pub mod timeline;
 
-pub use flight::{FlightEvent, FlightRecorder};
 pub use ledger::{DecisionSource, SelectionDecision, SelectionLedger};
 pub use metrics::{MetricRow, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use timeline::{Timeline, TimelineEvent};

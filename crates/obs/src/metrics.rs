@@ -1,7 +1,7 @@
 //! A zero-dependency runtime metrics registry.
 //!
 //! [`MetricsRegistry`] is the always-on accounting surface the
-//! interpreter and the evaluation pool publish into: monotonic counters
+//! interpreter publishes into: monotonic counters
 //! and gauges with high-water-mark semantics, each addressed by a name
 //! plus a small, sorted label set. Like [`crate::Tracer`], the default handle is
 //! *disabled* and every operation on it is a branch on an `Option`
@@ -14,15 +14,10 @@
 //! independent of thread interleaving — a parallel run publishes the
 //! same numbers as a serial one as long as the work itself is
 //! deterministic. The snapshot renders metrics sorted by id, making its
-//! JSON ([`MetricsSnapshot::to_json`]) byte-identical across runs,
-//! worker counts, and `--jobs` values. The one escape hatch is the
-//! *wall class*: metrics whose base name was [`MetricsRegistry::
-//! mark_wall`]ed carry scheduling- or wall-clock-dependent values
-//! (worker utilization, busy nanoseconds) and are excluded whenever a
-//! snapshot is rendered with `include_wall == false` — the `--no-wall`
-//! discipline the figures already follow.
+//! JSON ([`MetricsSnapshot::to_json`]) byte-identical across runs and
+//! worker counts.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// What one metric holds.
@@ -43,18 +38,12 @@ pub struct MetricRow {
     pub name: String,
     /// Label pairs, sorted by key.
     pub labels: Vec<(String, String)>,
-    /// Whether the base name was marked wall-class (scheduling- or
-    /// wall-clock-dependent; excluded from deterministic renderings).
-    pub wall: bool,
     /// The captured value.
     pub value: MetricValue,
 }
 
-#[derive(Debug, Default)]
-struct Store {
-    metrics: BTreeMap<String, (String, Vec<(String, String)>, MetricValue)>,
-    wall: BTreeSet<String>,
-}
+/// Every metric by id: its base name, sorted labels and value.
+type Store = BTreeMap<String, (String, Vec<(String, String)>, MetricValue)>;
 
 /// A cheaply clonable metrics handle; see the module docs. The default
 /// handle is disabled and every operation on it is a near-free early
@@ -118,7 +107,6 @@ impl MetricsRegistry {
         self.with_store(|s| {
             let (id, sorted) = metric_id(name, labels);
             match s
-                .metrics
                 .entry(id)
                 .or_insert_with(|| (name.to_string(), sorted, MetricValue::Counter(0)))
             {
@@ -134,23 +122,12 @@ impl MetricsRegistry {
         self.with_store(|s| {
             let (id, sorted) = metric_id(name, labels);
             match s
-                .metrics
                 .entry(id)
                 .or_insert_with(|| (name.to_string(), sorted, MetricValue::Gauge(v)))
             {
                 (_, _, MetricValue::Gauge(g)) => *g = (*g).max(v),
                 _ => debug_assert!(false, "metric {name} is not a gauge"),
             }
-        });
-    }
-
-    /// Classifies the base metric `name` as wall-class: its value
-    /// depends on wall time or scheduling (worker utilization, busy
-    /// nanoseconds) and is excluded from deterministic renderings
-    /// (`include_wall == false`).
-    pub fn mark_wall(&self, name: &str) {
-        self.with_store(|s| {
-            s.wall.insert(name.to_string());
         });
     }
 
@@ -161,13 +138,11 @@ impl MetricsRegistry {
             None => Vec::new(),
             Some(store) => {
                 let s = store.lock().expect("metrics store poisoned");
-                s.metrics
-                    .iter()
+                s.iter()
                     .map(|(id, (name, labels, value))| MetricRow {
                         id: id.clone(),
                         name: name.clone(),
                         labels: labels.clone(),
-                        wall: s.wall.contains(name),
                         value: value.clone(),
                     })
                     .collect()
@@ -185,31 +160,14 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    fn visible(&self, include_wall: bool) -> impl Iterator<Item = &MetricRow> {
-        self.rows.iter().filter(move |r| include_wall || !r.wall)
-    }
-
-    /// Number of metrics a rendering with this `include_wall` setting
-    /// would contain.
-    pub fn len(&self, include_wall: bool) -> usize {
-        self.visible(include_wall).count()
-    }
-
-    /// Whether a rendering with this `include_wall` setting would be
-    /// empty.
-    pub fn is_empty(&self, include_wall: bool) -> bool {
-        self.len(include_wall) == 0
-    }
-
     /// Serializes the snapshot as JSON (schema `ade-metrics-v1`),
-    /// metrics sorted by id. With `include_wall == false` wall-class
-    /// metrics are omitted and the output is byte-identical across
-    /// runs, worker counts and scheduling for a deterministic workload.
-    pub fn to_json(&self, include_wall: bool) -> String {
+    /// metrics sorted by id, byte-identical across runs, worker counts
+    /// and scheduling for a deterministic workload.
+    pub fn to_json(&self) -> String {
         use crate::json::write_string;
         let mut out = String::from("{\"schema\":\"ade-metrics-v1\",\"metrics\":[");
         let mut first = true;
-        for r in self.visible(include_wall) {
+        for r in &self.rows {
             if !first {
                 out.push(',');
             }
@@ -228,9 +186,6 @@ impl MetricsSnapshot {
                 write_string(&mut out, v);
             }
             out.push('}');
-            if r.wall {
-                out.push_str(",\"wall\":true");
-            }
             match &r.value {
                 MetricValue::Counter(c) => {
                     out.push_str(&format!(",\"type\":\"counter\",\"value\":{c}"));
@@ -257,7 +212,10 @@ mod tests {
         m.add("a", &[], 3);
         m.gauge_max("b", &[], 9);
         assert!(m.snapshot().rows.is_empty());
-        assert_eq!(m.snapshot().to_json(true), "{\"schema\":\"ade-metrics-v1\",\"metrics\":[\n]}\n");
+        assert_eq!(
+            m.snapshot().to_json(),
+            "{\"schema\":\"ade-metrics-v1\",\"metrics\":[\n]}\n"
+        );
     }
 
     #[test]
@@ -312,22 +270,17 @@ mod tests {
     }
 
     #[test]
-    fn json_is_valid_sorted_and_wall_filtered() {
+    fn json_is_valid_and_sorted() {
         let m = MetricsRegistry::enabled();
         m.add("z_total", &[], 1);
         m.add("a_total", &[], 2);
-        m.add("worker_busy_ns", &[("worker", "0")], 123);
-        m.mark_wall("worker_busy_ns");
+        m.gauge_max("depth_hwm", &[("worker", "0")], 123);
         let snap = m.snapshot();
-        let full = snap.to_json(true);
-        crate::json::validate(&full).expect("valid JSON");
-        assert!(full.contains("\"wall\":true"));
-        assert!(full.find("\"a_total\"").expect("a") < full.find("\"z_total\"").expect("z"));
-        let stable = snap.to_json(false);
-        crate::json::validate(&stable).expect("valid JSON");
-        assert!(!stable.contains("worker_busy_ns"));
-        assert_eq!(snap.len(false), 2);
-        assert_eq!(snap.len(true), 3);
+        let json = snap.to_json();
+        crate::json::validate(&json).expect("valid JSON");
+        assert!(json.find("\"a_total\"").expect("a") < json.find("\"z_total\"").expect("z"));
+        assert!(json.contains("\"type\":\"gauge\",\"value\":123"), "{json}");
+        assert_eq!(snap.rows.len(), 3);
     }
 
     #[test]
