@@ -7,7 +7,7 @@
 //! Unlike `collection_ops` (which times the collection library
 //! natively), this times the *interpreter* end to end, so it is a
 //! diagnostic for the decoded instruction stream, the borrow-based
-//! operand path, the superinstruction peephole and loop fusion. It is
+//! operand path and loop plans. It is
 //! not the headline: `e2e_bench` measures the paper programs. Every
 //! kernel runs on the reference decode and the default one; results go
 //! to `BENCH_interp.json` at the workspace root: per-kernel best wall
@@ -29,7 +29,7 @@ const N: u64 = 200_000;
 const RUNS: usize = 9;
 
 /// The two decodes ([`DecodeOptions::reference`]): the plain stream and
-/// the production default (peephole plus loop fusion).
+/// the production default (loop plans and direct yields).
 const CONFIGS: [(&str, bool); 2] = [("reference", true), ("default", false)];
 
 struct Kernel {
@@ -41,8 +41,7 @@ struct Kernel {
 
 /// An eleven-operation wrapping-arithmetic chain per iteration — pure
 /// scalar dispatch, no collections: the floor of per-instruction
-/// interpreter cost and the `FusedScalars` run's best case (the whole
-/// body decodes to one superinstruction).
+/// interpreter cost, and a plan of scalar ops only.
 fn arith_forrange() -> Kernel {
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
     let lo = b.const_u64(0);
@@ -75,8 +74,8 @@ fn arith_forrange() -> Kernel {
 }
 
 /// Insert, probe, and conditionally remove against one hash set — the
-/// operand-resolution path for collection ops plus branching (the
-/// `FusedHasIf` pattern over unboxed hash storage).
+/// operand-resolution path for collection ops plus branching (a plan
+/// with `has`-guarded `if` arms over unboxed hash storage).
 fn set_churn() -> Kernel {
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
     let set = b.new_collection(Type::set(Type::U64));
@@ -110,7 +109,7 @@ fn set_churn() -> Kernel {
 
 /// Write then read back every key of a map — the `Read`/`Write`
 /// instruction pair that dominates the paper's map-heavy benchmarks
-/// (the `FusedReadBin` pattern over unboxed hash storage).
+/// (plans of `read`/`write` ops over unboxed hash storage).
 fn map_read_write() -> Kernel {
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
     let map = b.new_collection(Type::map(Type::U64, Type::U64));
@@ -145,9 +144,9 @@ fn map_read_write() -> Kernel {
 }
 
 /// Push 2N elements into a sequence, then sum it with per-element
-/// indexed reads. The sum loop dispatches `read`/`add` per element (a
-/// `FusedReadBin` window) instead of `for_each`, whose snapshot loop
-/// iterates natively and would hide dispatch cost.
+/// indexed reads. The sum loop reads by index (a `read`/`add` plan)
+/// instead of `for_each`, whose snapshot loop iterates natively and
+/// would hide the per-element read.
 fn seq_push_sum() -> Kernel {
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
     let seq = b.new_collection(Type::seq(Type::U64));
@@ -179,7 +178,8 @@ fn seq_push_sum() -> Kernel {
 /// Increment every slot of a dense map in place — the read-modify-write
 /// triple ADE produces for post-enumeration histograms. The loop body
 /// is exactly `read`/`add`/`write` (the increment constant is hoisted
-/// out), so it exercises `FusedReadBinWrite` over the unboxed `BitMap`.
+/// out), so it exercises a `read`/`add`/`write` plan over the unboxed
+/// `BitMap`.
 fn bitmap_rmw() -> Kernel {
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
     let map = b.new_collection(Type::map_with(Type::Idx, Type::U64, MapSel::Bit));
@@ -221,9 +221,8 @@ fn bitmap_rmw() -> Kernel {
 /// Classify every index against a threshold and accumulate through one
 /// of two arithmetic arms — the data-dependent-branch shape ADE leaves
 /// behind after enumeration splits a keyed lookup into range classes.
-/// The loop body is exactly `cmp`/`if` (the `FusedCmpIf` pattern), and
-/// each arm is a scalar run that yields straight into the branch
-/// destinations.
+/// The loop body is exactly `cmp`/`if`, and each arm is a scalar run
+/// that yields straight into the branch destinations.
 fn branchy_classify() -> Kernel {
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
     let lo = b.const_u64(0);

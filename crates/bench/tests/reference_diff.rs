@@ -1,7 +1,7 @@
-//! The decode optimizations — the superinstruction peephole and loop
-//! fusion — must be invisible everywhere except wall time: every figure
-//! byte, operation count, program output (checksums), memory highwater
-//! and per-site profile is identical between the reference decode and
+//! The decode optimizations — loop plans and direct yields — must be
+//! invisible everywhere except wall time: every figure byte, operation
+//! count, program output (checksums), memory highwater and per-site
+//! profile is identical between the reference decode and
 //! the default one. These tests are the safety net that lets the
 //! interpreter's fast paths change (or be deleted) — never weaken them
 //! to make a change pass.
@@ -143,7 +143,7 @@ fn site_profiles_are_identical_reference_vs_default() {
 }
 
 /// A fuel budget that trips mid-loop must trip at the identical point on
-/// both decodes: fused windows and bulk loops never change where a limit
+/// both decodes: bulk loops and direct yields never change where a limit
 /// (or any trap) lands. Sweeps budgets from "trips immediately" through
 /// "completes" and requires bit-identical outcomes — same error text on
 /// the trapping side, same output/stats on the completing side.

@@ -99,8 +99,8 @@ pub struct Options {
     /// first quantum boundary past the deadline, surfacing the stable
     /// `deadline` reason code (exit 1, like any runtime limit).
     pub deadline_ms: Option<u64>,
-    /// Execute the reference decode: no superinstruction peephole and
-    /// no loop fusion (`--reference`; default: off). Counts, figures and
+    /// Execute the reference decode: no loop plans and no direct
+    /// yields (`--reference`; default: off). Counts, figures and
     /// traps are identical either way — the flag isolates the decode
     /// optimizations when debugging the interpreter.
     pub reference: bool,
@@ -344,9 +344,9 @@ usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
   --deadline-ms N      preempt execution after N wall-clock milliseconds
                        (quantum-sliced resumable session; stops with the
                        stable `deadline` reason code and exit 1)
-  --reference          run the reference interpreter: no superinstruction
-                       peephole, no loop fusion (counts, figures and traps
-                       are identical; isolates the decode optimizations)
+  --reference          run the reference interpreter: no loop plans, no
+                       direct yields (counts, figures and traps are
+                       identical; isolates the decode optimizations)
   --trace[=FILE]       human-readable pass/decision log to stderr (or FILE)
   --trace-json FILE    machine-readable trace events as JSON
   --profile FILE       per-site interpreter profile as JSON (implies --run);

@@ -22,8 +22,8 @@
 //! default decided them).
 //! `--fuel`/`--max-heap-cells`/`--max-depth` bound execution; a tripped
 //! limit reports a typed error, like any guest trap. `--reference` runs
-//! the reference interpreter (no superinstruction peephole, no loop
-//! fusion; observationally inert, for isolating the decode
+//! the reference interpreter (no loop plans, no direct yields;
+//! observationally inert, for isolating the decode
 //! optimizations).
 //!
 //! Exit codes: 0 success; 1 guest trap or limit at runtime; 2 usage

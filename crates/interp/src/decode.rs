@@ -335,7 +335,7 @@ pub enum DInst {
         /// Yielded operands.
         ops: Box<[DOp]>,
     },
-    /// [`DInst::Yield`] rewritten by the fuse peephole to move its
+    /// [`DInst::Yield`] rewritten at decode time to move its
     /// values straight into the consumer's destination slots — the next
     /// iteration's carried args for a loop body, the branch's dsts for
     /// an if arm — skipping the heap-allocated `Flow::Yield` buffer.
@@ -356,128 +356,6 @@ pub enum DInst {
     Roi {
         /// `true` at `roi begin`.
         begin: bool,
-    },
-
-    // ── Fused superinstructions ─────────────────────────────────────
-    //
-    // Built by the decode-time peephole (off under
-    // [`DecodeOptions::reference`]) from windows of consecutive slot-operand instructions within one
-    // region. A fused instruction replaces the *first* instruction of
-    // its window; the remaining originals stay in `code` as padding the
-    // dispatch loop steps over, so code length, per-site profile
-    // indices, and trap-site numbering are unchanged. Execution replays
-    // the unfused sequence's fuel ticks, site attribution, statistic
-    // bumps, and intermediate destination writes exactly — fusion only
-    // removes dispatch and re-resolution overhead, never observable
-    // work.
-    /// A run of ≥2 consecutive scalar micro-ops (const/arith/cmp/not).
-    FusedScalars {
-        /// The window's micro-ops, in original order.
-        uops: Box<[UScalar]>,
-    },
-    /// `read` immediately feeding a binary op.
-    FusedReadBin {
-        /// Collection slot.
-        coll: u32,
-        /// Key slot.
-        key: u32,
-        /// Read destination slot.
-        rdst: u32,
-        /// Fused binary operator.
-        op: BinOp,
-        /// Left operand slot (may equal `rdst`).
-        a: u32,
-        /// Right operand slot (may equal `rdst`).
-        b: u32,
-        /// Binary-op destination slot.
-        bdst: u32,
-    },
-    /// Binary op immediately stored through `write`.
-    FusedBinWrite {
-        /// Fused binary operator.
-        op: BinOp,
-        /// Left operand slot.
-        a: u32,
-        /// Right operand slot.
-        b: u32,
-        /// Binary-op destination slot (the written value).
-        bdst: u32,
-        /// Collection slot.
-        coll: u32,
-        /// Key slot.
-        key: u32,
-        /// Write destination slot (receives the collection handle).
-        wdst: u32,
-    },
-    /// The read-modify-write triple: `read`, arith, `write` back to the
-    /// same collection.
-    FusedReadBinWrite {
-        /// Collection slot (shared by the read and the write).
-        coll: u32,
-        /// Read key slot.
-        rkey: u32,
-        /// Read destination slot.
-        rdst: u32,
-        /// Fused binary operator.
-        op: BinOp,
-        /// Left operand slot (may equal `rdst`).
-        a: u32,
-        /// Right operand slot (may equal `rdst`).
-        b: u32,
-        /// Binary-op destination slot (the written value).
-        bdst: u32,
-        /// Write key slot.
-        wkey: u32,
-        /// Write destination slot (receives the collection handle).
-        wdst: u32,
-    },
-    /// `has` immediately branching on the membership answer.
-    FusedHasIf {
-        /// Collection slot.
-        coll: u32,
-        /// Key slot.
-        key: u32,
-        /// Membership destination slot (the branch condition).
-        hdst: u32,
-        /// Decoded region index of the then-block.
-        then_r: u32,
-        /// Decoded region index of the else-block.
-        else_r: u32,
-        /// Destination slots for the region's yields.
-        dsts: Box<[u32]>,
-    },
-    /// Comparison immediately branching on the answer.
-    FusedCmpIf {
-        /// Comparison operator.
-        op: CmpOp,
-        /// Left operand slot.
-        a: u32,
-        /// Right operand slot.
-        b: u32,
-        /// Comparison destination slot (the branch condition).
-        cdst: u32,
-        /// Decoded region index of the then-block.
-        then_r: u32,
-        /// Decoded region index of the else-block.
-        else_r: u32,
-        /// Destination slots for the region's yields.
-        dsts: Box<[u32]>,
-    },
-    /// `enc` immediately keying a membership-class op (`has`/`remove`/
-    /// `read`) with the translated identifier.
-    FusedEncKey {
-        /// Enumeration index.
-        e: u32,
-        /// Key operand slot of the `enc`.
-        v: u32,
-        /// `enc` destination slot (the translated identifier).
-        edst: u32,
-        /// Which keyed op consumes the identifier.
-        kind: EncKeyKind,
-        /// Collection slot of the keyed op.
-        coll: u32,
-        /// Destination slot of the keyed op.
-        dst2: u32,
     },
 
     // ── Bulk loop superinstructions ─────────────────────────────────
@@ -529,9 +407,8 @@ pub enum DInst {
     },
 }
 
-/// A scalar micro-op over plain slots: one component of a
-/// [`DInst::FusedScalars`] run, or a [`BulkOp::Scalar`] plan step. Both
-/// execute it through the interpreter's one scalar step.
+/// A scalar micro-op over plain slots: a [`BulkOp::Scalar`] plan step,
+/// executed through the interpreter's one scalar step.
 #[derive(Clone, Copy, Debug)]
 pub enum UScalar {
     /// Copy a pooled constant into `dst`.
@@ -572,28 +449,14 @@ pub enum UScalar {
     },
 }
 
-/// The membership-class op a [`DInst::FusedEncKey`] performs with the
-/// translated identifier. All three tolerate the `enc` sentinel (for
-/// `read`, an absent key traps exactly as the unfused sequence would).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EncKeyKind {
-    /// `has(c, enc(e, v))`.
-    Has,
-    /// `remove(c, enc(e, v))`.
-    Remove,
-    /// `read(c, enc(e, v))`.
-    Read,
-}
-
 /// A compiled loop body: the component sequence of a `foreach` or
 /// `forrange` body, with every operand resolved to a plain frame slot at
 /// decode time. Branches and loops nested in the body compile into
 /// [`BulkOp::If`] and [`BulkOp::Loop`] components, to any depth.
 ///
-/// Loop fusion runs before the superinstruction peephole, so the plan
-/// is compiled from the unfused body: one component per instruction,
-/// and every [`PlanOp::site`] names the exact code slot the unfused
-/// loop would trap at.
+/// The plan holds one component per body instruction, and every
+/// [`PlanOp::site`] names the exact code slot the generic loop would
+/// trap at.
 #[derive(Clone, Debug)]
 pub struct BulkPlan {
     /// Loop-invariant `const` components hoisted out of the body. SSA
@@ -643,8 +506,8 @@ pub struct PlanOp {
 /// A [`BulkPlan`] operation: one unfused [`DInst`] with every operand
 /// already a plain frame slot. The interpreter executes each through
 /// the same kernel as the instruction it replaces (scalar micro-ops
-/// through the [`UScalar`] step [`DInst::FusedScalars`] also uses), so
-/// a plan op only differs from dispatch in how it sites its traps.
+/// through the one [`UScalar`] step), so a plan op only differs from
+/// dispatch in how it sites its traps.
 #[derive(Clone, Debug)]
 pub enum BulkOp {
     /// A `const`, arithmetic, comparison or negation step.
@@ -812,25 +675,6 @@ pub enum BulkOp {
     },
 }
 
-impl DInst {
-    /// How many code slots this instruction occupies: the window length
-    /// for fused superinstructions (whose tail slots are skipped-over
-    /// padding), 1 for everything else.
-    #[inline]
-    pub fn advance(&self) -> usize {
-        match self {
-            DInst::FusedScalars { uops } => uops.len(),
-            DInst::FusedReadBinWrite { .. } => 3,
-            DInst::FusedReadBin { .. }
-            | DInst::FusedBinWrite { .. }
-            | DInst::FusedHasIf { .. }
-            | DInst::FusedCmpIf { .. }
-            | DInst::FusedEncKey { .. } => 2,
-            _ => 1,
-        }
-    }
-}
-
 /// A decoded region: argument slots plus a contiguous range of the
 /// owning function's instruction stream.
 #[derive(Clone, Debug)]
@@ -894,18 +738,17 @@ pub struct DecodedModule {
 /// Options for [`DecodedModule::decode_with`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DecodeOptions {
-    /// Decode the reference stream: one [`DInst`] per source
-    /// instruction, with no superinstruction peephole (the `Fused*` arms
-    /// and [`DInst::YieldDirect`]) and no loop fusion
-    /// ([`DInst::ForEachBulk`] / [`DInst::ForRangeBulk`]). The default
-    /// (`false`) runs both; they are observationally inert, so the
-    /// reference interpreter is the differential oracle for them.
+    /// Decode the reference stream: one [`DInst`] per source instruction,
+    /// with no loop plans ([`DInst::ForEachBulk`] /
+    /// [`DInst::ForRangeBulk`]) and no [`DInst::YieldDirect`]. The
+    /// default (`false`) builds both; they are observationally inert, so
+    /// the reference interpreter is the differential oracle for them.
     pub reference: bool,
 }
 
 impl DecodedModule {
     /// Decodes every function of `module`; the default [`DecodeOptions`]
-    /// run the superinstruction peephole and loop fusion.
+    /// build loop plans and direct yields.
     ///
     /// In debug builds this first runs the IR verifier: the decoded
     /// stream bakes in static facts (insert flavors, binding shapes)
@@ -927,7 +770,7 @@ impl DecodedModule {
                 let mut d = decode_function(f);
                 if !options.reference {
                     loop_fuse_function(&mut d);
-                    fuse_function(&mut d);
+                    direct_yields(&mut d);
                 }
                 d
             })
@@ -1241,7 +1084,7 @@ impl FuncDecoder<'_> {
 
 /// The frame slot behind a plain-slot operand; `None` for nesting
 /// paths, whose resolution bumps per-level read counts and therefore
-/// must stay per-instruction (fusing one would merge its counts).
+/// must stay per-instruction.
 fn sl(op: &DOp) -> Option<u32> {
     match op {
         DOp::Slot(s) => Some(*s),
@@ -1249,36 +1092,9 @@ fn sl(op: &DOp) -> Option<u32> {
     }
 }
 
-/// Runs the superinstruction peephole over every region of `d`.
-///
-/// Windows never cross region boundaries (regions are disjoint,
-/// contiguous code ranges and execute linearly, so nothing can jump
-/// into the middle of a window). A matched window's head slot is
-/// replaced by the fused instruction; its tail slots keep the original
-/// instructions as padding, preserving code length and instruction
-/// indices for the profiler and trap sites.
-fn fuse_function(d: &mut DFunc) {
-    for r in d.regions.iter() {
-        let (start, end) = (r.start as usize, r.end as usize);
-        let mut i = start;
-        while i < end {
-            if let Some(fused) = match_window(&d.code[i..end]) {
-                let len = fused.advance();
-                d.code[i] = fused;
-                i += len;
-            } else {
-                i += 1;
-            }
-        }
-    }
-    direct_yields(d);
-}
-
 /// Rewrites the terminal [`DInst::Yield`] of loop bodies and branch
 /// arms into [`DInst::YieldDirect`] targeting the consumer's slots.
-/// Runs after window fusion so branches that became
-/// [`DInst::FusedHasIf`]/[`DInst::FusedCmpIf`] are covered too, and
-/// after loop fusion, so bulk loop bodies are covered for the
+/// Runs after loop fusion, so bulk loop bodies are covered for the
 /// iterations that run them per instruction.
 ///
 /// Observables are unchanged: the terminator keeps its code slot (same
@@ -1306,18 +1122,6 @@ fn direct_yields(d: &mut DFunc) {
                 plans.push((*body, args[skip..].into()));
             }
             DInst::If {
-                then_r,
-                else_r,
-                dsts,
-                ..
-            }
-            | DInst::FusedHasIf {
-                then_r,
-                else_r,
-                dsts,
-                ..
-            }
-            | DInst::FusedCmpIf {
                 then_r,
                 else_r,
                 dsts,
@@ -1393,151 +1197,6 @@ fn uscalar(inst: &DInst, mut slot_of: impl FnMut(&DOp) -> Option<u32>) -> Option
     })
 }
 
-/// Tries every fusion pattern at the head of `w`, longest/most-specific
-/// first. Only all-slot-operand windows fuse (see [`sl`]).
-fn match_window(w: &[DInst]) -> Option<DInst> {
-    match w {
-        // read + arith (+ write back to the same collection).
-        [DInst::Read {
-            coll,
-            key,
-            dst: rdst,
-        }, DInst::Bin {
-            op,
-            a,
-            b,
-            dst: bdst,
-        }, rest @ ..] => {
-            let (coll, rkey) = (sl(coll)?, sl(key)?);
-            let (a, b) = (sl(a)?, sl(b)?);
-            if a != *rdst && b != *rdst {
-                return None;
-            }
-            if let [DInst::Write {
-                coll: wcoll,
-                key: wkey,
-                val,
-                dst: wdst,
-            }, ..] = rest
-            {
-                if sl(wcoll) == Some(coll) && sl(val) == Some(*bdst) {
-                    if let Some(wkey) = sl(wkey) {
-                        return Some(DInst::FusedReadBinWrite {
-                            coll,
-                            rkey,
-                            rdst: *rdst,
-                            op: *op,
-                            a,
-                            b,
-                            bdst: *bdst,
-                            wkey,
-                            wdst: *wdst,
-                        });
-                    }
-                }
-            }
-            Some(DInst::FusedReadBin {
-                coll,
-                key: rkey,
-                rdst: *rdst,
-                op: *op,
-                a,
-                b,
-                bdst: *bdst,
-            })
-        }
-        // membership probe + branch.
-        [DInst::Has { coll, key, dst }, DInst::If {
-            cond,
-            then_r,
-            else_r,
-            dsts,
-        }, ..]
-            if sl(cond) == Some(*dst) =>
-        {
-            Some(DInst::FusedHasIf {
-                coll: sl(coll)?,
-                key: sl(key)?,
-                hdst: *dst,
-                then_r: *then_r,
-                else_r: *else_r,
-                dsts: dsts.clone(),
-            })
-        }
-        // comparison + branch.
-        [DInst::Cmp { op, a, b, dst }, DInst::If {
-            cond,
-            then_r,
-            else_r,
-            dsts,
-        }, ..]
-            if sl(cond) == Some(*dst) =>
-        {
-            Some(DInst::FusedCmpIf {
-                op: *op,
-                a: sl(a)?,
-                b: sl(b)?,
-                cdst: *dst,
-                then_r: *then_r,
-                else_r: *else_r,
-                dsts: dsts.clone(),
-            })
-        }
-        // enc + keyed membership-class op on the translated id.
-        [DInst::Enc { e, v, dst }, second, ..] => {
-            let (kind, coll, dst2) = match second {
-                DInst::Has { coll, key, dst: d2 } if sl(key) == Some(*dst) => {
-                    (EncKeyKind::Has, sl(coll)?, *d2)
-                }
-                DInst::Remove { coll, key, dst: d2 } if sl(key) == Some(*dst) => {
-                    (EncKeyKind::Remove, sl(coll)?, *d2)
-                }
-                DInst::Read { coll, key, dst: d2 } if sl(key) == Some(*dst) => {
-                    (EncKeyKind::Read, sl(coll)?, *d2)
-                }
-                _ => return None,
-            };
-            Some(DInst::FusedEncKey {
-                e: *e,
-                v: sl(v)?,
-                edst: *dst,
-                kind,
-                coll,
-                dst2,
-            })
-        }
-        // arith + store of the result.
-        [DInst::Bin { op, a, b, dst }, DInst::Write {
-            coll,
-            key,
-            val,
-            dst: wdst,
-        }, ..]
-            if sl(val) == Some(*dst) =>
-        {
-            Some(DInst::FusedBinWrite {
-                op: *op,
-                a: sl(a)?,
-                b: sl(b)?,
-                bdst: *dst,
-                coll: sl(coll)?,
-                key: sl(key)?,
-                wdst: *wdst,
-            })
-        }
-        // a run of pure scalar micro-ops.
-        _ => {
-            let uops: Vec<UScalar> = w.iter().map_while(|inst| uscalar(inst, sl)).collect();
-            if uops.len() < 2 {
-                return None;
-            }
-            Some(DInst::FusedScalars {
-                uops: uops.into_boxed_slice(),
-            })
-        }
-    }
-}
-
 /// Runs the loop-granular fusion tier over every loop of `d`:
 /// `foreach`/`forrange` headers whose whole body compiles to a
 /// [`BulkPlan`] are replaced in place by [`DInst::ForEachBulk`] /
@@ -1550,8 +1209,8 @@ fn match_window(w: &[DInst]) -> Option<DInst> {
 ///
 /// Loops compile innermost first, so an enclosing body finds each
 /// nested loop already compiled and embeds its plan as a
-/// [`BulkOp::Loop`]. Runs before [`fuse_function`], so plans compile
-/// from the unfused body.
+/// [`BulkOp::Loop`]. Runs before [`direct_yields`], so plans compile
+/// from the buffered yields.
 fn loop_fuse_function(d: &mut DFunc) {
     // Field-projection operands decompose into `BulkOp::Proj` writes to
     // scratch slots past the function's SSA slots. A scratch slot is
@@ -1605,7 +1264,7 @@ fn loops_inner_first(d: &DFunc) -> Vec<usize> {
 type Reject = &'static str;
 
 /// Compiles the loop header at `idx` into its bulk twin, if its body is
-/// a window the plan language can express. `scratch` is the loop's
+/// a region the plan language can express. `scratch` is the loop's
 /// projection-slot allocator, seeded at the function's SSA slot count.
 fn try_bulk_loop(d: &DFunc, idx: usize, scratch: &mut u32) -> Result<DInst, Reject> {
     Ok(match &d.code[idx] {
@@ -1932,7 +1591,7 @@ fn compile_inst(
         DInst::MkTuple { .. } => return Err("tuple"),
         DInst::Ret { .. } => return Err("ret"),
         // A yield before the region's end: verified code has none (and
-        // the peephole's fused forms do not exist yet).
+        // direct yields do not exist yet).
         _ => return Err("malformed"),
     };
     out.push(PlanOp { site, ticks: 0, op });
@@ -2051,85 +1710,8 @@ fn @main() -> void {
         assert_eq!(d.funcs[0].consts[0], Value::Str("hello".into()));
     }
 
-    const RMW: &str = r#"
-fn @main() -> void {
-  %m = new Map<u64, u64>
-  %k = const 3u64
-  %m1 = insert %m, %k
-  %one = const 1u64
-  %v = read %m1, %k
-  %v1 = add %v, %one
-  %m2 = write %m1, %k, %v1
-  print %v1
-  ret
-}
-"#;
-
     #[test]
-    fn peephole_fuses_rmw_triple_in_place() {
-        let m = parse_module(RMW).expect("parses");
-        let unfused = reference(&m);
-        let fused = DecodedModule::decode_with(&m, &DecodeOptions::default());
-        let (u, f) = (&unfused.funcs[0], &fused.funcs[0]);
-        // Head replacement: code length, region boundaries and the
-        // padding slots' original instructions are all preserved.
-        assert_eq!(u.code.len(), f.code.len());
-        assert!(matches!(u.code[4], DInst::Read { .. }));
-        assert!(matches!(f.code[4], DInst::FusedReadBinWrite { .. }));
-        assert_eq!(f.code[4].advance(), 3);
-        assert!(
-            matches!(f.code[5], DInst::Bin { .. }),
-            "padding keeps the original"
-        );
-        assert!(
-            matches!(f.code[6], DInst::Write { .. }),
-            "padding keeps the original"
-        );
-        assert!(matches!(f.code[7], DInst::Print { .. }));
-    }
-
-    #[test]
-    fn peephole_fuses_membership_branch_and_scalar_runs() {
-        // The histogram body: `has` feeding `if`, then a const+add run.
-        let m = parse_module(
-            r#"
-fn @main() -> void {
-  %h = new Map<u64, u64>
-  %k = const 3u64
-  %h0 = insert %h, %k
-  %cond = has %h0, %k
-  %h2, %freq = if %cond then {
-    %f = read %h0, %k
-    yield %h0, %f
-  } else {
-    %zero = const 0u64
-    yield %h0, %zero
-  }
-  %one = const 1u64
-  %freq1 = add %freq, %one
-  %h3 = write %h2, %k, %freq1
-  print %freq1
-  ret
-}
-"#,
-        )
-        .expect("parses");
-        let fused = DecodedModule::decode_with(&m, &DecodeOptions::default());
-        let f = &fused.funcs[0];
-        assert!(f.code.iter().any(|i| matches!(i, DInst::FusedHasIf { .. })));
-        let run = f
-            .code
-            .iter()
-            .find_map(|i| match i {
-                DInst::FusedScalars { uops } => Some(uops.len()),
-                _ => None,
-            })
-            .expect("const+add fused as a scalar run");
-        assert_eq!(run, 2);
-    }
-
-    #[test]
-    fn fuse_rewrites_slot_only_loop_yields_to_direct() {
+    fn slot_only_loop_yields_become_direct() {
         let m = parse_module(
             r#"
 fn @main() -> void {
@@ -2146,15 +1728,15 @@ fn @main() -> void {
 "#,
         )
         .expect("parses");
-        // Plain decode keeps the buffered yield; the fuse peephole
+        // Plain decode keeps the buffered yield; the default decode
         // rewrites it to copy straight into the body's carried slot.
         let plain = reference(&m);
         assert!(plain.funcs[0]
             .code
             .iter()
             .all(|i| !matches!(i, DInst::YieldDirect { .. })));
-        let fused = DecodedModule::decode_with(&m, &DecodeOptions::default());
-        let f = &fused.funcs[0];
+        let default = DecodedModule::decode_with(&m, &DecodeOptions::default());
+        let f = &default.funcs[0];
         let body = f
             .code
             .iter()
@@ -2170,16 +1752,6 @@ fn @main() -> void {
         };
         assert_eq!(srcs.len(), 1);
         assert_eq!(dsts.as_ref(), &region.args[1..]);
-    }
-
-    #[test]
-    fn peephole_is_off_for_plain_decode() {
-        let m = parse_module(RMW).expect("parses");
-        let d = reference(&m);
-        assert!(
-            !d.funcs[0].code.iter().any(|i| i.advance() != 1),
-            "the reference decode must stay purely structural"
-        );
     }
 
     const CHURN_LOOP: &str = r#"

@@ -23,11 +23,10 @@
 //! The dispatch loop's only budget check is that countdown reaching
 //! zero; what happens there (fuel exhausted, or the grant used up, which
 //! suspends the run) is decided out of line in `tick_boundary`. The
-//! fast paths count ticks exactly under every budget: a fused window
-//! runs fused only when the countdown covers all its slots, and a bulk
-//! loop iteration runs through its plan only when the countdown covers
-//! the iteration's worst case, so no budget boundary ever falls inside
-//! either. A plan that holds a nested loop has no static worst case: it
+//! fast path counts ticks exactly under every budget: a bulk loop
+//! iteration runs through its plan only when the countdown covers the
+//! iteration's worst case, so no budget boundary ever falls inside it.
+//! A plan that holds a nested loop has no static worst case: it
 //! runs only when neither a fuel limit nor a session grant can end the
 //! countdown's window.
 
@@ -40,7 +39,7 @@ use ade_ir::{BinOp, CmpOp, FuncId, Module, Type};
 
 use crate::decode::{
     BulkOp, BulkPlan, DAccess, DFunc, DInst, DOp, DPath, DScalar, DecodeOptions, DecodedModule,
-    EncKeyKind, PlanOp, UScalar,
+    PlanOp, UScalar,
 };
 use crate::heap::{CollId, Collection, SelectionDefaults};
 use crate::profile::{Recorder, SiteProfile};
@@ -67,14 +66,15 @@ pub struct ExecConfig {
     /// Record a per-instruction-site profile (see [`crate::profile`]).
     /// Costs nothing when `false`: the hot loop's only extra work is a
     /// branch on an `Option` discriminant. A profiled run dispatches
-    /// every instruction at its own site, so it takes neither fused
-    /// windows nor bulk loop plans.
+    /// every instruction at its own site, so it takes no bulk loop
+    /// plans.
     pub profile: bool,
     /// Runtime metrics registry (default disabled). When enabled, the
     /// run publishes quantum grants (`exec_quanta_total`), executed
     /// ticks (`exec_fuel_ticks_total`, [`Outcome::fuel_ticks`]), loop
     /// entries by tier (`exec_loop_tier_total{tier=…}`: `bulk` when
-    /// iterations may run through a plan, else `generic`), the heap
+    /// iterations may run through a plan, else `generic`), the ticks
+    /// plan iterations took (`exec_plan_ticks_total`), the heap
     /// high-water mark (`exec_heap_hwm_bytes`) and per-reason stop
     /// tallies (`exec_stops_total{reason=…}`). Every update is commutative, so
     /// the published values are independent of scheduling; execution
@@ -208,10 +208,9 @@ fn trap(kind: TrapKind) -> ExecError {
     ExecError::GuestTrap { site: None, kind }
 }
 
-/// A guest trap attributed to instruction `inst` of `func`. Fused
-/// windows and bulk plan ops site the traps of components that did not
-/// dispatch on their own at the code slot of the original instruction,
-/// matching unfused execution.
+/// A guest trap attributed to instruction `inst` of `func`. Bulk plan
+/// ops, which do not dispatch on their own, site their traps at the
+/// code slot of the original instruction, matching generic execution.
 fn trap_at(func: &DFunc, inst: usize, kind: TrapKind) -> ExecError {
     ExecError::GuestTrap {
         site: Some(TrapSite {
@@ -242,9 +241,9 @@ pub struct Outcome {
     pub result: Option<Value>,
     /// Per-instruction-site profile (when [`ExecConfig::profile`]).
     pub profile: Option<SiteProfile>,
-    /// Instructions executed, one tick per decoded slot (fused padding
-    /// and the slots of bulk plan iterations included). Always exact,
-    /// and identical for every decode, budget and quantum size.
+    /// Instructions executed, one tick per decoded slot (the slots of
+    /// bulk plan iterations included). Always exact, and identical for
+    /// every decode, budget and quantum size.
     pub fuel_ticks: u64,
 }
 
@@ -325,8 +324,8 @@ struct Cursor {
 enum RegionKind {
     /// A function body, left only by `ret`.
     Body,
-    /// An `if` arm of the `If`, `FusedHasIf` or `FusedCmpIf` at
-    /// `header`, whose destinations receive the arm's yields.
+    /// An `if` arm of the `If` at `header`, whose destinations receive
+    /// the arm's yields.
     Arm { header: u32 },
     /// A `foreach`/`forrange` body. `bulk` (fixed at loop entry) lets
     /// iterations run through the header's plan.
@@ -514,7 +513,7 @@ pub struct Interpreter<'m> {
     /// `Some` only when [`ExecConfig::profile`]; boxed so the disabled
     /// case costs one word in the interpreter struct. Per-site
     /// attribution needs every instruction dispatched at its own site,
-    /// so a profiled run takes neither fused windows nor bulk plans.
+    /// so a profiled run takes no bulk plans.
     profiler: Option<Box<Recorder>>,
     /// Free list of spent yield buffers. Every buffered loop iteration
     /// and branch join yields a `Vec<Value>`; recycling them turns the
@@ -588,7 +587,7 @@ impl<'m> Interpreter<'m> {
 
     /// [`Interpreter::run`] over a pre-decoded instruction stream,
     /// letting callers that execute one module many times (benchmark
-    /// trials) pay for decoding and the peephole once. `decoded` must
+    /// trials) pay for decoding and loop fusion once. `decoded` must
     /// come from this interpreter's module. Runs on the caller's thread
     /// with bounded host stack, however deeply the guest recurses.
     ///
@@ -839,10 +838,10 @@ impl<'m> Interpreter<'m> {
     //
     // The one definition of each counted operation: key coercion, the
     // statistics bump, the heap call and byte accounting. Plain
-    // dispatch, fused windows, bulk plan ops and nested-path reads all
-    // resolve their own operands, call the kernel, and site the trap it
-    // returns themselves (site-less for the dispatch loop to attribute,
-    // or at an explicit code slot). Writers leave the handle copy into
+    // dispatch, bulk plan ops and nested-path reads all resolve their
+    // own operands, call the kernel, and site the trap it returns
+    // themselves (site-less for the dispatch loop to attribute, or at an
+    // explicit code slot). Writers leave the handle copy into
     // their destination slot to the caller, which knows the operand's
     // base slot.
 
@@ -1114,8 +1113,8 @@ impl<'m> Interpreter<'m> {
                 Ok(Next::Jump(next, next_end)) => (pc, end) = (next, next_end),
                 Ok(Next::Leave(transfer)) => return Ok(transfer),
                 // A trap without a site is this instruction's. Traps
-                // sited elsewhere (fused components, plan ops, loop
-                // conditions) pass through.
+                // sited elsewhere (plan ops, loop conditions) pass
+                // through.
                 Err(e) => return Err(site_at(func, pc, e)),
             }
         }
@@ -1173,62 +1172,6 @@ impl<'m> Interpreter<'m> {
                     RegionKind::Arm { header: pc as u32 },
                 )
             }
-            DInst::FusedHasIf {
-                coll,
-                key,
-                hdst,
-                then_r,
-                else_r,
-                ..
-            } => {
-                // Component 0: the membership probe, exactly as `has`.
-                let id = frame[*coll as usize].try_as_coll().map_err(trap)?;
-                let cond = self.has(id, &frame[*key as usize]).map_err(trap)?;
-                frame[*hdst as usize] = Value::Bool(cond);
-                // Component 1: the branch at `pc + 1`, fused or from its
-                // padding slot.
-                if !self.whole_window(2) {
-                    return Ok(Next::At(pc + 1));
-                }
-                self.ticks_left -= 1;
-                let arm = if cond { *then_r } else { *else_r };
-                self.enter_region(
-                    func,
-                    cursors,
-                    pc + 2,
-                    arm,
-                    RegionKind::Arm { header: pc as u32 },
-                )
-            }
-            DInst::FusedCmpIf {
-                op,
-                a,
-                b,
-                cdst,
-                then_r,
-                else_r,
-                ..
-            } => {
-                let cond = eval_cmp(*op, &frame[*a as usize], &frame[*b as usize]);
-                frame[*cdst as usize] = Value::Bool(cond);
-                if !self.whole_window(2) {
-                    return Ok(Next::At(pc + 1));
-                }
-                self.ticks_left -= 1;
-                let arm = if cond { *then_r } else { *else_r };
-                self.enter_region(
-                    func,
-                    cursors,
-                    pc + 2,
-                    arm,
-                    RegionKind::Arm { header: pc as u32 },
-                )
-            }
-            DInst::FusedScalars { .. }
-            | DInst::FusedReadBin { .. }
-            | DInst::FusedBinWrite { .. }
-            | DInst::FusedReadBinWrite { .. }
-            | DInst::FusedEncKey { .. } => self.exec_fused_straight(func, frame, inst, pc),
             DInst::ForEach { .. }
             | DInst::ForEachBulk { .. }
             | DInst::ForRange { .. }
@@ -1319,10 +1262,7 @@ impl<'m> Interpreter<'m> {
             })))),
             RegionKind::Arm { header } => {
                 if let Some(vals) = vals {
-                    let (DInst::If { dsts, .. }
-                    | DInst::FusedHasIf { dsts, .. }
-                    | DInst::FusedCmpIf { dsts, .. }) = &func.code[header as usize]
-                    else {
+                    let DInst::If { dsts, .. } = &func.code[header as usize] else {
                         unreachable!("an arm's header is a branch")
                     };
                     self.land(frame, vals, dsts);
@@ -1385,163 +1325,6 @@ impl<'m> Interpreter<'m> {
         self.window = fuel_left.min(window);
         self.ticks_left = self.window;
         Ok(true)
-    }
-
-    /// Whether the rest of a fused window of `k` slots, whose head has
-    /// ticked, runs fused: nothing attributes work per site (no
-    /// profiler) and the countdown covers the other `k - 1` ticks, so no
-    /// budget boundary falls inside the window. Otherwise only the head
-    /// component runs and the padding slots, which keep their original
-    /// instructions, dispatch one by one.
-    #[inline]
-    fn whole_window(&self, k: usize) -> bool {
-        self.profiler.is_none() && self.ticks_left >= (k - 1) as u64
-    }
-
-    /// Straight-line fused superinstructions. Each component replays its
-    /// unfused opcode's exact observable sequence — tick, statistic
-    /// bumps, intermediate destination writes, trap sites — by calling
-    /// the same kernel; only dispatch and operand re-resolution are
-    /// saved. The head component's traps stay site-less (the dispatch
-    /// loop attributes them to `idx`); component `j` sites its own at
-    /// `idx + j`. Unless the whole window runs ([`Self::whole_window`]),
-    /// only the head does, and dispatch continues at the first padding
-    /// slot.
-    #[inline(never)]
-    fn exec_fused_straight(
-        &mut self,
-        func: &DFunc,
-        frame: &mut [Value],
-        inst: &DInst,
-        idx: usize,
-    ) -> Result<Next, ExecError> {
-        let whole = self.whole_window(inst.advance());
-        match inst {
-            DInst::FusedScalars { uops } => {
-                let run = if whole { uops.len() } else { 1 };
-                for (j, u) in uops[..run].iter().enumerate() {
-                    if j > 0 {
-                        self.ticks_left -= 1;
-                    }
-                    exec_scalar(func, frame, *u).map_err(|k| trap_at(func, idx + j, k))?;
-                }
-                if !whole {
-                    return Ok(Next::At(idx + 1));
-                }
-            }
-            DInst::FusedReadBin {
-                coll,
-                key,
-                rdst,
-                op,
-                a,
-                b,
-                bdst,
-            } => {
-                let id = frame[*coll as usize].try_as_coll().map_err(trap)?;
-                frame[*rdst as usize] = self.read(id, &frame[*key as usize]).map_err(trap)?;
-                if !whole {
-                    return Ok(Next::At(idx + 1));
-                }
-                self.ticks_left -= 1;
-                let bin = UScalar::Bin {
-                    op: *op,
-                    a: *a,
-                    b: *b,
-                    dst: *bdst,
-                };
-                exec_scalar(func, frame, bin).map_err(|k| trap_at(func, idx + 1, k))?;
-            }
-            DInst::FusedBinWrite {
-                op,
-                a,
-                b,
-                bdst,
-                coll,
-                key,
-                wdst,
-            } => {
-                let bin = UScalar::Bin {
-                    op: *op,
-                    a: *a,
-                    b: *b,
-                    dst: *bdst,
-                };
-                exec_scalar(func, frame, bin).map_err(trap)?;
-                if !whole {
-                    return Ok(Next::At(idx + 1));
-                }
-                self.ticks_left -= 1;
-                let at = |k| trap_at(func, idx + 1, k);
-                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
-                let value = frame[*bdst as usize].clone();
-                self.write(id, &frame[*key as usize], value).map_err(at)?;
-                frame[*wdst as usize] = frame[*coll as usize].clone();
-            }
-            DInst::FusedReadBinWrite {
-                coll,
-                rkey,
-                rdst,
-                op,
-                a,
-                b,
-                bdst,
-                wkey,
-                wdst,
-            } => {
-                let id = frame[*coll as usize].try_as_coll().map_err(trap)?;
-                frame[*rdst as usize] = self.read(id, &frame[*rkey as usize]).map_err(trap)?;
-                if !whole {
-                    return Ok(Next::At(idx + 1));
-                }
-                self.ticks_left -= 1;
-                let bin = UScalar::Bin {
-                    op: *op,
-                    a: *a,
-                    b: *b,
-                    dst: *bdst,
-                };
-                exec_scalar(func, frame, bin).map_err(|k| trap_at(func, idx + 1, k))?;
-                self.ticks_left -= 1;
-                // The matcher pins the write to the read's collection
-                // slot and the interposed `Bin` writes only its scalar
-                // destination, so the handle resolved for the read is
-                // still the write's collection — no re-resolution.
-                let value = frame[*bdst as usize].clone();
-                self.write(id, &frame[*wkey as usize], value)
-                    .map_err(|k| trap_at(func, idx + 2, k))?;
-                frame[*wdst as usize] = frame[*coll as usize].clone();
-            }
-            DInst::FusedEncKey {
-                e,
-                v,
-                edst,
-                kind,
-                coll,
-                dst2,
-            } => {
-                // Component 0: the `enc`, sentinel fallback included.
-                frame[*edst as usize] = Value::Idx(self.enc(*e, &frame[*v as usize]));
-                if !whole {
-                    return Ok(Next::At(idx + 1));
-                }
-                // Component 1: the keyed membership-class op at `idx + 1`.
-                self.ticks_left -= 1;
-                let at = |k| trap_at(func, idx + 1, k);
-                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
-                let key = &frame[*edst as usize];
-                frame[*dst2 as usize] = match kind {
-                    EncKeyKind::Has => Value::Bool(self.has(id, key).map_err(at)?),
-                    EncKeyKind::Remove => {
-                        self.remove(id, key).map_err(at)?;
-                        frame[*coll as usize].clone()
-                    }
-                    EncKeyKind::Read => self.read(id, key).map_err(at)?,
-                };
-            }
-            other => unreachable!("non-fused opcode {other:?} reached exec_fused_straight"),
-        }
-        Ok(Next::At(idx + inst.advance()))
     }
 
     /// Straight-line (non-control) opcodes.
@@ -1858,7 +1641,8 @@ impl<'m> Interpreter<'m> {
     /// here through the plan; the first one that cannot (it would
     /// straddle a budget boundary) starts the body region generically.
     /// After the last iteration the carried values land in the loop's
-    /// destinations and the enclosing region resumes.
+    /// destinations and the enclosing region resumes. However it leaves,
+    /// the ticks its plan iterations took go to `exec_plan_ticks_total`.
     fn next_iteration(
         &mut self,
         func: &DFunc,
@@ -1873,23 +1657,33 @@ impl<'m> Interpreter<'m> {
         let args = &func.regions[parts.body as usize].args;
         let carried_args = &args[parts.bound..];
         let plan = parts.plan.filter(|_| *bulk);
-        while iter.bind(frame, args, parts.bound) {
+        let before = self.ticks_left;
+        let next = loop {
+            if !iter.bind(frame, args, parts.bound) {
+                copy_slots(frame, carried_args, parts.dsts);
+                break Ok(leave_to_parent(cursors));
+            }
             match plan {
                 Some(plan)
                     if plan
                         .worst
                         .is_none_or(|worst| self.ticks_left >= u64::from(worst)) =>
                 {
-                    self.exec_plan_iteration(func, frame, plan, carried_args)?;
+                    if let Err(e) = self.exec_plan_iteration(func, frame, plan, carried_args) {
+                        break Err(e);
+                    }
                 }
                 _ => {
                     top.pc = top.start;
-                    return Ok(Next::Jump(top.start as usize, top.end as usize));
+                    break Ok(Next::Jump(top.start as usize, top.end as usize));
                 }
             }
+        };
+        let m = &self.config.metrics;
+        if plan.is_some() && m.is_enabled() {
+            m.add("exec_plan_ticks_total", &[], before - self.ticks_left);
         }
-        copy_slots(frame, carried_args, parts.dsts);
-        Ok(leave_to_parent(cursors))
+        next
     }
 
     /// The `dowhile` body at the top cursor yielded `vals`: the
@@ -2204,8 +1998,8 @@ fn leave_to_parent(cursors: &mut Vec<Cursor>) -> Next {
     Next::Jump(parent.pc as usize, parent.end as usize)
 }
 
-/// The scalar step shared by [`DInst::FusedScalars`] windows, the
-/// arithmetic components of the other fused windows and bulk plans.
+/// The scalar step of a plan's `const`, arithmetic, comparison and
+/// negation ops.
 #[inline]
 fn exec_scalar(func: &DFunc, frame: &mut [Value], u: UScalar) -> Result<(), TrapKind> {
     let (dst, v) = match u {

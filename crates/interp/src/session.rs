@@ -17,10 +17,10 @@
 //! and cancels with [`StopReason::Deadline`] at the first boundary past
 //! an [`Instant`].
 //!
-//! Suspension touches no interpreter state, and the fused windows and
-//! bulk loop plans count their ticks exactly (they run only where no
-//! grant boundary falls inside them, so a plan holding a nested loop,
-//! which has no static worst case, never runs in a session), so outputs, statistics, per-site
+//! Suspension touches no interpreter state, and bulk loop plans count
+//! their ticks exactly (they run only where no grant boundary falls
+//! inside them, so a plan holding a nested loop, which has no static
+//! worst case, never runs in a session), so outputs, statistics, per-site
 //! profiles, tick counts and trap sites are byte-identical for
 //! **every** quantum size, and to the batch run — the
 //! quantum-invariance and budget-parity differential tests pin this.
@@ -291,7 +291,7 @@ mod tests {
             .run_to_completion()
             .expect("completes")
             .fuel_ticks;
-        assert!(exact > 3 * 200, "every slot of 200 iterations, fused padding included: {exact}");
+        assert!(exact > 3 * 200, "every slot of 200 iterations: {exact}");
         assert_eq!(ticks(ExecConfig::default()), exact, "a plain run");
         let fuel = |n| ExecConfig {
             fuel: Some(n),

@@ -1,5 +1,6 @@
-//! Budget parity: the fast paths (fused windows and bulk loop plans) run
-//! under every budget, and a budget never changes what a run observes.
+//! Budget parity: the fast path (bulk loop plans) runs under every
+//! budget, and a budget never changes what a run observes, on plans or
+//! on generic dispatch.
 //! Each program runs unprofiled on both decodes, as a batch run and as a
 //! session at quanta {1, 2, 3, 7, 4096, unlimited}, with no fuel limit
 //! and under every fuel limit within the last 40 ticks of its run. Every
@@ -67,9 +68,11 @@ fn @main() -> void {
 }
 "#;
 
-/// Every `Fused*` window, in a `dowhile` body (never a bulk loop), so
-/// the windows straddle grant and fuel boundaries at every offset.
-const FUSED: &str = r#"
+/// Generic straight-line dispatch in a `dowhile` body (never a bulk
+/// loop): map read/modify/write, `has`- and `cmp`-guarded branches,
+/// `enc`-keyed probes and scalar runs, so grant and fuel boundaries fall
+/// at every offset of the body.
+const STRAIGHT: &str = r#"
 enum e0: u64
 
 fn @main() -> void {
@@ -168,34 +171,6 @@ fn @main() -> void {
     %w = add %acc, %v
     %x = add %w, %one
     yield %x
-  }
-  print %tot
-  ret
-}
-"#;
-
-/// A `div-by-zero` trap in the second component of a `read`+`bin`
-/// window, in a `dowhile` body.
-const TRAP_IN_WINDOW: &str = r#"
-fn @main() -> void {
-  %m = new Map<u64, u64>
-  %zero = const 0u64
-  %one = const 1u64
-  %five = const 5u64
-  %mf = forrange %zero, %five carry(%m) as (%i: u64, %mm: Map<u64, u64>) {
-    %k = sub %five, %i
-    %j = sub %k, %one
-    %m1 = write %mm, %i, %j
-    yield %m1
-  }
-  %hundred = const 100u64
-  %last, %tot = dowhile carry(%zero, %zero) as (%i: u64, %acc: u64) {
-    %v = read %mf, %i
-    %q = div %hundred, %v
-    %acc1 = add %acc, %q
-    %i2 = add %i, %one
-    %more = lt %i2, %five
-    yield %more, %i2, %acc1
   }
   print %tot
   ret
@@ -324,17 +299,11 @@ const CASES: &[Case] = &[
         depths: NO_DEPTH_LIMIT,
     },
     Case {
-        name: "every fused window",
-        text: FUSED,
-        shapes: &[
-            |i| matches!(i, DInst::FusedScalars { .. }),
-            |i| matches!(i, DInst::FusedReadBin { .. }),
-            |i| matches!(i, DInst::FusedBinWrite { .. }),
-            |i| matches!(i, DInst::FusedReadBinWrite { .. }),
-            |i| matches!(i, DInst::FusedHasIf { .. }),
-            |i| matches!(i, DInst::FusedCmpIf { .. }),
-            |i| matches!(i, DInst::FusedEncKey { .. }),
-        ],
+        name: "generic straight-line dispatch",
+        text: STRAIGHT,
+        // The program has no `foreach`/`forrange`, so its direct yields
+        // end `if` arms.
+        shapes: &[|i| matches!(i, DInst::YieldDirect { .. })],
         depths: NO_DEPTH_LIMIT,
     },
     Case {
@@ -351,12 +320,6 @@ const CASES: &[Case] = &[
         name: "trap inside a bulk iteration",
         text: TRAP_IN_PLAN,
         shapes: &[|i| matches!(i, DInst::ForRangeBulk { .. })],
-        depths: NO_DEPTH_LIMIT,
-    },
-    Case {
-        name: "trap inside a fused window",
-        text: TRAP_IN_WINDOW,
-        shapes: &[|i| matches!(i, DInst::FusedReadBin { .. })],
         depths: NO_DEPTH_LIMIT,
     },
     Case {
@@ -525,7 +488,7 @@ fn bulk_loops_with_branches_match_the_reference_under_every_budget() {
 }
 
 #[test]
-fn fused_windows_match_the_reference_under_every_budget() {
+fn straight_line_dispatch_matches_the_reference_under_every_budget() {
     check(&CASES[1]);
 }
 
@@ -535,19 +498,18 @@ fn calls_and_nested_loops_match_the_reference_under_every_budget() {
 }
 
 #[test]
-fn traps_in_plans_and_windows_match_the_reference_under_every_budget() {
+fn traps_in_plans_match_the_reference_under_every_budget() {
     check(&CASES[3]);
-    check(&CASES[4]);
 }
 
 #[test]
 fn nested_plans_match_the_reference_under_every_budget() {
-    check(&CASES[5]);
+    check(&CASES[4]);
 }
 
 #[test]
 fn depth_limits_match_the_reference_under_every_budget() {
-    let case = &CASES[6];
+    let case = &CASES[5];
     check(case);
     // The sweep covers both sides of the limit: runs that finish, and
     // runs the limit stops.
@@ -577,7 +539,11 @@ fn depth_limits_match_the_reference_under_every_budget() {
 
 /// The loop-tier counter shows the plans running under a session: the
 /// default decode enters its bulk loops as `bulk`, the reference decode
-/// every loop as `generic`.
+/// every loop as `generic`. `exec_plan_ticks_total` counts every body
+/// slot the plans ran: 40 `forrange` iterations of 5 slots plus the
+/// taken arm (3 slots for the 14 multiples of three, else 2), then 26
+/// `foreach` iterations of 2 slots, so 346 on the default decode and
+/// none on the reference decode.
 #[test]
 fn bulk_plans_run_under_a_session() {
     let module = parse_module(BULK).expect("parses");
@@ -593,6 +559,11 @@ fn bulk_plans_run_under_a_session() {
         assert_eq!(
             counter(&metrics, r#"exec_loop_tier_total{tier="generic"}"#),
             2 - bulk_entries,
+            "reference={reference}"
+        );
+        assert_eq!(
+            counter(&metrics, "exec_plan_ticks_total"),
+            if reference { 0 } else { 346 },
             "reference={reference}"
         );
     }

@@ -88,7 +88,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Every artifact configuration agrees on every benchmark's output, and
-/// every cell's default decode (peephole plus loop fusion) matches the
+/// every cell's default decode (loop plans and direct yields) matches the
 /// reference decode on output, per-phase statistics and peak memory.
 /// Each compiled module's printed IR must also match its row in
 /// `tests/golden/compiled_ir_scale4.txt`, so a compile-time rewrite of
@@ -324,17 +324,16 @@ fn fuel_boundary_is_exact_under_batch_and_every_quantum() {
     }
 }
 
-/// Per-module decode shape at scale 4: `ABBREV config fused bulk
-/// components generic` rows for every benchmark under `memoir` and
-/// `ade`.
+/// Per-module decode shape at scale 4: `ABBREV config bulk components
+/// generic` rows for every benchmark under `memoir` and `ade`.
 const GOLDEN_SHAPE: &str = include_str!("golden/decoded_shape_scale4.txt");
 
-/// Counts the default decode's `Fused*` superinstructions, bulk loop
-/// headers (`ForEachBulk`/`ForRangeBulk`) and bulk plan components
+/// Counts the default decode's bulk loop headers
+/// (`ForEachBulk`/`ForRangeBulk`) and bulk plan components
 /// (prelude plus per-iteration ops, each `If` arm's and nested loop
 /// plan's ops included), and tallies the reasons the other loop headers
 /// stayed generic as `reason=count` pairs (`-` when none did).
-fn decoded_shape(decoded: &DecodedModule) -> (usize, usize, usize, String) {
+fn decoded_shape(decoded: &DecodedModule) -> (usize, usize, String) {
     use ade::interp::decode::{BulkOp, BulkPlan, DInst, PlanOp};
     fn components(ops: &[PlanOp]) -> usize {
         ops.iter()
@@ -350,21 +349,11 @@ fn decoded_shape(decoded: &DecodedModule) -> (usize, usize, usize, String) {
     fn plan_components(plan: &BulkPlan) -> usize {
         components(&plan.prelude) + components(&plan.ops)
     }
-    let (mut fused, mut bulk, mut plan_ops) = (0, 0, 0);
+    let (mut bulk, mut plan_ops) = (0, 0);
     for inst in decoded.funcs.iter().flat_map(|f| f.code.iter()) {
-        match inst {
-            DInst::FusedScalars { .. }
-            | DInst::FusedReadBin { .. }
-            | DInst::FusedBinWrite { .. }
-            | DInst::FusedReadBinWrite { .. }
-            | DInst::FusedHasIf { .. }
-            | DInst::FusedCmpIf { .. }
-            | DInst::FusedEncKey { .. } => fused += 1,
-            DInst::ForEachBulk { plan, .. } | DInst::ForRangeBulk { plan, .. } => {
-                bulk += 1;
-                plan_ops += plan_components(plan);
-            }
-            _ => {}
+        if let DInst::ForEachBulk { plan, .. } | DInst::ForRangeBulk { plan, .. } = inst {
+            bulk += 1;
+            plan_ops += plan_components(plan);
         }
     }
     let mut generic = std::collections::BTreeMap::<&str, usize>::new();
@@ -380,13 +369,14 @@ fn decoded_shape(decoded: &DecodedModule) -> (usize, usize, usize, String) {
     } else {
         generic.join(",")
     };
-    (fused, bulk, plan_ops, generic)
+    (bulk, plan_ops, generic)
 }
 
-/// The default decode builds the same peephole windows, bulk loops and
-/// plan components for every paper program as recorded in
-/// `tests/golden/decoded_shape_scale4.txt`, so a change to the decoder's
-/// pass structure cannot silently drop a fast path.
+/// The default decode builds the same bulk loops and plan components
+/// for every paper program as recorded in
+/// `tests/golden/decoded_shape_scale4.txt`, and leaves the same loops
+/// generic, so a change to the plan compiler cannot silently drop a
+/// loop from the fast path.
 #[test]
 fn decode_keeps_every_window_and_plan() {
     let mut table = String::new();
@@ -396,9 +386,9 @@ fn decode_keeps_every_window_and_plan() {
             let mut module = (bench.build)(4);
             config.compile(&mut module);
             let decoded = DecodedModule::decode_with(&module, &DecodeOptions::default());
-            let (fused, bulk, plan_ops, generic) = decoded_shape(&decoded);
+            let (bulk, plan_ops, generic) = decoded_shape(&decoded);
             table.push_str(&format!(
-                "{} {} {fused} {bulk} {plan_ops} {generic}\n",
+                "{} {} {bulk} {plan_ops} {generic}\n",
                 bench.abbrev,
                 kind.name()
             ));
@@ -416,18 +406,20 @@ fn decode_keeps_every_window_and_plan() {
 }
 
 /// Per-program executed work at scale 4: `ABBREV config ticks quanta
-/// enc dec` rows for every benchmark under `memoir` and `ade`.
+/// enc dec plan` rows for every benchmark under `memoir` and `ade`.
 const GOLDEN_EXEC: &str = include_str!("golden/exec_counts_scale4.txt");
 
 /// Every paper program executes exactly the work recorded in
 /// `tests/golden/exec_counts_scale4.txt`: the ticks of a session run in
 /// 4096-instruction quanta, the number of those quanta, and the
-/// `EnumEnc`/`EnumDec` read counts. A batch run must tick exactly as
-/// many instructions. A rewrite that changes how much work a program
+/// `EnumEnc`/`EnumDec` read counts, and the ticks a batch run spends
+/// inside loop plans (`exec_plan_ticks_total`). The batch run must tick
+/// exactly as many instructions as the session. A rewrite that changes how much work a program
 /// does — or how the interpreter counts it — shows up as a diff here.
 #[test]
 fn executed_work_matches_the_golden_counts() {
     use ade::interp::{CollOp, ExecSession, ImplKind, Step};
+    use ade_obs::{MetricValue, MetricsRegistry};
     use std::sync::Arc;
 
     let mut table = String::new();
@@ -452,13 +444,27 @@ fn executed_work_matches_the_golden_counts() {
                     Err(e) => panic!("{tag} {e}"),
                 }
             };
-            let batch = Interpreter::new(&module, config.exec.clone())
+            let metrics = MetricsRegistry::enabled();
+            let exec = ExecConfig {
+                metrics: metrics.clone(),
+                ..config.exec.clone()
+            };
+            let batch = Interpreter::new(&module, exec)
                 .run_decoded(&decoded, "main")
                 .unwrap_or_else(|e| panic!("{tag} {e}"));
             assert_eq!(batch.fuel_ticks, outcome.fuel_ticks, "{tag} batch ticks");
+            let plan_ticks = metrics
+                .snapshot()
+                .rows
+                .iter()
+                .find(|r| r.id == "exec_plan_ticks_total")
+                .map_or(0, |r| match r.value {
+                    MetricValue::Counter(n) => n,
+                    _ => panic!("{tag} exec_plan_ticks_total is a counter"),
+                });
             let totals = outcome.stats.totals();
             table.push_str(&format!(
-                "{} {} {} {quanta} {} {}\n",
+                "{} {} {} {quanta} {} {} {plan_ticks}\n",
                 bench.abbrev,
                 kind.name(),
                 outcome.fuel_ticks,

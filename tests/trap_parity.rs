@@ -1,31 +1,36 @@
-//! Guest traps raised inside bulk loop plans and fused peephole windows
-//! on the unobserved default path (no fuel, profiler or session, so
+//! Guest traps raised inside bulk loop plans on the unobserved default
+//! path (no fuel, profiler or session, so
 //! bulk plans run, nested ones included) must match the reference
 //! decode exactly: the same trap kind, code and `@fn:inst` site. A heap
 //! limit tripped inside a plan must stop the run at the same tick.
 
 mod common;
 
-use ade::interp::decode::{BulkOp, DInst};
+use ade::interp::decode::{BulkOp, UScalar};
 use ade::interp::{DecodeOptions, DecodedModule, ExecConfig, ExecError, Interpreter, Limit};
 use ade::ir::parse::parse_module;
+use ade::ir::BinOp;
 use ade_obs::{MetricValue, MetricsRegistry};
 use common::bulk_plan_has;
 
-/// One trapping program and the decode shape it must exercise.
+/// One trapping program and the plan op that raises its trap.
 struct Case {
     name: &'static str,
     text: &'static str,
     /// The expected [`ExecError::code`].
     code: &'static str,
-    /// A peephole window or plan shape the default decode must contain,
-    /// if any.
-    shape: Option<fn(&DInst) -> bool>,
+    /// The op, at any depth of some bulk loop plan of the default
+    /// decode, that carries the trap.
+    shape: fn(&BulkOp) -> bool,
+}
+
+fn div(op: &BulkOp) -> bool {
+    matches!(op, BulkOp::Scalar(UScalar::Bin { op: BinOp::Div, .. }))
 }
 
 const CASES: &[Case] = &[
     Case {
-        name: "missing key in a read+bin+write window of a forrange",
+        name: "missing key at a read-modify-write of a forrange",
         text: r#"
 fn @main() -> void {
   %m = new Map<u64, u64>
@@ -46,10 +51,10 @@ fn @main() -> void {
 }
 "#,
         code: "missing-key",
-        shape: Some(|i| matches!(i, DInst::FusedReadBinWrite { .. })),
+        shape: |op| matches!(op, BulkOp::Read { .. }),
     },
     Case {
-        name: "missing key in the arm of a has+if window of a foreach",
+        name: "missing key in the arm of a has-guarded if of a foreach",
         text: r#"
 fn @main() -> void {
   %s = new Set<u64>
@@ -76,7 +81,7 @@ fn @main() -> void {
 }
 "#,
         code: "missing-key",
-        shape: Some(|i| matches!(i, DInst::FusedHasIf { .. })),
+        shape: |op| matches!(op, BulkOp::Read { .. }),
     },
     Case {
         name: "out-of-range seq insert in a foreach",
@@ -97,10 +102,10 @@ fn @main() -> void {
 }
 "#,
         code: "out-of-bounds",
-        shape: None,
+        shape: |op| matches!(op, BulkOp::InsertSeq { .. }),
     },
     Case {
-        name: "out-of-range seq insert after a scalar window of a forrange",
+        name: "out-of-range seq insert after scalar ops of a forrange",
         text: r#"
 fn @main() -> void {
   %out = new Seq<u64>
@@ -118,10 +123,10 @@ fn @main() -> void {
 }
 "#,
         code: "out-of-bounds",
-        shape: Some(|i| matches!(i, DInst::FusedScalars { .. })),
+        shape: |op| matches!(op, BulkOp::InsertSeq { .. }),
     },
     Case {
-        name: "enc sentinel inserted into a bit set in a forrange, after an enc+has window",
+        name: "enc sentinel inserted into a bit set in a forrange, after an enc-keyed has",
         text: r#"
 enum e0: u64
 
@@ -141,10 +146,10 @@ fn @main() -> void {
 }
 "#,
         code: "sentinel-insert",
-        shape: Some(|i| matches!(i, DInst::FusedEncKey { .. })),
+        shape: |op| matches!(op, BulkOp::InsertSet { .. }),
     },
     Case {
-        name: "division by zero inside a scalar window of a forrange",
+        name: "division by zero in the scalar ops of a forrange",
         text: r#"
 fn @main() -> void {
   %lo = const 0u64
@@ -161,10 +166,10 @@ fn @main() -> void {
 }
 "#,
         code: "div-by-zero",
-        shape: Some(|i| matches!(i, DInst::FusedScalars { .. })),
+        shape: div,
     },
     Case {
-        name: "division by zero in a read+bin window of a foreach",
+        name: "division by zero of a read value in a foreach",
         text: r#"
 fn @main() -> void {
   %in = new Seq<u64>
@@ -183,7 +188,7 @@ fn @main() -> void {
 }
 "#,
         code: "div-by-zero",
-        shape: Some(|i| matches!(i, DInst::FusedReadBin { .. })),
+        shape: div,
     },
     Case {
         name: "missing key in an inner loop of a nested plan",
@@ -213,7 +218,7 @@ fn @main() -> void {
 }
 "#,
         code: "missing-key",
-        shape: Some(|i| bulk_plan_has(i, |op| matches!(op, BulkOp::Loop { .. }))),
+        shape: |op| matches!(op, BulkOp::Loop { .. }),
     },
     Case {
         name: "dec of an identifier past the enumeration inside a plan",
@@ -242,7 +247,7 @@ fn @main() -> void {
 }
 "#,
         code: "out-of-bounds",
-        shape: Some(|i| bulk_plan_has(i, |op| matches!(op, BulkOp::Dec { .. }))),
+        shape: |op| matches!(op, BulkOp::Dec { .. }),
     },
 ];
 
@@ -255,27 +260,23 @@ fn run(module: &ade::ir::Module, reference: bool) -> (DecodedModule, ExecError) 
 }
 
 /// Each trapping program traps identically on both decodes, and the
-/// default decode really ran the trap through a bulk loop plan (and the
-/// named peephole window, where the case has one).
+/// default decode really ran the trap through a bulk loop plan: the op
+/// that raises it is part of one.
 #[test]
 fn bulk_and_fused_traps_match_the_reference_decode() {
     for case in CASES {
         let module = parse_module(case.text).unwrap_or_else(|e| panic!("{}: {e}", case.name));
         ade::ir::verify::verify_module(&module).unwrap_or_else(|e| panic!("{}: {e}", case.name));
         let (decoded, default) = run(&module, false);
-        let code = || decoded.funcs.iter().flat_map(|f| f.code.iter());
         assert!(
-            code().any(|i| matches!(i, DInst::ForEachBulk { .. } | DInst::ForRangeBulk { .. })),
-            "{}: the loop must compile to a bulk plan",
+            decoded
+                .funcs
+                .iter()
+                .flat_map(|f| f.code.iter())
+                .any(|i| bulk_plan_has(i, case.shape)),
+            "{}: the trapping op must compile into a bulk plan",
             case.name
         );
-        if let Some(shape) = case.shape {
-            assert!(
-                code().any(shape),
-                "{}: the decode lacks its shape",
-                case.name
-            );
-        }
         let (_, reference) = run(&module, true);
         assert_eq!(default, reference, "{}", case.name);
         assert_eq!(default.code(), case.code, "{}: {default}", case.name);
@@ -285,37 +286,6 @@ fn bulk_and_fused_traps_match_the_reference_decode() {
             case.name
         );
     }
-}
-
-/// A trap raised by the second slot of a fused `enc`+`read` window is
-/// sited at that slot, as the reference decode sites it.
-#[test]
-fn enc_read_window_traps_at_its_read() {
-    let module = parse_module(
-        r#"
-enum e0: u64
-
-fn @main() -> void {
-  %m = new Map{Bit}<idx, u64>
-  %x = const 42u64
-  %id = enc e0, %x
-  %v = read %m, %id
-  print %v
-  ret
-}
-"#,
-    )
-    .expect("parses");
-    ade::ir::verify::verify_module(&module).expect("verifies");
-    let (decoded, default) = run(&module, false);
-    assert!(decoded.funcs[0]
-        .code
-        .iter()
-        .any(|i| matches!(i, DInst::FusedEncKey { .. })));
-    let (_, reference) = run(&module, true);
-    assert_eq!(default, reference);
-    assert_eq!(default.code(), "missing-key");
-    assert!(default.to_string().contains("@main:3"), "{default}");
 }
 
 /// A `max_heap_cells` limit that trips at a `new` inside a bulk loop
