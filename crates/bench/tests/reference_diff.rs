@@ -70,6 +70,24 @@ fn fig5_programs_nest_and_translate_inside_plans() {
     )));
 }
 
+/// Graph construction and points-to propagation run inside plans: a
+/// writer through a nesting path (KT's adjacency-list append
+/// `insert %g[%v], %len, %u`, whose `coll` is a lowered read's scratch
+/// slot) and PTA's `union %pts[%p], %s`.
+#[test]
+fn fig5_programs_lower_paths_and_union_inside_plans() {
+    for kind in [ConfigKind::Memoir, ConfigKind::Ade] {
+        assert!(decode_has("KT", kind, |op| matches!(
+            op,
+            BulkOp::InsertSeq { coll, base, .. } if coll != base
+        )));
+        assert!(decode_has("PTA", kind, |op| matches!(
+            op,
+            BulkOp::Union { .. }
+        )));
+    }
+}
+
 /// Fig. 5 text (wall ratios suppressed) is byte-identical on the
 /// reference and the default decode.
 #[test]
@@ -148,14 +166,15 @@ fn site_profiles_are_identical_reference_vs_default() {
 /// "completes" and requires bit-identical outcomes — same error text on
 /// the trapping side, same output/stats on the completing side.
 ///
-/// The sweep covers the first fig5 cell and TC under `ade`, whose plans
-/// hold nested loops: under a fuel limit those plans stay off and their
-/// loops run generically, which must not move the trap point either.
+/// The sweep covers the first fig5 cell, TC under `ade`, whose plans
+/// hold nested loops (under a fuel limit those plans stay off and their
+/// loops run generically, which must not move the trap point either),
+/// and PTA under `ade`, whose plans lower paths and hold `union`.
 #[test]
 fn fuel_trap_point_is_identical_reference_vs_default() {
     let cells = cells_for_target("fig5");
     let &first = cells.first().expect("fig5 plans at least one cell");
-    for (abbrev, kind) in [first, ("TC", ConfigKind::Ade)] {
+    for (abbrev, kind) in [first, ("TC", ConfigKind::Ade), ("PTA", ConfigKind::Ade)] {
         fuel_sweep(abbrev, kind);
     }
 }

@@ -25,7 +25,7 @@
 
 use std::fmt;
 
-use ade_interp::Interpreter;
+use ade_interp::{DecodeOptions, DecodedModule, Interpreter};
 use ade_obs::{MetricsRegistry, Tracer};
 use ade_workloads::{Config, ConfigKind};
 
@@ -248,13 +248,14 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
         out.ir = Some(ade_ir::print::print_module(&module));
     }
     if options.wants_explain() {
-        out.explain = Some(match &out.report {
+        let ledger = match &out.report {
             Some(report) => report.ledger.render_report(),
             None => format!(
                 "no ADE pass ran (configuration `{}`); no selection decisions to explain\n",
                 options.config
             ),
-        });
+        };
+        out.explain = Some(ledger + &explain_generic_loops(&module));
     }
     if options.run || options.stats || options.profile.is_some() {
         let mut exec = config.exec.clone();
@@ -281,6 +282,37 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
     Ok(out)
 }
 
+/// The decoder's part of `--explain`: how many loops the plan compiler
+/// of the default decode turned into loop plans, then each loop it left
+/// to generic dispatch as `@func#slot reason`
+/// ([`ade_interp::DFunc::generic_loops`]). Decoded with the default
+/// options whatever `--reference` says, so the report stays a pure
+/// function of the compiled module.
+fn explain_generic_loops(module: &ade_ir::Module) -> String {
+    use ade_interp::decode::DInst;
+    let decoded = DecodedModule::decode_with(module, &DecodeOptions::default());
+    let plans = decoded
+        .funcs
+        .iter()
+        .flat_map(|f| f.code.iter())
+        .filter(|i| matches!(i, DInst::ForEachBulk { .. } | DInst::ForRangeBulk { .. }))
+        .count();
+    let generic: Vec<String> = decoded
+        .funcs
+        .iter()
+        .flat_map(|f| {
+            f.generic_loops
+                .iter()
+                .map(|(slot, why)| format!("  @{}#{slot} {why}\n", f.name))
+        })
+        .collect();
+    format!(
+        "\ndecoder: {plans} loop(s) run as plans, {} left generic\n{}",
+        generic.len(),
+        generic.concat()
+    )
+}
+
 /// Runs the program, batch or preemptibly depending on `--deadline-ms`.
 ///
 /// Without a deadline this is the plain batch interpreter. With one,
@@ -294,7 +326,7 @@ fn execute(
     exec: ade_interp::ExecConfig,
     options: &Options,
 ) -> Result<ade_interp::Outcome, ade_interp::ExecError> {
-    use ade_interp::{DecodeOptions, DecodedModule, ExecSession};
+    use ade_interp::ExecSession;
 
     let decoded = DecodedModule::decode_with(
         module,
@@ -356,7 +388,8 @@ usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
                        the heap high-water mark (schema ade-metrics-v1)
   --explain[=FILE]     selection-ledger report to stderr (or FILE): per keyed
                        site, the applied set/map implementations and whether
-                       a select(...) directive or the static default decided
+                       a select(...) directive or the static default decided;
+                       then each loop the decoder left generic, with why
   --help, -h           show this message
 
 exit codes: 0 success, 1 guest trap, limit or deadline at runtime, 2 usage error

@@ -1,7 +1,7 @@
-//! The selection ledger, end to end through the `adec` binary:
-//! `--explain` renders it, and the rendered report is byte-identical
-//! across repeated runs and the `--reference` switch (the ledger holds
-//! compile-time decisions only).
+//! The selection ledger and the decoder's loop decisions, end to end
+//! through the `adec` binary: `--explain` renders them, and the rendered
+//! report is byte-identical across repeated runs and the `--reference`
+//! switch (it holds compile-time decisions only).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -77,4 +77,46 @@ fn explain_to_stderr_renders_without_a_file() {
     assert!(err.contains("selection ledger:"), "{err}");
     assert!(err.contains("[static]"), "{err}");
     assert!(err.contains("per-function summary:"), "{err}");
+}
+
+/// A loop that prints (generic: `print` is a side channel a plan never
+/// runs) and a loop that only inserts (a plan).
+const LOOPS: &str = "\
+fn @main() -> void {
+  %s = new Set<u64>
+  %zero = const 0u64
+  %n = const 3u64
+  %t = forrange %zero, %n carry(%s) as (%i: u64, %c: Set<u64>) {
+    print %i
+    %c1 = insert %c, %i
+    yield %c1
+  }
+  %u = forrange %zero, %n carry(%t) as (%i: u64, %c: Set<u64>) {
+    %c1 = insert %c, %i
+    yield %c1
+  }
+  ret
+}
+";
+
+#[test]
+fn explain_lists_the_loops_the_decoder_left_generic() {
+    let input = temp_path("loops.memoir");
+    std::fs::write(&input, LOOPS).expect("input written");
+    let input = input.to_str().expect("utf-8 path").to_string();
+    for config in ["memoir", "ade"] {
+        let (code, _, err) = adec(&["--config", config, "--explain", &input]);
+        assert_eq!(code, 0, "{config}: {err}");
+        let section = err
+            .split_once("\ndecoder: ")
+            .map(|(_, s)| s)
+            .unwrap_or_else(|| panic!("{config}: no decoder section after the ledger: {err}"));
+        assert_eq!(
+            section, "1 loop(s) run as plans, 1 left generic\n  @main#3 print\n",
+            "{config}"
+        );
+        let (_, _, reference) = adec(&["--config", config, "--explain", "--reference", &input]);
+        assert_eq!(reference, err, "{config}: --reference changes no decision");
+    }
+    let _ = std::fs::remove_file(input);
 }

@@ -521,12 +521,8 @@ pub enum BulkOp {
         /// Destination slot.
         dst: u32,
     },
-    /// Project one tuple field into a scratch slot — the decomposition
-    /// of a single-`Field` path operand (`t.k`). The scratch slot lives
-    /// past the function's SSA slots and is dead outside the plan, and
-    /// the op shares its consumer's site: it replays that component's
-    /// operand resolution, so a bad projection traps exactly where the
-    /// unfused instruction would.
+    /// Project one tuple field: the lowering of a `Field` step of a
+    /// nesting path (see [`lower_operand`]).
     Proj {
         /// Slot holding the tuple.
         base: u32,
@@ -535,7 +531,8 @@ pub enum BulkOp {
         /// Destination (scratch) slot.
         dst: u32,
     },
-    /// `read(c, k)`.
+    /// `read(c, k)`; also the lowering of an `Index` step of a nesting
+    /// path (see [`lower_operand`]).
     Read {
         /// Collection slot.
         coll: u32,
@@ -552,7 +549,9 @@ pub enum BulkOp {
         key: u32,
         /// Value slot.
         val: u32,
-        /// Destination slot (receives the collection handle).
+        /// Base slot of the collection operand (see [`BulkOp::InsertSet`]).
+        base: u32,
+        /// Destination slot (receives the base collection's handle).
         dst: u32,
     },
     /// `has(c, k)`.
@@ -570,7 +569,12 @@ pub enum BulkOp {
         coll: u32,
         /// Element slot.
         elem: u32,
-        /// Destination slot (receives the collection handle).
+        /// Base slot of the collection operand: `coll` itself, or the
+        /// outermost collection when `coll` holds a nested collection a
+        /// lowered path reached. Its handle is the writer's result, as in
+        /// dispatch.
+        base: u32,
+        /// Destination slot (receives the base collection's handle).
         dst: u32,
     },
     /// Map-flavored insert.
@@ -581,7 +585,9 @@ pub enum BulkOp {
         key: u32,
         /// Pooled value type used for default initialization.
         val_ty: u32,
-        /// Destination slot (receives the collection handle).
+        /// Base slot of the collection operand (see [`BulkOp::InsertSet`]).
+        base: u32,
+        /// Destination slot (receives the base collection's handle).
         dst: u32,
     },
     /// Sequence-flavored insert.
@@ -592,7 +598,9 @@ pub enum BulkOp {
         index: u32,
         /// Value slot.
         val: u32,
-        /// Destination slot (receives the collection handle).
+        /// Base slot of the collection operand (see [`BulkOp::InsertSet`]).
+        base: u32,
+        /// Destination slot (receives the base collection's handle).
         dst: u32,
     },
     /// `remove(c, k) → c'`.
@@ -601,7 +609,9 @@ pub enum BulkOp {
         coll: u32,
         /// Key slot.
         key: u32,
-        /// Destination slot (receives the collection handle).
+        /// Base slot of the collection operand (see [`BulkOp::InsertSet`]).
+        base: u32,
+        /// Destination slot (receives the base collection's handle).
         dst: u32,
     },
     /// `size(c)`.
@@ -609,6 +619,19 @@ pub enum BulkOp {
         /// Collection slot.
         coll: u32,
         /// Destination slot.
+        dst: u32,
+    },
+    /// `union(dst, src) → dst'`.
+    Union {
+        /// Destination-collection slot.
+        coll: u32,
+        /// Source-collection slot.
+        src: u32,
+        /// Pooled element type of the destination.
+        elem_ty: u32,
+        /// Base slot of the destination operand (see [`BulkOp::InsertSet`]).
+        base: u32,
+        /// Destination slot (receives the base collection's handle).
         dst: u32,
     },
     /// `enc(e, v)`.
@@ -711,9 +734,9 @@ pub struct DFunc {
     /// Every `foreach`/`forrange` header loop fusion left generic, with
     /// the stable reason its body did not compile to a [`BulkPlan`]
     /// (sorted by header slot): the opcode that rejected it (`call`,
-    /// `print`, `roi`, `dowhile`, `union`, `clear`, `tuple`, `ret`),
-    /// `inner-loop` (a loop nested in the body stayed generic), `path` (a
-    /// nesting-path operand the plan cannot express), `yield-hazard` (a
+    /// `print`, `roi`, `dowhile`, `clear`, `tuple`, `ret`), `inner-loop`
+    /// (a loop nested in the body stayed generic), `path` (a nesting path
+    /// with a constant or `end` index step, or one in a yield), `yield-hazard` (a
     /// yield whose in-order copies would overwrite one of their own
     /// sources) or `malformed` (code the verifier rejects). Empty under
     /// [`DecodeOptions::reference`], which tries no loop.
@@ -1082,9 +1105,10 @@ impl FuncDecoder<'_> {
     }
 }
 
-/// The frame slot behind a plain-slot operand; `None` for nesting
-/// paths, whose resolution bumps per-level read counts and therefore
-/// must stay per-instruction.
+/// The frame slot behind a plain-slot operand; `None` for a nesting
+/// path, whose resolution bumps per-level read counts: a plan lowers it
+/// into ops of its own ([`lower_operand`]), and a yield that holds one
+/// keeps the buffered path.
 fn sl(op: &DOp) -> Option<u32> {
     match op {
         DOp::Slot(s) => Some(*s),
@@ -1167,36 +1191,6 @@ fn direct_srcs(term: &DInst, dsts: &[u32]) -> Option<Vec<u32>> {
     Some(srcs)
 }
 
-/// The scalar micro-op behind a `const`, arithmetic, comparison or
-/// negation instruction, each operand mapped to a slot by `slot_of`.
-/// `None` for any other instruction, or when `slot_of` rejects an
-/// operand.
-fn uscalar(inst: &DInst, mut slot_of: impl FnMut(&DOp) -> Option<u32>) -> Option<UScalar> {
-    Some(match inst {
-        DInst::Const { pool, dst } => UScalar::Const {
-            pool: *pool,
-            dst: *dst,
-        },
-        DInst::Bin { op, a, b, dst } => UScalar::Bin {
-            op: *op,
-            a: slot_of(a)?,
-            b: slot_of(b)?,
-            dst: *dst,
-        },
-        DInst::Cmp { op, a, b, dst } => UScalar::Cmp {
-            op: *op,
-            a: slot_of(a)?,
-            b: slot_of(b)?,
-            dst: *dst,
-        },
-        DInst::Not { a, dst } => UScalar::Not {
-            a: slot_of(a)?,
-            dst: *dst,
-        },
-        _ => return None,
-    })
-}
-
 /// Runs the loop-granular fusion tier over every loop of `d`:
 /// `foreach`/`forrange` headers whose whole body compiles to a
 /// [`BulkPlan`] are replaced in place by [`DInst::ForEachBulk`] /
@@ -1212,11 +1206,11 @@ fn uscalar(inst: &DInst, mut slot_of: impl FnMut(&DOp) -> Option<u32>) -> Option
 /// [`BulkOp::Loop`]. Runs before [`direct_yields`], so plans compile
 /// from the buffered yields.
 fn loop_fuse_function(d: &mut DFunc) {
-    // Field-projection operands decompose into `BulkOp::Proj` writes to
-    // scratch slots past the function's SSA slots. A scratch slot is
-    // dead once the op right after its projections has consumed it, so
-    // each loop allocates its own run starting at the original frame
-    // size, nested loops included; the frame grows to the widest run.
+    // Path operands lower into ops that write scratch slots past the
+    // function's SSA slots. A scratch slot is dead once the component
+    // whose operand it holds has run, so each loop allocates its own
+    // run starting at the original frame size, nested loops included;
+    // the frame grows to the widest run.
     let ssa_slots = d.frame_size;
     let mut frame_size = d.frame_size;
     let mut generic = Vec::new();
@@ -1265,7 +1259,8 @@ type Reject = &'static str;
 
 /// Compiles the loop header at `idx` into its bulk twin, if its body is
 /// a region the plan language can express. `scratch` is the loop's
-/// projection-slot allocator, seeded at the function's SSA slot count.
+/// scratch-slot allocator for lowered paths, seeded at the function's
+/// SSA slot count.
 fn try_bulk_loop(d: &DFunc, idx: usize, scratch: &mut u32) -> Result<DInst, Reject> {
     Ok(match &d.code[idx] {
         DInst::ForEach {
@@ -1417,50 +1412,54 @@ fn compile_body(
     Ok((ops, srcs))
 }
 
-/// Resolves a scalar-position operand to a plan slot: plain slots pass
-/// through; a single-`Field` path (`t.k`) decomposes into a
-/// [`BulkOp::Proj`] into a fresh scratch slot, emitted in operand order
-/// at the consuming component's site. Deeper paths (any `Index` step
-/// touches a collection and bumps read counts) reject the loop.
-fn scalar_operand(
+/// Lowers an operand to a plan slot. A plain slot passes through; a
+/// nesting path becomes one op per step, in path order, each writing a
+/// fresh scratch slot: a `Field` step a [`BulkOp::Proj`], an `Index`
+/// step by a slot a counted [`BulkOp::Read`] of the collection reached
+/// so far. The ops share the consuming component's site and run before
+/// it in operand order, so they bump the same per-level reads and trap
+/// exactly where the unfused instruction's operand resolution would. A
+/// constant or `end` index step rejects the loop.
+fn lower_operand(
     op: &DOp,
     site: u32,
     scratch: &mut u32,
     out: &mut Vec<PlanOp>,
 ) -> Result<u32, Reject> {
-    match op {
-        DOp::Slot(s) => Ok(*s),
-        DOp::Path(p) => match p.path.as_ref() {
-            [DAccess::Field(f)] => {
-                let dst = *scratch;
-                *scratch = scratch.checked_add(1).ok_or("path")?;
-                out.push(PlanOp {
-                    site,
-                    ticks: 0,
-                    op: BulkOp::Proj {
-                        base: p.base,
-                        field: *f,
-                        dst,
-                    },
-                });
-                Ok(dst)
-            }
-            _ => Err("path"),
-        },
+    let DOp::Path(p) = op else {
+        return Ok(op.base_slot());
+    };
+    let mut cur = p.base;
+    for step in p.path.iter() {
+        let dst = *scratch;
+        *scratch = scratch.checked_add(1).ok_or("path")?;
+        let op = match *step {
+            DAccess::Field(field) => BulkOp::Proj {
+                base: cur,
+                field,
+                dst,
+            },
+            DAccess::Index(DScalar::Slot(key)) => BulkOp::Read {
+                coll: cur,
+                key,
+                dst,
+            },
+            DAccess::Index(DScalar::Const(_) | DScalar::End) => return Err("path"),
+        };
+        out.push(PlanOp { site, ticks: 0, op });
+        cur = dst;
     }
-}
-
-/// The slot of a collection operand; nesting paths reject the loop.
-fn coll_slot(op: &DOp) -> Result<u32, Reject> {
-    sl(op).ok_or("path")
+    Ok(cur)
 }
 
 /// Appends the plan component of the instruction at `idx`, sited at
 /// `idx` so bulk execution traps at exactly the site the unfused loop
-/// would. Single-`Field` path operands in scalar positions decompose
-/// into projections (see [`scalar_operand`]); a deeper path operand, an
-/// observable side channel (print, ROI, calls), an opcode without a
-/// plan op, or a nested loop that stayed generic rejects the whole loop.
+/// would, after the ops its path operands lower to (see
+/// [`lower_operand`]). A writer's result is its collection operand's
+/// base handle, as in dispatch. An observable side channel (print, ROI,
+/// calls), an opcode without a plan op, a path step no plan op
+/// expresses, or a nested loop that stayed generic rejects the whole
+/// loop.
 fn compile_inst(
     d: &DFunc,
     idx: usize,
@@ -1469,20 +1468,37 @@ fn compile_inst(
 ) -> Result<(), Reject> {
     let site = slot(idx);
     let inst = &d.code[idx];
+    let mut lower = |op: &DOp| lower_operand(op, site, scratch, out);
     let op = match inst {
-        DInst::Const { .. } | DInst::Bin { .. } | DInst::Cmp { .. } | DInst::Not { .. } => {
-            let u = uscalar(inst, |op| scalar_operand(op, site, scratch, out).ok());
-            BulkOp::Scalar(u.ok_or("path")?)
-        }
+        DInst::Const { pool, dst } => BulkOp::Scalar(UScalar::Const {
+            pool: *pool,
+            dst: *dst,
+        }),
+        DInst::Bin { op, a, b, dst } => BulkOp::Scalar(UScalar::Bin {
+            op: *op,
+            a: lower(a)?,
+            b: lower(b)?,
+            dst: *dst,
+        }),
+        DInst::Cmp { op, a, b, dst } => BulkOp::Scalar(UScalar::Cmp {
+            op: *op,
+            a: lower(a)?,
+            b: lower(b)?,
+            dst: *dst,
+        }),
+        DInst::Not { a, dst } => BulkOp::Scalar(UScalar::Not {
+            a: lower(a)?,
+            dst: *dst,
+        }),
         DInst::Cast { ty, a, dst } => BulkOp::Cast {
             ty: *ty,
-            a: scalar_operand(a, site, scratch, out)?,
+            a: lower(a)?,
             dst: *dst,
         },
         DInst::New { ty, dst } => BulkOp::New { ty: *ty, dst: *dst },
         DInst::Read { coll, key, dst } => BulkOp::Read {
-            coll: coll_slot(coll)?,
-            key: scalar_operand(key, site, scratch, out)?,
+            coll: lower(coll)?,
+            key: lower(key)?,
             dst: *dst,
         },
         DInst::Write {
@@ -1491,19 +1507,21 @@ fn compile_inst(
             val,
             dst,
         } => BulkOp::Write {
-            coll: coll_slot(coll)?,
-            key: scalar_operand(key, site, scratch, out)?,
-            val: scalar_operand(val, site, scratch, out)?,
+            coll: lower(coll)?,
+            key: lower(key)?,
+            val: lower(val)?,
+            base: coll.base_slot(),
             dst: *dst,
         },
         DInst::Has { coll, key, dst } => BulkOp::Has {
-            coll: coll_slot(coll)?,
-            key: scalar_operand(key, site, scratch, out)?,
+            coll: lower(coll)?,
+            key: lower(key)?,
             dst: *dst,
         },
         DInst::InsertSet { coll, elem, dst } => BulkOp::InsertSet {
-            coll: coll_slot(coll)?,
-            elem: scalar_operand(elem, site, scratch, out)?,
+            coll: lower(coll)?,
+            elem: lower(elem)?,
+            base: coll.base_slot(),
             dst: *dst,
         },
         DInst::InsertMap {
@@ -1512,9 +1530,10 @@ fn compile_inst(
             val_ty,
             dst,
         } => BulkOp::InsertMap {
-            coll: coll_slot(coll)?,
-            key: scalar_operand(key, site, scratch, out)?,
+            coll: lower(coll)?,
+            key: lower(key)?,
             val_ty: *val_ty,
+            base: coll.base_slot(),
             dst: *dst,
         },
         DInst::InsertSeq {
@@ -1523,33 +1542,47 @@ fn compile_inst(
             val,
             dst,
         } => BulkOp::InsertSeq {
-            coll: coll_slot(coll)?,
-            index: scalar_operand(index, site, scratch, out)?,
-            val: scalar_operand(val, site, scratch, out)?,
+            coll: lower(coll)?,
+            index: lower(index)?,
+            val: lower(val)?,
+            base: coll.base_slot(),
             dst: *dst,
         },
         DInst::Remove { coll, key, dst } => BulkOp::Remove {
-            coll: coll_slot(coll)?,
-            key: scalar_operand(key, site, scratch, out)?,
+            coll: lower(coll)?,
+            key: lower(key)?,
+            base: coll.base_slot(),
             dst: *dst,
         },
         DInst::Size { coll, dst } => BulkOp::Size {
-            coll: coll_slot(coll)?,
+            coll: lower(coll)?,
+            dst: *dst,
+        },
+        DInst::UnionInto {
+            dst_coll,
+            src_coll,
+            elem_ty,
+            dst,
+        } => BulkOp::Union {
+            coll: lower(dst_coll)?,
+            src: lower(src_coll)?,
+            elem_ty: *elem_ty,
+            base: dst_coll.base_slot(),
             dst: *dst,
         },
         DInst::Enc { e, v, dst } => BulkOp::Enc {
             e: *e,
-            v: scalar_operand(v, site, scratch, out)?,
+            v: lower(v)?,
             dst: *dst,
         },
         DInst::Dec { e, v, dst } => BulkOp::Dec {
             e: *e,
-            v: scalar_operand(v, site, scratch, out)?,
+            v: lower(v)?,
             dst: *dst,
         },
         DInst::EnumAdd { e, v, dst } => BulkOp::EnumAdd {
             e: *e,
-            v: scalar_operand(v, site, scratch, out)?,
+            v: lower(v)?,
             dst: *dst,
         },
         DInst::If {
@@ -1558,7 +1591,7 @@ fn compile_inst(
             else_r,
             dsts,
         } => {
-            let cond = sl(cond).ok_or("path")?;
+            let cond = lower(cond)?;
             let mut arm = |r: u32| {
                 let region = &d.regions[r as usize];
                 let (mut ops, srcs) = compile_body(d, region, dsts, scratch)?;
@@ -1586,7 +1619,6 @@ fn compile_inst(
         DInst::Call { .. } => return Err("call"),
         DInst::Print { .. } => return Err("print"),
         DInst::Roi { .. } => return Err("roi"),
-        DInst::UnionInto { .. } => return Err("union"),
         DInst::Clear { .. } => return Err("clear"),
         DInst::MkTuple { .. } => return Err("tuple"),
         DInst::Ret { .. } => return Err("ret"),
@@ -1698,6 +1730,105 @@ fn @main() -> void {
             "scratch slots grow the frame ({} vs {ssa_slots})",
             f.frame_size
         );
+    }
+
+    #[test]
+    fn loop_fuse_lowers_nesting_paths_into_counted_reads() {
+        let m = parse_module(
+            r#"
+fn @main() -> void {
+  %g = new Map<u64, Seq<u64>>
+  %s = new Set<u64>
+  %g1 = foreach %s carry(%g) as (%u: u64, %gc: Map<u64, Seq<u64>>) {
+    %n = size %gc[%u]
+    %g2 = insert %gc[%u], %n, %u
+    yield %g2
+  }
+  %c = size %g1
+  print %c
+  ret
+}
+"#,
+        )
+        .expect("parses");
+        ade_ir::verify::verify_module(&m).expect("verifies");
+        let ssa_slots = m.funcs[0].values.len() as u32;
+        let d = DecodedModule::decode_with(&m, &DecodeOptions::default());
+        let f = &d.funcs[0];
+        let (body, plan) = f
+            .code
+            .iter()
+            .find_map(|i| match i {
+                DInst::ForEachBulk { body, plan, .. } => Some((*body, plan)),
+                _ => None,
+            })
+            .expect("a loop with path operands compiles to a bulk header");
+        let region = &f.regions[body as usize];
+        let (u, gc) = (region.args[0], region.args[1]);
+        let DInst::InsertSeq { dst: g2, .. } = f.code[region.start as usize + 1] else {
+            panic!("the body's second instruction is the sequence insert")
+        };
+        // Each `%gc[%u]` is a counted read into its own scratch slot,
+        // sited at (and ticked with) its consumer; the insert's result
+        // is the outer map's handle.
+        let (s0, s1) = (ssa_slots, ssa_slots + 1);
+        let shape: Vec<(u32, u32)> = plan
+            .ops
+            .iter()
+            .map(|p| (p.site - region.start, p.ticks))
+            .collect();
+        assert_eq!(shape, [(0, 1), (0, 0), (1, 1), (1, 0)]);
+        assert!(matches!(
+            plan.ops[0].op,
+            BulkOp::Read { coll, key, dst } if (coll, key, dst) == (gc, u, s0)
+        ));
+        assert!(matches!(plan.ops[1].op, BulkOp::Size { coll, .. } if coll == s0));
+        assert!(matches!(
+            plan.ops[2].op,
+            BulkOp::Read { coll, key, dst } if (coll, key, dst) == (gc, u, s1)
+        ));
+        assert!(matches!(
+            plan.ops[3].op,
+            BulkOp::InsertSeq { coll, val, base, dst, .. }
+                if (coll, val, base, dst) == (s1, u, gc, g2)
+        ));
+        assert_eq!((plan.tail, plan.worst), (1, Some(3)));
+        assert_eq!(f.frame_size, ssa_slots + 2);
+        assert!(f.generic_loops.is_empty());
+    }
+
+    #[test]
+    fn constant_end_and_yielded_paths_keep_loops_generic() {
+        let m = parse_module(
+            r#"
+fn @main() -> void {
+  %q = new Seq<Seq<u64>>
+  %zero = const 0u64
+  %a = foreach %q carry(%zero) as (%i: u64, %row: Seq<u64>, %acc: u64) {
+    %n = size %q[0]
+    %a1 = add %acc, %n
+    yield %a1
+  }
+  %b = foreach %q carry(%zero) as (%i: u64, %row: Seq<u64>, %acc: u64) {
+    %n = size %q[end]
+    %a1 = add %acc, %n
+    yield %a1
+  }
+  %t = tuple %zero, %zero
+  %c = foreach %q carry(%zero) as (%i: u64, %row: Seq<u64>, %acc: u64) {
+    yield %t.1
+  }
+  print %a, %b, %c
+  ret
+}
+"#,
+        )
+        .expect("parses");
+        ade_ir::verify::verify_module(&m).expect("verifies");
+        let d = DecodedModule::decode_with(&m, &DecodeOptions::default());
+        let f = &d.funcs[0];
+        let reasons: Vec<&str> = f.generic_loops.iter().map(|&(_, why)| why).collect();
+        assert_eq!(reasons, ["path", "path", "path"]);
     }
 
     #[test]

@@ -793,20 +793,7 @@ impl<'m> Interpreter<'m> {
                     };
                     self.read(id, &key).map_err(trap)?
                 }
-                DAccess::Field(n) => match cur {
-                    Value::Tuple(t) => t.get(*n as usize).cloned().ok_or_else(|| {
-                        trap(TrapKind::OutOfBounds {
-                            index: u64::from(*n),
-                            len: t.len(),
-                        })
-                    })?,
-                    other => {
-                        return Err(trap(TrapKind::TypeMismatch {
-                            expected: "tuple",
-                            got: format!("{other:?}"),
-                        }))
-                    }
-                },
+                DAccess::Field(n) => project(&cur, *n).map_err(trap)?,
             };
         }
         Ok(cur)
@@ -1790,23 +1777,7 @@ impl<'m> Interpreter<'m> {
                     eval_cast(&frame[*a as usize], &func.types[*ty as usize]).map_err(at)?;
             }
             BulkOp::Proj { base, field, dst } => {
-                // Mirrors the `Field` step of `resolve_path` (no stats
-                // bump); the shared consumer site matches where the
-                // unfused loop would attribute the trap.
-                let v = match &frame[*base as usize] {
-                    Value::Tuple(t) => {
-                        t.get(*field as usize).cloned().ok_or(TrapKind::OutOfBounds {
-                            index: u64::from(*field),
-                            len: t.len(),
-                        })
-                    }
-                    other => Err(TrapKind::TypeMismatch {
-                        expected: "tuple",
-                        got: format!("{other:?}"),
-                    }),
-                }
-                .map_err(at)?;
-                frame[*dst as usize] = v;
+                frame[*dst as usize] = project(&frame[*base as usize], *field).map_err(at)?;
             }
             BulkOp::Read { coll, key, dst } => {
                 let id = frame[*coll as usize].try_as_coll().map_err(at)?;
@@ -1816,55 +1787,82 @@ impl<'m> Interpreter<'m> {
                 coll,
                 key,
                 val,
+                base,
                 dst,
             } => {
                 let id = frame[*coll as usize].try_as_coll().map_err(at)?;
                 let value = frame[*val as usize].clone();
                 self.write(id, &frame[*key as usize], value).map_err(at)?;
-                frame[*dst as usize] = frame[*coll as usize].clone();
+                frame[*dst as usize] = frame[*base as usize].clone();
             }
             BulkOp::Has { coll, key, dst } => {
                 let id = frame[*coll as usize].try_as_coll().map_err(at)?;
                 frame[*dst as usize] =
                     Value::Bool(self.has(id, &frame[*key as usize]).map_err(at)?);
             }
-            BulkOp::InsertSet { coll, elem, dst } => {
+            BulkOp::InsertSet {
+                coll,
+                elem,
+                base,
+                dst,
+            } => {
                 let id = frame[*coll as usize].try_as_coll().map_err(at)?;
                 self.insert_elem(id, frame[*elem as usize].clone())
                     .map_err(at)?;
-                frame[*dst as usize] = frame[*coll as usize].clone();
+                frame[*dst as usize] = frame[*base as usize].clone();
             }
             BulkOp::InsertMap {
                 coll,
                 key,
                 val_ty,
+                base,
                 dst,
             } => {
                 let id = frame[*coll as usize].try_as_coll().map_err(at)?;
                 self.insert_key(id, &frame[*key as usize], &func.types[*val_ty as usize])
                     .map_err(|e| site_at(func, site, e))?;
-                frame[*dst as usize] = frame[*coll as usize].clone();
+                frame[*dst as usize] = frame[*base as usize].clone();
             }
             BulkOp::InsertSeq {
                 coll,
                 index,
                 val,
+                base,
                 dst,
             } => {
                 let id = frame[*coll as usize].try_as_coll().map_err(at)?;
                 let index = frame[*index as usize].try_as_u64().map_err(at)? as usize;
                 let value = frame[*val as usize].clone();
                 self.insert_seq(id, index, value).map_err(at)?;
-                frame[*dst as usize] = frame[*coll as usize].clone();
+                frame[*dst as usize] = frame[*base as usize].clone();
             }
-            BulkOp::Remove { coll, key, dst } => {
+            BulkOp::Remove {
+                coll,
+                key,
+                base,
+                dst,
+            } => {
                 let id = frame[*coll as usize].try_as_coll().map_err(at)?;
                 self.remove(id, &frame[*key as usize]).map_err(at)?;
-                frame[*dst as usize] = frame[*coll as usize].clone();
+                frame[*dst as usize] = frame[*base as usize].clone();
             }
             BulkOp::Size { coll, dst } => {
                 let id = frame[*coll as usize].try_as_coll().map_err(at)?;
                 frame[*dst as usize] = Value::U64(self.size(id));
+            }
+            BulkOp::Union {
+                coll,
+                src,
+                elem_ty,
+                base,
+                dst,
+            } => {
+                let dst_id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                let src_id = frame[*src as usize].try_as_coll().map_err(at)?;
+                self.union_into(dst_id, src_id, &func.types[*elem_ty as usize])
+                    .map_err(|e| site_at(func, site, e))?;
+                self.refresh_bytes(dst_id);
+                frame[*dst as usize] = frame[*base as usize].clone();
             }
             BulkOp::Enc { e, v, dst } => {
                 frame[*dst as usize] = Value::Idx(self.enc(*e, &frame[*v as usize]));
@@ -1909,6 +1907,9 @@ impl<'m> Interpreter<'m> {
         Ok(())
     }
 
+    /// Out of line: `exec_plan_op` calls it too, and inlined there it
+    /// made every plan op slower.
+    #[inline(never)]
     fn union_into(
         &mut self,
         dst: CollId,
@@ -1961,6 +1962,21 @@ impl<'m> Interpreter<'m> {
             }
         }
         Ok(())
+    }
+}
+
+/// Field `n` of a tuple: a path's `Field` step, resolved by dispatch or
+/// run as a [`BulkOp::Proj`].
+fn project(v: &Value, n: u32) -> Result<Value, TrapKind> {
+    match v {
+        Value::Tuple(t) => t.get(n as usize).cloned().ok_or(TrapKind::OutOfBounds {
+            index: u64::from(n),
+            len: t.len(),
+        }),
+        other => Err(TrapKind::TypeMismatch {
+            expected: "tuple",
+            got: format!("{other:?}"),
+        }),
     }
 }
 

@@ -132,16 +132,6 @@ impl Value {
         self.try_as_index().unwrap_or_else(|t| panic!("{t}"))
     }
 
-    /// The collection handle inside.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not a collection; trusted-input callers
-    /// only — interpretation paths use [`Value::try_as_coll`].
-    pub fn as_coll(&self) -> CollId {
-        self.try_as_coll().unwrap_or_else(|t| panic!("{t}"))
-    }
-
     /// Whether this value may be used as a collection key.
     pub fn is_key(&self) -> bool {
         !matches!(self, Value::Coll(_) | Value::Void)

@@ -280,6 +280,83 @@ fn @main() -> void {
 }
 "#;
 
+/// Loops whose operands are nesting paths: a `size` and a sequence
+/// insert through `%gc[%u]` of a carried outer map (the insert's result
+/// is the outer map, so the next iteration's `size` sees the element),
+/// a `union` into `%pc[%u]`, and `size`/`read` through paths of the
+/// final maps.
+const PATHS: &str = r#"
+fn @main() -> void {
+  %zero = const 0u64
+  %four = const 4u64
+  %g = new Map<u64, Seq<u64>>
+  %p = new Map<u64, Set<u64>>
+  %g1, %p1 = forrange %zero, %four carry(%g, %p) as (%u: u64, %gg: Map<u64, Seq<u64>>, %pp: Map<u64, Set<u64>>) {
+    %gg1 = insert %gg, %u
+    %pp1 = insert %pp, %u
+    yield %gg1, %pp1
+  }
+  %n = const 14u64
+  %g2 = forrange %zero, %n carry(%g1) as (%i: u64, %gc: Map<u64, Seq<u64>>) {
+    %u = rem %i, %four
+    %len = size %gc[%u]
+    %gc1 = insert %gc[%u], %len, %i
+    yield %gc1
+  }
+  %p2 = forrange %zero, %n carry(%p1) as (%i: u64, %pc: Map<u64, Set<u64>>) {
+    %u = rem %i, %four
+    %s = new Set<u64>
+    %s1 = insert %s, %i
+    %pc1 = union %pc[%u], %s1
+    yield %pc1
+  }
+  %tot = forrange %zero, %four carry(%zero) as (%u: u64, %acc: u64) {
+    %c = size %p2[%u]
+    %len = size %g2[%u]
+    %one = const 1u64
+    %at = sub %len, %one
+    %last = read %g2[%u], %at
+    %a1 = add %acc, %c
+    %a2 = mul %a1, %last
+    yield %a2
+  }
+  print %tot
+  ret
+}
+"#;
+
+/// A `missing-key` trap in the fifth iteration of a bulk `forrange`
+/// that reads through a nesting path: the outer key is present, the
+/// inner map lacks the key.
+const PATH_TRAP: &str = r#"
+fn @main() -> void {
+  %zero = const 0u64
+  %six = const 6u64
+  %m = new Map<u64, Map<u64, u64>>
+  %m1 = forrange %zero, %six carry(%m) as (%k: u64, %mm: Map<u64, Map<u64, u64>>) {
+    %mm1 = insert %mm, %k
+    %mm2 = insert %mm1[%k], %k
+    yield %mm2
+  }
+  %four = const 4u64
+  %tot = forrange %zero, %six carry(%zero) as (%k: u64, %acc: u64) {
+    %x = rem %k, %four
+    %v = read %m1[%k], %x
+    %a = add %acc, %v
+    %a1 = add %a, %k
+    yield %a1
+  }
+  print %tot
+  ret
+}
+"#;
+
+/// A writer whose collection operand is a nesting path (its `coll` is a
+/// lowered read's scratch slot, not its `base`).
+fn writer_through_path(op: &BulkOp) -> bool {
+    matches!(op, BulkOp::InsertSeq { coll, base, .. } if coll != base)
+}
+
 fn bulk_range_with_if(i: &DInst) -> bool {
     matches!(i, DInst::ForRangeBulk { .. })
         && bulk_plan_has(i, |op| matches!(op, BulkOp::If { .. }))
@@ -353,6 +430,25 @@ const CASES: &[Case] = &[
         text: DEPTH,
         shapes: &[bulk_range_with_if],
         depths: &[None, Some(9), Some(10), Some(11), Some(12), Some(13)],
+    },
+    Case {
+        name: "writers, union and reads through nesting paths",
+        text: PATHS,
+        shapes: &[
+            |i| bulk_plan_has(i, writer_through_path),
+            |i| bulk_plan_has(i, |op| matches!(op, BulkOp::Union { .. })),
+            |i| {
+                bulk_plan_has(i, |op| matches!(op, BulkOp::Read { .. }))
+                    && bulk_plan_has(i, |op| matches!(op, BulkOp::Size { .. }))
+            },
+        ],
+        depths: NO_DEPTH_LIMIT,
+    },
+    Case {
+        name: "missing inner key read through a nesting path",
+        text: PATH_TRAP,
+        shapes: &[|i| bulk_plan_has(i, |op| matches!(op, BulkOp::Read { .. }))],
+        depths: NO_DEPTH_LIMIT,
     },
 ];
 
@@ -505,6 +601,16 @@ fn traps_in_plans_match_the_reference_under_every_budget() {
 #[test]
 fn nested_plans_match_the_reference_under_every_budget() {
     check(&CASES[4]);
+}
+
+#[test]
+fn path_plans_match_the_reference_under_every_budget() {
+    check(&CASES[6]);
+}
+
+#[test]
+fn path_traps_in_plans_match_the_reference_under_every_budget() {
+    check(&CASES[7]);
 }
 
 #[test]

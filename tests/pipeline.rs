@@ -378,7 +378,7 @@ fn decoded_shape(decoded: &DecodedModule) -> (usize, usize, String) {
 /// generic, so a change to the plan compiler cannot silently drop a
 /// loop from the fast path.
 #[test]
-fn decode_keeps_every_window_and_plan() {
+fn decode_keeps_every_plan() {
     let mut table = String::new();
     for bench in ade::workloads::all_benchmarks() {
         for kind in [ConfigKind::Memoir, ConfigKind::Ade] {

@@ -249,6 +249,58 @@ fn @main() -> void {
         code: "out-of-bounds",
         shape: |op| matches!(op, BulkOp::Dec { .. }),
     },
+    Case {
+        name: "missing inner key at a read through a nesting path",
+        text: r#"
+fn @main() -> void {
+  %zero = const 0u64
+  %six = const 6u64
+  %m = new Map<u64, Map<u64, u64>>
+  %m1 = forrange %zero, %six carry(%m) as (%k: u64, %mm: Map<u64, Map<u64, u64>>) {
+    %mm1 = insert %mm, %k
+    %mm2 = insert %mm1[%k], %k
+    yield %mm2
+  }
+  %four = const 4u64
+  %tot = forrange %zero, %six carry(%zero) as (%k: u64, %acc: u64) {
+    %x = rem %k, %four
+    %v = read %m1[%k], %x
+    %a = add %acc, %v
+    yield %a
+  }
+  print %tot
+  ret
+}
+"#,
+        code: "missing-key",
+        shape: |op| matches!(op, BulkOp::Read { .. }),
+    },
+    Case {
+        name: "missing outer key at a union through a nesting path",
+        text: r#"
+fn @main() -> void {
+  %zero = const 0u64
+  %three = const 3u64
+  %p = new Map<u64, Set<u64>>
+  %p1 = forrange %zero, %three carry(%p) as (%u: u64, %pp: Map<u64, Set<u64>>) {
+    %pp1 = insert %pp, %u
+    yield %pp1
+  }
+  %six = const 6u64
+  %p2 = forrange %zero, %six carry(%p1) as (%i: u64, %pc: Map<u64, Set<u64>>) {
+    %s = new Set<u64>
+    %s1 = insert %s, %i
+    %pc1 = union %pc[%i], %s1
+    yield %pc1
+  }
+  %n = size %p2
+  print %n
+  ret
+}
+"#,
+        code: "missing-key",
+        shape: |op| matches!(op, BulkOp::Union { .. }),
+    },
 ];
 
 fn run(module: &ade::ir::Module, reference: bool) -> (DecodedModule, ExecError) {
@@ -263,7 +315,7 @@ fn run(module: &ade::ir::Module, reference: bool) -> (DecodedModule, ExecError) 
 /// default decode really ran the trap through a bulk loop plan: the op
 /// that raises it is part of one.
 #[test]
-fn bulk_and_fused_traps_match_the_reference_decode() {
+fn plan_traps_match_the_reference_decode() {
     for case in CASES {
         let module = parse_module(case.text).unwrap_or_else(|e| panic!("{}: {e}", case.name));
         ade::ir::verify::verify_module(&module).unwrap_or_else(|e| panic!("{}: {e}", case.name));
