@@ -2,8 +2,7 @@
 //! `make all` equivalent).
 //!
 //! ```text
-//! reproduce [--scale N] [--trials N] [--jobs N] [--no-wall]
-//!           [--timeline FILE] [--obs-dir DIR]
+//! reproduce [--scale N] [--jobs N] [--timeline FILE]
 //!           [fig4|fig5|fig6|fig7|fig8|fig9|table2|table3|rq4|all]
 //! ```
 //!
@@ -15,9 +14,9 @@
 //! `--jobs N` runs the evaluation matrix's independent
 //! `(benchmark, configuration)` cells on N worker threads (default: the
 //! machine's available parallelism; `--jobs 1` is the serial harness).
-//! Figure text is identical for every job count; only the reference
-//! wall-clock ratios vary run to run, and `--no-wall` suppresses those
-//! for byte-stable output.
+//! Each cell runs once. Figure text is modeled from deterministic
+//! operation counts, so it is byte-identical for every run and job
+//! count; wall-clock comparisons are `e2e_bench`'s job.
 //!
 //! Failure: every cell is a fixed, deterministic program, so the run
 //! fails fast. A cell that returns a typed error (a verify failure, a
@@ -27,13 +26,10 @@
 //! Observability (figure text stays byte-identical either way):
 //! `--timeline FILE` writes a Chrome-trace JSON of the worker pool —
 //! one complete event per matrix cell, one lane per worker — that
-//! `chrome://tracing` or Perfetto loads directly. `--obs-dir DIR`
-//! collects a per-site interpreter profile for every cell and writes
-//! one `<bench>_<config>.profile.json` per cell into DIR.
+//! `chrome://tracing` or Perfetto loads directly.
 //!
 //! Usage errors (an unknown flag or target, a missing or invalid value)
-//! exit with code 2, and so does an unwritable `--timeline`/`--obs-dir`
-//! output, with `error: cannot write <path>` — the same contract as
+//! exit with code 2, and so does an unwritable `--timeline` output, with `error: cannot write <path>` — the same contract as
 //! `adec`'s output flags.
 
 use std::sync::Arc;
@@ -43,11 +39,8 @@ use ade_obs::Timeline;
 
 fn main() {
     let mut scale = 9u32;
-    let mut trials = 1u32;
     let mut jobs = ade_bench::pool::default_jobs();
-    let mut include_wall = true;
     let mut timeline_path: Option<String> = None;
-    let mut obs_dir: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -58,12 +51,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("missing value for --scale"));
             }
-            "--trials" => {
-                trials = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("missing value for --trials"));
-            }
             "--jobs" => {
                 jobs = args
                     .next()
@@ -71,17 +58,10 @@ fn main() {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage("missing or invalid value for --jobs"));
             }
-            "--no-wall" => include_wall = false,
             "--timeline" => {
                 timeline_path = Some(
                     args.next()
                         .unwrap_or_else(|| usage("missing value for --timeline")),
-                );
-            }
-            "--obs-dir" => {
-                obs_dir = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("missing value for --obs-dir")),
                 );
             }
             flag if flag.starts_with("--") => usage(&format!("unknown flag `{flag}`")),
@@ -97,10 +77,7 @@ fn main() {
         }
     }
     let timeline = timeline_path.as_ref().map(|_| Arc::new(Timeline::new()));
-    let mut session = Session::with_trials(scale, trials)
-        .jobs(jobs)
-        .include_wall(include_wall)
-        .profile(obs_dir.is_some());
+    let mut session = Session::new(scale).jobs(jobs);
     if let Some(tl) = &timeline {
         session = session.timeline(Arc::clone(tl));
     }
@@ -109,18 +86,6 @@ fn main() {
     if let (Some(path), Some(tl)) = (&timeline_path, &timeline) {
         write_file(path, &tl.to_chrome_json());
         eprintln!("[obs] timeline: {path} ({} events)", tl.events().len());
-    }
-    if let Some(dir) = &obs_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot write {dir}: {e}");
-            std::process::exit(2);
-        }
-        let profiles = session.cached_profiles();
-        for (abbrev, kind, profile) in &profiles {
-            let path = format!("{dir}/{abbrev}_{}.profile.json", kind.name());
-            write_file(&path, &profile.to_json());
-        }
-        eprintln!("[obs] profiles: {} file(s) in {dir}", profiles.len());
     }
 }
 
@@ -137,7 +102,7 @@ fn write_file(path: &str, contents: &str) {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: reproduce [--scale N] [--trials N] [--jobs N] [--no-wall] [--timeline FILE] [--obs-dir DIR] [fig4|fig5|fig6|fig7|fig8|fig9|table2|table3|rq4|all]"
+        "usage: reproduce [--scale N] [--jobs N] [--timeline FILE] [fig4|fig5|fig6|fig7|fig8|fig9|table2|table3|rq4|all]"
     );
     std::process::exit(2);
 }

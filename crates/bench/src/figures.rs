@@ -1,19 +1,19 @@
 //! Regenerates each table and figure of the paper's evaluation as
 //! formatted text (the artifact's `make plot` equivalent).
 //!
-//! Two time metrics are reported: *wall* (real interpreter time on this
-//! host) and *modeled* (operation counts priced by the per-architecture
-//! cost model, see `ade_interp::cost`). Figures use the modeled metric —
-//! it is deterministic and is what lets the AArch64 results (Fig. 6)
-//! exist without ARM hardware; wall times are printed alongside for
-//! reference.
+//! Time is *modeled*: operation counts priced by the per-architecture
+//! cost model (see `ade_interp::cost`). The modeled metric is
+//! deterministic, so figure text is byte-identical across runs and
+//! `--jobs` values, and it is what lets the AArch64 results (Fig. 6)
+//! exist without ARM hardware. Wall-clock comparisons are the job of
+//! the calibrated end-to-end benchmark (`e2e_bench`), not of figures.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use ade_interp::cost::CostModel;
-use ade_interp::{CollOp, ImplKind, SiteProfile};
+use ade_interp::{CollOp, ImplKind};
 use ade_obs::Timeline;
 use ade_workloads::bench::{all_benchmarks, benchmark_by_abbrev};
 use ade_workloads::ConfigKind;
@@ -75,30 +75,19 @@ pub fn cells_for_target(target: &str) -> Vec<(&'static str, ConfigKind)> {
 #[derive(Default)]
 pub struct Session {
     scale: u32,
-    trials: u32,
     jobs: usize,
-    include_wall: bool,
-    profile: bool,
     timeline: Option<Arc<Timeline>>,
     reference: bool,
     cache: BTreeMap<(String, ConfigKind), RunResult>,
 }
 
 impl Session {
-    /// Creates a session at an input scale (≈ log2 nodes), one trial.
+    /// Creates a session at an input scale (≈ log2 nodes); each cell
+    /// runs once.
     pub fn new(scale: u32) -> Self {
-        Session::with_trials(scale, 1)
-    }
-
-    /// Creates a session running each configuration `trials` times and
-    /// keeping the fastest wall observation (the artifact's `TRIALS`).
-    pub fn with_trials(scale: u32, trials: u32) -> Self {
         Session {
             scale,
-            trials: trials.max(1),
             jobs: 1,
-            include_wall: true,
-            profile: false,
             timeline: None,
             reference: false,
             cache: BTreeMap::new(),
@@ -123,24 +112,6 @@ impl Session {
         self
     }
 
-    /// Whether figures print reference wall-clock ratios. Disable for
-    /// byte-identical output across runs and `--jobs` values — wall
-    /// time is the one nondeterministic measurement.
-    #[must_use]
-    pub fn include_wall(mut self, include: bool) -> Self {
-        self.include_wall = include;
-        self
-    }
-
-    /// Whether cell runs collect per-site interpreter profiles
-    /// (`--obs-dir`). Profiling never changes op counts, so figure text
-    /// is byte-identical with or without it.
-    #[must_use]
-    pub fn profile(mut self, profile: bool) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// Attaches a shared timeline (`--timeline`): every cell and rq4
     /// variant run records one complete event, with the worker index as
     /// the lane.
@@ -148,17 +119,6 @@ impl Session {
     pub fn timeline(mut self, timeline: Arc<Timeline>) -> Self {
         self.timeline = Some(timeline);
         self
-    }
-
-    /// Every cached per-site profile, keyed by `(benchmark, config)` —
-    /// what `reproduce --obs-dir` writes out, one file per cell.
-    pub fn cached_profiles(&self) -> Vec<(&str, ConfigKind, &SiteProfile)> {
-        self.cache
-            .iter()
-            .filter_map(|((abbrev, kind), r)| {
-                r.profile.as_ref().map(|p| (abbrev.as_str(), *kind, p))
-            })
-            .collect()
     }
 
     /// Runs every not-yet-cached cell the given figure targets need, on
@@ -248,32 +208,25 @@ impl Session {
     /// Runs a batch of cells on the worker pool and folds every result
     /// into the cache. The first failing cell panics.
     fn execute_batch(&mut self, pending: Vec<(&'static str, ConfigKind)>) {
-        let (scale, trials, profile, reference) =
-            (self.scale, self.trials, self.profile, self.reference);
+        let (scale, reference) = (self.scale, self.reference);
         let timeline = self.timeline.as_deref();
         let results =
             crate::pool::run_ordered_with(pending, self.jobs, |worker, (abbrev, kind)| {
                 let started = timeline.map(Timeline::now_ns);
                 let bench = benchmark_by_abbrev(abbrev).expect("known benchmark");
                 let r = run_cell(&CellSpec {
-                    trials,
-                    profile,
                     reference,
                     ..CellSpec::new(&bench, kind, scale)
                 })
                 .unwrap_or_else(|e| panic!("[{abbrev} {}] {e}", kind.name()));
                 // One complete timeline event per cell (lane = worker index).
                 if let (Some(t), Some(started)) = (timeline, started) {
-                    let args = vec![
-                        ("scale".to_string(), scale.to_string()),
-                        ("trials".to_string(), trials.to_string()),
-                    ];
                     t.complete(
                         format!("{abbrev}/{}", kind.name()),
                         "cell",
                         worker as u32,
                         started,
-                        args,
+                        vec![("scale".to_string(), scale.to_string())],
                     );
                 }
                 r
@@ -352,13 +305,13 @@ impl Session {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "Figure {}: ADE vs MEMOIR on {} (modeled; wall in parens)",
+            "Figure {}: ADE vs MEMOIR on {} (modeled)",
             if aarch64 { 6 } else { 5 },
             model.name
         );
         let _ = writeln!(
             out,
-            "{:>5} {:>16} {:>16} {:>10}",
+            "{:>5} {:>13} {:>12} {:>10}",
             "bench", "whole-speedup", "roi-speedup", "memory"
         );
         let (mut wholes, mut rois, mut mems) = (Vec::new(), Vec::new(), Vec::new());
@@ -369,19 +322,11 @@ impl Session {
             let whole = memoir.modeled_total_ns(&model) / ade.modeled_total_ns(&model);
             let roi = memoir.modeled_roi_ns(&model) / ade.modeled_roi_ns(&model).max(1.0);
             let mem = ade.peak_bytes() as f64 / memoir.peak_bytes().max(1) as f64;
-            let wall_txt = if self.include_wall {
-                let wall =
-                    memoir.stats.wall_total_ns() as f64 / ade.stats.wall_total_ns().max(1) as f64;
-                format!("({wall:>4.2}x)")
-            } else {
-                "(  --x)".to_string()
-            };
             let _ = writeln!(
                 out,
-                "{:>5} {:>8.2}x {} {:>9.2}x {:>9.1}%",
+                "{:>5} {:>12.2}x {:>11.2}x {:>9.1}%",
                 abbrev,
                 whole,
-                wall_txt,
                 roi,
                 mem * 100.0
             );
@@ -391,7 +336,7 @@ impl Session {
         }
         let _ = writeln!(
             out,
-            "{:>5} {:>8.2}x {:>17.2}x {:>9.1}%   (GEO)",
+            "{:>5} {:>12.2}x {:>11.2}x {:>9.1}%   (GEO)",
             "GEO",
             geomean(wholes),
             geomean(rois),
@@ -687,7 +632,6 @@ impl Session {
                         config: kind,
                         output: outcome.output,
                         stats: outcome.stats,
-                        profile: outcome.profile,
                     },
                 )
             },

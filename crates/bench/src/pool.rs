@@ -10,7 +10,7 @@
 //! Determinism: the work function receives exactly the same input in
 //! the parallel and serial cases and the results vector is positional,
 //! so everything *derived* from results (figures, stats totals) is
-//! identical for every `jobs` value. Only wall-clock readings differ.
+//! identical for every `jobs` value. Only timeline timestamps differ.
 //!
 //! Failure: the first panicking work item's payload propagates out of
 //! the pool, so a failing cell fails the whole run. Every cell is a

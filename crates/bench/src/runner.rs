@@ -4,10 +4,7 @@
 use std::fmt;
 
 use ade_interp::cost::CostModel;
-use ade_interp::{
-    DecodeOptions, DecodedModule, ExecConfig, ExecError, Interpreter, Phase, SiteProfile, Stats,
-};
-use ade_ir::Module;
+use ade_interp::{DecodeOptions, DecodedModule, ExecError, Interpreter, Phase, Stats};
 use ade_workloads::{Benchmark, Config, ConfigKind};
 
 /// The measurements from one run.
@@ -21,9 +18,6 @@ pub struct RunResult {
     pub output: String,
     /// Full interpreter statistics.
     pub stats: Stats,
-    /// Per-site profile (only when profiling was requested; never feeds
-    /// figures — op counts and stats are identical either way).
-    pub profile: Option<SiteProfile>,
 }
 
 impl RunResult {
@@ -73,13 +67,6 @@ pub struct CellSpec<'a> {
     pub kind: ConfigKind,
     /// Input scale (≈ log2 nodes).
     pub scale: u32,
-    /// Executions of the decoded module; the fastest wall-clock
-    /// observation is kept (the artifact's `TRIALS` knob). Operation
-    /// counts and memory are deterministic across trials.
-    pub trials: u32,
-    /// Record a per-site profile. Profiling never changes op counts or
-    /// figures — it only records where the counts came from.
-    pub profile: bool,
     /// Caps the interpreter's instruction budget; `None` keeps the
     /// configuration's limits (off by default).
     pub fuel: Option<u64>,
@@ -90,15 +77,13 @@ pub struct CellSpec<'a> {
 }
 
 impl<'a> CellSpec<'a> {
-    /// A single-trial, unprofiled, unlimited batch run of `bench` under
-    /// `kind` at `scale` on the default decode.
+    /// An unlimited batch run of `bench` under `kind` at `scale` on
+    /// the default decode.
     pub fn new(bench: &'a Benchmark, kind: ConfigKind, scale: u32) -> Self {
         CellSpec {
             bench,
             kind,
             scale,
-            trials: 1,
-            profile: false,
             fuel: None,
             reference: false,
         }
@@ -110,57 +95,29 @@ impl<'a> CellSpec<'a> {
 /// # Errors
 ///
 /// [`CellError::Verify`] if the compiled module fails verification,
-/// [`CellError::Exec`] if any trial's interpretation fails.
-///
-/// # Panics
-///
-/// Panics if `spec.trials == 0` (a harness bug, not a cell fault).
+/// [`CellError::Exec`] if interpretation fails.
 pub fn run_cell(spec: &CellSpec<'_>) -> Result<RunResult, CellError> {
     let config = Config::new(spec.kind);
     let mut module = (spec.bench.build)(spec.scale);
     config.compile(&mut module);
     ade_ir::verify::verify_module(&module).map_err(|e| CellError::Verify(e.to_string()))?;
     let mut exec = config.exec.clone();
-    exec.profile = spec.profile;
     if let Some(fuel) = spec.fuel {
         exec.fuel = Some(fuel);
     }
-    let outcome = best_of(&module, &exec, spec)?;
+    let options = DecodeOptions {
+        reference: spec.reference,
+    };
+    let decoded = DecodedModule::decode_with(&module, &options);
+    let outcome = Interpreter::new(&module, exec)
+        .run_decoded(&decoded, "main")
+        .map_err(CellError::Exec)?;
     Ok(RunResult {
         abbrev: spec.bench.abbrev,
         config: spec.kind,
         output: outcome.output,
         stats: outcome.stats,
-        profile: outcome.profile,
     })
-}
-
-/// Decodes `module` once and executes it `spec.trials` times, keeping
-/// the fastest wall-clock outcome, so repeated trials measure the
-/// interpreter, not flattening overhead.
-fn best_of(
-    module: &Module,
-    exec: &ExecConfig,
-    spec: &CellSpec<'_>,
-) -> Result<ade_interp::Outcome, CellError> {
-    assert!(spec.trials > 0, "at least one trial");
-    let options = DecodeOptions {
-        reference: spec.reference,
-    };
-    let decoded = DecodedModule::decode_with(module, &options);
-    let mut best: Option<ade_interp::Outcome> = None;
-    for _ in 0..spec.trials {
-        let outcome = Interpreter::new(module, exec.clone())
-            .run_decoded(&decoded, "main")
-            .map_err(CellError::Exec)?;
-        let better = best
-            .as_ref()
-            .is_none_or(|b| outcome.stats.wall_total_ns() < b.stats.wall_total_ns());
-        if better {
-            best = Some(outcome);
-        }
-    }
-    Ok(best.expect("ran at least once"))
 }
 
 /// Geometric mean of a sequence of ratios.

@@ -1,11 +1,9 @@
 //! One round trip over every JSON artifact the toolchain emits — the
-//! Chrome-trace timeline, pipeline trace events, per-site interpreter
-//! profiles, the selection ledger and metrics snapshots — validated
-//! with the shared `ade-obs`
-//! JSON validator, so a malformed emitter fails here before any
+//! Chrome-trace timeline, pipeline trace events, the selection ledger
+//! and metrics snapshots — validated with the shared `ade-obs` JSON
+//! validator, so a malformed emitter fails here before any
 //! external consumer sees it.
 
-use ade_bench::figures::{cells_for_target, Session};
 use ade_obs::{json, FieldValue, MetricsRegistry, Timeline, Tracer};
 
 const SCALE: u32 = 4;
@@ -36,44 +34,6 @@ fn pipeline_trace_events_validate() {
     }
     json::validate(&ade_obs::events_to_json(&tracer.events()))
         .expect("trace events are valid JSON");
-}
-
-/// A real profiled cell's JSON export parses back with its schema tag
-/// and one entry per active collection site.
-#[test]
-fn site_profile_validates_and_round_trips() {
-    let (abbrev, kind) = cells_for_target("fig5")[0];
-    let mut s = Session::new(SCALE).include_wall(false).profile(true);
-    let result = s.cell(abbrev, kind);
-    let profile = result.profile.expect("profiled cell");
-    let v = json::Value::parse(&profile.to_json()).expect("site profile is valid JSON");
-    assert_eq!(
-        v.get("schema").and_then(json::Value::as_str),
-        Some("ade-site-profile-v1")
-    );
-    let sites: usize = v
-        .get("functions")
-        .and_then(json::Value::as_array)
-        .expect("functions array")
-        .iter()
-        .map(|f| {
-            f.get("sites")
-                .and_then(json::Value::as_array)
-                .map_or(0, <[_]>::len)
-        })
-        .sum();
-    let active: usize = profile
-        .funcs
-        .iter()
-        .map(|f| {
-            f.sites
-                .iter()
-                .filter(|s| s.counts.total() > 0 || s.size_hwm > 0)
-                .count()
-        })
-        .sum();
-    assert!(sites > 0, "benchmark cell has collection sites");
-    assert_eq!(sites, active, "one JSON entry per active site");
 }
 
 /// The selection ledger a real ADE compile produces exports valid JSON

@@ -1,8 +1,7 @@
 //! Observability must be invisible in the figures: a session with a
-//! timeline attached and per-site profiling enabled renders the exact
-//! same bytes as a plain session, while the timeline carries one
-//! complete event per evaluation-matrix cell and every cell yields a
-//! well-formed profile.
+//! timeline attached renders the exact same bytes as a plain session,
+//! while the timeline carries one complete event per evaluation-matrix
+//! cell.
 
 use std::sync::Arc;
 
@@ -11,18 +10,12 @@ use ade_obs::{json, Timeline};
 
 #[test]
 fn fig5_text_is_byte_identical_with_observability_enabled() {
-    // Wall ratios are the one nondeterministic figure ingredient; the
-    // byte-identity contract is about everything else.
-    let mut plain = Session::new(5).include_wall(false);
+    let mut plain = Session::new(5);
     plain.prewarm(&["fig5"]);
     let expected = plain.fig5_or_6(false);
 
     let timeline = Arc::new(Timeline::new());
-    let mut observed = Session::new(5)
-        .include_wall(false)
-        .jobs(2)
-        .profile(true)
-        .timeline(Arc::clone(&timeline));
+    let mut observed = Session::new(5).jobs(2).timeline(Arc::clone(&timeline));
     observed.prewarm(&["fig5"]);
     assert_eq!(observed.fig5_or_6(false), expected);
 
@@ -38,11 +31,4 @@ fn fig5_text_is_byte_identical_with_observability_enabled() {
         );
     }
     json::validate(&timeline.to_chrome_json()).expect("chrome trace is valid JSON");
-
-    // Every cell collected a per-site profile with a valid JSON export.
-    let profiles = observed.cached_profiles();
-    assert_eq!(profiles.len(), events.len());
-    for (_, _, profile) in profiles {
-        json::validate(&profile.to_json()).expect("profile is valid JSON");
-    }
 }

@@ -8,15 +8,15 @@ use ade_bench::figures::{cells_for_target, Session};
 
 const SCALE: u32 = 6;
 
-/// Fig. 5 text (wall ratios suppressed) is byte-identical whether the
-/// matrix is filled serially or by eight workers.
+/// Fig. 5 text is byte-identical whether the matrix is filled serially
+/// or by eight workers.
 #[test]
 fn fig5_text_is_byte_identical_across_job_counts() {
-    let mut serial = Session::new(SCALE).jobs(1).include_wall(false);
+    let mut serial = Session::new(SCALE).jobs(1);
     serial.prewarm(&["fig5"]);
     let serial_text = serial.fig5_or_6(false);
 
-    let mut parallel = Session::new(SCALE).jobs(8).include_wall(false);
+    let mut parallel = Session::new(SCALE).jobs(8);
     parallel.prewarm(&["fig5"]);
     let parallel_text = parallel.fig5_or_6(false);
 

@@ -1,5 +1,5 @@
 //! The `reproduce` binary's usage contract, end to end: an unknown flag
-//! and an unwritable `--timeline`/`--obs-dir` artifact are usage errors
+//! and an unwritable `--timeline` artifact are usage errors
 //! (exit 2; an unwritable path reports a uniform `cannot write` message
 //! — the same contract as `adec`'s output flags).
 //!
@@ -10,7 +10,7 @@ use std::process::Command;
 
 fn reproduce(args: &[&str]) -> (i32, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .args(["--scale", "3", "--no-wall", "fig4"])
+        .args(["--scale", "3", "fig4"])
         .args(args)
         .output()
         .expect("reproduce runs");
@@ -20,7 +20,7 @@ fn reproduce(args: &[&str]) -> (i32, String) {
 
 /// A path whose parent is a regular file: unwritable for everyone,
 /// including the root user CI runs as (plain `/nonexistent/...` paths
-/// are creatable by root, so they cannot pin the `--obs-dir` case).
+/// are creatable by root).
 fn enotdir_path(name: &str) -> (std::path::PathBuf, String) {
     let file = std::env::temp_dir().join(format!("reproduce-exit-{}-{name}", std::process::id()));
     std::fs::write(&file, "not a directory").expect("write blocker file");
@@ -37,17 +37,9 @@ fn unwritable_timeline_is_two() {
     let _ = std::fs::remove_file(blocker);
 }
 
-#[test]
-fn unwritable_obs_dir_is_two() {
-    let (blocker, dir) = enotdir_path("obsdir");
-    let (code, err) = reproduce(&["--obs-dir", &dir]);
-    assert_eq!(code, 2, "{err}");
-    assert!(err.contains("cannot write"), "{err}");
-    let _ = std::fs::remove_file(blocker);
-}
-
 /// Flags of the removed resume, fault-isolation, fault-injection,
-/// timeout and metrics machinery are unknown flags now.
+/// timeout, metrics, per-site profile and wall-column machinery are
+/// unknown flags now.
 #[test]
 fn removed_flags_exit_two_as_unknown() {
     for flag in [
@@ -56,6 +48,9 @@ fn removed_flags_exit_two_as_unknown() {
         &["--inject-fault", "cell=0,kind=panic"],
         &["--cell-timeout", "5"],
         &["--metrics", "m.json"],
+        &["--no-wall"],
+        &["--trials", "3"],
+        &["--obs-dir", "d"],
     ] {
         let (code, err) = reproduce(flag);
         assert_eq!(code, 2, "{flag:?}: {err}");
@@ -66,27 +61,16 @@ fn removed_flags_exit_two_as_unknown() {
     }
 }
 
-/// The happy path: every observability artifact lands and the exit
-/// code is 0.
+/// The happy path: the timeline lands and the exit code is 0.
 #[test]
 fn writable_observability_outputs_succeed() {
     let dir = std::env::temp_dir().join(format!("reproduce-exit-ok-{}", std::process::id()));
     let timeline = dir.join("timeline.json");
-    let obs = dir.join("obs");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let (code, err) = reproduce(&[
-        "--timeline",
-        timeline.to_str().unwrap(),
-        "--obs-dir",
-        obs.to_str().unwrap(),
-    ]);
+    let (code, err) = reproduce(&["--timeline", timeline.to_str().unwrap()]);
     assert_eq!(code, 0, "{err}");
     assert!(err.contains("[obs] timeline:"), "{err}");
-    assert!(err.contains("[obs] profiles: 16 file(s)"), "{err}");
     let trace = std::fs::read_to_string(&timeline).expect("timeline written");
     ade_obs::json::validate(&trace).expect("timeline is valid JSON");
-    let profile =
-        std::fs::read_to_string(obs.join("BFS_memoir.profile.json")).expect("BFS profile written");
-    ade_obs::json::validate(&profile).expect("profile is valid JSON");
     let _ = std::fs::remove_dir_all(&dir);
 }

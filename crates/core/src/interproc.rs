@@ -594,7 +594,7 @@ pub fn plan_module_traced(
             .into_iter()
             .map(|(e, (m, b))| (e, m, b))
             .collect();
-        groups.sort_by(|a, b| b.2.cmp(&a.2)); // benefit-descending
+        groups.sort_by_key(|g| std::cmp::Reverse(g.2)); // benefit-descending
 
         let mut claimed: BTreeSet<ValueId> = BTreeSet::new();
         let mut func_plan = FuncPlan::default();

@@ -57,11 +57,11 @@ pub fn run_function(func: &mut Function) -> usize {
             if arg_e != e {
                 continue;
             }
-            let cancels = match (arg_kind, kind) {
-                (TransKind::Dec, TransKind::Enc | TransKind::Add) => true,
-                (TransKind::Enc | TransKind::Add, TransKind::Dec) => true,
-                _ => false,
-            };
+            let cancels = matches!(
+                (arg_kind, kind),
+                (TransKind::Dec, TransKind::Enc | TransKind::Add)
+                    | (TransKind::Enc | TransKind::Add, TransKind::Dec)
+            );
             if cancels {
                 replace.insert(inst.results[0], original);
                 removed += 1;

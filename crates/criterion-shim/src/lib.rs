@@ -18,14 +18,9 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Top-level harness handle passed to every benchmark function.
+#[derive(Default)]
 pub struct Criterion {
     _private: (),
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion { _private: () }
-    }
 }
 
 impl Criterion {

@@ -71,9 +71,6 @@ pub struct Options {
     pub trace: TraceMode,
     /// Write machine-readable trace events (JSON) to this path.
     pub trace_json: Option<String>,
-    /// Write a per-site interpreter profile (JSON) to this path
-    /// (implies `run`).
-    pub profile: Option<String>,
     /// Write the execution's metrics snapshot (JSON, schema
     /// `ade-metrics-v1`) to this path (implies `run`): stop-reason
     /// tallies, fuel ticks, quantum grants and the heap high-water
@@ -116,7 +113,6 @@ impl Default for Options {
             entry: "main".to_string(),
             trace: TraceMode::Off,
             trace_json: None,
-            profile: None,
             metrics: None,
             explain: ExplainMode::Off,
             fuel: None,
@@ -153,8 +149,6 @@ pub struct DriveOutput {
     pub report: Option<ade_core::AdeReport>,
     /// Pipeline trace events (when [`Options::wants_trace`]).
     pub events: Vec<ade_obs::Event>,
-    /// Per-site interpreter profile (when `Options::profile` is set).
-    pub profile: Option<ade_interp::SiteProfile>,
     /// Rendered metrics snapshot JSON (when `Options::metrics` is set).
     pub metrics: Option<String>,
     /// Rendered selection-ledger explain report (when
@@ -257,9 +251,8 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
         };
         out.explain = Some(ledger + &explain_generic_loops(&module));
     }
-    if options.run || options.stats || options.profile.is_some() {
+    if options.run || options.stats {
         let mut exec = config.exec.clone();
-        exec.profile = options.profile.is_some();
         exec.fuel = options.fuel.or(exec.fuel);
         exec.max_heap_cells = options.max_heap_cells.or(exec.max_heap_cells);
         exec.max_depth = options.max_depth.or(exec.max_depth);
@@ -275,7 +268,6 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
             out.stats = Some(format_stats(&outcome.stats));
         }
         out.program_output = Some(outcome.output);
-        out.profile = outcome.profile;
         out.metrics = metrics.map(|m| m.snapshot().to_json());
     }
     out.events = tracer.events();
@@ -362,8 +354,8 @@ pub const USAGE: &str = "\
 usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
             [--fuel N] [--max-heap-cells N] [--max-depth N]
             [--deadline-ms N] [--reference] [--trace[=FILE]]
-            [--trace-json FILE] [--profile FILE] [--metrics FILE]
-            [--explain[=FILE]] INPUT.memoir
+            [--trace-json FILE] [--metrics FILE] [--explain[=FILE]]
+            INPUT.memoir
 
   --config NAME, -c    artifact configuration (memoir, ade, ade-sparse, ...)
   --run, -r            execute the program after compilation
@@ -381,8 +373,6 @@ usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
                        identical; isolates the decode optimizations)
   --trace[=FILE]       human-readable pass/decision log to stderr (or FILE)
   --trace-json FILE    machine-readable trace events as JSON
-  --profile FILE       per-site interpreter profile as JSON (implies --run);
-                       also prints a hot-site summary to stderr
   --metrics FILE       execution metrics snapshot as JSON (implies --run):
                        stop-reason tallies, fuel ticks, quantum grants and
                        the heap high-water mark (schema ade-metrics-v1)
@@ -403,7 +393,7 @@ pub enum Cli {
     /// `--help`: print [`USAGE`] and exit successfully.
     Help,
     /// Compile the input file under the given options.
-    Drive(Options, String),
+    Drive(Box<Options>, String),
 }
 
 fn parse_limit(value: Option<String>, flag: &str) -> Result<u64, String> {
@@ -461,10 +451,6 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<Cli, String> {
             "--trace-json" => {
                 options.trace_json = Some(args.next().ok_or("missing value for --trace-json")?);
             }
-            "--profile" => {
-                options.profile = Some(args.next().ok_or("missing value for --profile")?);
-                options.run = true;
-            }
             "--metrics" => {
                 options.metrics = Some(args.next().ok_or("missing value for --metrics")?);
                 options.run = true;
@@ -490,7 +476,7 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<Cli, String> {
     if !options.run && !options.emit_ir && !options.stats {
         options.emit_ir = true; // default action
     }
-    Ok(Cli::Drive(options, input))
+    Ok(Cli::Drive(Box::new(options), input))
 }
 
 #[cfg(test)]
@@ -671,7 +657,7 @@ fn @main() -> void {
 
     fn parse_drive(args: &[&str]) -> Result<(Options, String), String> {
         match parse_args(args.iter().map(|s| s.to_string()))? {
-            Cli::Drive(opts, input) => Ok((opts, input)),
+            Cli::Drive(opts, input) => Ok((*opts, input)),
             Cli::Help => Err("unexpected --help".to_string()),
         }
     }
@@ -693,7 +679,6 @@ fn @main() -> void {
         assert!(parse_drive(&[]).is_err());
         assert!(parse_drive(&["a", "b"]).is_err());
         assert!(parse_drive(&["--trace-json"]).is_err());
-        assert!(parse_drive(&["--profile"]).is_err());
     }
 
     #[test]
@@ -821,12 +806,7 @@ fn @main() -> u64 {
         assert_eq!(opts.trace, TraceMode::File("log.txt".to_string()));
         assert_eq!(opts.trace_json.as_deref(), Some("t.json"));
 
-        // --profile implies --run.
-        let (opts, _) = parse_drive(&["--profile", "p.json", "p.memoir"]).expect("parses");
-        assert_eq!(opts.profile.as_deref(), Some("p.json"));
-        assert!(opts.run && !opts.emit_ir);
-
-        // --metrics implies --run too.
+        // --metrics implies --run.
         let (opts, _) = parse_drive(&["--metrics", "m.json", "p.memoir"]).expect("parses");
         assert_eq!(opts.metrics.as_deref(), Some("m.json"));
         assert!(opts.run && !opts.emit_ir);
@@ -882,12 +862,11 @@ fn @main() -> u64 {
     }
 
     #[test]
-    fn trace_is_deterministic_and_profile_sums_to_stats() {
+    fn trace_is_deterministic() {
         let opts = Options {
             config: "ade".to_string(),
             run: true,
             trace: TraceMode::Stderr,
-            profile: Some("unused.json".to_string()),
             ..Options::default()
         };
         let a = drive(PROGRAM, &opts).expect("drives");
@@ -903,9 +882,6 @@ fn @main() -> u64 {
         assert!(text_a.contains("- choice [select]"), "{text_a}");
         ade_obs::json::validate(&ade_obs::events_to_json(&a.events)).expect("trace json");
 
-        // Per-site profile ops sum to the aggregate stats totals, and
-        // the JSON export is well-formed.
-        let profile = a.profile.expect("profile");
         let plain = drive(
             PROGRAM,
             &Options {
@@ -917,11 +893,8 @@ fn @main() -> u64 {
         )
         .expect("drives");
         assert_eq!(a.program_output, plain.program_output);
-        assert!(profile.totals().total() > 0);
-        ade_obs::json::validate(&profile.to_json()).expect("profile json");
 
         // A disabled run collects nothing.
         assert!(plain.events.is_empty());
-        assert!(plain.profile.is_none());
     }
 }

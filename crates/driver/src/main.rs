@@ -3,18 +3,15 @@
 //! ```text
 //! adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
 //!      [--fuel N] [--max-heap-cells N] [--max-depth N] [--reference]
-//!      [--trace[=FILE]] [--trace-json FILE] [--profile FILE]
-//!      [--metrics FILE] [--explain[=FILE]]
-//!      INPUT.memoir
+//!      [--trace[=FILE]] [--trace-json FILE] [--metrics FILE]
+//!      [--explain[=FILE]] INPUT.memoir
 //! ```
 //!
 //! With no action flags the transformed IR is printed (`--emit-ir`).
 //! `--trace` logs every pass and its structured decisions (escape
 //! verdicts, sharing candidates, RTE trims, selection choices) to stderr
 //! — `--trace=FILE` redirects it, `--trace-json FILE` dumps the raw
-//! events as JSON. `--profile FILE` executes the program with per-site
-//! profiling and writes a JSON profile plus a hot-site summary;
-//! `--metrics FILE` executes the program with a metrics registry
+//! events as JSON. `--metrics FILE` executes the program with a metrics registry
 //! attached and writes the snapshot (stop-reason tallies, fuel ticks,
 //! quantum grants, heap high-water mark) as JSON.
 //! `--explain[=FILE]` renders the selection ledger (per keyed site, the
@@ -79,12 +76,6 @@ fn main() {
             }
             if let Some(path) = &options.trace_json {
                 write_file(path, &ade_obs::events_to_json(&out.events));
-            }
-            if let Some(path) = &options.profile {
-                let profile = out.profile.unwrap_or_default();
-                write_file(path, &profile.to_json());
-                let model = ade_interp::cost::CostModel::intel_x64();
-                eprint!("{}", profile.report(&model, 10));
             }
             if let Some(path) = &options.metrics {
                 write_file(path, out.metrics.as_deref().unwrap_or(""));

@@ -87,7 +87,6 @@ fn unwritable_output_paths_are_two() {
     // artifact is a usage-class mistake, not a guest failure.
     for flag in [
         "--trace-json",
-        "--profile",
         "--metrics",
         "--trace=/nonexistent/dir/out.txt",
         "--explain=/nonexistent/dir/out.txt",
@@ -106,13 +105,16 @@ fn unwritable_output_paths_are_two() {
     }
 }
 
-/// `--profile-in` no longer exists: it is rejected like any unknown
-/// flag.
+/// Neither profile flag exists any more (`--profile-in` fed the deleted
+/// feedback-directed selection, `--profile` wrote the deleted per-site
+/// profiles): both are rejected like any unknown flag.
 #[test]
-fn profile_in_errors_are_two() {
-    let (code, err) = adec(&["--profile-in", "/nonexistent/p.json", &sample()]);
-    assert_eq!(code, 2, "{err}");
-    assert!(err.contains("unknown flag `--profile-in`"), "{err}");
+fn profile_flags_are_two() {
+    for flag in ["--profile-in", "--profile"] {
+        let (code, err) = adec(&[flag, "/nonexistent/p.json", &sample()]);
+        assert_eq!(code, 2, "{flag}: {err}");
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+    }
 }
 
 #[test]

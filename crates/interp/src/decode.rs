@@ -364,13 +364,13 @@ pub enum DInst {
     // [`DecodeOptions::reference`]): a [`DInst::ForEach`] /
     // [`DInst::ForRange`] whose whole body compiled into a [`BulkPlan`]
     // is replaced in place by its bulk twin. The body region's
-    // instructions stay in `code` untouched, so code length, per-site
-    // profile indices, and trap-site numbering are unchanged, and the
-    // interpreter can still run the loop generically: a profiled run
-    // does so throughout, as does a loop whose regions would not fit
-    // under the depth limit and, under a fuel limit or in a session, a
-    // loop whose plan holds a nested loop; any run does so for an
-    // iteration the tick countdown cannot cover ([`BulkPlan::worst`]).
+    // instructions stay in `code` untouched, so code length and
+    // trap-site numbering are unchanged, and the interpreter can still
+    // run the loop generically: it does so for a loop whose regions
+    // would not fit under the depth limit and, under a fuel limit or in
+    // a session, a loop whose plan holds a nested loop; any run does so
+    // for an iteration the tick countdown cannot cover
+    // ([`BulkPlan::worst`]).
     /// [`DInst::ForEach`] with a compiled bulk body plan.
     ForEachBulk {
         /// Collection operand.
@@ -479,7 +479,7 @@ pub struct BulkPlan {
     /// countdown covers this, so no budget boundary falls inside it.
     /// `None` when the plan holds a loop, whose trip count only the run
     /// knows: such a plan runs only when no fuel limit or session grant
-    /// can end a tick window, and no profiler is attached.
+    /// can end a tick window.
     pub worst: Option<u32>,
     /// The most regions the unfused loop has open at once per
     /// iteration: the body, plus every `if` arm and nested loop body on
@@ -488,7 +488,7 @@ pub struct BulkPlan {
     pub depth: u32,
 }
 
-/// One component of a [`BulkPlan`] with its trap/profile site.
+/// One component of a [`BulkPlan`] with its trap site.
 #[derive(Clone, Debug)]
 pub struct PlanOp {
     /// Absolute index into [`DFunc::code`] of the component this op
@@ -714,7 +714,7 @@ pub struct DRegion {
 #[derive(Clone, Debug)]
 pub struct DFunc {
     /// Function name (without the `@`), copied out of the source IR so
-    /// trap sites and profiles can be attributed without keeping the
+    /// trap sites can be attributed without keeping the
     /// [`Module`] alive alongside the decoded stream.
     pub name: String,
     /// Number of frame slots (one per SSA value).
@@ -1122,7 +1122,7 @@ fn sl(op: &DOp) -> Option<u32> {
 /// iterations that run them per instruction.
 ///
 /// Observables are unchanged: the terminator keeps its code slot (same
-/// fuel tick, same profiler site), slot-only yields bump no statistics
+/// fuel tick, same trap site), slot-only yields bump no statistics
 /// and cannot trap, and the copies land exactly where the buffered
 /// values would have. Yields with a nesting-path operand (whose
 /// resolution bumps read counts) or a write-before-read hazard between
@@ -1197,8 +1197,8 @@ fn direct_srcs(term: &DInst, dsts: &[u32]) -> Option<Vec<u32>> {
 /// [`DInst::ForRangeBulk`]; every other header is recorded in
 /// [`DFunc::generic_loops`] with the reason it stayed generic. The body
 /// region's instructions are left untouched (the header occupies one
-/// code slot either way), so code length, profile indices, and trap-site
-/// numbering are unchanged and the generic loop path can still execute
+/// code slot either way), so code length and trap-site numbering are
+/// unchanged and the generic loop path can still execute
 /// the region whenever the plan may not run.
 ///
 /// Loops compile innermost first, so an enclosing body finds each

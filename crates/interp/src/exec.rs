@@ -42,7 +42,6 @@ use crate::decode::{
     PlanOp, UScalar,
 };
 use crate::heap::{CollId, Collection, SelectionDefaults};
-use crate::profile::{Recorder, SiteProfile};
 use crate::stats::{CollOp, ImplKind, Phase, Stats};
 use crate::trap::{Limit, StopReason, TrapKind, TrapSite};
 use crate::value::{Res, Value};
@@ -63,12 +62,6 @@ pub struct ExecConfig {
     /// unlimited. Every call enters at least one region, so this bounds
     /// guest recursion transitively.
     pub max_depth: Option<u32>,
-    /// Record a per-instruction-site profile (see [`crate::profile`]).
-    /// Costs nothing when `false`: the hot loop's only extra work is a
-    /// branch on an `Option` discriminant. A profiled run dispatches
-    /// every instruction at its own site, so it takes no bulk loop
-    /// plans.
-    pub profile: bool,
     /// Runtime metrics registry (default disabled). When enabled, the
     /// run publishes quantum grants (`exec_quanta_total`), executed
     /// ticks (`exec_fuel_ticks_total`, [`Outcome::fuel_ticks`]), loop
@@ -89,7 +82,6 @@ impl Default for ExecConfig {
             fuel: None,
             max_heap_cells: None,
             max_depth: None,
-            profile: false,
             metrics: ade_obs::MetricsRegistry::disabled(),
         }
     }
@@ -239,8 +231,6 @@ pub struct Outcome {
     pub stats: Stats,
     /// The entry function's return value.
     pub result: Option<Value>,
-    /// Per-instruction-site profile (when [`ExecConfig::profile`]).
-    pub profile: Option<SiteProfile>,
     /// Instructions executed, one tick per decoded slot (the slots of
     /// bulk plan iterations included). Always exact, and identical for
     /// every decode, budget and quantum size.
@@ -510,11 +500,6 @@ pub struct Interpreter<'m> {
     sliced: bool,
     /// The session grant `tick_boundary` loads next, if any.
     grant: Option<u64>,
-    /// `Some` only when [`ExecConfig::profile`]; boxed so the disabled
-    /// case costs one word in the interpreter struct. Per-site
-    /// attribution needs every instruction dispatched at its own site,
-    /// so a profiled run takes no bulk plans.
-    profiler: Option<Box<Recorder>>,
     /// Free list of spent yield buffers. Every buffered loop iteration
     /// and branch join yields a `Vec<Value>`; recycling them turns the
     /// hottest allocation in the dispatch loop into a pop/push pair.
@@ -551,7 +536,6 @@ impl<'m> Interpreter<'m> {
             ticks_spent: 0,
             sliced: false,
             grant: None,
-            profiler: None,
             flow_pool: Vec::new(),
         }
     }
@@ -619,17 +603,11 @@ impl<'m> Interpreter<'m> {
         }
     }
 
-    /// Prepares a run of `decoded`: runtime enumerations, the profiler,
-    /// the wall clock and the first tick window. A session (`sliced`)
-    /// starts paused: its empty window makes the first instruction wait
-    /// for the first grant.
+    /// Prepares a run of `decoded`: runtime enumerations, the wall clock
+    /// and the first tick window. A session (`sliced`) starts paused: its
+    /// empty window makes the first instruction wait for the first grant.
     pub(crate) fn start(&mut self, decoded: &DecodedModule, sliced: bool) {
         self.enums = (0..decoded.enum_count).map(|_| RuntimeEnum::default()).collect();
-        if self.config.profile {
-            self.profiler = Some(Box::new(Recorder::new(
-                decoded.funcs.iter().map(|d| (d.name.clone(), d.code.len())),
-            )));
-        }
         self.sliced = sliced;
         self.window = if sliced {
             0
@@ -660,7 +638,6 @@ impl<'m> Interpreter<'m> {
             output: std::mem::take(&mut self.output),
             stats: std::mem::take(&mut self.stats),
             result,
-            profile: self.profiler.take().map(|r| r.finish()),
         }
     }
 
@@ -690,15 +667,11 @@ impl<'m> Interpreter<'m> {
         }
     }
 
-    /// The single funnel for operation counts: the aggregate phase table
-    /// always, the per-site profile when enabled. Keeping both behind one
-    /// call is what guarantees `SiteProfile::totals() == Stats::totals()`.
+    /// The single funnel for operation counts: every kernel, plan op
+    /// and enumeration lookup charges the current phase through here.
     #[inline]
     fn bump(&mut self, imp: ImplKind, op: CollOp, n: u64) {
         self.stats.per_phase[self.phase as usize].bump(imp, op, n);
-        if let Some(p) = self.profiler.as_deref_mut() {
-            p.bump(imp, op, n);
-        }
     }
 
     #[inline]
@@ -712,14 +685,6 @@ impl<'m> Interpreter<'m> {
         self.tracked_bytes = (self.tracked_bytes + new).saturating_sub(old);
         self.coll_bytes[id.0 as usize] = new;
         self.sample_peak();
-        // Every mutating collection op refreshes byte accounting, so this
-        // is also where the profiler observes size high-water marks.
-        if self.profiler.is_some() {
-            let len = self.heap[id.0 as usize].len() as u64;
-            if let Some(p) = self.profiler.as_deref_mut() {
-                p.size_hwm(len);
-            }
-        }
     }
 
     fn alloc_collection(&mut self, ty: &Type) -> Result<CollId, ExecError> {
@@ -954,8 +919,7 @@ impl<'m> Interpreter<'m> {
     /// `add(e, v)`: `v`'s identifier, issuing the next one when `v` is
     /// new.
     fn enum_add(&mut self, e: u32, key: Value) -> usize {
-        // Bumps go through `self.bump` (so the profiler sees them too),
-        // which means the `&mut self.enums[e]` borrow cannot be held
+        // Bumps go through `self.bump`, which means the `&mut self.enums[e]` borrow cannot be held
         // across them; the bump sequence (Read, then on a miss Insert
         // into both Enc and Dec) is unchanged.
         self.bump(ImplKind::EnumEnc, CollOp::Read, 1);
@@ -1089,12 +1053,6 @@ impl<'m> Interpreter<'m> {
                 return Ok(Transfer::Suspend);
             }
             self.ticks_left -= 1;
-            // Point the profiler's attribution cursor at this site.
-            // Nested regions re-aim it per instruction, so work done by a
-            // loop body lands on the body's sites, not the loop header's.
-            if let Some(p) = self.profiler.as_deref_mut() {
-                p.set_site(fid.0, pc as u32);
-            }
             match self.exec_inst(func, frame, cursors, pc) {
                 Ok(Next::At(next)) => pc = next,
                 Ok(Next::Jump(next, next_end)) => (pc, end) = (next, next_end),
@@ -1283,8 +1241,8 @@ impl<'m> Interpreter<'m> {
     /// run renews its window, and a session loads its pending grant —
     /// or, with none left, returns `false` to suspend before the
     /// instruction that wanted the tick. Suspending touches no other
-    /// interpreter state, which is why checksums, stats, profiles and
-    /// trap sites are byte-identical for every quantum size.
+    /// interpreter state, which is why checksums, stats and trap sites
+    /// are byte-identical for every quantum size.
     #[cold]
     #[inline(never)]
     fn tick_boundary(&mut self) -> Result<bool, ExecError> {
@@ -1582,14 +1540,13 @@ impl<'m> Interpreter<'m> {
     }
 
     /// Whether a loop entered with `height` regions open may run its
-    /// iterations through `plan`: no profiler attributes work per site,
-    /// the plan's regions fit under the depth limit from `height` (so the
-    /// generic loop could not have tripped it either), and a plan with no
-    /// static worst case (it holds a loop) runs only where no fuel limit
-    /// or session grant can end a tick window inside an iteration.
+    /// iterations through `plan`: the plan's regions fit under the depth
+    /// limit from `height` (so the generic loop could not have tripped it
+    /// either), and a plan with no static worst case (it holds a loop)
+    /// runs only where no fuel limit or session grant can end a tick
+    /// window inside an iteration.
     fn plan_may_run(&self, plan: &BulkPlan, height: usize) -> bool {
-        self.profiler.is_none()
-            && (plan.worst.is_some() || self.config.fuel.is_none() && !self.sliced)
+        (plan.worst.is_some() || self.config.fuel.is_none() && !self.sliced)
             && self
                 .config
                 .max_depth
@@ -2390,77 +2347,6 @@ fn @main() -> void {
                 .get(ImplKind::HashSet, CollOp::Has),
             0
         );
-    }
-
-    #[test]
-    fn profiler_sites_sum_to_stats_totals() {
-        let text = r#"
-enum e0: str
-
-fn @main() -> void {
-  %s = new Set<u64>
-  %lo = const 0u64
-  %hi = const 50u64
-  %r = forrange %lo, %hi carry(%s) as (%i: u64, %c: Set<u64>) {
-    %seven = const 7u64
-    %v = rem %i, %seven
-    %c1 = insert %c, %v
-    yield %c1
-  }
-  %n = size %r
-  %k = const "key"
-  %id = enumadd e0, %k
-  %id2 = enumadd e0, %k
-  %back = dec e0, %id
-  %sum = call @1(%r)
-  print %n, %back, %sum
-  ret
-}
-
-fn @tally(%c: Set<u64>) -> u64 {
-  %zero = const 0u64
-  %t = foreach %c carry(%zero) as (%v: u64, %acc: u64) {
-    %a = add %acc, %v
-    yield %a
-  }
-  ret %t
-}
-"#;
-        let m = parse_module(text).expect("parses");
-        ade_ir::verify::verify_module(&m).expect("verifies");
-        let baseline = Interpreter::new(&m, ExecConfig::default())
-            .run("main")
-            .expect("runs");
-        assert!(baseline.profile.is_none(), "profile off by default");
-
-        let cfg = ExecConfig {
-            profile: true,
-            ..ExecConfig::default()
-        };
-        let profiled = Interpreter::new(&m, cfg).run("main").expect("runs");
-        // Profiling observes without perturbing.
-        assert_eq!(profiled.output, baseline.output);
-        assert_eq!(profiled.stats.totals(), baseline.stats.totals());
-
-        let profile = profiled.profile.expect("profile recorded");
-        // The cross-check: per-site counts sum exactly to the aggregate.
-        assert_eq!(profile.totals(), profiled.stats.totals());
-        // Work in a callee is attributed to the callee's sites.
-        let tally = profile
-            .funcs
-            .iter()
-            .find(|f| f.name == "tally")
-            .expect("tally profiled");
-        assert!(tally.sites.iter().any(|s| s.counts.total() > 0));
-        // The set reaches 7 distinct elements; its insert site saw that.
-        let hwm = profile
-            .funcs
-            .iter()
-            .flat_map(|f| &f.sites)
-            .map(|s| s.size_hwm)
-            .max()
-            .unwrap_or(0);
-        assert_eq!(hwm, 7);
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod cost;
 pub mod decode;
 mod exec;
 mod heap;
-pub mod profile;
 mod session;
 mod stats;
 pub mod trap;
@@ -56,7 +55,6 @@ mod value;
 pub use decode::{DecodeOptions, DecodedModule};
 pub use exec::{ExecConfig, ExecError, Interpreter, Outcome};
 pub use heap::{CollId, Collection, SelectionDefaults};
-pub use profile::{FuncProfile, HotSite, SiteProfile, SiteStats};
 pub use session::{ExecSession, Step};
 pub use stats::{CollOp, ImplKind, OpCounts, Phase, Stats};
 pub use trap::{Limit, StopReason, TrapKind, TrapSite, ENC_SENTINEL};

@@ -20,8 +20,8 @@
 //! Suspension touches no interpreter state, and bulk loop plans count
 //! their ticks exactly (they run only where no grant boundary falls
 //! inside them, so a plan holding a nested loop, which has no static
-//! worst case, never runs in a session), so outputs, statistics, per-site
-//! profiles, tick counts and trap sites are byte-identical for
+//! worst case, never runs in a session), so outputs, statistics, tick
+//! counts and trap sites are byte-identical for
 //! **every** quantum size, and to the batch run — the
 //! quantum-invariance and budget-parity differential tests pin this.
 
@@ -298,11 +298,6 @@ mod tests {
             ..ExecConfig::default()
         };
         assert_eq!(ticks(fuel(exact)), exact, "fuel");
-        let profiled = ExecConfig {
-            profile: true,
-            ..ExecConfig::default()
-        };
-        assert_eq!(ticks(profiled), exact, "profiler");
         let depth = ExecConfig {
             max_depth: Some(64),
             ..ExecConfig::default()

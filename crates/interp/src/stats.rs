@@ -203,7 +203,7 @@ pub struct Stats {
     pub final_bytes: usize,
     /// Wall-clock nanoseconds per phase, `[Init, Roi]`. `u64` like every
     /// other time quantity in the workspace (the cost model, the
-    /// profiler, the observability events); 2^64 ns is ~585 years, and
+    /// observability events); 2^64 ns is ~585 years, and
     /// all arithmetic on it saturates.
     pub wall_ns: [u64; 2],
 }

@@ -97,8 +97,7 @@ impl TrapKind {
     }
 }
 
-/// Where a trap was raised: the function and decoded-instruction index,
-/// mirroring the profiler's site addressing.
+/// Where a trap was raised: the function and decoded-instruction index.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TrapSite {
     /// Function name (without the `@`).

@@ -2,9 +2,11 @@
 //! not be observable. For every quantum size {1, 7, 1024, unlimited}
 //! and on both the reference and the default decode, a session-run
 //! program must produce byte-identical output, identical operation
-//! statistics and memory peaks, an identical per-site profile, and —
-//! for failing programs — the same typed error at the same trap site
-//! as the batch interpreter on the reference decode.
+//! statistics, memory peaks and tick counts, and — for failing
+//! programs — the same typed error at the same trap site as the batch
+//! interpreter on the reference decode. The default decode must run
+//! the bulk-eligible program's loops through their plans, so the
+//! invariance covers the fast path as well as generic dispatch.
 
 use std::sync::Arc;
 
@@ -13,6 +15,7 @@ use ade_interp::{
 };
 use ade_ir::parse::parse_module;
 use ade_ir::Module;
+use ade_obs::{MetricValue, MetricsRegistry};
 
 /// Collection-heavy program whose loops are bulk-eligible: a `forrange`
 /// filling a map and a set, and a `foreach` reduction over the set.
@@ -63,14 +66,6 @@ fn @main() -> void {
 /// Both decodes ([`DecodeOptions::reference`]).
 const DECODES: [bool; 2] = [true, false];
 
-/// Sessions profile, so the per-site attribution is compared too.
-fn config() -> ExecConfig {
-    ExecConfig {
-        profile: true,
-        ..ExecConfig::default()
-    }
-}
-
 const QUANTA: [Option<u64>; 4] = [Some(1), Some(7), Some(1024), None];
 
 fn run_session(
@@ -103,25 +98,41 @@ fn reference_batch(module: &Module, config: &ExecConfig) -> Result<Outcome, Exec
 /// Everything observable about a successful run except wall time.
 fn fingerprint(o: &Outcome) -> String {
     format!(
-        "output={:?} result={:?} phases={:?} peak={} final={} profile={}",
+        "output={:?} result={:?} phases={:?} peak={} final={} ticks={}",
         o.output,
         o.result,
         o.stats.per_phase,
         o.stats.peak_bytes,
         o.stats.final_bytes,
-        o.profile.as_ref().map(|p| p.to_json()).unwrap_or_default(),
+        o.fuel_ticks,
     )
+}
+
+/// Ticks the run's loop plans took (`exec_plan_ticks_total`).
+fn plan_ticks(metrics: &MetricsRegistry) -> u64 {
+    metrics
+        .snapshot()
+        .rows
+        .iter()
+        .find(|r| r.id == "exec_plan_ticks_total")
+        .map_or(0, |r| match r.value {
+            MetricValue::Counter(n) => n,
+            _ => panic!("exec_plan_ticks_total is a counter"),
+        })
 }
 
 #[test]
 fn successful_runs_are_quantum_invariant_on_both_decodes() {
     let module = parse_module(BULK).expect("parses");
-    let config = config();
-    let batch = reference_batch(&module, &config).expect("reference batch run");
+    let batch = reference_batch(&module, &ExecConfig::default()).expect("reference batch run");
     let baseline = fingerprint(&batch);
     for reference in DECODES {
         let decoded = decode(&module, reference);
         for quantum in QUANTA {
+            let config = ExecConfig {
+                metrics: MetricsRegistry::enabled(),
+                ..ExecConfig::default()
+            };
             let outcome = run_session(&decoded, &config, quantum).unwrap_or_else(|e| {
                 panic!("session fails (reference={reference}, quantum {quantum:?}): {e}")
             });
@@ -130,6 +141,15 @@ fn successful_runs_are_quantum_invariant_on_both_decodes() {
                 baseline,
                 "observable divergence (reference={reference}, quantum {quantum:?})"
             );
+            // A quantum that covers whole iterations lets the default
+            // decode's plans run; otherwise this test would only ever
+            // compare generic dispatch against itself.
+            if !reference && quantum.is_none_or(|q| q >= 1024) {
+                assert!(
+                    plan_ticks(&config.metrics) > 0,
+                    "no loop plan ran (quantum {quantum:?})"
+                );
+            }
         }
     }
 }
@@ -137,7 +157,7 @@ fn successful_runs_are_quantum_invariant_on_both_decodes() {
 #[test]
 fn trap_sites_are_quantum_invariant_on_both_decodes() {
     let module = parse_module(TRAPPING).expect("parses");
-    let config = config();
+    let config = ExecConfig::default();
     let batch_err = reference_batch(&module, &config).expect_err("must trap");
     assert_eq!(batch_err.code(), "missing-key");
     for reference in DECODES {
@@ -161,7 +181,7 @@ fn fuel_trap_sites_are_quantum_invariant() {
     for fuel in [10u64, 97, 333] {
         let config = ExecConfig {
             fuel: Some(fuel),
-            ..config()
+            ..ExecConfig::default()
         };
         let batch_err = reference_batch(&module, &config).expect_err("must exhaust fuel");
         assert_eq!(batch_err.code(), "fuel");

@@ -177,6 +177,13 @@ struct Parser<'a> {
     depth: u32,
 }
 
+/// Where [`Parser::finish_inst`] puts an instruction: the enclosing
+/// region and the result names bound on its left-hand side.
+struct InstAt<'a> {
+    region: RegionId,
+    lhs: &'a [String],
+}
+
 struct FuncCtx {
     values: Vec<ValueData>,
     names: HashMap<String, ValueId>,
@@ -760,16 +767,18 @@ impl<'a> Parser<'a> {
         Ok(region)
     }
 
+    /// Appends an instruction to `at.region`, binding its results to
+    /// the names in `at.lhs`.
     fn finish_inst(
         &mut self,
-        region: RegionId,
+        at: &InstAt<'_>,
         ctx: &mut FuncCtx,
         kind: InstKind,
         operands: Vec<Operand>,
         regions: Vec<RegionId>,
-        lhs: &[String],
         result_tys: Vec<Type>,
     ) -> Result<InstId> {
+        let (region, lhs) = (at.region, at.lhs);
         if lhs.len() != result_tys.len() {
             return Err(self.error(format!(
                 "instruction produces {} results but {} were bound",
@@ -821,12 +830,13 @@ impl<'a> Parser<'a> {
             }
         }
 
+        let at = InstAt { region, lhs: &lhs };
         let op = self.ident()?;
         match op {
             "const" => {
                 let c = self.const_val()?;
                 let ty = c.ty();
-                self.finish_inst(region, ctx, InstKind::Const(c), vec![], vec![], &lhs, vec![ty])?;
+                self.finish_inst(&at, ctx, InstKind::Const(c), vec![], vec![], vec![ty])?;
             }
             "new" => {
                 let ty = self.parse_type()?;
@@ -835,12 +845,11 @@ impl<'a> Parser<'a> {
                     directive = Some(self.directive_set()?);
                 }
                 let id = self.finish_inst(
-                    region,
+                    &at,
                     ctx,
                     InstKind::New(ty.clone()),
                     vec![],
                     vec![],
-                    &lhs,
                     vec![ty],
                 )?;
                 if let Some(d) = directive {
@@ -857,7 +866,7 @@ impl<'a> Parser<'a> {
                     .value_type()
                     .cloned()
                     .ok_or_else(|| self.error("read target is not a collection"))?;
-                self.finish_inst(region, ctx, InstKind::Read, ops, vec![], &lhs, vec![ty])?;
+                self.finish_inst(&at, ctx, InstKind::Read, ops, vec![], vec![ty])?;
             }
             "write" | "insert" | "remove" | "clear" | "union" => {
                 let kind = match op {
@@ -870,19 +879,19 @@ impl<'a> Parser<'a> {
                 let min = if matches!(kind, InstKind::Clear) { 1 } else { 2 };
                 let ops = self.operand_list_min(ctx, min)?;
                 let ty = ctx.values[ops[0].base.index()].ty.clone();
-                self.finish_inst(region, ctx, kind, ops, vec![], &lhs, vec![ty])?;
+                self.finish_inst(&at, ctx, kind, ops, vec![], vec![ty])?;
             }
             "has" => {
                 let ops = self.operand_list_min(ctx, 2)?;
-                self.finish_inst(region, ctx, InstKind::Has, ops, vec![], &lhs, vec![Type::Bool])?;
+                self.finish_inst(&at, ctx, InstKind::Has, ops, vec![], vec![Type::Bool])?;
             }
             "size" => {
                 let ops = self.operand_list_min(ctx, 1)?;
-                self.finish_inst(region, ctx, InstKind::Size, ops, vec![], &lhs, vec![Type::U64])?;
+                self.finish_inst(&at, ctx, InstKind::Size, ops, vec![], vec![Type::U64])?;
             }
             "not" => {
                 let ops = self.operand_list_min(ctx, 1)?;
-                self.finish_inst(region, ctx, InstKind::Not, ops, vec![], &lhs, vec![Type::Bool])?;
+                self.finish_inst(&at, ctx, InstKind::Not, ops, vec![], vec![Type::Bool])?;
             }
             "tuple" => {
                 let ops = self.operand_list_min(ctx, 1)?;
@@ -897,12 +906,11 @@ impl<'a> Parser<'a> {
                     field_tys.push(ty.clone());
                 }
                 self.finish_inst(
-                    region,
+                    &at,
                     ctx,
                     InstKind::Tuple,
                     ops,
                     vec![],
-                    &lhs,
                     vec![Type::Tuple(field_tys)],
                 )?;
             }
@@ -910,15 +918,7 @@ impl<'a> Parser<'a> {
                 let ops = self.operand_list_min(ctx, 1)?;
                 self.expect_word("to")?;
                 let ty = self.parse_type()?;
-                self.finish_inst(
-                    region,
-                    ctx,
-                    InstKind::Cast(ty.clone()),
-                    ops,
-                    vec![],
-                    &lhs,
-                    vec![ty],
-                )?;
+                self.finish_inst(&at, ctx, InstKind::Cast(ty.clone()), ops, vec![], vec![ty])?;
             }
             "call" => {
                 self.expect_punct("@")?;
@@ -929,18 +929,17 @@ impl<'a> Parser<'a> {
                 let ret = signatures.get(idx).cloned().unwrap_or(Type::Void);
                 let result_tys = if ret == Type::Void { vec![] } else { vec![ret] };
                 self.finish_inst(
-                    region,
+                    &at,
                     ctx,
                     InstKind::Call(FuncId::from_index(idx)),
                     ops,
                     vec![],
-                    &lhs,
                     result_tys,
                 )?;
             }
             "print" => {
                 let ops = self.operand_list(ctx)?;
-                self.finish_inst(region, ctx, InstKind::Print, ops, vec![], &lhs, vec![])?;
+                self.finish_inst(&at, ctx, InstKind::Print, ops, vec![], vec![])?;
             }
             "enc" | "enumadd" => {
                 let e = self.enum_ref(enums)?;
@@ -951,14 +950,14 @@ impl<'a> Parser<'a> {
                 } else {
                     InstKind::EnumAdd(e)
                 };
-                self.finish_inst(region, ctx, kind, ops, vec![], &lhs, vec![Type::Idx])?;
+                self.finish_inst(&at, ctx, kind, ops, vec![], vec![Type::Idx])?;
             }
             "dec" => {
                 let e = self.enum_ref(enums)?;
                 self.expect_punct(",")?;
                 let ops = self.operand_list_min(ctx, 1)?;
                 let key_ty = enums[e.index()].key_ty.clone();
-                self.finish_inst(region, ctx, InstKind::Dec(e), ops, vec![], &lhs, vec![key_ty])?;
+                self.finish_inst(&at, ctx, InstKind::Dec(e), ops, vec![], vec![key_ty])?;
             }
             "if" => {
                 let cond = self.operand(ctx)?;
@@ -972,12 +971,11 @@ impl<'a> Parser<'a> {
                 self.region_insts(else_region, ctx, enums, signatures)?;
                 let result_tys = region_yield_types(ctx, then_region);
                 self.finish_inst(
-                    region,
+                    &at,
                     ctx,
                     InstKind::If,
                     vec![cond],
                     vec![then_region, else_region],
-                    &lhs,
                     result_tys,
                 )?;
             }
@@ -1008,15 +1006,15 @@ impl<'a> Parser<'a> {
                     "forrange" => InstKind::ForRange,
                     _ => InstKind::DoWhile,
                 };
-                self.finish_inst(region, ctx, kind, operands, vec![body], &lhs, carried_tys)?;
+                self.finish_inst(&at, ctx, kind, operands, vec![body], carried_tys)?;
             }
             "yield" => {
                 let ops = self.operand_list(ctx)?;
-                self.finish_inst(region, ctx, InstKind::Yield, ops, vec![], &lhs, vec![])?;
+                self.finish_inst(&at, ctx, InstKind::Yield, ops, vec![], vec![])?;
             }
             "ret" => {
                 let ops = self.operand_list(ctx)?;
-                self.finish_inst(region, ctx, InstKind::Ret, ops, vec![], &lhs, vec![])?;
+                self.finish_inst(&at, ctx, InstKind::Ret, ops, vec![], vec![])?;
             }
             "roi" => {
                 let which = self.ident()?;
@@ -1025,18 +1023,18 @@ impl<'a> Parser<'a> {
                     "end" => false,
                     other => return Err(self.error(format!("roi expects begin/end, got {other}"))),
                 };
-                self.finish_inst(region, ctx, InstKind::Roi(begin), vec![], vec![], &lhs, vec![])?;
+                self.finish_inst(&at, ctx, InstKind::Roi(begin), vec![], vec![], vec![])?;
             }
             other if bin_from_name(other).is_some() => {
                 let b = bin_from_name(other).expect("checked");
                 let ops = self.operand_list_min(ctx, 2)?;
                 let ty = ctx.values[ops[0].base.index()].ty.clone();
-                self.finish_inst(region, ctx, InstKind::Bin(b), ops, vec![], &lhs, vec![ty])?;
+                self.finish_inst(&at, ctx, InstKind::Bin(b), ops, vec![], vec![ty])?;
             }
             other if cmp_from_name(other).is_some() => {
                 let c = cmp_from_name(other).expect("checked");
                 let ops = self.operand_list_min(ctx, 2)?;
-                self.finish_inst(region, ctx, InstKind::Cmp(c), ops, vec![], &lhs, vec![Type::Bool])?;
+                self.finish_inst(&at, ctx, InstKind::Cmp(c), ops, vec![], vec![Type::Bool])?;
             }
             other => return Err(self.error(format!("unknown opcode `{other}`"))),
         }

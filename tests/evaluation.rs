@@ -1,9 +1,8 @@
-//! The whole paper evaluation, pinned: `reproduce --scale 7 --no-wall
-//! all` renders through `Session::render`, the same function the binary
+//! The whole paper evaluation, pinned: `reproduce --scale 7 all`
+//! renders through `Session::render`, the same function the binary
 //! prints, and its text must match `tests/golden/reproduce_all_scale7.txt`
-//! byte for byte. Wall ratios are blanked (`--no-wall`); every other
-//! column is a deterministic function of operation counts and peak
-//! memory, identical for every `--jobs` value.
+//! byte for byte. Every column is a deterministic function of operation
+//! counts and peak memory, identical for every `--jobs` value.
 
 use ade_bench::figures::Session;
 
@@ -11,7 +10,7 @@ const GOLDEN: &str = include_str!("golden/reproduce_all_scale7.txt");
 
 #[test]
 fn reproduce_all_at_scale_7_matches_the_golden() {
-    let actual = Session::new(7).include_wall(false).jobs(2).render(&["all"]);
+    let actual = Session::new(7).jobs(2).render(&["all"]);
     let changed: Vec<String> = actual
         .lines()
         .zip(GOLDEN.lines())

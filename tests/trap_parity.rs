@@ -1,6 +1,6 @@
-//! Guest traps raised inside bulk loop plans on the unobserved default
-//! path (no fuel, profiler or session, so
-//! bulk plans run, nested ones included) must match the reference
+//! Guest traps raised inside bulk loop plans on the default path (no
+//! fuel or session, so bulk plans run, nested ones included) must
+//! match the reference
 //! decode exactly: the same trap kind, code and `@fn:inst` site. A heap
 //! limit tripped inside a plan must stop the run at the same tick.
 
