@@ -90,14 +90,9 @@ impl NodeIds {
     }
 }
 
-/// Plans ADE for the whole module.
-pub fn plan_module(module: &Module, options: &AdeOptions) -> ModulePlan {
-    plan_module_traced(module, options, &ade_obs::Tracer::disabled())
-}
-
-/// [`plan_module`] with decision events on `tracer`: escape verdicts,
-/// candidate formation, RTE trims, poisoned classes, clone and retarget
-/// choices.
+/// Plans ADE for the whole module, with decision events on `tracer`:
+/// escape verdicts, candidate formation, RTE trims, poisoned classes,
+/// clone and retarget choices.
 pub fn plan_module_traced(
     module: &Module,
     options: &AdeOptions,
@@ -766,7 +761,7 @@ fn @main() -> void {
 "#,
         )
         .expect("parses");
-        let plan = plan_module(&m, &AdeOptions::default());
+        let plan = plan_module_traced(&m, &AdeOptions::default(), &ade_obs::Tracer::disabled());
         assert_eq!(plan.enum_key_tys, vec![Type::U64]);
         assert!(plan.clones.is_empty());
         let fp = plan.func_plans.get(&0).expect("plan for main");
@@ -803,7 +798,7 @@ fn @report(%m: Map<u64, u64>) -> void {
 "#,
         )
         .expect("parses");
-        let plan = plan_module(&m, &AdeOptions::default());
+        let plan = plan_module_traced(&m, &AdeOptions::default(), &ade_obs::Tracer::disabled());
         assert_eq!(plan.enum_key_tys.len(), 1);
         assert!(plan.clones.is_empty(), "{:?}", plan.clones);
         let callee_plan = plan.func_plans.get(&1).expect("callee plan");
@@ -848,7 +843,7 @@ fn @report(%m: Map<u64, u64>) -> void {
 "#,
         )
         .expect("parses");
-        let plan = plan_module(&m, &AdeOptions::default());
+        let plan = plan_module_traced(&m, &AdeOptions::default(), &ade_obs::Tracer::disabled());
         assert_eq!(plan.clones.len(), 1, "{plan:?}");
         assert_eq!(plan.clones[0].source, FuncId(2));
         assert_eq!(plan.clones[0].new_name, "report$ade");

@@ -115,8 +115,6 @@ pub struct AdeOptions {
     /// configuration of the RQ4 case study); `None` uses
     /// `enumerated_set_impl`.
     pub nested_set_impl: Option<SetSel>,
-    /// Honor `#pragma ade` directives (§III-I).
-    pub respect_directives: bool,
 }
 
 impl Default for AdeOptions {
@@ -127,7 +125,6 @@ impl Default for AdeOptions {
             sharing: true,
             enumerated_set_impl: SetSel::Bit,
             nested_set_impl: None,
-            respect_directives: true,
         }
     }
 }

@@ -19,14 +19,6 @@ use ade_obs::ledger::{DecisionSource, SelectionDecision, SelectionLedger};
 use crate::interproc::ModulePlan;
 use crate::AdeOptions;
 
-/// Applies implementation selection: `select(...)` directives on any
-/// allocation (enumerated or not — paper Listing 5 pins a swiss map on a
-/// `noenumerate` collection), then the dense defaults for enumerated
-/// entities.
-pub fn apply_selection(module: &mut Module, plan: &ModulePlan, options: &AdeOptions) {
-    apply_selection_traced(module, plan, options, &ade_obs::Tracer::disabled());
-}
-
 /// How one keyed member was decided (the class's directive, if any,
 /// governs every member so members unified across call boundaries keep
 /// identical physical types).
@@ -37,32 +29,29 @@ struct ClassDecision {
     deciding: String,
 }
 
-/// [`apply_selection`] with a decision record per keyed member: the
-/// returned ledger holds the applied implementations and the deciding
-/// rule; the tracer gets a `choice` event per member.
+/// Applies implementation selection: `select(...)` directives on any
+/// allocation (enumerated or not — paper Listing 5 pins a swiss map on a
+/// `noenumerate` collection), then the dense defaults for enumerated
+/// entities. The returned ledger holds a decision record per keyed
+/// member (the applied implementations and the deciding rule); the
+/// tracer gets a `choice` event per member.
 pub fn apply_selection_traced(
     module: &mut Module,
     plan: &ModulePlan,
     options: &AdeOptions,
     tracer: &ade_obs::Tracer,
 ) -> SelectionLedger {
-    if options.respect_directives {
-        apply_directive_selections(module);
-    }
+    apply_directive_selections(module);
     // A `select(...)` directive on any member of an enumeration class
     // governs the whole class: collections unified across call
     // boundaries must end up with identical physical types.
     let mut class_selection: BTreeMap<usize, SelectionChoice> = BTreeMap::new();
-    if options.respect_directives {
-        for (&fidx, func_plan) in &plan.func_plans {
-            let func = &module.funcs[fidx as usize];
-            for cand in &func_plan.candidates {
-                for m in &cand.members {
-                    if let Some(choice) =
-                        directive_selection(func, m.entity.root, m.entity.depth)
-                    {
-                        class_selection.entry(cand.enum_idx).or_insert(choice);
-                    }
+    for (&fidx, func_plan) in &plan.func_plans {
+        let func = &module.funcs[fidx as usize];
+        for cand in &func_plan.candidates {
+            for m in &cand.members {
+                if let Some(choice) = directive_selection(func, m.entity.root, m.entity.depth) {
+                    class_selection.entry(cand.enum_idx).or_insert(choice);
                 }
             }
         }

@@ -282,47 +282,43 @@ pub fn find_candidates(fa: &FuncAnalysis<'_>, options: &AdeOptions) -> Vec<Candi
     let mut candidates: Vec<Candidate> = Vec::new();
 
     // Directive pre-pass: explicit share groups form forced candidates.
-    if options.respect_directives {
-        let mut groups: BTreeMap<String, Vec<(CollectionEntity, Option<InstId>)>> =
-            BTreeMap::new();
-        for &(entity, alloc) in &fa.seed_entities {
-            if let Some(d) = directive_of(fa, alloc, entity.depth) {
-                if let Some(g) = &d.share_group {
-                    groups.entry(g.clone()).or_default().push((entity, alloc));
-                }
+    let mut groups: BTreeMap<String, Vec<(CollectionEntity, Option<InstId>)>> = BTreeMap::new();
+    for &(entity, alloc) in &fa.seed_entities {
+        if let Some(d) = directive_of(fa, alloc, entity.depth) {
+            if let Some(g) = &d.share_group {
+                groups.entry(g.clone()).or_default().push((entity, alloc));
             }
         }
-        for (_, group) in groups {
-            let Some(key_ty) = group[0].0.key_ty(fa.func) else {
-                continue;
-            };
-            let members: Vec<Member> = group
-                .iter()
-                .map(|&(entity, _)| Member {
-                    entity,
-                    role: MemberRole {
-                        keys: true,
-                        propagator: false,
-                    },
-                })
-                .collect();
-            used.extend(members.iter().map(|m| m.entity));
-            let benefit = members_benefit(fa, &members);
-            candidates.push(Candidate {
-                members,
-                benefit,
-                key_ty,
-                forced: true,
-            });
-        }
+    }
+    for (_, group) in groups {
+        let Some(key_ty) = group[0].0.key_ty(fa.func) else {
+            continue;
+        };
+        let members: Vec<Member> = group
+            .iter()
+            .map(|&(entity, _)| Member {
+                entity,
+                role: MemberRole {
+                    keys: true,
+                    propagator: false,
+                },
+            })
+            .collect();
+        used.extend(members.iter().map(|m| m.entity));
+        let benefit = members_benefit(fa, &members);
+        candidates.push(Candidate {
+            members,
+            benefit,
+            key_ty,
+            forced: true,
+        });
     }
 
     for &(entity, alloc) in &fa.seed_entities {
         if used.contains(&entity) {
             continue;
         }
-        let directive =
-            directive_of(fa, alloc, entity.depth).filter(|_| options.respect_directives);
+        let directive = directive_of(fa, alloc, entity.depth);
         if directive.is_some_and(|d| d.enumerate == Some(false)) {
             used.insert(entity);
             continue;
@@ -357,8 +353,7 @@ pub fn find_candidates(fa: &FuncAnalysis<'_>, options: &AdeOptions) -> Vec<Candi
                 if used.contains(&other) || other == entity {
                     continue;
                 }
-                let other_directive = directive_of(fa, other_alloc, other.depth)
-                    .filter(|_| options.respect_directives);
+                let other_directive = directive_of(fa, other_alloc, other.depth);
                 if other_directive.is_some_and(|d| d.noshare || d.enumerate == Some(false)) {
                     continue;
                 }

@@ -22,14 +22,9 @@ use crate::patch::{OperandPos, UseSite};
 use crate::share::MemberRole;
 use crate::{AdeOptions, AdeReport};
 
-/// Applies a module plan in place.
-pub fn apply(module: &mut Module, plan: &ModulePlan, options: &AdeOptions) -> AdeReport {
-    apply_traced(module, plan, options, &ade_obs::Tracer::disabled())
-}
-
-/// [`apply`] with decision events on `tracer`: one event per enumeration
-/// created, per clone materialized, and per candidate with its
-/// translation-insertion counts.
+/// Applies a module plan in place, with decision events on `tracer`:
+/// one event per enumeration created, per clone materialized, and per
+/// candidate with its translation-insertion counts.
 pub fn apply_traced(
     module: &mut Module,
     plan: &ModulePlan,
@@ -464,7 +459,12 @@ mod tests {
             func_plans: [(0, FuncPlan { candidates })].into_iter().collect(),
             ..ModulePlan::default()
         };
-        apply(&mut module, &plan, &AdeOptions::default());
+        apply_traced(
+            &mut module,
+            &plan,
+            &AdeOptions::default(),
+            &ade_obs::Tracer::disabled(),
+        );
         module
     }
 

@@ -89,13 +89,6 @@ pub struct Options {
     /// Abort execution past this call depth (`--max-depth`; default:
     /// unlimited).
     pub max_depth: Option<u32>,
-    /// Preempt execution after this many wall-clock milliseconds
-    /// (`--deadline-ms`; default: unlimited). Unlike the deterministic
-    /// limits above this one races the host clock: the run is sliced
-    /// into fuel quanta on a resumable session and cancelled at the
-    /// first quantum boundary past the deadline, surfacing the stable
-    /// `deadline` reason code (exit 1, like any runtime limit).
-    pub deadline_ms: Option<u64>,
     /// Execute the reference decode: no loop plans and no direct
     /// yields (`--reference`; default: off). Counts, figures and
     /// traps are identical either way — the flag isolates the decode
@@ -118,7 +111,6 @@ impl Default for Options {
             fuel: None,
             max_heap_cells: None,
             max_depth: None,
-            deadline_ms: None,
             reference: false,
         }
     }
@@ -262,7 +254,15 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
         }
         let outcome = {
             let _span = tracer.span("driver", "exec");
-            execute(&module, exec, options).map_err(|e| err("exec", e))?
+            let decoded = DecodedModule::decode_with(
+                &module,
+                &DecodeOptions {
+                    reference: options.reference,
+                },
+            );
+            Interpreter::new(&module, exec)
+                .run_decoded(&decoded, &options.entry)
+                .map_err(|e| err("exec", e))?
         };
         if options.stats {
             out.stats = Some(format_stats(&outcome.stats));
@@ -305,34 +305,6 @@ fn explain_generic_loops(module: &ade_ir::Module) -> String {
     )
 }
 
-/// Runs the program, batch or preemptibly depending on `--deadline-ms`.
-///
-/// Without a deadline this is the plain batch interpreter. With one,
-/// the run goes through a resumable [`ExecSession`] (quantum-size
-/// invariant: output, statistics and trap sites are byte-identical to
-/// the batch path) and
-/// [`ExecSession::run_until`] cancels it with the `deadline` reason at
-/// the first quantum boundary past the wall deadline.
-fn execute(
-    module: &ade_ir::Module,
-    exec: ade_interp::ExecConfig,
-    options: &Options,
-) -> Result<ade_interp::Outcome, ade_interp::ExecError> {
-    use ade_interp::ExecSession;
-
-    let decoded = DecodedModule::decode_with(
-        module,
-        &DecodeOptions {
-            reference: options.reference,
-        },
-    );
-    let Some(ms) = options.deadline_ms else {
-        return Interpreter::new(module, exec).run_decoded(&decoded, &options.entry);
-    };
-    let deadline = std::time::Instant::now() + std::time::Duration::from_millis(ms);
-    ExecSession::spawn(std::sync::Arc::new(decoded), &options.entry, exec)?.run_until(deadline)
-}
-
 fn format_stats(stats: &ade_interp::Stats) -> String {
     use ade_interp::cost::CostModel;
     let totals = stats.totals();
@@ -353,9 +325,8 @@ fn format_stats(stats: &ade_interp::Stats) -> String {
 pub const USAGE: &str = "\
 usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
             [--fuel N] [--max-heap-cells N] [--max-depth N]
-            [--deadline-ms N] [--reference] [--trace[=FILE]]
-            [--trace-json FILE] [--metrics FILE] [--explain[=FILE]]
-            INPUT.memoir
+            [--reference] [--trace[=FILE]] [--trace-json FILE]
+            [--metrics FILE] [--explain[=FILE]] INPUT.memoir
 
   --config NAME, -c    artifact configuration (memoir, ade, ade-sparse, ...)
   --run, -r            execute the program after compilation
@@ -365,9 +336,6 @@ usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
   --fuel N             abort execution after N interpreted instructions
   --max-heap-cells N   abort execution past N live heap cells
   --max-depth N        abort execution past call depth N
-  --deadline-ms N      preempt execution after N wall-clock milliseconds
-                       (quantum-sliced resumable session; stops with the
-                       stable `deadline` reason code and exit 1)
   --reference          run the reference interpreter: no loop plans, no
                        direct yields (counts, figures and traps are
                        identical; isolates the decode optimizations)
@@ -382,7 +350,7 @@ usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
                        then each loop the decoder left generic, with why
   --help, -h           show this message
 
-exit codes: 0 success, 1 guest trap, limit or deadline at runtime, 2 usage error
+exit codes: 0 success, 1 guest trap or limit at runtime, 2 usage error
 (including unknown --config, unreadable input and unwritable output
 paths), 3 parse or verify error
 ";
@@ -438,13 +406,6 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<Cli, String> {
                 let depth = u32::try_from(depth)
                     .map_err(|_| "value for --max-depth out of range".to_string())?;
                 options.max_depth = Some(depth);
-            }
-            "--deadline-ms" => {
-                let ms = parse_limit(args.next(), "--deadline-ms")?;
-                if ms == 0 {
-                    return Err("value for --deadline-ms must be at least 1".to_string());
-                }
-                options.deadline_ms = Some(ms);
             }
             "--reference" => options.reference = true,
             "--trace" => options.trace = TraceMode::Stderr,
@@ -706,54 +667,6 @@ fn @main() -> void {
             parse_drive(&["--max-depth", "5000000000", "p.memoir"]).is_err(),
             "overflow"
         );
-
-        let (opts, _) = parse_drive(&["--deadline-ms", "250", "p.memoir"]).expect("parses");
-        assert_eq!(opts.deadline_ms, Some(250));
-        assert!(parse_drive(&["--deadline-ms"]).is_err(), "missing value");
-        assert!(
-            parse_drive(&["--deadline-ms", "0", "p.memoir"]).is_err(),
-            "a zero deadline is a usage error, not an instant trap"
-        );
-    }
-
-    /// An infinite loop (no fuel budget) trips `--deadline-ms` with the
-    /// stable `deadline` reason code; a generous deadline over a finite
-    /// program changes nothing about the batch-path output.
-    #[test]
-    fn deadline_preempts_unbounded_execution() {
-        const SPIN: &str = "\
-fn @main() -> u64 {
-  %zero = const 0u64
-  %one = const 1u64
-  %count = dowhile carry(%zero) as (%c: u64) {
-    %c1 = add %c, %one
-    %go = lt %zero, %one
-    yield %go, %c1
-  }
-  print %count
-  ret %count
-}
-";
-        let opts = Options {
-            run: true,
-            deadline_ms: Some(100),
-            ..Options::default()
-        };
-        let e = drive(SPIN, &opts).expect_err("the spin loop must be preempted");
-        assert_eq!(e.phase, "exec");
-        assert_eq!(e.exit_code(), 1);
-        assert!(e.message.contains("deadline"), "{e}");
-
-        let finite = drive(
-            PROGRAM,
-            &Options {
-                run: true,
-                deadline_ms: Some(600_000),
-                ..Options::default()
-            },
-        )
-        .expect("an unfired deadline is inert");
-        assert_eq!(finite.program_output.as_deref(), Some("5\n"));
     }
 
     #[test]

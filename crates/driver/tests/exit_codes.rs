@@ -105,13 +105,13 @@ fn unwritable_output_paths_are_two() {
     }
 }
 
-/// Neither profile flag exists any more (`--profile-in` fed the deleted
-/// feedback-directed selection, `--profile` wrote the deleted per-site
-/// profiles): both are rejected like any unknown flag.
+/// Flags of deleted features are rejected like any unknown flag:
+/// `--profile-in` fed feedback-directed selection, `--profile` wrote
+/// per-site profiles and `--deadline-ms` preempted on the wall clock.
 #[test]
-fn profile_flags_are_two() {
-    for flag in ["--profile-in", "--profile"] {
-        let (code, err) = adec(&[flag, "/nonexistent/p.json", &sample()]);
+fn removed_flags_are_two() {
+    for flag in ["--profile-in", "--profile", "--deadline-ms"] {
+        let (code, err) = adec(&["--run", flag, "100", &sample()]);
         assert_eq!(code, 2, "{flag}: {err}");
         assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
     }
@@ -125,25 +125,4 @@ fn runtime_failures_are_one() {
     let (code, err) = adec(&["--run", "--fuel", "3", &sample()]);
     assert_eq!(code, 1, "a tripped limit is a runtime failure: {err}");
     assert!(err.contains("fuel exhausted"), "{err}");
-}
-
-#[test]
-fn tripped_deadline_is_one_with_the_stable_reason_code() {
-    // No fuel budget: only the wall deadline can stop this loop.
-    let spin = temp_file(
-        "spin.memoir",
-        "fn @main() -> u64 {\n  %zero = const 0u64\n  %one = const 1u64\n  %count = dowhile carry(%zero) as (%c: u64) {\n    %c1 = add %c, %one\n    %go = lt %zero, %one\n    yield %go, %c1\n  }\n  ret %count\n}\n",
-    );
-    let (code, err) = adec(&["--run", "--deadline-ms", "200", spin.to_str().unwrap()]);
-    assert_eq!(code, 1, "a tripped deadline is a runtime failure: {err}");
-    assert!(err.contains("deadline"), "stable reason code: {err}");
-
-    // A deadline the program beats is invisible.
-    let (code, err) = adec(&["--run", "--deadline-ms", "600000", &sample()]);
-    assert_eq!(code, 0, "{err}");
-
-    let (code, err) = adec(&["--run", "--deadline-ms", "0", &sample()]);
-    assert_eq!(code, 2, "a zero deadline is a usage error: {err}");
-
-    let _ = std::fs::remove_file(spin);
 }

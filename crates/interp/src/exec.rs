@@ -43,7 +43,7 @@ use crate::decode::{
 };
 use crate::heap::{CollId, Collection, SelectionDefaults};
 use crate::stats::{CollOp, ImplKind, Phase, Stats};
-use crate::trap::{Limit, StopReason, TrapKind, TrapSite};
+use crate::trap::{Limit, TrapKind, TrapSite};
 use crate::value::{Res, Value};
 
 /// Interpreter configuration.
@@ -87,11 +87,10 @@ impl Default for ExecConfig {
     }
 }
 
-/// A runtime failure, classified so harnesses can degrade per failure
-/// class instead of aborting: guest undefined behavior becomes
-/// [`ExecError::GuestTrap`], configured budgets raise
-/// [`ExecError::LimitExceeded`], and host-side conditions keep their own
-/// arms.
+/// A runtime failure: a missing entry point, guest undefined behavior
+/// ([`ExecError::GuestTrap`]) or a configured budget running out
+/// ([`ExecError::LimitExceeded`]). A panic inside the interpreter is a
+/// host bug and propagates as a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
     /// The requested entry function does not exist.
@@ -116,39 +115,17 @@ pub enum ExecError {
         /// The configured budget value.
         budget: u64,
     },
-    /// A host-side failure (e.g. a panic inside a session's step) —
-    /// not attributable to the guest program.
-    Host {
-        /// Human-readable description.
-        message: String,
-    },
-    /// Execution was stopped by the host scheduler before completion
-    /// (a passed deadline — see [`StopReason`]).
-    /// Like [`ExecError::LimitExceeded`], this is not guest UB: the
-    /// program was well-behaved, the host chose to stop it.
-    Preempted {
-        /// Why the scheduler stopped the run.
-        reason: StopReason,
-    },
 }
 
 impl ExecError {
     /// Short machine-readable failure code, stable across releases:
-    /// `no-entry`, `host`, a [`TrapKind`] code, a [`Limit`] code, or a
-    /// [`StopReason`] code (`deadline`).
+    /// `no-entry`, a [`TrapKind`] code or a [`Limit`] code.
     pub fn code(&self) -> &'static str {
         match self {
             ExecError::NoEntry { .. } => "no-entry",
             ExecError::GuestTrap { kind, .. } => kind.code(),
             ExecError::LimitExceeded { limit, .. } => limit.code(),
-            ExecError::Host { .. } => "host",
-            ExecError::Preempted { reason } => reason.code(),
         }
-    }
-
-    /// Whether this failure is a budget violation rather than guest UB.
-    pub fn is_limit(&self) -> bool {
-        matches!(self, ExecError::LimitExceeded { .. })
     }
 }
 
@@ -184,10 +161,6 @@ impl fmt::Display for ExecError {
                 f,
                 "execution error: region/call depth limit exceeded ({budget})"
             ),
-            ExecError::Host { message } => write!(f, "execution error: {message}"),
-            ExecError::Preempted { reason } => {
-                write!(f, "execution preempted: {reason}")
-            }
         }
     }
 }
@@ -2377,7 +2350,6 @@ fn @main() -> void {
             }
         );
         assert!(err.to_string().contains("fuel exhausted"));
-        assert!(err.is_limit());
     }
 
     #[test]

@@ -57,5 +57,5 @@ pub use exec::{ExecConfig, ExecError, Interpreter, Outcome};
 pub use heap::{CollId, Collection, SelectionDefaults};
 pub use session::{ExecSession, Step};
 pub use stats::{CollOp, ImplKind, OpCounts, Phase, Stats};
-pub use trap::{Limit, StopReason, TrapKind, TrapSite, ENC_SENTINEL};
+pub use trap::{Limit, TrapKind, TrapSite, ENC_SENTINEL};
 pub use value::{ScalarVal, Value};

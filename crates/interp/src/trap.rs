@@ -112,32 +112,6 @@ impl fmt::Display for TrapSite {
     }
 }
 
-/// Why a preemptible execution was stopped before completion
-/// (carried by [`crate::ExecError::Preempted`]). This is a *scheduler*
-/// decision, not a guest fault: the program was well-behaved but the
-/// host chose to stop it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StopReason {
-    /// The run's wall-clock deadline passed.
-    Deadline,
-}
-
-impl StopReason {
-    /// Short machine-readable code (stable across releases; figure
-    /// placeholders use it).
-    pub fn code(self) -> &'static str {
-        match self {
-            StopReason::Deadline => "deadline",
-        }
-    }
-}
-
-impl fmt::Display for StopReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.code())
-    }
-}
-
 /// Which execution limit was exceeded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Limit {
@@ -175,7 +149,6 @@ mod tests {
         assert_eq!(TrapKind::SentinelInsert.code(), "sentinel-insert");
         assert_eq!(TrapKind::DivideByZero.code(), "div-by-zero");
         assert_eq!(Limit::Fuel.code(), "fuel");
-        assert_eq!(StopReason::Deadline.code(), "deadline");
     }
 
     #[test]

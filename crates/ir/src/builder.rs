@@ -86,11 +86,6 @@ impl FunctionBuilder {
         v
     }
 
-    /// Attaches a printer name to a value (diagnostics only).
-    pub fn name_value(&mut self, v: ValueId, name: &str) {
-        self.func.values[v.index()].name = Some(name.to_string());
-    }
-
     /// The static type of an operand, resolving nesting paths.
     ///
     /// # Panics
@@ -147,19 +142,9 @@ impl FunctionBuilder {
         self.emit1(InstKind::Const(ConstVal::U64(v)), vec![], Type::U64)
     }
 
-    /// Materializes an `i64` constant.
-    pub fn const_i64(&mut self, v: i64) -> ValueId {
-        self.emit1(InstKind::Const(ConstVal::I64(v)), vec![], Type::I64)
-    }
-
     /// Materializes an `f64` constant.
     pub fn const_f64(&mut self, v: f64) -> ValueId {
         self.emit1(InstKind::Const(ConstVal::F64(v)), vec![], Type::F64)
-    }
-
-    /// Materializes a `bool` constant.
-    pub fn const_bool(&mut self, v: bool) -> ValueId {
-        self.emit1(InstKind::Const(ConstVal::Bool(v)), vec![], Type::Bool)
     }
 
     /// Materializes a string constant.
@@ -237,21 +222,6 @@ impl FunctionBuilder {
     /// Numeric conversion of `a` to `ty`.
     pub fn cast(&mut self, a: ValueId, ty: Type) -> ValueId {
         self.emit1(InstKind::Cast(ty.clone()), vec![a.into()], ty)
-    }
-
-    /// Packs scalar values into a tuple.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fields` is empty.
-    pub fn make_tuple(&mut self, fields: &[ValueId]) -> ValueId {
-        assert!(!fields.is_empty(), "tuple needs at least one field");
-        let tys: Vec<Type> = fields
-            .iter()
-            .map(|&v| self.func.value_ty(v).clone())
-            .collect();
-        let ops = fields.iter().map(|&v| v.into()).collect();
-        self.emit1(InstKind::Tuple, ops, Type::Tuple(tys))
     }
 
     // ---- collections -----------------------------------------------------

@@ -82,7 +82,7 @@ impl Config {
     /// Resolves an artifact configuration.
     pub fn new(kind: ConfigKind) -> Config {
         let mut exec = ExecConfig::default();
-        let mut ade = match kind {
+        let ade = match kind {
             ConfigKind::Memoir | ConfigKind::MemoirAbseil => None,
             ConfigKind::Ade | ConfigKind::AdeAbseil => Some(AdeOptions::default()),
             ConfigKind::AdeNoRedundant => Some(AdeOptions::without_rte()),
@@ -100,10 +100,6 @@ impl Config {
         if matches!(kind, ConfigKind::MemoirAbseil | ConfigKind::AdeAbseil) {
             exec.defaults.set = SetSel::Swiss;
             exec.defaults.map = MapSel::Swiss;
-        }
-        if let Some(options) = &mut ade {
-            // Keep directive semantics identical across configurations.
-            options.respect_directives = true;
         }
         Config { kind, ade, exec }
     }
