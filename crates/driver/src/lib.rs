@@ -287,7 +287,12 @@ fn explain_generic_loops(module: &ade_ir::Module) -> String {
         .funcs
         .iter()
         .flat_map(|f| f.code.iter())
-        .filter(|i| matches!(i, DInst::ForEachBulk { .. } | DInst::ForRangeBulk { .. }))
+        .filter(|i| {
+            matches!(
+                i.own(),
+                DInst::ForEachBulk { .. } | DInst::ForRangeBulk { .. }
+            )
+        })
         .count();
     let generic: Vec<String> = decoded
         .funcs

@@ -1,15 +1,15 @@
 //! Pre-decoded instruction stream.
 //!
-//! The tree-walking interpreter used to re-derive everything about an
-//! instruction on every execution: operand structs were pattern-matched
-//! for nesting paths, `const` strings re-allocated, insert flavors and
-//! foreach binding shapes recomputed from static types inside hot loops.
 //! Decoding flattens each [`Function`] once per run into a dense
-//! [`DInst`] stream:
+//! [`DInst`] stream, one slot per source instruction:
 //!
-//! - operand slots are resolved to frame indices up front ([`DOp::Slot`]
-//!   is the overwhelmingly common case; nested paths keep a boxed
-//!   side-structure),
+//! - every opcode that is not control flow or a side channel decodes to
+//!   the [`BulkOp`] a loop plan runs ([`DInst::Op`]), so dispatch and
+//!   loop plans execute one operation set through one executor,
+//! - every operand is a frame slot: a nesting path (`%g[%u]`, `%t.1`)
+//!   is lowered once, in operand order, into steps that run in the
+//!   instruction's own slot before it and leave the addressed value in a
+//!   scratch slot past the SSA frame ([`DInst::Lowered`]),
 //! - constants are pooled as prebuilt [`Value`]s (executing a string
 //!   const bumps an `Arc` instead of reallocating),
 //! - region targets become contiguous index ranges into the decoded
@@ -30,260 +30,47 @@ use ade_ir::{
 
 use crate::value::Value;
 
-/// A decoded operand path scalar (`s ::= v | n | end`).
-#[derive(Clone, Copy, Debug)]
-pub enum DScalar {
-    /// Dynamic index living in a frame slot.
-    Slot(u32),
-    /// Constant index.
-    Const(u64),
-    /// One past the end of the addressed sequence.
-    End,
-}
-
-/// One decoded nesting-path step.
-#[derive(Clone, Copy, Debug)]
-pub enum DAccess {
-    /// Index into the collection at this nesting level.
-    Index(DScalar),
-    /// Project a tuple field.
-    Field(u32),
-}
-
-/// A nested operand: base frame slot plus its access path. Boxed inside
-/// [`DOp`] so the common slot-only case stays two words.
-#[derive(Clone, Debug)]
-pub struct DPath {
-    /// Frame slot of the root SSA value.
-    pub base: u32,
-    /// Accesses applied outermost-first.
-    pub path: Box<[DAccess]>,
-}
-
-/// A decoded operand.
-#[derive(Clone, Debug)]
-pub enum DOp {
-    /// The value in a frame slot (no nesting path).
-    Slot(u32),
-    /// A nested access resolved at execution time.
-    Path(Box<DPath>),
-}
-
-impl DOp {
-    /// The frame slot of the operand's root value.
-    pub fn base_slot(&self) -> u32 {
-        match self {
-            DOp::Slot(s) => *s,
-            DOp::Path(p) => p.base,
-        }
-    }
-}
-
 /// A decoded instruction. Frame slots are `u32` indices into the
-/// per-call frame (SSA value ids are already dense, so the mapping is
-/// the identity — the decode's job is removing every other lookup).
+/// per-call frame: SSA value ids are already dense, so an SSA value's
+/// slot is its id, and the scratch slots of lowered nesting paths follow
+/// them.
 #[derive(Clone, Debug)]
 pub enum DInst {
-    /// Copy a pooled constant into `dst`.
-    Const {
-        /// Index into [`DFunc::consts`].
-        pool: u32,
-        /// Destination slot.
-        dst: u32,
-    },
-    /// Allocate a collection (or default scalar/tuple) of a pooled type.
-    New {
-        /// Index into [`DFunc::types`].
-        ty: u32,
-        /// Destination slot.
-        dst: u32,
-    },
-    /// `read(c, k)`.
-    Read {
-        /// Collection operand.
-        coll: DOp,
-        /// Key operand.
-        key: DOp,
-        /// Destination slot.
-        dst: u32,
-    },
-    /// `write(c, k, v) → c'`.
-    Write {
-        /// Collection operand.
-        coll: DOp,
-        /// Key operand.
-        key: DOp,
-        /// Value operand.
-        val: DOp,
-        /// Destination slot (receives the collection handle).
-        dst: u32,
-    },
-    /// `has(c, k)`.
-    Has {
-        /// Collection operand.
-        coll: DOp,
-        /// Key operand.
-        key: DOp,
-        /// Destination slot.
-        dst: u32,
-    },
-    /// Set-flavored insert (element operand).
-    InsertSet {
-        /// Collection operand.
-        coll: DOp,
-        /// Element operand.
-        elem: DOp,
-        /// Destination slot (receives the collection handle).
-        dst: u32,
-    },
-    /// Map-flavored insert (key operand; slot default-initialized from
-    /// the statically known value type).
-    InsertMap {
-        /// Collection operand.
-        coll: DOp,
-        /// Key operand.
-        key: DOp,
-        /// Pooled value type used for default initialization.
-        val_ty: u32,
-        /// Destination slot (receives the collection handle).
-        dst: u32,
-    },
-    /// Sequence-flavored insert (index + value operands).
-    InsertSeq {
-        /// Collection operand.
-        coll: DOp,
-        /// Index operand.
-        index: DOp,
-        /// Value operand.
-        val: DOp,
-        /// Destination slot (receives the collection handle).
-        dst: u32,
-    },
-    /// `remove(c, k) → c'`.
-    Remove {
-        /// Collection operand.
-        coll: DOp,
-        /// Key operand.
-        key: DOp,
-        /// Destination slot (receives the collection handle).
-        dst: u32,
-    },
-    /// `clear(c) → c'`.
-    Clear {
-        /// Collection operand.
-        coll: DOp,
-        /// Destination slot (receives the collection handle).
-        dst: u32,
-    },
-    /// `size(c)`.
-    Size {
-        /// Collection operand.
-        coll: DOp,
-        /// Destination slot.
-        dst: u32,
-    },
-    /// `union(dst, src) → dst'`.
-    UnionInto {
-        /// Destination-collection operand.
-        dst_coll: DOp,
-        /// Source-collection operand.
-        src_coll: DOp,
-        /// Pooled element type of the destination (drives key
-        /// uncoercion on the generic path).
-        elem_ty: u32,
-        /// Destination slot (receives the collection handle).
-        dst: u32,
-    },
-    /// Binary arithmetic/logic.
-    Bin {
-        /// Operator.
-        op: BinOp,
-        /// Left operand.
-        a: DOp,
-        /// Right operand.
-        b: DOp,
-        /// Destination slot.
-        dst: u32,
-    },
-    /// Comparison.
-    Cmp {
-        /// Operator.
-        op: CmpOp,
-        /// Left operand.
-        a: DOp,
-        /// Right operand.
-        b: DOp,
-        /// Destination slot.
-        dst: u32,
-    },
-    /// Logical negation.
-    Not {
-        /// Operand.
-        a: DOp,
-        /// Destination slot.
-        dst: u32,
-    },
-    /// Numeric conversion to a pooled type.
-    Cast {
-        /// Pooled target type.
-        ty: u32,
-        /// Operand.
-        a: DOp,
-        /// Destination slot.
-        dst: u32,
-    },
-    /// Pack operands into a tuple value.
-    MkTuple {
-        /// Field operands, in order.
-        srcs: Box<[DOp]>,
-        /// Destination slot.
-        dst: u32,
+    /// A straight-line operation (every opcode but control flow, calls,
+    /// `print` and `roi`), sited at its own slot with no ticks of its own:
+    /// dispatch ticks the slot, and a loop plan clones the op.
+    Op(PlanOp),
+    /// An instruction with nesting-path operands: `steps`, run first in
+    /// the same slot (no ticks, traps sited here), leave each path's
+    /// value in a scratch slot that `inst` names as its operand. A
+    /// `Field` step is a [`BulkOp::Proj`]; an `Index` step a counted
+    /// [`BulkOp::Read`] of the collection reached so far, keyed by the
+    /// index slot, a pooled const, or the collection's [`BulkOp::Len`]
+    /// (`end`). Every scratch slot has one writer, like an SSA value.
+    Lowered {
+        /// The lowered path steps, in operand order.
+        steps: Box<[PlanOp]>,
+        /// The instruction itself (any variant but this one).
+        inst: Box<DInst>,
     },
     /// Direct call.
     Call {
         /// Callee.
         callee: FuncId,
-        /// Argument operands.
-        args: Box<[DOp]>,
+        /// Argument slots.
+        args: Box<[u32]>,
         /// Destination slot for the return value, if bound.
         dst: Option<u32>,
     },
-    /// Print a record of operands.
+    /// Print a record of slots.
     Print {
-        /// Printed operands, in order.
-        ops: Box<[DOp]>,
-    },
-    /// `enc(e, v)`.
-    Enc {
-        /// Enumeration index.
-        e: u32,
-        /// Key operand.
-        v: DOp,
-        /// Destination slot.
-        dst: u32,
-    },
-    /// `dec(e, i)`.
-    Dec {
-        /// Enumeration index.
-        e: u32,
-        /// Identifier operand.
-        v: DOp,
-        /// Destination slot.
-        dst: u32,
-    },
-    /// `add(e, v)`.
-    EnumAdd {
-        /// Enumeration index.
-        e: u32,
-        /// Key operand.
-        v: DOp,
-        /// Destination slot.
-        dst: u32,
+        /// Printed slots, in order.
+        srcs: Box<[u32]>,
     },
     /// Structured if-else.
     If {
-        /// Condition operand.
-        cond: DOp,
+        /// Condition slot.
+        cond: u32,
         /// Decoded region index of the then-block.
         then_r: u32,
         /// Decoded region index of the else-block.
@@ -293,10 +80,10 @@ pub enum DInst {
     },
     /// For-each over a collection.
     ForEach {
-        /// Collection operand.
-        coll: DOp,
-        /// Initial carried values.
-        carried: Box<[DOp]>,
+        /// Collection slot.
+        coll: u32,
+        /// Initial carried value slots.
+        carried: Box<[u32]>,
         /// Decoded body region index.
         body: u32,
         /// Whether the body binds `(key, value)` (sequences and maps)
@@ -310,12 +97,12 @@ pub enum DInst {
     },
     /// Counted loop over `[lo, hi)`.
     ForRange {
-        /// Lower bound operand.
-        lo: DOp,
-        /// Upper bound operand.
-        hi: DOp,
-        /// Initial carried values.
-        carried: Box<[DOp]>,
+        /// Lower bound slot.
+        lo: u32,
+        /// Upper bound slot.
+        hi: u32,
+        /// Initial carried value slots.
+        carried: Box<[u32]>,
         /// Decoded body region index.
         body: u32,
         /// Destination slots for the final carried values.
@@ -323,8 +110,8 @@ pub enum DInst {
     },
     /// Do-while loop.
     DoWhile {
-        /// Initial carried values.
-        carried: Box<[DOp]>,
+        /// Initial carried value slots.
+        carried: Box<[u32]>,
         /// Decoded body region index.
         body: u32,
         /// Destination slots for the final carried values.
@@ -332,15 +119,14 @@ pub enum DInst {
     },
     /// Region terminator carrying results to the parent.
     Yield {
-        /// Yielded operands.
-        ops: Box<[DOp]>,
+        /// Yielded slots.
+        srcs: Box<[u32]>,
     },
     /// [`DInst::Yield`] rewritten at decode time to move its
     /// values straight into the consumer's destination slots — the next
     /// iteration's carried args for a loop body, the branch's dsts for
-    /// an if arm — skipping the heap-allocated `Flow::Yield` buffer.
-    /// Only built for all-slot yields (no stat bumps to preserve) with
-    /// no write-before-read hazard between the copies.
+    /// an if arm — skipping the heap-allocated yield buffer.
+    /// Only built where no copy overwrites a later copy's source.
     YieldDirect {
         /// Source slots, copied in order.
         srcs: Box<[u32]>,
@@ -349,8 +135,8 @@ pub enum DInst {
     },
     /// Function return.
     Ret {
-        /// Returned operand, if any.
-        op: Option<DOp>,
+        /// Returned slot, if any.
+        src: Option<u32>,
     },
     /// Region-of-interest marker.
     Roi {
@@ -358,13 +144,12 @@ pub enum DInst {
         begin: bool,
     },
 
-    // ── Bulk loop superinstructions ─────────────────────────────────
+    // ── Bulk loop headers ───────────────────────────────────────────
     //
-    // Built by the loop-granular fusion tier (off under
-    // [`DecodeOptions::reference`]): a [`DInst::ForEach`] /
-    // [`DInst::ForRange`] whose whole body compiled into a [`BulkPlan`]
-    // is replaced in place by its bulk twin. The body region's
-    // instructions stay in `code` untouched, so code length and
+    // Built by loop fusion (off under [`DecodeOptions::reference`]): a
+    // [`DInst::ForEach`] / [`DInst::ForRange`] whose whole body compiled
+    // into a [`BulkPlan`] is replaced in place by its bulk twin. The body
+    // region's instructions stay in `code` untouched, so code length and
     // trap-site numbering are unchanged, and the interpreter can still
     // run the loop generically: it does so for a loop whose regions
     // would not fit under the depth limit and, under a fuel limit or in
@@ -373,10 +158,10 @@ pub enum DInst {
     // ([`BulkPlan::worst`]).
     /// [`DInst::ForEach`] with a compiled bulk body plan.
     ForEachBulk {
-        /// Collection operand.
-        coll: DOp,
-        /// Initial carried values.
-        carried: Box<[DOp]>,
+        /// Collection slot.
+        coll: u32,
+        /// Initial carried value slots.
+        carried: Box<[u32]>,
         /// Decoded body region index.
         body: u32,
         /// Whether the body binds `(key, value)` (sequences and maps)
@@ -392,12 +177,12 @@ pub enum DInst {
     },
     /// [`DInst::ForRange`] with a compiled bulk body plan.
     ForRangeBulk {
-        /// Lower bound operand.
-        lo: DOp,
-        /// Upper bound operand.
-        hi: DOp,
-        /// Initial carried values.
-        carried: Box<[DOp]>,
+        /// Lower bound slot.
+        lo: u32,
+        /// Upper bound slot.
+        hi: u32,
+        /// Initial carried value slots.
+        carried: Box<[u32]>,
         /// Decoded body region index.
         body: u32,
         /// Destination slots for the final carried values.
@@ -407,7 +192,21 @@ pub enum DInst {
     },
 }
 
-/// A scalar micro-op over plain slots: a [`BulkOp::Scalar`] plan step,
+impl DInst {
+    /// The instruction itself, past the steps of a [`DInst::Lowered`].
+    pub fn own(&self) -> &DInst {
+        split(self).1
+    }
+
+    fn own_mut(&mut self) -> &mut DInst {
+        match self {
+            DInst::Lowered { inst, .. } => inst,
+            inst => inst,
+        }
+    }
+}
+
+/// A scalar micro-op over plain slots: a [`BulkOp::Scalar`] step,
 /// executed through the interpreter's one scalar step.
 #[derive(Clone, Copy, Debug)]
 pub enum UScalar {
@@ -449,14 +248,13 @@ pub enum UScalar {
     },
 }
 
-/// A compiled loop body: the component sequence of a `foreach` or
-/// `forrange` body, with every operand resolved to a plain frame slot at
-/// decode time. Branches and loops nested in the body compile into
-/// [`BulkOp::If`] and [`BulkOp::Loop`] components, to any depth.
+/// A compiled loop body: the ops of every slot of a `foreach` or
+/// `forrange` body, in order. Branches and loops nested in the body
+/// compile into [`BulkOp::If`] and [`BulkOp::Loop`] components, to any
+/// depth.
 ///
-/// The plan holds one component per body instruction, and every
-/// [`PlanOp::site`] names the exact code slot the generic loop would
-/// trap at.
+/// Every [`PlanOp::site`] names the exact code slot the generic loop
+/// would trap at.
 #[derive(Clone, Debug)]
 pub struct BulkPlan {
     /// Loop-invariant `const` components hoisted out of the body. SSA
@@ -503,11 +301,12 @@ pub struct PlanOp {
     pub op: BulkOp,
 }
 
-/// A [`BulkPlan`] operation: one unfused [`DInst`] with every operand
-/// already a plain frame slot. The interpreter executes each through
-/// the same kernel as the instruction it replaces (scalar micro-ops
-/// through the one [`UScalar`] step), so a plan op only differs from
-/// dispatch in how it sites its traps.
+/// The interpreter's one operation set over plain frame slots: what a
+/// straight-line instruction ([`DInst::Op`]) or a lowered path step
+/// decodes to, and what a [`BulkPlan`] runs. Dispatch and plans execute
+/// an op through the same executor; only [`BulkOp::If`] and
+/// [`BulkOp::Loop`] exist in plans alone, compiled from the control
+/// instructions of a loop body.
 #[derive(Clone, Debug)]
 pub enum BulkOp {
     /// A `const`, arithmetic, comparison or negation step.
@@ -522,7 +321,7 @@ pub enum BulkOp {
         dst: u32,
     },
     /// Project one tuple field: the lowering of a `Field` step of a
-    /// nesting path (see [`lower_operand`]).
+    /// nesting path (see [`DInst::Lowered`]).
     Proj {
         /// Slot holding the tuple.
         base: u32,
@@ -532,7 +331,7 @@ pub enum BulkOp {
         dst: u32,
     },
     /// `read(c, k)`; also the lowering of an `Index` step of a nesting
-    /// path (see [`lower_operand`]).
+    /// path (see [`DInst::Lowered`]).
     Read {
         /// Collection slot.
         coll: u32,
@@ -621,6 +420,23 @@ pub enum BulkOp {
         /// Destination slot.
         dst: u32,
     },
+    /// The length of a collection, with no `Size` count: the key an
+    /// `end` step of a nesting path reads at.
+    Len {
+        /// Collection slot.
+        coll: u32,
+        /// Destination (scratch) slot.
+        dst: u32,
+    },
+    /// `clear(c) → c'`.
+    Clear {
+        /// Collection slot.
+        coll: u32,
+        /// Base slot of the collection operand (see [`BulkOp::InsertSet`]).
+        base: u32,
+        /// Destination slot (receives the base collection's handle).
+        dst: u32,
+    },
     /// `union(dst, src) → dst'`.
     Union {
         /// Destination-collection slot.
@@ -668,10 +484,18 @@ pub enum BulkOp {
         /// Destination slot.
         dst: u32,
     },
+    /// Pack slots into a tuple value.
+    Tuple {
+        /// Field slots, in order.
+        srcs: Box<[u32]>,
+        /// Destination slot.
+        dst: u32,
+    },
     /// A nested `foreach`/`forrange`, run to completion in place through
     /// its own plan. The loop header at this op's site supplies the
     /// iterated collection or bounds, the carried operands and the
-    /// destinations, and the loop is opened exactly as dispatch opens it.
+    /// destinations (the header's path steps, if any, are the ops before
+    /// this one), and the loop is opened exactly as dispatch opens it.
     Loop {
         /// The nested loop's body plan.
         plan: Box<BulkPlan>,
@@ -717,7 +541,8 @@ pub struct DFunc {
     /// trap sites can be attributed without keeping the
     /// [`Module`] alive alongside the decoded stream.
     pub name: String,
-    /// Number of frame slots (one per SSA value).
+    /// Number of frame slots: one per SSA value, then one scratch slot
+    /// per lowered path step ([`DInst::Lowered`]).
     pub frame_size: u32,
     /// Frame slots of the parameters, in order.
     pub params: Box<[u32]>,
@@ -734,11 +559,10 @@ pub struct DFunc {
     /// Every `foreach`/`forrange` header loop fusion left generic, with
     /// the stable reason its body did not compile to a [`BulkPlan`]
     /// (sorted by header slot): the opcode that rejected it (`call`,
-    /// `print`, `roi`, `dowhile`, `clear`, `tuple`, `ret`), `inner-loop`
-    /// (a loop nested in the body stayed generic), `path` (a nesting path
-    /// with a constant or `end` index step, or one in a yield), `yield-hazard` (a
-    /// yield whose in-order copies would overwrite one of their own
-    /// sources) or `malformed` (code the verifier rejects). Empty under
+    /// `print`, `roi`, `dowhile`, `ret`), `inner-loop` (a loop nested in
+    /// the body stayed generic), `yield-hazard` (a yield whose in-order
+    /// copies would overwrite one of their own sources) or `malformed`
+    /// (code the verifier rejects). Empty under
     /// [`DecodeOptions::reference`], which tries no loop.
     pub generic_loops: Box<[(u32, &'static str)]>,
 }
@@ -826,6 +650,13 @@ struct FuncDecoder<'f> {
     regions: Vec<DRegion>,
     consts: Vec<Value>,
     types: Vec<Type>,
+    /// Frame slots so far: the SSA slots, then one scratch slot per
+    /// lowered path step.
+    frame_size: u32,
+    /// The code slot of the instruction being decoded.
+    site: u32,
+    /// The path steps its operands lowered to so far.
+    steps: Vec<PlanOp>,
 }
 
 fn decode_function(func: &Function) -> DFunc {
@@ -842,6 +673,9 @@ fn decode_function(func: &Function) -> DFunc {
         ],
         consts: Vec::new(),
         types: Vec::new(),
+        frame_size: u32::try_from(func.values.len()).expect("frame fits u32"),
+        site: 0,
+        steps: Vec::new(),
     };
     // Decode every region (the body transitively reaches them all, but
     // walking the arena keeps region indices identical to the source).
@@ -850,7 +684,7 @@ fn decode_function(func: &Function) -> DFunc {
     }
     DFunc {
         name: func.name.clone(),
-        frame_size: u32::try_from(func.values.len()).expect("frame fits u32"),
+        frame_size: d.frame_size,
         params: func.params.iter().map(|p| slot(p.index())).collect(),
         body: u32::try_from(func.body.index()).expect("region fits u32"),
         regions: d.regions.into_boxed_slice(),
@@ -869,15 +703,22 @@ impl FuncDecoder<'_> {
     fn decode_region(&mut self, r: RegionId) {
         let region = self.func.region(r);
         let start = slot(self.code.len());
-        // Reserve the range before decoding: nested regions decode via
-        // the arena walk in `decode_function`, not recursively here, so
-        // this region's instructions stay contiguous.
-        let insts: Vec<DInst> = region
-            .insts
-            .iter()
-            .map(|&i| self.decode_inst(self.func.inst(i)))
-            .collect();
-        self.code.extend(insts);
+        // Nested regions decode via the arena walk in `decode_function`,
+        // not recursively here, so this region's instructions stay
+        // contiguous.
+        for &i in &region.insts {
+            self.site = slot(self.code.len());
+            let inst = self.decode_inst(self.func.inst(i));
+            let inst = if self.steps.is_empty() {
+                inst
+            } else {
+                DInst::Lowered {
+                    steps: std::mem::take(&mut self.steps).into_boxed_slice(),
+                    inst: Box::new(inst),
+                }
+            };
+            self.code.push(inst);
+        }
         let end = slot(self.code.len());
         self.regions[r.index()] = DRegion {
             args: region.args.iter().map(|a| slot(a.index())).collect(),
@@ -906,30 +747,53 @@ impl FuncDecoder<'_> {
         slot(self.types.len() - 1)
     }
 
-    fn op(&self, operand: &Operand) -> DOp {
-        if operand.path.is_empty() {
-            return DOp::Slot(slot(operand.base.index()));
-        }
-        let path = operand
-            .path
-            .iter()
-            .map(|a| match a {
-                Access::Index(s) => DAccess::Index(match s {
-                    Scalar::Value(v) => DScalar::Slot(slot(v.index())),
-                    Scalar::Const(n) => DScalar::Const(*n),
-                    Scalar::End => DScalar::End,
-                }),
-                Access::Field(n) => DAccess::Field(*n),
-            })
-            .collect();
-        DOp::Path(Box::new(DPath {
-            base: slot(operand.base.index()),
-            path,
-        }))
+    /// Appends a path step of the current instruction, writing a fresh
+    /// scratch slot, and returns that slot.
+    fn step(&mut self, op: impl FnOnce(u32) -> BulkOp) -> u32 {
+        let dst = self.frame_size;
+        self.frame_size = dst.checked_add(1).expect("frame fits u32");
+        self.steps.push(PlanOp {
+            site: self.site,
+            ticks: 0,
+            op: op(dst),
+        });
+        dst
     }
 
-    fn dst(&self, inst: &Inst) -> u32 {
-        slot(inst.results[0].index())
+    /// The slot holding an operand's value: its base slot, or the scratch
+    /// slot its path steps leave the addressed value in (see
+    /// [`DInst::Lowered`]).
+    fn op(&mut self, operand: &Operand) -> u32 {
+        let mut cur = slot(operand.base.index());
+        for step in &operand.path {
+            cur = match *step {
+                Access::Field(field) => self.step(|dst| BulkOp::Proj {
+                    base: cur,
+                    field,
+                    dst,
+                }),
+                Access::Index(index) => {
+                    let key = match index {
+                        Scalar::Value(v) => slot(v.index()),
+                        Scalar::Const(n) => {
+                            let pool = self.pool_const(&ConstVal::U64(n));
+                            self.step(|dst| BulkOp::Scalar(UScalar::Const { pool, dst }))
+                        }
+                        Scalar::End => self.step(|dst| BulkOp::Len { coll: cur, dst }),
+                    };
+                    self.step(|dst| BulkOp::Read {
+                        coll: cur,
+                        key,
+                        dst,
+                    })
+                }
+            };
+        }
+        cur
+    }
+
+    fn ops(&mut self, operands: &[Operand]) -> Box<[u32]> {
+        operands.iter().map(|o| self.op(o)).collect()
     }
 
     fn dsts(&self, inst: &Inst) -> Box<[u32]> {
@@ -941,178 +805,205 @@ impl FuncDecoder<'_> {
         ade_ir::builder::operand_type_in(self.func, operand)
     }
 
+    /// Decodes one instruction, lowering its path operands into
+    /// `self.steps`.
     fn decode_inst(&mut self, inst: &Inst) -> DInst {
-        match &inst.kind {
-            InstKind::Const(c) => DInst::Const {
+        let ops = &inst.operands;
+        let op = match &inst.kind {
+            InstKind::Call(callee) => {
+                return DInst::Call {
+                    callee: *callee,
+                    args: self.ops(ops),
+                    dst: inst.results.first().map(|r| slot(r.index())),
+                }
+            }
+            InstKind::Print => {
+                return DInst::Print {
+                    srcs: self.ops(ops),
+                }
+            }
+            InstKind::If => {
+                return DInst::If {
+                    cond: self.op(&ops[0]),
+                    then_r: slot(inst.regions[0].index()),
+                    else_r: slot(inst.regions[1].index()),
+                    dsts: self.dsts(inst),
+                }
+            }
+            InstKind::ForEach => {
+                let coll_ty = self.target_type(&ops[0]);
+                return DInst::ForEach {
+                    coll: self.op(&ops[0]),
+                    carried: self.ops(&ops[1..]),
+                    body: slot(inst.regions[0].index()),
+                    binds_value: matches!(coll_ty, Type::Seq(_) | Type::Map { .. }),
+                    uncoerce_u64: coll_ty.key_type() == Some(&Type::U64),
+                    dsts: self.dsts(inst),
+                };
+            }
+            InstKind::ForRange => {
+                return DInst::ForRange {
+                    lo: self.op(&ops[0]),
+                    hi: self.op(&ops[1]),
+                    carried: self.ops(&ops[2..]),
+                    body: slot(inst.regions[0].index()),
+                    dsts: self.dsts(inst),
+                }
+            }
+            InstKind::DoWhile => {
+                return DInst::DoWhile {
+                    carried: self.ops(ops),
+                    body: slot(inst.regions[0].index()),
+                    dsts: self.dsts(inst),
+                }
+            }
+            InstKind::Yield => {
+                return DInst::Yield {
+                    srcs: self.ops(ops),
+                }
+            }
+            InstKind::Ret => {
+                return DInst::Ret {
+                    src: ops.first().map(|o| self.op(o)),
+                }
+            }
+            InstKind::Roi(begin) => return DInst::Roi { begin: *begin },
+            kind => self.decode_op(kind, ops, slot(inst.results[0].index())),
+        };
+        DInst::Op(PlanOp {
+            site: self.site,
+            ticks: 0,
+            op,
+        })
+    }
+
+    /// The [`BulkOp`] of a straight-line instruction writing `dst`. A
+    /// writer's result is its collection operand's base handle.
+    fn decode_op(&mut self, kind: &InstKind, ops: &[Operand], dst: u32) -> BulkOp {
+        let base = |o: &Operand| slot(o.base.index());
+        match kind {
+            InstKind::Const(c) => BulkOp::Scalar(UScalar::Const {
                 pool: self.pool_const(c),
-                dst: self.dst(inst),
-            },
-            InstKind::New(ty) => DInst::New {
+                dst,
+            }),
+            InstKind::New(ty) => BulkOp::New {
                 ty: self.pool_type(ty),
-                dst: self.dst(inst),
+                dst,
             },
-            InstKind::Read => DInst::Read {
-                coll: self.op(&inst.operands[0]),
-                key: self.op(&inst.operands[1]),
-                dst: self.dst(inst),
+            InstKind::Read => BulkOp::Read {
+                coll: self.op(&ops[0]),
+                key: self.op(&ops[1]),
+                dst,
             },
-            InstKind::Write => DInst::Write {
-                coll: self.op(&inst.operands[0]),
-                key: self.op(&inst.operands[1]),
-                val: self.op(&inst.operands[2]),
-                dst: self.dst(inst),
+            InstKind::Write => BulkOp::Write {
+                coll: self.op(&ops[0]),
+                key: self.op(&ops[1]),
+                val: self.op(&ops[2]),
+                base: base(&ops[0]),
+                dst,
             },
-            InstKind::Has => DInst::Has {
-                coll: self.op(&inst.operands[0]),
-                key: self.op(&inst.operands[1]),
-                dst: self.dst(inst),
+            InstKind::Has => BulkOp::Has {
+                coll: self.op(&ops[0]),
+                key: self.op(&ops[1]),
+                dst,
             },
             InstKind::Insert => {
-                let coll = self.op(&inst.operands[0]);
-                let dst = self.dst(inst);
-                match self.target_type(&inst.operands[0]) {
-                    Type::Set { .. } => DInst::InsertSet {
+                let coll = self.op(&ops[0]);
+                match self.target_type(&ops[0]) {
+                    Type::Set { .. } => BulkOp::InsertSet {
                         coll,
-                        elem: self.op(&inst.operands[1]),
+                        elem: self.op(&ops[1]),
+                        base: base(&ops[0]),
                         dst,
                     },
-                    Type::Map { val, .. } => DInst::InsertMap {
+                    Type::Map { val, .. } => BulkOp::InsertMap {
                         coll,
-                        key: self.op(&inst.operands[1]),
+                        key: self.op(&ops[1]),
                         val_ty: self.pool_type(&val),
+                        base: base(&ops[0]),
                         dst,
                     },
-                    Type::Seq(_) => DInst::InsertSeq {
+                    Type::Seq(_) => BulkOp::InsertSeq {
                         coll,
-                        index: self.op(&inst.operands[1]),
-                        val: self.op(&inst.operands[2]),
+                        index: self.op(&ops[1]),
+                        val: self.op(&ops[2]),
+                        base: base(&ops[0]),
                         dst,
                     },
                     other => panic!("insert into {other}"),
                 }
             }
-            InstKind::Remove => DInst::Remove {
-                coll: self.op(&inst.operands[0]),
-                key: self.op(&inst.operands[1]),
-                dst: self.dst(inst),
+            InstKind::Remove => BulkOp::Remove {
+                coll: self.op(&ops[0]),
+                key: self.op(&ops[1]),
+                base: base(&ops[0]),
+                dst,
             },
-            InstKind::Clear => DInst::Clear {
-                coll: self.op(&inst.operands[0]),
-                dst: self.dst(inst),
+            InstKind::Clear => BulkOp::Clear {
+                coll: self.op(&ops[0]),
+                base: base(&ops[0]),
+                dst,
             },
-            InstKind::Size => DInst::Size {
-                coll: self.op(&inst.operands[0]),
-                dst: self.dst(inst),
+            InstKind::Size => BulkOp::Size {
+                coll: self.op(&ops[0]),
+                dst,
             },
             InstKind::UnionInto => {
                 let elem = self
-                    .target_type(&inst.operands[0])
+                    .target_type(&ops[0])
                     .key_type()
                     .cloned()
                     .unwrap_or(Type::Idx);
-                DInst::UnionInto {
-                    dst_coll: self.op(&inst.operands[0]),
-                    src_coll: self.op(&inst.operands[1]),
+                BulkOp::Union {
+                    coll: self.op(&ops[0]),
+                    src: self.op(&ops[1]),
                     elem_ty: self.pool_type(&elem),
-                    dst: self.dst(inst),
+                    base: base(&ops[0]),
+                    dst,
                 }
             }
-            InstKind::Bin(op) => DInst::Bin {
+            InstKind::Bin(op) => BulkOp::Scalar(UScalar::Bin {
                 op: *op,
-                a: self.op(&inst.operands[0]),
-                b: self.op(&inst.operands[1]),
-                dst: self.dst(inst),
-            },
-            InstKind::Cmp(op) => DInst::Cmp {
+                a: self.op(&ops[0]),
+                b: self.op(&ops[1]),
+                dst,
+            }),
+            InstKind::Cmp(op) => BulkOp::Scalar(UScalar::Cmp {
                 op: *op,
-                a: self.op(&inst.operands[0]),
-                b: self.op(&inst.operands[1]),
-                dst: self.dst(inst),
-            },
-            InstKind::Not => DInst::Not {
-                a: self.op(&inst.operands[0]),
-                dst: self.dst(inst),
-            },
-            InstKind::Cast(ty) => DInst::Cast {
+                a: self.op(&ops[0]),
+                b: self.op(&ops[1]),
+                dst,
+            }),
+            InstKind::Not => BulkOp::Scalar(UScalar::Not {
+                a: self.op(&ops[0]),
+                dst,
+            }),
+            InstKind::Cast(ty) => BulkOp::Cast {
                 ty: self.pool_type(ty),
-                a: self.op(&inst.operands[0]),
-                dst: self.dst(inst),
+                a: self.op(&ops[0]),
+                dst,
             },
-            InstKind::Tuple => DInst::MkTuple {
-                srcs: inst.operands.iter().map(|o| self.op(o)).collect(),
-                dst: self.dst(inst),
+            InstKind::Tuple => BulkOp::Tuple {
+                srcs: self.ops(ops),
+                dst,
             },
-            InstKind::Call(callee) => DInst::Call {
-                callee: *callee,
-                args: inst.operands.iter().map(|o| self.op(o)).collect(),
-                dst: inst.results.first().map(|r| slot(r.index())),
-            },
-            InstKind::Print => DInst::Print {
-                ops: inst.operands.iter().map(|o| self.op(o)).collect(),
-            },
-            InstKind::Enc(e) => DInst::Enc {
+            InstKind::Enc(e) => BulkOp::Enc {
                 e: slot(e.index()),
-                v: self.op(&inst.operands[0]),
-                dst: self.dst(inst),
+                v: self.op(&ops[0]),
+                dst,
             },
-            InstKind::Dec(e) => DInst::Dec {
+            InstKind::Dec(e) => BulkOp::Dec {
                 e: slot(e.index()),
-                v: self.op(&inst.operands[0]),
-                dst: self.dst(inst),
+                v: self.op(&ops[0]),
+                dst,
             },
-            InstKind::EnumAdd(e) => DInst::EnumAdd {
+            InstKind::EnumAdd(e) => BulkOp::EnumAdd {
                 e: slot(e.index()),
-                v: self.op(&inst.operands[0]),
-                dst: self.dst(inst),
+                v: self.op(&ops[0]),
+                dst,
             },
-            InstKind::If => DInst::If {
-                cond: self.op(&inst.operands[0]),
-                then_r: slot(inst.regions[0].index()),
-                else_r: slot(inst.regions[1].index()),
-                dsts: self.dsts(inst),
-            },
-            InstKind::ForEach => {
-                let coll_ty = self.target_type(&inst.operands[0]);
-                DInst::ForEach {
-                    coll: self.op(&inst.operands[0]),
-                    carried: inst.operands[1..].iter().map(|o| self.op(o)).collect(),
-                    body: slot(inst.regions[0].index()),
-                    binds_value: matches!(coll_ty, Type::Seq(_) | Type::Map { .. }),
-                    uncoerce_u64: coll_ty.key_type() == Some(&Type::U64),
-                    dsts: self.dsts(inst),
-                }
-            }
-            InstKind::ForRange => DInst::ForRange {
-                lo: self.op(&inst.operands[0]),
-                hi: self.op(&inst.operands[1]),
-                carried: inst.operands[2..].iter().map(|o| self.op(o)).collect(),
-                body: slot(inst.regions[0].index()),
-                dsts: self.dsts(inst),
-            },
-            InstKind::DoWhile => DInst::DoWhile {
-                carried: inst.operands.iter().map(|o| self.op(o)).collect(),
-                body: slot(inst.regions[0].index()),
-                dsts: self.dsts(inst),
-            },
-            InstKind::Yield => DInst::Yield {
-                ops: inst.operands.iter().map(|o| self.op(o)).collect(),
-            },
-            InstKind::Ret => DInst::Ret {
-                op: inst.operands.first().map(|o| self.op(o)),
-            },
-            InstKind::Roi(begin) => DInst::Roi { begin: *begin },
+            other => unreachable!("{other:?} is a control instruction"),
         }
-    }
-}
-
-/// The frame slot behind a plain-slot operand; `None` for a nesting
-/// path, whose resolution bumps per-level read counts: a plan lowers it
-/// into ops of its own ([`lower_operand`]), and a yield that holds one
-/// keeps the buffered path.
-fn sl(op: &DOp) -> Option<u32> {
-    match op {
-        DOp::Slot(s) => Some(*s),
-        DOp::Path(_) => None,
     }
 }
 
@@ -1122,15 +1013,14 @@ fn sl(op: &DOp) -> Option<u32> {
 /// iterations that run them per instruction.
 ///
 /// Observables are unchanged: the terminator keeps its code slot (same
-/// fuel tick, same trap site), slot-only yields bump no statistics
-/// and cannot trap, and the copies land exactly where the buffered
-/// values would have. Yields with a nesting-path operand (whose
-/// resolution bumps read counts) or a write-before-read hazard between
-/// the copies keep the buffered path.
+/// fuel tick, same trap site) and its path steps, a slot copy cannot
+/// trap, and the copies land exactly where the buffered values would
+/// have. A yield with a write-before-read hazard between the copies
+/// keeps the buffered path.
 fn direct_yields(d: &mut DFunc) {
     let mut plans: Vec<(u32, Box<[u32]>)> = Vec::new();
     for inst in d.code.iter() {
-        match inst {
+        match inst.own() {
             DInst::ForRange { body, .. } | DInst::ForRangeBulk { body, .. } => {
                 let args = &d.regions[*body as usize].args;
                 plans.push((*body, args[1..].into()));
@@ -1162,9 +1052,9 @@ fn direct_yields(d: &mut DFunc) {
         if region.end == region.start {
             continue;
         }
-        let term = region.end as usize - 1;
-        if let Some(srcs) = direct_srcs(&d.code[term], &dsts) {
-            d.code[term] = DInst::YieldDirect {
+        let term = d.code[region.end as usize - 1].own_mut();
+        if let Some(srcs) = direct_srcs(term, &dsts) {
+            *term = DInst::YieldDirect {
                 srcs: srcs.into(),
                 dsts,
             };
@@ -1173,22 +1063,17 @@ fn direct_yields(d: &mut DFunc) {
 }
 
 /// The source slots of a region terminator that can be copied straight
-/// into the consumer's `dsts`: an all-slot [`DInst::Yield`] of matching
-/// length with no write-before-read hazard between the in-order copies.
-/// `None` for anything else (path operands bump read counts and must
-/// stay per-instruction).
+/// into the consumer's `dsts`: a [`DInst::Yield`] of matching length
+/// with no write-before-read hazard between the in-order copies. `None`
+/// for anything else.
 fn direct_srcs(term: &DInst, dsts: &[u32]) -> Option<Vec<u32>> {
-    let DInst::Yield { ops } = term else {
+    let DInst::Yield { srcs } = term else {
         return None;
     };
-    if ops.len() != dsts.len() {
+    if srcs.len() != dsts.len() || srcs.iter().enumerate().any(|(j, s)| dsts[..j].contains(s)) {
         return None;
     }
-    let srcs = ops.iter().map(sl).collect::<Option<Vec<u32>>>()?;
-    if srcs.iter().enumerate().any(|(j, s)| dsts[..j].contains(s)) {
-        return None;
-    }
-    Some(srcs)
+    Some(srcs.to_vec())
 }
 
 /// Runs the loop-granular fusion tier over every loop of `d`:
@@ -1206,27 +1091,15 @@ fn direct_srcs(term: &DInst, dsts: &[u32]) -> Option<Vec<u32>> {
 /// [`BulkOp::Loop`]. Runs before [`direct_yields`], so plans compile
 /// from the buffered yields.
 fn loop_fuse_function(d: &mut DFunc) {
-    // Path operands lower into ops that write scratch slots past the
-    // function's SSA slots. A scratch slot is dead once the component
-    // whose operand it holds has run, so each loop allocates its own
-    // run starting at the original frame size, nested loops included;
-    // the frame grows to the widest run.
-    let ssa_slots = d.frame_size;
-    let mut frame_size = d.frame_size;
     let mut generic = Vec::new();
     for idx in loops_inner_first(d) {
-        let mut scratch = ssa_slots;
-        match try_bulk_loop(d, idx, &mut scratch) {
-            Ok(bulk) => {
-                d.code[idx] = bulk;
-                frame_size = frame_size.max(scratch);
-            }
+        match try_bulk_loop(d, idx) {
+            Ok(bulk) => *d.code[idx].own_mut() = bulk,
             Err(why) => generic.push((slot(idx), why)),
         }
     }
     generic.sort_unstable();
     d.generic_loops = generic.into_boxed_slice();
-    d.frame_size = frame_size;
 }
 
 /// The `foreach`/`forrange` headers of `d`, each after every loop
@@ -1239,7 +1112,7 @@ fn loops_inner_first(d: &DFunc) -> Vec<usize> {
     while let Some(r) = regions.pop() {
         let r = &d.regions[r as usize];
         for idx in r.start as usize..r.end as usize {
-            match &d.code[idx] {
+            match d.code[idx].own() {
                 DInst::If { then_r, else_r, .. } => regions.extend([*then_r, *else_r]),
                 DInst::DoWhile { body, .. } => regions.push(*body),
                 DInst::ForEach { body, .. } | DInst::ForRange { body, .. } => {
@@ -1258,11 +1131,9 @@ fn loops_inner_first(d: &DFunc) -> Vec<usize> {
 type Reject = &'static str;
 
 /// Compiles the loop header at `idx` into its bulk twin, if its body is
-/// a region the plan language can express. `scratch` is the loop's
-/// scratch-slot allocator for lowered paths, seeded at the function's
-/// SSA slot count.
-fn try_bulk_loop(d: &DFunc, idx: usize, scratch: &mut u32) -> Result<DInst, Reject> {
-    Ok(match &d.code[idx] {
+/// a region the plan language can express.
+fn try_bulk_loop(d: &DFunc, idx: usize) -> Result<DInst, Reject> {
+    Ok(match d.code[idx].own() {
         DInst::ForEach {
             coll,
             carried,
@@ -1273,9 +1144,9 @@ fn try_bulk_loop(d: &DFunc, idx: usize, scratch: &mut u32) -> Result<DInst, Reje
         } => {
             let region = &d.regions[*body as usize];
             let skip = 1 + usize::from(*binds_value);
-            let plan = compile_plan(d, region, &region.args[skip..], scratch)?;
+            let plan = compile_plan(d, region, &region.args[skip..])?;
             DInst::ForEachBulk {
-                coll: coll.clone(),
+                coll: *coll,
                 carried: carried.clone(),
                 body: *body,
                 binds_value: *binds_value,
@@ -1292,10 +1163,10 @@ fn try_bulk_loop(d: &DFunc, idx: usize, scratch: &mut u32) -> Result<DInst, Reje
             dsts,
         } => {
             let region = &d.regions[*body as usize];
-            let plan = compile_plan(d, region, &region.args[1..], scratch)?;
+            let plan = compile_plan(d, region, &region.args[1..])?;
             DInst::ForRangeBulk {
-                lo: lo.clone(),
-                hi: hi.clone(),
+                lo: *lo,
+                hi: *hi,
                 carried: carried.clone(),
                 body: *body,
                 dsts: dsts.clone(),
@@ -1306,18 +1177,14 @@ fn try_bulk_loop(d: &DFunc, idx: usize, scratch: &mut u32) -> Result<DInst, Reje
     })
 }
 
-/// Compiles a loop body region into a [`BulkPlan`]: every component
-/// must be expressible as a [`BulkOp`], and the terminator must be a
-/// yield of the carried values that [`direct_srcs`] accepts (the same
-/// rule [`direct_yields`] applies). Top-level `const` components are
-/// hoisted into the prelude.
-fn compile_plan(
-    d: &DFunc,
-    region: &DRegion,
-    carried_args: &[u32],
-    scratch: &mut u32,
-) -> Result<BulkPlan, Reject> {
-    let (ops, yield_srcs) = compile_body(d, region, carried_args, scratch)?;
+/// Compiles a loop body region into a [`BulkPlan`]: every slot must be
+/// expressible as plan ops, and the terminator must be a yield of the
+/// carried values that [`direct_srcs`] accepts (the same rule
+/// [`direct_yields`] applies). Top-level `const` ops are hoisted into the
+/// prelude: each writes a slot no other op writes (an SSA value, or the
+/// scratch slot of one constant path index).
+fn compile_plan(d: &DFunc, region: &DRegion, carried_args: &[u32]) -> Result<BulkPlan, Reject> {
+    let (ops, yield_srcs) = compile_body(d, region, carried_args)?;
     let (prelude, mut ops): (Vec<PlanOp>, Vec<PlanOp>) = ops
         .into_iter()
         .partition(|p| matches!(p.op, BulkOp::Scalar(UScalar::Const { .. })));
@@ -1385,223 +1252,63 @@ fn nest_depth(ops: &[PlanOp]) -> u32 {
         .unwrap_or(0)
 }
 
-/// Compiles a loop body or branch arm: its components plus the source
-/// slots of its terminal yield into `dsts`.
+/// Compiles a loop body or branch arm: the ops of its slots, the
+/// terminator's path steps included, plus the source slots of its
+/// terminal yield into `dsts`.
 fn compile_body(
     d: &DFunc,
     region: &DRegion,
     dsts: &[u32],
-    scratch: &mut u32,
 ) -> Result<(Vec<PlanOp>, Vec<u32>), Reject> {
     let (start, end) = (region.start as usize, region.end as usize);
     if end == start {
         return Err("malformed");
     }
-    let term = end - 1;
     let mut ops = Vec::new();
-    for idx in start..term {
-        compile_inst(d, idx, scratch, &mut ops)?;
+    for idx in start..end - 1 {
+        compile_inst(d, idx, &mut ops)?;
     }
-    let Some(srcs) = direct_srcs(&d.code[term], dsts) else {
-        let path = matches!(
-            &d.code[term],
-            DInst::Yield { ops } if ops.iter().any(|op| sl(op).is_none())
-        );
-        return Err(if path { "path" } else { "yield-hazard" });
-    };
+    let (steps, term) = split(&d.code[end - 1]);
+    let srcs = direct_srcs(term, dsts).ok_or("yield-hazard")?;
+    ops.extend_from_slice(steps);
     Ok((ops, srcs))
 }
 
-/// Lowers an operand to a plan slot. A plain slot passes through; a
-/// nesting path becomes one op per step, in path order, each writing a
-/// fresh scratch slot: a `Field` step a [`BulkOp::Proj`], an `Index`
-/// step by a slot a counted [`BulkOp::Read`] of the collection reached
-/// so far. The ops share the consuming component's site and run before
-/// it in operand order, so they bump the same per-level reads and trap
-/// exactly where the unfused instruction's operand resolution would. A
-/// constant or `end` index step rejects the loop.
-fn lower_operand(
-    op: &DOp,
-    site: u32,
-    scratch: &mut u32,
-    out: &mut Vec<PlanOp>,
-) -> Result<u32, Reject> {
-    let DOp::Path(p) = op else {
-        return Ok(op.base_slot());
-    };
-    let mut cur = p.base;
-    for step in p.path.iter() {
-        let dst = *scratch;
-        *scratch = scratch.checked_add(1).ok_or("path")?;
-        let op = match *step {
-            DAccess::Field(field) => BulkOp::Proj {
-                base: cur,
-                field,
-                dst,
-            },
-            DAccess::Index(DScalar::Slot(key)) => BulkOp::Read {
-                coll: cur,
-                key,
-                dst,
-            },
-            DAccess::Index(DScalar::Const(_) | DScalar::End) => return Err("path"),
-        };
-        out.push(PlanOp { site, ticks: 0, op });
-        cur = dst;
+/// A slot's path steps and the instruction they feed.
+fn split(inst: &DInst) -> (&[PlanOp], &DInst) {
+    match inst {
+        DInst::Lowered { steps, inst } => (steps, inst),
+        inst => (&[], inst),
     }
-    Ok(cur)
 }
 
-/// Appends the plan component of the instruction at `idx`, sited at
-/// `idx` so bulk execution traps at exactly the site the unfused loop
-/// would, after the ops its path operands lower to (see
-/// [`lower_operand`]). A writer's result is its collection operand's
-/// base handle, as in dispatch. An observable side channel (print, ROI,
-/// calls), an opcode without a plan op, a path step no plan op
-/// expresses, or a nested loop that stayed generic rejects the whole
-/// loop.
-fn compile_inst(
-    d: &DFunc,
-    idx: usize,
-    scratch: &mut u32,
-    out: &mut Vec<PlanOp>,
-) -> Result<(), Reject> {
-    let site = slot(idx);
-    let inst = &d.code[idx];
-    let mut lower = |op: &DOp| lower_operand(op, site, scratch, out);
+/// Appends the plan ops of the slot at `idx`: its path steps, then the
+/// slot's own op, or the op a branch or a compiled nested loop compiles
+/// to, sited at `idx` so bulk execution traps at exactly the site the
+/// unfused loop would. An observable side channel (print, ROI, calls),
+/// a `dowhile` or `ret`, or a nested loop that stayed generic rejects
+/// the whole loop.
+fn compile_inst(d: &DFunc, idx: usize, out: &mut Vec<PlanOp>) -> Result<(), Reject> {
+    let (steps, inst) = split(&d.code[idx]);
+    out.extend_from_slice(steps);
     let op = match inst {
-        DInst::Const { pool, dst } => BulkOp::Scalar(UScalar::Const {
-            pool: *pool,
-            dst: *dst,
-        }),
-        DInst::Bin { op, a, b, dst } => BulkOp::Scalar(UScalar::Bin {
-            op: *op,
-            a: lower(a)?,
-            b: lower(b)?,
-            dst: *dst,
-        }),
-        DInst::Cmp { op, a, b, dst } => BulkOp::Scalar(UScalar::Cmp {
-            op: *op,
-            a: lower(a)?,
-            b: lower(b)?,
-            dst: *dst,
-        }),
-        DInst::Not { a, dst } => BulkOp::Scalar(UScalar::Not {
-            a: lower(a)?,
-            dst: *dst,
-        }),
-        DInst::Cast { ty, a, dst } => BulkOp::Cast {
-            ty: *ty,
-            a: lower(a)?,
-            dst: *dst,
-        },
-        DInst::New { ty, dst } => BulkOp::New { ty: *ty, dst: *dst },
-        DInst::Read { coll, key, dst } => BulkOp::Read {
-            coll: lower(coll)?,
-            key: lower(key)?,
-            dst: *dst,
-        },
-        DInst::Write {
-            coll,
-            key,
-            val,
-            dst,
-        } => BulkOp::Write {
-            coll: lower(coll)?,
-            key: lower(key)?,
-            val: lower(val)?,
-            base: coll.base_slot(),
-            dst: *dst,
-        },
-        DInst::Has { coll, key, dst } => BulkOp::Has {
-            coll: lower(coll)?,
-            key: lower(key)?,
-            dst: *dst,
-        },
-        DInst::InsertSet { coll, elem, dst } => BulkOp::InsertSet {
-            coll: lower(coll)?,
-            elem: lower(elem)?,
-            base: coll.base_slot(),
-            dst: *dst,
-        },
-        DInst::InsertMap {
-            coll,
-            key,
-            val_ty,
-            dst,
-        } => BulkOp::InsertMap {
-            coll: lower(coll)?,
-            key: lower(key)?,
-            val_ty: *val_ty,
-            base: coll.base_slot(),
-            dst: *dst,
-        },
-        DInst::InsertSeq {
-            coll,
-            index,
-            val,
-            dst,
-        } => BulkOp::InsertSeq {
-            coll: lower(coll)?,
-            index: lower(index)?,
-            val: lower(val)?,
-            base: coll.base_slot(),
-            dst: *dst,
-        },
-        DInst::Remove { coll, key, dst } => BulkOp::Remove {
-            coll: lower(coll)?,
-            key: lower(key)?,
-            base: coll.base_slot(),
-            dst: *dst,
-        },
-        DInst::Size { coll, dst } => BulkOp::Size {
-            coll: lower(coll)?,
-            dst: *dst,
-        },
-        DInst::UnionInto {
-            dst_coll,
-            src_coll,
-            elem_ty,
-            dst,
-        } => BulkOp::Union {
-            coll: lower(dst_coll)?,
-            src: lower(src_coll)?,
-            elem_ty: *elem_ty,
-            base: dst_coll.base_slot(),
-            dst: *dst,
-        },
-        DInst::Enc { e, v, dst } => BulkOp::Enc {
-            e: *e,
-            v: lower(v)?,
-            dst: *dst,
-        },
-        DInst::Dec { e, v, dst } => BulkOp::Dec {
-            e: *e,
-            v: lower(v)?,
-            dst: *dst,
-        },
-        DInst::EnumAdd { e, v, dst } => BulkOp::EnumAdd {
-            e: *e,
-            v: lower(v)?,
-            dst: *dst,
-        },
+        DInst::Op(p) => p.op.clone(),
         DInst::If {
             cond,
             then_r,
             else_r,
             dsts,
         } => {
-            let cond = lower(cond)?;
-            let mut arm = |r: u32| {
+            let arm = |r: u32| {
                 let region = &d.regions[r as usize];
-                let (mut ops, srcs) = compile_body(d, region, dsts, scratch)?;
+                let (mut ops, srcs) = compile_body(d, region, dsts)?;
                 let tail = assign_ticks(&mut ops, region);
                 Ok::<_, Reject>((ops, srcs, tail))
             };
             let (then_ops, then_srcs, then_tail) = arm(*then_r)?;
             let (else_ops, else_srcs, else_tail) = arm(*else_r)?;
             BulkOp::If {
-                cond,
+                cond: *cond,
                 then_ops: then_ops.into_boxed_slice(),
                 then_srcs: then_srcs.into_boxed_slice(),
                 else_ops: else_ops.into_boxed_slice(),
@@ -1619,14 +1326,18 @@ fn compile_inst(
         DInst::Call { .. } => return Err("call"),
         DInst::Print { .. } => return Err("print"),
         DInst::Roi { .. } => return Err("roi"),
-        DInst::Clear { .. } => return Err("clear"),
-        DInst::MkTuple { .. } => return Err("tuple"),
         DInst::Ret { .. } => return Err("ret"),
         // A yield before the region's end: verified code has none (and
         // direct yields do not exist yet).
-        _ => return Err("malformed"),
+        DInst::Yield { .. } | DInst::YieldDirect { .. } | DInst::Lowered { .. } => {
+            return Err("malformed")
+        }
     };
-    out.push(PlanOp { site, ticks: 0, op });
+    out.push(PlanOp {
+        site: slot(idx),
+        ticks: 0,
+        op,
+    });
     Ok(())
 }
 
@@ -1651,7 +1362,13 @@ mod tests {
         assert_eq!(f.code.len(), m.funcs[0].insts.len());
         assert_eq!(f.frame_size as usize, m.funcs[0].values.len());
         // The insert against a set type decodes to the set flavor.
-        assert!(f.code.iter().any(|i| matches!(i, DInst::InsertSet { .. })));
+        assert!(f.code.iter().any(|i| matches!(
+            i,
+            DInst::Op(PlanOp {
+                op: BulkOp::InsertSet { .. },
+                ..
+            })
+        )));
     }
 
     #[test]
@@ -1765,7 +1482,11 @@ fn @main() -> void {
             .expect("a loop with path operands compiles to a bulk header");
         let region = &f.regions[body as usize];
         let (u, gc) = (region.args[0], region.args[1]);
-        let DInst::InsertSeq { dst: g2, .. } = f.code[region.start as usize + 1] else {
+        let DInst::Op(PlanOp {
+            op: BulkOp::InsertSeq { dst: g2, .. },
+            ..
+        }) = *f.code[region.start as usize + 1].own()
+        else {
             panic!("the body's second instruction is the sequence insert")
         };
         // Each `%gc[%u]` is a counted read into its own scratch slot,
@@ -1798,7 +1519,7 @@ fn @main() -> void {
     }
 
     #[test]
-    fn constant_end_and_yielded_paths_keep_loops_generic() {
+    fn constant_end_and_yielded_paths_compile_into_plans() {
         let m = parse_module(
             r#"
 fn @main() -> void {
@@ -1825,10 +1546,56 @@ fn @main() -> void {
         )
         .expect("parses");
         ade_ir::verify::verify_module(&m).expect("verifies");
+        let ssa_slots = m.funcs[0].values.len() as u32;
         let d = DecodedModule::decode_with(&m, &DecodeOptions::default());
         let f = &d.funcs[0];
-        let reasons: Vec<&str> = f.generic_loops.iter().map(|&(_, why)| why).collect();
-        assert_eq!(reasons, ["path", "path", "path"]);
+        assert!(f.generic_loops.is_empty(), "{:?}", f.generic_loops);
+        let plans: Vec<&BulkPlan> = f
+            .code
+            .iter()
+            .filter_map(|i| match i {
+                DInst::ForEachBulk { plan, .. } => Some(&**plan),
+                _ => None,
+            })
+            .collect();
+        let ops = |plan: &BulkPlan| -> Vec<BulkOp> {
+            plan.prelude
+                .iter()
+                .chain(plan.ops.iter())
+                .map(|p| p.op.clone())
+                .collect()
+        };
+        // `%q[0]`: a pooled const in a scratch slot, hoisted (no other op
+        // writes the slot), keys the counted read.
+        let (k, r) = (ssa_slots, ssa_slots + 1);
+        assert!(matches!(
+            ops(plans[0]).as_slice(),
+            [
+                BulkOp::Scalar(UScalar::Const { dst, .. }),
+                BulkOp::Read { key, dst: read, .. },
+                BulkOp::Size { coll, .. },
+                BulkOp::Scalar(UScalar::Bin { .. }),
+            ] if (*dst, *key, *read, *coll) == (k, k, r, r)
+        ));
+        assert_eq!(plans[0].prelude.len(), 1);
+        // `%q[end]`: the length, uncounted, keys the read.
+        assert!(matches!(
+            ops(plans[1]).as_slice(),
+            [
+                BulkOp::Len { .. },
+                BulkOp::Read { .. },
+                BulkOp::Size { .. },
+                BulkOp::Scalar(UScalar::Bin { .. }),
+            ]
+        ));
+        // `yield %t.1`: the projection runs last, and the yield copies
+        // its scratch slot.
+        assert!(matches!(
+            ops(plans[2]).as_slice(),
+            [BulkOp::Proj { field: 1, .. }]
+        ));
+        assert_eq!((plans[2].ops[0].ticks, plans[2].tail), (1, 0));
+        assert_eq!(plans[2].yield_srcs.as_ref(), &[f.frame_size - 1]);
     }
 
     #[test]

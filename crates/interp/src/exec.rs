@@ -2,12 +2,13 @@
 //!
 //! Execution runs over the pre-decoded instruction stream built by
 //! [`crate::decode`]: each function is flattened once per run, then the
-//! hot loop dispatches on compact [`DInst`]s whose operands are already
-//! frame indices. Plain-slot operand reads borrow straight out of the
-//! frame ([`Res::Ref`]) instead of cloning; only nested-path operands
-//! materialize values. Instrumentation is bit-identical to the original
-//! tree-walking core: the same [`CollOp`] bumps in the same phases, one
-//! tick per executed instruction.
+//! hot loop dispatches on compact [`DInst`]s whose operands are frame
+//! slots. Every straight-line instruction, and every step a nesting path
+//! lowered to, is a [`BulkOp`], run by the one executor loop plans use
+//! too (`exec_plan_op`); dispatch itself only handles control flow,
+//! calls, `print` and `roi`. Instrumentation is bit-identical to the
+//! original tree-walking core: the same [`CollOp`] bumps in the same
+//! phases, one tick per executed instruction.
 //!
 //! Control flow does not recurse on the host stack. A run's continuation
 //! is an explicit [`Machine`]: one activation (frame) per live call and
@@ -30,6 +31,7 @@
 //! runs only when neither a fuel limit nor a session grant can end the
 //! countdown's window.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -38,13 +40,12 @@ use ade_collections::SwissMap;
 use ade_ir::{BinOp, CmpOp, FuncId, Module, Type};
 
 use crate::decode::{
-    BulkOp, BulkPlan, DAccess, DFunc, DInst, DOp, DPath, DScalar, DecodeOptions, DecodedModule,
-    PlanOp, UScalar,
+    BulkOp, BulkPlan, DFunc, DInst, DecodeOptions, DecodedModule, PlanOp, UScalar,
 };
 use crate::heap::{CollId, Collection, SelectionDefaults};
 use crate::stats::{CollOp, ImplKind, Phase, Stats};
 use crate::trap::{Limit, TrapKind, TrapSite};
-use crate::value::{Res, Value};
+use crate::value::Value;
 
 /// Interpreter configuration.
 #[derive(Clone, Debug)]
@@ -406,8 +407,9 @@ struct LoopParts<'a> {
 }
 
 impl LoopParts<'_> {
+    /// The parts of the header `inst` (past its path steps).
     fn of(inst: &DInst) -> LoopParts<'_> {
-        let (body, bound, dsts, plan) = match inst {
+        let (body, bound, dsts, plan) = match inst.own() {
             DInst::ForRange { body, dsts, .. } => (body, 1, dsts, None),
             DInst::ForRangeBulk {
                 body, dsts, plan, ..
@@ -705,38 +707,6 @@ impl<'m> Interpreter<'m> {
         })
     }
 
-    /// Resolves an operand. Plain slots borrow from the frame (no clone);
-    /// nested paths are walked, counting each indexing step as a read on
-    /// the collection at that level.
-    #[inline]
-    fn resolve<'a>(&mut self, frame: &'a [Value], op: &DOp) -> Result<Res<'a>, ExecError> {
-        match op {
-            DOp::Slot(s) => Ok(Res::Ref(&frame[*s as usize])),
-            DOp::Path(p) => Ok(Res::Owned(self.resolve_path(frame, p)?)),
-        }
-    }
-
-    fn resolve_path(&mut self, frame: &[Value], p: &DPath) -> Result<Value, ExecError> {
-        let mut cur = frame[p.base as usize].clone();
-        for access in p.path.iter() {
-            cur = match access {
-                DAccess::Index(s) => {
-                    let id = cur.try_as_coll().map_err(trap)?;
-                    let key = match s {
-                        DScalar::Slot(v) => Res::Ref(&frame[*v as usize]),
-                        DScalar::Const(n) => Res::Owned(Value::U64(*n)),
-                        DScalar::End => {
-                            Res::Owned(Value::U64(self.heap[id.0 as usize].len() as u64))
-                        }
-                    };
-                    self.read(id, &key).map_err(trap)?
-                }
-                DAccess::Field(n) => project(&cur, *n).map_err(trap)?,
-            };
-        }
-        Ok(cur)
-    }
-
     /// The inverse of [`coerce_key`]: dense implementations store
     /// `usize` keys and yield `Value::Idx` when iterated or drained, but
     /// a directive-forced dense collection with a `u64` static domain
@@ -749,32 +719,20 @@ impl<'m> Interpreter<'m> {
         }
     }
 
-    /// Resolves an operand that must denote a collection, returning its
-    /// handle (navigating and counting nested reads).
-    #[inline]
-    fn resolve_coll(&mut self, frame: &[Value], op: &DOp) -> Result<CollId, ExecError> {
-        match op {
-            DOp::Slot(s) => frame[*s as usize].try_as_coll().map_err(trap),
-            DOp::Path(p) => self.resolve_path(frame, p)?.try_as_coll().map_err(trap),
-        }
-    }
-
     // ── Operation kernels ───────────────────────────────────────────
     //
     // The one definition of each counted operation: key coercion, the
-    // statistics bump, the heap call and byte accounting. Plain
-    // dispatch, bulk plan ops and nested-path reads all resolve their
-    // own operands, call the kernel, and site the trap it returns
-    // themselves (site-less for the dispatch loop to attribute, or at an
-    // explicit code slot). Writers leave the handle copy into
-    // their destination slot to the caller, which knows the operand's
-    // base slot.
+    // statistics bump, the heap call and byte accounting. The op
+    // executor reads the operand slots, calls the kernel, and sites the
+    // trap it returns at the op's code slot. Writers leave the handle
+    // copy into their destination slot to the caller, which knows the
+    // operand's base slot.
 
     /// `read(c, k)`.
     #[inline]
     fn read(&mut self, id: CollId, key: &Value) -> Result<Value, TrapKind> {
         let imp = self.impl_of(id);
-        let key = coerce_key(imp, Res::Ref(key));
+        let key = coerce_key(imp, Cow::Borrowed(key));
         self.bump(imp, CollOp::Read, 1);
         self.heap[id.0 as usize].try_read(&key)
     }
@@ -783,7 +741,7 @@ impl<'m> Interpreter<'m> {
     #[inline]
     fn write(&mut self, id: CollId, key: &Value, value: Value) -> Result<(), TrapKind> {
         let imp = self.impl_of(id);
-        let key = coerce_key(imp, Res::Ref(key));
+        let key = coerce_key(imp, Cow::Borrowed(key));
         self.bump(imp, CollOp::Write, 1);
         self.heap[id.0 as usize].try_write(&key, value)?;
         self.refresh_bytes(id);
@@ -794,7 +752,7 @@ impl<'m> Interpreter<'m> {
     #[inline]
     fn has(&mut self, id: CollId, key: &Value) -> Result<bool, TrapKind> {
         let imp = self.impl_of(id);
-        let key = coerce_key(imp, Res::Ref(key));
+        let key = coerce_key(imp, Cow::Borrowed(key));
         self.bump(imp, CollOp::Has, 1);
         self.heap[id.0 as usize].try_has(&key)
     }
@@ -803,7 +761,7 @@ impl<'m> Interpreter<'m> {
     #[inline]
     fn remove(&mut self, id: CollId, key: &Value) -> Result<(), TrapKind> {
         let imp = self.impl_of(id);
-        let key = coerce_key(imp, Res::Ref(key));
+        let key = coerce_key(imp, Cow::Borrowed(key));
         self.bump(imp, CollOp::Remove, 1);
         self.heap[id.0 as usize].try_remove(&key)?;
         self.refresh_bytes(id);
@@ -823,7 +781,7 @@ impl<'m> Interpreter<'m> {
     fn insert_elem(&mut self, id: CollId, elem: Value) -> Result<(), TrapKind> {
         let imp = self.impl_of(id);
         self.bump(imp, CollOp::Insert, 1);
-        let elem = coerce_key(imp, Res::Owned(elem)).into_owned();
+        let elem = coerce_key(imp, Cow::Owned(elem)).into_owned();
         self.heap[id.0 as usize].try_insert_elem(elem)?;
         self.refresh_bytes(id);
         Ok(())
@@ -838,7 +796,7 @@ impl<'m> Interpreter<'m> {
     fn insert_key(&mut self, id: CollId, key: &Value, val_ty: &Type) -> Result<(), ExecError> {
         let imp = self.impl_of(id);
         self.bump(imp, CollOp::Insert, 1);
-        let key = coerce_key(imp, Res::Ref(key));
+        let key = coerce_key(imp, Cow::Borrowed(key));
         // Only allocate a default if the key is absent.
         if !self.heap[id.0 as usize].try_has(&key).map_err(trap)? {
             let default = self.default_value(val_ty)?;
@@ -936,7 +894,7 @@ impl<'m> Interpreter<'m> {
                         return Ok(Poll::Done(value));
                     };
                     if let DInst::Call { dst: Some(dst), .. } =
-                        &d.func(caller.fid).code[done.call_site as usize]
+                        d.func(caller.fid).code[done.call_site as usize].own()
                     {
                         caller.frame[*dst as usize] = value.unwrap_or(Value::Void);
                     }
@@ -1026,13 +984,12 @@ impl<'m> Interpreter<'m> {
                 return Ok(Transfer::Suspend);
             }
             self.ticks_left -= 1;
-            match self.exec_inst(func, frame, cursors, pc) {
+            match self.exec_inst(func, frame, cursors, pc, &func.code[pc]) {
                 Ok(Next::At(next)) => pc = next,
                 Ok(Next::Jump(next, next_end)) => (pc, end) = (next, next_end),
                 Ok(Next::Leave(transfer)) => return Ok(transfer),
-                // A trap without a site is this instruction's. Traps
-                // sited elsewhere (plan ops, loop conditions) pass
-                // through.
+                // A trap without a site is this instruction's. Sited
+                // traps (ops, loop conditions) pass through.
                 Err(e) => return Err(site_at(func, pc, e)),
             }
         }
@@ -1052,21 +1009,29 @@ impl<'m> Interpreter<'m> {
         }
     }
 
-    /// Executes the instruction at `pc`, which has already ticked.
+    /// Executes `inst`, the instruction at `pc`, which has already
+    /// ticked.
     fn exec_inst(
         &mut self,
         func: &DFunc,
         frame: &mut [Value],
         cursors: &mut Vec<Cursor>,
         pc: usize,
+        inst: &DInst,
     ) -> Result<Next, ExecError> {
-        let inst = &func.code[pc];
         match inst {
+            DInst::Op(p) => {
+                self.exec_plan_op(func, frame, p)?;
+                Ok(Next::At(pc + 1))
+            }
+            DInst::Lowered { steps, inst } => {
+                for p in steps.iter() {
+                    self.exec_plan_op(func, frame, p)?;
+                }
+                self.exec_inst(func, frame, cursors, pc, inst)
+            }
             DInst::Call { callee, args, .. } => {
-                let args: Vec<Value> = args
-                    .iter()
-                    .map(|op| self.resolve(frame, op).map(Res::into_owned))
-                    .collect::<Result<_, _>>()?;
+                let args = args.iter().map(|&s| frame[s as usize].clone()).collect();
                 cursors.last_mut().expect("current region").pc = (pc + 1) as u32;
                 Ok(Next::Leave(Transfer::Call {
                     callee: *callee,
@@ -1074,14 +1039,25 @@ impl<'m> Interpreter<'m> {
                     site: pc,
                 }))
             }
+            DInst::Print { srcs } => {
+                let parts: Vec<String> = srcs
+                    .iter()
+                    .map(|&s| frame[s as usize].to_string())
+                    .collect();
+                let _ = writeln!(self.output, "{}", parts.join(" "));
+                Ok(Next::At(pc + 1))
+            }
             DInst::If {
                 cond,
                 then_r,
                 else_r,
                 ..
             } => {
-                let cond = self.resolve(frame, cond)?.try_as_bool().map_err(trap)?;
-                let arm = if cond { *then_r } else { *else_r };
+                let arm = if frame[*cond as usize].try_as_bool().map_err(trap)? {
+                    *then_r
+                } else {
+                    *else_r
+                };
                 self.enter_region(
                     func,
                     cursors,
@@ -1095,7 +1071,7 @@ impl<'m> Interpreter<'m> {
             | DInst::ForRange { .. }
             | DInst::ForRangeBulk { .. } => self.enter_loop(func, frame, cursors, pc),
             DInst::DoWhile { carried, body, .. } => {
-                self.load_carried(frame, carried, &func.regions[*body as usize].args)?;
+                copy_slots(frame, carried, &func.regions[*body as usize].args);
                 self.count_loop(false);
                 self.enter_region(
                     func,
@@ -1105,24 +1081,18 @@ impl<'m> Interpreter<'m> {
                     RegionKind::DoWhile { header: pc as u32 },
                 )
             }
-            DInst::Yield { ops } => {
+            DInst::Yield { srcs } => {
                 let mut vals = self.pool_get();
-                for op in ops.iter() {
-                    vals.push(self.resolve(frame, op)?.into_owned());
-                }
+                vals.extend(srcs.iter().map(|&s| frame[s as usize].clone()));
                 self.leave_region(func, frame, cursors, Some(vals))
             }
             DInst::YieldDirect { srcs, dsts } => {
                 copy_slots(frame, srcs, dsts);
                 self.leave_region(func, frame, cursors, None)
             }
-            DInst::Ret { op } => {
-                let v = match op {
-                    Some(op) => Some(self.resolve(frame, op)?.into_owned()),
-                    None => None,
-                };
-                Ok(Next::Leave(Transfer::Ret(v)))
-            }
+            DInst::Ret { src } => Ok(Next::Leave(Transfer::Ret(
+                src.map(|s| frame[s as usize].clone()),
+            ))),
             DInst::Roi { begin } => {
                 let now = Instant::now();
                 let elapsed = Stats::clamp_ns(now.duration_since(self.phase_start).as_nanos());
@@ -1130,10 +1100,6 @@ impl<'m> Interpreter<'m> {
                     self.stats.wall_ns[self.phase as usize].saturating_add(elapsed);
                 self.phase_start = now;
                 self.phase = if *begin { Phase::Roi } else { Phase::Init };
-                Ok(Next::At(pc + 1))
-            }
-            simple => {
-                self.exec_simple_inst(func, frame, simple)?;
                 Ok(Next::At(pc + 1))
             }
         }
@@ -1180,7 +1146,7 @@ impl<'m> Interpreter<'m> {
             })))),
             RegionKind::Arm { header } => {
                 if let Some(vals) = vals {
-                    let DInst::If { dsts, .. } = &func.code[header as usize] else {
+                    let DInst::If { dsts, .. } = func.code[header as usize].own() else {
                         unreachable!("an arm's header is a branch")
                     };
                     self.land(frame, vals, dsts);
@@ -1245,173 +1211,16 @@ impl<'m> Interpreter<'m> {
         Ok(true)
     }
 
-    /// Straight-line (non-control) opcodes.
-    #[allow(clippy::too_many_lines)]
-    #[inline(never)]
-    fn exec_simple_inst(
-        &mut self,
-        func: &DFunc,
-        frame: &mut [Value],
-        inst: &DInst,
-    ) -> Result<(), ExecError> {
-        match inst {
-            DInst::Const { pool, dst } => {
-                frame[*dst as usize] = func.consts[*pool as usize].clone();
-            }
-            DInst::New { ty, dst } => {
-                frame[*dst as usize] = self.default_value(&func.types[*ty as usize])?;
-            }
-            DInst::Read { coll, key, dst } => {
-                let id = self.resolve_coll(frame, coll)?;
-                let key = self.resolve(frame, key)?;
-                let v = self.read(id, &key).map_err(trap)?;
-                frame[*dst as usize] = v;
-            }
-            DInst::Write {
-                coll,
-                key,
-                val,
-                dst,
-            } => {
-                let id = self.resolve_coll(frame, coll)?;
-                let key = self.resolve(frame, key)?;
-                let value = self.resolve(frame, val)?.into_owned();
-                self.write(id, &key, value).map_err(trap)?;
-                frame[*dst as usize] = frame[coll.base_slot() as usize].clone();
-            }
-            DInst::Has { coll, key, dst } => {
-                let id = self.resolve_coll(frame, coll)?;
-                let key = self.resolve(frame, key)?;
-                let v = self.has(id, &key).map_err(trap)?;
-                frame[*dst as usize] = Value::Bool(v);
-            }
-            DInst::InsertSet { coll, elem, dst } => {
-                let id = self.resolve_coll(frame, coll)?;
-                let elem = self.resolve(frame, elem)?.into_owned();
-                self.insert_elem(id, elem).map_err(trap)?;
-                frame[*dst as usize] = frame[coll.base_slot() as usize].clone();
-            }
-            DInst::InsertMap {
-                coll,
-                key,
-                val_ty,
-                dst,
-            } => {
-                let id = self.resolve_coll(frame, coll)?;
-                let key = self.resolve(frame, key)?;
-                self.insert_key(id, &key, &func.types[*val_ty as usize])?;
-                frame[*dst as usize] = frame[coll.base_slot() as usize].clone();
-            }
-            DInst::InsertSeq {
-                coll,
-                index,
-                val,
-                dst,
-            } => {
-                let id = self.resolve_coll(frame, coll)?;
-                let index = self.resolve(frame, index)?.try_as_u64().map_err(trap)? as usize;
-                let value = self.resolve(frame, val)?.into_owned();
-                self.insert_seq(id, index, value).map_err(trap)?;
-                frame[*dst as usize] = frame[coll.base_slot() as usize].clone();
-            }
-            DInst::Remove { coll, key, dst } => {
-                let id = self.resolve_coll(frame, coll)?;
-                let key = self.resolve(frame, key)?;
-                self.remove(id, &key).map_err(trap)?;
-                frame[*dst as usize] = frame[coll.base_slot() as usize].clone();
-            }
-            DInst::Clear { coll, dst } => {
-                let id = self.resolve_coll(frame, coll)?;
-                let imp = self.impl_of(id);
-                self.bump(imp, CollOp::Clear, 1);
-                self.heap[id.0 as usize].clear();
-                self.refresh_bytes(id);
-                frame[*dst as usize] = frame[coll.base_slot() as usize].clone();
-            }
-            DInst::Size { coll, dst } => {
-                let id = self.resolve_coll(frame, coll)?;
-                frame[*dst as usize] = Value::U64(self.size(id));
-            }
-            DInst::UnionInto {
-                dst_coll,
-                src_coll,
-                elem_ty,
-                dst,
-            } => {
-                let dst_id = self.resolve_coll(frame, dst_coll)?;
-                let src_id = self.resolve_coll(frame, src_coll)?;
-                self.union_into(dst_id, src_id, &func.types[*elem_ty as usize])?;
-                self.refresh_bytes(dst_id);
-                frame[*dst as usize] = frame[dst_coll.base_slot() as usize].clone();
-            }
-            DInst::Bin { op, a, b, dst } => {
-                let va = self.resolve(frame, a)?;
-                let vb = self.resolve(frame, b)?;
-                let v = eval_bin(*op, &va, &vb).map_err(trap)?;
-                frame[*dst as usize] = v;
-            }
-            DInst::Cmp { op, a, b, dst } => {
-                let va = self.resolve(frame, a)?;
-                let vb = self.resolve(frame, b)?;
-                let v = Value::Bool(eval_cmp(*op, &va, &vb));
-                frame[*dst as usize] = v;
-            }
-            DInst::Not { a, dst } => {
-                let v = !self.resolve(frame, a)?.try_as_bool().map_err(trap)?;
-                frame[*dst as usize] = Value::Bool(v);
-            }
-            DInst::Cast { ty, a, dst } => {
-                let a = self.resolve(frame, a)?;
-                let v = eval_cast(&a, &func.types[*ty as usize]).map_err(trap)?;
-                frame[*dst as usize] = v;
-            }
-            DInst::MkTuple { srcs, dst } => {
-                let fields: Vec<Value> = srcs
-                    .iter()
-                    .map(|op| self.resolve(frame, op).map(Res::into_owned))
-                    .collect::<Result<_, _>>()?;
-                frame[*dst as usize] = Value::Tuple(fields.into());
-            }
-            DInst::Print { ops } => {
-                let parts: Vec<String> = ops
-                    .iter()
-                    .map(|op| self.resolve(frame, op).map(|v| v.to_string()))
-                    .collect::<Result<_, _>>()?;
-                let _ = writeln!(self.output, "{}", parts.join(" "));
-            }
-            DInst::Enc { e, v, dst } => {
-                let key = self.resolve(frame, v)?;
-                let idx = self.enc(*e, &key);
-                frame[*dst as usize] = Value::Idx(idx);
-            }
-            DInst::Dec { e, v, dst } => {
-                let id = self.resolve(frame, v)?;
-                frame[*dst as usize] = self.dec(*e, &id).map_err(trap)?;
-            }
-            DInst::EnumAdd { e, v, dst } => {
-                let key = self.resolve(frame, v)?.into_owned();
-                frame[*dst as usize] = Value::Idx(self.enum_add(*e, key));
-            }
-            other => {
-                // The decoder routes every control opcode to `exec_inst`;
-                // reaching here is a host bug, not guest UB.
-                panic!("control opcode {other:?} reached exec_simple_inst")
-            }
-        }
-        Ok(())
-    }
-
     /// Snapshots a `foreach`'s collection, whether dispatch or a nested
     /// loop op opens it: counts the iteration (`IterElem` per entry,
     /// `IterWord` per scanned occupancy word) and presents dense keys as
     /// `u64` where the static key type asks for it.
     fn foreach_entries(
         &mut self,
-        frame: &[Value],
-        coll: &DOp,
+        coll: &Value,
         uncoerce_u64: bool,
     ) -> Result<Vec<(Value, Value)>, ExecError> {
-        let id = self.resolve_coll(frame, coll)?;
+        let id = coll.try_as_coll().map_err(trap)?;
         let imp = self.impl_of(id);
         let mut entries = self.heap[id.0 as usize].snapshot();
         let words = self.heap[id.0 as usize].iter_scan_words();
@@ -1439,7 +1248,7 @@ impl<'m> Interpreter<'m> {
         cursors: &mut Vec<Cursor>,
         pc: usize,
     ) -> Result<Next, ExecError> {
-        let inst = &func.code[pc];
+        let inst = func.code[pc].own();
         let parts = LoopParts::of(inst);
         let iter = self.open_loop(func, frame, inst, &parts)?;
         let plan = parts.plan.filter(|p| self.plan_may_run(p, cursors.len()));
@@ -1469,8 +1278,8 @@ impl<'m> Interpreter<'m> {
     }
 
     /// Opens the `foreach`/`forrange` header `inst`, as dispatch and a
-    /// [`BulkOp::Loop`] both do: snapshots the collection or resolves
-    /// the bounds, then loads the initial carried values into the body's
+    /// [`BulkOp::Loop`] both do: snapshots the collection or reads the
+    /// bounds, then copies the initial carried values into the body's
     /// carried argument slots.
     fn open_loop(
         &mut self,
@@ -1492,7 +1301,7 @@ impl<'m> Interpreter<'m> {
                 uncoerce_u64,
                 ..
             } => {
-                let entries = self.foreach_entries(frame, coll, *uncoerce_u64)?;
+                let entries = self.foreach_entries(&frame[*coll as usize], *uncoerce_u64)?;
                 (LoopIter::Each(entries.into_iter()), carried)
             }
             DInst::ForRange {
@@ -1501,14 +1310,14 @@ impl<'m> Interpreter<'m> {
             | DInst::ForRangeBulk {
                 lo, hi, carried, ..
             } => {
-                let next = self.resolve(frame, lo)?.try_as_u64().map_err(trap)?;
-                let hi = self.resolve(frame, hi)?.try_as_u64().map_err(trap)?;
+                let next = frame[*lo as usize].try_as_u64().map_err(trap)?;
+                let hi = frame[*hi as usize].try_as_u64().map_err(trap)?;
                 (LoopIter::Range { next, hi }, carried)
             }
             other => unreachable!("{other:?} is not a foreach/forrange header"),
         };
         let args = &func.regions[parts.body as usize].args;
-        self.load_carried(frame, carried, &args[parts.bound..])?;
+        copy_slots(frame, carried, &args[parts.bound..]);
         Ok(iter)
     }
 
@@ -1524,21 +1333,6 @@ impl<'m> Interpreter<'m> {
                 .config
                 .max_depth
                 .is_none_or(|max| height + plan.depth as usize <= max as usize)
-    }
-
-    /// Resolves a loop's initial carried values into its body's carried
-    /// argument slots, in operand order.
-    fn load_carried(
-        &mut self,
-        frame: &mut [Value],
-        carried: &[DOp],
-        args: &[u32],
-    ) -> Result<(), ExecError> {
-        for (op, &a) in carried.iter().zip(args) {
-            let v = self.resolve(frame, op)?.into_owned();
-            frame[a as usize] = v;
-        }
-        Ok(())
     }
 
     /// Publishes one loop entry to `exec_loop_tier_total{tier}`: `bulk`
@@ -1623,7 +1417,7 @@ impl<'m> Interpreter<'m> {
         };
         let cond = vals[0].try_as_bool().map_err(at)?;
         vals.remove(0);
-        let DInst::DoWhile { body, dsts, .. } = &func.code[header] else {
+        let DInst::DoWhile { body, dsts, .. } = func.code[header].own() else {
             unreachable!("a dowhile body's header is a dowhile")
         };
         if cond {
@@ -1670,7 +1464,7 @@ impl<'m> Interpreter<'m> {
         header: usize,
         plan: &BulkPlan,
     ) -> Result<(), ExecError> {
-        let inst = &func.code[header];
+        let inst = func.code[header].own();
         let parts = LoopParts::of(inst);
         let mut iter = self.open_loop(func, frame, inst, &parts)?;
         self.count_loop(true);
@@ -1686,11 +1480,10 @@ impl<'m> Interpreter<'m> {
         Ok(())
     }
 
-    /// One plan component: the same kernel as the corresponding arm of
-    /// [`Self::exec_simple_inst`] (operands are plain slots by
-    /// construction; a nested loop opens through [`Self::open_loop`]),
-    /// with traps sited at the component's original code index — the
-    /// site the unfused loop would report.
+    /// Runs one op, whether dispatch reached its slot or a plan runs it
+    /// (a nested loop opens through [`Self::open_loop`]): deducts the
+    /// slots the op stands for (none under dispatch, which ticked the
+    /// slot) and sites traps at the op's code slot.
     fn exec_plan_op(
         &mut self,
         func: &DFunc,
@@ -1780,6 +1573,18 @@ impl<'m> Interpreter<'m> {
                 let id = frame[*coll as usize].try_as_coll().map_err(at)?;
                 frame[*dst as usize] = Value::U64(self.size(id));
             }
+            BulkOp::Len { coll, dst } => {
+                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                frame[*dst as usize] = Value::U64(self.heap[id.0 as usize].len() as u64);
+            }
+            BulkOp::Clear { coll, base, dst } => {
+                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                let imp = self.impl_of(id);
+                self.bump(imp, CollOp::Clear, 1);
+                self.heap[id.0 as usize].clear();
+                self.refresh_bytes(id);
+                frame[*dst as usize] = frame[*base as usize].clone();
+            }
             BulkOp::Union {
                 coll,
                 src,
@@ -1808,6 +1613,10 @@ impl<'m> Interpreter<'m> {
                 frame[*dst as usize] = self
                     .default_value(&func.types[*ty as usize])
                     .map_err(|e| site_at(func, site, e))?;
+            }
+            BulkOp::Tuple { srcs, dst } => {
+                let fields: Vec<Value> = srcs.iter().map(|&s| frame[s as usize].clone()).collect();
+                frame[*dst as usize] = Value::Tuple(fields.into());
             }
             BulkOp::Loop { plan } => self
                 .run_loop_in_place(func, frame, site, plan)
@@ -1886,7 +1695,7 @@ impl<'m> Interpreter<'m> {
                 self.bump(dst_imp, CollOp::UnionElem, entries.len() as u64);
                 for (key, _) in entries {
                     let key = Self::uncoerce_key(dst_elem_ty, key);
-                    let key = coerce_key(dst_imp, Res::Owned(key)).into_owned();
+                    let key = coerce_key(dst_imp, Cow::Owned(key)).into_owned();
                     self.heap[di].try_insert_elem(key).map_err(trap)?;
                 }
             }
@@ -1895,8 +1704,7 @@ impl<'m> Interpreter<'m> {
     }
 }
 
-/// Field `n` of a tuple: a path's `Field` step, resolved by dispatch or
-/// run as a [`BulkOp::Proj`].
+/// Field `n` of a tuple: a path's `Field` step ([`BulkOp::Proj`]).
 fn project(v: &Value, n: u32) -> Result<Value, TrapKind> {
     match v {
         Value::Tuple(t) => t.get(n as usize).cloned().ok_or(TrapKind::OutOfBounds {
@@ -1914,10 +1722,10 @@ fn project(v: &Value, n: u32) -> Result<Value, TrapKind> {
 /// directive-forced dense collections over integer domains. The common
 /// no-coercion case passes a borrowed key through untouched.
 #[inline]
-fn coerce_key(imp: ImplKind, key: Res<'_>) -> Res<'_> {
+fn coerce_key(imp: ImplKind, key: Cow<'_, Value>) -> Cow<'_, Value> {
     match (imp, &*key) {
         (ImplKind::BitSet | ImplKind::SparseBitSet | ImplKind::BitMap, Value::U64(n)) => {
-            Res::Owned(Value::Idx(*n as usize))
+            Cow::Owned(Value::Idx(*n as usize))
         }
         _ => key,
     }
@@ -1944,8 +1752,8 @@ fn leave_to_parent(cursors: &mut Vec<Cursor>) -> Next {
     Next::Jump(parent.pc as usize, parent.end as usize)
 }
 
-/// The scalar step of a plan's `const`, arithmetic, comparison and
-/// negation ops.
+/// The scalar step of the `const`, arithmetic, comparison and negation
+/// ops.
 #[inline]
 fn exec_scalar(func: &DFunc, frame: &mut [Value], u: UScalar) -> Result<(), TrapKind> {
     let (dst, v) = match u {

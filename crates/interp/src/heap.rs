@@ -580,82 +580,6 @@ impl Collection {
         Ok(i)
     }
 
-    /// Membership test (sets and maps).
-    ///
-    /// # Panics
-    ///
-    /// Panics on sequences; trusted-input callers only — interpretation
-    /// paths use [`Collection::try_has`].
-    pub fn has(&self, key: &Value) -> bool {
-        self.try_has(key).unwrap_or_else(|t| panic!("{t}"))
-    }
-
-    /// Keyed/indexed read (maps and sequences).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is absent (undefined behavior in the paper's
-    /// semantics) or on sets; trusted-input callers only —
-    /// interpretation paths use [`Collection::try_read`].
-    pub fn read(&self, key: &Value) -> Value {
-        self.try_read(key).unwrap_or_else(|t| panic!("{t}"))
-    }
-
-    /// Keyed/indexed write (upsert for maps; in-bounds store for
-    /// sequences).
-    ///
-    /// # Panics
-    ///
-    /// Panics on sets or out-of-bounds sequence indices; trusted-input
-    /// callers only — interpretation paths use [`Collection::try_write`].
-    pub fn write(&mut self, key: &Value, value: Value) {
-        self.try_write(key, value).unwrap_or_else(|t| panic!("{t}"));
-    }
-
-    /// Set-element insertion. Returns `true` if newly added.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-set collections; trusted-input callers only —
-    /// interpretation paths use [`Collection::try_insert_elem`].
-    pub fn insert_elem(&mut self, value: Value) -> bool {
-        self.try_insert_elem(value)
-            .unwrap_or_else(|t| panic!("{t}"))
-    }
-
-    /// Map-key insertion: default-initializes the slot if absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-map collections; trusted-input callers only —
-    /// interpretation paths use [`Collection::try_insert_key_default`].
-    pub fn insert_key_default(&mut self, key: &Value, default: Value) {
-        self.try_insert_key_default(key, default)
-            .unwrap_or_else(|t| panic!("{t}"));
-    }
-
-    /// Sequence insertion at `index` (appends when `index == len`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-sequences or out-of-range indices; trusted-input
-    /// callers only — interpretation paths use
-    /// [`Collection::try_insert_seq`].
-    pub fn insert_seq(&mut self, index: usize, value: Value) {
-        self.try_insert_seq(index, value)
-            .unwrap_or_else(|t| panic!("{t}"));
-    }
-
-    /// Removes a key/element/index.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-bounds sequence removals; trusted-input callers
-    /// only — interpretation paths use [`Collection::try_remove`].
-    pub fn remove(&mut self, key: &Value) {
-        self.try_remove(key).unwrap_or_else(|t| panic!("{t}"));
-    }
-
     /// Removes all elements.
     pub fn clear(&mut self) {
         match self {
@@ -802,12 +726,12 @@ mod tests {
             SetSel::SparseBit,
         ] {
             let mut s = set_of(sel);
-            assert!(s.insert_elem(Value::Idx(5)));
-            assert!(!s.insert_elem(Value::Idx(5)));
-            assert!(s.has(&Value::Idx(5)));
-            assert!(!s.has(&Value::Idx(6)));
+            assert!(s.try_insert_elem(Value::Idx(5)).expect("a set"));
+            assert!(!s.try_insert_elem(Value::Idx(5)).expect("a set"));
+            assert!(s.try_has(&Value::Idx(5)).expect("a set"));
+            assert!(!s.try_has(&Value::Idx(6)).expect("a set"));
             assert_eq!(s.len(), 1);
-            s.remove(&Value::Idx(5));
+            s.try_remove(&Value::Idx(5)).expect("a set");
             assert!(s.is_empty(), "{sel:?}");
         }
     }
@@ -819,26 +743,29 @@ mod tests {
                 &Type::map_with(Type::Idx, Type::U64, sel),
                 SelectionDefaults::default(),
             );
-            m.insert_key_default(&Value::Idx(3), Value::U64(0));
-            assert_eq!(m.read(&Value::Idx(3)), Value::U64(0));
-            m.write(&Value::Idx(3), Value::U64(9));
-            assert_eq!(m.read(&Value::Idx(3)), Value::U64(9));
+            m.try_insert_key_default(&Value::Idx(3), Value::U64(0))
+                .expect("a map");
+            assert_eq!(m.try_read(&Value::Idx(3)), Ok(Value::U64(0)));
+            m.try_write(&Value::Idx(3), Value::U64(9)).expect("a map");
+            assert_eq!(m.try_read(&Value::Idx(3)), Ok(Value::U64(9)));
             // insert on existing key must not reset the value
-            m.insert_key_default(&Value::Idx(3), Value::U64(0));
-            assert_eq!(m.read(&Value::Idx(3)), Value::U64(9), "{sel:?}");
+            m.try_insert_key_default(&Value::Idx(3), Value::U64(0))
+                .expect("a map");
+            assert_eq!(m.try_read(&Value::Idx(3)), Ok(Value::U64(9)), "{sel:?}");
         }
     }
 
     #[test]
     fn seq_ops() {
         let mut s = Collection::new_for(&Type::seq(Type::U64), SelectionDefaults::default());
-        s.insert_seq(0, Value::U64(1));
-        s.insert_seq(1, Value::U64(3));
-        s.insert_seq(1, Value::U64(2));
+        s.try_insert_seq(0, Value::U64(1)).expect("in range");
+        s.try_insert_seq(1, Value::U64(3)).expect("in range");
+        s.try_insert_seq(1, Value::U64(2)).expect("in range");
         assert_eq!(s.len(), 3);
-        assert_eq!(s.read(&Value::U64(1)), Value::U64(2));
-        s.write(&Value::U64(0), Value::U64(10));
-        assert_eq!(s.read(&Value::U64(0)), Value::U64(10));
+        assert_eq!(s.try_read(&Value::U64(1)), Ok(Value::U64(2)));
+        s.try_write(&Value::U64(0), Value::U64(10))
+            .expect("in range");
+        assert_eq!(s.try_read(&Value::U64(0)), Ok(Value::U64(10)));
         let snap = s.snapshot();
         assert_eq!(snap[2], (Value::U64(2), Value::U64(3)));
     }
@@ -846,8 +773,8 @@ mod tests {
     #[test]
     fn bitset_snapshot_ascending() {
         let mut s = set_of(SetSel::Bit);
-        s.insert_elem(Value::Idx(9));
-        s.insert_elem(Value::Idx(2));
+        s.try_insert_elem(Value::Idx(9)).expect("a set");
+        s.try_insert_elem(Value::Idx(2)).expect("a set");
         let keys: Vec<Value> = s.snapshot().into_iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![Value::Idx(2), Value::Idx(9)]);
         assert!(s.iter_scan_words() >= 1);
@@ -857,7 +784,7 @@ mod tests {
     fn bytes_estimate_tracks_growth() {
         let mut s = set_of(SetSel::Bit);
         let before = s.bytes_estimate();
-        s.insert_elem(Value::Idx(100_000));
+        s.try_insert_elem(Value::Idx(100_000)).expect("a set");
         assert!(s.bytes_estimate() > before);
     }
 
@@ -885,21 +812,23 @@ mod tests {
                     // A mix that exercises growth, overwrite and removal.
                     let k = (i * 7) % 64;
                     match &ty {
-                        Type::Seq(_) => target.insert_seq(target.len(), Value::U64(k)),
-                        Type::Set { .. } => {
-                            target.insert_elem(Value::U64(k));
-                        }
+                        Type::Seq(_) => target.try_insert_seq(target.len(), Value::U64(k)),
+                        Type::Set { .. } => target.try_insert_elem(Value::U64(k)).map(drop),
                         Type::Map { key, .. } if **key == Type::Idx => {
-                            target.write(&Value::Idx(k as usize), Value::U64(i));
+                            target.try_write(&Value::Idx(k as usize), Value::U64(i))
                         }
-                        _ => target.write(&Value::U64(k), Value::U64(i)),
+                        _ => target.try_write(&Value::U64(k), Value::U64(i)),
                     }
+                    .expect("in range");
                 }
                 match &ty {
-                    Type::Seq(_) => {}
-                    Type::Map { key, .. } if **key == Type::Idx => target.remove(&Value::Idx(7)),
-                    _ => target.remove(&Value::U64(7)),
+                    Type::Seq(_) => Ok(()),
+                    Type::Map { key, .. } if **key == Type::Idx => {
+                        target.try_remove(&Value::Idx(7))
+                    }
+                    _ => target.try_remove(&Value::U64(7)),
                 }
+                .expect("removable");
             }
             assert_eq!(boxed.len(), unboxed.len(), "{ty:?}");
             assert_eq!(

@@ -242,10 +242,14 @@ mod tests {
         let main = &mut decoded.funcs[0];
         // A constant written past the end of the frame: an interpreter
         // bug, not guest behavior.
-        main.code[0] = crate::decode::DInst::Const {
-            pool: 0,
-            dst: main.frame_size + 7,
-        };
+        main.code[0] = crate::decode::DInst::Op(crate::decode::PlanOp {
+            site: 0,
+            ticks: 0,
+            op: crate::decode::BulkOp::Scalar(crate::decode::UScalar::Const {
+                pool: 0,
+                dst: main.frame_size + 7,
+            }),
+        });
         let mut session =
             ExecSession::spawn(Arc::new(decoded), "main", ExecConfig::default()).expect("spawns");
         let _ = session.step(Some(10));

@@ -101,37 +101,6 @@ impl Value {
         }
     }
 
-    /// The `u64` inside, or a numeric coercion of `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not `U64` or `Idx`; trusted-input callers
-    /// only — interpretation paths use [`Value::try_as_u64`].
-    pub fn as_u64(&self) -> u64 {
-        self.try_as_u64().unwrap_or_else(|t| panic!("{t}"))
-    }
-
-    /// The `bool` inside.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not `Bool`; trusted-input callers only —
-    /// interpretation paths use [`Value::try_as_bool`].
-    pub fn as_bool(&self) -> bool {
-        self.try_as_bool().unwrap_or_else(|t| panic!("{t}"))
-    }
-
-    /// The `idx` inside (accepting `U64` for directive-forced dense
-    /// implementations over integer keys).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not `Idx` or `U64`; trusted-input callers
-    /// only — interpretation paths use [`Value::try_as_index`].
-    pub fn as_index(&self) -> usize {
-        self.try_as_index().unwrap_or_else(|t| panic!("{t}"))
-    }
-
     /// Whether this value may be used as a collection key.
     pub fn is_key(&self) -> bool {
         !matches!(self, Value::Coll(_) | Value::Void)
@@ -227,40 +196,6 @@ impl Hash for ScalarVal {
 impl ade_collections::HeapSize for ScalarVal {
     fn heap_bytes(&self) -> usize {
         0
-    }
-}
-
-/// A resolved operand: borrowed straight out of the frame when the
-/// operand is a plain slot (the overwhelmingly common case — no clone,
-/// no `Arc` traffic), owned when a nesting path had to be walked.
-#[derive(Debug)]
-pub(crate) enum Res<'a> {
-    /// Borrowed from the frame.
-    Ref(&'a Value),
-    /// Materialized by a path walk.
-    Owned(Value),
-}
-
-impl std::ops::Deref for Res<'_> {
-    type Target = Value;
-
-    #[inline]
-    fn deref(&self) -> &Value {
-        match self {
-            Res::Ref(v) => v,
-            Res::Owned(v) => v,
-        }
-    }
-}
-
-impl Res<'_> {
-    /// The value itself, cloning only if still borrowed.
-    #[inline]
-    pub(crate) fn into_owned(self) -> Value {
-        match self {
-            Res::Ref(v) => v.clone(),
-            Res::Owned(v) => v,
-        }
     }
 }
 
@@ -413,10 +348,10 @@ mod tests {
 
     #[test]
     fn accessors() {
-        assert_eq!(Value::U64(4).as_u64(), 4);
-        assert_eq!(Value::Idx(4).as_u64(), 4);
-        assert_eq!(Value::Idx(9).as_index(), 9);
-        assert!(Value::Bool(true).as_bool());
+        assert_eq!(Value::U64(4).try_as_u64().expect("a u64"), 4);
+        assert_eq!(Value::Idx(4).try_as_u64().expect("an idx"), 4);
+        assert_eq!(Value::Idx(9).try_as_index().expect("an idx"), 9);
+        assert!(Value::Bool(true).try_as_bool().expect("a bool"));
         assert!(Value::U64(0).is_key());
         assert!(!Value::Void.is_key());
     }
@@ -424,7 +359,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "expected bool")]
     fn as_bool_rejects_others() {
-        Value::U64(1).as_bool();
+        let _ = Value::U64(1)
+            .try_as_bool()
+            .map_err(|t| t.to_string())
+            .expect("a bool");
     }
 
     #[test]

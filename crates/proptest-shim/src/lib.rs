@@ -125,7 +125,7 @@ pub mod strategy {
         }
     }
 
-    /// A boxed, type-erased strategy (what [`prop_oneof!`] stores).
+    /// A boxed, type-erased strategy (what [`prop_oneof!`](crate::prop_oneof) stores).
     pub type BoxedStrategy<T> = Box<dyn Strategy<Value = T>>;
 
     /// Boxes a strategy; used by the `prop_oneof!` expansion so the
@@ -379,7 +379,7 @@ pub mod prop {
             VecStrategy { element, size }
         }
 
-        /// See [`vec`].
+        /// See [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             size: Range<usize>,

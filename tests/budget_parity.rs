@@ -15,7 +15,7 @@ mod common;
 
 use std::sync::Arc;
 
-use ade::interp::decode::{BulkOp, DInst};
+use ade::interp::decode::{BulkOp, DInst, UScalar};
 use ade::interp::{
     DecodeOptions, DecodedModule, ExecConfig, ExecError, ExecSession, Interpreter, Limit, Outcome,
     Step,
@@ -351,6 +351,66 @@ fn @main() -> void {
 }
 "#;
 
+/// Ops that only plans reached through the shared op set: a `clear`
+/// under an `if`, tuple construction, and path operands with a constant
+/// index (`%q1[0]`) and an `end` step (`%m3[end]`, the length 2 of a
+/// map keyed {0, 2}).
+const CLEAR_TUPLE_CONST_END: &str = r#"
+fn @main() -> void {
+  %zero = const 0u64
+  %one = const 1u64
+  %two = const 2u64
+  %n = const 12u64
+  %row = new Seq<u64>
+  %row1 = insert %row, %zero, %two
+  %q = new Seq<Seq<u64>>
+  %q1 = insert %q, %zero, %row1
+  %m = new Map<u64, Seq<u64>>
+  %m1 = insert %m, %zero
+  %m2 = insert %m1, %two
+  %m3 = insert %m2[%two], %zero, %n
+  %s = new Set<u64>
+  %sf, %acc = forrange %zero, %n carry(%s, %zero) as (%i: u64, %ss: Set<u64>, %a: u64) {
+    %ss1 = insert %ss, %i
+    %three = const 3u64
+    %k = rem %i, %three
+    %z = eq %k, %zero
+    %ss2 = if %z then {
+      %c = clear %ss1
+      yield %c
+    } else {
+      yield %ss1
+    }
+    %x = read %q1[0], %zero
+    %y = read %m3[end], %zero
+    %t = tuple %x, %y
+    %sz = size %ss2
+    %a1 = add %a, %t.1
+    %a2 = add %a1, %sz
+    %a3 = add %a2, %t.0
+    yield %ss2, %a3
+  }
+  %c = size %sf
+  print %acc, %c
+  ret
+}
+"#;
+
+/// A plan whose hoisted prelude `const` keys one of its reads: the
+/// lowering of a constant path index.
+fn const_index_step(i: &DInst) -> bool {
+    let DInst::ForRangeBulk { plan, .. } = i else {
+        return false;
+    };
+    plan.prelude.iter().any(|p| match p.op {
+        BulkOp::Scalar(UScalar::Const { dst, .. }) => plan
+            .ops
+            .iter()
+            .any(|q| matches!(q.op, BulkOp::Read { key, .. } if key == dst)),
+        _ => false,
+    })
+}
+
 /// A writer whose collection operand is a nesting path (its `coll` is a
 /// lowered read's scratch slot, not its `base`).
 fn writer_through_path(op: &BulkOp) -> bool {
@@ -448,6 +508,17 @@ const CASES: &[Case] = &[
         name: "missing inner key read through a nesting path",
         text: PATH_TRAP,
         shapes: &[|i| bulk_plan_has(i, |op| matches!(op, BulkOp::Read { .. }))],
+        depths: NO_DEPTH_LIMIT,
+    },
+    Case {
+        name: "clear, tuples and constant and end path steps in a plan",
+        text: CLEAR_TUPLE_CONST_END,
+        shapes: &[
+            |i| bulk_plan_has(i, |op| matches!(op, BulkOp::Clear { .. })),
+            |i| bulk_plan_has(i, |op| matches!(op, BulkOp::Tuple { .. })),
+            |i| bulk_plan_has(i, |op| matches!(op, BulkOp::Len { .. })),
+            const_index_step,
+        ],
         depths: NO_DEPTH_LIMIT,
     },
 ];
@@ -611,6 +682,11 @@ fn path_plans_match_the_reference_under_every_budget() {
 #[test]
 fn path_traps_in_plans_match_the_reference_under_every_budget() {
     check(&CASES[7]);
+}
+
+#[test]
+fn clear_tuple_and_constant_paths_match_the_reference_under_every_budget() {
+    check(&CASES[8]);
 }
 
 #[test]

@@ -3,11 +3,11 @@
 //! Every program runs on both decodes (the reference decode and the
 //! default one, whose loop plans run the lowered paths), which must
 //! agree, and each result is checked against hand-derived values: the
-//! printed output, the `Read` count of every implementation kind (each
-//! `Index` step of a path is one counted read of the collection at its
-//! level; a `Field` step and the length an `end` step reads count
-//! nothing), and for trapping programs the trap kind and its `@fn:inst`
-//! site. The programs cover every step kind (a slot index into a `Seq`
+//! printed output, the `Read` and `Size` counts of every implementation
+//! kind (each `Index` step of a path is one counted read of the
+//! collection at its level; a `Field` step and the length an `end` step
+//! reads count nothing), and for trapping programs the trap kind and its
+//! `@fn:inst` site. The programs cover every step kind (a slot index into a `Seq`
 //! and into a `Map`, a constant index, `end`, a `Field` step), every
 //! context (top level, a `dowhile` body, loop plans, nested loops) and
 //! path operands in control positions (an `if` condition, a call
@@ -19,8 +19,9 @@ use ade::interp::{
 };
 use ade::ir::parse::parse_module;
 
-/// What one run observes: output and per-kind reads, or the trap.
-fn observe(text: &str, reference: bool) -> Result<(String, String), String> {
+/// What one run observes: output and per-kind reads and sizes, or the
+/// trap.
+fn observe(text: &str, reference: bool) -> Result<[String; 3], String> {
     let module = parse_module(text).expect("parses");
     ade::ir::verify::verify_module(&module).expect("verifies");
     let decoded = DecodedModule::decode_with(&module, &DecodeOptions { reference });
@@ -28,26 +29,33 @@ fn observe(text: &str, reference: bool) -> Result<(String, String), String> {
         .run_decoded(&decoded, "main")
         .map_err(|e: ExecError| e.to_string())?;
     let totals = outcome.stats.totals();
-    let reads: Vec<String> = ImplKind::ALL
-        .into_iter()
-        .filter_map(|k| {
-            let n = totals.get(k, CollOp::Read);
-            (n > 0).then(|| format!("{k:?}={n}"))
-        })
-        .collect();
-    Ok((outcome.output, reads.join(" ")))
+    let counts = |op: CollOp| -> String {
+        let nonzero: Vec<String> = ImplKind::ALL
+            .into_iter()
+            .filter_map(|k| {
+                let n = totals.get(k, op);
+                (n > 0).then(|| format!("{k:?}={n}"))
+            })
+            .collect();
+        nonzero.join(" ")
+    };
+    Ok([outcome.output, counts(CollOp::Read), counts(CollOp::Size)])
 }
 
 /// Runs `text` on both decodes, checks they agree, and returns the
 /// shared observation.
-fn both(text: &str) -> Result<(String, String), String> {
+fn both(text: &str) -> Result<[String; 3], String> {
     let reference = observe(text, true);
-    assert_eq!(observe(text, false), reference, "default vs reference decode");
+    assert_eq!(
+        observe(text, false),
+        reference,
+        "default vs reference decode"
+    );
     reference
 }
 
-fn ok(output: &str, reads: &str) -> Result<(String, String), String> {
-    Ok((output.to_string(), reads.to_string()))
+fn ok(output: &str, reads: &str, sizes: &str) -> Result<[String; 3], String> {
+    Ok([output, reads, sizes].map(str::to_string))
 }
 
 /// Every step kind at top level: `%m3[%zero]` (slot index into a map),
@@ -83,8 +91,8 @@ fn @main() -> void {
 "#;
     // Map reads: the insert's `%m2[%two]`, `%m3[%zero]`, `%m3[end]`.
     // Sequence reads: `%q1[%zero]` and its element read, `%q1[0]`, the
-    // element read behind `%m3[end]`.
-    assert_eq!(both(text), ok("0 2 2 5 7\n", "Seq=4 HashMap=3"));
+    // element read behind `%m3[end]`. Both `size`s are of sequences.
+    assert_eq!(both(text), ok("0 2 2 5 7\n", "Seq=4 HashMap=3", "Seq=2"));
 }
 
 /// A `dowhile` body (always generic dispatch) reading through every
@@ -125,8 +133,9 @@ fn @main() -> void {
 "#;
     // Three iterations append 0, 1, 2 to m[0], m[2], m[0]; each reads
     // the map four times (`%mm[%k]` twice, `end`, `0`) and a sequence
-    // twice; the accumulator gains m[2][0] = 7 plus the index.
-    assert_eq!(both(text), ok("24 2\n", "Seq=6 HashMap=14"));
+    // twice; the accumulator gains m[2][0] = 7 plus the index. One
+    // `size` per iteration and one after the loop.
+    assert_eq!(both(text), ok("24 2\n", "Seq=6 HashMap=14", "Seq=4"));
 }
 
 /// The same body as a `forrange` (a loop plan on the default decode),
@@ -171,7 +180,7 @@ fn @main() -> void {
 "#;
     // m[0] = [0, 2] and m[2] = [7, 1] sum to 10; each `foreach` header
     // reads the map once.
-    assert_eq!(both(text), ok("24 10\n", "Seq=6 HashMap=15"));
+    assert_eq!(both(text), ok("24 10\n", "Seq=6 HashMap=15", "Seq=3"));
 }
 
 /// Path operands in control positions: a `forrange` bound, an `if`
@@ -230,7 +239,7 @@ fn @at(%m: Map<u64, u64>, %k: u64) -> u64 {
     // Map reads: two path inserts, the bound, two `foreach` headers
     // (flags 0 and 2), the call argument and the `ret`. Sequence reads:
     // three conditions and the printed flag.
-    assert_eq!(both(text), ok("9 6 3 false\n", "Seq=4 HashMap=7"));
+    assert_eq!(both(text), ok("9 6 3 false\n", "Seq=4 HashMap=7", ""));
 }
 
 /// Traps raised by a path step carry the kind of the failing step and

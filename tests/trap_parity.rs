@@ -301,6 +301,109 @@ fn @main() -> void {
         code: "missing-key",
         shape: |op| matches!(op, BulkOp::Union { .. }),
     },
+    Case {
+        name: "missing key at a clear through a nesting path",
+        text: r#"
+fn @main() -> void {
+  %zero = const 0u64
+  %three = const 3u64
+  %five = const 5u64
+  %m = new Map<u64, Set<u64>>
+  %m1 = forrange %zero, %three carry(%m) as (%k: u64, %mm: Map<u64, Set<u64>>) {
+    %mm1 = insert %mm, %k
+    yield %mm1
+  }
+  %m2 = forrange %zero, %five carry(%m1) as (%k: u64, %mm: Map<u64, Set<u64>>) {
+    %mm1 = clear %mm[%k]
+    yield %mm1
+  }
+  %n = size %m2
+  print %n
+  ret
+}
+"#,
+        code: "missing-key",
+        shape: |op| matches!(op, BulkOp::Clear { .. }),
+    },
+    Case {
+        name: "missing key in a tuple field read through a nesting path",
+        text: r#"
+fn @main() -> void {
+  %zero = const 0u64
+  %three = const 3u64
+  %five = const 5u64
+  %lens = new Map<u64, u64>
+  %l1 = forrange %zero, %three carry(%lens) as (%k: u64, %ll: Map<u64, u64>) {
+    %ll1 = write %ll, %k, %k
+    yield %ll1
+  }
+  %tot = forrange %zero, %five carry(%zero) as (%k: u64, %acc: u64) {
+    %t = tuple %k, %l1[%k]
+    %a = add %acc, %t.1
+    yield %a
+  }
+  print %tot
+  ret
+}
+"#,
+        code: "missing-key",
+        shape: |op| matches!(op, BulkOp::Tuple { .. }),
+    },
+    Case {
+        name: "map length at an `end` step stops being a key",
+        text: r#"
+fn @main() -> void {
+  %zero = const 0u64
+  %two = const 2u64
+  %three = const 3u64
+  %seven = const 7u64
+  %m = new Map<u64, Seq<u64>>
+  %m1 = insert %m, %zero
+  %m2 = insert %m1, %two
+  %m3 = insert %m2[%two], %zero, %seven
+  %mf, %tot = forrange %zero, %three carry(%m3, %zero) as (%i: u64, %mm: Map<u64, Seq<u64>>, %acc: u64) {
+    %v = read %mm[end], %zero
+    %ten = const 10u64
+    %k = add %i, %ten
+    %mm1 = insert %mm, %k
+    %a = add %acc, %v
+    yield %mm1, %a
+  }
+  print %tot
+  ret
+}
+"#,
+        code: "missing-key",
+        shape: |op| matches!(op, BulkOp::Len { .. }),
+    },
+    Case {
+        name: "constant path index past a shrinking sequence",
+        text: r#"
+fn @main() -> void {
+  %zero = const 0u64
+  %one = const 1u64
+  %two = const 2u64
+  %three = const 3u64
+  %r = new Seq<u64>
+  %r1 = insert %r, %zero, %two
+  %s = new Seq<u64>
+  %s1 = insert %s, %zero, %three
+  %q = new Seq<Seq<u64>>
+  %q1 = insert %q, %zero, %r1
+  %q2 = insert %q1, %one, %s1
+  %qf, %tot = forrange %zero, %three carry(%q2, %zero) as (%i: u64, %qc: Seq<Seq<u64>>, %acc: u64) {
+    %n = size %qc[1]
+    %qc1 = remove %qc, %zero
+    %a = add %acc, %n
+    yield %qc1, %a
+  }
+  print %tot
+  ret
+}
+"#,
+        code: "out-of-bounds",
+        shape: |op| matches!(op, BulkOp::Read { .. }),
+    },
 ];
 
 fn run(module: &ade::ir::Module, reference: bool) -> (DecodedModule, ExecError) {
