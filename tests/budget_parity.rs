@@ -3,7 +3,8 @@
 //! on generic dispatch.
 //! Each program runs unprofiled on both decodes, as a batch run and as a
 //! session at quanta {1, 2, 3, 7, 4096, unlimited}, with no fuel limit
-//! and under every fuel limit within the last 40 ticks of its run. Every
+//! and under every fuel limit within the last 40 ticks of its run (every
+//! fuel limit for the literal case). Every
 //! run must match the batch run on the reference decode under the same
 //! budget: output, return value, per-phase statistics, peak and final
 //! bytes, executed ticks, and the error (code and `@fn:inst` site).
@@ -15,7 +16,7 @@ mod common;
 
 use std::sync::Arc;
 
-use ade::interp::decode::{BulkOp, DInst, UScalar};
+use ade::interp::decode::{BulkOp, DInst, PlanOp, UScalar};
 use ade::interp::{
     DecodeOptions, DecodedModule, ExecConfig, ExecError, ExecSession, Interpreter, Limit, Outcome,
     Step,
@@ -34,6 +35,8 @@ struct Case {
     /// instruction.
     shapes: &'static [fn(&DInst) -> bool],
     depths: &'static [Option<u32>],
+    /// How many fuel limits below the full tick count the sweep covers.
+    fuel_sweep: u64,
 }
 
 /// A bulk `forrange` whose body branches and writes, so its plan has
@@ -396,6 +399,75 @@ fn @main() -> void {
 }
 "#;
 
+/// Literal collections, built element by element: a `Seq<u64>`, a
+/// `Seq<idx>` whose elements are first added to an enumeration (the
+/// form ADE gives a literal it propagates identifiers through), a
+/// `Seq<str>`, and a `Seq<u64>` rebuilt in every iteration of a bulk
+/// `forrange`. The sweep covers every fuel limit, so budget boundaries
+/// land on each literal's first instruction and inside it.
+const LITERALS: &str = r#"
+enum e0: u64
+
+fn @main() -> void {
+  %zero = const 0u64
+  %three = const 3u64
+  %a = new Seq<u64>
+  %a0 = const 0u64
+  %a0v = const 5u64
+  %a1 = insert %a, %a0, %a0v
+  %a1i = const 1u64
+  %a1v = const 3u64
+  %a2 = insert %a1, %a1i, %a1v
+  %a2i = const 2u64
+  %a2v = const 5u64
+  %a3 = insert %a2, %a2i, %a2v
+  %b = new Seq<idx>
+  %b0 = const 0u64
+  %b0v = const 3u64
+  %b0e = enumadd e0, %b0v
+  %b1 = insert %b, %b0, %b0e
+  %b1i = const 1u64
+  %b1v = const 9u64
+  %b1e = enumadd e0, %b1v
+  %b2 = insert %b1, %b1i, %b1e
+  %b2i = const 2u64
+  %b2v = const 3u64
+  %b2e = enumadd e0, %b2v
+  %b3 = insert %b2, %b2i, %b2e
+  %c = new Seq<str>
+  %c0 = const 0u64
+  %c0v = const "x"
+  %c1 = insert %c, %c0, %c0v
+  %c1i = const 1u64
+  %c1v = const "y\n"
+  %c2 = insert %c1, %c1i, %c1v
+  %tot = forrange %zero, %three carry(%zero) as (%i: u64, %acc: u64) {
+    %d = new Seq<u64>
+    %d0 = const 0u64
+    %d0v = const 1u64
+    %d1 = insert %d, %d0, %d0v
+    %d1i = const 1u64
+    %d1v = const 2u64
+    %d2 = insert %d1, %d1i, %d1v
+    %n = size %d2
+    %acc1 = add %acc, %n
+    yield %acc1
+  }
+  %sa = foreach %a3 carry(%tot) as (%j: u64, %v: u64, %s: u64) {
+    %s1 = add %s, %v
+    yield %s1
+  }
+  %sb = foreach %b3 carry(%sa) as (%j: u64, %id: idx, %s: u64) {
+    %k = dec e0, %id
+    %s1 = add %s, %k
+    yield %s1
+  }
+  %nc = size %c2
+  print %sb, %nc
+  ret
+}
+"#;
+
 /// A plan whose hoisted prelude `const` keys one of its reads: the
 /// lowering of a constant path index.
 fn const_index_step(i: &DInst) -> bool {
@@ -434,6 +506,7 @@ const CASES: &[Case] = &[
         text: BULK,
         shapes: &[bulk_range_with_if, bulk_foreach],
         depths: NO_DEPTH_LIMIT,
+        fuel_sweep: FUEL_SWEEP,
     },
     Case {
         name: "generic straight-line dispatch",
@@ -442,6 +515,7 @@ const CASES: &[Case] = &[
         // end `if` arms.
         shapes: &[|i| matches!(i, DInst::YieldDirect { .. })],
         depths: NO_DEPTH_LIMIT,
+        fuel_sweep: FUEL_SWEEP,
     },
     Case {
         name: "call in a loop, bulk loop nested in a bulk one",
@@ -452,12 +526,14 @@ const CASES: &[Case] = &[
             |i| bulk_plan_has(i, |op| matches!(op, BulkOp::Loop { .. })),
         ],
         depths: NO_DEPTH_LIMIT,
+        fuel_sweep: FUEL_SWEEP,
     },
     Case {
         name: "trap inside a bulk iteration",
         text: TRAP_IN_PLAN,
         shapes: &[|i| matches!(i, DInst::ForRangeBulk { .. })],
         depths: NO_DEPTH_LIMIT,
+        fuel_sweep: FUEL_SWEEP,
     },
     Case {
         name: "nested loops, nested branches and enumeration ops in one plan",
@@ -484,12 +560,14 @@ const CASES: &[Case] = &[
             |i| bulk_plan_has(i, |op| matches!(op, BulkOp::New { .. })),
         ],
         depths: &[None, Some(4), Some(5), Some(6)],
+        fuel_sweep: FUEL_SWEEP,
     },
     Case {
         name: "depth limit around a bulk loop's regions",
         text: DEPTH,
         shapes: &[bulk_range_with_if],
         depths: &[None, Some(9), Some(10), Some(11), Some(12), Some(13)],
+        fuel_sweep: FUEL_SWEEP,
     },
     Case {
         name: "writers, union and reads through nesting paths",
@@ -503,12 +581,14 @@ const CASES: &[Case] = &[
             },
         ],
         depths: NO_DEPTH_LIMIT,
+        fuel_sweep: FUEL_SWEEP,
     },
     Case {
         name: "missing inner key read through a nesting path",
         text: PATH_TRAP,
         shapes: &[|i| bulk_plan_has(i, |op| matches!(op, BulkOp::Read { .. }))],
         depths: NO_DEPTH_LIMIT,
+        fuel_sweep: FUEL_SWEEP,
     },
     Case {
         name: "clear, tuples and constant and end path steps in a plan",
@@ -520,6 +600,25 @@ const CASES: &[Case] = &[
             const_index_step,
         ],
         depths: NO_DEPTH_LIMIT,
+        fuel_sweep: FUEL_SWEEP,
+    },
+    Case {
+        name: "literal collections, plain, enumerated, strings and in a plan",
+        text: LITERALS,
+        shapes: &[
+            |i| {
+                matches!(
+                    i,
+                    DInst::Op(PlanOp {
+                        op: BulkOp::InsertSeq { .. },
+                        ..
+                    })
+                )
+            },
+            |i| bulk_plan_has(i, |op| matches!(op, BulkOp::InsertSeq { .. })),
+        ],
+        depths: NO_DEPTH_LIMIT,
+        fuel_sweep: u64::MAX,
     },
 ];
 
@@ -624,7 +723,7 @@ fn check(case: &Case) {
     for &depth in case.depths {
         let full = batch(&module, &decodes[0], config(None, depth));
         let fuels = std::iter::once(None)
-            .chain((full.ticks.saturating_sub(FUEL_SWEEP)..=full.ticks).map(Some));
+            .chain((full.ticks.saturating_sub(case.fuel_sweep)..=full.ticks).map(Some));
         for fuel in fuels {
             let want = batch(&module, &decodes[0], config(fuel, depth));
             for (decoded, reference) in decodes.iter().zip([true, false]) {
@@ -687,6 +786,11 @@ fn path_traps_in_plans_match_the_reference_under_every_budget() {
 #[test]
 fn clear_tuple_and_constant_paths_match_the_reference_under_every_budget() {
     check(&CASES[8]);
+}
+
+#[test]
+fn literals_match_the_reference_under_every_budget() {
+    check(&CASES[9]);
 }
 
 #[test]

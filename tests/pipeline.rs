@@ -409,12 +409,33 @@ fn decode_keeps_every_plan() {
 /// enc dec plan` rows for every benchmark under `memoir` and `ade`.
 const GOLDEN_EXEC: &str = include_str!("golden/exec_counts_scale4.txt");
 
+/// FNV-1a over a run's statistics: every `(impl, op)` counter of each
+/// phase in `ImplKind::ALL` × `CollOp::ALL` order, then peak and final
+/// bytes, each as a little-endian `u64`.
+fn stats_fingerprint(stats: &ade::interp::Stats) -> u64 {
+    use ade::interp::{CollOp, ImplKind};
+    let mut bytes = Vec::new();
+    for phase in &stats.per_phase {
+        for imp in ImplKind::ALL {
+            for op in CollOp::ALL {
+                bytes.extend_from_slice(&phase.get(imp, op).to_le_bytes());
+            }
+        }
+    }
+    for n in [stats.peak_bytes, stats.final_bytes] {
+        bytes.extend_from_slice(&(n as u64).to_le_bytes());
+    }
+    fnv1a64(&bytes)
+}
+
 /// Every paper program executes exactly the work recorded in
 /// `tests/golden/exec_counts_scale4.txt`: the ticks of a session run in
 /// 4096-instruction quanta, the number of those quanta, and the
-/// `EnumEnc`/`EnumDec` read counts, and the ticks a batch run spends
-/// inside loop plans (`exec_plan_ticks_total`). The batch run must tick
-/// exactly as many instructions as the session. A rewrite that changes how much work a program
+/// `EnumEnc`/`EnumDec` read counts, the ticks a batch run spends
+/// inside loop plans (`exec_plan_ticks_total`), and a fingerprint of
+/// every per-phase operation count plus peak and final bytes. The batch
+/// run must tick exactly as many instructions as the session and match
+/// its statistics. A rewrite that changes how much work a program
 /// does — or how the interpreter counts it — shows up as a diff here.
 #[test]
 fn executed_work_matches_the_golden_counts() {
@@ -462,14 +483,20 @@ fn executed_work_matches_the_golden_counts() {
                     MetricValue::Counter(n) => n,
                     _ => panic!("{tag} exec_plan_ticks_total is a counter"),
                 });
+            assert_eq!(
+                stats_fingerprint(&batch.stats),
+                stats_fingerprint(&outcome.stats),
+                "{tag} batch stats"
+            );
             let totals = outcome.stats.totals();
             table.push_str(&format!(
-                "{} {} {} {quanta} {} {} {plan_ticks}\n",
+                "{} {} {} {quanta} {} {} {plan_ticks} {:016x}\n",
                 bench.abbrev,
                 kind.name(),
                 outcome.fuel_ticks,
                 totals.get(ImplKind::EnumEnc, CollOp::Read),
                 totals.get(ImplKind::EnumDec, CollOp::Read),
+                stats_fingerprint(&outcome.stats),
             ));
         }
     }

@@ -443,6 +443,36 @@ fn plan_traps_match_the_reference_decode() {
     }
 }
 
+/// Runs `module` under a heap limit of `cells` collections on one
+/// decode: the decoded stream, the error that stops the run, and the
+/// ticks it executed.
+fn heap_limited(
+    module: &ade::ir::Module,
+    reference: bool,
+    cells: usize,
+) -> (DecodedModule, ExecError, Option<u64>) {
+    let decoded = DecodedModule::decode_with(module, &DecodeOptions { reference });
+    let metrics = MetricsRegistry::enabled();
+    let config = ExecConfig {
+        max_heap_cells: Some(cells),
+        metrics: metrics.clone(),
+        ..ExecConfig::default()
+    };
+    let err = Interpreter::new(module, config)
+        .run_decoded(&decoded, "main")
+        .expect_err("the heap limit trips");
+    let ticks = metrics
+        .snapshot()
+        .rows
+        .iter()
+        .find(|r| r.id == "exec_fuel_ticks_total")
+        .map(|r| match r.value {
+            MetricValue::Counter(n) => n,
+            _ => panic!("exec_fuel_ticks_total is a counter"),
+        });
+    (decoded, err, ticks)
+}
+
 /// A `max_heap_cells` limit that trips at a `new` inside a bulk loop
 /// plan stops the run with the same error, after the same number of
 /// ticks, as on the reference decode.
@@ -467,29 +497,7 @@ fn @main() -> void {
     )
     .expect("parses");
     ade::ir::verify::verify_module(&module).expect("verifies");
-    let run = |reference: bool| {
-        let decoded = DecodedModule::decode_with(&module, &DecodeOptions { reference });
-        let metrics = MetricsRegistry::enabled();
-        let config = ExecConfig {
-            max_heap_cells: Some(6),
-            metrics: metrics.clone(),
-            ..ExecConfig::default()
-        };
-        let err = Interpreter::new(&module, config)
-            .run_decoded(&decoded, "main")
-            .expect_err("the heap limit trips");
-        let ticks = metrics
-            .snapshot()
-            .rows
-            .iter()
-            .find(|r| r.id == "exec_fuel_ticks_total")
-            .map(|r| match r.value {
-                MetricValue::Counter(n) => n,
-                _ => panic!("exec_fuel_ticks_total is a counter"),
-            });
-        (decoded, err, ticks)
-    };
-    let (decoded, default, ticks) = run(false);
+    let (decoded, default, ticks) = heap_limited(&module, false, 6);
     assert!(
         decoded.funcs[0]
             .code
@@ -504,8 +512,67 @@ fn @main() -> void {
             budget: 6,
         }
     );
-    assert_eq!((default, ticks), {
-        let (_, reference, ticks) = run(true);
-        (reference, ticks)
-    });
+    let (_, reference, reference_ticks) = heap_limited(&module, true, 6);
+    assert_eq!((default, ticks), (reference, reference_ticks));
+}
+
+/// A `max_heap_cells` limit that trips at the allocation of a literal
+/// collection, once at top level and once inside a bulk loop plan, stops
+/// the run with the same error after the same number of ticks on both
+/// decodes, and after the literals that fit.
+#[test]
+fn heap_cell_limit_trips_at_a_literal() {
+    let module = parse_module(
+        r#"
+fn @main() -> void {
+  %a = new Seq<u64>
+  %a0 = const 0u64
+  %a0v = const 8u64
+  %a1 = insert %a, %a0, %a0v
+  %zero = const 0u64
+  %ten = const 10u64
+  %tot = forrange %zero, %ten carry(%zero) as (%i: u64, %acc: u64) {
+    %s = new Seq<u64>
+    %s0 = const 0u64
+    %s0v = const 4u64
+    %s1 = insert %s, %s0, %s0v
+    %s1i = const 1u64
+    %s1v = const 2u64
+    %s2 = insert %s1, %s1i, %s1v
+    %n = size %s2
+    %acc1 = add %acc, %n
+    yield %acc1
+  }
+  print %tot
+  ret
+}
+"#,
+    )
+    .expect("parses");
+    ade::ir::verify::verify_module(&module).expect("verifies");
+    let (decoded, _, _) = heap_limited(&module, false, 1);
+    assert!(
+        decoded.funcs[0]
+            .code
+            .iter()
+            .any(|i| bulk_plan_has(i, |op| matches!(op, BulkOp::InsertSeq { .. }))),
+        "the loop's literal must compile into its plan"
+    );
+    let mut stops = Vec::new();
+    for cells in [0, 1, 4] {
+        let (_, default, ticks) = heap_limited(&module, false, cells);
+        assert_eq!(
+            default,
+            ExecError::LimitExceeded {
+                limit: Limit::HeapCells,
+                budget: cells as u64,
+            }
+        );
+        let (_, reference, reference_ticks) = heap_limited(&module, true, cells);
+        assert_eq!((&default, ticks), (&reference, reference_ticks), "{cells} cells");
+        stops.push(ticks.expect("published"));
+    }
+    // No cell: the first literal trips before it runs; one cell: the
+    // first iteration's literal; four: the fourth iteration's.
+    assert!(stops[0] < stops[1] && stops[1] < stops[2], "{stops:?}");
 }
