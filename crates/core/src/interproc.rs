@@ -712,7 +712,9 @@ fn has_pathed_patch_site(func: &ade_ir::Function, sets: &PatchSets) -> bool {
             crate::patch::OperandPos::Plain(n) => {
                 !func.inst(site.inst).operands[n].path.is_empty()
             }
-            crate::patch::OperandPos::PathIndex { .. } => false,
+            crate::patch::OperandPos::PathIndex { .. } | crate::patch::OperandPos::Elements => {
+                false
+            }
         })
 }
 

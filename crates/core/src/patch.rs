@@ -25,6 +25,10 @@ pub enum OperandPos {
         /// Path step index.
         step: usize,
     },
+    /// Every element of the `literal` at the site: one site stands for
+    /// the whole table, which enters a propagator as one `insert` per
+    /// element would.
+    Elements,
 }
 
 /// One use site to patch.
@@ -46,7 +50,7 @@ impl UseSite {
     }
 
     /// The SSA value used at this site, if it is a dynamic value
-    /// (constant path indices have no SSA value).
+    /// (constant path indices and literal elements have no SSA value).
     pub fn value(&self, func: &Function) -> Option<ValueId> {
         let inst = func.inst(self.inst);
         match self.pos {
@@ -55,6 +59,7 @@ impl UseSite {
                 Access::Index(Scalar::Value(v)) => Some(v),
                 _ => None,
             },
+            OperandPos::Elements => None,
         }
     }
 }
@@ -294,6 +299,17 @@ pub fn uses_to_patch_propagator(
     let mut sets = PatchSets::default();
     for inst_id in func.all_insts() {
         let inst = func.inst(inst_id);
+        if let InstKind::Literal { .. } = inst.kind {
+            // A literal's elements are the propagator's own: they enter
+            // it as the elements of a sequence insert do.
+            if entity.depth == 0 && levels[0].contains(&inst.results[0]) {
+                sets.to_add.insert(UseSite {
+                    inst: inst_id,
+                    pos: OperandPos::Elements,
+                });
+            }
+            continue;
+        }
         let Some(op0) = inst.operands.first() else {
             continue;
         };
@@ -543,6 +559,28 @@ fn @find(%uf: Map<u64, u64>, %v: u64) -> u64 {
         assert!(sets.to_add.is_empty());
         let roots = propagator_roots(&f, &chains, e);
         assert_eq!(roots.len(), 1, "{roots:?}");
+    }
+
+    #[test]
+    fn literal_elements_are_one_propagator_add_site() {
+        let f = parse_function(
+            r#"
+fn @f() -> void {
+  %q = literal u64 [3, 1, 3]
+  %i = const 0u64
+  %y = read %q, %i
+  print %y
+  ret
+}
+"#,
+        )
+        .expect("parses");
+        let (chains, e) = entity_for(&f, "q", 0);
+        let sets = uses_to_patch_propagator(&f, &chains, e).expect("propagatable");
+        let sites: Vec<OperandPos> = sets.to_add.iter().map(|s| s.pos).collect();
+        assert_eq!(sites, [OperandPos::Elements]);
+        assert_eq!(sets.to_add.first().and_then(|s| s.value(&f)), None);
+        assert_eq!(propagator_roots(&f, &chains, e).len(), 1); // %y
     }
 
     #[test]

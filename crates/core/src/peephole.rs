@@ -142,6 +142,17 @@ fn cse_region(
     for &inst_id in &func.region(r).insts {
         let inst = func.inst(inst_id);
         let Some((kind, e)) = translation_of(&inst.kind) else {
+            if let InstKind::Literal {
+                enumeration: Some(e),
+                ..
+            } = inst.kind
+            {
+                // The literal adds its elements to `e`, as an `add` of
+                // each would: every earlier `enc` of `e` may have changed.
+                for v in live_encs.remove(&e).unwrap_or_default() {
+                    forget_enc(seen, e, v);
+                }
+            }
             if matches!(inst.kind, InstKind::Call(_)) || inst.kind.is_control() {
                 for (e, args) in live_encs.drain() {
                     for v in args {

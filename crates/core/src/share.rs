@@ -206,10 +206,16 @@ pub fn analyze_function<'f>(module: &Module, func: &'f Function) -> FuncAnalysis
     }
 }
 
+/// The instructions that create a collection: collection `new`s and
+/// literals.
 fn allocations(func: &Function) -> Vec<InstId> {
     func.all_insts()
         .into_iter()
-        .filter(|&i| matches!(&func.inst(i).kind, InstKind::New(ty) if ty.is_collection()))
+        .filter(|&i| match &func.inst(i).kind {
+            InstKind::New(ty) => ty.is_collection(),
+            InstKind::Literal { .. } => true,
+            _ => false,
+        })
         .collect()
 }
 

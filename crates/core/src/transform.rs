@@ -182,8 +182,9 @@ fn retype_roots(func: &mut Function, cand: &PlannedCandidate) {
 
 /// Wraps the value at `site` in a translation instruction, recorded in
 /// `placed` to be spliced just before the using instruction (see
-/// [`splice_before`]). Result types are provisional (`repair_types`
-/// finalizes them).
+/// [`splice_before`]), or, for a literal's elements, names the
+/// enumeration on the literal itself. Result types are provisional
+/// (`repair_types` finalizes them).
 fn wrap_site(
     func: &mut Function,
     site: UseSite,
@@ -214,6 +215,17 @@ fn wrap_site(
                 }
             }
         }
+        OperandPos::Elements => {
+            // A literal adds its own elements: it names the enumeration,
+            // and its retyped result (`Seq<idx>`) holds their identifiers.
+            let (InstKind::EnumAdd(e), InstKind::Literal { enumeration, .. }) =
+                (kind, &mut func.inst_mut(site.inst).kind)
+            else {
+                panic!("only an add can patch a literal's elements")
+            };
+            *enumeration = Some(e);
+            return;
+        }
     };
     // Provisional result type: repair_types recomputes from the opcode.
     let result_ty = match kind {
@@ -229,6 +241,7 @@ fn wrap_site(
             func.inst_mut(site.inst).operands[operand].path[step] =
                 Access::Index(Scalar::Value(new_val));
         }
+        OperandPos::Elements => unreachable!("patched above"),
     }
 }
 
@@ -309,7 +322,7 @@ pub fn repair_types_with_enums(func: &mut Function, ret_tys: &[Type], enums: &[T
                     changed |= set_ty(func, inst.results[0], ty);
                 }
                 InstKind::Bin(_) => {
-                    let ty = func.value_ty(inst.operands[0].base).clone();
+                    let ty = ade_ir::builder::operand_type_in(func, &inst.operands[0]);
                     changed |= set_ty(func, inst.results[0], ty);
                 }
                 InstKind::Call(callee) => {

@@ -10,8 +10,10 @@
 //!   is lowered once, in operand order, into steps that run in the
 //!   instruction's own slot before it and leave the addressed value in a
 //!   scratch slot past the SSA frame ([`DInst::Lowered`]),
-//! - constants are pooled as prebuilt [`Value`]s (executing a string
-//!   const bumps an `Arc` instead of reallocating),
+//! - constants are pooled once per distinct value as prebuilt
+//!   [`Value`]s (executing a string const bumps an `Arc` instead of
+//!   reallocating), and each literal collection's elements as one
+//!   prebuilt table,
 //! - region targets become contiguous index ranges into the decoded
 //!   stream,
 //! - statically derivable facts (insert flavor, union element type,
@@ -23,9 +25,11 @@
 //! runs [`ade_ir::verify::verify_module`] so a linearity violation can
 //! never hide behind the faster execution path.
 
+use std::collections::HashMap;
+
 use ade_ir::{
-    Access, BinOp, CmpOp, ConstVal, FuncId, Function, Inst, InstKind, Module, Operand, RegionId,
-    Scalar, Type,
+    Access, BinOp, CmpOp, ConstVal, FuncId, Function, Inst, InstKind, LiteralData, Module, Operand,
+    RegionId, Scalar, Type,
 };
 
 use crate::value::Value;
@@ -477,6 +481,21 @@ pub enum BulkOp {
         /// Destination slot.
         dst: u32,
     },
+    /// Materialize a literal collection: allocate a sequence of a pooled
+    /// type and append a pooled table's elements, each first added to
+    /// enumeration `e` when set — one tick for the whole table, with the
+    /// counts and capacity growth of one end `insert` (and `add`) per
+    /// element.
+    Literal {
+        /// Index into [`DFunc::types`] of the sequence type.
+        ty: u32,
+        /// Index into [`DFunc::literals`].
+        elems: u32,
+        /// Enumeration the elements are added to, if any.
+        e: Option<u32>,
+        /// Destination slot.
+        dst: u32,
+    },
     /// Allocate a collection (or default scalar/tuple) of a pooled type.
     New {
         /// Index into [`DFunc::types`].
@@ -552,8 +571,10 @@ pub struct DFunc {
     pub regions: Box<[DRegion]>,
     /// The flat instruction stream (regions occupy disjoint ranges).
     pub code: Box<[DInst]>,
-    /// Prebuilt constant pool.
+    /// Prebuilt constant pool, one entry per distinct constant.
     pub consts: Box<[Value]>,
+    /// Prebuilt element tables of the function's literal collections.
+    pub literals: Box<[Box<[Value]>]>,
     /// Pooled static types (allocation, cast, defaults, union elems).
     pub types: Box<[Type]>,
     /// Every `foreach`/`forrange` header loop fusion left generic, with
@@ -649,6 +670,9 @@ struct FuncDecoder<'f> {
     code: Vec<DInst>,
     regions: Vec<DRegion>,
     consts: Vec<Value>,
+    /// Each pooled constant's index in `consts`.
+    const_index: HashMap<ConstVal, u32>,
+    literals: Vec<Box<[Value]>>,
     types: Vec<Type>,
     /// Frame slots so far: the SSA slots, then one scratch slot per
     /// lowered path step.
@@ -672,6 +696,8 @@ fn decode_function(func: &Function) -> DFunc {
             func.regions.len()
         ],
         consts: Vec::new(),
+        const_index: HashMap::new(),
+        literals: Vec::new(),
         types: Vec::new(),
         frame_size: u32::try_from(func.values.len()).expect("frame fits u32"),
         site: 0,
@@ -690,6 +716,7 @@ fn decode_function(func: &Function) -> DFunc {
         regions: d.regions.into_boxed_slice(),
         code: d.code.into_boxed_slice(),
         consts: d.consts.into_boxed_slice(),
+        literals: d.literals.into_boxed_slice(),
         types: d.types.into_boxed_slice(),
         generic_loops: Box::new([]),
     }
@@ -727,7 +754,12 @@ impl FuncDecoder<'_> {
         };
     }
 
+    /// The pool index of constant `c`, shared by every equal constant of
+    /// the function (floats compare by bit pattern).
     fn pool_const(&mut self, c: &ConstVal) -> u32 {
+        if let Some(&i) = self.const_index.get(c) {
+            return i;
+        }
         let v = match c {
             ConstVal::Bool(b) => Value::Bool(*b),
             ConstVal::U64(n) => Value::U64(*n),
@@ -735,8 +767,19 @@ impl FuncDecoder<'_> {
             ConstVal::F64(n) => Value::F64(*n),
             ConstVal::Str(s) => Value::Str(s.as_str().into()),
         };
+        let i = slot(self.consts.len());
         self.consts.push(v);
-        slot(self.consts.len() - 1)
+        self.const_index.insert(c.clone(), i);
+        i
+    }
+
+    fn pool_literal(&mut self, elems: &LiteralData) -> u32 {
+        let table = match elems {
+            LiteralData::U64(v) => v.iter().map(|&n| Value::U64(n)).collect(),
+            LiteralData::Str(v) => v.iter().map(|s| Value::Str(s.as_str().into())).collect(),
+        };
+        self.literals.push(table);
+        slot(self.literals.len() - 1)
     }
 
     fn pool_type(&mut self, ty: &Type) -> u32 {
@@ -888,6 +931,12 @@ impl FuncDecoder<'_> {
             }),
             InstKind::New(ty) => BulkOp::New {
                 ty: self.pool_type(ty),
+                dst,
+            },
+            InstKind::Literal { elems, enumeration } => BulkOp::Literal {
+                ty: self.pool_type(&InstKind::literal_ty(elems, *enumeration)),
+                elems: self.pool_literal(elems),
+                e: enumeration.map(|e| slot(e.index())),
                 dst,
             },
             InstKind::Read => BulkOp::Read {
@@ -1606,6 +1655,106 @@ fn @main() -> void {
         let d = reference(&m);
         assert_eq!(d.funcs[0].consts.len(), 1);
         assert_eq!(d.funcs[0].consts[0], Value::Str("hello".into()));
+    }
+
+    #[test]
+    fn equal_consts_and_constant_path_indices_share_a_pool_entry() {
+        let m = parse_module(
+            r#"
+fn @main() -> void {
+  %a = const 0u64
+  %b = const 0u64
+  %q = new Seq<Seq<u64>>
+  %n = size %q[0]
+  %h = const 1.5f64
+  %h2 = const 1.5f64
+  %z = const 0f64
+  %nz = const -0f64
+  print %a, %b, %n, %h, %h2, %z, %nz
+  ret
+}
+"#,
+        )
+        .expect("parses");
+        let d = reference(&m);
+        let f = &d.funcs[0];
+        let pools: Vec<u32> = f
+            .code
+            .iter()
+            .flat_map(|i| match i {
+                DInst::Lowered { steps, inst } => steps
+                    .iter()
+                    .chain(std::iter::once(match &**inst {
+                        DInst::Op(p) => p,
+                        other => panic!("{other:?}"),
+                    }))
+                    .map(|p| &p.op)
+                    .collect::<Vec<_>>(),
+                DInst::Op(p) => vec![&p.op],
+                _ => vec![],
+            })
+            .filter_map(|op| match op {
+                BulkOp::Scalar(UScalar::Const { pool, .. }) => Some(*pool),
+                _ => None,
+            })
+            .collect();
+        // `%a`, `%b` and the index of `%q[0]` share one entry, and the
+        // two 1.5s one; 0.0 and -0.0 differ by bit pattern.
+        assert_eq!(pools, [0, 0, 0, 1, 1, 2, 3]);
+        assert_eq!(f.consts.len(), 4);
+    }
+
+    #[test]
+    fn literals_decode_to_one_op_over_a_pooled_table() {
+        let m = parse_module(
+            r#"
+enum e0: str
+
+fn @main() -> void {
+  %a = literal u64 [4, 4, 1]
+  %b = literal str ["x", "y"] enumadd e0
+  %n = size %a
+  %m = size %b
+  print %n, %m
+  ret
+}
+"#,
+        )
+        .expect("parses");
+        let d = reference(&m);
+        let f = &d.funcs[0];
+        let ops: Vec<&BulkOp> = f
+            .code
+            .iter()
+            .filter_map(|i| match i {
+                DInst::Op(p) => Some(&p.op),
+                _ => None,
+            })
+            .collect();
+        let (ta, tb) = match ops[..2] {
+            [BulkOp::Literal {
+                ty: ta,
+                elems: 0,
+                e: None,
+                ..
+            }, BulkOp::Literal {
+                ty: tb,
+                elems: 1,
+                e: Some(0),
+                ..
+            }] => (*ta, *tb),
+            ref other => panic!("{other:?}"),
+        };
+        assert_eq!(f.types[ta as usize], Type::seq(Type::U64));
+        assert_eq!(f.types[tb as usize], Type::seq(Type::Idx));
+        assert_eq!(
+            f.literals[0].as_ref(),
+            [Value::U64(4), Value::U64(4), Value::U64(1)]
+        );
+        assert_eq!(
+            f.literals[1].as_ref(),
+            [Value::Str("x".into()), Value::Str("y".into())]
+        );
     }
 
     #[test]

@@ -871,6 +871,26 @@ impl<'m> Interpreter<'m> {
         idx
     }
 
+    /// Fills the fresh sequence `id` with a literal's `elems`, each first
+    /// added to enumeration `e` when set: the counts, identifiers and
+    /// capacity growth of one `insert` at the end per element (after its
+    /// `add`). Capacity and the enumeration only grow meanwhile, so
+    /// refreshing the sequence's bytes once at the end samples the same
+    /// peak as refreshing them per element.
+    fn literal(&mut self, id: CollId, elems: &[Value], e: Option<u32>) -> Result<(), TrapKind> {
+        let imp = self.impl_of(id);
+        self.bump(imp, CollOp::Insert, elems.len() as u64);
+        for (i, x) in elems.iter().enumerate() {
+            let v = match e {
+                Some(e) => Value::Idx(self.enum_add(e, x.clone())),
+                None => x.clone(),
+            };
+            self.heap[id.0 as usize].try_insert_seq(i, v)?;
+        }
+        self.refresh_bytes(id);
+        Ok(())
+    }
+
     // ── Control: the continuation machine ──────────────────────────
 
     /// Runs `m` until the entry function returns, an error stops the
@@ -1608,6 +1628,14 @@ impl<'m> Interpreter<'m> {
             BulkOp::EnumAdd { e, v, dst } => {
                 let key = frame[*v as usize].clone();
                 frame[*dst as usize] = Value::Idx(self.enum_add(*e, key));
+            }
+            BulkOp::Literal { ty, elems, e, dst } => {
+                let id = self
+                    .alloc_collection(&func.types[*ty as usize])
+                    .map_err(|e| site_at(func, site, e))?;
+                self.literal(id, &func.literals[*elems as usize], *e)
+                    .map_err(at)?;
+                frame[*dst as usize] = Value::Coll(id);
             }
             BulkOp::New { ty, dst } => {
                 frame[*dst as usize] = self

@@ -388,3 +388,77 @@ fn @main() -> void {
     );
     assert_eq!(out.output, "80200\n");
 }
+
+/// A program that materializes `elems` (IR element tokens of type `ty`)
+/// as one `literal`, or as the element-wise `new` plus one end `insert`
+/// per element (after an `enumadd` when `enumerated`), then prints every
+/// element with its position (and, enumerated, its key).
+fn literal_program(ty: &str, elems: &[String], enumerated: bool, one_instruction: bool) -> String {
+    let mut text = String::new();
+    if enumerated {
+        text.push_str(&format!("enum e0: {ty}\n\n"));
+    }
+    text.push_str("fn @main() -> void {\n");
+    let seq_ty = if enumerated { "idx" } else { ty };
+    let seq = if one_instruction {
+        let suffix = if enumerated { " enumadd e0" } else { "" };
+        text.push_str(&format!("  %s = literal {ty} [{}]{suffix}\n", elems.join(", ")));
+        "%s".to_string()
+    } else {
+        text.push_str(&format!("  %s0 = new Seq<{seq_ty}>\n"));
+        for (i, x) in elems.iter().enumerate() {
+            let x = if ty == "u64" { format!("{x}u64") } else { x.clone() };
+            text.push_str(&format!("  %i{i} = const {i}u64\n  %x{i} = const {x}\n"));
+            let v = if enumerated {
+                text.push_str(&format!("  %e{i} = enumadd e0, %x{i}\n"));
+                format!("%e{i}")
+            } else {
+                format!("%x{i}")
+            };
+            text.push_str(&format!("  %s{} = insert %s{i}, %i{i}, {v}\n", i + 1));
+        }
+        format!("%s{}", elems.len())
+    };
+    text.push_str("  %z = const 0u64\n");
+    text.push_str(&format!(
+        "  %out = foreach {seq} carry(%z) as (%i: u64, %v: {seq_ty}, %acc: u64) {{\n"
+    ));
+    if enumerated {
+        text.push_str("    %k = dec e0, %v\n    print %i, %v, %k\n");
+    } else {
+        text.push_str("    print %i, %v\n");
+    }
+    text.push_str("    yield %acc\n  }\n  ret\n}\n");
+    text
+}
+
+/// A `literal` observes exactly what its element-wise construction
+/// does: output, identifiers, every per-phase operation count, and peak
+/// and final bytes (sequence capacity grows as by one end `insert` per
+/// element), for empty, short and growing tables, repeated elements and
+/// strings, with and without an enumeration.
+#[test]
+fn literals_match_their_element_wise_construction() {
+    let nums: Vec<String> = (0..17u64).map(|i| ((i * 7) % 5).to_string()).collect();
+    let strs: Vec<String> = ["b", "a\n", "b", "\u{e9}"]
+        .iter()
+        .map(|s| format!("{s:?}"))
+        .collect();
+    for (ty, table) in [("u64", &nums), ("str", &strs)] {
+        for len in [0, 1, 3, table.len()] {
+            for enumerated in [false, true] {
+                let elems = &table[..len];
+                let literal = run(&literal_program(ty, elems, enumerated, true));
+                let element_wise = run(&literal_program(ty, elems, enumerated, false));
+                let tag = format!("{ty} len={len} enumerated={enumerated}");
+                assert_eq!(literal.output, element_wise.output, "{tag}");
+                assert_eq!(
+                    literal.stats.per_phase, element_wise.stats.per_phase,
+                    "{tag}"
+                );
+                assert_eq!(literal.stats.peak_bytes, element_wise.stats.peak_bytes, "{tag}");
+                assert_eq!(literal.stats.final_bytes, element_wise.stats.final_bytes, "{tag}");
+            }
+        }
+    }
+}

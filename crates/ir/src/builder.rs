@@ -9,7 +9,7 @@
 
 use crate::{
     BinOp, CmpOp, ConstVal, DirectiveSet, EnumId, FuncId, Function, Inst, InstId,
-    InstKind, Operand, Region, RegionId, Scalar, Type, ValueData, ValueDef, ValueId,
+    InstKind, LiteralData, Operand, Region, RegionId, Scalar, Type, ValueData, ValueDef, ValueId,
 };
 
 /// Builds one [`Function`] instruction by instruction.
@@ -229,6 +229,21 @@ impl FunctionBuilder {
     /// Allocates a new collection of type `ty`.
     pub fn new_collection(&mut self, ty: Type) -> ValueId {
         self.emit1(InstKind::New(ty.clone()), vec![], ty)
+    }
+
+    /// Materializes a literal collection: a `Seq` of `elems`, in order,
+    /// built by one instruction.
+    pub fn literal(&mut self, elems: impl Into<LiteralData>) -> ValueId {
+        let elems = elems.into();
+        let ty = InstKind::literal_ty(&elems, None);
+        self.emit1(
+            InstKind::Literal {
+                elems,
+                enumeration: None,
+            },
+            vec![],
+            ty,
+        )
     }
 
     /// Allocates a new collection carrying optimization directives

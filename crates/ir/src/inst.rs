@@ -1,6 +1,8 @@
 //! Instructions, operands and constants (paper Fig. 1).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::{EnumId, FuncId, RegionId, Type, ValueId};
 
@@ -125,6 +127,67 @@ impl PartialEq for ConstVal {
 
 impl Eq for ConstVal {}
 
+/// Hashes floats by bit pattern, consistent with `PartialEq`.
+impl Hash for ConstVal {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            ConstVal::Bool(b) => b.hash(state),
+            ConstVal::U64(n) => n.hash(state),
+            ConstVal::I64(n) => n.hash(state),
+            ConstVal::F64(x) => x.to_bits().hash(state),
+            ConstVal::Str(s) => s.hash(state),
+        }
+    }
+}
+
+/// The elements of a literal collection ([`InstKind::Literal`]): a
+/// program's input data, carried as one table instead of one `insert`
+/// per element. Shared, so cloning an instruction or a function does
+/// not copy it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LiteralData {
+    /// `u64` elements.
+    U64(Arc<[u64]>),
+    /// String elements.
+    Str(Arc<[String]>),
+}
+
+impl LiteralData {
+    /// The element type of the table.
+    pub fn elem_ty(&self) -> Type {
+        match self {
+            LiteralData::U64(_) => Type::U64,
+            LiteralData::Str(_) => Type::Str,
+        }
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        match self {
+            LiteralData::U64(v) => v.len(),
+            LiteralData::Str(v) => v.len(),
+        }
+    }
+
+    /// Whether the table has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl From<&[u64]> for LiteralData {
+    fn from(elems: &[u64]) -> Self {
+        LiteralData::U64(elems.into())
+    }
+}
+
+impl From<&[&str]> for LiteralData {
+    fn from(elems: &[&str]) -> Self {
+        LiteralData::Str(elems.iter().map(|s| (*s).to_string()).collect())
+    }
+}
+
 impl fmt::Display for ConstVal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -180,6 +243,18 @@ pub enum InstKind {
     Const(ConstVal),
     /// Allocate a new collection (or tuple) of the given type. One result.
     New(Type),
+    /// Materialize a literal collection: a fresh `Seq` of `elems`, in
+    /// order. With an `enumeration`, each element is first added to it
+    /// and the sequence holds the identifiers `add(e, x)` returns, typed
+    /// `Seq<idx>` (the form ADE gives a literal whose elements it
+    /// propagates, §III-E). No operands; one result
+    /// ([`InstKind::literal_ty`]).
+    Literal {
+        /// The elements.
+        elems: LiteralData,
+        /// The enumeration the elements are added to, if any.
+        enumeration: Option<EnumId>,
+    },
     /// `read(c, k) → v` for maps, `read(s, i) → v` for sequences.
     /// Operands `[c, k]`; one result.
     Read,
@@ -256,6 +331,16 @@ pub enum InstKind {
 }
 
 impl InstKind {
+    /// The result type of a [`InstKind::Literal`] of `elems`: `Seq<idx>`
+    /// when its elements are added to an enumeration, else a sequence of
+    /// the table's element type.
+    pub fn literal_ty(elems: &LiteralData, enumeration: Option<EnumId>) -> Type {
+        match enumeration {
+            Some(_) => Type::seq(Type::Idx),
+            None => Type::seq(elems.elem_ty()),
+        }
+    }
+
     /// Whether this opcode updates a collection (consumes its first
     /// operand's base and returns the new state). These are the ops whose
     /// results form the redefinition chain `Redefs(v)` of Algorithm 1.
@@ -351,6 +436,25 @@ mod tests {
     fn const_eq_uses_bit_pattern_for_floats() {
         assert_eq!(ConstVal::F64(f64::NAN), ConstVal::F64(f64::NAN));
         assert_ne!(ConstVal::F64(0.0), ConstVal::F64(-0.0));
+        let hash = |c: &ConstVal| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            c.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&ConstVal::F64(f64::NAN)), hash(&ConstVal::F64(f64::NAN)));
+    }
+
+    #[test]
+    fn literal_types() {
+        let nums = LiteralData::from(&[3u64, 1][..]);
+        assert_eq!(nums.len(), 2);
+        assert_eq!(InstKind::literal_ty(&nums, None), Type::seq(Type::U64));
+        assert_eq!(
+            InstKind::literal_ty(&nums, Some(EnumId::from_index(0))),
+            Type::seq(Type::Idx)
+        );
+        let strs = LiteralData::from(&["a"][..]);
+        assert_eq!(InstKind::literal_ty(&strs, None), Type::seq(Type::Str));
     }
 
     #[test]

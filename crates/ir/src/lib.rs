@@ -76,5 +76,5 @@ pub mod verify;
 pub use directive::{DirectiveSet, SelectionChoice};
 pub use func::{EnumDecl, Function, Module, Region, ValueData, ValueDef};
 pub use ids::{EnumId, FuncId, InstId, RegionId, ValueId};
-pub use inst::{Access, BinOp, CmpOp, ConstVal, Inst, InstKind, Operand, Scalar};
+pub use inst::{Access, BinOp, CmpOp, ConstVal, Inst, InstKind, LiteralData, Operand, Scalar};
 pub use types::{MapSel, SetSel, Type};

@@ -22,8 +22,8 @@ use std::fmt;
 
 use crate::{
     Access, BinOp, CmpOp, ConstVal, DirectiveSet, EnumDecl, EnumId, FuncId, Function, Inst,
-    InstId, InstKind, MapSel, Module, Operand, Region, RegionId, Scalar, SelectionChoice, SetSel,
-    Type, ValueData, ValueDef, ValueId,
+    InstId, InstKind, LiteralData, MapSel, Module, Operand, Region, RegionId, Scalar,
+    SelectionChoice, SetSel, Type, ValueData, ValueDef, ValueId,
 };
 
 /// A parse failure with a source position and message.
@@ -422,6 +422,23 @@ impl<'a> Parser<'a> {
                 other => out.push(other),
             }
         }
+    }
+
+    /// A `[a, b, ...]` list of items parsed by `item` (possibly empty).
+    fn bracketed<T>(&mut self, mut item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        self.expect_punct("[")?;
+        let mut items = Vec::new();
+        if self.eat_punct("]") {
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            if !self.eat_punct(",") {
+                break;
+            }
+        }
+        self.expect_punct("]")?;
+        Ok(items)
     }
 
     fn parse_type(&mut self) -> Result<Type> {
@@ -856,6 +873,30 @@ impl<'a> Parser<'a> {
                     ctx.directives.insert(id, d);
                 }
             }
+            "literal" => {
+                let elems = match self.parse_type()? {
+                    Type::U64 => LiteralData::U64(self.bracketed(Self::integer)?.into()),
+                    Type::Str => LiteralData::Str(self.bracketed(Self::string_literal)?.into()),
+                    other => {
+                        let msg = format!("literal of {other}: elements are u64 or str");
+                        return Err(self.error(msg));
+                    }
+                };
+                let enumeration = if self.eat_word("enumadd") {
+                    Some(self.enum_ref(enums)?)
+                } else {
+                    None
+                };
+                let ty = InstKind::literal_ty(&elems, enumeration);
+                self.finish_inst(
+                    &at,
+                    ctx,
+                    InstKind::Literal { elems, enumeration },
+                    vec![],
+                    vec![],
+                    vec![ty],
+                )?;
+            }
             "read" => {
                 let ops = self.operand_list_min(ctx, 2)?;
                 let coll_ty = ctx.values[ops[0].base.index()]
@@ -1028,7 +1069,10 @@ impl<'a> Parser<'a> {
             other if bin_from_name(other).is_some() => {
                 let b = bin_from_name(other).expect("checked");
                 let ops = self.operand_list_min(ctx, 2)?;
-                let ty = ctx.values[ops[0].base.index()].ty.clone();
+                let ty = ctx.values[ops[0].base.index()]
+                    .ty
+                    .at_path(&ops[0].path)
+                    .ok_or_else(|| self.error("operand path does not apply to the value's type"))?;
                 self.finish_inst(&at, ctx, InstKind::Bin(b), ops, vec![], vec![ty])?;
             }
             other if cmp_from_name(other).is_some() => {
@@ -1250,6 +1294,69 @@ fn @f(%m: Map{Swiss}<u64, Set{Bit}<idx>>) -> void {
         let text = "fn @f() -> void {\n  %x = const 1u64\n  %y = read %x.3, %x\n  ret\n}\n";
         let err = parse_module(text).expect_err("should fail");
         assert!(err.message.contains("path does not apply"), "{err}");
+    }
+
+    #[test]
+    fn binary_results_take_the_type_their_operand_path_reaches() {
+        let text = r#"
+fn @f(%t: (u64, u64)) -> u64 {
+  %a = add %t.0, %t.1
+  %one = const 1u64
+  %b = add %a, %one
+  ret %b
+}
+"#;
+        let m = parse_module(text).expect("parses");
+        let f = &m.funcs[0];
+        assert_eq!(f.value_ty(f.insts[0].results[0]), &Type::U64);
+        crate::verify::verify_module(&m).expect("verifies");
+    }
+
+    #[test]
+    fn parses_literals() {
+        let text = r#"
+enum e0: u64
+
+fn @f() -> void {
+  %a = literal u64 [7, 0, 7]
+  %b = literal str ["x", "tab\there"]
+  %c = literal u64 [] enumadd e0
+  ret
+}
+"#;
+        let m = parse_module(text).expect("parses");
+        let f = &m.funcs[0];
+        let kinds: Vec<&InstKind> = f.insts.iter().map(|i| &i.kind).collect();
+        assert_eq!(
+            kinds[0],
+            &InstKind::Literal {
+                elems: LiteralData::from(&[7u64, 0, 7][..]),
+                enumeration: None,
+            }
+        );
+        assert_eq!(
+            kinds[1],
+            &InstKind::Literal {
+                elems: LiteralData::from(&["x", "tab\there"][..]),
+                enumeration: None,
+            }
+        );
+        let tys: Vec<&Type> = f.insts[..3]
+            .iter()
+            .map(|i| f.value_ty(i.results[0]))
+            .collect();
+        assert_eq!(
+            tys,
+            [&Type::seq(Type::U64), &Type::seq(Type::Str), &Type::seq(Type::Idx)]
+        );
+        crate::verify::verify_module(&m).expect("verifies");
+        for bad in [
+            "fn @f() -> void {\n  %a = literal f64 [1]\n  ret\n}\n",
+            "fn @f() -> void {\n  %a = literal u64 [\"x\"]\n  ret\n}\n",
+            "fn @f() -> void {\n  %a = literal u64 [1] enumadd e0\n  ret\n}\n",
+        ] {
+            assert!(parse_module(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 use std::fmt::Write as _;
 
 use crate::{
-    Access, BinOp, CmpOp, DirectiveSet, Function, Inst, InstKind, Module, Operand, RegionId,
-    Scalar, SelectionChoice, ValueId,
+    Access, BinOp, CmpOp, DirectiveSet, Function, Inst, InstKind, LiteralData, Module, Operand,
+    RegionId, Scalar, SelectionChoice, ValueId,
 };
 
 /// Prints a whole module.
@@ -171,6 +171,21 @@ impl Printer<'_> {
                     let _ = write!(self.out, " {}", directive_text(d));
                 }
             }
+            InstKind::Literal { elems, enumeration } => {
+                let _ = write!(self.out, "{res}literal {} [", elems.elem_ty());
+                match elems {
+                    LiteralData::U64(v) => list(&mut self.out, v.iter(), |out, n| {
+                        let _ = write!(out, "{n}");
+                    }),
+                    LiteralData::Str(v) => list(&mut self.out, v.iter(), |out, s| {
+                        let _ = write!(out, "{s:?}");
+                    }),
+                }
+                self.out.push(']');
+                if let Some(e) = enumeration {
+                    let _ = write!(self.out, " enumadd {e}");
+                }
+            }
             InstKind::Read => {
                 let _ = write!(self.out, "{res}read {}", self.operands(&inst.operands));
             }
@@ -312,6 +327,16 @@ impl Printer<'_> {
             }
         }
         self.out.push('\n');
+    }
+}
+
+/// Writes `items` separated by `, `.
+fn list<T>(out: &mut String, items: impl Iterator<Item = T>, mut item: impl FnMut(&mut String, T)) {
+    for (i, x) in items.enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        item(out, x);
     }
 }
 

@@ -319,6 +319,31 @@ impl<'a> Verifier<'a> {
                         return Err(self.err(Some(inst_id), "new result type mismatch"));
                     }
                 }
+                InstKind::Literal { elems, enumeration } => {
+                    let want = InstKind::literal_ty(elems, *enumeration);
+                    let got = self.func.value_ty(inst.result());
+                    if got != &want {
+                        return Err(self.err(
+                            Some(inst_id),
+                            format!("literal result typed {got}, its elements make {want}"),
+                        ));
+                    }
+                    if let (Some(e), Some(module)) = (enumeration, self.module) {
+                        let Some(decl) = module.enums.get(e.index()) else {
+                            return Err(self.err(Some(inst_id), format!("unknown enum {e}")));
+                        };
+                        if decl.key_ty != elems.elem_ty() {
+                            return Err(self.err(
+                                Some(inst_id),
+                                format!(
+                                    "literal of {} elements added to {e}, whose keys are {}",
+                                    elems.elem_ty(),
+                                    decl.key_ty
+                                ),
+                            ));
+                        }
+                    }
+                }
                 InstKind::Read => {
                     let coll = self.op_ty(&inst.operands[0]);
                     if !coll.is_collection() {
@@ -906,6 +931,30 @@ fn @count(%input: Seq<f64>) -> void {
         )
         .expect_err("should fail");
         assert!(err.message.contains("key type mismatch"), "{err}");
+    }
+
+    #[test]
+    fn rejects_literal_element_type_mismatch() {
+        let mut m = parse_module("fn @f() -> void {\n  %s = literal u64 [1, 2]\n  ret\n}\n")
+            .expect("parses");
+        verify_module(&m).expect("a well-typed literal verifies");
+        let s = m.funcs[0].insts[0].results[0];
+        m.funcs[0].values[s.index()].ty = Type::seq(Type::Str);
+        let err = verify_module(&m).expect_err("should fail");
+        assert!(err.message.contains("literal result typed Seq<str>"), "{err}");
+    }
+
+    #[test]
+    fn rejects_enumerated_literal_of_other_key_type() {
+        verify_text(
+            "enum e0: u64\n\nfn @f() -> void {\n  %s = literal u64 [4] enumadd e0\n  ret\n}\n",
+        )
+        .expect("keys and elements agree");
+        let err = verify_text(
+            "enum e0: str\n\nfn @f() -> void {\n  %s = literal u64 [4] enumadd e0\n  ret\n}\n",
+        )
+        .expect_err("should fail");
+        assert!(err.message.contains("whose keys are str"), "{err}");
     }
 
     #[test]

@@ -61,6 +61,8 @@ fn unterminated_constructs_error_cleanly() {
         "enum e0",
         "fn @f() -> Map<",
         "fn @f() -> void {\n  %m = new Map<u64, u64>\n  %x = const 1u64\n  %r = read %m[%x, %x\n  ret\n}",
+        "fn @f() -> void {\n  %s = literal u64 [1, 2",
+        "fn @f() -> void {\n  %s = literal str [\"a\", ]\n  ret\n}",
     ] {
         let err = parse_module(text).expect_err("must not accept");
         assert!(!err.message.is_empty());
@@ -135,6 +137,75 @@ proptest! {
             };
             assert_eq!(got, &s);
         }
+    }
+}
+
+/// Print, parse and print again gives identical text.
+fn assert_round_trips(text: &str) {
+    let m = parse_module(text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    let printed = print_module(&m);
+    let m2 = parse_module(&printed).expect("printed form parses");
+    assert_eq!(printed, print_module(&m2));
+}
+
+#[test]
+fn literal_tables_round_trip() {
+    let text = r#"
+enum e0: u64
+enum e1: str
+
+fn @main() -> void {
+  %empty = literal u64 []
+  %empty_s = literal str []
+  %one = literal u64 [18446744073709551615]
+  %nums = literal u64 [0, 7, 7, 3]
+  %strs = literal str ["a\"b", "tab\there", "\u{1F600}", "", "\\"]
+  %ids = literal u64 [9, 4, 9] enumadd e0
+  %sids = literal str ["x", "y\n"] enumadd e1
+  %none = literal u64 [] enumadd e0
+  ret
+}
+"#;
+    assert_round_trips(text);
+    let m = parse_module(text).expect("parses");
+    ade_ir::verify::verify_module(&m).expect("verifies");
+    let printed = print_module(&m);
+    assert!(printed.contains("%ids = literal u64 [9, 4, 9] enumadd e0\n"), "{printed}");
+    assert!(printed.contains("%empty_s = literal str []\n"), "{printed}");
+}
+
+proptest! {
+    /// Literal tables of arbitrary elements round-trip exactly, with and
+    /// without an enumeration, and keep their elements.
+    #[test]
+    fn literal_tables_of_any_elements_round_trip(
+        nums in prop::collection::vec(any::<u64>(), 0..6),
+        strs in prop::collection::vec("\\PC{0,8}", 0..4),
+        enumerated in any::<bool>(),
+    ) {
+        let mut b = ade_ir::builder::FunctionBuilder::new("main", &[], ade_ir::Type::Void);
+        b.literal(&nums[..]);
+        let refs: Vec<&str> = strs.iter().map(String::as_str).collect();
+        b.literal(&refs[..]);
+        b.ret_void();
+        let mut m = ade_ir::Module::new();
+        m.add_function(b.finish());
+        if enumerated {
+            let e = m.add_enum(ade_ir::EnumDecl { name: "e0".into(), key_ty: ade_ir::Type::U64 });
+            let f = &mut m.funcs[0];
+            let ade_ir::InstKind::Literal { enumeration, .. } = &mut f.insts[0].kind else {
+                panic!("a literal");
+            };
+            *enumeration = Some(e);
+            let v = f.insts[0].results[0];
+            f.values[v.index()].ty = ade_ir::Type::seq(ade_ir::Type::Idx);
+        }
+        ade_ir::verify::verify_module(&m).expect("verifies");
+        let printed = print_module(&m);
+        let m2 = parse_module(&printed).expect("printed form parses");
+        prop_assert_eq!(&printed, &print_module(&m2));
+        prop_assert_eq!(&m2.funcs[0].insts[0].kind, &m.funcs[0].insts[0].kind);
+        prop_assert_eq!(&m2.funcs[0].insts[1].kind, &m.funcs[0].insts[1].kind);
     }
 }
 

@@ -9,7 +9,6 @@
 use ade_ir::builder::FunctionBuilder;
 use ade_ir::{Module, Operand, Scalar, Type};
 
-use super::embed_u64_seq;
 use crate::gen;
 
 const SOURCES: usize = 4;
@@ -18,11 +17,11 @@ pub(super) fn build(scale: u32) -> Module {
     let g = gen::rmat(scale, 8, 0xBC);
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
 
-    let nodes = embed_u64_seq(&mut b, &g.nodes);
+    let nodes = b.literal(&g.nodes[..]);
     let srcs: Vec<u64> = g.edges.iter().map(|&(s, _)| s).collect();
     let dsts: Vec<u64> = g.edges.iter().map(|&(_, d)| d).collect();
-    let srcs = embed_u64_seq(&mut b, &srcs);
-    let dsts = embed_u64_seq(&mut b, &dsts);
+    let srcs = b.literal(&srcs[..]);
+    let dsts = b.literal(&dsts[..]);
 
     // Sequence adjacency: Map<node, Seq<node>>.
     let adj = b.new_collection(Type::map(Type::U64, Type::seq(Type::U64)));
@@ -38,7 +37,7 @@ pub(super) fn build(scale: u32) -> Module {
     })[0];
 
     let sample: Vec<u64> = g.nodes.iter().copied().take(SOURCES).collect();
-    let sources = embed_u64_seq(&mut b, &sample);
+    let sources = b.literal(&sample[..]);
 
     b.roi_begin();
     let centrality = b.new_collection(Type::map(Type::U64, Type::F64));

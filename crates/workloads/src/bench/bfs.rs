@@ -8,14 +8,14 @@
 use ade_ir::builder::FunctionBuilder;
 use ade_ir::{Module, Type};
 
-use super::{build_adjacency_seq, embed_edges, embed_u64_seq};
+use super::{build_adjacency_seq, embed_edges};
 use crate::gen;
 
 pub(super) fn build(scale: u32) -> Module {
     let g = gen::rmat(scale, 8, 0xBF5);
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
 
-    let nodes = embed_u64_seq(&mut b, &g.nodes);
+    let nodes = b.literal(&g.nodes[..]);
     let (srcs, dsts) = embed_edges(&mut b, &g);
     let adj = build_adjacency_seq(&mut b, nodes, srcs, dsts);
     let src = b.const_u64(g.nodes[0]);

@@ -10,7 +10,6 @@
 use ade_ir::builder::FunctionBuilder;
 use ade_ir::{Module, Operand, Scalar, Type};
 
-use super::embed_u64_seq;
 use crate::gen;
 
 const ROUNDS: u64 = 4;
@@ -20,11 +19,11 @@ pub(super) fn build(scale: u32) -> Module {
     let g = gen::grid2d(side, side);
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
 
-    let nodes = embed_u64_seq(&mut b, &g.nodes);
+    let nodes = b.literal(&g.nodes[..]);
     let srcs: Vec<u64> = g.edges.iter().map(|&(s, _)| s).collect();
     let dsts: Vec<u64> = g.edges.iter().map(|&(_, d)| d).collect();
-    let srcs = embed_u64_seq(&mut b, &srcs);
-    let dsts = embed_u64_seq(&mut b, &dsts);
+    let srcs = b.literal(&srcs[..]);
+    let dsts = b.literal(&dsts[..]);
 
     // Incoming edge-id lists per node: in_edges[v] = [e | dst(e) = v].
     let in_edges = b.new_collection(Type::map(Type::U64, Type::seq(Type::U64)));

@@ -9,14 +9,14 @@
 use ade_ir::builder::FunctionBuilder;
 use ade_ir::{CmpOp, Module, Type};
 
-use super::{embed_edges, embed_u64_seq};
+use super::embed_edges;
 use crate::gen;
 
 pub(super) fn build(scale: u32) -> Module {
     let g = gen::rmat(scale, 8, 0xCC);
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
 
-    let nodes = embed_u64_seq(&mut b, &g.nodes);
+    let nodes = b.literal(&g.nodes[..]);
     let (srcs, dsts) = embed_edges(&mut b, &g);
 
     b.roi_begin();

@@ -10,7 +10,7 @@
 use ade_ir::builder::FunctionBuilder;
 use ade_ir::{CmpOp, Module, Type};
 
-use super::{build_adjacency_seq, embed_edges, embed_u64_seq};
+use super::{build_adjacency_seq, embed_edges};
 use crate::gen;
 
 const ROUNDS: u64 = 4;
@@ -19,7 +19,7 @@ pub(super) fn build(scale: u32) -> Module {
     let g = gen::rmat(scale, 8, 0xCD);
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
 
-    let nodes = embed_u64_seq(&mut b, &g.nodes);
+    let nodes = b.literal(&g.nodes[..]);
     let (srcs, dsts) = embed_edges(&mut b, &g);
     let adj = build_adjacency_seq(&mut b, nodes, srcs, dsts);
 

@@ -9,22 +9,11 @@
 //! (Fig. 5c: +27.3%).
 
 use ade_ir::builder::FunctionBuilder;
-use ade_ir::{CmpOp, Module, Operand, Scalar, Type, ValueId};
+use ade_ir::{CmpOp, Module, Operand, Scalar, Type};
 
-use super::embed_u64_seq;
 use crate::gen;
 
 const MIN_SUPPORT: u64 = 4;
-
-fn embed_str_seq(b: &mut FunctionBuilder, data: &[&str]) -> ValueId {
-    let mut seq = b.new_collection(Type::seq(Type::Str));
-    for (i, s) in data.iter().enumerate() {
-        let idx = b.const_u64(i as u64);
-        let val = b.const_str(s);
-        seq = b.insert_at(seq, Scalar::Value(idx), val);
-    }
-    seq
-}
 
 pub(super) fn build(scale: u32) -> Module {
     let n_tx = 1usize << scale;
@@ -41,8 +30,8 @@ pub(super) fn build(scale: u32) -> Module {
         }
     }
     starts.push(flat.len() as u64);
-    let items_flat = embed_str_seq(&mut b, &flat);
-    let starts = embed_u64_seq(&mut b, &starts);
+    let items_flat = b.literal(&flat[..]);
+    let starts = b.literal(&starts[..]);
 
     b.roi_begin();
     // L1: item counts, plus the cold verbose map (first occurrence

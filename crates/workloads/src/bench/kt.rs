@@ -7,7 +7,7 @@
 use ade_ir::builder::FunctionBuilder;
 use ade_ir::{CmpOp, Module, Operand, Scalar, Type};
 
-use super::{build_adjacency, build_adjacency_seq, embed_edges, embed_u64_seq};
+use super::{build_adjacency, build_adjacency_seq, embed_edges};
 use crate::gen;
 
 const K: u64 = 3; // support threshold k-2 = 1: every edge needs a triangle.
@@ -16,7 +16,7 @@ pub(super) fn build(scale: u32) -> Module {
     let g = gen::rmat(scale, 8, 0x27);
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
 
-    let nodes = embed_u64_seq(&mut b, &g.nodes);
+    let nodes = b.literal(&g.nodes[..]);
     let (srcs, dsts) = embed_edges(&mut b, &g);
     let adj = build_adjacency(&mut b, nodes, srcs, dsts);
     // Symmetrize the membership sets; build symmetric iteration lists.

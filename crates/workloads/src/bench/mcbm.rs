@@ -9,7 +9,6 @@
 use ade_ir::builder::FunctionBuilder;
 use ade_ir::{Module, Operand, Scalar, Type};
 
-use super::embed_u64_seq;
 use crate::gen;
 
 pub(super) fn build(scale: u32) -> Module {
@@ -93,11 +92,11 @@ pub(super) fn build(scale: u32) -> Module {
 
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
     let lefts: Vec<u64> = (0..n as u64).map(gen::scramble).collect();
-    let left_seq = embed_u64_seq(&mut b, &lefts);
+    let left_seq = b.literal(&lefts[..]);
     let srcs: Vec<u64> = g.edges.iter().map(|&(s, _)| s).collect();
     let dsts: Vec<u64> = g.edges.iter().map(|&(_, d)| d).collect();
-    let srcs = embed_u64_seq(&mut b, &srcs);
-    let dsts = embed_u64_seq(&mut b, &dsts);
+    let srcs = b.literal(&srcs[..]);
+    let dsts = b.literal(&dsts[..]);
 
     // adj: Map<left, Seq<right>>.
     let adj = b.new_collection(Type::map(Type::U64, Type::seq(Type::U64)));

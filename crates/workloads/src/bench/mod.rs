@@ -73,22 +73,11 @@ pub fn benchmark_by_abbrev(abbrev: &str) -> Option<Benchmark> {
 
 // ---- shared IR-embedding helpers -------------------------------------
 
-/// Embeds a slice of `u64` data as a `Seq<u64>` built element by element.
-pub(crate) fn embed_u64_seq(b: &mut FunctionBuilder, data: &[u64]) -> ValueId {
-    let mut seq = b.new_collection(Type::seq(Type::U64));
-    for (i, &v) in data.iter().enumerate() {
-        let idx = b.const_u64(i as u64);
-        let val = b.const_u64(v);
-        seq = b.insert_at(seq, ade_ir::Scalar::Value(idx), val);
-    }
-    seq
-}
-
-/// Embeds a graph's edge list as two parallel `Seq<u64>`s.
+/// Embeds a graph's edge list as two parallel `Seq<u64>` literals.
 pub(crate) fn embed_edges(b: &mut FunctionBuilder, g: &Graph) -> (ValueId, ValueId) {
     let srcs: Vec<u64> = g.edges.iter().map(|&(s, _)| s).collect();
     let dsts: Vec<u64> = g.edges.iter().map(|&(_, d)| d).collect();
-    (embed_u64_seq(b, &srcs), embed_u64_seq(b, &dsts))
+    (b.literal(&srcs[..]), b.literal(&dsts[..]))
 }
 
 /// Builds an adjacency map `Map<node, Set<node>>` inside the program

@@ -9,7 +9,6 @@
 use ade_ir::builder::FunctionBuilder;
 use ade_ir::{CmpOp, Module, Type};
 
-use super::embed_u64_seq;
 use crate::gen;
 
 pub(super) fn build(scale: u32) -> Module {
@@ -34,13 +33,13 @@ pub(super) fn build(scale: u32) -> Module {
     let find = module.add_function(fb.finish());
 
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
-    let nodes = embed_u64_seq(&mut b, &g.nodes);
+    let nodes = b.literal(&g.nodes[..]);
     let srcs: Vec<u64> = g.edges.iter().map(|&(s, _)| s).collect();
     let dsts: Vec<u64> = g.edges.iter().map(|&(_, d)| d).collect();
     let wts = g.weights.clone().expect("weighted");
-    let srcs = embed_u64_seq(&mut b, &srcs);
-    let dsts = embed_u64_seq(&mut b, &dsts);
-    let wts = embed_u64_seq(&mut b, &wts);
+    let srcs = b.literal(&srcs[..]);
+    let dsts = b.literal(&dsts[..]);
+    let wts = b.literal(&wts[..]);
 
     b.roi_begin();
     // parent[v] = v.

@@ -9,7 +9,6 @@
 use ade_ir::builder::FunctionBuilder;
 use ade_ir::{CmpOp, Module, Operand, Scalar, Type};
 
-use super::embed_u64_seq;
 use crate::gen;
 
 pub(super) fn build(scale: u32) -> Module {
@@ -37,11 +36,11 @@ pub(super) fn build(scale: u32) -> Module {
     }
 
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
-    let nodes = embed_u64_seq(&mut b, &g.nodes);
-    let srcs = embed_u64_seq(&mut b, &e_src);
-    let dsts = embed_u64_seq(&mut b, &e_dst);
-    let caps = embed_u64_seq(&mut b, &e_cap);
-    let revs = embed_u64_seq(&mut b, &e_rev);
+    let nodes = b.literal(&g.nodes[..]);
+    let srcs = b.literal(&e_src[..]);
+    let dsts = b.literal(&e_dst[..]);
+    let caps = b.literal(&e_cap[..]);
+    let revs = b.literal(&e_rev[..]);
 
     let source = b.const_u64(g.nodes[0]);
     let sink = b.const_u64(*g.nodes.last().expect("nodes"));

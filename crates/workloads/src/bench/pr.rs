@@ -11,7 +11,7 @@
 use ade_ir::builder::FunctionBuilder;
 use ade_ir::{Module, Type};
 
-use super::{embed_edges, embed_u64_seq};
+use super::embed_edges;
 use crate::gen;
 
 const ROUNDS: u64 = 8;
@@ -20,7 +20,7 @@ pub(super) fn build(scale: u32) -> Module {
     let g = gen::rmat(scale, 8, 0x11);
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
 
-    let nodes = embed_u64_seq(&mut b, &g.nodes);
+    let nodes = b.literal(&g.nodes[..]);
     let (srcs, dsts) = embed_edges(&mut b, &g);
 
     b.roi_begin();

@@ -13,7 +13,6 @@ use ade_ir::{
     CmpOp, DirectiveSet, Module, Operand, Scalar, SelectionChoice, Type,
 };
 
-use super::embed_u64_seq;
 use crate::gen;
 
 /// RQ4 tuning variants for the points-to set allocation.
@@ -61,8 +60,8 @@ pub fn build_with(scale: u32, tuning: Tuning) -> Module {
     let c = gen::pta_constraints(n_ptrs, n_objs, n_ptrs * 3, 0x97A);
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
 
-    let ptrs = embed_u64_seq(&mut b, &c.pointers);
-    let objs = embed_u64_seq(&mut b, &c.objects);
+    let ptrs = b.literal(&c.pointers[..]);
+    let objs = b.literal(&c.objects[..]);
     let addr_p: Vec<u64> = c.address_of.iter().map(|&(p, _)| p).collect();
     let addr_o: Vec<u64> = c.address_of.iter().map(|&(_, o)| o).collect();
     let copy_a: Vec<u64> = c.copies.iter().map(|&(a, _)| a).collect();
@@ -71,14 +70,14 @@ pub fn build_with(scale: u32, tuning: Tuning) -> Module {
     let load_p: Vec<u64> = c.loads.iter().map(|&(_, p)| p).collect();
     let store_p: Vec<u64> = c.stores.iter().map(|&(p, _)| p).collect();
     let store_s: Vec<u64> = c.stores.iter().map(|&(_, q)| q).collect();
-    let addr_p = embed_u64_seq(&mut b, &addr_p);
-    let addr_o = embed_u64_seq(&mut b, &addr_o);
-    let copy_a = embed_u64_seq(&mut b, &copy_a);
-    let copy_b = embed_u64_seq(&mut b, &copy_b);
-    let load_d = embed_u64_seq(&mut b, &load_d);
-    let load_p = embed_u64_seq(&mut b, &load_p);
-    let store_p = embed_u64_seq(&mut b, &store_p);
-    let store_s = embed_u64_seq(&mut b, &store_s);
+    let addr_p = b.literal(&addr_p[..]);
+    let addr_o = b.literal(&addr_o[..]);
+    let copy_a = b.literal(&copy_a[..]);
+    let copy_b = b.literal(&copy_b[..]);
+    let load_d = b.literal(&load_d[..]);
+    let load_p = b.literal(&load_p[..]);
+    let store_p = b.literal(&store_p[..]);
+    let store_s = b.literal(&store_s[..]);
 
     b.roi_begin();
     let pts_ty = Type::map(Type::U64, Type::set(Type::U64));

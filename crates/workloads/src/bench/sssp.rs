@@ -8,7 +8,6 @@
 use ade_ir::builder::FunctionBuilder;
 use ade_ir::{CmpOp, Module, Operand, Scalar, Type};
 
-use super::{embed_u64_seq};
 use crate::gen;
 
 const INFINITY: u64 = u64::MAX / 4;
@@ -17,13 +16,13 @@ pub(super) fn build(scale: u32) -> Module {
     let g = gen::with_weights(gen::rmat(scale, 8, 0x55), 100, 0x66);
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
 
-    let nodes = embed_u64_seq(&mut b, &g.nodes);
+    let nodes = b.literal(&g.nodes[..]);
     let srcs: Vec<u64> = g.edges.iter().map(|&(s, _)| s).collect();
     let dsts: Vec<u64> = g.edges.iter().map(|&(_, d)| d).collect();
     let wts = g.weights.clone().expect("weighted");
-    let srcs = embed_u64_seq(&mut b, &srcs);
-    let dsts = embed_u64_seq(&mut b, &dsts);
-    let wts = embed_u64_seq(&mut b, &wts);
+    let srcs = b.literal(&srcs[..]);
+    let dsts = b.literal(&dsts[..]);
+    let wts = b.literal(&wts[..]);
 
     // Adjacency as parallel sequences per node: Map<node, Seq<node>> and
     // Map<node, Seq<u64>> (neighbor weights).

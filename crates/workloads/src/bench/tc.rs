@@ -10,14 +10,14 @@
 use ade_ir::builder::FunctionBuilder;
 use ade_ir::{Module, Type};
 
-use super::{build_adjacency, build_adjacency_seq, embed_edges, embed_u64_seq};
+use super::{build_adjacency, build_adjacency_seq, embed_edges};
 use crate::gen;
 
 pub(super) fn build(scale: u32) -> Module {
     let g = gen::rmat(scale, 8, 0x7C);
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
 
-    let nodes = embed_u64_seq(&mut b, &g.nodes);
+    let nodes = b.literal(&g.nodes[..]);
     let (srcs, dsts) = embed_edges(&mut b, &g);
     // Membership structure (sets) plus CSR-style iteration lists: the
     // usual Lonestar split. Symmetrize both so orientation is free.

@@ -399,70 +399,37 @@ fn @main() -> void {
 }
 "#;
 
-/// Literal collections, built element by element: a `Seq<u64>`, a
-/// `Seq<idx>` whose elements are first added to an enumeration (the
-/// form ADE gives a literal it propagates identifiers through), a
-/// `Seq<str>`, and a `Seq<u64>` rebuilt in every iteration of a bulk
-/// `forrange`. The sweep covers every fuel limit, so budget boundaries
-/// land on each literal's first instruction and inside it.
+/// Literal collections: a `Seq<u64>`, a `Seq<idx>` whose elements are
+/// added to an enumeration (the form ADE gives a literal it propagates
+/// identifiers through), a `Seq<str>`, and a `Seq<u64>` materialized in
+/// every iteration of a bulk `forrange`. The sweep covers every fuel
+/// limit, so a budget boundary lands right before each literal and
+/// right after it.
 const LITERALS: &str = r#"
 enum e0: u64
 
 fn @main() -> void {
   %zero = const 0u64
   %three = const 3u64
-  %a = new Seq<u64>
-  %a0 = const 0u64
-  %a0v = const 5u64
-  %a1 = insert %a, %a0, %a0v
-  %a1i = const 1u64
-  %a1v = const 3u64
-  %a2 = insert %a1, %a1i, %a1v
-  %a2i = const 2u64
-  %a2v = const 5u64
-  %a3 = insert %a2, %a2i, %a2v
-  %b = new Seq<idx>
-  %b0 = const 0u64
-  %b0v = const 3u64
-  %b0e = enumadd e0, %b0v
-  %b1 = insert %b, %b0, %b0e
-  %b1i = const 1u64
-  %b1v = const 9u64
-  %b1e = enumadd e0, %b1v
-  %b2 = insert %b1, %b1i, %b1e
-  %b2i = const 2u64
-  %b2v = const 3u64
-  %b2e = enumadd e0, %b2v
-  %b3 = insert %b2, %b2i, %b2e
-  %c = new Seq<str>
-  %c0 = const 0u64
-  %c0v = const "x"
-  %c1 = insert %c, %c0, %c0v
-  %c1i = const 1u64
-  %c1v = const "y\n"
-  %c2 = insert %c1, %c1i, %c1v
+  %a = literal u64 [5, 3, 5]
+  %b = literal u64 [3, 9, 3] enumadd e0
+  %c = literal str ["x", "y\n"]
   %tot = forrange %zero, %three carry(%zero) as (%i: u64, %acc: u64) {
-    %d = new Seq<u64>
-    %d0 = const 0u64
-    %d0v = const 1u64
-    %d1 = insert %d, %d0, %d0v
-    %d1i = const 1u64
-    %d1v = const 2u64
-    %d2 = insert %d1, %d1i, %d1v
-    %n = size %d2
+    %d = literal u64 [1, 2]
+    %n = size %d
     %acc1 = add %acc, %n
     yield %acc1
   }
-  %sa = foreach %a3 carry(%tot) as (%j: u64, %v: u64, %s: u64) {
+  %sa = foreach %a carry(%tot) as (%j: u64, %v: u64, %s: u64) {
     %s1 = add %s, %v
     yield %s1
   }
-  %sb = foreach %b3 carry(%sa) as (%j: u64, %id: idx, %s: u64) {
+  %sb = foreach %b carry(%sa) as (%j: u64, %id: idx, %s: u64) {
     %k = dec e0, %id
     %s1 = add %s, %k
     yield %s1
   }
-  %nc = size %c2
+  %nc = size %c
   print %sb, %nc
   ret
 }
@@ -610,12 +577,12 @@ const CASES: &[Case] = &[
                 matches!(
                     i,
                     DInst::Op(PlanOp {
-                        op: BulkOp::InsertSeq { .. },
+                        op: BulkOp::Literal { e: Some(_), .. },
                         ..
                     })
                 )
             },
-            |i| bulk_plan_has(i, |op| matches!(op, BulkOp::InsertSeq { .. })),
+            |i| bulk_plan_has(i, |op| matches!(op, BulkOp::Literal { .. })),
         ],
         depths: NO_DEPTH_LIMIT,
         fuel_sweep: u64::MAX,

@@ -76,6 +76,32 @@ fn @main() -> void {
     assert!(out.contains("Map{Bit}<idx, u64>"), "{out}");
 }
 
+/// A literal input whose elements key an enumerated map is retyped in
+/// place: `literal u64 [...] enumadd e0`, a `Seq<idx>`, with no `enumadd`
+/// instruction left, and the program prints what the baseline prints.
+#[test]
+fn literal_inputs_add_their_elements_to_the_enumeration() {
+    let text = include_str!("../examples/ir/literal_graph.memoir");
+    let baseline = Interpreter::new(&parse_module(text).expect("parses"), ExecConfig::default())
+        .run("main")
+        .expect("runs");
+    let mut module = parse_module(text).expect("parses");
+    let report = run_ade(&mut module, &AdeOptions::default());
+    assert_eq!(report.enums_created, 1);
+    ade::ir::verify::verify_module(&module).expect("verifies");
+    let printed = print_module(&module);
+    assert!(
+        printed.contains("%nodes = literal u64 [10, 20, 30, 40, 50] enumadd e0\n"),
+        "{printed}"
+    );
+    assert!(!printed.contains("= enumadd"), "{printed}");
+    let ade_run = Interpreter::new(&module, ExecConfig::default())
+        .run("main")
+        .expect("runs");
+    assert_eq!(ade_run.output, baseline.output);
+    assert_eq!(ade_run.output, "ten 2\n");
+}
+
 /// Printed-IR fingerprints of every benchmark × configuration at scale 4:
 /// one `ABBREV config lines fnv1a64` row per compiled module.
 const GOLDEN_IR: &str = include_str!("golden/compiled_ir_scale4.txt");

@@ -525,21 +525,12 @@ fn heap_cell_limit_trips_at_a_literal() {
     let module = parse_module(
         r#"
 fn @main() -> void {
-  %a = new Seq<u64>
-  %a0 = const 0u64
-  %a0v = const 8u64
-  %a1 = insert %a, %a0, %a0v
+  %a = literal u64 [8]
   %zero = const 0u64
   %ten = const 10u64
   %tot = forrange %zero, %ten carry(%zero) as (%i: u64, %acc: u64) {
-    %s = new Seq<u64>
-    %s0 = const 0u64
-    %s0v = const 4u64
-    %s1 = insert %s, %s0, %s0v
-    %s1i = const 1u64
-    %s1v = const 2u64
-    %s2 = insert %s1, %s1i, %s1v
-    %n = size %s2
+    %s = literal u64 [4, 2]
+    %n = size %s
     %acc1 = add %acc, %n
     yield %acc1
   }
@@ -555,7 +546,7 @@ fn @main() -> void {
         decoded.funcs[0]
             .code
             .iter()
-            .any(|i| bulk_plan_has(i, |op| matches!(op, BulkOp::InsertSeq { .. }))),
+            .any(|i| bulk_plan_has(i, |op| matches!(op, BulkOp::Literal { .. }))),
         "the loop's literal must compile into its plan"
     );
     let mut stops = Vec::new();
