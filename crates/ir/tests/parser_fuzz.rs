@@ -30,6 +30,8 @@ proptest! {
                 Just("]".to_string()), Just("#[".to_string()),
                 Just("\"str".to_string()), Just("e0,".to_string()),
                 Just("enum".to_string()), Just(":".to_string()),
+                Just("literal".to_string()), Just("u64".to_string()),
+                Just("str".to_string()), Just("enumadd".to_string()),
             ],
             0..60,
         )
