@@ -48,7 +48,8 @@ impl RedefChains {
         let n = func.values.len();
         let mut uf = UnionFind::new(n);
 
-        let iter_arg_count = Type::foreach_iter_args;
+        let iter_arg_count =
+            |ty: &Type| ade_ir::typing::iteration_types(ty).map_or(1, |vars| vars.len());
 
         for inst_id in func.all_insts() {
             let inst = func.inst(inst_id);

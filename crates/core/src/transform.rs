@@ -3,18 +3,20 @@
 //! enumerated collections to `idx` keys.
 //!
 //! Retyping works in two stages: allocation and parameter types are
-//! rewritten directly, then a *type repair* fixpoint recomputes every
-//! derived type (loop arguments, read results, φ values) from operand
-//! types. Because every φ-web boundary was patched with a translation,
-//! identifiers propagate through carried values exactly as in the
-//! paper's Listing 4 without any explicit φ surgery.
+//! rewritten directly, then a *type repair* fixpoint re-derives every
+//! other type (loop arguments, read results, φ values) with the IR's
+//! typing rule (`ade_ir::typing`). Because every φ-web boundary was
+//! patched with a translation, identifiers propagate through carried
+//! values exactly as in the paper's Listing 4 without any explicit φ
+//! surgery.
 
 use std::collections::HashMap;
 
 use ade_analysis::RedefChains;
+use ade_ir::typing::{signature, Externs};
 use ade_ir::{
     Access, ConstVal, EnumDecl, EnumId, Function, Inst, InstId, InstKind, Module, Operand,
-    Scalar, Type, ValueData, ValueDef, ValueId,
+    Scalar, Type, ValueDef, ValueId,
 };
 
 use crate::interproc::{ModulePlan, PlannedCandidate};
@@ -183,8 +185,7 @@ fn retype_roots(func: &mut Function, cand: &PlannedCandidate) {
 /// Wraps the value at `site` in a translation instruction, recorded in
 /// `placed` to be spliced just before the using instruction (see
 /// [`splice_before`]), or, for a literal's elements, names the
-/// enumeration on the literal itself. Result types are provisional
-/// (`repair_types` finalizes them).
+/// enumeration on the literal itself.
 fn wrap_site(
     func: &mut Function,
     site: UseSite,
@@ -206,7 +207,6 @@ fn wrap_site(
                         site.inst,
                         InstKind::Const(ConstVal::U64(c)),
                         vec![],
-                        Type::U64,
                     );
                     Operand::value(cv)
                 }
@@ -227,12 +227,7 @@ fn wrap_site(
             return;
         }
     };
-    // Provisional result type: repair_types recomputes from the opcode.
-    let result_ty = match kind {
-        InstKind::Enc(_) | InstKind::EnumAdd(_) => Type::Idx,
-        _ => Type::Void, // Dec: fixed by repair from the enum declaration.
-    };
-    let new_val = new_inst_before(func, placed, site.inst, kind, vec![current], result_ty);
+    let new_val = new_inst_before(func, placed, site.inst, kind, vec![current]);
     match site.pos {
         OperandPos::Plain(n) => {
             func.inst_mut(site.inst).operands[n] = Operand::value(new_val);
@@ -246,25 +241,21 @@ fn wrap_site(
 }
 
 /// Creates an instruction with one result and records it in `placed`
-/// to be spliced immediately before `before`.
+/// to be spliced immediately before `before`. The result is typed
+/// `void` until [`repair_types_with_enums`] applies the typing rule.
 fn new_inst_before(
     func: &mut Function,
     placed: &mut Vec<(InstId, InstId)>,
     before: InstId,
     kind: InstKind,
     operands: Vec<Operand>,
-    result_ty: Type,
 ) -> ValueId {
     let inst_id = InstId::from_index(func.insts.len());
-    let value = ValueId::from_index(func.values.len());
-    func.values.push(ValueData {
-        ty: result_ty,
-        def: ValueDef::InstResult {
-            inst: inst_id,
-            index: 0,
-        },
-        name: None,
-    });
+    let def = ValueDef::InstResult {
+        inst: inst_id,
+        index: 0,
+    };
+    let value = func.add_value(Type::Void, def, None);
     func.insts.push(Inst {
         kind,
         operands,
@@ -301,116 +292,37 @@ fn splice_before(func: &mut Function, placed: &[(InstId, InstId)]) {
     assert!(pending.is_empty(), "translation site outside every region");
 }
 
-/// Recomputes every derived value type from operand types until a fixed
-/// point. This propagates `idx` through φ-webs, loop arguments, read
-/// results and nested aliases after the roots were retyped and the
-/// boundaries patched. `enums[i]` is the key type of enumeration `i`.
+/// Re-derives every result and loop-argument type with the typing rule
+/// ([`ade_ir::typing::signature`]) until a fixed point. This propagates
+/// `idx` through φ-webs, loop arguments, read results and nested
+/// aliases after the roots were retyped and the boundaries patched.
+/// `enums[i]` is the key type of enumeration `i`, `ret_tys[f]` the
+/// return type of function `f`; an instruction the rule cannot type
+/// keeps its types (the verifier reports it).
 pub fn repair_types_with_enums(func: &mut Function, ret_tys: &[Type], enums: &[Type]) {
+    let ext = Externs {
+        enum_keys: enums,
+        returns: ret_tys,
+    };
     for _ in 0..16 {
         let mut changed = false;
         for inst_id in func.all_insts() {
-            let inst = func.inst(inst_id).clone();
-            match &inst.kind {
-                InstKind::Read => {
-                    let ty = ade_ir::builder::operand_type_in(func, &inst.operands[0]);
-                    if let Some(want) = ty.value_type() {
-                        changed |= set_ty(func, inst.results[0], want.clone());
+            let inst = func.inst(inst_id);
+            let Ok(sig) = signature(func, inst, ext) else {
+                continue;
+            };
+            let body = inst.regions.first().copied();
+            for (i, ty) in sig.results.into_iter().enumerate() {
+                if let Some(&v) = func.inst(inst_id).results.get(i) {
+                    changed |= set_ty(func, v, ty);
+                }
+            }
+            if let Some(body) = body {
+                for (i, ty) in sig.body_args.into_iter().enumerate() {
+                    if let Some(&v) = func.region(body).args.get(i) {
+                        changed |= set_ty(func, v, ty);
                     }
                 }
-                k if k.is_collection_update() => {
-                    let ty = func.value_ty(inst.operands[0].base).clone();
-                    changed |= set_ty(func, inst.results[0], ty);
-                }
-                InstKind::Bin(_) => {
-                    let ty = ade_ir::builder::operand_type_in(func, &inst.operands[0]);
-                    changed |= set_ty(func, inst.results[0], ty);
-                }
-                InstKind::Call(callee) => {
-                    if let Some(&r) = inst.results.first() {
-                        if let Some(ret) = ret_tys.get(callee.index()) {
-                            if *ret != Type::Void {
-                                changed |= set_ty(func, r, ret.clone());
-                            }
-                        }
-                    }
-                }
-                InstKind::Dec(e) => {
-                    if let Some(key_ty) = enums.get(e.index()) {
-                        changed |= set_ty(func, inst.results[0], key_ty.clone());
-                    }
-                }
-                InstKind::Enc(_) | InstKind::EnumAdd(_) => {
-                    changed |= set_ty(func, inst.results[0], Type::Idx);
-                }
-                InstKind::If => {
-                    let yields = region_yield_tys(func, inst.regions[0]);
-                    for (&r, ty) in inst.results.iter().zip(yields) {
-                        changed |= set_ty(func, r, ty);
-                    }
-                }
-                InstKind::ForEach => {
-                    let coll_ty =
-                        ade_ir::builder::operand_type_in(func, &inst.operands[0]);
-                    let args = func.region(inst.regions[0]).args.clone();
-                    let mut arg_tys: Vec<Type> = Vec::new();
-                    match &coll_ty {
-                        Type::Seq(elem) => {
-                            arg_tys.push(Type::U64);
-                            arg_tys.push((**elem).clone());
-                        }
-                        Type::Set { elem, .. } => arg_tys.push((**elem).clone()),
-                        Type::Map { key, val, .. } => {
-                            arg_tys.push((**key).clone());
-                            arg_tys.push((**val).clone());
-                        }
-                        _ => {}
-                    }
-                    let iter = arg_tys.len();
-                    for (op, slot) in inst.operands[1..].iter().zip(iter..) {
-                        arg_tys.push(func.value_ty(op.base).clone());
-                        let _ = (op, slot);
-                    }
-                    for (&a, ty) in args.iter().zip(arg_tys.iter()) {
-                        changed |= set_ty(func, a, ty.clone());
-                    }
-                    for (&r, op) in inst.results.iter().zip(inst.operands[1..].iter()) {
-                        let ty = func.value_ty(op.base).clone();
-                        changed |= set_ty(func, r, ty);
-                    }
-                }
-                InstKind::ForRange => {
-                    let args = func.region(inst.regions[0]).args.clone();
-                    if let Some(&i) = args.first() {
-                        changed |= set_ty(func, i, Type::U64);
-                    }
-                    for ((&a, op), &r) in args[1..]
-                        .iter()
-                        .zip(inst.operands[2..].iter())
-                        .zip(inst.results.iter())
-                    {
-                        let ty = func.value_ty(op.base).clone();
-                        changed |= set_ty(func, a, ty.clone());
-                        changed |= set_ty(func, r, ty);
-                    }
-                }
-                InstKind::DoWhile => {
-                    let args = func.region(inst.regions[0]).args.clone();
-                    // Carried types come from the *backedge* yield when it
-                    // disagrees with the init (the web may have retyped
-                    // the loop interior); prefer the yield.
-                    let yields = region_yield_tys(func, inst.regions[0]);
-                    for (j, &a) in args.iter().enumerate() {
-                        let ty = yields
-                            .get(j + 1)
-                            .cloned()
-                            .unwrap_or_else(|| func.value_ty(inst.operands[j].base).clone());
-                        changed |= set_ty(func, a, ty.clone());
-                        if let Some(&r) = inst.results.get(j) {
-                            changed |= set_ty(func, r, ty);
-                        }
-                    }
-                }
-                _ => {}
             }
         }
         if !changed {
@@ -418,20 +330,6 @@ pub fn repair_types_with_enums(func: &mut Function, ret_tys: &[Type], enums: &[T
         }
     }
     panic!("type repair did not converge in @{}", func.name);
-}
-
-fn region_yield_tys(func: &Function, region: ade_ir::RegionId) -> Vec<Type> {
-    let Some(&last) = func.region(region).insts.last() else {
-        return Vec::new();
-    };
-    let inst = func.inst(last);
-    if inst.kind != InstKind::Yield {
-        return Vec::new();
-    }
-    inst.operands
-        .iter()
-        .map(|op| ade_ir::builder::operand_type_in(func, op))
-        .collect()
 }
 
 fn set_ty(func: &mut Function, v: ValueId, ty: Type) -> bool {
@@ -596,6 +494,22 @@ fn @f(%s: Set<u64>, %t: Set<u64>, %c: bool) -> void {
         // Every new instruction sits in exactly one region.
         let placed: usize = f.regions.iter().map(|r| r.insts.len()).sum();
         assert_eq!(placed, f.insts.len());
+    }
+
+    #[test]
+    fn tuple_of_a_translated_value_gets_the_idx_field_type() {
+        let module = apply_sets(
+            "fn @f(%x: u64) -> void {\n  %t = tuple %x, %x\n  print %t\n  ret\n}\n",
+            |f| {
+                let mut sets = PatchSets::default();
+                sets.to_enc.insert(UseSite::plain(def_of(f, "t"), 0));
+                vec![sets]
+            },
+        );
+        let f = &module.funcs[0];
+        let t = f.inst(def_of(f, "t")).results[0];
+        assert_eq!(f.value_ty(t), &Type::Tuple(vec![Type::Idx, Type::U64]));
+        ade_ir::verify::verify_module(&module).expect("verifies");
     }
 
     #[test]

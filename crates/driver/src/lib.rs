@@ -29,25 +29,15 @@ use ade_interp::{DecodeOptions, DecodedModule, Interpreter};
 use ade_obs::{MetricsRegistry, Tracer};
 use ade_workloads::{Config, ConfigKind};
 
-/// Where the human-readable pipeline trace goes (`--trace[=FILE]`).
+/// Where a report flag sends its text: the pipeline trace
+/// (`--trace[=FILE]`) and the selection-ledger explain report
+/// (`--explain[=FILE]`).
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub enum TraceMode {
-    /// No tracing.
+pub enum Destination {
+    /// No report.
     #[default]
     Off,
-    /// Render the trace to stderr after the run.
-    Stderr,
-    /// Write the rendered trace to a file.
-    File(String),
-}
-
-/// Where the selection-ledger explain report goes (`--explain[=FILE]`).
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub enum ExplainMode {
-    /// No explain report.
-    #[default]
-    Off,
-    /// Render the report to stderr after compilation.
+    /// Render the report to stderr after the run.
     Stderr,
     /// Write the rendered report to a file.
     File(String),
@@ -68,7 +58,7 @@ pub struct Options {
     /// Entry function name.
     pub entry: String,
     /// Human-readable pipeline trace destination.
-    pub trace: TraceMode,
+    pub trace: Destination,
     /// Write machine-readable trace events (JSON) to this path.
     pub trace_json: Option<String>,
     /// Write the execution's metrics snapshot (JSON, schema
@@ -79,7 +69,7 @@ pub struct Options {
     /// Selection-ledger explain report destination (`--explain[=FILE]`):
     /// per keyed site, the applied implementations and the rule that
     /// decided them.
-    pub explain: ExplainMode,
+    pub explain: Destination,
     /// Abort execution after this many interpreted instructions
     /// (`--fuel`; default: unlimited).
     pub fuel: Option<u64>,
@@ -104,10 +94,10 @@ impl Default for Options {
             emit_ir: false,
             stats: false,
             entry: "main".to_string(),
-            trace: TraceMode::Off,
+            trace: Destination::Off,
             trace_json: None,
             metrics: None,
-            explain: ExplainMode::Off,
+            explain: Destination::Off,
             fuel: None,
             max_heap_cells: None,
             max_depth: None,
@@ -119,12 +109,12 @@ impl Default for Options {
 impl Options {
     /// Whether any trace output was requested.
     pub fn wants_trace(&self) -> bool {
-        self.trace != TraceMode::Off || self.trace_json.is_some()
+        self.trace != Destination::Off || self.trace_json.is_some()
     }
 
     /// Whether an explain report was requested.
     pub fn wants_explain(&self) -> bool {
-        self.explain != ExplainMode::Off
+        self.explain != Destination::Off
     }
 }
 
@@ -413,7 +403,7 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<Cli, String> {
                 options.max_depth = Some(depth);
             }
             "--reference" => options.reference = true,
-            "--trace" => options.trace = TraceMode::Stderr,
+            "--trace" => options.trace = Destination::Stderr,
             "--trace-json" => {
                 options.trace_json = Some(args.next().ok_or("missing value for --trace-json")?);
             }
@@ -421,12 +411,12 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<Cli, String> {
                 options.metrics = Some(args.next().ok_or("missing value for --metrics")?);
                 options.run = true;
             }
-            "--explain" => options.explain = ExplainMode::Stderr,
+            "--explain" => options.explain = Destination::Stderr,
             flag if flag.starts_with("--trace=") => {
-                options.trace = TraceMode::File(flag["--trace=".len()..].to_string());
+                options.trace = Destination::File(flag["--trace=".len()..].to_string());
             }
             flag if flag.starts_with("--explain=") => {
-                options.explain = ExplainMode::File(flag["--explain=".len()..].to_string());
+                options.explain = Destination::File(flag["--explain=".len()..].to_string());
             }
             flag if flag.starts_with('-') => {
                 return Err(format!("unknown flag `{flag}`"));
@@ -716,12 +706,12 @@ fn @main() -> void {
         ));
 
         let (opts, _) = parse_drive(&["--trace", "p.memoir"]).expect("parses");
-        assert_eq!(opts.trace, TraceMode::Stderr);
+        assert_eq!(opts.trace, Destination::Stderr);
         assert!(opts.wants_trace());
 
         let (opts, _) = parse_drive(&["--trace=log.txt", "--trace-json", "t.json", "p.memoir"])
             .expect("parses");
-        assert_eq!(opts.trace, TraceMode::File("log.txt".to_string()));
+        assert_eq!(opts.trace, Destination::File("log.txt".to_string()));
         assert_eq!(opts.trace_json.as_deref(), Some("t.json"));
 
         // --metrics implies --run.
@@ -734,11 +724,11 @@ fn @main() -> void {
     #[test]
     fn cli_explain_flags() {
         let (opts, _) = parse_drive(&["--explain", "p.memoir"]).expect("parses");
-        assert_eq!(opts.explain, ExplainMode::Stderr);
+        assert_eq!(opts.explain, Destination::Stderr);
         assert!(opts.wants_explain());
 
         let (opts, _) = parse_drive(&["--explain=ledger.txt", "p.memoir"]).expect("parses");
-        assert_eq!(opts.explain, ExplainMode::File("ledger.txt".to_string()));
+        assert_eq!(opts.explain, Destination::File("ledger.txt".to_string()));
 
         let (opts, _) = parse_drive(&["p.memoir"]).expect("parses");
         assert!(!opts.wants_explain());
@@ -749,7 +739,7 @@ fn @main() -> void {
         let explained = drive(
             PROGRAM,
             &Options {
-                explain: ExplainMode::Stderr,
+                explain: Destination::Stderr,
                 ..Options::default()
             },
         )
@@ -768,7 +758,7 @@ fn @main() -> void {
             PROGRAM,
             &Options {
                 config: "memoir".to_string(),
-                explain: ExplainMode::Stderr,
+                explain: Destination::Stderr,
                 ..Options::default()
             },
         )
@@ -784,7 +774,7 @@ fn @main() -> void {
         let opts = Options {
             config: "ade".to_string(),
             run: true,
-            trace: TraceMode::Stderr,
+            trace: Destination::Stderr,
             ..Options::default()
         };
         let a = drive(PROGRAM, &opts).expect("drives");

@@ -27,7 +27,7 @@
 //! error (bad flags, unknown `--config`, unreadable input, unwritable
 //! output paths); 3 parse or verify error.
 
-use ade_driver::{Cli, ExplainMode, TraceMode, USAGE};
+use ade_driver::{Cli, Destination, USAGE};
 
 fn main() {
     let (options, input) = match ade_driver::parse_args(std::env::args().skip(1)) {
@@ -65,35 +65,28 @@ fn main() {
             if let Some(stats) = out.stats {
                 eprint!("{stats}");
             }
-            match &options.trace {
-                TraceMode::Off => {}
-                TraceMode::Stderr => {
-                    eprint!("{}", ade_obs::render_events(&out.events, true));
-                }
-                TraceMode::File(path) => {
-                    write_file(path, &ade_obs::render_events(&out.events, true));
-                }
-            }
+            report(&options.trace, || ade_obs::render_events(&out.events, true));
             if let Some(path) = &options.trace_json {
                 write_file(path, &ade_obs::events_to_json(&out.events));
             }
             if let Some(path) = &options.metrics {
                 write_file(path, out.metrics.as_deref().unwrap_or(""));
             }
-            match &options.explain {
-                ExplainMode::Off => {}
-                ExplainMode::Stderr => {
-                    eprint!("{}", out.explain.as_deref().unwrap_or(""));
-                }
-                ExplainMode::File(path) => {
-                    write_file(path, out.explain.as_deref().unwrap_or(""));
-                }
-            }
+            report(&options.explain, || out.explain.clone().unwrap_or_default());
         }
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(e.exit_code());
         }
+    }
+}
+
+/// Sends the text `render` makes to `dest` (rendered only when wanted).
+fn report(dest: &Destination, render: impl FnOnce() -> String) {
+    match dest {
+        Destination::Off => {}
+        Destination::Stderr => eprint!("{}", render()),
+        Destination::File(path) => write_file(path, &render()),
     }
 }
 

@@ -89,3 +89,41 @@ fn directives_sample_selects_the_requested_impls() {
     assert!(ir.contains("Set{SparseBit}<idx>"), "{ir}");
     assert!(ir.contains("Map{Swiss}<u64, u64>"), "{ir}");
 }
+
+/// An `if` yielding a tuple field and a loop carrying one are typed by
+/// what the path reaches, not by the tuple itself.
+#[test]
+fn yields_and_carries_through_operand_paths_parse_verify_and_run() {
+    let head = "fn @main() -> void {\n  %one = const 1u64\n  %ten = const 10u64\n  %t = tuple %one, %ten\n";
+    let programs = [
+        (
+            "  %b = const true\n  %x = if %b then {\n    yield %t.0\n  } else {\n    yield %t.1\n  }\n  print %x\n  ret\n}\n",
+            "1\n",
+        ),
+        (
+            "  %lo = const 0u64\n  %y = forrange %lo, %one carry(%t.0) as (%i: u64, %acc: u64) {\n    %s = add %acc, %ten\n    yield %s\n  }\n  print %y\n  ret\n}\n",
+            "11\n",
+        ),
+    ];
+    for (tail, want) in programs {
+        let text = format!("{head}{tail}");
+        let module = ade_ir::parse::parse_module(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        ade_ir::verify::verify_module(&module).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        for config in ["memoir", "ade"] {
+            let out = drive(
+                &text,
+                &Options {
+                    config: config.into(),
+                    run: true,
+                    ..Options::default()
+                },
+            )
+            .unwrap_or_else(|e| panic!("[{config}] {e}\n{text}"));
+            assert_eq!(
+                out.program_output.as_deref(),
+                Some(want),
+                "[{config}] {text}"
+            );
+        }
+    }
+}

@@ -7,12 +7,15 @@
 //! entirely through this API, playing the role of the paper's MEMOIR C++
 //! collection library.
 
+use crate::typing::{self, Externs};
 use crate::{
-    BinOp, CmpOp, ConstVal, DirectiveSet, EnumId, FuncId, Function, Inst, InstId,
-    InstKind, LiteralData, Operand, Region, RegionId, Scalar, Type, ValueData, ValueDef, ValueId,
+    BinOp, CmpOp, ConstVal, DirectiveSet, EnumId, FuncId, Function, Inst, InstId, InstKind,
+    LiteralData, Operand, Region, RegionId, Scalar, Type, ValueDef, ValueId,
 };
 
-/// Builds one [`Function`] instruction by instruction.
+/// Builds one [`Function`] instruction by instruction. Result and loop
+/// argument types come from [`typing::signature`]; a method panics
+/// where the rule cannot type its operands.
 ///
 /// See the [crate-level example](crate) for a complete function.
 #[derive(Debug)]
@@ -24,27 +27,12 @@ pub struct FunctionBuilder {
 impl FunctionBuilder {
     /// Starts a function with named parameters.
     pub fn new(name: &str, params: &[(&str, Type)], ret_ty: Type) -> Self {
-        let body = RegionId(0);
-        let mut func = Function {
-            name: name.to_string(),
-            params: Vec::new(),
-            ret_ty,
-            body,
-            values: Vec::new(),
-            insts: Vec::new(),
-            regions: vec![Region::default()],
-            directives: Default::default(),
-            exported: false,
-        };
+        let mut func = Function::new(name, ret_ty);
         for (i, (pname, pty)) in params.iter().enumerate() {
-            let v = ValueId::from_index(func.values.len());
-            func.values.push(ValueData {
-                ty: pty.clone(),
-                def: ValueDef::Param(i),
-                name: Some((*pname).to_string()),
-            });
+            let v = func.add_value(pty.clone(), ValueDef::Param(i), Some((*pname).to_string()));
             func.params.push(v);
         }
+        let body = func.body;
         Self {
             func,
             region_stack: vec![body],
@@ -80,12 +68,6 @@ impl FunctionBuilder {
         *self.region_stack.last().expect("builder has a region")
     }
 
-    fn add_value(&mut self, ty: Type, def: ValueDef) -> ValueId {
-        let v = ValueId::from_index(self.func.values.len());
-        self.func.values.push(ValueData { ty, def, name: None });
-        v
-    }
-
     /// The static type of an operand, resolving nesting paths.
     ///
     /// # Panics
@@ -95,73 +77,75 @@ impl FunctionBuilder {
         operand_type_in(&self.func, op)
     }
 
-    fn emit(&mut self, kind: InstKind, operands: Vec<Operand>, result_tys: Vec<Type>) -> Vec<ValueId> {
-        self.emit_with_regions(kind, operands, Vec::new(), result_tys)
+    fn signature(&self, inst: &Inst) -> typing::Signature {
+        typing::signature(&self.func, inst, Externs::default()).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn emit_with_regions(
-        &mut self,
-        kind: InstKind,
-        operands: Vec<Operand>,
-        regions: Vec<RegionId>,
-        result_tys: Vec<Type>,
-    ) -> Vec<ValueId> {
+    /// Appends `inst` to the current region with results of `result_tys`.
+    fn append(&mut self, mut inst: Inst, result_tys: Vec<Type>) -> Vec<ValueId> {
         let inst_id = InstId::from_index(self.func.insts.len());
-        let results: Vec<ValueId> = result_tys
+        inst.results = result_tys
             .into_iter()
             .enumerate()
             .map(|(index, ty)| {
-                self.add_value(
+                self.func.add_value(
                     ty,
                     ValueDef::InstResult {
                         inst: inst_id,
                         index,
                     },
+                    None,
                 )
             })
             .collect();
-        self.func.insts.push(Inst {
-            kind,
-            operands,
-            regions,
-            results: results.clone(),
-        });
+        let results = inst.results.clone();
+        self.func.insts.push(inst);
         let region = self.current_region();
         self.func.regions[region.index()].insts.push(inst_id);
         results
     }
 
-    fn emit1(&mut self, kind: InstKind, operands: Vec<Operand>, ty: Type) -> ValueId {
-        self.emit(kind, operands, vec![ty])[0]
+    /// Appends `inst`, typed by the rule.
+    fn emit_inst(&mut self, inst: Inst) -> Vec<ValueId> {
+        let results = self.signature(&inst).results;
+        self.append(inst, results)
+    }
+
+    fn emit(&mut self, kind: InstKind, operands: Vec<Operand>) -> Vec<ValueId> {
+        self.emit_inst(Inst {
+            kind,
+            operands,
+            regions: Vec::new(),
+            results: Vec::new(),
+        })
+    }
+
+    fn emit1(&mut self, kind: InstKind, operands: Vec<Operand>) -> ValueId {
+        self.emit(kind, operands)[0]
     }
 
     // ---- constants ------------------------------------------------------
 
     /// Materializes a `u64` constant.
     pub fn const_u64(&mut self, v: u64) -> ValueId {
-        self.emit1(InstKind::Const(ConstVal::U64(v)), vec![], Type::U64)
+        self.emit1(InstKind::Const(ConstVal::U64(v)), vec![])
     }
 
     /// Materializes an `f64` constant.
     pub fn const_f64(&mut self, v: f64) -> ValueId {
-        self.emit1(InstKind::Const(ConstVal::F64(v)), vec![], Type::F64)
+        self.emit1(InstKind::Const(ConstVal::F64(v)), vec![])
     }
 
     /// Materializes a string constant.
     pub fn const_str(&mut self, v: &str) -> ValueId {
-        self.emit1(
-            InstKind::Const(ConstVal::Str(v.to_string())),
-            vec![],
-            Type::Str,
-        )
+        self.emit1(InstKind::Const(ConstVal::Str(v.to_string())), vec![])
     }
 
     // ---- arithmetic ------------------------------------------------------
 
     /// Emits a binary operation; the result takes the left operand's type.
     pub fn bin(&mut self, op: BinOp, a: ValueId, b: ValueId) -> ValueId {
-        let ty = self.func.value_ty(a).clone();
-        self.emit1(InstKind::Bin(op), vec![a.into(), b.into()], ty)
+        self.emit1(InstKind::Bin(op), vec![a.into(), b.into()])
     }
 
     /// `a + b`.
@@ -196,7 +180,7 @@ impl FunctionBuilder {
 
     /// Emits a comparison producing `bool`.
     pub fn cmp(&mut self, op: CmpOp, a: ValueId, b: ValueId) -> ValueId {
-        self.emit1(InstKind::Cmp(op), vec![a.into(), b.into()], Type::Bool)
+        self.emit1(InstKind::Cmp(op), vec![a.into(), b.into()])
     }
 
     /// `a == b`.
@@ -216,34 +200,29 @@ impl FunctionBuilder {
 
     /// `!a`.
     pub fn not(&mut self, a: ValueId) -> ValueId {
-        self.emit1(InstKind::Not, vec![a.into()], Type::Bool)
+        self.emit1(InstKind::Not, vec![a.into()])
     }
 
     /// Numeric conversion of `a` to `ty`.
     pub fn cast(&mut self, a: ValueId, ty: Type) -> ValueId {
-        self.emit1(InstKind::Cast(ty.clone()), vec![a.into()], ty)
+        self.emit1(InstKind::Cast(ty), vec![a.into()])
     }
 
     // ---- collections -----------------------------------------------------
 
     /// Allocates a new collection of type `ty`.
     pub fn new_collection(&mut self, ty: Type) -> ValueId {
-        self.emit1(InstKind::New(ty.clone()), vec![], ty)
+        self.emit1(InstKind::New(ty), vec![])
     }
 
     /// Materializes a literal collection: a `Seq` of `elems`, in order,
     /// built by one instruction.
     pub fn literal(&mut self, elems: impl Into<LiteralData>) -> ValueId {
-        let elems = elems.into();
-        let ty = InstKind::literal_ty(&elems, None);
-        self.emit1(
-            InstKind::Literal {
-                elems,
-                enumeration: None,
-            },
-            vec![],
-            ty,
-        )
+        let kind = InstKind::Literal {
+            elems: elems.into(),
+            enumeration: None,
+        };
+        self.emit1(kind, vec![])
     }
 
     /// Allocates a new collection carrying optimization directives
@@ -259,13 +238,7 @@ impl FunctionBuilder {
 
     /// `read(c, k) → v`.
     pub fn read(&mut self, c: impl Into<Operand>, k: impl Into<Operand>) -> ValueId {
-        let c = c.into();
-        let ty = self
-            .operand_type(&c)
-            .value_type()
-            .expect("read target is a collection")
-            .clone();
-        self.emit1(InstKind::Read, vec![c, k.into()], ty)
+        self.emit1(InstKind::Read, vec![c.into(), k.into()])
     }
 
     /// `write(c, k, v) → c'` (new state of the *base* collection).
@@ -275,27 +248,22 @@ impl FunctionBuilder {
         k: impl Into<Operand>,
         v: impl Into<Operand>,
     ) -> ValueId {
-        let c = c.into();
-        let ty = self.func.value_ty(c.base).clone();
-        self.emit1(InstKind::Write, vec![c, k.into(), v.into()], ty)
+        self.emit1(InstKind::Write, vec![c.into(), k.into(), v.into()])
     }
 
     /// `has(c, k) → bool`.
     pub fn has(&mut self, c: impl Into<Operand>, k: impl Into<Operand>) -> ValueId {
-        self.emit1(InstKind::Has, vec![c.into(), k.into()], Type::Bool)
+        self.emit1(InstKind::Has, vec![c.into(), k.into()])
     }
 
     /// Set/map insert: `insert(c, k) → c'`.
     pub fn insert(&mut self, c: impl Into<Operand>, k: impl Into<Operand>) -> ValueId {
-        let c = c.into();
-        let ty = self.func.value_ty(c.base).clone();
-        self.emit1(InstKind::Insert, vec![c, k.into()], ty)
+        self.emit1(InstKind::Insert, vec![c.into(), k.into()])
     }
 
     /// Sequence insert at a position: `insert(s, i, v) → s'`.
     pub fn insert_at(&mut self, s: impl Into<Operand>, i: Scalar, v: impl Into<Operand>) -> ValueId {
         let s = s.into();
-        let ty = self.func.value_ty(s.base).clone();
         let idx_op = match i {
             Scalar::Value(v) => Operand::value(v),
             Scalar::Const(n) => {
@@ -310,7 +278,7 @@ impl FunctionBuilder {
                 Operand::value(sz)
             }
         };
-        self.emit1(InstKind::Insert, vec![s, idx_op, v.into()], ty)
+        self.emit1(InstKind::Insert, vec![s, idx_op, v.into()])
     }
 
     /// Appends `v` to sequence `s`: `insert(s, end, v) → s'`.
@@ -320,45 +288,45 @@ impl FunctionBuilder {
 
     /// `remove(c, k) → c'`.
     pub fn remove(&mut self, c: impl Into<Operand>, k: impl Into<Operand>) -> ValueId {
-        let c = c.into();
-        let ty = self.func.value_ty(c.base).clone();
-        self.emit1(InstKind::Remove, vec![c, k.into()], ty)
+        self.emit1(InstKind::Remove, vec![c.into(), k.into()])
     }
 
     /// `clear(c) → c'`.
     pub fn clear(&mut self, c: impl Into<Operand>) -> ValueId {
-        let c = c.into();
-        let ty = self.func.value_ty(c.base).clone();
-        self.emit1(InstKind::Clear, vec![c], ty)
+        self.emit1(InstKind::Clear, vec![c.into()])
     }
 
     /// `size(c) → u64`.
     pub fn size(&mut self, c: impl Into<Operand>) -> ValueId {
-        self.emit1(InstKind::Size, vec![c.into()], Type::U64)
+        self.emit1(InstKind::Size, vec![c.into()])
     }
 
     /// Bulk set union: `union(dst, src) → dst'`.
     pub fn union_into(&mut self, dst: impl Into<Operand>, src: impl Into<Operand>) -> ValueId {
-        let dst = dst.into();
-        let ty = self.func.value_ty(dst.base).clone();
-        self.emit1(InstKind::UnionInto, vec![dst, src.into()], ty)
+        self.emit1(InstKind::UnionInto, vec![dst.into(), src.into()])
     }
 
     // ---- enumeration translations (paper §III-B) --------------------------
 
     /// `enc(e, v) → idx`.
     pub fn enc(&mut self, e: EnumId, v: impl Into<Operand>) -> ValueId {
-        self.emit1(InstKind::Enc(e), vec![v.into()], Type::Idx)
+        self.emit1(InstKind::Enc(e), vec![v.into()])
     }
 
     /// `dec(e, i) → v` of `key_ty` (the enumeration's key domain).
     pub fn dec(&mut self, e: EnumId, i: impl Into<Operand>, key_ty: Type) -> ValueId {
-        self.emit1(InstKind::Dec(e), vec![i.into()], key_ty)
+        let inst = Inst {
+            kind: InstKind::Dec(e),
+            operands: vec![i.into()],
+            regions: Vec::new(),
+            results: Vec::new(),
+        };
+        self.append(inst, vec![key_ty])[0]
     }
 
     /// `add(e, v) → idx`.
     pub fn enum_add(&mut self, e: EnumId, v: impl Into<Operand>) -> ValueId {
-        self.emit1(InstKind::EnumAdd(e), vec![v.into()], Type::Idx)
+        self.emit1(InstKind::EnumAdd(e), vec![v.into()])
     }
 
     // ---- miscellaneous ----------------------------------------------------
@@ -366,62 +334,83 @@ impl FunctionBuilder {
     /// Prints operands as one output record.
     pub fn print(&mut self, vals: &[ValueId]) {
         let ops = vals.iter().map(|&v| v.into()).collect();
-        self.emit(InstKind::Print, ops, vec![]);
+        self.emit(InstKind::Print, ops);
     }
 
     /// Calls `callee` with `args`; `ret_ty` must match the callee.
     pub fn call(&mut self, callee: FuncId, args: &[ValueId], ret_ty: Type) -> Option<ValueId> {
-        let ops = args.iter().map(|&v| v.into()).collect();
-        if ret_ty == Type::Void {
-            self.emit(InstKind::Call(callee), ops, vec![]);
-            None
+        let inst = Inst {
+            kind: InstKind::Call(callee),
+            operands: args.iter().map(|&v| v.into()).collect(),
+            regions: Vec::new(),
+            results: Vec::new(),
+        };
+        let result_tys = if ret_ty == Type::Void {
+            vec![]
         } else {
-            Some(self.emit1(InstKind::Call(callee), ops, ret_ty))
-        }
+            vec![ret_ty]
+        };
+        self.append(inst, result_tys).first().copied()
     }
 
     /// Marks the start of the region of interest (paper Fig. 5b).
     pub fn roi_begin(&mut self) {
-        self.emit(InstKind::Roi(true), vec![], vec![]);
+        self.emit(InstKind::Roi(true), vec![]);
     }
 
     /// Marks the end of the region of interest.
     pub fn roi_end(&mut self) {
-        self.emit(InstKind::Roi(false), vec![], vec![]);
+        self.emit(InstKind::Roi(false), vec![]);
     }
 
     /// Returns `v` from the function.
     pub fn ret(&mut self, v: ValueId) {
-        self.emit(InstKind::Ret, vec![v.into()], vec![]);
+        self.emit(InstKind::Ret, vec![v.into()]);
     }
 
     /// Returns from a `void` function.
     pub fn ret_void(&mut self) {
-        self.emit(InstKind::Ret, vec![], vec![]);
+        self.emit(InstKind::Ret, vec![]);
     }
 
     // ---- structured control flow ------------------------------------------
 
-    fn open_region(&mut self, arg_tys: &[Type]) -> (RegionId, Vec<ValueId>) {
+    fn open_region(&mut self) -> RegionId {
         let region = RegionId::from_index(self.func.regions.len());
         self.func.regions.push(Region::default());
-        let args: Vec<ValueId> = arg_tys
-            .iter()
-            .enumerate()
-            .map(|(index, ty)| {
-                self.add_value(ty.clone(), ValueDef::RegionArg { region, index })
-            })
-            .collect();
-        self.func.regions[region.index()].args = args.clone();
         self.region_stack.push(region);
-        (region, args)
+        region
     }
 
     fn close_region(&mut self, region: RegionId, yields: Vec<ValueId>) {
         assert_eq!(self.current_region(), region, "mismatched region close");
         let ops = yields.into_iter().map(Operand::value).collect();
-        self.emit(InstKind::Yield, ops, vec![]);
+        self.emit(InstKind::Yield, ops);
         self.region_stack.pop();
+    }
+
+    /// Opens the body of a loop of `kind` over `operands`, binding the
+    /// arguments the rule gives it. Returns the loop, to be emitted once
+    /// the body is closed, and the body arguments.
+    fn open_loop(&mut self, kind: InstKind, operands: Vec<Operand>) -> (Inst, Vec<ValueId>) {
+        let region = self.open_region();
+        let inst = Inst {
+            kind,
+            operands,
+            regions: vec![region],
+            results: Vec::new(),
+        };
+        let body_args = self.signature(&inst).body_args;
+        let args: Vec<ValueId> = body_args
+            .into_iter()
+            .enumerate()
+            .map(|(index, ty)| {
+                self.func
+                    .add_value(ty, ValueDef::RegionArg { region, index }, None)
+            })
+            .collect();
+        self.func.regions[region.index()].args.clone_from(&args);
+        (inst, args)
     }
 
     /// Structured if-else. Each closure returns its yield values; both
@@ -437,29 +426,29 @@ impl FunctionBuilder {
         then_fn: impl FnOnce(&mut Self) -> Vec<ValueId>,
         else_fn: impl FnOnce(&mut Self) -> Vec<ValueId>,
     ) -> Vec<ValueId> {
-        let (then_region, _) = self.open_region(&[]);
+        let types_of = |b: &Self, vals: &[ValueId]| -> Vec<Type> {
+            vals.iter().map(|&v| b.func.value_ty(v).clone()).collect()
+        };
+        let then_region = self.open_region();
         let then_vals = then_fn(self);
-        let then_tys: Vec<Type> = then_vals
-            .iter()
-            .map(|&v| self.func.value_ty(v).clone())
-            .collect();
+        let then_tys = types_of(self, &then_vals);
         self.close_region(then_region, then_vals);
 
-        let (else_region, _) = self.open_region(&[]);
+        let else_region = self.open_region();
         let else_vals = else_fn(self);
-        let else_tys: Vec<Type> = else_vals
-            .iter()
-            .map(|&v| self.func.value_ty(v).clone())
-            .collect();
-        assert_eq!(then_tys, else_tys, "if-else branches must yield same types");
+        assert_eq!(
+            then_tys,
+            types_of(self, &else_vals),
+            "if-else branches must yield same types"
+        );
         self.close_region(else_region, else_vals);
 
-        self.emit_with_regions(
-            InstKind::If,
-            vec![cond.into()],
-            vec![then_region, else_region],
-            then_tys,
-        )
+        self.emit_inst(Inst {
+            kind: InstKind::If,
+            operands: vec![cond.into()],
+            regions: vec![then_region, else_region],
+            results: Vec::new(),
+        })
     }
 
     /// For-each over a collection with carried values.
@@ -473,46 +462,14 @@ impl FunctionBuilder {
         inits: &[ValueId],
         body_fn: impl FnOnce(&mut Self, ValueId, Option<ValueId>, &[ValueId]) -> Vec<ValueId>,
     ) -> Vec<ValueId> {
-        let collection = collection.into();
-        let coll_ty = self.operand_type(&collection);
-        let mut arg_tys: Vec<Type> = Vec::new();
-        let has_value_arg = match &coll_ty {
-            Type::Seq(elem) => {
-                arg_tys.push(Type::U64);
-                arg_tys.push((**elem).clone());
-                true
-            }
-            Type::Set { elem, .. } => {
-                arg_tys.push((**elem).clone());
-                false
-            }
-            Type::Map { key, val, .. } => {
-                arg_tys.push((**key).clone());
-                arg_tys.push((**val).clone());
-                true
-            }
-            other => panic!("for_each over non-collection {other}"),
-        };
-        let carried_tys: Vec<Type> = inits
-            .iter()
-            .map(|&v| self.func.value_ty(v).clone())
-            .collect();
-        arg_tys.extend(carried_tys.iter().cloned());
-
-        let (region, args) = self.open_region(&arg_tys);
-        let key = args[0];
-        let (value, carried) = if has_value_arg {
-            (Some(args[1]), &args[2..])
-        } else {
-            (None, &args[1..])
-        };
-        let next = body_fn(self, key, value, carried);
-        assert_eq!(next.len(), inits.len(), "carried value count mismatch");
-        self.close_region(region, next);
-
-        let mut operands = vec![collection];
+        let mut operands = vec![collection.into()];
         operands.extend(inits.iter().map(|&v| Operand::value(v)));
-        self.emit_with_regions(InstKind::ForEach, operands, vec![region], carried_tys)
+        let (inst, args) = self.open_loop(InstKind::ForEach, operands);
+        let (iter, carried) = args.split_at(args.len() - inits.len());
+        let next = body_fn(self, iter[0], iter.get(1).copied(), carried);
+        assert_eq!(next.len(), inits.len(), "carried value count mismatch");
+        self.close_region(inst.regions[0], next);
+        self.emit_inst(inst)
     }
 
     /// Counted loop over `[lo, hi)` with carried values.
@@ -523,21 +480,13 @@ impl FunctionBuilder {
         inits: &[ValueId],
         body_fn: impl FnOnce(&mut Self, ValueId, &[ValueId]) -> Vec<ValueId>,
     ) -> Vec<ValueId> {
-        let carried_tys: Vec<Type> = inits
-            .iter()
-            .map(|&v| self.func.value_ty(v).clone())
-            .collect();
-        let mut arg_tys = vec![Type::U64];
-        arg_tys.extend(carried_tys.iter().cloned());
-
-        let (region, args) = self.open_region(&arg_tys);
-        let next = body_fn(self, args[0], &args[1..]);
-        assert_eq!(next.len(), inits.len(), "carried value count mismatch");
-        self.close_region(region, next);
-
         let mut operands = vec![Operand::value(lo), Operand::value(hi)];
         operands.extend(inits.iter().map(|&v| Operand::value(v)));
-        self.emit_with_regions(InstKind::ForRange, operands, vec![region], carried_tys)
+        let (inst, args) = self.open_loop(InstKind::ForRange, operands);
+        let next = body_fn(self, args[0], &args[1..]);
+        assert_eq!(next.len(), inits.len(), "carried value count mismatch");
+        self.close_region(inst.regions[0], next);
+        self.emit_inst(inst)
     }
 
     /// Do-while loop with carried values. The body returns the loop
@@ -548,37 +497,25 @@ impl FunctionBuilder {
         inits: &[ValueId],
         body_fn: impl FnOnce(&mut Self, &[ValueId]) -> (ValueId, Vec<ValueId>),
     ) -> Vec<ValueId> {
-        let carried_tys: Vec<Type> = inits
-            .iter()
-            .map(|&v| self.func.value_ty(v).clone())
-            .collect();
-        let (region, args) = self.open_region(&carried_tys);
+        let operands = inits.iter().map(|&v| Operand::value(v)).collect();
+        let (inst, args) = self.open_loop(InstKind::DoWhile, operands);
         let (cond, next) = body_fn(self, &args);
         assert_eq!(next.len(), inits.len(), "carried value count mismatch");
         let mut yields = vec![cond];
         yields.extend(next);
-        self.close_region(region, yields);
-
-        let operands = inits.iter().map(|&v| Operand::value(v)).collect();
-        self.emit_with_regions(InstKind::DoWhile, operands, vec![region], carried_tys)
+        self.close_region(inst.regions[0], yields);
+        self.emit_inst(inst)
     }
 }
 
-/// The static type of an operand within `func`, resolving nesting paths.
+/// The static type of an operand within `func`, resolving nesting paths
+/// ([`typing::operand_type`]).
 ///
 /// # Panics
 ///
 /// Panics if the path does not match the base type.
 pub fn operand_type_in(func: &Function, op: &Operand) -> Type {
-    func.value_ty(op.base)
-        .at_path(&op.path)
-        .unwrap_or_else(|| {
-            panic!(
-                "operand path {:?} does not apply to {}",
-                op.path,
-                func.value_ty(op.base)
-            )
-        })
+    typing::operand_type(func, op).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

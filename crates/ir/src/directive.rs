@@ -25,6 +25,14 @@ pub enum SelectionChoice {
     SparseBit,
 }
 
+named!(SelectionChoice {
+    Hash => "Hash",
+    Flat => "Flat",
+    Swiss => "Swiss",
+    Bit => "Bit",
+    SparseBit => "SparseBit",
+});
+
 /// The directives attached to one collection allocation.
 ///
 /// # Examples

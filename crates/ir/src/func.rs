@@ -72,6 +72,28 @@ pub struct Function {
 }
 
 impl Function {
+    /// A function with no parameters and an empty body region.
+    pub fn new(name: &str, ret_ty: Type) -> Self {
+        Function {
+            name: name.to_string(),
+            params: Vec::new(),
+            ret_ty,
+            body: RegionId(0),
+            values: Vec::new(),
+            insts: Vec::new(),
+            regions: vec![Region::default()],
+            directives: BTreeMap::new(),
+            exported: false,
+        }
+    }
+
+    /// Adds a value, returning its id.
+    pub fn add_value(&mut self, ty: Type, def: ValueDef, name: Option<String>) -> ValueId {
+        let v = ValueId::from_index(self.values.len());
+        self.values.push(ValueData { ty, def, name });
+        v
+    }
+
     /// The type of a value.
     pub fn value_ty(&self, v: ValueId) -> &Type {
         &self.values[v.index()].ty

@@ -219,6 +219,21 @@ pub enum BinOp {
     Shr,
 }
 
+named!(BinOp {
+    Add => "add",
+    Sub => "sub",
+    Mul => "mul",
+    Div => "div",
+    Rem => "rem",
+    Min => "min",
+    Max => "max",
+    And => "and",
+    Or => "or",
+    Xor => "xor",
+    Shl => "shl",
+    Shr => "shr",
+});
+
 /// Comparison operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
@@ -230,6 +245,15 @@ pub enum CmpOp {
     Gt,
     Ge,
 }
+
+named!(CmpOp {
+    Eq => "eq",
+    Ne => "ne",
+    Lt => "lt",
+    Le => "le",
+    Gt => "gt",
+    Ge => "ge",
+});
 
 /// Instruction opcodes.
 ///
@@ -331,6 +355,40 @@ pub enum InstKind {
 }
 
 impl InstKind {
+    /// The opcode's mnemonic in the textual IR.
+    pub fn opcode(&self) -> &'static str {
+        match self {
+            InstKind::Const(_) => "const",
+            InstKind::New(_) => "new",
+            InstKind::Literal { .. } => "literal",
+            InstKind::Read => "read",
+            InstKind::Write => "write",
+            InstKind::Has => "has",
+            InstKind::Insert => "insert",
+            InstKind::Remove => "remove",
+            InstKind::Clear => "clear",
+            InstKind::Size => "size",
+            InstKind::UnionInto => "union",
+            InstKind::Bin(op) => op.name(),
+            InstKind::Cmp(op) => op.name(),
+            InstKind::Not => "not",
+            InstKind::Cast(_) => "cast",
+            InstKind::Tuple => "tuple",
+            InstKind::Call(_) => "call",
+            InstKind::Print => "print",
+            InstKind::Enc(_) => "enc",
+            InstKind::Dec(_) => "dec",
+            InstKind::EnumAdd(_) => "enumadd",
+            InstKind::If => "if",
+            InstKind::ForEach => "foreach",
+            InstKind::ForRange => "forrange",
+            InstKind::DoWhile => "dowhile",
+            InstKind::Yield => "yield",
+            InstKind::Ret => "ret",
+            InstKind::Roi(_) => "roi",
+        }
+    }
+
     /// The result type of a [`InstKind::Literal`] of `elems`: `Seq<idx>`
     /// when its elements are added to an enumeration, else a sequence of
     /// the table's element type.

@@ -63,6 +63,29 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+/// Gives a textual enum of the IR one name table: `name()` for the
+/// printer, `from_name` for the parser and `ALL` listing every variant.
+macro_rules! named {
+    ($ty:ident { $($variant:ident => $name:literal),* $(,)? }) => {
+        impl $ty {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$ty] = &[$($ty::$variant),*];
+
+            /// The variant's name in the textual IR.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name),*
+                }
+            }
+
+            /// The variant called `name`.
+            pub fn from_name(name: &str) -> Option<$ty> {
+                Self::ALL.iter().copied().find(|v| v.name() == name)
+            }
+        }
+    };
+}
+
 pub mod builder;
 pub mod directive;
 mod func;
@@ -71,6 +94,7 @@ mod inst;
 pub mod parse;
 pub mod print;
 mod types;
+pub mod typing;
 pub mod verify;
 
 pub use directive::{DirectiveSet, SelectionChoice};

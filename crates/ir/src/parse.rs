@@ -20,10 +20,11 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::typing::{self, Externs};
 use crate::{
-    Access, BinOp, CmpOp, ConstVal, DirectiveSet, EnumDecl, EnumId, FuncId, Function, Inst,
-    InstId, InstKind, LiteralData, MapSel, Module, Operand, Region, RegionId, Scalar,
-    SelectionChoice, SetSel, Type, ValueData, ValueDef, ValueId,
+    Access, BinOp, CmpOp, ConstVal, DirectiveSet, EnumDecl, EnumId, FuncId, Function, Inst, InstId,
+    InstKind, LiteralData, MapSel, Module, Operand, Region, RegionId, Scalar, SelectionChoice,
+    SetSel, Type, ValueDef, ValueId,
 };
 
 /// A parse failure with a source position and message.
@@ -101,7 +102,12 @@ fn parse_module_inner(text: &str) -> Result<Module> {
             let decl = p.enum_decl()?;
             module.enums.push(decl);
         } else if p.peek_word("fn") {
-            let f = p.function(&module.enums, &signatures)?;
+            let keys: Vec<Type> = module.enums.iter().map(|e| e.key_ty.clone()).collect();
+            let ext = Externs {
+                enum_keys: &keys,
+                returns: &signatures,
+            };
+            let f = p.function(ext)?;
             module.funcs.push(f);
         } else {
             return Err(p.error("expected `enum` or `fn`"));
@@ -177,31 +183,17 @@ struct Parser<'a> {
     depth: u32,
 }
 
-/// Where [`Parser::finish_inst`] puts an instruction: the enclosing
-/// region and the result names bound on its left-hand side.
-struct InstAt<'a> {
-    region: RegionId,
-    lhs: &'a [String],
-}
-
+/// The function being parsed, and what its value names resolve to.
 struct FuncCtx {
-    values: Vec<ValueData>,
+    func: Function,
     names: HashMap<String, ValueId>,
-    insts: Vec<Inst>,
-    regions: Vec<Region>,
-    directives: std::collections::BTreeMap<InstId, DirectiveSet>,
 }
 
 impl FuncCtx {
-    fn add_value(&mut self, text_name: &str, ty: Type, def: ValueDef) -> Result<ValueId> {
-        let v = ValueId::from_index(self.values.len());
-        self.values.push(ValueData {
-            ty,
-            def,
-            name: parse_name_keep(text_name),
-        });
+    fn add_value(&mut self, text_name: &str, ty: Type, def: ValueDef) -> ValueId {
+        let v = self.func.add_value(ty, def, parse_name_keep(text_name));
         self.names.insert(text_name.to_string(), v);
-        Ok(v)
+        v
     }
 
     fn lookup(&self, name: &str, offset: usize) -> Result<ValueId> {
@@ -503,14 +495,10 @@ impl<'a> Parser<'a> {
             return Ok(SetSel::Auto);
         }
         let name = self.ident()?;
-        let sel = match name {
-            "Hash" => SetSel::Hash,
-            "Flat" => SetSel::Flat,
-            "Swiss" => SetSel::Swiss,
-            "Bit" => SetSel::Bit,
-            "SparseBit" => SetSel::SparseBit,
-            other => return Err(self.error(format!("unknown set selection `{other}`"))),
-        };
+        // `Auto` is the empty selection, printed without braces.
+        let sel = SetSel::from_name(name)
+            .filter(|&s| s != SetSel::Auto)
+            .ok_or_else(|| self.error(format!("unknown set selection `{name}`")))?;
         self.expect_punct("}")?;
         Ok(sel)
     }
@@ -520,44 +508,43 @@ impl<'a> Parser<'a> {
             return Ok(MapSel::Auto);
         }
         let name = self.ident()?;
-        let sel = match name {
-            "Hash" => MapSel::Hash,
-            "Swiss" => MapSel::Swiss,
-            "Bit" => MapSel::Bit,
-            other => return Err(self.error(format!("unknown map selection `{other}`"))),
-        };
+        let sel = MapSel::from_name(name)
+            .filter(|&s| s != MapSel::Auto)
+            .ok_or_else(|| self.error(format!("unknown map selection `{name}`")))?;
         self.expect_punct("}")?;
         Ok(sel)
     }
 
+    /// `enum eN: T`, named by the `// name` comment the printer writes
+    /// after it, else by `eN`.
     fn enum_decl(&mut self) -> Result<EnumDecl> {
         self.expect_word("enum")?;
-        let name = self.ident()?.to_string();
+        let mut name = self.ident()?.to_string();
         self.expect_punct(":")?;
         let key_ty = self.parse_type()?;
+        let line = self.rest().lines().next().unwrap_or_default();
+        if let Some(comment) = line.trim_start().strip_prefix("//") {
+            name = comment.trim().to_string();
+        }
         Ok(EnumDecl { name, key_ty })
     }
 
-    fn function(&mut self, enums: &[EnumDecl], signatures: &[Type]) -> Result<Function> {
+    fn function(&mut self, ext: Externs<'_>) -> Result<Function> {
         self.expect_word("fn")?;
         self.expect_punct("@")?;
-        let name = self.ident()?.to_string();
+        let name = self.ident()?;
         self.expect_punct("(")?;
         let mut ctx = FuncCtx {
-            values: Vec::new(),
+            func: Function::new(name, Type::Void),
             names: HashMap::new(),
-            insts: Vec::new(),
-            regions: vec![Region::default()],
-            directives: Default::default(),
         };
-        let mut params = Vec::new();
         if !self.eat_punct(")") {
             loop {
                 let pname = self.value_name()?.to_string();
                 self.expect_punct(":")?;
                 let pty = self.parse_type()?;
-                let v = ctx.add_value(&pname, pty, ValueDef::Param(params.len()))?;
-                params.push(v);
+                let v = ctx.add_value(&pname, pty, ValueDef::Param(ctx.func.params.len()));
+                ctx.func.params.push(v);
                 if !self.eat_punct(",") {
                     break;
                 }
@@ -565,21 +552,11 @@ impl<'a> Parser<'a> {
             self.expect_punct(")")?;
         }
         self.expect_punct("->")?;
-        let ret_ty = self.parse_type()?;
-        let exported = self.eat_word("exported");
+        ctx.func.ret_ty = self.parse_type()?;
+        ctx.func.exported = self.eat_word("exported");
         self.expect_punct("{")?;
-        self.region_insts(RegionId(0), &mut ctx, enums, signatures)?;
-        Ok(Function {
-            name,
-            params,
-            ret_ty,
-            body: RegionId(0),
-            values: ctx.values,
-            insts: ctx.insts,
-            regions: ctx.regions,
-            directives: ctx.directives,
-            exported,
-        })
+        self.region_insts(ctx.func.body, &mut ctx, ext)?;
+        Ok(ctx.func)
     }
 
     /// Parses instructions into `region` until the closing `}`.
@@ -587,8 +564,7 @@ impl<'a> Parser<'a> {
         &mut self,
         region: RegionId,
         ctx: &mut FuncCtx,
-        enums: &[EnumDecl],
-        signatures: &[Type],
+        ext: Externs<'_>,
     ) -> Result<()> {
         self.enter_nested()?;
         loop {
@@ -597,7 +573,7 @@ impl<'a> Parser<'a> {
                 self.leave_nested();
                 return Ok(());
             }
-            self.inst(region, ctx, enums, signatures)?;
+            self.inst(region, ctx, ext)?;
         }
     }
 
@@ -633,18 +609,6 @@ impl<'a> Parser<'a> {
         Ok(Operand { base, path })
     }
 
-    /// Parses an operand list and checks it has at least `min` entries.
-    fn operand_list_min(&mut self, ctx: &FuncCtx, min: usize) -> Result<Vec<Operand>> {
-        let ops = self.operand_list(ctx)?;
-        if ops.len() < min {
-            return Err(self.error(format!(
-                "instruction needs at least {min} operand(s), got {}",
-                ops.len()
-            )));
-        }
-        Ok(ops)
-    }
-
     fn operand_list(&mut self, ctx: &FuncCtx) -> Result<Vec<Operand>> {
         let mut ops = Vec::new();
         self.skip_ws();
@@ -671,41 +635,41 @@ impl<'a> Parser<'a> {
         if self.eat_word("false") {
             return Ok(ConstVal::Bool(false));
         }
-        // Numeric with suffix: [-]digits[.digits]? (u64|i64|f64)
+        // A number and its type suffix: `3u64`, `-2i64`, `1.5f64`, and
+        // the non-finite floats as `ConstVal`'s `Display` writes them
+        // (`NaNf64`, `inff64`, `-inff64`).
         let rest = self.rest();
         let end = rest
-            .char_indices()
-            .find(|(_, c)| !c.is_ascii_digit() && *c != '-' && *c != '.' && *c != 'e')
-            .map_or(rest.len(), |(i, _)| i);
-        let digits = &rest[..end];
+            .find(|c: char| !c.is_ascii_alphanumeric() && c != '-' && c != '.')
+            .unwrap_or(rest.len());
+        let (number, suffix) = rest[..end].split_at(end.saturating_sub(3));
+        let numeric = number
+            .chars()
+            .all(|c| c.is_ascii_digit() || "-.e".contains(c));
+        let value = match suffix {
+            "u64" => number.parse().ok().map(ConstVal::U64),
+            "i64" => number.parse().ok().map(ConstVal::I64),
+            "f64" => match number {
+                "NaN" => Some(f64::NAN),
+                "inf" => Some(f64::INFINITY),
+                "-inf" => Some(f64::NEG_INFINITY),
+                _ => number.parse().ok().filter(|_| numeric),
+            }
+            .map(ConstVal::F64),
+            _ => return Err(self.error("constant needs u64/i64/f64 suffix")),
+        };
+        let value = value.ok_or_else(|| self.error(format!("bad {suffix} literal")))?;
         self.pos += end;
-        if self.eat_word("u64") {
-            digits
-                .parse()
-                .map(ConstVal::U64)
-                .map_err(|_| self.error("bad u64 literal"))
-        } else if self.eat_word("i64") {
-            digits
-                .parse()
-                .map(ConstVal::I64)
-                .map_err(|_| self.error("bad i64 literal"))
-        } else if self.eat_word("f64") {
-            digits
-                .parse()
-                .map(ConstVal::F64)
-                .map_err(|_| self.error("bad f64 literal"))
-        } else {
-            Err(self.error("constant needs u64/i64/f64 suffix"))
-        }
+        Ok(value)
     }
 
-    fn enum_ref(&mut self, enums: &[EnumDecl]) -> Result<EnumId> {
+    fn enum_ref(&mut self, ext: Externs<'_>) -> Result<EnumId> {
         let name = self.ident()?;
         let idx: usize = name
             .strip_prefix('e')
             .and_then(|d| d.parse().ok())
             .ok_or_else(|| self.error("expected enumeration reference eN"))?;
-        if idx >= enums.len() {
+        if idx >= ext.enum_keys.len() {
             return Err(self.error(format!("enumeration e{idx} not declared")));
         }
         Ok(EnumId::from_index(idx))
@@ -734,14 +698,10 @@ impl<'a> Parser<'a> {
                 "select" => {
                     self.expect_punct("(")?;
                     let sel = self.ident()?;
-                    d.select = Some(match sel {
-                        "Hash" => SelectionChoice::Hash,
-                        "Flat" => SelectionChoice::Flat,
-                        "Swiss" => SelectionChoice::Swiss,
-                        "Bit" => SelectionChoice::Bit,
-                        "SparseBit" => SelectionChoice::SparseBit,
-                        other => return Err(self.error(format!("unknown selection `{other}`"))),
-                    });
+                    d.select = Some(
+                        SelectionChoice::from_name(sel)
+                            .ok_or_else(|| self.error(format!("unknown selection `{sel}`")))?,
+                    );
                     self.expect_punct(")")?;
                 }
                 "nested" => {
@@ -763,8 +723,8 @@ impl<'a> Parser<'a> {
     /// Parses the `as (%a: T, ...)` region-argument header, creating the
     /// region and its argument values.
     fn region_args(&mut self, ctx: &mut FuncCtx) -> Result<RegionId> {
-        let region = RegionId::from_index(ctx.regions.len());
-        ctx.regions.push(Region::default());
+        let region = RegionId::from_index(ctx.func.regions.len());
+        ctx.func.regions.push(Region::default());
         if self.eat_word("as") {
             self.expect_punct("(")?;
             let mut index = 0;
@@ -772,8 +732,8 @@ impl<'a> Parser<'a> {
                 let name = self.value_name()?.to_string();
                 self.expect_punct(":")?;
                 let ty = self.parse_type()?;
-                let v = ctx.add_value(&name, ty, ValueDef::RegionArg { region, index })?;
-                ctx.regions[region.index()].args.push(v);
+                let v = ctx.add_value(&name, ty, ValueDef::RegionArg { region, index });
+                ctx.func.regions[region.index()].args.push(v);
                 index += 1;
                 if !self.eat_punct(",") {
                     break;
@@ -784,18 +744,19 @@ impl<'a> Parser<'a> {
         Ok(region)
     }
 
-    /// Appends an instruction to `at.region`, binding its results to
-    /// the names in `at.lhs`.
+    /// Appends `inst` to `region`, binding its results, typed by
+    /// [`typing::signature`], to the names in `lhs`.
     fn finish_inst(
         &mut self,
-        at: &InstAt<'_>,
         ctx: &mut FuncCtx,
-        kind: InstKind,
-        operands: Vec<Operand>,
-        regions: Vec<RegionId>,
-        result_tys: Vec<Type>,
+        ext: Externs<'_>,
+        region: RegionId,
+        lhs: &[String],
+        mut inst: Inst,
     ) -> Result<InstId> {
-        let (region, lhs) = (at.region, at.lhs);
+        let result_tys = typing::signature(&ctx.func, &inst, ext)
+            .map_err(|e| self.error(e))?
+            .results;
         if lhs.len() != result_tys.len() {
             return Err(self.error(format!(
                 "instruction produces {} results but {} were bound",
@@ -803,32 +764,22 @@ impl<'a> Parser<'a> {
                 lhs.len()
             )));
         }
-        let inst_id = InstId::from_index(ctx.insts.len());
-        let mut results = Vec::new();
+        let inst_id = InstId::from_index(ctx.func.insts.len());
         for (index, (name, ty)) in lhs.iter().zip(result_tys).enumerate() {
-            results.push(ctx.add_value(name, ty, ValueDef::InstResult { inst: inst_id, index })?);
+            let def = ValueDef::InstResult {
+                inst: inst_id,
+                index,
+            };
+            inst.results.push(ctx.add_value(name, ty, def));
         }
-        ctx.insts.push(Inst {
-            kind,
-            operands,
-            regions,
-            results,
-        });
-        ctx.regions[region.index()].insts.push(inst_id);
+        ctx.func.insts.push(inst);
+        ctx.func.regions[region.index()].insts.push(inst_id);
         Ok(inst_id)
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn inst(
-        &mut self,
-        region: RegionId,
-        ctx: &mut FuncCtx,
-        enums: &[EnumDecl],
-        signatures: &[Type],
-    ) -> Result<()> {
+    fn inst(&mut self, region: RegionId, ctx: &mut FuncCtx, ext: Externs<'_>) -> Result<()> {
         // Optional results: `%a, %b = `.
         let mut lhs: Vec<String> = Vec::new();
-        let save = self.pos;
         self.skip_ws();
         if self.rest().starts_with('%') {
             loop {
@@ -838,40 +789,21 @@ impl<'a> Parser<'a> {
                     break;
                 }
             }
-            if !self.eat_punct("=") {
-                // Not an assignment after all (cannot happen in printed
-                // output, but keep the parser resilient).
-                self.pos = save;
-                lhs.clear();
-                return Err(self.error("expected `=` after result list"));
-            }
+            self.expect_punct("=")?;
         }
 
-        let at = InstAt { region, lhs: &lhs };
         let op = self.ident()?;
-        match op {
-            "const" => {
-                let c = self.const_val()?;
-                let ty = c.ty();
-                self.finish_inst(&at, ctx, InstKind::Const(c), vec![], vec![], vec![ty])?;
-            }
+        let mut operands = Vec::new();
+        let mut regions = Vec::new();
+        let mut directive = None;
+        let kind = match op {
+            "const" => InstKind::Const(self.const_val()?),
             "new" => {
                 let ty = self.parse_type()?;
-                let mut directive = None;
                 if self.eat_punct("#[") {
                     directive = Some(self.directive_set()?);
                 }
-                let id = self.finish_inst(
-                    &at,
-                    ctx,
-                    InstKind::New(ty.clone()),
-                    vec![],
-                    vec![],
-                    vec![ty],
-                )?;
-                if let Some(d) = directive {
-                    ctx.directives.insert(id, d);
-                }
+                InstKind::New(ty)
             }
             "literal" => {
                 let elems = match self.parse_type()? {
@@ -883,252 +815,118 @@ impl<'a> Parser<'a> {
                     }
                 };
                 let enumeration = if self.eat_word("enumadd") {
-                    Some(self.enum_ref(enums)?)
+                    Some(self.enum_ref(ext)?)
                 } else {
                     None
                 };
-                let ty = InstKind::literal_ty(&elems, enumeration);
-                self.finish_inst(
-                    &at,
-                    ctx,
-                    InstKind::Literal { elems, enumeration },
-                    vec![],
-                    vec![],
-                    vec![ty],
-                )?;
-            }
-            "read" => {
-                let ops = self.operand_list_min(ctx, 2)?;
-                let coll_ty = ctx.values[ops[0].base.index()]
-                    .ty
-                    .at_path(&ops[0].path)
-                    .ok_or_else(|| self.error("operand path does not apply to the value's type"))?;
-                let ty = coll_ty
-                    .value_type()
-                    .cloned()
-                    .ok_or_else(|| self.error("read target is not a collection"))?;
-                self.finish_inst(&at, ctx, InstKind::Read, ops, vec![], vec![ty])?;
-            }
-            "write" | "insert" | "remove" | "clear" | "union" => {
-                let kind = match op {
-                    "write" => InstKind::Write,
-                    "insert" => InstKind::Insert,
-                    "remove" => InstKind::Remove,
-                    "clear" => InstKind::Clear,
-                    _ => InstKind::UnionInto,
-                };
-                let min = if matches!(kind, InstKind::Clear) { 1 } else { 2 };
-                let ops = self.operand_list_min(ctx, min)?;
-                let ty = ctx.values[ops[0].base.index()].ty.clone();
-                self.finish_inst(&at, ctx, kind, ops, vec![], vec![ty])?;
-            }
-            "has" => {
-                let ops = self.operand_list_min(ctx, 2)?;
-                self.finish_inst(&at, ctx, InstKind::Has, ops, vec![], vec![Type::Bool])?;
-            }
-            "size" => {
-                let ops = self.operand_list_min(ctx, 1)?;
-                self.finish_inst(&at, ctx, InstKind::Size, ops, vec![], vec![Type::U64])?;
-            }
-            "not" => {
-                let ops = self.operand_list_min(ctx, 1)?;
-                self.finish_inst(&at, ctx, InstKind::Not, ops, vec![], vec![Type::Bool])?;
-            }
-            "tuple" => {
-                let ops = self.operand_list_min(ctx, 1)?;
-                let mut field_tys = Vec::with_capacity(ops.len());
-                for o in &ops {
-                    let ty = ctx.values[o.base.index()]
-                        .ty
-                        .at_path(&o.path)
-                        .ok_or_else(|| {
-                            self.error("operand path does not apply to the value's type")
-                        })?;
-                    field_tys.push(ty.clone());
-                }
-                self.finish_inst(
-                    &at,
-                    ctx,
-                    InstKind::Tuple,
-                    ops,
-                    vec![],
-                    vec![Type::Tuple(field_tys)],
-                )?;
+                InstKind::Literal { elems, enumeration }
             }
             "cast" => {
-                let ops = self.operand_list_min(ctx, 1)?;
+                operands = self.operand_list(ctx)?;
                 self.expect_word("to")?;
-                let ty = self.parse_type()?;
-                self.finish_inst(&at, ctx, InstKind::Cast(ty.clone()), ops, vec![], vec![ty])?;
+                InstKind::Cast(self.parse_type()?)
             }
             "call" => {
                 self.expect_punct("@")?;
-                let idx = self.integer()? as usize;
+                let callee = FuncId::from_index(self.integer()? as usize);
                 self.expect_punct("(")?;
-                let ops = self.operand_list(ctx)?;
+                operands = self.operand_list(ctx)?;
                 self.expect_punct(")")?;
-                let ret = signatures.get(idx).cloned().unwrap_or(Type::Void);
-                let result_tys = if ret == Type::Void { vec![] } else { vec![ret] };
-                self.finish_inst(
-                    &at,
-                    ctx,
-                    InstKind::Call(FuncId::from_index(idx)),
-                    ops,
-                    vec![],
-                    result_tys,
-                )?;
+                InstKind::Call(callee)
             }
-            "print" => {
-                let ops = self.operand_list(ctx)?;
-                self.finish_inst(&at, ctx, InstKind::Print, ops, vec![], vec![])?;
-            }
-            "enc" | "enumadd" => {
-                let e = self.enum_ref(enums)?;
+            "enc" | "dec" | "enumadd" => {
+                let e = self.enum_ref(ext)?;
                 self.expect_punct(",")?;
-                let ops = self.operand_list_min(ctx, 1)?;
-                let kind = if op == "enc" {
-                    InstKind::Enc(e)
-                } else {
-                    InstKind::EnumAdd(e)
-                };
-                self.finish_inst(&at, ctx, kind, ops, vec![], vec![Type::Idx])?;
-            }
-            "dec" => {
-                let e = self.enum_ref(enums)?;
-                self.expect_punct(",")?;
-                let ops = self.operand_list_min(ctx, 1)?;
-                let key_ty = enums[e.index()].key_ty.clone();
-                self.finish_inst(&at, ctx, InstKind::Dec(e), ops, vec![], vec![key_ty])?;
+                operands = self.operand_list(ctx)?;
+                match op {
+                    "enc" => InstKind::Enc(e),
+                    "dec" => InstKind::Dec(e),
+                    _ => InstKind::EnumAdd(e),
+                }
             }
             "if" => {
-                let cond = self.operand(ctx)?;
-                self.expect_word("then")?;
-                self.expect_punct("{")?;
-                let then_region = self.region_args(ctx)?;
-                self.region_insts(then_region, ctx, enums, signatures)?;
-                self.expect_word("else")?;
-                self.expect_punct("{")?;
-                let else_region = self.region_args(ctx)?;
-                self.region_insts(else_region, ctx, enums, signatures)?;
-                let result_tys = region_yield_types(ctx, then_region);
-                self.finish_inst(
-                    &at,
-                    ctx,
-                    InstKind::If,
-                    vec![cond],
-                    vec![then_region, else_region],
-                    result_tys,
-                )?;
+                operands.push(self.operand(ctx)?);
+                for word in ["then", "else"] {
+                    self.expect_word(word)?;
+                    self.expect_punct("{")?;
+                    let branch = self.region_args(ctx)?;
+                    self.region_insts(branch, ctx, ext)?;
+                    regions.push(branch);
+                }
+                InstKind::If
             }
             "foreach" | "forrange" | "dowhile" => {
-                let mut operands = Vec::new();
-                if op == "foreach" {
-                    operands.push(self.operand(ctx)?);
-                } else if op == "forrange" {
-                    operands.push(self.operand(ctx)?);
-                    self.expect_punct(",")?;
-                    operands.push(self.operand(ctx)?);
-                }
-                let mut carried_tys = Vec::new();
-                if self.eat_word("carry") {
-                    self.expect_punct("(")?;
-                    let carries = self.operand_list(ctx)?;
-                    self.expect_punct(")")?;
-                    for c in &carries {
-                        carried_tys.push(ctx.values[c.base.index()].ty.clone());
-                    }
-                    operands.extend(carries);
-                }
-                let body = self.region_args(ctx)?;
-                self.expect_punct("{")?;
-                self.region_insts(body, ctx, enums, signatures)?;
                 let kind = match op {
                     "foreach" => InstKind::ForEach,
                     "forrange" => InstKind::ForRange,
                     _ => InstKind::DoWhile,
                 };
-                self.finish_inst(&at, ctx, kind, operands, vec![body], carried_tys)?;
+                // The loop's own operands, then its carried values.
+                for i in 0..typing::arity(&kind).0 {
+                    if i > 0 {
+                        self.expect_punct(",")?;
+                    }
+                    operands.push(self.operand(ctx)?);
+                }
+                if self.eat_word("carry") {
+                    self.expect_punct("(")?;
+                    operands.extend(self.operand_list(ctx)?);
+                    self.expect_punct(")")?;
+                }
+                let body = self.region_args(ctx)?;
+                self.expect_punct("{")?;
+                self.region_insts(body, ctx, ext)?;
+                regions.push(body);
+                kind
             }
-            "yield" => {
-                let ops = self.operand_list(ctx)?;
-                self.finish_inst(&at, ctx, InstKind::Yield, ops, vec![], vec![])?;
+            "roi" => match self.ident()? {
+                "begin" => InstKind::Roi(true),
+                "end" => InstKind::Roi(false),
+                other => return Err(self.error(format!("roi expects begin/end, got {other}"))),
+            },
+            other => {
+                let kind = PLAIN_OPCODES
+                    .iter()
+                    .find(|k| k.opcode() == other)
+                    .cloned()
+                    .or_else(|| BinOp::from_name(other).map(InstKind::Bin))
+                    .or_else(|| CmpOp::from_name(other).map(InstKind::Cmp))
+                    .ok_or_else(|| self.error(format!("unknown opcode `{other}`")))?;
+                operands = self.operand_list(ctx)?;
+                kind
             }
-            "ret" => {
-                let ops = self.operand_list(ctx)?;
-                self.finish_inst(&at, ctx, InstKind::Ret, ops, vec![], vec![])?;
-            }
-            "roi" => {
-                let which = self.ident()?;
-                let begin = match which {
-                    "begin" => true,
-                    "end" => false,
-                    other => return Err(self.error(format!("roi expects begin/end, got {other}"))),
-                };
-                self.finish_inst(&at, ctx, InstKind::Roi(begin), vec![], vec![], vec![])?;
-            }
-            other if bin_from_name(other).is_some() => {
-                let b = bin_from_name(other).expect("checked");
-                let ops = self.operand_list_min(ctx, 2)?;
-                let ty = ctx.values[ops[0].base.index()]
-                    .ty
-                    .at_path(&ops[0].path)
-                    .ok_or_else(|| self.error("operand path does not apply to the value's type"))?;
-                self.finish_inst(&at, ctx, InstKind::Bin(b), ops, vec![], vec![ty])?;
-            }
-            other if cmp_from_name(other).is_some() => {
-                let c = cmp_from_name(other).expect("checked");
-                let ops = self.operand_list_min(ctx, 2)?;
-                self.finish_inst(&at, ctx, InstKind::Cmp(c), ops, vec![], vec![Type::Bool])?;
-            }
-            other => return Err(self.error(format!("unknown opcode `{other}`"))),
+        };
+        let inst = Inst {
+            kind,
+            operands,
+            regions,
+            results: Vec::new(),
+        };
+        let id = self.finish_inst(ctx, ext, region, &lhs, inst)?;
+        if let Some(d) = directive {
+            ctx.func.directives.insert(id, d);
         }
         Ok(())
     }
 }
 
-fn region_yield_types(ctx: &FuncCtx, region: RegionId) -> Vec<Type> {
-    let Some(&last) = ctx.regions[region.index()].insts.last() else {
-        return Vec::new();
-    };
-    let inst = &ctx.insts[last.index()];
-    if inst.kind != InstKind::Yield {
-        return Vec::new();
-    }
-    inst.operands
-        .iter()
-        .map(|o| ctx.values[o.base.index()].ty.clone())
-        .collect()
-}
-
-fn bin_from_name(name: &str) -> Option<BinOp> {
-    Some(match name {
-        "add" => BinOp::Add,
-        "sub" => BinOp::Sub,
-        "mul" => BinOp::Mul,
-        "div" => BinOp::Div,
-        "rem" => BinOp::Rem,
-        "min" => BinOp::Min,
-        "max" => BinOp::Max,
-        "and" => BinOp::And,
-        "or" => BinOp::Or,
-        "xor" => BinOp::Xor,
-        "shl" => BinOp::Shl,
-        "shr" => BinOp::Shr,
-        _ => return None,
-    })
-}
-
-fn cmp_from_name(name: &str) -> Option<CmpOp> {
-    Some(match name {
-        "eq" => CmpOp::Eq,
-        "ne" => CmpOp::Ne,
-        "lt" => CmpOp::Lt,
-        "le" => CmpOp::Le,
-        "gt" => CmpOp::Gt,
-        "ge" => CmpOp::Ge,
-        _ => return None,
-    })
-}
+/// Opcodes written as their mnemonic and an operand list, nothing else
+/// (binary and comparison operators aside).
+const PLAIN_OPCODES: [InstKind; 13] = [
+    InstKind::Read,
+    InstKind::Write,
+    InstKind::Has,
+    InstKind::Insert,
+    InstKind::Remove,
+    InstKind::Clear,
+    InstKind::Size,
+    InstKind::UnionInto,
+    InstKind::Not,
+    InstKind::Tuple,
+    InstKind::Print,
+    InstKind::Yield,
+    InstKind::Ret,
+];
 
 #[cfg(test)]
 mod tests {

@@ -17,9 +17,10 @@
 
 use std::fmt::Write as _;
 
+use crate::typing::arity;
 use crate::{
-    Access, BinOp, CmpOp, DirectiveSet, Function, Inst, InstKind, LiteralData, Module, Operand,
-    RegionId, Scalar, SelectionChoice, ValueId,
+    Access, DirectiveSet, Function, Inst, InstKind, LiteralData, Module, Operand, RegionId, Scalar,
+    ValueId,
 };
 
 /// Prints a whole module.
@@ -161,6 +162,8 @@ impl Printer<'_> {
     fn inst(&mut self, inst: &Inst, id: crate::InstId) {
         self.line_start();
         let res = self.results(inst);
+        let op = inst.kind.opcode();
+        let ops = self.operands(&inst.operands);
         match &inst.kind {
             InstKind::Const(c) => {
                 let _ = write!(self.out, "{res}const {c}");
@@ -186,85 +189,17 @@ impl Printer<'_> {
                     let _ = write!(self.out, " enumadd {e}");
                 }
             }
-            InstKind::Read => {
-                let _ = write!(self.out, "{res}read {}", self.operands(&inst.operands));
-            }
-            InstKind::Write => {
-                let _ = write!(self.out, "{res}write {}", self.operands(&inst.operands));
-            }
-            InstKind::Has => {
-                let _ = write!(self.out, "{res}has {}", self.operands(&inst.operands));
-            }
-            InstKind::Insert => {
-                let _ = write!(self.out, "{res}insert {}", self.operands(&inst.operands));
-            }
-            InstKind::Remove => {
-                let _ = write!(self.out, "{res}remove {}", self.operands(&inst.operands));
-            }
-            InstKind::Clear => {
-                let _ = write!(self.out, "{res}clear {}", self.operands(&inst.operands));
-            }
-            InstKind::Size => {
-                let _ = write!(self.out, "{res}size {}", self.operands(&inst.operands));
-            }
-            InstKind::UnionInto => {
-                let _ = write!(self.out, "{res}union {}", self.operands(&inst.operands));
-            }
-            InstKind::Bin(op) => {
-                let _ = write!(
-                    self.out,
-                    "{res}{} {}",
-                    bin_name(*op),
-                    self.operands(&inst.operands)
-                );
-            }
-            InstKind::Cmp(op) => {
-                let _ = write!(
-                    self.out,
-                    "{res}{} {}",
-                    cmp_name(*op),
-                    self.operands(&inst.operands)
-                );
-            }
-            InstKind::Not => {
-                let _ = write!(self.out, "{res}not {}", self.operands(&inst.operands));
-            }
-            InstKind::Tuple => {
-                let _ = write!(self.out, "{res}tuple {}", self.operands(&inst.operands));
-            }
             InstKind::Cast(ty) => {
-                let _ = write!(
-                    self.out,
-                    "{res}cast {} to {ty}",
-                    self.operands(&inst.operands)
-                );
+                let _ = write!(self.out, "{res}cast {ops} to {ty}");
             }
             InstKind::Call(f) => {
-                let _ = write!(
-                    self.out,
-                    "{res}call @{}({})",
-                    f.0,
-                    self.operands(&inst.operands)
-                );
+                let _ = write!(self.out, "{res}call @{}({ops})", f.0);
             }
-            InstKind::Print => {
-                let _ = write!(self.out, "print {}", self.operands(&inst.operands));
-            }
-            InstKind::Enc(e) => {
-                let _ = write!(self.out, "{res}enc {e}, {}", self.operands(&inst.operands));
-            }
-            InstKind::Dec(e) => {
-                let _ = write!(self.out, "{res}dec {e}, {}", self.operands(&inst.operands));
-            }
-            InstKind::EnumAdd(e) => {
-                let _ = write!(
-                    self.out,
-                    "{res}enumadd {e}, {}",
-                    self.operands(&inst.operands)
-                );
+            InstKind::Enc(e) | InstKind::Dec(e) | InstKind::EnumAdd(e) => {
+                let _ = write!(self.out, "{res}{op} {e}, {ops}");
             }
             InstKind::If => {
-                let _ = write!(self.out, "{res}if {} then", self.operand(&inst.operands[0]));
+                let _ = write!(self.out, "{res}if {ops} then");
                 self.open_block();
                 self.region_body(inst.regions[0]);
                 self.close_block();
@@ -273,57 +208,29 @@ impl Printer<'_> {
                 self.region_body(inst.regions[1]);
                 self.close_block();
             }
-            InstKind::ForEach => {
-                let _ = write!(self.out, "{res}foreach {}", self.operand(&inst.operands[0]));
-                if inst.operands.len() > 1 {
-                    let _ = write!(self.out, " carry({})", self.operands(&inst.operands[1..]));
+            InstKind::ForEach | InstKind::ForRange | InstKind::DoWhile => {
+                // The loop's own operands, then its carried values.
+                let (own, carried) = inst.operands.split_at(arity(&inst.kind).0);
+                let _ = write!(self.out, "{res}{op}");
+                if !own.is_empty() {
+                    let _ = write!(self.out, " {}", self.operands(own));
+                }
+                if !carried.is_empty() {
+                    let _ = write!(self.out, " carry({})", self.operands(carried));
                 }
                 self.region_header(inst.regions[0]);
                 self.open_block();
                 self.region_body(inst.regions[0]);
                 self.close_block();
-            }
-            InstKind::ForRange => {
-                let _ = write!(
-                    self.out,
-                    "{res}forrange {}, {}",
-                    self.operand(&inst.operands[0]),
-                    self.operand(&inst.operands[1])
-                );
-                if inst.operands.len() > 2 {
-                    let _ = write!(self.out, " carry({})", self.operands(&inst.operands[2..]));
-                }
-                self.region_header(inst.regions[0]);
-                self.open_block();
-                self.region_body(inst.regions[0]);
-                self.close_block();
-            }
-            InstKind::DoWhile => {
-                let _ = write!(self.out, "{res}dowhile");
-                if !inst.operands.is_empty() {
-                    let _ = write!(self.out, " carry({})", self.operands(&inst.operands));
-                }
-                self.region_header(inst.regions[0]);
-                self.open_block();
-                self.region_body(inst.regions[0]);
-                self.close_block();
-            }
-            InstKind::Yield => {
-                if inst.operands.is_empty() {
-                    let _ = write!(self.out, "yield");
-                } else {
-                    let _ = write!(self.out, "yield {}", self.operands(&inst.operands));
-                }
-            }
-            InstKind::Ret => {
-                if inst.operands.is_empty() {
-                    let _ = write!(self.out, "ret");
-                } else {
-                    let _ = write!(self.out, "ret {}", self.operands(&inst.operands));
-                }
             }
             InstKind::Roi(begin) => {
                 let _ = write!(self.out, "roi {}", if *begin { "begin" } else { "end" });
+            }
+            InstKind::Yield | InstKind::Ret if inst.operands.is_empty() => {
+                self.out.push_str(op);
+            }
+            _ => {
+                let _ = write!(self.out, "{res}{op} {ops}");
             }
         }
         self.out.push('\n');
@@ -337,34 +244,6 @@ fn list<T>(out: &mut String, items: impl Iterator<Item = T>, mut item: impl FnMu
             out.push_str(", ");
         }
         item(out, x);
-    }
-}
-
-fn bin_name(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "add",
-        BinOp::Sub => "sub",
-        BinOp::Mul => "mul",
-        BinOp::Div => "div",
-        BinOp::Rem => "rem",
-        BinOp::Min => "min",
-        BinOp::Max => "max",
-        BinOp::And => "and",
-        BinOp::Or => "or",
-        BinOp::Xor => "xor",
-        BinOp::Shl => "shl",
-        BinOp::Shr => "shr",
-    }
-}
-
-fn cmp_name(op: CmpOp) -> &'static str {
-    match op {
-        CmpOp::Eq => "eq",
-        CmpOp::Ne => "ne",
-        CmpOp::Lt => "lt",
-        CmpOp::Le => "le",
-        CmpOp::Gt => "gt",
-        CmpOp::Ge => "ge",
     }
 }
 
@@ -386,23 +265,12 @@ fn directive_items(d: &DirectiveSet) -> String {
         parts.push(format!("group({g:?})"));
     }
     if let Some(s) = d.select {
-        parts.push(format!("select({})", selection_name(s)));
+        parts.push(format!("select({})", s.name()));
     }
     if let Some(n) = &d.nested {
         parts.push(format!("nested({})", directive_items(n)));
     }
     parts.join(", ")
-}
-
-/// The textual name of a selection choice (used by printing and parsing).
-pub fn selection_name(s: SelectionChoice) -> &'static str {
-    match s {
-        SelectionChoice::Hash => "Hash",
-        SelectionChoice::Flat => "Flat",
-        SelectionChoice::Swiss => "Swiss",
-        SelectionChoice::Bit => "Bit",
-        SelectionChoice::SparseBit => "SparseBit",
-    }
 }
 
 #[cfg(test)]
@@ -453,7 +321,7 @@ mod tests {
             .with_enumerate(true)
             .with_noshare()
             .with_share_group("pts")
-            .with_select(SelectionChoice::SparseBit);
+            .with_select(crate::SelectionChoice::SparseBit);
         b.new_collection_with(Type::set(Type::U64), d);
         b.ret_void();
         let text = print_function(&b.finish());

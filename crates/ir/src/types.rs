@@ -24,6 +24,15 @@ pub enum SetSel {
     SparseBit,
 }
 
+named!(SetSel {
+    Auto => "Auto",
+    Hash => "Hash",
+    Flat => "Flat",
+    Swiss => "Swiss",
+    Bit => "Bit",
+    SparseBit => "SparseBit",
+});
+
 impl SetSel {
     /// Whether this implementation requires keys in a contiguous range
     /// `[0, N)` (the property data enumeration manufactures).
@@ -45,6 +54,13 @@ pub enum MapSel {
     /// Presence bits plus dense value array — requires enumerated keys.
     Bit,
 }
+
+named!(MapSel {
+    Auto => "Auto",
+    Hash => "Hash",
+    Swiss => "Swiss",
+    Bit => "Bit",
+});
 
 impl MapSel {
     /// Whether this implementation requires keys in a contiguous range.
@@ -220,16 +236,6 @@ impl Type {
         ty.is_collection().then_some(ty)
     }
 
-    /// How many iteration variables a `foreach` over this collection
-    /// binds: 2 for sequences (index, element) and maps (key, value),
-    /// 1 for sets (element).
-    pub fn foreach_iter_args(&self) -> usize {
-        match self {
-            Type::Seq(_) | Type::Map { .. } => 2,
-            _ => 1,
-        }
-    }
-
     /// Returns a copy of this type with its top-level selection replaced.
     ///
     /// # Panics
@@ -289,11 +295,11 @@ impl fmt::Display for Type {
             Type::Seq(elem) => write!(f, "Seq<{elem}>"),
             Type::Set { elem, sel } => match sel {
                 SetSel::Auto => write!(f, "Set<{elem}>"),
-                _ => write!(f, "Set{{{sel:?}}}<{elem}>"),
+                _ => write!(f, "Set{{{}}}<{elem}>", sel.name()),
             },
             Type::Map { key, val, sel } => match sel {
                 MapSel::Auto => write!(f, "Map<{key}, {val}>"),
-                _ => write!(f, "Map{{{sel:?}}}<{key}, {val}>"),
+                _ => write!(f, "Map{{{}}}<{key}, {val}>", sel.name()),
             },
         }
     }

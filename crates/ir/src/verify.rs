@@ -11,8 +11,9 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::builder::operand_type_in;
+use crate::typing::{self, Externs};
 use crate::{
-    Access, Function, InstId, InstKind, Module, Operand, RegionId, Scalar, Type, ValueDef,
+    Access, Function, Inst, InstId, InstKind, Module, Operand, RegionId, Scalar, Type, ValueDef,
     ValueId,
 };
 
@@ -45,24 +46,16 @@ impl std::error::Error for VerifyError {}
 ///
 /// Returns the first [`VerifyError`] found.
 pub fn verify_module(module: &Module) -> Result<(), VerifyError> {
+    let enum_keys: Vec<Type> = module.enums.iter().map(|e| e.key_ty.clone()).collect();
+    let returns: Vec<Type> = module.funcs.iter().map(|f| f.ret_ty.clone()).collect();
+    let ext = Externs {
+        enum_keys: &enum_keys,
+        returns: &returns,
+    };
     for func in &module.funcs {
-        verify_function_in(func, Some(module))?;
+        Verifier::new(func, module, ext).run()?;
     }
     Ok(())
-}
-
-/// Verifies one function without cross-function checks.
-///
-/// # Errors
-///
-/// Returns the first [`VerifyError`] found.
-pub fn verify_function(func: &Function) -> Result<(), VerifyError> {
-    verify_function_in(func, None)
-}
-
-fn verify_function_in(func: &Function, module: Option<&Module>) -> Result<(), VerifyError> {
-    let v = Verifier::new(func, module);
-    v.run()
 }
 
 /// Position of one instruction: the index path from the body region down
@@ -117,7 +110,8 @@ impl Scope {
 
 struct Verifier<'a> {
     func: &'a Function,
-    module: Option<&'a Module>,
+    module: &'a Module,
+    ext: Externs<'a>,
     /// For each region: (owning instruction, its position). Body has none.
     region_owner: HashMap<RegionId, InstId>,
     /// For each instruction: its position path.
@@ -127,10 +121,11 @@ struct Verifier<'a> {
 }
 
 impl<'a> Verifier<'a> {
-    fn new(func: &'a Function, module: Option<&'a Module>) -> Self {
+    fn new(func: &'a Function, module: &'a Module, ext: Externs<'a>) -> Self {
         let mut v = Verifier {
             func,
             module,
+            ext,
             region_owner: HashMap::new(),
             positions: HashMap::new(),
             region_of_inst: HashMap::new(),
@@ -300,449 +295,240 @@ impl<'a> Verifier<'a> {
         Ok(())
     }
 
-    #[allow(clippy::too_many_lines)]
     fn check_types(&self) -> Result<(), VerifyError> {
         for inst_id in self.func.all_insts() {
             let inst = self.func.inst(inst_id);
-            self.check_arity(inst_id, inst)?;
             for op in &inst.operands {
                 self.check_path(inst_id, op)?;
             }
-            match &inst.kind {
-                InstKind::Const(c) => {
-                    if self.func.value_ty(inst.result()) != &c.ty() {
-                        return Err(self.err(Some(inst_id), "const result type mismatch"));
-                    }
-                }
-                InstKind::New(ty) => {
-                    if self.func.value_ty(inst.result()) != ty {
-                        return Err(self.err(Some(inst_id), "new result type mismatch"));
-                    }
-                }
-                InstKind::Literal { elems, enumeration } => {
-                    let want = InstKind::literal_ty(elems, *enumeration);
-                    let got = self.func.value_ty(inst.result());
-                    if got != &want {
-                        return Err(self.err(
-                            Some(inst_id),
-                            format!("literal result typed {got}, its elements make {want}"),
-                        ));
-                    }
-                    if let (Some(e), Some(module)) = (enumeration, self.module) {
-                        let Some(decl) = module.enums.get(e.index()) else {
-                            return Err(self.err(Some(inst_id), format!("unknown enum {e}")));
-                        };
-                        if decl.key_ty != elems.elem_ty() {
-                            return Err(self.err(
-                                Some(inst_id),
-                                format!(
-                                    "literal of {} elements added to {e}, whose keys are {}",
-                                    elems.elem_ty(),
-                                    decl.key_ty
-                                ),
-                            ));
-                        }
-                    }
-                }
-                InstKind::Read => {
-                    let coll = self.op_ty(&inst.operands[0]);
-                    if !coll.is_collection() {
-                        return Err(self.err(Some(inst_id), "read target is not a collection"));
-                    }
-                    self.check_key(inst_id, &coll, &inst.operands[1])?;
-                    let want = coll.value_type().expect("collection").clone();
-                    if self.func.value_ty(inst.result()) != &want {
-                        return Err(self.err(Some(inst_id), "read result type mismatch"));
-                    }
-                }
-                InstKind::Write => {
-                    let coll = self.op_ty(&inst.operands[0]);
-                    self.check_key(inst_id, &coll, &inst.operands[1])?;
-                    let want = coll.value_type().expect("collection").clone();
-                    let got = self.op_ty(&inst.operands[2]);
-                    if got != want {
-                        return Err(self.err(
-                            Some(inst_id),
-                            format!("write value type {got} does not match element {want}"),
-                        ));
-                    }
-                }
-                InstKind::Has => {
-                    let coll = self.op_ty(&inst.operands[0]);
-                    if !coll.is_assoc() {
-                        return Err(self.err(Some(inst_id), "has target must be set/map"));
-                    }
-                    self.check_key(inst_id, &coll, &inst.operands[1])?;
-                }
-                InstKind::Insert => {
-                    let coll = self.op_ty(&inst.operands[0]);
-                    match &coll {
-                        Type::Set { elem, .. } => {
-                            let got = self.op_ty(&inst.operands[1]);
-                            if got != **elem {
-                                return Err(self.err(
-                                    Some(inst_id),
-                                    format!("set insert of {got} into Set<{elem}>"),
-                                ));
-                            }
-                        }
-                        Type::Map { .. } => {
-                            self.check_key(inst_id, &coll, &inst.operands[1])?;
-                        }
-                        Type::Seq(elem) => {
-                            if inst.operands.len() != 3 {
-                                return Err(
-                                    self.err(Some(inst_id), "seq insert needs (s, i, v)")
-                                );
-                            }
-                            let idx_ty = self.op_ty(&inst.operands[1]);
-                            if !matches!(idx_ty, Type::U64 | Type::Idx) {
-                                return Err(self.err(
-                                    Some(inst_id),
-                                    format!("seq insert index must be u64/idx, got {idx_ty}"),
-                                ));
-                            }
-                            let got = self.op_ty(&inst.operands[2]);
-                            if got != **elem {
-                                return Err(self.err(
-                                    Some(inst_id),
-                                    format!("seq insert of {got} into Seq<{elem}>"),
-                                ));
-                            }
-                        }
-                        other => {
-                            return Err(
-                                self.err(Some(inst_id), format!("insert into non-collection {other}"))
-                            );
-                        }
-                    }
-                }
-                InstKind::Remove => {
-                    let coll = self.op_ty(&inst.operands[0]);
-                    self.check_key(inst_id, &coll, &inst.operands[1])?;
-                }
-                InstKind::Clear | InstKind::Size => {
-                    if !self.op_ty(&inst.operands[0]).is_collection() {
-                        return Err(self.err(Some(inst_id), "operand must be a collection"));
-                    }
-                }
-                InstKind::UnionInto => {
-                    let dst = self.op_ty(&inst.operands[0]);
-                    let src = self.op_ty(&inst.operands[1]);
-                    match (&dst, &src) {
-                        (Type::Set { elem: a, .. }, Type::Set { elem: b, .. }) if a == b => {}
-                        _ => {
-                            return Err(self.err(
-                                Some(inst_id),
-                                format!("union of incompatible sets {dst} and {src}"),
-                            ));
-                        }
-                    }
-                }
-                InstKind::Bin(_) => {
-                    let a = self.op_ty(&inst.operands[0]);
-                    let b = self.op_ty(&inst.operands[1]);
-                    if a != b || !a.is_numeric() && a != Type::Bool {
-                        return Err(self.err(
-                            Some(inst_id),
-                            format!("binary op on mismatched/non-numeric types {a}, {b}"),
-                        ));
-                    }
-                }
-                InstKind::Cmp(_) => {
-                    let a = self.op_ty(&inst.operands[0]);
-                    let b = self.op_ty(&inst.operands[1]);
-                    if a != b {
-                        return Err(
-                            self.err(Some(inst_id), format!("comparison of {a} with {b}"))
-                        );
-                    }
-                }
-                InstKind::Not => {
-                    if self.op_ty(&inst.operands[0]) != Type::Bool {
-                        return Err(self.err(Some(inst_id), "not of non-bool"));
-                    }
-                }
-                InstKind::Cast(ty) => {
-                    let from = self.op_ty(&inst.operands[0]);
-                    if !from.is_numeric() && from != Type::Bool {
-                        return Err(self.err(Some(inst_id), "cast of non-numeric"));
-                    }
-                    if !ty.is_numeric() {
-                        return Err(self.err(Some(inst_id), "cast to non-numeric"));
-                    }
-                }
-                InstKind::Tuple => {
-                    let field_tys: Vec<Type> =
-                        inst.operands.iter().map(|o| self.op_ty(o)).collect();
-                    for ty in &field_tys {
-                        if ty.is_collection() || matches!(ty, Type::Tuple(_)) {
-                            return Err(self.err(
-                                Some(inst_id),
-                                format!("tuple field of non-scalar type {ty}"),
-                            ));
-                        }
-                    }
-                    let got = self.func.value_ty(inst.result());
-                    if got != &Type::Tuple(field_tys.clone()) {
-                        return Err(self.err(
-                            Some(inst_id),
-                            format!(
-                                "tuple result typed {got}, operands make {}",
-                                Type::Tuple(field_tys)
-                            ),
-                        ));
-                    }
-                }
-                InstKind::Call(callee) => {
-                    if let Some(module) = self.module {
-                        let Some(target) = module.funcs.get(callee.index()) else {
-                            return Err(
-                                self.err(Some(inst_id), format!("call to unknown {callee}"))
-                            );
-                        };
-                        if target.params.len() != inst.operands.len() {
-                            return Err(self.err(
-                                Some(inst_id),
-                                format!(
-                                    "call to @{} with {} args, expected {}",
-                                    target.name,
-                                    inst.operands.len(),
-                                    target.params.len()
-                                ),
-                            ));
-                        }
-                        for (op, &p) in inst.operands.iter().zip(&target.params) {
-                            let got = self.op_ty(op);
-                            let want = target.value_ty(p);
-                            if &got != want {
-                                return Err(self.err(
-                                    Some(inst_id),
-                                    format!(
-                                        "call to @{}: argument type {got}, parameter wants {want}",
-                                        target.name
-                                    ),
-                                ));
-                            }
-                        }
-                        if let Some(&r) = inst.results.first() {
-                            if self.func.value_ty(r) != &target.ret_ty {
-                                return Err(self.err(
-                                    Some(inst_id),
-                                    format!(
-                                        "call result typed {}, @{} returns {}",
-                                        self.func.value_ty(r),
-                                        target.name,
-                                        target.ret_ty
-                                    ),
-                                ));
-                            }
-                        } else if target.ret_ty != Type::Void {
-                            // A discarded non-void result is fine; nothing
-                            // to check.
-                        }
-                    }
-                }
-                InstKind::Print | InstKind::Roi(_) => {}
-                InstKind::Enc(e) | InstKind::EnumAdd(e) => {
-                    if let Some(module) = self.module {
-                        let Some(decl) = module.enums.get(e.index()) else {
-                            return Err(self.err(Some(inst_id), format!("unknown enum {e}")));
-                        };
-                        let got = self.op_ty(&inst.operands[0]);
-                        if got != decl.key_ty {
-                            return Err(self.err(
-                                Some(inst_id),
-                                format!("enum op on {got}, enum keys are {}", decl.key_ty),
-                            ));
-                        }
-                    }
-                    if self.func.value_ty(inst.result()) != &Type::Idx {
-                        return Err(self.err(Some(inst_id), "enc/add must produce idx"));
-                    }
-                }
-                InstKind::Dec(e) => {
-                    if self.op_ty(&inst.operands[0]) != Type::Idx {
-                        return Err(self.err(Some(inst_id), "dec takes an idx"));
-                    }
-                    if let Some(module) = self.module {
-                        let Some(decl) = module.enums.get(e.index()) else {
-                            return Err(self.err(Some(inst_id), format!("unknown enum {e}")));
-                        };
-                        if self.func.value_ty(inst.result()) != &decl.key_ty {
-                            return Err(self.err(Some(inst_id), "dec result type mismatch"));
-                        }
-                    }
-                }
-                InstKind::If => {
-                    if self.op_ty(&inst.operands[0]) != Type::Bool {
-                        return Err(self.err(Some(inst_id), "if condition must be bool"));
-                    }
-                    let then_tys = self.yield_types(inst.regions[0]);
-                    let else_tys = self.yield_types(inst.regions[1]);
-                    let result_tys: Vec<Type> = inst
-                        .results
-                        .iter()
-                        .map(|&r| self.func.value_ty(r).clone())
-                        .collect();
-                    if then_tys != result_tys || else_tys != result_tys {
-                        return Err(self.err(
-                            Some(inst_id),
-                            "if branches must yield the instruction's result types",
-                        ));
-                    }
-                }
-                InstKind::ForEach => {
-                    let coll = self.op_ty(&inst.operands[0]);
-                    let iter_args: Vec<Type> = match &coll {
-                        Type::Seq(elem) => vec![Type::U64, (**elem).clone()],
-                        Type::Set { elem, .. } => vec![(**elem).clone()],
-                        Type::Map { key, val, .. } => vec![(**key).clone(), (**val).clone()],
-                        other => {
-                            return Err(
-                                self.err(Some(inst_id), format!("foreach over {other}"))
-                            );
-                        }
-                    };
-                    self.check_loop_shape(inst_id, inst.regions[0], &iter_args, &inst.operands[1..], false)?;
-                }
-                InstKind::ForRange => {
-                    for op in &inst.operands[..2] {
-                        if self.op_ty(op) != Type::U64 {
-                            return Err(self.err(Some(inst_id), "forrange bounds must be u64"));
-                        }
-                    }
-                    self.check_loop_shape(
-                        inst_id,
-                        inst.regions[0],
-                        &[Type::U64],
-                        &inst.operands[2..],
-                        false,
-                    )?;
-                }
-                InstKind::DoWhile => {
-                    self.check_loop_shape(inst_id, inst.regions[0], &[], &inst.operands, true)?;
-                }
-                InstKind::Yield => {}
-                InstKind::Ret => {
-                    let got = inst
-                        .operands
-                        .first()
-                        .map_or(Type::Void, |op| self.op_ty(op));
-                    if got != self.func.ret_ty {
-                        return Err(self.err(
-                            Some(inst_id),
-                            format!("return of {got} from fn returning {}", self.func.ret_ty),
-                        ));
-                    }
-                }
+            self.check_signature(inst_id, inst)?;
+            self.check_operands(inst_id, inst)?;
+        }
+        Ok(())
+    }
+
+    /// `values`' types, as `T` or `(T1, T2, ...)`.
+    fn value_types(&self, values: &[ValueId]) -> String {
+        let tys: Vec<Type> = values
+            .iter()
+            .map(|&v| self.func.value_ty(v).clone())
+            .collect();
+        type_list(&tys)
+    }
+
+    /// Whether `values` are typed `want`, one for one.
+    fn typed_as(&self, values: &[ValueId], want: &[Type]) -> bool {
+        values.len() == want.len()
+            && values
+                .iter()
+                .zip(want)
+                .all(|(&v, t)| self.func.value_ty(v) == t)
+    }
+
+    /// Checks `inst`'s results, body arguments and region yields against
+    /// the typing rule.
+    fn check_signature(&self, inst_id: InstId, inst: &Inst) -> Result<(), VerifyError> {
+        let err = |message: String| self.err(Some(inst_id), message);
+        let sig = typing::signature(self.func, inst, self.ext).map_err(err)?;
+        let op = inst.kind.opcode();
+        if !self.typed_as(&inst.results, &sig.results) {
+            let (got, want) = (self.value_types(&inst.results), type_list(&sig.results));
+            return Err(err(format!("{op} result typed {got}, expected {want}")));
+        }
+        for &r in &inst.regions {
+            let args = &self.func.region(r).args;
+            if !self.typed_as(args, &sig.body_args) {
+                let (got, want) = (self.value_types(args), type_list(&sig.body_args));
+                return Err(err(format!(
+                    "{op} region {r} arguments typed {got}, expected {want}"
+                )));
+            }
+            let yields = typing::yield_types(self.func, r).map_err(err)?;
+            if yields != sig.yields {
+                let what = if inst.kind == InstKind::If {
+                    "if branches"
+                } else {
+                    "loop body"
+                };
+                let (got, want) = (type_list(&yields), type_list(&sig.yields));
+                return Err(err(format!(
+                    "{what} must yield {want}, region {r} yields {got}"
+                )));
             }
         }
         Ok(())
     }
 
-    /// Minimum operand counts per opcode, checked before any indexing so
-    /// malformed IR produces an error instead of a panic.
-    fn check_arity(&self, inst_id: InstId, inst: &crate::Inst) -> Result<(), VerifyError> {
-        let min = match &inst.kind {
-            InstKind::Read | InstKind::Has | InstKind::Remove | InstKind::UnionInto => 2,
-            InstKind::Write => 3,
-            InstKind::Insert => 2,
-            InstKind::Clear
-            | InstKind::Size
-            | InstKind::Not
-            | InstKind::Cast(_)
-            | InstKind::Enc(_)
-            | InstKind::Dec(_)
-            | InstKind::EnumAdd(_)
-            | InstKind::Tuple => 1,
-            InstKind::Bin(_) | InstKind::Cmp(_) => 2,
-            InstKind::If => 1,
-            InstKind::ForEach => 1,
-            InstKind::ForRange => 2,
-            _ => 0,
+    /// Checks what the typing rule leaves open: keys, written values,
+    /// set elements, call arguments, operand agreement and the
+    /// enumerations' key types.
+    fn check_operands(&self, inst_id: InstId, inst: &Inst) -> Result<(), VerifyError> {
+        let err = |message: String| Err(self.err(Some(inst_id), message));
+        let enum_key = |e: crate::EnumId| match self.module.enums.get(e.index()) {
+            Some(decl) => Ok(&decl.key_ty),
+            None => Err(self.err(Some(inst_id), format!("unknown enum {e}"))),
         };
-        if inst.operands.len() < min {
-            return Err(self.err(
-                Some(inst_id),
-                format!(
-                    "{:?} needs at least {min} operand(s), got {}",
-                    inst.kind,
-                    inst.operands.len()
-                ),
-            ));
-        }
-        let regions = match &inst.kind {
-            InstKind::If => 2,
-            InstKind::ForEach | InstKind::ForRange | InstKind::DoWhile => 1,
-            _ => 0,
-        };
-        if inst.regions.len() < regions {
-            return Err(self.err(
-                Some(inst_id),
-                format!("{:?} needs {regions} region(s)", inst.kind),
-            ));
-        }
-        Ok(())
-    }
-
-    fn yield_types(&self, region: RegionId) -> Vec<Type> {
-        let insts = &self.func.region(region).insts;
-        let Some(&last) = insts.last() else {
-            return Vec::new();
-        };
-        self.func
-            .inst(last)
-            .operands
-            .iter()
-            .map(|op| self.op_ty(op))
-            .collect()
-    }
-
-    fn check_loop_shape(
-        &self,
-        inst_id: InstId,
-        body: RegionId,
-        iter_args: &[Type],
-        carries: &[Operand],
-        yields_cond: bool,
-    ) -> Result<(), VerifyError> {
-        let carried_tys: Vec<Type> = carries.iter().map(|op| self.op_ty(op)).collect();
-        let want_args: Vec<Type> = iter_args.iter().cloned().chain(carried_tys.clone()).collect();
-        let got_args: Vec<Type> = self
-            .func
-            .region(body)
-            .args
-            .iter()
-            .map(|&a| self.func.value_ty(a).clone())
-            .collect();
-        if got_args != want_args {
-            return Err(self.err(
-                Some(inst_id),
-                format!("loop body args {got_args:?} do not match expected {want_args:?}"),
-            ));
-        }
-        let mut want_yields = Vec::new();
-        if yields_cond {
-            want_yields.push(Type::Bool);
-        }
-        want_yields.extend(carried_tys.clone());
-        let got_yields = self.yield_types(body);
-        if got_yields != want_yields {
-            return Err(self.err(
-                Some(inst_id),
-                format!("loop yields {got_yields:?} do not match expected {want_yields:?}"),
-            ));
-        }
-        let result_tys: Vec<Type> = self
-            .func
-            .inst(inst_id)
-            .results
-            .iter()
-            .map(|&r| self.func.value_ty(r).clone())
-            .collect();
-        if result_tys != carried_tys {
-            return Err(self.err(Some(inst_id), "loop results must match carried types"));
+        match &inst.kind {
+            InstKind::Literal {
+                elems,
+                enumeration: Some(e),
+            } => {
+                let key = enum_key(*e)?;
+                if *key != elems.elem_ty() {
+                    let elem = elems.elem_ty();
+                    return err(format!(
+                        "literal of {elem} elements added to {e}, whose keys are {key}"
+                    ));
+                }
+            }
+            InstKind::Read | InstKind::Remove => {
+                self.check_key(inst_id, &self.op_ty(&inst.operands[0]), &inst.operands[1])?;
+            }
+            InstKind::Write => {
+                let coll = self.op_ty(&inst.operands[0]);
+                self.check_key(inst_id, &coll, &inst.operands[1])?;
+                let want = coll.value_type().expect("collection").clone();
+                let got = self.op_ty(&inst.operands[2]);
+                if got != want {
+                    return err(format!(
+                        "write value type {got} does not match element {want}"
+                    ));
+                }
+            }
+            InstKind::Has => {
+                let coll = self.op_ty(&inst.operands[0]);
+                if !coll.is_assoc() {
+                    return err("has target must be set/map".into());
+                }
+                self.check_key(inst_id, &coll, &inst.operands[1])?;
+            }
+            InstKind::Insert => {
+                let coll = self.op_ty(&inst.operands[0]);
+                match &coll {
+                    Type::Set { elem, .. } => {
+                        let got = self.op_ty(&inst.operands[1]);
+                        if got != **elem {
+                            return err(format!("set insert of {got} into Set<{elem}>"));
+                        }
+                    }
+                    Type::Map { .. } => {
+                        self.check_key(inst_id, &coll, &inst.operands[1])?;
+                    }
+                    Type::Seq(elem) => {
+                        if inst.operands.len() != 3 {
+                            return err("seq insert needs (s, i, v)".into());
+                        }
+                        let idx_ty = self.op_ty(&inst.operands[1]);
+                        if !matches!(idx_ty, Type::U64 | Type::Idx) {
+                            return err(format!("seq insert index must be u64/idx, got {idx_ty}"));
+                        }
+                        let got = self.op_ty(&inst.operands[2]);
+                        if got != **elem {
+                            return err(format!("seq insert of {got} into Seq<{elem}>"));
+                        }
+                    }
+                    other => return err(format!("insert into non-collection {other}")),
+                }
+            }
+            InstKind::Clear | InstKind::Size if !self.op_ty(&inst.operands[0]).is_collection() => {
+                return err("operand must be a collection".into());
+            }
+            InstKind::UnionInto => {
+                let dst = self.op_ty(&inst.operands[0]);
+                let src = self.op_ty(&inst.operands[1]);
+                match (&dst, &src) {
+                    (Type::Set { elem: a, .. }, Type::Set { elem: b, .. }) if a == b => {}
+                    _ => return err(format!("union of incompatible sets {dst} and {src}")),
+                }
+            }
+            InstKind::Bin(_) => {
+                let a = self.op_ty(&inst.operands[0]);
+                let b = self.op_ty(&inst.operands[1]);
+                if a != b || !a.is_numeric() && a != Type::Bool {
+                    return err(format!(
+                        "binary op on mismatched/non-numeric types {a}, {b}"
+                    ));
+                }
+            }
+            InstKind::Cmp(_) => {
+                let a = self.op_ty(&inst.operands[0]);
+                let b = self.op_ty(&inst.operands[1]);
+                if a != b {
+                    return err(format!("comparison of {a} with {b}"));
+                }
+            }
+            InstKind::Not if self.op_ty(&inst.operands[0]) != Type::Bool => {
+                return err("not of non-bool".into());
+            }
+            InstKind::Cast(ty) => {
+                let from = self.op_ty(&inst.operands[0]);
+                if !from.is_numeric() && from != Type::Bool {
+                    return err("cast of non-numeric".into());
+                }
+                if !ty.is_numeric() {
+                    return err("cast to non-numeric".into());
+                }
+            }
+            InstKind::Tuple => {
+                for op in &inst.operands {
+                    let ty = self.op_ty(op);
+                    if !ty.is_scalar() {
+                        return err(format!("tuple field of non-scalar type {ty}"));
+                    }
+                }
+            }
+            InstKind::Call(callee) => {
+                // The typing rule has already found the callee.
+                let target = self.module.func(*callee);
+                if target.params.len() != inst.operands.len() {
+                    let (name, got, want) =
+                        (&target.name, inst.operands.len(), target.params.len());
+                    return err(format!("call to @{name} with {got} args, expected {want}"));
+                }
+                for (op, &p) in inst.operands.iter().zip(&target.params) {
+                    let got = self.op_ty(op);
+                    let want = target.value_ty(p);
+                    if &got != want {
+                        return err(format!(
+                            "call to @{}: argument type {got}, parameter wants {want}",
+                            target.name
+                        ));
+                    }
+                }
+            }
+            InstKind::Enc(e) | InstKind::EnumAdd(e) => {
+                let key = enum_key(*e)?;
+                let got = self.op_ty(&inst.operands[0]);
+                if got != *key {
+                    return err(format!("enum op on {got}, enum keys are {key}"));
+                }
+            }
+            InstKind::Dec(_) if self.op_ty(&inst.operands[0]) != Type::Idx => {
+                return err("dec takes an idx".into());
+            }
+            InstKind::If if self.op_ty(&inst.operands[0]) != Type::Bool => {
+                return err("if condition must be bool".into());
+            }
+            InstKind::ForRange => {
+                for op in &inst.operands[..2] {
+                    if self.op_ty(op) != Type::U64 {
+                        return err("forrange bounds must be u64".into());
+                    }
+                }
+            }
+            InstKind::Ret => {
+                let got = inst
+                    .operands
+                    .first()
+                    .map_or(Type::Void, |op| self.op_ty(op));
+                if got != self.func.ret_ty {
+                    return err(format!(
+                        "return of {got} from fn returning {}",
+                        self.func.ret_ty
+                    ));
+                }
+            }
+            _ => {}
         }
         Ok(())
     }
@@ -886,6 +672,14 @@ impl<'a> Verifier<'a> {
     }
 }
 
+/// `T` for one type, `(T1, T2, ...)` for any other number.
+fn type_list(tys: &[Type]) -> String {
+    match tys {
+        [one] => one.to_string(),
+        _ => Type::Tuple(tys.to_vec()).to_string(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -955,6 +749,92 @@ fn @count(%input: Seq<f64>) -> void {
         )
         .expect_err("should fail");
         assert!(err.message.contains("whose keys are str"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_wrong_result_type_on_every_kind_with_results() {
+        let text = r#"
+enum e0: u64
+
+fn @main(%p: u64, %m: Map<u64, u64>, %s: Set<u64>, %u: Set<u64>, %c: bool) -> void {
+  %bin = add %p, %p
+  %has = has %s, %p
+  %size = size %s
+  %cmp = eq %p, %p
+  %not = not %c
+  %cast = cast %p to f64
+  %read = read %m, %p
+  %tuple = tuple %p, %c
+  %enc = enc e0, %p
+  %dec = dec e0, %enc
+  %add = enumadd e0, %p
+  %lit = literal u64 [1, 2]
+  %write = write %m, %p, %p
+  %insert = insert %s, %p
+  %remove = remove %insert, %p
+  %union = union %remove, %u
+  %clear = clear %union
+  %if = if %c then {
+    yield %p
+  } else {
+    yield %p
+  }
+  %foreach = foreach %lit carry(%p) as (%i: u64, %e: u64, %acc: u64) {
+    yield %acc
+  }
+  %forrange = forrange %p, %p carry(%p) as (%j: u64, %r: u64) {
+    yield %r
+  }
+  %dowhile = dowhile carry(%p) as (%d: u64) {
+    %f = const false
+    yield %f, %d
+  }
+  ret
+}
+"#;
+        let module = parse_module(text).expect("parses");
+        verify_module(&module).expect("the well-typed program verifies");
+        for (name, wrong) in [
+            ("bin", Type::F64),
+            ("has", Type::U64),
+            ("size", Type::Bool),
+            ("cmp", Type::U64),
+            ("not", Type::U64),
+            ("cast", Type::U64),
+            ("read", Type::F64),
+            ("tuple", Type::Tuple(vec![Type::U64, Type::U64])),
+            ("enc", Type::U64),
+            ("dec", Type::F64),
+            ("add", Type::U64),
+            ("lit", Type::seq(Type::Str)),
+            ("write", Type::U64),
+            ("insert", Type::U64),
+            ("remove", Type::set(Type::F64)),
+            ("union", Type::set(Type::Idx)),
+            ("clear", Type::seq(Type::U64)),
+            ("if", Type::F64),
+            ("foreach", Type::F64),
+            ("forrange", Type::Bool),
+            ("dowhile", Type::Str),
+        ] {
+            let mut m = module.clone();
+            let f = &mut m.funcs[0];
+            let v = f
+                .values
+                .iter()
+                .position(|v| v.name.as_deref() == Some(name))
+                .expect("named result");
+            let ValueDef::InstResult { inst, .. } = f.values[v].def else {
+                panic!("%{name} is a result");
+            };
+            f.values[v].ty = wrong.clone();
+            let err = verify_module(&m).expect_err(name);
+            assert_eq!(err.inst, Some(inst), "%{name}: {err}");
+            assert!(
+                err.message.contains(&format!("result typed {wrong}")),
+                "%{name}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1084,8 +964,9 @@ fn @g(%a: u64) -> void {
         let mut b = FunctionBuilder::new("f", &[], Type::Void);
         let _ = b.const_u64(1);
         // no ret
-        let f = b.finish();
-        let err = verify_function(&f).expect_err("should fail");
+        let mut m = Module::new();
+        m.add_function(b.finish());
+        let err = verify_module(&m).expect_err("should fail");
         assert!(err.message.contains("must end in ret"), "{err}");
     }
 

@@ -118,6 +118,43 @@ fn @kitchen(%p: Map{Swiss}<u64, Seq<idx>>, %q: Set{SparseBit}<idx>, %b: bool) ->
     assert_eq!(printed, print_module(&m2));
 }
 
+/// Every variant of every textual enum (operators, selections, the
+/// `select(...)` directive) prints by its name and parses back.
+#[test]
+fn round_trip_covers_every_named_variant() {
+    use ade_ir::{BinOp, CmpOp, MapSel, SelectionChoice, SetSel, Type};
+    let mut body = String::from("  %c = const 3u64\n");
+    for op in BinOp::ALL {
+        body += &format!("  %{0} = {0} %c, %c\n", op.name());
+    }
+    for op in CmpOp::ALL {
+        body += &format!("  %{0} = {0} %c, %c\n", op.name());
+    }
+    let mut lines = Vec::new();
+    for &sel in SetSel::ALL {
+        lines.push(format!("new {}", Type::set_with(Type::U64, sel)));
+    }
+    for &sel in MapSel::ALL {
+        lines.push(format!("new {}", Type::map_with(Type::U64, Type::U64, sel)));
+    }
+    for choice in SelectionChoice::ALL {
+        lines.push(format!("new Set<u64> #[select({})]", choice.name()));
+    }
+    for (i, line) in lines.iter().enumerate() {
+        body += &format!("  %s{i} = {line}\n");
+    }
+    let text = format!("fn @main() -> void {{\n{body}  ret\n}}\n");
+    assert_round_trips(&text);
+    let printed = print_module(&parse_module(&text).expect("parses"));
+    assert_eq!(printed, format!("{text}\n"));
+    let with_braces = SetSel::ALL.len() + MapSel::ALL.len() - 2;
+    assert_eq!(printed.matches('{').count(), 1 + with_braces, "{printed}");
+    for bad in ["Set{Auto}<u64>", "Map{Flat}<u64, u64>", "Set{hash}<u64>"] {
+        let text = format!("fn @main() -> void {{\n  %s = new {bad}\n  ret\n}}\n");
+        assert!(parse_module(&text).is_err(), "{bad}");
+    }
+}
+
 proptest! {
     /// String constants round-trip exactly through print → parse,
     /// including every escape the printer's Debug formatting can emit.
@@ -174,6 +211,36 @@ fn @main() -> void {
     let printed = print_module(&m);
     assert!(printed.contains("%ids = literal u64 [9, 4, 9] enumadd e0\n"), "{printed}");
     assert!(printed.contains("%empty_s = literal str []\n"), "{printed}");
+}
+
+proptest! {
+    /// `f64` constants of any bit pattern round-trip through print →
+    /// parse: NaN, the infinities, signed zero and subnormals included.
+    #[test]
+    fn f64_constants_round_trip(
+        x in prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0),
+            any::<u64>().prop_map(f64::from_bits),
+        ]
+    ) {
+        let mut b = ade_ir::builder::FunctionBuilder::new("main", &[], ade_ir::Type::Void);
+        let v = b.const_f64(x);
+        b.print(&[v]);
+        b.ret_void();
+        let mut m = ade_ir::Module::new();
+        m.add_function(b.finish());
+        let printed = print_module(&m);
+        let m2 = parse_module(&printed).expect("printed form parses");
+        prop_assert_eq!(&printed, &print_module(&m2));
+        let ade_ir::InstKind::Const(ade_ir::ConstVal::F64(got)) = m2.funcs[0].insts[0].kind else {
+            panic!("an f64 const");
+        };
+        // Every NaN prints as `NaN`; any other value keeps its bits.
+        prop_assert!(got.to_bits() == x.to_bits() || got.is_nan() && x.is_nan(), "{x} -> {got}");
+    }
 }
 
 proptest! {

@@ -119,6 +119,36 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Each compiled module's printed IR must also match its row in
 /// `tests/golden/compiled_ir_scale4.txt`, so a compile-time rewrite of
 /// the ADE pass cannot change the code it produces unnoticed.
+/// `text` with each function's numbered values (`%12`) renamed in order
+/// of first appearance, so two printings of one program compare equal
+/// whatever their value ids.
+fn renumbered(text: &str) -> String {
+    let mut ids: std::collections::HashMap<String, usize> = Default::default();
+    let mut out = String::with_capacity(text.len());
+    for line in text.lines() {
+        if line.starts_with("fn @") {
+            ids.clear();
+        }
+        let mut rest = line;
+        while let Some(at) = rest.find('%') {
+            out.push_str(&rest[..=at]);
+            rest = &rest[at + 1..];
+            let digits = rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len());
+            if digits > 0 {
+                let next = ids.len();
+                let n = *ids.entry(rest[..digits].to_string()).or_insert(next);
+                out.push_str(&format!("v{n}"));
+                rest = &rest[digits..];
+            }
+        }
+        out.push_str(rest);
+        out.push('\n');
+    }
+    out
+}
+
 #[test]
 fn all_configurations_agree_on_all_benchmarks() {
     let mut fingerprints = String::new();
@@ -136,6 +166,18 @@ fn all_configurations_agree_on_all_benchmarks() {
             ade::ir::verify::verify_module(&module)
                 .unwrap_or_else(|e| panic!("[{} {}] {e}", bench.abbrev, kind.name()));
             let text = print_module(&module);
+            // The parser types the compiled IR by the rule ADE's type
+            // repair applied: the text reparses, prints the same up to
+            // value numbering and verifies.
+            let tag = format!("[{} {}]", bench.abbrev, kind.name());
+            let reparsed = parse_module(&text).unwrap_or_else(|e| panic!("{tag} reparse: {e}"));
+            assert_eq!(
+                renumbered(&print_module(&reparsed)),
+                renumbered(&text),
+                "{tag}"
+            );
+            ade::ir::verify::verify_module(&reparsed)
+                .unwrap_or_else(|e| panic!("{tag} reparsed: {e}"));
             fingerprints.push_str(&format!(
                 "{} {} {} {:016x}\n",
                 bench.abbrev,
@@ -143,7 +185,6 @@ fn all_configurations_agree_on_all_benchmarks() {
                 text.lines().count(),
                 fnv1a64(text.as_bytes())
             ));
-            let tag = format!("[{} {}]", bench.abbrev, kind.name());
             let run = |reference: bool| {
                 let decoded = DecodedModule::decode_with(&module, &DecodeOptions { reference });
                 Interpreter::new(&module, config.exec.clone())
