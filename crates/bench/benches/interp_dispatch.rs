@@ -22,6 +22,7 @@ use std::time::Instant;
 use ade_interp::{DecodeOptions, DecodedModule, ExecConfig, Interpreter};
 use ade_ir::builder::FunctionBuilder;
 use ade_ir::{MapSel, Module, Type};
+use ade_obs::json::Value;
 
 /// Iteration count per kernel — large enough that dispatch dominates
 /// the fixed per-run setup (decode + frame allocation).
@@ -359,6 +360,12 @@ fn time_kernel(k: &Kernel) -> [f64; 2] {
     best
 }
 
+/// `v` rounded to `decimals` places, as a JSON number.
+fn rounded(v: f64, decimals: i32) -> Value {
+    let scale = 10f64.powi(decimals);
+    Value::from((v * scale).round() / scale)
+}
+
 fn main() {
     // `cargo bench` passes harness flags (e.g. `--bench`); ignore them.
     let kernels = [
@@ -392,44 +399,30 @@ fn main() {
         let speedup = walls[0].1 / walls[1].1;
         log_speedup_sum += speedup.ln();
         println!("{:>16} {:>14}  {speedup:>11.2}x", k.name, "speedup");
-        let wall_fields: Vec<String> = walls
-            .iter()
-            .map(|(c, w)| format!("\"{c}\": {w:.6}"))
-            .collect();
-        let rate_fields: Vec<String> = walls
-            .iter()
-            .map(|(c, w)| format!("\"{c}\": {:.1}", k.ops as f64 / w))
-            .collect();
-        rows.push(format!(
-            concat!(
-                "    {{\"kernel\": \"{}\", \"ops\": {}, ",
-                "\"wall_seconds\": {{{}}}, \"ops_per_sec\": {{{}}}, ",
-                "\"speedup\": {:.3}}}"
-            ),
-            k.name,
-            k.ops,
-            wall_fields.join(", "),
-            rate_fields.join(", "),
-            speedup
-        ));
+        let per_config = |f: &dyn Fn(f64) -> Value| {
+            Value::object(walls.iter().map(|&(c, w)| (c, f(w))))
+        };
+        rows.push(Value::object([
+            ("kernel", k.name.into()),
+            ("ops", k.ops.into()),
+            ("wall_seconds", per_config(&|w| rounded(w, 6))),
+            ("ops_per_sec", per_config(&|w| rounded(k.ops as f64 / w, 1))),
+            ("speedup", rounded(speedup, 3)),
+        ]));
     }
     let geomean = (log_speedup_sum / kernels.len() as f64).exp();
     println!("{:>16} {:>14}  {geomean:>11.2}x", "GEOMEAN", "default");
-    let json = format!(
-        concat!(
-            "{{\n  \"iterations\": {},\n  \"runs\": {},\n",
-            "  \"configs\": [\"reference\", \"default\"],\n",
-            "  \"kernels\": [\n{}\n  ],\n",
-            "  \"geomean_speedup\": {:.3}\n}}\n"
-        ),
-        N,
-        RUNS,
-        rows.join(",\n"),
-        geomean
-    );
+    let configs = CONFIGS.iter().map(|&(c, _)| c.into()).collect();
+    let json = Value::object([
+        ("iterations", N.into()),
+        ("runs", (RUNS as u64).into()),
+        ("configs", configs),
+        ("kernels", Value::Array(rows)),
+        ("geomean_speedup", rounded(geomean, 3)),
+    ]);
     // Anchor to the workspace root (cargo runs benches from the package
     // dir) so the committed snapshot and the CI gate agree on the path.
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_interp.json");
-    std::fs::write(&out, json).expect("write BENCH_interp.json");
+    std::fs::write(&out, format!("{json}\n")).expect("write BENCH_interp.json");
     println!("wrote {}", out.display());
 }

@@ -2,14 +2,15 @@
 //! `make all` equivalent).
 //!
 //! ```text
-//! reproduce [--scale N] [--jobs N] [--timeline FILE]
+//! reproduce [--scale N] [--jobs N]
 //!           [fig4|fig5|fig6|fig7|fig8|fig9|table2|table3|rq4|all]
 //! ```
 //!
 //! The default scale (9: ≈512-node graphs with thousands of edges) runs
-//! the full suite in about ten seconds on one core (about five on two);
-//! the paper-fidelity claims are about the *shape* of the results (who
-//! wins, roughly by how much), which is stable across scales.
+//! the full suite (`--scale 9 --jobs 2 all`) in 1.5–1.8 s measured on a
+//! shared 2-core host; the paper-fidelity claims are about the *shape*
+//! of the results (who wins, roughly by how much), which is stable
+//! across scales.
 //!
 //! `--jobs N` runs the evaluation matrix's independent
 //! `(benchmark, configuration)` cells on N worker threads (default: the
@@ -23,24 +24,14 @@
 //! guest trap, a tripped limit) panics with `[BENCH config] <error>`,
 //! and the run exits nonzero.
 //!
-//! Observability (figure text stays byte-identical either way):
-//! `--timeline FILE` writes a Chrome-trace JSON of the worker pool —
-//! one complete event per matrix cell, one lane per worker — that
-//! `chrome://tracing` or Perfetto loads directly.
-//!
 //! Usage errors (an unknown flag or target, a missing or invalid value)
-//! exit with code 2, and so does an unwritable `--timeline` output, with `error: cannot write <path>` — the same contract as
-//! `adec`'s output flags.
-
-use std::sync::Arc;
+//! exit with code 2.
 
 use ade_bench::figures::{is_target, Session};
-use ade_obs::Timeline;
 
 fn main() {
     let mut scale = 9u32;
     let mut jobs = ade_bench::pool::default_jobs();
-    let mut timeline_path: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -58,12 +49,6 @@ fn main() {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage("missing or invalid value for --jobs"));
             }
-            "--timeline" => {
-                timeline_path = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("missing value for --timeline")),
-                );
-            }
             flag if flag.starts_with("--") => usage(&format!("unknown flag `{flag}`")),
             other => targets.push(other.to_string()),
         }
@@ -76,33 +61,14 @@ fn main() {
             usage(&format!("unknown target `{target}`"));
         }
     }
-    let timeline = timeline_path.as_ref().map(|_| Arc::new(Timeline::new()));
-    let mut session = Session::new(scale).jobs(jobs);
-    if let Some(tl) = &timeline {
-        session = session.timeline(Arc::clone(tl));
-    }
     let targets: Vec<&str> = targets.iter().map(String::as_str).collect();
-    print!("{}", session.render(&targets));
-    if let (Some(path), Some(tl)) = (&timeline_path, &timeline) {
-        write_file(path, &tl.to_chrome_json());
-        eprintln!("[obs] timeline: {path} ({} events)", tl.events().len());
-    }
-}
-
-/// Writes an observability artifact, mirroring `adec`'s output-flag
-/// contract: an unwritable path is a usage error (`exit 2`) with a
-/// uniform `cannot write` message.
-fn write_file(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(2);
-    }
+    print!("{}", Session::new(scale).jobs(jobs).render(&targets));
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: reproduce [--scale N] [--jobs N] [--timeline FILE] [fig4|fig5|fig6|fig7|fig8|fig9|table2|table3|rq4|all]"
+        "usage: reproduce [--scale N] [--jobs N] [fig4|fig5|fig6|fig7|fig8|fig9|table2|table3|rq4|all]"
     );
     std::process::exit(2);
 }

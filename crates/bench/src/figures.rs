@@ -10,11 +10,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use ade_interp::cost::CostModel;
 use ade_interp::{CollOp, ImplKind};
-use ade_obs::Timeline;
 use ade_workloads::bench::{all_benchmarks, benchmark_by_abbrev};
 use ade_workloads::ConfigKind;
 
@@ -76,7 +74,6 @@ pub fn cells_for_target(target: &str) -> Vec<(&'static str, ConfigKind)> {
 pub struct Session {
     scale: u32,
     jobs: usize,
-    timeline: Option<Arc<Timeline>>,
     reference: bool,
     cache: BTreeMap<(String, ConfigKind), RunResult>,
 }
@@ -88,7 +85,6 @@ impl Session {
         Session {
             scale,
             jobs: 1,
-            timeline: None,
             reference: false,
             cache: BTreeMap::new(),
         }
@@ -109,15 +105,6 @@ impl Session {
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Attaches a shared timeline (`--timeline`): every cell and rq4
-    /// variant run records one complete event, with the worker index as
-    /// the lane.
-    #[must_use]
-    pub fn timeline(mut self, timeline: Arc<Timeline>) -> Self {
-        self.timeline = Some(timeline);
         self
     }
 
@@ -197,8 +184,7 @@ impl Session {
     pub fn cell(&mut self, abbrev: &str, kind: ConfigKind) -> RunResult {
         let key = (abbrev.to_string(), kind);
         if !self.cache.contains_key(&key) {
-            // A cache miss runs as a one-cell batch on the calling thread
-            // (lane 0 on the timeline).
+            // A cache miss runs as a one-cell batch on the calling thread.
             let abbrev = benchmark_by_abbrev(abbrev).expect("known benchmark").abbrev;
             self.execute_batch(vec![(abbrev, kind)]);
         }
@@ -209,28 +195,14 @@ impl Session {
     /// into the cache. The first failing cell panics.
     fn execute_batch(&mut self, pending: Vec<(&'static str, ConfigKind)>) {
         let (scale, reference) = (self.scale, self.reference);
-        let timeline = self.timeline.as_deref();
-        let results =
-            crate::pool::run_ordered_with(pending, self.jobs, |worker, (abbrev, kind)| {
-                let started = timeline.map(Timeline::now_ns);
-                let bench = benchmark_by_abbrev(abbrev).expect("known benchmark");
-                let r = run_cell(&CellSpec {
-                    reference,
-                    ..CellSpec::new(&bench, kind, scale)
-                })
-                .unwrap_or_else(|e| panic!("[{abbrev} {}] {e}", kind.name()));
-                // One complete timeline event per cell (lane = worker index).
-                if let (Some(t), Some(started)) = (timeline, started) {
-                    t.complete(
-                        format!("{abbrev}/{}", kind.name()),
-                        "cell",
-                        worker as u32,
-                        started,
-                        vec![("scale".to_string(), scale.to_string())],
-                    );
-                }
-                r
-            });
+        let results = crate::pool::run_ordered(pending, self.jobs, |(abbrev, kind)| {
+            let bench = benchmark_by_abbrev(abbrev).expect("known benchmark");
+            run_cell(&CellSpec {
+                reference,
+                ..CellSpec::new(&bench, kind, scale)
+            })
+            .unwrap_or_else(|e| panic!("[{abbrev} {}] {e}", kind.name()))
+        });
         for r in results {
             self.cache.insert((r.abbrev.to_string(), r.config), r);
         }
@@ -602,12 +574,8 @@ impl Session {
             ("select(Sparse)", ConfigKind::Ade, Tuning::InnerSparse),
             ("select(Flat)", ConfigKind::Ade, Tuning::InnerFlat),
         ];
-        let timeline = self.timeline.clone();
-        let runs: Vec<(String, RunResult)> = crate::pool::run_ordered_with(
-            variants,
-            self.jobs,
-            move |worker, (name, kind, tuning)| {
-                let started = timeline.as_deref().map(Timeline::now_ns);
+        let runs: Vec<(String, RunResult)> =
+            crate::pool::run_ordered(variants, self.jobs, move |(name, kind, tuning)| {
                 let mut module = build_with(scale, tuning);
                 let config = ade_workloads::Config::new(kind);
                 config.compile(&mut module);
@@ -616,15 +584,6 @@ impl Session {
                 let outcome = ade_interp::Interpreter::new(&module, config.exec.clone())
                     .run("main")
                     .unwrap_or_else(|e| panic!("[{name}] run: {e}"));
-                if let (Some(t), Some(started)) = (timeline.as_deref(), started) {
-                    t.complete(
-                        format!("PTA/{name}"),
-                        "rq4",
-                        worker as u32,
-                        started,
-                        vec![("scale".to_string(), scale.to_string())],
-                    );
-                }
                 (
                     name.to_string(),
                     RunResult {
@@ -634,8 +593,7 @@ impl Session {
                         stats: outcome.stats,
                     },
                 )
-            },
-        );
+            });
         let base_ns = runs[0].1.modeled_total_ns(&model);
         let base_mem = runs[0].1.peak_bytes().max(1) as f64;
         let reference = runs[0].1.output.clone();

@@ -10,7 +10,7 @@
 //! Determinism: the work function receives exactly the same input in
 //! the parallel and serial cases and the results vector is positional,
 //! so everything *derived* from results (figures, stats totals) is
-//! identical for every `jobs` value. Only timeline timestamps differ.
+//! identical for every `jobs` value.
 //!
 //! Failure: the first panicking work item's payload propagates out of
 //! the pool, so a failing cell fails the whole run. Every cell is a
@@ -26,10 +26,7 @@ use std::sync::Mutex;
 const WORKER_STACK: usize = 64 * 1024 * 1024;
 
 /// Runs `work` over every item, `jobs` at a time, preserving input
-/// order in the returned vector. `work` also receives the zero-based
-/// index of the executing worker (the serial `jobs == 1` path is always
-/// worker `0`); timeline recording uses it as the lane (`tid`) of each
-/// cell.
+/// order in the returned vector.
 ///
 /// `jobs == 1` runs everything on the calling thread with no spawns —
 /// byte-for-byte the serial harness.
@@ -37,11 +34,11 @@ const WORKER_STACK: usize = 64 * 1024 * 1024;
 /// # Panics
 ///
 /// Panics if a worker panics (the first payload is propagated).
-pub fn run_ordered_with<T, R, F>(items: Vec<T>, jobs: usize, work: F) -> Vec<R>
+pub fn run_ordered<T, R, F>(items: Vec<T>, jobs: usize, work: F) -> Vec<R>
 where
     T: Send,
     R: Send,
-    F: Fn(usize, T) -> R + Sync,
+    F: Fn(T) -> R + Sync,
 {
     let n = items.len();
     if n == 0 {
@@ -49,7 +46,7 @@ where
     }
     let jobs = jobs.max(1).min(n);
     if jobs == 1 {
-        return items.into_iter().map(|item| work(0, item)).collect();
+        return items.into_iter().map(work).collect();
     }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -75,7 +72,7 @@ where
                         .expect("work slot poisoned")
                         .take()
                         .expect("work item claimed twice");
-                    let r = work(w, item);
+                    let r = work(item);
                     *results[i].lock().expect("result slot poisoned") = Some(r);
                 })
                 .expect("spawn pool worker");
@@ -112,22 +109,22 @@ mod tests {
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..100).collect();
-        let doubled = run_ordered_with(items.clone(), 8, |_w, x| x * 2);
+        let doubled = run_ordered(items.clone(), 8, |x| x * 2);
         assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn serial_path_matches_parallel() {
         let items: Vec<u64> = (0..37).collect();
-        let serial = run_ordered_with(items.clone(), 1, |_w, x| x * x);
-        let parallel = run_ordered_with(items, 6, |_w, x| x * x);
+        let serial = run_ordered(items.clone(), 1, |x| x * x);
+        let parallel = run_ordered(items, 6, |x| x * x);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn every_item_runs_exactly_once() {
         let count = AtomicUsize::new(0);
-        let results = run_ordered_with((0..50).collect::<Vec<_>>(), 4, |_w, x| {
+        let results = run_ordered((0..50).collect::<Vec<_>>(), 4, |x| {
             count.fetch_add(1, Ordering::Relaxed);
             x
         });
@@ -137,25 +134,15 @@ mod tests {
 
     #[test]
     fn empty_and_oversized_job_counts() {
-        assert!(run_ordered_with(Vec::<u8>::new(), 4, |_w, x| x).is_empty());
-        assert_eq!(run_ordered_with(vec![1], 64, |_w, x| x + 1), vec![2]);
-    }
-
-    #[test]
-    fn worker_indices_are_in_range() {
-        let jobs = 4;
-        let workers = run_ordered_with((0..40).collect::<Vec<_>>(), jobs, |w, _| w);
-        assert!(workers.iter().all(|&w| w < jobs));
-        // The serial path is always worker 0.
-        let serial = run_ordered_with(vec![1, 2, 3], 1, |w, _| w);
-        assert_eq!(serial, vec![0, 0, 0]);
+        assert!(run_ordered(Vec::<u8>::new(), 4, |x| x).is_empty());
+        assert_eq!(run_ordered(vec![1], 64, |x| x + 1), vec![2]);
     }
 
     /// The one failure contract: the first panic propagates.
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
-        run_ordered_with(vec![1, 2, 3], 2, |_w, x| {
+        run_ordered(vec![1, 2, 3], 2, |x| {
             assert!(x != 2, "boom");
             x
         });

@@ -1,26 +1,9 @@
-//! One round trip over every JSON artifact the toolchain emits — the
-//! Chrome-trace timeline, pipeline trace events, the selection ledger
-//! and metrics snapshots — validated with the shared `ade-obs` JSON
-//! validator, so a malformed emitter fails here before any
-//! external consumer sees it.
+//! One round trip over every JSON artifact the toolchain emits —
+//! pipeline trace events and metrics snapshots — parsed back with the
+//! shared `ade-obs` JSON reader, so a malformed emitter fails here
+//! before any external consumer sees it.
 
-use ade_obs::{json, FieldValue, MetricsRegistry, Timeline, Tracer};
-
-const SCALE: u32 = 4;
-
-#[test]
-fn timeline_chrome_trace_validates() {
-    let tl = Timeline::new();
-    let started = tl.now_ns();
-    tl.complete(
-        "BFS/ade",
-        "cell",
-        0,
-        started,
-        vec![("scale".to_string(), SCALE.to_string())],
-    );
-    json::validate(&tl.to_chrome_json()).expect("chrome trace is valid JSON");
-}
+use ade_obs::{json, FieldValue, MetricsRegistry, Tracer};
 
 #[test]
 fn pipeline_trace_events_validate() {
@@ -32,34 +15,8 @@ fn pipeline_trace_events_validate() {
             .field("backend", FieldValue::from("bitset"))
             .emit();
     }
-    json::validate(&ade_obs::events_to_json(&tracer.events()))
+    json::Value::parse(&ade_obs::events_to_json(&tracer.events()))
         .expect("trace events are valid JSON");
-}
-
-/// The selection ledger a real ADE compile produces exports valid JSON
-/// (schema v2) with one decision per keyed site.
-#[test]
-fn selection_ledger_validates() {
-    let bench = ade_workloads::bench::benchmark_by_abbrev("BFS").expect("known benchmark");
-    let mut module = (bench.build)(SCALE);
-    let ledger = ade_workloads::Config::new(ade_workloads::ConfigKind::Ade)
-        .compile(&mut module)
-        .expect("ade runs the pass")
-        .ledger;
-    assert!(
-        !ledger.decisions.is_empty(),
-        "BFS has keyed selection sites"
-    );
-    let v = json::Value::parse(&ledger.to_json()).expect("selection ledger is valid JSON");
-    assert_eq!(
-        v.get("schema").and_then(json::Value::as_str),
-        Some("ade-selection-ledger-v2")
-    );
-    let decisions = v
-        .get("decisions")
-        .and_then(json::Value::as_array)
-        .expect("decisions");
-    assert_eq!(decisions.len(), ledger.decisions.len());
 }
 
 /// Metrics snapshots validate, empty ones included.
@@ -68,8 +25,8 @@ fn metrics_snapshot_validates() {
     let m = MetricsRegistry::enabled();
     m.add("requests_total", &[("cell", "1")], 3);
     m.gauge_max("queue_depth_hwm", &[], 7);
-    json::validate(&m.snapshot().to_json()).expect("metrics snapshot is valid JSON");
-    json::validate(&MetricsRegistry::disabled().snapshot().to_json())
+    json::Value::parse(&m.snapshot().to_json()).expect("metrics snapshot is valid JSON");
+    json::Value::parse(&MetricsRegistry::disabled().snapshot().to_json())
         .expect("empty snapshot is valid JSON");
 }
 
@@ -116,12 +73,27 @@ fn backend_selection_metrics_are_deterministic_by_kind() {
     };
 
     let text = snapshot();
-    json::validate(&text).expect("metrics snapshot is valid JSON");
-    assert!(
-        text.contains("exec_backend_selected_total"),
-        "backend instantiations counted: {text}"
+    let parsed = json::Value::parse(&text).expect("metrics snapshot is valid JSON");
+    let rows = parsed
+        .get("metrics")
+        .and_then(json::Value::as_array)
+        .expect("metrics array");
+    let count = |id: &str| {
+        rows.iter()
+            .find(|row| row.get("id").and_then(json::Value::as_str) == Some(id))
+            .and_then(|row| row.get("value"))
+            .and_then(json::Value::as_u64)
+    };
+    // Two collections: the unboxed `seq<u64>` and the boxed `seq<str>`.
+    assert_eq!(
+        count(r#"exec_backend_selected_total{kind="unboxed_seq"}"#),
+        Some(1),
+        "unboxed kind counted: {text}"
     );
-    assert!(text.contains("unboxed_seq"), "unboxed kind counted: {text}");
-    assert!(text.contains("\\\"seq\\\""), "boxed kind counted: {text}");
+    assert_eq!(
+        count(r#"exec_backend_selected_total{kind="seq"}"#),
+        Some(1),
+        "boxed kind counted: {text}"
+    );
     assert_eq!(text, snapshot(), "snapshot must be deterministic");
 }

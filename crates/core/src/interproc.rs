@@ -673,7 +673,6 @@ pub fn plan_module_traced(
                 .emit();
         }
         tracer.counter("interproc", "retargeted-call-sites", plan.retargets.len() as u64);
-        tracer.counter("interproc", "enums-planned", plan.enum_key_tys.len() as u64);
     }
 
     // Drop local candidates bookkeeping.

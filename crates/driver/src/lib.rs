@@ -516,12 +516,15 @@ fn @main() -> void {
             .expect("metrics snapshot rendered")
         };
         let snapshot = run();
-        ade_obs::json::validate(&snapshot).expect("valid JSON");
+        let parsed = ade_obs::json::Value::parse(&snapshot).expect("valid JSON");
         assert!(snapshot.contains("\"schema\":\"ade-metrics-v1\""), "{snapshot}");
         assert!(snapshot.contains(r#"exec_stops_total{reason=\"ok\"}"#), "{snapshot}");
         assert!(snapshot.contains("exec_fuel_ticks_total"), "{snapshot}");
         assert!(snapshot.contains("exec_heap_hwm_bytes"), "{snapshot}");
         assert_eq!(snapshot, run(), "snapshot is run-to-run deterministic");
+        // The writer is canonical: re-serializing the parsed snapshot
+        // reproduces it byte for byte.
+        assert_eq!(format!("{parsed}\n"), snapshot);
     }
 
     #[test]
@@ -788,7 +791,7 @@ fn @main() -> void {
         assert!(text_a.contains("> plan [pass]"), "{text_a}");
         assert!(text_a.contains("> transform [pass]"), "{text_a}");
         assert!(text_a.contains("- choice [select]"), "{text_a}");
-        ade_obs::json::validate(&ade_obs::events_to_json(&a.events)).expect("trace json");
+        ade_obs::json::Value::parse(&ade_obs::events_to_json(&a.events)).expect("trace json");
 
         let plain = drive(
             PROGRAM,

@@ -68,9 +68,11 @@ pub struct ExecConfig {
     /// ticks (`exec_fuel_ticks_total`, [`Outcome::fuel_ticks`]), loop
     /// entries by tier (`exec_loop_tier_total{tier=…}`: `bulk` when
     /// iterations may run through a plan, else `generic`), the ticks
-    /// plan iterations took (`exec_plan_ticks_total`), the heap
-    /// high-water mark (`exec_heap_hwm_bytes`) and per-reason stop
-    /// tallies (`exec_stops_total{reason=…}`). Every update is commutative, so
+    /// plan iterations took (`exec_plan_ticks_total`), one count per
+    /// allocated collection by backend kind
+    /// (`exec_backend_selected_total{kind=…}`), the heap high-water mark
+    /// (`exec_heap_hwm_bytes`) and per-reason stop tallies
+    /// (`exec_stops_total{reason=…}`). Every update is commutative, so
     /// the published values are independent of scheduling; execution
     /// itself is untouched either way.
     pub metrics: ade_obs::MetricsRegistry,

@@ -1,48 +1,26 @@
-//! Minimal JSON support: escaped string/number writers for the fixed
-//! schemas this workspace emits, and one [`Value`] tree parser that
-//! reads them back. [`validate`] runs the same parser, so tests and CI
-//! can check emitted files without external tooling.
+//! Minimal JSON support: one [`Value`] tree that is both the writer
+//! (its [`Display`](fmt::Display) impl) and the reader ([`Value::parse`])
+//! for every artifact this workspace emits. The writer is
+//! deterministic and compact, and `Value::parse` reads its output back
+//! to an equal value.
 
-/// Appends `s` as a JSON string literal (with quotes) to `out`.
-pub fn write_string(out: &mut String, s: &str) {
-    out.push('"');
+use std::fmt::{self, Write as _};
+
+/// Writes `s` as a JSON string literal (with quotes).
+fn write_string(out: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
-}
-
-/// Appends `v` as a JSON number. Non-finite values (which JSON cannot
-/// represent) are written as `null`.
-pub fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // `{:?}` round-trips f64 exactly and always includes a decimal
-        // point or exponent, which keeps the output unambiguous.
-        out.push_str(&format!("{v:?}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Validates that `s` is a single well-formed JSON value (with optional
-/// surrounding whitespace) — exactly what [`Value::parse`] accepts,
-/// nesting bound included.
-///
-/// # Errors
-///
-/// Returns a byte-offset-tagged message on the first syntax error.
-pub fn validate(s: &str) -> Result<(), String> {
-    Value::parse(s).map(|_| ())
+    out.write_char('"')
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -136,7 +114,8 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number, as its (already validated) source text.
+    /// A number, as JSON number text: the parsed source text, or what
+    /// a `From` conversion wrote.
     Number(String),
     /// A string, unescaped.
     Str(String),
@@ -166,6 +145,11 @@ impl Value {
             return Err(format!("trailing data at byte {pos}"));
         }
         Ok(value)
+    }
+
+    /// An object of `entries`, keys in the given order.
+    pub fn object<K: Into<String>>(entries: impl IntoIterator<Item = (K, Value)>) -> Value {
+        Value::Object(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// Object field lookup (first match); `None` for non-objects.
@@ -201,6 +185,91 @@ impl Value {
         }
     }
 }
+
+/// Compact, deterministic JSON text: no whitespace, object keys in
+/// insertion order. [`Value::parse`] reads it back to an equal value.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Null => f.write_str("null"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Number(text) => f.write_str(text),
+            Value::Str(s) => write_string(f, s),
+            Value::Array(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_char(']')
+            }
+            Value::Object(entries) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in entries.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write_string(f, key)?;
+                    write!(f, ":{value}")?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+impl From<u64> for Value {
+    fn from(v: u64) -> Value {
+        Value::Number(v.to_string())
+    }
+}
+
+impl From<i64> for Value {
+    fn from(v: i64) -> Value {
+        Value::Number(v.to_string())
+    }
+}
+
+impl From<f64> for Value {
+    /// Non-finite values, which JSON cannot represent, become `null`.
+    fn from(v: f64) -> Value {
+        if v.is_finite() {
+            // `{:?}` round-trips f64 exactly and always includes a
+            // decimal point or exponent.
+            Value::Number(format!("{v:?}"))
+        } else {
+            Value::Null
+        }
+    }
+}
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Value {
+        Value::Bool(v)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Value {
+        Value::Str(v.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(v: String) -> Value {
+        Value::Str(v)
+    }
+}
+
+/// Collects values into an array.
+impl FromIterator<Value> for Value {
+    fn from_iter<I: IntoIterator<Item = Value>>(items: I) -> Value {
+        Value::Array(items.into_iter().collect())
+    }
+}
+
 
 fn parse_value_tree(b: &[u8], pos: &mut usize, depth: u32) -> Result<Value, String> {
     if depth > MAX_DEPTH {
@@ -319,21 +388,32 @@ fn parse_string_tree(b: &[u8], pos: &mut usize) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn escapes_strings() {
-        let mut out = String::new();
-        write_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+        assert_eq!(
+            Value::from("a\"b\\c\nd\u{1}").to_string(),
+            "\"a\\\"b\\\\c\\nd\\u0001\""
+        );
     }
 
     #[test]
     fn writes_numbers() {
-        let mut out = String::new();
-        write_f64(&mut out, 1.5);
-        out.push(' ');
-        write_f64(&mut out, f64::NAN);
-        assert_eq!(out, "1.5 null");
+        let v: Value = [1.5, f64::NAN, f64::INFINITY].into_iter().map(Value::from).collect();
+        assert_eq!(v.to_string(), "[1.5,null,null]");
+        assert_eq!(Value::from(u64::MAX).as_u64(), Some(u64::MAX));
+        assert_eq!(Value::from(i64::MIN).to_string(), "-9223372036854775808");
+    }
+
+    #[test]
+    fn writes_objects_compactly_in_key_order() {
+        let v = Value::object([
+            ("z", 1u64.into()),
+            ("a", true.into()),
+            ("m", Value::Array(vec![Value::Null])),
+        ]);
+        assert_eq!(v.to_string(), "{\"z\":1,\"a\":true,\"m\":[null]}");
     }
 
     #[test]
@@ -346,22 +426,21 @@ mod tests {
             "[[[]]]",
             "0.5",
         ] {
-            validate(good).unwrap_or_else(|e| panic!("{good}: {e}"));
+            Value::parse(good).unwrap_or_else(|e| panic!("{good}: {e}"));
         }
     }
 
     #[test]
     fn rejects_bad_json() {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1.", "\"\\x\"", "{} {}", "[1 2]"] {
-            assert!(validate(bad).is_err(), "{bad} should fail");
+            assert!(Value::parse(bad).is_err(), "{bad} should fail");
         }
     }
 
     #[test]
     fn round_trips_written_strings() {
-        let mut out = String::new();
-        write_string(&mut out, "weird \u{7f} \" \\ \t chars é");
-        validate(&out).expect("writer output parses");
+        let text = Value::from("weird \u{7f} \" \\ \t chars é").to_string();
+        Value::parse(&text).expect("writer output parses");
     }
 
     #[test]
@@ -385,19 +464,101 @@ mod tests {
     #[test]
     fn value_round_trips_written_strings() {
         let original = "weird \u{7f} \" \\ \t chars é\nnew";
-        let mut out = String::new();
-        write_string(&mut out, original);
-        assert_eq!(Value::parse(&out).expect("parses").as_str(), Some(original));
+        let text = Value::from(original).to_string();
+        assert_eq!(Value::parse(&text).expect("parses").as_str(), Some(original));
     }
 
     #[test]
     fn value_rejects_what_validate_rejects() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1.", "\"\\x\"", "{} {}", "[1 2]"] {
-            assert!(Value::parse(bad).is_err(), "{bad} should fail");
-        }
-        // Nesting past the recursion bound is an error, not a crash.
+        // Nesting past the recursion bound is an error, not a crash...
         let deep = format!("{}1{}", "[".repeat(4000), "]".repeat(4000));
         assert!(Value::parse(&deep).is_err());
-        assert!(validate(&deep).is_err());
+        // ...while the deepest value the bound admits round-trips.
+        let mut v = Value::from(1u64);
+        for _ in 0..MAX_DEPTH {
+            v = [v].into_iter().collect();
+        }
+        assert_eq!(Value::parse(&v.to_string()), Ok(v.clone()));
+        let v: Value = [v].into_iter().collect();
+        assert!(Value::parse(&v.to_string()).is_err());
+    }
+
+    /// Characters the string writer must escape or pass through intact:
+    /// every control character, the quote, the backslash, DEL, and
+    /// multi-byte and astral text.
+    fn tricky_char(word: u64) -> char {
+        const OTHERS: &[char] = &['"', '\\', '/', '\u{7f}', 'é', '中', '\u{2028}', '\u{1F600}'];
+        let pick = (word >> 8) as usize;
+        match word % 4 {
+            0 => char::from_u32((pick % 0x20) as u32).expect("control char"),
+            1 => OTHERS[pick % OTHERS.len()],
+            2 => char::from_u32((pick % 0x11_0000) as u32).unwrap_or('\u{fffd}'),
+            _ => char::from(b' ' + (pick % 0x5f) as u8),
+        }
+    }
+
+    /// A value built from a word stream: every leaf kind, numbers from
+    /// the integer extremes and arbitrary `f64` bit patterns, and arrays
+    /// and objects nested at most `depth` deep.
+    fn value_from(words: &mut impl Iterator<Item = u64>, depth: u32) -> Value {
+        let Some(word) = words.next() else {
+            return Value::Null;
+        };
+        let kinds = if depth == 0 { 8 } else { 10 };
+        let items = |words: &mut _| -> Vec<Value> {
+            let len = word.rotate_right(8) % 4;
+            (0..len).map(|_| value_from(words, depth - 1)).collect()
+        };
+        match word % kinds {
+            0 => Value::Null,
+            1 => Value::from(word & 0x100 != 0),
+            2 => Value::from([u64::MAX, 0, word][(word >> 8) as usize % 3]),
+            3 => Value::from([i64::MIN, -1, word as i64][(word >> 8) as usize % 3]),
+            4 | 5 => Value::from(f64::from_bits(words.next().unwrap_or(word))),
+            6 | 7 => {
+                let len = (word >> 8) % 12;
+                Value::from(
+                    (0..len)
+                        .map(|_| tricky_char(words.next().unwrap_or(word)))
+                        .collect::<String>(),
+                )
+            }
+            8 => Value::Array(items(words)),
+            _ => Value::object(
+                items(words)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, v)| (format!("k{i}{}", tricky_char(word >> i)), v)),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whatever the writer prints, the reader reads back equal.
+        #[test]
+        fn writer_output_parses_back_equal(
+            words in prop::collection::vec(any::<u64>(), 1..64),
+            depth in 0u32..6,
+        ) {
+            let v = value_from(&mut words.into_iter(), depth);
+            let text = v.to_string();
+            prop_assert_eq!(Value::parse(&text), Ok(v), "{}", text);
+        }
+
+        /// Non-finite floats become `null`; finite ones keep their exact
+        /// bits through the text.
+        #[test]
+        fn floats_round_trip_exactly(bits in any::<u64>()) {
+            let f = f64::from_bits(bits);
+            match Value::from(f) {
+                Value::Number(text) => {
+                    prop_assert!(f.is_finite());
+                    prop_assert_eq!(text.parse::<f64>().map(f64::to_bits), Ok(bits));
+                }
+                other => prop_assert_eq!((other, f.is_finite()), (Value::Null, false)),
+            }
+        }
     }
 }

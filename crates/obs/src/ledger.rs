@@ -76,37 +76,6 @@ impl SelectionLedger {
         self.decisions.iter().filter(|d| d.source == source).count()
     }
 
-    /// Serializes the ledger as JSON (schema `ade-selection-ledger-v2`),
-    /// decisions in pass order. Like the text report, the output is
-    /// byte-identical across runs.
-    pub fn to_json(&self) -> String {
-        use crate::json::write_string;
-        let mut out = String::from("{\"schema\":\"ade-selection-ledger-v2\",\"decisions\":[");
-        for (i, d) in self.decisions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n  {\"func\":");
-            write_string(&mut out, &d.func);
-            out.push_str(",\"member\":");
-            write_string(&mut out, &d.member);
-            out.push_str(&format!(
-                ",\"depth\":{},\"enum_class\":{},\"set_impl\":",
-                d.depth, d.enum_class
-            ));
-            write_string(&mut out, &d.set_impl);
-            out.push_str(",\"map_impl\":");
-            write_string(&mut out, &d.map_impl);
-            out.push_str(",\"source\":");
-            write_string(&mut out, d.source.as_str());
-            out.push_str(",\"deciding\":");
-            write_string(&mut out, &d.deciding);
-            out.push('}');
-        }
-        out.push_str("\n]}\n");
-        out
-    }
-
     /// Renders the human-readable explain report: one block per decision
     /// plus a per-function summary. Deterministic for a deterministic
     /// pass.
@@ -228,32 +197,5 @@ mod tests {
         let text = SelectionLedger::default().render_report();
         assert!(text.contains("0 decision(s)"), "{text}");
         assert!(text.contains("(no keyed sites)"), "{text}");
-    }
-
-    #[test]
-    fn json_dump_is_valid_and_complete() {
-        let ledger = sample();
-        let dump = ledger.to_json();
-        let v = crate::json::Value::parse(&dump).expect("valid JSON");
-        assert_eq!(dump, ledger.to_json(), "deterministic");
-        assert_eq!(
-            v.get("schema").and_then(|s| s.as_str()),
-            Some("ade-selection-ledger-v2")
-        );
-        let decisions = v
-            .get("decisions")
-            .and_then(|d| d.as_array())
-            .expect("decisions");
-        assert_eq!(decisions.len(), 2);
-        assert_eq!(
-            decisions[0].get("set_impl").and_then(|s| s.as_str()),
-            Some("SparseBit")
-        );
-        assert_eq!(
-            decisions[0].get("source").and_then(|s| s.as_str()),
-            Some("directive")
-        );
-        assert_eq!(decisions[1].get("depth").and_then(|s| s.as_u64()), Some(1));
-        crate::json::validate(&SelectionLedger::default().to_json()).expect("empty valid");
     }
 }

@@ -1,6 +1,6 @@
 //! Zero-dependency observability layer for the ADE pipeline.
 //!
-//! Three pieces, all built on `std` alone:
+//! Four pieces, all built on `std` alone:
 //!
 //! - [`Tracer`]: a cheaply clonable handle over a thread-safe event sink.
 //!   A *disabled* tracer (the default) is a `None` and every call on it
@@ -8,16 +8,13 @@
 //!   contract. An *enabled* tracer appends [`Event`]s (span begin/end
 //!   markers, instant decision events, counters) with nanosecond
 //!   timestamps from one monotonic clock.
-//! - [`json`]: a hand-rolled JSON writer (string escaping, number
-//!   formatting) plus a tiny validating parser and a [`json::Value`]
-//!   tree parser, so emitted files can be checked — and read back —
+//! - [`json::Value`]: the workspace's one JSON writer (its `Display`)
+//!   and reader (`Value::parse`); every emitted artifact is built as a
+//!   `Value` tree, so emitted files can be checked — and read back —
 //!   without external dependencies.
 //! - [`ledger`]: the selection ledger — structured records of every
 //!   backend decision the selection pass makes and the rule that
 //!   decided it, plus the deterministic `--explain` report renderer.
-//! - [`timeline::Timeline`]: a wall-clock recorder for coarse parallel
-//!   work (one complete event per evaluation-matrix cell) that exports
-//!   Chrome-trace-format JSON loadable in `chrome://tracing`/Perfetto.
 //! - [`metrics::MetricsRegistry`]: runtime counters and high-water
 //!   gauges with deterministic id-sorted JSON snapshots; every update is
 //!   commutative, so snapshot values are independent of thread
@@ -33,11 +30,9 @@
 pub mod json;
 pub mod ledger;
 pub mod metrics;
-pub mod timeline;
 
 pub use ledger::{DecisionSource, SelectionDecision, SelectionLedger};
 pub use metrics::{MetricRow, MetricValue, MetricsRegistry, MetricsSnapshot};
-pub use timeline::{Timeline, TimelineEvent};
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
@@ -80,17 +75,19 @@ pub enum FieldValue {
     Str(String),
 }
 
-impl FieldValue {
-    fn write_json(&self, out: &mut String) {
-        match self {
-            FieldValue::U64(v) => out.push_str(&v.to_string()),
-            FieldValue::I64(v) => out.push_str(&v.to_string()),
-            FieldValue::F64(v) => json::write_f64(out, *v),
-            FieldValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-            FieldValue::Str(v) => json::write_string(out, v),
+impl From<&FieldValue> for json::Value {
+    fn from(v: &FieldValue) -> json::Value {
+        match v {
+            FieldValue::U64(v) => (*v).into(),
+            FieldValue::I64(v) => (*v).into(),
+            FieldValue::F64(v) => (*v).into(),
+            FieldValue::Bool(v) => (*v).into(),
+            FieldValue::Str(v) => v.as_str().into(),
         }
     }
+}
 
+impl FieldValue {
     fn render(&self) -> String {
         match self {
             FieldValue::U64(v) => v.to_string(),
@@ -243,24 +240,11 @@ impl Tracer {
             None => Vec::new(),
         }
     }
-
-    /// Renders the recorded events as an indented human-readable log.
-    /// With `include_ts` false the output is deterministic for a
-    /// deterministic caller (timestamps and durations are omitted).
-    pub fn render_text(&self, include_ts: bool) -> String {
-        render_events(&self.events(), include_ts)
-    }
-
-    /// Serializes the recorded events as a JSON array. Schema per event:
-    /// `{"ts_ns":u64, "kind":"begin|end|event", "cat":str, "name":str,
-    /// "dur_ns":u64?, "args":{...}}`.
-    pub fn to_json(&self) -> String {
-        events_to_json(&self.events())
-    }
 }
 
-/// Renders events as an indented human-readable log (see
-/// [`Tracer::render_text`]).
+/// Renders events as an indented human-readable log. With `include_ts`
+/// false the output is deterministic for a deterministic caller
+/// (timestamps and durations are omitted).
 pub fn render_events(events: &[Event], include_ts: bool) -> String {
     let mut out = String::new();
     for e in events {
@@ -293,38 +277,28 @@ pub fn render_events(events: &[Event], include_ts: bool) -> String {
     out
 }
 
-/// Serializes events as a JSON array (see [`Tracer::to_json`]).
+/// Serializes events as a JSON array, one object per event:
+/// `{"ts_ns":u64, "kind":"begin|end|event", "cat":str, "name":str,
+/// "dur_ns":u64?, "args":{...}}`, keys in that order.
 pub fn events_to_json(events: &[Event]) -> String {
-    let mut out = String::from("[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {\"ts_ns\":");
-        out.push_str(&e.ts_ns.to_string());
-        out.push_str(",\"kind\":\"");
-        out.push_str(e.kind.tag());
-        out.push_str("\",\"cat\":");
-        json::write_string(&mut out, e.cat);
-        out.push_str(",\"name\":");
-        json::write_string(&mut out, &e.name);
-        if let Some(d) = e.dur_ns {
-            out.push_str(",\"dur_ns\":");
-            out.push_str(&d.to_string());
-        }
-        out.push_str(",\"args\":{");
-        for (j, (k, v)) in e.fields.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
+    let events: json::Value = events
+        .iter()
+        .map(|e| {
+            let mut entries = vec![
+                ("ts_ns", e.ts_ns.into()),
+                ("kind", e.kind.tag().into()),
+                ("cat", e.cat.into()),
+                ("name", e.name.as_str().into()),
+            ];
+            if let Some(d) = e.dur_ns {
+                entries.push(("dur_ns", d.into()));
             }
-            json::write_string(&mut out, k);
-            out.push(':');
-            v.write_json(&mut out);
-        }
-        out.push_str("}}");
-    }
-    out.push_str("\n]\n");
-    out
+            let args = e.fields.iter().map(|(k, v)| (*k, v.into()));
+            entries.push(("args", json::Value::object(args)));
+            json::Value::object(entries)
+        })
+        .collect();
+    format!("{events}\n")
 }
 
 /// Builder for an instant event; a no-op shell when the tracer is
@@ -392,7 +366,7 @@ mod tests {
             t.counter("x", "n", 3);
         }
         assert!(t.events().is_empty());
-        assert_eq!(t.render_text(false), "");
+        assert_eq!(render_events(&t.events(), false), "");
     }
 
     #[test]
@@ -437,9 +411,9 @@ mod tests {
             let _s = t.span("pass", "plan");
             t.event("escape", "escaped").field("root", "%x").emit();
         }
-        let text = t.render_text(false);
+        let text = render_events(&t.events(), false);
         assert_eq!(text, "> plan [pass]\n  - escaped [escape] root=%x\n< plan [pass]\n");
-        let with_ts = t.render_text(true);
+        let with_ts = render_events(&t.events(), true);
         assert!(with_ts.contains("ns]"));
     }
 
@@ -454,8 +428,8 @@ mod tests {
                 .field("ratio", 0.5f64)
                 .emit();
         }
-        let dump = t.to_json();
-        json::validate(&dump).expect("valid JSON");
+        let dump = events_to_json(&t.events());
+        json::Value::parse(&dump).expect("valid JSON");
         assert!(dump.contains("\"kind\":\"begin\""));
         assert!(dump.contains("\"count\":7"));
         assert!(dump.contains("\"forced\":true"));

@@ -164,40 +164,27 @@ impl MetricsSnapshot {
     /// metrics sorted by id, byte-identical across runs, worker counts
     /// and scheduling for a deterministic workload.
     pub fn to_json(&self) -> String {
-        use crate::json::write_string;
-        let mut out = String::from("{\"schema\":\"ade-metrics-v1\",\"metrics\":[");
-        let mut first = true;
-        for r in &self.rows {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n  {\"id\":");
-            write_string(&mut out, &r.id);
-            out.push_str(",\"name\":");
-            write_string(&mut out, &r.name);
-            out.push_str(",\"labels\":{");
-            for (i, (k, v)) in r.labels.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(&mut out, k);
-                out.push(':');
-                write_string(&mut out, v);
-            }
-            out.push('}');
-            match &r.value {
-                MetricValue::Counter(c) => {
-                    out.push_str(&format!(",\"type\":\"counter\",\"value\":{c}"));
-                }
-                MetricValue::Gauge(g) => {
-                    out.push_str(&format!(",\"type\":\"gauge\",\"value\":{g}"));
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("\n]}\n");
-        out
+        use crate::json::Value;
+        let metrics: Value = self
+            .rows
+            .iter()
+            .map(|r| {
+                let labels = r.labels.iter().map(|(k, v)| (k.as_str(), v.as_str().into()));
+                let (kind, value) = match r.value {
+                    MetricValue::Counter(c) => ("counter", c),
+                    MetricValue::Gauge(g) => ("gauge", g),
+                };
+                Value::object([
+                    ("id", r.id.as_str().into()),
+                    ("name", r.name.as_str().into()),
+                    ("labels", Value::object(labels)),
+                    ("type", kind.into()),
+                    ("value", value.into()),
+                ])
+            })
+            .collect();
+        let snapshot = Value::object([("schema", "ade-metrics-v1".into()), ("metrics", metrics)]);
+        format!("{snapshot}\n")
     }
 }
 
@@ -214,7 +201,7 @@ mod tests {
         assert!(m.snapshot().rows.is_empty());
         assert_eq!(
             m.snapshot().to_json(),
-            "{\"schema\":\"ade-metrics-v1\",\"metrics\":[\n]}\n"
+            "{\"schema\":\"ade-metrics-v1\",\"metrics\":[]}\n"
         );
     }
 
@@ -277,7 +264,7 @@ mod tests {
         m.gauge_max("depth_hwm", &[("worker", "0")], 123);
         let snap = m.snapshot();
         let json = snap.to_json();
-        crate::json::validate(&json).expect("valid JSON");
+        crate::json::Value::parse(&json).expect("valid JSON");
         assert!(json.find("\"a_total\"").expect("a") < json.find("\"z_total\"").expect("z"));
         assert!(json.contains("\"type\":\"gauge\",\"value\":123"), "{json}");
         assert_eq!(snap.rows.len(), 3);
