@@ -126,3 +126,77 @@ fn runtime_failures_are_one() {
     assert_eq!(code, 1, "a tripped limit is a runtime failure: {err}");
     assert!(err.contains("fuel exhausted"), "{err}");
 }
+
+/// `main` running `body`, then `ret`.
+fn program(body: &str) -> String {
+    format!("fn @main() -> void {{\n{body}  ret\n}}\n")
+}
+
+/// Ill-typed programs the verifier rejects: each is a parse-clean
+/// program whose type error would otherwise surface only when the
+/// interpreter reached the offending instruction.
+#[test]
+fn ill_typed_programs_are_verify_errors() {
+    let dense = |ty: &str, key: &str| {
+        format!(
+            "  %c = new {ty}\n  %k = const {key}\n  %c1 = insert %c, %k\n  \
+             %n = size %c1\n  print %n\n"
+        )
+    };
+    let nested = "  %m = new Map<u64, Set{Bit}<str>>\n  %k = const 1u64\n  %m1 = insert %m, %k\n  \
+                  %e = const \"a\"\n  %m2 = insert %m1[%k], %e\n  %n = size %m2[%k]\n  print %n\n";
+    let cases = [
+        ("bool-add", "  %a = const true\n  %b = add %a, %a\n  print %b\n".to_string()),
+        ("f64-shl", "  %a = const 1.5f64\n  %b = shl %a, %a\n  print %b\n".to_string()),
+        ("f64-xor", "  %a = const 1.5f64\n  %b = xor %a, %a\n  print %b\n".to_string()),
+        (
+            "set-read",
+            "  %s = new Set<u64>\n  %k = const 1u64\n  %s1 = insert %s, %k\n  \
+             %x = read %s1, %k\n  print %x\n"
+                .to_string(),
+        ),
+        ("bit-str", dense("Set{Bit}<str>", "\"a\"")),
+        ("sparse-bit-i64", dense("Set{SparseBit}<i64>", "1i64")),
+        ("bit-map-f64", dense("Map{Bit}<f64, u64>", "1.5f64")),
+        ("nested-bit-str", nested.to_string()),
+    ];
+    for (name, body) in cases {
+        let path = temp_file(&format!("{name}.memoir"), &program(&body));
+        let (code, err) = adec(&["--config", "memoir", "--run", path.to_str().unwrap()]);
+        assert_eq!(code, 3, "{name}: {err}");
+        assert!(err.starts_with("error: verify:"), "{name}: {err}");
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// The dense case a `select(...)` directive forces over `u64` keys
+/// stays legal, directly typed or chosen by directive.
+#[test]
+fn dense_selections_over_u64_keys_run() {
+    let body = "  %m = new Map{Bit}<u64, u64>\n  %k = const 4u64\n  %v = const 7u64\n  \
+                %m1 = write %m, %k, %v\n  %x = read %m1, %k\n  print %x\n";
+    let path = temp_file("bit-map-u64.memoir", &program(body));
+    let directives =
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/ir/directives.memoir").to_string();
+    for config in ["memoir", "ade"] {
+        let (code, err) = adec(&["--config", config, "--run", path.to_str().unwrap()]);
+        assert_eq!(code, 0, "{config}: {err}");
+        let (code, err) = adec(&["--config", config, "--run", &directives]);
+        assert_eq!(code, 0, "{config}: {err}");
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+/// A run passes its entry no arguments, so an entry that takes
+/// parameters is no entry at all.
+#[test]
+fn an_entry_with_parameters_is_one() {
+    let path = temp_file(
+        "entry-params.memoir",
+        "fn @main(%x: u64) -> void {\n  print %x\n  ret\n}\n",
+    );
+    let (code, err) = adec(&["--run", path.to_str().unwrap()]);
+    assert_eq!(code, 1, "{err}");
+    assert!(err.contains("no parameterless function named @main"), "{err}");
+    let _ = std::fs::remove_file(path);
+}

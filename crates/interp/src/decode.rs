@@ -33,6 +33,7 @@ use ade_ir::{
 };
 
 use crate::value::Value;
+use crate::ExecError;
 
 /// A decoded instruction. Frame slots are `u32` indices into the
 /// per-call frame: SSA value ids are already dense, so an SSA value's
@@ -581,9 +582,8 @@ pub struct DFunc {
     /// the stable reason its body did not compile to a [`BulkPlan`]
     /// (sorted by header slot): the opcode that rejected it (`call`,
     /// `print`, `roi`, `dowhile`, `ret`), `inner-loop` (a loop nested in
-    /// the body stayed generic), `yield-hazard` (a yield whose in-order
-    /// copies would overwrite one of their own sources) or `malformed`
-    /// (code the verifier rejects). Empty under
+    /// the body stayed generic) or `yield-hazard` (a yield whose in-order
+    /// copies would overwrite one of their own sources). Empty under
     /// [`DecodeOptions::reference`], which tries no loop.
     pub generic_loops: Box<[(u32, &'static str)]>,
 }
@@ -618,16 +618,16 @@ impl DecodedModule {
     /// Decodes every function of `module`; the default [`DecodeOptions`]
     /// build loop plans and direct yields.
     ///
-    /// In debug builds this first runs the IR verifier: the decoded
+    /// This first runs the IR verifier, in every build: the decoded
     /// stream bakes in static facts (insert flavors, binding shapes)
-    /// that are only sound on well-formed, linear IR, so decoding must
-    /// never outrun verification.
+    /// that are only sound on well-formed, linear IR, and execution
+    /// trusts every operand's verified type instead of checking it, so
+    /// decoding must never outrun verification.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the module fails verification.
+    /// Panics if the module fails verification.
     pub fn decode_with(module: &Module, options: &DecodeOptions) -> Self {
-        #[cfg(debug_assertions)]
         if let Err(e) = ade_ir::verify::verify_module(module) {
             panic!("refusing to decode an unverifiable module: {e}");
         }
@@ -655,13 +655,21 @@ impl DecodedModule {
         &self.funcs[f.index()]
     }
 
-    /// Looks up a decoded function by name (the entry-point lookup,
-    /// mirroring `Module::function_by_name`).
-    pub fn function_by_name(&self, name: &str) -> Option<FuncId> {
+    /// The function a run starts at: the one named `name`, which must
+    /// take no parameters, since a run passes none.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::NoEntry`] when no parameterless function has that
+    /// name.
+    pub fn entry(&self, name: &str) -> Result<FuncId, ExecError> {
         self.funcs
             .iter()
-            .position(|f| f.name == name)
+            .position(|f| f.name == name && f.params.is_empty())
             .map(FuncId::from_index)
+            .ok_or_else(|| ExecError::NoEntry {
+                entry: name.to_string(),
+            })
     }
 }
 
@@ -1097,11 +1105,7 @@ fn direct_yields(d: &mut DFunc) {
         }
     }
     for (r, dsts) in plans {
-        let region = &d.regions[r as usize];
-        if region.end == region.start {
-            continue;
-        }
-        let term = d.code[region.end as usize - 1].own_mut();
+        let term = d.code[d.regions[r as usize].end as usize - 1].own_mut();
         if let Some(srcs) = direct_srcs(term, &dsts) {
             *term = DInst::YieldDirect {
                 srcs: srcs.into(),
@@ -1310,9 +1314,6 @@ fn compile_body(
     dsts: &[u32],
 ) -> Result<(Vec<PlanOp>, Vec<u32>), Reject> {
     let (start, end) = (region.start as usize, region.end as usize);
-    if end == start {
-        return Err("malformed");
-    }
     let mut ops = Vec::new();
     for idx in start..end - 1 {
         compile_inst(d, idx, &mut ops)?;
@@ -1376,10 +1377,8 @@ fn compile_inst(d: &DFunc, idx: usize, out: &mut Vec<PlanOp>) -> Result<(), Reje
         DInst::Print { .. } => return Err("print"),
         DInst::Roi { .. } => return Err("roi"),
         DInst::Ret { .. } => return Err("ret"),
-        // A yield before the region's end: verified code has none (and
-        // direct yields do not exist yet).
         DInst::Yield { .. } | DInst::YieldDirect { .. } | DInst::Lowered { .. } => {
-            return Err("malformed")
+            unreachable!("{inst:?} mid-region: a verified region yields only last")
         }
     };
     out.push(PlanOp {
@@ -1397,6 +1396,19 @@ mod tests {
 
     fn reference(m: &Module) -> DecodedModule {
         DecodedModule::decode_with(m, &DecodeOptions { reference: true })
+    }
+
+    /// Decode verifies in every build, release included: execution
+    /// trusts every verified type, so an ill-typed module (here `add`
+    /// on bools, which the parser accepts) never decodes.
+    #[test]
+    #[should_panic(expected = "refusing to decode an unverifiable module")]
+    fn decode_refuses_an_unverifiable_module() {
+        let m = parse_module(
+            "fn @main() -> void {\n  %a = const true\n  %b = add %a, %a\n  print %b\n  ret\n}\n",
+        )
+        .expect("parses");
+        DecodedModule::decode_with(&m, &DecodeOptions::default());
     }
 
     #[test]

@@ -31,7 +31,6 @@
 //! runs only when neither a fuel limit nor a session grant can end the
 //! countdown's window.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -96,7 +95,7 @@ impl Default for ExecConfig {
 /// host bug and propagates as a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// The requested entry function does not exist.
+    /// No parameterless function has the requested entry name.
     NoEntry {
         /// The entry name that was looked up.
         entry: String,
@@ -136,7 +135,7 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::NoEntry { entry } => {
-                write!(f, "execution error: no function named @{entry}")
+                write!(f, "execution error: no parameterless function named @{entry}")
             }
             ExecError::GuestTrap {
                 site: Some(site),
@@ -275,14 +274,15 @@ struct Activation {
     base: usize,
 }
 
-/// One entered region: the next code slot to run, the region's bounds,
-/// and what its terminator resumes. Code slots are `u32`, like trap
-/// sites (decoding checks that every function's code fits).
+/// One entered region: the next code slot to run, the region's first
+/// slot, and what its terminator resumes. Code slots are `u32`, like
+/// trap sites (decoding checks that every function's code fits). No
+/// region runs past its end: the verifier closes every region with a
+/// terminator.
 #[derive(Debug)]
 struct Cursor {
     pc: u32,
     start: u32,
-    end: u32,
     kind: RegionKind,
 }
 
@@ -348,19 +348,6 @@ impl LoopIter {
     }
 }
 
-impl RegionKind {
-    /// The code slot of the instruction that entered the region; `None`
-    /// for a function body.
-    fn header(&self) -> Option<usize> {
-        match self {
-            RegionKind::Body => None,
-            RegionKind::Arm { header }
-            | RegionKind::Loop { header, .. }
-            | RegionKind::DoWhile { header } => Some(*header as usize),
-        }
-    }
-}
-
 /// Where [`Interpreter::resume`] stopped.
 pub(crate) enum Poll {
     /// A session's grant ran out before the next instruction; the
@@ -372,11 +359,9 @@ pub(crate) enum Poll {
 
 /// Where the dispatch loop goes after one instruction.
 enum Next {
-    /// The given slot of the current region.
+    /// The given slot: the next one, or one in a region that was
+    /// entered, left or restarted.
     At(usize),
-    /// Slot `.0` of a region ending at `.1`: a region was entered, left
-    /// or restarted.
-    Jump(usize, usize),
     /// Out of the current activation.
     Leave(Transfer),
 }
@@ -393,9 +378,6 @@ enum Transfer {
         site: usize,
     },
     Ret(Option<Value>),
-    /// An error the caller sites at its `call`: the function body ended
-    /// without `ret`, or ran past its last slot.
-    Unwind(ExecError),
 }
 
 /// The static parts of a `foreach`/`forrange` header: body region,
@@ -537,9 +519,9 @@ impl<'m> Interpreter<'m> {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExecError`] if the entry point does not exist, guest
-    /// undefined behavior is trapped, or a configured execution limit
-    /// (fuel, heap cells, depth) runs out.
+    /// Returns an [`ExecError`] if no parameterless function is named
+    /// `entry`, guest undefined behavior is trapped, or a configured
+    /// execution limit (fuel, heap cells, depth) runs out.
     pub fn run(self, entry: &str) -> Result<Outcome, ExecError> {
         let module = self.module.expect("batch runs have a source module");
         let decoded = DecodedModule::decode_with(module, &DecodeOptions::default());
@@ -564,11 +546,7 @@ impl<'m> Interpreter<'m> {
             self.module.is_none_or(|m| m.funcs.len() == decoded.funcs.len()),
             "decoded stream must come from this interpreter's module"
         );
-        let Some(fid) = decoded.function_by_name(entry) else {
-            return Err(ExecError::NoEntry {
-                entry: entry.to_string(),
-            });
-        };
+        let fid = decoded.entry(entry)?;
         self.start(decoded, false);
         match self.resume(decoded, &mut Machine::new(fid)) {
             Ok(Poll::Done(result)) => Ok(self.finish(result)),
@@ -709,12 +687,14 @@ impl<'m> Interpreter<'m> {
         })
     }
 
-    /// The inverse of [`coerce_key`]: dense implementations store
-    /// `usize` keys and yield `Value::Idx` when iterated or drained, but
-    /// a directive-forced dense collection with a `u64` static domain
-    /// must present `u64` values to the program — otherwise comparisons
-    /// against ordinary integers silently fail.
-    fn uncoerce_key(static_key_ty: &Type, key: Value) -> Value {
+    /// `key`, yielded by an iteration, as a program with the static key
+    /// type `static_key_ty` sees it. Dense implementations store `usize`
+    /// keys and yield `Value::Idx`, but a directive-forced dense
+    /// collection with a `u64` static domain must present `u64` values
+    /// to the program — otherwise comparisons against ordinary integers
+    /// silently fail. (Its `u64` keys go in as they are: dense backends
+    /// read both key kinds through [`Value::as_index`].)
+    fn program_key(static_key_ty: &Type, key: Value) -> Value {
         match (static_key_ty, &key) {
             (Type::U64, Value::Idx(i)) => Value::U64(*i as u64),
             _ => key,
@@ -723,49 +703,41 @@ impl<'m> Interpreter<'m> {
 
     // ── Operation kernels ───────────────────────────────────────────
     //
-    // The one definition of each counted operation: key coercion, the
-    // statistics bump, the heap call and byte accounting. The op
-    // executor reads the operand slots, calls the kernel, and sites the
-    // trap it returns at the op's code slot. Writers leave the handle
-    // copy into their destination slot to the caller, which knows the
-    // operand's base slot.
+    // The one definition of each counted operation: the statistics
+    // bump, the heap call and byte accounting. The op executor reads
+    // the operand slots, calls the kernel, and sites the trap it returns
+    // at the op's code slot. Writers leave the handle copy into their
+    // destination slot to the caller, which knows the operand's base
+    // slot.
 
     /// `read(c, k)`.
     #[inline]
     fn read(&mut self, id: CollId, key: &Value) -> Result<Value, TrapKind> {
-        let imp = self.impl_of(id);
-        let key = coerce_key(imp, Cow::Borrowed(key));
-        self.bump(imp, CollOp::Read, 1);
-        self.heap[id.0 as usize].try_read(&key)
+        self.bump(self.impl_of(id), CollOp::Read, 1);
+        self.heap[id.0 as usize].try_read(key)
     }
 
     /// `write(c, k, v)`.
     #[inline]
     fn write(&mut self, id: CollId, key: &Value, value: Value) -> Result<(), TrapKind> {
-        let imp = self.impl_of(id);
-        let key = coerce_key(imp, Cow::Borrowed(key));
-        self.bump(imp, CollOp::Write, 1);
-        self.heap[id.0 as usize].try_write(&key, value)?;
+        self.bump(self.impl_of(id), CollOp::Write, 1);
+        self.heap[id.0 as usize].try_write(key, value)?;
         self.refresh_bytes(id);
         Ok(())
     }
 
     /// `has(c, k)`.
     #[inline]
-    fn has(&mut self, id: CollId, key: &Value) -> Result<bool, TrapKind> {
-        let imp = self.impl_of(id);
-        let key = coerce_key(imp, Cow::Borrowed(key));
-        self.bump(imp, CollOp::Has, 1);
-        self.heap[id.0 as usize].try_has(&key)
+    fn has(&mut self, id: CollId, key: &Value) -> bool {
+        self.bump(self.impl_of(id), CollOp::Has, 1);
+        self.heap[id.0 as usize].has(key)
     }
 
     /// `remove(c, k)`.
     #[inline]
     fn remove(&mut self, id: CollId, key: &Value) -> Result<(), TrapKind> {
-        let imp = self.impl_of(id);
-        let key = coerce_key(imp, Cow::Borrowed(key));
-        self.bump(imp, CollOp::Remove, 1);
-        self.heap[id.0 as usize].try_remove(&key)?;
+        self.bump(self.impl_of(id), CollOp::Remove, 1);
+        self.heap[id.0 as usize].try_remove(key)?;
         self.refresh_bytes(id);
         Ok(())
     }
@@ -781,9 +753,7 @@ impl<'m> Interpreter<'m> {
     /// Set-flavored `insert(c, e)`.
     #[inline]
     fn insert_elem(&mut self, id: CollId, elem: Value) -> Result<(), TrapKind> {
-        let imp = self.impl_of(id);
-        self.bump(imp, CollOp::Insert, 1);
-        let elem = coerce_key(imp, Cow::Owned(elem)).into_owned();
+        self.bump(self.impl_of(id), CollOp::Insert, 1);
         self.heap[id.0 as usize].try_insert_elem(elem)?;
         self.refresh_bytes(id);
         Ok(())
@@ -796,14 +766,12 @@ impl<'m> Interpreter<'m> {
     /// [`ExecError`].
     #[inline]
     fn insert_key(&mut self, id: CollId, key: &Value, val_ty: &Type) -> Result<(), ExecError> {
-        let imp = self.impl_of(id);
-        self.bump(imp, CollOp::Insert, 1);
-        let key = coerce_key(imp, Cow::Borrowed(key));
+        self.bump(self.impl_of(id), CollOp::Insert, 1);
         // Only allocate a default if the key is absent.
-        if !self.heap[id.0 as usize].try_has(&key).map_err(trap)? {
+        if !self.heap[id.0 as usize].has(key) {
             let default = self.default_value(val_ty)?;
             self.heap[id.0 as usize]
-                .try_insert_key_default(&key, default)
+                .try_insert_key_default(key, default)
                 .map_err(trap)?;
         }
         self.refresh_bytes(id);
@@ -840,7 +808,7 @@ impl<'m> Interpreter<'m> {
     /// `enc` sentinel included) traps as out of bounds.
     #[inline]
     fn dec(&mut self, e: u32, id: &Value) -> Result<Value, TrapKind> {
-        let idx = id.try_as_index()?;
+        let idx = id.as_index();
         self.bump(ImplKind::EnumDec, CollOp::Read, 1);
         let dec = &self.enums[e as usize].dec;
         dec.get(idx).cloned().ok_or(TrapKind::OutOfBounds {
@@ -921,20 +889,12 @@ impl<'m> Interpreter<'m> {
                         caller.frame[*dst as usize] = value.unwrap_or(Value::Void);
                     }
                 }
-                Transfer::Unwind(e) => {
-                    let done = m.pop_call();
-                    return Err(match m.acts.last() {
-                        Some(caller) => site_at(d.func(caller.fid), done.call_site as usize, e),
-                        None => e,
-                    });
-                }
             }
         }
     }
 
     /// Enters `fid` with `args` from the `call` at `site` (0 for the
-    /// entry): checks arity and depth, then pushes its activation and
-    /// body cursor.
+    /// entry): checks depth, then pushes its activation and body cursor.
     fn push_call(
         &mut self,
         d: &DecodedModule,
@@ -944,13 +904,6 @@ impl<'m> Interpreter<'m> {
         site: usize,
     ) -> Result<(), ExecError> {
         let func = d.func(fid);
-        if args.len() != func.params.len() {
-            // The verifier rejects arity mismatches; guard anyway so an
-            // unverified module traps instead of corrupting the frame.
-            return Err(trap(TrapKind::Malformed {
-                what: "call arity mismatch",
-            }));
-        }
         self.check_depth(m.cursors.len())?;
         let mut frame = vec![Value::Void; func.frame_size as usize];
         for (&p, a) in func.params.iter().zip(args) {
@@ -966,7 +919,6 @@ impl<'m> Interpreter<'m> {
         m.cursors.push(Cursor {
             pc: body.start,
             start: body.start,
-            end: body.end,
             kind: RegionKind::Body,
         });
         Ok(())
@@ -995,12 +947,8 @@ impl<'m> Interpreter<'m> {
         cursors: &mut Vec<Cursor>,
     ) -> Result<Transfer, ExecError> {
         let func = d.func(fid);
-        let top = cursors.last().expect("an activation has a body cursor");
-        let (mut pc, mut end) = (top.pc as usize, top.end as usize);
+        let mut pc = cursors.last().expect("an activation has a body cursor").pc as usize;
         loop {
-            if pc >= end {
-                return self.fell_through(func, cursors);
-            }
             if self.ticks_left == 0 && !self.tick_boundary()? {
                 cursors.last_mut().expect("current region").pc = pc as u32;
                 return Ok(Transfer::Suspend);
@@ -1008,26 +956,11 @@ impl<'m> Interpreter<'m> {
             self.ticks_left -= 1;
             match self.exec_inst(func, frame, cursors, pc, &func.code[pc]) {
                 Ok(Next::At(next)) => pc = next,
-                Ok(Next::Jump(next, next_end)) => (pc, end) = (next, next_end),
                 Ok(Next::Leave(transfer)) => return Ok(transfer),
                 // A trap without a site is this instruction's. Sited
-                // traps (ops, loop conditions) pass through.
+                // traps (ops) pass through.
                 Err(e) => return Err(site_at(func, pc, e)),
             }
-        }
-    }
-
-    /// A region ran past its last slot: malformed code, attributed to
-    /// the instruction that entered the region (for a function body, the
-    /// caller's `call`).
-    #[cold]
-    fn fell_through(&self, func: &DFunc, cursors: &[Cursor]) -> Result<Transfer, ExecError> {
-        let e = trap(TrapKind::Malformed {
-            what: "region fell through without a terminator",
-        });
-        match cursors.last().expect("current region").kind.header() {
-            Some(header) => Err(site_at(func, header, e)),
-            None => Ok(Transfer::Unwind(e)),
         }
     }
 
@@ -1075,7 +1008,7 @@ impl<'m> Interpreter<'m> {
                 else_r,
                 ..
             } => {
-                let arm = if frame[*cond as usize].try_as_bool().map_err(trap)? {
+                let arm = if frame[*cond as usize].as_bool() {
                     *then_r
                 } else {
                     *else_r
@@ -1140,14 +1073,13 @@ impl<'m> Interpreter<'m> {
     ) -> Result<Next, ExecError> {
         self.check_depth(cursors.len())?;
         cursors.last_mut().expect("current region").pc = resume as u32;
-        let r = &func.regions[region as usize];
+        let start = func.regions[region as usize].start;
         cursors.push(Cursor {
-            pc: r.start,
-            start: r.start,
-            end: r.end,
+            pc: start,
+            start,
             kind,
         });
-        Ok(Next::Jump(r.start as usize, r.end as usize))
+        Ok(Next::At(start as usize))
     }
 
     /// The region's terminator ran, with its buffered values (`None`
@@ -1163,9 +1095,7 @@ impl<'m> Interpreter<'m> {
     ) -> Result<Next, ExecError> {
         let kind = &cursors.last().expect("current region").kind;
         match *kind {
-            RegionKind::Body => Ok(Next::Leave(Transfer::Unwind(trap(TrapKind::Malformed {
-                what: "function body ended without ret",
-            })))),
+            RegionKind::Body => unreachable!("the verifier ends a function body with ret"),
             RegionKind::Arm { header } => {
                 if let Some(vals) = vals {
                     let DInst::If { dsts, .. } = func.code[header as usize].own() else {
@@ -1237,12 +1167,8 @@ impl<'m> Interpreter<'m> {
     /// loop op opens it: counts the iteration (`IterElem` per entry,
     /// `IterWord` per scanned occupancy word) and presents dense keys as
     /// `u64` where the static key type asks for it.
-    fn foreach_entries(
-        &mut self,
-        coll: &Value,
-        uncoerce_u64: bool,
-    ) -> Result<Vec<(Value, Value)>, ExecError> {
-        let id = coll.try_as_coll().map_err(trap)?;
+    fn foreach_entries(&mut self, coll: &Value, uncoerce_u64: bool) -> Vec<(Value, Value)> {
+        let id = coll.as_coll();
         let imp = self.impl_of(id);
         let mut entries = self.heap[id.0 as usize].snapshot();
         let words = self.heap[id.0 as usize].iter_scan_words();
@@ -1255,7 +1181,7 @@ impl<'m> Interpreter<'m> {
                 }
             }
         }
-        Ok(entries)
+        entries
     }
 
     /// Enters a `foreach`/`forrange` (generic or bulk): opens the loop,
@@ -1272,7 +1198,7 @@ impl<'m> Interpreter<'m> {
     ) -> Result<Next, ExecError> {
         let inst = func.code[pc].own();
         let parts = LoopParts::of(inst);
-        let iter = self.open_loop(func, frame, inst, &parts)?;
+        let iter = self.open_loop(func, frame, inst, &parts);
         let plan = parts.plan.filter(|p| self.plan_may_run(p, cursors.len()));
         self.count_loop(plan.is_some());
         if let Some(plan) = plan {
@@ -1309,7 +1235,7 @@ impl<'m> Interpreter<'m> {
         frame: &mut [Value],
         inst: &DInst,
         parts: &LoopParts<'_>,
-    ) -> Result<LoopIter, ExecError> {
+    ) -> LoopIter {
         let (iter, carried) = match inst {
             DInst::ForEach {
                 coll,
@@ -1323,7 +1249,7 @@ impl<'m> Interpreter<'m> {
                 uncoerce_u64,
                 ..
             } => {
-                let entries = self.foreach_entries(&frame[*coll as usize], *uncoerce_u64)?;
+                let entries = self.foreach_entries(&frame[*coll as usize], *uncoerce_u64);
                 (LoopIter::Each(entries.into_iter()), carried)
             }
             DInst::ForRange {
@@ -1332,15 +1258,15 @@ impl<'m> Interpreter<'m> {
             | DInst::ForRangeBulk {
                 lo, hi, carried, ..
             } => {
-                let next = frame[*lo as usize].try_as_u64().map_err(trap)?;
-                let hi = frame[*hi as usize].try_as_u64().map_err(trap)?;
+                let next = frame[*lo as usize].as_u64();
+                let hi = frame[*hi as usize].as_u64();
                 (LoopIter::Range { next, hi }, carried)
             }
             other => unreachable!("{other:?} is not a foreach/forrange header"),
         };
         let args = &func.regions[parts.body as usize].args;
         copy_slots(frame, carried, &args[parts.bound..]);
-        Ok(iter)
+        iter
     }
 
     /// Whether a loop entered with `height` regions open may run its
@@ -1408,7 +1334,7 @@ impl<'m> Interpreter<'m> {
                 }
                 _ => {
                     top.pc = top.start;
-                    break Ok(Next::Jump(top.start as usize, top.end as usize));
+                    break Ok(Next::At(top.start as usize));
                 }
             }
         };
@@ -1421,8 +1347,7 @@ impl<'m> Interpreter<'m> {
 
     /// The `dowhile` body at the top cursor yielded `vals`: the
     /// condition, then the next carried values. Runs the body again or
-    /// lands the carried values in the loop's destinations. A malformed
-    /// yield traps at the loop header.
+    /// lands the carried values in the loop's destinations.
     fn next_dowhile(
         &mut self,
         func: &DFunc,
@@ -1431,14 +1356,10 @@ impl<'m> Interpreter<'m> {
         header: usize,
         vals: Option<Vec<Value>>,
     ) -> Result<Next, ExecError> {
-        let at = |k| trap_at(func, header, k);
-        let Some(mut vals) = vals.filter(|v| !v.is_empty()) else {
-            return Err(at(TrapKind::Malformed {
-                what: "dowhile yield without a condition",
-            }));
-        };
-        let cond = vals[0].try_as_bool().map_err(at)?;
-        vals.remove(0);
+        // Direct yields only serve arms and foreach/forrange bodies, and
+        // the verifier leads every dowhile yield with its bool condition.
+        let mut vals = vals.expect("a dowhile body yields through a buffer");
+        let cond = vals.remove(0).as_bool();
         let DInst::DoWhile { body, dsts, .. } = func.code[header].own() else {
             unreachable!("a dowhile body's header is a dowhile")
         };
@@ -1446,7 +1367,7 @@ impl<'m> Interpreter<'m> {
             self.land(frame, vals, &func.regions[*body as usize].args);
             let top = cursors.last_mut().expect("loop region");
             top.pc = top.start;
-            Ok(Next::Jump(top.start as usize, top.end as usize))
+            Ok(Next::At(top.start as usize))
         } else {
             self.land(frame, vals, dsts);
             Ok(leave_to_parent(cursors))
@@ -1488,7 +1409,7 @@ impl<'m> Interpreter<'m> {
     ) -> Result<(), ExecError> {
         let inst = func.code[header].own();
         let parts = LoopParts::of(inst);
-        let mut iter = self.open_loop(func, frame, inst, &parts)?;
+        let mut iter = self.open_loop(func, frame, inst, &parts);
         self.count_loop(true);
         for p in plan.prelude.iter() {
             self.exec_plan_op(func, frame, p)?;
@@ -1518,14 +1439,13 @@ impl<'m> Interpreter<'m> {
         match &p.op {
             BulkOp::Scalar(u) => exec_scalar(func, frame, *u).map_err(at)?,
             BulkOp::Cast { ty, a, dst } => {
-                frame[*dst as usize] =
-                    eval_cast(&frame[*a as usize], &func.types[*ty as usize]).map_err(at)?;
+                frame[*dst as usize] = eval_cast(&frame[*a as usize], &func.types[*ty as usize]);
             }
             BulkOp::Proj { base, field, dst } => {
-                frame[*dst as usize] = project(&frame[*base as usize], *field).map_err(at)?;
+                frame[*dst as usize] = project(&frame[*base as usize], *field);
             }
             BulkOp::Read { coll, key, dst } => {
-                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                let id = frame[*coll as usize].as_coll();
                 frame[*dst as usize] = self.read(id, &frame[*key as usize]).map_err(at)?;
             }
             BulkOp::Write {
@@ -1535,15 +1455,14 @@ impl<'m> Interpreter<'m> {
                 base,
                 dst,
             } => {
-                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                let id = frame[*coll as usize].as_coll();
                 let value = frame[*val as usize].clone();
                 self.write(id, &frame[*key as usize], value).map_err(at)?;
                 frame[*dst as usize] = frame[*base as usize].clone();
             }
             BulkOp::Has { coll, key, dst } => {
-                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
-                frame[*dst as usize] =
-                    Value::Bool(self.has(id, &frame[*key as usize]).map_err(at)?);
+                let id = frame[*coll as usize].as_coll();
+                frame[*dst as usize] = Value::Bool(self.has(id, &frame[*key as usize]));
             }
             BulkOp::InsertSet {
                 coll,
@@ -1551,7 +1470,7 @@ impl<'m> Interpreter<'m> {
                 base,
                 dst,
             } => {
-                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                let id = frame[*coll as usize].as_coll();
                 self.insert_elem(id, frame[*elem as usize].clone())
                     .map_err(at)?;
                 frame[*dst as usize] = frame[*base as usize].clone();
@@ -1563,7 +1482,7 @@ impl<'m> Interpreter<'m> {
                 base,
                 dst,
             } => {
-                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                let id = frame[*coll as usize].as_coll();
                 self.insert_key(id, &frame[*key as usize], &func.types[*val_ty as usize])
                     .map_err(|e| site_at(func, site, e))?;
                 frame[*dst as usize] = frame[*base as usize].clone();
@@ -1575,8 +1494,8 @@ impl<'m> Interpreter<'m> {
                 base,
                 dst,
             } => {
-                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
-                let index = frame[*index as usize].try_as_u64().map_err(at)? as usize;
+                let id = frame[*coll as usize].as_coll();
+                let index = frame[*index as usize].as_u64() as usize;
                 let value = frame[*val as usize].clone();
                 self.insert_seq(id, index, value).map_err(at)?;
                 frame[*dst as usize] = frame[*base as usize].clone();
@@ -1587,20 +1506,20 @@ impl<'m> Interpreter<'m> {
                 base,
                 dst,
             } => {
-                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                let id = frame[*coll as usize].as_coll();
                 self.remove(id, &frame[*key as usize]).map_err(at)?;
                 frame[*dst as usize] = frame[*base as usize].clone();
             }
             BulkOp::Size { coll, dst } => {
-                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                let id = frame[*coll as usize].as_coll();
                 frame[*dst as usize] = Value::U64(self.size(id));
             }
             BulkOp::Len { coll, dst } => {
-                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                let id = frame[*coll as usize].as_coll();
                 frame[*dst as usize] = Value::U64(self.heap[id.0 as usize].len() as u64);
             }
             BulkOp::Clear { coll, base, dst } => {
-                let id = frame[*coll as usize].try_as_coll().map_err(at)?;
+                let id = frame[*coll as usize].as_coll();
                 let imp = self.impl_of(id);
                 self.bump(imp, CollOp::Clear, 1);
                 self.heap[id.0 as usize].clear();
@@ -1614,8 +1533,8 @@ impl<'m> Interpreter<'m> {
                 base,
                 dst,
             } => {
-                let dst_id = frame[*coll as usize].try_as_coll().map_err(at)?;
-                let src_id = frame[*src as usize].try_as_coll().map_err(at)?;
+                let dst_id = frame[*coll as usize].as_coll();
+                let src_id = frame[*src as usize].as_coll();
                 self.union_into(dst_id, src_id, &func.types[*elem_ty as usize])
                     .map_err(|e| site_at(func, site, e))?;
                 self.refresh_bytes(dst_id);
@@ -1661,7 +1580,7 @@ impl<'m> Interpreter<'m> {
                 else_tail,
                 dsts,
             } => {
-                let (ops, srcs, tail) = if frame[*cond as usize].try_as_bool().map_err(at)? {
+                let (ops, srcs, tail) = if frame[*cond as usize].as_bool() {
                     (then_ops, then_srcs, then_tail)
                 } else {
                     (else_ops, else_srcs, else_tail)
@@ -1724,8 +1643,7 @@ impl<'m> Interpreter<'m> {
                 self.bump(src_imp, CollOp::IterWord, words);
                 self.bump(dst_imp, CollOp::UnionElem, entries.len() as u64);
                 for (key, _) in entries {
-                    let key = Self::uncoerce_key(dst_elem_ty, key);
-                    let key = coerce_key(dst_imp, Cow::Owned(key)).into_owned();
+                    let key = Self::program_key(dst_elem_ty, key);
                     self.heap[di].try_insert_elem(key).map_err(trap)?;
                 }
             }
@@ -1735,29 +1653,10 @@ impl<'m> Interpreter<'m> {
 }
 
 /// Field `n` of a tuple: a path's `Field` step ([`BulkOp::Proj`]).
-fn project(v: &Value, n: u32) -> Result<Value, TrapKind> {
+fn project(v: &Value, n: u32) -> Value {
     match v {
-        Value::Tuple(t) => t.get(n as usize).cloned().ok_or(TrapKind::OutOfBounds {
-            index: u64::from(n),
-            len: t.len(),
-        }),
-        other => Err(TrapKind::TypeMismatch {
-            expected: "tuple",
-            got: format!("{other:?}"),
-        }),
-    }
-}
-
-/// Dense implementations index by `idx`; accept `u64` keys for
-/// directive-forced dense collections over integer domains. The common
-/// no-coercion case passes a borrowed key through untouched.
-#[inline]
-fn coerce_key(imp: ImplKind, key: Cow<'_, Value>) -> Cow<'_, Value> {
-    match (imp, &*key) {
-        (ImplKind::BitSet | ImplKind::SparseBitSet | ImplKind::BitMap, Value::U64(n)) => {
-            Cow::Owned(Value::Idx(*n as usize))
-        }
-        _ => key,
+        Value::Tuple(t) => t[n as usize].clone(),
+        other => unreachable!("field {n} of {other:?}: the verifier applies paths to their types"),
     }
 }
 
@@ -1779,7 +1678,7 @@ fn leave_to_parent(cursors: &mut Vec<Cursor>) -> Next {
     let parent = cursors
         .last()
         .expect("an entered region has an enclosing one");
-    Next::Jump(parent.pc as usize, parent.end as usize)
+    Next::At(parent.pc as usize)
 }
 
 /// The scalar step of the `const`, arithmetic, comparison and negation
@@ -1795,7 +1694,7 @@ fn exec_scalar(func: &DFunc, frame: &mut [Value], u: UScalar) -> Result<(), Trap
             dst,
             Value::Bool(eval_cmp(op, &frame[a as usize], &frame[b as usize])),
         ),
-        UScalar::Not { a, dst } => (dst, Value::Bool(!frame[a as usize].try_as_bool()?)),
+        UScalar::Not { a, dst } => (dst, Value::Bool(!frame[a as usize].as_bool())),
     };
     frame[dst as usize] = v;
     Ok(())
@@ -1807,24 +1706,16 @@ fn eval_bin(op: BinOp, a: &Value, b: &Value) -> Result<Value, TrapKind> {
         (U64(x), U64(y)) => U64(eval_bin_u64(op, *x, *y)?),
         (Idx(x), Idx(y)) => Idx(eval_bin_u64(op, *x as u64, *y as u64)? as usize),
         (I64(x), I64(y)) => I64(eval_bin_i64(op, *x, *y)?),
-        (F64(x), F64(y)) => F64(eval_bin_f64(op, *x, *y)?),
+        (F64(x), F64(y)) => F64(eval_bin_f64(op, *x, *y)),
         (Bool(x), Bool(y)) => Bool(match op {
             BinOp::And => *x && *y,
             BinOp::Or => *x || *y,
             BinOp::Xor => *x != *y,
-            other => {
-                return Err(TrapKind::TypeMismatch {
-                    expected: "numeric operands",
-                    got: format!("{other:?} on bools"),
-                })
-            }
+            other => unreachable!("{other:?} on bools: the verifier allows only and, or, xor"),
         }),
-        (a, b) => {
-            return Err(TrapKind::TypeMismatch {
-                expected: "operands of one numeric kind",
-                got: format!("{op:?} on {a:?}, {b:?}"),
-            })
-        }
+        (a, b) => unreachable!(
+            "{op:?} on {a:?}, {b:?}: the verifier types both operands alike and scalar"
+        ),
     })
 }
 
@@ -1862,8 +1753,8 @@ fn eval_bin_i64(op: BinOp, x: i64, y: i64) -> Result<i64, TrapKind> {
     })
 }
 
-fn eval_bin_f64(op: BinOp, x: f64, y: f64) -> Result<f64, TrapKind> {
-    Ok(match op {
+fn eval_bin_f64(op: BinOp, x: f64, y: f64) -> f64 {
+    match op {
         BinOp::Add => x + y,
         BinOp::Sub => x - y,
         BinOp::Mul => x * y,
@@ -1871,13 +1762,8 @@ fn eval_bin_f64(op: BinOp, x: f64, y: f64) -> Result<f64, TrapKind> {
         BinOp::Rem => x % y,
         BinOp::Min => x.min(y),
         BinOp::Max => x.max(y),
-        other => {
-            return Err(TrapKind::TypeMismatch {
-                expected: "arithmetic float op",
-                got: format!("{other:?}"),
-            })
-        }
-    })
+        other => unreachable!("{other:?} on f64: the verifier allows no bitwise or shift op"),
+    }
 }
 
 fn eval_cmp(op: CmpOp, a: &Value, b: &Value) -> bool {
@@ -1892,39 +1778,26 @@ fn eval_cmp(op: CmpOp, a: &Value, b: &Value) -> bool {
     }
 }
 
-fn eval_cast(a: &Value, ty: &Type) -> Result<Value, TrapKind> {
-    let uncastable = |v: &Value| TrapKind::TypeMismatch {
-        expected: "castable scalar",
-        got: format!("{v:?}"),
+/// `cast a to ty`: the verifier casts only numbers and bools, and only to
+/// numbers.
+fn eval_cast(a: &Value, ty: &Type) -> Value {
+    let n = match a {
+        Value::U64(n) => *n,
+        Value::I64(n) => *n as u64,
+        Value::F64(n) => *n as u64,
+        Value::Idx(n) => *n as u64,
+        Value::Bool(b) => u64::from(*b),
+        other => unreachable!("cast of {other:?}: the verifier casts numbers and bools only"),
     };
-    let as_f64 = |v: &Value| match v {
-        Value::U64(n) => Ok(*n as f64),
-        Value::I64(n) => Ok(*n as f64),
-        Value::F64(n) => Ok(*n),
-        Value::Idx(n) => Ok(*n as f64),
-        Value::Bool(b) => Ok(f64::from(u8::from(*b))),
-        other => Err(uncastable(other)),
-    };
-    let as_u = |v: &Value| match v {
-        Value::U64(n) => Ok(*n),
-        Value::I64(n) => Ok(*n as u64),
-        Value::F64(n) => Ok(*n as u64),
-        Value::Idx(n) => Ok(*n as u64),
-        Value::Bool(b) => Ok(u64::from(*b)),
-        other => Err(uncastable(other)),
-    };
-    Ok(match ty {
-        Type::U64 => Value::U64(as_u(a)?),
-        Type::I64 => Value::I64(as_u(a)? as i64),
-        Type::F64 => Value::F64(as_f64(a)?),
-        Type::Idx => Value::Idx(as_u(a)? as usize),
-        other => {
-            return Err(TrapKind::TypeMismatch {
-                expected: "castable scalar target",
-                got: format!("{other}"),
-            })
-        }
-    })
+    match (ty, a) {
+        (Type::F64, Value::I64(x)) => Value::F64(*x as f64),
+        (Type::F64, Value::F64(x)) => Value::F64(*x),
+        (Type::F64, _) => Value::F64(n as f64),
+        (Type::U64, _) => Value::U64(n),
+        (Type::I64, _) => Value::I64(n as i64),
+        (Type::Idx, _) => Value::Idx(n as usize),
+        (other, _) => unreachable!("cast to {other}: the verifier casts to numbers only"),
+    }
 }
 
 #[cfg(test)]

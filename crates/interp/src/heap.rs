@@ -84,15 +84,23 @@ fn unboxable(ty: &Type) -> bool {
     )
 }
 
-/// Packs a value for an unboxed *store* (insert/write). Conversion can
-/// only fail on IR the verifier would reject (a non-scalar flowing into
-/// a scalar-typed collection), where the boxed twin would silently
-/// store the mistyped value; the unboxed backend traps instead.
-fn unbox_store(value: &Value) -> Result<ScalarVal, TrapKind> {
-    ScalarVal::from_value(value).ok_or_else(|| TrapKind::TypeMismatch {
-        expected: "unboxed scalar",
-        got: format!("{value:?}"),
+/// Packs a key or element of an unboxed backend, whose static type the
+/// verifier has checked to be scalar.
+#[inline]
+fn unbox(value: &Value) -> ScalarVal {
+    ScalarVal::from_value(value).unwrap_or_else(|| {
+        unreachable!("expected a scalar, got {value:?}: the verifier types unboxed operands scalar")
     })
+}
+
+/// An operation reached an implementation that cannot perform it, which
+/// the verifier rules out.
+#[cold]
+fn unsupported(op: &str, on: &Collection) -> ! {
+    unreachable!(
+        "{op} on {:?}: the verifier types every collection operand",
+        on.impl_kind()
+    )
 }
 
 impl Collection {
@@ -248,38 +256,21 @@ impl Collection {
 
     /// Membership test (sets and maps). The `enc` sentinel is a member
     /// of no collection, so probing for it is well-defined (`false`).
-    ///
-    /// # Errors
-    ///
-    /// [`TrapKind::UnsupportedOp`] on sequences; [`TrapKind::TypeMismatch`]
-    /// when a dense implementation gets a non-index key.
-    pub fn try_has(&self, key: &Value) -> Result<bool, TrapKind> {
-        Ok(match self {
+    pub fn has(&self, key: &Value) -> bool {
+        match self {
             Collection::HashSet(s) => s.contains(key),
             Collection::SwissSet(s) => s.contains(key),
             Collection::FlatSet(s) => s.contains(key),
-            Collection::BitSet(s) => s.contains(key.try_as_index()?),
-            Collection::SparseBitSet(s) => s.contains(key.try_as_index()?),
+            Collection::BitSet(s) => s.contains(key.as_index()),
+            Collection::SparseBitSet(s) => s.contains(key.as_index()),
             Collection::HashMap(m) => m.contains_key(key),
             Collection::SwissMap(m) => m.contains_key(key),
-            Collection::BitMap(m) => m.contains_key(key.try_as_index()?),
-            // An unconvertible probe key can equal no stored scalar, so
-            // membership is `false` — the same answer the boxed twin
-            // gives (only scalars ever reach an unboxed store).
-            Collection::UnboxedHashSet(s) => {
-                ScalarVal::from_value(key).is_some_and(|k| s.contains(&k))
-            }
-            Collection::UnboxedHashMap(m) => {
-                ScalarVal::from_value(key).is_some_and(|k| m.contains_key(&k))
-            }
-            Collection::UnboxedBitMap(m) => m.contains_key(key.try_as_index()?),
-            Collection::Seq(_) | Collection::UnboxedSeq(_) => {
-                return Err(TrapKind::UnsupportedOp {
-                    op: "has",
-                    on: "a sequence".to_string(),
-                })
-            }
-        })
+            Collection::BitMap(m) => m.contains_key(key.as_index()),
+            Collection::UnboxedHashSet(s) => s.contains(&unbox(key)),
+            Collection::UnboxedHashMap(m) => m.contains_key(&unbox(key)),
+            Collection::UnboxedBitMap(m) => m.contains_key(key.as_index()),
+            other => unsupported("has", other),
+        }
     }
 
     /// Keyed/indexed read (maps and sequences).
@@ -287,15 +278,14 @@ impl Collection {
     /// # Errors
     ///
     /// [`TrapKind::MissingKey`]/[`TrapKind::OutOfBounds`] when the key is
-    /// absent (undefined behavior in the paper's semantics);
-    /// [`TrapKind::UnsupportedOp`] on sets.
+    /// absent (undefined behavior in the paper's semantics).
     pub fn try_read(&self, key: &Value) -> Result<Value, TrapKind> {
         let absent = || TrapKind::MissingKey {
             key: key.to_string(),
         };
         match self {
             Collection::Seq(s) => {
-                let i = key.try_as_u64()?;
+                let i = key.as_u64();
                 s.get(i as usize).cloned().ok_or(TrapKind::OutOfBounds {
                     index: i,
                     len: s.len(),
@@ -303,9 +293,9 @@ impl Collection {
             }
             Collection::HashMap(m) => m.get(key).cloned().ok_or_else(absent),
             Collection::SwissMap(m) => m.get(key).cloned().ok_or_else(absent),
-            Collection::BitMap(m) => m.get(key.try_as_index()?).cloned().ok_or_else(absent),
+            Collection::BitMap(m) => m.get(key.as_index()).cloned().ok_or_else(absent),
             Collection::UnboxedSeq(s) => {
-                let i = key.try_as_u64()?;
+                let i = key.as_u64();
                 s.get(i as usize)
                     .map(|v| v.to_value())
                     .ok_or(TrapKind::OutOfBounds {
@@ -313,18 +303,14 @@ impl Collection {
                         len: s.len(),
                     })
             }
-            Collection::UnboxedHashMap(m) => ScalarVal::from_value(key)
-                .and_then(|k| m.get(&k))
-                .map(|v| v.to_value())
-                .ok_or_else(absent),
+            Collection::UnboxedHashMap(m) => {
+                m.get(&unbox(key)).map(|v| v.to_value()).ok_or_else(absent)
+            }
             Collection::UnboxedBitMap(m) => m
-                .get(key.try_as_index()?)
+                .get(key.as_index())
                 .map(|v| v.to_value())
                 .ok_or_else(absent),
-            other => Err(TrapKind::UnsupportedOp {
-                op: "read",
-                on: format!("{:?}", other.impl_kind()),
-            }),
+            other => unsupported("read", other),
         }
     }
 
@@ -333,13 +319,13 @@ impl Collection {
     ///
     /// # Errors
     ///
-    /// [`TrapKind::UnsupportedOp`] on sets; [`TrapKind::OutOfBounds`] on
-    /// out-of-bounds sequence indices; [`TrapKind::SentinelInsert`] when
-    /// the `enc` sentinel reaches a dense map.
+    /// [`TrapKind::OutOfBounds`] on out-of-bounds sequence indices;
+    /// [`TrapKind::SentinelInsert`] when the `enc` sentinel reaches a
+    /// dense map.
     pub fn try_write(&mut self, key: &Value, value: Value) -> Result<(), TrapKind> {
         match self {
             Collection::Seq(s) => {
-                let i = key.try_as_u64()?;
+                let i = key.as_u64();
                 if i as usize >= s.len() {
                     return Err(TrapKind::OutOfBounds {
                         index: i,
@@ -358,27 +344,22 @@ impl Collection {
                 m.insert(Self::dense_key(key)?, value);
             }
             Collection::UnboxedSeq(s) => {
-                let i = key.try_as_u64()?;
+                let i = key.as_u64();
                 if i as usize >= s.len() {
                     return Err(TrapKind::OutOfBounds {
                         index: i,
                         len: s.len(),
                     });
                 }
-                s.set(i as usize, unbox_store(&value)?);
+                s.set(i as usize, unbox(&value));
             }
             Collection::UnboxedHashMap(m) => {
-                m.insert(unbox_store(key)?, unbox_store(&value)?);
+                m.insert(unbox(key), unbox(&value));
             }
             Collection::UnboxedBitMap(m) => {
-                m.insert(Self::dense_key(key)?, unbox_store(&value)?);
+                m.insert(Self::dense_key(key)?, unbox(&value));
             }
-            other => {
-                return Err(TrapKind::UnsupportedOp {
-                    op: "write",
-                    on: format!("{:?}", other.impl_kind()),
-                })
-            }
+            other => unsupported("write", other),
         }
         Ok(())
     }
@@ -387,7 +368,6 @@ impl Collection {
     ///
     /// # Errors
     ///
-    /// [`TrapKind::UnsupportedOp`] on non-sets;
     /// [`TrapKind::SentinelInsert`] when the `enc` sentinel reaches a
     /// dense set.
     pub fn try_insert_elem(&mut self, value: Value) -> Result<bool, TrapKind> {
@@ -397,13 +377,8 @@ impl Collection {
             Collection::FlatSet(s) => s.insert(value),
             Collection::BitSet(s) => s.insert(Self::dense_key(&value)?),
             Collection::SparseBitSet(s) => s.insert(Self::dense_key(&value)?),
-            Collection::UnboxedHashSet(s) => s.insert(unbox_store(&value)?),
-            other => {
-                return Err(TrapKind::UnsupportedOp {
-                    op: "set insert",
-                    on: format!("{:?}", other.impl_kind()),
-                })
-            }
+            Collection::UnboxedHashSet(s) => s.insert(unbox(&value)),
+            other => unsupported("set insert", other),
         })
     }
 
@@ -411,7 +386,6 @@ impl Collection {
     ///
     /// # Errors
     ///
-    /// [`TrapKind::UnsupportedOp`] on non-maps;
     /// [`TrapKind::SentinelInsert`] when the `enc` sentinel reaches a
     /// dense map.
     pub fn try_insert_key_default(&mut self, key: &Value, default: Value) -> Result<(), TrapKind> {
@@ -433,23 +407,18 @@ impl Collection {
                 }
             }
             Collection::UnboxedHashMap(m) => {
-                let k = unbox_store(key)?;
+                let k = unbox(key);
                 if !m.contains_key(&k) {
-                    m.insert(k, unbox_store(&default)?);
+                    m.insert(k, unbox(&default));
                 }
             }
             Collection::UnboxedBitMap(m) => {
                 let i = Self::dense_key(key)?;
                 if !m.contains_key(i) {
-                    m.insert(i, unbox_store(&default)?);
+                    m.insert(i, unbox(&default));
                 }
             }
-            other => {
-                return Err(TrapKind::UnsupportedOp {
-                    op: "map insert",
-                    on: format!("{:?}", other.impl_kind()),
-                })
-            }
+            other => unsupported("map insert", other),
         }
         Ok(())
     }
@@ -458,7 +427,6 @@ impl Collection {
     ///
     /// # Errors
     ///
-    /// [`TrapKind::UnsupportedOp`] on non-sequences;
     /// [`TrapKind::OutOfBounds`] past the end.
     pub fn try_insert_seq(&mut self, index: usize, value: Value) -> Result<(), TrapKind> {
         match self {
@@ -482,7 +450,7 @@ impl Collection {
                         len: s.len(),
                     });
                 }
-                let v = unbox_store(&value)?;
+                let v = unbox(&value);
                 if index == s.len() {
                     s.push(v);
                 } else {
@@ -490,10 +458,7 @@ impl Collection {
                 }
                 Ok(())
             }
-            other => Err(TrapKind::UnsupportedOp {
-                op: "seq insert",
-                on: format!("{:?}", other.impl_kind()),
-            }),
+            other => unsupported("seq insert", other),
         }
     }
 
@@ -502,13 +467,11 @@ impl Collection {
     ///
     /// # Errors
     ///
-    /// [`TrapKind::OutOfBounds`] on out-of-bounds sequence removals;
-    /// [`TrapKind::TypeMismatch`] when a dense implementation gets a
-    /// non-index key.
+    /// [`TrapKind::OutOfBounds`] on out-of-bounds sequence removals.
     pub fn try_remove(&mut self, key: &Value) -> Result<(), TrapKind> {
         match self {
             Collection::Seq(s) => {
-                let i = key.try_as_u64()?;
+                let i = key.as_u64();
                 if i as usize >= s.len() {
                     return Err(TrapKind::OutOfBounds {
                         index: i,
@@ -527,10 +490,10 @@ impl Collection {
                 s.remove(key);
             }
             Collection::BitSet(s) => {
-                s.remove(key.try_as_index()?);
+                s.remove(key.as_index());
             }
             Collection::SparseBitSet(s) => {
-                s.remove(key.try_as_index()?);
+                s.remove(key.as_index());
             }
             Collection::HashMap(m) => {
                 m.remove(key);
@@ -539,10 +502,10 @@ impl Collection {
                 m.remove(key);
             }
             Collection::BitMap(m) => {
-                m.remove(key.try_as_index()?);
+                m.remove(key.as_index());
             }
             Collection::UnboxedSeq(s) => {
-                let i = key.try_as_u64()?;
+                let i = key.as_u64();
                 if i as usize >= s.len() {
                     return Err(TrapKind::OutOfBounds {
                         index: i,
@@ -552,17 +515,13 @@ impl Collection {
                 s.remove(i as usize);
             }
             Collection::UnboxedHashSet(s) => {
-                if let Some(k) = ScalarVal::from_value(key) {
-                    s.remove(&k);
-                }
+                s.remove(&unbox(key));
             }
             Collection::UnboxedHashMap(m) => {
-                if let Some(k) = ScalarVal::from_value(key) {
-                    m.remove(&k);
-                }
+                m.remove(&unbox(key));
             }
             Collection::UnboxedBitMap(m) => {
-                m.remove(key.try_as_index()?);
+                m.remove(key.as_index());
             }
         }
         Ok(())
@@ -573,7 +532,7 @@ impl Collection {
     /// invariant a correct ADE compilation maintains, and the trap a
     /// broken one raises.
     fn dense_key(key: &Value) -> Result<usize, TrapKind> {
-        let i = key.try_as_index()?;
+        let i = key.as_index();
         if i == ENC_SENTINEL {
             return Err(TrapKind::SentinelInsert);
         }
@@ -728,8 +687,8 @@ mod tests {
             let mut s = set_of(sel);
             assert!(s.try_insert_elem(Value::Idx(5)).expect("a set"));
             assert!(!s.try_insert_elem(Value::Idx(5)).expect("a set"));
-            assert!(s.try_has(&Value::Idx(5)).expect("a set"));
-            assert!(!s.try_has(&Value::Idx(6)).expect("a set"));
+            assert!(s.has(&Value::Idx(5)));
+            assert!(!s.has(&Value::Idx(6)));
             assert_eq!(s.len(), 1);
             s.try_remove(&Value::Idx(5)).expect("a set");
             assert!(s.is_empty(), "{sel:?}");
@@ -860,7 +819,7 @@ mod tests {
                 m.try_write(&sentinel, Value::U64(1)),
                 Err(TrapKind::SentinelInsert),
             ));
-            assert!(!m.try_has(&sentinel).expect("probe tolerates the sentinel"));
+            assert!(!m.has(&sentinel), "the probe tolerates the sentinel");
         }
     }
 

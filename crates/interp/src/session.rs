@@ -76,17 +76,14 @@ impl ExecSession {
     ///
     /// # Errors
     ///
-    /// [`ExecError::NoEntry`] if `entry` does not exist.
+    /// [`ExecError::NoEntry`] if no parameterless function is named
+    /// `entry`.
     pub fn spawn(
         decoded: Arc<DecodedModule>,
         entry: &str,
         config: ExecConfig,
     ) -> Result<ExecSession, ExecError> {
-        let Some(fid) = decoded.function_by_name(entry) else {
-            return Err(ExecError::NoEntry {
-                entry: entry.to_string(),
-            });
-        };
+        let fid = decoded.entry(entry)?;
         let mut interp = Interpreter::detached(config);
         interp.start(&decoded, true);
         Ok(ExecSession {

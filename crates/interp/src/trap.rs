@@ -3,7 +3,9 @@
 //! Guest undefined behavior used to abort the interpreter with a panic;
 //! every such condition is now a value of [`TrapKind`], carried by
 //! [`crate::ExecError::GuestTrap`] together with the instruction site
-//! that raised it. Execution-limit violations (fuel, heap cells, depth)
+//! that raised it. Only behaviour of well-typed programs traps: decode
+//! verifies every module, so a value of the wrong kind reaching an
+//! operation is a host bug and panics. Execution-limit violations (fuel, heap cells, depth)
 //! are a separate [`crate::ExecError::LimitExceeded`] arm keyed by
 //! [`Limit`], so harnesses can distinguish "this program is wrong" from
 //! "this program is too big for the configured budget".
@@ -36,29 +38,8 @@ pub enum TrapKind {
         /// The sequence length at the time of access.
         len: usize,
     },
-    /// A value of the wrong runtime kind reached an operation.
-    TypeMismatch {
-        /// What the operation needed.
-        expected: &'static str,
-        /// Rendering of what it got.
-        got: String,
-    },
-    /// A collection operation applied to an implementation that does
-    /// not support it (e.g. `has` on a sequence).
-    UnsupportedOp {
-        /// The operation.
-        op: &'static str,
-        /// The implementation it was applied to.
-        on: String,
-    },
     /// Integer division or remainder by zero.
     DivideByZero,
-    /// A structurally malformed construct slipped past verification
-    /// (belt-and-braces guards on invariants the verifier establishes).
-    Malformed {
-        /// What was malformed.
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for TrapKind {
@@ -71,12 +52,7 @@ impl fmt::Display for TrapKind {
             TrapKind::OutOfBounds { index, len } => {
                 write!(f, "sequence access out of bounds: index {index}, length {len}")
             }
-            TrapKind::TypeMismatch { expected, got } => {
-                write!(f, "expected {expected}, got {got}")
-            }
-            TrapKind::UnsupportedOp { op, on } => write!(f, "{op} on {on}"),
             TrapKind::DivideByZero => write!(f, "division by zero"),
-            TrapKind::Malformed { what } => write!(f, "malformed construct: {what}"),
         }
     }
 }
@@ -89,10 +65,7 @@ impl TrapKind {
             TrapKind::SentinelInsert => "sentinel-insert",
             TrapKind::MissingKey { .. } => "missing-key",
             TrapKind::OutOfBounds { .. } => "out-of-bounds",
-            TrapKind::TypeMismatch { .. } => "type-mismatch",
-            TrapKind::UnsupportedOp { .. } => "unsupported-op",
             TrapKind::DivideByZero => "div-by-zero",
-            TrapKind::Malformed { .. } => "malformed",
         }
     }
 }
@@ -153,11 +126,11 @@ mod tests {
 
     #[test]
     fn displays_are_informative() {
-        let t = TrapKind::TypeMismatch {
-            expected: "bool",
-            got: "U64(1)".to_string(),
-        };
-        assert_eq!(t.to_string(), "expected bool, got U64(1)");
+        let t = TrapKind::OutOfBounds { index: 4, len: 2 };
+        assert_eq!(
+            t.to_string(),
+            "sequence access out of bounds: index 4, length 2"
+        );
         let s = TrapSite {
             func: "main".to_string(),
             inst: 3,

@@ -5,7 +5,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::heap::CollId;
-use crate::trap::TrapKind;
 
 /// A runtime value.
 ///
@@ -38,66 +37,53 @@ pub enum Value {
 }
 
 impl Value {
+    // The accessors below read operands the verifier has typed, so a
+    // mismatch is a host bug, never guest behaviour.
+
     /// The `u64` inside, or a numeric coercion of `idx`.
-    ///
-    /// # Errors
-    ///
-    /// [`TrapKind::TypeMismatch`] if the value is not `U64` or `Idx`.
-    pub fn try_as_u64(&self) -> Result<u64, TrapKind> {
+    #[inline]
+    pub fn as_u64(&self) -> u64 {
         match self {
-            Value::U64(v) => Ok(*v),
-            Value::Idx(v) => Ok(*v as u64),
-            other => Err(TrapKind::TypeMismatch {
-                expected: "u64",
-                got: format!("{other:?}"),
-            }),
+            Value::U64(v) => *v,
+            Value::Idx(v) => *v as u64,
+            other => {
+                unreachable!("expected u64, got {other:?}: the verifier types indices u64 or idx")
+            }
         }
     }
 
     /// The `bool` inside.
-    ///
-    /// # Errors
-    ///
-    /// [`TrapKind::TypeMismatch`] if the value is not `Bool`.
-    pub fn try_as_bool(&self) -> Result<bool, TrapKind> {
+    #[inline]
+    pub fn as_bool(&self) -> bool {
         match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(TrapKind::TypeMismatch {
-                expected: "bool",
-                got: format!("{other:?}"),
-            }),
+            Value::Bool(b) => *b,
+            other => {
+                unreachable!("expected bool, got {other:?}: the verifier types conditions bool")
+            }
         }
     }
 
     /// The `idx` inside (accepting `U64` for directive-forced dense
     /// implementations over integer keys).
-    ///
-    /// # Errors
-    ///
-    /// [`TrapKind::TypeMismatch`] if the value is not `Idx` or `U64`.
-    pub fn try_as_index(&self) -> Result<usize, TrapKind> {
+    #[inline]
+    pub fn as_index(&self) -> usize {
         match self {
-            Value::Idx(i) => Ok(*i),
-            Value::U64(v) => Ok(*v as usize),
-            other => Err(TrapKind::TypeMismatch {
-                expected: "idx",
-                got: format!("{other:?}"),
-            }),
+            Value::Idx(i) => *i,
+            Value::U64(v) => *v as usize,
+            other => {
+                unreachable!("expected idx, got {other:?}: the verifier keys dense ops by idx/u64")
+            }
         }
     }
 
     /// The collection handle inside.
-    ///
-    /// # Errors
-    ///
-    /// [`TrapKind::TypeMismatch`] if the value is not a collection.
-    pub fn try_as_coll(&self) -> Result<CollId, TrapKind> {
+    #[inline]
+    pub fn as_coll(&self) -> CollId {
         match self {
-            Value::Coll(c) => Ok(*c),
-            other => Err(TrapKind::TypeMismatch {
-                expected: "collection",
-                got: format!("{other:?}"),
-            }),
+            Value::Coll(c) => *c,
+            other => {
+                unreachable!("expected a collection, got {other:?}: the verifier types operands")
+            }
         }
     }
 
@@ -348,10 +334,10 @@ mod tests {
 
     #[test]
     fn accessors() {
-        assert_eq!(Value::U64(4).try_as_u64().expect("a u64"), 4);
-        assert_eq!(Value::Idx(4).try_as_u64().expect("an idx"), 4);
-        assert_eq!(Value::Idx(9).try_as_index().expect("an idx"), 9);
-        assert!(Value::Bool(true).try_as_bool().expect("a bool"));
+        assert_eq!(Value::U64(4).as_u64(), 4);
+        assert_eq!(Value::Idx(4).as_u64(), 4);
+        assert_eq!(Value::Idx(9).as_index(), 9);
+        assert!(Value::Bool(true).as_bool());
         assert!(Value::U64(0).is_key());
         assert!(!Value::Void.is_key());
     }
@@ -359,10 +345,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "expected bool")]
     fn as_bool_rejects_others() {
-        let _ = Value::U64(1)
-            .try_as_bool()
-            .map_err(|t| t.to_string())
-            .expect("a bool");
+        let _ = Value::U64(1).as_bool();
     }
 
     #[test]

@@ -13,8 +13,8 @@ use std::fmt;
 use crate::builder::operand_type_in;
 use crate::typing::{self, Externs};
 use crate::{
-    Access, Function, Inst, InstId, InstKind, Module, Operand, RegionId, Scalar, Type, ValueDef,
-    ValueId,
+    Access, BinOp, Function, Inst, InstId, InstKind, Module, Operand, RegionId, Scalar, Type,
+    ValueDef, ValueId,
 };
 
 /// A verification failure.
@@ -296,13 +296,39 @@ impl<'a> Verifier<'a> {
     }
 
     fn check_types(&self) -> Result<(), VerifyError> {
+        self.check_dense_keys(None, &self.func.params)?;
         for inst_id in self.func.all_insts() {
             let inst = self.func.inst(inst_id);
+            self.check_dense_keys(Some(inst_id), &inst.results)?;
+            for &r in &inst.regions {
+                self.check_dense_keys(Some(inst_id), &self.func.region(r).args)?;
+            }
             for op in &inst.operands {
                 self.check_path(inst_id, op)?;
             }
             self.check_signature(inst_id, inst)?;
             self.check_operands(inst_id, inst)?;
+        }
+        Ok(())
+    }
+
+    /// Checks that every dense selection within `values`' types has keys
+    /// a dense implementation can index by.
+    fn check_dense_keys(
+        &self,
+        inst: Option<InstId>,
+        values: &[ValueId],
+    ) -> Result<(), VerifyError> {
+        for &v in values {
+            let ty = self.func.value_ty(v);
+            if let Some(coll) = undense_keyed(ty) {
+                let what = if coll == ty {
+                    format!("{v}: {ty}")
+                } else {
+                    format!("{v}: {ty} holds {coll}, which")
+                };
+                return Err(self.err(inst, format!("{what} needs idx or u64 keys")));
+            }
         }
         Ok(())
     }
@@ -359,8 +385,9 @@ impl<'a> Verifier<'a> {
         Ok(())
     }
 
-    /// Checks what the typing rule leaves open: keys, written values,
-    /// set elements, call arguments, operand agreement and the
+    /// Checks what the typing rule leaves open: keys, `read`/`write`
+    /// targets, written values, set elements, call arguments, operand
+    /// agreement, the operators each scalar kind takes and the
     /// enumerations' key types.
     fn check_operands(&self, inst_id: InstId, inst: &Inst) -> Result<(), VerifyError> {
         let err = |message: String| Err(self.err(Some(inst_id), message));
@@ -380,6 +407,12 @@ impl<'a> Verifier<'a> {
                         "literal of {elem} elements added to {e}, whose keys are {key}"
                     ));
                 }
+            }
+            InstKind::Read | InstKind::Write
+                if !matches!(self.op_ty(&inst.operands[0]), Type::Seq(_) | Type::Map { .. }) =>
+            {
+                let (op, coll) = (inst.kind.opcode(), self.op_ty(&inst.operands[0]));
+                return err(format!("{op} target {coll} is not a map or sequence"));
             }
             InstKind::Read | InstKind::Remove => {
                 self.check_key(inst_id, &self.op_ty(&inst.operands[0]), &inst.operands[1])?;
@@ -441,13 +474,18 @@ impl<'a> Verifier<'a> {
                     _ => return err(format!("union of incompatible sets {dst} and {src}")),
                 }
             }
-            InstKind::Bin(_) => {
+            InstKind::Bin(op) => {
                 let a = self.op_ty(&inst.operands[0]);
                 let b = self.op_ty(&inst.operands[1]);
                 if a != b || !a.is_numeric() && a != Type::Bool {
                     return err(format!(
                         "binary op on mismatched/non-numeric types {a}, {b}"
                     ));
+                }
+                let logical = matches!(op, BinOp::And | BinOp::Or | BinOp::Xor);
+                let bitwise = logical || matches!(op, BinOp::Shl | BinOp::Shr);
+                if a == Type::Bool && !logical || a == Type::F64 && bitwise {
+                    return err(format!("{} is not defined on {a}", op.name()));
                 }
             }
             InstKind::Cmp(_) => {
@@ -669,6 +707,21 @@ impl<'a> Verifier<'a> {
             }
         }
         Ok(())
+    }
+}
+
+/// The first `Bit` or `SparseBit` collection type within `ty`, at any
+/// nesting depth, keyed by anything but `idx` (enumerated identifiers)
+/// or `u64` (the dense case a `select(...)` directive forces).
+fn undense_keyed(ty: &Type) -> Option<&Type> {
+    let indexable = |key: &Type| matches!(key, Type::Idx | Type::U64);
+    match ty {
+        Type::Set { elem, sel } if sel.requires_enumeration() && !indexable(elem) => Some(ty),
+        Type::Map { key, sel, .. } if sel.requires_enumeration() && !indexable(key) => Some(ty),
+        Type::Seq(elem) | Type::Set { elem, .. } => undense_keyed(elem),
+        Type::Map { key, val, .. } => undense_keyed(key).or_else(|| undense_keyed(val)),
+        Type::Tuple(elems) => elems.iter().find_map(undense_keyed),
+        _ => None,
     }
 }
 
@@ -991,6 +1044,62 @@ fn @f(%c: bool) -> u64 {
         )
         .expect_err("should fail");
         assert!(err.message.contains("before its definition"), "{err}");
+    }
+
+    /// `main` computing `op %a, %a` for a constant `%a` of `lit`.
+    fn binary_on(op: &str, lit: &str) -> Result<(), VerifyError> {
+        verify_text(&format!(
+            "fn @main() -> void {{\n  %a = const {lit}\n  %b = {op} %a, %a\n  print %b\n  ret\n}}\n"
+        ))
+    }
+
+    #[test]
+    fn rejects_arithmetic_on_bools() {
+        for op in ["and", "or", "xor"] {
+            binary_on(op, "true").expect("logical ops take bools");
+        }
+        let err = binary_on("add", "true").expect_err("should fail");
+        assert!(err.message.contains("add is not defined on bool"), "{err}");
+    }
+
+    #[test]
+    fn rejects_bitwise_and_shift_ops_on_f64() {
+        binary_on("add", "1.5f64").expect("arithmetic takes f64");
+        for op in ["shl", "shr", "and", "or", "xor"] {
+            let err = binary_on(op, "1.5f64").expect_err(op);
+            assert!(err.message.contains(&format!("{op} is not defined on f64")), "{err}");
+        }
+    }
+
+    #[test]
+    fn rejects_read_and_write_on_a_set() {
+        let err = verify_text(
+            "fn @main(%s: Set<u64>, %k: u64) -> void {\n  %x = read %s, %k\n  ret\n}\n",
+        )
+        .expect_err("should fail");
+        assert!(err.message.contains("read target Set<u64> is not a map or sequence"), "{err}");
+        let err = verify_text(
+            "fn @main(%s: Set<u64>, %k: u64, %v: void) -> void {\n  \
+             %t = write %s, %k, %v\n  ret\n}\n",
+        )
+        .expect_err("should fail");
+        assert!(err.message.contains("write target Set<u64> is not a map or sequence"), "{err}");
+    }
+
+    #[test]
+    fn rejects_dense_selections_without_index_keys() {
+        for dense in ["Set{Bit}<str>", "Set{SparseBit}<i64>", "Map{Bit}<f64, u64>"] {
+            for ty in [dense.to_string(), format!("Map<u64, {dense}>")] {
+                let text = format!("fn @main() -> void {{\n  %c = new {ty}\n  ret\n}}\n");
+                let err = verify_text(&text).expect_err(&ty);
+                let msg = &err.message;
+                assert!(msg.contains(dense) && msg.ends_with("needs idx or u64 keys"), "{err}");
+            }
+        }
+        for ty in ["Set{Bit}<idx>", "Set{SparseBit}<u64>", "Map<u64, Map{Bit}<u64, u64>>"] {
+            verify_text(&format!("fn @main() -> void {{\n  %c = new {ty}\n  ret\n}}\n"))
+                .unwrap_or_else(|e| panic!("{ty}: {e}"));
+        }
     }
 
     #[test]

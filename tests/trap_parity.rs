@@ -443,6 +443,56 @@ fn plan_traps_match_the_reference_decode() {
     }
 }
 
+/// A dense map over `u64` keys (the case a `select(...)` directive
+/// forces) reports an absent key as the program wrote it, `4`, not as
+/// the identifier `#4`, and at the same site on both decodes.
+#[test]
+fn dense_u64_missing_key_shows_the_programs_key() {
+    let module = parse_module(
+        r#"
+fn @main() -> void {
+  %m = new Map{Bit}<u64, u64>
+  %lo = const 0u64
+  %four = const 4u64
+  %five = const 5u64
+  %m1 = forrange %lo, %four carry(%m) as (%i: u64, %c: Map{Bit}<u64, u64>) {
+    %c1 = write %c, %i, %i
+    yield %c1
+  }
+  %t = forrange %lo, %five carry(%lo) as (%j: u64, %acc: u64) {
+    %v = read %m1, %j
+    %acc1 = add %acc, %v
+    yield %acc1
+  }
+  print %t
+  ret
+}
+"#,
+    )
+    .expect("parses");
+    let (decoded, default) = run(&module, false);
+    let read = |op: &BulkOp| matches!(op, BulkOp::Read { .. });
+    assert!(
+        decoded
+            .funcs
+            .iter()
+            .flat_map(|f| f.code.iter())
+            .any(|i| bulk_plan_has(i, read)),
+        "the trapping read must compile into a bulk plan"
+    );
+    let (_, reference) = run(&module, true);
+    assert_eq!(default, reference);
+    assert_eq!(default.code(), "missing-key", "{default}");
+    let ExecError::GuestTrap {
+        site: Some(_),
+        kind,
+    } = &default
+    else {
+        panic!("a sited guest trap: {default}");
+    };
+    assert_eq!(kind.to_string(), "read of absent key 4");
+}
+
 /// Runs `module` under a heap limit of `cells` collections on one
 /// decode: the decoded stream, the error that stops the run, and the
 /// ticks it executed.
