@@ -7,7 +7,6 @@
 //! most once per execution path — by an update, a yield, a return or a
 //! loop-carry — and no read of the old name may follow the consumption.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::builder::operand_type_in;
@@ -112,12 +111,15 @@ struct Verifier<'a> {
     func: &'a Function,
     module: &'a Module,
     ext: Externs<'a>,
-    /// For each region: (owning instruction, its position). Body has none.
-    region_owner: HashMap<RegionId, InstId>,
-    /// For each instruction: its position path.
-    positions: HashMap<InstId, Position>,
-    /// For each region: the control inst path region ids it is under.
-    region_of_inst: HashMap<InstId, RegionId>,
+    /// For each region, by index: the instruction owning it (`None` for
+    /// the body and orphan regions).
+    region_owner: Vec<Option<InstId>>,
+    /// For each instruction reached from the body, by index: its
+    /// position path.
+    positions: Vec<Position>,
+    /// For each instruction reached from the body, by index: the region
+    /// holding it.
+    region_of_inst: Vec<RegionId>,
 }
 
 impl<'a> Verifier<'a> {
@@ -126,9 +128,9 @@ impl<'a> Verifier<'a> {
             func,
             module,
             ext,
-            region_owner: HashMap::new(),
-            positions: HashMap::new(),
-            region_of_inst: HashMap::new(),
+            region_owner: vec![None; func.regions.len()],
+            positions: vec![Position { steps: Vec::new() }; func.insts.len()],
+            region_of_inst: vec![func.body; func.insts.len()],
         };
         v.index_region(func.body, &Position { steps: Vec::new() });
         v
@@ -138,12 +140,12 @@ impl<'a> Verifier<'a> {
         for (idx, &inst) in self.func.region(region).insts.iter().enumerate() {
             let mut pos = prefix.clone();
             pos.steps.push((idx, region));
-            self.region_of_inst.insert(inst, region);
+            self.region_of_inst[inst.index()] = region;
             for &sub in &self.func.inst(inst).regions {
-                self.region_owner.insert(sub, inst);
+                self.region_owner[sub.index()] = Some(inst);
                 self.index_region(sub, &pos);
             }
-            self.positions.insert(inst, pos);
+            self.positions[inst.index()] = pos;
         }
     }
 
@@ -169,7 +171,7 @@ impl<'a> Verifier<'a> {
         for (ridx, region) in self.func.regions.iter().enumerate() {
             let rid = RegionId::from_index(ridx);
             // Skip orphan regions (allowed in arenas after transforms).
-            if rid != self.func.body && !self.region_owner.contains_key(&rid) {
+            if rid != self.func.body && self.region_owner[ridx].is_none() {
                 continue;
             }
             let is_body = rid == self.func.body;
@@ -253,16 +255,16 @@ impl<'a> Verifier<'a> {
     fn check_path(&self, inst: InstId, op: &Operand) -> Result<(), VerifyError> {
         // Validate that each dynamic path index is typed like the key of
         // the collection at that level.
-        let mut ty = self.func.value_ty(op.base).clone();
+        let mut ty = self.func.value_ty(op.base);
         for access in &op.path {
-            match (access, &ty) {
+            match (access, ty) {
                 (Access::Index(s), Type::Seq(elem)) => {
                     if let Scalar::Value(v) = s {
                         if !matches!(self.func.value_ty(*v), Type::U64 | Type::Idx) {
                             return Err(self.err(Some(inst), "sequence index must be u64/idx"));
                         }
                     }
-                    ty = (**elem).clone();
+                    ty = elem;
                 }
                 (Access::Index(s), Type::Map { key, val, .. }) => {
                     if let Scalar::Value(v) = s {
@@ -276,13 +278,13 @@ impl<'a> Verifier<'a> {
                             ));
                         }
                     }
-                    ty = (**val).clone();
+                    ty = val;
                 }
                 (Access::Field(n), Type::Tuple(elems)) => {
                     let Some(t) = elems.get(*n as usize) else {
                         return Err(self.err(Some(inst), format!("tuple has no field {n}")));
                     };
-                    ty = t.clone();
+                    ty = t;
                 }
                 (a, t) => {
                     return Err(self.err(
@@ -577,7 +579,7 @@ impl<'a> Verifier<'a> {
         match self.func.value(v).def {
             ValueDef::Param(_) => self.func.body,
             ValueDef::RegionArg { region, .. } => region,
-            ValueDef::InstResult { inst, .. } => self.region_of_inst[&inst],
+            ValueDef::InstResult { inst, .. } => self.region_of_inst[inst.index()],
         }
     }
 
@@ -600,8 +602,8 @@ impl<'a> Verifier<'a> {
     }
 
     fn order(&self, a: InstId, b: InstId) -> Order {
-        let pa = &self.positions[&a].steps;
-        let pb = &self.positions[&b].steps;
+        let pa = &self.positions[a.index()].steps;
+        let pb = &self.positions[b.index()].steps;
         for (sa, sb) in pa.iter().zip(pb.iter()) {
             if sa.1 != sb.1 {
                 // Same parent inst, different sub-regions: only `if`
@@ -620,9 +622,9 @@ impl<'a> Verifier<'a> {
     /// `true` if any control instruction between `outer` (exclusive) and
     /// `inst` (inclusive) is a loop.
     fn crosses_loop(&self, outer: RegionId, inst: InstId) -> bool {
-        let mut region = self.region_of_inst[&inst];
+        let mut region = self.region_of_inst[inst.index()];
         while region != outer {
-            let Some(&owner) = self.region_owner.get(&region) else {
+            let Some(owner) = self.region_owner[region.index()] else {
                 return false;
             };
             if matches!(
@@ -631,22 +633,23 @@ impl<'a> Verifier<'a> {
             ) {
                 return true;
             }
-            region = self.region_of_inst[&owner];
+            region = self.region_of_inst[owner.index()];
         }
         false
     }
 
     fn check_linearity(&self) -> Result<(), VerifyError> {
-        // Gather uses of every collection-typed value.
-        let mut uses: HashMap<ValueId, Vec<(InstId, usize)>> = HashMap::new();
+        // Gather uses of every collection-typed value, by value index.
+        let mut uses: Vec<Vec<(InstId, usize)>> = vec![Vec::new(); self.func.values.len()];
         for inst_id in self.func.all_insts() {
             for (op_idx, op) in self.func.inst(inst_id).operands.iter().enumerate() {
                 if self.func.value_ty(op.base).is_collection() {
-                    uses.entry(op.base).or_default().push((inst_id, op_idx));
+                    uses[op.base.index()].push((inst_id, op_idx));
                 }
             }
         }
-        for (&v, v_uses) in &uses {
+        for (v, v_uses) in uses.iter().enumerate().filter(|(_, u)| !u.is_empty()) {
+            let v = ValueId::from_index(v);
             let def_region = self.def_region(v);
             let consuming: Vec<InstId> = v_uses
                 .iter()
@@ -656,7 +659,8 @@ impl<'a> Verifier<'a> {
             // (a) A consumption must not sit inside a loop nested below
             // the definition (it would execute more than once).
             for &c in &consuming {
-                if self.region_of_inst[&c] != def_region && self.crosses_loop(def_region, c) {
+                if self.region_of_inst[c.index()] != def_region && self.crosses_loop(def_region, c)
+                {
                     return Err(self.err(
                         Some(c),
                         format!("collection {v} consumed inside a loop below its definition"),
@@ -690,8 +694,8 @@ impl<'a> Verifier<'a> {
                             ));
                         }
                         Order::Enclosing
-                            if self.positions[&c].steps.len()
-                                < self.positions[&u].steps.len()
+                            if self.positions[c.index()].steps.len()
+                                < self.positions[u.index()].steps.len()
                                 && self.func.inst(c).kind.is_control() =>
                         {
                             return Err(self.err(
