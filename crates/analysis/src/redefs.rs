@@ -152,7 +152,7 @@ impl RedefChains {
 }
 
 fn resolve_path_type(ty: &Type, path: &[ade_ir::Access]) -> Type {
-    ty.at_path(path).unwrap_or_else(|| ty.clone())
+    ty.at_path(path).unwrap_or(ty).clone()
 }
 
 /// Joins each loop-body yield operand with the matching carried region

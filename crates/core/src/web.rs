@@ -101,7 +101,7 @@ fn phi_targets(func: &Function, index: &FuncIndex, site: UseSite) -> Option<Vec<
 fn iter_arg_count(func: &Function, foreach: InstId) -> usize {
     let inst = func.inst(foreach);
     let coll = ade_ir::builder::operand_type_in(func, &inst.operands[0]);
-    ade_ir::typing::iteration_types(&coll).map_or(1, |vars| vars.len())
+    ade_ir::typing::iteration_types(coll).map_or(1, |vars| vars.len())
 }
 
 /// φ-source sites of a web member (the uses that feed it).

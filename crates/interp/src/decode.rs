@@ -734,7 +734,7 @@ fn slot(index: usize) -> u32 {
     u32::try_from(index).expect("frame slot fits u32")
 }
 
-impl FuncDecoder<'_> {
+impl<'f> FuncDecoder<'f> {
     fn decode_region(&mut self, r: RegionId) {
         let region = self.func.region(r);
         let start = slot(self.code.len());
@@ -852,7 +852,7 @@ impl FuncDecoder<'_> {
     }
 
     /// Static type of the collection an operand addresses.
-    fn target_type(&self, operand: &Operand) -> Type {
+    fn target_type(&self, operand: &Operand) -> &'f Type {
         ade_ir::builder::operand_type_in(self.func, operand)
     }
 
@@ -976,7 +976,7 @@ impl FuncDecoder<'_> {
                     Type::Map { val, .. } => BulkOp::InsertMap {
                         coll,
                         key: self.op(&ops[1]),
-                        val_ty: self.pool_type(&val),
+                        val_ty: self.pool_type(val),
                         base: base(&ops[0]),
                         dst,
                     },

@@ -74,7 +74,7 @@ impl FunctionBuilder {
     ///
     /// Panics if the path does not match the base type.
     pub fn operand_type(&self, op: &Operand) -> Type {
-        operand_type_in(&self.func, op)
+        operand_type_in(&self.func, op).clone()
     }
 
     fn signature(&self, inst: &Inst) -> typing::Signature {
@@ -514,7 +514,7 @@ impl FunctionBuilder {
 /// # Panics
 ///
 /// Panics if the path does not match the base type.
-pub fn operand_type_in(func: &Function, op: &Operand) -> Type {
+pub fn operand_type_in<'f>(func: &'f Function, op: &Operand) -> &'f Type {
     typing::operand_type(func, op).unwrap_or_else(|e| panic!("{e}"))
 }
 

@@ -206,15 +206,13 @@ impl Type {
     /// Resolves a nesting path against this type: `Index` steps descend
     /// into sequence/map values, `Field` steps into tuples. Returns
     /// `None` when the path does not match the type shape.
-    pub fn at_path(&self, path: &[crate::Access]) -> Option<Type> {
-        let mut ty = self.clone();
+    pub fn at_path(&self, path: &[crate::Access]) -> Option<&Type> {
+        let mut ty = self;
         for access in path {
             ty = match (access, ty) {
-                (crate::Access::Index(_), Type::Seq(elem)) => *elem,
-                (crate::Access::Index(_), Type::Map { val, .. }) => *val,
-                (crate::Access::Field(n), Type::Tuple(elems)) => {
-                    elems.get(*n as usize)?.clone()
-                }
+                (crate::Access::Index(_), Type::Seq(elem)) => elem,
+                (crate::Access::Index(_), Type::Map { val, .. }) => val,
+                (crate::Access::Field(n), Type::Tuple(elems)) => elems.get(*n as usize)?,
                 _ => return None,
             };
         }

@@ -71,7 +71,7 @@ pub fn arity(kind: &InstKind) -> (usize, usize) {
 ///
 /// Fails when the base is not a value of `func` or the path does not
 /// apply to its type.
-pub fn operand_type(func: &Function, op: &Operand) -> Result<Type, String> {
+pub fn operand_type<'f>(func: &'f Function, op: &Operand) -> Result<&'f Type, String> {
     let base = &func
         .values
         .get(op.base.index())
@@ -120,7 +120,7 @@ pub fn signature(func: &Function, inst: &Inst, ext: Externs<'_>) -> Result<Signa
     }
     let ops = &inst.operands;
     let types = |ops: &[Operand]| -> Result<Vec<Type>, String> {
-        ops.iter().map(|o| operand_type(func, o)).collect()
+        ops.iter().map(|o| operand_type(func, o).cloned()).collect()
     };
     let mut body_args = Vec::new();
     let results = match &inst.kind {
@@ -141,10 +141,10 @@ pub fn signature(func: &Function, inst: &Inst, ext: Externs<'_>) -> Result<Signa
         | InstKind::Insert
         | InstKind::Remove
         | InstKind::Clear
-        | InstKind::UnionInto => vec![operand_type(func, &Operand::value(ops[0].base))?],
+        | InstKind::UnionInto => vec![operand_type(func, &Operand::value(ops[0].base))?.clone()],
         InstKind::Has | InstKind::Cmp(_) | InstKind::Not => vec![Type::Bool],
         InstKind::Size => vec![Type::U64],
-        InstKind::Bin(_) => vec![operand_type(func, &ops[0])?],
+        InstKind::Bin(_) => vec![operand_type(func, &ops[0])?.clone()],
         InstKind::Tuple => vec![Type::Tuple(types(ops)?)],
         InstKind::Call(f) => match ext.returns.get(f.index()) {
             None => return Err(format!("call to unknown {f}")),
@@ -158,7 +158,7 @@ pub fn signature(func: &Function, inst: &Inst, ext: Externs<'_>) -> Result<Signa
         }
         InstKind::If => yield_types(func, inst.regions[0])?,
         InstKind::ForEach => {
-            body_args = iteration_types(&operand_type(func, &ops[0])?)?;
+            body_args = iteration_types(operand_type(func, &ops[0])?)?;
             types(&ops[1..])?
         }
         InstKind::ForRange => {
@@ -202,7 +202,7 @@ pub fn yield_types(func: &Function, region: RegionId) -> Result<Vec<Type>, Strin
         Some(inst) if inst.kind == InstKind::Yield => inst
             .operands
             .iter()
-            .map(|o| operand_type(func, o))
+            .map(|o| operand_type(func, o).cloned())
             .collect(),
         _ => Ok(Vec::new()),
     }

@@ -230,7 +230,7 @@ impl<'a> Verifier<'a> {
 
     // -- types -------------------------------------------------------------
 
-    fn op_ty(&self, op: &Operand) -> Type {
+    fn op_ty(&self, op: &Operand) -> &Type {
         operand_type_in(self.func, op)
     }
 
@@ -243,7 +243,7 @@ impl<'a> Verifier<'a> {
                 .ok_or_else(|| self.err(Some(inst), format!("{other} has no key domain")))?,
         };
         let got = self.op_ty(key);
-        if got != want {
+        if *got != want {
             return Err(self.err(
                 Some(inst),
                 format!("key type mismatch: collection wants {want}, got {got}"),
@@ -417,12 +417,12 @@ impl<'a> Verifier<'a> {
                 return err(format!("{op} target {coll} is not a map or sequence"));
             }
             InstKind::Read | InstKind::Remove => {
-                self.check_key(inst_id, &self.op_ty(&inst.operands[0]), &inst.operands[1])?;
+                self.check_key(inst_id, self.op_ty(&inst.operands[0]), &inst.operands[1])?;
             }
             InstKind::Write => {
                 let coll = self.op_ty(&inst.operands[0]);
-                self.check_key(inst_id, &coll, &inst.operands[1])?;
-                let want = coll.value_type().expect("collection").clone();
+                self.check_key(inst_id, coll, &inst.operands[1])?;
+                let want = coll.value_type().expect("collection");
                 let got = self.op_ty(&inst.operands[2]);
                 if got != want {
                     return err(format!(
@@ -435,19 +435,19 @@ impl<'a> Verifier<'a> {
                 if !coll.is_assoc() {
                     return err("has target must be set/map".into());
                 }
-                self.check_key(inst_id, &coll, &inst.operands[1])?;
+                self.check_key(inst_id, coll, &inst.operands[1])?;
             }
             InstKind::Insert => {
                 let coll = self.op_ty(&inst.operands[0]);
-                match &coll {
+                match coll {
                     Type::Set { elem, .. } => {
                         let got = self.op_ty(&inst.operands[1]);
-                        if got != **elem {
+                        if got != &**elem {
                             return err(format!("set insert of {got} into Set<{elem}>"));
                         }
                     }
                     Type::Map { .. } => {
-                        self.check_key(inst_id, &coll, &inst.operands[1])?;
+                        self.check_key(inst_id, coll, &inst.operands[1])?;
                     }
                     Type::Seq(elem) => {
                         if inst.operands.len() != 3 {
@@ -458,7 +458,7 @@ impl<'a> Verifier<'a> {
                             return err(format!("seq insert index must be u64/idx, got {idx_ty}"));
                         }
                         let got = self.op_ty(&inst.operands[2]);
-                        if got != **elem {
+                        if got != &**elem {
                             return err(format!("seq insert of {got} into Seq<{elem}>"));
                         }
                     }
@@ -471,7 +471,7 @@ impl<'a> Verifier<'a> {
             InstKind::UnionInto => {
                 let dst = self.op_ty(&inst.operands[0]);
                 let src = self.op_ty(&inst.operands[1]);
-                match (&dst, &src) {
+                match (dst, src) {
                     (Type::Set { elem: a, .. }, Type::Set { elem: b, .. }) if a == b => {}
                     _ => return err(format!("union of incompatible sets {dst} and {src}")),
                 }
@@ -479,14 +479,14 @@ impl<'a> Verifier<'a> {
             InstKind::Bin(op) => {
                 let a = self.op_ty(&inst.operands[0]);
                 let b = self.op_ty(&inst.operands[1]);
-                if a != b || !a.is_numeric() && a != Type::Bool {
+                if a != b || !a.is_numeric() && *a != Type::Bool {
                     return err(format!(
                         "binary op on mismatched/non-numeric types {a}, {b}"
                     ));
                 }
                 let logical = matches!(op, BinOp::And | BinOp::Or | BinOp::Xor);
                 let bitwise = logical || matches!(op, BinOp::Shl | BinOp::Shr);
-                if a == Type::Bool && !logical || a == Type::F64 && bitwise {
+                if *a == Type::Bool && !logical || *a == Type::F64 && bitwise {
                     return err(format!("{} is not defined on {a}", op.name()));
                 }
             }
@@ -497,12 +497,12 @@ impl<'a> Verifier<'a> {
                     return err(format!("comparison of {a} with {b}"));
                 }
             }
-            InstKind::Not if self.op_ty(&inst.operands[0]) != Type::Bool => {
+            InstKind::Not if *self.op_ty(&inst.operands[0]) != Type::Bool => {
                 return err("not of non-bool".into());
             }
             InstKind::Cast(ty) => {
                 let from = self.op_ty(&inst.operands[0]);
-                if !from.is_numeric() && from != Type::Bool {
+                if !from.is_numeric() && *from != Type::Bool {
                     return err("cast of non-numeric".into());
                 }
                 if !ty.is_numeric() {
@@ -528,7 +528,7 @@ impl<'a> Verifier<'a> {
                 for (op, &p) in inst.operands.iter().zip(&target.params) {
                     let got = self.op_ty(op);
                     let want = target.value_ty(p);
-                    if &got != want {
+                    if got != want {
                         return err(format!(
                             "call to @{}: argument type {got}, parameter wants {want}",
                             target.name
@@ -539,19 +539,19 @@ impl<'a> Verifier<'a> {
             InstKind::Enc(e) | InstKind::EnumAdd(e) => {
                 let key = enum_key(*e)?;
                 let got = self.op_ty(&inst.operands[0]);
-                if got != *key {
+                if got != key {
                     return err(format!("enum op on {got}, enum keys are {key}"));
                 }
             }
-            InstKind::Dec(_) if self.op_ty(&inst.operands[0]) != Type::Idx => {
+            InstKind::Dec(_) if *self.op_ty(&inst.operands[0]) != Type::Idx => {
                 return err("dec takes an idx".into());
             }
-            InstKind::If if self.op_ty(&inst.operands[0]) != Type::Bool => {
+            InstKind::If if *self.op_ty(&inst.operands[0]) != Type::Bool => {
                 return err("if condition must be bool".into());
             }
             InstKind::ForRange => {
                 for op in &inst.operands[..2] {
-                    if self.op_ty(op) != Type::U64 {
+                    if *self.op_ty(op) != Type::U64 {
                         return err("forrange bounds must be u64".into());
                     }
                 }
@@ -560,8 +560,8 @@ impl<'a> Verifier<'a> {
                 let got = inst
                     .operands
                     .first()
-                    .map_or(Type::Void, |op| self.op_ty(op));
-                if got != self.func.ret_ty {
+                    .map_or(&Type::Void, |op| self.op_ty(op));
+                if *got != self.func.ret_ty {
                     return err(format!(
                         "return of {got} from fn returning {}",
                         self.func.ret_ty
