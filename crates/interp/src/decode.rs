@@ -6,39 +6,78 @@
 //! - every opcode that is not control flow or a side channel decodes to
 //!   the [`BulkOp`] a loop plan runs ([`DInst::Op`]), so dispatch and
 //!   loop plans execute one operation set through one executor,
-//! - every operand is a frame slot: a nesting path (`%g[%u]`, `%t.1`)
-//!   is lowered once, in operand order, into steps that run in the
-//!   instruction's own slot before it and leave the addressed value in a
-//!   scratch slot past the SSA frame ([`DInst::Lowered`]),
-//! - constants are pooled once per distinct value as prebuilt
-//!   [`Value`]s (executing a string const bumps an `Arc` instead of
-//!   reallocating), and each literal collection's elements as one
-//!   prebuilt table,
+//! - every operand is a frame [`Slot`] typed by its verified static
+//!   type: a register kind lives as raw bits in the activation's `u64`
+//!   register file, `str` and tuples as [`Value`]s in its side file
+//!   ([`Kind`]), so scalar ops specialise to their operands' kind at
+//!   decode ([`UScalar`]) and moves are plain copies,
+//! - a nesting path (`%g[%u]`, `%t.1`) is lowered once, in operand
+//!   order, into steps that run in the instruction's own slot before it
+//!   and leave the addressed value in a scratch slot past the SSA frame
+//!   ([`DInst::Lowered`]),
+//! - constants are pooled once per distinct value, as register bits or
+//!   prebuilt strings (executing a string const bumps an `Arc` instead
+//!   of reallocating), and each literal collection's elements as one
+//!   prebuilt table of register bits or strings,
 //! - region targets become contiguous index ranges into the decoded
 //!   stream,
-//! - statically derivable facts (insert flavor, union element type,
-//!   foreach binding shape and key uncoercion) are computed once here
-//!   instead of per execution.
+//! - statically derivable facts (insert flavor, union element kind,
+//!   foreach binding shape) are computed once here instead of per
+//!   execution.
 //!
 //! Decoding is purely structural: it must not change program behavior,
-//! instrumentation counts, or fuel accounting. In debug builds it also
-//! runs [`ade_ir::verify::verify_module`] so a linearity violation can
-//! never hide behind the faster execution path.
+//! instrumentation counts, or fuel accounting. It first runs
+//! [`ade_ir::verify::verify_module`], in every build: the slot kinds it
+//! reads off the static types are only sound on verified IR.
 
 use std::collections::HashMap;
 
 use ade_ir::{
     Access, BinOp, CmpOp, ConstVal, FuncId, Function, Inst, InstKind, LiteralData, Module, Operand,
-    RegionId, Scalar, Type,
+    RegionId, Scalar, Type, ValueId,
 };
 
-use crate::value::Value;
+use crate::value::{Kind, Value};
 use crate::ExecError;
 
-/// A decoded instruction. Frame slots are `u32` indices into the
-/// per-call frame: SSA value ids are already dense, so an SSA value's
-/// slot is its id, and the scratch slots of lowered nesting paths follow
-/// them.
+/// A frame slot: an index into the per-call frame and the slot's
+/// [`Kind`]. SSA value ids are already dense, so an SSA value's slot
+/// index is its id, and the scratch slots of lowered nesting paths
+/// follow them. A register kind's slot indexes the activation's `u64`
+/// register file, a [`Kind::Boxed`] slot its side file of [`Value`]s.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Slot {
+    index: u32,
+    kind: Kind,
+}
+
+impl Slot {
+    /// The slot at `index` holding values of `kind`.
+    pub fn new(index: usize, kind: Kind) -> Slot {
+        let index = u32::try_from(index).expect("frame slot fits u32");
+        Slot { index, kind }
+    }
+
+    /// The slot's index in its file.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.index as usize
+    }
+
+    /// What the slot holds.
+    #[inline]
+    pub fn kind(self) -> Kind {
+        self.kind
+    }
+
+    /// Whether the slot is in the side file.
+    #[inline]
+    pub fn is_boxed(self) -> bool {
+        self.kind == Kind::Boxed
+    }
+}
+
+/// A decoded instruction over frame [`Slot`]s.
 #[derive(Clone, Debug)]
 pub enum DInst {
     /// A straight-line operation (every opcode but control flow, calls,
@@ -63,85 +102,82 @@ pub enum DInst {
         /// Callee.
         callee: FuncId,
         /// Argument slots.
-        args: Box<[u32]>,
+        args: Box<[Slot]>,
         /// Destination slot for the return value, if bound.
-        dst: Option<u32>,
+        dst: Option<Slot>,
     },
     /// Print a record of slots.
     Print {
         /// Printed slots, in order.
-        srcs: Box<[u32]>,
+        srcs: Box<[Slot]>,
     },
     /// Structured if-else.
     If {
         /// Condition slot.
-        cond: u32,
+        cond: Slot,
         /// Decoded region index of the then-block.
         then_r: u32,
         /// Decoded region index of the else-block.
         else_r: u32,
         /// Destination slots for the region's yields.
-        dsts: Box<[u32]>,
+        dsts: Box<[Slot]>,
     },
     /// For-each over a collection.
     ForEach {
         /// Collection slot.
-        coll: u32,
+        coll: Slot,
         /// Initial carried value slots.
-        carried: Box<[u32]>,
+        carried: Box<[Slot]>,
         /// Decoded body region index.
         body: u32,
         /// Whether the body binds `(key, value)` (sequences and maps)
         /// rather than just the element.
         binds_value: bool,
-        /// Whether iterated dense keys must be presented as `u64`
-        /// (directive-forced dense collection over a `u64` domain).
-        uncoerce_u64: bool,
         /// Destination slots for the final carried values.
-        dsts: Box<[u32]>,
+        dsts: Box<[Slot]>,
     },
     /// Counted loop over `[lo, hi)`.
     ForRange {
         /// Lower bound slot.
-        lo: u32,
+        lo: Slot,
         /// Upper bound slot.
-        hi: u32,
+        hi: Slot,
         /// Initial carried value slots.
-        carried: Box<[u32]>,
+        carried: Box<[Slot]>,
         /// Decoded body region index.
         body: u32,
         /// Destination slots for the final carried values.
-        dsts: Box<[u32]>,
+        dsts: Box<[Slot]>,
     },
     /// Do-while loop.
     DoWhile {
         /// Initial carried value slots.
-        carried: Box<[u32]>,
+        carried: Box<[Slot]>,
         /// Decoded body region index.
         body: u32,
         /// Destination slots for the final carried values.
-        dsts: Box<[u32]>,
+        dsts: Box<[Slot]>,
     },
     /// Region terminator carrying results to the parent.
     Yield {
         /// Yielded slots.
-        srcs: Box<[u32]>,
+        srcs: Box<[Slot]>,
     },
     /// [`DInst::Yield`] rewritten at decode time to move its
     /// values straight into the consumer's destination slots — the next
     /// iteration's carried args for a loop body, the branch's dsts for
-    /// an if arm — skipping the heap-allocated yield buffer.
+    /// an if arm — skipping the interpreter's yield buffers.
     /// Only built where no copy overwrites a later copy's source.
     YieldDirect {
         /// Source slots, copied in order.
-        srcs: Box<[u32]>,
+        srcs: Box<[Slot]>,
         /// Destination slots, `dsts[j] = srcs[j]`.
-        dsts: Box<[u32]>,
+        dsts: Box<[Slot]>,
     },
     /// Function return.
     Ret {
         /// Returned slot, if any.
-        src: Option<u32>,
+        src: Option<Slot>,
     },
     /// Region-of-interest marker.
     Roi {
@@ -164,34 +200,31 @@ pub enum DInst {
     /// [`DInst::ForEach`] with a compiled bulk body plan.
     ForEachBulk {
         /// Collection slot.
-        coll: u32,
+        coll: Slot,
         /// Initial carried value slots.
-        carried: Box<[u32]>,
+        carried: Box<[Slot]>,
         /// Decoded body region index.
         body: u32,
         /// Whether the body binds `(key, value)` (sequences and maps)
         /// rather than just the element.
         binds_value: bool,
-        /// Whether iterated dense keys must be presented as `u64`
-        /// (directive-forced dense collection over a `u64` domain).
-        uncoerce_u64: bool,
         /// Destination slots for the final carried values.
-        dsts: Box<[u32]>,
+        dsts: Box<[Slot]>,
         /// The compiled body plan.
         plan: Box<BulkPlan>,
     },
     /// [`DInst::ForRange`] with a compiled bulk body plan.
     ForRangeBulk {
         /// Lower bound slot.
-        lo: u32,
+        lo: Slot,
         /// Upper bound slot.
-        hi: u32,
+        hi: Slot,
         /// Initial carried value slots.
-        carried: Box<[u32]>,
+        carried: Box<[Slot]>,
         /// Decoded body region index.
         body: u32,
         /// Destination slots for the final carried values.
-        dsts: Box<[u32]>,
+        dsts: Box<[Slot]>,
         /// The compiled body plan.
         plan: Box<BulkPlan>,
     },
@@ -211,45 +244,63 @@ impl DInst {
     }
 }
 
-/// A scalar micro-op over plain slots: a [`BulkOp::Scalar`] step,
-/// executed through the interpreter's one scalar step.
+/// A scalar op over register slots, specialised at decode to its
+/// operands' static kind, which their slots carry: a
+/// [`BulkOp::Scalar`] step. Nothing here matches a runtime tag.
+///
+/// `u64`, `idx` and `bool` compute unsigned (the `and`, `or` and `xor`
+/// of `bool` are the bitwise ones on 0 and 1), `i64` signed and `f64`
+/// in IEEE arithmetic; comparisons order `f64` by `total_cmp` (so `eq`
+/// is bit-pattern equality), collection handles unsigned, and `str`
+/// and tuple slots by [`Value`]'s order.
 #[derive(Clone, Copy, Debug)]
 pub enum UScalar {
-    /// Copy a pooled constant into `dst`.
+    /// Copy a pooled constant into `dst`: register bits from
+    /// [`DFunc::consts`], or for a boxed `dst` a string from
+    /// [`DFunc::strs`].
     Const {
-        /// Index into [`DFunc::consts`].
+        /// Index into the pool of `dst`'s file.
         pool: u32,
         /// Destination slot.
-        dst: u32,
+        dst: Slot,
     },
-    /// Binary arithmetic/logic over two slots.
+    /// Binary arithmetic/logic over two registers of one kind.
     Bin {
         /// Operator.
         op: BinOp,
         /// Left operand slot.
-        a: u32,
+        a: Slot,
         /// Right operand slot.
-        b: u32,
+        b: Slot,
         /// Destination slot.
-        dst: u32,
+        dst: Slot,
     },
-    /// Comparison over two slots.
+    /// Comparison of two slots of one kind.
     Cmp {
         /// Operator.
         op: CmpOp,
         /// Left operand slot.
-        a: u32,
+        a: Slot,
         /// Right operand slot.
-        b: u32,
+        b: Slot,
         /// Destination slot.
-        dst: u32,
+        dst: Slot,
     },
-    /// Logical negation of a slot.
+    /// Logical negation of a `bool` register.
     Not {
         /// Operand slot.
-        a: u32,
+        a: Slot,
         /// Destination slot.
-        dst: u32,
+        dst: Slot,
+    },
+    /// Numeric conversion from `a`'s kind to `dst`'s: the bits stay
+    /// between integer kinds and `bool`; `f64` to an integer kind is
+    /// Rust's saturating `as u64`.
+    Cast {
+        /// Operand slot.
+        a: Slot,
+        /// Destination slot.
+        dst: Slot,
     },
 }
 
@@ -273,7 +324,7 @@ pub struct BulkPlan {
     /// Source slots of the body's terminal yield, copied into the
     /// carried argument slots after each iteration (already checked for
     /// write-before-read hazards, like [`DInst::YieldDirect`]).
-    pub yield_srcs: Box<[u32]>,
+    pub yield_srcs: Box<[Slot]>,
     /// Body slots after the last op, terminator included: the ticks an
     /// iteration takes beyond its ops' [`PlanOp::ticks`].
     pub tail: u32,
@@ -314,173 +365,164 @@ pub struct PlanOp {
 /// instructions of a loop body.
 #[derive(Clone, Debug)]
 pub enum BulkOp {
-    /// A `const`, arithmetic, comparison or negation step.
+    /// A `const`, arithmetic, comparison, negation or cast step.
     Scalar(UScalar),
-    /// Numeric conversion to a pooled type.
-    Cast {
-        /// Pooled target type.
-        ty: u32,
-        /// Operand slot.
-        a: u32,
-        /// Destination slot.
-        dst: u32,
-    },
     /// Project one tuple field: the lowering of a `Field` step of a
     /// nesting path (see [`DInst::Lowered`]).
     Proj {
         /// Slot holding the tuple.
-        base: u32,
+        base: Slot,
         /// Field index.
         field: u32,
         /// Destination (scratch) slot.
-        dst: u32,
+        dst: Slot,
     },
     /// `read(c, k)`; also the lowering of an `Index` step of a nesting
     /// path (see [`DInst::Lowered`]).
     Read {
         /// Collection slot.
-        coll: u32,
+        coll: Slot,
         /// Key slot.
-        key: u32,
+        key: Slot,
         /// Destination slot.
-        dst: u32,
+        dst: Slot,
     },
     /// `write(c, k, v) → c'`.
     Write {
         /// Collection slot.
-        coll: u32,
+        coll: Slot,
         /// Key slot.
-        key: u32,
+        key: Slot,
         /// Value slot.
-        val: u32,
+        val: Slot,
         /// Base slot of the collection operand (see [`BulkOp::InsertSet`]).
-        base: u32,
+        base: Slot,
         /// Destination slot (receives the base collection's handle).
-        dst: u32,
+        dst: Slot,
     },
     /// `has(c, k)`.
     Has {
         /// Collection slot.
-        coll: u32,
+        coll: Slot,
         /// Key slot.
-        key: u32,
+        key: Slot,
         /// Destination slot.
-        dst: u32,
+        dst: Slot,
     },
     /// Set-flavored insert.
     InsertSet {
         /// Collection slot.
-        coll: u32,
+        coll: Slot,
         /// Element slot.
-        elem: u32,
+        elem: Slot,
         /// Base slot of the collection operand: `coll` itself, or the
         /// outermost collection when `coll` holds a nested collection a
         /// lowered path reached. Its handle is the writer's result, as in
         /// dispatch.
-        base: u32,
+        base: Slot,
         /// Destination slot (receives the base collection's handle).
-        dst: u32,
+        dst: Slot,
     },
     /// Map-flavored insert.
     InsertMap {
         /// Collection slot.
-        coll: u32,
+        coll: Slot,
         /// Key slot.
-        key: u32,
+        key: Slot,
         /// Pooled value type used for default initialization.
         val_ty: u32,
         /// Base slot of the collection operand (see [`BulkOp::InsertSet`]).
-        base: u32,
+        base: Slot,
         /// Destination slot (receives the base collection's handle).
-        dst: u32,
+        dst: Slot,
     },
     /// Sequence-flavored insert.
     InsertSeq {
         /// Collection slot.
-        coll: u32,
+        coll: Slot,
         /// Index slot.
-        index: u32,
+        index: Slot,
         /// Value slot.
-        val: u32,
+        val: Slot,
         /// Base slot of the collection operand (see [`BulkOp::InsertSet`]).
-        base: u32,
+        base: Slot,
         /// Destination slot (receives the base collection's handle).
-        dst: u32,
+        dst: Slot,
     },
     /// `remove(c, k) → c'`.
     Remove {
         /// Collection slot.
-        coll: u32,
+        coll: Slot,
         /// Key slot.
-        key: u32,
+        key: Slot,
         /// Base slot of the collection operand (see [`BulkOp::InsertSet`]).
-        base: u32,
+        base: Slot,
         /// Destination slot (receives the base collection's handle).
-        dst: u32,
+        dst: Slot,
     },
     /// `size(c)`.
     Size {
         /// Collection slot.
-        coll: u32,
+        coll: Slot,
         /// Destination slot.
-        dst: u32,
+        dst: Slot,
     },
     /// The length of a collection, with no `Size` count: the key an
     /// `end` step of a nesting path reads at.
     Len {
         /// Collection slot.
-        coll: u32,
+        coll: Slot,
         /// Destination (scratch) slot.
-        dst: u32,
+        dst: Slot,
     },
     /// `clear(c) → c'`.
     Clear {
         /// Collection slot.
-        coll: u32,
+        coll: Slot,
         /// Base slot of the collection operand (see [`BulkOp::InsertSet`]).
-        base: u32,
+        base: Slot,
         /// Destination slot (receives the base collection's handle).
-        dst: u32,
+        dst: Slot,
     },
     /// `union(dst, src) → dst'`.
     Union {
         /// Destination-collection slot.
-        coll: u32,
+        coll: Slot,
         /// Source-collection slot.
-        src: u32,
-        /// Pooled element type of the destination.
-        elem_ty: u32,
+        src: Slot,
+        /// Element kind of the destination.
+        elem: Kind,
         /// Base slot of the destination operand (see [`BulkOp::InsertSet`]).
-        base: u32,
+        base: Slot,
         /// Destination slot (receives the base collection's handle).
-        dst: u32,
+        dst: Slot,
     },
     /// `enc(e, v)`.
     Enc {
         /// Enumeration index.
         e: u32,
         /// Key slot.
-        v: u32,
+        v: Slot,
         /// Destination slot.
-        dst: u32,
+        dst: Slot,
     },
     /// `dec(e, i)`.
     Dec {
         /// Enumeration index.
         e: u32,
         /// Identifier slot.
-        v: u32,
+        v: Slot,
         /// Destination slot.
-        dst: u32,
+        dst: Slot,
     },
     /// `add(e, v)`.
     EnumAdd {
         /// Enumeration index.
         e: u32,
         /// Key slot.
-        v: u32,
+        v: Slot,
         /// Destination slot.
-        dst: u32,
+        dst: Slot,
     },
     /// Materialize a literal collection: allocate a sequence of a pooled
     /// type and append a pooled table's elements, each first added to
@@ -495,21 +537,21 @@ pub enum BulkOp {
         /// Enumeration the elements are added to, if any.
         e: Option<u32>,
         /// Destination slot.
-        dst: u32,
+        dst: Slot,
     },
     /// Allocate a collection (or default scalar/tuple) of a pooled type.
     New {
         /// Index into [`DFunc::types`].
         ty: u32,
         /// Destination slot.
-        dst: u32,
+        dst: Slot,
     },
     /// Pack slots into a tuple value.
     Tuple {
         /// Field slots, in order.
-        srcs: Box<[u32]>,
+        srcs: Box<[Slot]>,
         /// Destination slot.
-        dst: u32,
+        dst: Slot,
     },
     /// A nested `foreach`/`forrange`, run to completion in place through
     /// its own plan. The loop header at this op's site supplies the
@@ -524,21 +566,21 @@ pub enum BulkOp {
     /// branches and loops included.
     If {
         /// Condition slot.
-        cond: u32,
+        cond: Slot,
         /// Then-arm components.
         then_ops: Box<[PlanOp]>,
         /// Then-arm yield source slots.
-        then_srcs: Box<[u32]>,
+        then_srcs: Box<[Slot]>,
         /// Else-arm components.
         else_ops: Box<[PlanOp]>,
         /// Else-arm yield source slots.
-        else_srcs: Box<[u32]>,
+        else_srcs: Box<[Slot]>,
         /// Then-arm slots after its last op, terminator included.
         then_tail: u32,
         /// Else-arm slots after its last op, terminator included.
         else_tail: u32,
         /// Destination slots receiving the taken arm's yields.
-        dsts: Box<[u32]>,
+        dsts: Box<[Slot]>,
     },
 }
 
@@ -547,7 +589,7 @@ pub enum BulkOp {
 #[derive(Clone, Debug)]
 pub struct DRegion {
     /// Frame slots of the region arguments.
-    pub args: Box<[u32]>,
+    pub args: Box<[Slot]>,
     /// First instruction in [`DFunc::code`].
     pub start: u32,
     /// One past the last instruction in [`DFunc::code`].
@@ -562,21 +604,28 @@ pub struct DFunc {
     /// [`Module`] alive alongside the decoded stream.
     pub name: String,
     /// Number of frame slots: one per SSA value, then one scratch slot
-    /// per lowered path step ([`DInst::Lowered`]).
+    /// per lowered path step ([`DInst::Lowered`]). An activation's
+    /// register file has this many entries.
     pub frame_size: u32,
+    /// Entries of an activation's side file: `frame_size` when any slot
+    /// is [`Kind::Boxed`], else none.
+    pub side_size: u32,
     /// Frame slots of the parameters, in order.
-    pub params: Box<[u32]>,
+    pub params: Box<[Slot]>,
     /// Decoded index of the body region.
     pub body: u32,
     /// Regions, indexed identically to the source function's arena.
     pub regions: Box<[DRegion]>,
     /// The flat instruction stream (regions occupy disjoint ranges).
     pub code: Box<[DInst]>,
-    /// Prebuilt constant pool, one entry per distinct constant.
-    pub consts: Box<[Value]>,
+    /// Register bits of the pooled scalar constants, one entry per
+    /// distinct constant.
+    pub consts: Box<[u64]>,
+    /// The pooled string constants, one entry per distinct string.
+    pub strs: Box<[Value]>,
     /// Prebuilt element tables of the function's literal collections.
-    pub literals: Box<[Box<[Value]>]>,
-    /// Pooled static types (allocation, cast, defaults, union elems).
+    pub literals: Box<[Table]>,
+    /// Pooled static types (allocation and map-insert defaults).
     pub types: Box<[Type]>,
     /// Every `foreach`/`forrange` header loop fusion left generic, with
     /// the stable reason its body did not compile to a [`BulkPlan`]
@@ -586,6 +635,15 @@ pub struct DFunc {
     /// copies would overwrite one of their own sources). Empty under
     /// [`DecodeOptions::reference`], which tries no loop.
     pub generic_loops: Box<[(u32, &'static str)]>,
+}
+
+/// The elements of a literal collection, as its slots would hold them.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Table {
+    /// `u64` elements as register bits.
+    Bits(Box<[u64]>),
+    /// String elements.
+    Boxed(Box<[Value]>),
 }
 
 /// A fully decoded module.
@@ -677,14 +735,17 @@ struct FuncDecoder<'f> {
     func: &'f Function,
     code: Vec<DInst>,
     regions: Vec<DRegion>,
-    consts: Vec<Value>,
-    /// Each pooled constant's index in `consts`.
+    consts: Vec<u64>,
+    strs: Vec<Value>,
+    /// Each pooled constant's index in `consts` or `strs`.
     const_index: HashMap<ConstVal, u32>,
-    literals: Vec<Box<[Value]>>,
+    literals: Vec<Table>,
     types: Vec<Type>,
     /// Frame slots so far: the SSA slots, then one scratch slot per
     /// lowered path step.
     frame_size: u32,
+    /// Whether any slot so far is [`Kind::Boxed`].
+    boxed: bool,
     /// The code slot of the instruction being decoded.
     site: u32,
     /// The path steps its operands lowered to so far.
@@ -704,10 +765,12 @@ fn decode_function(func: &Function) -> DFunc {
             func.regions.len()
         ],
         consts: Vec::new(),
+        strs: Vec::new(),
         const_index: HashMap::new(),
         literals: Vec::new(),
         types: Vec::new(),
         frame_size: u32::try_from(func.values.len()).expect("frame fits u32"),
+        boxed: func.values.iter().any(|v| Kind::of(&v.ty) == Kind::Boxed),
         site: 0,
         steps: Vec::new(),
     };
@@ -719,11 +782,13 @@ fn decode_function(func: &Function) -> DFunc {
     DFunc {
         name: func.name.clone(),
         frame_size: d.frame_size,
-        params: func.params.iter().map(|p| slot(p.index())).collect(),
+        side_size: if d.boxed { d.frame_size } else { 0 },
+        params: func.params.iter().map(|&p| d.value_slot(p)).collect(),
         body: u32::try_from(func.body.index()).expect("region fits u32"),
         regions: d.regions.into_boxed_slice(),
         code: d.code.into_boxed_slice(),
         consts: d.consts.into_boxed_slice(),
+        strs: d.strs.into_boxed_slice(),
         literals: d.literals.into_boxed_slice(),
         types: d.types.into_boxed_slice(),
         generic_loops: Box::new([]),
@@ -731,7 +796,7 @@ fn decode_function(func: &Function) -> DFunc {
 }
 
 fn slot(index: usize) -> u32 {
-    u32::try_from(index).expect("frame slot fits u32")
+    u32::try_from(index).expect("code slot fits u32")
 }
 
 impl<'f> FuncDecoder<'f> {
@@ -756,35 +821,50 @@ impl<'f> FuncDecoder<'f> {
         }
         let end = slot(self.code.len());
         self.regions[r.index()] = DRegion {
-            args: region.args.iter().map(|a| slot(a.index())).collect(),
+            args: region.args.iter().map(|&a| self.value_slot(a)).collect(),
             start,
             end,
         };
     }
 
+    /// The slot of SSA value `v`, of its static type's kind.
+    fn value_slot(&self, v: ValueId) -> Slot {
+        Slot::new(v.index(), Kind::of(self.func.value_ty(v)))
+    }
+
     /// The pool index of constant `c`, shared by every equal constant of
-    /// the function (floats compare by bit pattern).
+    /// the function (floats compare by bit pattern): in `strs` for a
+    /// string, else in `consts`.
     fn pool_const(&mut self, c: &ConstVal) -> u32 {
         if let Some(&i) = self.const_index.get(c) {
             return i;
         }
-        let v = match c {
-            ConstVal::Bool(b) => Value::Bool(*b),
-            ConstVal::U64(n) => Value::U64(*n),
-            ConstVal::I64(n) => Value::I64(*n),
-            ConstVal::F64(n) => Value::F64(*n),
-            ConstVal::Str(s) => Value::Str(s.as_str().into()),
+        let i = match c {
+            ConstVal::Str(s) => {
+                self.strs.push(Value::Str(s.as_str().into()));
+                self.strs.len() - 1
+            }
+            ConstVal::Bool(b) => self.pool_bits(u64::from(*b)),
+            ConstVal::U64(n) => self.pool_bits(*n),
+            ConstVal::I64(n) => self.pool_bits(*n as u64),
+            ConstVal::F64(n) => self.pool_bits(n.to_bits()),
         };
-        let i = slot(self.consts.len());
-        self.consts.push(v);
+        let i = slot(i);
         self.const_index.insert(c.clone(), i);
         i
     }
 
+    fn pool_bits(&mut self, bits: u64) -> usize {
+        self.consts.push(bits);
+        self.consts.len() - 1
+    }
+
     fn pool_literal(&mut self, elems: &LiteralData) -> u32 {
         let table = match elems {
-            LiteralData::U64(v) => v.iter().map(|&n| Value::U64(n)).collect(),
-            LiteralData::Str(v) => v.iter().map(|s| Value::Str(s.as_str().into())).collect(),
+            LiteralData::U64(v) => Table::Bits(v.iter().copied().collect()),
+            LiteralData::Str(v) => {
+                Table::Boxed(v.iter().map(|s| Value::Str(s.as_str().into())).collect())
+            }
         };
         self.literals.push(table);
         slot(self.literals.len() - 1)
@@ -799,10 +879,12 @@ impl<'f> FuncDecoder<'f> {
     }
 
     /// Appends a path step of the current instruction, writing a fresh
-    /// scratch slot, and returns that slot.
-    fn step(&mut self, op: impl FnOnce(u32) -> BulkOp) -> u32 {
-        let dst = self.frame_size;
-        self.frame_size = dst.checked_add(1).expect("frame fits u32");
+    /// scratch slot of static type `ty`, and returns that slot.
+    fn step(&mut self, ty: &Type, op: impl FnOnce(Slot) -> BulkOp) -> Slot {
+        let kind = Kind::of(ty);
+        let dst = Slot::new(self.frame_size as usize, kind);
+        self.frame_size = self.frame_size.checked_add(1).expect("frame fits u32");
+        self.boxed |= kind == Kind::Boxed;
         self.steps.push(PlanOp {
             site: self.site,
             ticks: 0,
@@ -814,44 +896,53 @@ impl<'f> FuncDecoder<'f> {
     /// The slot holding an operand's value: its base slot, or the scratch
     /// slot its path steps leave the addressed value in (see
     /// [`DInst::Lowered`]).
-    fn op(&mut self, operand: &Operand) -> u32 {
-        let mut cur = slot(operand.base.index());
+    fn op(&mut self, operand: &Operand) -> Slot {
+        let func: &'f Function = self.func;
+        let mut cur = self.value_slot(operand.base);
+        let mut ty = func.value_ty(operand.base);
         for step in &operand.path {
-            cur = match *step {
-                Access::Field(field) => self.step(|dst| BulkOp::Proj {
-                    base: cur,
-                    field,
-                    dst,
-                }),
-                Access::Index(index) => {
+            let base = cur;
+            (cur, ty) = match (*step, ty) {
+                (Access::Field(field), Type::Tuple(elems)) => {
+                    let field_ty = &elems[field as usize];
+                    let dst = self.step(field_ty, |dst| BulkOp::Proj { base, field, dst });
+                    (dst, field_ty)
+                }
+                (Access::Index(index), Type::Seq(val) | Type::Map { val, .. }) => {
                     let key = match index {
-                        Scalar::Value(v) => slot(v.index()),
+                        Scalar::Value(v) => self.value_slot(v),
                         Scalar::Const(n) => {
                             let pool = self.pool_const(&ConstVal::U64(n));
-                            self.step(|dst| BulkOp::Scalar(UScalar::Const { pool, dst }))
+                            self.step(&Type::U64, |dst| {
+                                BulkOp::Scalar(UScalar::Const { pool, dst })
+                            })
                         }
-                        Scalar::End => self.step(|dst| BulkOp::Len { coll: cur, dst }),
+                        Scalar::End => {
+                            self.step(&Type::U64, |dst| BulkOp::Len { coll: base, dst })
+                        }
                     };
-                    self.step(|dst| BulkOp::Read {
-                        coll: cur,
+                    let dst = self.step(val, |dst| BulkOp::Read {
+                        coll: base,
                         key,
                         dst,
-                    })
+                    });
+                    (dst, &**val)
                 }
+                (step, ty) => unreachable!("{step:?} on {ty}: the verifier checks every path"),
             };
         }
         cur
     }
 
-    fn ops(&mut self, operands: &[Operand]) -> Box<[u32]> {
+    fn ops(&mut self, operands: &[Operand]) -> Box<[Slot]> {
         operands.iter().map(|o| self.op(o)).collect()
     }
 
-    fn dsts(&self, inst: &Inst) -> Box<[u32]> {
-        inst.results.iter().map(|r| slot(r.index())).collect()
+    fn dsts(&self, inst: &Inst) -> Box<[Slot]> {
+        inst.results.iter().map(|&r| self.value_slot(r)).collect()
     }
 
-    /// Static type of the collection an operand addresses.
+    /// Static type of the value an operand addresses.
     fn target_type(&self, operand: &Operand) -> &'f Type {
         ade_ir::builder::operand_type_in(self.func, operand)
     }
@@ -865,7 +956,7 @@ impl<'f> FuncDecoder<'f> {
                 return DInst::Call {
                     callee: *callee,
                     args: self.ops(ops),
-                    dst: inst.results.first().map(|r| slot(r.index())),
+                    dst: inst.results.first().map(|&r| self.value_slot(r)),
                 }
             }
             InstKind::Print => {
@@ -888,7 +979,6 @@ impl<'f> FuncDecoder<'f> {
                     carried: self.ops(&ops[1..]),
                     body: slot(inst.regions[0].index()),
                     binds_value: matches!(coll_ty, Type::Seq(_) | Type::Map { .. }),
-                    uncoerce_u64: coll_ty.key_type() == Some(&Type::U64),
                     dsts: self.dsts(inst),
                 };
             }
@@ -919,7 +1009,7 @@ impl<'f> FuncDecoder<'f> {
                 }
             }
             InstKind::Roi(begin) => return DInst::Roi { begin: *begin },
-            kind => self.decode_op(kind, ops, slot(inst.results[0].index())),
+            kind => self.decode_op(kind, ops, self.value_slot(inst.results[0])),
         };
         DInst::Op(PlanOp {
             site: self.site,
@@ -930,8 +1020,8 @@ impl<'f> FuncDecoder<'f> {
 
     /// The [`BulkOp`] of a straight-line instruction writing `dst`. A
     /// writer's result is its collection operand's base handle.
-    fn decode_op(&mut self, kind: &InstKind, ops: &[Operand], dst: u32) -> BulkOp {
-        let base = |o: &Operand| slot(o.base.index());
+    fn decode_op(&mut self, kind: &InstKind, ops: &[Operand], dst: Slot) -> BulkOp {
+        let base = |d: &Self, o: &Operand| d.value_slot(o.base);
         match kind {
             InstKind::Const(c) => BulkOp::Scalar(UScalar::Const {
                 pool: self.pool_const(c),
@@ -956,7 +1046,7 @@ impl<'f> FuncDecoder<'f> {
                 coll: self.op(&ops[0]),
                 key: self.op(&ops[1]),
                 val: self.op(&ops[2]),
-                base: base(&ops[0]),
+                base: base(self, &ops[0]),
                 dst,
             },
             InstKind::Has => BulkOp::Has {
@@ -970,21 +1060,21 @@ impl<'f> FuncDecoder<'f> {
                     Type::Set { .. } => BulkOp::InsertSet {
                         coll,
                         elem: self.op(&ops[1]),
-                        base: base(&ops[0]),
+                        base: base(self, &ops[0]),
                         dst,
                     },
                     Type::Map { val, .. } => BulkOp::InsertMap {
                         coll,
                         key: self.op(&ops[1]),
                         val_ty: self.pool_type(val),
-                        base: base(&ops[0]),
+                        base: base(self, &ops[0]),
                         dst,
                     },
                     Type::Seq(_) => BulkOp::InsertSeq {
                         coll,
                         index: self.op(&ops[1]),
                         val: self.op(&ops[2]),
-                        base: base(&ops[0]),
+                        base: base(self, &ops[0]),
                         dst,
                     },
                     other => panic!("insert into {other}"),
@@ -993,32 +1083,28 @@ impl<'f> FuncDecoder<'f> {
             InstKind::Remove => BulkOp::Remove {
                 coll: self.op(&ops[0]),
                 key: self.op(&ops[1]),
-                base: base(&ops[0]),
+                base: base(self, &ops[0]),
                 dst,
             },
             InstKind::Clear => BulkOp::Clear {
                 coll: self.op(&ops[0]),
-                base: base(&ops[0]),
+                base: base(self, &ops[0]),
                 dst,
             },
             InstKind::Size => BulkOp::Size {
                 coll: self.op(&ops[0]),
                 dst,
             },
-            InstKind::UnionInto => {
-                let elem = self
+            InstKind::UnionInto => BulkOp::Union {
+                elem: self
                     .target_type(&ops[0])
                     .key_type()
-                    .cloned()
-                    .unwrap_or(Type::Idx);
-                BulkOp::Union {
-                    coll: self.op(&ops[0]),
-                    src: self.op(&ops[1]),
-                    elem_ty: self.pool_type(&elem),
-                    base: base(&ops[0]),
-                    dst,
-                }
-            }
+                    .map_or(Kind::Idx, Kind::of),
+                coll: self.op(&ops[0]),
+                src: self.op(&ops[1]),
+                base: base(self, &ops[0]),
+                dst,
+            },
             InstKind::Bin(op) => BulkOp::Scalar(UScalar::Bin {
                 op: *op,
                 a: self.op(&ops[0]),
@@ -1035,11 +1121,10 @@ impl<'f> FuncDecoder<'f> {
                 a: self.op(&ops[0]),
                 dst,
             }),
-            InstKind::Cast(ty) => BulkOp::Cast {
-                ty: self.pool_type(ty),
+            InstKind::Cast(_) => BulkOp::Scalar(UScalar::Cast {
                 a: self.op(&ops[0]),
                 dst,
-            },
+            }),
             InstKind::Tuple => BulkOp::Tuple {
                 srcs: self.ops(ops),
                 dst,
@@ -1075,7 +1160,7 @@ impl<'f> FuncDecoder<'f> {
 /// have. A yield with a write-before-read hazard between the copies
 /// keeps the buffered path.
 fn direct_yields(d: &mut DFunc) {
-    let mut plans: Vec<(u32, Box<[u32]>)> = Vec::new();
+    let mut plans: Vec<(u32, Box<[Slot]>)> = Vec::new();
     for inst in d.code.iter() {
         match inst.own() {
             DInst::ForRange { body, .. } | DInst::ForRangeBulk { body, .. } => {
@@ -1119,7 +1204,7 @@ fn direct_yields(d: &mut DFunc) {
 /// into the consumer's `dsts`: a [`DInst::Yield`] of matching length
 /// with no write-before-read hazard between the in-order copies. `None`
 /// for anything else.
-fn direct_srcs(term: &DInst, dsts: &[u32]) -> Option<Vec<u32>> {
+fn direct_srcs(term: &DInst, dsts: &[Slot]) -> Option<Vec<Slot>> {
     let DInst::Yield { srcs } = term else {
         return None;
     };
@@ -1192,7 +1277,6 @@ fn try_bulk_loop(d: &DFunc, idx: usize) -> Result<DInst, Reject> {
             carried,
             body,
             binds_value,
-            uncoerce_u64,
             dsts,
         } => {
             let region = &d.regions[*body as usize];
@@ -1203,7 +1287,6 @@ fn try_bulk_loop(d: &DFunc, idx: usize) -> Result<DInst, Reject> {
                 carried: carried.clone(),
                 body: *body,
                 binds_value: *binds_value,
-                uncoerce_u64: *uncoerce_u64,
                 dsts: dsts.clone(),
                 plan: Box::new(plan),
             }
@@ -1236,7 +1319,7 @@ fn try_bulk_loop(d: &DFunc, idx: usize) -> Result<DInst, Reject> {
 /// [`direct_yields`] applies). Top-level `const` ops are hoisted into the
 /// prelude: each writes a slot no other op writes (an SSA value, or the
 /// scratch slot of one constant path index).
-fn compile_plan(d: &DFunc, region: &DRegion, carried_args: &[u32]) -> Result<BulkPlan, Reject> {
+fn compile_plan(d: &DFunc, region: &DRegion, carried_args: &[Slot]) -> Result<BulkPlan, Reject> {
     let (ops, yield_srcs) = compile_body(d, region, carried_args)?;
     let (prelude, mut ops): (Vec<PlanOp>, Vec<PlanOp>) = ops
         .into_iter()
@@ -1311,8 +1394,8 @@ fn nest_depth(ops: &[PlanOp]) -> u32 {
 fn compile_body(
     d: &DFunc,
     region: &DRegion,
-    dsts: &[u32],
-) -> Result<(Vec<PlanOp>, Vec<u32>), Reject> {
+    dsts: &[Slot],
+) -> Result<(Vec<PlanOp>, Vec<Slot>), Reject> {
     let (start, end) = (region.start as usize, region.end as usize);
     let mut ops = Vec::new();
     for idx in start..end - 1 {
@@ -1455,14 +1538,15 @@ fn @main() -> void {
             .iter()
             .find_map(|i| match i {
                 DInst::ForEach {
-                    binds_value,
-                    uncoerce_u64,
-                    ..
-                } => Some((*binds_value, *uncoerce_u64)),
+                    binds_value, body, ..
+                } => Some((*binds_value, *body)),
                 _ => None,
             })
             .expect("foreach decoded");
-        assert_eq!(fe, (true, true));
+        assert!(fe.0, "a map binds key and value");
+        // The body binds `u64` key, value and carried sum as registers.
+        let args = &d.funcs[0].regions[fe.1 as usize].args;
+        assert!(args.iter().all(|a| a.kind() == Kind::U64), "{args:?}");
     }
 
     #[test]
@@ -1500,7 +1584,7 @@ fn @main() -> void {
                 field: 1,
                 dst,
                 ..
-            } if dst >= ssa_slots
+            } if dst.index() >= ssa_slots as usize && dst.kind() == Kind::U64
         ));
         // The projection's scratch slot lives past the SSA frame.
         assert!(
@@ -1553,7 +1637,10 @@ fn @main() -> void {
         // Each `%gc[%u]` is a counted read into its own scratch slot,
         // sited at (and ticked with) its consumer; the insert's result
         // is the outer map's handle.
-        let (s0, s1) = (ssa_slots, ssa_slots + 1);
+        let (s0, s1) = (
+            Slot::new(ssa_slots as usize, Kind::Coll),
+            Slot::new(ssa_slots as usize + 1, Kind::Coll),
+        );
         let shape: Vec<(u32, u32)> = plan
             .ops
             .iter()
@@ -1628,7 +1715,10 @@ fn @main() -> void {
         };
         // `%q[0]`: a pooled const in a scratch slot, hoisted (no other op
         // writes the slot), keys the counted read.
-        let (k, r) = (ssa_slots, ssa_slots + 1);
+        let (k, r) = (
+            Slot::new(ssa_slots as usize, Kind::U64),
+            Slot::new(ssa_slots as usize + 1, Kind::Coll),
+        );
         assert!(matches!(
             ops(plans[0]).as_slice(),
             [
@@ -1656,7 +1746,10 @@ fn @main() -> void {
             [BulkOp::Proj { field: 1, .. }]
         ));
         assert_eq!((plans[2].ops[0].ticks, plans[2].tail), (1, 0));
-        assert_eq!(plans[2].yield_srcs.as_ref(), &[f.frame_size - 1]);
+        assert_eq!(
+            plans[2].yield_srcs.as_ref(),
+            &[Slot::new(f.frame_size as usize - 1, Kind::U64)]
+        );
     }
 
     #[test]
@@ -1665,8 +1758,9 @@ fn @main() -> void {
             parse_module("fn @main() -> void {\n  %a = const \"hello\"\n  print %a\n  ret\n}\n")
                 .expect("parses");
         let d = reference(&m);
-        assert_eq!(d.funcs[0].consts.len(), 1);
-        assert_eq!(d.funcs[0].consts[0], Value::Str("hello".into()));
+        assert_eq!(d.funcs[0].strs.len(), 1);
+        assert_eq!(d.funcs[0].strs[0], Value::Str("hello".into()));
+        assert!(d.funcs[0].consts.is_empty());
     }
 
     #[test]
@@ -1759,13 +1853,10 @@ fn @main() -> void {
         };
         assert_eq!(f.types[ta as usize], Type::seq(Type::U64));
         assert_eq!(f.types[tb as usize], Type::seq(Type::Idx));
+        assert_eq!(f.literals[0], Table::Bits([4, 4, 1].into()));
         assert_eq!(
-            f.literals[0].as_ref(),
-            [Value::U64(4), Value::U64(4), Value::U64(1)]
-        );
-        assert_eq!(
-            f.literals[1].as_ref(),
-            [Value::Str("x".into()), Value::Str("y".into())]
+            f.literals[1],
+            Table::Boxed([Value::Str("x".into()), Value::Str("y".into())].into())
         );
     }
 

@@ -10,6 +10,14 @@
 //! original tree-walking core: the same [`CollOp`] bumps in the same
 //! phases, one tick per executed instruction.
 //!
+//! Each activation's frame is a register file: every slot whose verified
+//! static type is `bool`, `u64`, `i64`, `f64`, `idx` or a collection
+//! holds raw bits in a `u64` register, and only `str` and tuple slots
+//! hold [`Value`]s, in a side file ([`Frame`]). Scalar ops are typed at
+//! decode, loop binding, yields, call arguments and returns are plain
+//! register moves, and values are boxed only where they meet the heap,
+//! `print` or the entry's result, by the static type decode recorded.
+//!
 //! Control flow does not recurse on the host stack. A run's continuation
 //! is an explicit [`Machine`]: one activation (frame) per live call and
 //! one region cursor per entered region — function body, `if` arm, or
@@ -31,6 +39,7 @@
 //! runs only when neither a fuel limit nor a session grant can end the
 //! countdown's window.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -39,12 +48,12 @@ use ade_collections::SwissMap;
 use ade_ir::{BinOp, CmpOp, FuncId, Module, Type};
 
 use crate::decode::{
-    BulkOp, BulkPlan, DFunc, DInst, DecodeOptions, DecodedModule, PlanOp, UScalar,
+    BulkOp, BulkPlan, DFunc, DInst, DecodeOptions, DecodedModule, PlanOp, Slot, Table, UScalar,
 };
 use crate::heap::{CollId, Collection, SelectionDefaults};
 use crate::stats::{CollOp, ImplKind, Phase, Stats};
 use crate::trap::{Limit, TrapKind, TrapSite};
-use crate::value::Value;
+use crate::value::{Kind, Value};
 
 /// Interpreter configuration.
 #[derive(Clone, Debug)]
@@ -178,6 +187,8 @@ fn trap(kind: TrapKind) -> ExecError {
 /// A guest trap attributed to instruction `inst` of `func`. Bulk plan
 /// ops, which do not dispatch on their own, site their traps at the
 /// code slot of the original instruction, matching generic execution.
+#[cold]
+#[inline(never)]
 fn trap_at(func: &DFunc, inst: usize, kind: TrapKind) -> ExecError {
     ExecError::GuestTrap {
         site: Some(TrapSite {
@@ -265,13 +276,100 @@ impl Machine {
 #[derive(Debug)]
 struct Activation {
     fid: FuncId,
-    frame: Vec<Value>,
+    frame: Frame,
     /// The caller's `call` slot: where the return value lands, and where
     /// an error the callee cannot site is attributed. Unused for the
     /// entry activation.
     call_site: u32,
     /// Index of this activation's body cursor in [`Machine::cursors`].
     base: usize,
+}
+
+/// One activation's slots (see [`Slot`]): the `u64` register file,
+/// indexed by register slots, and the side file of boxed values, indexed
+/// by [`Kind::Boxed`] slots.
+#[derive(Debug)]
+struct Frame {
+    regs: Box<[u64]>,
+    side: Box<[Value]>,
+}
+
+impl Frame {
+    /// A frame for a call of `func`, every slot zero.
+    fn new(func: &DFunc) -> Frame {
+        Frame {
+            regs: vec![0; func.frame_size as usize].into_boxed_slice(),
+            side: vec![Value::Void; func.side_size as usize].into_boxed_slice(),
+        }
+    }
+
+    /// The bits in register slot `s`.
+    #[inline(always)]
+    fn reg(&self, s: Slot) -> u64 {
+        self.regs[s.index()]
+    }
+
+    #[inline(always)]
+    fn set_reg(&mut self, s: Slot, bits: u64) {
+        self.regs[s.index()] = bits;
+    }
+
+    /// The collection handle in register slot `s`.
+    #[inline(always)]
+    fn coll(&self, s: Slot) -> CollId {
+        CollId(self.reg(s) as u32)
+    }
+
+    /// The value in `s`, boxed by its kind.
+    #[inline(always)]
+    fn boxed(&self, s: Slot) -> Value {
+        match s.kind() {
+            Kind::Boxed => self.side[s.index()].clone(),
+            kind => Value::from_bits(kind, self.reg(s)),
+        }
+    }
+
+    /// The value in `s` as a heap key: borrowed from the side file, or
+    /// boxed from its register.
+    #[inline(always)]
+    fn key(&self, s: Slot) -> Cow<'_, Value> {
+        if s.is_boxed() {
+            Cow::Borrowed(&self.side[s.index()])
+        } else {
+            Cow::Owned(Value::from_bits(s.kind(), self.reg(s)))
+        }
+    }
+
+    /// Stores `v`, a value of `s`'s static type, into `s`.
+    #[inline(always)]
+    fn store(&mut self, s: Slot, v: Value) {
+        if s.is_boxed() {
+            self.side[s.index()] = v;
+        } else {
+            self.set_reg(s, v.bits());
+        }
+    }
+
+    /// Copies slot `s` into slot `t`, of the same kind.
+    #[inline(always)]
+    fn copy(&mut self, s: Slot, t: Slot) {
+        if t.is_boxed() {
+            self.side[t.index()] = self.side[s.index()].clone();
+        } else {
+            self.regs[t.index()] = self.regs[s.index()];
+        }
+    }
+
+    /// Copies slot `s` of `from` into slot `t` of this frame, of the
+    /// same kind: a call argument or a return value.
+    #[inline(always)]
+    fn copy_from(&mut self, from: &Frame, s: Slot, t: Slot) {
+        if t.is_boxed() {
+            self.side[t.index()] = from.side[s.index()].clone();
+        } else {
+            self.regs[t.index()] = from.regs[s.index()];
+        }
+    }
 }
 
 /// One entered region: the next code slot to run, the region's first
@@ -309,8 +407,48 @@ enum RegionKind {
 enum LoopIter {
     /// A `forrange`: the next index to bind, and the bound.
     Range { next: u64, hi: u64 },
-    /// A `foreach`: the snapshot entries not yet bound.
-    Each(std::vec::IntoIter<(Value, Value)>),
+    /// A `foreach`: the snapshot's keys and, when the body binds them,
+    /// its values, each in the bound argument's file, and the next entry
+    /// to bind.
+    Each {
+        keys: Column,
+        vals: Option<Column>,
+        next: usize,
+    },
+}
+
+/// One column of a `foreach` snapshot, held as its body argument's
+/// slots hold it.
+#[derive(Debug)]
+enum Column {
+    Bits(Vec<u64>),
+    Boxed(Vec<Value>),
+}
+
+impl Column {
+    /// The column of `values` for a slot of `kind`.
+    fn of<'v>(kind: Kind, values: impl Iterator<Item = &'v Value>) -> Column {
+        match kind {
+            Kind::Boxed => Column::Boxed(values.cloned().collect()),
+            _ => Column::Bits(values.map(Value::bits).collect()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Column::Bits(v) => v.len(),
+            Column::Boxed(v) => v.len(),
+        }
+    }
+
+    /// Moves entry `i` into slot `s`.
+    #[inline(always)]
+    fn bind(&mut self, frame: &mut Frame, s: Slot, i: usize) {
+        match self {
+            Column::Bits(v) => frame.set_reg(s, v[i]),
+            Column::Boxed(v) => frame.side[s.index()] = std::mem::take(&mut v[i]),
+        }
+    }
 }
 
 impl LoopIter {
@@ -318,30 +456,32 @@ impl LoopIter {
     fn is_done(&self) -> bool {
         match self {
             LoopIter::Range { next, hi } => next >= hi,
-            LoopIter::Each(rest) => rest.len() == 0,
+            LoopIter::Each { keys, next, .. } => *next == keys.len(),
         }
     }
 
-    /// Binds the next iteration's leading body arguments (the first
-    /// `bound` of `args`); `false` once no iteration is left.
+    /// Binds the next iteration's leading body arguments (the index,
+    /// key or element, then a value when the snapshot holds them);
+    /// `false` once no iteration is left.
     #[inline]
-    fn bind(&mut self, frame: &mut [Value], args: &[u32], bound: usize) -> bool {
+    fn bind(&mut self, frame: &mut Frame, args: &[Slot]) -> bool {
         match self {
             LoopIter::Range { next, hi } => {
                 if *next >= *hi {
                     return false;
                 }
-                frame[args[0] as usize] = Value::U64(*next);
+                frame.set_reg(args[0], *next);
                 *next += 1;
             }
-            LoopIter::Each(rest) => {
-                let Some((key, value)) = rest.next() else {
+            LoopIter::Each { keys, vals, next } => {
+                if *next == keys.len() {
                     return false;
-                };
-                frame[args[0] as usize] = key;
-                if bound == 2 {
-                    frame[args[1] as usize] = value;
                 }
+                keys.bind(frame, args[0], *next);
+                if let Some(vals) = vals {
+                    vals.bind(frame, args[1], *next);
+                }
+                *next += 1;
             }
         }
         true
@@ -372,12 +512,10 @@ enum Transfer {
     Suspend,
     /// A call from code slot `site`; the top cursor already holds the
     /// slot after it.
-    Call {
-        callee: FuncId,
-        args: Vec<Value>,
-        site: usize,
-    },
-    Ret(Option<Value>),
+    Call { callee: FuncId, site: usize },
+    /// A return of the value in this slot of the returning frame, if
+    /// any.
+    Ret(Option<Slot>),
 }
 
 /// The static parts of a `foreach`/`forrange` header: body region,
@@ -386,7 +524,7 @@ enum Transfer {
 struct LoopParts<'a> {
     body: u32,
     bound: usize,
-    dsts: &'a [u32],
+    dsts: &'a [Slot],
     plan: Option<&'a BulkPlan>,
 }
 
@@ -459,10 +597,11 @@ pub struct Interpreter<'m> {
     sliced: bool,
     /// The session grant `tick_boundary` loads next, if any.
     grant: Option<u64>,
-    /// Free list of spent yield buffers. Every buffered loop iteration
-    /// and branch join yields a `Vec<Value>`; recycling them turns the
-    /// hottest allocation in the dispatch loop into a pop/push pair.
-    flow_pool: Vec<Vec<Value>>,
+    /// A buffered yield's register values, in order, between the
+    /// `yield` and their landing in the consumer's slots.
+    yield_regs: Vec<u64>,
+    /// A buffered yield's boxed values, in order.
+    yield_side: Vec<Value>,
 }
 
 impl<'m> Interpreter<'m> {
@@ -495,23 +634,8 @@ impl<'m> Interpreter<'m> {
             ticks_spent: 0,
             sliced: false,
             grant: None,
-            flow_pool: Vec::new(),
-        }
-    }
-
-    /// Pops a recycled yield buffer (or allocates the first time).
-    #[inline]
-    fn pool_get(&mut self) -> Vec<Value> {
-        self.flow_pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a spent yield buffer to the free list. Bounded so a
-    /// deeply nested one-off can't pin arbitrary memory.
-    #[inline]
-    fn pool_put(&mut self, mut v: Vec<Value>) {
-        if self.flow_pool.len() < 16 {
-            v.clear();
-            self.flow_pool.push(v);
+            yield_regs: Vec::new(),
+            yield_side: Vec::new(),
         }
     }
 
@@ -687,20 +811,6 @@ impl<'m> Interpreter<'m> {
         })
     }
 
-    /// `key`, yielded by an iteration, as a program with the static key
-    /// type `static_key_ty` sees it. Dense implementations store `usize`
-    /// keys and yield `Value::Idx`, but a directive-forced dense
-    /// collection with a `u64` static domain must present `u64` values
-    /// to the program — otherwise comparisons against ordinary integers
-    /// silently fail. (Its `u64` keys go in as they are: dense backends
-    /// read both key kinds through [`Value::as_index`].)
-    fn program_key(static_key_ty: &Type, key: Value) -> Value {
-        match (static_key_ty, &key) {
-            (Type::U64, Value::Idx(i)) => Value::U64(*i as u64),
-            _ => key,
-        }
-    }
-
     // ── Operation kernels ───────────────────────────────────────────
     //
     // The one definition of each counted operation: the statistics
@@ -807,8 +917,7 @@ impl<'m> Interpreter<'m> {
     /// `dec(e, i)`. An identifier the enumeration never issued (the
     /// `enc` sentinel included) traps as out of bounds.
     #[inline]
-    fn dec(&mut self, e: u32, id: &Value) -> Result<Value, TrapKind> {
-        let idx = id.as_index();
+    fn dec(&mut self, e: u32, idx: usize) -> Result<Value, TrapKind> {
         self.bump(ImplKind::EnumDec, CollOp::Read, 1);
         let dec = &self.enums[e as usize].dec;
         dec.get(idx).cloned().ok_or(TrapKind::OutOfBounds {
@@ -847,13 +956,21 @@ impl<'m> Interpreter<'m> {
     /// `add`). Capacity and the enumeration only grow meanwhile, so
     /// refreshing the sequence's bytes once at the end samples the same
     /// peak as refreshing them per element.
-    fn literal(&mut self, id: CollId, elems: &[Value], e: Option<u32>) -> Result<(), TrapKind> {
+    fn literal(&mut self, id: CollId, elems: &Table, e: Option<u32>) -> Result<(), TrapKind> {
         let imp = self.impl_of(id);
-        self.bump(imp, CollOp::Insert, elems.len() as u64);
-        for (i, x) in elems.iter().enumerate() {
+        let len = match elems {
+            Table::Bits(t) => t.len(),
+            Table::Boxed(t) => t.len(),
+        };
+        self.bump(imp, CollOp::Insert, len as u64);
+        for i in 0..len {
+            let x = match elems {
+                Table::Bits(t) => Value::U64(t[i]),
+                Table::Boxed(t) => t[i].clone(),
+            };
             let v = match e {
-                Some(e) => Value::Idx(self.enum_add(e, x.clone())),
-                None => x.clone(),
+                Some(e) => Value::Idx(self.enum_add(e, x)),
+                None => x,
             };
             self.heap[id.0 as usize].try_insert_seq(i, v)?;
         }
@@ -867,47 +984,52 @@ impl<'m> Interpreter<'m> {
     /// run, or a session's grant runs out before the next instruction.
     pub(crate) fn resume(&mut self, d: &DecodedModule, m: &mut Machine) -> Result<Poll, ExecError> {
         if let Some(entry) = m.entry.take() {
-            self.push_call(d, m, entry, Vec::new(), 0)?;
+            self.push_call(d, m, entry, 0)?;
         }
         loop {
             let act = m.acts.last_mut().expect("a live machine has an activation");
             let caller = act.fid;
             match self.run_activation(d, act.fid, &mut act.frame, &mut m.cursors)? {
                 Transfer::Suspend => return Ok(Poll::Suspended),
-                Transfer::Call { callee, args, site } => {
-                    self.push_call(d, m, callee, args, site)
-                        .map_err(|e| site_at(d.func(caller), site, e))?
-                }
-                Transfer::Ret(value) => {
+                Transfer::Call { callee, site } => self
+                    .push_call(d, m, callee, site)
+                    .map_err(|e| site_at(d.func(caller), site, e))?,
+                Transfer::Ret(src) => {
                     let done = m.pop_call();
                     let Some(caller) = m.acts.last_mut() else {
-                        return Ok(Poll::Done(value));
+                        return Ok(Poll::Done(src.map(|s| done.frame.boxed(s))));
                     };
-                    if let DInst::Call { dst: Some(dst), .. } =
-                        d.func(caller.fid).code[done.call_site as usize].own()
+                    if let (Some(src), DInst::Call { dst: Some(dst), .. }) =
+                        (src, d.func(caller.fid).code[done.call_site as usize].own())
                     {
-                        caller.frame[*dst as usize] = value.unwrap_or(Value::Void);
+                        caller.frame.copy_from(&done.frame, src, *dst);
                     }
                 }
             }
         }
     }
 
-    /// Enters `fid` with `args` from the `call` at `site` (0 for the
-    /// entry): checks depth, then pushes its activation and body cursor.
+    /// Enters `fid` from the `call` at `site` of the top activation, or
+    /// as the entry (no activation yet): checks depth, then pushes its
+    /// activation, with the call's arguments in its parameter slots, and
+    /// its body cursor.
     fn push_call(
         &mut self,
         d: &DecodedModule,
         m: &mut Machine,
         fid: FuncId,
-        args: Vec<Value>,
         site: usize,
     ) -> Result<(), ExecError> {
         let func = d.func(fid);
         self.check_depth(m.cursors.len())?;
-        let mut frame = vec![Value::Void; func.frame_size as usize];
-        for (&p, a) in func.params.iter().zip(args) {
-            frame[p as usize] = a;
+        let mut frame = Frame::new(func);
+        if let Some(caller) = m.acts.last() {
+            let DInst::Call { args, .. } = d.func(caller.fid).code[site].own() else {
+                unreachable!("a call leaves from a call")
+            };
+            for (&a, &p) in args.iter().zip(func.params.iter()) {
+                frame.copy_from(&caller.frame, a, p);
+            }
         }
         let body = &func.regions[func.body as usize];
         m.acts.push(Activation {
@@ -943,7 +1065,7 @@ impl<'m> Interpreter<'m> {
         &mut self,
         d: &DecodedModule,
         fid: FuncId,
-        frame: &mut [Value],
+        frame: &mut Frame,
         cursors: &mut Vec<Cursor>,
     ) -> Result<Transfer, ExecError> {
         let func = d.func(fid);
@@ -969,7 +1091,7 @@ impl<'m> Interpreter<'m> {
     fn exec_inst(
         &mut self,
         func: &DFunc,
-        frame: &mut [Value],
+        frame: &mut Frame,
         cursors: &mut Vec<Cursor>,
         pc: usize,
         inst: &DInst,
@@ -985,21 +1107,19 @@ impl<'m> Interpreter<'m> {
                 }
                 self.exec_inst(func, frame, cursors, pc, inst)
             }
-            DInst::Call { callee, args, .. } => {
-                let args = args.iter().map(|&s| frame[s as usize].clone()).collect();
+            DInst::Call { callee, .. } => {
                 cursors.last_mut().expect("current region").pc = (pc + 1) as u32;
                 Ok(Next::Leave(Transfer::Call {
                     callee: *callee,
-                    args,
                     site: pc,
                 }))
             }
             DInst::Print { srcs } => {
-                let parts: Vec<String> = srcs
-                    .iter()
-                    .map(|&s| frame[s as usize].to_string())
-                    .collect();
-                let _ = writeln!(self.output, "{}", parts.join(" "));
+                for (i, &s) in srcs.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { " " };
+                    let _ = write!(self.output, "{sep}{}", frame.boxed(s));
+                }
+                self.output.push('\n');
                 Ok(Next::At(pc + 1))
             }
             DInst::If {
@@ -1008,7 +1128,7 @@ impl<'m> Interpreter<'m> {
                 else_r,
                 ..
             } => {
-                let arm = if frame[*cond as usize].as_bool() {
+                let arm = if frame.reg(*cond) != 0 {
                     *then_r
                 } else {
                     *else_r
@@ -1037,17 +1157,22 @@ impl<'m> Interpreter<'m> {
                 )
             }
             DInst::Yield { srcs } => {
-                let mut vals = self.pool_get();
-                vals.extend(srcs.iter().map(|&s| frame[s as usize].clone()));
-                self.leave_region(func, frame, cursors, Some(vals))
+                self.yield_regs.clear();
+                self.yield_side.clear();
+                for &s in srcs.iter() {
+                    if s.is_boxed() {
+                        self.yield_side.push(frame.side[s.index()].clone());
+                    } else {
+                        self.yield_regs.push(frame.reg(s));
+                    }
+                }
+                self.leave_region(func, frame, cursors, true)
             }
             DInst::YieldDirect { srcs, dsts } => {
                 copy_slots(frame, srcs, dsts);
-                self.leave_region(func, frame, cursors, None)
+                self.leave_region(func, frame, cursors, false)
             }
-            DInst::Ret { src } => Ok(Next::Leave(Transfer::Ret(
-                src.map(|s| frame[s as usize].clone()),
-            ))),
+            DInst::Ret { src } => Ok(Next::Leave(Transfer::Ret(*src))),
             DInst::Roi { begin } => {
                 let now = Instant::now();
                 let elapsed = Stats::clamp_ns(now.duration_since(self.phase_start).as_nanos());
@@ -1082,49 +1207,59 @@ impl<'m> Interpreter<'m> {
         Ok(Next::At(start as usize))
     }
 
-    /// The region's terminator ran, with its buffered values (`None`
-    /// after a [`DInst::YieldDirect`], which already copied them).
+    /// The region's terminator ran, its values buffered (`buffered`)
+    /// or, after a [`DInst::YieldDirect`], already copied.
     /// An arm lands them in its header's destinations and resumes the
     /// enclosing region; a loop body passes them to the next iteration.
     fn leave_region(
         &mut self,
         func: &DFunc,
-        frame: &mut [Value],
+        frame: &mut Frame,
         cursors: &mut Vec<Cursor>,
-        vals: Option<Vec<Value>>,
+        buffered: bool,
     ) -> Result<Next, ExecError> {
         let kind = &cursors.last().expect("current region").kind;
         match *kind {
             RegionKind::Body => unreachable!("the verifier ends a function body with ret"),
             RegionKind::Arm { header } => {
-                if let Some(vals) = vals {
+                if buffered {
                     let DInst::If { dsts, .. } = func.code[header as usize].own() else {
                         unreachable!("an arm's header is a branch")
                     };
-                    self.land(frame, vals, dsts);
+                    self.land(frame, dsts, 0);
                 }
                 Ok(leave_to_parent(cursors))
             }
             RegionKind::Loop { header, .. } => {
-                if let Some(vals) = vals {
+                if buffered {
                     let parts = LoopParts::of(&func.code[header as usize]);
                     let args = &func.regions[parts.body as usize].args;
-                    self.land(frame, vals, &args[parts.bound..]);
+                    self.land(frame, &args[parts.bound..], 0);
                 }
                 self.next_iteration(func, frame, cursors)
             }
             RegionKind::DoWhile { header } => {
-                self.next_dowhile(func, frame, cursors, header as usize, vals)
+                // Direct yields only serve arms and foreach/forrange
+                // bodies.
+                assert!(buffered, "a dowhile body yields through the buffer");
+                self.next_dowhile(func, frame, cursors, header as usize)
             }
         }
     }
 
-    /// Moves yielded values into `dsts` and recycles their buffer.
-    fn land(&mut self, frame: &mut [Value], mut vals: Vec<Value>, dsts: &[u32]) {
-        for (&r, v) in dsts.iter().zip(vals.drain(..)) {
-            frame[r as usize] = v;
+    /// Moves the buffered yield into `dsts`, past its first `skip`
+    /// registers: each destination takes the next value of its file.
+    fn land(&mut self, frame: &mut Frame, dsts: &[Slot], skip: usize) {
+        let (mut reg, mut side) = (skip, 0);
+        for &t in dsts {
+            if t.is_boxed() {
+                frame.side[t.index()] = std::mem::take(&mut self.yield_side[side]);
+                side += 1;
+            } else {
+                frame.set_reg(t, self.yield_regs[reg]);
+                reg += 1;
+            }
         }
-        self.pool_put(vals);
     }
 
     /// The countdown ran out. A spent fuel budget fails the run
@@ -1165,23 +1300,19 @@ impl<'m> Interpreter<'m> {
 
     /// Snapshots a `foreach`'s collection, whether dispatch or a nested
     /// loop op opens it: counts the iteration (`IterElem` per entry,
-    /// `IterWord` per scanned occupancy word) and presents dense keys as
-    /// `u64` where the static key type asks for it.
-    fn foreach_entries(&mut self, coll: &Value, uncoerce_u64: bool) -> Vec<(Value, Value)> {
-        let id = coll.as_coll();
+    /// `IterWord` per scanned occupancy word) and holds each bound column
+    /// as the body's argument slots `args` hold it.
+    fn foreach_iter(&mut self, id: CollId, args: &[Slot], bound: usize) -> LoopIter {
         let imp = self.impl_of(id);
-        let mut entries = self.heap[id.0 as usize].snapshot();
+        let entries = self.heap[id.0 as usize].snapshot();
         let words = self.heap[id.0 as usize].iter_scan_words();
         self.bump(imp, CollOp::IterElem, entries.len() as u64);
         self.bump(imp, CollOp::IterWord, words);
-        if uncoerce_u64 {
-            for (k, _) in &mut entries {
-                if let Value::Idx(i) = k {
-                    *k = Value::U64(*i as u64);
-                }
-            }
+        LoopIter::Each {
+            keys: Column::of(args[0].kind(), entries.iter().map(|(k, _)| k)),
+            vals: (bound == 2).then(|| Column::of(args[1].kind(), entries.iter().map(|(_, v)| v))),
+            next: 0,
         }
-        entries
     }
 
     /// Enters a `foreach`/`forrange` (generic or bulk): opens the loop,
@@ -1192,7 +1323,7 @@ impl<'m> Interpreter<'m> {
     fn enter_loop(
         &mut self,
         func: &DFunc,
-        frame: &mut [Value],
+        frame: &mut Frame,
         cursors: &mut Vec<Cursor>,
         pc: usize,
     ) -> Result<Next, ExecError> {
@@ -1232,25 +1363,14 @@ impl<'m> Interpreter<'m> {
     fn open_loop(
         &mut self,
         func: &DFunc,
-        frame: &mut [Value],
+        frame: &mut Frame,
         inst: &DInst,
         parts: &LoopParts<'_>,
     ) -> LoopIter {
+        let args = &func.regions[parts.body as usize].args;
         let (iter, carried) = match inst {
-            DInst::ForEach {
-                coll,
-                carried,
-                uncoerce_u64,
-                ..
-            }
-            | DInst::ForEachBulk {
-                coll,
-                carried,
-                uncoerce_u64,
-                ..
-            } => {
-                let entries = self.foreach_entries(&frame[*coll as usize], *uncoerce_u64);
-                (LoopIter::Each(entries.into_iter()), carried)
+            DInst::ForEach { coll, carried, .. } | DInst::ForEachBulk { coll, carried, .. } => {
+                (self.foreach_iter(frame.coll(*coll), args, parts.bound), carried)
             }
             DInst::ForRange {
                 lo, hi, carried, ..
@@ -1258,13 +1378,11 @@ impl<'m> Interpreter<'m> {
             | DInst::ForRangeBulk {
                 lo, hi, carried, ..
             } => {
-                let next = frame[*lo as usize].as_u64();
-                let hi = frame[*hi as usize].as_u64();
+                let (next, hi) = (frame.reg(*lo), frame.reg(*hi));
                 (LoopIter::Range { next, hi }, carried)
             }
             other => unreachable!("{other:?} is not a foreach/forrange header"),
         };
-        let args = &func.regions[parts.body as usize].args;
         copy_slots(frame, carried, &args[parts.bound..]);
         iter
     }
@@ -1305,7 +1423,7 @@ impl<'m> Interpreter<'m> {
     fn next_iteration(
         &mut self,
         func: &DFunc,
-        frame: &mut [Value],
+        frame: &mut Frame,
         cursors: &mut Vec<Cursor>,
     ) -> Result<Next, ExecError> {
         let top = cursors.last_mut().expect("loop region");
@@ -1318,7 +1436,7 @@ impl<'m> Interpreter<'m> {
         let plan = parts.plan.filter(|_| *bulk);
         let before = self.ticks_left;
         let next = loop {
-            if !iter.bind(frame, args, parts.bound) {
+            if !iter.bind(frame, args) {
                 copy_slots(frame, carried_args, parts.dsts);
                 break Ok(leave_to_parent(cursors));
             }
@@ -1345,31 +1463,29 @@ impl<'m> Interpreter<'m> {
         next
     }
 
-    /// The `dowhile` body at the top cursor yielded `vals`: the
+    /// The `dowhile` body at the top cursor yielded into the buffer: the
     /// condition, then the next carried values. Runs the body again or
     /// lands the carried values in the loop's destinations.
     fn next_dowhile(
         &mut self,
         func: &DFunc,
-        frame: &mut [Value],
+        frame: &mut Frame,
         cursors: &mut Vec<Cursor>,
         header: usize,
-        vals: Option<Vec<Value>>,
     ) -> Result<Next, ExecError> {
-        // Direct yields only serve arms and foreach/forrange bodies, and
-        // the verifier leads every dowhile yield with its bool condition.
-        let mut vals = vals.expect("a dowhile body yields through a buffer");
-        let cond = vals.remove(0).as_bool();
+        // The verifier leads every dowhile yield with its bool
+        // condition: the first buffered register.
+        let cond = self.yield_regs[0] != 0;
         let DInst::DoWhile { body, dsts, .. } = func.code[header].own() else {
             unreachable!("a dowhile body's header is a dowhile")
         };
         if cond {
-            self.land(frame, vals, &func.regions[*body as usize].args);
+            self.land(frame, &func.regions[*body as usize].args, 1);
             let top = cursors.last_mut().expect("loop region");
             top.pc = top.start;
             Ok(Next::At(top.start as usize))
         } else {
-            self.land(frame, vals, dsts);
+            self.land(frame, dsts, 1);
             Ok(leave_to_parent(cursors))
         }
     }
@@ -1382,9 +1498,9 @@ impl<'m> Interpreter<'m> {
     fn exec_plan_iteration(
         &mut self,
         func: &DFunc,
-        frame: &mut [Value],
+        frame: &mut Frame,
         plan: &BulkPlan,
-        carried_args: &[u32],
+        carried_args: &[Slot],
     ) -> Result<(), ExecError> {
         for p in plan.ops.iter() {
             self.exec_plan_op(func, frame, p)?;
@@ -1403,7 +1519,7 @@ impl<'m> Interpreter<'m> {
     fn run_loop_in_place(
         &mut self,
         func: &DFunc,
-        frame: &mut [Value],
+        frame: &mut Frame,
         header: usize,
         plan: &BulkPlan,
     ) -> Result<(), ExecError> {
@@ -1416,7 +1532,7 @@ impl<'m> Interpreter<'m> {
         }
         let args = &func.regions[parts.body as usize].args;
         let carried_args = &args[parts.bound..];
-        while iter.bind(frame, args, parts.bound) {
+        while iter.bind(frame, args) {
             self.exec_plan_iteration(func, frame, plan, carried_args)?;
         }
         copy_slots(frame, carried_args, parts.dsts);
@@ -1426,27 +1542,47 @@ impl<'m> Interpreter<'m> {
     /// Runs one op, whether dispatch reached its slot or a plan runs it
     /// (a nested loop opens through [`Self::open_loop`]): deducts the
     /// slots the op stands for (none under dispatch, which ticked the
-    /// slot) and sites traps at the op's code slot.
+    /// slot) and sites traps at the op's code slot. The scalar step runs
+    /// inline; every other op through [`Self::exec_heap_op`].
+    #[inline]
     fn exec_plan_op(
         &mut self,
         func: &DFunc,
-        frame: &mut [Value],
+        frame: &mut Frame,
         p: &PlanOp,
     ) -> Result<(), ExecError> {
         self.ticks_left -= u64::from(p.ticks);
-        let site = p.site as usize;
-        let at = |k| trap_at(func, site, k);
         match &p.op {
-            BulkOp::Scalar(u) => exec_scalar(func, frame, *u).map_err(at)?,
-            BulkOp::Cast { ty, a, dst } => {
-                frame[*dst as usize] = eval_cast(&frame[*a as usize], &func.types[*ty as usize]);
-            }
+            BulkOp::Scalar(u) => match exec_scalar(func, frame, *u) {
+                Ok(()) => Ok(()),
+                Err(kind) => Err(trap_at(func, p.site as usize, kind)),
+            },
+            op => self.exec_heap_op(func, frame, p.site as usize, op),
+        }
+    }
+
+    /// Every op but the scalar step, sited at code slot `site`. Out of
+    /// line, so a scalar op pays none of its frame.
+    #[inline(never)]
+    fn exec_heap_op(
+        &mut self,
+        func: &DFunc,
+        frame: &mut Frame,
+        site: usize,
+        op: &BulkOp,
+    ) -> Result<(), ExecError> {
+        let at = |k| trap_at(func, site, k);
+        match op {
+            BulkOp::Scalar(_) => unreachable!("exec_plan_op runs the scalar step"),
             BulkOp::Proj { base, field, dst } => {
-                frame[*dst as usize] = project(&frame[*base as usize], *field);
+                let v = project(&frame.side[base.index()], *field);
+                frame.store(*dst, v);
             }
             BulkOp::Read { coll, key, dst } => {
-                let id = frame[*coll as usize].as_coll();
-                frame[*dst as usize] = self.read(id, &frame[*key as usize]).map_err(at)?;
+                match self.read(frame.coll(*coll), &frame.key(*key)) {
+                    Ok(v) => frame.store(*dst, v),
+                    Err(kind) => return Err(at(kind)),
+                }
             }
             BulkOp::Write {
                 coll,
@@ -1455,14 +1591,14 @@ impl<'m> Interpreter<'m> {
                 base,
                 dst,
             } => {
-                let id = frame[*coll as usize].as_coll();
-                let value = frame[*val as usize].clone();
-                self.write(id, &frame[*key as usize], value).map_err(at)?;
-                frame[*dst as usize] = frame[*base as usize].clone();
+                let value = frame.boxed(*val);
+                self.write(frame.coll(*coll), &frame.key(*key), value)
+                    .map_err(at)?;
+                frame.copy(*base, *dst);
             }
             BulkOp::Has { coll, key, dst } => {
-                let id = frame[*coll as usize].as_coll();
-                frame[*dst as usize] = Value::Bool(self.has(id, &frame[*key as usize]));
+                let has = self.has(frame.coll(*coll), &frame.key(*key));
+                frame.set_reg(*dst, u64::from(has));
             }
             BulkOp::InsertSet {
                 coll,
@@ -1470,10 +1606,9 @@ impl<'m> Interpreter<'m> {
                 base,
                 dst,
             } => {
-                let id = frame[*coll as usize].as_coll();
-                self.insert_elem(id, frame[*elem as usize].clone())
+                self.insert_elem(frame.coll(*coll), frame.boxed(*elem))
                     .map_err(at)?;
-                frame[*dst as usize] = frame[*base as usize].clone();
+                frame.copy(*base, *dst);
             }
             BulkOp::InsertMap {
                 coll,
@@ -1482,10 +1617,10 @@ impl<'m> Interpreter<'m> {
                 base,
                 dst,
             } => {
-                let id = frame[*coll as usize].as_coll();
-                self.insert_key(id, &frame[*key as usize], &func.types[*val_ty as usize])
+                let val_ty = &func.types[*val_ty as usize];
+                self.insert_key(frame.coll(*coll), &frame.key(*key), val_ty)
                     .map_err(|e| site_at(func, site, e))?;
-                frame[*dst as usize] = frame[*base as usize].clone();
+                frame.copy(*base, *dst);
             }
             BulkOp::InsertSeq {
                 coll,
@@ -1494,11 +1629,10 @@ impl<'m> Interpreter<'m> {
                 base,
                 dst,
             } => {
-                let id = frame[*coll as usize].as_coll();
-                let index = frame[*index as usize].as_u64() as usize;
-                let value = frame[*val as usize].clone();
-                self.insert_seq(id, index, value).map_err(at)?;
-                frame[*dst as usize] = frame[*base as usize].clone();
+                let index = frame.reg(*index) as usize;
+                self.insert_seq(frame.coll(*coll), index, frame.boxed(*val))
+                    .map_err(at)?;
+                frame.copy(*base, *dst);
             }
             BulkOp::Remove {
                 coll,
@@ -1506,49 +1640,50 @@ impl<'m> Interpreter<'m> {
                 base,
                 dst,
             } => {
-                let id = frame[*coll as usize].as_coll();
-                self.remove(id, &frame[*key as usize]).map_err(at)?;
-                frame[*dst as usize] = frame[*base as usize].clone();
+                self.remove(frame.coll(*coll), &frame.key(*key))
+                    .map_err(at)?;
+                frame.copy(*base, *dst);
             }
             BulkOp::Size { coll, dst } => {
-                let id = frame[*coll as usize].as_coll();
-                frame[*dst as usize] = Value::U64(self.size(id));
+                let n = self.size(frame.coll(*coll));
+                frame.set_reg(*dst, n);
             }
             BulkOp::Len { coll, dst } => {
-                let id = frame[*coll as usize].as_coll();
-                frame[*dst as usize] = Value::U64(self.heap[id.0 as usize].len() as u64);
+                let n = self.heap[frame.coll(*coll).0 as usize].len();
+                frame.set_reg(*dst, n as u64);
             }
             BulkOp::Clear { coll, base, dst } => {
-                let id = frame[*coll as usize].as_coll();
+                let id = frame.coll(*coll);
                 let imp = self.impl_of(id);
                 self.bump(imp, CollOp::Clear, 1);
                 self.heap[id.0 as usize].clear();
                 self.refresh_bytes(id);
-                frame[*dst as usize] = frame[*base as usize].clone();
+                frame.copy(*base, *dst);
             }
             BulkOp::Union {
                 coll,
                 src,
-                elem_ty,
+                elem,
                 base,
                 dst,
             } => {
-                let dst_id = frame[*coll as usize].as_coll();
-                let src_id = frame[*src as usize].as_coll();
-                self.union_into(dst_id, src_id, &func.types[*elem_ty as usize])
+                let dst_id = frame.coll(*coll);
+                self.union_into(dst_id, frame.coll(*src), *elem)
                     .map_err(|e| site_at(func, site, e))?;
                 self.refresh_bytes(dst_id);
-                frame[*dst as usize] = frame[*base as usize].clone();
+                frame.copy(*base, *dst);
             }
             BulkOp::Enc { e, v, dst } => {
-                frame[*dst as usize] = Value::Idx(self.enc(*e, &frame[*v as usize]));
+                let id = self.enc(*e, &frame.key(*v));
+                frame.set_reg(*dst, id as u64);
             }
-            BulkOp::Dec { e, v, dst } => {
-                frame[*dst as usize] = self.dec(*e, &frame[*v as usize]).map_err(at)?;
-            }
+            BulkOp::Dec { e, v, dst } => match self.dec(*e, frame.reg(*v) as usize) {
+                Ok(value) => frame.store(*dst, value),
+                Err(kind) => return Err(at(kind)),
+            },
             BulkOp::EnumAdd { e, v, dst } => {
-                let key = frame[*v as usize].clone();
-                frame[*dst as usize] = Value::Idx(self.enum_add(*e, key));
+                let id = self.enum_add(*e, frame.boxed(*v));
+                frame.set_reg(*dst, id as u64);
             }
             BulkOp::Literal { ty, elems, e, dst } => {
                 let id = self
@@ -1556,16 +1691,17 @@ impl<'m> Interpreter<'m> {
                     .map_err(|e| site_at(func, site, e))?;
                 self.literal(id, &func.literals[*elems as usize], *e)
                     .map_err(at)?;
-                frame[*dst as usize] = Value::Coll(id);
+                frame.set_reg(*dst, u64::from(id.0));
             }
             BulkOp::New { ty, dst } => {
-                frame[*dst as usize] = self
+                let v = self
                     .default_value(&func.types[*ty as usize])
                     .map_err(|e| site_at(func, site, e))?;
+                frame.store(*dst, v);
             }
             BulkOp::Tuple { srcs, dst } => {
-                let fields: Vec<Value> = srcs.iter().map(|&s| frame[s as usize].clone()).collect();
-                frame[*dst as usize] = Value::Tuple(fields.into());
+                let fields: Vec<Value> = srcs.iter().map(|&s| frame.boxed(s)).collect();
+                frame.side[dst.index()] = Value::Tuple(fields.into());
             }
             BulkOp::Loop { plan } => self
                 .run_loop_in_place(func, frame, site, plan)
@@ -1580,7 +1716,7 @@ impl<'m> Interpreter<'m> {
                 else_tail,
                 dsts,
             } => {
-                let (ops, srcs, tail) = if frame[*cond as usize].as_bool() {
+                let (ops, srcs, tail) = if frame.reg(*cond) != 0 {
                     (then_ops, then_srcs, then_tail)
                 } else {
                     (else_ops, else_srcs, else_tail)
@@ -1598,12 +1734,7 @@ impl<'m> Interpreter<'m> {
     /// Out of line: `exec_plan_op` calls it too, and inlined there it
     /// made every plan op slower.
     #[inline(never)]
-    fn union_into(
-        &mut self,
-        dst: CollId,
-        src: CollId,
-        dst_elem_ty: &Type,
-    ) -> Result<(), ExecError> {
+    fn union_into(&mut self, dst: CollId, src: CollId, elem: Kind) -> Result<(), ExecError> {
         if dst == src {
             return Ok(());
         }
@@ -1643,7 +1774,13 @@ impl<'m> Interpreter<'m> {
                 self.bump(src_imp, CollOp::IterWord, words);
                 self.bump(dst_imp, CollOp::UnionElem, entries.len() as u64);
                 for (key, _) in entries {
-                    let key = Self::program_key(dst_elem_ty, key);
+                    // A dense source yields `idx` keys; through its
+                    // register bits a key takes the destination's
+                    // static element kind.
+                    let key = match elem {
+                        Kind::Boxed => key,
+                        kind => Value::from_bits(kind, key.bits()),
+                    };
                     self.heap[di].try_insert_elem(key).map_err(trap)?;
                 }
             }
@@ -1660,13 +1797,13 @@ fn project(v: &Value, n: u32) -> Value {
     }
 }
 
-/// Copies `frame[srcs[j]]` into `frame[dsts[j]]` in order, skipping
-/// self-copies: yields landing in their consumer's slots.
+/// Copies each `srcs[j]` into `dsts[j]` in order, skipping self-copies:
+/// yields landing in their consumer's slots.
 #[inline]
-fn copy_slots(frame: &mut [Value], srcs: &[u32], dsts: &[u32]) {
+fn copy_slots(frame: &mut Frame, srcs: &[Slot], dsts: &[Slot]) {
     for (&s, &t) in srcs.iter().zip(dsts) {
         if s != t {
-            frame[t as usize] = frame[s as usize].clone();
+            frame.copy(s, t);
         }
     }
 }
@@ -1681,79 +1818,89 @@ fn leave_to_parent(cursors: &mut Vec<Cursor>) -> Next {
     Next::At(parent.pc as usize)
 }
 
-/// The scalar step of the `const`, arithmetic, comparison and negation
-/// ops.
+/// The scalar step of the `const`, arithmetic, comparison, negation and
+/// cast ops: register bits in, register bits out, typed at decode.
 #[inline]
-fn exec_scalar(func: &DFunc, frame: &mut [Value], u: UScalar) -> Result<(), TrapKind> {
-    let (dst, v) = match u {
-        UScalar::Const { pool, dst } => (dst, func.consts[pool as usize].clone()),
-        UScalar::Bin { op, a, b, dst } => {
-            (dst, eval_bin(op, &frame[a as usize], &frame[b as usize])?)
+fn exec_scalar(func: &DFunc, frame: &mut Frame, u: UScalar) -> Result<(), TrapKind> {
+    match u {
+        UScalar::Const { pool, dst } => {
+            if dst.is_boxed() {
+                frame.side[dst.index()] = func.strs[pool as usize].clone();
+            } else {
+                frame.set_reg(dst, func.consts[pool as usize]);
+            }
         }
-        UScalar::Cmp { op, a, b, dst } => (
-            dst,
-            Value::Bool(eval_cmp(op, &frame[a as usize], &frame[b as usize])),
-        ),
-        UScalar::Not { a, dst } => (dst, Value::Bool(!frame[a as usize].as_bool())),
-    };
-    frame[dst as usize] = v;
+        UScalar::Bin { op, a, b, dst } => {
+            let (x, y) = (frame.reg(a), frame.reg(b));
+            let r = match a.kind() {
+                Kind::F64 => bin_f64(op, f64::from_bits(x), f64::from_bits(y)).to_bits(),
+                kind => bin_int(op, x, y, kind == Kind::I64)?,
+            };
+            frame.set_reg(dst, r);
+        }
+        UScalar::Cmp { op, a, b, dst } => {
+            let (x, y) = (frame.reg(a), frame.reg(b));
+            let ord = match a.kind() {
+                Kind::I64 => (x as i64).cmp(&(y as i64)),
+                Kind::F64 => f64::from_bits(x).total_cmp(&f64::from_bits(y)),
+                Kind::Boxed => frame.side[a.index()].cmp(&frame.side[b.index()]),
+                _ => x.cmp(&y),
+            };
+            let holds = match op {
+                CmpOp::Eq => ord.is_eq(),
+                CmpOp::Ne => ord.is_ne(),
+                CmpOp::Lt => ord.is_lt(),
+                CmpOp::Le => ord.is_le(),
+                CmpOp::Gt => ord.is_gt(),
+                CmpOp::Ge => ord.is_ge(),
+            };
+            frame.set_reg(dst, u64::from(holds));
+        }
+        UScalar::Not { a, dst } => frame.set_reg(dst, frame.reg(a) ^ 1),
+        UScalar::Cast { a, dst } => {
+            let x = frame.reg(a);
+            let r = match (a.kind(), dst.kind()) {
+                (Kind::F64, Kind::F64) => x,
+                (Kind::F64, _) => f64::from_bits(x) as u64,
+                (Kind::I64, Kind::F64) => (x as i64 as f64).to_bits(),
+                (_, Kind::F64) => (x as f64).to_bits(),
+                _ => x,
+            };
+            frame.set_reg(dst, r);
+        }
+    }
     Ok(())
 }
 
-fn eval_bin(op: BinOp, a: &Value, b: &Value) -> Result<Value, TrapKind> {
-    use Value::*;
-    Ok(match (a, b) {
-        (U64(x), U64(y)) => U64(eval_bin_u64(op, *x, *y)?),
-        (Idx(x), Idx(y)) => Idx(eval_bin_u64(op, *x as u64, *y as u64)? as usize),
-        (I64(x), I64(y)) => I64(eval_bin_i64(op, *x, *y)?),
-        (F64(x), F64(y)) => F64(eval_bin_f64(op, *x, *y)),
-        (Bool(x), Bool(y)) => Bool(match op {
-            BinOp::And => *x && *y,
-            BinOp::Or => *x || *y,
-            BinOp::Xor => *x != *y,
-            other => unreachable!("{other:?} on bools: the verifier allows only and, or, xor"),
-        }),
-        (a, b) => unreachable!(
-            "{op:?} on {a:?}, {b:?}: the verifier types both operands alike and scalar"
-        ),
-    })
-}
-
-fn eval_bin_u64(op: BinOp, x: u64, y: u64) -> Result<u64, TrapKind> {
+/// Integer arithmetic on register bits, signed for `i64`: wrapping,
+/// with `div`/`rem` by zero, and `i64::MIN` by -1, trapping.
+#[inline]
+fn bin_int(op: BinOp, x: u64, y: u64, signed: bool) -> Result<u64, TrapKind> {
+    let (sx, sy) = (x as i64, y as i64);
+    let zero = || TrapKind::DivideByZero;
     Ok(match op {
         BinOp::Add => x.wrapping_add(y),
         BinOp::Sub => x.wrapping_sub(y),
         BinOp::Mul => x.wrapping_mul(y),
-        BinOp::Div => x.checked_div(y).ok_or(TrapKind::DivideByZero)?,
-        BinOp::Rem => x.checked_rem(y).ok_or(TrapKind::DivideByZero)?,
+        BinOp::Div if signed => sx.checked_div(sy).ok_or_else(zero)? as u64,
+        BinOp::Div => x.checked_div(y).ok_or_else(zero)?,
+        BinOp::Rem if signed => sx.checked_rem(sy).ok_or_else(zero)? as u64,
+        BinOp::Rem => x.checked_rem(y).ok_or_else(zero)?,
+        BinOp::Min if signed => sx.min(sy) as u64,
         BinOp::Min => x.min(y),
+        BinOp::Max if signed => sx.max(sy) as u64,
         BinOp::Max => x.max(y),
         BinOp::And => x & y,
         BinOp::Or => x | y,
         BinOp::Xor => x ^ y,
         BinOp::Shl => x.wrapping_shl(y as u32),
+        BinOp::Shr if signed => sx.wrapping_shr(y as u32) as u64,
         BinOp::Shr => x.wrapping_shr(y as u32),
     })
 }
 
-fn eval_bin_i64(op: BinOp, x: i64, y: i64) -> Result<i64, TrapKind> {
-    Ok(match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        BinOp::Div => x.checked_div(y).ok_or(TrapKind::DivideByZero)?,
-        BinOp::Rem => x.checked_rem(y).ok_or(TrapKind::DivideByZero)?,
-        BinOp::Min => x.min(y),
-        BinOp::Max => x.max(y),
-        BinOp::And => x & y,
-        BinOp::Or => x | y,
-        BinOp::Xor => x ^ y,
-        BinOp::Shl => x.wrapping_shl(y as u32),
-        BinOp::Shr => x.wrapping_shr(y as u32),
-    })
-}
-
-fn eval_bin_f64(op: BinOp, x: f64, y: f64) -> f64 {
+#[inline]
+fn bin_f64(op: BinOp, x: f64, y: f64) -> f64 {
     match op {
         BinOp::Add => x + y,
         BinOp::Sub => x - y,
@@ -1763,40 +1910,6 @@ fn eval_bin_f64(op: BinOp, x: f64, y: f64) -> f64 {
         BinOp::Min => x.min(y),
         BinOp::Max => x.max(y),
         other => unreachable!("{other:?} on f64: the verifier allows no bitwise or shift op"),
-    }
-}
-
-fn eval_cmp(op: CmpOp, a: &Value, b: &Value) -> bool {
-    let ord = a.cmp(b);
-    match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => ord.is_lt(),
-        CmpOp::Le => ord.is_le(),
-        CmpOp::Gt => ord.is_gt(),
-        CmpOp::Ge => ord.is_ge(),
-    }
-}
-
-/// `cast a to ty`: the verifier casts only numbers and bools, and only to
-/// numbers.
-fn eval_cast(a: &Value, ty: &Type) -> Value {
-    let n = match a {
-        Value::U64(n) => *n,
-        Value::I64(n) => *n as u64,
-        Value::F64(n) => *n as u64,
-        Value::Idx(n) => *n as u64,
-        Value::Bool(b) => u64::from(*b),
-        other => unreachable!("cast of {other:?}: the verifier casts numbers and bools only"),
-    };
-    match (ty, a) {
-        (Type::F64, Value::I64(x)) => Value::F64(*x as f64),
-        (Type::F64, Value::F64(x)) => Value::F64(*x),
-        (Type::F64, _) => Value::F64(n as f64),
-        (Type::U64, _) => Value::U64(n),
-        (Type::I64, _) => Value::I64(n as i64),
-        (Type::Idx, _) => Value::Idx(n as usize),
-        (other, _) => unreachable!("cast to {other}: the verifier casts to numbers only"),
     }
 }
 

@@ -58,4 +58,4 @@ pub use heap::{CollId, Collection, SelectionDefaults};
 pub use session::{ExecSession, Step};
 pub use stats::{CollOp, ImplKind, OpCounts, Phase, Stats};
 pub use trap::{Limit, TrapKind, TrapSite, ENC_SENTINEL};
-pub use value::{ScalarVal, Value};
+pub use value::{Kind, ScalarVal, Value};

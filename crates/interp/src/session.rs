@@ -244,7 +244,7 @@ mod tests {
             ticks: 0,
             op: crate::decode::BulkOp::Scalar(crate::decode::UScalar::Const {
                 pool: 0,
-                dst: main.frame_size + 7,
+                dst: crate::decode::Slot::new(main.frame_size as usize + 7, crate::Kind::U64),
             }),
         });
         let mut session =

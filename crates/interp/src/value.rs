@@ -4,6 +4,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use ade_ir::Type;
+
 use crate::heap::CollId;
 
 /// A runtime value.
@@ -52,17 +54,6 @@ impl Value {
         }
     }
 
-    /// The `bool` inside.
-    #[inline]
-    pub fn as_bool(&self) -> bool {
-        match self {
-            Value::Bool(b) => *b,
-            other => {
-                unreachable!("expected bool, got {other:?}: the verifier types conditions bool")
-            }
-        }
-    }
-
     /// The `idx` inside (accepting `U64` for directive-forced dense
     /// implementations over integer keys).
     #[inline]
@@ -76,20 +67,81 @@ impl Value {
         }
     }
 
-    /// The collection handle inside.
+    /// The register bits of a value of a register [`Kind`]: what a
+    /// heap result or a projected field becomes in the register file.
     #[inline]
-    pub fn as_coll(&self) -> CollId {
+    pub fn bits(&self) -> u64 {
         match self {
-            Value::Coll(c) => *c,
-            other => {
-                unreachable!("expected a collection, got {other:?}: the verifier types operands")
-            }
+            Value::Void => 0,
+            Value::Bool(b) => u64::from(*b),
+            Value::U64(v) => *v,
+            Value::I64(v) => *v as u64,
+            Value::F64(v) => v.to_bits(),
+            Value::Idx(i) => *i as u64,
+            Value::Coll(c) => u64::from(c.0),
+            other => unreachable!("{other:?} is boxed: the verifier types register slots"),
         }
     }
 
-    /// Whether this value may be used as a collection key.
-    pub fn is_key(&self) -> bool {
-        !matches!(self, Value::Coll(_) | Value::Void)
+    /// The value of register kind `kind` held as `bits`: how a register
+    /// is boxed for the heap, `print` and the entry's result.
+    #[inline]
+    pub fn from_bits(kind: Kind, bits: u64) -> Value {
+        match kind {
+            Kind::Void => Value::Void,
+            Kind::Bool => Value::Bool(bits != 0),
+            Kind::U64 => Value::U64(bits),
+            Kind::I64 => Value::I64(bits as i64),
+            Kind::F64 => Value::F64(f64::from_bits(bits)),
+            Kind::Idx => Value::Idx(bits as usize),
+            Kind::Coll => Value::Coll(CollId(bits as u32)),
+            Kind::Boxed => unreachable!("a boxed slot has no register bits"),
+        }
+    }
+}
+
+/// How a frame slot holds its value, read off the slot's verified static
+/// type. Every kind but [`Kind::Boxed`] is a register kind: its values
+/// live as raw bits in the activation's `u64` register file (`bool` as
+/// 0 or 1, `i64` in two's complement, `f64` as its bit pattern, `idx` as
+/// the index, a collection as its heap handle). `str` and tuples are
+/// [`Kind::Boxed`]: whole [`Value`]s in the activation's side file.
+///
+/// With no runtime tag, a dense key and a `u64` are the same bits: the
+/// static type alone decides how a register is boxed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Kind {
+    /// `void`.
+    Void,
+    /// `bool`.
+    Bool,
+    /// `u64`.
+    U64,
+    /// `i64`.
+    I64,
+    /// `f64`.
+    F64,
+    /// `idx`.
+    Idx,
+    /// A collection handle.
+    Coll,
+    /// `str` or a tuple, held in the side file.
+    Boxed,
+}
+
+impl Kind {
+    /// The kind of a slot of static type `ty`.
+    pub fn of(ty: &Type) -> Kind {
+        match ty {
+            Type::Void => Kind::Void,
+            Type::Bool => Kind::Bool,
+            Type::U64 => Kind::U64,
+            Type::I64 => Kind::I64,
+            Type::F64 => Kind::F64,
+            Type::Idx => Kind::Idx,
+            Type::Str | Type::Tuple(_) => Kind::Boxed,
+            Type::Seq(_) | Type::Set { .. } | Type::Map { .. } => Kind::Coll,
+        }
     }
 }
 
@@ -337,15 +389,34 @@ mod tests {
         assert_eq!(Value::U64(4).as_u64(), 4);
         assert_eq!(Value::Idx(4).as_u64(), 4);
         assert_eq!(Value::Idx(9).as_index(), 9);
-        assert!(Value::Bool(true).as_bool());
-        assert!(Value::U64(0).is_key());
-        assert!(!Value::Void.is_key());
+        assert_eq!(Value::U64(9).as_index(), 9);
+    }
+
+    /// Register bits round-trip through every register kind, and a
+    /// dense key and a `u64` are the same bits.
+    #[test]
+    fn register_bits_round_trip() {
+        let samples = [
+            (Kind::Void, Value::Void),
+            (Kind::Bool, Value::Bool(true)),
+            (Kind::U64, Value::U64(u64::MAX)),
+            (Kind::I64, Value::I64(i64::MIN)),
+            (Kind::F64, Value::F64(-0.0)),
+            (Kind::Idx, Value::Idx(7)),
+            (Kind::Coll, Value::Coll(CollId(3))),
+        ];
+        for (kind, v) in samples {
+            assert_eq!(Value::from_bits(kind, v.bits()), v, "{kind:?}");
+        }
+        assert_eq!(Value::Idx(7).bits(), Value::U64(7).bits());
+        assert_eq!(Kind::of(&Type::seq(Type::Str)), Kind::Coll);
+        assert_eq!(Kind::of(&Type::Tuple(vec![Type::U64])), Kind::Boxed);
     }
 
     #[test]
-    #[should_panic(expected = "expected bool")]
-    fn as_bool_rejects_others() {
-        let _ = Value::U64(1).as_bool();
+    #[should_panic(expected = "expected idx")]
+    fn as_index_rejects_others() {
+        let _ = Value::Bool(true).as_index();
     }
 
     #[test]
