@@ -321,10 +321,10 @@ pub struct BulkPlan {
     /// The per-iteration component sequence, in original order (hoisted
     /// consts excluded).
     pub ops: Box<[PlanOp]>,
-    /// Source slots of the body's terminal yield, copied into the
-    /// carried argument slots after each iteration (already checked for
-    /// write-before-read hazards, like [`DInst::YieldDirect`]).
-    pub yield_srcs: Box<[Slot]>,
+    /// The body's terminal yield into the carried argument slots, run
+    /// after each iteration (already checked for write-before-read
+    /// hazards, like [`DInst::YieldDirect`]).
+    pub yields: Moves,
     /// Body slots after the last op, terminator included: the ticks an
     /// iteration takes beyond its ops' [`PlanOp::ticks`].
     pub tail: u32,
@@ -569,19 +569,45 @@ pub enum BulkOp {
         cond: Slot,
         /// Then-arm components.
         then_ops: Box<[PlanOp]>,
-        /// Then-arm yield source slots.
-        then_srcs: Box<[Slot]>,
+        /// The then-arm's yield into the branch's destinations.
+        then_yields: Moves,
         /// Else-arm components.
         else_ops: Box<[PlanOp]>,
-        /// Else-arm yield source slots.
-        else_srcs: Box<[Slot]>,
+        /// The else-arm's yield into the branch's destinations.
+        else_yields: Moves,
         /// Then-arm slots after its last op, terminator included.
         then_tail: u32,
         /// Else-arm slots after its last op, terminator included.
         else_tail: u32,
-        /// Destination slots receiving the taken arm's yields.
-        dsts: Box<[Slot]>,
     },
+}
+
+/// A yield's copies of `srcs[j]` into `dsts[j]`, in order, split by file
+/// with the self-copies dropped: a plan's yield is a run of `u64`
+/// moves. Files do not alias, so splitting keeps each copy's order
+/// where it matters.
+#[derive(Clone, Debug, Default)]
+pub struct Moves {
+    /// `(src, dst)` register indices.
+    pub regs: Box<[(u32, u32)]>,
+    /// `(src, dst)` side-file indices.
+    pub side: Box<[(u32, u32)]>,
+}
+
+impl Moves {
+    fn new(srcs: &[Slot], dsts: &[Slot]) -> Moves {
+        let pairs = |boxed: bool| {
+            srcs.iter()
+                .zip(dsts)
+                .filter(|(s, t)| s != t && t.is_boxed() == boxed)
+                .map(|(s, t)| (s.index, t.index))
+                .collect()
+        };
+        Moves {
+            regs: pairs(false),
+            side: pairs(true),
+        }
+    }
 }
 
 /// A decoded region: argument slots plus a contiguous range of the
@@ -1330,7 +1356,7 @@ fn compile_plan(d: &DFunc, region: &DRegion, carried_args: &[Slot]) -> Result<Bu
         depth: 1 + nest_depth(&ops),
         prelude: prelude.into_boxed_slice(),
         ops: ops.into_boxed_slice(),
-        yield_srcs: yield_srcs.into_boxed_slice(),
+        yields: Moves::new(&yield_srcs, carried_args),
         tail,
     })
 }
@@ -1436,19 +1462,18 @@ fn compile_inst(d: &DFunc, idx: usize, out: &mut Vec<PlanOp>) -> Result<(), Reje
                 let region = &d.regions[r as usize];
                 let (mut ops, srcs) = compile_body(d, region, dsts)?;
                 let tail = assign_ticks(&mut ops, region);
-                Ok::<_, Reject>((ops, srcs, tail))
+                Ok::<_, Reject>((ops, Moves::new(&srcs, dsts), tail))
             };
-            let (then_ops, then_srcs, then_tail) = arm(*then_r)?;
-            let (else_ops, else_srcs, else_tail) = arm(*else_r)?;
+            let (then_ops, then_yields, then_tail) = arm(*then_r)?;
+            let (else_ops, else_yields, else_tail) = arm(*else_r)?;
             BulkOp::If {
                 cond: *cond,
                 then_ops: then_ops.into_boxed_slice(),
-                then_srcs: then_srcs.into_boxed_slice(),
+                then_yields,
                 else_ops: else_ops.into_boxed_slice(),
-                else_srcs: else_srcs.into_boxed_slice(),
+                else_yields,
                 then_tail,
                 else_tail,
-                dsts: dsts.clone(),
             }
         }
         DInst::ForEachBulk { plan, .. } | DInst::ForRangeBulk { plan, .. } => {
@@ -1746,10 +1771,17 @@ fn @main() -> void {
             [BulkOp::Proj { field: 1, .. }]
         ));
         assert_eq!((plans[2].ops[0].ticks, plans[2].tail), (1, 0));
-        assert_eq!(
-            plans[2].yield_srcs.as_ref(),
-            &[Slot::new(f.frame_size as usize - 1, Kind::U64)]
-        );
+        let third_body = f
+            .code
+            .iter()
+            .filter_map(|i| match i {
+                DInst::ForEachBulk { body, .. } => Some(*body as usize),
+                _ => None,
+            })
+            .nth(2)
+            .expect("three loops");
+        let acc = f.regions[third_body].args[2];
+        assert_eq!(plans[2].yields.regs.as_ref(), &[(f.frame_size - 1, acc.index)]);
     }
 
     #[test]

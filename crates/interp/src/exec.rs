@@ -48,7 +48,8 @@ use ade_collections::SwissMap;
 use ade_ir::{BinOp, CmpOp, FuncId, Module, Type};
 
 use crate::decode::{
-    BulkOp, BulkPlan, DFunc, DInst, DecodeOptions, DecodedModule, PlanOp, Slot, Table, UScalar,
+    BulkOp, BulkPlan, DFunc, DInst, DecodeOptions, DecodedModule, Moves, PlanOp, Slot, Table,
+    UScalar,
 };
 use crate::heap::{CollId, Collection, SelectionDefaults};
 use crate::stats::{CollOp, ImplKind, Phase, Stats};
@@ -357,6 +358,17 @@ impl Frame {
             self.side[t.index()] = self.side[s.index()].clone();
         } else {
             self.regs[t.index()] = self.regs[s.index()];
+        }
+    }
+
+    /// Runs a plan yield's copies.
+    #[inline(always)]
+    fn run(&mut self, moves: &Moves) {
+        for &(s, t) in moves.regs.iter() {
+            self.regs[t as usize] = self.regs[s as usize];
+        }
+        for &(s, t) in moves.side.iter() {
+            self.side[t as usize] = self.side[s as usize].clone();
         }
     }
 
@@ -1446,7 +1458,7 @@ impl<'m> Interpreter<'m> {
                         .worst
                         .is_none_or(|worst| self.ticks_left >= u64::from(worst)) =>
                 {
-                    if let Err(e) = self.exec_plan_iteration(func, frame, plan, carried_args) {
+                    if let Err(e) = self.exec_plan_iteration(func, frame, plan) {
                         break Err(e);
                     }
                 }
@@ -1500,13 +1512,12 @@ impl<'m> Interpreter<'m> {
         func: &DFunc,
         frame: &mut Frame,
         plan: &BulkPlan,
-        carried_args: &[Slot],
     ) -> Result<(), ExecError> {
         for p in plan.ops.iter() {
             self.exec_plan_op(func, frame, p)?;
         }
         self.ticks_left -= u64::from(plan.tail);
-        copy_slots(frame, &plan.yield_srcs, carried_args);
+        frame.run(&plan.yields);
         Ok(())
     }
 
@@ -1533,7 +1544,7 @@ impl<'m> Interpreter<'m> {
         let args = &func.regions[parts.body as usize].args;
         let carried_args = &args[parts.bound..];
         while iter.bind(frame, args) {
-            self.exec_plan_iteration(func, frame, plan, carried_args)?;
+            self.exec_plan_iteration(func, frame, plan)?;
         }
         copy_slots(frame, carried_args, parts.dsts);
         Ok(())
@@ -1709,23 +1720,22 @@ impl<'m> Interpreter<'m> {
             BulkOp::If {
                 cond,
                 then_ops,
-                then_srcs,
+                then_yields,
                 then_tail,
                 else_ops,
-                else_srcs,
+                else_yields,
                 else_tail,
-                dsts,
             } => {
-                let (ops, srcs, tail) = if frame.reg(*cond) != 0 {
-                    (then_ops, then_srcs, then_tail)
+                let (ops, yields, tail) = if frame.reg(*cond) != 0 {
+                    (then_ops, then_yields, then_tail)
                 } else {
-                    (else_ops, else_srcs, else_tail)
+                    (else_ops, else_yields, else_tail)
                 };
                 for q in ops.iter() {
                     self.exec_plan_op(func, frame, q)?;
                 }
                 self.ticks_left -= u64::from(*tail);
-                copy_slots(frame, srcs, dsts);
+                frame.run(yields);
             }
         }
         Ok(())

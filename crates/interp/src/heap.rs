@@ -256,6 +256,7 @@ impl Collection {
 
     /// Membership test (sets and maps). The `enc` sentinel is a member
     /// of no collection, so probing for it is well-defined (`false`).
+    #[inline]
     pub fn has(&self, key: &Value) -> bool {
         match self {
             Collection::HashSet(s) => s.contains(key),
@@ -279,6 +280,7 @@ impl Collection {
     ///
     /// [`TrapKind::MissingKey`]/[`TrapKind::OutOfBounds`] when the key is
     /// absent (undefined behavior in the paper's semantics).
+    #[inline]
     pub fn try_read(&self, key: &Value) -> Result<Value, TrapKind> {
         let absent = || TrapKind::MissingKey {
             key: key.to_string(),
@@ -322,6 +324,7 @@ impl Collection {
     /// [`TrapKind::OutOfBounds`] on out-of-bounds sequence indices;
     /// [`TrapKind::SentinelInsert`] when the `enc` sentinel reaches a
     /// dense map.
+    #[inline]
     pub fn try_write(&mut self, key: &Value, value: Value) -> Result<(), TrapKind> {
         match self {
             Collection::Seq(s) => {
@@ -370,6 +373,7 @@ impl Collection {
     ///
     /// [`TrapKind::SentinelInsert`] when the `enc` sentinel reaches a
     /// dense set.
+    #[inline]
     pub fn try_insert_elem(&mut self, value: Value) -> Result<bool, TrapKind> {
         Ok(match self {
             Collection::HashSet(s) => s.insert(value),
@@ -428,6 +432,7 @@ impl Collection {
     /// # Errors
     ///
     /// [`TrapKind::OutOfBounds`] past the end.
+    #[inline]
     pub fn try_insert_seq(&mut self, index: usize, value: Value) -> Result<(), TrapKind> {
         match self {
             Collection::Seq(s) => {
