@@ -569,12 +569,11 @@ pub enum BulkOp {
         cond: Slot,
         /// Then-arm components.
         then_ops: Box<[PlanOp]>,
-        /// The then-arm's yield into the branch's destinations.
-        then_yields: Moves,
         /// Else-arm components.
         else_ops: Box<[PlanOp]>,
-        /// The else-arm's yield into the branch's destinations.
-        else_yields: Moves,
+        /// The then- and the else-arm's yield into the branch's
+        /// destinations (boxed: every plan op is as wide as this one).
+        yields: Box<[Moves; 2]>,
         /// Then-arm slots after its last op, terminator included.
         then_tail: u32,
         /// Else-arm slots after its last op, terminator included.
@@ -1469,9 +1468,8 @@ fn compile_inst(d: &DFunc, idx: usize, out: &mut Vec<PlanOp>) -> Result<(), Reje
             BulkOp::If {
                 cond: *cond,
                 then_ops: then_ops.into_boxed_slice(),
-                then_yields,
                 else_ops: else_ops.into_boxed_slice(),
-                else_yields,
+                yields: Box::new([then_yields, else_yields]),
                 then_tail,
                 else_tail,
             }

@@ -1720,16 +1720,15 @@ impl<'m> Interpreter<'m> {
             BulkOp::If {
                 cond,
                 then_ops,
-                then_yields,
-                then_tail,
                 else_ops,
-                else_yields,
+                yields,
+                then_tail,
                 else_tail,
             } => {
                 let (ops, yields, tail) = if frame.reg(*cond) != 0 {
-                    (then_ops, then_yields, then_tail)
+                    (then_ops, &yields[0], then_tail)
                 } else {
-                    (else_ops, else_yields, else_tail)
+                    (else_ops, &yields[1], else_tail)
                 };
                 for q in ops.iter() {
                     self.exec_plan_op(func, frame, q)?;
