@@ -419,48 +419,12 @@ enum RegionKind {
 enum LoopIter {
     /// A `forrange`: the next index to bind, and the bound.
     Range { next: u64, hi: u64 },
-    /// A `foreach`: the snapshot's keys and, when the body binds them,
-    /// its values, each in the bound argument's file, and the next entry
-    /// to bind.
-    Each {
-        keys: Column,
-        vals: Option<Column>,
-        next: usize,
-    },
-}
-
-/// One column of a `foreach` snapshot, held as its body argument's
-/// slots hold it.
-#[derive(Debug)]
-enum Column {
-    Bits(Vec<u64>),
-    Boxed(Vec<Value>),
-}
-
-impl Column {
-    /// The column of `values` for a slot of `kind`.
-    fn of<'v>(kind: Kind, values: impl Iterator<Item = &'v Value>) -> Column {
-        match kind {
-            Kind::Boxed => Column::Boxed(values.cloned().collect()),
-            _ => Column::Bits(values.map(Value::bits).collect()),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Column::Bits(v) => v.len(),
-            Column::Boxed(v) => v.len(),
-        }
-    }
-
-    /// Moves entry `i` into slot `s`.
-    #[inline(always)]
-    fn bind(&mut self, frame: &mut Frame, s: Slot, i: usize) {
-        match self {
-            Column::Bits(v) => frame.set_reg(s, v[i]),
-            Column::Boxed(v) => frame.side[s.index()] = std::mem::take(&mut v[i]),
-        }
-    }
+    /// A `foreach` whose bound arguments are registers: the snapshot's
+    /// `(key, value)` register bits, and the next entry to bind.
+    Each { entries: Vec<(u64, u64)>, next: usize },
+    /// A `foreach` binding a `str` or tuple: the snapshot entries not
+    /// yet bound.
+    EachBoxed(std::vec::IntoIter<(Value, Value)>),
 }
 
 impl LoopIter {
@@ -468,15 +432,15 @@ impl LoopIter {
     fn is_done(&self) -> bool {
         match self {
             LoopIter::Range { next, hi } => next >= hi,
-            LoopIter::Each { keys, next, .. } => *next == keys.len(),
+            LoopIter::Each { entries, next } => *next == entries.len(),
+            LoopIter::EachBoxed(rest) => rest.len() == 0,
         }
     }
 
-    /// Binds the next iteration's leading body arguments (the index,
-    /// key or element, then a value when the snapshot holds them);
-    /// `false` once no iteration is left.
+    /// Binds the next iteration's leading body arguments (the first
+    /// `bound` of `args`); `false` once no iteration is left.
     #[inline]
-    fn bind(&mut self, frame: &mut Frame, args: &[Slot]) -> bool {
+    fn bind(&mut self, frame: &mut Frame, args: &[Slot], bound: usize) -> bool {
         match self {
             LoopIter::Range { next, hi } => {
                 if *next >= *hi {
@@ -485,15 +449,24 @@ impl LoopIter {
                 frame.set_reg(args[0], *next);
                 *next += 1;
             }
-            LoopIter::Each { keys, vals, next } => {
-                if *next == keys.len() {
+            LoopIter::Each { entries, next } => {
+                let Some(&(key, value)) = entries.get(*next) else {
                     return false;
-                }
-                keys.bind(frame, args[0], *next);
-                if let Some(vals) = vals {
-                    vals.bind(frame, args[1], *next);
+                };
+                frame.set_reg(args[0], key);
+                if bound == 2 {
+                    frame.set_reg(args[1], value);
                 }
                 *next += 1;
+            }
+            LoopIter::EachBoxed(rest) => {
+                let Some((key, value)) = rest.next() else {
+                    return false;
+                };
+                frame.store(args[0], key);
+                if bound == 2 {
+                    frame.store(args[1], value);
+                }
             }
         }
         true
@@ -1312,17 +1285,21 @@ impl<'m> Interpreter<'m> {
 
     /// Snapshots a `foreach`'s collection, whether dispatch or a nested
     /// loop op opens it: counts the iteration (`IterElem` per entry,
-    /// `IterWord` per scanned occupancy word) and holds each bound column
-    /// as the body's argument slots `args` hold it.
+    /// `IterWord` per scanned occupancy word) and, when the body binds
+    /// only registers (`args`' first `bound`), holds the entries as
+    /// register bits.
     fn foreach_iter(&mut self, id: CollId, args: &[Slot], bound: usize) -> LoopIter {
         let imp = self.impl_of(id);
         let entries = self.heap[id.0 as usize].snapshot();
         let words = self.heap[id.0 as usize].iter_scan_words();
         self.bump(imp, CollOp::IterElem, entries.len() as u64);
         self.bump(imp, CollOp::IterWord, words);
+        if args[..bound].iter().any(|a| a.is_boxed()) {
+            return LoopIter::EachBoxed(entries.into_iter());
+        }
+        let entries = entries.into_iter().map(|(k, v)| (k.bits(), v.bits()));
         LoopIter::Each {
-            keys: Column::of(args[0].kind(), entries.iter().map(|(k, _)| k)),
-            vals: (bound == 2).then(|| Column::of(args[1].kind(), entries.iter().map(|(_, v)| v))),
+            entries: entries.collect(),
             next: 0,
         }
     }
@@ -1448,7 +1425,7 @@ impl<'m> Interpreter<'m> {
         let plan = parts.plan.filter(|_| *bulk);
         let before = self.ticks_left;
         let next = loop {
-            if !iter.bind(frame, args) {
+            if !iter.bind(frame, args, parts.bound) {
                 copy_slots(frame, carried_args, parts.dsts);
                 break Ok(leave_to_parent(cursors));
             }
@@ -1543,7 +1520,7 @@ impl<'m> Interpreter<'m> {
         }
         let args = &func.regions[parts.body as usize].args;
         let carried_args = &args[parts.bound..];
-        while iter.bind(frame, args) {
+        while iter.bind(frame, args, parts.bound) {
             self.exec_plan_iteration(func, frame, plan)?;
         }
         copy_slots(frame, carried_args, parts.dsts);
