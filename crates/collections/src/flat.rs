@@ -102,7 +102,13 @@ impl<T: Ord> FlatSet<T> {
     /// Constant-time estimate of the heap footprint (array capacity;
     /// element-owned heap data excluded).
     pub fn heap_bytes_fast(&self) -> usize {
-        self.items.capacity() * std::mem::size_of::<T>()
+        self.heap_bytes_fast_as(std::mem::size_of::<T>())
+    }
+
+    /// [`FlatSet::heap_bytes_fast`] priced as if each element were
+    /// `elem_bytes` wide (see `ArraySeq::heap_bytes_fast_as`).
+    pub fn heap_bytes_fast_as(&self, elem_bytes: usize) -> usize {
+        self.items.capacity() * elem_bytes
     }
 }
 

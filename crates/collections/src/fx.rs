@@ -92,6 +92,28 @@ impl Hasher for FxHasher {
 /// `BuildHasher` producing [`FxHasher`] instances.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
+/// Hash `value` with an [`FxHasher`] whose state starts at `seed`: the
+/// state another hasher reached after hashing a prefix. A table whose
+/// keys all share a prefix (say, an enum discriminant) can store them
+/// without it and still hash every key exactly as the prefixed value.
+///
+/// # Examples
+///
+/// ```
+/// use std::hash::{Hash, Hasher};
+/// use ade_collections::fx::{hash_one, hash_seeded, FxHasher};
+///
+/// let mut h = FxHasher::default();
+/// 2usize.hash(&mut h);
+/// assert_eq!(hash_seeded(h.finish(), &7u64), hash_one(&(2usize, 7u64)));
+/// ```
+#[inline]
+pub fn hash_seeded<T: Hash + ?Sized>(seed: u64, value: &T) -> u64 {
+    let mut hasher = FxHasher { state: seed };
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
 /// Hash a single value with [`FxHasher`].
 ///
 /// # Examples
@@ -103,9 +125,7 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// ```
 #[inline]
 pub fn hash_one<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut hasher = FxHasher::default();
-    value.hash(&mut hasher);
-    hasher.finish()
+    hash_seeded(0, value)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 use std::fmt;
 use std::hash::Hash;
 
-use crate::fx::hash_one;
+use crate::fx::hash_seeded;
 use crate::HeapSize;
 
 const MIN_BUCKETS: usize = 8;
@@ -115,13 +115,25 @@ impl<K, V> Bucket<K, V> {
 pub struct ChainedHashMap<K, V> {
     buckets: Vec<Bucket<K, V>>,
     len: usize,
+    /// The hasher state every key's hash starts from (see
+    /// [`hash_seeded`]); 0 for a plain FxHash.
+    seed: u64,
 }
 
 impl<K, V> Default for ChainedHashMap<K, V> {
     fn default() -> Self {
+        Self::with_seed(0)
+    }
+}
+
+impl<K, V> ChainedHashMap<K, V> {
+    /// Creates an empty map whose keys hash from `seed` (see
+    /// [`hash_seeded`]).
+    pub fn with_seed(seed: u64) -> Self {
         Self {
             buckets: Vec::new(),
             len: 0,
+            seed,
         }
     }
 }
@@ -137,7 +149,7 @@ impl<K: Hash + Eq, V> ChainedHashMap<K, V> {
         let buckets = cap.next_power_of_two().max(MIN_BUCKETS);
         Self {
             buckets: (0..buckets).map(|_| Bucket::Empty).collect(),
-            len: 0,
+            ..Self::default()
         }
     }
 
@@ -160,7 +172,7 @@ impl<K: Hash + Eq, V> ChainedHashMap<K, V> {
     #[inline]
     fn bucket_of(&self, key: &K) -> usize {
         debug_assert!(!self.buckets.is_empty());
-        (hash_one(key) as usize) & (self.buckets.len() - 1)
+        (hash_seeded(self.seed, key) as usize) & (self.buckets.len() - 1)
     }
 
     fn grow_if_needed(&mut self) {
@@ -180,10 +192,10 @@ impl<K: Hash + Eq, V> ChainedHashMap<K, V> {
         for bucket in old {
             match bucket {
                 Bucket::Empty => {}
-                Bucket::One(pair) => Self::rehash_into(&mut self.buckets, pair),
+                Bucket::One(pair) => Self::rehash_into(&mut self.buckets, self.seed, pair),
                 Bucket::Many(chain) => {
                     for pair in chain {
-                        Self::rehash_into(&mut self.buckets, pair);
+                        Self::rehash_into(&mut self.buckets, self.seed, pair);
                     }
                 }
             }
@@ -192,8 +204,8 @@ impl<K: Hash + Eq, V> ChainedHashMap<K, V> {
 
     /// Re-appends an entry during a rehash (keys are already unique, so
     /// no chain scan is needed).
-    fn rehash_into(buckets: &mut [Bucket<K, V>], pair: (K, V)) {
-        let b = (hash_one(&pair.0) as usize) & (buckets.len() - 1);
+    fn rehash_into(buckets: &mut [Bucket<K, V>], seed: u64, pair: (K, V)) {
+        let b = (hash_seeded(seed, &pair.0) as usize) & (buckets.len() - 1);
         buckets[b].push(pair);
     }
 
@@ -377,6 +389,14 @@ impl<T: Hash + Eq> ChainedHashSet<T> {
     /// Creates an empty set.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty set whose elements hash from `seed` (see
+    /// [`ChainedHashMap::with_seed`]).
+    pub fn with_seed(seed: u64) -> Self {
+        Self {
+            map: ChainedHashMap::with_seed(seed),
+        }
     }
 
     /// Creates an empty set with room for `cap` elements.

@@ -10,7 +10,7 @@
 use std::fmt;
 use std::hash::Hash;
 
-use crate::fx::hash_one;
+use crate::fx::hash_seeded;
 use crate::HeapSize;
 
 /// Control byte for an empty slot (high bit set).
@@ -82,15 +82,27 @@ pub struct SwissMap<K, V> {
     len: usize,
     /// Entries counted against the load factor: live + tombstones.
     growth_used: usize,
+    /// The hasher state every key's hash starts from (see
+    /// [`hash_seeded`]); 0 for a plain FxHash.
+    seed: u64,
 }
 
 impl<K, V> Default for SwissMap<K, V> {
     fn default() -> Self {
+        Self::with_seed(0)
+    }
+}
+
+impl<K, V> SwissMap<K, V> {
+    /// Creates an empty map whose keys hash from `seed` (see
+    /// [`hash_seeded`]).
+    pub fn with_seed(seed: u64) -> Self {
         Self {
             ctrl: Vec::new(),
             slots: Vec::new(),
             len: 0,
             growth_used: 0,
+            seed,
         }
     }
 }
@@ -201,7 +213,7 @@ impl<K: Hash + Eq, V> SwissMap<K, V> {
         self.slots = (0..new_cap).map(|_| None).collect();
         self.growth_used = self.len;
         for entry in old_slots.into_iter().flatten() {
-            let hash = hash_one(&entry.0);
+            let hash = hash_seeded(self.seed, &entry.0);
             let idx = self.find_insert_slot(hash);
             self.ctrl[idx] = h2(hash);
             self.slots[idx] = Some(entry);
@@ -225,24 +237,24 @@ impl<K: Hash + Eq, V> SwissMap<K, V> {
 
     /// Returns a reference to the value for `key`, if present.
     pub fn get(&self, key: &K) -> Option<&V> {
-        let idx = self.find(key, hash_one(key))?;
+        let idx = self.find(key, hash_seeded(self.seed, key))?;
         self.slots[idx].as_ref().map(|(_, v)| v)
     }
 
     /// Returns a mutable reference to the value for `key`, if present.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let idx = self.find(key, hash_one(key))?;
+        let idx = self.find(key, hash_seeded(self.seed, key))?;
         self.slots[idx].as_mut().map(|(_, v)| v)
     }
 
     /// Returns `true` if `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.find(key, hash_one(key)).is_some()
+        self.find(key, hash_seeded(self.seed, key)).is_some()
     }
 
     /// Inserts `key → value`, returning the previous value if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let hash = hash_one(&key);
+        let hash = hash_seeded(self.seed, &key);
         if let Some(idx) = self.find(&key, hash) {
             let slot = self.slots[idx].as_mut().expect("found slot is full");
             return Some(std::mem::replace(&mut slot.1, value));
@@ -260,7 +272,7 @@ impl<K: Hash + Eq, V> SwissMap<K, V> {
 
     /// Removes `key`, returning its value if it was present.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let idx = self.find(key, hash_one(key))?;
+        let idx = self.find(key, hash_seeded(self.seed, key))?;
         self.ctrl[idx] = DELETED;
         self.len -= 1;
         self.slots[idx].take().map(|(_, v)| v)
@@ -269,7 +281,15 @@ impl<K: Hash + Eq, V> SwissMap<K, V> {
     /// A constant-time estimate of [`HeapSize::heap_bytes`]: control
     /// bytes plus the slot array (element-owned heap data excluded).
     pub fn heap_bytes_fast(&self) -> usize {
-        self.ctrl.capacity() + self.slots.capacity() * std::mem::size_of::<Option<(K, V)>>()
+        self.heap_bytes_fast_as(std::mem::size_of::<Option<(K, V)>>())
+    }
+
+    /// [`SwissMap::heap_bytes_fast`] priced as if each slot were
+    /// `slot_bytes` wide, so a monomorphic instantiation can report its
+    /// boxed twin's footprint (slot capacity depends on the entry count
+    /// alone).
+    pub fn heap_bytes_fast_as(&self, slot_bytes: usize) -> usize {
+        self.ctrl.capacity() + self.slots.capacity() * slot_bytes
     }
 
     /// Iterates over `(key, value)` pairs in unspecified (but
@@ -357,6 +377,14 @@ impl<T: Hash + Eq> SwissSet<T> {
         Self::default()
     }
 
+    /// Creates an empty set whose elements hash from `seed` (see
+    /// [`SwissMap::with_seed`]).
+    pub fn with_seed(seed: u64) -> Self {
+        Self {
+            map: SwissMap::with_seed(seed),
+        }
+    }
+
     /// Creates an empty set with room for `cap` elements.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
@@ -398,6 +426,12 @@ impl<T: Hash + Eq> SwissSet<T> {
     /// [`SwissMap::heap_bytes_fast`]).
     pub fn heap_bytes_fast(&self) -> usize {
         self.map.heap_bytes_fast()
+    }
+
+    /// Footprint priced at a different slot width (see
+    /// [`SwissMap::heap_bytes_fast_as`]).
+    pub fn heap_bytes_fast_as(&self, slot_bytes: usize) -> usize {
+        self.map.heap_bytes_fast_as(slot_bytes)
     }
 
     /// Iterates over the elements in unspecified order.

@@ -21,8 +21,7 @@
 //!   prebuilt table of register bits or strings,
 //! - region targets become contiguous index ranges into the decoded
 //!   stream,
-//! - statically derivable facts (insert flavor, union element kind,
-//!   foreach binding shape) are computed once here instead of per
+//! - statically derivable facts (insert flavor, foreach binding shape) are computed once here instead of per
 //!   execution.
 //!
 //! Decoding is purely structural: it must not change program behavior,
@@ -490,8 +489,6 @@ pub enum BulkOp {
         coll: Slot,
         /// Source-collection slot.
         src: Slot,
-        /// Element kind of the destination.
-        elem: Kind,
         /// Base slot of the destination operand (see [`BulkOp::InsertSet`]).
         base: Slot,
         /// Destination slot (receives the base collection's handle).
@@ -681,9 +678,10 @@ pub enum Table {
 pub struct DecodedModule {
     /// Decoded functions, indexed by [`FuncId`].
     pub funcs: Box<[DFunc]>,
-    /// Number of enumeration classes declared by the source module
-    /// (the interpreter allocates one runtime `Enum` pair per class).
-    pub enum_count: usize,
+    /// The key kind of each enumeration class the source module
+    /// declares (the interpreter allocates one runtime `Enum` pair per
+    /// class, storing keys as collections of that kind do).
+    pub enum_keys: Box<[Kind]>,
 }
 
 /// Options for [`DecodedModule::decode_with`].
@@ -728,7 +726,7 @@ impl DecodedModule {
             .collect();
         DecodedModule {
             funcs,
-            enum_count: module.enums.len(),
+            enum_keys: module.enums.iter().map(|e| Kind::of(&e.key_ty)).collect(),
         }
     }
 
@@ -1121,10 +1119,6 @@ impl<'f> FuncDecoder<'f> {
                 dst,
             },
             InstKind::UnionInto => BulkOp::Union {
-                elem: self
-                    .target_type(&ops[0])
-                    .key_type()
-                    .map_or(Kind::Idx, Kind::of),
                 coll: self.op(&ops[0]),
                 src: self.op(&ops[1]),
                 base: base(self, &ops[0]),

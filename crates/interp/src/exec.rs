@@ -15,8 +15,10 @@
 //! holds raw bits in a `u64` register, and only `str` and tuple slots
 //! hold [`Value`]s, in a side file ([`Frame`]). Scalar ops are typed at
 //! decode, loop binding, yields, call arguments and returns are plain
-//! register moves, and values are boxed only where they meet the heap,
-//! `print` or the entry's result, by the static type decode recorded.
+//! register moves, and heap ops take and return register bits
+//! ([`Arg`]). Values are boxed only for `print` and the entry's result,
+//! by the static type decode recorded, and where a register meets a
+//! collection of `str` or tuples.
 //!
 //! Control flow does not recurse on the host stack. A run's continuation
 //! is an explicit [`Machine`]: one activation (frame) per live call and
@@ -39,19 +41,17 @@
 //! runs only when neither a fuel limit nor a session grant can end the
 //! countdown's window.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use ade_collections::SwissMap;
 use ade_ir::{BinOp, CmpOp, FuncId, Module, Type};
 
 use crate::decode::{
     BulkOp, BulkPlan, DFunc, DInst, DecodeOptions, DecodedModule, Moves, PlanOp, Slot, Table,
     UScalar,
 };
-use crate::heap::{CollId, Collection, SelectionDefaults};
+use crate::heap::{Arg, CollId, Collection, Elem, Enumeration, SelectionDefaults};
 use crate::stats::{CollOp, ImplKind, Phase, Stats};
 use crate::trap::{Limit, TrapKind, TrapSite};
 use crate::value::{Kind, Value};
@@ -224,21 +224,6 @@ pub struct Outcome {
     pub fuel_ticks: u64,
 }
 
-/// The runtime state of one enumeration class: the paper's
-/// `Enum = (Enc, Dec)` pair, populated on the fly (§III-B).
-#[derive(Debug, Default)]
-struct RuntimeEnum {
-    enc: SwissMap<Value, usize>,
-    dec: Vec<Value>,
-    cached_bytes: usize,
-}
-
-impl RuntimeEnum {
-    fn bytes_estimate(&self) -> usize {
-        self.enc.heap_bytes_fast() + self.dec.capacity() * std::mem::size_of::<Value>()
-    }
-}
-
 /// A run's continuation between two instructions: one [`Activation`] per
 /// live call and one [`Cursor`] per entered region, innermost last. An
 /// [`crate::ExecSession`] keeps it between quanta; a batch run drops it
@@ -330,14 +315,23 @@ impl Frame {
         }
     }
 
-    /// The value in `s` as a heap key: borrowed from the side file, or
-    /// boxed from its register.
+    /// The value in `s` as a heap operand: its register bits, or its
+    /// boxed value.
     #[inline(always)]
-    fn key(&self, s: Slot) -> Cow<'_, Value> {
+    fn arg(&self, s: Slot) -> Arg<'_> {
         if s.is_boxed() {
-            Cow::Borrowed(&self.side[s.index()])
+            Arg::Boxed(&self.side[s.index()])
         } else {
-            Cow::Owned(Value::from_bits(s.kind(), self.reg(s)))
+            Arg::Bits(self.reg(s))
+        }
+    }
+
+    /// Stores a heap result into `s`.
+    #[inline(always)]
+    fn put(&mut self, s: Slot, a: Arg<'_>) {
+        match a {
+            Arg::Bits(bits) => self.set_reg(s, bits),
+            Arg::Boxed(v) => self.side[s.index()] = v.clone(),
         }
     }
 
@@ -562,7 +556,7 @@ pub struct Interpreter<'m> {
     /// instead of touching the (much wider) [`Collection`] enum.
     coll_impls: Vec<ImplKind>,
     coll_bytes: Vec<usize>,
-    enums: Vec<RuntimeEnum>,
+    enums: Vec<Enumeration>,
     stats: Stats,
     output: String,
     phase: Phase,
@@ -671,7 +665,7 @@ impl<'m> Interpreter<'m> {
     /// and the first tick window. A session (`sliced`) starts paused: its
     /// empty window makes the first instruction wait for the first grant.
     pub(crate) fn start(&mut self, decoded: &DecodedModule, sliced: bool) {
-        self.enums = (0..decoded.enum_count).map(|_| RuntimeEnum::default()).collect();
+        self.enums = decoded.enum_keys.iter().map(|&k| Enumeration::new(k)).collect();
         self.sliced = sliced;
         self.window = if sliced {
             0
@@ -807,32 +801,32 @@ impl<'m> Interpreter<'m> {
 
     /// `read(c, k)`.
     #[inline]
-    fn read(&mut self, id: CollId, key: &Value) -> Result<Value, TrapKind> {
+    fn read(&mut self, id: CollId, key: Arg<'_>) -> Result<Arg<'_>, TrapKind> {
         self.bump(self.impl_of(id), CollOp::Read, 1);
-        self.heap[id.0 as usize].try_read(key)
+        self.heap[id.0 as usize].read(key)
     }
 
     /// `write(c, k, v)`.
     #[inline]
-    fn write(&mut self, id: CollId, key: &Value, value: Value) -> Result<(), TrapKind> {
+    fn write(&mut self, id: CollId, key: Arg<'_>, value: Arg<'_>) -> Result<(), TrapKind> {
         self.bump(self.impl_of(id), CollOp::Write, 1);
-        self.heap[id.0 as usize].try_write(key, value)?;
+        self.heap[id.0 as usize].write(key, value)?;
         self.refresh_bytes(id);
         Ok(())
     }
 
     /// `has(c, k)`.
     #[inline]
-    fn has(&mut self, id: CollId, key: &Value) -> bool {
+    fn has(&mut self, id: CollId, key: Arg<'_>) -> bool {
         self.bump(self.impl_of(id), CollOp::Has, 1);
         self.heap[id.0 as usize].has(key)
     }
 
     /// `remove(c, k)`.
     #[inline]
-    fn remove(&mut self, id: CollId, key: &Value) -> Result<(), TrapKind> {
+    fn remove(&mut self, id: CollId, key: Arg<'_>) -> Result<(), TrapKind> {
         self.bump(self.impl_of(id), CollOp::Remove, 1);
-        self.heap[id.0 as usize].try_remove(key)?;
+        self.heap[id.0 as usize].remove(key)?;
         self.refresh_bytes(id);
         Ok(())
     }
@@ -847,9 +841,9 @@ impl<'m> Interpreter<'m> {
 
     /// Set-flavored `insert(c, e)`.
     #[inline]
-    fn insert_elem(&mut self, id: CollId, elem: Value) -> Result<(), TrapKind> {
+    fn insert_elem(&mut self, id: CollId, elem: Arg<'_>) -> Result<(), TrapKind> {
         self.bump(self.impl_of(id), CollOp::Insert, 1);
-        self.heap[id.0 as usize].try_insert_elem(elem)?;
+        self.heap[id.0 as usize].insert(elem)?;
         self.refresh_bytes(id);
         Ok(())
     }
@@ -860,13 +854,13 @@ impl<'m> Interpreter<'m> {
     /// [`ExecConfig::max_heap_cells`]), so it returns a site-less
     /// [`ExecError`].
     #[inline]
-    fn insert_key(&mut self, id: CollId, key: &Value, val_ty: &Type) -> Result<(), ExecError> {
+    fn insert_key(&mut self, id: CollId, key: Arg<'_>, val_ty: &Type) -> Result<(), ExecError> {
         self.bump(self.impl_of(id), CollOp::Insert, 1);
         // Only allocate a default if the key is absent.
         if !self.heap[id.0 as usize].has(key) {
             let default = self.default_value(val_ty)?;
             self.heap[id.0 as usize]
-                .try_insert_key_default(key, default)
+                .write(key, default.arg())
                 .map_err(trap)?;
         }
         self.refresh_bytes(id);
@@ -875,10 +869,10 @@ impl<'m> Interpreter<'m> {
 
     /// Sequence-flavored `insert(c, i, v)`.
     #[inline]
-    fn insert_seq(&mut self, id: CollId, index: usize, value: Value) -> Result<(), TrapKind> {
+    fn insert_seq(&mut self, id: CollId, index: usize, value: Arg<'_>) -> Result<(), TrapKind> {
         let imp = self.impl_of(id);
         self.bump(imp, CollOp::Insert, 1);
-        self.heap[id.0 as usize].try_insert_seq(index, value)?;
+        self.heap[id.0 as usize].insert_at(index, value)?;
         self.refresh_bytes(id);
         Ok(())
     }
@@ -890,43 +884,35 @@ impl<'m> Interpreter<'m> {
     /// observe absence. A dense insert of the sentinel raises a typed
     /// trap instead.
     #[inline]
-    fn enc(&mut self, e: u32, key: &Value) -> usize {
+    fn enc(&mut self, e: u32, key: Arg<'_>) -> usize {
         self.bump(ImplKind::EnumEnc, CollOp::Read, 1);
         self.enums[e as usize]
-            .enc
-            .get(key)
-            .copied()
+            .enc(key)
             .unwrap_or(crate::trap::ENC_SENTINEL)
     }
 
     /// `dec(e, i)`. An identifier the enumeration never issued (the
     /// `enc` sentinel included) traps as out of bounds.
     #[inline]
-    fn dec(&mut self, e: u32, idx: usize) -> Result<Value, TrapKind> {
+    fn dec(&mut self, e: u32, idx: usize) -> Result<Arg<'_>, TrapKind> {
         self.bump(ImplKind::EnumDec, CollOp::Read, 1);
-        let dec = &self.enums[e as usize].dec;
-        dec.get(idx).cloned().ok_or(TrapKind::OutOfBounds {
-            index: idx as u64,
-            len: dec.len(),
-        })
+        self.enums[e as usize].dec(idx)
     }
 
     /// `add(e, v)`: `v`'s identifier, issuing the next one when `v` is
     /// new.
-    fn enum_add(&mut self, e: u32, key: Value) -> usize {
+    fn enum_add(&mut self, e: u32, key: Arg<'_>) -> usize {
         // Bumps go through `self.bump`, which means the `&mut self.enums[e]` borrow cannot be held
         // across them; the bump sequence (Read, then on a miss Insert
         // into both Enc and Dec) is unchanged.
         self.bump(ImplKind::EnumEnc, CollOp::Read, 1);
-        if let Some(&idx) = self.enums[e as usize].enc.get(&key) {
+        if let Some(idx) = self.enums[e as usize].enc(key) {
             return idx;
         }
         self.bump(ImplKind::EnumEnc, CollOp::Insert, 1);
         self.bump(ImplKind::EnumDec, CollOp::Insert, 1);
         let re = &mut self.enums[e as usize];
-        let idx = re.dec.len();
-        re.enc.insert(key.clone(), idx);
-        re.dec.push(key);
+        let idx = re.add(key);
         let new = re.bytes_estimate();
         let old = re.cached_bytes;
         re.cached_bytes = new;
@@ -950,14 +936,14 @@ impl<'m> Interpreter<'m> {
         self.bump(imp, CollOp::Insert, len as u64);
         for i in 0..len {
             let x = match elems {
-                Table::Bits(t) => Value::U64(t[i]),
-                Table::Boxed(t) => t[i].clone(),
+                Table::Bits(t) => Arg::Bits(t[i]),
+                Table::Boxed(t) => Arg::Boxed(&t[i]),
             };
             let v = match e {
-                Some(e) => Value::Idx(self.enum_add(e, x)),
+                Some(e) => Arg::Bits(self.enum_add(e, x) as u64),
                 None => x,
             };
-            self.heap[id.0 as usize].try_insert_seq(i, v)?;
+            self.heap[id.0 as usize].insert_at(i, v)?;
         }
         self.refresh_bytes(id);
         Ok(())
@@ -1285,23 +1271,28 @@ impl<'m> Interpreter<'m> {
 
     /// Snapshots a `foreach`'s collection, whether dispatch or a nested
     /// loop op opens it: counts the iteration (`IterElem` per entry,
-    /// `IterWord` per scanned occupancy word) and, when the body binds
-    /// only registers (`args`' first `bound`), holds the entries as
-    /// register bits.
+    /// `IterWord` per scanned occupancy word) and holds the entries as
+    /// register bits, or, when the body binds a `str` or tuple (`args`'
+    /// first `bound`), as values boxed by the bound slots' kinds.
     fn foreach_iter(&mut self, id: CollId, args: &[Slot], bound: usize) -> LoopIter {
         let imp = self.impl_of(id);
-        let entries = self.heap[id.0 as usize].snapshot();
-        let words = self.heap[id.0 as usize].iter_scan_words();
-        self.bump(imp, CollOp::IterElem, entries.len() as u64);
+        let coll = &self.heap[id.0 as usize];
+        let (n, words) = (coll.len(), coll.iter_scan_words());
+        let iter = if args[..bound].iter().any(|a| a.is_boxed()) {
+            let val = if bound == 2 { args[1].kind() } else { Kind::Void };
+            let mut entries = Vec::with_capacity(n);
+            coll.for_each(|k, v| {
+                entries.push((Value::own(k, args[0].kind()), Value::own(v, val)));
+            });
+            LoopIter::EachBoxed(entries.into_iter())
+        } else {
+            let mut entries = Vec::with_capacity(n);
+            coll.for_each(|k, v| entries.push((k.bits(), v.bits())));
+            LoopIter::Each { entries, next: 0 }
+        };
+        self.bump(imp, CollOp::IterElem, n as u64);
         self.bump(imp, CollOp::IterWord, words);
-        if args[..bound].iter().any(|a| a.is_boxed()) {
-            return LoopIter::EachBoxed(entries.into_iter());
-        }
-        let entries = entries.into_iter().map(|(k, v)| (k.bits(), v.bits()));
-        LoopIter::Each {
-            entries: entries.collect(),
-            next: 0,
-        }
+        iter
     }
 
     /// Enters a `foreach`/`forrange` (generic or bulk): opens the loop,
@@ -1566,12 +1557,10 @@ impl<'m> Interpreter<'m> {
                 let v = project(&frame.side[base.index()], *field);
                 frame.store(*dst, v);
             }
-            BulkOp::Read { coll, key, dst } => {
-                match self.read(frame.coll(*coll), &frame.key(*key)) {
-                    Ok(v) => frame.store(*dst, v),
-                    Err(kind) => return Err(at(kind)),
-                }
-            }
+            BulkOp::Read { coll, key, dst } => match self.read(frame.coll(*coll), frame.arg(*key)) {
+                Ok(v) => frame.put(*dst, v),
+                Err(kind) => return Err(at(kind)),
+            },
             BulkOp::Write {
                 coll,
                 key,
@@ -1579,13 +1568,12 @@ impl<'m> Interpreter<'m> {
                 base,
                 dst,
             } => {
-                let value = frame.boxed(*val);
-                self.write(frame.coll(*coll), &frame.key(*key), value)
+                self.write(frame.coll(*coll), frame.arg(*key), frame.arg(*val))
                     .map_err(at)?;
                 frame.copy(*base, *dst);
             }
             BulkOp::Has { coll, key, dst } => {
-                let has = self.has(frame.coll(*coll), &frame.key(*key));
+                let has = self.has(frame.coll(*coll), frame.arg(*key));
                 frame.set_reg(*dst, u64::from(has));
             }
             BulkOp::InsertSet {
@@ -1594,7 +1582,7 @@ impl<'m> Interpreter<'m> {
                 base,
                 dst,
             } => {
-                self.insert_elem(frame.coll(*coll), frame.boxed(*elem))
+                self.insert_elem(frame.coll(*coll), frame.arg(*elem))
                     .map_err(at)?;
                 frame.copy(*base, *dst);
             }
@@ -1606,7 +1594,7 @@ impl<'m> Interpreter<'m> {
                 dst,
             } => {
                 let val_ty = &func.types[*val_ty as usize];
-                self.insert_key(frame.coll(*coll), &frame.key(*key), val_ty)
+                self.insert_key(frame.coll(*coll), frame.arg(*key), val_ty)
                     .map_err(|e| site_at(func, site, e))?;
                 frame.copy(*base, *dst);
             }
@@ -1618,7 +1606,7 @@ impl<'m> Interpreter<'m> {
                 dst,
             } => {
                 let index = frame.reg(*index) as usize;
-                self.insert_seq(frame.coll(*coll), index, frame.boxed(*val))
+                self.insert_seq(frame.coll(*coll), index, frame.arg(*val))
                     .map_err(at)?;
                 frame.copy(*base, *dst);
             }
@@ -1628,7 +1616,7 @@ impl<'m> Interpreter<'m> {
                 base,
                 dst,
             } => {
-                self.remove(frame.coll(*coll), &frame.key(*key))
+                self.remove(frame.coll(*coll), frame.arg(*key))
                     .map_err(at)?;
                 frame.copy(*base, *dst);
             }
@@ -1651,26 +1639,24 @@ impl<'m> Interpreter<'m> {
             BulkOp::Union {
                 coll,
                 src,
-                elem,
                 base,
                 dst,
             } => {
                 let dst_id = frame.coll(*coll);
-                self.union_into(dst_id, frame.coll(*src), *elem)
-                    .map_err(|e| site_at(func, site, e))?;
+                self.union_into(dst_id, frame.coll(*src)).map_err(at)?;
                 self.refresh_bytes(dst_id);
                 frame.copy(*base, *dst);
             }
             BulkOp::Enc { e, v, dst } => {
-                let id = self.enc(*e, &frame.key(*v));
+                let id = self.enc(*e, frame.arg(*v));
                 frame.set_reg(*dst, id as u64);
             }
             BulkOp::Dec { e, v, dst } => match self.dec(*e, frame.reg(*v) as usize) {
-                Ok(value) => frame.store(*dst, value),
+                Ok(value) => frame.put(*dst, value),
                 Err(kind) => return Err(at(kind)),
             },
             BulkOp::EnumAdd { e, v, dst } => {
-                let id = self.enum_add(*e, frame.boxed(*v));
+                let id = self.enum_add(*e, frame.arg(*v));
                 frame.set_reg(*dst, id as u64);
             }
             BulkOp::Literal { ty, elems, e, dst } => {
@@ -1717,15 +1703,20 @@ impl<'m> Interpreter<'m> {
         Ok(())
     }
 
-    /// Out of line: `exec_plan_op` calls it too, and inlined there it
-    /// made every plan op slower.
+    /// `union(dst, src)`: one merge when both are the same dense or flat
+    /// implementation, else `src`'s entries inserted one by one (each
+    /// key already of the destination's element kind). Out of line:
+    /// `exec_plan_op` calls it too, and inlined there it made every plan
+    /// op slower.
     #[inline(never)]
-    fn union_into(&mut self, dst: CollId, src: CollId, elem: Kind) -> Result<(), ExecError> {
+    fn union_into(&mut self, dst: CollId, src: CollId) -> Result<(), TrapKind> {
         if dst == src {
             return Ok(());
         }
         let (di, si) = (dst.0 as usize, src.0 as usize);
         let dst_imp = self.impl_of(dst);
+        let b = &self.heap[si];
+        let (src_imp, n, words) = (b.impl_kind(), b.len() as u64, b.iter_scan_words());
         // Borrow both disjointly.
         let (a, b) = if di < si {
             let (lo, hi) = self.heap.split_at_mut(si);
@@ -1734,44 +1725,20 @@ impl<'m> Interpreter<'m> {
             let (lo, hi) = self.heap.split_at_mut(di);
             (&mut hi[0], &lo[si])
         };
-        match (a, b) {
-            (Collection::BitSet(d), Collection::BitSet(s)) => {
-                let words = (d.universe().max(s.universe()) / 64) as u64;
-                d.union_with(s);
-                self.bump(dst_imp, CollOp::UnionWord, words);
-            }
-            (Collection::SparseBitSet(d), Collection::SparseBitSet(s)) => {
-                let words = (s.heap_bytes_fast() / 8) as u64;
-                d.union_with(s);
-                self.bump(dst_imp, CollOp::UnionWord, words.max(1));
-            }
-            (Collection::FlatSet(d), Collection::FlatSet(s)) => {
-                let elems = (d.len() + s.len()) as u64;
-                d.union_with(s);
-                self.bump(dst_imp, CollOp::UnionElem, elems);
-            }
-            (_, b) => {
-                // Generic path: iterate the source, insert into the
-                // destination one element at a time.
-                let src_imp = b.impl_kind();
-                let entries = b.snapshot();
-                let words = b.iter_scan_words();
-                self.bump(src_imp, CollOp::IterElem, entries.len() as u64);
-                self.bump(src_imp, CollOp::IterWord, words);
-                self.bump(dst_imp, CollOp::UnionElem, entries.len() as u64);
-                for (key, _) in entries {
-                    // A dense source yields `idx` keys; through its
-                    // register bits a key takes the destination's
-                    // static element kind.
-                    let key = match elem {
-                        Kind::Boxed => key,
-                        kind => Value::from_bits(kind, key.bits()),
-                    };
-                    self.heap[di].try_insert_elem(key).map_err(trap)?;
-                }
-            }
+        if let Some((op, count)) = a.union_merge(b) {
+            self.bump(dst_imp, op, count);
+            return Ok(());
         }
-        Ok(())
+        let mut inserted = Ok(());
+        b.for_each(|key, _| {
+            if inserted.is_ok() {
+                inserted = a.insert(key).map(drop);
+            }
+        });
+        self.bump(src_imp, CollOp::IterElem, n);
+        self.bump(src_imp, CollOp::IterWord, words);
+        self.bump(dst_imp, CollOp::UnionElem, n);
+        inserted
     }
 }
 

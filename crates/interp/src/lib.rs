@@ -54,8 +54,8 @@ mod value;
 
 pub use decode::{DecodeOptions, DecodedModule};
 pub use exec::{ExecConfig, ExecError, Interpreter, Outcome};
-pub use heap::{CollId, Collection, SelectionDefaults};
+pub use heap::{Arg, CollId, Collection, SelectionDefaults};
 pub use session::{ExecSession, Step};
 pub use stats::{CollOp, ImplKind, OpCounts, Phase, Stats};
 pub use trap::{Limit, TrapKind, TrapSite, ENC_SENTINEL};
-pub use value::{Kind, ScalarVal, Value};
+pub use value::{Kind, Value};

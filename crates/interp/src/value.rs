@@ -39,34 +39,6 @@ pub enum Value {
 }
 
 impl Value {
-    // The accessors below read operands the verifier has typed, so a
-    // mismatch is a host bug, never guest behaviour.
-
-    /// The `u64` inside, or a numeric coercion of `idx`.
-    #[inline]
-    pub fn as_u64(&self) -> u64 {
-        match self {
-            Value::U64(v) => *v,
-            Value::Idx(v) => *v as u64,
-            other => {
-                unreachable!("expected u64, got {other:?}: the verifier types indices u64 or idx")
-            }
-        }
-    }
-
-    /// The `idx` inside (accepting `U64` for directive-forced dense
-    /// implementations over integer keys).
-    #[inline]
-    pub fn as_index(&self) -> usize {
-        match self {
-            Value::Idx(i) => *i,
-            Value::U64(v) => *v as usize,
-            other => {
-                unreachable!("expected idx, got {other:?}: the verifier keys dense ops by idx/u64")
-            }
-        }
-    }
-
     /// The register bits of a value of a register [`Kind`]: what a
     /// heap result or a projected field becomes in the register file.
     #[inline]
@@ -142,98 +114,6 @@ impl Kind {
             Type::Str | Type::Tuple(_) => Kind::Boxed,
             Type::Seq(_) | Type::Set { .. } | Type::Map { .. } => Kind::Coll,
         }
-    }
-}
-
-/// An unboxed scalar: the packed `(tag, bits)` representation the
-/// monomorphic collection backends store instead of a full [`Value`].
-///
-/// Bijective with the scalar `Value` variants (`Bool`/`U64`/`I64`/
-/// `F64`/`Idx`, plus `Void` as the vacant filler dense maps pad with),
-/// so `U64(5)` and `Idx(5)` stay distinct exactly as they do boxed.
-/// `Copy` and 16 bytes against `Value`'s 24, with no niche for `Arc`
-/// drop glue — cloning an unboxed backend's element is a register move.
-///
-/// Equality and hashing MUST agree with the boxed twin: the chained
-/// hash backends are instantiated at this type, and their bucket
-/// assignment/iteration order is observable through `snapshot()` (and
-/// from there through enumeration assignment order, heap growth, and
-/// ultimately figure bytes). `Hash` therefore delegates to the
-/// corresponding `Value` — constructing a scalar `Value` on the stack
-/// is free of allocation — which makes hash parity true by definition
-/// rather than by mirroring std's discriminant hashing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScalarVal {
-    tag: ScalarTag,
-    bits: u64,
-}
-
-/// Discriminant of a [`ScalarVal`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ScalarTag {
-    Void,
-    Bool,
-    U64,
-    I64,
-    F64,
-    Idx,
-}
-
-impl Default for ScalarVal {
-    /// The vacant filler value ([`Value::Void`]): only ever stored in
-    /// dense-map padding slots whose presence bit is clear, never
-    /// observed by guest code.
-    fn default() -> ScalarVal {
-        ScalarVal {
-            tag: ScalarTag::Void,
-            bits: 0,
-        }
-    }
-}
-
-impl ScalarVal {
-    /// Packs a scalar `Value`; `None` for `Str`/`Tuple`/`Coll`, which
-    /// only the boxed backends can store.
-    #[inline]
-    pub fn from_value(v: &Value) -> Option<ScalarVal> {
-        let (tag, bits) = match v {
-            Value::Void => (ScalarTag::Void, 0),
-            Value::Bool(b) => (ScalarTag::Bool, u64::from(*b)),
-            Value::U64(v) => (ScalarTag::U64, *v),
-            Value::I64(v) => (ScalarTag::I64, *v as u64),
-            Value::F64(v) => (ScalarTag::F64, v.to_bits()),
-            Value::Idx(i) => (ScalarTag::Idx, *i as u64),
-            Value::Str(_) | Value::Tuple(_) | Value::Coll(_) => return None,
-        };
-        Some(ScalarVal { tag, bits })
-    }
-
-    /// Unpacks back into the boxed representation.
-    #[inline]
-    pub fn to_value(self) -> Value {
-        match self.tag {
-            ScalarTag::Void => Value::Void,
-            ScalarTag::Bool => Value::Bool(self.bits != 0),
-            ScalarTag::U64 => Value::U64(self.bits),
-            ScalarTag::I64 => Value::I64(self.bits as i64),
-            ScalarTag::F64 => Value::F64(f64::from_bits(self.bits)),
-            ScalarTag::Idx => Value::Idx(self.bits as usize),
-        }
-    }
-}
-
-impl Hash for ScalarVal {
-    #[inline]
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Delegate to the boxed twin so bucket assignment (and hence
-        // iteration order) is identical by construction.
-        self.to_value().hash(state);
-    }
-}
-
-impl ade_collections::HeapSize for ScalarVal {
-    fn heap_bytes(&self) -> usize {
-        0
     }
 }
 
@@ -386,10 +266,10 @@ mod tests {
 
     #[test]
     fn accessors() {
-        assert_eq!(Value::U64(4).as_u64(), 4);
-        assert_eq!(Value::Idx(4).as_u64(), 4);
-        assert_eq!(Value::Idx(9).as_index(), 9);
-        assert_eq!(Value::U64(9).as_index(), 9);
+        assert_eq!(Value::U64(4).bits(), 4);
+        assert_eq!(Value::Idx(4).bits(), 4);
+        assert_eq!(Value::I64(-1).bits(), u64::MAX);
+        assert_eq!(Value::Bool(true).bits(), 1);
     }
 
     /// Register bits round-trip through every register kind, and a
@@ -414,12 +294,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "expected idx")]
-    fn as_index_rejects_others() {
-        let _ = Value::Bool(true).as_index();
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(Value::U64(3).to_string(), "3");
         assert_eq!(Value::Idx(3).to_string(), "#3");
@@ -430,41 +304,53 @@ mod tests {
         );
     }
 
-    /// The unboxed scalar must hash exactly like its boxed twin under
-    /// the collections' hasher: identical hashes mean identical bucket
-    /// assignment, which is what makes unboxed hash backends iterate in
-    /// the same order as boxed ones (and hence keeps enumeration
-    /// assignment — and every downstream figure — bit-identical).
+    /// A key stored as raw bits must hash exactly like its boxed
+    /// `Value` under the collections' hasher: a table of bits hashes
+    /// each key from its kind's seed (`heap::seed`), and identical
+    /// hashes mean identical bucket assignment, which is what makes such
+    /// tables iterate in the boxed tables' order (and hence keeps
+    /// enumeration assignment — and every downstream figure —
+    /// bit-identical). Covers every register kind at its edge bits.
     #[test]
     fn scalar_hash_matches_boxed_value_hash() {
-        use ade_collections::fx::hash_one;
-        let samples = [
-            Value::Void,
-            Value::Bool(false),
-            Value::Bool(true),
-            Value::U64(0),
-            Value::U64(u64::MAX),
-            Value::I64(-5),
-            Value::F64(1.5),
-            Value::F64(-0.0),
-            Value::Idx(0),
-            Value::Idx(12345),
+        use ade_collections::fx::{hash_one, hash_seeded};
+        let edges = [
+            0,
+            1,
+            u64::MAX,
+            1 << 63,
+            (-0.0f64).to_bits(),
+            f64::NAN.to_bits(),
+            f64::NEG_INFINITY.to_bits(),
+            1.5f64.to_bits(),
+            12345,
+            crate::trap::ENC_SENTINEL as u64,
         ];
-        for v in samples {
-            let s = ScalarVal::from_value(&v).expect("scalar");
-            assert_eq!(hash_one(&v), hash_one(&s), "{v:?}");
-            assert_eq!(s.to_value(), v, "round trip");
+        for kind in [
+            Kind::Void,
+            Kind::Bool,
+            Kind::U64,
+            Kind::I64,
+            Kind::F64,
+            Kind::Idx,
+            Kind::Coll,
+        ] {
+            for bits in edges {
+                // A register of the kind holds only its own bit patterns.
+                let bits = match kind {
+                    Kind::Void => 0,
+                    Kind::Bool => bits & 1,
+                    Kind::Coll => u64::from(bits as u32),
+                    _ => bits,
+                };
+                let v = Value::from_bits(kind, bits);
+                assert_eq!(v.bits(), bits, "{kind:?} round trip");
+                assert_eq!(
+                    hash_seeded(crate::heap::seed(kind), &bits),
+                    hash_one(&v),
+                    "{kind:?} {bits:#x}"
+                );
+            }
         }
-    }
-
-    /// `U64(n)` and `Idx(n)` carry the same bits but are distinct keys —
-    /// the packed form must preserve that distinction.
-    #[test]
-    fn scalar_tags_keep_kinds_distinct() {
-        let u = ScalarVal::from_value(&Value::U64(5)).expect("scalar");
-        let i = ScalarVal::from_value(&Value::Idx(5)).expect("scalar");
-        assert_ne!(u, i);
-        assert!(ScalarVal::from_value(&Value::Str("s".into())).is_none());
-        assert!(ScalarVal::from_value(&Value::Tuple(vec![].into())).is_none());
     }
 }
