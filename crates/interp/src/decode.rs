@@ -21,8 +21,8 @@
 //!   prebuilt table of register bits or strings,
 //! - region targets become contiguous index ranges into the decoded
 //!   stream,
-//! - statically derivable facts (insert flavor, foreach binding shape) are computed once here instead of per
-//!   execution.
+//! - statically derivable facts (insert flavor, foreach binding shape)
+//!   are computed once here instead of per execution.
 //!
 //! Decoding is purely structural: it must not change program behavior,
 //! instrumentation counts, or fuel accounting. It first runs

@@ -665,7 +665,11 @@ impl<'m> Interpreter<'m> {
     /// and the first tick window. A session (`sliced`) starts paused: its
     /// empty window makes the first instruction wait for the first grant.
     pub(crate) fn start(&mut self, decoded: &DecodedModule, sliced: bool) {
-        self.enums = decoded.enum_keys.iter().map(|&k| Enumeration::new(k)).collect();
+        self.enums = decoded
+            .enum_keys
+            .iter()
+            .map(|&k| Enumeration::new(k))
+            .collect();
         self.sliced = sliced;
         self.window = if sliced {
             0
@@ -1279,7 +1283,11 @@ impl<'m> Interpreter<'m> {
         let coll = &self.heap[id.0 as usize];
         let (n, words) = (coll.len(), coll.iter_scan_words());
         let iter = if args[..bound].iter().any(|a| a.is_boxed()) {
-            let val = if bound == 2 { args[1].kind() } else { Kind::Void };
+            let val = if bound == 2 {
+                args[1].kind()
+            } else {
+                Kind::Void
+            };
             let mut entries = Vec::with_capacity(n);
             coll.for_each(|k, v| {
                 entries.push((Value::own(k, args[0].kind()), Value::own(v, val)));
@@ -1557,10 +1565,12 @@ impl<'m> Interpreter<'m> {
                 let v = project(&frame.side[base.index()], *field);
                 frame.store(*dst, v);
             }
-            BulkOp::Read { coll, key, dst } => match self.read(frame.coll(*coll), frame.arg(*key)) {
-                Ok(v) => frame.put(*dst, v),
-                Err(kind) => return Err(at(kind)),
-            },
+            BulkOp::Read { coll, key, dst } => {
+                match self.read(frame.coll(*coll), frame.arg(*key)) {
+                    Ok(v) => frame.put(*dst, v),
+                    Err(kind) => return Err(at(kind)),
+                }
+            }
             BulkOp::Write {
                 coll,
                 key,

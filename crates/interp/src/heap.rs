@@ -228,18 +228,32 @@ impl<E: Elem> Imp<E> {
     /// hash table's keys hash from `seed`.
     fn new(ty: &Type, defaults: SelectionDefaults, seed: u64) -> Imp<E> {
         match ty {
-            Type::Set { sel, .. } => match if *sel == SetSel::Auto { defaults.set } else { *sel } {
-                SetSel::Auto | SetSel::Hash => Imp::HashSet(ChainedHashSet::with_seed(seed)),
-                SetSel::Swiss => Imp::SwissSet(SwissSet::with_seed(seed)),
-                SetSel::Flat => Imp::FlatSet(FlatSet::new()),
-                SetSel::Bit => Imp::BitSet(DynamicBitSet::new()),
-                SetSel::SparseBit => Imp::SparseBitSet(SparseBitSet::new()),
-            },
-            Type::Map { sel, .. } => match if *sel == MapSel::Auto { defaults.map } else { *sel } {
-                MapSel::Auto | MapSel::Hash => Imp::HashMap(ChainedHashMap::with_seed(seed)),
-                MapSel::Swiss => Imp::SwissMap(SwissMap::with_seed(seed)),
-                MapSel::Bit => Imp::BitMap(BitMap::new()),
-            },
+            Type::Set { sel, .. } => {
+                let sel = if *sel == SetSel::Auto {
+                    defaults.set
+                } else {
+                    *sel
+                };
+                match sel {
+                    SetSel::Auto | SetSel::Hash => Imp::HashSet(ChainedHashSet::with_seed(seed)),
+                    SetSel::Swiss => Imp::SwissSet(SwissSet::with_seed(seed)),
+                    SetSel::Flat => Imp::FlatSet(FlatSet::new()),
+                    SetSel::Bit => Imp::BitSet(DynamicBitSet::new()),
+                    SetSel::SparseBit => Imp::SparseBitSet(SparseBitSet::new()),
+                }
+            }
+            Type::Map { sel, .. } => {
+                let sel = if *sel == MapSel::Auto {
+                    defaults.map
+                } else {
+                    *sel
+                };
+                match sel {
+                    MapSel::Auto | MapSel::Hash => Imp::HashMap(ChainedHashMap::with_seed(seed)),
+                    MapSel::Swiss => Imp::SwissMap(SwissMap::with_seed(seed)),
+                    MapSel::Bit => Imp::BitMap(BitMap::new()),
+                }
+            }
             _ => Imp::Seq(ArraySeq::new()),
         }
     }
@@ -415,6 +429,28 @@ impl<E: Elem> Imp<E> {
         }
     }
 
+    /// See [`Collection::union_merge`].
+    fn merge(&mut self, src: &Imp<E>) -> Option<(CollOp, u64)> {
+        Some(match (self, src) {
+            (Imp::BitSet(d), Imp::BitSet(s)) => {
+                let words = (d.universe().max(s.universe()) / 64) as u64;
+                d.union_with(s);
+                (CollOp::UnionWord, words)
+            }
+            (Imp::SparseBitSet(d), Imp::SparseBitSet(s)) => {
+                let words = (s.heap_bytes_fast() / 8) as u64;
+                d.union_with(s);
+                (CollOp::UnionWord, words.max(1))
+            }
+            (Imp::FlatSet(d), Imp::FlatSet(s)) => {
+                let elems = (d.len() + s.len()) as u64;
+                d.union_with(s);
+                (CollOp::UnionElem, elems)
+            }
+            _ => return None,
+        })
+    }
+
     /// Calls `f` on every `(key, value)` entry in the implementation's
     /// order: a sequence's are `(index, element)`, a set's values are 0.
     fn for_each(&self, kind: Kind, mut f: impl FnMut(Arg<'_>, Arg<'_>)) {
@@ -426,7 +462,9 @@ impl<E: Elem> Imp<E> {
                 .for_each(|(i, v)| f(Arg::Bits(i as u64), v.arg())),
             Imp::HashSet(s) => s.iter().for_each(|k| f(k.arg(), none)),
             Imp::SwissSet(s) => s.iter().for_each(|k| f(k.arg(), none)),
-            Imp::FlatSet(s) => s.iter().for_each(|k| f(k.clone().flat(kind, false).arg(), none)),
+            Imp::FlatSet(s) => s
+                .iter()
+                .for_each(|k| f(k.clone().flat(kind, false).arg(), none)),
             Imp::BitSet(s) => s.iter().for_each(|i| f(Arg::Bits(i as u64), none)),
             Imp::SparseBitSet(s) => s.iter().for_each(|i| f(Arg::Bits(i as u64), none)),
             Imp::HashMap(m) => m.iter().for_each(|(k, v)| f(k.arg(), v.arg())),
@@ -592,29 +630,11 @@ impl Collection {
     /// implementation: the op and count it charges this collection. `None`
     /// (nothing done) leaves the element-wise union to the caller.
     pub(crate) fn union_merge(&mut self, src: &Collection) -> Option<(CollOp, u64)> {
-        Some(match (&mut self.imp, &src.imp) {
-            (Flavor::Bits(Imp::BitSet(d)), Flavor::Bits(Imp::BitSet(s))) => {
-                let words = (d.universe().max(s.universe()) / 64) as u64;
-                d.union_with(s);
-                (CollOp::UnionWord, words)
-            }
-            (Flavor::Bits(Imp::SparseBitSet(d)), Flavor::Bits(Imp::SparseBitSet(s))) => {
-                let words = (s.heap_bytes_fast() / 8) as u64;
-                d.union_with(s);
-                (CollOp::UnionWord, words.max(1))
-            }
-            (Flavor::Bits(Imp::FlatSet(d)), Flavor::Bits(Imp::FlatSet(s))) => {
-                let elems = (d.len() + s.len()) as u64;
-                d.union_with(s);
-                (CollOp::UnionElem, elems)
-            }
-            (Flavor::Boxed(Imp::FlatSet(d)), Flavor::Boxed(Imp::FlatSet(s))) => {
-                let elems = (d.len() + s.len()) as u64;
-                d.union_with(s);
-                (CollOp::UnionElem, elems)
-            }
-            _ => return None,
-        })
+        match (&mut self.imp, &src.imp) {
+            (Flavor::Bits(d), Flavor::Bits(s)) => d.merge(s),
+            (Flavor::Boxed(d), Flavor::Boxed(s)) => d.merge(s),
+            _ => None,
+        }
     }
 }
 
@@ -651,7 +671,10 @@ impl<E: Elem> EnumTables<E> {
     #[inline]
     fn dec(&self, id: usize) -> Result<Arg<'_>, TrapKind> {
         let len = self.dec.len();
-        self.dec.get(id).map(E::arg).ok_or_else(|| out_of_bounds(id as u64, len))
+        self.dec
+            .get(id)
+            .map(E::arg)
+            .ok_or_else(|| out_of_bounds(id as u64, len))
     }
 
     fn add(&mut self, key: Arg<'_>, kind: Kind) -> usize {
@@ -665,7 +688,8 @@ impl<E: Elem> EnumTables<E> {
     /// The footprint estimate, priced at the boxed widths as collections
     /// are.
     fn bytes_estimate(&self) -> usize {
-        self.enc.heap_bytes_fast_as(size_of::<Option<(Value, usize)>>())
+        self.enc
+            .heap_bytes_fast_as(size_of::<Option<(Value, usize)>>())
             + self.dec.capacity() * size_of::<Value>()
     }
 }
@@ -884,7 +908,9 @@ mod tests {
             let key = |x: u64| {
                 let k = x.wrapping_sub(32).rotate_left(63);
                 match &ty {
-                    Type::Map { sel: MapSel::Bit, .. } => k % 97,
+                    Type::Map {
+                        sel: MapSel::Bit, ..
+                    } => k % 97,
                     Type::Map { key, .. } if **key == Type::Bool => k & 1,
                     _ => k,
                 }
