@@ -138,9 +138,7 @@ mod tests {
 
     #[test]
     fn returned_collection_escapes() {
-        let (_, flags) = analyze(
-            "fn @f() -> Set<u64> {\n  %s = new Set<u64>\n  ret %s\n}\n",
-        );
+        let (_, flags) = analyze("fn @f() -> Set<u64> {\n  %s = new Set<u64>\n  ret %s\n}\n");
         assert_eq!(flags, vec![true]);
     }
 

@@ -399,9 +399,8 @@ fn main() {
         let speedup = walls[0].1 / walls[1].1;
         log_speedup_sum += speedup.ln();
         println!("{:>16} {:>14}  {speedup:>11.2}x", k.name, "speedup");
-        let per_config = |f: &dyn Fn(f64) -> Value| {
-            Value::object(walls.iter().map(|&(c, w)| (c, f(w))))
-        };
+        let per_config =
+            |f: &dyn Fn(f64) -> Value| Value::object(walls.iter().map(|&(c, w)| (c, f(w))));
         rows.push(Value::object([
             ("kernel", k.name.into()),
             ("ops", k.ops.into()),

@@ -43,7 +43,8 @@ fn fig5_cell_stats_match_exactly_across_job_counts() {
         let s = serial.cell(abbrev, kind);
         let p = parallel.cell(abbrev, kind);
         assert_eq!(
-            s.stats.per_phase, p.stats.per_phase,
+            s.stats.per_phase,
+            p.stats.per_phase,
             "[{abbrev} {}] op counts diverged between job counts",
             kind.name()
         );
@@ -53,7 +54,12 @@ fn fig5_cell_stats_match_exactly_across_job_counts() {
             "[{abbrev} {}] op totals diverged between job counts",
             kind.name()
         );
-        assert_eq!(s.output, p.output, "[{abbrev} {}] program output diverged", kind.name());
+        assert_eq!(
+            s.output,
+            p.output,
+            "[{abbrev} {}] program output diverged",
+            kind.name()
+        );
         assert_eq!(
             s.stats.peak_bytes,
             p.stats.peak_bytes,

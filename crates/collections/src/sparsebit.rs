@@ -28,7 +28,10 @@ const BITMAP_WORDS: usize = 1024;
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Container {
     Array(Vec<u16>),
-    Bitmap { words: Box<[u64; BITMAP_WORDS]>, len: u32 },
+    Bitmap {
+        words: Box<[u64; BITMAP_WORDS]>,
+        len: u32,
+    },
     Run(Vec<(u16, u16)>), // (start, inclusive end)
 }
 
@@ -41,10 +44,7 @@ impl Container {
         match self {
             Container::Array(v) => v.len(),
             Container::Bitmap { len, .. } => *len as usize,
-            Container::Run(runs) => runs
-                .iter()
-                .map(|&(s, e)| (e - s) as usize + 1)
-                .sum(),
+            Container::Run(runs) => runs.iter().map(|&(s, e)| (e - s) as usize + 1).sum(),
         }
     }
 
@@ -96,7 +96,9 @@ impl Container {
                 if self.contains(off) {
                     return false;
                 }
-                let Container::Run(runs) = self else { unreachable!() };
+                let Container::Run(runs) = self else {
+                    unreachable!()
+                };
                 let pos = runs.partition_point(|&(s, _)| s < off);
                 // Try extending the previous or next run.
                 let prev_adjacent = pos > 0 && runs[pos - 1].1.checked_add(1) == Some(off);
@@ -199,10 +201,7 @@ impl Container {
                 };
                 v
             }
-            Container::Run(runs) => runs
-                .iter()
-                .flat_map(|&(s, e)| s..=e)
-                .collect(),
+            Container::Run(runs) => runs.iter().flat_map(|&(s, e)| s..=e).collect(),
         }
     }
 
@@ -383,7 +382,10 @@ impl SparseBitSet {
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.chunks.iter().flat_map(|(hi, container)| {
             let base = (*hi as usize) << 16;
-            container.to_offsets().into_iter().map(move |o| base | o as usize)
+            container
+                .to_offsets()
+                .into_iter()
+                .map(move |o| base | o as usize)
         })
     }
 
@@ -396,7 +398,11 @@ impl SparseBitSet {
     /// of chunk containers (each container reports in constant time).
     pub fn heap_bytes_fast(&self) -> usize {
         self.chunks.capacity() * std::mem::size_of::<(u64, Container)>()
-            + self.chunks.iter().map(|(_, c)| c.heap_bytes()).sum::<usize>()
+            + self
+                .chunks
+                .iter()
+                .map(|(_, c)| c.heap_bytes())
+                .sum::<usize>()
     }
 }
 
@@ -425,7 +431,11 @@ impl Extend<usize> for SparseBitSet {
 impl HeapSize for SparseBitSet {
     fn heap_bytes(&self) -> usize {
         self.chunks.capacity() * std::mem::size_of::<(u64, Container)>()
-            + self.chunks.iter().map(|(_, c)| c.heap_bytes()).sum::<usize>()
+            + self
+                .chunks
+                .iter()
+                .map(|(_, c)| c.heap_bytes())
+                .sum::<usize>()
     }
 }
 

@@ -487,7 +487,10 @@ mod tests {
             assert!(positions.contains(&want), "missing true match {want}");
         }
         for &p in &positions {
-            assert!(bytes[p] == 2 || (p > 0 && bytes[p - 1] == 2), "bad spurious bit {p}");
+            assert!(
+                bytes[p] == 2 || (p > 0 && bytes[p - 1] == 2),
+                "bad spurious bit {p}"
+            );
         }
         assert_eq!(bytes[positions[0]], 2);
         // No matches at all -> zero mask (existence is exact).

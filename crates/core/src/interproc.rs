@@ -292,8 +292,7 @@ pub fn plan_module_traced(
             if blocked {
                 info.dissenters.push((fidx as u32, entity.root));
             } else {
-                info.derived
-                    .push((fidx as u32, entity.root, entity.depth));
+                info.derived.push((fidx as u32, entity.root, entity.depth));
             }
         }
     }
@@ -320,7 +319,9 @@ pub fn plan_module_traced(
                 .field("params", info.params.len())
                 .field(
                     "key_ty",
-                    info.key_ty.as_ref().map_or_else(String::new, Type::to_string),
+                    info.key_ty
+                        .as_ref()
+                        .map_or_else(String::new, Type::to_string),
                 )
                 .emit();
         }
@@ -355,9 +356,7 @@ pub fn plan_module_traced(
         // being cloned (the original must stay untransformed for the
         // dissenting callers).
         for (fidx, m) in &info.chosen {
-            let is_param_rooted = module.funcs[*fidx as usize]
-                .params
-                .contains(&m.entity.root);
+            let is_param_rooted = module.funcs[*fidx as usize].params.contains(&m.entity.root);
             let target = if needs_clone && is_param_rooted {
                 *clone_of.entry(*fidx).or_insert_with(|| {
                     let id = (n_funcs + plan.clones.len()) as u32;
@@ -415,9 +414,7 @@ pub fn plan_module_traced(
                     _ => false,
                 };
                 let fa = &analyses[fidx as usize];
-                if !elem_matches
-                    || fa.piece(entity, true).is_none()
-                {
+                if !elem_matches || fa.piece(entity, true).is_none() {
                     role.propagator = false;
                 }
             }
@@ -482,9 +479,7 @@ pub fn plan_module_traced(
                         _ => false,
                     };
                     let fa = &analyses[fidx as usize];
-                    if !elem_matches
-                        || fa.piece(entity, true).is_none()
-                    {
+                    if !elem_matches || fa.piece(entity, true).is_none() {
                         role.propagator = false;
                     }
                 }
@@ -551,7 +546,8 @@ pub fn plan_module_traced(
     }
 
     // Avoid retargeting duplicates.
-    plan.retargets.sort_unstable_by_key(|r| (r.0 .0, r.1 .0, r.2 .0));
+    plan.retargets
+        .sort_unstable_by_key(|r| (r.0 .0, r.1 .0, r.2 .0));
     plan.retargets.dedup();
 
     // Build final per-function plans: group members by enum, compute
@@ -566,11 +562,7 @@ pub fn plan_module_traced(
         let mut by_enum: BTreeMap<usize, (Vec<Member>, usize)> = BTreeMap::new();
         for (enum_idx, member, benefit, _forced) in members {
             let slot = by_enum.entry(enum_idx).or_insert((Vec::new(), 0));
-            if let Some(existing) = slot
-                .0
-                .iter_mut()
-                .find(|m| m.entity == member.entity)
-            {
+            if let Some(existing) = slot.0.iter_mut().find(|m| m.entity == member.entity) {
                 existing.role.keys |= member.role.keys;
                 existing.role.propagator |= member.role.propagator;
             } else {
@@ -585,10 +577,8 @@ pub fn plan_module_traced(
         };
         let fa = &analyses[source_fidx as usize];
 
-        let mut groups: Vec<(usize, Vec<Member>, usize)> = by_enum
-            .into_iter()
-            .map(|(e, (m, b))| (e, m, b))
-            .collect();
+        let mut groups: Vec<(usize, Vec<Member>, usize)> =
+            by_enum.into_iter().map(|(e, (m, b))| (e, m, b)).collect();
         groups.sort_by_key(|g| std::cmp::Reverse(g.2)); // benefit-descending
 
         let mut claimed: BTreeSet<ValueId> = BTreeSet::new();
@@ -672,7 +662,11 @@ pub fn plan_module_traced(
                 .field("clone", spec.new_name.as_str())
                 .emit();
         }
-        tracer.counter("interproc", "retargeted-call-sites", plan.retargets.len() as u64);
+        tracer.counter(
+            "interproc",
+            "retargeted-call-sites",
+            plan.retargets.len() as u64,
+        );
     }
 
     // Drop local candidates bookkeeping.
@@ -688,8 +682,7 @@ fn trim_union_pairs(func: &ade_ir::Function, sets: &mut PatchSets) {
         .to_dec
         .iter()
         .filter(|site| {
-            sets.to_add.contains(site)
-                && func.inst(site.inst).kind == ade_ir::InstKind::UnionInto
+            sets.to_add.contains(site) && func.inst(site.inst).kind == ade_ir::InstKind::UnionInto
         })
         .copied()
         .collect();
@@ -708,9 +701,7 @@ fn has_pathed_patch_site(func: &ade_ir::Function, sets: &PatchSets) -> bool {
         .chain(sets.to_add.iter())
         .chain(sets.to_enc.iter())
         .any(|site| match site.pos {
-            crate::patch::OperandPos::Plain(n) => {
-                !func.inst(site.inst).operands[n].path.is_empty()
-            }
+            crate::patch::OperandPos::Plain(n) => !func.inst(site.inst).operands[n].path.is_empty(),
             crate::patch::OperandPos::PathIndex { .. } | crate::patch::OperandPos::Elements => {
                 false
             }

@@ -83,8 +83,13 @@ impl CollectionEntity {
     /// Panics when the root's type has no collection at that depth; use
     /// [`CollectionEntity::try_ty`] for the fallible form.
     pub fn ty(&self, func: &Function) -> Type {
-        self.try_ty(func)
-            .unwrap_or_else(|| panic!("entity depth {} below {}", self.depth, func.value_ty(self.root)))
+        self.try_ty(func).unwrap_or_else(|| {
+            panic!(
+                "entity depth {} below {}",
+                self.depth,
+                func.value_ty(self.root)
+            )
+        })
     }
 
     /// The entity's type, or `None` when the root's type has no
@@ -141,7 +146,13 @@ pub fn entity_levels(
     entity: CollectionEntity,
 ) -> Vec<BTreeSet<ValueId>> {
     let mut levels: Vec<BTreeSet<ValueId>> = Vec::with_capacity(entity.depth + 1);
-    levels.push(chains.chain(chains.root_of(entity.root)).iter().copied().collect());
+    levels.push(
+        chains
+            .chain(chains.root_of(entity.root))
+            .iter()
+            .copied()
+            .collect(),
+    );
     for _ in 0..entity.depth {
         let prev = levels.last().expect("at least one level");
         let mut next: BTreeSet<ValueId> = BTreeSet::new();
@@ -178,7 +189,11 @@ pub fn entity_levels(
 
 /// How an instruction's first operand addresses entities: returns the
 /// entity depth the op itself acts on, if the base sits at some level.
-fn op_target_depth(levels: &[BTreeSet<ValueId>], base: ValueId, path_indices: usize) -> Option<usize> {
+fn op_target_depth(
+    levels: &[BTreeSet<ValueId>],
+    base: ValueId,
+    path_indices: usize,
+) -> Option<usize> {
     for (j, level) in levels.iter().enumerate() {
         if level.contains(&base) {
             return Some(j + path_indices);
@@ -383,10 +398,9 @@ pub fn propagator_roots(
             continue;
         }
         match &inst.kind {
-            InstKind::Read
-                if !func.value_ty(inst.results[0]).is_collection() => {
-                    roots.insert(inst.results[0]);
-                }
+            InstKind::Read if !func.value_ty(inst.results[0]).is_collection() => {
+                roots.insert(inst.results[0]);
+            }
             InstKind::ForEach => {
                 let args = &func.region(inst.regions[0]).args;
                 if args.len() >= 2 && !func.value_ty(args[1]).is_collection() {
@@ -531,10 +545,7 @@ fn @f(%a: Set<u64>, %b: Set<u64>) -> void {
         assert_eq!(sets_b.to_dec.len(), 1);
         // The dec site and the add site coincide: FINDREDUNDANT will trim
         // both when the sets share an enumeration.
-        assert_eq!(
-            sets_a.to_add.iter().next(),
-            sets_b.to_dec.iter().next()
-        );
+        assert_eq!(sets_a.to_add.iter().next(), sets_b.to_dec.iter().next());
     }
 
     #[test]

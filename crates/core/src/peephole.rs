@@ -72,7 +72,10 @@ pub fn run_function(func: &mut Function) -> usize {
     // eq(dec(e,x), dec(e,y)) → eq(x, y).
     for inst_id in func.all_insts() {
         let inst = func.inst(inst_id);
-        if !matches!(inst.kind, InstKind::Cmp(CmpOp::Eq) | InstKind::Cmp(CmpOp::Ne)) {
+        if !matches!(
+            inst.kind,
+            InstKind::Cmp(CmpOp::Eq) | InstKind::Cmp(CmpOp::Ne)
+        ) {
             continue;
         }
         if inst.operands.len() != 2
@@ -566,9 +569,8 @@ fn @f(%i: idx, %s: Set{Bit}<idx>) -> void {
 
     #[test]
     fn unused_add_is_kept_for_side_effect() {
-        let (m, _) = run_on(
-            "enum e0: u64\n\nfn @f(%v: u64) -> void {\n  %a = enumadd e0, %v\n  ret\n}\n",
-        );
+        let (m, _) =
+            run_on("enum e0: u64\n\nfn @f(%v: u64) -> void {\n  %a = enumadd e0, %v\n  ret\n}\n");
         let text = print_module(&m);
         assert!(text.contains("enumadd"), "{text}");
     }

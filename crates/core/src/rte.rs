@@ -64,7 +64,10 @@ pub fn find_redundant(func: &Function, sets: &PatchSets) -> Trims {
 /// commute as well — the paper's Listing 4 relies on this for `neq`.)
 fn comparison_partner(func: &Function, u: UseSite) -> Option<UseSite> {
     let inst = func.inst(u.inst);
-    if !matches!(inst.kind, InstKind::Cmp(CmpOp::Eq) | InstKind::Cmp(CmpOp::Ne)) {
+    if !matches!(
+        inst.kind,
+        InstKind::Cmp(CmpOp::Eq) | InstKind::Cmp(CmpOp::Ne)
+    ) {
         return None;
     }
     match u.pos {
@@ -99,7 +102,11 @@ mod tests {
     use crate::patch::CollectionEntity;
     use crate::share::{analyze_function, members_patch_sets, Member, MemberRole};
 
-    fn entity(func: &ade_ir::Function, fa: &crate::share::FuncAnalysis<'_>, name: &str) -> CollectionEntity {
+    fn entity(
+        func: &ade_ir::Function,
+        fa: &crate::share::FuncAnalysis<'_>,
+        name: &str,
+    ) -> CollectionEntity {
         let root = func
             .values
             .iter()
@@ -148,9 +155,15 @@ fn @f(%a: Set<u64>, %b: Set<u64>) -> void {
         let ea = entity(f, &fa, "a");
         let eb = entity(f, &fa, "b");
         let empty = Default::default();
-        let member = [Member { entity: ea, role: KEYS }];
+        let member = [Member {
+            entity: ea,
+            role: KEYS,
+        }];
         let (sa, _, _) = members_patch_sets(&fa, &member, &empty).expect("sets");
-        let member = [Member { entity: eb, role: KEYS }];
+        let member = [Member {
+            entity: eb,
+            role: KEYS,
+        }];
         let (sb, _, _) = members_patch_sets(&fa, &member, &empty).expect("sets");
         // Individually: no redundancy.
         assert_eq!(benefit(f, &sa), 0, "{sa:?}");
@@ -158,8 +171,14 @@ fn @f(%a: Set<u64>, %b: Set<u64>) -> void {
         // Merged (one shared enumeration): the has-key site is both ToDec
         // (from %a's iteration web) and ToEnc (into %b) → trimmed.
         let members = [
-            Member { entity: ea, role: KEYS },
-            Member { entity: eb, role: KEYS },
+            Member {
+                entity: ea,
+                role: KEYS,
+            },
+            Member {
+                entity: eb,
+                role: KEYS,
+            },
         ];
         let (merged, _, _) = members_patch_sets(&fa, &members, &empty).expect("sets");
         let trims = find_redundant(f, &merged);
@@ -186,8 +205,14 @@ fn @f(%a: Set<u64>, %b: Set<u64>) -> void {
         let f = &m.funcs[0];
         let fa = analyze_function(&m, f);
         let members = [
-            Member { entity: entity(f, &fa, "a"), role: KEYS },
-            Member { entity: entity(f, &fa, "b"), role: KEYS },
+            Member {
+                entity: entity(f, &fa, "a"),
+                role: KEYS,
+            },
+            Member {
+                entity: entity(f, &fa, "b"),
+                role: KEYS,
+            },
         ];
         let empty = Default::default();
         let (merged, _, _) = members_patch_sets(&fa, &members, &empty).expect("sets");
@@ -217,9 +242,15 @@ fn @find(%uf: Map<u64, u64>, %v: u64) -> u64 {
         let f = &m.funcs[0];
         let fa = analyze_function(&m, f);
         let e = entity(f, &fa, "uf");
-        let both = MemberRole { keys: true, propagator: true };
+        let both = MemberRole {
+            keys: true,
+            propagator: true,
+        };
         let empty = Default::default();
-        let member = [Member { entity: e, role: both }];
+        let member = [Member {
+            entity: e,
+            role: both,
+        }];
         let (sets, _, _) = members_patch_sets(&fa, &member, &empty).expect("propagatable");
         let trims = find_redundant(f, &sets);
         // read key (dec∩enc) and both `ne` operands → at least 4 trims.
@@ -242,7 +273,10 @@ fn @find(%uf: Map<u64, u64>, %v: u64) -> u64 {
         let fa = analyze_function(&m, f);
         let e = entity(f, &fa, "s");
         let empty = Default::default();
-        let member = [Member { entity: e, role: KEYS }];
+        let member = [Member {
+            entity: e,
+            role: KEYS,
+        }];
         let (sets, _, _) = members_patch_sets(&fa, &member, &empty).expect("sets");
         assert_eq!(benefit(f, &sets), 0);
     }

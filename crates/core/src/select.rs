@@ -66,7 +66,9 @@ pub fn apply_selection_traced(
                 }
                 let directive_sel = class_selection.get(&cand.enum_idx).copied();
                 let static_set = if m.entity.depth > 0 {
-                    options.nested_set_impl.unwrap_or(options.enumerated_set_impl)
+                    options
+                        .nested_set_impl
+                        .unwrap_or(options.enumerated_set_impl)
                 } else {
                     options.enumerated_set_impl
                 };
@@ -241,7 +243,13 @@ mod tests {
     fn set_selection_at_depths() {
         let ty = Type::map(Type::U64, Type::set(Type::Idx));
         let at0 = set_selection_at(&ty, 0, SetSel::Bit, MapSel::Bit);
-        assert!(matches!(at0, Type::Map { sel: MapSel::Bit, .. }));
+        assert!(matches!(
+            at0,
+            Type::Map {
+                sel: MapSel::Bit,
+                ..
+            }
+        ));
         let at1 = set_selection_at(&ty, 1, SetSel::SparseBit, MapSel::Bit);
         match at1 {
             Type::Map { val, sel, .. } => {
@@ -254,7 +262,10 @@ mod tests {
 
     #[test]
     fn selection_choice_mappings() {
-        assert_eq!(selection_to_set(SelectionChoice::SparseBit), SetSel::SparseBit);
+        assert_eq!(
+            selection_to_set(SelectionChoice::SparseBit),
+            SetSel::SparseBit
+        );
         assert_eq!(selection_to_map(SelectionChoice::Swiss), MapSel::Swiss);
         assert_eq!(selection_to_map(SelectionChoice::Flat), MapSel::Bit);
     }

@@ -133,18 +133,16 @@ pub fn analyze_function<'f>(module: &Module, func: &'f Function) -> FuncAnalysis
     let mut all_entities: Vec<(CollectionEntity, Option<InstId>)> = Vec::new();
 
     let add_entity = |seed_entities: &mut Vec<(CollectionEntity, Option<InstId>)>,
-                          all_entities: &mut Vec<(CollectionEntity, Option<InstId>)>,
-                          root: ValueId,
-                          alloc: Option<InstId>| {
+                      all_entities: &mut Vec<(CollectionEntity, Option<InstId>)>,
+                      root: ValueId,
+                      alloc: Option<InstId>| {
         let base_ty = func.value_ty(root).clone();
         // Walk nesting levels: depth 0 is the collection itself.
         let mut depth = 0;
         let mut ty = base_ty;
         loop {
             let entity = CollectionEntity { root, depth };
-            let enumerable_keys = ty
-                .key_type()
-                .is_some_and(Type::is_enumerable_key);
+            let enumerable_keys = ty.key_type().is_some_and(Type::is_enumerable_key);
             if ty.is_assoc() && enumerable_keys {
                 seed_entities.push((entity, alloc));
                 all_entities.push((entity, alloc));
@@ -170,7 +168,10 @@ pub fn analyze_function<'f>(module: &Module, func: &'f Function) -> FuncAnalysis
         if escape.escapes(root) {
             continue;
         }
-        if all_entities.iter().any(|(e, _)| e.root == root && e.depth == 0) {
+        if all_entities
+            .iter()
+            .any(|(e, _)| e.root == root && e.depth == 0)
+        {
             // Already registered by an earlier allocation on this chain;
             // keep the first allocation's directives.
             continue;
@@ -190,7 +191,10 @@ pub fn analyze_function<'f>(module: &Module, func: &'f Function) -> FuncAnalysis
         if escape.escapes(root) {
             continue;
         }
-        if all_entities.iter().any(|(e, _)| e.root == root && e.depth == 0) {
+        if all_entities
+            .iter()
+            .any(|(e, _)| e.root == root && e.depth == 0)
+        {
             continue;
         }
         add_entity(&mut seed_entities, &mut all_entities, root, None);
@@ -352,52 +356,67 @@ pub fn find_candidates(fa: &FuncAnalysis<'_>, options: &AdeOptions) -> Vec<Candi
             // Algorithm 3's "maximal set".
             loop {
                 let mut grew = false;
-            // The candidate's own benefit is invariant across this pass;
-            // recompute it only when a member is accepted.
-            let mut base_benefit = members_benefit(fa, &members);
-            for &(other, other_alloc) in &fa.all_entities {
-                if used.contains(&other) || other == entity {
-                    continue;
-                }
-                let other_directive = directive_of(fa, other_alloc, other.depth);
-                if other_directive.is_some_and(|d| d.noshare || d.enumerate == Some(false)) {
-                    continue;
-                }
-                // Try each applicable role combination and keep the best
-                // strictly-improving one, preferring fewer roles (a
-                // needless propagator role would mix unrelated values —
-                // e.g. distances — into the enumeration).
-                let shareable = can_share(fa, other, &key_ty);
-                let propagatable = options.propagation && can_propagate(fa, other, &key_ty);
-                let mut role_options: Vec<MemberRole> = Vec::new();
-                if shareable {
-                    role_options.push(MemberRole { keys: true, propagator: false });
-                }
-                if propagatable {
-                    role_options.push(MemberRole { keys: false, propagator: true });
-                }
-                if shareable && propagatable {
-                    role_options.push(MemberRole { keys: true, propagator: true });
-                }
-                let mut best: Option<(usize, MemberRole)> = None;
-                for role in role_options {
-                    let member = Member { entity: other, role };
-                    let b_solo = members_benefit(fa, std::slice::from_ref(&member));
-                    let b_sum = base_benefit + b_solo;
-                    let mut extended = members.clone();
-                    extended.push(member);
-                    let b_union = members_benefit(fa, &extended);
-                    if b_union > b_sum && best.is_none_or(|(b, _)| b_union > b) {
-                        best = Some((b_union, role));
+                // The candidate's own benefit is invariant across this pass;
+                // recompute it only when a member is accepted.
+                let mut base_benefit = members_benefit(fa, &members);
+                for &(other, other_alloc) in &fa.all_entities {
+                    if used.contains(&other) || other == entity {
+                        continue;
+                    }
+                    let other_directive = directive_of(fa, other_alloc, other.depth);
+                    if other_directive.is_some_and(|d| d.noshare || d.enumerate == Some(false)) {
+                        continue;
+                    }
+                    // Try each applicable role combination and keep the best
+                    // strictly-improving one, preferring fewer roles (a
+                    // needless propagator role would mix unrelated values —
+                    // e.g. distances — into the enumeration).
+                    let shareable = can_share(fa, other, &key_ty);
+                    let propagatable = options.propagation && can_propagate(fa, other, &key_ty);
+                    let mut role_options: Vec<MemberRole> = Vec::new();
+                    if shareable {
+                        role_options.push(MemberRole {
+                            keys: true,
+                            propagator: false,
+                        });
+                    }
+                    if propagatable {
+                        role_options.push(MemberRole {
+                            keys: false,
+                            propagator: true,
+                        });
+                    }
+                    if shareable && propagatable {
+                        role_options.push(MemberRole {
+                            keys: true,
+                            propagator: true,
+                        });
+                    }
+                    let mut best: Option<(usize, MemberRole)> = None;
+                    for role in role_options {
+                        let member = Member {
+                            entity: other,
+                            role,
+                        };
+                        let b_solo = members_benefit(fa, std::slice::from_ref(&member));
+                        let b_sum = base_benefit + b_solo;
+                        let mut extended = members.clone();
+                        extended.push(member);
+                        let b_union = members_benefit(fa, &extended);
+                        if b_union > b_sum && best.is_none_or(|(b, _)| b_union > b) {
+                            best = Some((b_union, role));
+                        }
+                    }
+                    if let Some((new_benefit, role)) = best {
+                        members.push(Member {
+                            entity: other,
+                            role,
+                        });
+                        used.insert(other);
+                        base_benefit = new_benefit;
+                        grew = true;
                     }
                 }
-                if let Some((new_benefit, role)) = best {
-                    members.push(Member { entity: other, role });
-                    used.insert(other);
-                    base_benefit = new_benefit;
-                    grew = true;
-                }
-            }
                 if !grew {
                     break;
                 }
@@ -497,9 +516,9 @@ fn candidate_index_of(
     root: ValueId,
 ) -> Option<usize> {
     candidates.iter().position(|c| {
-        c.members.iter().any(|m| {
-            m.role.keys && entity_covers_root(fa, m.entity, root)
-        })
+        c.members
+            .iter()
+            .any(|m| m.role.keys && entity_covers_root(fa, m.entity, root))
     })
 }
 
@@ -507,9 +526,7 @@ fn candidate_index_of(
 /// entity's own depth.
 fn entity_covers_root(fa: &FuncAnalysis<'_>, entity: CollectionEntity, root: ValueId) -> bool {
     let levels = crate::patch::entity_levels(fa.func, &fa.chains, entity);
-    levels
-        .last()
-        .is_some_and(|level| level.contains(&root))
+    levels.last().is_some_and(|level| level.contains(&root))
 }
 
 fn absorb_or_drop(
@@ -534,9 +551,9 @@ fn absorb_or_drop(
         // Cannot absorb: drop every keys-member unified with the present
         // root (conservative: drop the whole candidate's keys roles that
         // touch this union).
-        candidates[idx].members.retain(|m| {
-            !(m.role.keys && entity_covers_root(fa, m.entity, _present_root))
-        });
+        candidates[idx]
+            .members
+            .retain(|m| !(m.role.keys && entity_covers_root(fa, m.entity, _present_root)));
         return true;
     }
     candidates[idx].members.push(Member {

@@ -15,8 +15,8 @@ use std::collections::HashMap;
 use ade_analysis::RedefChains;
 use ade_ir::typing::{signature, Externs};
 use ade_ir::{
-    Access, ConstVal, EnumDecl, EnumId, Function, Inst, InstId, InstKind, Module, Operand,
-    Scalar, Type, ValueDef, ValueId,
+    Access, ConstVal, EnumDecl, EnumId, Function, Inst, InstId, InstKind, Module, Operand, Scalar,
+    Type, ValueDef, ValueId,
 };
 
 use crate::interproc::{ModulePlan, PlannedCandidate};
@@ -168,9 +168,7 @@ fn retype_roots(func: &mut Function, cand: &PlannedCandidate) {
         if new_ty == root_ty {
             continue;
         }
-        let level0: Vec<ValueId> = chains
-            .chain(chains.root_of(m.entity.root))
-            .to_vec();
+        let level0: Vec<ValueId> = chains.chain(chains.root_of(m.entity.root)).to_vec();
         for v in level0 {
             func.values[v.index()].ty = new_ty.clone();
             if let ValueDef::InstResult { inst, .. } = func.values[v.index()].def {

@@ -126,7 +126,12 @@ fn phi_sources(func: &Function, func_index: &FuncIndex, member: ValueId) -> Vec<
             // Loop-entry source: the carry operand.
             out.push(UseSite::plain(owner_id, carry_base + carried));
             // Backedge source: the body yield operand.
-            if let Some(site) = yield_site(func, owner, carried, matches!(owner.kind, InstKind::DoWhile)) {
+            if let Some(site) = yield_site(
+                func,
+                owner,
+                carried,
+                matches!(owner.kind, InstKind::DoWhile),
+            ) {
                 out.push(site);
             }
         }

@@ -16,7 +16,13 @@ fn run_program(module: &ade_ir::Module) -> ade_interp::Outcome {
 /// Runs `text` as-is and under each ADE configuration; asserts identical
 /// output everywhere. Returns (baseline outcome, full-ADE outcome,
 /// full-ADE report).
-fn differential(text: &str) -> (ade_interp::Outcome, ade_interp::Outcome, ade_core::AdeReport) {
+fn differential(
+    text: &str,
+) -> (
+    ade_interp::Outcome,
+    ade_interp::Outcome,
+    ade_core::AdeReport,
+) {
     let baseline_module = parse_module(text).expect("parses");
     ade_ir::verify::verify_module(&baseline_module).expect("baseline verifies");
     let baseline = run_program(&baseline_module);
@@ -38,9 +44,8 @@ fn differential(text: &str) -> (ade_interp::Outcome, ade_interp::Outcome, ade_co
     ] {
         let mut module = parse_module(text).expect("parses");
         let report = run_ade(&mut module, &options);
-        ade_ir::verify::verify_module(&module).unwrap_or_else(|e| {
-            panic!("[{name}] verify failed: {e}\n{}", print_module(&module))
-        });
+        ade_ir::verify::verify_module(&module)
+            .unwrap_or_else(|e| panic!("[{name}] verify failed: {e}\n{}", print_module(&module)));
         let outcome = Interpreter::new(&module, ExecConfig::default())
             .run("main")
             .unwrap_or_else(|e| panic!("[{name}] run failed: {e}\n{}", print_module(&module)));
@@ -329,10 +334,10 @@ fn noredundant_ablation_translates_more() {
     use ade_interp::{CollOp, ImplKind};
     let f = full.stats.totals();
     let a = ablated.stats.totals();
-    let full_translations = f.get(ImplKind::EnumEnc, CollOp::Read)
-        + f.get(ImplKind::EnumDec, CollOp::Read);
-    let ablated_translations = a.get(ImplKind::EnumEnc, CollOp::Read)
-        + a.get(ImplKind::EnumDec, CollOp::Read);
+    let full_translations =
+        f.get(ImplKind::EnumEnc, CollOp::Read) + f.get(ImplKind::EnumDec, CollOp::Read);
+    let ablated_translations =
+        a.get(ImplKind::EnumEnc, CollOp::Read) + a.get(ImplKind::EnumDec, CollOp::Read);
     assert!(
         ablated_translations > full_translations,
         "RTE must remove translations: {full_translations} vs {ablated_translations}"

@@ -14,9 +14,8 @@ fn differential(text: &str) -> ade_core::AdeReport {
         .expect("baseline runs");
     let mut module = parse_module(text).expect("parses");
     let report = run_ade(&mut module, &AdeOptions::default());
-    ade_ir::verify::verify_module(&module).unwrap_or_else(|e| {
-        panic!("verify: {e}\n{}", ade_ir::print::print_module(&module))
-    });
+    ade_ir::verify::verify_module(&module)
+        .unwrap_or_else(|e| panic!("verify: {e}\n{}", ade_ir::print::print_module(&module)));
     let transformed = Interpreter::new(&module, ExecConfig::default())
         .run("main")
         .expect("transformed runs");
@@ -96,10 +95,7 @@ fn @main() -> void {
     // Either nothing is enumerated, or whatever is enumerated excludes
     // the union pair — the differential run above already proves
     // behavior is preserved; here we pin the directive effect.
-    let enumerated_c = report
-        .candidates
-        .iter()
-        .any(|c| c.contains("3 member"));
+    let enumerated_c = report.candidates.iter().any(|c| c.contains("3 member"));
     assert!(!enumerated_c, "{report:?}");
 }
 

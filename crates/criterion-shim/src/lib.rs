@@ -188,7 +188,10 @@ mod tests {
     #[test]
     fn harness_runs_and_records_samples() {
         benches();
-        let mut b = Bencher { sample_size: 4, samples_ns: Vec::new() };
+        let mut b = Bencher {
+            sample_size: 4,
+            samples_ns: Vec::new(),
+        };
         b.iter(|| 1u64.wrapping_add(2));
         assert_eq!(b.samples_ns.len(), 4);
         assert!(b.samples_ns.iter().all(|&ns| ns >= 0.0));

@@ -517,8 +517,14 @@ fn @main() -> void {
         };
         let snapshot = run();
         let parsed = ade_obs::json::Value::parse(&snapshot).expect("valid JSON");
-        assert!(snapshot.contains("\"schema\":\"ade-metrics-v1\""), "{snapshot}");
-        assert!(snapshot.contains(r#"exec_stops_total{reason=\"ok\"}"#), "{snapshot}");
+        assert!(
+            snapshot.contains("\"schema\":\"ade-metrics-v1\""),
+            "{snapshot}"
+        );
+        assert!(
+            snapshot.contains(r#"exec_stops_total{reason=\"ok\"}"#),
+            "{snapshot}"
+        );
         assert!(snapshot.contains("exec_fuel_ticks_total"), "{snapshot}");
         assert!(snapshot.contains("exec_heap_hwm_bytes"), "{snapshot}");
         assert_eq!(snapshot, run(), "snapshot is run-to-run deterministic");

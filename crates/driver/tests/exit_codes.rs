@@ -15,7 +15,11 @@ fn adec(args: &[&str]) -> (i32, String) {
 }
 
 fn sample() -> String {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/ir/histogram.memoir").to_string()
+    concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/ir/histogram.memoir"
+    )
+    .to_string()
 }
 
 fn temp_file(name: &str, contents: &str) -> std::path::PathBuf {
@@ -58,7 +62,10 @@ fn usage_errors_are_two() {
     assert_eq!(code, 2, "{err}");
 
     let (code, err) = adec(&["--config", "turbo", "--run", &sample()]);
-    assert_eq!(code, 2, "unknown configuration is a usage-class error: {err}");
+    assert_eq!(
+        code, 2,
+        "unknown configuration is a usage-class error: {err}"
+    );
 
     let (code, err) = adec(&["--run", "/nonexistent/input.memoir"]);
     assert_eq!(code, 2, "unreadable input is a usage-class error: {err}");
@@ -71,8 +78,10 @@ fn parse_and_verify_errors_are_three() {
     assert_eq!(code, 3, "{err}");
     assert!(err.contains("parse"), "{err}");
 
-    let bad_types =
-        temp_file("types.memoir", "fn @main() -> u64 {\n  %x = const 1f64\n  ret %x\n}\n");
+    let bad_types = temp_file(
+        "types.memoir",
+        "fn @main() -> u64 {\n  %x = const 1f64\n  ret %x\n}\n",
+    );
     let (code, err) = adec(&[bad_types.to_str().unwrap()]);
     assert_eq!(code, 3, "{err}");
     assert!(err.contains("verify"), "{err}");
@@ -146,9 +155,18 @@ fn ill_typed_programs_are_verify_errors() {
     let nested = "  %m = new Map<u64, Set{Bit}<str>>\n  %k = const 1u64\n  %m1 = insert %m, %k\n  \
                   %e = const \"a\"\n  %m2 = insert %m1[%k], %e\n  %n = size %m2[%k]\n  print %n\n";
     let cases = [
-        ("bool-add", "  %a = const true\n  %b = add %a, %a\n  print %b\n".to_string()),
-        ("f64-shl", "  %a = const 1.5f64\n  %b = shl %a, %a\n  print %b\n".to_string()),
-        ("f64-xor", "  %a = const 1.5f64\n  %b = xor %a, %a\n  print %b\n".to_string()),
+        (
+            "bool-add",
+            "  %a = const true\n  %b = add %a, %a\n  print %b\n".to_string(),
+        ),
+        (
+            "f64-shl",
+            "  %a = const 1.5f64\n  %b = shl %a, %a\n  print %b\n".to_string(),
+        ),
+        (
+            "f64-xor",
+            "  %a = const 1.5f64\n  %b = xor %a, %a\n  print %b\n".to_string(),
+        ),
         (
             "set-read",
             "  %s = new Set<u64>\n  %k = const 1u64\n  %s1 = insert %s, %k\n  \
@@ -176,8 +194,11 @@ fn dense_selections_over_u64_keys_run() {
     let body = "  %m = new Map{Bit}<u64, u64>\n  %k = const 4u64\n  %v = const 7u64\n  \
                 %m1 = write %m, %k, %v\n  %x = read %m1, %k\n  print %x\n";
     let path = temp_file("bit-map-u64.memoir", &program(body));
-    let directives =
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/ir/directives.memoir").to_string();
+    let directives = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/ir/directives.memoir"
+    )
+    .to_string();
     for config in ["memoir", "ade"] {
         let (code, err) = adec(&["--config", config, "--run", path.to_str().unwrap()]);
         assert_eq!(code, 0, "{config}: {err}");
@@ -197,6 +218,9 @@ fn an_entry_with_parameters_is_one() {
     );
     let (code, err) = adec(&["--run", path.to_str().unwrap()]);
     assert_eq!(code, 1, "{err}");
-    assert!(err.contains("no parameterless function named @main"), "{err}");
+    assert!(
+        err.contains("no parameterless function named @main"),
+        "{err}"
+    );
     let _ = std::fs::remove_file(path);
 }

@@ -19,7 +19,11 @@ fn adec(args: &[&str]) -> (i32, String, String) {
 }
 
 fn sample() -> String {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/ir/histogram.memoir").to_string()
+    concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/ir/histogram.memoir"
+    )
+    .to_string()
 }
 
 fn temp_path(name: &str) -> PathBuf {

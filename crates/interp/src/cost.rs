@@ -159,7 +159,10 @@ mod tests {
     #[test]
     fn bitmap_beats_hash_on_reads() {
         let m = CostModel::intel_x64();
-        assert!(m.cost_ns(ImplKind::BitMap, CollOp::Read) < m.cost_ns(ImplKind::HashMap, CollOp::Read) / 5.0);
+        assert!(
+            m.cost_ns(ImplKind::BitMap, CollOp::Read)
+                < m.cost_ns(ImplKind::HashMap, CollOp::Read) / 5.0
+        );
     }
 
     #[test]

@@ -940,9 +940,7 @@ impl<'f> FuncDecoder<'f> {
                                 BulkOp::Scalar(UScalar::Const { pool, dst })
                             })
                         }
-                        Scalar::End => {
-                            self.step(&Type::U64, |dst| BulkOp::Len { coll: base, dst })
-                        }
+                        Scalar::End => self.step(&Type::U64, |dst| BulkOp::Len { coll: base, dst }),
                     };
                     let dst = self.step(val, |dst| BulkOp::Read {
                         coll: base,
@@ -1773,7 +1771,10 @@ fn @main() -> void {
             .nth(2)
             .expect("three loops");
         let acc = f.regions[third_body].args[2];
-        assert_eq!(plans[2].yields.regs.as_ref(), &[(f.frame_size - 1, acc.index)]);
+        assert_eq!(
+            plans[2].yields.regs.as_ref(),
+            &[(f.frame_size - 1, acc.index)]
+        );
     }
 
     #[test]
@@ -1982,7 +1983,13 @@ fn @main() -> void {
         // tail.
         let ticks: Vec<u32> = plan.ops.iter().map(|p| p.ticks).collect();
         assert_eq!(
-            (plan.prelude[0].ticks, ticks, plan.tail, plan.worst, plan.depth),
+            (
+                plan.prelude[0].ticks,
+                ticks,
+                plan.tail,
+                plan.worst,
+                plan.depth
+            ),
             (0, vec![2, 1], 1, Some(4), 1)
         );
     }

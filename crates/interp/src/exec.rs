@@ -145,7 +145,10 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::NoEntry { entry } => {
-                write!(f, "execution error: no parameterless function named @{entry}")
+                write!(
+                    f,
+                    "execution error: no parameterless function named @{entry}"
+                )
             }
             ExecError::GuestTrap {
                 site: Some(site),
@@ -415,7 +418,10 @@ enum LoopIter {
     Range { next: u64, hi: u64 },
     /// A `foreach` whose bound arguments are registers: the snapshot's
     /// `(key, value)` register bits, and the next entry to bind.
-    Each { entries: Vec<(u64, u64)>, next: usize },
+    Each {
+        entries: Vec<(u64, u64)>,
+        next: usize,
+    },
     /// A `foreach` binding a `str` or tuple: the snapshot entries not
     /// yet bound.
     EachBoxed(std::vec::IntoIter<(Value, Value)>),
@@ -646,7 +652,8 @@ impl<'m> Interpreter<'m> {
         entry: &str,
     ) -> Result<Outcome, ExecError> {
         debug_assert!(
-            self.module.is_none_or(|m| m.funcs.len() == decoded.funcs.len()),
+            self.module
+                .is_none_or(|m| m.funcs.len() == decoded.funcs.len()),
             "decoded stream must come from this interpreter's module"
         );
         let fid = decoded.entry(entry)?;
@@ -759,9 +766,11 @@ impl<'m> Interpreter<'m> {
             }
         }
         let coll = Collection::new_for(ty, self.config.defaults);
-        self.config
-            .metrics
-            .add("exec_backend_selected_total", &[("kind", coll.kind_label())], 1);
+        self.config.metrics.add(
+            "exec_backend_selected_total",
+            &[("kind", coll.kind_label())],
+            1,
+        );
         let bytes = coll.bytes_estimate();
         let id = CollId(u32::try_from(self.heap.len()).expect("heap fits u32"));
         self.coll_impls.push(coll.impl_kind());
@@ -1357,9 +1366,10 @@ impl<'m> Interpreter<'m> {
     ) -> LoopIter {
         let args = &func.regions[parts.body as usize].args;
         let (iter, carried) = match inst {
-            DInst::ForEach { coll, carried, .. } | DInst::ForEachBulk { coll, carried, .. } => {
-                (self.foreach_iter(frame.coll(*coll), args, parts.bound), carried)
-            }
+            DInst::ForEach { coll, carried, .. } | DInst::ForEachBulk { coll, carried, .. } => (
+                self.foreach_iter(frame.coll(*coll), args, parts.bound),
+                carried,
+            ),
             DInst::ForRange {
                 lo, hi, carried, ..
             }

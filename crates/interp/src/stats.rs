@@ -105,7 +105,10 @@ impl CollOp {
     /// Whether this operation counts as a key *access* for the
     /// sparse/dense totals of Table II.
     pub fn is_access(self) -> bool {
-        !matches!(self, CollOp::Size | CollOp::Clear | CollOp::IterWord | CollOp::UnionWord)
+        !matches!(
+            self,
+            CollOp::Size | CollOp::Clear | CollOp::IterWord | CollOp::UnionWord
+        )
     }
 
     const fn index(self) -> usize {
@@ -290,6 +293,9 @@ mod tests {
         s.per_phase[0].bump(ImplKind::HashSet, CollOp::Insert, 3);
         s.per_phase[1].bump(ImplKind::HashSet, CollOp::Insert, 5);
         assert_eq!(s.totals().get(ImplKind::HashSet, CollOp::Insert), 8);
-        assert_eq!(s.phase(Phase::Roi).get(ImplKind::HashSet, CollOp::Insert), 5);
+        assert_eq!(
+            s.phase(Phase::Roi).get(ImplKind::HashSet, CollOp::Insert),
+            5
+        );
     }
 }

@@ -46,11 +46,17 @@ impl fmt::Display for TrapKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TrapKind::SentinelInsert => {
-                write!(f, "enc sentinel (usize::MAX) reached a dense-collection insert")
+                write!(
+                    f,
+                    "enc sentinel (usize::MAX) reached a dense-collection insert"
+                )
             }
             TrapKind::MissingKey { key } => write!(f, "read of absent key {key}"),
             TrapKind::OutOfBounds { index, len } => {
-                write!(f, "sequence access out of bounds: index {index}, length {len}")
+                write!(
+                    f,
+                    "sequence access out of bounds: index {index}, length {len}"
+                )
             }
             TrapKind::DivideByZero => write!(f, "division by zero"),
         }

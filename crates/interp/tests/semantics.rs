@@ -15,8 +15,7 @@ fn run(text: &str) -> Outcome {
 
 #[test]
 fn integer_arithmetic_wraps_and_divides() {
-    let out = run(
-        r#"
+    let out = run(r#"
 fn @main() -> void {
   %max = const 18446744073709551615u64
   %one = const 1u64
@@ -29,15 +28,13 @@ fn @main() -> void {
   print %wrapped, %q, %r, %sh
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(out.output, "0 2 1 8\n");
 }
 
 #[test]
 fn signed_and_float_casts() {
-    let out = run(
-        r#"
+    let out = run(r#"
 fn @main() -> void {
   %n = const -5i64
   %f = cast %n to f64
@@ -48,15 +45,13 @@ fn @main() -> void {
   print %f, %m, %bi
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(out.output, "-5 -9 1\n");
 }
 
 #[test]
 fn string_keys_in_maps_and_comparisons() {
-    let out = run(
-        r#"
+    let out = run(r#"
 fn @main() -> void {
   %m = new Map<str, u64>
   %a = const "alpha"
@@ -70,15 +65,13 @@ fn @main() -> void {
   print %va, %same
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(out.output, "1 false\n");
 }
 
 #[test]
 fn map_insert_default_initializes_nested_collections() {
-    let out = run(
-        r#"
+    let out = run(r#"
 fn @main() -> void {
   %m = new Map<u64, Set<u64>>
   %k = const 9u64
@@ -88,15 +81,13 @@ fn @main() -> void {
   print %n
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(out.output, "0\n");
 }
 
 #[test]
 fn remove_and_clear_across_kinds() {
-    let out = run(
-        r#"
+    let out = run(r#"
 fn @main() -> void {
   %s = new Set<u64>
   %a = const 1u64
@@ -116,15 +107,13 @@ fn @main() -> void {
   print %n1, %n2, %front
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(out.output, "1 0 1\n");
 }
 
 #[test]
 fn seq_insert_in_middle_shifts() {
-    let out = run(
-        r#"
+    let out = run(r#"
 fn @main() -> void {
   %q = new Seq<u64>
   %zero = const 0u64
@@ -142,15 +131,13 @@ fn @main() -> void {
   print %v0, %v1, %v2
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(out.output, "10 20 30\n");
 }
 
 #[test]
 fn foreach_over_empty_collection_runs_zero_times() {
-    let out = run(
-        r#"
+    let out = run(r#"
 fn @main() -> void {
   %s = new Set<u64>
   %zero = const 0u64
@@ -162,8 +149,7 @@ fn @main() -> void {
   print %n
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(out.output, "0\n");
 }
 
@@ -171,8 +157,7 @@ fn @main() -> void {
 fn foreach_snapshot_isolates_carried_growth() {
     // Appending to a *different* sequence while iterating must not
     // extend the iteration; the iterated collection is snapshotted.
-    let out = run(
-        r#"
+    let out = run(r#"
 fn @main() -> void {
   %q = new Seq<u64>
   %zero = const 0u64
@@ -188,15 +173,13 @@ fn @main() -> void {
   print %n
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(out.output, "1\n");
 }
 
 #[test]
 fn union_between_hash_and_bit_sets_coerces_keys() {
-    let out = run(
-        r#"
+    let out = run(r#"
 fn @main() -> void {
   %dense = new Set{Bit}<idx>
   %sparse = new Set<idx>
@@ -208,15 +191,13 @@ fn @main() -> void {
   print %n
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(out.output, "1\n");
 }
 
 #[test]
 fn nested_path_reads_count_against_the_outer_map() {
-    let out = run(
-        r#"
+    let out = run(r#"
 fn @main() -> void {
   %m = new Map<u64, Set<u64>>
   %k = const 1u64
@@ -227,8 +208,7 @@ fn @main() -> void {
   print %h
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(out.output, "true\n");
     let t = run(
         "fn @main() -> void {\n  %m = new Map<u64, Set<u64>>\n  %k = const 1u64\n  %m1 = insert %m, %k\n  %h = has %m1[%k], %k\n  print %h\n  ret\n}\n",
@@ -242,8 +222,7 @@ fn @main() -> void {
 
 #[test]
 fn memory_peak_survives_clear() {
-    let grow_then_clear = run(
-        r#"
+    let grow_then_clear = run(r#"
 fn @main() -> void {
   %s = new Set<u64>
   %lo = const 0u64
@@ -257,8 +236,7 @@ fn @main() -> void {
   print %n
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(grow_then_clear.output, "0\n");
     // The peak reflects the full set even though the program ends empty.
     assert!(grow_then_clear.stats.peak_bytes >= 2000 * 16);
@@ -266,15 +244,13 @@ fn @main() -> void {
 
 #[test]
 fn tuple_defaults_and_field_paths() {
-    let out = run(
-        r#"
+    let out = run(r#"
 fn @main() -> void {
   %t = new (u64, bool)
   print %t.0, %t.1
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(out.output, "0 false\n");
 }
 
@@ -303,7 +279,10 @@ fn @main() -> void {
     let swiss = Interpreter::new(&m, cfg).run("main").expect("runs");
     let hash = run(text);
     assert_eq!(swiss.output, hash.output);
-    assert_eq!(swiss.stats.totals().get(ImplKind::SwissMap, CollOp::Read), 1);
+    assert_eq!(
+        swiss.stats.totals().get(ImplKind::SwissMap, CollOp::Read),
+        1
+    );
     assert_eq!(hash.stats.totals().get(ImplKind::HashMap, CollOp::Read), 1);
 }
 
@@ -312,8 +291,7 @@ fn directive_forced_dense_sets_iterate_as_their_static_domain() {
     // A bitset forced onto a u64 domain must yield u64 keys when
     // iterated — otherwise comparisons against ordinary integers would
     // silently fail after a `select(Bit)` directive.
-    let out = run(
-        r#"
+    let out = run(r#"
 fn @main() -> void {
   %s = new Set{Bit}<u64>
   %five = const 5u64
@@ -332,15 +310,13 @@ fn @main() -> void {
   print %hits
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(out.output, "1\n");
 }
 
 #[test]
 fn union_from_dense_into_sparse_keeps_the_static_domain() {
-    let out = run(
-        r#"
+    let out = run(r#"
 fn @main() -> void {
   %dense = new Set{Bit}<u64>
   %seven = const 7u64
@@ -351,8 +327,7 @@ fn @main() -> void {
   print %h
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(out.output, "true\n");
 }
 
@@ -361,8 +336,7 @@ fn deep_interpreted_recursion_fits_the_test_thread_stack() {
     // Recursive guest programs must not exhaust the host stack at
     // plausible depths (test threads only get 2 MiB); the interpreter
     // keeps its per-call frames small on purpose.
-    let out = run(
-        r#"
+    let out = run(r#"
 fn @down(%n: u64) -> u64 {
   %zero = const 0u64
   %stop = eq %n, %zero
@@ -384,8 +358,7 @@ fn @main() -> void {
   print %sum
   ret
 }
-"#,
-    );
+"#);
     assert_eq!(out.output, "80200\n");
 }
 
@@ -402,12 +375,19 @@ fn literal_program(ty: &str, elems: &[String], enumerated: bool, one_instruction
     let seq_ty = if enumerated { "idx" } else { ty };
     let seq = if one_instruction {
         let suffix = if enumerated { " enumadd e0" } else { "" };
-        text.push_str(&format!("  %s = literal {ty} [{}]{suffix}\n", elems.join(", ")));
+        text.push_str(&format!(
+            "  %s = literal {ty} [{}]{suffix}\n",
+            elems.join(", ")
+        ));
         "%s".to_string()
     } else {
         text.push_str(&format!("  %s0 = new Seq<{seq_ty}>\n"));
         for (i, x) in elems.iter().enumerate() {
-            let x = if ty == "u64" { format!("{x}u64") } else { x.clone() };
+            let x = if ty == "u64" {
+                format!("{x}u64")
+            } else {
+                x.clone()
+            };
             text.push_str(&format!("  %i{i} = const {i}u64\n  %x{i} = const {x}\n"));
             let v = if enumerated {
                 text.push_str(&format!("  %e{i} = enumadd e0, %x{i}\n"));
@@ -456,8 +436,14 @@ fn literals_match_their_element_wise_construction() {
                     literal.stats.per_phase, element_wise.stats.per_phase,
                     "{tag}"
                 );
-                assert_eq!(literal.stats.peak_bytes, element_wise.stats.peak_bytes, "{tag}");
-                assert_eq!(literal.stats.final_bytes, element_wise.stats.final_bytes, "{tag}");
+                assert_eq!(
+                    literal.stats.peak_bytes, element_wise.stats.peak_bytes,
+                    "{tag}"
+                );
+                assert_eq!(
+                    literal.stats.final_bytes, element_wise.stats.final_bytes,
+                    "{tag}"
+                );
             }
         }
     }
@@ -543,7 +529,9 @@ fn matrix_operands(ty: &str) -> (String, Vec<String>) {
         "str" => consts(&mut defs, &mut names, MATRIX_STR),
         "idx" => {
             for (i, tok) in MATRIX_IDX.iter().enumerate() {
-                defs.push_str(&format!("  %u{i} = const {tok}\n  %v{i} = cast %u{i} to idx\n"));
+                defs.push_str(&format!(
+                    "  %u{i} = const {tok}\n  %v{i} = cast %u{i} to idx\n"
+                ));
                 names.push(format!("idx({tok})"));
             }
         }
@@ -627,7 +615,10 @@ fn matrix_program(defs: &str, rows: &[MatrixRow], in_loop: bool) -> String {
                 None => "%trap".to_string(),
             });
         }
-        text.push_str(&format!("  %l{i} = const \"{label}:\"\n  print {}\n", printed.join(", ")));
+        text.push_str(&format!(
+            "  %l{i} = const \"{label}:\"\n  print {}\n",
+            printed.join(", ")
+        ));
     }
     text.push_str("  ret\n}\n");
     text
@@ -677,7 +668,10 @@ fn matrix_trap(ty: &str, op: &str, r_ty: &'static str, defs: &str, i: usize, j: 
             .iter()
             .map(|&reference| {
                 let err = run_decode(&text, reference).expect_err("traps");
-                let ade_interp::ExecError::GuestTrap { site: Some(site), .. } = &err else {
+                let ade_interp::ExecError::GuestTrap {
+                    site: Some(site), ..
+                } = &err
+                else {
                     panic!("expected a sited trap, got {err:?}");
                 };
                 format!("{} at {site}", err.code())
@@ -762,7 +756,10 @@ fn typed_scalar_matrix_text() -> String {
     let (defs, _) = matrix_operands("bool");
     let not = vec![(
         "not".to_string(),
-        vec![Some(("not %v0".to_string(), "bool")), Some(("not %v1".to_string(), "bool"))],
+        vec![
+            Some(("not %v0".to_string(), "bool")),
+            Some(("not %v1".to_string(), "bool")),
+        ],
     )];
     text.push_str(&matrix_output(&defs, &not));
     text + "-- traps --\n" + &traps

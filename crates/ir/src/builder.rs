@@ -262,7 +262,12 @@ impl FunctionBuilder {
     }
 
     /// Sequence insert at a position: `insert(s, i, v) → s'`.
-    pub fn insert_at(&mut self, s: impl Into<Operand>, i: Scalar, v: impl Into<Operand>) -> ValueId {
+    pub fn insert_at(
+        &mut self,
+        s: impl Into<Operand>,
+        i: Scalar,
+        v: impl Into<Operand>,
+    ) -> ValueId {
         let s = s.into();
         let idx_op = match i {
             Scalar::Value(v) => Operand::value(v),
@@ -538,11 +543,7 @@ mod tests {
     fn if_else_results_are_phi() {
         let mut b = FunctionBuilder::new("f", &[("c", Type::Bool)], Type::U64);
         let c = b.param(0);
-        let r = b.if_else(
-            c,
-            |b| vec![b.const_u64(1)],
-            |b| vec![b.const_u64(2)],
-        );
+        let r = b.if_else(c, |b| vec![b.const_u64(1)], |b| vec![b.const_u64(2)]);
         b.ret(r[0]);
         let f = b.finish();
         assert_eq!(f.value_ty(r[0]), &Type::U64);
@@ -614,7 +615,10 @@ mod tests {
         // Insert into the nested set: result is the new state of the base map.
         let v = b.const_u64(5);
         let m2 = b.insert(inner, v);
-        assert_eq!(b.operand_type(&Operand::value(m2)), Type::map(Type::U64, Type::set(Type::U64)));
+        assert_eq!(
+            b.operand_type(&Operand::value(m2)),
+            Type::map(Type::U64, Type::set(Type::U64))
+        );
         b.ret_void();
         b.finish();
     }

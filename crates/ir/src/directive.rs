@@ -136,8 +136,7 @@ mod tests {
 
     #[test]
     fn nested_directives_chain() {
-        let d = DirectiveSet::new()
-            .with_nested(DirectiveSet::new().with_noshare());
+        let d = DirectiveSet::new().with_nested(DirectiveSet::new().with_noshare());
         assert!(d.nested.as_ref().expect("nested").noshare);
     }
 }

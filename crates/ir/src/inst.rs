@@ -499,7 +499,10 @@ mod tests {
             c.hash(&mut h);
             h.finish()
         };
-        assert_eq!(hash(&ConstVal::F64(f64::NAN)), hash(&ConstVal::F64(f64::NAN)));
+        assert_eq!(
+            hash(&ConstVal::F64(f64::NAN)),
+            hash(&ConstVal::F64(f64::NAN))
+        );
     }
 
     #[test]

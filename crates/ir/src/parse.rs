@@ -43,7 +43,12 @@ pub struct ParseError {
 
 impl ParseError {
     fn at(offset: usize, message: String) -> ParseError {
-        ParseError { offset, line: 0, col: 0, message }
+        ParseError {
+            offset,
+            line: 0,
+            col: 0,
+            message,
+        }
     }
 
     /// Fills in `line`/`col` from the offset. Byte-based, so it cannot
@@ -214,7 +219,11 @@ fn parse_name_keep(text_name: &str) -> Option<String> {
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Self { text, pos: 0, depth: 0 }
+        Self {
+            text,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     fn error(&self, msg: impl Into<String>) -> ParseError {
@@ -1145,7 +1154,11 @@ fn @f() -> void {
             .collect();
         assert_eq!(
             tys,
-            [&Type::seq(Type::U64), &Type::seq(Type::Str), &Type::seq(Type::Idx)]
+            [
+                &Type::seq(Type::U64),
+                &Type::seq(Type::Str),
+                &Type::seq(Type::Idx)
+            ]
         );
         crate::verify::verify_module(&m).expect("verifies");
         for bad in [

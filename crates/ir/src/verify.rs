@@ -287,10 +287,9 @@ impl<'a> Verifier<'a> {
                     ty = t;
                 }
                 (a, t) => {
-                    return Err(self.err(
-                        Some(inst),
-                        format!("path step {a:?} does not apply to {t}"),
-                    ));
+                    return Err(
+                        self.err(Some(inst), format!("path step {a:?} does not apply to {t}"))
+                    );
                 }
             }
         }
@@ -411,7 +410,10 @@ impl<'a> Verifier<'a> {
                 }
             }
             InstKind::Read | InstKind::Write
-                if !matches!(self.op_ty(&inst.operands[0]), Type::Seq(_) | Type::Map { .. }) =>
+                if !matches!(
+                    self.op_ty(&inst.operands[0]),
+                    Type::Seq(_) | Type::Map { .. }
+                ) =>
             {
                 let (op, coll) = (inst.kind.opcode(), self.op_ty(&inst.operands[0]));
                 return err(format!("{op} target {coll} is not a map or sequence"));
@@ -611,7 +613,11 @@ impl<'a> Verifier<'a> {
                 return Order::Exclusive;
             }
             if sa.0 != sb.0 {
-                return if sa.0 < sb.0 { Order::Before } else { Order::After };
+                return if sa.0 < sb.0 {
+                    Order::Before
+                } else {
+                    Order::After
+                };
             }
         }
         // One path is a prefix of the other: the shorter one is the
@@ -792,7 +798,10 @@ fn @count(%input: Seq<f64>) -> void {
         let s = m.funcs[0].insts[0].results[0];
         m.funcs[0].values[s.index()].ty = Type::seq(Type::Str);
         let err = verify_module(&m).expect_err("should fail");
-        assert!(err.message.contains("literal result typed Seq<str>"), "{err}");
+        assert!(
+            err.message.contains("literal result typed Seq<str>"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1071,7 +1080,10 @@ fn @f(%c: bool) -> u64 {
         binary_on("add", "1.5f64").expect("arithmetic takes f64");
         for op in ["shl", "shr", "and", "or", "xor"] {
             let err = binary_on(op, "1.5f64").expect_err(op);
-            assert!(err.message.contains(&format!("{op} is not defined on f64")), "{err}");
+            assert!(
+                err.message.contains(&format!("{op} is not defined on f64")),
+                "{err}"
+            );
         }
     }
 
@@ -1081,13 +1093,21 @@ fn @f(%c: bool) -> u64 {
             "fn @main(%s: Set<u64>, %k: u64) -> void {\n  %x = read %s, %k\n  ret\n}\n",
         )
         .expect_err("should fail");
-        assert!(err.message.contains("read target Set<u64> is not a map or sequence"), "{err}");
+        assert!(
+            err.message
+                .contains("read target Set<u64> is not a map or sequence"),
+            "{err}"
+        );
         let err = verify_text(
             "fn @main(%s: Set<u64>, %k: u64, %v: void) -> void {\n  \
              %t = write %s, %k, %v\n  ret\n}\n",
         )
         .expect_err("should fail");
-        assert!(err.message.contains("write target Set<u64> is not a map or sequence"), "{err}");
+        assert!(
+            err.message
+                .contains("write target Set<u64> is not a map or sequence"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1097,12 +1117,21 @@ fn @f(%c: bool) -> u64 {
                 let text = format!("fn @main() -> void {{\n  %c = new {ty}\n  ret\n}}\n");
                 let err = verify_text(&text).expect_err(&ty);
                 let msg = &err.message;
-                assert!(msg.contains(dense) && msg.ends_with("needs idx or u64 keys"), "{err}");
+                assert!(
+                    msg.contains(dense) && msg.ends_with("needs idx or u64 keys"),
+                    "{err}"
+                );
             }
         }
-        for ty in ["Set{Bit}<idx>", "Set{SparseBit}<u64>", "Map<u64, Map{Bit}<u64, u64>>"] {
-            verify_text(&format!("fn @main() -> void {{\n  %c = new {ty}\n  ret\n}}\n"))
-                .unwrap_or_else(|e| panic!("{ty}: {e}"));
+        for ty in [
+            "Set{Bit}<idx>",
+            "Set{SparseBit}<u64>",
+            "Map<u64, Map{Bit}<u64, u64>>",
+        ] {
+            verify_text(&format!(
+                "fn @main() -> void {{\n  %c = new {ty}\n  ret\n}}\n"
+            ))
+            .unwrap_or_else(|e| panic!("{ty}: {e}"));
         }
     }
 

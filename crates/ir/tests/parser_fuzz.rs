@@ -209,7 +209,10 @@ fn @main() -> void {
     let m = parse_module(text).expect("parses");
     ade_ir::verify::verify_module(&m).expect("verifies");
     let printed = print_module(&m);
-    assert!(printed.contains("%ids = literal u64 [9, 4, 9] enumadd e0\n"), "{printed}");
+    assert!(
+        printed.contains("%ids = literal u64 [9, 4, 9] enumadd e0\n"),
+        "{printed}"
+    );
     assert!(printed.contains("%empty_s = literal str []\n"), "{printed}");
 }
 
@@ -311,7 +314,11 @@ fn corpus() -> Vec<(String, String)> {
         })
         .collect();
     files.sort();
-    assert!(!files.is_empty(), "no .memoir files under {}", dir.display());
+    assert!(
+        !files.is_empty(),
+        "no .memoir files under {}",
+        dir.display()
+    );
     files
 }
 
@@ -357,7 +364,9 @@ fn corpus_single_byte_mutations_never_panic() {
                 mutated[i] = replacement;
                 // Mutations that break UTF-8 can't even be a &str; the
                 // parser only accepts strings, so skip those.
-                let Ok(mutated) = String::from_utf8(mutated) else { continue };
+                let Ok(mutated) = String::from_utf8(mutated) else {
+                    continue;
+                };
                 let what = format!("byte {i} replaced with {:?}", replacement as char);
                 assert_no_panic(&name, &what, &mutated);
             }

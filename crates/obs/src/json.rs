@@ -37,21 +37,19 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
                 *pos += 1;
                 return Ok(());
             }
-            b'\\' => {
-                match b.get(*pos + 1) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 2..*pos + 6).ok_or_else(|| {
-                            format!("truncated \\u escape at byte {pos}", pos = *pos)
-                        })?;
-                        if !hex.iter().all(u8::is_ascii_hexdigit) {
-                            return Err(format!("bad \\u escape at byte {pos}", pos = *pos));
-                        }
-                        *pos += 6;
+            b'\\' => match b.get(*pos + 1) {
+                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
+                Some(b'u') => {
+                    let hex = b
+                        .get(*pos + 2..*pos + 6)
+                        .ok_or_else(|| format!("truncated \\u escape at byte {pos}", pos = *pos))?;
+                    if !hex.iter().all(u8::is_ascii_hexdigit) {
+                        return Err(format!("bad \\u escape at byte {pos}", pos = *pos));
                     }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
+                    *pos += 6;
                 }
-            }
+                _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
+            },
             c if c < 0x20 => {
                 return Err(format!("raw control byte in string at {pos}", pos = *pos));
             }
@@ -79,7 +77,10 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
     if b.get(*pos) == Some(&b'.') {
         *pos += 1;
         if !digits(b, pos) {
-            return Err(format!("expected fraction digits at byte {pos}", pos = *pos));
+            return Err(format!(
+                "expected fraction digits at byte {pos}",
+                pos = *pos
+            ));
         }
     }
     if matches!(b.get(*pos), Some(b'e' | b'E')) {
@@ -88,7 +89,10 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
             *pos += 1;
         }
         if !digits(b, pos) {
-            return Err(format!("expected exponent digits at byte {pos}", pos = *pos));
+            return Err(format!(
+                "expected exponent digits at byte {pos}",
+                pos = *pos
+            ));
         }
     }
     Ok(())
@@ -270,10 +274,12 @@ impl FromIterator<Value> for Value {
     }
 }
 
-
 fn parse_value_tree(b: &[u8], pos: &mut usize, depth: u32) -> Result<Value, String> {
     if depth > MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}", pos = *pos));
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
     }
     match b.get(*pos) {
         Some(b'{') => {
@@ -400,7 +406,10 @@ mod tests {
 
     #[test]
     fn writes_numbers() {
-        let v: Value = [1.5, f64::NAN, f64::INFINITY].into_iter().map(Value::from).collect();
+        let v: Value = [1.5, f64::NAN, f64::INFINITY]
+            .into_iter()
+            .map(Value::from)
+            .collect();
         assert_eq!(v.to_string(), "[1.5,null,null]");
         assert_eq!(Value::from(u64::MAX).as_u64(), Some(u64::MAX));
         assert_eq!(Value::from(i64::MIN).to_string(), "-9223372036854775808");
@@ -432,7 +441,9 @@ mod tests {
 
     #[test]
     fn rejects_bad_json() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1.", "\"\\x\"", "{} {}", "[1 2]"] {
+        for bad in [
+            "", "{", "[1,]", "{\"a\":}", "tru", "1.", "\"\\x\"", "{} {}", "[1 2]",
+        ] {
             assert!(Value::parse(bad).is_err(), "{bad} should fail");
         }
     }
@@ -449,7 +460,10 @@ mod tests {
             " { \"a\" : [1, -2.5e3, true, null], \"big\": 18446744073709551615, \"s\": \"x\\n\\u00e9\" } ",
         )
         .expect("parses");
-        assert_eq!(v.get("a").and_then(Value::as_array).map(<[Value]>::len), Some(4));
+        assert_eq!(
+            v.get("a").and_then(Value::as_array).map(<[Value]>::len),
+            Some(4)
+        );
         assert_eq!(v.get("a").unwrap().as_array().unwrap()[0].as_u64(), Some(1));
         assert_eq!(v.get("a").unwrap().as_array().unwrap()[1].as_u64(), None);
         assert_eq!(
@@ -465,7 +479,10 @@ mod tests {
     fn value_round_trips_written_strings() {
         let original = "weird \u{7f} \" \\ \t chars é\nnew";
         let text = Value::from(original).to_string();
-        assert_eq!(Value::parse(&text).expect("parses").as_str(), Some(original));
+        assert_eq!(
+            Value::parse(&text).expect("parses").as_str(),
+            Some(original)
+        );
     }
 
     #[test]

@@ -412,7 +412,10 @@ mod tests {
             t.event("escape", "escaped").field("root", "%x").emit();
         }
         let text = render_events(&t.events(), false);
-        assert_eq!(text, "> plan [pass]\n  - escaped [escape] root=%x\n< plan [pass]\n");
+        assert_eq!(
+            text,
+            "> plan [pass]\n  - escaped [escape] root=%x\n< plan [pass]\n"
+        );
         let with_ts = render_events(&t.events(), true);
         assert!(with_ts.contains("ns]"));
     }

@@ -169,7 +169,10 @@ impl MetricsSnapshot {
             .rows
             .iter()
             .map(|r| {
-                let labels = r.labels.iter().map(|(k, v)| (k.as_str(), v.as_str().into()));
+                let labels = r
+                    .labels
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), v.as_str().into()));
                 let (kind, value) = match r.value {
                     MetricValue::Counter(c) => ("counter", c),
                     MetricValue::Gauge(g) => ("gauge", g),
@@ -214,8 +217,11 @@ mod tests {
         m.gauge_max("depth_hwm", &[], 4);
         m.gauge_max("depth_hwm", &[], 2); // lower sample does not regress
         let snap = m.snapshot();
-        let by_id: BTreeMap<&str, &MetricValue> =
-            snap.rows.iter().map(|r| (r.id.as_str(), &r.value)).collect();
+        let by_id: BTreeMap<&str, &MetricValue> = snap
+            .rows
+            .iter()
+            .map(|r| (r.id.as_str(), &r.value))
+            .collect();
         assert_eq!(by_id["req_total{code=\"ok\"}"], &MetricValue::Counter(5));
         assert_eq!(by_id["req_total{code=\"err\"}"], &MetricValue::Counter(1));
         assert_eq!(by_id["depth_hwm"], &MetricValue::Gauge(4));
@@ -250,8 +256,11 @@ mod tests {
             }
         });
         let snap = m.snapshot();
-        let by_id: BTreeMap<&str, &MetricValue> =
-            snap.rows.iter().map(|r| (r.id.as_str(), &r.value)).collect();
+        let by_id: BTreeMap<&str, &MetricValue> = snap
+            .rows
+            .iter()
+            .map(|r| (r.id.as_str(), &r.value))
+            .collect();
         assert_eq!(by_id["n"], &MetricValue::Counter(400));
         assert_eq!(by_id["hwm"], &MetricValue::Gauge(99));
     }
@@ -276,9 +285,6 @@ mod tests {
         let clone = m.clone();
         clone.add("shared", &[], 1);
         m.add("shared", &[], 1);
-        assert_eq!(
-            m.snapshot().rows[0].value,
-            MetricValue::Counter(2)
-        );
+        assert_eq!(m.snapshot().rows[0].value, MetricValue::Counter(2));
     }
 }

@@ -47,7 +47,9 @@ pub mod test_runner {
     impl TestCaseError {
         /// A failure carrying `message`.
         pub fn fail(message: impl Into<String>) -> Self {
-            TestCaseError { message: message.into() }
+            TestCaseError {
+                message: message.into(),
+            }
         }
     }
 
@@ -316,7 +318,9 @@ pub mod strategy {
     }
 
     fn parse_pattern(pat: &str) -> (Atom, usize, usize) {
-        let unsupported = || panic!("unsupported string pattern {pat:?}: the offline proptest shim only handles \".{{a,b}}\" and \"\\\\PC{{a,b}}\"");
+        let unsupported = || {
+            panic!("unsupported string pattern {pat:?}: the offline proptest shim only handles \".{{a,b}}\" and \"\\\\PC{{a,b}}\"")
+        };
         let Some(body) = pat.strip_suffix('}') else {
             unsupported()
         };
@@ -341,7 +345,18 @@ pub mod strategy {
     /// Characters outside ASCII worth exercising: multi-byte UTF-8,
     /// astral-plane, and combining-adjacent forms.
     const EXOTIC: &[char] = &[
-        'é', 'ß', 'λ', 'Ω', 'ж', '中', '文', 'あ', '한', '\u{2603}', '\u{1F600}', '\u{1F980}',
+        'é',
+        'ß',
+        'λ',
+        'Ω',
+        'ж',
+        '中',
+        '文',
+        'あ',
+        '한',
+        '\u{2603}',
+        '\u{1F600}',
+        '\u{1F980}',
     ];
 
     /// Escape-relevant ASCII that `{:?}` formatting must round-trip.
@@ -548,12 +563,12 @@ macro_rules! prop_assert_ne {
     ($left:expr, $right:expr $(,)?) => {{
         let (__l, __r) = (&$left, &$right);
         if *__l == *__r {
-            return ::core::result::Result::Err($crate::test_runner::TestCaseError::fail(
-                format!(
-                    "prop_assert_ne!({}, {}) failed: both `{:?}`",
-                    stringify!($left), stringify!($right), __l
-                ),
-            ));
+            return ::core::result::Result::Err($crate::test_runner::TestCaseError::fail(format!(
+                "prop_assert_ne!({}, {}) failed: both `{:?}`",
+                stringify!($left),
+                stringify!($right),
+                __l
+            )));
         }
     }};
 }
@@ -585,7 +600,10 @@ mod tests {
         let mut a = TestRng::new(1, 7);
         let mut b = TestRng::new(1, 7);
         for _ in 0..32 {
-            assert_eq!(Strategy::generate(&s, &mut a), Strategy::generate(&s, &mut b));
+            assert_eq!(
+                Strategy::generate(&s, &mut a),
+                Strategy::generate(&s, &mut b)
+            );
         }
     }
 

@@ -148,10 +148,7 @@ pub mod rngs {
     impl Rng for SmallRng {
         fn next_u64(&mut self) -> u64 {
             let [s0, s1, s2, s3] = self.s;
-            let result = s0
-                .wrapping_add(s3)
-                .rotate_left(23)
-                .wrapping_add(s0);
+            let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
             let t = s1 << 17;
             let mut s = [s0, s1, s2, s3];
             s[2] ^= s[0];

@@ -33,7 +33,11 @@ pub(super) fn build(scale: u32) -> Module {
         let u = u.expect("seq elem");
         let v = b.read(dsts, i);
         let len = b.size(Operand::nested(c[0], Scalar::Value(u)));
-        vec![b.insert_at(Operand::nested(c[0], Scalar::Value(u)), Scalar::Value(len), v)]
+        vec![b.insert_at(
+            Operand::nested(c[0], Scalar::Value(u)),
+            Scalar::Value(len),
+            v,
+        )]
     })[0];
 
     let sample: Vec<u64> = g.nodes.iter().copied().take(SOURCES).collect();
@@ -70,14 +74,14 @@ pub(super) fn build(scale: u32) -> Module {
             let r = b.for_each(nbrs, &[dist, sigma, stack], |b, _j, v, cc| {
                 let v = v.expect("seq elem");
                 let seen = b.has(cc[0], v);
-                
+
                 b.if_else(
                     seen,
                     |b| {
                         // Another shortest path through u?
                         let dcur = b.read(cc[0], v);
                         let same = b.eq(dcur, dv);
-                        
+
                         b.if_else(
                             same,
                             |b| {
@@ -124,13 +128,13 @@ pub(super) fn build(scale: u32) -> Module {
             let d2 = b.for_each(nbrs, &[c[0]], |b, _j, w, dc| {
                 let w = w.expect("seq elem");
                 let on_path = b.has(dist, w);
-                
+
                 b.if_else(
                     on_path,
                     |b| {
                         let dw = b.read(dist, w);
                         let succ = b.eq(dw, dnext);
-                        
+
                         b.if_else(
                             succ,
                             |b| {

@@ -36,12 +36,12 @@ pub(super) fn build(scale: u32) -> Module {
             let one = b.const_u64(1);
             let dv = b.add(du, one);
             let nbrs = b.read(adj, u);
-            
+
             b.for_each(nbrs, &[c[0], c[1]], |b, _j, v, cc| {
                 let v = v.expect("seq elem");
                 let seen = b.has(cc[0], v);
                 let fresh = b.not(seen);
-                
+
                 b.if_else(
                     fresh,
                     |b| {

@@ -34,7 +34,11 @@ pub(super) fn build(scale: u32) -> Module {
     let in_edges = b.for_each(dsts, &[in_edges], |b, e, v, c| {
         let v = v.expect("seq elem");
         let len = b.size(Operand::nested(c[0], Scalar::Value(v)));
-        vec![b.insert_at(Operand::nested(c[0], Scalar::Value(v)), Scalar::Value(len), e)]
+        vec![b.insert_at(
+            Operand::nested(c[0], Scalar::Value(v)),
+            Scalar::Value(len),
+            e,
+        )]
     })[0];
 
     b.roi_begin();
@@ -64,7 +68,7 @@ pub(super) fn build(scale: u32) -> Module {
                 let ein = ein.expect("seq elem");
                 let w = b.read(srcs, ein);
                 let from_target = b.eq(w, v);
-                
+
                 b.if_else(
                     from_target,
                     |_b| vec![ac[0], ac[1]],

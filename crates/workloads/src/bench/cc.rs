@@ -37,7 +37,7 @@ pub(super) fn build(scale: u32) -> Module {
             let lv = b.read(c[0], v);
             let one = b.const_u64(1);
             let u_smaller = b.lt(lu, lv);
-            
+
             b.if_else(
                 u_smaller,
                 |b| {
@@ -47,7 +47,7 @@ pub(super) fn build(scale: u32) -> Module {
                 },
                 |b| {
                     let v_smaller = b.lt(lv, lu);
-                    
+
                     b.if_else(
                         v_smaller,
                         |b| {

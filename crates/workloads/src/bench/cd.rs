@@ -44,11 +44,7 @@ pub(super) fn build(scale: u32) -> Module {
                 let v = v.expect("seq elem");
                 let l = b.read(labels, v);
                 let seen = b.has(hc[0], l);
-                let cnt = b.if_else(
-                    seen,
-                    |b| vec![b.read(hc[0], l)],
-                    |b| vec![b.const_u64(0)],
-                );
+                let cnt = b.if_else(seen, |b| vec![b.read(hc[0], l)], |b| vec![b.const_u64(0)]);
                 let one = b.const_u64(1);
                 let cnt1 = b.add(cnt[0], one);
                 vec![b.write(hc[0], l, cnt1)]
@@ -59,7 +55,7 @@ pub(super) fn build(scale: u32) -> Module {
             let best = b.for_each(hist, &[own, zero], |b, l, cnt, bc| {
                 let cnt = cnt.expect("map value");
                 let better = b.cmp(CmpOp::Gt, cnt, bc[1]);
-                
+
                 b.if_else(
                     better,
                     |_b| vec![l, cnt],
@@ -67,7 +63,7 @@ pub(super) fn build(scale: u32) -> Module {
                         let tie = b.eq(cnt, bc[1]);
                         let smaller = b.lt(l, bc[0]);
                         let both = b.bin(ade_ir::BinOp::And, tie, smaller);
-                        
+
                         b.if_else(both, |_b| vec![l, cnt], |_b| vec![bc[0], bc[1]])
                     },
                 )

@@ -46,11 +46,7 @@ pub(super) fn build(scale: u32) -> Module {
         let c1 = b.add(cur[0], one);
         let counts2 = b.write(c[0], s, c1);
         let seen = b.has(c[1], s);
-        let verbose2 = b.if_else(
-            seen,
-            |_b| vec![c[1]],
-            |b| vec![b.write(c[1], s, i)],
-        );
+        let verbose2 = b.if_else(seen, |_b| vec![c[1]], |b| vec![b.write(c[1], s, i)]);
         vec![counts2, verbose2[0]]
     });
     let (counts, _verbose) = (l1[0], l1[1]);
@@ -61,7 +57,7 @@ pub(super) fn build(scale: u32) -> Module {
     let freq1 = b.for_each(counts, &[freq1], |b, item, cnt, c| {
         let cnt = cnt.expect("map value");
         let keep = b.cmp(CmpOp::Ge, cnt, minsup);
-        
+
         b.if_else(keep, |b| vec![b.insert(c[0], item)], |_b| vec![c[0]])
     })[0];
 
@@ -77,47 +73,39 @@ pub(super) fn build(scale: u32) -> Module {
         let one = b.const_u64(1);
         let t1 = b.add(t, one);
         let hi = b.read(starts, t1);
-        
+
         b.for_range(lo, hi, &[c[0]], |b, i, pc| {
             let a = b.read(items_flat, i);
             let fa = b.has(freq1, a);
-            
+
             b.if_else(
                 fa,
                 |b| {
                     let one = b.const_u64(1);
                     let i1 = b.add(i, one);
-                    
+
                     b.for_range(i1, hi, &[pc[0]], |b, j, qc| {
                         let bb = b.read(items_flat, j);
                         let fb = b.has(freq1, bb);
-                        
+
                         b.if_else(
                             fb,
                             |b| {
                                 // Baskets are sorted, so (a, bb) is
                                 // already ordered.
                                 let slot = b.insert(qc[0], a);
-                                let known =
-                                    b.has(Operand::nested(slot, Scalar::Value(a)), bb);
+                                let known = b.has(Operand::nested(slot, Scalar::Value(a)), bb);
                                 let cur = b.if_else(
                                     known,
                                     |b| {
-                                        let r = b.read(
-                                            Operand::nested(slot, Scalar::Value(a)),
-                                            bb,
-                                        );
+                                        let r = b.read(Operand::nested(slot, Scalar::Value(a)), bb);
                                         vec![r]
                                     },
                                     |b| vec![b.const_u64(0)],
                                 );
                                 let one = b.const_u64(1);
                                 let c2 = b.add(cur[0], one);
-                                let w = b.write(
-                                    Operand::nested(slot, Scalar::Value(a)),
-                                    bb,
-                                    c2,
-                                );
+                                let w = b.write(Operand::nested(slot, Scalar::Value(a)), bb, c2);
                                 vec![w]
                             },
                             |_b| vec![qc[0]],
@@ -133,7 +121,7 @@ pub(super) fn build(scale: u32) -> Module {
     let freq_items = b.size(freq1);
     let totals = b.for_each(pairs, &[zero, zero], |b, _a, inner, c| {
         let inner = inner.expect("map value");
-        
+
         b.for_each(inner, &[c[0], c[1]], |b, _bb, cnt, ic| {
             let cnt = cnt.expect("map value");
             let keep = b.cmp(CmpOp::Ge, cnt, minsup);

@@ -26,7 +26,7 @@ pub(super) fn build(scale: u32) -> Module {
         let u = u.expect("seq elem");
         let blocked = b.has(c[1], u);
         let free = b.not(blocked);
-        
+
         b.if_else(
             free,
             |b| {
@@ -51,7 +51,7 @@ pub(super) fn build(scale: u32) -> Module {
     let sum = b.for_each(nodes, &[zero], |b, _i, v, c| {
         let v = v.expect("seq elem");
         let member = b.has(in_mis, v);
-        
+
         b.if_else(member, |b| vec![b.add(c[0], v)], |_b| vec![c[0]])
     })[0];
     b.print(&[mis_size, sum]);

@@ -48,51 +48,51 @@ pub(super) fn build(scale: u32) -> Module {
     let peel = b.if_else(
         nonempty,
         |b| {
-    let peel = b.do_while(&[zero, degree, worklist, removed], |b, c| {
-        let (i, degree, worklist, removed) = (c[0], c[1], c[2], c[3]);
-        let u = b.read(worklist, i);
-        let gone = b.has(removed, u);
-        let fresh = b.not(gone);
-        let out = b.if_else(
-            fresh,
-            |b| {
-                let removed = b.insert(removed, u);
-                let nbrs = b.read(adj, u);
-                let rr = b.for_each(nbrs, &[degree, worklist], |b, _j, v, cc| {
-                    let v = v.expect("seq elem");
-                    let vg = b.has(removed, v);
-                    let alive = b.not(vg);
-                    
-                    b.if_else(
-                        alive,
-                        |b| {
-                            let dv = b.read(cc[0], v);
-                            let one = b.const_u64(1);
-                            let dv1 = b.sub(dv, one);
-                            let d2 = b.write(cc[0], v, dv1);
-                            let now_low = b.lt(dv1, k);
-                            let was_ok = b.cmp(CmpOp::Ge, dv, k);
-                            let crossing = b.bin(ade_ir::BinOp::And, now_low, was_ok);
-                            let w2 = b.if_else(
-                                crossing,
-                                |b| vec![b.push(cc[1], v)],
-                                |_b| vec![cc[1]],
-                            );
-                            vec![d2, w2[0]]
-                        },
-                        |_b| vec![cc[0], cc[1]],
-                    )
-                });
-                vec![rr[0], rr[1], removed]
-            },
-            |_b| vec![degree, worklist, removed],
-        );
-        let one = b.const_u64(1);
-        let i1 = b.add(i, one);
-        let len = b.size(out[1]);
-        let go = b.lt(i1, len);
-        (go, vec![i1, out[0], out[1], out[2]])
-    });
+            let peel = b.do_while(&[zero, degree, worklist, removed], |b, c| {
+                let (i, degree, worklist, removed) = (c[0], c[1], c[2], c[3]);
+                let u = b.read(worklist, i);
+                let gone = b.has(removed, u);
+                let fresh = b.not(gone);
+                let out = b.if_else(
+                    fresh,
+                    |b| {
+                        let removed = b.insert(removed, u);
+                        let nbrs = b.read(adj, u);
+                        let rr = b.for_each(nbrs, &[degree, worklist], |b, _j, v, cc| {
+                            let v = v.expect("seq elem");
+                            let vg = b.has(removed, v);
+                            let alive = b.not(vg);
+
+                            b.if_else(
+                                alive,
+                                |b| {
+                                    let dv = b.read(cc[0], v);
+                                    let one = b.const_u64(1);
+                                    let dv1 = b.sub(dv, one);
+                                    let d2 = b.write(cc[0], v, dv1);
+                                    let now_low = b.lt(dv1, k);
+                                    let was_ok = b.cmp(CmpOp::Ge, dv, k);
+                                    let crossing = b.bin(ade_ir::BinOp::And, now_low, was_ok);
+                                    let w2 = b.if_else(
+                                        crossing,
+                                        |b| vec![b.push(cc[1], v)],
+                                        |_b| vec![cc[1]],
+                                    );
+                                    vec![d2, w2[0]]
+                                },
+                                |_b| vec![cc[0], cc[1]],
+                            )
+                        });
+                        vec![rr[0], rr[1], removed]
+                    },
+                    |_b| vec![degree, worklist, removed],
+                );
+                let one = b.const_u64(1);
+                let i1 = b.add(i, one);
+                let len = b.size(out[1]);
+                let go = b.lt(i1, len);
+                (go, vec![i1, out[0], out[1], out[2]])
+            });
             vec![peel[3]]
         },
         |_b| vec![removed],
@@ -106,7 +106,7 @@ pub(super) fn build(scale: u32) -> Module {
     let sums = b.for_each(nodes, &[zero, zero], |b, _i, v, c| {
         let v = v.expect("seq elem");
         let gone = b.has(removed, v);
-        
+
         b.if_else(
             gone,
             |_b| vec![c[0], c[1]],

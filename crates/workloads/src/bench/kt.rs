@@ -30,7 +30,11 @@ pub(super) fn build(scale: u32) -> Module {
         let u = u.expect("seq elem");
         let v = b.read(dsts, i);
         let len = b.size(Operand::nested(c[0], Scalar::Value(v)));
-        vec![b.insert_at(Operand::nested(c[0], Scalar::Value(v)), Scalar::Value(len), u)]
+        vec![b.insert_at(
+            Operand::nested(c[0], Scalar::Value(v)),
+            Scalar::Value(len),
+            u,
+        )]
     })[0];
 
     b.roi_begin();
@@ -44,7 +48,7 @@ pub(super) fn build(scale: u32) -> Module {
             let u = u.expect("seq elem");
             let v = b.read(dsts, i);
             let still = b.has(Operand::nested(adj, Scalar::Value(u)), v);
-            
+
             b.if_else(
                 still,
                 |b| {
@@ -59,7 +63,7 @@ pub(super) fn build(scale: u32) -> Module {
                         let alive = b.has(au, w);
                         let in_v = b.has(av, w);
                         let closes = b.bin(ade_ir::BinOp::And, alive, in_v);
-                        
+
                         b.if_else(
                             closes,
                             |b| {
@@ -70,7 +74,7 @@ pub(super) fn build(scale: u32) -> Module {
                         )
                     })[0];
                     let weak = b.lt(support, threshold);
-                    
+
                     b.if_else(
                         weak,
                         |b| {

@@ -40,20 +40,20 @@ pub(super) fn build(scale: u32) -> Module {
             let r = r.expect("seq elem");
             let (found, vis, mr) = (c[0], c[1], c[2]);
             let done = b.eq(found, one);
-            
+
             b.if_else(
                 done,
                 |_b| vec![found, vis, mr],
                 |b| {
                     let seen = b.has(vis, r);
-                    
+
                     b.if_else(
                         seen,
                         |_b| vec![found, vis, mr],
                         |b| {
                             let vis2 = b.insert(vis, r);
                             let taken = b.has(mr, r);
-                            
+
                             b.if_else(
                                 taken,
                                 |b| {
@@ -65,7 +65,7 @@ pub(super) fn build(scale: u32) -> Module {
                                         .call(fid, &[adj, mr, vis2, owner], Type::U64)
                                         .expect("value");
                                     let ok = b.eq(sub, one);
-                                    
+
                                     b.if_else(
                                         ok,
                                         |b| {
@@ -108,7 +108,11 @@ pub(super) fn build(scale: u32) -> Module {
         let u = u.expect("seq elem");
         let v = b.read(dsts, i);
         let len = b.size(Operand::nested(c[0], Scalar::Value(u)));
-        vec![b.insert_at(Operand::nested(c[0], Scalar::Value(u)), Scalar::Value(len), v)]
+        vec![b.insert_at(
+            Operand::nested(c[0], Scalar::Value(u)),
+            Scalar::Value(len),
+            v,
+        )]
     })[0];
 
     b.roi_begin();

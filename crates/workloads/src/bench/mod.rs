@@ -45,22 +45,86 @@ pub struct Benchmark {
 /// Every benchmark, in the paper's alphabetical order.
 pub fn all_benchmarks() -> Vec<Benchmark> {
     vec![
-        Benchmark { abbrev: "BC", name: "betweenness centrality", build: bc::build },
-        Benchmark { abbrev: "BFS", name: "breadth-first search", build: bfs::build },
-        Benchmark { abbrev: "BP", name: "belief propagation", build: bp::build },
-        Benchmark { abbrev: "CC", name: "connected components", build: cc::build },
-        Benchmark { abbrev: "CD", name: "community detection", build: cd::build },
-        Benchmark { abbrev: "FIM", name: "frequent itemset mining", build: fim::build },
-        Benchmark { abbrev: "IS", name: "independent set", build: is::build },
-        Benchmark { abbrev: "KC", name: "k-core decomposition", build: kc::build },
-        Benchmark { abbrev: "KT", name: "k-truss", build: kt::build },
-        Benchmark { abbrev: "MCBM", name: "bipartite matching", build: mcbm::build },
-        Benchmark { abbrev: "MST", name: "minimum spanning tree", build: mst::build },
-        Benchmark { abbrev: "PP", name: "preflow-push max-flow", build: pp::build },
-        Benchmark { abbrev: "PR", name: "pagerank", build: pr::build },
-        Benchmark { abbrev: "PTA", name: "points-to analysis", build: pta::build },
-        Benchmark { abbrev: "SSSP", name: "single-source shortest paths", build: sssp::build },
-        Benchmark { abbrev: "TC", name: "triangle counting", build: tc::build },
+        Benchmark {
+            abbrev: "BC",
+            name: "betweenness centrality",
+            build: bc::build,
+        },
+        Benchmark {
+            abbrev: "BFS",
+            name: "breadth-first search",
+            build: bfs::build,
+        },
+        Benchmark {
+            abbrev: "BP",
+            name: "belief propagation",
+            build: bp::build,
+        },
+        Benchmark {
+            abbrev: "CC",
+            name: "connected components",
+            build: cc::build,
+        },
+        Benchmark {
+            abbrev: "CD",
+            name: "community detection",
+            build: cd::build,
+        },
+        Benchmark {
+            abbrev: "FIM",
+            name: "frequent itemset mining",
+            build: fim::build,
+        },
+        Benchmark {
+            abbrev: "IS",
+            name: "independent set",
+            build: is::build,
+        },
+        Benchmark {
+            abbrev: "KC",
+            name: "k-core decomposition",
+            build: kc::build,
+        },
+        Benchmark {
+            abbrev: "KT",
+            name: "k-truss",
+            build: kt::build,
+        },
+        Benchmark {
+            abbrev: "MCBM",
+            name: "bipartite matching",
+            build: mcbm::build,
+        },
+        Benchmark {
+            abbrev: "MST",
+            name: "minimum spanning tree",
+            build: mst::build,
+        },
+        Benchmark {
+            abbrev: "PP",
+            name: "preflow-push max-flow",
+            build: pp::build,
+        },
+        Benchmark {
+            abbrev: "PR",
+            name: "pagerank",
+            build: pr::build,
+        },
+        Benchmark {
+            abbrev: "PTA",
+            name: "points-to analysis",
+            build: pta::build,
+        },
+        Benchmark {
+            abbrev: "SSSP",
+            name: "single-source shortest paths",
+            build: sssp::build,
+        },
+        Benchmark {
+            abbrev: "TC",
+            name: "triangle counting",
+            build: tc::build,
+        },
     ]
 }
 
@@ -214,7 +278,10 @@ mod tests {
             let ade = Interpreter::new(&module, ExecConfig::default())
                 .run("main")
                 .expect("ade runs");
-            let base_sparse = baseline.stats.phase(ade_interp::Phase::Roi).sparse_accesses();
+            let base_sparse = baseline
+                .stats
+                .phase(ade_interp::Phase::Roi)
+                .sparse_accesses();
             let ade_sparse = ade.stats.phase(ade_interp::Phase::Roi).sparse_accesses();
             assert!(
                 ade_sparse < base_sparse,

@@ -64,14 +64,14 @@ pub(super) fn build(scale: u32) -> Module {
             let cu = b.call(find, &[parent, u], Type::U64).expect("value");
             let cv = b.call(find, &[parent, v], Type::U64).expect("value");
             let cross = b.ne(cu, cv);
-            
+
             b.if_else(
                 cross,
                 |b| {
                     let known = b.has(c[0], cu);
                     let cur = b.if_else(known, |b| vec![b.read(c[0], cu)], |_b| vec![big]);
                     let better = b.lt(w, cur[0]);
-                    
+
                     b.if_else(
                         better,
                         |b| {
@@ -93,29 +93,29 @@ pub(super) fn build(scale: u32) -> Module {
         let apply = b.for_each(nodes, &[parent, total, zero], |b, _i, comp, c| {
             let comp = comp.expect("seq elem");
             let selected = b.has(beste, comp);
-            
+
             b.if_else(
                 selected,
                 |b| {
-            let ei = b.read(beste, comp);
-            let u = b.read(srcs, ei);
-            let v = b.read(dsts, ei);
-            let w = b.read(wts, ei);
-            let cu = b.call(find, &[c[0], u], Type::U64).expect("value");
-            let cv = b.call(find, &[c[0], v], Type::U64).expect("value");
-            let cross = b.ne(cu, cv);
-            
-            b.if_else(
-                cross,
-                |b| {
-                    let p2 = b.write(c[0], cu, cv);
-                    let t2 = b.add(c[1], w);
-                    let one = b.const_u64(1);
-                    let m2 = b.add(c[2], one);
-                    vec![p2, t2, m2]
-                },
-                |_b| vec![c[0], c[1], c[2]],
-            )
+                    let ei = b.read(beste, comp);
+                    let u = b.read(srcs, ei);
+                    let v = b.read(dsts, ei);
+                    let w = b.read(wts, ei);
+                    let cu = b.call(find, &[c[0], u], Type::U64).expect("value");
+                    let cv = b.call(find, &[c[0], v], Type::U64).expect("value");
+                    let cross = b.ne(cu, cv);
+
+                    b.if_else(
+                        cross,
+                        |b| {
+                            let p2 = b.write(c[0], cu, cv);
+                            let t2 = b.add(c[1], w);
+                            let one = b.const_u64(1);
+                            let m2 = b.add(c[2], one);
+                            vec![p2, t2, m2]
+                        },
+                        |_b| vec![c[0], c[1], c[2]],
+                    )
                 },
                 |_b| vec![c[0], c[1], c[2]],
             )
@@ -135,7 +135,7 @@ pub(super) fn build(scale: u32) -> Module {
         let v = v.expect("seq elem");
         let root = b.call(find, &[parent, v], Type::U64).expect("value");
         let is_root = b.eq(root, v);
-        
+
         b.if_else(
             is_root,
             |b| {

@@ -54,7 +54,11 @@ pub(super) fn build(scale: u32) -> Module {
     let out_edges = b.for_each(srcs, &[out_edges], |b, e, u, c| {
         let u = u.expect("seq elem");
         let len = b.size(Operand::nested(c[0], Scalar::Value(u)));
-        vec![b.insert_at(Operand::nested(c[0], Scalar::Value(u)), Scalar::Value(len), e)]
+        vec![b.insert_at(
+            Operand::nested(c[0], Scalar::Value(u)),
+            Scalar::Value(len),
+            e,
+        )]
     })[0];
 
     b.roi_begin();
@@ -112,7 +116,7 @@ pub(super) fn build(scale: u32) -> Module {
             let zero = b.const_u64(0);
             let idle = b.eq(eu, zero);
             let inactive = b.bin(ade_ir::BinOp::Or, skip, idle);
-            
+
             b.if_else(
                 inactive,
                 |_b| vec![cc[0], cc[1], cc[2]],
@@ -127,7 +131,7 @@ pub(super) fn build(scale: u32) -> Module {
                         let rc = b.read(ic[1], e);
                         let zero = b.const_u64(0);
                         let open = b.cmp(CmpOp::Gt, rc, zero);
-                        
+
                         b.if_else(
                             open,
                             |b| {
@@ -140,7 +144,7 @@ pub(super) fn build(scale: u32) -> Module {
                                 let eu_now = b.read(ic[0], u);
                                 let has_excess = b.cmp(CmpOp::Gt, eu_now, zero);
                                 let can = b.bin(ade_ir::BinOp::And, downhill, has_excess);
-                                
+
                                 b.if_else(
                                     can,
                                     |b| {
@@ -176,12 +180,8 @@ pub(super) fn build(scale: u32) -> Module {
                             let one = b.const_u64(1);
                             let nh = b.add(inner[2], one);
                             let higher = b.cmp(CmpOp::Gt, nh, hu);
-                            
-                            b.if_else(
-                                higher,
-                                |b| vec![b.write(cc[1], u, nh)],
-                                |_b| vec![cc[1]],
-                            )
+
+                            b.if_else(higher, |b| vec![b.write(cc[1], u, nh)], |_b| vec![cc[1]])
                         },
                         |_b| vec![cc[1]],
                     );

@@ -9,9 +9,7 @@
 //! §III-I fix this, reproduced by [`Tuning`].
 
 use ade_ir::builder::FunctionBuilder;
-use ade_ir::{
-    CmpOp, DirectiveSet, Module, Operand, Scalar, SelectionChoice, Type,
-};
+use ade_ir::{CmpOp, DirectiveSet, Module, Operand, Scalar, SelectionChoice, Type};
 
 use crate::gen;
 
@@ -132,7 +130,7 @@ pub fn build_with(scale: u32, tuning: Tuning) -> Module {
             let dst = dst.expect("seq elem");
             let p = b.read(load_p, i);
             let base = b.read(c[0], p);
-            
+
             b.for_each(base, &[c[0], c[1]], |b, o, _none, cc| {
                 let before = b.size(Operand::nested(cc[0], Scalar::Value(dst)));
                 let o_set = b.read(cc[0], o);
@@ -155,7 +153,7 @@ pub fn build_with(scale: u32, tuning: Tuning) -> Module {
             let p = p.expect("seq elem");
             let src = b.read(store_s, i);
             let base = b.read(c[0], p);
-            
+
             b.for_each(base, &[c[0], c[1]], |b, o, _none, cc| {
                 let before = b.size(Operand::nested(cc[0], Scalar::Value(o)));
                 let src_set = b.read(cc[0], src);

@@ -77,14 +77,14 @@ pub(super) fn build(scale: u32) -> Module {
             let du = b.read(c[0], u);
             let nbrs = b.read(adj, u);
             let nwts = b.read(wadj, u);
-            
+
             b.for_each(nbrs, &[c[0], c[1]], |b, j, v, cc| {
                 let v = v.expect("seq elem");
                 let w = b.read(nwts, j);
                 let cand = b.add(du, w);
                 let dv = b.read(cc[0], v);
                 let better = b.lt(cand, dv);
-                
+
                 b.if_else(
                     better,
                     |b| {
@@ -111,7 +111,7 @@ pub(super) fn build(scale: u32) -> Module {
         let v = v.expect("seq elem");
         let d = b.read(dist, v);
         let finite = b.lt(d, inf);
-        
+
         b.if_else(
             finite,
             |b| {

@@ -25,10 +25,7 @@ pub(super) fn build(scale: u32) -> Module {
     let adj = b.for_each(srcs, &[adj], |b, i, u, c| {
         let u = u.expect("seq elem");
         let v = b.read(dsts, i);
-        let a = b.insert(
-            ade_ir::Operand::nested(c[0], ade_ir::Scalar::Value(v)),
-            u,
-        );
+        let a = b.insert(ade_ir::Operand::nested(c[0], ade_ir::Scalar::Value(v)), u);
         vec![a]
     })[0];
     let lists = build_adjacency_seq(&mut b, nodes, srcs, dsts);
@@ -49,25 +46,25 @@ pub(super) fn build(scale: u32) -> Module {
         let u = u.expect("seq elem");
         let au = b.read(adj, u);
         let lu = b.read(lists, u);
-        
+
         b.for_each(lu, &[c[0]], |b, _j, v, cu| {
             let v = v.expect("seq elem");
             let ordered = b.lt(u, v);
-            
+
             b.if_else(
                 ordered,
                 |b| {
                     let lv = b.read(lists, v);
-                    
+
                     b.for_each(lv, &[cu[0]], |b, _k, w, cv| {
                         let w = w.expect("seq elem");
                         let ordered2 = b.lt(v, w);
-                        
+
                         b.if_else(
                             ordered2,
                             |b| {
                                 let closes = b.has(au, w);
-                                
+
                                 b.if_else(
                                     closes,
                                     |b| {

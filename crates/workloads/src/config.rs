@@ -154,7 +154,12 @@ mod tests {
 
     #[test]
     fn ablations_flip_the_right_knobs() {
-        assert!(!Config::new(ConfigKind::AdeNoRedundant).ade.expect("ade").rte);
+        assert!(
+            !Config::new(ConfigKind::AdeNoRedundant)
+                .ade
+                .expect("ade")
+                .rte
+        );
         let nosharing = Config::new(ConfigKind::AdeNoSharing).ade.expect("ade");
         assert!(!nosharing.sharing && !nosharing.propagation);
         let sparse = Config::new(ConfigKind::AdeSparse).ade.expect("ade");

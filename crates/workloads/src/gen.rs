@@ -321,7 +321,11 @@ mod tests {
     fn weights_cover_all_edges() {
         let g = with_weights(erdos_renyi(100, 400, 3), 100, 4);
         assert_eq!(g.weights.as_ref().map(Vec::len), Some(g.edges.len()));
-        assert!(g.weights.expect("weights").iter().all(|&w| (1..=100).contains(&w)));
+        assert!(g
+            .weights
+            .expect("weights")
+            .iter()
+            .all(|&w| (1..=100).contains(&w)));
     }
 
     #[test]

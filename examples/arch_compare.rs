@@ -34,9 +34,7 @@ fn main() {
                 .expect("runs");
             runs.push(outcome.stats);
         }
-        let speedup = |m: &CostModel| {
-            m.time_ns(&runs[0].totals()) / m.time_ns(&runs[1].totals())
-        };
+        let speedup = |m: &CostModel| m.time_ns(&runs[0].totals()) / m.time_ns(&runs[1].totals());
         println!(
             "{:>6} {:>13.2}x {:>13.2}x",
             abbrev,
@@ -46,7 +44,9 @@ fn main() {
         if abbrev == "SSSP" {
             // The mechanism, in the paper's own terms: the hot BitMap
             // writes are priced 1.56× slower on the ARM preset.
-            let writes = runs[1].phase(Phase::Roi).get(ImplKind::BitMap, CollOp::Write);
+            let writes = runs[1]
+                .phase(Phase::Roi)
+                .get(ImplKind::BitMap, CollOp::Write);
             println!(
                 "        (SSSP ROI does {writes} BitMap writes; {:.1}ns each on intel, {:.1}ns on aarch64)",
                 intel.cost_ns(ImplKind::BitMap, CollOp::Write),

@@ -77,13 +77,19 @@ fn main() {
         "ADE created {} enumeration(s); candidates: {:?}",
         report.enums_created, report.candidates
     );
-    println!("\ntransformed IR:\n{}", ade::ir::print::print_module(&module));
+    println!(
+        "\ntransformed IR:\n{}",
+        ade::ir::print::print_module(&module)
+    );
 
     let ade_run = Interpreter::new(&module, ExecConfig::default())
         .run("main")
         .expect("transformed program runs");
     println!("ADE output:       {}", ade_run.output.trim());
-    assert_eq!(baseline.output, ade_run.output, "behavior must be preserved");
+    assert_eq!(
+        baseline.output, ade_run.output,
+        "behavior must be preserved"
+    );
 
     // 3. The point of it all: sparse accesses become dense.
     let before = baseline.stats.totals();

@@ -36,7 +36,7 @@ fn dedup_module(items: &[&str]) -> Module {
         let v = v.expect("sequence iteration binds elements");
         let seen = b.has(carried[0], v);
         let fresh = b.not(seen);
-        
+
         b.if_else(
             fresh,
             |b| {
@@ -70,7 +70,10 @@ fn main() {
         .run("main")
         .expect("transformed runs");
     assert_eq!(baseline.output, transformed.output);
-    println!("unique items (in first-seen order):\n{}", transformed.output);
+    println!(
+        "unique items (in first-seen order):\n{}",
+        transformed.output
+    );
     println!(
         "sparse accesses {} -> {} (set probes now hit a bitset)",
         baseline.stats.totals().sparse_accesses(),

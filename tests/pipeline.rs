@@ -66,9 +66,7 @@ fn @main() -> void {
         .run("main")
         .expect("runs");
     assert_eq!(ade_run.output, "20\n");
-    assert!(
-        ade_run.stats.totals().sparse_accesses() < baseline.stats.totals().sparse_accesses()
-    );
+    assert!(ade_run.stats.totals().sparse_accesses() < baseline.stats.totals().sparse_accesses());
 
     // The transformed program must mention the enumeration ops.
     let out = print_module(&transformed);
@@ -331,10 +329,7 @@ fn sssp_speedup_shrinks_on_aarch64() {
     );
 }
 
-fn ade_bench_run(
-    bench: &ade::workloads::Benchmark,
-    kind: ConfigKind,
-) -> ade::interp::Outcome {
+fn ade_bench_run(bench: &ade::workloads::Benchmark, kind: ConfigKind) -> ade::interp::Outcome {
     let config = Config::new(kind);
     let mut module = (bench.build)(6);
     config.compile(&mut module);
@@ -357,7 +352,10 @@ fn fuel_boundary_is_exact_under_batch_and_every_quantum() {
     let config = Config::new(ConfigKind::Ade);
     let mut module = (bench.build)(4);
     config.compile(&mut module);
-    let decoded = Arc::new(DecodedModule::decode_with(&module, &DecodeOptions::default()));
+    let decoded = Arc::new(DecodedModule::decode_with(
+        &module,
+        &DecodeOptions::default(),
+    ));
     let with_fuel = |fuel| ExecConfig {
         fuel,
         ..config.exec.clone()
@@ -370,7 +368,8 @@ fn fuel_boundary_is_exact_under_batch_and_every_quantum() {
             }
         }
     };
-    let batch = |fuel| Interpreter::new(&module, with_fuel(Some(fuel))).run_decoded(&decoded, "main");
+    let batch =
+        |fuel| Interpreter::new(&module, with_fuel(Some(fuel))).run_decoded(&decoded, "main");
 
     let n = session(with_fuel(None), None).expect("runs").fuel_ticks;
     assert!(n > 0, "a session counts every tick");

@@ -116,11 +116,46 @@ fn widen(k: u16) -> usize {
     k as usize
 }
 
-set_model_test!(hash_set_matches_model, ChainedHashSet::<u16>::new(), insert, remove_ref, contains_ref, ident);
-set_model_test!(swiss_set_matches_model, SwissSet::<u16>::new(), insert, remove_ref, contains_ref, ident);
-set_model_test!(flat_set_matches_model, FlatSet::<u16>::new(), insert, remove_ref, contains_ref, ident);
-set_model_test!(bit_set_matches_model, DynamicBitSet::new(), insert, remove, contains, widen);
-set_model_test!(sparse_bit_set_matches_model, SparseBitSet::new(), insert, remove, contains, widen);
+set_model_test!(
+    hash_set_matches_model,
+    ChainedHashSet::<u16>::new(),
+    insert,
+    remove_ref,
+    contains_ref,
+    ident
+);
+set_model_test!(
+    swiss_set_matches_model,
+    SwissSet::<u16>::new(),
+    insert,
+    remove_ref,
+    contains_ref,
+    ident
+);
+set_model_test!(
+    flat_set_matches_model,
+    FlatSet::<u16>::new(),
+    insert,
+    remove_ref,
+    contains_ref,
+    ident
+);
+set_model_test!(
+    bit_set_matches_model,
+    DynamicBitSet::new(),
+    insert,
+    remove,
+    contains,
+    widen
+);
+set_model_test!(
+    sparse_bit_set_matches_model,
+    SparseBitSet::new(),
+    insert,
+    remove,
+    contains,
+    widen
+);
 
 // `remove`/`contains` take references on the generic sets; tiny adapters
 // keep the macro uniform.
@@ -233,7 +268,8 @@ fn random_program(seed: u64, n_items: u8, flavor: u8) -> String {
     }
     // Program shapes exercising different ADE paths.
     let kernel = match flavor % 5 {
-        0 => r#"
+        0 => {
+            r#"
   %zero = const 0u64
   %n, %bout = foreach %work carry(%zero, %b) as (%i: u64, %v: u64, %acc: u64, %bb: Set<u64>) {
     %h = has %bb, %v
@@ -249,8 +285,10 @@ fn random_program(seed: u64, n_items: u8, flavor: u8) -> String {
   }
   %sz = size %bout
   print %n, %sz
-"#,
-        1 => r#"
+"#
+        }
+        1 => {
+            r#"
   %zero = const 0u64
   %m2 = foreach %work carry(%m) as (%i: u64, %v: u64, %mm: Map<u64, u64>) {
     %h = has %mm, %v
@@ -270,8 +308,10 @@ fn random_program(seed: u64, n_items: u8, flavor: u8) -> String {
     yield %a
   }
   print %total
-"#,
-        2 => r#"
+"#
+        }
+        2 => {
+            r#"
   %zero = const 0u64
   %bout = foreach %work carry(%b) as (%i: u64, %v: u64, %bb: Set<u64>) {
     %b1 = insert %bb, %v
@@ -289,8 +329,10 @@ fn random_program(seed: u64, n_items: u8, flavor: u8) -> String {
     yield %acc2
   }
   print %hits
-"#,
-        3 => r#"
+"#
+        }
+        3 => {
+            r#"
   %zero = const 0u64
   %nest = new Map<u64, Set<u64>>
   %nf = foreach %work carry(%nest) as (%i: u64, %v: u64, %nn: Map<u64, Set<u64>>) {
@@ -309,8 +351,10 @@ fn random_program(seed: u64, n_items: u8, flavor: u8) -> String {
   }
   %msz = size %mout
   print %total, %msz
-"#,
-        _ => r#"
+"#
+        }
+        _ => {
+            r#"
   %zero = const 0u64
   %bout = foreach %work carry(%b) as (%i: u64, %v: u64, %bb: Set<u64>) {
     %b1 = insert %bb, %v
@@ -318,7 +362,8 @@ fn random_program(seed: u64, n_items: u8, flavor: u8) -> String {
   }
   %n = call @1(%bout, %work)
   print %n
-"#,
+"#
+        }
     };
     let helper = if flavor % 5 == 4 {
         "\nfn @count_hits(%s: Set<u64>, %q: Seq<u64>) -> u64 {\n  %zero = const 0u64\n  %n = foreach %q carry(%zero) as (%i: u64, %v: u64, %acc: u64) {\n    %h = has %s, %v\n    %a = if %h then {\n      %one = const 1u64\n      %a1 = add %acc, %one\n      yield %a1\n    } else {\n      yield %acc\n    }\n    yield %a\n  }\n  ret %n\n}\n"

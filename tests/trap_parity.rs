@@ -610,7 +610,11 @@ fn @main() -> void {
             }
         );
         let (_, reference, reference_ticks) = heap_limited(&module, true, cells);
-        assert_eq!((&default, ticks), (&reference, reference_ticks), "{cells} cells");
+        assert_eq!(
+            (&default, ticks),
+            (&reference, reference_ticks),
+            "{cells} cells"
+        );
         stops.push(ticks.expect("published"));
     }
     // No cell: the first literal trips before it runs; one cell: the
