@@ -142,43 +142,6 @@ impl DynamicBitSet {
         self.len = len;
     }
 
-    /// Retains only elements also in `other` (word-parallel).
-    pub fn intersect_with(&mut self, other: &DynamicBitSet) {
-        let keep = other.words.len().min(self.words.len());
-        let mut len = 0usize;
-        for (dst, src) in self.words[..keep].iter_mut().zip(other.words.iter()) {
-            *dst &= *src;
-            len += dst.count_ones() as usize;
-        }
-        self.words[keep..].iter_mut().for_each(|w| *w = 0);
-        self.len = len;
-    }
-
-    /// Removes every element of `other` from `self` (word-parallel).
-    pub fn difference_with(&mut self, other: &DynamicBitSet) {
-        let mut len = 0usize;
-        let overlap = other.words.len().min(self.words.len());
-        for (dst, src) in self.words[..overlap].iter_mut().zip(other.words.iter()) {
-            *dst &= !*src;
-            len += dst.count_ones() as usize;
-        }
-        len += self.words[overlap..]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum::<usize>();
-        self.len = len;
-    }
-
-    /// Number of elements present in both `self` and `other`, without
-    /// materializing the intersection.
-    pub fn intersection_len(&self, other: &DynamicBitSet) -> usize {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// Constant-time estimate of the heap footprint (equals
     /// [`HeapSize::heap_bytes`], which is already constant-time here).
     pub fn heap_bytes_fast(&self) -> usize {
@@ -332,28 +295,6 @@ mod tests {
         a.union_with(&b);
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 2, 700]);
         assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn intersect_and_difference() {
-        let mut a: DynamicBitSet = (0..100).collect();
-        let b: DynamicBitSet = (50..150).collect();
-        let mut c = a.clone();
-        a.intersect_with(&b);
-        assert_eq!(a.len(), 50);
-        assert!(a.contains(50) && !a.contains(49));
-        c.difference_with(&b);
-        assert_eq!(c.len(), 50);
-        assert!(c.contains(49) && !c.contains(50));
-    }
-
-    #[test]
-    fn intersection_len_matches_materialized() {
-        let a: DynamicBitSet = (0..64).step_by(3).collect();
-        let b: DynamicBitSet = (0..64).step_by(2).collect();
-        let mut m = a.clone();
-        m.intersect_with(&b);
-        assert_eq!(a.intersection_len(&b), m.len());
     }
 
     #[test]

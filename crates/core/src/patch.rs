@@ -217,7 +217,6 @@ pub fn uses_to_patch_keys(
     entity: CollectionEntity,
 ) -> PatchSets {
     let levels = entity_levels(func, chains, entity);
-    let is_map = matches!(entity.ty(func), Type::Map { .. });
     let mut sets = PatchSets::default();
     for inst_id in func.all_insts() {
         let inst = func.inst(inst_id);
@@ -268,7 +267,6 @@ pub fn uses_to_patch_keys(
                 // `crate::web`), which subsumes the paper's transitive
                 // `Uses(k)` and keeps identifiers flowing through loop
                 // φs (Listing 4).
-                let _ = is_map;
             }
             InstKind::UnionInto => {
                 // Handled as a paired dec/add through the *source*
