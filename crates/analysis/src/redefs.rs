@@ -9,7 +9,8 @@
 
 use std::collections::HashMap;
 
-use ade_ir::{Function, InstKind, Type, ValueId};
+use ade_ir::typing::carry_layout;
+use ade_ir::{Function, ValueId};
 
 use crate::UnionFind;
 
@@ -48,60 +49,30 @@ impl RedefChains {
         let n = func.values.len();
         let mut uf = UnionFind::new(n);
 
-        let iter_arg_count =
-            |ty: &Type| ade_ir::typing::iteration_types(ty).map_or(1, |vars| vars.len());
-
         for inst_id in func.all_insts() {
             let inst = func.inst(inst_id);
-            match &inst.kind {
-                k if k.is_collection_update() => {
-                    // The result is the new state of the base collection.
-                    uf.union(inst.operands[0].base.index(), inst.results[0].index());
+            if inst.kind.is_collection_update() {
+                // The result is the new state of the base collection.
+                uf.union(inst.operands[0].base.index(), inst.results[0].index());
+            }
+            let Ok(Some(layout)) = carry_layout(func, inst) else {
+                continue;
+            };
+            // A structured φ: each result joins its body argument, its
+            // carried operand and what every region yields for it.
+            let args = &func.region(inst.regions[0]).args;
+            for (j, &r) in inst.results.iter().enumerate() {
+                if let Some(arg) = args.get(layout.bound + j) {
+                    uf.union(arg.index(), r.index());
                 }
-                InstKind::ForEach => {
-                    let coll_ty = func.value_ty(inst.operands[0].base);
-                    let coll_ty = resolve_path_type(coll_ty, &inst.operands[0].path);
-                    let skip = iter_arg_count(&coll_ty);
-                    let args = &func.region(inst.regions[0]).args;
-                    for (j, op) in inst.operands[1..].iter().enumerate() {
-                        uf.union(op.base.index(), args[skip + j].index());
-                        uf.union(op.base.index(), inst.results[j].index());
-                    }
-                    link_loop_yields(func, inst, skip, 0, &mut uf);
+                let entry = inst.operands.get(layout.first + j);
+                let yielded = inst.regions.iter().filter_map(|&region| {
+                    let y = func.inst(func.closing_yield(region)?);
+                    y.operands.get(layout.cond + j)
+                });
+                for op in entry.into_iter().chain(yielded) {
+                    uf.union(op.base.index(), r.index());
                 }
-                InstKind::ForRange => {
-                    let args = &func.region(inst.regions[0]).args;
-                    for (j, op) in inst.operands[2..].iter().enumerate() {
-                        uf.union(op.base.index(), args[1 + j].index());
-                        uf.union(op.base.index(), inst.results[j].index());
-                    }
-                    link_loop_yields(func, inst, 1, 0, &mut uf);
-                }
-                InstKind::DoWhile => {
-                    let args = &func.region(inst.regions[0]).args;
-                    for (j, op) in inst.operands.iter().enumerate() {
-                        uf.union(op.base.index(), args[j].index());
-                        uf.union(op.base.index(), inst.results[j].index());
-                    }
-                    link_loop_yields(func, inst, 0, 1, &mut uf);
-                }
-                InstKind::If => {
-                    // Each branch's yield joins the if's results.
-                    for &r in &inst.regions {
-                        let Some(&last) = func.region(r).insts.last() else {
-                            continue;
-                        };
-                        let yield_inst = func.inst(last);
-                        if yield_inst.kind == InstKind::Yield {
-                            for (j, op) in yield_inst.operands.iter().enumerate() {
-                                if j < inst.results.len() {
-                                    uf.union(op.base.index(), inst.results[j].index());
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {}
             }
         }
 
@@ -148,36 +119,6 @@ impl RedefChains {
     /// Whether `a` and `b` name states of the same collection.
     pub fn same_collection(&self, a: ValueId, b: ValueId) -> bool {
         self.root.get(&a) == self.root.get(&b) && self.root.contains_key(&a)
-    }
-}
-
-fn resolve_path_type(ty: &Type, path: &[ade_ir::Access]) -> Type {
-    ty.at_path(path).unwrap_or(ty).clone()
-}
-
-/// Joins each loop-body yield operand with the matching carried region
-/// argument (the backedge φ input).
-fn link_loop_yields(
-    func: &Function,
-    inst: &ade_ir::Inst,
-    iter_args: usize,
-    yield_offset: usize,
-    uf: &mut UnionFind,
-) {
-    let body = inst.regions[0];
-    let Some(&last) = func.region(body).insts.last() else {
-        return;
-    };
-    let yield_inst = func.inst(last);
-    if yield_inst.kind != InstKind::Yield {
-        return;
-    }
-    let args = &func.region(body).args;
-    for (j, op) in yield_inst.operands.iter().enumerate().skip(yield_offset) {
-        let carried = j - yield_offset;
-        if iter_args + carried < args.len() {
-            uf.union(op.base.index(), args[iter_args + carried].index());
-        }
     }
 }
 

@@ -39,9 +39,7 @@ fn decode_has(abbrev: &str, kind: ConfigKind, pred: fn(&BulkOp) -> bool) -> bool
         .iter()
         .flat_map(|f| f.code.iter())
         .any(|inst| match inst {
-            DInst::ForEachBulk { plan, .. } | DInst::ForRangeBulk { plan, .. } => {
-                ops_have(&plan.ops, pred)
-            }
+            DInst::LoopBulk(_, plan) => ops_have(&plan.ops, pred),
             _ => false,
         })
 }

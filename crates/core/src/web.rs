@@ -16,6 +16,7 @@
 
 use std::collections::BTreeSet;
 
+use ade_ir::typing::CarryLayout;
 use ade_ir::{Function, InstId, InstKind, ValueId};
 
 use crate::index::FuncIndex;
@@ -39,150 +40,63 @@ fn phi_targets(func: &Function, index: &FuncIndex, site: UseSite) -> Option<Vec<
     let OperandPos::Plain(pos) = site.pos else {
         return None;
     };
-    let inst = func.inst(site.inst);
-    match inst.kind {
-        InstKind::Yield => {
-            let owner = index.owner_of(index.parent_region(site.inst)?)?;
-            let owner_inst = func.inst(owner);
-            let args = &func.region(owner_inst.regions[0]).args;
-            match owner_inst.kind {
-                InstKind::If => owner_inst.results.get(pos).map(|&r| vec![r]),
-                InstKind::ForEach => {
-                    let iter = iter_arg_count(func, owner);
-                    let carried = pos;
-                    let mut t = vec![args[iter + carried]];
-                    if let Some(&r) = owner_inst.results.get(carried) {
-                        t.push(r);
-                    }
-                    Some(t)
-                }
-                InstKind::ForRange => {
-                    let mut t = vec![args[1 + pos]];
-                    if let Some(&r) = owner_inst.results.get(pos) {
-                        t.push(r);
-                    }
-                    Some(t)
-                }
-                InstKind::DoWhile => {
-                    if pos == 0 {
-                        return None; // the loop condition
-                    }
-                    let carried = pos - 1;
-                    let mut t = vec![args[carried]];
-                    if let Some(&r) = owner_inst.results.get(carried) {
-                        t.push(r);
-                    }
-                    Some(t)
-                }
-                _ => None,
-            }
-        }
-        InstKind::ForEach if pos >= 1 => {
-            let args = &func.region(inst.regions[0]).args;
-            let iter = iter_arg_count(func, site.inst);
-            let carried = pos - 1;
-            Some(vec![args[iter + carried], inst.results[carried]])
-        }
-        InstKind::ForRange if pos >= 2 => {
-            let args = &func.region(inst.regions[0]).args;
-            let carried = pos - 2;
-            Some(vec![args[1 + carried], inst.results[carried]])
-        }
-        InstKind::DoWhile => {
-            let args = &func.region(inst.regions[0]).args;
-            Some(vec![args[pos], inst.results[pos]])
-        }
-        _ => None,
-    }
+    // A yield feeds its region's owner past the owner's condition; a
+    // control instruction's own operands carry from its first carried one.
+    let is_yield = func.inst(site.inst).kind == InstKind::Yield;
+    let owner = if is_yield {
+        index.owner_of(index.parent_region(site.inst)?)?
+    } else {
+        site.inst
+    };
+    let layout = carry_layout(func, owner)?;
+    let carried = pos.checked_sub(if is_yield { layout.cond } else { layout.first })?;
+    let owner = func.inst(owner);
+    let arg = func
+        .region(owner.regions[0])
+        .args
+        .get(layout.bound + carried);
+    let targets: Vec<ValueId> = arg
+        .into_iter()
+        .chain(owner.results.get(carried))
+        .copied()
+        .collect();
+    (!targets.is_empty()).then_some(targets)
 }
 
-/// Number of iteration-variable arguments of a `ForEach` (1 for sets,
-/// 2 for sequences and maps).
-fn iter_arg_count(func: &Function, foreach: InstId) -> usize {
-    let inst = func.inst(foreach);
-    let coll = ade_ir::builder::operand_type_in(func, &inst.operands[0]);
-    ade_ir::typing::iteration_types(coll).map_or(1, |vars| vars.len())
+fn carry_layout(func: &Function, inst: InstId) -> Option<CarryLayout> {
+    ade_ir::typing::carry_layout(func, func.inst(inst))
+        .ok()
+        .flatten()
 }
 
-/// φ-source sites of a web member (the uses that feed it).
+/// φ-source sites of a web member (the uses that feed it): the carried
+/// operand on entry and each region's closing yield.
 fn phi_sources(func: &Function, func_index: &FuncIndex, member: ValueId) -> Vec<UseSite> {
-    let mut out = Vec::new();
-    match func.value(member).def {
-        ade_ir::ValueDef::RegionArg { region, index } => {
-            let Some(owner_id) = func_index.owner_of(region) else {
-                return out;
-            };
-            let owner = func.inst(owner_id);
-            let (carry_base, iter) = match owner.kind {
-                InstKind::ForEach => (1, iter_arg_count(func, owner_id)),
-                InstKind::ForRange => (2, 1),
-                InstKind::DoWhile => (0, 0),
-                _ => return out,
-            };
-            if index < iter {
-                return out; // iteration variable, no φ sources
-            }
-            let carried = index - iter;
-            // Loop-entry source: the carry operand.
-            out.push(UseSite::plain(owner_id, carry_base + carried));
-            // Backedge source: the body yield operand.
-            if let Some(site) = yield_site(
-                func,
-                owner,
-                carried,
-                matches!(owner.kind, InstKind::DoWhile),
-            ) {
-                out.push(site);
-            }
-        }
-        ade_ir::ValueDef::InstResult { inst, index } => {
-            let owner = func.inst(inst);
-            match owner.kind {
-                InstKind::If => {
-                    for &r in &owner.regions {
-                        if let Some(&last) = func.region(r).insts.last() {
-                            out.push(UseSite::plain(last, index));
-                        }
-                    }
-                }
-                InstKind::ForEach => {
-                    out.push(UseSite::plain(inst, 1 + index));
-                    if let Some(site) = yield_site(func, owner, index, false) {
-                        out.push(site);
-                    }
-                }
-                InstKind::ForRange => {
-                    out.push(UseSite::plain(inst, 2 + index));
-                    if let Some(site) = yield_site(func, owner, index, false) {
-                        out.push(site);
-                    }
-                }
-                InstKind::DoWhile => {
-                    out.push(UseSite::plain(inst, index));
-                    if let Some(site) = yield_site(func, owner, index, true) {
-                        out.push(site);
-                    }
-                }
-                _ => {}
-            }
-        }
-        ade_ir::ValueDef::Param(_) => {}
-    }
-    out
-}
-
-fn yield_site(
-    func: &Function,
-    owner: &ade_ir::Inst,
-    carried: usize,
-    skip_cond: bool,
-) -> Option<UseSite> {
-    let body = owner.regions[0];
-    let &last = func.region(body).insts.last()?;
-    if func.inst(last).kind != InstKind::Yield {
-        return None;
-    }
-    Some(UseSite::plain(last, carried + usize::from(skip_cond)))
+    let (owner, index, is_arg) = match func.value(member).def {
+        ade_ir::ValueDef::RegionArg { region, index } => match func_index.owner_of(region) {
+            Some(owner) => (owner, index, true),
+            None => return Vec::new(),
+        },
+        ade_ir::ValueDef::InstResult { inst, index } => (inst, index, false),
+        ade_ir::ValueDef::Param(_) => return Vec::new(),
+    };
+    let Some(layout) = carry_layout(func, owner) else {
+        return Vec::new();
+    };
+    // Body arguments past the bound ones are carried; an iteration
+    // variable has no φ sources.
+    let Some(carried) = index.checked_sub(if is_arg { layout.bound } else { 0 }) else {
+        return Vec::new();
+    };
+    let inst = func.inst(owner);
+    let entry = (layout.first + carried < inst.operands.len())
+        .then(|| UseSite::plain(owner, layout.first + carried));
+    let yielded = inst
+        .regions
+        .iter()
+        .filter_map(|&r| func.closing_yield(r))
+        .map(|y| UseSite::plain(y, layout.cond + carried));
+    entry.into_iter().chain(yielded).collect()
 }
 
 /// Computes the φ-web of `roots` within `func` (whose index is `index`),

@@ -277,12 +277,7 @@ fn explain_generic_loops(module: &ade_ir::Module) -> String {
         .funcs
         .iter()
         .flat_map(|f| f.code.iter())
-        .filter(|i| {
-            matches!(
-                i.own(),
-                DInst::ForEachBulk { .. } | DInst::ForRangeBulk { .. }
-            )
-        })
+        .filter(|i| matches!(i.own(), DInst::LoopBulk(..)))
         .count();
     let generic: Vec<String> = decoded
         .funcs

@@ -21,8 +21,14 @@
 //!   prebuilt table of register bits or strings,
 //! - region targets become contiguous index ranges into the decoded
 //!   stream,
-//! - statically derivable facts (insert flavor, foreach binding shape)
-//!   are computed once here instead of per execution.
+//! - `foreach` and `forrange` decode to one [`LoopHeader`]: what the
+//!   loop iterates, its carried slots, body and destinations, and how
+//!   many body arguments an iteration binds, read off the IR's
+//!   [`ade_ir::typing::CarryLayout`]. A header is generic
+//!   ([`DInst::Loop`]) until loop fusion compiles its body and attaches
+//!   the [`BulkPlan`] ([`DInst::LoopBulk`]),
+//! - statically derivable facts (insert flavor, bound arguments) are
+//!   computed once here instead of per execution.
 //!
 //! Decoding is purely structural: it must not change program behavior,
 //! instrumentation counts, or fuel accounting. It first runs
@@ -31,6 +37,7 @@
 
 use std::collections::HashMap;
 
+use ade_ir::typing::carry_layout;
 use ade_ir::{
     Access, BinOp, CmpOp, ConstVal, FuncId, Function, Inst, InstKind, LiteralData, Module, Operand,
     RegionId, Scalar, Type, ValueId,
@@ -121,33 +128,8 @@ pub enum DInst {
         /// Destination slots for the region's yields.
         dsts: Box<[Slot]>,
     },
-    /// For-each over a collection.
-    ForEach {
-        /// Collection slot.
-        coll: Slot,
-        /// Initial carried value slots.
-        carried: Box<[Slot]>,
-        /// Decoded body region index.
-        body: u32,
-        /// Whether the body binds `(key, value)` (sequences and maps)
-        /// rather than just the element.
-        binds_value: bool,
-        /// Destination slots for the final carried values.
-        dsts: Box<[Slot]>,
-    },
-    /// Counted loop over `[lo, hi)`.
-    ForRange {
-        /// Lower bound slot.
-        lo: Slot,
-        /// Upper bound slot.
-        hi: Slot,
-        /// Initial carried value slots.
-        carried: Box<[Slot]>,
-        /// Decoded body region index.
-        body: u32,
-        /// Destination slots for the final carried values.
-        dsts: Box<[Slot]>,
-    },
+    /// A `foreach` or `forrange` whose iterations run generically.
+    Loop(LoopHeader),
     /// Do-while loop.
     DoWhile {
         /// Initial carried value slots.
@@ -184,49 +166,16 @@ pub enum DInst {
         begin: bool,
     },
 
-    // ── Bulk loop headers ───────────────────────────────────────────
-    //
-    // Built by loop fusion (off under [`DecodeOptions::reference`]): a
-    // [`DInst::ForEach`] / [`DInst::ForRange`] whose whole body compiled
-    // into a [`BulkPlan`] is replaced in place by its bulk twin. The body
-    // region's instructions stay in `code` untouched, so code length and
-    // trap-site numbering are unchanged, and the interpreter can still
-    // run the loop generically: it does so for a loop whose regions
-    // would not fit under the depth limit and, under a fuel limit or in
-    // a session, a loop whose plan holds a nested loop; any run does so
-    // for an iteration the tick countdown cannot cover
-    // ([`BulkPlan::worst`]).
-    /// [`DInst::ForEach`] with a compiled bulk body plan.
-    ForEachBulk {
-        /// Collection slot.
-        coll: Slot,
-        /// Initial carried value slots.
-        carried: Box<[Slot]>,
-        /// Decoded body region index.
-        body: u32,
-        /// Whether the body binds `(key, value)` (sequences and maps)
-        /// rather than just the element.
-        binds_value: bool,
-        /// Destination slots for the final carried values.
-        dsts: Box<[Slot]>,
-        /// The compiled body plan.
-        plan: Box<BulkPlan>,
-    },
-    /// [`DInst::ForRange`] with a compiled bulk body plan.
-    ForRangeBulk {
-        /// Lower bound slot.
-        lo: Slot,
-        /// Upper bound slot.
-        hi: Slot,
-        /// Initial carried value slots.
-        carried: Box<[Slot]>,
-        /// Decoded body region index.
-        body: u32,
-        /// Destination slots for the final carried values.
-        dsts: Box<[Slot]>,
-        /// The compiled body plan.
-        plan: Box<BulkPlan>,
-    },
+    /// A [`DInst::Loop`] whose whole body loop fusion (off under
+    /// [`DecodeOptions::reference`]) compiled into a [`BulkPlan`]: the
+    /// same header with the plan attached. The body region's instructions
+    /// stay in `code` untouched, so code length and trap-site numbering
+    /// are unchanged, and the interpreter can still run the loop
+    /// generically: it does so for a loop whose regions would not fit
+    /// under the depth limit and, under a fuel limit or in a session, a
+    /// loop whose plan holds a nested loop; any run does so for an
+    /// iteration the tick countdown cannot cover ([`BulkPlan::worst`]).
+    LoopBulk(LoopHeader, Box<BulkPlan>),
 }
 
 impl DInst {
@@ -241,6 +190,62 @@ impl DInst {
             inst => inst,
         }
     }
+
+    /// The `foreach`/`forrange` header of this slot, past its path steps,
+    /// and its plan if loop fusion attached one.
+    pub fn as_loop(&self) -> Option<(&LoopHeader, Option<&BulkPlan>)> {
+        match self.own() {
+            DInst::Loop(head) => Some((head, None)),
+            DInst::LoopBulk(head, plan) => Some((head, Some(plan))),
+            _ => None,
+        }
+    }
+}
+
+/// A `foreach` or `forrange` header, generic ([`DInst::Loop`]) or with a
+/// plan ([`DInst::LoopBulk`]). Each iteration binds the body's first
+/// `bound` arguments and carries the rest, as the IR's
+/// [`ade_ir::typing::CarryLayout`] lays them out.
+#[derive(Clone, Debug)]
+pub struct LoopHeader {
+    /// What the loop iterates.
+    pub over: LoopOver,
+    /// Initial carried value slots.
+    pub carried: Box<[Slot]>,
+    /// Decoded body region index.
+    pub body: u32,
+    /// The leading body arguments an iteration binds: a `foreach`'s
+    /// element, or key and value; a `forrange`'s index.
+    pub bound: u32,
+    /// Destination slots for the final carried values.
+    pub dsts: Box<[Slot]>,
+}
+
+impl LoopHeader {
+    /// The body's argument slots in `func`: the bound ones, then the
+    /// carried ones.
+    pub fn args<'f>(&self, func: &'f DFunc) -> &'f [Slot] {
+        &func.regions[self.body as usize].args
+    }
+
+    /// The body's carried argument slots in `func`.
+    pub fn carried_args<'f>(&self, func: &'f DFunc) -> &'f [Slot] {
+        &self.args(func)[self.bound as usize..]
+    }
+}
+
+/// What a [`LoopHeader`] iterates.
+#[derive(Clone, Copy, Debug)]
+pub enum LoopOver {
+    /// A `foreach`'s collection slot.
+    Coll(Slot),
+    /// A `forrange`'s `[lo, hi)` bound slots.
+    Range {
+        /// Lower bound slot.
+        lo: Slot,
+        /// Upper bound slot.
+        hi: Slot,
+    },
 }
 
 /// A scalar op over register slots, specialised at decode to its
@@ -688,8 +693,8 @@ pub struct DecodedModule {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DecodeOptions {
     /// Decode the reference stream: one [`DInst`] per source instruction,
-    /// with no loop plans ([`DInst::ForEachBulk`] /
-    /// [`DInst::ForRangeBulk`]) and no [`DInst::YieldDirect`]. The
+    /// with no loop plans ([`DInst::LoopBulk`]) and no
+    /// [`DInst::YieldDirect`]. The
     /// default (`false`) builds both; they are observationally inert, so
     /// the reference interpreter is the differential oracle for them.
     pub reference: bool,
@@ -993,24 +998,25 @@ impl<'f> FuncDecoder<'f> {
                     dsts: self.dsts(inst),
                 }
             }
-            InstKind::ForEach => {
-                let coll_ty = self.target_type(&ops[0]);
-                return DInst::ForEach {
-                    coll: self.op(&ops[0]),
-                    carried: self.ops(&ops[1..]),
-                    body: slot(inst.regions[0].index()),
-                    binds_value: matches!(coll_ty, Type::Seq(_) | Type::Map { .. }),
-                    dsts: self.dsts(inst),
+            InstKind::ForEach | InstKind::ForRange => {
+                let layout = carry_layout(self.func, inst)
+                    .ok()
+                    .flatten()
+                    .expect("the verifier types every loop");
+                let over = match inst.kind {
+                    InstKind::ForEach => LoopOver::Coll(self.op(&ops[0])),
+                    _ => LoopOver::Range {
+                        lo: self.op(&ops[0]),
+                        hi: self.op(&ops[1]),
+                    },
                 };
-            }
-            InstKind::ForRange => {
-                return DInst::ForRange {
-                    lo: self.op(&ops[0]),
-                    hi: self.op(&ops[1]),
-                    carried: self.ops(&ops[2..]),
+                return DInst::Loop(LoopHeader {
+                    over,
+                    carried: self.ops(&ops[layout.first..]),
                     body: slot(inst.regions[0].index()),
+                    bound: slot(layout.bound),
                     dsts: self.dsts(inst),
-                }
+                });
             }
             InstKind::DoWhile => {
                 return DInst::DoWhile {
@@ -1180,19 +1186,8 @@ fn direct_yields(d: &mut DFunc) {
     let mut plans: Vec<(u32, Box<[Slot]>)> = Vec::new();
     for inst in d.code.iter() {
         match inst.own() {
-            DInst::ForRange { body, .. } | DInst::ForRangeBulk { body, .. } => {
-                let args = &d.regions[*body as usize].args;
-                plans.push((*body, args[1..].into()));
-            }
-            DInst::ForEach {
-                body, binds_value, ..
-            }
-            | DInst::ForEachBulk {
-                body, binds_value, ..
-            } => {
-                let skip = 1 + usize::from(*binds_value);
-                let args = &d.regions[*body as usize].args;
-                plans.push((*body, args[skip..].into()));
+            DInst::Loop(head) | DInst::LoopBulk(head, _) => {
+                plans.push((head.body, head.carried_args(d).into()));
             }
             DInst::If {
                 then_r,
@@ -1231,10 +1226,10 @@ fn direct_srcs(term: &DInst, dsts: &[Slot]) -> Option<Vec<Slot>> {
     Some(srcs.to_vec())
 }
 
-/// Runs the loop-granular fusion tier over every loop of `d`:
-/// `foreach`/`forrange` headers whose whole body compiles to a
-/// [`BulkPlan`] are replaced in place by [`DInst::ForEachBulk`] /
-/// [`DInst::ForRangeBulk`]; every other header is recorded in
+/// Runs the loop-granular fusion tier over every loop of `d`: a
+/// `foreach`/`forrange` header whose whole body compiles to a
+/// [`BulkPlan`] gets the plan attached ([`DInst::LoopBulk`]); every
+/// other header is recorded in
 /// [`DFunc::generic_loops`] with the reason it stayed generic. The body
 /// region's instructions are left untouched (the header occupies one
 /// code slot either way), so code length and trap-site numbering are
@@ -1249,7 +1244,13 @@ fn loop_fuse_function(d: &mut DFunc) {
     let mut generic = Vec::new();
     for idx in loops_inner_first(d) {
         match try_bulk_loop(d, idx) {
-            Ok(bulk) => *d.code[idx].own_mut() = bulk,
+            Ok(plan) => {
+                let inst = d.code[idx].own_mut();
+                let DInst::Loop(head) = std::mem::replace(inst, DInst::Ret { src: None }) else {
+                    unreachable!("loops_inner_first finds generic headers only")
+                };
+                *inst = DInst::LoopBulk(head, plan);
+            }
             Err(why) => generic.push((slot(idx), why)),
         }
     }
@@ -1270,9 +1271,9 @@ fn loops_inner_first(d: &DFunc) -> Vec<usize> {
             match d.code[idx].own() {
                 DInst::If { then_r, else_r, .. } => regions.extend([*then_r, *else_r]),
                 DInst::DoWhile { body, .. } => regions.push(*body),
-                DInst::ForEach { body, .. } | DInst::ForRange { body, .. } => {
+                DInst::Loop(head) => {
                     headers.push(idx);
-                    regions.push(*body);
+                    regions.push(head.body);
                 }
                 _ => {}
             }
@@ -1285,49 +1286,12 @@ fn loops_inner_first(d: &DFunc) -> Vec<usize> {
 /// Why a loop stayed generic (see [`DFunc::generic_loops`]).
 type Reject = &'static str;
 
-/// Compiles the loop header at `idx` into its bulk twin, if its body is
+/// Compiles the body of the loop header at `idx` into a plan, if it is
 /// a region the plan language can express.
-fn try_bulk_loop(d: &DFunc, idx: usize) -> Result<DInst, Reject> {
-    Ok(match d.code[idx].own() {
-        DInst::ForEach {
-            coll,
-            carried,
-            body,
-            binds_value,
-            dsts,
-        } => {
-            let region = &d.regions[*body as usize];
-            let skip = 1 + usize::from(*binds_value);
-            let plan = compile_plan(d, region, &region.args[skip..])?;
-            DInst::ForEachBulk {
-                coll: *coll,
-                carried: carried.clone(),
-                body: *body,
-                binds_value: *binds_value,
-                dsts: dsts.clone(),
-                plan: Box::new(plan),
-            }
-        }
-        DInst::ForRange {
-            lo,
-            hi,
-            carried,
-            body,
-            dsts,
-        } => {
-            let region = &d.regions[*body as usize];
-            let plan = compile_plan(d, region, &region.args[1..])?;
-            DInst::ForRangeBulk {
-                lo: *lo,
-                hi: *hi,
-                carried: carried.clone(),
-                body: *body,
-                dsts: dsts.clone(),
-                plan: Box::new(plan),
-            }
-        }
-        other => unreachable!("{other:?} is not a foreach/forrange header"),
-    })
+fn try_bulk_loop(d: &DFunc, idx: usize) -> Result<Box<BulkPlan>, Reject> {
+    let (head, _) = d.code[idx].as_loop().expect("a foreach/forrange header");
+    let plan = compile_plan(d, &d.regions[head.body as usize], head.carried_args(d))?;
+    Ok(Box::new(plan))
 }
 
 /// Compiles a loop body region into a [`BulkPlan`]: every slot must be
@@ -1466,10 +1430,8 @@ fn compile_inst(d: &DFunc, idx: usize, out: &mut Vec<PlanOp>) -> Result<(), Reje
                 else_tail,
             }
         }
-        DInst::ForEachBulk { plan, .. } | DInst::ForRangeBulk { plan, .. } => {
-            BulkOp::Loop { plan: plan.clone() }
-        }
-        DInst::ForEach { .. } | DInst::ForRange { .. } => return Err("inner-loop"),
+        DInst::LoopBulk(_, plan) => BulkOp::Loop { plan: plan.clone() },
+        DInst::Loop(_) => return Err("inner-loop"),
         DInst::DoWhile { .. } => return Err("dowhile"),
         DInst::Call { .. } => return Err("call"),
         DInst::Print { .. } => return Err("print"),
@@ -1530,6 +1492,17 @@ mod tests {
         )));
     }
 
+    /// A loop header takes no more room than a plan op: the dispatch
+    /// stream stays as dense as it is with one variant per loop kind.
+    #[test]
+    fn a_decoded_slot_is_no_wider_than_an_op_and_its_tag() {
+        let (slot, op) = (std::mem::size_of::<DInst>(), std::mem::size_of::<PlanOp>());
+        assert!(
+            slot <= 72 && slot <= op + 8,
+            "DInst {slot} bytes, PlanOp {op}"
+        );
+    }
+
     #[test]
     fn decode_precomputes_foreach_shape() {
         let m = parse_module(
@@ -1552,15 +1525,13 @@ fn @main() -> void {
             .code
             .iter()
             .find_map(|i| match i {
-                DInst::ForEach {
-                    binds_value, body, ..
-                } => Some((*binds_value, *body)),
+                DInst::Loop(head) => Some(head),
                 _ => None,
             })
             .expect("foreach decoded");
-        assert!(fe.0, "a map binds key and value");
+        assert_eq!(fe.bound, 2, "a map binds key and value");
         // The body binds `u64` key, value and carried sum as registers.
-        let args = &d.funcs[0].regions[fe.1 as usize].args;
+        let args = fe.args(&d.funcs[0]);
         assert!(args.iter().all(|a| a.kind() == Kind::U64), "{args:?}");
     }
 
@@ -1589,7 +1560,7 @@ fn @main() -> void {
             .code
             .iter()
             .find_map(|i| match i {
-                DInst::ForEachBulk { plan, .. } => Some(plan),
+                DInst::LoopBulk(_, plan) => Some(plan),
                 _ => None,
             })
             .expect("projected loop still bulk-compiles");
@@ -1636,7 +1607,7 @@ fn @main() -> void {
             .code
             .iter()
             .find_map(|i| match i {
-                DInst::ForEachBulk { body, plan, .. } => Some((*body, plan)),
+                DInst::LoopBulk(head, plan) => Some((head.body, plan)),
                 _ => None,
             })
             .expect("a loop with path operands compiles to a bulk header");
@@ -1717,7 +1688,7 @@ fn @main() -> void {
             .code
             .iter()
             .filter_map(|i| match i {
-                DInst::ForEachBulk { plan, .. } => Some(&**plan),
+                DInst::LoopBulk(_, plan) => Some(&**plan),
                 _ => None,
             })
             .collect();
@@ -1765,7 +1736,7 @@ fn @main() -> void {
             .code
             .iter()
             .filter_map(|i| match i {
-                DInst::ForEachBulk { body, .. } => Some(*body as usize),
+                DInst::LoopBulk(head, _) => Some(head.body as usize),
                 _ => None,
             })
             .nth(2)
@@ -1916,7 +1887,7 @@ fn @main() -> void {
             .code
             .iter()
             .find_map(|i| match i {
-                DInst::ForRange { body, .. } | DInst::ForRangeBulk { body, .. } => Some(*body),
+                DInst::Loop(head) | DInst::LoopBulk(head, _) => Some(head.body),
                 _ => None,
             })
             .expect("forrange decoded");
@@ -1954,7 +1925,7 @@ fn @main() -> void {
             .code
             .iter()
             .find_map(|i| match i {
-                DInst::ForRangeBulk { plan, .. } => Some(plan),
+                DInst::LoopBulk(_, plan) => Some(plan),
                 _ => None,
             })
             .expect("scalar forrange body compiles to a bulk header");
@@ -2034,7 +2005,13 @@ fn @main() -> void {
             .code
             .iter()
             .find_map(|i| match i {
-                DInst::ForRangeBulk { plan, .. } => Some(plan),
+                DInst::LoopBulk(
+                    LoopHeader {
+                        over: LoopOver::Range { .. },
+                        ..
+                    },
+                    plan,
+                ) => Some(plan),
                 _ => None,
             })
             .expect("the first forrange compiles");
@@ -2048,10 +2025,8 @@ fn @main() -> void {
         // Body, foreach body, `if` arm; a loop has no static worst case.
         assert_eq!((outer.depth, outer.worst), (3, None));
         assert_eq!((inner.depth, inner.worst.is_some()), (2, true));
-        assert!(f
-            .code
-            .iter()
-            .any(|i| matches!(i, DInst::ForEachBulk { .. })));
+        let foreach = |i: &DInst| matches!(i.as_loop(), Some((head, Some(_))) if matches!(head.over, LoopOver::Coll(_)));
+        assert!(f.code.iter().any(foreach));
         let reasons: Vec<&str> = f.generic_loops.iter().map(|&(_, why)| why).collect();
         assert_eq!(reasons, ["inner-loop", "print"]);
     }
@@ -2064,7 +2039,7 @@ fn @main() -> void {
             d.funcs[0]
                 .code
                 .iter()
-                .all(|i| !matches!(i, DInst::ForRangeBulk { .. } | DInst::ForEachBulk { .. })),
+                .all(|i| !matches!(i, DInst::LoopBulk(..))),
             "the reference decode must not run loop fusion"
         );
     }

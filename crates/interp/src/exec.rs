@@ -20,6 +20,13 @@
 //! by the static type decode recorded, and where a register meets a
 //! collection of `str` or tuples.
 //!
+//! A `foreach` and a `forrange` run through one [`LoopHeader`] path:
+//! opening the loop reads its bounds or snapshots its collection, each
+//! iteration binds the header's `bound` leading body arguments, and the
+//! carried arguments follow. A header with a plan ([`DInst::LoopBulk`])
+//! runs iterations through it wherever the plan may run, and through the
+//! body region otherwise.
+//!
 //! Control flow does not recurse on the host stack. A run's continuation
 //! is an explicit [`Machine`]: one activation (frame) per live call and
 //! one region cursor per entered region — function body, `if` arm, or
@@ -48,8 +55,8 @@ use std::time::Instant;
 use ade_ir::{BinOp, CmpOp, FuncId, Module, Type};
 
 use crate::decode::{
-    BulkOp, BulkPlan, DFunc, DInst, DecodeOptions, DecodedModule, Moves, PlanOp, Slot, Table,
-    UScalar,
+    BulkOp, BulkPlan, DFunc, DInst, DecodeOptions, DecodedModule, LoopHeader, LoopOver, Moves,
+    PlanOp, Slot, Table, UScalar,
 };
 use crate::heap::{Arg, CollId, Collection, Elem, Enumeration, SelectionDefaults};
 use crate::stats::{CollOp, ImplKind, Phase, Stats};
@@ -503,46 +510,10 @@ enum Transfer {
     Ret(Option<Slot>),
 }
 
-/// The static parts of a `foreach`/`forrange` header: body region,
-/// number of leading body arguments bound per iteration (the carried
-/// arguments follow), destinations and plan.
-struct LoopParts<'a> {
-    body: u32,
-    bound: usize,
-    dsts: &'a [Slot],
-    plan: Option<&'a BulkPlan>,
-}
-
-impl LoopParts<'_> {
-    /// The parts of the header `inst` (past its path steps).
-    fn of(inst: &DInst) -> LoopParts<'_> {
-        let (body, bound, dsts, plan) = match inst.own() {
-            DInst::ForRange { body, dsts, .. } => (body, 1, dsts, None),
-            DInst::ForRangeBulk {
-                body, dsts, plan, ..
-            } => (body, 1, dsts, Some(&**plan)),
-            DInst::ForEach {
-                body,
-                binds_value,
-                dsts,
-                ..
-            } => (body, 1 + usize::from(*binds_value), dsts, None),
-            DInst::ForEachBulk {
-                body,
-                binds_value,
-                dsts,
-                plan,
-                ..
-            } => (body, 1 + usize::from(*binds_value), dsts, Some(&**plan)),
-            other => unreachable!("{other:?} is not a foreach/forrange header"),
-        };
-        LoopParts {
-            body: *body,
-            bound,
-            dsts,
-            plan,
-        }
-    }
+/// The `foreach`/`forrange` header at code slot `pc` of `func`, and its
+/// plan if it has one.
+fn loop_at(func: &DFunc, pc: usize) -> (&LoopHeader, Option<&BulkPlan>) {
+    func.code[pc].as_loop().expect("a foreach/forrange header")
 }
 
 /// Executes IR modules against instrumented runtime collections.
@@ -1125,10 +1096,7 @@ impl<'m> Interpreter<'m> {
                     RegionKind::Arm { header: pc as u32 },
                 )
             }
-            DInst::ForEach { .. }
-            | DInst::ForEachBulk { .. }
-            | DInst::ForRange { .. }
-            | DInst::ForRangeBulk { .. } => self.enter_loop(func, frame, cursors, pc),
+            DInst::Loop(_) | DInst::LoopBulk(..) => self.enter_loop(func, frame, cursors, pc),
             DInst::DoWhile { carried, body, .. } => {
                 copy_slots(frame, carried, &func.regions[*body as usize].args);
                 self.count_loop(false);
@@ -1216,9 +1184,8 @@ impl<'m> Interpreter<'m> {
             }
             RegionKind::Loop { header, .. } => {
                 if buffered {
-                    let parts = LoopParts::of(&func.code[header as usize]);
-                    let args = &func.regions[parts.body as usize].args;
-                    self.land(frame, &args[parts.bound..], 0);
+                    let (head, _) = loop_at(func, header as usize);
+                    self.land(frame, head.carried_args(func), 0);
                 }
                 self.next_iteration(func, frame, cursors)
             }
@@ -1324,10 +1291,9 @@ impl<'m> Interpreter<'m> {
         cursors: &mut Vec<Cursor>,
         pc: usize,
     ) -> Result<Next, ExecError> {
-        let inst = func.code[pc].own();
-        let parts = LoopParts::of(inst);
-        let iter = self.open_loop(func, frame, inst, &parts);
-        let plan = parts.plan.filter(|p| self.plan_may_run(p, cursors.len()));
+        let (head, plan) = loop_at(func, pc);
+        let iter = self.open_loop(func, frame, head);
+        let plan = plan.filter(|p| self.plan_may_run(p, cursors.len()));
         self.count_loop(plan.is_some());
         if let Some(plan) = plan {
             for p in plan.prelude.iter() {
@@ -1335,15 +1301,14 @@ impl<'m> Interpreter<'m> {
             }
         }
         if iter.is_done() {
-            let args = &func.regions[parts.body as usize].args;
-            copy_slots(frame, &args[parts.bound..], parts.dsts);
+            copy_slots(frame, head.carried_args(func), &head.dsts);
             return Ok(Next::At(pc + 1));
         }
         self.enter_region(
             func,
             cursors,
             pc + 1,
-            parts.body,
+            head.body,
             RegionKind::Loop {
                 header: pc as u32,
                 iter,
@@ -1353,35 +1318,20 @@ impl<'m> Interpreter<'m> {
         self.next_iteration(func, frame, cursors)
     }
 
-    /// Opens the `foreach`/`forrange` header `inst`, as dispatch and a
+    /// Opens the `foreach`/`forrange` header `head`, as dispatch and a
     /// [`BulkOp::Loop`] both do: snapshots the collection or reads the
     /// bounds, then copies the initial carried values into the body's
     /// carried argument slots.
-    fn open_loop(
-        &mut self,
-        func: &DFunc,
-        frame: &mut Frame,
-        inst: &DInst,
-        parts: &LoopParts<'_>,
-    ) -> LoopIter {
-        let args = &func.regions[parts.body as usize].args;
-        let (iter, carried) = match inst {
-            DInst::ForEach { coll, carried, .. } | DInst::ForEachBulk { coll, carried, .. } => (
-                self.foreach_iter(frame.coll(*coll), args, parts.bound),
-                carried,
-            ),
-            DInst::ForRange {
-                lo, hi, carried, ..
-            }
-            | DInst::ForRangeBulk {
-                lo, hi, carried, ..
-            } => {
-                let (next, hi) = (frame.reg(*lo), frame.reg(*hi));
-                (LoopIter::Range { next, hi }, carried)
-            }
-            other => unreachable!("{other:?} is not a foreach/forrange header"),
+    fn open_loop(&mut self, func: &DFunc, frame: &mut Frame, head: &LoopHeader) -> LoopIter {
+        let args = head.args(func);
+        let iter = match head.over {
+            LoopOver::Coll(coll) => self.foreach_iter(frame.coll(coll), args, head.bound as usize),
+            LoopOver::Range { lo, hi } => LoopIter::Range {
+                next: frame.reg(lo),
+                hi: frame.reg(hi),
+            },
         };
-        copy_slots(frame, carried, &args[parts.bound..]);
+        copy_slots(frame, &head.carried, head.carried_args(func));
         iter
     }
 
@@ -1428,14 +1378,13 @@ impl<'m> Interpreter<'m> {
         let RegionKind::Loop { header, iter, bulk } = &mut top.kind else {
             unreachable!("{:?} is not a foreach/forrange body", top.kind)
         };
-        let parts = LoopParts::of(&func.code[*header as usize]);
-        let args = &func.regions[parts.body as usize].args;
-        let carried_args = &args[parts.bound..];
-        let plan = parts.plan.filter(|_| *bulk);
+        let (head, plan) = loop_at(func, *header as usize);
+        let (args, bound) = (head.args(func), head.bound as usize);
+        let plan = plan.filter(|_| *bulk);
         let before = self.ticks_left;
         let next = loop {
-            if !iter.bind(frame, args, parts.bound) {
-                copy_slots(frame, carried_args, parts.dsts);
+            if !iter.bind(frame, args, bound) {
+                copy_slots(frame, &args[bound..], &head.dsts);
                 break Ok(leave_to_parent(cursors));
             }
             match plan {
@@ -1520,19 +1469,17 @@ impl<'m> Interpreter<'m> {
         header: usize,
         plan: &BulkPlan,
     ) -> Result<(), ExecError> {
-        let inst = func.code[header].own();
-        let parts = LoopParts::of(inst);
-        let mut iter = self.open_loop(func, frame, inst, &parts);
+        let (head, _) = loop_at(func, header);
+        let mut iter = self.open_loop(func, frame, head);
         self.count_loop(true);
         for p in plan.prelude.iter() {
             self.exec_plan_op(func, frame, p)?;
         }
-        let args = &func.regions[parts.body as usize].args;
-        let carried_args = &args[parts.bound..];
-        while iter.bind(frame, args, parts.bound) {
+        let args = head.args(func);
+        while iter.bind(frame, args, head.bound as usize) {
             self.exec_plan_iteration(func, frame, plan)?;
         }
-        copy_slots(frame, carried_args, parts.dsts);
+        copy_slots(frame, head.carried_args(func), &head.dsts);
         Ok(())
     }
 

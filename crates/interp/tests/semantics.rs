@@ -624,6 +624,12 @@ fn matrix_program(defs: &str, rows: &[MatrixRow], in_loop: bool) -> String {
     text
 }
 
+/// Whether `inst` is a `forrange` header with a plan.
+fn bulk_forrange(inst: &ade_interp::decode::DInst) -> bool {
+    use ade_interp::decode::{DInst, LoopOver};
+    matches!(inst, DInst::LoopBulk(head, _) if matches!(head.over, LoopOver::Range { .. }))
+}
+
 /// Runs `text` on the reference or the default decode.
 fn run_decode(text: &str, reference: bool) -> Result<Outcome, ade_interp::ExecError> {
     use ade_interp::{DecodeOptions, DecodedModule};
@@ -632,10 +638,7 @@ fn run_decode(text: &str, reference: bool) -> Result<Outcome, ade_interp::ExecEr
     let decoded = DecodedModule::decode_with(&m, &DecodeOptions { reference });
     if !reference && text.contains("forrange") {
         assert!(
-            decoded.funcs[0]
-                .code
-                .iter()
-                .any(|i| matches!(i, ade_interp::decode::DInst::ForRangeBulk { .. })),
+            decoded.funcs[0].code.iter().any(bulk_forrange),
             "the default decode runs the loop through a plan:\n{text}"
         );
     }
@@ -1332,10 +1335,7 @@ fn heap_run(
     let decoded = DecodedModule::decode_with(&m, &DecodeOptions { reference });
     if !reference && text.contains("forrange") {
         assert!(
-            decoded.funcs[0]
-                .code
-                .iter()
-                .any(|i| matches!(i, ade_interp::decode::DInst::ForRangeBulk { .. })),
+            decoded.funcs[0].code.iter().any(bulk_forrange),
             "the default decode runs the loop through a plan:\n{text}"
         );
     }

@@ -119,6 +119,12 @@ impl Function {
         &self.regions[r.index()]
     }
 
+    /// The `yield` closing region `r`, if `r` exists and closes with one.
+    pub fn closing_yield(&self, r: RegionId) -> Option<InstId> {
+        let &last = self.regions.get(r.index())?.insts.last()?;
+        (self.inst(last).kind == InstKind::Yield).then_some(last)
+    }
+
     /// Directives attached to an allocation, if any.
     pub fn directive(&self, i: InstId) -> Option<&DirectiveSet> {
         self.directives.get(&i)

@@ -96,6 +96,59 @@ pub fn iteration_types(coll: &Type) -> Result<Vec<Type>, String> {
     }
 }
 
+/// How a control instruction's structured φs line up (§III-A): carried
+/// value `j` enters as operand `first + j`, is bound to body argument
+/// `bound + j` of every iteration, comes back as operand `cond + j` of
+/// each region's closing yield and leaves as result `j`. An `if` carries
+/// nothing in (`first` is past its condition) and its arms bind no
+/// arguments: its results merge what the arms yield.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CarryLayout {
+    /// The index of the first carried operand.
+    pub first: usize,
+    /// The leading body arguments each iteration binds: a `foreach`'s
+    /// iteration variables ([`iteration_types`]), a `forrange`'s index.
+    pub bound: usize,
+    /// The leading yield operands that are not carried: a `dowhile`'s
+    /// condition.
+    pub cond: usize,
+}
+
+/// The carry layout of `inst` in `func`, or `None` when `inst` is not
+/// control flow.
+///
+/// # Errors
+///
+/// Fails when a `foreach` has no operand, or its operand's path does not
+/// apply or addresses a non-collection.
+pub fn carry_layout(func: &Function, inst: &Inst) -> Result<Option<CarryLayout>, String> {
+    Ok(carries(func, inst)?.map(|(layout, _)| layout))
+}
+
+/// The carry layout of `inst` and the types of the body arguments it
+/// binds ahead of its carried values, or `None` when it is not control
+/// flow.
+fn carries(func: &Function, inst: &Inst) -> Result<Option<(CarryLayout, Vec<Type>)>, String> {
+    let bound = match inst.kind {
+        InstKind::ForEach => {
+            let coll = inst
+                .operands
+                .first()
+                .ok_or("foreach needs a collection operand")?;
+            iteration_types(operand_type(func, coll)?)?
+        }
+        InstKind::ForRange => vec![Type::U64],
+        InstKind::If | InstKind::DoWhile => Vec::new(),
+        _ => return Ok(None),
+    };
+    let layout = CarryLayout {
+        first: arity(&inst.kind).0,
+        bound: bound.len(),
+        cond: usize::from(inst.kind == InstKind::DoWhile),
+    };
+    Ok(Some((layout, bound)))
+}
+
 /// The signature of `inst` in `func`. Only `inst`'s kind, operands and
 /// regions are read, so it may be typed before it is added to `func`;
 /// its regions must already be there, since an `if`'s results are the
@@ -119,10 +172,26 @@ pub fn signature(func: &Function, inst: &Inst, ext: Externs<'_>) -> Result<Signa
         return Err(format!("{op} needs {regions} region(s)"));
     }
     let ops = &inst.operands;
-    let types = |ops: &[Operand]| -> Result<Vec<Type>, String> {
-        ops.iter().map(|o| operand_type(func, o).cloned()).collect()
-    };
-    let mut body_args = Vec::new();
+    if let Some((layout, bound)) = carries(func, inst)? {
+        // A loop's results are its carried operands' types, an `if`'s
+        // what its then-region yields; a loop body binds its bound
+        // arguments then the carried values, and every region yields its
+        // condition, if any, then the carried values.
+        let (results, body_args) = if inst.kind == InstKind::If {
+            (yield_types(func, inst.regions[0])?, Vec::new())
+        } else {
+            let results = operand_types(func, &ops[layout.first..])?;
+            let body_args = [bound, results.clone()].concat();
+            (results, body_args)
+        };
+        let mut yields = vec![Type::Bool; layout.cond];
+        yields.extend(results.iter().cloned());
+        return Ok(Signature {
+            results,
+            body_args,
+            yields,
+        });
+    }
     let results = match &inst.kind {
         InstKind::Const(c) => vec![c.ty()],
         InstKind::New(ty) | InstKind::Cast(ty) => vec![ty.clone()],
@@ -145,7 +214,7 @@ pub fn signature(func: &Function, inst: &Inst, ext: Externs<'_>) -> Result<Signa
         InstKind::Has | InstKind::Cmp(_) | InstKind::Not => vec![Type::Bool],
         InstKind::Size => vec![Type::U64],
         InstKind::Bin(_) => vec![operand_type(func, &ops[0])?.clone()],
-        InstKind::Tuple => vec![Type::Tuple(types(ops)?)],
+        InstKind::Tuple => vec![Type::Tuple(operand_types(func, ops)?)],
         InstKind::Call(f) => match ext.returns.get(f.index()) {
             None => return Err(format!("call to unknown {f}")),
             Some(Type::Void) => vec![],
@@ -156,34 +225,20 @@ pub fn signature(func: &Function, inst: &Inst, ext: Externs<'_>) -> Result<Signa
             let key = ext.enum_keys.get(e.index());
             vec![key.ok_or_else(|| format!("unknown enum {e}"))?.clone()]
         }
-        InstKind::If => yield_types(func, inst.regions[0])?,
-        InstKind::ForEach => {
-            body_args = iteration_types(operand_type(func, &ops[0])?)?;
-            types(&ops[1..])?
-        }
-        InstKind::ForRange => {
-            body_args.push(Type::U64);
-            types(&ops[2..])?
-        }
-        InstKind::DoWhile => types(ops)?,
-        InstKind::Print | InstKind::Yield | InstKind::Ret | InstKind::Roi(_) => vec![],
+        // Control flow is typed above.
+        InstKind::Print
+        | InstKind::Yield
+        | InstKind::Ret
+        | InstKind::Roi(_)
+        | InstKind::If
+        | InstKind::ForEach
+        | InstKind::ForRange
+        | InstKind::DoWhile => vec![],
     };
-    let mut yields = Vec::new();
-    match inst.kind {
-        InstKind::If => yields.clone_from(&results),
-        InstKind::ForEach | InstKind::ForRange | InstKind::DoWhile => {
-            body_args.extend(results.iter().cloned());
-            if inst.kind == InstKind::DoWhile {
-                yields.push(Type::Bool);
-            }
-            yields.extend(results.iter().cloned());
-        }
-        _ => {}
-    }
     Ok(Signature {
         results,
-        body_args,
-        yields,
+        body_args: Vec::new(),
+        yields: Vec::new(),
     })
 }
 
@@ -194,18 +249,14 @@ pub fn signature(func: &Function, inst: &Inst, ext: Externs<'_>) -> Result<Signa
 ///
 /// Fails when a yielded operand's path does not apply.
 pub fn yield_types(func: &Function, region: RegionId) -> Result<Vec<Type>, String> {
-    let last = func
-        .regions
-        .get(region.index())
-        .and_then(|r| r.insts.last());
-    match last.map(|&i| func.inst(i)) {
-        Some(inst) if inst.kind == InstKind::Yield => inst
-            .operands
-            .iter()
-            .map(|o| operand_type(func, o).cloned())
-            .collect(),
-        _ => Ok(Vec::new()),
+    match func.closing_yield(region) {
+        Some(y) => operand_types(func, &func.inst(y).operands),
+        None => Ok(Vec::new()),
     }
+}
+
+fn operand_types(func: &Function, ops: &[Operand]) -> Result<Vec<Type>, String> {
+    ops.iter().map(|o| operand_type(func, o).cloned()).collect()
 }
 
 #[cfg(test)]
@@ -315,6 +366,103 @@ fn @f(%m: Map<u64, Seq<f64>>, %k: u64, %i: u64) -> void {
             ),
         ] {
             let err = signature(f, &inst(kind, operands), ext).expect_err(want);
+            assert!(err.contains(want), "{err}");
+        }
+    }
+
+    #[test]
+    fn carry_layout_agrees_with_the_signature_of_every_control_kind() {
+        let text = r#"
+fn @f(%s: Set<u64>, %q: Seq<str>, %m: Map<str, f64>, %c: bool) -> void {
+  %z = const 0u64
+  %e = const "x"
+  %a, %b = foreach %s carry(%z, %e) as (%v: u64, %x: u64, %y: str) {
+    yield %x, %y
+  }
+  %d = foreach %q carry(%c) as (%i: u64, %w: str, %t: bool) {
+    yield %t
+  }
+  %g, %h = foreach %m carry(%e, %c) as (%k: str, %u: f64, %p: str, %r: bool) {
+    yield %p, %r
+  }
+  %lo = const 0u64
+  %n = forrange %lo, %z carry(%e) as (%j: u64, %o: str) {
+    yield %o
+  }
+  %dw1, %dw2 = dowhile carry(%z, %e) as (%cz: u64, %ce: str) {
+    yield %c, %cz, %ce
+  }
+  %if1, %if2 = if %c then {
+    yield %z, %e
+  } else {
+    yield %z, %e
+  }
+  ret
+}
+"#;
+        let m = parse_module(text).expect("parses");
+        let f = &m.funcs[0];
+        let mut bounds = Vec::new();
+        for i in f.all_insts() {
+            let inst = f.inst(i);
+            let Some(layout) = carry_layout(f, inst).expect("lays out") else {
+                continue;
+            };
+            let sig = signature(f, inst, Externs::default()).expect("types");
+            let is_loop = inst.kind != InstKind::If;
+            bounds.push((inst.kind.opcode(), layout.bound, layout.cond));
+            assert_eq!(sig.yields.len(), layout.cond + inst.results.len());
+            if is_loop {
+                assert_eq!(sig.body_args.len(), layout.bound + inst.results.len());
+                assert_eq!(inst.operands.len(), layout.first + inst.results.len());
+            }
+            let args = &f.region(inst.regions[0]).args;
+            for (j, &r) in inst.results.iter().enumerate() {
+                let ty = f.value_ty(r);
+                assert_eq!(&sig.results[j], ty);
+                let operand = inst.operands.get(layout.first + j);
+                assert_eq!(operand.is_some(), is_loop, "{}", inst.kind.opcode());
+                if let Some(op) = operand {
+                    assert_eq!(operand_type(f, op), Ok(ty));
+                }
+                let arg = args.get(layout.bound + j);
+                assert_eq!(arg.is_some(), is_loop, "{}", inst.kind.opcode());
+                if let Some(&arg) = arg {
+                    assert_eq!(f.value_ty(arg), ty);
+                    assert_eq!(&sig.body_args[layout.bound + j], ty);
+                }
+                assert_eq!(&sig.yields[layout.cond + j], ty);
+                for &region in &inst.regions {
+                    let y = f.closing_yield(region).expect("closes with a yield");
+                    let yielded = &f.inst(y).operands[layout.cond + j];
+                    assert_eq!(operand_type(f, yielded), Ok(ty));
+                }
+            }
+        }
+        assert_eq!(
+            bounds,
+            [
+                ("foreach", 1, 0),
+                ("foreach", 2, 0),
+                ("foreach", 2, 0),
+                ("forrange", 1, 0),
+                ("dowhile", 0, 1),
+                ("if", 0, 0),
+            ]
+        );
+        // An ill-typed `foreach` is an error, never a panic.
+        for (operands, want) in [
+            (vec![Operand::value(f.params[3])], "foreach over bool"),
+            (vec![Operand::field(f.params[0], 0)], "path does not apply"),
+            (vec![], "needs a collection operand"),
+        ] {
+            let foreach = Inst {
+                kind: InstKind::ForEach,
+                operands,
+                regions: vec![],
+                results: vec![],
+            };
+            let err = carry_layout(f, &foreach).expect_err(want);
             assert!(err.contains(want), "{err}");
         }
     }

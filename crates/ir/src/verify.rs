@@ -596,10 +596,10 @@ impl<'a> Verifier<'a> {
             k if k.is_collection_update() => op_idx == 0,
             InstKind::Yield | InstKind::Ret => true,
             // Loop-carried inputs are consumed at loop entry.
-            InstKind::ForEach => op_idx >= 1,
-            InstKind::ForRange => op_idx >= 2,
-            InstKind::DoWhile => true,
-            _ => false,
+            _ => typing::carry_layout(self.func, i)
+                .ok()
+                .flatten()
+                .is_some_and(|layout| op_idx >= layout.first),
         }
     }
 

@@ -16,7 +16,7 @@ mod common;
 
 use std::sync::Arc;
 
-use ade::interp::decode::{BulkOp, DInst, PlanOp, UScalar};
+use ade::interp::decode::{BulkOp, DInst, LoopOver, PlanOp, UScalar};
 use ade::interp::{
     DecodeOptions, DecodedModule, ExecConfig, ExecError, ExecSession, Interpreter, Limit, Outcome,
     Step,
@@ -438,7 +438,7 @@ fn @main() -> void {
 /// A plan whose hoisted prelude `const` keys one of its reads: the
 /// lowering of a constant path index.
 fn const_index_step(i: &DInst) -> bool {
-    let DInst::ForRangeBulk { plan, .. } = i else {
+    let Some(plan) = bulk_range(i) else {
         return false;
     };
     plan.prelude.iter().any(|p| match p.op {
@@ -457,12 +457,19 @@ fn writer_through_path(op: &BulkOp) -> bool {
 }
 
 fn bulk_range_with_if(i: &DInst) -> bool {
-    matches!(i, DInst::ForRangeBulk { .. })
-        && bulk_plan_has(i, |op| matches!(op, BulkOp::If { .. }))
+    bulk_range(i).is_some() && bulk_plan_has(i, |op| matches!(op, BulkOp::If { .. }))
 }
 
 fn bulk_foreach(i: &DInst) -> bool {
-    matches!(i, DInst::ForEachBulk { .. })
+    matches!(i, DInst::LoopBulk(head, _) if matches!(head.over, LoopOver::Coll(_)))
+}
+
+/// The plan of a bulk `forrange` header.
+fn bulk_range(i: &DInst) -> Option<&ade::interp::decode::BulkPlan> {
+    match i {
+        DInst::LoopBulk(head, plan) if matches!(head.over, LoopOver::Range { .. }) => Some(plan),
+        _ => None,
+    }
 }
 
 const NO_DEPTH_LIMIT: &[Option<u32>] = &[None];
@@ -489,7 +496,7 @@ const CASES: &[Case] = &[
         text: CALLS_AND_NESTING,
         shapes: &[
             bulk_foreach,
-            |i| matches!(i, DInst::ForRange { .. }),
+            |i| matches!(i, DInst::Loop(head) if matches!(head.over, LoopOver::Range { .. })),
             |i| bulk_plan_has(i, |op| matches!(op, BulkOp::Loop { .. })),
         ],
         depths: NO_DEPTH_LIMIT,
@@ -498,7 +505,7 @@ const CASES: &[Case] = &[
     Case {
         name: "trap inside a bulk iteration",
         text: TRAP_IN_PLAN,
-        shapes: &[|i| matches!(i, DInst::ForRangeBulk { .. })],
+        shapes: &[|i| bulk_range(i).is_some()],
         depths: NO_DEPTH_LIMIT,
         fuel_sweep: FUEL_SWEEP,
     },

@@ -24,7 +24,7 @@ pub fn plan_has(plan: &BulkPlan, pred: fn(&BulkOp) -> bool) -> bool {
 /// `pred`.
 pub fn bulk_plan_has(inst: &DInst, pred: fn(&BulkOp) -> bool) -> bool {
     match inst {
-        DInst::ForEachBulk { plan, .. } | DInst::ForRangeBulk { plan, .. } => plan_has(plan, pred),
+        DInst::LoopBulk(_, plan) => plan_has(plan, pred),
         _ => false,
     }
 }

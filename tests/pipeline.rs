@@ -394,8 +394,8 @@ fn fuel_boundary_is_exact_under_batch_and_every_quantum() {
 /// generic` rows for every benchmark under `memoir` and `ade`.
 const GOLDEN_SHAPE: &str = include_str!("golden/decoded_shape_scale4.txt");
 
-/// Counts the default decode's bulk loop headers
-/// (`ForEachBulk`/`ForRangeBulk`) and bulk plan components
+/// Counts the default decode's bulk loop headers (`LoopBulk`, not
+/// through a lowered slot's path steps) and bulk plan components
 /// (prelude plus per-iteration ops, each `If` arm's and nested loop
 /// plan's ops included), and tallies the reasons the other loop headers
 /// stayed generic as `reason=count` pairs (`-` when none did).
@@ -417,7 +417,7 @@ fn decoded_shape(decoded: &DecodedModule) -> (usize, usize, String) {
     }
     let (mut bulk, mut plan_ops) = (0, 0);
     for inst in decoded.funcs.iter().flat_map(|f| f.code.iter()) {
-        if let DInst::ForEachBulk { plan, .. } | DInst::ForRangeBulk { plan, .. } = inst {
+        if let DInst::LoopBulk(_, plan) = inst {
             bulk += 1;
             plan_ops += plan_components(plan);
         }
