@@ -694,9 +694,9 @@ pub struct DecodedModule {
 pub struct DecodeOptions {
     /// Decode the reference stream: one [`DInst`] per source instruction,
     /// with no loop plans ([`DInst::LoopBulk`]) and no
-    /// [`DInst::YieldDirect`]. The
-    /// default (`false`) builds both; they are observationally inert, so
-    /// the reference interpreter is the differential oracle for them.
+    /// [`DInst::YieldDirect`]. The default (`false`) builds both; they
+    /// are observationally inert, so the reference interpreter is the
+    /// differential oracle for them.
     pub reference: bool,
 }
 
@@ -1229,12 +1229,11 @@ fn direct_srcs(term: &DInst, dsts: &[Slot]) -> Option<Vec<Slot>> {
 /// Runs the loop-granular fusion tier over every loop of `d`: a
 /// `foreach`/`forrange` header whose whole body compiles to a
 /// [`BulkPlan`] gets the plan attached ([`DInst::LoopBulk`]); every
-/// other header is recorded in
-/// [`DFunc::generic_loops`] with the reason it stayed generic. The body
-/// region's instructions are left untouched (the header occupies one
-/// code slot either way), so code length and trap-site numbering are
-/// unchanged and the generic loop path can still execute
-/// the region whenever the plan may not run.
+/// other header is recorded in [`DFunc::generic_loops`] with the reason
+/// it stayed generic. The body region's instructions are left untouched
+/// (the header occupies one code slot either way), so code length and
+/// trap-site numbering are unchanged and the generic loop path can still
+/// execute the region whenever the plan may not run.
 ///
 /// Loops compile innermost first, so an enclosing body finds each
 /// nested loop already compiled and embeds its plan as a
