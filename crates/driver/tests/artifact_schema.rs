@@ -2,33 +2,33 @@
 //! snapshot (`--metrics`) and the raw trace events (`--trace-json`) of
 //! one real run are parsed back and their exact key sequences checked,
 //! so a change to how the files are written cannot silently rename,
-//! drop or reorder a field.
+//! drop or reorder a field. The full metrics snapshot of every sample
+//! program under `memoir` and `ade` is pinned byte for byte.
 
 use std::process::Command;
 
 use ade_obs::json::Value;
 
-/// Runs `adec --config ade --run` on the histogram sample with the
-/// artifact `flag` pointed at a temp file, and returns the parsed file.
-fn artifact(flag: &str) -> Value {
+/// The sample programs under `examples/ir`.
+const SAMPLES: [&str; 4] = ["directives", "histogram", "literal_graph", "union_find"];
+
+/// Runs `adec --config CONFIG --run EXTRA…` on the sample `name` with
+/// the artifact `flag` pointed at a temp file, and returns the file's
+/// text.
+fn artifact_text(name: &str, config: &str, flag: &str, extra: &[&str]) -> String {
     let path = std::env::temp_dir().join(format!(
-        "adec-schema-{}-{}.json",
+        "adec-schema-{}-{name}-{config}-{}.json",
         std::process::id(),
         flag.trim_start_matches('-')
     ));
-    let sample = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../examples/ir/histogram.memoir"
+    let sample = format!(
+        "{}/../../examples/ir/{name}.memoir",
+        env!("CARGO_MANIFEST_DIR")
     );
     let out = Command::new(env!("CARGO_BIN_EXE_adec"))
-        .args([
-            "--config",
-            "ade",
-            "--run",
-            flag,
-            path.to_str().expect("utf-8 path"),
-            sample,
-        ])
+        .args(["--config", config, "--run"])
+        .args(extra)
+        .args([flag, path.to_str().expect("utf-8 path"), &sample])
         .output()
         .expect("adec runs");
     assert!(
@@ -38,6 +38,13 @@ fn artifact(flag: &str) -> Value {
     );
     let text = std::fs::read_to_string(&path).expect("artifact written");
     let _ = std::fs::remove_file(&path);
+    text
+}
+
+/// The artifact `flag` of `adec --config ade --run` on the histogram
+/// sample, parsed.
+fn artifact(flag: &str) -> Value {
+    let text = artifact_text("histogram", "ade", flag, &[]);
     Value::parse(&text).unwrap_or_else(|e| panic!("{flag} output is not JSON: {e}"))
 }
 
@@ -68,6 +75,30 @@ fn metrics_snapshot_keys_are_pinned() {
             "{row:?}"
         );
     }
+}
+
+/// `adec --run --fuel 1000000 --metrics` of every sample under `memoir`
+/// and `ade`, byte for byte: `tests/golden/adec_metrics.txt` holds one
+/// `== NAME CONFIG` line and the snapshot per run.
+#[test]
+fn metrics_snapshots_are_pinned() {
+    let mut actual = String::new();
+    for name in SAMPLES {
+        for config in ["memoir", "ade"] {
+            actual.push_str(&format!("== {name} {config}\n"));
+            actual.push_str(&artifact_text(
+                name,
+                config,
+                "--metrics",
+                &["--fuel", "1000000"],
+            ));
+        }
+    }
+    assert_eq!(
+        actual,
+        include_str!("golden/adec_metrics.txt"),
+        "adec --metrics differs from tests/golden/adec_metrics.txt"
+    );
 }
 
 #[test]
