@@ -1,9 +1,9 @@
-//! One round trip over every JSON artifact the toolchain emits —
-//! pipeline trace events and metrics snapshots — parsed back with the
-//! shared `ade-obs` JSON reader, so a malformed emitter fails here
-//! before any external consumer sees it.
+//! Pipeline trace events, parsed back with the shared `ade-obs` JSON
+//! reader so a malformed emitter fails here before any external consumer
+//! sees it, and the run-time counts behind `adec --metrics` (whose JSON
+//! the driver's tests pin).
 
-use ade_obs::{json, FieldValue, MetricsRegistry, Tracer};
+use ade_obs::{json, FieldValue, Tracer};
 
 #[test]
 fn pipeline_trace_events_validate() {
@@ -19,22 +19,11 @@ fn pipeline_trace_events_validate() {
         .expect("trace events are valid JSON");
 }
 
-/// Metrics snapshots validate, empty ones included.
-#[test]
-fn metrics_snapshot_validates() {
-    let m = MetricsRegistry::enabled();
-    m.add("requests_total", &[("cell", "1")], 3);
-    m.gauge_max("queue_depth_hwm", &[], 7);
-    json::Value::parse(&m.snapshot().to_json()).expect("metrics snapshot is valid JSON");
-    json::Value::parse(&MetricsRegistry::disabled().snapshot().to_json())
-        .expect("empty snapshot is valid JSON");
-}
-
-/// The interpreter's metrics snapshot counts one backend instantiation
-/// per collection by kind (`exec_backend_selected_total{kind=…}`),
-/// distinguishing unboxed scalar storage from boxed fallbacks, and the
-/// snapshot is byte-deterministic: two identical runs render identical
-/// JSON.
+/// A run counts one backend instantiation per collection by kind
+/// ([`ade_interp::RunCounts::backends`], the
+/// `exec_backend_selected_total{kind=…}` rows of `adec --metrics`),
+/// distinguishing unboxed scalar storage from boxed fallbacks, and two
+/// identical runs count the same.
 #[test]
 fn backend_selection_metrics_are_deterministic_by_kind() {
     use ade_interp::{ExecConfig, Interpreter};
@@ -60,40 +49,24 @@ fn backend_selection_metrics_are_deterministic_by_kind() {
         module
     };
 
-    let snapshot = || {
-        let m = MetricsRegistry::enabled();
-        let config = ExecConfig {
-            metrics: m.clone(),
-            ..ExecConfig::default()
-        };
-        Interpreter::new(&build(), config)
+    let counts = || {
+        Interpreter::new(&build(), ExecConfig::default())
             .run("main")
-            .expect("kernel runs");
-        m.snapshot().to_json()
+            .expect("kernel runs")
+            .counts
     };
 
-    let text = snapshot();
-    let parsed = json::Value::parse(&text).expect("metrics snapshot is valid JSON");
-    let rows = parsed
-        .get("metrics")
-        .and_then(json::Value::as_array)
-        .expect("metrics array");
-    let count = |id: &str| {
-        rows.iter()
-            .find(|row| row.get("id").and_then(json::Value::as_str) == Some(id))
-            .and_then(|row| row.get("value"))
-            .and_then(json::Value::as_u64)
-    };
+    let first = counts();
     // Two collections: the unboxed `seq<u64>` and the boxed `seq<str>`.
     assert_eq!(
-        count(r#"exec_backend_selected_total{kind="unboxed_seq"}"#),
-        Some(1),
-        "unboxed kind counted: {text}"
+        first.backends.get("unboxed_seq"),
+        Some(&1),
+        "unboxed kind counted: {first:?}"
     );
     assert_eq!(
-        count(r#"exec_backend_selected_total{kind="seq"}"#),
-        Some(1),
-        "boxed kind counted: {text}"
+        first.backends.get("seq"),
+        Some(&1),
+        "boxed kind counted: {first:?}"
     );
-    assert_eq!(text, snapshot(), "snapshot must be deterministic");
+    assert_eq!(first, counts(), "counts must be deterministic");
 }

@@ -25,8 +25,9 @@
 
 use std::fmt;
 
-use ade_interp::{DecodeOptions, DecodedModule, Interpreter};
-use ade_obs::{MetricsRegistry, Tracer};
+use ade_interp::{DecodeOptions, DecodedModule, Interpreter, Outcome};
+use ade_obs::json::Value;
+use ade_obs::Tracer;
 use ade_workloads::{Config, ConfigKind};
 
 /// Where a report flag sends its text: the pipeline trace
@@ -61,10 +62,10 @@ pub struct Options {
     pub trace: Destination,
     /// Write machine-readable trace events (JSON) to this path.
     pub trace_json: Option<String>,
-    /// Write the execution's metrics snapshot (JSON, schema
-    /// `ade-metrics-v1`) to this path (implies `run`): stop-reason
-    /// tallies, fuel ticks, quantum grants and the heap high-water
-    /// mark.
+    /// Write the finished run's counts as JSON (schema
+    /// `ade-metrics-v1`) to this path (implies `run`): fuel ticks, the
+    /// heap high-water mark, loop entries by tier, plan ticks and
+    /// collections by backend.
     pub metrics: Option<String>,
     /// Selection-ledger explain report destination (`--explain[=FILE]`):
     /// per keyed site, the applied implementations and the rule that
@@ -131,7 +132,8 @@ pub struct DriveOutput {
     pub report: Option<ade_core::AdeReport>,
     /// Pipeline trace events (when [`Options::wants_trace`]).
     pub events: Vec<ade_obs::Event>,
-    /// Rendered metrics snapshot JSON (when `Options::metrics` is set).
+    /// The finished run's counts as JSON (when `Options::metrics` is
+    /// set).
     pub metrics: Option<String>,
     /// Rendered selection-ledger explain report (when
     /// [`Options::wants_explain`]).
@@ -238,10 +240,6 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
         exec.fuel = options.fuel.or(exec.fuel);
         exec.max_heap_cells = options.max_heap_cells.or(exec.max_heap_cells);
         exec.max_depth = options.max_depth.or(exec.max_depth);
-        let metrics = options.metrics.as_ref().map(|_| MetricsRegistry::enabled());
-        if let Some(m) = &metrics {
-            exec.metrics = m.clone();
-        }
         let outcome = {
             let _span = tracer.span("driver", "exec");
             let decoded = DecodedModule::decode_with(
@@ -257,11 +255,60 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
         if options.stats {
             out.stats = Some(format_stats(&outcome.stats));
         }
+        if options.metrics.is_some() {
+            out.metrics = Some(metrics_json(&outcome));
+        }
         out.program_output = Some(outcome.output);
-        out.metrics = metrics.map(|m| m.snapshot().to_json());
     }
     out.events = tracer.events();
     Ok(out)
+}
+
+/// The `--metrics` file (schema `ade-metrics-v1`): one row per count the
+/// finished run returned, sorted by id. Loop tiers and plan ticks appear
+/// when nonzero. Only a finished run writes the file, so its one stop
+/// row reads `reason="ok"`.
+fn metrics_json(outcome: &Outcome) -> String {
+    let counts = &outcome.counts;
+    let mut rows: Vec<(&str, Option<(&str, &str)>, u64)> = counts
+        .backends
+        .iter()
+        .map(|(&kind, &n)| ("exec_backend_selected_total", Some(("kind", kind)), n))
+        .collect();
+    rows.push(("exec_fuel_ticks_total", None, outcome.fuel_ticks));
+    rows.push(("exec_heap_hwm_bytes", None, outcome.stats.peak_bytes as u64));
+    let tier = |tier, n| ("exec_loop_tier_total", Some(("tier", tier)), n);
+    let nonzero = [
+        tier("bulk", counts.bulk_loops),
+        tier("generic", counts.generic_loops),
+        ("exec_plan_ticks_total", None, counts.plan_ticks),
+    ];
+    rows.extend(nonzero.into_iter().filter(|&(_, _, n)| n > 0));
+    rows.push(("exec_stops_total", Some(("reason", "ok")), 1));
+    let metrics = rows.into_iter().map(|(name, label, value)| {
+        let id = match label {
+            Some((k, v)) => format!("{name}{{{k}=\"{v}\"}}"),
+            None => name.to_string(),
+        };
+        // The heap high-water mark is the one gauge.
+        let kind = if name == "exec_heap_hwm_bytes" {
+            "gauge"
+        } else {
+            "counter"
+        };
+        Value::object([
+            ("id", id.into()),
+            ("name", name.into()),
+            ("labels", Value::object(label.map(|(k, v)| (k, v.into())))),
+            ("type", kind.into()),
+            ("value", value.into()),
+        ])
+    });
+    let snapshot = Value::object([
+        ("schema", "ade-metrics-v1".into()),
+        ("metrics", metrics.collect()),
+    ]);
+    format!("{snapshot}\n")
 }
 
 /// The decoder's part of `--explain`: how many loops the plan compiler
@@ -331,9 +378,9 @@ usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
                        identical; isolates the decode optimizations)
   --trace[=FILE]       human-readable pass/decision log to stderr (or FILE)
   --trace-json FILE    machine-readable trace events as JSON
-  --metrics FILE       execution metrics snapshot as JSON (implies --run):
-                       stop-reason tallies, fuel ticks, quantum grants and
-                       the heap high-water mark (schema ade-metrics-v1)
+  --metrics FILE       the finished run's counts as JSON (implies --run):
+                       fuel ticks, heap high-water mark, loop tiers, plan
+                       ticks and collections by backend (ade-metrics-v1)
   --explain[=FILE]     selection-ledger report to stderr (or FILE): per keyed
                        site, the applied set/map implementations and whether
                        a select(...) directive or the static default decided;

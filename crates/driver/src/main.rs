@@ -11,9 +11,9 @@
 //! `--trace` logs every pass and its structured decisions (escape
 //! verdicts, sharing candidates, RTE trims, selection choices) to stderr
 //! — `--trace=FILE` redirects it, `--trace-json FILE` dumps the raw
-//! events as JSON. `--metrics FILE` executes the program with a metrics registry
-//! attached and writes the snapshot (stop-reason tallies, fuel ticks,
-//! quantum grants, heap high-water mark) as JSON.
+//! events as JSON. `--metrics FILE` executes the program and writes the
+//! counts the finished run returned (fuel ticks, heap high-water mark,
+//! loop tiers, plan ticks, collections by backend) as JSON.
 //! `--explain[=FILE]` renders the selection ledger (per keyed site, the
 //! applied implementations and whether a directive or the static
 //! default decided them).

@@ -48,6 +48,7 @@
 //! runs only when neither a fuel limit nor a session grant can end the
 //! countdown's window.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -63,8 +64,9 @@ use crate::stats::{CollOp, ImplKind, Phase, Stats};
 use crate::trap::{Limit, TrapKind, TrapSite};
 use crate::value::{Kind, Value};
 
-/// Interpreter configuration.
-#[derive(Clone, Debug)]
+/// Interpreter configuration: implementation defaults and execution
+/// budgets. What a run counts comes back with it ([`Outcome`]).
+#[derive(Clone, Debug, Default)]
 pub struct ExecConfig {
     /// Implementations for empty (`Auto`) selections.
     pub defaults: SelectionDefaults,
@@ -79,31 +81,6 @@ pub struct ExecConfig {
     /// unlimited. Every call enters at least one region, so this bounds
     /// guest recursion transitively.
     pub max_depth: Option<u32>,
-    /// Runtime metrics registry (default disabled). When enabled, the
-    /// run publishes quantum grants (`exec_quanta_total`), executed
-    /// ticks (`exec_fuel_ticks_total`, [`Outcome::fuel_ticks`]), loop
-    /// entries by tier (`exec_loop_tier_total{tier=…}`: `bulk` when
-    /// iterations may run through a plan, else `generic`), the ticks
-    /// plan iterations took (`exec_plan_ticks_total`), one count per
-    /// allocated collection by backend kind
-    /// (`exec_backend_selected_total{kind=…}`), the heap high-water mark
-    /// (`exec_heap_hwm_bytes`) and per-reason stop tallies
-    /// (`exec_stops_total{reason=…}`). Every update is commutative, so
-    /// the published values are independent of scheduling; execution
-    /// itself is untouched either way.
-    pub metrics: ade_obs::MetricsRegistry,
-}
-
-impl Default for ExecConfig {
-    fn default() -> ExecConfig {
-        ExecConfig {
-            defaults: SelectionDefaults::default(),
-            fuel: None,
-            max_heap_cells: None,
-            max_depth: None,
-            metrics: ade_obs::MetricsRegistry::disabled(),
-        }
-    }
 }
 
 /// A runtime failure: a missing entry point, guest undefined behavior
@@ -232,6 +209,26 @@ pub struct Outcome {
     /// bulk plan iterations included). Always exact, and identical for
     /// every decode, budget and quantum size.
     pub fuel_ticks: u64,
+    /// How the interpreter ran the program.
+    pub counts: RunCounts,
+}
+
+/// How the interpreter ran a program, as against what the program did
+/// ([`Stats`]): loop tiers and plan ticks differ between decodes,
+/// budgets and sessions by design.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunCounts {
+    /// `foreach`/`forrange` entries whose iterations may run through a
+    /// loop plan, inner loops a plan runs in place included.
+    pub bulk_loops: u64,
+    /// Loop entries whose every iteration runs through the body region.
+    pub generic_loops: u64,
+    /// Ticks that plan iterations of bulk loops took, out of
+    /// [`Outcome::fuel_ticks`].
+    pub plan_ticks: u64,
+    /// Collections allocated, by backend label
+    /// ([`Collection::kind_label`]).
+    pub backends: BTreeMap<&'static str, u64>,
 }
 
 /// A run's continuation between two instructions: one [`Activation`] per
@@ -535,6 +532,7 @@ pub struct Interpreter<'m> {
     coll_bytes: Vec<usize>,
     enums: Vec<Enumeration>,
     stats: Stats,
+    counts: RunCounts,
     output: String,
     phase: Phase,
     /// When the current phase's wall-time interval started.
@@ -581,6 +579,7 @@ impl<'m> Interpreter<'m> {
             coll_bytes: Vec::new(),
             enums: Vec::new(),
             stats: Stats::default(),
+            counts: RunCounts::default(),
             output: String::new(),
             phase: Phase::Init,
             phase_start: Instant::now(),
@@ -602,7 +601,7 @@ impl<'m> Interpreter<'m> {
     /// Returns an [`ExecError`] if no parameterless function is named
     /// `entry`, guest undefined behavior is trapped, or a configured
     /// execution limit (fuel, heap cells, depth) runs out.
-    pub fn run(self, entry: &str) -> Result<Outcome, ExecError> {
+    pub fn run(&mut self, entry: &str) -> Result<Outcome, ExecError> {
         let module = self.module.expect("batch runs have a source module");
         let decoded = DecodedModule::decode_with(module, &DecodeOptions::default());
         self.run_decoded(&decoded, entry)
@@ -612,13 +611,14 @@ impl<'m> Interpreter<'m> {
     /// letting callers that execute one module many times (benchmark
     /// trials) pay for decoding and loop fusion once. `decoded` must
     /// come from this interpreter's module. Runs on the caller's thread
-    /// with bounded host stack, however deeply the guest recurses.
+    /// with bounded host stack, however deeply the guest recurses. Each
+    /// run starts from a fresh heap and fresh counts.
     ///
     /// # Errors
     ///
     /// As [`Interpreter::run`].
     pub fn run_decoded(
-        mut self,
+        &mut self,
         decoded: &DecodedModule,
         entry: &str,
     ) -> Result<Outcome, ExecError> {
@@ -627,22 +627,20 @@ impl<'m> Interpreter<'m> {
                 .is_none_or(|m| m.funcs.len() == decoded.funcs.len()),
             "decoded stream must come from this interpreter's module"
         );
-        let fid = decoded.entry(entry)?;
         self.start(decoded, false);
-        match self.resume(decoded, &mut Machine::new(fid)) {
-            Ok(Poll::Done(result)) => Ok(self.finish(result)),
-            Ok(Poll::Suspended) => unreachable!("a batch run renews its window"),
-            Err(e) => {
-                self.record_stop(Some(&e));
-                Err(e)
-            }
+        let fid = decoded.entry(entry)?;
+        match self.resume(decoded, &mut Machine::new(fid))? {
+            Poll::Done(result) => Ok(self.finish(result)),
+            Poll::Suspended => unreachable!("a batch run renews its window"),
         }
     }
 
-    /// Prepares a run of `decoded`: runtime enumerations, the wall clock
-    /// and the first tick window. A session (`sliced`) starts paused: its
-    /// empty window makes the first instruction wait for the first grant.
+    /// Prepares a run of `decoded` from a fresh state: runtime
+    /// enumerations, the wall clock and the first tick window. A session
+    /// (`sliced`) starts paused: its empty window makes the first
+    /// instruction wait for the first grant.
     pub(crate) fn start(&mut self, decoded: &DecodedModule, sliced: bool) {
+        *self = Interpreter::with_parts(self.module, self.config.clone());
         self.enums = decoded
             .enum_keys
             .iter()
@@ -655,7 +653,6 @@ impl<'m> Interpreter<'m> {
             self.config.fuel.unwrap_or(u64::MAX)
         };
         self.ticks_left = self.window;
-        self.phase_start = Instant::now();
     }
 
     /// Grants a session `ticks` more instructions, loaded at the next
@@ -665,40 +662,27 @@ impl<'m> Interpreter<'m> {
     }
 
     /// The finished run's outcome: closes the last wall-time phase and
-    /// publishes the run's terminal accounting.
+    /// hands over the run's counts.
     pub(crate) fn finish(&mut self, result: Option<Value>) -> Outcome {
         let elapsed = Stats::clamp_ns(self.phase_start.elapsed().as_nanos());
         self.stats.wall_ns[self.phase as usize] =
             self.stats.wall_ns[self.phase as usize].saturating_add(elapsed);
         self.stats.final_bytes = self.tracked_bytes;
         self.sample_peak();
-        self.record_stop(None);
         Outcome {
             fuel_ticks: self.fuel_ticks(),
             output: std::mem::take(&mut self.output),
             stats: std::mem::take(&mut self.stats),
+            counts: std::mem::take(&mut self.counts),
             result,
         }
     }
 
-    /// Ticks executed so far.
-    fn fuel_ticks(&self) -> u64 {
+    /// Instructions the current or last run executed, however it ended:
+    /// a finished run's [`Outcome::fuel_ticks`], or the ticks up to the
+    /// error that stopped it.
+    pub fn fuel_ticks(&self) -> u64 {
         self.ticks_spent + (self.window - self.ticks_left)
-    }
-
-    /// Publishes the run's terminal accounting — reason tally, fuel
-    /// ticks, heap high-water mark — into the metrics registry.
-    /// Called exactly once per run, on both the success and the error
-    /// path; a disabled registry makes this one cheap branch.
-    pub(crate) fn record_stop(&mut self, err: Option<&ExecError>) {
-        let reason = err.map_or("ok", ExecError::code);
-        self.sample_peak();
-        let m = &self.config.metrics;
-        if m.is_enabled() {
-            m.add("exec_stops_total", &[("reason", reason)], 1);
-            m.add("exec_fuel_ticks_total", &[], self.fuel_ticks());
-            m.gauge_max("exec_heap_hwm_bytes", &[], self.stats.peak_bytes as u64);
-        }
     }
 
     fn sample_peak(&mut self) {
@@ -737,11 +721,7 @@ impl<'m> Interpreter<'m> {
             }
         }
         let coll = Collection::new_for(ty, self.config.defaults);
-        self.config.metrics.add(
-            "exec_backend_selected_total",
-            &[("kind", coll.kind_label())],
-            1,
-        );
+        *self.counts.backends.entry(coll.kind_label()).or_default() += 1;
         let bytes = coll.bytes_estimate();
         let id = CollId(u32::try_from(self.heap.len()).expect("heap fits u32"));
         self.coll_impls.push(coll.impl_kind());
@@ -1239,7 +1219,6 @@ impl<'m> Interpreter<'m> {
             let Some(granted) = self.grant.take() else {
                 return Ok(false);
             };
-            self.config.metrics.add("exec_quanta_total", &[], 1);
             granted
         } else {
             u64::MAX
@@ -1349,14 +1328,14 @@ impl<'m> Interpreter<'m> {
                 .is_none_or(|max| height + plan.depth as usize <= max as usize)
     }
 
-    /// Publishes one loop entry to `exec_loop_tier_total{tier}`: `bulk`
-    /// when its iterations may run through a plan, `generic` otherwise.
+    /// Counts one loop entry by tier: `bulk` when its iterations may run
+    /// through a plan, `generic` otherwise.
     #[inline]
-    fn count_loop(&self, bulk: bool) {
-        let m = &self.config.metrics;
-        if m.is_enabled() {
-            let tier = if bulk { "bulk" } else { "generic" };
-            m.add("exec_loop_tier_total", &[("tier", tier)], 1);
+    fn count_loop(&mut self, bulk: bool) {
+        if bulk {
+            self.counts.bulk_loops += 1;
+        } else {
+            self.counts.generic_loops += 1;
         }
     }
 
@@ -1367,7 +1346,7 @@ impl<'m> Interpreter<'m> {
     /// straddle a budget boundary) starts the body region generically.
     /// After the last iteration the carried values land in the loop's
     /// destinations and the enclosing region resumes. However it leaves,
-    /// the ticks its plan iterations took go to `exec_plan_ticks_total`.
+    /// the ticks its plan iterations took count as plan ticks.
     fn next_iteration(
         &mut self,
         func: &DFunc,
@@ -1403,9 +1382,8 @@ impl<'m> Interpreter<'m> {
                 }
             }
         };
-        let m = &self.config.metrics;
-        if plan.is_some() && m.is_enabled() {
-            m.add("exec_plan_ticks_total", &[], before - self.ticks_left);
+        if plan.is_some() {
+            self.counts.plan_ticks += before - self.ticks_left;
         }
         next
     }
@@ -1891,6 +1869,54 @@ fn @main() -> void {
 }
 "#);
         assert_eq!(out.output, "2 1\n");
+    }
+
+    /// Every run on one interpreter starts from a fresh heap and fresh
+    /// counts, and the ticks of a run an error stopped stay readable.
+    #[test]
+    fn each_run_starts_clean() {
+        let m = parse_module(
+            "fn @main() -> void {
+  %s = new Set<u64>
+  %zero = const 0u64
+  %n = const 8u64
+  %t = forrange %zero, %n carry(%s) as (%i: u64, %ss: Set<u64>) {
+    %s1 = insert %ss, %i
+    yield %s1
+  }
+  %k = size %t
+  print %k
+  ret
+}",
+        )
+        .expect("parses");
+        let mut interp = Interpreter::new(&m, ExecConfig::default());
+        let first = interp.run("main").expect("runs");
+        let second = interp.run("main").expect("runs");
+        assert_eq!(first.output, "8\n");
+        assert_eq!(first.counts.backends.values().sum::<u64>(), 1);
+        assert_eq!(first.counts.bulk_loops, 1);
+        assert_eq!(
+            (second.output, second.stats.per_phase, second.counts),
+            (first.output, first.stats.per_phase, first.counts)
+        );
+        assert_eq!(
+            (second.fuel_ticks, second.stats.peak_bytes),
+            (first.fuel_ticks, first.stats.peak_bytes)
+        );
+        let missing = interp.run("absent").expect_err("no such entry");
+        assert_eq!(missing.code(), "no-entry");
+        assert_eq!(interp.fuel_ticks(), 0);
+        let mut limited = Interpreter::new(
+            &m,
+            ExecConfig {
+                fuel: Some(5),
+                ..ExecConfig::default()
+            },
+        );
+        let spent = limited.run("main").expect_err("fuel runs out");
+        assert_eq!(spent.code(), Limit::Fuel.code());
+        assert_eq!(limited.fuel_ticks(), 5);
     }
 
     #[test]

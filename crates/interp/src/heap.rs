@@ -258,8 +258,8 @@ impl<E: Elem> Imp<E> {
         }
     }
 
-    /// The implementation kind, and its `exec_backend_selected_total`
-    /// labels storing boxed values and register bits.
+    /// The implementation kind, and its backend labels storing boxed
+    /// values and register bits ([`Collection::kind_label`]).
     fn labels(&self) -> (ImplKind, &'static str, &'static str) {
         match self {
             Imp::Seq(_) => (ImplKind::Seq, "seq", "unboxed_seq"),
@@ -498,8 +498,8 @@ impl Collection {
         Collection { imp, key, val }
     }
 
-    /// The backend's physical-layout label, for the
-    /// `exec_backend_selected_total{kind=…}` metric: the implementation,
+    /// The backend's physical-layout label, by which a run counts its
+    /// allocations ([`crate::RunCounts::backends`]): the implementation,
     /// prefixed `unboxed_` when it stores register bits (bit sets store
     /// raw indices either way).
     pub fn kind_label(&self) -> &'static str {

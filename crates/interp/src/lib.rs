@@ -53,7 +53,7 @@ pub mod trap;
 mod value;
 
 pub use decode::{DecodeOptions, DecodedModule};
-pub use exec::{ExecConfig, ExecError, Interpreter, Outcome};
+pub use exec::{ExecConfig, ExecError, Interpreter, Outcome, RunCounts};
 pub use heap::{Arg, CollId, Collection, SelectionDefaults};
 pub use session::{ExecSession, Step};
 pub use stats::{CollOp, ImplKind, OpCounts, Phase, Stats};

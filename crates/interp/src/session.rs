@@ -111,18 +111,18 @@ impl ExecSession {
     pub fn step(&mut self, quantum: Option<u64>) -> Result<Step, ExecError> {
         assert!(!self.finished, "stepped a finished session");
         self.interp.grant(quantum.map_or(u64::MAX, |n| n.max(1)));
-        match self.interp.resume(&self.decoded, &mut self.machine) {
-            Ok(Poll::Suspended) => Ok(Step::Running),
-            Ok(Poll::Done(result)) => {
-                self.finished = true;
-                Ok(Step::Done(Box::new(self.interp.finish(result))))
-            }
-            Err(e) => {
-                self.finished = true;
-                self.interp.record_stop(Some(&e));
-                Err(e)
-            }
-        }
+        let poll = self.interp.resume(&self.decoded, &mut self.machine);
+        self.finished = !matches!(poll, Ok(Poll::Suspended));
+        Ok(match poll? {
+            Poll::Suspended => Step::Running,
+            Poll::Done(result) => Step::Done(Box::new(self.interp.finish(result))),
+        })
+    }
+
+    /// Instructions executed so far: every grant's ticks, up to the end
+    /// of the run however it ended (see [`Interpreter::fuel_ticks`]).
+    pub fn fuel_ticks(&self) -> u64 {
+        self.interp.fuel_ticks()
     }
 }
 

@@ -15,7 +15,6 @@ use ade_interp::{
 };
 use ade_ir::parse::parse_module;
 use ade_ir::Module;
-use ade_obs::{MetricValue, MetricsRegistry};
 
 /// Collection-heavy program whose loops are bulk-eligible: a `forrange`
 /// filling a map and a set, and a `foreach` reduction over the set.
@@ -108,19 +107,6 @@ fn fingerprint(o: &Outcome) -> String {
     )
 }
 
-/// Ticks the run's loop plans took (`exec_plan_ticks_total`).
-fn plan_ticks(metrics: &MetricsRegistry) -> u64 {
-    metrics
-        .snapshot()
-        .rows
-        .iter()
-        .find(|r| r.id == "exec_plan_ticks_total")
-        .map_or(0, |r| match r.value {
-            MetricValue::Counter(n) => n,
-            _ => panic!("exec_plan_ticks_total is a counter"),
-        })
-}
-
 #[test]
 fn successful_runs_are_quantum_invariant_on_both_decodes() {
     let module = parse_module(BULK).expect("parses");
@@ -129,13 +115,10 @@ fn successful_runs_are_quantum_invariant_on_both_decodes() {
     for reference in DECODES {
         let decoded = decode(&module, reference);
         for quantum in QUANTA {
-            let config = ExecConfig {
-                metrics: MetricsRegistry::enabled(),
-                ..ExecConfig::default()
-            };
-            let outcome = run_session(&decoded, &config, quantum).unwrap_or_else(|e| {
-                panic!("session fails (reference={reference}, quantum {quantum:?}): {e}")
-            });
+            let outcome =
+                run_session(&decoded, &ExecConfig::default(), quantum).unwrap_or_else(|e| {
+                    panic!("session fails (reference={reference}, quantum {quantum:?}): {e}")
+                });
             assert_eq!(
                 fingerprint(&outcome),
                 baseline,
@@ -146,7 +129,7 @@ fn successful_runs_are_quantum_invariant_on_both_decodes() {
             // compare generic dispatch against itself.
             if !reference && quantum.is_none_or(|q| q >= 1024) {
                 assert!(
-                    plan_ticks(&config.metrics) > 0,
+                    outcome.counts.plan_ticks > 0,
                     "no loop plan ran (quantum {quantum:?})"
                 );
             }

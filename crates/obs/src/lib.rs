@@ -1,6 +1,6 @@
 //! Zero-dependency observability layer for the ADE pipeline.
 //!
-//! Four pieces, all built on `std` alone:
+//! Three pieces, all built on `std` alone:
 //!
 //! - [`Tracer`]: a cheaply clonable handle over a thread-safe event sink.
 //!   A *disabled* tracer (the default) is a `None` and every call on it
@@ -15,10 +15,9 @@
 //! - [`ledger`]: the selection ledger — structured records of every
 //!   backend decision the selection pass makes and the rule that
 //!   decided it, plus the deterministic `--explain` report renderer.
-//! - [`metrics::MetricsRegistry`]: runtime counters and high-water
-//!   gauges with deterministic id-sorted JSON snapshots; every update is
-//!   commutative, so snapshot values are independent of thread
-//!   interleaving.
+//!
+//! Run-time counts are not here: the interpreter returns them with the
+//! run (`ade_interp::Outcome`).
 //!
 //! Event *sequences* are deterministic for a deterministic caller; only
 //! the timestamps vary run to run. Rendering helpers therefore take an
@@ -29,10 +28,8 @@
 
 pub mod json;
 pub mod ledger;
-pub mod metrics;
 
 pub use ledger::{DecisionSource, SelectionDecision, SelectionLedger};
-pub use metrics::{MetricRow, MetricValue, MetricsRegistry, MetricsSnapshot};
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};

@@ -23,7 +23,6 @@ use ade::interp::{
 };
 use ade::ir::parse::parse_module;
 use ade::ir::Module;
-use ade_obs::{MetricValue, MetricsRegistry};
 use common::bulk_plan_has;
 
 /// One program, the decode shapes it must exercise, and the depth
@@ -606,28 +605,16 @@ const FUEL_SWEEP: u64 = 40;
 struct Observed {
     /// `Ok`: output, return value, per-phase stats, peak and final bytes.
     outcome: Result<String, ExecError>,
-    /// Executed ticks, as published to `exec_fuel_ticks_total`.
+    /// Executed ticks, as the interpreter or session reports them after
+    /// the run, however it ended.
     ticks: u64,
 }
 
-fn counter(metrics: &MetricsRegistry, id: &str) -> u64 {
-    metrics
-        .snapshot()
-        .rows
-        .iter()
-        .find(|r| r.id == id)
-        .map_or(0, |r| match r.value {
-            MetricValue::Counter(n) => n,
-            _ => panic!("{id} is not a counter"),
-        })
-}
-
-fn observe(result: Result<Outcome, ExecError>, metrics: &MetricsRegistry) -> Observed {
-    let ticks = counter(metrics, "exec_fuel_ticks_total");
+fn observe(result: Result<Outcome, ExecError>, ticks: u64) -> Observed {
     let outcome = result.map(|o| {
         assert_eq!(
             o.fuel_ticks, ticks,
-            "Outcome::fuel_ticks vs the published ticks"
+            "Outcome::fuel_ticks vs the reported ticks"
         );
         format!(
             "output={:?} result={:?} phases={:?} peak={} final={}",
@@ -641,7 +628,6 @@ fn config(fuel: Option<u64>, max_depth: Option<u32>) -> ExecConfig {
     ExecConfig {
         fuel,
         max_depth,
-        metrics: MetricsRegistry::enabled(),
         ..ExecConfig::default()
     }
 }
@@ -654,19 +640,13 @@ fn decode(module: &Module, reference: bool) -> Arc<DecodedModule> {
 }
 
 fn batch(module: &Module, decoded: &DecodedModule, config: ExecConfig) -> Observed {
-    let metrics = config.metrics.clone();
-    observe(
-        Interpreter::new(module, config).run_decoded(decoded, "main"),
-        &metrics,
-    )
+    let mut interp = Interpreter::new(module, config);
+    let result = interp.run_decoded(decoded, "main");
+    observe(result, interp.fuel_ticks())
 }
 
-fn session_run(
-    decoded: &Arc<DecodedModule>,
-    config: ExecConfig,
-    quantum: Option<u64>,
-) -> Result<Outcome, ExecError> {
-    let mut session = ExecSession::spawn(Arc::clone(decoded), "main", config)?;
+/// Steps `session` to the end of its run.
+fn finish(session: &mut ExecSession, quantum: Option<u64>) -> Result<Outcome, ExecError> {
     loop {
         if let Step::Done(outcome) = session.step(quantum)? {
             return Ok(*outcome);
@@ -674,9 +654,21 @@ fn session_run(
     }
 }
 
+fn session_run(
+    decoded: &Arc<DecodedModule>,
+    config: ExecConfig,
+    quantum: Option<u64>,
+) -> Result<Outcome, ExecError> {
+    finish(
+        &mut ExecSession::spawn(Arc::clone(decoded), "main", config)?,
+        quantum,
+    )
+}
+
 fn session(decoded: &Arc<DecodedModule>, config: ExecConfig, quantum: Option<u64>) -> Observed {
-    let metrics = config.metrics.clone();
-    observe(session_run(decoded, config, quantum), &metrics)
+    let mut session = ExecSession::spawn(Arc::clone(decoded), "main", config).expect("spawns");
+    let result = finish(&mut session, quantum);
+    observe(result, session.fuel_ticks())
 }
 
 fn check(case: &Case) {
@@ -799,7 +791,7 @@ fn depth_limits_match_the_reference_under_every_budget() {
 
 /// The loop-tier counter shows the plans running under a session: the
 /// default decode enters its bulk loops as `bulk`, the reference decode
-/// every loop as `generic`. `exec_plan_ticks_total` counts every body
+/// every loop as `generic`. The plan ticks count every body
 /// slot the plans ran: 40 `forrange` iterations of 5 slots plus the
 /// taken arm (3 slots for the 14 multiples of three, else 2), then 26
 /// `foreach` iterations of 2 slots, so 346 on the default decode and
@@ -808,21 +800,17 @@ fn depth_limits_match_the_reference_under_every_budget() {
 fn bulk_plans_run_under_a_session() {
     let module = parse_module(BULK).expect("parses");
     for (reference, bulk_entries) in [(false, 2), (true, 0)] {
-        let config = config(None, None);
-        let metrics = config.metrics.clone();
-        session_run(&decode(&module, reference), config, Some(4096)).expect("runs");
+        let counts = session_run(&decode(&module, reference), config(None, None), Some(4096))
+            .expect("runs")
+            .counts;
+        assert_eq!(counts.bulk_loops, bulk_entries, "reference={reference}");
         assert_eq!(
-            counter(&metrics, r#"exec_loop_tier_total{tier="bulk"}"#),
-            bulk_entries,
-            "reference={reference}"
-        );
-        assert_eq!(
-            counter(&metrics, r#"exec_loop_tier_total{tier="generic"}"#),
+            counts.generic_loops,
             2 - bulk_entries,
             "reference={reference}"
         );
         assert_eq!(
-            counter(&metrics, "exec_plan_ticks_total"),
+            counts.plan_ticks,
             if reference { 0 } else { 346 },
             "reference={reference}"
         );
@@ -840,17 +828,13 @@ fn nested_plans_run_only_without_fuel_or_session() {
     let decoded = decode(&module, false);
     let tiers = |fuel: Option<u64>, quantum: Option<Option<u64>>| {
         let config = config(fuel, None);
-        let metrics = config.metrics.clone();
-        match quantum {
-            Some(quantum) => drop(session_run(&decoded, config, quantum).expect("runs")),
-            None => drop(
-                Interpreter::new(&module, config)
-                    .run_decoded(&decoded, "main")
-                    .expect("runs"),
-            ),
+        let counts = match quantum {
+            Some(quantum) => session_run(&decoded, config, quantum),
+            None => Interpreter::new(&module, config).run_decoded(&decoded, "main"),
         }
-        let tier = |t: &str| counter(&metrics, &format!(r#"exec_loop_tier_total{{tier="{t}"}}"#));
-        (tier("bulk"), tier("generic"))
+        .expect("runs")
+        .counts;
+        (counts.bulk_loops, counts.generic_loops)
     };
     // The call loop stays generic; `%tot` and its 12 inner loops.
     assert_eq!(tiers(None, None), (13, 1), "unlimited batch run");

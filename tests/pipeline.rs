@@ -498,7 +498,7 @@ fn stats_fingerprint(stats: &ade::interp::Stats) -> u64 {
 /// `tests/golden/exec_counts_scale4.txt`: the ticks of a session run in
 /// 4096-instruction quanta, the number of those quanta, and the
 /// `EnumEnc`/`EnumDec` read counts, the ticks a batch run spends
-/// inside loop plans (`exec_plan_ticks_total`), and a fingerprint of
+/// inside loop plans (`RunCounts::plan_ticks`), and a fingerprint of
 /// every per-phase operation count plus peak and final bytes. The batch
 /// run must tick exactly as many instructions as the session and match
 /// its statistics. A rewrite that changes how much work a program
@@ -506,7 +506,6 @@ fn stats_fingerprint(stats: &ade::interp::Stats) -> u64 {
 #[test]
 fn executed_work_matches_the_golden_counts() {
     use ade::interp::{CollOp, ExecSession, ImplKind, Step};
-    use ade_obs::{MetricValue, MetricsRegistry};
     use std::sync::Arc;
 
     let mut table = String::new();
@@ -531,24 +530,11 @@ fn executed_work_matches_the_golden_counts() {
                     Err(e) => panic!("{tag} {e}"),
                 }
             };
-            let metrics = MetricsRegistry::enabled();
-            let exec = ExecConfig {
-                metrics: metrics.clone(),
-                ..config.exec.clone()
-            };
-            let batch = Interpreter::new(&module, exec)
+            let batch = Interpreter::new(&module, config.exec.clone())
                 .run_decoded(&decoded, "main")
                 .unwrap_or_else(|e| panic!("{tag} {e}"));
             assert_eq!(batch.fuel_ticks, outcome.fuel_ticks, "{tag} batch ticks");
-            let plan_ticks = metrics
-                .snapshot()
-                .rows
-                .iter()
-                .find(|r| r.id == "exec_plan_ticks_total")
-                .map_or(0, |r| match r.value {
-                    MetricValue::Counter(n) => n,
-                    _ => panic!("{tag} exec_plan_ticks_total is a counter"),
-                });
+            let plan_ticks = batch.counts.plan_ticks;
             assert_eq!(
                 stats_fingerprint(&batch.stats),
                 stats_fingerprint(&outcome.stats),

@@ -10,7 +10,6 @@ use ade::interp::decode::{BulkOp, UScalar};
 use ade::interp::{DecodeOptions, DecodedModule, ExecConfig, ExecError, Interpreter, Limit};
 use ade::ir::parse::parse_module;
 use ade::ir::BinOp;
-use ade_obs::{MetricValue, MetricsRegistry};
 use common::bulk_plan_has;
 
 /// One trapping program and the plan op that raises its trap.
@@ -500,27 +499,17 @@ fn heap_limited(
     module: &ade::ir::Module,
     reference: bool,
     cells: usize,
-) -> (DecodedModule, ExecError, Option<u64>) {
+) -> (DecodedModule, ExecError, u64) {
     let decoded = DecodedModule::decode_with(module, &DecodeOptions { reference });
-    let metrics = MetricsRegistry::enabled();
     let config = ExecConfig {
         max_heap_cells: Some(cells),
-        metrics: metrics.clone(),
         ..ExecConfig::default()
     };
-    let err = Interpreter::new(module, config)
+    let mut interp = Interpreter::new(module, config);
+    let err = interp
         .run_decoded(&decoded, "main")
         .expect_err("the heap limit trips");
-    let ticks = metrics
-        .snapshot()
-        .rows
-        .iter()
-        .find(|r| r.id == "exec_fuel_ticks_total")
-        .map(|r| match r.value {
-            MetricValue::Counter(n) => n,
-            _ => panic!("exec_fuel_ticks_total is a counter"),
-        });
-    (decoded, err, ticks)
+    (decoded, err, interp.fuel_ticks())
 }
 
 /// A `max_heap_cells` limit that trips at a `new` inside a bulk loop
@@ -615,7 +604,7 @@ fn @main() -> void {
             (&reference, reference_ticks),
             "{cells} cells"
         );
-        stops.push(ticks.expect("published"));
+        stops.push(ticks);
     }
     // No cell: the first literal trips before it runs; one cell: the
     // first iteration's literal; four: the fourth iteration's.
