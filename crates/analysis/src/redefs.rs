@@ -115,11 +115,6 @@ impl RedefChains {
         r.sort_unstable();
         r
     }
-
-    /// Whether `a` and `b` name states of the same collection.
-    pub fn same_collection(&self, a: ValueId, b: ValueId) -> bool {
-        self.root.get(&a) == self.root.get(&b) && self.root.contains_key(&a)
-    }
 }
 
 #[cfg(test)]
@@ -173,10 +168,6 @@ fn @count(%input: Seq<f64>) -> void {
         .expect("parses");
         let chains = RedefChains::compute(&f);
         assert_eq!(chains.roots().len(), 2);
-        let a = f.params.len(); // value ids: %a=0 ...
-        let _ = a;
-        let roots = chains.roots();
-        assert!(!chains.same_collection(roots[0], roots[1]));
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl Operand {
         }
     }
 
-    /// Whether this operand has a nesting path.
-    pub fn is_nested(&self) -> bool {
-        !self.path.is_empty()
-    }
-
     /// SSA values referenced by this operand (the base plus any dynamic
     /// path indices).
     pub fn referenced_values(&self) -> impl Iterator<Item = ValueId> + '_ {
@@ -480,7 +475,7 @@ mod tests {
         };
         let vals: Vec<ValueId> = op.referenced_values().collect();
         assert_eq!(vals, vec![ValueId(1), ValueId(2)]);
-        assert!(op.is_nested());
+        assert!(!op.path.is_empty());
     }
 
     #[test]

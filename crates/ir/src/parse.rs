@@ -1039,7 +1039,7 @@ fn @f(%m: Map{Swiss}<u64, Set{Bit}<idx>>) -> void {
             .into_iter()
             .find(|&i| f.inst(i).kind == InstKind::Insert)
             .expect("insert");
-        assert!(f.inst(ins).operands[0].is_nested());
+        assert!(!f.inst(ins).operands[0].path.is_empty());
     }
 
     #[test]

@@ -21,11 +21,6 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
@@ -304,7 +299,7 @@ mod tests {
         let g = grid2d(4, 3);
         // Horizontal: 3*3*2, vertical: 4*2*2.
         assert_eq!(g.edges.len(), 18 + 16);
-        assert_eq!(g.node_count(), 12);
+        assert_eq!(g.nodes.len(), 12);
     }
 
     #[test]
