@@ -269,8 +269,10 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
 /// when nonzero. Only a finished run writes the file, so its one stop
 /// row reads `reason="ok"`.
 fn metrics_json(outcome: &Outcome) -> String {
+    /// A row's name, its one label if any, and its value.
+    type Row<'a> = (&'a str, Option<(&'a str, &'a str)>, u64);
     let counts = &outcome.counts;
-    let mut rows: Vec<(&str, Option<(&str, &str)>, u64)> = counts
+    let mut rows: Vec<Row> = counts
         .backends
         .iter()
         .map(|(&kind, &n)| ("exec_backend_selected_total", Some(("kind", kind)), n))
