@@ -362,6 +362,30 @@ fn @main() -> void {
     assert_eq!(out.output, "80200\n");
 }
 
+/// Yields whose in-order copies would overwrite one of their own
+/// sources: a `forrange` rotating three carried `u64`s (`yield %b, %n,
+/// %a`, `%n` from an `if`), one swapping two carried strings, and a
+/// `dowhile` whose condition is the carried argument its own yield
+/// overwrites. Every yield reads all its sources, the condition
+/// included, before it writes any: read after the copies, the condition
+/// would end the `dowhile` one iteration early (`false 4`).
+#[test]
+fn permuted_yields_read_every_source_before_writing() {
+    use ade_interp::{DecodeOptions, DecodedModule};
+    let m = parse_module(include_str!("programs/permuted_yields.memoir")).expect("parses");
+    for reference in [true, false] {
+        let decoded = DecodedModule::decode_with(&m, &DecodeOptions { reference });
+        let out = Interpreter::new(&m, ExecConfig::default())
+            .run_decoded(&decoded, "main")
+            .expect("runs");
+        assert_eq!(
+            (out.output.as_str(), out.fuel_ticks),
+            ("6 4 1\ny x\nfalse 5\n", 55),
+            "reference={reference}"
+        );
+    }
+}
+
 /// A program that materializes `elems` (IR element tokens of type `ty`)
 /// as one `literal`, or as the element-wise `new` plus one end `insert`
 /// per element (after an `enumadd` when `enumerated`), then prints every

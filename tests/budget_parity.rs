@@ -4,7 +4,7 @@
 //! Each program runs unprofiled on both decodes, as a batch run and as a
 //! session at quanta {1, 2, 3, 7, 4096, unlimited}, with no fuel limit
 //! and under every fuel limit within the last 40 ticks of its run (every
-//! fuel limit for the literal case). Every
+//! fuel limit for the literal and permuted-yield cases). Every
 //! run must match the batch run on the reference decode under the same
 //! budget: output, return value, per-phase statistics, peak and final
 //! bytes, executed ticks, and the error (code and `@fn:inst` site).
@@ -434,6 +434,13 @@ fn @main() -> void {
 }
 "#;
 
+/// Yields whose in-order copies would overwrite one of their own
+/// sources: carried `u64`s rotated through an `if`, two carried strings
+/// swapped, and a `dowhile` condition that is a carried argument the
+/// same yield overwrites.
+const PERMUTED_YIELDS: &str =
+    include_str!("../crates/interp/tests/programs/permuted_yields.memoir");
+
 /// A plan whose hoisted prelude `const` keys one of its reads: the
 /// lowering of a constant path index.
 fn const_index_step(i: &DInst) -> bool {
@@ -589,6 +596,16 @@ const CASES: &[Case] = &[
                 )
             },
             |i| bulk_plan_has(i, |op| matches!(op, BulkOp::Literal { .. })),
+        ],
+        depths: NO_DEPTH_LIMIT,
+        fuel_sweep: u64::MAX,
+    },
+    Case {
+        name: "permuted carries and a dowhile condition its yield overwrites",
+        text: PERMUTED_YIELDS,
+        shapes: &[
+            |i| matches!(i, DInst::DoWhile { .. }),
+            |i| i.as_loop().is_some(),
         ],
         depths: NO_DEPTH_LIMIT,
         fuel_sweep: u64::MAX,
@@ -757,6 +774,11 @@ fn clear_tuple_and_constant_paths_match_the_reference_under_every_budget() {
 #[test]
 fn literals_match_the_reference_under_every_budget() {
     check(&CASES[9]);
+}
+
+#[test]
+fn permuted_yields_match_the_reference_under_every_budget() {
+    check(&CASES[10]);
 }
 
 #[test]
