@@ -21,6 +21,8 @@
 //!   prebuilt table of register bits or strings,
 //! - region targets become contiguous index ranges into the decoded
 //!   stream,
+//! - every `yield` becomes the copies of its values into the slots its
+//!   consumer reads them from ([`DInst::Yield`]),
 //! - `foreach` and `forrange` decode to one [`LoopHeader`]: what the
 //!   loop iterates, its carried slots, body and destinations, and how
 //!   many body arguments an iteration binds, read off the IR's
@@ -125,8 +127,6 @@ pub enum DInst {
         then_r: u32,
         /// Decoded region index of the else-block.
         else_r: u32,
-        /// Destination slots for the region's yields.
-        dsts: Box<[Slot]>,
     },
     /// A `foreach` or `forrange` whose iterations run generically.
     Loop(LoopHeader),
@@ -139,21 +139,14 @@ pub enum DInst {
         /// Destination slots for the final carried values.
         dsts: Box<[Slot]>,
     },
-    /// Region terminator carrying results to the parent.
+    /// Region terminator: the copies of its values into an `if`'s
+    /// results, or into a loop body's carried arguments.
     Yield {
-        /// Yielded slots.
-        srcs: Box<[Slot]>,
-    },
-    /// [`DInst::Yield`] rewritten at decode time to move its
-    /// values straight into the consumer's destination slots — the next
-    /// iteration's carried args for a loop body, the branch's dsts for
-    /// an if arm — skipping the interpreter's yield buffers.
-    /// Only built where no copy overwrites a later copy's source.
-    YieldDirect {
-        /// Source slots, copied in order.
-        srcs: Box<[Slot]>,
-        /// Destination slots, `dsts[j] = srcs[j]`.
-        dsts: Box<[Slot]>,
+        /// A `dowhile` body's condition, read before the moves run (they
+        /// may overwrite it); the body runs again while it holds.
+        cond: Option<Slot>,
+        /// The copies, past the condition.
+        moves: Moves,
     },
     /// Function return.
     Ret {
@@ -326,8 +319,7 @@ pub struct BulkPlan {
     /// consts excluded).
     pub ops: Box<[PlanOp]>,
     /// The body's terminal yield into the carried argument slots, run
-    /// after each iteration (already checked for write-before-read
-    /// hazards, like [`DInst::YieldDirect`]).
+    /// after each iteration: the [`DInst::Yield`]'s own moves.
     pub yields: Moves,
     /// Body slots after the last op, terminator included: the ticks an
     /// iteration takes beyond its ops' [`PlanOp::ticks`].
@@ -583,10 +575,11 @@ pub enum BulkOp {
     },
 }
 
-/// A yield's copies of `srcs[j]` into `dsts[j]`, in order, split by file
-/// with the self-copies dropped: a plan's yield is a run of `u64`
-/// moves. Files do not alias, so splitting keeps each copy's order
-/// where it matters.
+/// A yield's slot copies, run in order and split by file with the
+/// self-copies dropped: most yields are a short run of `u64` moves.
+/// Files do not alias, so splitting keeps each copy's order where it
+/// matters. No copy overwrites a later copy's source: decode saves such
+/// a source to a scratch slot first.
 #[derive(Clone, Debug, Default)]
 pub struct Moves {
     /// `(src, dst)` register indices.
@@ -596,17 +589,17 @@ pub struct Moves {
 }
 
 impl Moves {
-    fn new(srcs: &[Slot], dsts: &[Slot]) -> Moves {
-        let pairs = |boxed: bool| {
-            srcs.iter()
-                .zip(dsts)
+    fn new(copies: &[(Slot, Slot)]) -> Moves {
+        let file = |boxed: bool| {
+            copies
+                .iter()
                 .filter(|(s, t)| s != t && t.is_boxed() == boxed)
                 .map(|(s, t)| (s.index, t.index))
                 .collect()
         };
         Moves {
-            regs: pairs(false),
-            side: pairs(true),
+            regs: file(false),
+            side: file(true),
         }
     }
 }
@@ -657,9 +650,8 @@ pub struct DFunc {
     /// Every `foreach`/`forrange` header loop fusion left generic, with
     /// the stable reason its body did not compile to a [`BulkPlan`]
     /// (sorted by header slot): the opcode that rejected it (`call`,
-    /// `print`, `roi`, `dowhile`, `ret`), `inner-loop` (a loop nested in
-    /// the body stayed generic) or `yield-hazard` (a yield whose in-order
-    /// copies would overwrite one of their own sources). Empty under
+    /// `print`, `roi`, `dowhile`, `ret`) or `inner-loop` (a loop nested
+    /// in the body stayed generic). Empty under
     /// [`DecodeOptions::reference`], which tries no loop.
     pub generic_loops: Box<[(u32, &'static str)]>,
 }
@@ -692,17 +684,16 @@ pub struct DecodedModule {
 /// Options for [`DecodedModule::decode_with`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DecodeOptions {
-    /// Decode the reference stream: one [`DInst`] per source instruction,
-    /// with no loop plans ([`DInst::LoopBulk`]) and no
-    /// [`DInst::YieldDirect`]. The default (`false`) builds both; they
-    /// are observationally inert, so the reference interpreter is the
-    /// differential oracle for them.
+    /// Decode the reference stream: no loop plans ([`DInst::LoopBulk`]).
+    /// The default (`false`) builds them; they are observationally
+    /// inert, so the reference interpreter is the differential oracle
+    /// for them.
     pub reference: bool,
 }
 
 impl DecodedModule {
     /// Decodes every function of `module`; the default [`DecodeOptions`]
-    /// build loop plans and direct yields.
+    /// build loop plans.
     ///
     /// This first runs the IR verifier, in every build: the decoded
     /// stream bakes in static facts (insert flavors, binding shapes)
@@ -724,7 +715,6 @@ impl DecodedModule {
                 let mut d = decode_function(f);
                 if !options.reference {
                     loop_fuse_function(&mut d);
-                    direct_yields(&mut d);
                 }
                 d
             })
@@ -778,6 +768,22 @@ struct FuncDecoder<'f> {
     site: u32,
     /// The path steps its operands lowered to so far.
     steps: Vec<PlanOp>,
+    /// Where each region's closing `yield` lands, by region index, until
+    /// the yield is decoded.
+    targets: Vec<YieldTarget>,
+    /// The region being decoded.
+    region: usize,
+}
+
+/// The consumer of a region's closing `yield`.
+#[derive(Clone, Debug, Default)]
+struct YieldTarget {
+    /// Whether the yield leads with a `dowhile` condition.
+    cond: bool,
+    /// The slots its values (past the condition) land in: an `if`'s
+    /// results, or the body's carried arguments for a loop. None for
+    /// the function body and orphan regions.
+    dsts: Box<[Slot]>,
 }
 
 fn decode_function(func: &Function) -> DFunc {
@@ -801,7 +807,10 @@ fn decode_function(func: &Function) -> DFunc {
         boxed: func.values.iter().any(|v| Kind::of(&v.ty) == Kind::Boxed),
         site: 0,
         steps: Vec::new(),
+        targets: Vec::new(),
+        region: 0,
     };
+    d.targets = d.yield_targets();
     // Decode every region (the body transitively reaches them all, but
     // walking the arena keeps region indices identical to the source).
     for r in 0..func.regions.len() {
@@ -828,8 +837,35 @@ fn slot(index: usize) -> u32 {
 }
 
 impl<'f> FuncDecoder<'f> {
+    /// Where the closing `yield` of every region reached from the body
+    /// lands: an `if`'s results, or a loop body's carried arguments,
+    /// which are its last arguments, one per loop result.
+    fn yield_targets(&self) -> Vec<YieldTarget> {
+        let func = self.func;
+        let mut targets = vec![YieldTarget::default(); func.regions.len()];
+        let mut regions = vec![func.body];
+        while let Some(r) = regions.pop() {
+            for inst in func.region(r).insts.iter().map(|&i| func.inst(i)) {
+                for &sub in &inst.regions {
+                    let args = &func.region(sub).args;
+                    let dsts = match inst.kind {
+                        InstKind::If => &inst.results[..],
+                        _ => &args[args.len() - inst.results.len()..],
+                    };
+                    targets[sub.index()] = YieldTarget {
+                        cond: inst.kind == InstKind::DoWhile,
+                        dsts: dsts.iter().map(|&v| self.value_slot(v)).collect(),
+                    };
+                    regions.push(sub);
+                }
+            }
+        }
+        targets
+    }
+
     fn decode_region(&mut self, r: RegionId) {
         let region = self.func.region(r);
+        self.region = r.index();
         let start = slot(self.code.len());
         // Nested regions decode via the arena walk in `decode_function`,
         // not recursively here, so this region's instructions stay
@@ -906,13 +942,18 @@ impl<'f> FuncDecoder<'f> {
         slot(self.types.len() - 1)
     }
 
+    /// A fresh scratch slot of `kind` past the frame so far.
+    fn scratch(&mut self, kind: Kind) -> Slot {
+        let s = Slot::new(self.frame_size as usize, kind);
+        self.frame_size = self.frame_size.checked_add(1).expect("frame fits u32");
+        self.boxed |= kind == Kind::Boxed;
+        s
+    }
+
     /// Appends a path step of the current instruction, writing a fresh
     /// scratch slot of static type `ty`, and returns that slot.
     fn step(&mut self, ty: &Type, op: impl FnOnce(Slot) -> BulkOp) -> Slot {
-        let kind = Kind::of(ty);
-        let dst = Slot::new(self.frame_size as usize, kind);
-        self.frame_size = self.frame_size.checked_add(1).expect("frame fits u32");
-        self.boxed |= kind == Kind::Boxed;
+        let dst = self.scratch(Kind::of(ty));
         self.steps.push(PlanOp {
             site: self.site,
             ticks: 0,
@@ -968,6 +1009,26 @@ impl<'f> FuncDecoder<'f> {
         inst.results.iter().map(|&r| self.value_slot(r)).collect()
     }
 
+    /// The copies of a yield's `srcs` into `dsts`, in order. A source
+    /// that an earlier copy overwrites (carried values permuted) is saved
+    /// to a fresh scratch slot before any copy, and copied from there.
+    fn moves(&mut self, srcs: &[Slot], dsts: &[Slot]) -> Moves {
+        let mut copies = Vec::new();
+        let mut saved = Vec::new();
+        for (j, (&s, &t)) in srcs.iter().zip(dsts).enumerate() {
+            let s = if dsts[..j].contains(&s) {
+                let save = self.scratch(s.kind());
+                saved.push((s, save));
+                save
+            } else {
+                s
+            };
+            copies.push((s, t));
+        }
+        saved.extend(copies);
+        Moves::new(&saved)
+    }
+
     /// Static type of the value an operand addresses.
     fn target_type(&self, operand: &Operand) -> &'f Type {
         ade_ir::builder::operand_type_in(self.func, operand)
@@ -995,7 +1056,6 @@ impl<'f> FuncDecoder<'f> {
                     cond: self.op(&ops[0]),
                     then_r: slot(inst.regions[0].index()),
                     else_r: slot(inst.regions[1].index()),
-                    dsts: self.dsts(inst),
                 }
             }
             InstKind::ForEach | InstKind::ForRange => {
@@ -1026,9 +1086,16 @@ impl<'f> FuncDecoder<'f> {
                 }
             }
             InstKind::Yield => {
+                let srcs = self.ops(ops);
+                let target = std::mem::take(&mut self.targets[self.region]);
+                let (cond, srcs) = match srcs.split_first() {
+                    Some((&cond, rest)) if target.cond => (Some(cond), rest),
+                    _ => (None, &srcs[..]),
+                };
                 return DInst::Yield {
-                    srcs: self.ops(ops),
-                }
+                    cond,
+                    moves: self.moves(srcs, &target.dsts),
+                };
             }
             InstKind::Ret => {
                 return DInst::Ret {
@@ -1172,60 +1239,6 @@ impl<'f> FuncDecoder<'f> {
     }
 }
 
-/// Rewrites the terminal [`DInst::Yield`] of loop bodies and branch
-/// arms into [`DInst::YieldDirect`] targeting the consumer's slots.
-/// Runs after loop fusion, so bulk loop bodies are covered for the
-/// iterations that run them per instruction.
-///
-/// Observables are unchanged: the terminator keeps its code slot (same
-/// fuel tick, same trap site) and its path steps, a slot copy cannot
-/// trap, and the copies land exactly where the buffered values would
-/// have. A yield with a write-before-read hazard between the copies
-/// keeps the buffered path.
-fn direct_yields(d: &mut DFunc) {
-    let mut plans: Vec<(u32, Box<[Slot]>)> = Vec::new();
-    for inst in d.code.iter() {
-        match inst.own() {
-            DInst::Loop(head) | DInst::LoopBulk(head, _) => {
-                plans.push((head.body, head.carried_args(d).into()));
-            }
-            DInst::If {
-                then_r,
-                else_r,
-                dsts,
-                ..
-            } => {
-                plans.push((*then_r, dsts.clone()));
-                plans.push((*else_r, dsts.clone()));
-            }
-            _ => {}
-        }
-    }
-    for (r, dsts) in plans {
-        let term = d.code[d.regions[r as usize].end as usize - 1].own_mut();
-        if let Some(srcs) = direct_srcs(term, &dsts) {
-            *term = DInst::YieldDirect {
-                srcs: srcs.into(),
-                dsts,
-            };
-        }
-    }
-}
-
-/// The source slots of a region terminator that can be copied straight
-/// into the consumer's `dsts`: a [`DInst::Yield`] of matching length
-/// with no write-before-read hazard between the in-order copies. `None`
-/// for anything else.
-fn direct_srcs(term: &DInst, dsts: &[Slot]) -> Option<Vec<Slot>> {
-    let DInst::Yield { srcs } = term else {
-        return None;
-    };
-    if srcs.len() != dsts.len() || srcs.iter().enumerate().any(|(j, s)| dsts[..j].contains(s)) {
-        return None;
-    }
-    Some(srcs.to_vec())
-}
-
 /// Runs the loop-granular fusion tier over every loop of `d`: a
 /// `foreach`/`forrange` header whose whole body compiles to a
 /// [`BulkPlan`] gets the plan attached ([`DInst::LoopBulk`]); every
@@ -1237,8 +1250,7 @@ fn direct_srcs(term: &DInst, dsts: &[Slot]) -> Option<Vec<Slot>> {
 ///
 /// Loops compile innermost first, so an enclosing body finds each
 /// nested loop already compiled and embeds its plan as a
-/// [`BulkOp::Loop`]. Runs before [`direct_yields`], so plans compile
-/// from the buffered yields.
+/// [`BulkOp::Loop`].
 fn loop_fuse_function(d: &mut DFunc) {
     let mut generic = Vec::new();
     for idx in loops_inner_first(d) {
@@ -1289,18 +1301,17 @@ type Reject = &'static str;
 /// a region the plan language can express.
 fn try_bulk_loop(d: &DFunc, idx: usize) -> Result<Box<BulkPlan>, Reject> {
     let (head, _) = d.code[idx].as_loop().expect("a foreach/forrange header");
-    let plan = compile_plan(d, &d.regions[head.body as usize], head.carried_args(d))?;
+    let plan = compile_plan(d, &d.regions[head.body as usize])?;
     Ok(Box::new(plan))
 }
 
 /// Compiles a loop body region into a [`BulkPlan`]: every slot must be
-/// expressible as plan ops, and the terminator must be a yield of the
-/// carried values that [`direct_srcs`] accepts (the same rule
-/// [`direct_yields`] applies). Top-level `const` ops are hoisted into the
-/// prelude: each writes a slot no other op writes (an SSA value, or the
-/// scratch slot of one constant path index).
-fn compile_plan(d: &DFunc, region: &DRegion, carried_args: &[Slot]) -> Result<BulkPlan, Reject> {
-    let (ops, yield_srcs) = compile_body(d, region, carried_args)?;
+/// expressible as plan ops, and the terminating yield's moves carry the
+/// values into the next iteration. Top-level `const` ops are hoisted
+/// into the prelude: each writes a slot no other op writes (an SSA
+/// value, or the scratch slot of one constant path index).
+fn compile_plan(d: &DFunc, region: &DRegion) -> Result<BulkPlan, Reject> {
+    let (ops, yields) = compile_body(d, region)?;
     let (prelude, mut ops): (Vec<PlanOp>, Vec<PlanOp>) = ops
         .into_iter()
         .partition(|p| matches!(p.op, BulkOp::Scalar(UScalar::Const { .. })));
@@ -1310,7 +1321,7 @@ fn compile_plan(d: &DFunc, region: &DRegion, carried_args: &[Slot]) -> Result<Bu
         depth: 1 + nest_depth(&ops),
         prelude: prelude.into_boxed_slice(),
         ops: ops.into_boxed_slice(),
-        yields: Moves::new(&yield_srcs, carried_args),
+        yields,
         tail,
     })
 }
@@ -1369,22 +1380,18 @@ fn nest_depth(ops: &[PlanOp]) -> u32 {
 }
 
 /// Compiles a loop body or branch arm: the ops of its slots, the
-/// terminator's path steps included, plus the source slots of its
-/// terminal yield into `dsts`.
-fn compile_body(
-    d: &DFunc,
-    region: &DRegion,
-    dsts: &[Slot],
-) -> Result<(Vec<PlanOp>, Vec<Slot>), Reject> {
+/// terminator's path steps included, plus its terminal yield's moves.
+fn compile_body(d: &DFunc, region: &DRegion) -> Result<(Vec<PlanOp>, Moves), Reject> {
     let (start, end) = (region.start as usize, region.end as usize);
     let mut ops = Vec::new();
     for idx in start..end - 1 {
         compile_inst(d, idx, &mut ops)?;
     }
-    let (steps, term) = split(&d.code[end - 1]);
-    let srcs = direct_srcs(term, dsts).ok_or("yield-hazard")?;
+    let (steps, DInst::Yield { moves, .. }) = split(&d.code[end - 1]) else {
+        unreachable!("the verifier ends every loop body and arm with yield")
+    };
     ops.extend_from_slice(steps);
-    Ok((ops, srcs))
+    Ok((ops, moves.clone()))
 }
 
 /// A slot's path steps and the instruction they feed.
@@ -1410,13 +1417,12 @@ fn compile_inst(d: &DFunc, idx: usize, out: &mut Vec<PlanOp>) -> Result<(), Reje
             cond,
             then_r,
             else_r,
-            dsts,
         } => {
             let arm = |r: u32| {
                 let region = &d.regions[r as usize];
-                let (mut ops, srcs) = compile_body(d, region, dsts)?;
+                let (mut ops, yields) = compile_body(d, region)?;
                 let tail = assign_ticks(&mut ops, region);
-                Ok::<_, Reject>((ops, Moves::new(&srcs, dsts), tail))
+                Ok::<_, Reject>((ops, yields, tail))
             };
             let (then_ops, then_yields, then_tail) = arm(*then_r)?;
             let (else_ops, else_yields, else_tail) = arm(*else_r)?;
@@ -1436,7 +1442,7 @@ fn compile_inst(d: &DFunc, idx: usize, out: &mut Vec<PlanOp>) -> Result<(), Reje
         DInst::Print { .. } => return Err("print"),
         DInst::Roi { .. } => return Err("roi"),
         DInst::Ret { .. } => return Err("ret"),
-        DInst::Yield { .. } | DInst::YieldDirect { .. } | DInst::Lowered { .. } => {
+        DInst::Yield { .. } | DInst::Lowered { .. } => {
             unreachable!("{inst:?} mid-region: a verified region yields only last")
         }
     };
@@ -1873,30 +1879,32 @@ fn @main() -> void {
 "#,
         )
         .expect("parses");
-        // Plain decode keeps the buffered yield; the default decode
-        // rewrites it to copy straight into the body's carried slot.
-        let plain = reference(&m);
-        assert!(plain.funcs[0]
-            .code
-            .iter()
-            .all(|i| !matches!(i, DInst::YieldDirect { .. })));
-        let default = DecodedModule::decode_with(&m, &DecodeOptions::default());
-        let f = &default.funcs[0];
-        let body = f
-            .code
-            .iter()
-            .find_map(|i| match i {
-                DInst::Loop(head) | DInst::LoopBulk(head, _) => Some(head.body),
-                _ => None,
-            })
-            .expect("forrange decoded");
-        let region = &f.regions[body as usize];
-        let term = region.end as usize - 1;
-        let DInst::YieldDirect { srcs, dsts } = &f.code[term] else {
-            panic!("loop yield rewritten to YieldDirect");
-        };
-        assert_eq!(srcs.len(), 1);
-        assert_eq!(dsts.as_ref(), &region.args[1..]);
+        // Both decodes copy the yielded sum straight into the body's
+        // carried slot: one register move.
+        for d in [
+            reference(&m),
+            DecodedModule::decode_with(&m, &DecodeOptions::default()),
+        ] {
+            let f = &d.funcs[0];
+            let body = f
+                .code
+                .iter()
+                .find_map(|i| i.as_loop().map(|(head, _)| head.body))
+                .expect("forrange decoded");
+            let region = &f.regions[body as usize];
+            let DInst::Yield { cond: None, moves } = &f.code[region.end as usize - 1] else {
+                panic!("a loop body ends in a yield");
+            };
+            let DInst::Op(PlanOp {
+                op: BulkOp::Scalar(UScalar::Bin { dst: sum, .. }),
+                ..
+            }) = f.code[region.start as usize]
+            else {
+                panic!("the body adds first");
+            };
+            assert_eq!(moves.regs.as_ref(), &[(sum.index, region.args[1].index)]);
+            assert!(moves.side.is_empty());
+        }
     }
 
     const CHURN_LOOP: &str = r#"

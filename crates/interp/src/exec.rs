@@ -362,7 +362,7 @@ impl Frame {
         }
     }
 
-    /// Runs a plan yield's copies.
+    /// Runs a yield's copies.
     #[inline(always)]
     fn run(&mut self, moves: &Moves) {
         for &(s, t) in moves.regs.iter() {
@@ -401,9 +401,8 @@ struct Cursor {
 enum RegionKind {
     /// A function body, left only by `ret`.
     Body,
-    /// An `if` arm of the `If` at `header`, whose destinations receive
-    /// the arm's yields.
-    Arm { header: u32 },
+    /// An `if` arm.
+    Arm,
     /// A `foreach`/`forrange` body. `bulk` (fixed at loop entry) lets
     /// iterations run through the header's plan.
     Loop {
@@ -551,11 +550,6 @@ pub struct Interpreter<'m> {
     sliced: bool,
     /// The session grant `tick_boundary` loads next, if any.
     grant: Option<u64>,
-    /// A buffered yield's register values, in order, between the
-    /// `yield` and their landing in the consumer's slots.
-    yield_regs: Vec<u64>,
-    /// A buffered yield's boxed values, in order.
-    yield_side: Vec<Value>,
 }
 
 impl<'m> Interpreter<'m> {
@@ -589,8 +583,6 @@ impl<'m> Interpreter<'m> {
             ticks_spent: 0,
             sliced: false,
             grant: None,
-            yield_regs: Vec::new(),
-            yield_side: Vec::new(),
         }
     }
 
@@ -1061,20 +1053,13 @@ impl<'m> Interpreter<'m> {
                 cond,
                 then_r,
                 else_r,
-                ..
             } => {
                 let arm = if frame.reg(*cond) != 0 {
                     *then_r
                 } else {
                     *else_r
                 };
-                self.enter_region(
-                    func,
-                    cursors,
-                    pc + 1,
-                    arm,
-                    RegionKind::Arm { header: pc as u32 },
-                )
+                self.enter_region(func, cursors, pc + 1, arm, RegionKind::Arm)
             }
             DInst::Loop(_) | DInst::LoopBulk(..) => self.enter_loop(func, frame, cursors, pc),
             DInst::DoWhile { carried, body, .. } => {
@@ -1088,21 +1073,12 @@ impl<'m> Interpreter<'m> {
                     RegionKind::DoWhile { header: pc as u32 },
                 )
             }
-            DInst::Yield { srcs } => {
-                self.yield_regs.clear();
-                self.yield_side.clear();
-                for &s in srcs.iter() {
-                    if s.is_boxed() {
-                        self.yield_side.push(frame.side[s.index()].clone());
-                    } else {
-                        self.yield_regs.push(frame.reg(s));
-                    }
-                }
-                self.leave_region(func, frame, cursors, true)
-            }
-            DInst::YieldDirect { srcs, dsts } => {
-                copy_slots(frame, srcs, dsts);
-                self.leave_region(func, frame, cursors, false)
+            DInst::Yield { cond, moves } => {
+                // The moves may overwrite a `dowhile` condition that is
+                // also a carried argument: read it first.
+                let again = cond.is_some_and(|c| frame.reg(c) != 0);
+                frame.run(moves);
+                self.leave_region(func, frame, cursors, again)
             }
             DInst::Ret { src } => Ok(Next::Leave(Transfer::Ret(*src))),
             DInst::Roi { begin } => {
@@ -1139,56 +1115,33 @@ impl<'m> Interpreter<'m> {
         Ok(Next::At(start as usize))
     }
 
-    /// The region's terminator ran, its values buffered (`buffered`)
-    /// or, after a [`DInst::YieldDirect`], already copied.
-    /// An arm lands them in its header's destinations and resumes the
-    /// enclosing region; a loop body passes them to the next iteration.
+    /// The region's terminator ran and its values are in the consumer's
+    /// slots. An arm resumes the enclosing region; a loop body starts
+    /// the next iteration; a `dowhile` body runs `again`, or copies its
+    /// carried arguments into the loop's destinations and resumes the
+    /// enclosing region.
     fn leave_region(
         &mut self,
         func: &DFunc,
         frame: &mut Frame,
         cursors: &mut Vec<Cursor>,
-        buffered: bool,
+        again: bool,
     ) -> Result<Next, ExecError> {
-        let kind = &cursors.last().expect("current region").kind;
-        match *kind {
+        let top = cursors.last_mut().expect("current region");
+        match top.kind {
             RegionKind::Body => unreachable!("the verifier ends a function body with ret"),
-            RegionKind::Arm { header } => {
-                if buffered {
-                    let DInst::If { dsts, .. } = func.code[header as usize].own() else {
-                        unreachable!("an arm's header is a branch")
-                    };
-                    self.land(frame, dsts, 0);
-                }
-                Ok(leave_to_parent(cursors))
-            }
-            RegionKind::Loop { header, .. } => {
-                if buffered {
-                    let (head, _) = loop_at(func, header as usize);
-                    self.land(frame, head.carried_args(func), 0);
-                }
-                self.next_iteration(func, frame, cursors)
+            RegionKind::Arm => Ok(leave_to_parent(cursors)),
+            RegionKind::Loop { .. } => self.next_iteration(func, frame, cursors),
+            RegionKind::DoWhile { .. } if again => {
+                top.pc = top.start;
+                Ok(Next::At(top.start as usize))
             }
             RegionKind::DoWhile { header } => {
-                // Direct yields only serve arms and foreach/forrange
-                // bodies.
-                assert!(buffered, "a dowhile body yields through the buffer");
-                self.next_dowhile(func, frame, cursors, header as usize)
-            }
-        }
-    }
-
-    /// Moves the buffered yield into `dsts`, past its first `skip`
-    /// registers: each destination takes the next value of its file.
-    fn land(&mut self, frame: &mut Frame, dsts: &[Slot], skip: usize) {
-        let (mut reg, mut side) = (skip, 0);
-        for &t in dsts {
-            if t.is_boxed() {
-                frame.side[t.index()] = std::mem::take(&mut self.yield_side[side]);
-                side += 1;
-            } else {
-                frame.set_reg(t, self.yield_regs[reg]);
-                reg += 1;
+                let DInst::DoWhile { body, dsts, .. } = func.code[header as usize].own() else {
+                    unreachable!("a dowhile body's header is a dowhile")
+                };
+                copy_slots(frame, &func.regions[*body as usize].args, dsts);
+                Ok(leave_to_parent(cursors))
             }
         }
     }
@@ -1386,33 +1339,6 @@ impl<'m> Interpreter<'m> {
             self.counts.plan_ticks += before - self.ticks_left;
         }
         next
-    }
-
-    /// The `dowhile` body at the top cursor yielded into the buffer: the
-    /// condition, then the next carried values. Runs the body again or
-    /// lands the carried values in the loop's destinations.
-    fn next_dowhile(
-        &mut self,
-        func: &DFunc,
-        frame: &mut Frame,
-        cursors: &mut Vec<Cursor>,
-        header: usize,
-    ) -> Result<Next, ExecError> {
-        // The verifier leads every dowhile yield with its bool
-        // condition: the first buffered register.
-        let cond = self.yield_regs[0] != 0;
-        let DInst::DoWhile { body, dsts, .. } = func.code[header].own() else {
-            unreachable!("a dowhile body's header is a dowhile")
-        };
-        if cond {
-            self.land(frame, &func.regions[*body as usize].args, 1);
-            let top = cursors.last_mut().expect("loop region");
-            top.pc = top.start;
-            Ok(Next::At(top.start as usize))
-        } else {
-            self.land(frame, dsts, 1);
-            Ok(leave_to_parent(cursors))
-        }
     }
 
     /// One bulk loop iteration: the plan's ops, then the terminal yield
@@ -1696,7 +1622,8 @@ fn project(v: &Value, n: u32) -> Value {
 }
 
 /// Copies each `srcs[j]` into `dsts[j]` in order, skipping self-copies:
-/// yields landing in their consumer's slots.
+/// initial carried values into a loop body, final ones into the loop's
+/// destinations.
 #[inline]
 fn copy_slots(frame: &mut Frame, srcs: &[Slot], dsts: &[Slot]) {
     for (&s, &t) in srcs.iter().zip(dsts) {

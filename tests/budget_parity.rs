@@ -491,9 +491,9 @@ const CASES: &[Case] = &[
     Case {
         name: "generic straight-line dispatch",
         text: STRAIGHT,
-        // The program has no `foreach`/`forrange`, so its direct yields
-        // end `if` arms.
-        shapes: &[|i| matches!(i, DInst::YieldDirect { .. })],
+        // The program has no `foreach`/`forrange`, so dispatch enters
+        // its `if` arms.
+        shapes: &[|i| matches!(i, DInst::If { .. })],
         depths: NO_DEPTH_LIMIT,
         fuel_sweep: FUEL_SWEEP,
     },
@@ -603,10 +603,7 @@ const CASES: &[Case] = &[
     Case {
         name: "permuted carries and a dowhile condition its yield overwrites",
         text: PERMUTED_YIELDS,
-        shapes: &[
-            |i| matches!(i, DInst::DoWhile { .. }),
-            |i| i.as_loop().is_some(),
-        ],
+        shapes: &[|i| matches!(i, DInst::DoWhile { .. }), bulk_range_with_if],
         depths: NO_DEPTH_LIMIT,
         fuel_sweep: u64::MAX,
     },
