@@ -3,12 +3,10 @@
 //! A from-scratch implementation of the Roaring bitmap design (Lemire et
 //! al.) that the paper uses via the Roaring library: keys are split into a
 //! 16-bit *chunk* (high bits) and a 16-bit offset; each chunk owns one of
-//! three container kinds chosen by density —
+//! two container kinds chosen by density —
 //!
 //! * **Array**: sorted `u16` offsets, for sparse chunks (≤ 4096 entries);
-//! * **Bitmap**: a fixed 8 KiB bit array, for dense chunks;
-//! * **Run**: sorted `(start, length)` intervals, produced by
-//!   [`SparseBitSet::run_optimize`] for highly clustered chunks.
+//! * **Bitmap**: a fixed 8 KiB bit array, for dense chunks.
 //!
 //! Containers convert automatically as they grow or shrink, giving `O(1)`
 //! membership with storage proportional to the *populated* part of the key
@@ -24,6 +22,12 @@ use crate::HeapSize;
 const ARRAY_MAX: usize = 4096;
 /// Bitmap container size in 64-bit words (65536 bits).
 const BITMAP_WORDS: usize = 1024;
+/// Bytes the footprint estimate charges per chunk entry, its key and
+/// container: the size of `(u64, Container)` on 64-bit targets while a
+/// third, run-length container kind existed. The memory figures are
+/// calibrated against that layout, as the interpreter's are against
+/// boxed elements, so they do not move with the enum's packing.
+const CHUNK_ENTRY_BYTES: usize = 40;
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Container {
@@ -32,7 +36,6 @@ enum Container {
         words: Box<[u64; BITMAP_WORDS]>,
         len: u32,
     },
-    Run(Vec<(u16, u16)>), // (start, inclusive end)
 }
 
 impl Container {
@@ -44,7 +47,6 @@ impl Container {
         match self {
             Container::Array(v) => v.len(),
             Container::Bitmap { len, .. } => *len as usize,
-            Container::Run(runs) => runs.iter().map(|&(s, e)| (e - s) as usize + 1).sum(),
         }
     }
 
@@ -54,17 +56,6 @@ impl Container {
             Container::Bitmap { words, .. } => {
                 words[(off / 64) as usize] & (1u64 << (off % 64)) != 0
             }
-            Container::Run(runs) => runs
-                .binary_search_by(|&(s, e)| {
-                    if off < s {
-                        std::cmp::Ordering::Greater
-                    } else if off > e {
-                        std::cmp::Ordering::Less
-                    } else {
-                        std::cmp::Ordering::Equal
-                    }
-                })
-                .is_ok(),
         }
     }
 
@@ -92,28 +83,6 @@ impl Container {
                     false
                 }
             }
-            Container::Run(_) => {
-                if self.contains(off) {
-                    return false;
-                }
-                let Container::Run(runs) = self else {
-                    unreachable!()
-                };
-                let pos = runs.partition_point(|&(s, _)| s < off);
-                // Try extending the previous or next run.
-                let prev_adjacent = pos > 0 && runs[pos - 1].1.checked_add(1) == Some(off);
-                let next_adjacent = pos < runs.len() && off.checked_add(1) == Some(runs[pos].0);
-                match (prev_adjacent, next_adjacent) {
-                    (true, true) => {
-                        runs[pos - 1].1 = runs[pos].1;
-                        runs.remove(pos);
-                    }
-                    (true, false) => runs[pos - 1].1 = off,
-                    (false, true) => runs[pos].0 = off,
-                    (false, false) => runs.insert(pos, (off, off)),
-                }
-                true
-            }
         }
     }
 
@@ -140,31 +109,6 @@ impl Container {
                 } else {
                     false
                 }
-            }
-            Container::Run(runs) => {
-                let Ok(pos) = runs.binary_search_by(|&(s, e)| {
-                    if off < s {
-                        std::cmp::Ordering::Greater
-                    } else if off > e {
-                        std::cmp::Ordering::Less
-                    } else {
-                        std::cmp::Ordering::Equal
-                    }
-                }) else {
-                    return false;
-                };
-                let (s, e) = runs[pos];
-                if s == e {
-                    runs.remove(pos);
-                } else if off == s {
-                    runs[pos].0 = s + 1;
-                } else if off == e {
-                    runs[pos].1 = e - 1;
-                } else {
-                    runs[pos].1 = off - 1;
-                    runs.insert(pos + 1, (off + 1, e));
-                }
-                true
             }
         }
     }
@@ -201,34 +145,7 @@ impl Container {
                 };
                 v
             }
-            Container::Run(runs) => runs.iter().flat_map(|&(s, e)| s..=e).collect(),
         }
-    }
-
-    /// Number of runs of consecutive offsets; used by `run_optimize`.
-    fn count_runs(&self) -> usize {
-        let offs = self.to_offsets();
-        let mut runs = 0;
-        let mut prev: Option<u16> = None;
-        for &o in &offs {
-            if prev.is_none_or(|p| p.checked_add(1) != Some(o)) {
-                runs += 1;
-            }
-            prev = Some(o);
-        }
-        runs
-    }
-
-    fn to_runs(&self) -> Container {
-        let offs = self.to_offsets();
-        let mut runs: Vec<(u16, u16)> = Vec::new();
-        for &o in &offs {
-            match runs.last_mut() {
-                Some(last) if last.1.checked_add(1) == Some(o) => last.1 = o,
-                _ => runs.push((o, o)),
-            }
-        }
-        Container::Run(runs)
     }
 
     fn union_in_place(&mut self, other: &Container) {
@@ -257,7 +174,6 @@ impl Container {
         match self {
             Container::Array(v) => v.capacity() * 2,
             Container::Bitmap { .. } => BITMAP_WORDS * 8,
-            Container::Run(runs) => runs.capacity() * 4,
         }
     }
 }
@@ -366,18 +282,6 @@ impl SparseBitSet {
         self.len = self.chunks.iter().map(|(_, c)| c.len()).sum();
     }
 
-    /// Converts clustered containers to run-length encoding where that is
-    /// smaller, mirroring Roaring's `runOptimize`.
-    pub fn run_optimize(&mut self) {
-        for (_, container) in &mut self.chunks {
-            let runs = container.count_runs();
-            // A run container costs 4 bytes per run; compare with current.
-            if runs * 4 < container.heap_bytes() && runs * 4 < container.len() * 2 {
-                *container = container.to_runs();
-            }
-        }
-    }
-
     /// Iterates over the elements in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.chunks.iter().flat_map(|(hi, container)| {
@@ -389,15 +293,10 @@ impl SparseBitSet {
         })
     }
 
-    /// Number of chunk containers currently allocated (diagnostic).
-    pub fn container_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// Estimate of the heap footprint in time proportional to the number
     /// of chunk containers (each container reports in constant time).
     pub fn heap_bytes_fast(&self) -> usize {
-        self.chunks.capacity() * std::mem::size_of::<(u64, Container)>()
+        self.chunks.capacity() * CHUNK_ENTRY_BYTES
             + self
                 .chunks
                 .iter()
@@ -430,12 +329,7 @@ impl Extend<usize> for SparseBitSet {
 
 impl HeapSize for SparseBitSet {
     fn heap_bytes(&self) -> usize {
-        self.chunks.capacity() * std::mem::size_of::<(u64, Container)>()
-            + self
-                .chunks
-                .iter()
-                .map(|(_, c)| c.heap_bytes())
-                .sum::<usize>()
+        self.heap_bytes_fast()
     }
 }
 
@@ -452,7 +346,7 @@ mod tests {
         assert!(s.insert(10_000_000));
         assert!(!s.insert(65_536));
         assert_eq!(s.len(), 4);
-        assert_eq!(s.container_count(), 3);
+        assert_eq!(s.chunks.len(), 3);
         assert!(s.contains(10_000_000));
         assert!(!s.contains(10_000_001));
     }
@@ -485,9 +379,9 @@ mod tests {
     fn empty_chunk_is_freed() {
         let mut s = SparseBitSet::new();
         s.insert(100);
-        assert_eq!(s.container_count(), 1);
+        assert_eq!(s.chunks.len(), 1);
         assert!(s.remove(100));
-        assert_eq!(s.container_count(), 0);
+        assert_eq!(s.chunks.len(), 0);
         assert!(!s.remove(100));
     }
 
@@ -515,49 +409,6 @@ mod tests {
         for k in [0, 4500, 8999] {
             assert!(a.contains(k));
         }
-    }
-
-    #[test]
-    fn run_optimize_compresses_contiguous_ranges() {
-        let mut s: SparseBitSet = (100..4200).collect(); // > ARRAY_MAX: bitmap
-        let before = s.heap_bytes();
-        s.run_optimize();
-        assert!(matches!(s.chunks[0].1, Container::Run(_)));
-        assert!(s.heap_bytes() < before);
-        assert_eq!(s.len(), 4100);
-        assert!(s.contains(100) && s.contains(4199) && !s.contains(4200));
-    }
-
-    #[test]
-    fn run_container_insert_and_remove() {
-        let mut s: SparseBitSet = (10..20).collect();
-        s.run_optimize();
-        // Adjacent-both: bridges two runs.
-        s.remove(15);
-        assert!(matches!(s.chunks[0].1, Container::Run(ref r) if r.len() == 2));
-        s.insert(15);
-        assert!(matches!(s.chunks[0].1, Container::Run(ref r) if r.len() == 1));
-        // Extend front and back.
-        s.insert(9);
-        s.insert(20);
-        assert_eq!(s.iter().collect::<Vec<_>>(), (9..21).collect::<Vec<_>>());
-        // Isolated point.
-        s.insert(100);
-        assert!(s.contains(100));
-        // Remove endpoints and interior.
-        s.remove(9);
-        s.remove(20);
-        s.remove(14);
-        assert!(!s.contains(9) && !s.contains(20) && !s.contains(14));
-        assert!(s.contains(13) && s.contains(15));
-    }
-
-    #[test]
-    fn run_optimize_skips_scattered_data() {
-        let mut s: SparseBitSet = (0..1000).map(|i| i * 2).collect();
-        s.run_optimize();
-        // 1000 runs of length 1 would cost 4000 bytes vs 2000 as an array.
-        assert!(matches!(s.chunks[0].1, Container::Array(_)));
     }
 
     #[test]

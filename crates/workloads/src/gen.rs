@@ -20,13 +20,6 @@ pub struct Graph {
     pub weights: Option<Vec<u64>>,
 }
 
-impl Graph {
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-}
-
 /// SplitMix64: maps a dense index to a well-spread 64-bit identifier.
 ///
 /// The low 48 bits are kept so identifiers stay printable and hashable
@@ -273,14 +266,14 @@ mod tests {
         let a = rmat(8, 8, 42);
         let b = rmat(8, 8, 42);
         assert_eq!(a.edges, b.edges);
-        assert!(a.edge_count() > 256);
+        assert!(a.edges.len() > 256);
         // Power-law skew: the most frequent source should dominate.
         let mut counts = std::collections::HashMap::new();
         for &(s, _) in &a.edges {
             *counts.entry(s).or_insert(0usize) += 1;
         }
         let max = counts.values().copied().max().unwrap_or(0);
-        let avg = a.edge_count() / counts.len().max(1);
+        let avg = a.edges.len() / counts.len().max(1);
         assert!(max > avg * 4, "max {max} avg {avg}");
     }
 
