@@ -30,7 +30,7 @@ const N: u64 = 200_000;
 const RUNS: usize = 9;
 
 /// The two decodes ([`DecodeOptions::reference`]): the plain stream and
-/// the production default (loop plans and direct yields).
+/// the production default (loop plans).
 const CONFIGS: [(&str, bool); 2] = [("reference", true), ("default", false)];
 
 struct Kernel {

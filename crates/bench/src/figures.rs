@@ -91,7 +91,7 @@ impl Session {
     }
 
     /// Runs every cell of this session on the reference decode (no
-    /// loop plans, no direct yields; see [`CellSpec::reference`]). Figures
+    /// loop plans; see [`CellSpec::reference`]). Figures
     /// and statistics are identical either way — the differential tests
     /// flip this knob to prove it.
     #[must_use]

@@ -1,5 +1,5 @@
-//! The decode optimizations — loop plans and direct yields — must be
-//! invisible everywhere except wall time: every figure byte, operation
+//! The decode optimization, loop plans, must be invisible everywhere
+//! except wall time: every figure byte, operation
 //! count, program output (checksums) and memory highwater is identical
 //! between the reference decode and the default one. These tests are the safety net that lets the
 //! interpreter's fast paths change (or be deleted) — never weaken them
@@ -126,7 +126,7 @@ fn cell_stats_match_exactly_reference_vs_default() {
 }
 
 /// A fuel budget that trips mid-loop must trip at the identical point on
-/// both decodes: bulk loops and direct yields never change where a limit
+/// both decodes: bulk loops never change where a limit
 /// (or any trap) lands. Sweeps budgets from "trips immediately" through
 /// "completes" and requires bit-identical outcomes — same error text on
 /// the trapping side, same output/stats on the completing side.

@@ -80,10 +80,10 @@ pub struct Options {
     /// Abort execution past this call depth (`--max-depth`; default:
     /// unlimited).
     pub max_depth: Option<u32>,
-    /// Execute the reference decode: no loop plans and no direct
-    /// yields (`--reference`; default: off). Counts, figures and
-    /// traps are identical either way — the flag isolates the decode
-    /// optimizations when debugging the interpreter.
+    /// Execute the reference decode: no loop plans (`--reference`;
+    /// default: off). Counts, figures and traps are identical either
+    /// way — the flag isolates loop plans when debugging the
+    /// interpreter.
     pub reference: bool,
 }
 
@@ -375,9 +375,9 @@ usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
   --fuel N             abort execution after N interpreted instructions
   --max-heap-cells N   abort execution past N live heap cells
   --max-depth N        abort execution past call depth N
-  --reference          run the reference interpreter: no loop plans, no
-                       direct yields (counts, figures and traps are
-                       identical; isolates the decode optimizations)
+  --reference          run the reference interpreter: no loop plans
+                       (counts, figures and traps are identical;
+                       isolates the loop plans)
   --trace[=FILE]       human-readable pass/decision log to stderr (or FILE)
   --trace-json FILE    machine-readable trace events as JSON
   --metrics FILE       the finished run's counts as JSON (implies --run):

@@ -19,9 +19,8 @@
 //! default decided them).
 //! `--fuel`/`--max-heap-cells`/`--max-depth` bound execution; a tripped
 //! limit reports a typed error, like any guest trap. `--reference` runs
-//! the reference interpreter (no loop plans, no direct yields;
-//! observationally inert, for isolating the decode
-//! optimizations).
+//! the reference interpreter (no loop plans; observationally inert, for
+//! isolating them).
 //!
 //! Exit codes: 0 success; 1 guest trap or limit at runtime; 2 usage
 //! error (bad flags, unknown `--config`, unreadable input, unwritable

@@ -50,8 +50,8 @@ use crate::ExecError;
 
 /// A frame slot: an index into the per-call frame and the slot's
 /// [`Kind`]. SSA value ids are already dense, so an SSA value's slot
-/// index is its id, and the scratch slots of lowered nesting paths
-/// follow them. A register kind's slot indexes the activation's `u64`
+/// index is its id, and the scratch slots of lowered nesting paths and
+/// saved yield sources follow them. A register kind's slot indexes the activation's `u64`
 /// register file, a [`Kind::Boxed`] slot its side file of [`Value`]s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Slot {
@@ -624,8 +624,8 @@ pub struct DFunc {
     /// [`Module`] alive alongside the decoded stream.
     pub name: String,
     /// Number of frame slots: one per SSA value, then one scratch slot
-    /// per lowered path step ([`DInst::Lowered`]). An activation's
-    /// register file has this many entries.
+    /// per lowered path step ([`DInst::Lowered`]) or saved yield source
+    /// ([`Moves`]). An activation's register file has this many entries.
     pub frame_size: u32,
     /// Entries of an activation's side file: `frame_size` when any slot
     /// is [`Kind::Boxed`], else none.
@@ -759,8 +759,7 @@ struct FuncDecoder<'f> {
     const_index: HashMap<ConstVal, u32>,
     literals: Vec<Table>,
     types: Vec<Type>,
-    /// Frame slots so far: the SSA slots, then one scratch slot per
-    /// lowered path step.
+    /// Frame slots so far: the SSA slots, then the scratch slots.
     frame_size: u32,
     /// Whether any slot so far is [`Kind::Boxed`].
     boxed: bool,

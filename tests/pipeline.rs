@@ -112,7 +112,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Every artifact configuration agrees on every benchmark's output, and
-/// every cell's default decode (loop plans and direct yields) matches the
+/// every cell's default decode (loop plans) matches the
 /// reference decode on output, per-phase statistics and peak memory.
 /// Each compiled module's printed IR must also match its row in
 /// `tests/golden/compiled_ir_scale4.txt`, so a compile-time rewrite of
