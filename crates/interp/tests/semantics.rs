@@ -3892,3 +3892,236 @@ insert Map{Bit}<idx, Seq<u64>> at the sentinel: sentinel-insert at @main:11: enc
 union into Set{Bit}<idx> of the sentinel: sentinel-insert at @main:13: enc sentinel (usize::MAX) reached a dense-collection insert | sentinel-insert at @main:20: enc sentinel (usize::MAX) reached a dense-collection insert
 dec of the sentinel: out-of-bounds at @main:10: sequence access out of bounds: index 18446744073709551615, length 0 | out-of-bounds at @main:17: sequence access out of bounds: index 18446744073709551615, length 0
 "#;
+
+// Compare-and-branch: every comparison on the scalar matrix's edge
+// operands as the condition of an `if` in a loop plan. Each cell is
+// `%t = <op> %vi, %vj` followed by an `if %t` whose arms each pool a
+// `const`, inside a one-iteration `forrange` that carries every cell's
+// `T`/`F` out; the program runs under both decodes, which must agree on
+// the output and the executed ticks (pinned below). Three more programs
+// pin a compare that other code also reads (it is yielded out of the
+// loop, read by a later op, or read by an arm), and a `div` by zero in
+// the arm of a compare's branch, by trap code, site and ticks.
+
+/// The comparison kinds: the scalar matrix's register kinds and `str`.
+const BRANCH_KINDS: [(&str, usize); 6] = [
+    ("u64", MATRIX_U64.len()),
+    ("i64", MATRIX_I64.len()),
+    ("idx", MATRIX_IDX.len()),
+    ("f64", MATRIX_F64.len()),
+    ("bool", MATRIX_BOOL.len()),
+    ("str", MATRIX_STR.len()),
+];
+
+/// The program branching on `op` over every operand pair of `defs`
+/// (`n` operands), one printed row per operator.
+fn branch_program(ty: &str, defs: &str, n: usize) -> String {
+    let mut text = format!("fn @main() -> void {{\n{defs}");
+    text.push_str("  %lo = const 0u64\n  %hi = const 1u64\n  %dash = const \"-\"\n");
+    let cells: Vec<(&str, usize, usize)> = CMP_OPS
+        .iter()
+        .flat_map(|&op| (0..n).flat_map(move |i| (0..n).map(move |j| (op, i, j))))
+        .collect();
+    let outs: Vec<String> = (0..cells.len()).map(|k| format!("%o{k}")).collect();
+    let inits = vec!["%dash"; cells.len()];
+    let args: Vec<String> = (0..cells.len()).map(|k| format!("%c{k}: str")).collect();
+    text.push_str(&format!(
+        "  {} = forrange %lo, %hi carry({}) as (%i: u64, {}) {{\n",
+        outs.join(", "),
+        inits.join(", "),
+        args.join(", ")
+    ));
+    for (k, (op, i, j)) in cells.iter().enumerate() {
+        text.push_str(&format!(
+            "    %t{k} = {op} %v{i}, %v{j}\n    %r{k} = if %t{k} then {{\n      \
+             %y{k} = const \"T\"\n      yield %y{k}\n    }} else {{\n      \
+             %n{k} = const \"F\"\n      yield %n{k}\n    }}\n"
+        ));
+    }
+    let rs: Vec<String> = (0..cells.len()).map(|k| format!("%r{k}")).collect();
+    text.push_str(&format!("    yield {}\n  }}\n", rs.join(", ")));
+    for (row, op) in CMP_OPS.iter().enumerate() {
+        let printed = &outs[row * n * n..(row + 1) * n * n];
+        text.push_str(&format!(
+            "  %l{row} = const \"{ty} {op}:\"\n  print %l{row}, {}\n",
+            printed.join(", ")
+        ));
+    }
+    text.push_str("  ret\n}\n");
+    text
+}
+
+/// Runs `text` under both decodes, which must agree on the whole
+/// outcome and the executed ticks, and returns the output (or the trap's
+/// `code at site`) with the ticks.
+fn branch_run(text: &str) -> String {
+    use ade_interp::{DecodeOptions, DecodedModule};
+    let m = parse_module(text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    ade_ir::verify::verify_module(&m).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    let runs: Vec<String> = [true, false]
+        .iter()
+        .map(|&reference| {
+            let decoded = DecodedModule::decode_with(&m, &DecodeOptions { reference });
+            if !reference {
+                assert!(
+                    decoded.funcs[0].code.iter().any(bulk_forrange),
+                    "the default decode runs the loop through a plan:\n{text}"
+                );
+            }
+            let mut interp = Interpreter::new(&m, ExecConfig::default());
+            let result = interp.run_decoded(&decoded, "main");
+            let ticks = interp.fuel_ticks();
+            match result {
+                Ok(out) => format!("{}ticks={ticks}\n", out.output),
+                Err(e) => {
+                    let ade_interp::ExecError::GuestTrap {
+                        site: Some(site), ..
+                    } = &e
+                    else {
+                        panic!("expected a sited trap, got {e:?}");
+                    };
+                    format!("{} at {site} ticks={ticks}\n", e.code())
+                }
+            }
+        })
+        .collect();
+    assert_eq!(runs[0], runs[1], "both decodes:\n{text}");
+    runs[0].clone()
+}
+
+/// A compare that is yielded out of the loop and printed, one read by a
+/// later op, and one read by an arm's yield, each also a branch's
+/// condition.
+const BRANCH_SHARED: &str = r#"
+fn @main() -> void {
+  %lo = const 0u64
+  %hi = const 4u64
+  %zero = const 0u64
+  %f = const false
+  %kept, %sum, %both = forrange %lo, %hi carry(%f, %zero, %f) as (%i: u64, %k: bool, %acc: u64, %b: bool) {
+    %one = const 1u64
+    %two = const 2u64
+    %c = lt %i, %one
+    %r = if %c then {
+      %ten = const 10u64
+      yield %ten
+    } else {
+      yield %i
+    }
+    %d = ge %i, %two
+    %e = and %d, %c
+    %r2 = if %d then {
+      %hundred = const 100u64
+      yield %hundred
+    } else {
+      yield %r
+    }
+    %g = eq %i, %two
+    %h = if %g then {
+      yield %g
+    } else {
+      yield %e
+    }
+    %acc1 = add %acc, %r2
+    yield %c, %acc1, %h
+  }
+  print %kept, %sum, %both
+  ret
+}
+"#;
+
+/// A `div` by zero in the else-arm of a compare's branch, taken first in
+/// the fourth iteration, after a `const` of the same arm.
+const BRANCH_TRAP: &str = r#"
+fn @main() -> void {
+  %lo = const 0u64
+  %hi = const 6u64
+  %zero = const 0u64
+  %sum = forrange %lo, %hi carry(%zero) as (%i: u64, %acc: u64) {
+    %three = const 3u64
+    %c = lt %i, %three
+    %r = if %c then {
+      %one = const 1u64
+      yield %one
+    } else {
+      %z = const 0u64
+      %q = div %i, %z
+      yield %q
+    }
+    %acc1 = add %acc, %r
+    yield %acc1
+  }
+  print %sum
+  ret
+}
+"#;
+
+fn compare_and_branch_matrix_text() -> String {
+    let mut text = String::new();
+    for (ty, n) in BRANCH_KINDS {
+        let (defs, _) = matrix_operands(ty);
+        text.push_str(&branch_run(&branch_program(ty, &defs, n)));
+    }
+    text.push_str("-- shared compares --\n");
+    text.push_str(&branch_run(BRANCH_SHARED));
+    text.push_str("-- trap in an arm --\n");
+    text.push_str(&branch_run(BRANCH_TRAP));
+    text
+}
+
+#[test]
+fn compare_and_branch_matrix() {
+    let text = compare_and_branch_matrix_text();
+    if text != COMPARE_AND_BRANCH_MATRIX {
+        panic!("compare-and-branch matrix changed; now:\n{text}");
+    }
+}
+
+const COMPARE_AND_BRANCH_MATRIX: &str = r#"u64 eq: T F F F F F F T F F F F F F T F F F F F F T F F F F F F T F F F F F F T
+u64 ne: F T T T T T T F T T T T T T F T T T T T T F T T T T T T F T T T T T T F
+u64 lt: F T T T T T F F T T T T F F F F F F F F T F F F F F T T F T F F T T F F
+u64 le: T T T T T T F T T T T T F F T F F F F F T T F F F F T T T T F F T T F T
+u64 gt: F F F F F F T F F F F F T T F T T T T T F F T T T T F F F F T T F F T F
+u64 ge: T F F F F F T T F F F F T T T T T T T T F T T T T T F F T F T T F F T T
+ticks=888
+i64 eq: T F F F F F F T F F F F F F T F F F F F F T F F F F F F T F F F F F F T
+i64 ne: F T T T T T T F T T T T T T F T T T T T T F T T T T T T F T T T T T T F
+i64 lt: F T F F T T F F F F T T T T F F T T T T T F T T F F F F F F F F F F T F
+i64 le: T T F F T T F T F F T T T T T F T T T T T T T T F F F F T F F F F F T T
+i64 gt: F F T T F F T F T T F F F F F T F F F F F F F F T T T T F T T T T T F F
+i64 ge: T F T T F F T T T T F F F F T T F F F F F T F F T T T T T T T T T T F T
+ticks=888
+idx eq: T F F F F T F F F F T F F F F T
+idx ne: F T T T T F T T T T F T T T T F
+idx lt: F T T T F F T T F F F F F F T F
+idx le: T T T T F T T T F F T F F F T T
+idx gt: F F F F T F F F T T F T T T F F
+idx ge: T F F F T T F F T T T T T T F T
+ticks=410
+f64 eq: T F F F F F F F T F F F F F F F T F F F F F F F T F F F F F F F T F F F F F F F T F F F F F F F T
+f64 ne: F T T T T T T T F T T T T T T T F T T T T T T T F T T T T T T T F T T T T T T T F T T T T T T T F
+f64 lt: F F T F T T F T F T F T T F F F F F T T F T T T F T T F F F F F F F F F F F F T F F T T T T T T F
+f64 le: T F T F T T F T T T F T T F F F T F T T F T T T T T T F F F F F T F F F F F F T T F T T T T T T T
+f64 gt: F T F T F F T F F F T F F T T T F T F F T F F F F F F T T T T T F T T T T T T F F T F F F F F F F
+f64 ge: T T F T F F T F T F T F F T T T T T F F T F F F T F F T T T T T T T T T T T T F T T F F F F F F T
+ticks=1201
+bool eq: T F F T
+bool ne: F T T F
+bool lt: F T F F
+bool le: T T F T
+bool gt: F F T F
+bool ge: T F T T
+ticks=116
+str eq: T F F F T F F F T
+str ne: F T T T F T T T F
+str lt: F T T F F T F F F
+str le: T T T F T T F F T
+str gt: F F F T F F T T F
+str ge: T F F T T F T T T
+ticks=237
+-- shared compares --
+false 211 false
+ticks=66
+-- trap in an arm --
+div-by-zero at @main:14 ticks=30
+"#;

@@ -441,6 +441,97 @@ fn @main() -> void {
 const PERMUTED_YIELDS: &str =
     include_str!("../crates/interp/tests/programs/permuted_yields.memoir");
 
+/// Branches on compares of every kind, nested two deep, each arm with a
+/// `const`, plus a compare that is also carried out of the loop.
+const COMPARE_BRANCH: &str = r#"
+fn @main() -> void {
+  %m = new Map<u64, u64>
+  %lo = const 0u64
+  %hi = const 12u64
+  %zero = const 0u64
+  %f = const false
+  %neg = const -3i64
+  %nan = const NaNf64
+  %s = const "k"
+  %mf, %acc, %kept = forrange %lo, %hi carry(%m, %zero, %f) as (%i: u64, %mm: Map<u64, u64>, %a: u64, %k: bool) {
+    %four = const 4u64
+    %c = lt %i, %four
+    %m2 = if %c then {
+      %one = const 1u64
+      %m1 = write %mm, %i, %one
+      yield %m1
+    } else {
+      %ii = cast %i to i64
+      %d = gt %ii, %neg
+      %m3 = if %d then {
+        %x = cast %i to f64
+        %e = le %x, %nan
+        %v = if %e then {
+          %seven = const 7u64
+          yield %seven
+        } else {
+          yield %i
+        }
+        %m1 = write %mm, %i, %v
+        yield %m1
+      } else {
+        yield %mm
+      }
+      yield %m3
+    }
+    %t = const "j"
+    %sc = ge %t, %s
+    %a2 = if %sc then {
+      %nine = const 9u64
+      %y = add %a, %nine
+      yield %y
+    } else {
+      %y = add %a, %i
+      yield %y
+    }
+    %keep = eq %i, %four
+    %a3 = if %keep then {
+      %two = const 2u64
+      %z = mul %a2, %two
+      yield %z
+    } else {
+      yield %a2
+    }
+    yield %m2, %a3, %keep
+  }
+  %n = size %mf
+  print %n, %acc, %kept
+  ret
+}
+"#;
+
+/// A `div` by zero in the else-arm of a compare's branch, after a `const`
+/// of the same arm, in the ninth iteration.
+const COMPARE_BRANCH_TRAP: &str = r#"
+fn @main() -> void {
+  %lo = const 0u64
+  %hi = const 12u64
+  %zero = const 0u64
+  %sum = forrange %lo, %hi carry(%zero) as (%i: u64, %acc: u64) {
+    %eight = const 8u64
+    %c = lt %i, %eight
+    %r = if %c then {
+      %one = const 1u64
+      %w = add %i, %one
+      yield %w
+    } else {
+      %z = const 0u64
+      %q = div %i, %z
+      yield %q
+    }
+    %acc1 = add %acc, %r
+    yield %acc1
+  }
+  print %sum
+  ret
+}
+"#;
+
 /// A plan whose hoisted prelude `const` keys one of its reads: the
 /// lowering of a constant path index.
 fn const_index_step(i: &DInst) -> bool {
@@ -604,6 +695,20 @@ const CASES: &[Case] = &[
         name: "permuted carries and a dowhile condition its yield overwrites",
         text: PERMUTED_YIELDS,
         shapes: &[|i| matches!(i, DInst::DoWhile { .. }), bulk_range_with_if],
+        depths: NO_DEPTH_LIMIT,
+        fuel_sweep: u64::MAX,
+    },
+    Case {
+        name: "branches on compares of every kind, with consts in their arms",
+        text: COMPARE_BRANCH,
+        shapes: &[bulk_range_with_if],
+        depths: NO_DEPTH_LIMIT,
+        fuel_sweep: u64::MAX,
+    },
+    Case {
+        name: "div by zero in the arm of a compare's branch",
+        text: COMPARE_BRANCH_TRAP,
+        shapes: &[bulk_range_with_if],
         depths: NO_DEPTH_LIMIT,
         fuel_sweep: u64::MAX,
     },
@@ -776,6 +881,16 @@ fn literals_match_the_reference_under_every_budget() {
 #[test]
 fn permuted_yields_match_the_reference_under_every_budget() {
     check(&CASES[10]);
+}
+
+#[test]
+fn compare_branches_match_the_reference_under_every_budget() {
+    check(&CASES[11]);
+}
+
+#[test]
+fn compare_branch_traps_match_the_reference_under_every_budget() {
+    check(&CASES[12]);
 }
 
 #[test]

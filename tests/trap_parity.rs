@@ -27,6 +27,17 @@ fn div(op: &BulkOp) -> bool {
     matches!(op, BulkOp::Scalar(UScalar::Bin { op: BinOp::Div, .. }))
 }
 
+/// A `div` in an arm of a branch.
+fn div_in_arm(op: &BulkOp) -> bool {
+    let BulkOp::If {
+        then_ops, else_ops, ..
+    } = op
+    else {
+        return false;
+    };
+    then_ops.iter().chain(else_ops.iter()).any(|p| div(&p.op))
+}
+
 const CASES: &[Case] = &[
     Case {
         name: "missing key at a read-modify-write of a forrange",
@@ -166,6 +177,34 @@ fn @main() -> void {
 "#,
         code: "div-by-zero",
         shape: div,
+    },
+    Case {
+        name: "division by zero in the arm of a compare's branch in a forrange",
+        text: r#"
+fn @main() -> void {
+  %lo = const 0u64
+  %hi = const 6u64
+  %zero = const 0u64
+  %r = forrange %lo, %hi carry(%zero) as (%i: u64, %acc: u64) {
+    %three = const 3u64
+    %c = lt %i, %three
+    %q = if %c then {
+      %one = const 1u64
+      yield %one
+    } else {
+      %z = const 0u64
+      %d = div %i, %z
+      yield %d
+    }
+    %acc1 = add %acc, %q
+    yield %acc1
+  }
+  print %r
+  ret
+}
+"#,
+        code: "div-by-zero",
+        shape: div_in_arm,
     },
     Case {
         name: "division by zero of a read value in a foreach",
