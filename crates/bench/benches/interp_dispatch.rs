@@ -9,10 +9,14 @@
 //! diagnostic for the decoded instruction stream, the borrow-based
 //! operand path and loop plans. It is
 //! not the headline: `e2e_bench` measures the paper programs. Every
-//! kernel runs on the reference decode and the default one; results go
-//! to `BENCH_interp.json` at the workspace root: per-kernel best wall
-//! seconds and logical ops/sec per decode, the default-over-reference
-//! speedup, and its geometric mean across kernels.
+//! kernel runs on the reference decode and the default one, once each
+//! per rep, in turns; results go to `BENCH_interp.json` at the
+//! workspace root: per-kernel median wall seconds and logical ops/sec
+//! per decode, the default-over-reference speedup as the median over
+//! reps of each rep's paired ratio with its quartiles, and the speedups'
+//! geometric mean across kernels. A paired ratio cancels the host's
+//! drift between reps, which moved a best-of-reps ratio by up to 2×
+//! between back-to-back runs on a shared two-core host.
 //!
 //! Self-timed (`harness = false`): run via `cargo bench --bench
 //! interp_dispatch`.
@@ -27,7 +31,8 @@ use ade_obs::json::Value;
 /// Iteration count per kernel — large enough that dispatch dominates
 /// the fixed per-run setup (decode + frame allocation).
 const N: u64 = 200_000;
-const RUNS: usize = 9;
+/// Timed reps per kernel: one run of each decode per rep.
+const REPS: usize = 15;
 
 /// The two decodes ([`DecodeOptions::reference`]): the plain stream and
 /// the production default (loop plans).
@@ -341,23 +346,30 @@ fn run_once(k: &Kernel, reference: bool) -> usize {
         .len()
 }
 
-/// Best-of-`RUNS` wall seconds for every config, measured round-robin
-/// (one timed run per config per round) so slow drift — frequency
-/// scaling, co-tenant noise — hits all configs alike instead of
-/// whichever happened to run last.
-fn time_kernel(k: &Kernel) -> [f64; 2] {
+/// Each rep's wall seconds for every config: one timed run per config
+/// per rep, the first config alternating between reps, so that slow
+/// drift (frequency scaling, co-tenant noise) hits both runs of a rep
+/// alike.
+fn time_kernel(k: &Kernel) -> [Vec<f64>; 2] {
     for (_, reference) in CONFIGS {
         run_once(k, reference); // warm-up (decode, allocator, caches)
     }
-    let mut best = [f64::INFINITY; 2];
-    for _ in 0..RUNS {
-        for (slot, (_, reference)) in CONFIGS.into_iter().enumerate() {
+    let mut walls = [Vec::with_capacity(REPS), Vec::with_capacity(REPS)];
+    for rep in 0..REPS {
+        for turn in 0..CONFIGS.len() {
+            let slot = (turn + rep) % CONFIGS.len();
             let t = Instant::now();
-            std::hint::black_box(run_once(k, reference));
-            best[slot] = best[slot].min(t.elapsed().as_secs_f64());
+            std::hint::black_box(run_once(k, CONFIGS[slot].1));
+            walls[slot].push(t.elapsed().as_secs_f64());
         }
     }
-    best
+    walls
+}
+
+/// The lower quartile, median and upper quartile of `v` (nearest rank).
+fn quartiles(mut v: Vec<f64>) -> [f64; 3] {
+    v.sort_by(f64::total_cmp);
+    [1, 2, 3].map(|q| v[(v.len() - 1) * q / 4])
 }
 
 /// `v` rounded to `decimals` places, as a JSON number.
@@ -383,10 +395,10 @@ fn main() {
     for k in &kernels {
         ade_ir::verify::verify_module(&k.module)
             .unwrap_or_else(|e| panic!("[{}] verify: {e}", k.name));
-        let best = time_kernel(k);
+        let reps = time_kernel(k);
         let mut walls = Vec::new();
         for (slot, (cname, _)) in CONFIGS.into_iter().enumerate() {
-            let wall = best[slot];
+            let wall = quartiles(reps[slot].clone())[1];
             println!(
                 "{:>16} {:>14}  {:>12.1} ops/s  {:.4} s",
                 k.name,
@@ -396,9 +408,13 @@ fn main() {
             );
             walls.push((cname, wall));
         }
-        let speedup = walls[0].1 / walls[1].1;
+        let ratios = reps[0].iter().zip(&reps[1]).map(|(r, d)| r / d).collect();
+        let [q1, speedup, q3] = quartiles(ratios);
         log_speedup_sum += speedup.ln();
-        println!("{:>16} {:>14}  {speedup:>11.2}x", k.name, "speedup");
+        println!(
+            "{:>16} {:>14}  {speedup:>11.2}x  [{q1:.2}-{q3:.2}]",
+            k.name, "speedup"
+        );
         let per_config =
             |f: &dyn Fn(f64) -> Value| Value::object(walls.iter().map(|&(c, w)| (c, f(w))));
         rows.push(Value::object([
@@ -407,6 +423,10 @@ fn main() {
             ("wall_seconds", per_config(&|w| rounded(w, 6))),
             ("ops_per_sec", per_config(&|w| rounded(k.ops as f64 / w, 1))),
             ("speedup", rounded(speedup, 3)),
+            (
+                "speedup_quartiles",
+                Value::Array(vec![rounded(q1, 3), rounded(q3, 3)]),
+            ),
         ]));
     }
     let geomean = (log_speedup_sum / kernels.len() as f64).exp();
@@ -414,7 +434,7 @@ fn main() {
     let configs = CONFIGS.iter().map(|&(c, _)| c.into()).collect();
     let json = Value::object([
         ("iterations", N.into()),
-        ("runs", (RUNS as u64).into()),
+        ("reps", (REPS as u64).into()),
         ("configs", configs),
         ("kernels", Value::Array(rows)),
         ("geomean_speedup", rounded(geomean, 3)),

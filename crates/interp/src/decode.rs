@@ -241,15 +241,14 @@ pub enum LoopOver {
     },
 }
 
-/// A scalar op over register slots, specialised at decode to its
-/// operands' static kind, which their slots carry: a
-/// [`BulkOp::Scalar`] step. Nothing here matches a runtime tag.
+/// A scalar op over register slots, specialised at decode by its
+/// operands' static kind, which picks the variant, and its operator: a
+/// [`BulkOp::Scalar`] step, which the executor runs under one match.
+/// Nothing here matches a runtime tag.
 ///
 /// `u64`, `idx` and `bool` compute unsigned (the `and`, `or` and `xor`
 /// of `bool` are the bitwise ones on 0 and 1), `i64` signed and `f64`
-/// in IEEE arithmetic; comparisons order `f64` by `total_cmp` (so `eq`
-/// is bit-pattern equality), collection handles unsigned, and `str`
-/// and tuple slots by [`Value`]'s order.
+/// in IEEE arithmetic.
 #[derive(Clone, Copy, Debug)]
 pub enum UScalar {
     /// Copy a pooled constant into `dst`: register bits from
@@ -261,7 +260,9 @@ pub enum UScalar {
         /// Destination slot.
         dst: Slot,
     },
-    /// Binary arithmetic/logic over two registers of one kind.
+    /// Wrapping integer or `bool` arithmetic whose bits do not depend
+    /// on sign: every operator on `u64`, `idx` and `bool`, and `add`,
+    /// `sub`, `mul`, `and`, `or`, `xor` and `shl` on `i64`.
     Bin {
         /// Operator.
         op: BinOp,
@@ -272,14 +273,32 @@ pub enum UScalar {
         /// Destination slot.
         dst: Slot,
     },
-    /// Comparison of two slots of one kind.
-    Cmp {
+    /// Signed `div`, `rem`, `min`, `max` and `shr` on `i64`.
+    BinI {
         /// Operator.
-        op: CmpOp,
+        op: BinOp,
         /// Left operand slot.
         a: Slot,
         /// Right operand slot.
         b: Slot,
+        /// Destination slot.
+        dst: Slot,
+    },
+    /// IEEE arithmetic on `f64`.
+    BinF {
+        /// Operator.
+        op: BinOp,
+        /// Left operand slot.
+        a: Slot,
+        /// Right operand slot.
+        b: Slot,
+        /// Destination slot.
+        dst: Slot,
+    },
+    /// A comparison, written to a `bool` register as 0 or 1.
+    Cmp {
+        /// The specialised comparison.
+        test: Test,
         /// Destination slot.
         dst: Slot,
     },
@@ -301,6 +320,75 @@ pub enum UScalar {
     },
 }
 
+/// A comparison specialised at decode by operator and operand kind, or a
+/// `bool` register's truth: what a [`UScalar::Cmp`] writes and what a
+/// plan's [`BulkOp::If`] branches on. Operands are indices into the
+/// register file, or into the side file for [`Test::Boxed`]. `gt` and
+/// `ge` swap their operands into `lt` and `le`. `f64` orders by
+/// `total_cmp`, so its `eq` is bit-pattern equality; collection handles
+/// order unsigned, `str` and tuple slots by [`Value`]'s order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Test {
+    /// A `bool` register is true.
+    Bool(u32),
+    /// Equal register bits, of any register kind.
+    Eq(u32, u32),
+    /// Different register bits, of any register kind.
+    Ne(u32, u32),
+    /// Unsigned `<`: `u64`, `idx`, `bool` and collection handles.
+    LtU(u32, u32),
+    /// Unsigned `<=`.
+    LeU(u32, u32),
+    /// Signed `<` on `i64`.
+    LtI(u32, u32),
+    /// Signed `<=` on `i64`.
+    LeI(u32, u32),
+    /// `<` on `f64` by `total_cmp`.
+    LtF(u32, u32),
+    /// `<=` on `f64` by `total_cmp`.
+    LeF(u32, u32),
+    /// Two `str` or tuple slots, by [`Value`]'s order.
+    Boxed {
+        /// Left operand's side-file index.
+        a: u32,
+        /// Right operand's side-file index.
+        b: u32,
+        /// Whether the comparison holds when `a` is less than, equal
+        /// to and greater than `b`.
+        holds: [bool; 3],
+    },
+}
+
+impl Test {
+    /// `op` on slots `a` and `b` of one kind.
+    fn compare(op: CmpOp, a: Slot, b: Slot) -> Test {
+        let (x, y) = (a.index, b.index);
+        if a.is_boxed() {
+            use CmpOp::*;
+            let holds = [
+                matches!(op, Ne | Lt | Le),
+                matches!(op, Eq | Le | Ge),
+                matches!(op, Ne | Gt | Ge),
+            ];
+            return Test::Boxed { a: x, b: y, holds };
+        }
+        type Order = fn(u32, u32) -> Test;
+        let (lt, le): (Order, Order) = match a.kind() {
+            Kind::I64 => (Test::LtI, Test::LeI),
+            Kind::F64 => (Test::LtF, Test::LeF),
+            _ => (Test::LtU, Test::LeU),
+        };
+        match op {
+            CmpOp::Eq => Test::Eq(x, y),
+            CmpOp::Ne => Test::Ne(x, y),
+            CmpOp::Lt => lt(x, y),
+            CmpOp::Le => le(x, y),
+            CmpOp::Gt => lt(y, x),
+            CmpOp::Ge => le(y, x),
+        }
+    }
+}
+
 /// A compiled loop body: the ops of every slot of a `foreach` or
 /// `forrange` body, in order. Branches and loops nested in the body
 /// compile into [`BulkOp::If`] and [`BulkOp::Loop`] components, to any
@@ -310,13 +398,15 @@ pub enum UScalar {
 /// would trap at.
 #[derive(Clone, Debug)]
 pub struct BulkPlan {
-    /// Loop-invariant `const` components hoisted out of the body. SSA
+    /// Every `const` component of the body, `if` arms included, hoisted
+    /// out of it (a nested loop's stay in its own plan). SSA
     /// single-assignment plus dominance make the hoist sound: the slot
     /// has exactly one writer, every read follows it in program order,
-    /// and the written value does not depend on the iteration.
+    /// and the written value does not depend on the iteration or on
+    /// the arm taken.
     pub prelude: Box<[PlanOp]>,
     /// The per-iteration component sequence, in original order (hoisted
-    /// consts excluded).
+    /// consts and compares fused into a branch excluded).
     pub ops: Box<[PlanOp]>,
     /// The body's terminal yield into the carried argument slots, run
     /// after each iteration: the [`DInst::Yield`]'s own moves.
@@ -345,8 +435,9 @@ pub struct PlanOp {
     /// replays — the site a trap raised here must be attributed to.
     pub site: u32,
     /// Code slots the unfused loop ticks for this op: its own slot and
-    /// those since the previous op's (hoisted `const`s), or `0` for an
-    /// op sharing the previous op's slot (a projection's consumer).
+    /// those since the previous op's (hoisted `const`s, a compare fused
+    /// into a branch), or `0` for an op sharing the previous op's slot
+    /// (a projection's consumer).
     /// Prelude ops tick nothing: their slots count in every iteration.
     pub ticks: u32,
     /// The operation.
@@ -557,21 +648,21 @@ pub enum BulkOp {
         plan: Box<BulkPlan>,
     },
     /// Structured if-else; its arms may hold any plan op, nested
-    /// branches and loops included.
+    /// branches and loops included. A condition that a compare of the
+    /// same region computes and nothing else reads is that compare's
+    /// [`Test`] (compare-and-branch): the compare's op is gone, and its
+    /// slot's tick goes to the op after it.
     If {
-        /// Condition slot.
-        cond: Slot,
+        /// What the branch tests.
+        test: Test,
         /// Then-arm components.
         then_ops: Box<[PlanOp]>,
         /// Else-arm components.
         else_ops: Box<[PlanOp]>,
         /// The then- and the else-arm's yield into the branch's
-        /// destinations (boxed: every plan op is as wide as this one).
-        yields: Box<[Moves; 2]>,
-        /// Then-arm slots after its last op, terminator included.
-        then_tail: u32,
-        /// Else-arm slots after its last op, terminator included.
-        else_tail: u32,
+        /// destinations, and its slots after its last op, terminator
+        /// included (boxed: every plan op is as wide as this one).
+        ends: Box<[(Moves, u32); 2]>,
     },
 }
 
@@ -714,7 +805,7 @@ impl DecodedModule {
             .map(|f| {
                 let mut d = decode_function(f);
                 if !options.reference {
-                    loop_fuse_function(&mut d);
+                    loop_fuse_function(&mut d, f);
                 }
                 d
             })
@@ -1194,18 +1285,25 @@ impl<'f> FuncDecoder<'f> {
                 base: base(self, &ops[0]),
                 dst,
             },
-            InstKind::Bin(op) => BulkOp::Scalar(UScalar::Bin {
-                op: *op,
-                a: self.op(&ops[0]),
-                b: self.op(&ops[1]),
-                dst,
-            }),
-            InstKind::Cmp(op) => BulkOp::Scalar(UScalar::Cmp {
-                op: *op,
-                a: self.op(&ops[0]),
-                b: self.op(&ops[1]),
-                dst,
-            }),
+            InstKind::Bin(op) => {
+                let (op, a, b) = (*op, self.op(&ops[0]), self.op(&ops[1]));
+                let signed = matches!(
+                    op,
+                    BinOp::Div | BinOp::Rem | BinOp::Min | BinOp::Max | BinOp::Shr
+                );
+                BulkOp::Scalar(match a.kind() {
+                    Kind::F64 => UScalar::BinF { op, a, b, dst },
+                    Kind::I64 if signed => UScalar::BinI { op, a, b, dst },
+                    _ => UScalar::Bin { op, a, b, dst },
+                })
+            }
+            InstKind::Cmp(op) => {
+                let (a, b) = (self.op(&ops[0]), self.op(&ops[1]));
+                BulkOp::Scalar(UScalar::Cmp {
+                    test: Test::compare(*op, a, b),
+                    dst,
+                })
+            }
             InstKind::Not => BulkOp::Scalar(UScalar::Not {
                 a: self.op(&ops[0]),
                 dst,
@@ -1249,11 +1347,16 @@ impl<'f> FuncDecoder<'f> {
 ///
 /// Loops compile innermost first, so an enclosing body finds each
 /// nested loop already compiled and embeds its plan as a
-/// [`BulkOp::Loop`].
-fn loop_fuse_function(d: &mut DFunc) {
+/// [`BulkOp::Loop`]. `func` is the source of `d`, whose reads decide
+/// which compares fuse into a branch.
+fn loop_fuse_function(d: &mut DFunc, func: &Function) {
+    let mut reads = vec![0; func.values.len()];
+    for v in func.insts.iter().flat_map(Inst::used_values) {
+        reads[v.index()] += 1;
+    }
     let mut generic = Vec::new();
     for idx in loops_inner_first(d) {
-        match try_bulk_loop(d, idx) {
+        match try_bulk_loop(d, &reads, idx) {
             Ok(plan) => {
                 let inst = d.code[idx].own_mut();
                 let DInst::Loop(head) = std::mem::replace(inst, DInst::Ret { src: None }) else {
@@ -1297,32 +1400,20 @@ fn loops_inner_first(d: &DFunc) -> Vec<usize> {
 type Reject = &'static str;
 
 /// Compiles the body of the loop header at `idx` into a plan, if it is
-/// a region the plan language can express.
-fn try_bulk_loop(d: &DFunc, idx: usize) -> Result<Box<BulkPlan>, Reject> {
+/// a region the plan language can express. `reads` counts the operands
+/// reading each SSA value.
+fn try_bulk_loop(d: &DFunc, reads: &[u32], idx: usize) -> Result<Box<BulkPlan>, Reject> {
     let (head, _) = d.code[idx].as_loop().expect("a foreach/forrange header");
-    let plan = compile_plan(d, &d.regions[head.body as usize])?;
-    Ok(Box::new(plan))
-}
-
-/// Compiles a loop body region into a [`BulkPlan`]: every slot must be
-/// expressible as plan ops, and the terminating yield's moves carry the
-/// values into the next iteration. Top-level `const` ops are hoisted
-/// into the prelude: each writes a slot no other op writes (an SSA
-/// value, or the scratch slot of one constant path index).
-fn compile_plan(d: &DFunc, region: &DRegion) -> Result<BulkPlan, Reject> {
-    let (ops, yields) = compile_body(d, region)?;
-    let (prelude, mut ops): (Vec<PlanOp>, Vec<PlanOp>) = ops
-        .into_iter()
-        .partition(|p| matches!(p.op, BulkOp::Scalar(UScalar::Const { .. })));
-    let tail = assign_ticks(&mut ops, region);
-    Ok(BulkPlan {
+    let mut prelude = Vec::new();
+    let (ops, yields, tail) = compile_body(d, reads, head.body, &mut prelude)?;
+    Ok(Box::new(BulkPlan {
         worst: worst_ticks(&ops, tail),
         depth: 1 + nest_depth(&ops),
         prelude: prelude.into_boxed_slice(),
         ops: ops.into_boxed_slice(),
         yields,
         tail,
-    })
+    }))
 }
 
 /// Gives each op of a region's compiled sequence its
@@ -1350,11 +1441,10 @@ fn worst_ticks(ops: &[PlanOp], tail: u32) -> Option<u32> {
         let arm = match &p.op {
             BulkOp::If {
                 then_ops,
-                then_tail,
                 else_ops,
-                else_tail,
+                ends,
                 ..
-            } => worst_ticks(then_ops, *then_tail)?.max(worst_ticks(else_ops, *else_tail)?),
+            } => worst_ticks(then_ops, ends[0].1)?.max(worst_ticks(else_ops, ends[1].1)?),
             BulkOp::Loop { .. } => return None,
             _ => 0,
         };
@@ -1378,19 +1468,52 @@ fn nest_depth(ops: &[PlanOp]) -> u32 {
         .unwrap_or(0)
 }
 
-/// Compiles a loop body or branch arm: the ops of its slots, the
-/// terminator's path steps included, plus its terminal yield's moves.
-fn compile_body(d: &DFunc, region: &DRegion) -> Result<(Vec<PlanOp>, Moves), Reject> {
+/// Compiles the loop body or branch arm `r`: the ops of its slots, the
+/// terminator's path steps included, with their ticks and every `const`
+/// moved to `prelude` (each writes a slot no other op writes: an SSA
+/// value, or the scratch slot of one constant path index); its terminal
+/// yield's moves; and its slots after the last op.
+fn compile_body(
+    d: &DFunc,
+    reads: &[u32],
+    r: u32,
+    prelude: &mut Vec<PlanOp>,
+) -> Result<(Vec<PlanOp>, Moves, u32), Reject> {
+    let region = &d.regions[r as usize];
     let (start, end) = (region.start as usize, region.end as usize);
     let mut ops = Vec::new();
     for idx in start..end - 1 {
-        compile_inst(d, idx, &mut ops)?;
+        compile_inst(d, reads, idx, &mut ops, prelude)?;
     }
     let (steps, DInst::Yield { moves, .. }) = split(&d.code[end - 1]) else {
         unreachable!("the verifier ends every loop body and arm with yield")
     };
     ops.extend_from_slice(steps);
-    Ok((ops, moves.clone()))
+    let (consts, mut ops): (Vec<PlanOp>, Vec<PlanOp>) = ops
+        .into_iter()
+        .partition(|p| matches!(p.op, BulkOp::Scalar(UScalar::Const { .. })));
+    prelude.extend(consts);
+    let tail = assign_ticks(&mut ops, region);
+    Ok((ops, moves.clone(), tail))
+}
+
+/// What a branch on `cond` tests: the [`Test`] of the compare in `ops`
+/// that writes `cond`, taken out of `ops`, when the branch is the only
+/// operand reading it (no other op, yield or arm does); else `cond`'s
+/// truth.
+fn branch_test(ops: &mut Vec<PlanOp>, reads: &[u32], cond: Slot) -> Test {
+    let writer = ops
+        .iter()
+        .rposition(|p| matches!(p.op, BulkOp::Scalar(UScalar::Cmp { dst, .. }) if dst == cond));
+    match writer {
+        Some(k) if reads.get(cond.index()) == Some(&1) => {
+            let BulkOp::Scalar(UScalar::Cmp { test, .. }) = ops.remove(k).op else {
+                unreachable!("the writer is a compare")
+            };
+            test
+        }
+        _ => Test::Bool(cond.index),
+    }
 }
 
 /// A slot's path steps and the instruction they feed.
@@ -1404,10 +1527,17 @@ fn split(inst: &DInst) -> (&[PlanOp], &DInst) {
 /// Appends the plan ops of the slot at `idx`: its path steps, then the
 /// slot's own op, or the op a branch or a compiled nested loop compiles
 /// to, sited at `idx` so bulk execution traps at exactly the site the
-/// unfused loop would. An observable side channel (print, ROI, calls),
-/// a `dowhile` or `ret`, or a nested loop that stayed generic rejects
+/// unfused loop would. A branch's arms move their `const`s to
+/// `prelude`. An observable side channel (print, ROI, calls), a
+/// `dowhile` or `ret`, or a nested loop that stayed generic rejects
 /// the whole loop.
-fn compile_inst(d: &DFunc, idx: usize, out: &mut Vec<PlanOp>) -> Result<(), Reject> {
+fn compile_inst(
+    d: &DFunc,
+    reads: &[u32],
+    idx: usize,
+    out: &mut Vec<PlanOp>,
+    prelude: &mut Vec<PlanOp>,
+) -> Result<(), Reject> {
     let (steps, inst) = split(&d.code[idx]);
     out.extend_from_slice(steps);
     let op = match inst {
@@ -1417,21 +1547,14 @@ fn compile_inst(d: &DFunc, idx: usize, out: &mut Vec<PlanOp>) -> Result<(), Reje
             then_r,
             else_r,
         } => {
-            let arm = |r: u32| {
-                let region = &d.regions[r as usize];
-                let (mut ops, yields) = compile_body(d, region)?;
-                let tail = assign_ticks(&mut ops, region);
-                Ok::<_, Reject>((ops, yields, tail))
-            };
-            let (then_ops, then_yields, then_tail) = arm(*then_r)?;
-            let (else_ops, else_yields, else_tail) = arm(*else_r)?;
+            let test = branch_test(out, reads, *cond);
+            let (then_ops, then_yields, then_tail) = compile_body(d, reads, *then_r, prelude)?;
+            let (else_ops, else_yields, else_tail) = compile_body(d, reads, *else_r, prelude)?;
             BulkOp::If {
-                cond: *cond,
+                test,
                 then_ops: then_ops.into_boxed_slice(),
                 else_ops: else_ops.into_boxed_slice(),
-                yields: Box::new([then_yields, else_yields]),
-                then_tail,
-                else_tail,
+                ends: Box::new([(then_yields, then_tail), (else_yields, else_tail)]),
             }
         }
         DInst::LoopBulk(_, plan) => BulkOp::Loop { plan: plan.clone() },
@@ -2048,5 +2171,175 @@ fn @main() -> void {
                 .all(|i| !matches!(i, DInst::LoopBulk(..))),
             "the reference decode must not run loop fusion"
         );
+    }
+
+    /// The only plan of `m`'s default decode, with its body region.
+    fn only_plan(d: &DecodedModule) -> (&BulkPlan, &DRegion) {
+        let f = &d.funcs[0];
+        let (head, plan) = f
+            .code
+            .iter()
+            .find_map(DInst::as_loop)
+            .expect("a loop header");
+        let plan = plan.expect("the body compiles to a plan");
+        (plan, &f.regions[head.body as usize])
+    }
+
+    /// A branch on a compare that nothing else reads, each arm with a
+    /// `const`.
+    const COMPARE_BRANCH: &str = r#"
+fn @main() -> void {
+  %lo = const 0u64
+  %hi = const 8u64
+  %zero = const 0u64
+  %r = forrange %lo, %hi carry(%zero) as (%i: u64, %acc: u64) {
+    %four = const 4u64
+    %c = gt %i, %four
+    %v = if %c then {
+      %one = const 1u64
+      %w = add %acc, %one
+      yield %w
+    } else {
+      %two = const 2u64
+      %w2 = mul %acc, %two
+      yield %w2
+    }
+    yield %v
+  }
+  print %r
+  ret
+}
+"#;
+
+    #[test]
+    fn a_single_use_compare_fuses_into_its_branch() {
+        let m = parse_module(COMPARE_BRANCH).expect("parses");
+        let d = DecodedModule::decode_with(&m, &DecodeOptions::default());
+        let (plan, body) = only_plan(&d);
+        let four = plan
+            .prelude
+            .iter()
+            .find_map(|p| match p.op {
+                BulkOp::Scalar(UScalar::Const { dst, .. }) if p.site == body.start => Some(dst),
+                _ => None,
+            })
+            .expect("the body's const is in the prelude");
+        let i = body.args[0];
+        // `gt %i, %four` tests `%four < %i`; the compare's slot and the
+        // const's before it tick with the branch, at the branch's site.
+        let [PlanOp { site, ticks, op }] = plan.ops.as_ref() else {
+            panic!("one op: {:?}", plan.ops)
+        };
+        let BulkOp::If {
+            test,
+            then_ops,
+            else_ops,
+            ends,
+        } = op
+        else {
+            panic!("a branch: {op:?}")
+        };
+        assert_eq!(*test, Test::LtU(four.index, i.index));
+        assert_eq!((*site, *ticks), (body.start + 2, 3));
+        for (arm, (_, tail)) in [then_ops, else_ops].into_iter().zip(ends.iter()) {
+            let ticks: Vec<u32> = arm.iter().map(|p| p.ticks).collect();
+            assert_eq!(
+                (ticks, *tail),
+                (vec![2], 1),
+                "the arm's const ticks with its op"
+            );
+        }
+        // Every const is in the prelude; the longest iteration and the
+        // regions open at once are what they are unfused: 3 + 2 + 1 + 1
+        // ticks, the body and one arm.
+        assert_eq!(plan.prelude.len(), 3);
+        assert!(plan
+            .prelude
+            .iter()
+            .all(|p| p.ticks == 0 && matches!(p.op, BulkOp::Scalar(UScalar::Const { .. }))));
+        assert_eq!((plan.tail, plan.worst, plan.depth), (1, Some(7), 2));
+        // The reference decode keeps the compare and the branch apart.
+        let r = reference(&m);
+        let body = &r.funcs[0].regions[body_index(&r)];
+        assert!(matches!(
+            r.funcs[0].code[body.start as usize + 1],
+            DInst::Op(PlanOp {
+                op: BulkOp::Scalar(UScalar::Cmp { .. }),
+                ..
+            })
+        ));
+    }
+
+    fn body_index(d: &DecodedModule) -> usize {
+        let (head, _) = d.funcs[0]
+            .code
+            .iter()
+            .find_map(DInst::as_loop)
+            .expect("a loop");
+        head.body as usize
+    }
+
+    #[test]
+    fn a_compare_read_elsewhere_stays_an_op() {
+        // `%c` is yielded out of the loop, `%d` read by a later op and
+        // `%g` by an arm's yield: each branch tests its slot.
+        let m = parse_module(
+            r#"
+fn @main() -> void {
+  %lo = const 0u64
+  %hi = const 8u64
+  %zero = const 0u64
+  %f = const false
+  %r, %k = forrange %lo, %hi carry(%zero, %f) as (%i: u64, %acc: u64, %kk: bool) {
+    %four = const 4u64
+    %c = lt %i, %four
+    %v = if %c then {
+      yield %i
+    } else {
+      yield %acc
+    }
+    %d = eq %i, %four
+    %e = not %d
+    %v2 = if %d then {
+      yield %v
+    } else {
+      yield %i
+    }
+    %g = ge %i, %four
+    %h = if %g then {
+      yield %g
+    } else {
+      yield %e
+    }
+    %x = and %h, %e
+    yield %v2, %c
+  }
+  print %r, %k
+  ret
+}
+"#,
+        )
+        .expect("parses");
+        let d = DecodedModule::decode_with(&m, &DecodeOptions::default());
+        let (plan, _) = only_plan(&d);
+        let tests: Vec<Test> = plan
+            .ops
+            .iter()
+            .filter_map(|p| match &p.op {
+                BulkOp::If { test, .. } => Some(*test),
+                _ => None,
+            })
+            .collect();
+        let compares = plan
+            .ops
+            .iter()
+            .filter(|p| matches!(p.op, BulkOp::Scalar(UScalar::Cmp { .. })))
+            .count();
+        assert_eq!(tests.len(), 3);
+        assert!(
+            tests.iter().all(|t| matches!(t, Test::Bool(_))),
+            "{tests:?}"
+        );
+        assert_eq!(compares, 3);
     }
 }

@@ -53,11 +53,11 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use ade_ir::{BinOp, CmpOp, FuncId, Module, Type};
+use ade_ir::{BinOp, FuncId, Module, Type};
 
 use crate::decode::{
     BulkOp, BulkPlan, DFunc, DInst, DecodeOptions, DecodedModule, LoopHeader, LoopOver, Moves,
-    PlanOp, Slot, Table, UScalar,
+    PlanOp, Slot, Table, Test, UScalar,
 };
 use crate::heap::{Arg, CollId, Collection, Elem, Enumeration, SelectionDefaults};
 use crate::stats::{CollOp, ImplKind, Phase, Stats};
@@ -1352,11 +1352,22 @@ impl<'m> Interpreter<'m> {
         frame: &mut Frame,
         plan: &BulkPlan,
     ) -> Result<(), ExecError> {
-        for p in plan.ops.iter() {
-            self.exec_plan_op(func, frame, p)?;
-        }
+        self.exec_ops(func, frame, &plan.ops)?;
         self.ticks_left -= u64::from(plan.tail);
         frame.run(&plan.yields);
+        Ok(())
+    }
+
+    /// Runs a plan iteration's or an `if` arm's ops in order, each inline.
+    fn exec_ops(
+        &mut self,
+        func: &DFunc,
+        frame: &mut Frame,
+        ops: &[PlanOp],
+    ) -> Result<(), ExecError> {
+        for p in ops {
+            self.exec_plan_op(func, frame, p)?;
+        }
         Ok(())
     }
 
@@ -1390,9 +1401,10 @@ impl<'m> Interpreter<'m> {
     /// Runs one op, whether dispatch reached its slot or a plan runs it
     /// (a nested loop opens through [`Self::open_loop`]): deducts the
     /// slots the op stands for (none under dispatch, which ticked the
-    /// slot) and sites traps at the op's code slot. The scalar step runs
-    /// inline; every other op through [`Self::exec_heap_op`].
-    #[inline]
+    /// slot) and sites traps at the op's code slot. The scalar step and
+    /// a plan's branch run inline; every other op through
+    /// [`Self::exec_heap_op`].
+    #[inline(always)]
     fn exec_plan_op(
         &mut self,
         func: &DFunc,
@@ -1405,12 +1417,28 @@ impl<'m> Interpreter<'m> {
                 Ok(()) => Ok(()),
                 Err(kind) => Err(trap_at(func, p.site as usize, kind)),
             },
+            BulkOp::If {
+                test,
+                then_ops,
+                else_ops,
+                ends,
+            } => {
+                let (ops, (yields, tail)) = if holds(frame, *test) {
+                    (then_ops, &ends[0])
+                } else {
+                    (else_ops, &ends[1])
+                };
+                self.exec_ops(func, frame, ops)?;
+                self.ticks_left -= u64::from(*tail);
+                frame.run(yields);
+                Ok(())
+            }
             op => self.exec_heap_op(func, frame, p.site as usize, op),
         }
     }
 
-    /// Every op but the scalar step, sited at code slot `site`. Out of
-    /// line, so a scalar op pays none of its frame.
+    /// Every op but the scalar step and the branch, sited at code slot
+    /// `site`. Out of line, so those pay none of its frame.
     #[inline(never)]
     fn exec_heap_op(
         &mut self,
@@ -1421,7 +1449,9 @@ impl<'m> Interpreter<'m> {
     ) -> Result<(), ExecError> {
         let at = |k| trap_at(func, site, k);
         match op {
-            BulkOp::Scalar(_) => unreachable!("exec_plan_op runs the scalar step"),
+            BulkOp::Scalar(_) | BulkOp::If { .. } => {
+                unreachable!("exec_plan_op runs the scalar step and the branch")
+            }
             BulkOp::Proj { base, field, dst } => {
                 let v = project(&frame.side[base.index()], *field);
                 frame.store(*dst, v);
@@ -1551,25 +1581,6 @@ impl<'m> Interpreter<'m> {
             BulkOp::Loop { plan } => self
                 .run_loop_in_place(func, frame, site, plan)
                 .map_err(|e| site_at(func, site, e))?,
-            BulkOp::If {
-                cond,
-                then_ops,
-                else_ops,
-                yields,
-                then_tail,
-                else_tail,
-            } => {
-                let (ops, yields, tail) = if frame.reg(*cond) != 0 {
-                    (then_ops, &yields[0], then_tail)
-                } else {
-                    (else_ops, &yields[1], else_tail)
-                };
-                for q in ops.iter() {
-                    self.exec_plan_op(func, frame, q)?;
-                }
-                self.ticks_left -= u64::from(*tail);
-                frame.run(yields);
-            }
         }
         Ok(())
     }
@@ -1644,97 +1655,90 @@ fn leave_to_parent(cursors: &mut Vec<Cursor>) -> Next {
 }
 
 /// The scalar step of the `const`, arithmetic, comparison, negation and
-/// cast ops: register bits in, register bits out, typed at decode.
-#[inline]
+/// cast ops: register bits in, register bits out, typed at decode, under
+/// one match. Integer arithmetic wraps; `div`/`rem` by zero, and
+/// `i64::MIN` by -1, trap.
+#[inline(always)]
 fn exec_scalar(func: &DFunc, frame: &mut Frame, u: UScalar) -> Result<(), TrapKind> {
-    match u {
-        UScalar::Const { pool, dst } => {
-            if dst.is_boxed() {
-                frame.side[dst.index()] = func.strs[pool as usize].clone();
-            } else {
-                frame.set_reg(dst, func.consts[pool as usize]);
-            }
+    use BinOp::*;
+    let r = |s: Slot| frame.reg(s);
+    let i = |s: Slot| frame.reg(s) as i64;
+    let f = |s: Slot| f64::from_bits(frame.reg(s));
+    let zero = || TrapKind::DivideByZero;
+    let (dst, bits) = match u {
+        UScalar::Const { pool, dst } if dst.is_boxed() => {
+            frame.side[dst.index()] = func.strs[pool as usize].clone();
+            return Ok(());
         }
-        UScalar::Bin { op, a, b, dst } => {
-            let (x, y) = (frame.reg(a), frame.reg(b));
-            let r = match a.kind() {
-                Kind::F64 => bin_f64(op, f64::from_bits(x), f64::from_bits(y)).to_bits(),
-                kind => bin_int(op, x, y, kind == Kind::I64)?,
-            };
-            frame.set_reg(dst, r);
+        UScalar::Const { pool, dst } => (dst, func.consts[pool as usize]),
+        UScalar::Bin { op: Add, a, b, dst } => (dst, r(a).wrapping_add(r(b))),
+        UScalar::Bin { op: Sub, a, b, dst } => (dst, r(a).wrapping_sub(r(b))),
+        UScalar::Bin { op: Mul, a, b, dst } => (dst, r(a).wrapping_mul(r(b))),
+        UScalar::Bin { op: Div, a, b, dst } => (dst, r(a).checked_div(r(b)).ok_or_else(zero)?),
+        UScalar::Bin { op: Rem, a, b, dst } => (dst, r(a).checked_rem(r(b)).ok_or_else(zero)?),
+        UScalar::Bin { op: Min, a, b, dst } => (dst, r(a).min(r(b))),
+        UScalar::Bin { op: Max, a, b, dst } => (dst, r(a).max(r(b))),
+        UScalar::Bin { op: And, a, b, dst } => (dst, r(a) & r(b)),
+        UScalar::Bin { op: Or, a, b, dst } => (dst, r(a) | r(b)),
+        UScalar::Bin { op: Xor, a, b, dst } => (dst, r(a) ^ r(b)),
+        UScalar::Bin { op: Shl, a, b, dst } => (dst, r(a).wrapping_shl(r(b) as u32)),
+        UScalar::Bin { op: Shr, a, b, dst } => (dst, r(a).wrapping_shr(r(b) as u32)),
+        UScalar::BinI { op: Div, a, b, dst } => {
+            (dst, i(a).checked_div(i(b)).ok_or_else(zero)? as u64)
         }
-        UScalar::Cmp { op, a, b, dst } => {
-            let (x, y) = (frame.reg(a), frame.reg(b));
-            let ord = match a.kind() {
-                Kind::I64 => (x as i64).cmp(&(y as i64)),
-                Kind::F64 => f64::from_bits(x).total_cmp(&f64::from_bits(y)),
-                Kind::Boxed => frame.side[a.index()].cmp(&frame.side[b.index()]),
-                _ => x.cmp(&y),
-            };
-            let holds = match op {
-                CmpOp::Eq => ord.is_eq(),
-                CmpOp::Ne => ord.is_ne(),
-                CmpOp::Lt => ord.is_lt(),
-                CmpOp::Le => ord.is_le(),
-                CmpOp::Gt => ord.is_gt(),
-                CmpOp::Ge => ord.is_ge(),
-            };
-            frame.set_reg(dst, u64::from(holds));
+        UScalar::BinI { op: Rem, a, b, dst } => {
+            (dst, i(a).checked_rem(i(b)).ok_or_else(zero)? as u64)
         }
-        UScalar::Not { a, dst } => frame.set_reg(dst, frame.reg(a) ^ 1),
+        UScalar::BinI { op: Min, a, b, dst } => (dst, i(a).min(i(b)) as u64),
+        UScalar::BinI { op: Max, a, b, dst } => (dst, i(a).max(i(b)) as u64),
+        UScalar::BinI { op: Shr, a, b, dst } => (dst, i(a).wrapping_shr(r(b) as u32) as u64),
+        UScalar::BinF { op: Add, a, b, dst } => (dst, (f(a) + f(b)).to_bits()),
+        UScalar::BinF { op: Sub, a, b, dst } => (dst, (f(a) - f(b)).to_bits()),
+        UScalar::BinF { op: Mul, a, b, dst } => (dst, (f(a) * f(b)).to_bits()),
+        UScalar::BinF { op: Div, a, b, dst } => (dst, (f(a) / f(b)).to_bits()),
+        UScalar::BinF { op: Rem, a, b, dst } => (dst, (f(a) % f(b)).to_bits()),
+        UScalar::BinF { op: Min, a, b, dst } => (dst, f(a).min(f(b)).to_bits()),
+        UScalar::BinF { op: Max, a, b, dst } => (dst, f(a).max(f(b)).to_bits()),
+        UScalar::BinI { op, .. } | UScalar::BinF { op, .. } => {
+            unreachable!("{op:?}: decode gives i64 only its signed ops, f64 no bitwise or shift op")
+        }
+        UScalar::Cmp { test, dst } => (dst, u64::from(holds(frame, test))),
+        UScalar::Not { a, dst } => (dst, r(a) ^ 1),
         UScalar::Cast { a, dst } => {
-            let x = frame.reg(a);
-            let r = match (a.kind(), dst.kind()) {
+            let x = r(a);
+            let bits = match (a.kind(), dst.kind()) {
                 (Kind::F64, Kind::F64) => x,
                 (Kind::F64, _) => f64::from_bits(x) as u64,
                 (Kind::I64, Kind::F64) => (x as i64 as f64).to_bits(),
                 (_, Kind::F64) => (x as f64).to_bits(),
                 _ => x,
             };
-            frame.set_reg(dst, r);
+            (dst, bits)
         }
-    }
+    };
+    frame.set_reg(dst, bits);
     Ok(())
 }
 
-/// Integer arithmetic on register bits, signed for `i64`: wrapping,
-/// with `div`/`rem` by zero, and `i64::MIN` by -1, trapping.
-#[inline]
-fn bin_int(op: BinOp, x: u64, y: u64, signed: bool) -> Result<u64, TrapKind> {
-    let (sx, sy) = (x as i64, y as i64);
-    let zero = || TrapKind::DivideByZero;
-    Ok(match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        BinOp::Div if signed => sx.checked_div(sy).ok_or_else(zero)? as u64,
-        BinOp::Div => x.checked_div(y).ok_or_else(zero)?,
-        BinOp::Rem if signed => sx.checked_rem(sy).ok_or_else(zero)? as u64,
-        BinOp::Rem => x.checked_rem(y).ok_or_else(zero)?,
-        BinOp::Min if signed => sx.min(sy) as u64,
-        BinOp::Min => x.min(y),
-        BinOp::Max if signed => sx.max(sy) as u64,
-        BinOp::Max => x.max(y),
-        BinOp::And => x & y,
-        BinOp::Or => x | y,
-        BinOp::Xor => x ^ y,
-        BinOp::Shl => x.wrapping_shl(y as u32),
-        BinOp::Shr if signed => sx.wrapping_shr(y as u32) as u64,
-        BinOp::Shr => x.wrapping_shr(y as u32),
-    })
-}
-
-#[inline]
-fn bin_f64(op: BinOp, x: f64, y: f64) -> f64 {
-    match op {
-        BinOp::Add => x + y,
-        BinOp::Sub => x - y,
-        BinOp::Mul => x * y,
-        BinOp::Div => x / y,
-        BinOp::Rem => x % y,
-        BinOp::Min => x.min(y),
-        BinOp::Max => x.max(y),
-        other => unreachable!("{other:?} on f64: the verifier allows no bitwise or shift op"),
+/// Whether `test` holds on `frame`'s slots.
+#[inline(always)]
+fn holds(frame: &Frame, test: Test) -> bool {
+    let r = |i: u32| frame.regs[i as usize];
+    let f = |i: u32| f64::from_bits(r(i));
+    match test {
+        Test::Bool(c) => r(c) != 0,
+        Test::Eq(a, b) => r(a) == r(b),
+        Test::Ne(a, b) => r(a) != r(b),
+        Test::LtU(a, b) => r(a) < r(b),
+        Test::LeU(a, b) => r(a) <= r(b),
+        Test::LtI(a, b) => (r(a) as i64) < r(b) as i64,
+        Test::LeI(a, b) => r(a) as i64 <= r(b) as i64,
+        Test::LtF(a, b) => f(a).total_cmp(&f(b)).is_lt(),
+        Test::LeF(a, b) => f(a).total_cmp(&f(b)).is_le(),
+        Test::Boxed { a, b, holds } => {
+            let ord = frame.side[a as usize].cmp(&frame.side[b as usize]);
+            holds[(ord as i8 + 1) as usize]
+        }
     }
 }
 

@@ -16,7 +16,7 @@ mod common;
 
 use std::sync::Arc;
 
-use ade::interp::decode::{BulkOp, DInst, LoopOver, PlanOp, UScalar};
+use ade::interp::decode::{BulkOp, DInst, LoopOver, PlanOp, Test, UScalar};
 use ade::interp::{
     DecodeOptions, DecodedModule, ExecConfig, ExecError, ExecSession, Interpreter, Limit, Outcome,
     Step,
@@ -557,6 +557,27 @@ fn bulk_range_with_if(i: &DInst) -> bool {
     bulk_range(i).is_some() && bulk_plan_has(i, |op| matches!(op, BulkOp::If { .. }))
 }
 
+/// A bulk loop with a branch that tests its compare directly.
+fn fused_branch(i: &DInst) -> bool {
+    bulk_plan_has(
+        i,
+        |op| matches!(op, BulkOp::If { test, .. } if !matches!(test, Test::Bool(_))),
+    )
+}
+
+/// A bulk loop with a branch on a `bool` slot.
+fn slot_branch(i: &DInst) -> bool {
+    bulk_plan_has(i, |op| {
+        matches!(
+            op,
+            BulkOp::If {
+                test: Test::Bool(_),
+                ..
+            }
+        )
+    })
+}
+
 fn bulk_foreach(i: &DInst) -> bool {
     matches!(i, DInst::LoopBulk(head, _) if matches!(head.over, LoopOver::Coll(_)))
 }
@@ -701,14 +722,14 @@ const CASES: &[Case] = &[
     Case {
         name: "branches on compares of every kind, with consts in their arms",
         text: COMPARE_BRANCH,
-        shapes: &[bulk_range_with_if],
+        shapes: &[fused_branch, slot_branch],
         depths: NO_DEPTH_LIMIT,
         fuel_sweep: u64::MAX,
     },
     Case {
         name: "div by zero in the arm of a compare's branch",
         text: COMPARE_BRANCH_TRAP,
-        shapes: &[bulk_range_with_if],
+        shapes: &[fused_branch],
         depths: NO_DEPTH_LIMIT,
         fuel_sweep: u64::MAX,
     },

@@ -6,7 +6,7 @@
 
 mod common;
 
-use ade::interp::decode::{BulkOp, UScalar};
+use ade::interp::decode::{BulkOp, Test, UScalar};
 use ade::interp::{DecodeOptions, DecodedModule, ExecConfig, ExecError, Interpreter, Limit};
 use ade::ir::parse::parse_module;
 use ade::ir::BinOp;
@@ -27,15 +27,18 @@ fn div(op: &BulkOp) -> bool {
     matches!(op, BulkOp::Scalar(UScalar::Bin { op: BinOp::Div, .. }))
 }
 
-/// A `div` in an arm of a branch.
+/// A `div` in an arm of a branch that tests its compare directly.
 fn div_in_arm(op: &BulkOp) -> bool {
     let BulkOp::If {
-        then_ops, else_ops, ..
+        test,
+        then_ops,
+        else_ops,
+        ..
     } = op
     else {
         return false;
     };
-    then_ops.iter().chain(else_ops.iter()).any(|p| div(&p.op))
+    !matches!(test, Test::Bool(_)) && then_ops.iter().chain(else_ops.iter()).any(|p| div(&p.op))
 }
 
 const CASES: &[Case] = &[
