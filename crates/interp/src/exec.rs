@@ -442,7 +442,7 @@ impl LoopIter {
 
     /// Binds the next iteration's leading body arguments (the first
     /// `bound` of `args`); `false` once no iteration is left.
-    #[inline]
+    #[inline(always)]
     fn bind(&mut self, frame: &mut Frame, args: &[Slot], bound: usize) -> bool {
         match self {
             LoopIter::Range { next, hi } => {
@@ -1025,13 +1025,11 @@ impl<'m> Interpreter<'m> {
     ) -> Result<Next, ExecError> {
         match inst {
             DInst::Op(p) => {
-                self.exec_plan_op(func, frame, p)?;
+                self.exec_op(func, frame, p)?;
                 Ok(Next::At(pc + 1))
             }
             DInst::Lowered { steps, inst } => {
-                for p in steps.iter() {
-                    self.exec_plan_op(func, frame, p)?;
-                }
+                self.exec_ops(func, frame, steps)?;
                 self.exec_inst(func, frame, cursors, pc, inst)
             }
             DInst::Call { callee, .. } => {
@@ -1228,9 +1226,7 @@ impl<'m> Interpreter<'m> {
         let plan = plan.filter(|p| self.plan_may_run(p, cursors.len()));
         self.count_loop(plan.is_some());
         if let Some(plan) = plan {
-            for p in plan.prelude.iter() {
-                self.exec_plan_op(func, frame, p)?;
-            }
+            self.exec_ops(func, frame, &plan.prelude)?;
         }
         if iter.is_done() {
             copy_slots(frame, head.carried_args(func), &head.dsts);
@@ -1345,7 +1341,7 @@ impl<'m> Interpreter<'m> {
     /// copied into the carried argument slots. The caller checked that
     /// the countdown covers the iteration's worst case; each op deducts
     /// the slots it stands for, so a trap leaves the exact count.
-    #[inline]
+    #[inline(always)]
     fn exec_plan_iteration(
         &mut self,
         func: &DFunc,
@@ -1358,7 +1354,8 @@ impl<'m> Interpreter<'m> {
         Ok(())
     }
 
-    /// Runs a plan iteration's or an `if` arm's ops in order, each inline.
+    /// Runs ops in order, each inline: a plan's prelude, iteration or
+    /// `if` arm, or the path steps of a slot dispatch reached.
     fn exec_ops(
         &mut self,
         func: &DFunc,
@@ -1387,15 +1384,21 @@ impl<'m> Interpreter<'m> {
         let (head, _) = loop_at(func, header);
         let mut iter = self.open_loop(func, frame, head);
         self.count_loop(true);
-        for p in plan.prelude.iter() {
-            self.exec_plan_op(func, frame, p)?;
-        }
+        self.exec_ops(func, frame, &plan.prelude)?;
         let args = head.args(func);
         while iter.bind(frame, args, head.bound as usize) {
             self.exec_plan_iteration(func, frame, plan)?;
         }
         copy_slots(frame, head.carried_args(func), &head.dsts);
         Ok(())
+    }
+
+    /// The op of a slot dispatch reached, out of line: dispatch's own
+    /// loop stays small, and a lone op pays none of the set-up a loop
+    /// over ops hoists.
+    #[inline(never)]
+    fn exec_op(&mut self, func: &DFunc, frame: &mut Frame, p: &PlanOp) -> Result<(), ExecError> {
+        self.exec_plan_op(func, frame, p)
     }
 
     /// Runs one op, whether dispatch reached its slot or a plan runs it
