@@ -3991,7 +3991,9 @@ fn branch_run(text: &str) -> String {
 
 /// A compare that is yielded out of the loop and printed, one read by a
 /// later op, and one read by an arm's yield, each also a branch's
-/// condition.
+/// condition. Each is true in the last iteration, where a branch that
+/// took the compare's place and left its slot unwritten would print
+/// `false`.
 const BRANCH_SHARED: &str = r#"
 fn @main() -> void {
   %lo = const 0u64
@@ -3999,9 +4001,9 @@ fn @main() -> void {
   %zero = const 0u64
   %f = const false
   %kept, %sum, %both = forrange %lo, %hi carry(%f, %zero, %f) as (%i: u64, %k: bool, %acc: u64, %b: bool) {
-    %one = const 1u64
     %two = const 2u64
-    %c = lt %i, %one
+    %three = const 3u64
+    %c = lt %i, %hi
     %r = if %c then {
       %ten = const 10u64
       yield %ten
@@ -4016,7 +4018,7 @@ fn @main() -> void {
     } else {
       yield %r
     }
-    %g = eq %i, %two
+    %g = eq %i, %three
     %h = if %g then {
       yield %g
     } else {
@@ -4120,8 +4122,8 @@ str gt: F F F T F F T T F
 str ge: T F F T T F T T T
 ticks=237
 -- shared compares --
-false 211 false
-ticks=66
+true 220 true
+ticks=69
 -- trap in an arm --
 div-by-zero at @main:14 ticks=30
 "#;

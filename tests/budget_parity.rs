@@ -442,7 +442,8 @@ const PERMUTED_YIELDS: &str =
     include_str!("../crates/interp/tests/programs/permuted_yields.memoir");
 
 /// Branches on compares of every kind, nested two deep, each arm with a
-/// `const`, plus a compare that is also carried out of the loop.
+/// `const`, plus a compare that is also carried out of the loop (true
+/// at the end, so a branch that left its slot unwritten would show).
 const COMPARE_BRANCH: &str = r#"
 fn @main() -> void {
   %m = new Map<u64, u64>
@@ -489,7 +490,7 @@ fn @main() -> void {
       %y = add %a, %i
       yield %y
     }
-    %keep = eq %i, %four
+    %keep = ge %i, %four
     %a3 = if %keep then {
       %two = const 2u64
       %z = mul %a2, %two
