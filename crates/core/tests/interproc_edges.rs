@@ -1,10 +1,13 @@
-//! Regression tests for the interprocedural edge cases found during
-//! review: escaping parameters, directive-blocked union partners, and
-//! class-consistency across call boundaries.
+//! Regression tests for the interprocedural edge cases: escaping
+//! parameters, directive-blocked union partners, class-consistency
+//! across call boundaries, and the planner paths no paper benchmark
+//! enters (exported callees, clones of recursive callees, poisoned
+//! classes, dropped enumerations).
 
-use ade_core::{run_ade, AdeOptions};
+use ade_core::{run_ade, run_ade_traced, AdeOptions};
 use ade_interp::{ExecConfig, Interpreter};
 use ade_ir::parse::parse_module;
+use ade_ir::print::print_module;
 
 fn differential(text: &str) -> ade_core::AdeReport {
     let baseline_module = parse_module(text).expect("parses");
@@ -192,4 +195,401 @@ fn @main() -> void {
 "#,
     );
     assert_eq!(report.enums_created, 1, "{report:?}");
+}
+
+/// What the pass made of one program under `ade`.
+struct Planned {
+    /// The compiled module, printed.
+    ir: String,
+    /// `AdeReport::cloned_functions`.
+    cloned: Vec<String>,
+    /// The `interproc` and `rte` events, rendered without timestamps.
+    events: Vec<String>,
+    /// The compiled program's output, equal to the baseline's.
+    output: String,
+}
+
+fn planned(text: &str) -> Planned {
+    let baseline_module = parse_module(text).expect("parses");
+    let baseline = Interpreter::new(&baseline_module, ExecConfig::default())
+        .run("main")
+        .expect("baseline runs");
+    let mut module = parse_module(text).expect("parses");
+    let tracer = ade_obs::Tracer::enabled();
+    let report = run_ade_traced(&mut module, &AdeOptions::default(), &tracer);
+    let ir = print_module(&module);
+    ade_ir::verify::verify_module(&module).unwrap_or_else(|e| panic!("verify: {e}\n{ir}"));
+    let output = Interpreter::new(&module, ExecConfig::default())
+        .run("main")
+        .expect("compiled runs")
+        .output;
+    assert_eq!(output, baseline.output, "{ir}");
+    let events = ade_obs::render_events(&tracer.events(), false)
+        .lines()
+        .map(str::trim)
+        .filter(|l| l.contains(" [interproc]") || l.contains(" [rte]"))
+        .map(String::from)
+        .collect();
+    Planned {
+        ir,
+        cloned: report.cloned_functions,
+        events,
+        output,
+    }
+}
+
+/// `text` parsed and printed: the IR a compile that changes nothing
+/// prints.
+fn unchanged(text: &str) -> String {
+    print_module(&parse_module(text).expect("parses"))
+}
+
+/// An `exported` callee whose parameter is enumerated by its own body
+/// is cloned: the original keeps its signature for outside callers and
+/// the clone is transformed. Passing a collection to an exported
+/// function makes it escape in the caller, so no call site agrees and
+/// nothing is retargeted.
+#[test]
+fn exported_callee_is_cloned_and_keeps_its_signature() {
+    let text = r#"
+fn @main() -> void {
+  %m = new Map<u64, u64>
+  %zero = const 0u64
+  %n = const 40u64
+  %mf = forrange %zero, %n carry(%m) as (%i: u64, %mm: Map<u64, u64>) {
+    %one = const 1u64
+    %j = add %i, %one
+    %forty = const 40u64
+    %next = rem %j, %forty
+    %m1 = write %mm, %i, %next
+    yield %m1
+  }
+  %r = call @1(%mf)
+  print %r
+  ret
+}
+
+fn @cycles(%m: Map<u64, u64>) -> u64 exported {
+  %zero = const 0u64
+  %hits = foreach %m carry(%zero) as (%k: u64, %v: u64, %acc: u64) {
+    %loops = has %m, %v
+    %a = if %loops then {
+      %one = const 1u64
+      %a1 = add %acc, %one
+      yield %a1
+    } else {
+      yield %acc
+    }
+    yield %a
+  }
+  ret %hits
+}
+"#;
+    let p = planned(text);
+    let clone = r#"fn @cycles$ade(%m: Map{Bit}<idx, idx>) -> u64 {
+  %zero = const 0u64
+  %hits = foreach %m carry(%zero) as (%k: idx, %v: idx, %acc: u64) {
+    %loops = has %m, %v
+    %a = if %loops then {
+      %one = const 1u64
+      %a1 = add %acc, %one
+      yield %a1
+    } else {
+      yield %acc
+    }
+    yield %a
+  }
+  ret %hits
+}
+
+"#;
+    assert_eq!(
+        p.ir,
+        format!("enum e0: u64 // ade0\n\n{}{clone}", unchanged(text))
+    );
+    assert_eq!(p.cloned, ["cycles$ade"]);
+    assert_eq!(
+        p.events,
+        [
+            "- trims [rte] func=cycles enum=0 trim_enc=1 trim_dec=1 trim_add=0 benefit=2",
+            "- clone [interproc] source=cycles clone=cycles$ade",
+            "- retargeted-call-sites [interproc] value=0",
+        ]
+    );
+    assert_eq!(p.output, "40\n");
+}
+
+/// A recursive callee shared by an enumerated and a `noenumerate`
+/// caller is cloned. Its recursive call site agrees, so the retarget
+/// lands in the clone's own copy of that site, while the original keeps
+/// calling itself for the dissenting caller.
+#[test]
+fn recursive_callee_clone_calls_itself() {
+    let text = r#"
+fn @walk(%m: Map<u64, u64>, %fuel: u64) -> u64 {
+  %zero = const 0u64
+  %stop = eq %fuel, %zero
+  %r = if %stop then {
+    yield %zero
+  } else {
+    %hits = foreach %m carry(%zero) as (%k: u64, %v: u64, %acc: u64) {
+      %loops = has %m, %v
+      %a = if %loops then {
+        %one = const 1u64
+        %a1 = add %acc, %one
+        yield %a1
+      } else {
+        yield %acc
+      }
+      yield %a
+    }
+    %one = const 1u64
+    %less = sub %fuel, %one
+    %deep = call @0(%m, %less)
+    %total = add %hits, %deep
+    yield %total
+  }
+  ret %r
+}
+
+fn @main() -> void {
+  %m = new Map<u64, u64>
+  %zero = const 0u64
+  %n = const 40u64
+  %mf = forrange %zero, %n carry(%m) as (%i: u64, %mm: Map<u64, u64>) {
+    %one = const 1u64
+    %j = add %i, %one
+    %forty = const 40u64
+    %next = rem %j, %forty
+    %m1 = write %mm, %i, %next
+    yield %m1
+  }
+  %five = const 5u64
+  %r = call @0(%mf, %five)
+  %q = call @2()
+  print %r, %q
+  ret
+}
+
+fn @other() -> u64 {
+  %p = new Map<u64, u64> #[noenumerate]
+  %k = const 3u64
+  %v = const 3u64
+  %p1 = write %p, %k, %v
+  %two = const 2u64
+  %r = call @0(%p1, %two)
+  ret %r
+}
+"#;
+    let p = planned(text);
+    let expected = r#"enum e0: u64 // ade0
+
+fn @walk(%m: Map<u64, u64>, %fuel: u64) -> u64 {
+  %zero = const 0u64
+  %stop = eq %fuel, %zero
+  %r = if %stop then {
+    yield %zero
+  } else {
+    %hits = foreach %m carry(%zero) as (%k: u64, %v: u64, %acc: u64) {
+      %loops = has %m, %v
+      %a = if %loops then {
+        %one = const 1u64
+        %a1 = add %acc, %one
+        yield %a1
+      } else {
+        yield %acc
+      }
+      yield %a
+    }
+    %one = const 1u64
+    %less = sub %fuel, %one
+    %deep = call @0(%m, %less)
+    %total = add %hits, %deep
+    yield %total
+  }
+  ret %r
+}
+
+fn @main() -> void {
+  %m = new Map{Bit}<idx, idx>
+  %zero = const 0u64
+  %n = const 40u64
+  %mf = forrange %zero, %n carry(%m) as (%i: u64, %mm: Map{Bit}<idx, idx>) {
+    %one = const 1u64
+    %j = add %i, %one
+    %forty = const 40u64
+    %next = rem %j, %forty
+    %14 = enumadd e0, %i
+    %15 = enumadd e0, %next
+    %m1 = write %mm, %14, %15
+    yield %m1
+  }
+  %five = const 5u64
+  %r = call @3(%mf, %five)
+  %q = call @2()
+  print %r, %q
+  ret
+}
+
+fn @other() -> u64 {
+  %p = new Map<u64, u64> #[noenumerate]
+  %k = const 3u64
+  %v = const 3u64
+  %p1 = write %p, %k, %v
+  %two = const 2u64
+  %r = call @0(%p1, %two)
+  ret %r
+}
+
+fn @walk$ade(%m: Map{Bit}<idx, idx>, %fuel: u64) -> u64 {
+  %zero = const 0u64
+  %stop = eq %fuel, %zero
+  %r = if %stop then {
+    yield %zero
+  } else {
+    %hits = foreach %m carry(%zero) as (%k: idx, %v: idx, %acc: u64) {
+      %loops = has %m, %v
+      %a = if %loops then {
+        %one = const 1u64
+        %a1 = add %acc, %one
+        yield %a1
+      } else {
+        yield %acc
+      }
+      yield %a
+    }
+    %one = const 1u64
+    %less = sub %fuel, %one
+    %deep = call @3(%m, %less)
+    %total = add %hits, %deep
+    yield %total
+  }
+  ret %r
+}
+
+"#;
+    assert_eq!(p.ir, expected);
+    assert_eq!(p.cloned, ["walk$ade"]);
+    assert_eq!(
+        p.events,
+        [
+            "- trims [rte] func=main enum=0 trim_enc=0 trim_dec=0 trim_add=0 benefit=0",
+            "- trims [rte] func=walk enum=0 trim_enc=1 trim_dec=1 trim_add=0 benefit=2",
+            "- clone [interproc] source=walk clone=walk$ade",
+            "- retargeted-call-sites [interproc] value=2",
+        ]
+    );
+    assert_eq!(p.output, "200 2\n");
+}
+
+/// A class whose callee parameter escapes is poisoned as a whole: the
+/// event names its size and key type, and the module is left as it was.
+#[test]
+fn escaping_parameter_poisons_its_class() {
+    let text = r#"
+fn @main() -> void {
+  %s = new Set<u64>
+  %zero = const 0u64
+  %n = const 30u64
+  %sf = forrange %zero, %n carry(%s) as (%i: u64, %c: Set<u64>) {
+    %c1 = insert %c, %i
+    yield %c1
+  }
+  %hits = foreach %sf carry(%zero) as (%v: u64, %acc: u64) {
+    %h = has %sf, %v
+    %a = if %h then {
+      %one = const 1u64
+      %a1 = add %acc, %one
+      yield %a1
+    } else {
+      yield %acc
+    }
+    yield %a
+  }
+  %esc = call @1(%sf)
+  %m = size %esc
+  print %hits, %m
+  ret
+}
+
+fn @leak(%p: Set<u64>) -> Set<u64> {
+  ret %p
+}
+"#;
+    let p = planned(text);
+    assert_eq!(p.ir, unchanged(text));
+    assert!(p.cloned.is_empty());
+    assert_eq!(
+        p.events,
+        [
+            "- class-poisoned [interproc] members=1 params=1 key_ty=u64",
+            "- retargeted-call-sites [interproc] value=0",
+        ]
+    );
+    assert_eq!(p.output, "30 30\n");
+}
+
+/// A callee that unions its enumerated parameter with a `noenumerate`
+/// set would translate a whole collection at the `union`: the
+/// enumeration is dropped as an "unpatchable site" there and, because
+/// a half-transformed class would break the call's types, in the
+/// caller too. Only the unused enumeration declaration remains.
+///
+/// The other `enum-dropped` reason, "patch-set conflict", cannot be
+/// reached: every propagator role that reaches the final patch sets
+/// was checked against the same function's Algorithm 4 before.
+#[test]
+fn unpatchable_union_drops_the_whole_class() {
+    let text = r#"
+fn @main() -> void {
+  %input = new Seq<u64>
+  %zero = const 0u64
+  %n = const 60u64
+  %filled = forrange %zero, %n carry(%input) as (%i: u64, %s: Seq<u64>) {
+    %seven = const 7u64
+    %x = rem %i, %seven
+    %sz = size %s
+    %s1 = insert %s, %sz, %x
+    yield %s1
+  }
+  %seen = new Set<u64>
+  %cnt, %seen2 = foreach %filled carry(%zero, %seen) as (%i: u64, %v: u64, %acc: u64, %ss: Set<u64>) {
+    %h = has %ss, %v
+    %acc2, %s2 = if %h then {
+      yield %acc, %ss
+    } else {
+      %s1 = insert %ss, %v
+      %one = const 1u64
+      %a1 = add %acc, %one
+      yield %a1, %s1
+    }
+    yield %acc2, %s2
+  }
+  %r1 = call @1(%seen2)
+  print %cnt, %r1
+  ret
+}
+
+fn @widen(%p: Set<u64>) -> u64 {
+  %local = new Set<u64> #[noenumerate]
+  %k = const 100u64
+  %l1 = insert %local, %k
+  %p2 = union %p, %l1
+  %sz = size %p2
+  ret %sz
+}
+"#;
+    let p = planned(text);
+    assert_eq!(p.ir, format!("enum e0: u64 // ade0\n\n{}", unchanged(text)));
+    assert!(p.cloned.is_empty());
+    assert_eq!(
+        p.events,
+        [
+            "- trims [rte] func=main enum=0 trim_enc=1 trim_dec=2 trim_add=1 benefit=4",
+            "- trims [rte] func=widen enum=0 trim_enc=0 trim_dec=0 trim_add=0 benefit=0",
+            "- enum-dropped [interproc] func=widen enum=0 reason=unpatchable site",
+            "- retargeted-call-sites [interproc] value=0",
+        ]
+    );
+    assert_eq!(p.output, "7 8\n");
 }

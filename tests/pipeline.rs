@@ -604,3 +604,48 @@ fn static_selection_matches_the_golden_ledger() {
         "selection differs from tests/golden/selection_scale4.txt; full table:\n{table}"
     );
 }
+
+/// ADE decision events at scale 4: `ABBREV config events fnv1a64` rows,
+/// one per benchmark under every configuration that runs the pass.
+const GOLDEN_EVENTS: &str = include_str!("golden/ade_events_scale4.txt");
+
+/// Every paper program's ADE decision events, rendered without
+/// timestamps, match `tests/golden/ade_events_scale4.txt` under every
+/// configuration that runs the pass. The events carry what printed IR
+/// does not show: escape verdicts, candidate benefits, RTE trims,
+/// poisoned classes, clones and the ledger's rows, and the end-to-end
+/// benchmark reads its translation and trim counts from them. A
+/// rewrite of the planner that changes any decision shows up here.
+#[test]
+fn ade_decision_events_match_the_golden_table() {
+    let mut table = String::new();
+    for bench in ade::workloads::all_benchmarks() {
+        for kind in ConfigKind::ALL {
+            let config = Config::new(kind);
+            if config.ade.is_none() {
+                continue;
+            }
+            let mut module = (bench.build)(4);
+            let tracer = ade_obs::Tracer::enabled();
+            config.compile_traced(&mut module, &tracer);
+            let events = tracer.events();
+            let text = ade_obs::render_events(&events, false);
+            table.push_str(&format!(
+                "{} {} {} {:016x}\n",
+                bench.abbrev,
+                kind.name(),
+                events.len(),
+                fnv1a64(text.as_bytes())
+            ));
+        }
+    }
+    let golden: String = GOLDEN_EVENTS
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(
+        table, golden,
+        "ADE events differ from tests/golden/ade_events_scale4.txt; full table:\n{table}"
+    );
+}
