@@ -1,7 +1,9 @@
 //! Interprocedural planning (paper §III-F, Algorithm 5).
 //!
 //! Collections crossing call boundaries are unified with a union-find
-//! over `(function, chain-root)` nodes linked by call arguments. Each
+//! over `(function, chain root, depth)` nodes: a call argument joins the
+//! callee's parameter at every nesting depth of the passed collection,
+//! and the members of each local candidate join each other. Each
 //! resulting equivalence class receives one module-level enumeration —
 //! exactly the paper's "each class is given a global variable to store
 //! the enumeration". Recursion needs no special case: the recursive call
@@ -13,15 +15,26 @@
 //! the callee is externally visible), the callee is cloned: the clone is
 //! transformed and agreeing call sites are retargeted, while dissenting
 //! callers keep the original (§III-F).
+//!
+//! [`plan_module_traced`] runs Algorithm 5 in three stages after the
+//! per-function candidates of Algorithm 3: `classify` builds the classes
+//! and drops the poisoned ones, `materialize` gives each class its
+//! enumeration and routes its members to functions or clones, and
+//! `finalize` turns each function's members into patch sets. The
+//! `CanShare`/`CanPropagate` rules live in [`crate::share`] only.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 use ade_analysis::{CallGraph, UnionFind};
-use ade_ir::{FuncId, InstId, Module, Type, ValueId};
+use ade_ir::{FuncId, InstId, InstKind, Module, Type, ValueId};
 
-use crate::patch::{CollectionEntity, PatchSets};
+use crate::patch::{nesting, CollectionEntity, OperandPos, PatchSets};
 use crate::rte::{apply_trims, find_redundant};
-use crate::share::{analyze_function, find_candidates, members_patch_sets, Member, MemberRole};
+use crate::share::{
+    analyze_function, can_propagate, can_share, directive_of, find_candidates, members_patch_sets,
+    Candidate, FuncAnalysis, Member, MemberRole,
+};
 use crate::AdeOptions;
 
 /// One candidate, fully planned: final patch sets (trims applied when RTE
@@ -71,24 +84,52 @@ pub struct ModulePlan {
     pub retargets: Vec<(FuncId, InstId, FuncId)>,
 }
 
-/// Node key for the interprocedural union-find.
-type Node = (u32, u32, u32); // (func index, chain-root value index, depth)
+/// Node key for the interprocedural union-find: (function index,
+/// chain-root value index, nesting depth).
+type Node = (u32, u32, usize);
 
-struct NodeIds {
+/// The interprocedural union-find, its nodes numbered on first sight.
+struct Nodes {
+    uf: UnionFind,
     ids: BTreeMap<Node, usize>,
 }
 
-impl NodeIds {
-    fn new() -> Self {
-        Self {
-            ids: BTreeMap::new(),
-        }
+impl Nodes {
+    fn id(&mut self, node: Node) -> usize {
+        *self.ids.entry(node).or_insert_with(|| self.uf.push())
     }
 
-    fn get(&mut self, uf: &mut UnionFind, node: Node) -> usize {
-        *self.ids.entry(node).or_insert_with(|| uf.push())
+    fn union(&mut self, a: Node, b: Node) {
+        let (a, b) = (self.id(a), self.id(b));
+        self.uf.union(a, b);
+    }
+
+    /// The class of a node seen before.
+    fn class(&self, node: Node) -> Option<usize> {
+        self.ids.get(&node).map(|&i| self.uf.find_const(i))
     }
 }
+
+/// One interprocedural equivalence class: one module-level enumeration.
+struct Class {
+    /// The enumerated key domain (the first joining candidate's).
+    key_ty: Type,
+    /// The summed benefit of the candidates in the class.
+    benefit: usize,
+    /// (func, member) pairs chosen by Algorithm 3.
+    chosen: Vec<(u32, Member)>,
+    /// Collection parameters in the class: (func, param, depth).
+    params: Vec<(u32, ValueId, usize)>,
+    /// Non-chosen, non-blocked entities in the class, (func, root,
+    /// depth): enumeration flows back to them as derived members.
+    derived: Vec<(u32, ValueId, usize)>,
+    /// Whether a directive-blocked entity is in the class: its call
+    /// paths must keep the original code, which forces cloning.
+    dissent: bool,
+}
+
+/// Members planned per final function id: (enum index, member, benefit).
+type FuncMembers = BTreeMap<u32, Vec<(usize, Member, usize)>>;
 
 /// Plans ADE for the whole module, with decision events on `tracer`:
 /// escape verdicts, candidate formation, RTE trims, poisoned classes,
@@ -98,31 +139,28 @@ pub fn plan_module_traced(
     options: &AdeOptions,
     tracer: &ade_obs::Tracer,
 ) -> ModulePlan {
-    let n_funcs = module.funcs.len();
-    let callgraph = CallGraph::compute(module);
-
     // Per-function candidate discovery (Algorithm 3).
     let analyses: Vec<_> = module
         .funcs
         .iter()
         .map(|f| analyze_function(module, f))
         .collect();
-    if tracer.is_enabled() {
-        let _span = tracer.span("analysis", "escape");
-        for fa in &analyses {
-            fa.escape.trace_verdicts(tracer, fa.func);
-        }
-    }
-    let mut local_candidates: Vec<Vec<crate::share::Candidate>> = analyses
+    let candidates: Vec<Vec<Candidate>> = analyses
         .iter()
         .map(|fa| find_candidates(fa, options))
         .collect();
     if tracer.is_enabled() {
-        for (fidx, cands) in local_candidates.iter().enumerate() {
+        {
+            let _span = tracer.span("analysis", "escape");
+            for fa in &analyses {
+                fa.escape.trace_verdicts(tracer, fa.func);
+            }
+        }
+        for (fa, cands) in analyses.iter().zip(&candidates) {
             for cand in cands {
                 tracer
                     .event("share", "candidate")
-                    .field("func", module.funcs[fidx].name.as_str())
+                    .field("func", fa.func.name.as_str())
                     .field("key_ty", cand.key_ty.to_string())
                     .field("members", cand.members.len())
                     .field("benefit", cand.benefit)
@@ -132,527 +170,10 @@ pub fn plan_module_traced(
         }
     }
 
-    // Algorithm 5: unify collections across calls.
-    let mut uf = UnionFind::new(0);
-    let mut nodes = NodeIds::new();
-    for site in callgraph.sites() {
-        let caller = &module.funcs[site.caller.index()];
-        let callee_id = site.callee;
-        let Some(callee) = module.funcs.get(callee_id.index()) else {
-            continue;
-        };
-        let caller_chains = &analyses[site.caller.index()].chains;
-        let inst = caller.inst(site.inst);
-        for (p, op) in inst.operands.iter().enumerate() {
-            if !op.path.is_empty() || !caller.value_ty(op.base).is_collection() {
-                continue;
-            }
-            let Some(&param) = callee.params.get(p) else {
-                continue;
-            };
-            let arg_root = caller_chains.root_of(op.base);
-            // Unify at every nesting depth of the passed collection: a
-            // Map<K, Set<V>> argument carries its inner sets along.
-            let mut ty = caller.value_ty(op.base).clone();
-            let mut depth = 0u32;
-            loop {
-                let a = nodes.get(&mut uf, (site.caller.0, arg_root.0, depth));
-                let b = nodes.get(&mut uf, (callee_id.0, param.0, depth));
-                uf.union(a, b);
-                match ty.value_type() {
-                    Some(inner) if inner.is_collection() => {
-                        ty = inner.clone();
-                        depth += 1;
-                    }
-                    _ => break,
-                }
-            }
-        }
-    }
-
-    // Members of one local candidate share an enumeration: unify their
-    // roots (Algorithm 5's "unify redefinitions" generalized to the
-    // candidate grouping of Algorithm 3).
-    for (fidx, cands) in local_candidates.iter().enumerate() {
-        for cand in cands {
-            let mut first: Option<usize> = None;
-            for m in &cand.members {
-                let node = nodes.get(
-                    &mut uf,
-                    (fidx as u32, m.entity.root.0, m.entity.depth as u32),
-                );
-                match first {
-                    Some(f) => {
-                        uf.union(f, node);
-                    }
-                    None => first = Some(node),
-                }
-            }
-        }
-    }
-
-    // Group candidate members into interprocedural classes; each class
-    // becomes one module-level enumeration.
-    #[derive(Clone, Debug, Default)]
-    struct ClassInfo {
-        /// (func, member) pairs chosen by Algorithm 3.
-        chosen: Vec<(u32, Member)>,
-        /// Functions whose *parameter* is in the class, with the param
-        /// and the nesting depth at which it joined.
-        params: Vec<(u32, ValueId, usize)>,
-        /// Entities in the class that may NOT be enumerated (directive-
-        /// blocked): these force cloning so their call paths keep the
-        /// original code.
-        dissenters: Vec<(u32, ValueId)>,
-        /// Non-chosen, non-blocked entities in the class: enumeration
-        /// flows back to them as derived members.
-        derived: Vec<(u32, ValueId, usize)>,
-        key_ty: Option<Type>,
-        benefit: usize,
-        forced: bool,
-    }
-
-    let node_class = |nodes: &NodeIds, uf: &UnionFind, node: Node| -> Option<usize> {
-        nodes.ids.get(&node).map(|&i| uf.find_const(i))
-    };
-
-    let mut classes: BTreeMap<usize, ClassInfo> = BTreeMap::new();
-    for (fidx, cands) in local_candidates.iter().enumerate() {
-        for cand in cands {
-            let mut counted = false;
-            for m in &cand.members {
-                let cls = node_class(
-                    &nodes,
-                    &uf,
-                    (fidx as u32, m.entity.root.0, m.entity.depth as u32),
-                )
-                .expect("member roots were registered");
-                let info = classes.entry(cls).or_default();
-                info.chosen.push((fidx as u32, m.clone()));
-                info.key_ty.get_or_insert(cand.key_ty.clone());
-                if !counted {
-                    // Members of one candidate share a class; count the
-                    // candidate's benefit once.
-                    info.benefit += cand.benefit;
-                    counted = true;
-                }
-                info.forced |= cand.forced;
-            }
-        }
-    }
-    // Attach params and dissenting allocations to classes.
-    for (fidx, func) in module.funcs.iter().enumerate() {
-        for &param in &func.params {
-            if !func.value_ty(param).is_collection() {
-                continue;
-            }
-            let mut ty = func.value_ty(param).clone();
-            let mut depth = 0u32;
-            loop {
-                if let Some(cls) = node_class(&nodes, &uf, (fidx as u32, param.0, depth)) {
-                    if let Some(info) = classes.get_mut(&cls) {
-                        info.params.push((fidx as u32, param, depth as usize));
-                    }
-                }
-                match ty.value_type() {
-                    Some(inner) if inner.is_collection() => {
-                        ty = inner.clone();
-                        depth += 1;
-                    }
-                    _ => break,
-                }
-            }
-        }
-        let fa = &analyses[fidx];
-        // Every entity (seeds *and* sequence/nested levels) can receive
-        // enumeration from its class; only directive-blocked ones dissent.
-        for &(entity, alloc) in &fa.all_entities {
-            let chosen_here = local_candidates[fidx].iter().any(|c| {
-                c.members
-                    .iter()
-                    .any(|m| m.entity.root == entity.root && m.entity.depth == entity.depth)
-            });
-            if chosen_here {
-                continue;
-            }
-            let Some(cls) = node_class(
-                &nodes,
-                &uf,
-                (fidx as u32, entity.root.0, entity.depth as u32),
-            ) else {
-                continue;
-            };
-            let Some(info) = classes.get_mut(&cls) else {
-                continue;
-            };
-            let blocked = alloc
-                .and_then(|a| fa.func.directive(a))
-                .and_then(|d| d.at_depth(entity.depth))
-                .is_some_and(|d| d.enumerate == Some(false));
-            if blocked {
-                info.dissenters.push((fidx as u32, entity.root));
-            } else {
-                info.derived.push((fidx as u32, entity.root, entity.depth));
-            }
-        }
-    }
-
-    // A parameter that escapes inside its callee (returned, stored into
-    // another collection) can never be retyped: the whole class must stay
-    // untransformed (paper §III-F's conservative escape handling).
-    let poisoned: Vec<usize> = classes
-        .iter()
-        .filter(|(_, info)| {
-            info.params.iter().any(|&(fidx, param, _)| {
-                let fa = &analyses[fidx as usize];
-                fa.escape.escapes(fa.chains.root_of(param))
-            })
-        })
-        .map(|(&cls, _)| cls)
-        .collect();
-    for cls in poisoned {
-        if tracer.is_enabled() {
-            let info = &classes[&cls];
-            tracer
-                .event("interproc", "class-poisoned")
-                .field("members", info.chosen.len())
-                .field("params", info.params.len())
-                .field(
-                    "key_ty",
-                    info.key_ty
-                        .as_ref()
-                        .map_or_else(String::new, Type::to_string),
-                )
-                .emit();
-        }
-        classes.remove(&cls);
-    }
-
-    // Materialize: assign enum ids, derive members in callee functions,
-    // plan clones for dissent / exported callees.
-    let mut plan = ModulePlan::default();
-    let mut clone_of: BTreeMap<u32, u32> = BTreeMap::new(); // source -> clone id
-    let mut func_members: BTreeMap<u32, Vec<(usize, Member, usize, bool)>> = BTreeMap::new();
-    // (enum_idx, member, benefit, forced) per function.
-
-    for info in classes.values() {
-        let Some(key_ty) = info.key_ty.clone() else {
-            continue;
-        };
-        if info.chosen.is_empty() {
-            continue;
-        }
-        let enum_idx = plan.enum_key_tys.len();
-        plan.enum_key_tys.push(key_ty.clone());
-
-        let needs_clone = !info.dissenters.is_empty()
-            || info
-                .params
-                .iter()
-                .any(|&(fidx, _, _)| module.funcs[fidx as usize].exported);
-
-        // Chosen members go to their own functions — or to the clone
-        // when the member is rooted at a parameter of a function that is
-        // being cloned (the original must stay untransformed for the
-        // dissenting callers).
-        for (fidx, m) in &info.chosen {
-            let is_param_rooted = module.funcs[*fidx as usize].params.contains(&m.entity.root);
-            let target = if needs_clone && is_param_rooted {
-                *clone_of.entry(*fidx).or_insert_with(|| {
-                    let id = (n_funcs + plan.clones.len()) as u32;
-                    plan.clones.push(CloneSpec {
-                        source: FuncId(*fidx),
-                        new_name: format!("{}$ade", module.funcs[*fidx as usize].name),
-                    });
-                    id
-                })
-            } else {
-                *fidx
-            };
-            func_members.entry(target).or_default().push((
-                enum_idx,
-                m.clone(),
-                info.benefit,
-                info.forced,
-            ));
-        }
-        // Enumeration flows back to non-chosen entities in the class
-        // (e.g. the caller's allocation when the redundancy lives in the
-        // callee), with the class's roles where the types allow.
-        for &(fidx, root, depth) in &info.derived {
-            let func = &module.funcs[fidx as usize];
-            if func.params.contains(&root) {
-                // Parameter entities are handled through `info.params`,
-                // which routes them to the clone when one exists.
-                continue;
-            }
-            let entity = CollectionEntity { root, depth };
-            let Some(ety) = entity_type_or_skip(func, entity) else {
-                continue;
-            };
-            // Same type-filtered role union as for parameters: roles only
-            // flow between entities of identical shape, or types would
-            // diverge across the class.
-            let mut role = MemberRole {
-                keys: false,
-                propagator: false,
-            };
-            for (mf, m) in &info.chosen {
-                let m_ty = entity_type_or_skip(&module.funcs[*mf as usize], m.entity);
-                if m_ty.as_ref() == Some(&ety) {
-                    role.keys |= m.role.keys;
-                    role.propagator |= m.role.propagator;
-                }
-            }
-            if role.keys && !(ety.is_assoc() && ety.key_type() == Some(&key_ty)) {
-                role.keys = false;
-            }
-            if role.propagator {
-                let elem_matches = match &ety {
-                    Type::Map { val, .. } => **val == key_ty,
-                    Type::Seq(elem) => **elem == key_ty,
-                    _ => false,
-                };
-                let fa = &analyses[fidx as usize];
-                if !elem_matches || fa.piece(entity, true).is_none() {
-                    role.propagator = false;
-                }
-            }
-            if !role.keys && !role.propagator {
-                continue;
-            }
-            func_members.entry(fidx).or_default().push((
-                enum_idx,
-                Member { entity, role },
-                info.benefit,
-                info.forced,
-            ));
-        }
-        // Parameter-derived members go to the callee (or its clone), with
-        // the depths/roles of the chosen members that the parameter's
-        // type actually supports.
-        for &(fidx, param, depth) in &info.params {
-            let func = &module.funcs[fidx as usize];
-            let target = if needs_clone {
-                *clone_of.entry(fidx).or_insert_with(|| {
-                    let id = (n_funcs + plan.clones.len()) as u32;
-                    plan.clones.push(CloneSpec {
-                        source: FuncId(fidx),
-                        new_name: format!("{}$ade", func.name),
-                    });
-                    id
-                })
-            } else {
-                fidx
-            };
-            // The class's roles for entities of this parameter's shape:
-            // roles from differently-typed members (e.g. a propagated
-            // sequence sharing the enum with a keyed map) must not leak
-            // onto the parameter or its type would diverge from the
-            // arguments'.
-            let entity = CollectionEntity { root: param, depth };
-            let param_ty = entity_type_or_skip(func, entity);
-            let mut role_acc = MemberRole {
-                keys: false,
-                propagator: false,
-            };
-            for (mf, m) in &info.chosen {
-                let m_ty = entity_type_or_skip(&module.funcs[*mf as usize], m.entity);
-                if m_ty == param_ty {
-                    role_acc.keys |= m.role.keys;
-                    role_acc.propagator |= m.role.propagator;
-                }
-            }
-            {
-                let role = role_acc;
-                let mut role = role;
-                // Type compatibility of the derived roles.
-                let ety = entity_type_or_skip(func, entity);
-                let Some(ety) = ety else { continue };
-                if role.keys && !(ety.is_assoc() && ety.key_type() == Some(&key_ty)) {
-                    role.keys = false;
-                }
-                if role.propagator {
-                    let elem_matches = match &ety {
-                        Type::Map { val, .. } => **val == key_ty,
-                        Type::Seq(elem) => **elem == key_ty,
-                        _ => false,
-                    };
-                    let fa = &analyses[fidx as usize];
-                    if !elem_matches || fa.piece(entity, true).is_none() {
-                        role.propagator = false;
-                    }
-                }
-                if !role.keys && !role.propagator {
-                    continue;
-                }
-                func_members.entry(target).or_default().push((
-                    enum_idx,
-                    Member { entity, role },
-                    info.benefit,
-                    info.forced,
-                ));
-            }
-        }
-
-        // Retarget agreeing call sites to clones: a site agrees when the
-        // argument *at an enumerated parameter's position* is a chosen
-        // or derived member of this class.
-        if needs_clone {
-            let class_params: Vec<(u32, ValueId)> = info
-                .params
-                .iter()
-                .map(|&(fidx, param, _)| (fidx, param))
-                .collect();
-            for site in callgraph.sites() {
-                let Some(&clone_id) = clone_of.get(&site.callee.0) else {
-                    continue;
-                };
-                let callee = &module.funcs[site.callee.index()];
-                let caller = &module.funcs[site.caller.index()];
-                let caller_chains = &analyses[site.caller.index()].chains;
-                let inst = caller.inst(site.inst);
-                let agrees = inst.operands.iter().enumerate().any(|(p, op)| {
-                    let Some(&param) = callee.params.get(p) else {
-                        return false;
-                    };
-                    if !class_params.contains(&(site.callee.0, param)) {
-                        return false;
-                    }
-                    if !op.path.is_empty() || !caller.value_ty(op.base).is_collection() {
-                        return false;
-                    }
-                    let root = caller_chains.root_of(op.base);
-                    let enumerated = info.chosen.iter().any(|(cf, m)| {
-                        *cf == site.caller.0 && m.entity.depth == 0 && m.entity.root == root
-                    }) || info.derived.iter().any(|&(df, droot, ddepth)| {
-                        df == site.caller.0 && ddepth == 0 && droot == root
-                    });
-                    enumerated
-                });
-                if agrees {
-                    // If the caller is itself being cloned (recursion or
-                    // another param of this class), the enumerated call
-                    // path lives in the caller's clone, not the original.
-                    let caller_slot = clone_of
-                        .get(&site.caller.0)
-                        .copied()
-                        .map_or(site.caller, FuncId);
-                    plan.retargets
-                        .push((caller_slot, site.inst, FuncId(clone_id)));
-                }
-            }
-        }
-    }
-
-    // Avoid retargeting duplicates.
-    plan.retargets
-        .sort_unstable_by_key(|r| (r.0 .0, r.1 .0, r.2 .0));
-    plan.retargets.dedup();
-
-    // Build final per-function plans: group members by enum, compute
-    // final patch sets with φ-web claiming in benefit order. A group
-    // that fails finalization in ANY function invalidates its entire
-    // enum class — a half-transformed class would break call-boundary
-    // types.
-    let mut failed_enums: BTreeSet<usize> = BTreeSet::new();
-    let mut staged: Vec<(u32, FuncPlan)> = Vec::new();
-    for (fidx, members) in func_members {
-        // Group by enum index, merging duplicate entities' roles.
-        let mut by_enum: BTreeMap<usize, (Vec<Member>, usize)> = BTreeMap::new();
-        for (enum_idx, member, benefit, _forced) in members {
-            let slot = by_enum.entry(enum_idx).or_insert((Vec::new(), 0));
-            if let Some(existing) = slot.0.iter_mut().find(|m| m.entity == member.entity) {
-                existing.role.keys |= member.role.keys;
-                existing.role.propagator |= member.role.propagator;
-            } else {
-                slot.0.push(member);
-            }
-            slot.1 += benefit;
-        }
-        let source_fidx = if (fidx as usize) < n_funcs {
-            fidx
-        } else {
-            plan.clones[fidx as usize - n_funcs].source.0
-        };
-        let fa = &analyses[source_fidx as usize];
-
-        let mut groups: Vec<(usize, Vec<Member>, usize)> =
-            by_enum.into_iter().map(|(e, (m, b))| (e, m, b)).collect();
-        groups.sort_by_key(|g| std::cmp::Reverse(g.2)); // benefit-descending
-
-        let mut claimed: BTreeSet<ValueId> = BTreeSet::new();
-        let mut func_plan = FuncPlan::default();
-        for (enum_idx, members, benefit) in groups {
-            let Some((sets, web, roots)) = members_patch_sets(fa, &members, &claimed) else {
-                tracer
-                    .event("interproc", "enum-dropped")
-                    .field("func", fa.func.name.as_str())
-                    .field("enum", enum_idx)
-                    .field("reason", "patch-set conflict")
-                    .emit();
-                failed_enums.insert(enum_idx);
-                continue;
-            };
-            claimed.extend(web.members.iter().copied());
-            claimed.extend(roots.iter().copied());
-            let mut final_sets = if options.rte {
-                let trims = find_redundant(fa.func, &sets);
-                tracer
-                    .event("rte", "trims")
-                    .field("func", fa.func.name.as_str())
-                    .field("enum", enum_idx)
-                    .field("trim_enc", trims.enc.len())
-                    .field("trim_dec", trims.dec.len())
-                    .field("trim_add", trims.add.len())
-                    .field("benefit", trims.benefit())
-                    .emit();
-                apply_trims(&sets, &trims)
-            } else {
-                sets
-            };
-            // Union sites are a constraint encoding, not real
-            // translations (the operand is a collection): the dec/add
-            // pair must cancel even with RTE disabled, and a candidate
-            // whose union site survives unpaired would mix identifier
-            // spaces — drop it.
-            trim_union_pairs(fa.func, &mut final_sets);
-            if has_dangling_union_site(fa.func, &final_sets)
-                || has_pathed_patch_site(fa.func, &final_sets)
-            {
-                tracer
-                    .event("interproc", "enum-dropped")
-                    .field("func", fa.func.name.as_str())
-                    .field("enum", enum_idx)
-                    .field("reason", "unpatchable site")
-                    .emit();
-                failed_enums.insert(enum_idx);
-                continue;
-            }
-            func_plan.candidates.push(PlannedCandidate {
-                enum_idx,
-                members,
-                sets: final_sets,
-                web_members: web.members,
-                benefit,
-            });
-        }
-        staged.push((fidx, func_plan));
-    }
-    for (fidx, mut func_plan) in staged {
-        func_plan
-            .candidates
-            .retain(|c| !failed_enums.contains(&c.enum_idx));
-        if !func_plan.candidates.is_empty() {
-            plan.func_plans.insert(fidx, func_plan);
-        }
-    }
-    // Retargets belonging to fully-failed classes are harmless (the
-    // clone is a verbatim copy when untransformed) but wasteful; keep
-    // them only when some candidate survived anywhere.
-    if plan.func_plans.is_empty() {
-        plan.retargets.clear();
-    }
+    let callgraph = CallGraph::compute(module);
+    let classes = classify(module, &callgraph, &analyses, &candidates, tracer);
+    let (mut plan, members) = materialize(module, &callgraph, &analyses, &classes);
+    finalize(&mut plan, members, &analyses, options, tracer);
 
     if tracer.is_enabled() {
         for spec in &plan.clones {
@@ -668,10 +189,425 @@ pub fn plan_module_traced(
             plan.retargets.len() as u64,
         );
     }
-
-    // Drop local candidates bookkeeping.
-    local_candidates.clear();
     plan
+}
+
+/// Unifies collections across calls and groups the chosen members into
+/// classes, each with the parameters, derived entities and dissent it
+/// reaches. A class whose parameter escapes inside its callee (returned,
+/// stored into another collection) can never be retyped, so it is
+/// dropped as poisoned (paper §III-F's conservative escape handling).
+fn classify(
+    module: &Module,
+    callgraph: &CallGraph,
+    analyses: &[FuncAnalysis<'_>],
+    candidates: &[Vec<Candidate>],
+    tracer: &ade_obs::Tracer,
+) -> Vec<Class> {
+    let mut nodes = Nodes {
+        uf: UnionFind::new(0),
+        ids: BTreeMap::new(),
+    };
+    for site in callgraph.sites() {
+        let caller = &module.funcs[site.caller.index()];
+        let Some(callee) = module.funcs.get(site.callee.index()) else {
+            continue;
+        };
+        for (op, param) in caller.inst(site.inst).operands.iter().zip(&callee.params) {
+            if !op.path.is_empty() || !caller.value_ty(op.base).is_collection() {
+                continue;
+            }
+            let arg_root = analyses[site.caller.index()].chains.root_of(op.base);
+            // A Map<K, Set<V>> argument carries its inner sets along.
+            for (depth, _) in nesting(caller.value_ty(op.base)) {
+                nodes.union(
+                    (site.caller.0, arg_root.0, depth),
+                    (site.callee.0, param.0, depth),
+                );
+            }
+        }
+    }
+    // Members of one local candidate share an enumeration (Algorithm 5's
+    // "unify redefinitions" generalized to Algorithm 3's grouping).
+    let member_node = |fidx: usize, m: &Member| (fidx as u32, m.entity.root.0, m.entity.depth);
+    for (fidx, cands) in candidates.iter().enumerate() {
+        for cand in cands {
+            let Some(first) = cand.members.first() else {
+                continue;
+            };
+            for m in &cand.members {
+                nodes.union(member_node(fidx, first), member_node(fidx, m));
+            }
+        }
+    }
+
+    let mut classes: BTreeMap<usize, Class> = BTreeMap::new();
+    for (fidx, cands) in candidates.iter().enumerate() {
+        for cand in cands {
+            for (i, m) in cand.members.iter().enumerate() {
+                let cls = nodes
+                    .class(member_node(fidx, m))
+                    .expect("member nodes were registered");
+                let class = classes.entry(cls).or_insert_with(|| Class {
+                    key_ty: cand.key_ty.clone(),
+                    benefit: 0,
+                    chosen: Vec::new(),
+                    params: Vec::new(),
+                    derived: Vec::new(),
+                    dissent: false,
+                });
+                class.chosen.push((fidx as u32, m.clone()));
+                if i == 0 {
+                    // The members share a class: count the benefit once.
+                    class.benefit += cand.benefit;
+                }
+            }
+        }
+    }
+    for (fidx, fa) in analyses.iter().enumerate() {
+        let f = fidx as u32;
+        for &param in &fa.func.params {
+            for (depth, _) in nesting(fa.func.value_ty(param)) {
+                if let Some(class) = nodes
+                    .class((f, param.0, depth))
+                    .and_then(|c| classes.get_mut(&c))
+                {
+                    class.params.push((f, param, depth));
+                }
+            }
+        }
+        // Every entity (seeds *and* sequence/nested levels) can receive
+        // enumeration from its class; only directive-blocked ones dissent.
+        for &(entity, alloc) in &fa.all_entities {
+            if candidates[fidx]
+                .iter()
+                .flat_map(|c| &c.members)
+                .any(|m| m.entity == entity)
+            {
+                continue;
+            }
+            let node = (f, entity.root.0, entity.depth);
+            let Some(class) = nodes.class(node).and_then(|c| classes.get_mut(&c)) else {
+                continue;
+            };
+            if directive_of(fa, alloc, entity.depth).is_some_and(|d| d.enumerate == Some(false)) {
+                class.dissent = true;
+            } else {
+                class.derived.push((f, entity.root, entity.depth));
+            }
+        }
+    }
+
+    classes.retain(|_, class| {
+        let poisoned = class.params.iter().any(|&(f, param, _)| {
+            let fa = &analyses[f as usize];
+            fa.escape.escapes(fa.chains.root_of(param))
+        });
+        if poisoned {
+            tracer
+                .event("interproc", "class-poisoned")
+                .field("members", class.chosen.len())
+                .field("params", class.params.len())
+                .field("key_ty", class.key_ty.to_string())
+                .emit();
+        }
+        !poisoned
+    });
+    classes.into_values().collect()
+}
+
+/// Gives each class its enumeration and routes its members: chosen
+/// members to their own functions, derived entities and parameters with
+/// the roles their types support. A class with dissent, or with a
+/// parameter of an exported function, clones every function whose
+/// parameter it holds and retargets the agreeing call sites.
+fn materialize(
+    module: &Module,
+    callgraph: &CallGraph,
+    analyses: &[FuncAnalysis<'_>],
+    classes: &[Class],
+) -> (ModulePlan, FuncMembers) {
+    let mut plan = ModulePlan::default();
+    let mut clone_of: BTreeMap<u32, u32> = BTreeMap::new(); // source -> clone id
+    let mut members = FuncMembers::new();
+    for class in classes {
+        let enum_idx = plan.enum_key_tys.len();
+        plan.enum_key_tys.push(class.key_ty.clone());
+        let needs_clone = class.dissent
+            || class
+                .params
+                .iter()
+                .any(|&(f, _, _)| module.funcs[f as usize].exported);
+        let mut clone_id = |f: u32| {
+            *clone_of.entry(f).or_insert_with(|| {
+                plan.clones.push(CloneSpec {
+                    source: FuncId(f),
+                    new_name: format!("{}$ade", module.funcs[f as usize].name),
+                });
+                (module.funcs.len() + plan.clones.len() - 1) as u32
+            })
+        };
+        let mut add = |target: u32, member: Member| {
+            members
+                .entry(target)
+                .or_default()
+                .push((enum_idx, member, class.benefit));
+        };
+
+        // Chosen members go to their own functions — or to the clone
+        // when the member is rooted at a parameter of a function that is
+        // being cloned (the original must stay untransformed for the
+        // dissenting callers).
+        for (f, m) in &class.chosen {
+            let is_param_rooted = module.funcs[*f as usize].params.contains(&m.entity.root);
+            let target = if needs_clone && is_param_rooted {
+                clone_id(*f)
+            } else {
+                *f
+            };
+            add(target, m.clone());
+        }
+        // Enumeration flows back to non-chosen entities in the class
+        // (e.g. the caller's allocation when the redundancy lives in the
+        // callee). Parameter entities go through `class.params`, which
+        // routes them to the clone when one exists.
+        for &(f, root, depth) in &class.derived {
+            if module.funcs[f as usize].params.contains(&root) {
+                continue;
+            }
+            let entity = CollectionEntity { root, depth };
+            if let Some(role) = derived_role(module, &analyses[f as usize], class, entity) {
+                add(f, Member { entity, role });
+            }
+        }
+        for &(f, param, depth) in &class.params {
+            let target = if needs_clone { clone_id(f) } else { f };
+            let entity = CollectionEntity { root: param, depth };
+            if let Some(role) = derived_role(module, &analyses[f as usize], class, entity) {
+                add(target, Member { entity, role });
+            }
+        }
+        if needs_clone {
+            retarget(
+                module,
+                callgraph,
+                analyses,
+                class,
+                &clone_of,
+                &mut plan.retargets,
+            );
+        }
+    }
+    plan.retargets.sort_unstable();
+    plan.retargets.dedup();
+    (plan, members)
+}
+
+/// The roles `entity` (in `fa`'s function) derives from `class`: the
+/// union of the roles of the chosen members of the same type — a role
+/// from a differently-typed member (a propagated sequence sharing the
+/// enumeration with a keyed map) would make its type diverge from the
+/// class's — kept where `CanShare` and `CanPropagate` allow. `None`
+/// when no role survives.
+fn derived_role(
+    module: &Module,
+    fa: &FuncAnalysis<'_>,
+    class: &Class,
+    entity: CollectionEntity,
+) -> Option<MemberRole> {
+    let ty = entity.try_ty(fa.func)?;
+    let mut role = MemberRole {
+        keys: false,
+        propagator: false,
+    };
+    for (f, m) in &class.chosen {
+        if m.entity.try_ty(&module.funcs[*f as usize]).as_ref() == Some(&ty) {
+            role.keys |= m.role.keys;
+            role.propagator |= m.role.propagator;
+        }
+    }
+    role.keys = role.keys && can_share(&ty, &class.key_ty);
+    role.propagator =
+        role.propagator && can_propagate(&ty, &class.key_ty) && fa.piece(entity, true).is_some();
+    (role.keys || role.propagator).then_some(role)
+}
+
+/// Retargets each call site that agrees with `class` to the callee's
+/// clone. A site agrees when its argument at one of the class's
+/// parameters is a depth-0 chosen or derived member in the caller. When
+/// the caller is itself cloned (recursion, or another parameter of the
+/// class), the enumerated call path lives in the caller's clone, so the
+/// retarget lands there.
+fn retarget(
+    module: &Module,
+    callgraph: &CallGraph,
+    analyses: &[FuncAnalysis<'_>],
+    class: &Class,
+    clone_of: &BTreeMap<u32, u32>,
+    retargets: &mut Vec<(FuncId, InstId, FuncId)>,
+) {
+    for site in callgraph.sites() {
+        let Some(&clone_id) = clone_of.get(&site.callee.0) else {
+            continue;
+        };
+        let callee = &module.funcs[site.callee.index()];
+        let caller = &module.funcs[site.caller.index()];
+        let (c, chains) = (site.caller.0, &analyses[site.caller.index()].chains);
+        let operands = caller.inst(site.inst).operands.iter();
+        let agrees = operands.zip(&callee.params).any(|(op, &param)| {
+            if !class
+                .params
+                .iter()
+                .any(|&(f, p, _)| f == site.callee.0 && p == param)
+                || !op.path.is_empty()
+                || !caller.value_ty(op.base).is_collection()
+            {
+                return false;
+            }
+            let root = chains.root_of(op.base);
+            class
+                .chosen
+                .iter()
+                .any(|(f, m)| *f == c && m.entity == CollectionEntity { root, depth: 0 })
+                || class.derived.contains(&(c, root, 0))
+        });
+        if agrees {
+            let caller_slot = clone_of.get(&c).copied().map_or(site.caller, FuncId);
+            retargets.push((caller_slot, site.inst, FuncId(clone_id)));
+        }
+    }
+}
+
+/// Builds each function's final plan: its members grouped by
+/// enumeration, and per group, in benefit order, the patch sets with
+/// φ-web claiming, RTE trims and the union-pair cancel. A group that
+/// fails in any function fails its whole class: a half-transformed class
+/// would break call-boundary types.
+fn finalize(
+    plan: &mut ModulePlan,
+    members: FuncMembers,
+    analyses: &[FuncAnalysis<'_>],
+    options: &AdeOptions,
+    tracer: &ade_obs::Tracer,
+) {
+    let mut failed: BTreeSet<usize> = BTreeSet::new();
+    for (f, members) in members {
+        let source = match (f as usize).checked_sub(analyses.len()) {
+            Some(k) => plan.clones[k].source.index(),
+            None => f as usize,
+        };
+        let fa = &analyses[source];
+        let mut claimed: BTreeSet<ValueId> = BTreeSet::new();
+        let mut func_plan = FuncPlan::default();
+        for (enum_idx, members, benefit) in groups(members) {
+            match plan_group(
+                fa,
+                enum_idx,
+                members,
+                benefit,
+                &mut claimed,
+                options,
+                tracer,
+            ) {
+                Some(candidate) => func_plan.candidates.push(candidate),
+                None => {
+                    failed.insert(enum_idx);
+                }
+            }
+        }
+        plan.func_plans.insert(f, func_plan);
+    }
+    plan.func_plans.retain(|_, func_plan| {
+        func_plan
+            .candidates
+            .retain(|c| !failed.contains(&c.enum_idx));
+        !func_plan.candidates.is_empty()
+    });
+    // Retargets belonging to fully-failed classes are harmless (the
+    // clone is a verbatim copy when untransformed) but wasteful; keep
+    // them only when some candidate survived anywhere.
+    if plan.func_plans.is_empty() {
+        plan.retargets.clear();
+    }
+}
+
+/// One function's members grouped by enumeration, with the roles of one
+/// entity merged and each group's summed benefit, benefit-descending.
+fn groups(members: Vec<(usize, Member, usize)>) -> Vec<(usize, Vec<Member>, usize)> {
+    let mut by_enum: BTreeMap<usize, (Vec<Member>, usize)> = BTreeMap::new();
+    for (enum_idx, member, benefit) in members {
+        let (group, sum) = by_enum.entry(enum_idx).or_default();
+        match group.iter_mut().find(|m| m.entity == member.entity) {
+            Some(m) => {
+                m.role.keys |= member.role.keys;
+                m.role.propagator |= member.role.propagator;
+            }
+            None => group.push(member),
+        }
+        *sum += benefit;
+    }
+    let mut groups: Vec<_> = by_enum.into_iter().map(|(e, (m, b))| (e, m, b)).collect();
+    groups.sort_by_key(|g| Reverse(g.2));
+    groups
+}
+
+/// One group's final patch sets in `fa`'s function, its φ-web claimed
+/// against the groups planned before it; `None`, after an
+/// `enum-dropped` event, when the group cannot be patched.
+fn plan_group(
+    fa: &FuncAnalysis<'_>,
+    enum_idx: usize,
+    members: Vec<Member>,
+    benefit: usize,
+    claimed: &mut BTreeSet<ValueId>,
+    options: &AdeOptions,
+    tracer: &ade_obs::Tracer,
+) -> Option<PlannedCandidate> {
+    let dropped = |reason: &str| {
+        tracer
+            .event("interproc", "enum-dropped")
+            .field("func", fa.func.name.as_str())
+            .field("enum", enum_idx)
+            .field("reason", reason)
+            .emit();
+    };
+    let Some((sets, web, roots)) = members_patch_sets(fa, &members, claimed) else {
+        dropped("patch-set conflict");
+        return None;
+    };
+    claimed.extend(web.members.iter().copied());
+    claimed.extend(roots);
+    let mut sets = if options.rte {
+        let trims = find_redundant(fa.func, &sets);
+        tracer
+            .event("rte", "trims")
+            .field("func", fa.func.name.as_str())
+            .field("enum", enum_idx)
+            .field("trim_enc", trims.enc.len())
+            .field("trim_dec", trims.dec.len())
+            .field("trim_add", trims.add.len())
+            .field("benefit", trims.benefit())
+            .emit();
+        apply_trims(&sets, &trims)
+    } else {
+        sets
+    };
+    // Union sites are a constraint encoding, not real translations (the
+    // operand is a collection): the dec/add pair must cancel even with
+    // RTE disabled, and a candidate whose union site survives unpaired
+    // would mix identifier spaces — drop it.
+    trim_union_pairs(fa.func, &mut sets);
+    if has_unpatchable_site(fa.func, &sets) {
+        dropped("unpatchable site");
+        return None;
+    }
+    Some(PlannedCandidate {
+        enum_idx,
+        members,
+        sets,
+        web_members: web.members,
+        benefit,
+    })
 }
 
 /// Cancels matched dec/add pairs sitting on `union` instructions (the
@@ -682,7 +618,7 @@ fn trim_union_pairs(func: &ade_ir::Function, sets: &mut PatchSets) {
         .to_dec
         .iter()
         .filter(|site| {
-            sets.to_add.contains(site) && func.inst(site.inst).kind == ade_ir::InstKind::UnionInto
+            sets.to_add.contains(site) && func.inst(site.inst).kind == InstKind::UnionInto
         })
         .copied()
         .collect();
@@ -692,39 +628,19 @@ fn trim_union_pairs(func: &ade_ir::Function, sets: &mut PatchSets) {
     }
 }
 
-/// `true` if any remaining patch site targets an operand with a nesting
-/// path whose *base* would be wrapped: the translation would apply to
-/// the wrong value (the collection, not the addressed key).
-fn has_pathed_patch_site(func: &ade_ir::Function, sets: &PatchSets) -> bool {
-    sets.to_dec
-        .iter()
-        .chain(sets.to_add.iter())
-        .chain(sets.to_enc.iter())
-        .any(|site| match site.pos {
-            crate::patch::OperandPos::Plain(n) => !func.inst(site.inst).operands[n].path.is_empty(),
-            crate::patch::OperandPos::PathIndex { .. } | crate::patch::OperandPos::Elements => {
-                false
-            }
-        })
-}
-
-/// `true` if any remaining patch site would translate a `union` operand
-/// (a collection value) — an invalid plan.
-fn has_dangling_union_site(func: &ade_ir::Function, sets: &PatchSets) -> bool {
-    sets.to_dec
-        .iter()
-        .chain(sets.to_add.iter())
-        .chain(sets.to_enc.iter())
-        .any(|site| {
-            func.inst(site.inst).kind == ade_ir::InstKind::UnionInto
-                && matches!(site.pos, crate::patch::OperandPos::Plain(_))
-        })
-}
-
-/// The entity's type, or `None` when the parameter's type has no
-/// collection at that depth.
-fn entity_type_or_skip(func: &ade_ir::Function, entity: CollectionEntity) -> Option<Type> {
-    entity.try_ty(func)
+/// `true` if a remaining patch site would translate a whole operand that
+/// cannot take it: a `union` operand (a collection value), or an operand
+/// with a nesting path, whose *base* — the collection, not the addressed
+/// key — would be wrapped.
+fn has_unpatchable_site(func: &ade_ir::Function, sets: &PatchSets) -> bool {
+    let mut sites = sets.to_dec.iter().chain(&sets.to_add).chain(&sets.to_enc);
+    sites.any(|site| {
+        let OperandPos::Plain(n) = site.pos else {
+            return false;
+        };
+        let inst = func.inst(site.inst);
+        inst.kind == InstKind::UnionInto || !inst.operands[n].path.is_empty()
+    })
 }
 
 #[cfg(test)]

@@ -190,7 +190,7 @@ pub fn run_ade_traced(module: &mut Module, options: &AdeOptions, tracer: &Tracer
     };
     let mut report = {
         let _span = tracer.span("pass", "transform");
-        transform::apply_traced(module, &plan, options, tracer)
+        transform::apply_traced(module, &plan, tracer)
     };
     report.ledger = {
         let _span = tracer.span("pass", "select");

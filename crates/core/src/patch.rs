@@ -104,6 +104,14 @@ impl CollectionEntity {
     }
 }
 
+/// The collection levels of a value of type `ty`, outermost first, each
+/// with its depth: depth 0 is `ty` itself when it is a collection, and
+/// each deeper level is the previous one's sequence element or map value
+/// while that is a collection.
+pub fn nesting(ty: &Type) -> impl Iterator<Item = (usize, Type)> + '_ {
+    (0..).map_while(move |depth| ty.value_at_depth(depth).map(|t| (depth, t)))
+}
+
 /// The `ToEnc` / `ToDec` / `ToAdd` sets of Algorithms 1 and 4.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PatchSets {

@@ -18,8 +18,8 @@ use ade_ir::{Function, InstId, InstKind, Module, Type, ValueId};
 
 use crate::index::FuncIndex;
 use crate::patch::{
-    key_roots, propagator_roots, uses_to_patch_keys, uses_to_patch_propagator, CollectionEntity,
-    PatchSets,
+    key_roots, nesting, propagator_roots, uses_to_patch_keys, uses_to_patch_propagator,
+    CollectionEntity, PatchSets,
 };
 use crate::rte::find_redundant;
 use crate::web::{compute_web, PhiWeb};
@@ -131,52 +131,27 @@ pub fn analyze_function<'f>(module: &Module, func: &'f Function) -> FuncAnalysis
     let escape = EscapeAnalysis::compute(module, func, &chains);
     let mut seed_entities: Vec<(CollectionEntity, Option<InstId>)> = Vec::new();
     let mut all_entities: Vec<(CollectionEntity, Option<InstId>)> = Vec::new();
-
-    let add_entity = |seed_entities: &mut Vec<(CollectionEntity, Option<InstId>)>,
-                      all_entities: &mut Vec<(CollectionEntity, Option<InstId>)>,
-                      root: ValueId,
-                      alloc: Option<InstId>| {
-        let base_ty = func.value_ty(root).clone();
-        // Walk nesting levels: depth 0 is the collection itself.
-        let mut depth = 0;
-        let mut ty = base_ty;
-        loop {
+    // Registers a non-escaping chain root at every nesting level; the
+    // associative levels with enumerable keys also seed candidates. A
+    // chain registers once: distinct allocations on one φ-connected
+    // chain (e.g. a double-buffered map swapped through loop carries)
+    // are ONE collection entity, or a chain could join two enumerations
+    // at once, and the first allocation's directives apply.
+    let mut register = |root: ValueId, alloc: Option<InstId>| {
+        let top = CollectionEntity { root, depth: 0 };
+        if escape.escapes(root) || all_entities.iter().any(|(e, _)| *e == top) {
+            return;
+        }
+        for (depth, ty) in nesting(func.value_ty(root)) {
             let entity = CollectionEntity { root, depth };
-            let enumerable_keys = ty.key_type().is_some_and(Type::is_enumerable_key);
-            if ty.is_assoc() && enumerable_keys {
+            if ty.is_assoc() && ty.key_type().is_some_and(Type::is_enumerable_key) {
                 seed_entities.push((entity, alloc));
-                all_entities.push((entity, alloc));
-            } else if ty.is_collection() {
-                all_entities.push((entity, alloc));
             }
-            match ty.value_type() {
-                Some(inner) if inner.is_collection() => {
-                    ty = inner.clone();
-                    depth += 1;
-                }
-                _ => break,
-            }
+            all_entities.push((entity, alloc));
         }
     };
-
     for alloc in allocations(func) {
-        // Canonicalize through the redef chain: distinct allocations on
-        // one φ-connected chain (e.g. a double-buffered map swapped
-        // through loop carries) are ONE collection entity; otherwise a
-        // chain could join two enumerations at once.
-        let root = chains.root_of(func.inst(alloc).results[0]);
-        if escape.escapes(root) {
-            continue;
-        }
-        if all_entities
-            .iter()
-            .any(|(e, _)| e.root == root && e.depth == 0)
-        {
-            // Already registered by an earlier allocation on this chain;
-            // keep the first allocation's directives.
-            continue;
-        }
-        add_entity(&mut seed_entities, &mut all_entities, root, Some(alloc));
+        register(chains.root_of(func.inst(alloc).results[0]), Some(alloc));
     }
     // Collection parameters seed candidates too: the redundancy that
     // justifies enumerating a caller's allocation often lives in the
@@ -184,20 +159,9 @@ pub fn analyze_function<'f>(module: &Module, func: &'f Function) -> FuncAnalysis
     // interprocedural unification (Algorithm 5) reconciles the caller
     // side afterwards.
     for &param in &func.params {
-        if !func.value_ty(param).is_collection() {
-            continue;
+        if func.value_ty(param).is_collection() {
+            register(chains.root_of(param), None);
         }
-        let root = chains.root_of(param);
-        if escape.escapes(root) {
-            continue;
-        }
-        if all_entities
-            .iter()
-            .any(|(e, _)| e.root == root && e.depth == 0)
-        {
-            continue;
-        }
-        add_entity(&mut seed_entities, &mut all_entities, root, None);
     }
     FuncAnalysis {
         func,
@@ -259,7 +223,8 @@ pub fn members_benefit(fa: &FuncAnalysis<'_>, members: &[Member]) -> usize {
     }
 }
 
-fn directive_of<'f>(
+/// The directives on `alloc`'s collection at nesting `depth`.
+pub(crate) fn directive_of<'f>(
     fa: &FuncAnalysis<'f>,
     alloc: Option<InstId>,
     depth: usize,
@@ -269,18 +234,18 @@ fn directive_of<'f>(
         .and_then(|d| d.at_depth(depth))
 }
 
-/// `CanShare` (§III-D): associative with matching key type.
-fn can_share(fa: &FuncAnalysis<'_>, entity: CollectionEntity, key_ty: &Type) -> bool {
-    let ty = entity.ty(fa.func);
+/// `CanShare` (§III-D): a collection of type `ty` can have its keys
+/// enumerated over `key_ty` when it is associative with that key type.
+pub(crate) fn can_share(ty: &Type, key_ty: &Type) -> bool {
     ty.is_assoc() && ty.key_type() == Some(key_ty)
 }
 
-/// `CanPropagate` (§III-E): element type matches the enumerated domain.
-fn can_propagate(fa: &FuncAnalysis<'_>, entity: CollectionEntity, key_ty: &Type) -> bool {
-    let ty = entity.ty(fa.func);
-    match &ty {
-        Type::Map { val, .. } => &**val == key_ty,
-        Type::Seq(elem) => &**elem == key_ty,
+/// `CanPropagate` (§III-E): a collection of type `ty` can store
+/// identifiers of `key_ty` when its element type is `key_ty`.
+pub(crate) fn can_propagate(ty: &Type, key_ty: &Type) -> bool {
+    match ty {
+        Type::Map { val, .. } => **val == *key_ty,
+        Type::Seq(elem) => **elem == *key_ty,
         _ => false,
     }
 }
@@ -371,8 +336,9 @@ pub fn find_candidates(fa: &FuncAnalysis<'_>, options: &AdeOptions) -> Vec<Candi
                     // strictly-improving one, preferring fewer roles (a
                     // needless propagator role would mix unrelated values —
                     // e.g. distances — into the enumeration).
-                    let shareable = can_share(fa, other, &key_ty);
-                    let propagatable = options.propagation && can_propagate(fa, other, &key_ty);
+                    let other_ty = other.ty(fa.func);
+                    let shareable = can_share(&other_ty, &key_ty);
+                    let propagatable = options.propagation && can_propagate(&other_ty, &key_ty);
                     let mut role_options: Vec<MemberRole> = Vec::new();
                     if shareable {
                         role_options.push(MemberRole {
@@ -423,7 +389,7 @@ pub fn find_candidates(fa: &FuncAnalysis<'_>, options: &AdeOptions) -> Vec<Candi
             }
             // The seed itself may additionally propagate (Listing 4's
             // Map<idx, idx> union-find).
-            if options.propagation && can_propagate(fa, entity, &key_ty) {
+            if options.propagation && can_propagate(&entity.ty(fa.func), &key_ty) {
                 let mut extended = members.clone();
                 extended[0].role.propagator = true;
                 let before = members_benefit(fa, &members);
@@ -534,7 +500,7 @@ fn absorb_or_drop(
     candidates: &mut [Candidate],
     idx: usize,
     missing_root: ValueId,
-    _present_root: ValueId,
+    present_root: ValueId,
 ) -> bool {
     let key_ty = candidates[idx].key_ty.clone();
     let missing = CollectionEntity {
@@ -547,13 +513,13 @@ fn absorb_or_drop(
         .find(|(e, _)| *e == missing)
         .and_then(|&(e, alloc)| directive_of(fa, alloc, e.depth))
         .is_some_and(|d| d.enumerate == Some(false));
-    if blocked || fa.escape.escapes(missing.root) || !can_share(fa, missing, &key_ty) {
+    if blocked || fa.escape.escapes(missing.root) || !can_share(&missing.ty(fa.func), &key_ty) {
         // Cannot absorb: drop every keys-member unified with the present
         // root (conservative: drop the whole candidate's keys roles that
         // touch this union).
         candidates[idx]
             .members
-            .retain(|m| !(m.role.keys && entity_covers_root(fa, m.entity, _present_root)));
+            .retain(|m| !(m.role.keys && entity_covers_root(fa, m.entity, present_root)));
         return true;
     }
     candidates[idx].members.push(Member {

@@ -22,17 +22,12 @@ use ade_ir::{
 use crate::interproc::{ModulePlan, PlannedCandidate};
 use crate::patch::{OperandPos, UseSite};
 use crate::share::MemberRole;
-use crate::{AdeOptions, AdeReport};
+use crate::AdeReport;
 
 /// Applies a module plan in place, with decision events on `tracer`:
 /// one event per enumeration created, per clone materialized, and per
 /// candidate with its translation-insertion counts.
-pub fn apply_traced(
-    module: &mut Module,
-    plan: &ModulePlan,
-    _options: &AdeOptions,
-    tracer: &ade_obs::Tracer,
-) -> AdeReport {
+pub fn apply_traced(module: &mut Module, plan: &ModulePlan, tracer: &ade_obs::Tracer) -> AdeReport {
     let mut report = AdeReport::default();
 
     // 1. Enumeration classes.
@@ -368,12 +363,7 @@ mod tests {
             func_plans: [(0, FuncPlan { candidates })].into_iter().collect(),
             ..ModulePlan::default()
         };
-        apply_traced(
-            &mut module,
-            &plan,
-            &AdeOptions::default(),
-            &ade_obs::Tracer::disabled(),
-        );
+        apply_traced(&mut module, &plan, &ade_obs::Tracer::disabled());
         module
     }
 
