@@ -317,32 +317,31 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self) -> Result<&'a str> {
-        self.skip_ws();
+    /// Consumes the run of alphanumerics, `_` and `extra` at the cursor.
+    fn take_name(&mut self, extra: char) -> &'a str {
         let rest = self.rest();
         let end = rest
             .char_indices()
-            .find(|(_, c)| !c.is_alphanumeric() && *c != '_')
+            .find(|&(_, c)| !c.is_alphanumeric() && c != '_' && c != extra)
             .map_or(rest.len(), |(i, _)| i);
-        if end == 0 {
-            return Err(self.error("expected identifier"));
-        }
         self.pos += end;
-        Ok(&rest[..end])
+        &rest[..end]
+    }
+
+    fn ident(&mut self) -> Result<&'a str> {
+        self.skip_ws();
+        match self.take_name('_') {
+            "" => Err(self.error("expected identifier")),
+            name => Ok(name),
+        }
     }
 
     fn value_name(&mut self) -> Result<&'a str> {
         self.expect_punct("%")?;
-        let rest = self.rest();
-        let end = rest
-            .char_indices()
-            .find(|(_, c)| !c.is_alphanumeric() && *c != '_')
-            .map_or(rest.len(), |(i, _)| i);
-        if end == 0 {
-            return Err(self.error("expected value name after %"));
+        match self.take_name('_') {
+            "" => Err(self.error("expected value name after %")),
+            name => Ok(name),
         }
-        self.pos += end;
-        Ok(&rest[..end])
     }
 
     fn integer(&mut self) -> Result<u64> {
@@ -541,7 +540,12 @@ impl<'a> Parser<'a> {
     fn function(&mut self, ext: Externs<'_>) -> Result<Function> {
         self.expect_word("fn")?;
         self.expect_punct("@")?;
-        let name = self.ident()?;
+        self.skip_ws();
+        // A function name may carry `$`: ADE names a clone `@f$ade`.
+        let name = match self.take_name('$') {
+            "" => return Err(self.error("expected function name")),
+            name => name,
+        };
         self.expect_punct("(")?;
         let mut ctx = FuncCtx {
             func: Function::new(name, Type::Void),
@@ -981,6 +985,19 @@ fn @count(%input: Seq<f64>) -> void {
         let m2 = parse_module(&printed).expect("reparses");
         let printed2 = print_module(&m2);
         assert_eq!(printed, printed2);
+    }
+
+    /// A clone's `$`-suffixed name parses; value names and other
+    /// identifiers still stop at `$`.
+    #[test]
+    fn function_names_may_carry_a_clone_suffix() {
+        let text =
+            "fn @main() -> void {\n  call @1()\n  ret\n}\n\nfn @f$ade() -> void {\n  ret\n}\n";
+        let m = parse_module(text).expect("parses");
+        assert_eq!(m.funcs[1].name, "f$ade");
+        assert_eq!(print_module(&m), format!("{text}\n"));
+        let err = parse_module("fn @f() -> void {\n  %a$b = const 1u64\n  ret\n}\n");
+        assert!(err.is_err());
     }
 
     #[test]

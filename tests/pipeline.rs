@@ -238,62 +238,16 @@ fn all_configurations_agree_on_all_benchmarks() {
 
 /// Interprocedural cloning end to end: a callee shared between an
 /// enumerated and a non-enumerated caller is cloned, and both paths
-/// still agree with the baseline.
+/// still agree with the baseline. The compiled module, clone name
+/// included, prints, reparses and runs to the same output.
 #[test]
 fn cloning_preserves_both_call_paths() {
-    let text = r#"
-fn @main() -> void {
-  %input = new Seq<u64>
-  %zero = const 0u64
-  %n = const 60u64
-  %filled = forrange %zero, %n carry(%input) as (%i: u64, %s: Seq<u64>) {
-    %seven = const 7u64
-    %x = rem %i, %seven
-    %sz = size %s
-    %s1 = insert %s, %sz, %x
-    yield %s1
-  }
-  %seen = new Set<u64>
-  %cnt, %seen2 = foreach %filled carry(%zero, %seen) as (%i: u64, %v: u64, %acc: u64, %ss: Set<u64>) {
-    %h = has %ss, %v
-    %acc2, %s2 = if %h then {
-      yield %acc, %ss
-    } else {
-      %s1 = insert %ss, %v
-      %one = const 1u64
-      %a1 = add %acc, %one
-      yield %a1, %s1
-    }
-    yield %acc2, %s2
-  }
-  %r1 = call @2(%seen2)
-  %plain = new Map<u64, u64> #[noenumerate]
-  %k = const 3u64
-  %p1 = insert %plain, %k
-  %other = new Set<u64> #[noenumerate]
-  %o1 = insert %other, %k
-  %r2 = call @2(%o1)
-  print %cnt, %r1, %r2
-  ret
-}
-
-fn @unused() -> void {
-  ret
-}
-
-fn @summarize(%s: Set<u64>) -> u64 {
-  %zero = const 0u64
-  %sum = foreach %s carry(%zero) as (%v: u64, %acc: u64) {
-    %a1 = add %acc, %v
-    yield %a1
-  }
-  ret %sum
-}
-"#;
+    let text = include_str!("../examples/ir/cloned_callee.memoir");
     let baseline_module = parse_module(text).expect("parses");
     let baseline = Interpreter::new(&baseline_module, ExecConfig::default())
         .run("main")
         .expect("runs");
+    assert_eq!(baseline.output, "7 21 3\n");
 
     let mut module = parse_module(text).expect("parses");
     let report = run_ade(&mut module, &AdeOptions::default());
@@ -307,6 +261,15 @@ fn @summarize(%s: Set<u64>) -> u64 {
         .run("main")
         .expect("runs");
     assert_eq!(transformed.output, baseline.output);
+
+    let printed = print_module(&module);
+    let reparsed = parse_module(&printed).unwrap_or_else(|e| panic!("reparse: {e}\n{printed}"));
+    ade::ir::verify::verify_module(&reparsed).expect("reparsed verifies");
+    assert_eq!(renumbered(&print_module(&reparsed)), renumbered(&printed));
+    let rerun = Interpreter::new(&reparsed, ExecConfig::default())
+        .run("main")
+        .expect("reparsed runs");
+    assert_eq!(rerun.output, baseline.output);
 }
 
 /// The cost model's cross-architecture story: SSSP's advantage shrinks
