@@ -452,7 +452,8 @@ fn retarget(
         };
         let callee = &module.funcs[site.callee.index()];
         let caller = &module.funcs[site.caller.index()];
-        let (c, chains) = (site.caller.0, &analyses[site.caller.index()].chains);
+        let chains = &analyses[site.caller.index()].chains;
+        let c = site.caller.0;
         let operands = caller.inst(site.inst).operands.iter();
         let agrees = operands.zip(&callee.params).any(|(op, &param)| {
             if !class
