@@ -111,12 +111,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Every artifact configuration agrees on every benchmark's output, and
-/// every cell's default decode (loop plans) matches the
-/// reference decode on output, per-phase statistics and peak memory.
-/// Each compiled module's printed IR must also match its row in
-/// `tests/golden/compiled_ir_scale4.txt`, so a compile-time rewrite of
-/// the ADE pass cannot change the code it produces unnoticed.
 /// `text` with each function's numbered values (`%12`) renamed in order
 /// of first appearance, so two printings of one program compare equal
 /// whatever their value ids.
@@ -147,6 +141,56 @@ fn renumbered(text: &str) -> String {
     out
 }
 
+/// Panics unless `module` uses what it declares: every `enum eN` is
+/// named by a live instruction, and every `$ade` clone is reached by
+/// calls from a function that is not a clone.
+fn assert_no_dead_enums_or_clones(module: &ade::ir::Module, tag: &str) {
+    use ade::ir::InstKind;
+    let mut named = vec![false; module.enums.len()];
+    let mut reached: Vec<bool> = module
+        .funcs
+        .iter()
+        .map(|f| !f.name.ends_with("$ade"))
+        .collect();
+    let mut work: Vec<usize> = (0..module.funcs.len()).filter(|&f| reached[f]).collect();
+    while let Some(f) = work.pop() {
+        let func = &module.funcs[f];
+        for inst in func.all_insts() {
+            match func.inst(inst).kind {
+                InstKind::Enc(e)
+                | InstKind::Dec(e)
+                | InstKind::EnumAdd(e)
+                | InstKind::Literal {
+                    enumeration: Some(e),
+                    ..
+                } => named[e.index()] = true,
+                InstKind::Call(callee) if !reached[callee.index()] => {
+                    reached[callee.index()] = true;
+                    work.push(callee.index());
+                }
+                _ => {}
+            }
+        }
+    }
+    for (e, decl) in module.enums.iter().enumerate() {
+        assert!(
+            named[e],
+            "{tag} declares enum e{e} ({}) but never names it",
+            decl.name
+        );
+    }
+    for (func, reached) in module.funcs.iter().zip(reached) {
+        assert!(reached, "{tag} keeps the uncalled clone @{}", func.name);
+    }
+}
+
+/// Every artifact configuration agrees on every benchmark's output, and
+/// every cell's default decode (loop plans) matches the
+/// reference decode on output, per-phase statistics and peak memory.
+/// Each compiled module's printed IR must also match its row in
+/// `tests/golden/compiled_ir_scale4.txt`, so a compile-time rewrite of
+/// the ADE pass cannot change the code it produces unnoticed, and must
+/// declare no enumeration and keep no clone that it does not use.
 #[test]
 fn all_configurations_agree_on_all_benchmarks() {
     let mut fingerprints = String::new();
@@ -168,6 +212,7 @@ fn all_configurations_agree_on_all_benchmarks() {
             // repair applied: the text reparses, prints the same up to
             // value numbering and verifies.
             let tag = format!("[{} {}]", bench.abbrev, kind.name());
+            assert_no_dead_enums_or_clones(&module, &tag);
             let reparsed = parse_module(&text).unwrap_or_else(|e| panic!("{tag} reparse: {e}"));
             assert_eq!(
                 renumbered(&print_module(&reparsed)),
@@ -482,6 +527,7 @@ fn executed_work_matches_the_golden_counts() {
                 &DecodeOptions::default(),
             ));
             let tag = format!("[{} {}]", bench.abbrev, kind.name());
+            assert_no_dead_enums_or_clones(&module, &tag);
             let mut session = ExecSession::spawn(Arc::clone(&decoded), "main", config.exec.clone())
                 .unwrap_or_else(|e| panic!("{tag} {e}"));
             let mut quanta = 0u64;
