@@ -18,7 +18,7 @@
 /// assert!(!uf.same(1, 2));
 /// assert_eq!(uf.class_count(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,

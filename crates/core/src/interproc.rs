@@ -4,24 +4,28 @@
 //! over `(function, chain root, depth)` nodes: a call argument joins the
 //! callee's parameter at every nesting depth of the passed collection,
 //! and the members of each local candidate join each other. Each
-//! resulting equivalence class receives one module-level enumeration —
-//! exactly the paper's "each class is given a global variable to store
-//! the enumeration". Recursion needs no special case: the recursive call
-//! edge unifies the parameter with itself, so every invocation reuses the
-//! same enumeration (avoiding the construction overhead the paper reports
-//! caused timeouts).
+//! equivalence class that keeps a planned member receives one
+//! module-level enumeration — exactly the paper's "each class is given a
+//! global variable to store the enumeration". Recursion needs no special
+//! case: the recursive call edge unifies the parameter with itself, so
+//! every invocation reuses the same enumeration (avoiding the
+//! construction overhead the paper reports caused timeouts).
 //!
 //! When a callee's parameter is enumerated for only *some* callers (or
 //! the callee is externally visible), the callee is cloned: the clone is
 //! transformed and agreeing call sites are retargeted, while dissenting
-//! callers keep the original (§III-F).
+//! callers keep the original (§III-F). A clone is created only when a
+//! retargeted call reaches it, so an exported callee whose callers all
+//! dissent (passing a collection to it makes it escape) is left alone.
 //!
 //! [`plan_module_traced`] runs Algorithm 5 in three stages after the
 //! per-function candidates of Algorithm 3: `classify` builds the classes
-//! and drops the poisoned ones, `materialize` gives each class its
-//! enumeration and routes its members to functions or clones, and
-//! `finalize` turns each function's members into patch sets. The
-//! `CanShare`/`CanPropagate` rules live in [`crate::share`] only.
+//! and drops the poisoned ones, `materialize` routes each class's
+//! members to functions or clone slots and finds its retargets, and
+//! `finalize` turns each function's members into patch sets, then keeps
+//! and numbers only the enumerations, clones and retargets that the
+//! surviving classes use. The `CanShare`/`CanPropagate` rules live in
+//! [`crate::share`] only.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -49,15 +53,9 @@ pub struct PlannedCandidate {
     pub sets: PatchSets,
     /// Scalar values to retype to `idx` (φ-web members).
     pub web_members: BTreeSet<ValueId>,
-    /// The benefit that justified this candidate.
+    /// Its class's benefit: the summed benefit of the class's
+    /// Algorithm 3 candidates.
     pub benefit: usize,
-}
-
-/// Per-function plan.
-#[derive(Clone, Debug, Default)]
-pub struct FuncPlan {
-    /// Candidates to materialize in this function.
-    pub candidates: Vec<PlannedCandidate>,
 }
 
 /// A function to clone for partially-enumerated parameters.
@@ -72,12 +70,14 @@ pub struct CloneSpec {
 /// The whole-module ADE plan.
 #[derive(Clone, Debug, Default)]
 pub struct ModulePlan {
-    /// Key type of each enumeration class to create.
+    /// Key type of each enumeration to create: one per class that kept
+    /// a planned member, in class order.
     pub enum_key_tys: Vec<Type>,
-    /// Plans keyed by final function id (clones occupy ids past the
-    /// current function count).
-    pub func_plans: BTreeMap<u32, FuncPlan>,
-    /// Clones to create, in order (clone `k` gets id `n_funcs + k`).
+    /// The candidates to materialize, keyed by final function id
+    /// (clones occupy ids past the current function count).
+    pub func_plans: BTreeMap<u32, Vec<PlannedCandidate>>,
+    /// Clones to create, in source order (clone `k` gets id
+    /// `n_funcs + k`): only those a retarget reaches from original code.
     pub clones: Vec<CloneSpec>,
     /// Call sites to retarget: `(function, inst, new callee)`. Function
     /// ids refer to post-clone numbering.
@@ -89,6 +89,7 @@ pub struct ModulePlan {
 type Node = (u32, u32, usize);
 
 /// The interprocedural union-find, its nodes numbered on first sight.
+#[derive(Default)]
 struct Nodes {
     uf: UnionFind,
     ids: BTreeMap<Node, usize>,
@@ -128,8 +129,15 @@ struct Class {
     dissent: bool,
 }
 
-/// Members planned per final function id: (enum index, member, benefit).
-type FuncMembers = BTreeMap<u32, Vec<(usize, Member, usize)>>;
+/// A function the plan may patch: `(is a clone, source function)`, so
+/// that original functions order before clones.
+type Slot = (bool, u32);
+
+/// Members routed per slot: (class index, member).
+type SlotMembers = BTreeMap<Slot, Vec<(usize, Member)>>;
+
+/// A call site to retarget to a clone: (caller, inst, callee's source).
+type Retarget = (Slot, InstId, u32);
 
 /// Plans ADE for the whole module, with decision events on `tracer`:
 /// escape verdicts, candidate formation, RTE trims, poisoned classes,
@@ -172,8 +180,8 @@ pub fn plan_module_traced(
 
     let callgraph = CallGraph::compute(module);
     let classes = classify(module, &callgraph, &analyses, &candidates, tracer);
-    let (mut plan, members) = materialize(module, &callgraph, &analyses, &classes);
-    finalize(&mut plan, members, &analyses, options, tracer);
+    let (members, retargets) = materialize(module, &callgraph, &analyses, &classes);
+    let plan = finalize(&classes, members, &retargets, &analyses, options, tracer);
 
     if tracer.is_enabled() {
         for spec in &plan.clones {
@@ -183,11 +191,8 @@ pub fn plan_module_traced(
                 .field("clone", spec.new_name.as_str())
                 .emit();
         }
-        tracer.counter(
-            "interproc",
-            "retargeted-call-sites",
-            plan.retargets.len() as u64,
-        );
+        let retargeted = plan.retargets.len() as u64;
+        tracer.counter("interproc", "retargeted-call-sites", retargeted);
     }
     plan
 }
@@ -204,10 +209,7 @@ fn classify(
     candidates: &[Vec<Candidate>],
     tracer: &ade_obs::Tracer,
 ) -> Vec<Class> {
-    let mut nodes = Nodes {
-        uf: UnionFind::new(0),
-        ids: BTreeMap::new(),
-    };
+    let mut nodes = Nodes::default();
     for site in callgraph.sites() {
         let caller = &module.funcs[site.caller.index()];
         let Some(callee) = module.funcs.get(site.callee.index()) else {
@@ -316,42 +318,28 @@ fn classify(
     classes.into_values().collect()
 }
 
-/// Gives each class its enumeration and routes its members: chosen
-/// members to their own functions, derived entities and parameters with
-/// the roles their types support. A class with dissent, or with a
-/// parameter of an exported function, clones every function whose
-/// parameter it holds and retargets the agreeing call sites.
+/// Routes each class's members: chosen members to their own
+/// functions, derived entities and parameters with the roles their types
+/// support. A class with dissent, or with a parameter of an exported
+/// function, routes its parameters to clones of their functions and
+/// finds its retargets: one list per class.
 fn materialize(
     module: &Module,
     callgraph: &CallGraph,
     analyses: &[FuncAnalysis<'_>],
     classes: &[Class],
-) -> (ModulePlan, FuncMembers) {
-    let mut plan = ModulePlan::default();
-    let mut clone_of: BTreeMap<u32, u32> = BTreeMap::new(); // source -> clone id
-    let mut members = FuncMembers::new();
-    for class in classes {
-        let enum_idx = plan.enum_key_tys.len();
-        plan.enum_key_tys.push(class.key_ty.clone());
-        let needs_clone = class.dissent
-            || class
-                .params
-                .iter()
-                .any(|&(f, _, _)| module.funcs[f as usize].exported);
-        let mut clone_id = |f: u32| {
-            *clone_of.entry(f).or_insert_with(|| {
-                plan.clones.push(CloneSpec {
-                    source: FuncId(f),
-                    new_name: format!("{}$ade", module.funcs[f as usize].name),
-                });
-                (module.funcs.len() + plan.clones.len() - 1) as u32
-            })
-        };
-        let mut add = |target: u32, member: Member| {
-            members
-                .entry(target)
-                .or_default()
-                .push((enum_idx, member, class.benefit));
+) -> (SlotMembers, Vec<Vec<Retarget>>) {
+    let mut members = SlotMembers::new();
+    let mut retargets = Vec::new();
+    let mut cloned: BTreeSet<u32> = BTreeSet::new();
+    for (c, class) in classes.iter().enumerate() {
+        let exported = |&(f, _, _): &(u32, ValueId, usize)| module.funcs[f as usize].exported;
+        let needs_clone = class.dissent || class.params.iter().any(exported);
+        if needs_clone {
+            cloned.extend(class.params.iter().map(|&(f, _, _)| f));
+        }
+        let mut add = |slot: Slot, member: Member| {
+            members.entry(slot).or_default().push((c, member));
         };
 
         // Chosen members go to their own functions — or to the clone
@@ -360,12 +348,7 @@ fn materialize(
         // dissenting callers).
         for (f, m) in &class.chosen {
             let is_param_rooted = module.funcs[*f as usize].params.contains(&m.entity.root);
-            let target = if needs_clone && is_param_rooted {
-                clone_id(*f)
-            } else {
-                *f
-            };
-            add(target, m.clone());
+            add((needs_clone && is_param_rooted, *f), m.clone());
         }
         // Enumeration flows back to non-chosen entities in the class
         // (e.g. the caller's allocation when the redundancy lives in the
@@ -377,30 +360,19 @@ fn materialize(
             }
             let entity = CollectionEntity { root, depth };
             if let Some(role) = derived_role(module, &analyses[f as usize], class, entity) {
-                add(f, Member { entity, role });
+                add((false, f), Member { entity, role });
             }
         }
         for &(f, param, depth) in &class.params {
-            let target = if needs_clone { clone_id(f) } else { f };
             let entity = CollectionEntity { root: param, depth };
             if let Some(role) = derived_role(module, &analyses[f as usize], class, entity) {
-                add(target, Member { entity, role });
+                add((needs_clone, f), Member { entity, role });
             }
         }
-        if needs_clone {
-            retarget(
-                module,
-                callgraph,
-                analyses,
-                class,
-                &clone_of,
-                &mut plan.retargets,
-            );
-        }
+        let found = needs_clone.then(|| retarget(module, callgraph, analyses, class, &cloned));
+        retargets.push(found.unwrap_or_default());
     }
-    plan.retargets.sort_unstable();
-    plan.retargets.dedup();
-    (plan, members)
+    (members, retargets)
 }
 
 /// The roles `entity` (in `fa`'s function) derives from `class`: the
@@ -416,10 +388,7 @@ fn derived_role(
     entity: CollectionEntity,
 ) -> Option<MemberRole> {
     let ty = entity.try_ty(fa.func)?;
-    let mut role = MemberRole {
-        keys: false,
-        propagator: false,
-    };
+    let mut role = MemberRole::default();
     for (f, m) in &class.chosen {
         if m.entity.try_ty(&module.funcs[*f as usize]).as_ref() == Some(&ty) {
             role.keys |= m.role.keys;
@@ -443,23 +412,20 @@ fn retarget(
     callgraph: &CallGraph,
     analyses: &[FuncAnalysis<'_>],
     class: &Class,
-    clone_of: &BTreeMap<u32, u32>,
-    retargets: &mut Vec<(FuncId, InstId, FuncId)>,
-) {
+    cloned: &BTreeSet<u32>,
+) -> Vec<Retarget> {
+    let mut retargets = Vec::new();
     for site in callgraph.sites() {
-        let Some(&clone_id) = clone_of.get(&site.callee.0) else {
+        if !cloned.contains(&site.callee.0) {
             continue;
-        };
+        }
         let callee = &module.funcs[site.callee.index()];
         let caller = &module.funcs[site.caller.index()];
         let chains = &analyses[site.caller.index()].chains;
         let c = site.caller.0;
         let operands = caller.inst(site.inst).operands.iter();
         let agrees = operands.zip(&callee.params).any(|(op, &param)| {
-            if !class
-                .params
-                .iter()
-                .any(|&(f, p, _)| f == site.callee.0 && p == param)
+            if !class.params.contains(&(site.callee.0, param, 0))
                 || !op.path.is_empty()
                 || !caller.value_ty(op.base).is_collection()
             {
@@ -473,71 +439,112 @@ fn retarget(
                 || class.derived.contains(&(c, root, 0))
         });
         if agrees {
-            let caller_slot = clone_of.get(&c).copied().map_or(site.caller, FuncId);
-            retargets.push((caller_slot, site.inst, FuncId(clone_id)));
+            retargets.push(((cloned.contains(&c), c), site.inst, site.callee.0));
         }
     }
+    retargets
 }
 
-/// Builds each function's final plan: its members grouped by
-/// enumeration, and per group, in benefit order, the patch sets with
-/// φ-web claiming, RTE trims and the union-pair cancel. A group that
-/// fails in any function fails its whole class: a half-transformed class
-/// would break call-boundary types.
+/// Builds the module plan: each slot's members grouped by class, and per
+/// group, in claim order, the patch sets with φ-web claiming, RTE trims
+/// and the union-pair cancel; members routed into a clone no retarget
+/// reaches are never planned. A group that fails in any function fails
+/// its whole class, whose claims stay: a half-transformed class would
+/// break call-boundary types. The plan keeps only what the program uses.
 fn finalize(
-    plan: &mut ModulePlan,
-    members: FuncMembers,
+    classes: &[Class],
+    members: SlotMembers,
+    retargets: &[Vec<Retarget>],
     analyses: &[FuncAnalysis<'_>],
     options: &AdeOptions,
     tracer: &ade_obs::Tracer,
-) {
+) -> ModulePlan {
+    // The clones that the retargets of `live` classes reach from
+    // original code, directly or through clones that are reached.
+    let reached = |live: &BTreeSet<usize>| {
+        let mut reached = BTreeSet::new();
+        let retargets = || live.iter().flat_map(|&c| &retargets[c]);
+        while let Some(&(_, _, callee)) = retargets().find(|&&((clone, caller), _, callee)| {
+            (!clone || reached.contains(&caller)) && !reached.contains(&callee)
+        }) {
+            reached.insert(callee);
+        }
+        reached
+    };
+    let mut live: BTreeSet<usize> = (0..classes.len()).collect();
+    let mut clones = reached(&live);
     let mut failed: BTreeSet<usize> = BTreeSet::new();
-    for (f, members) in members {
-        let source = match (f as usize).checked_sub(analyses.len()) {
-            Some(k) => plan.clones[k].source.index(),
-            None => f as usize,
-        };
-        let fa = &analyses[source];
+    let mut planned: BTreeMap<Slot, Vec<PlannedCandidate>> = BTreeMap::new();
+    for ((clone, f), members) in members {
+        if clone && !clones.contains(&f) {
+            continue;
+        }
+        let fa = &analyses[f as usize];
         let mut claimed: BTreeSet<ValueId> = BTreeSet::new();
-        let mut func_plan = FuncPlan::default();
-        for (enum_idx, members, benefit) in groups(members) {
-            match plan_group(
-                fa,
-                enum_idx,
-                members,
-                benefit,
-                &mut claimed,
-                options,
-                tracer,
-            ) {
-                Some(candidate) => func_plan.candidates.push(candidate),
+        let planned = planned.entry((clone, f)).or_default();
+        for (class, members) in groups(members, classes) {
+            let benefit = classes[class].benefit;
+            match plan_group(fa, class, members, benefit, &mut claimed, options, tracer) {
+                Some(candidate) => planned.push(candidate),
                 None => {
-                    failed.insert(enum_idx);
+                    failed.insert(class);
                 }
             }
         }
-        plan.func_plans.insert(f, func_plan);
     }
-    plan.func_plans.retain(|_, func_plan| {
-        func_plan
-            .candidates
-            .retain(|c| !failed.contains(&c.enum_idx));
-        !func_plan.candidates.is_empty()
+    // Drop the failed classes, then the clones only their retargets
+    // reached, then the classes left without members, until none goes.
+    loop {
+        planned.retain(|&(clone, f), candidates| {
+            candidates.retain(|c| !failed.contains(&c.enum_idx));
+            !candidates.is_empty() && (!clone || clones.contains(&f))
+        });
+        let kept: BTreeSet<usize> = planned.values().flatten().map(|c| c.enum_idx).collect();
+        if kept == live {
+            break;
+        }
+        live = kept;
+        clones = reached(&live);
+    }
+
+    // Dense ids: enumerations in class order, clones in source order.
+    let clone_id = |f: u32| (analyses.len() + clones.range(..f).count()) as u32;
+    let id = |(clone, f): Slot| FuncId(if clone { clone_id(f) } else { f });
+    let mut retargets: Vec<_> = live
+        .iter()
+        .flat_map(|&c| &retargets[c])
+        .filter(|&&((clone, caller), _, _)| !clone || clones.contains(&caller))
+        .map(|&(caller, inst, callee)| (id(caller), inst, id((true, callee))))
+        .collect();
+    retargets.sort_unstable();
+    retargets.dedup();
+    let func_plans = planned.into_iter().map(|(slot, mut candidates)| {
+        for c in &mut candidates {
+            c.enum_idx = live.range(..c.enum_idx).count();
+        }
+        (id(slot).0, candidates)
     });
-    // Retargets belonging to fully-failed classes are harmless (the
-    // clone is a verbatim copy when untransformed) but wasteful; keep
-    // them only when some candidate survived anywhere.
-    if plan.func_plans.is_empty() {
-        plan.retargets.clear();
+    ModulePlan {
+        enum_key_tys: live.iter().map(|&c| classes[c].key_ty.clone()).collect(),
+        func_plans: func_plans.collect(),
+        clones: clones
+            .iter()
+            .map(|&f| CloneSpec {
+                source: FuncId(f),
+                new_name: format!("{}$ade", analyses[f as usize].func.name),
+            })
+            .collect(),
+        retargets,
     }
 }
 
-/// One function's members grouped by enumeration, with the roles of one
-/// entity merged and each group's summed benefit, benefit-descending.
-fn groups(members: Vec<(usize, Member, usize)>) -> Vec<(usize, Vec<Member>, usize)> {
-    let mut by_enum: BTreeMap<usize, (Vec<Member>, usize)> = BTreeMap::new();
-    for (enum_idx, member, benefit) in members {
-        let (group, sum) = by_enum.entry(enum_idx).or_default();
+/// One function's members grouped by class, with the roles of one
+/// entity merged, in claim order: class benefit descending, ties broken
+/// by class index.
+fn groups(members: Vec<(usize, Member)>, classes: &[Class]) -> Vec<(usize, Vec<Member>)> {
+    let mut by_class: BTreeMap<usize, Vec<Member>> = BTreeMap::new();
+    for (class, member) in members {
+        let group = by_class.entry(class).or_default();
         match group.iter_mut().find(|m| m.entity == member.entity) {
             Some(m) => {
                 m.role.keys |= member.role.keys;
@@ -545,19 +552,20 @@ fn groups(members: Vec<(usize, Member, usize)>) -> Vec<(usize, Vec<Member>, usiz
             }
             None => group.push(member),
         }
-        *sum += benefit;
     }
-    let mut groups: Vec<_> = by_enum.into_iter().map(|(e, (m, b))| (e, m, b)).collect();
-    groups.sort_by_key(|g| Reverse(g.2));
+    let mut groups: Vec<_> = by_class.into_iter().collect();
+    groups.sort_by_key(|&(class, _)| Reverse(classes[class].benefit));
     groups
 }
 
 /// One group's final patch sets in `fa`'s function, its φ-web claimed
 /// against the groups planned before it; `None`, after an
-/// `enum-dropped` event, when the group cannot be patched.
+/// `enum-dropped` event, when the group cannot be patched. Its events
+/// name the class index as `enum`: the enumeration's id unless an
+/// earlier class is dropped.
 fn plan_group(
     fa: &FuncAnalysis<'_>,
-    enum_idx: usize,
+    class: usize,
     members: Vec<Member>,
     benefit: usize,
     claimed: &mut BTreeSet<ValueId>,
@@ -568,7 +576,7 @@ fn plan_group(
         tracer
             .event("interproc", "enum-dropped")
             .field("func", fa.func.name.as_str())
-            .field("enum", enum_idx)
+            .field("enum", class)
             .field("reason", reason)
             .emit();
     };
@@ -583,7 +591,7 @@ fn plan_group(
         tracer
             .event("rte", "trims")
             .field("func", fa.func.name.as_str())
-            .field("enum", enum_idx)
+            .field("enum", class)
             .field("trim_enc", trims.enc.len())
             .field("trim_dec", trims.dec.len())
             .field("trim_add", trims.add.len())
@@ -603,7 +611,7 @@ fn plan_group(
         return None;
     }
     Some(PlannedCandidate {
-        enum_idx,
+        enum_idx: class,
         members,
         sets,
         web_members: web.members,
@@ -674,8 +682,8 @@ fn @main() -> void {
         assert_eq!(plan.enum_key_tys, vec![Type::U64]);
         assert!(plan.clones.is_empty());
         let fp = plan.func_plans.get(&0).expect("plan for main");
-        assert_eq!(fp.candidates.len(), 1);
-        assert_eq!(fp.candidates[0].members.len(), 2); // map + seq propagator
+        assert_eq!(fp.len(), 1);
+        assert_eq!(fp[0].members.len(), 2); // map + seq propagator
     }
 
     #[test]
@@ -711,8 +719,8 @@ fn @report(%m: Map<u64, u64>) -> void {
         assert_eq!(plan.enum_key_tys.len(), 1);
         assert!(plan.clones.is_empty(), "{:?}", plan.clones);
         let callee_plan = plan.func_plans.get(&1).expect("callee plan");
-        assert_eq!(callee_plan.candidates.len(), 1);
-        assert_eq!(callee_plan.candidates[0].enum_idx, 0, "shared enumeration");
+        assert_eq!(callee_plan.len(), 1);
+        assert_eq!(callee_plan[0].enum_idx, 0, "shared enumeration");
     }
 
     #[test]

@@ -91,7 +91,7 @@ use ade_ir::{Module, SetSel};
 use ade_obs::Tracer;
 
 pub use patch::{CollectionEntity, OperandPos, PatchSets, UseSite};
-pub use rte::{benefit, find_redundant, Trims};
+pub use rte::{find_redundant, Trims};
 pub use share::{Candidate, MemberRole};
 
 /// Configuration for the ADE pass, mirroring the paper artifact's
@@ -166,8 +166,6 @@ pub struct AdeReport {
     pub candidates: Vec<String>,
     /// Functions cloned for partially-enumerated parameters (§III-F).
     pub cloned_functions: Vec<String>,
-    /// Total trim-set sizes (the benefit actually realized).
-    pub total_benefit: usize,
     /// Every selection decision the pass made and the rule that
     /// decided it (the `adec --explain` report's data).
     pub ledger: ade_obs::SelectionLedger,

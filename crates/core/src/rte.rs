@@ -28,7 +28,8 @@ pub struct Trims {
 
 impl Trims {
     /// `|TrimEnc| + |TrimDec| + |TrimAdd|`: the benefit heuristic of
-    /// §III-C.
+    /// §III-C ("enumeration is beneficial iff we can find redundant
+    /// translations").
     pub fn benefit(&self) -> usize {
         self.enc.len() + self.dec.len() + self.add.len()
     }
@@ -84,13 +85,6 @@ pub fn apply_trims(sets: &PatchSets, trims: &Trims) -> PatchSets {
         to_dec: sets.to_dec.difference(&trims.dec).copied().collect(),
         to_add: sets.to_add.difference(&trims.add).copied().collect(),
     }
-}
-
-/// The benefit heuristic for a merged patch set: run FINDREDUNDANT and
-/// count the trims (§III-C: "enumeration is beneficial iff we can find
-/// redundant translations").
-pub fn benefit(func: &Function, sets: &PatchSets) -> usize {
-    find_redundant(func, sets).benefit()
 }
 
 #[cfg(test)]
@@ -166,8 +160,8 @@ fn @f(%a: Set<u64>, %b: Set<u64>) -> void {
         }];
         let (sb, _, _) = members_patch_sets(&fa, &member, &empty).expect("sets");
         // Individually: no redundancy.
-        assert_eq!(benefit(f, &sa), 0, "{sa:?}");
-        assert_eq!(benefit(f, &sb), 0);
+        assert_eq!(find_redundant(f, &sa).benefit(), 0, "{sa:?}");
+        assert_eq!(find_redundant(f, &sb).benefit(), 0);
         // Merged (one shared enumeration): the has-key site is both ToDec
         // (from %a's iteration web) and ToEnc (into %b) → trimmed.
         let members = [
@@ -278,6 +272,6 @@ fn @find(%uf: Map<u64, u64>, %v: u64) -> u64 {
             role: KEYS,
         }];
         let (sets, _, _) = members_patch_sets(&fa, &member, &empty).expect("sets");
-        assert_eq!(benefit(f, &sets), 0);
+        assert_eq!(find_redundant(f, &sets).benefit(), 0);
     }
 }

@@ -46,9 +46,9 @@ pub fn apply_selection_traced(
     // governs the whole class: collections unified across call
     // boundaries must end up with identical physical types.
     let mut class_selection: BTreeMap<usize, SelectionChoice> = BTreeMap::new();
-    for (&fidx, func_plan) in &plan.func_plans {
+    for (&fidx, candidates) in &plan.func_plans {
         let func = &module.funcs[fidx as usize];
-        for cand in &func_plan.candidates {
+        for cand in candidates {
             for m in &cand.members {
                 if let Some(choice) = directive_selection(func, m.entity.root, m.entity.depth) {
                     class_selection.entry(cand.enum_idx).or_insert(choice);
@@ -57,9 +57,9 @@ pub fn apply_selection_traced(
         }
     }
     let mut ledger = SelectionLedger::default();
-    for (&fidx, func_plan) in &plan.func_plans {
+    for (&fidx, candidates) in &plan.func_plans {
         let func = &mut module.funcs[fidx as usize];
-        for cand in &func_plan.candidates {
+        for cand in candidates {
             for m in &cand.members {
                 if !m.role.keys {
                     continue; // propagator-only members keep their impl

@@ -26,7 +26,7 @@ use crate::web::{compute_web, PhiWeb};
 use crate::AdeOptions;
 
 /// How an entity participates in a candidate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemberRole {
     /// The entity's keys are translated to identifiers.
     pub keys: bool,

@@ -66,11 +66,10 @@ pub fn apply_traced(module: &mut Module, plan: &ModulePlan, tracer: &ade_obs::Tr
 
     // 4. Per-function rewrites.
     let enum_tys: Vec<Type> = module.enums.iter().map(|e| e.key_ty.clone()).collect();
-    for (&fidx, func_plan) in &plan.func_plans {
+    for (&fidx, candidates) in &plan.func_plans {
         let func = &mut module.funcs[fidx as usize];
-        for cand in &func_plan.candidates {
+        for cand in candidates {
             retype_roots(func, cand);
-            report.total_benefit += cand.benefit;
             report.candidates.push(format!(
                 "@{}: enum e{} over {} member(s), benefit {}",
                 func.name,
@@ -90,13 +89,13 @@ pub fn apply_traced(module: &mut Module, plan: &ModulePlan, tracer: &ade_obs::Tr
         // All decodes first, then all encodes/adds, so that a site owned
         // by two enumerations composes as `enc(e1, dec(e2, x))`.
         let mut placed = Vec::new();
-        for cand in &func_plan.candidates {
+        for cand in candidates {
             let enum_id = EnumId::from_index(enum_base + cand.enum_idx);
             for &site in &cand.sets.to_dec {
                 wrap_site(func, site, InstKind::Dec(enum_id), &mut placed);
             }
         }
-        for cand in &func_plan.candidates {
+        for cand in candidates {
             let enum_id = EnumId::from_index(enum_base + cand.enum_idx);
             for &site in &cand.sets.to_enc {
                 wrap_site(func, site, InstKind::Enc(enum_id), &mut placed);
@@ -339,7 +338,6 @@ fn set_ty(func: &mut Function, v: ValueId, ty: Type) -> bool {
 mod tests {
     use super::*;
     use crate::index::FuncIndex;
-    use crate::interproc::FuncPlan;
     use crate::patch::PatchSets;
     use ade_ir::parse::parse_module;
 
@@ -360,7 +358,7 @@ mod tests {
             .collect();
         let plan = ModulePlan {
             enum_key_tys: vec![Type::U64; candidates.len()],
-            func_plans: [(0, FuncPlan { candidates })].into_iter().collect(),
+            func_plans: [(0, candidates)].into_iter().collect(),
             ..ModulePlan::default()
         };
         apply_traced(&mut module, &plan, &ade_obs::Tracer::disabled());

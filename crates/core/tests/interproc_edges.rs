@@ -244,78 +244,18 @@ fn unchanged(text: &str) -> String {
     print_module(&parse_module(text).expect("parses"))
 }
 
-/// An `exported` callee whose parameter is enumerated by its own body
-/// is cloned: the original keeps its signature for outside callers and
-/// the clone is transformed. Passing a collection to an exported
-/// function makes it escape in the caller, so no call site agrees and
-/// nothing is retargeted.
+/// An `exported` callee whose parameter its own body would enumerate is
+/// not cloned: passing a collection to an exported function makes it
+/// escape in the caller, so no call site agrees, no retarget reaches a
+/// clone, and the class keeps no member. The module compiles to itself,
+/// with no enumeration, clone or trims.
 #[test]
-fn exported_callee_is_cloned_and_keeps_its_signature() {
-    let text = r#"
-fn @main() -> void {
-  %m = new Map<u64, u64>
-  %zero = const 0u64
-  %n = const 40u64
-  %mf = forrange %zero, %n carry(%m) as (%i: u64, %mm: Map<u64, u64>) {
-    %one = const 1u64
-    %j = add %i, %one
-    %forty = const 40u64
-    %next = rem %j, %forty
-    %m1 = write %mm, %i, %next
-    yield %m1
-  }
-  %r = call @1(%mf)
-  print %r
-  ret
-}
-
-fn @cycles(%m: Map<u64, u64>) -> u64 exported {
-  %zero = const 0u64
-  %hits = foreach %m carry(%zero) as (%k: u64, %v: u64, %acc: u64) {
-    %loops = has %m, %v
-    %a = if %loops then {
-      %one = const 1u64
-      %a1 = add %acc, %one
-      yield %a1
-    } else {
-      yield %acc
-    }
-    yield %a
-  }
-  ret %hits
-}
-"#;
+fn exported_callee_without_agreeing_calls_is_not_cloned() {
+    let text = include_str!("../../../examples/ir/exported_callee.memoir");
     let p = planned(text);
-    let clone = r#"fn @cycles$ade(%m: Map{Bit}<idx, idx>) -> u64 {
-  %zero = const 0u64
-  %hits = foreach %m carry(%zero) as (%k: idx, %v: idx, %acc: u64) {
-    %loops = has %m, %v
-    %a = if %loops then {
-      %one = const 1u64
-      %a1 = add %acc, %one
-      yield %a1
-    } else {
-      yield %acc
-    }
-    yield %a
-  }
-  ret %hits
-}
-
-"#;
-    assert_eq!(
-        p.ir,
-        format!("enum e0: u64 // ade0\n\n{}{clone}", unchanged(text))
-    );
-    assert_eq!(p.cloned, ["cycles$ade"]);
-    assert_eq!(
-        p.events,
-        [
-            "- trims [rte] func=cycles enum=0 trim_enc=1 trim_dec=1 trim_add=0 benefit=2",
-            "- clone [interproc] source=cycles clone=cycles$ade",
-            "- retargeted-call-sites [interproc] value=0",
-        ]
-    );
+    assert_eq!(p.ir, unchanged(text));
+    assert!(p.cloned.is_empty());
+    assert_eq!(p.events, ["- retargeted-call-sites [interproc] value=0"]);
     assert_eq!(p.output, "40\n");
 }
 
@@ -533,54 +473,17 @@ fn @leak(%p: Set<u64>) -> Set<u64> {
 /// set would translate a whole collection at the `union`: the
 /// enumeration is dropped as an "unpatchable site" there and, because
 /// a half-transformed class would break the call's types, in the
-/// caller too. Only the unused enumeration declaration remains.
+/// caller too. The class gets no enumeration: the module compiles to
+/// itself.
 ///
 /// The other `enum-dropped` reason, "patch-set conflict", cannot be
 /// reached: every propagator role that reaches the final patch sets
 /// was checked against the same function's Algorithm 4 before.
 #[test]
-fn unpatchable_union_drops_the_whole_class() {
-    let text = r#"
-fn @main() -> void {
-  %input = new Seq<u64>
-  %zero = const 0u64
-  %n = const 60u64
-  %filled = forrange %zero, %n carry(%input) as (%i: u64, %s: Seq<u64>) {
-    %seven = const 7u64
-    %x = rem %i, %seven
-    %sz = size %s
-    %s1 = insert %s, %sz, %x
-    yield %s1
-  }
-  %seen = new Set<u64>
-  %cnt, %seen2 = foreach %filled carry(%zero, %seen) as (%i: u64, %v: u64, %acc: u64, %ss: Set<u64>) {
-    %h = has %ss, %v
-    %acc2, %s2 = if %h then {
-      yield %acc, %ss
-    } else {
-      %s1 = insert %ss, %v
-      %one = const 1u64
-      %a1 = add %acc, %one
-      yield %a1, %s1
-    }
-    yield %acc2, %s2
-  }
-  %r1 = call @1(%seen2)
-  print %cnt, %r1
-  ret
-}
-
-fn @widen(%p: Set<u64>) -> u64 {
-  %local = new Set<u64> #[noenumerate]
-  %k = const 100u64
-  %l1 = insert %local, %k
-  %p2 = union %p, %l1
-  %sz = size %p2
-  ret %sz
-}
-"#;
+fn unpatchable_union_drops_the_class_and_its_enumeration() {
+    let text = include_str!("../../../examples/ir/dropped_class.memoir");
     let p = planned(text);
-    assert_eq!(p.ir, format!("enum e0: u64 // ade0\n\n{}", unchanged(text)));
+    assert_eq!(p.ir, unchanged(text));
     assert!(p.cloned.is_empty());
     assert_eq!(
         p.events,

@@ -1,7 +1,7 @@
 //! Drive every `.memoir` sample under `examples/ir/` through the driver
 //! under both the baseline and full-ADE configurations.
 
-use ade_driver::{drive, Options};
+use ade_driver::{drive, Destination, Options};
 
 fn samples() -> Vec<(String, String)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/ir");
@@ -40,6 +40,73 @@ fn all_samples_agree_across_configurations() {
         )
         .unwrap_or_else(|e| panic!("[{name}] ade: {e}"));
         assert_eq!(memoir.program_output, ade.program_output, "[{name}]");
+    }
+}
+
+/// Every `[ade] @f: enum eN … benefit B` line reports its class's
+/// benefit: the summed benefit of the class's `candidate [share]`
+/// events, counted once, however many members and functions the class
+/// spans. A candidate belongs to the class of its function (a clone's
+/// source) and key type.
+#[test]
+fn reported_benefits_are_their_class_candidates_benefit() {
+    for (name, text) in samples() {
+        let out = drive(
+            &text,
+            &Options {
+                config: "ade".into(),
+                emit_ir: true,
+                trace: Destination::Stderr,
+                ..Options::default()
+            },
+        )
+        .unwrap_or_else(|e| panic!("[{name}] {e}"));
+        let ir = out.ir.expect("ir");
+        let field = |e: &ade_obs::Event, key: &str| -> String {
+            match e.fields.iter().find(|(k, _)| *k == key) {
+                Some((_, ade_obs::FieldValue::Str(s))) => s.clone(),
+                Some((_, ade_obs::FieldValue::U64(v))) => v.to_string(),
+                other => panic!("[{name}] {key}: {other:?}"),
+            }
+        };
+        // (func, key type, benefit) of every Algorithm 3 candidate.
+        let candidates: Vec<(String, String, u64)> = out
+            .events
+            .iter()
+            .filter(|e| e.cat == "share" && e.name == "candidate")
+            .map(|e| {
+                let benefit = field(e, "benefit").parse().expect("benefit");
+                (field(e, "func"), field(e, "key_ty"), benefit)
+            })
+            .collect();
+        let lines = &out.report.expect("report").candidates;
+        for line in lines {
+            // "@f: enum eN over M member(s), benefit B"
+            let (func, rest) = line.split_once(": enum ").expect("[ade] line");
+            let (e, rest) = rest.split_once(' ').expect("enum name");
+            let reported: u64 = rest
+                .rsplit_once("benefit ")
+                .and_then(|(_, b)| b.parse().ok())
+                .expect("benefit");
+            let decl = format!("enum {e}: ");
+            let key_ty = ir
+                .lines()
+                .find_map(|l| l.strip_prefix(&decl))
+                .and_then(|l| l.split(" //").next())
+                .unwrap_or_else(|| panic!("[{name}] {e} is not declared"));
+            let funcs: Vec<&str> = lines
+                .iter()
+                .filter(|l| l.contains(&format!(": enum {e} ")))
+                .map(|l| l.split(':').next().expect("func"))
+                .map(|f| f.trim_start_matches('@').trim_end_matches("$ade"))
+                .collect();
+            let class: u64 = candidates
+                .iter()
+                .filter(|(f, ty, _)| funcs.contains(&f.as_str()) && ty == key_ty)
+                .map(|c| c.2)
+                .sum();
+            assert_eq!(reported, class, "[{name}] {func}: enum {e}");
+        }
     }
 }
 
