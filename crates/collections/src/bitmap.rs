@@ -8,7 +8,6 @@
 use std::fmt;
 
 use crate::bitset::DynamicBitSet;
-use crate::HeapSize;
 
 /// A map from `usize` keys to values, stored as presence bits plus a
 /// dense value array indexed directly by key.
@@ -178,12 +177,6 @@ impl<V: Default> Extend<(usize, V)> for BitMap<V> {
     }
 }
 
-impl<V: HeapSize> HeapSize for BitMap<V> {
-    fn heap_bytes(&self) -> usize {
-        self.present.heap_bytes() + self.values.heap_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,7 +223,7 @@ mod tests {
         m.insert(10_000, 1);
         // One entry, but k ~ 10_000 slots of storage: the Table I tradeoff.
         assert_eq!(m.len(), 1);
-        assert!(m.heap_bytes() >= 10_000 * 8);
+        assert!(m.heap_bytes_fast() >= 10_000 * 8);
     }
 
     #[test]

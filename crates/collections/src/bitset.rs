@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use crate::HeapSize;
-
 const WORD_BITS: usize = u64::BITS as usize;
 
 /// A growable set of `usize` keys stored as a contiguous bit array.
@@ -142,8 +140,7 @@ impl DynamicBitSet {
         self.len = len;
     }
 
-    /// Constant-time estimate of the heap footprint (equals
-    /// [`HeapSize::heap_bytes`], which is already constant-time here).
+    /// The heap footprint, in constant time: the word array's capacity.
     pub fn heap_bytes_fast(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
     }
@@ -230,12 +227,6 @@ impl fmt::Debug for DynamicBitSet {
     }
 }
 
-impl HeapSize for DynamicBitSet {
-    fn heap_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,10 +263,10 @@ mod tests {
     #[test]
     fn clear_retains_capacity() {
         let mut s: DynamicBitSet = (0..500).collect();
-        let cap = s.heap_bytes();
+        let cap = s.heap_bytes_fast();
         s.clear();
         assert!(s.is_empty());
-        assert_eq!(s.heap_bytes(), cap);
+        assert_eq!(s.heap_bytes_fast(), cap);
         assert!(!s.contains(10));
     }
 

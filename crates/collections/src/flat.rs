@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use crate::HeapSize;
-
 /// A set stored as a sorted, deduplicated array.
 ///
 /// # Examples
@@ -191,12 +189,6 @@ impl<'a, T> IntoIterator for &'a FlatSet<T> {
 
     fn into_iter(self) -> Self::IntoIter {
         self.items.iter()
-    }
-}
-
-impl<T: HeapSize> HeapSize for FlatSet<T> {
-    fn heap_bytes(&self) -> usize {
-        self.items.heap_bytes()
     }
 }
 

@@ -18,7 +18,6 @@ use std::fmt;
 use std::hash::Hash;
 
 use crate::fx::hash_seeded;
-use crate::HeapSize;
 
 const MIN_BUCKETS: usize = 8;
 
@@ -265,10 +264,9 @@ impl<K: Hash + Eq, V> ChainedHashMap<K, V> {
         Some(chain.swap_remove(pos).1)
     }
 
-    /// A constant-time estimate of [`HeapSize::heap_bytes`]: the bucket
-    /// array plus roughly two slots of chain capacity per entry. Used for
-    /// incremental memory accounting where the exact walk would be
-    /// quadratic over a run.
+    /// A constant-time estimate of the heap footprint: the bucket array
+    /// plus roughly two slots of chain capacity per entry (element-owned
+    /// heap data excluded).
     pub fn heap_bytes_fast(&self) -> usize {
         self.heap_bytes_fast_as(std::mem::size_of::<(K, V)>())
     }
@@ -332,28 +330,6 @@ impl<K: Hash + Eq, V> Extend<(K, V)> for ChainedHashMap<K, V> {
         for (k, v) in iter {
             self.insert(k, v);
         }
-    }
-}
-
-impl<K: HeapSize, V: HeapSize> HeapSize for ChainedHashMap<K, V> {
-    fn heap_bytes(&self) -> usize {
-        let bucket_array = self.buckets.capacity() * std::mem::size_of::<Bucket<K, V>>();
-        let chains: usize = self
-            .buckets
-            .iter()
-            .map(|b| {
-                let spill = match b {
-                    Bucket::Many(chain) => chain.capacity() * std::mem::size_of::<(K, V)>(),
-                    _ => 0,
-                };
-                spill
-                    + b.as_slice()
-                        .iter()
-                        .map(|(k, v)| k.heap_bytes() + v.heap_bytes())
-                        .sum::<usize>()
-            })
-            .sum();
-        bucket_array + chains
     }
 }
 
@@ -485,12 +461,6 @@ impl<T: Hash + Eq> Extend<T> for ChainedHashSet<T> {
     }
 }
 
-impl<T: HeapSize> HeapSize for ChainedHashSet<T> {
-    fn heap_bytes(&self) -> usize {
-        self.map.heap_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,7 +549,7 @@ mod tests {
     fn heap_bytes_grows_with_contents() {
         let empty: ChainedHashMap<u64, u64> = ChainedHashMap::new();
         let full: ChainedHashMap<u64, u64> = (0..1000).map(|i| (i, i)).collect();
-        assert!(full.heap_bytes() > empty.heap_bytes());
-        assert!(full.heap_bytes() >= 1000 * 16);
+        assert!(full.heap_bytes_fast() > empty.heap_bytes_fast());
+        assert!(full.heap_bytes_fast() >= 1000 * 16);
     }
 }

@@ -21,9 +21,13 @@
 //! property that data enumeration manufactures. The general-purpose
 //! implementations accept arbitrary hashable/ordered keys.
 //!
-//! Every collection reports its heap footprint through [`HeapSize`], which
-//! the execution substrate uses to reproduce the paper's maximum-resident-
-//! set-size measurements.
+//! Every collection estimates its heap footprint in constant time with
+//! `heap_bytes_fast`, and with `heap_bytes_fast_as`, which prices each
+//! element at a given width. The estimates count capacity, not live
+//! bytes, because allocated-but-unused slack is what resident-set
+//! measurements observe. The interpreter sums `heap_bytes_fast_as` at
+//! its boxed value widths to stand in for the paper's maximum resident
+//! set size.
 //!
 //! # Examples
 //!
@@ -61,90 +65,3 @@ pub use hash::{ChainedHashMap, ChainedHashSet};
 pub use seq::ArraySeq;
 pub use sparsebit::SparseBitSet;
 pub use swiss::{SwissMap, SwissSet};
-
-/// Types that can report the number of heap bytes they own.
-///
-/// Used by the interpreter to account for collection storage, standing in
-/// for the paper's `/usr/bin/time` maximum-resident-set-size measurements.
-/// Implementations report *capacity* (allocated bytes), not live bytes,
-/// because allocated-but-unused slack is exactly what resident-set
-/// measurements observe.
-pub trait HeapSize {
-    /// Heap bytes owned by `self`, excluding `size_of::<Self>()` itself.
-    fn heap_bytes(&self) -> usize;
-}
-
-impl HeapSize for () {
-    fn heap_bytes(&self) -> usize {
-        0
-    }
-}
-
-macro_rules! heap_size_zero {
-    ($($t:ty),*) => {
-        $(impl HeapSize for $t {
-            fn heap_bytes(&self) -> usize { 0 }
-        })*
-    };
-}
-heap_size_zero!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64, bool, char);
-
-impl HeapSize for String {
-    fn heap_bytes(&self) -> usize {
-        self.capacity()
-    }
-}
-
-impl<T: HeapSize> HeapSize for Vec<T> {
-    fn heap_bytes(&self) -> usize {
-        self.capacity() * std::mem::size_of::<T>()
-            + self.iter().map(HeapSize::heap_bytes).sum::<usize>()
-    }
-}
-
-impl<T: HeapSize> HeapSize for Option<T> {
-    fn heap_bytes(&self) -> usize {
-        self.as_ref().map_or(0, HeapSize::heap_bytes)
-    }
-}
-
-impl<T: HeapSize + ?Sized> HeapSize for Box<T> {
-    fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val::<T>(self) + (**self).heap_bytes()
-    }
-}
-
-impl<A: HeapSize, B: HeapSize> HeapSize for (A, B) {
-    fn heap_bytes(&self) -> usize {
-        self.0.heap_bytes() + self.1.heap_bytes()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn heap_size_of_scalars_is_zero() {
-        assert_eq!(5u32.heap_bytes(), 0);
-        assert_eq!(1.5f64.heap_bytes(), 0);
-    }
-
-    #[test]
-    fn heap_size_of_vec_counts_capacity() {
-        let v: Vec<u64> = Vec::with_capacity(16);
-        assert_eq!(v.heap_bytes(), 16 * 8);
-    }
-
-    #[test]
-    fn heap_size_of_string_counts_capacity() {
-        let s = String::from("hello");
-        assert!(s.heap_bytes() >= 5);
-    }
-
-    #[test]
-    fn heap_size_of_nested_vec_counts_elements() {
-        let v = vec![vec![1u8, 2, 3], Vec::with_capacity(8)];
-        assert!(v.heap_bytes() >= 3 + 8);
-    }
-}

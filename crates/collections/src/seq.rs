@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use crate::HeapSize;
-
 /// A sequence backed by a resizeable array.
 ///
 /// # Examples
@@ -182,12 +180,6 @@ impl<T> IntoIterator for ArraySeq<T> {
 
     fn into_iter(self) -> Self::IntoIter {
         self.items.into_iter()
-    }
-}
-
-impl<T: HeapSize> HeapSize for ArraySeq<T> {
-    fn heap_bytes(&self) -> usize {
-        self.items.heap_bytes()
     }
 }
 

@@ -15,8 +15,6 @@
 
 use std::fmt;
 
-use crate::HeapSize;
-
 /// Array containers convert to bitmaps above this length (the Roaring
 /// threshold: 4096 × 2 bytes = 8 KiB, the size of a bitmap container).
 const ARRAY_MAX: usize = 4096;
@@ -324,12 +322,6 @@ impl Extend<usize> for SparseBitSet {
         for key in iter {
             self.insert(key);
         }
-    }
-}
-
-impl HeapSize for SparseBitSet {
-    fn heap_bytes(&self) -> usize {
-        self.heap_bytes_fast()
     }
 }
 

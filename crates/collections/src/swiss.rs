@@ -11,7 +11,6 @@ use std::fmt;
 use std::hash::Hash;
 
 use crate::fx::hash_seeded;
-use crate::HeapSize;
 
 /// Control byte for an empty slot (high bit set).
 const EMPTY: u8 = 0x80;
@@ -278,8 +277,8 @@ impl<K: Hash + Eq, V> SwissMap<K, V> {
         self.slots[idx].take().map(|(_, v)| v)
     }
 
-    /// A constant-time estimate of [`HeapSize::heap_bytes`]: control
-    /// bytes plus the slot array (element-owned heap data excluded).
+    /// A constant-time estimate of the heap footprint: control bytes
+    /// plus the slot array (element-owned heap data excluded).
     pub fn heap_bytes_fast(&self) -> usize {
         self.heap_bytes_fast_as(std::mem::size_of::<Option<(K, V)>>())
     }
@@ -330,19 +329,6 @@ impl<K: Hash + Eq, V> Extend<(K, V)> for SwissMap<K, V> {
         for (k, v) in iter {
             self.insert(k, v);
         }
-    }
-}
-
-impl<K: HeapSize, V: HeapSize> HeapSize for SwissMap<K, V> {
-    fn heap_bytes(&self) -> usize {
-        self.ctrl.capacity()
-            + self.slots.capacity() * std::mem::size_of::<Option<(K, V)>>()
-            + self
-                .slots
-                .iter()
-                .flatten()
-                .map(|(k, v)| k.heap_bytes() + v.heap_bytes())
-                .sum::<usize>()
     }
 }
 
@@ -464,12 +450,6 @@ impl<T: Hash + Eq> Extend<T> for SwissSet<T> {
     }
 }
 
-impl<T: HeapSize> HeapSize for SwissSet<T> {
-    fn heap_bytes(&self) -> usize {
-        self.map.heap_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,11 +552,11 @@ mod tests {
     #[test]
     fn clear_keeps_allocation() {
         let mut m: SwissMap<u32, u32> = (0..100).map(|i| (i, i)).collect();
-        let bytes = m.heap_bytes();
+        let bytes = m.heap_bytes_fast();
         m.clear();
         assert!(m.is_empty());
         assert_eq!(m.get(&5), None);
-        assert_eq!(m.heap_bytes(), bytes);
+        assert_eq!(m.heap_bytes_fast(), bytes);
     }
 
     #[test]
@@ -610,6 +590,6 @@ mod tests {
         m.insert("alpha".to_string(), 1);
         m.insert("beta".to_string(), 2);
         assert_eq!(m.get(&"alpha".to_string()), Some(&1));
-        assert!(m.heap_bytes() > 0);
+        assert!(m.heap_bytes_fast() > 0);
     }
 }

@@ -216,21 +216,6 @@ impl fmt::Display for Value {
     }
 }
 
-impl ade_collections::HeapSize for Value {
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Value::Str(s) => s.len(),
-            Value::Tuple(t) => {
-                t.len() * std::mem::size_of::<Value>()
-                    + t.iter()
-                        .map(ade_collections::HeapSize::heap_bytes)
-                        .sum::<usize>()
-            }
-            _ => 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
