@@ -481,11 +481,11 @@ fn finalize(
         }
         let fa = &analyses[f as usize];
         let mut claimed: BTreeSet<ValueId> = BTreeSet::new();
-        let planned = planned.entry((clone, f)).or_default();
+        let slot_plan = planned.entry((clone, f)).or_default();
         for (class, members) in groups(members, classes) {
             let benefit = classes[class].benefit;
             match plan_group(fa, class, members, benefit, &mut claimed, options, tracer) {
-                Some(candidate) => planned.push(candidate),
+                Some(candidate) => slot_plan.push(candidate),
                 None => {
                     failed.insert(class);
                 }
