@@ -11,8 +11,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ade_collections::{
-    ArraySeq, BitMap, ChainedHashMap, ChainedHashSet, DynamicBitSet, FlatSet, SparseBitSet,
-    SwissMap, SwissSet,
+    BitMap, ChainedHashMap, ChainedHashSet, DynamicBitSet, FlatSet, SparseBitSet, SwissMap,
+    SwissSet,
 };
 
 const N: usize = 1 << 14;
@@ -210,35 +210,5 @@ fn map_read_write(c: &mut Criterion) {
     g.finish();
 }
 
-fn seq_ops(c: &mut Criterion) {
-    let keys = keys();
-    let mut g = c.benchmark_group("seq");
-    g.bench_function("push", |b| {
-        b.iter(|| {
-            let mut s = ArraySeq::new();
-            for &k in &keys {
-                s.push(black_box(k));
-            }
-            s.len()
-        })
-    });
-    let seq: ArraySeq<u64> = keys.iter().copied().collect();
-    g.bench_function("read", |b| {
-        b.iter(|| {
-            (0..N)
-                .map(|i| *seq.get(black_box(i)).expect("in bounds"))
-                .fold(0u64, u64::wrapping_add)
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    set_insert,
-    set_iterate,
-    set_union,
-    map_read_write,
-    seq_ops
-);
+criterion_group!(benches, set_insert, set_iterate, set_union, map_read_write);
 criterion_main!(benches);

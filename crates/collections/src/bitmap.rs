@@ -44,14 +44,6 @@ impl<V: Default> BitMap<V> {
         Self::default()
     }
 
-    /// Creates an empty map with room for keys below `cap`.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            present: DynamicBitSet::with_capacity(cap),
-            values: Vec::with_capacity(cap),
-        }
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.present.len()
@@ -79,16 +71,6 @@ impl<V: Default> BitMap<V> {
     pub fn get(&self, key: usize) -> Option<&V> {
         if self.present.contains(key) {
             Some(&self.values[key])
-        } else {
-            None
-        }
-    }
-
-    /// Returns a mutable reference to the value for `key`, if present.
-    #[inline]
-    pub fn get_mut(&mut self, key: usize) -> Option<&mut V> {
-        if self.present.contains(key) {
-            Some(&mut self.values[key])
         } else {
             None
         }
@@ -143,16 +125,6 @@ impl<V: Default> BitMap<V> {
     pub fn iter(&self) -> impl Iterator<Item = (usize, &V)> {
         self.present.iter().map(|k| (k, &self.values[k]))
     }
-
-    /// Iterates over present keys in ascending order.
-    pub fn keys(&self) -> impl Iterator<Item = usize> + '_ {
-        self.present.iter()
-    }
-
-    /// Iterates over values in ascending key order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.iter().map(|(_, v)| v)
-    }
 }
 
 impl<V: fmt::Debug + Default> fmt::Debug for BitMap<V> {
@@ -199,15 +171,6 @@ mod tests {
         assert_eq!(m.get(10), Some(&0));
         assert_eq!(m.get(3), None, "slack slots below 10 are absent");
         assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn get_mut_updates_in_place() {
-        let mut m = BitMap::new();
-        m.insert(2, 7u32);
-        *m.get_mut(2).expect("present") += 1;
-        assert_eq!(m.get(2), Some(&8));
-        assert_eq!(m.get_mut(3), None);
     }
 
     #[test]

@@ -39,15 +39,6 @@ impl DynamicBitSet {
         Self::default()
     }
 
-    /// Creates an empty bitset with room for keys below `bits` without
-    /// reallocating.
-    pub fn with_capacity(bits: usize) -> Self {
-        Self {
-            words: Vec::with_capacity(bits.div_ceil(WORD_BITS)),
-            len: 0,
-        }
-    }
-
     /// Number of elements in the set.
     pub fn len(&self) -> usize {
         self.len

@@ -37,13 +37,6 @@ impl<T: Ord> FlatSet<T> {
         Self::default()
     }
 
-    /// Creates an empty set with room for `cap` elements.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            items: Vec::with_capacity(cap),
-        }
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -104,7 +97,9 @@ impl<T: Ord> FlatSet<T> {
     }
 
     /// [`FlatSet::heap_bytes_fast`] priced as if each element were
-    /// `elem_bytes` wide (see `ArraySeq::heap_bytes_fast_as`).
+    /// `elem_bytes` wide. Valid because `Vec`'s growth policy does not
+    /// depend on the element size within the small-element class (locked
+    /// in by a test in `ade-interp`).
     pub fn heap_bytes_fast_as(&self, elem_bytes: usize) -> usize {
         self.items.capacity() * elem_bytes
     }

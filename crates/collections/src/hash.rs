@@ -143,15 +143,6 @@ impl<K: Hash + Eq, V> ChainedHashMap<K, V> {
         Self::default()
     }
 
-    /// Creates an empty map with room for `cap` entries at load factor 1.
-    pub fn with_capacity(cap: usize) -> Self {
-        let buckets = cap.next_power_of_two().max(MIN_BUCKETS);
-        Self {
-            buckets: (0..buckets).map(|_| Bucket::Empty).collect(),
-            ..Self::default()
-        }
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.len
@@ -221,19 +212,6 @@ impl<K: Hash + Eq, V> ChainedHashMap<K, V> {
             .map(|(_, v)| v)
     }
 
-    /// Returns a mutable reference to the value for `key`, if present.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        if self.buckets.is_empty() {
-            return None;
-        }
-        let b = self.bucket_of(key);
-        self.buckets[b]
-            .as_mut_slice()
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-    }
-
     /// Returns `true` if `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
         self.get(key).is_some()
@@ -291,16 +269,6 @@ impl<K: Hash + Eq, V> ChainedHashMap<K, V> {
             .iter()
             .flat_map(Bucket::as_slice)
             .map(|(k, v)| (k, v))
-    }
-
-    /// Iterates over keys.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.iter().map(|(k, _)| k)
-    }
-
-    /// Iterates over values.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.iter().map(|(_, v)| v)
     }
 }
 
@@ -375,13 +343,6 @@ impl<T: Hash + Eq> ChainedHashSet<T> {
         }
     }
 
-    /// Creates an empty set with room for `cap` elements.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            map: ChainedHashMap::with_capacity(cap),
-        }
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -427,7 +388,7 @@ impl<T: Hash + Eq> ChainedHashSet<T> {
 
     /// Iterates over the elements in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.map.keys()
+        self.map.iter().map(|(k, _)| k)
     }
 }
 
@@ -489,15 +450,6 @@ mod tests {
             assert_eq!(m.get(&i), Some(&(i * 2)));
         }
         assert_eq!(m.get(&10_000), None);
-    }
-
-    #[test]
-    fn map_get_mut_updates_in_place() {
-        let mut m = ChainedHashMap::new();
-        m.insert("k", 1);
-        *m.get_mut(&"k").expect("present") += 10;
-        assert_eq!(m.get(&"k"), Some(&11));
-        assert_eq!(m.get_mut(&"missing"), None);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Collection implementations for automatic data enumeration (ADE).
 //!
-//! This crate provides from-scratch implementations of every collection
-//! design listed in Table I of *Automatic Data Enumeration for Fast
-//! Collections* (CGO 2026):
+//! This crate provides from-scratch implementations of the collection
+//! designs listed in Table I of *Automatic Data Enumeration for Fast
+//! Collections* (CGO 2026). The sequence row is `std`'s growable `Vec`,
+//! which the interpreter holds directly:
 //!
 //! | Type | Selection | This crate | Design |
 //! |---|---|---|---|
-//! | `Seq<T>` | `Array` | [`ArraySeq`] | resizeable array |
+//! | `Seq<T>` | `Array` | `Vec` (std) | resizeable array |
 //! | `Set<T>` | `HashSet` | [`ChainedHashSet`] | separate-chaining hash table |
 //! | `Set<T>` | `FlatSet` | [`FlatSet`] | sorted array |
 //! | `Set<T>` | `SwissSet` | [`SwissSet`] | open addressing with control bytes |
@@ -54,7 +55,6 @@ mod bitset;
 mod flat;
 pub mod fx;
 mod hash;
-mod seq;
 mod sparsebit;
 mod swiss;
 
@@ -62,6 +62,5 @@ pub use bitmap::BitMap;
 pub use bitset::DynamicBitSet;
 pub use flat::FlatSet;
 pub use hash::{ChainedHashMap, ChainedHashSet};
-pub use seq::ArraySeq;
 pub use sparsebit::SparseBitSet;
 pub use swiss::{SwissMap, SwissSet};

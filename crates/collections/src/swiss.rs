@@ -112,15 +112,6 @@ impl<K: Hash + Eq, V> SwissMap<K, V> {
         Self::default()
     }
 
-    /// Creates an empty map with room for `cap` entries.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut m = Self::new();
-        if cap > 0 {
-            m.resize((cap * 8 / 7 + 1).next_power_of_two().max(GROUP));
-        }
-        m
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.len
@@ -240,12 +231,6 @@ impl<K: Hash + Eq, V> SwissMap<K, V> {
         self.slots[idx].as_ref().map(|(_, v)| v)
     }
 
-    /// Returns a mutable reference to the value for `key`, if present.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let idx = self.find(key, hash_seeded(self.seed, key))?;
-        self.slots[idx].as_mut().map(|(_, v)| v)
-    }
-
     /// Returns `true` if `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
         self.find(key, hash_seeded(self.seed, key)).is_some()
@@ -295,16 +280,6 @@ impl<K: Hash + Eq, V> SwissMap<K, V> {
     /// deterministic for a fixed history) order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.slots.iter().flatten().map(|(k, v)| (k, v))
-    }
-
-    /// Iterates over keys.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.iter().map(|(k, _)| k)
-    }
-
-    /// Iterates over values.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.iter().map(|(_, v)| v)
     }
 }
 
@@ -371,13 +346,6 @@ impl<T: Hash + Eq> SwissSet<T> {
         }
     }
 
-    /// Creates an empty set with room for `cap` elements.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            map: SwissMap::with_capacity(cap),
-        }
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -422,7 +390,7 @@ impl<T: Hash + Eq> SwissSet<T> {
 
     /// Iterates over the elements in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.map.keys()
+        self.map.iter().map(|(k, _)| k)
     }
 }
 
@@ -571,17 +539,6 @@ mod tests {
         assert!(!s.contains(&99));
         let collected: SwissSet<u32> = s.iter().copied().collect();
         assert_eq!(collected.len(), 99);
-    }
-
-    #[test]
-    fn with_capacity_avoids_growth() {
-        let mut m: SwissMap<u64, u64> = SwissMap::with_capacity(100);
-        let before = m.ctrl.len();
-        assert!(before >= 100);
-        for i in 0..100 {
-            m.insert(i, i);
-        }
-        assert_eq!(m.ctrl.len(), before);
     }
 
     #[test]

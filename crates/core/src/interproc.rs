@@ -305,7 +305,7 @@ fn classify(
             let fa = &analyses[f as usize];
             fa.escape.escapes(fa.chains.root_of(param))
         });
-        if poisoned {
+        if poisoned && tracer.is_enabled() {
             tracer
                 .event("interproc", "class-poisoned")
                 .field("members", class.chosen.len())
@@ -561,8 +561,8 @@ fn groups(members: Vec<(usize, Member)>, classes: &[Class]) -> Vec<(usize, Vec<M
 /// One group's final patch sets in `fa`'s function, its φ-web claimed
 /// against the groups planned before it; `None`, after an
 /// `enum-dropped` event, when the group cannot be patched. Its events
-/// name the class index as `enum`: the enumeration's id unless an
-/// earlier class is dropped.
+/// are emitted before enumerations are numbered, so they name the class
+/// index as `class`.
 fn plan_group(
     fa: &FuncAnalysis<'_>,
     class: usize,
@@ -576,7 +576,7 @@ fn plan_group(
         tracer
             .event("interproc", "enum-dropped")
             .field("func", fa.func.name.as_str())
-            .field("enum", class)
+            .field("class", class)
             .field("reason", reason)
             .emit();
     };
@@ -591,7 +591,7 @@ fn plan_group(
         tracer
             .event("rte", "trims")
             .field("func", fa.func.name.as_str())
-            .field("enum", class)
+            .field("class", class)
             .field("trim_enc", trims.enc.len())
             .field("trim_dec", trims.dec.len())
             .field("trim_add", trims.add.len())

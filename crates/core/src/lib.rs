@@ -157,18 +157,13 @@ impl AdeOptions {
     }
 }
 
-/// What the pass did, for reporting and tests.
+/// What the pass did. Every decision behind it is an event on the
+/// tracer given to [`run_ade_traced`]; the report keeps only the count
+/// callers read without tracing.
 #[derive(Clone, Debug, Default)]
 pub struct AdeReport {
-    /// Number of enumeration classes created.
+    /// Number of enumerations the pass declared.
     pub enums_created: usize,
-    /// Human-readable description of each enumerated candidate.
-    pub candidates: Vec<String>,
-    /// Functions cloned for partially-enumerated parameters (§III-F).
-    pub cloned_functions: Vec<String>,
-    /// Every selection decision the pass made and the rule that
-    /// decided it (the `adec --explain` report's data).
-    pub ledger: ade_obs::SelectionLedger,
 }
 
 /// Runs the full ADE pipeline over `module` in place.
@@ -178,22 +173,24 @@ pub fn run_ade(module: &mut Module, options: &AdeOptions) -> AdeReport {
 
 /// [`run_ade`] with observability: each pass runs inside a span on
 /// `tracer` and emits structured decision events (escape verdicts,
-/// candidate formation, RTE trims, clone/retarget choices, selection
-/// choices, translation insertions, peephole rewrites). With a disabled
-/// tracer this is exactly `run_ade`.
+/// candidate formation, RTE trims, clone/retarget choices, translation
+/// insertions with each candidate's members and benefit, selection
+/// choices, peephole rewrites). These events are the pass's only
+/// decision record. With a disabled tracer this is exactly `run_ade`,
+/// and no decision text is built.
 pub fn run_ade_traced(module: &mut Module, options: &AdeOptions, tracer: &Tracer) -> AdeReport {
     let plan = {
         let _span = tracer.span("pass", "plan");
         interproc::plan_module_traced(module, options, tracer)
     };
-    let mut report = {
+    {
         let _span = tracer.span("pass", "transform");
-        transform::apply_traced(module, &plan, tracer)
-    };
-    report.ledger = {
+        transform::apply_traced(module, &plan, tracer);
+    }
+    {
         let _span = tracer.span("pass", "select");
-        select::apply_selection_traced(module, &plan, options, tracer)
-    };
+        select::apply_selection_traced(module, &plan, options, tracer);
+    }
     if options.rte {
         {
             let _span = tracer.span("pass", "peephole");
@@ -206,5 +203,7 @@ pub fn run_ade_traced(module: &mut Module, options: &AdeOptions, tracer: &Tracer
             tracer.counter("cleanup", "insts-removed", removed as u64);
         }
     }
-    report
+    AdeReport {
+        enums_created: plan.enum_key_tys.len(),
+    }
 }

@@ -3,10 +3,11 @@
 //! `SparseBitSet` under the `ade-sparse` knobs — and `select(...)`
 //! directives override any choice (§III-I).
 //!
-//! The pass records every keyed-site decision — the applied
-//! implementations and the rule that decided them — in a
-//! [`ade_obs::SelectionLedger`] (the `adec --explain` report) and as
-//! decision events on the tracer.
+//! The pass records every keyed-site decision as one `choice` event on
+//! the tracer: the member, its enumeration, the applied set and map
+//! implementations, and whether a `select(...)` directive or the static
+//! default decided them. Those events are the decision's only record;
+//! `adec --explain` renders its selection report from them.
 
 use std::collections::BTreeMap;
 
@@ -14,34 +15,23 @@ use ade_analysis::RedefChains;
 use ade_ir::{
     Function, InstKind, MapSel, Module, SelectionChoice, SetSel, Type, ValueDef, ValueId,
 };
-use ade_obs::ledger::{DecisionSource, SelectionDecision, SelectionLedger};
 
 use crate::interproc::ModulePlan;
 use crate::AdeOptions;
 
-/// How one keyed member was decided (the class's directive, if any,
-/// governs every member so members unified across call boundaries keep
-/// identical physical types).
-struct ClassDecision {
-    set_sel: SetSel,
-    map_sel: MapSel,
-    source: DecisionSource,
-    deciding: String,
-}
-
 /// Applies implementation selection: `select(...)` directives on any
 /// allocation (enumerated or not — paper Listing 5 pins a swiss map on a
 /// `noenumerate` collection), then the dense defaults for enumerated
-/// entities. The returned ledger holds a decision record per keyed
-/// member (the applied implementations and the deciding rule); the
-/// tracer gets a `choice` event per member.
+/// entities. The tracer gets a `choice` event per keyed member, naming
+/// its enumeration as `enum` (the declared id, as `translations` does).
 pub fn apply_selection_traced(
     module: &mut Module,
     plan: &ModulePlan,
     options: &AdeOptions,
     tracer: &ade_obs::Tracer,
-) -> SelectionLedger {
+) {
     apply_directive_selections(module);
+    let enum_base = module.enums.len() - plan.enum_key_tys.len();
     // A `select(...)` directive on any member of an enumeration class
     // governs the whole class: collections unified across call
     // boundaries must end up with identical physical types.
@@ -56,74 +46,46 @@ pub fn apply_selection_traced(
             }
         }
     }
-    let mut ledger = SelectionLedger::default();
     for (&fidx, candidates) in &plan.func_plans {
         let func = &mut module.funcs[fidx as usize];
         for cand in candidates {
+            let directive_sel = class_selection.get(&cand.enum_idx).copied();
             for m in &cand.members {
                 if !m.role.keys {
                     continue; // propagator-only members keep their impl
                 }
-                let directive_sel = class_selection.get(&cand.enum_idx).copied();
-                let static_set = if m.entity.depth > 0 {
-                    options
-                        .nested_set_impl
-                        .unwrap_or(options.enumerated_set_impl)
-                } else {
-                    options.enumerated_set_impl
+                // The class's directive when it has one, else the static
+                // dense default for the member's depth.
+                let (set_sel, map_sel) = match directive_sel {
+                    Some(choice) => (selection_to_set(choice), selection_to_map(choice)),
+                    None if m.entity.depth > 0 => (
+                        options
+                            .nested_set_impl
+                            .unwrap_or(options.enumerated_set_impl),
+                        MapSel::Bit,
+                    ),
+                    None => (options.enumerated_set_impl, MapSel::Bit),
                 };
-                let decision = decide_class(directive_sel, static_set);
-                let root_label = ade_analysis::value_label(func, m.entity.root);
-                tracer
-                    .event("select", "choice")
-                    .field("func", func.name.as_str())
-                    .field("root", root_label.clone())
-                    .field("depth", m.entity.depth)
-                    .field("set", format!("{:?}", decision.set_sel))
-                    .field("map", format!("{:?}", decision.map_sel))
-                    .field("directive", directive_sel.is_some())
-                    .field("source", decision.source.to_string())
-                    .emit();
-                ledger.decisions.push(SelectionDecision {
-                    func: func.name.clone(),
-                    member: root_label,
-                    depth: m.entity.depth,
-                    enum_class: cand.enum_idx,
-                    set_impl: format!("{:?}", decision.set_sel),
-                    map_impl: format!("{:?}", decision.map_sel),
-                    source: decision.source,
-                    deciding: decision.deciding,
-                });
-                retype_selection(
-                    func,
-                    m.entity.root,
-                    m.entity.depth,
-                    decision.set_sel,
-                    decision.map_sel,
-                );
+                if tracer.is_enabled() {
+                    let source = if directive_sel.is_some() {
+                        "directive"
+                    } else {
+                        "static"
+                    };
+                    tracer
+                        .event("select", "choice")
+                        .field("func", func.name.as_str())
+                        .field("root", ade_analysis::value_label(func, m.entity.root))
+                        .field("depth", m.entity.depth)
+                        .field("enum", enum_base + cand.enum_idx)
+                        .field("set", format!("{set_sel:?}"))
+                        .field("map", format!("{map_sel:?}"))
+                        .field("source", source)
+                        .emit();
+                }
+                retype_selection(func, m.entity.root, m.entity.depth, set_sel, map_sel);
             }
         }
-    }
-    ledger
-}
-
-/// Picks the implementations for one keyed member: the class's
-/// `select(...)` directive when it has one, else the static dense
-/// default for its depth.
-fn decide_class(directive_sel: Option<SelectionChoice>, static_set: SetSel) -> ClassDecision {
-    match directive_sel {
-        Some(choice) => ClassDecision {
-            set_sel: selection_to_set(choice),
-            map_sel: selection_to_map(choice),
-            source: DecisionSource::Directive,
-            deciding: "select(...) directive governs the class".to_string(),
-        },
-        None => ClassDecision {
-            set_sel: static_set,
-            map_sel: MapSel::Bit,
-            source: DecisionSource::Static,
-            deciding: format!("static heuristic ({static_set:?})"),
-        },
     }
 }
 
@@ -300,22 +262,32 @@ fn @main() -> void {
 }
 "#;
 
-    fn run_dedup(text: &str) -> (String, crate::AdeReport) {
+    /// `text` compiled under `ade`, printed, and its `choice [select]`
+    /// events rendered without timestamps.
+    fn run_dedup(text: &str) -> (String, Vec<String>) {
         let mut module = ade_ir::parse::parse_module(text).expect("parses");
-        let report = crate::run_ade(&mut module, &crate::AdeOptions::default());
+        let tracer = ade_obs::Tracer::enabled();
+        crate::run_ade_traced(&mut module, &crate::AdeOptions::default(), &tracer);
         ade_ir::verify::verify_module(&module).expect("verifies post-ADE");
-        (ade_ir::print::print_module(&module), report)
+        let choices = ade_obs::render_events(&tracer.events(), false)
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("- choice [select]"))
+            .map(String::from)
+            .collect();
+        (ade_ir::print::print_module(&module), choices)
     }
 
+    /// The ledger is the `choice` events: `adec --explain` renders its
+    /// "selection ledger" section from them.
     #[test]
     fn static_choice_is_recorded_in_the_ledger() {
-        let (ir, report) = run_dedup(DEDUP);
+        let (ir, choices) = run_dedup(DEDUP);
         assert!(ir.contains("Set{Bit}<idx>"), "{ir}");
-        assert_eq!(report.ledger.decisions.len(), 1);
-        let d = &report.ledger.decisions[0];
-        assert_eq!(d.source, ade_obs::DecisionSource::Static);
-        assert_eq!((d.set_impl.as_str(), d.map_impl.as_str()), ("Bit", "Bit"));
-        assert_eq!(d.deciding, "static heuristic (Bit)");
+        assert_eq!(
+            choices,
+            ["- choice [select] func=main root=%seen depth=0 enum=0 set=Bit map=Bit source=static"]
+        );
     }
 
     #[test]
@@ -324,11 +296,11 @@ fn @main() -> void {
             "%seen = new Set<u64>",
             "%seen = new Set<u64> #[enumerate, select(SparseBit)]",
         );
-        let (ir, report) = run_dedup(&text);
+        let (ir, choices) = run_dedup(&text);
         assert!(ir.contains("Set{SparseBit}<idx>"), "{ir}");
-        let d = &report.ledger.decisions[0];
-        assert_eq!(d.source, ade_obs::DecisionSource::Directive);
-        assert_eq!(d.set_impl, "SparseBit");
-        assert!(d.deciding.contains("directive"), "{}", d.deciding);
+        assert_eq!(
+            choices,
+            ["- choice [select] func=main root=%seen depth=0 enum=0 set=SparseBit map=Bit source=directive"]
+        );
     }
 }

@@ -22,14 +22,12 @@ use ade_ir::{
 use crate::interproc::{ModulePlan, PlannedCandidate};
 use crate::patch::{OperandPos, UseSite};
 use crate::share::MemberRole;
-use crate::AdeReport;
 
 /// Applies a module plan in place, with decision events on `tracer`:
-/// one event per enumeration created, per clone materialized, and per
-/// candidate with its translation-insertion counts.
-pub fn apply_traced(module: &mut Module, plan: &ModulePlan, tracer: &ade_obs::Tracer) -> AdeReport {
-    let mut report = AdeReport::default();
-
+/// one event per enumeration created and one `translations` event per
+/// candidate with its enumeration, member count, benefit and
+/// translation-insertion counts.
+pub fn apply_traced(module: &mut Module, plan: &ModulePlan, tracer: &ade_obs::Tracer) {
     // 1. Enumeration classes.
     let enum_base = module.enums.len();
     for (i, key_ty) in plan.enum_key_tys.iter().enumerate() {
@@ -37,13 +35,14 @@ pub fn apply_traced(module: &mut Module, plan: &ModulePlan, tracer: &ade_obs::Tr
             name: format!("ade{i}"),
             key_ty: key_ty.clone(),
         });
-        tracer
-            .event("transform", "enum-created")
-            .field("name", format!("ade{i}"))
-            .field("key_ty", key_ty.to_string())
-            .emit();
+        if tracer.is_enabled() {
+            tracer
+                .event("transform", "enum-created")
+                .field("name", format!("ade{i}"))
+                .field("key_ty", key_ty.to_string())
+                .emit();
+        }
     }
-    report.enums_created = plan.enum_key_tys.len();
 
     // 2. Clones for partially-enumerated callees (§III-F).
     for spec in &plan.clones {
@@ -51,7 +50,6 @@ pub fn apply_traced(module: &mut Module, plan: &ModulePlan, tracer: &ade_obs::Tr
         clone.name = spec.new_name.clone();
         clone.exported = false;
         module.funcs.push(clone);
-        report.cloned_functions.push(spec.new_name.clone());
     }
 
     // 3. Retarget agreeing call sites.
@@ -70,17 +68,12 @@ pub fn apply_traced(module: &mut Module, plan: &ModulePlan, tracer: &ade_obs::Tr
         let func = &mut module.funcs[fidx as usize];
         for cand in candidates {
             retype_roots(func, cand);
-            report.candidates.push(format!(
-                "@{}: enum e{} over {} member(s), benefit {}",
-                func.name,
-                enum_base + cand.enum_idx,
-                cand.members.len(),
-                cand.benefit
-            ));
             tracer
                 .event("transform", "translations")
                 .field("func", func.name.as_str())
                 .field("enum", enum_base + cand.enum_idx)
+                .field("members", cand.members.len())
+                .field("benefit", cand.benefit)
                 .field("enc-inserted", cand.sets.to_enc.len())
                 .field("dec-inserted", cand.sets.to_dec.len())
                 .field("add-inserted", cand.sets.to_add.len())
@@ -107,7 +100,6 @@ pub fn apply_traced(module: &mut Module, plan: &ModulePlan, tracer: &ade_obs::Tr
         splice_before(func, &placed);
         repair_types_with_enums(func, &ret_tys, &enum_tys);
     }
-    report
 }
 
 /// Rewrites the nested type at `depth` below `ty` according to `role`.

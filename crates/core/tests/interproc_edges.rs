@@ -4,33 +4,36 @@
 //! enters (exported callees, clones of recursive callees, poisoned
 //! classes, dropped enumerations).
 
-use ade_core::{run_ade, run_ade_traced, AdeOptions};
+use ade_core::{run_ade_traced, AdeOptions};
 use ade_interp::{ExecConfig, Interpreter};
 use ade_ir::parse::parse_module;
 use ade_ir::print::print_module;
 
-fn differential(text: &str) -> ade_core::AdeReport {
+/// Compiles `text` under `ade` and checks it against the baseline;
+/// returns the pass report and its events rendered without timestamps.
+fn differential(text: &str) -> (ade_core::AdeReport, String) {
     let baseline_module = parse_module(text).expect("parses");
     ade_ir::verify::verify_module(&baseline_module).expect("baseline verifies");
     let baseline = Interpreter::new(&baseline_module, ExecConfig::default())
         .run("main")
         .expect("baseline runs");
     let mut module = parse_module(text).expect("parses");
-    let report = run_ade(&mut module, &AdeOptions::default());
+    let tracer = ade_obs::Tracer::enabled();
+    let report = run_ade_traced(&mut module, &AdeOptions::default(), &tracer);
     ade_ir::verify::verify_module(&module)
         .unwrap_or_else(|e| panic!("verify: {e}\n{}", ade_ir::print::print_module(&module)));
     let transformed = Interpreter::new(&module, ExecConfig::default())
         .run("main")
         .expect("transformed runs");
     assert_eq!(baseline.output, transformed.output);
-    report
+    (report, ade_obs::render_events(&tracer.events(), false))
 }
 
 /// A parameter that escapes inside its callee (returned) must poison the
 /// whole enumeration class: the caller's collection stays untouched.
 #[test]
 fn escaping_callee_parameter_blocks_the_class() {
-    let report = differential(
+    let (report, _) = differential(
         r#"
 fn @main() -> void {
   %s = new Set<u64>
@@ -69,7 +72,7 @@ fn @leak(%p: Set<u64>) -> Set<u64> {
 /// enumerated side is dropped instead of overriding the directive.
 #[test]
 fn noenumerate_union_partner_is_respected() {
-    let report = differential(
+    let (report, events) = differential(
         r#"
 fn @main() -> void {
   %a = new Set<u64>
@@ -98,15 +101,17 @@ fn @main() -> void {
     // Either nothing is enumerated, or whatever is enumerated excludes
     // the union pair — the differential run above already proves
     // behavior is preserved; here we pin the directive effect.
-    let enumerated_c = report.candidates.iter().any(|c| c.contains("3 member"));
-    assert!(!enumerated_c, "{report:?}");
+    let enumerated_c = events
+        .lines()
+        .any(|l| l.contains("- translations [transform]") && l.contains(" members=3 "));
+    assert!(!enumerated_c, "{report:?}\n{events}");
 }
 
 /// A recursive callee whose collection arguments come from an enumerated
 /// caller keeps one enumeration across all invocations.
 #[test]
 fn recursive_callee_shares_one_enumeration() {
-    let report = differential(
+    let (report, events) = differential(
         r#"
 fn @walk(%m: Map<u64, u64>, %fuel: u64) -> u64 {
   %zero = const 0u64
@@ -154,14 +159,14 @@ fn @main() -> void {
 "#,
     );
     assert_eq!(report.enums_created, 1, "{report:?}");
-    assert!(report.cloned_functions.is_empty(), "{report:?}");
+    assert!(!events.contains("- clone [interproc]"), "{events}");
 }
 
 /// A `select(...)` directive on one member governs the whole class, so
 /// call-boundary types stay equal.
 #[test]
 fn class_wide_selection_keeps_call_types_equal() {
-    let report = differential(
+    let (report, _) = differential(
         r#"
 fn @probe(%s: Set<u64>, %k: u64) -> u64 {
   %h = has %s, %k
@@ -201,9 +206,8 @@ fn @main() -> void {
 struct Planned {
     /// The compiled module, printed.
     ir: String,
-    /// `AdeReport::cloned_functions`.
-    cloned: Vec<String>,
-    /// The `interproc` and `rte` events, rendered without timestamps.
+    /// The `interproc` and `rte` events (clones among them), rendered
+    /// without timestamps.
     events: Vec<String>,
     /// The compiled program's output, equal to the baseline's.
     output: String,
@@ -216,7 +220,7 @@ fn planned(text: &str) -> Planned {
         .expect("baseline runs");
     let mut module = parse_module(text).expect("parses");
     let tracer = ade_obs::Tracer::enabled();
-    let report = run_ade_traced(&mut module, &AdeOptions::default(), &tracer);
+    run_ade_traced(&mut module, &AdeOptions::default(), &tracer);
     let ir = print_module(&module);
     ade_ir::verify::verify_module(&module).unwrap_or_else(|e| panic!("verify: {e}\n{ir}"));
     let output = Interpreter::new(&module, ExecConfig::default())
@@ -230,12 +234,7 @@ fn planned(text: &str) -> Planned {
         .filter(|l| l.contains(" [interproc]") || l.contains(" [rte]"))
         .map(String::from)
         .collect();
-    Planned {
-        ir,
-        cloned: report.cloned_functions,
-        events,
-        output,
-    }
+    Planned { ir, events, output }
 }
 
 /// `text` parsed and printed: the IR a compile that changes nothing
@@ -254,7 +253,6 @@ fn exported_callee_without_agreeing_calls_is_not_cloned() {
     let text = include_str!("../../../examples/ir/exported_callee.memoir");
     let p = planned(text);
     assert_eq!(p.ir, unchanged(text));
-    assert!(p.cloned.is_empty());
     assert_eq!(p.events, ["- retargeted-call-sites [interproc] value=0"]);
     assert_eq!(p.output, "40\n");
 }
@@ -409,12 +407,11 @@ fn @walk$ade(%m: Map{Bit}<idx, idx>, %fuel: u64) -> u64 {
 
 "#;
     assert_eq!(p.ir, expected);
-    assert_eq!(p.cloned, ["walk$ade"]);
     assert_eq!(
         p.events,
         [
-            "- trims [rte] func=main enum=0 trim_enc=0 trim_dec=0 trim_add=0 benefit=0",
-            "- trims [rte] func=walk enum=0 trim_enc=1 trim_dec=1 trim_add=0 benefit=2",
+            "- trims [rte] func=main class=0 trim_enc=0 trim_dec=0 trim_add=0 benefit=0",
+            "- trims [rte] func=walk class=0 trim_enc=1 trim_dec=1 trim_add=0 benefit=2",
             "- clone [interproc] source=walk clone=walk$ade",
             "- retargeted-call-sites [interproc] value=2",
         ]
@@ -458,7 +455,6 @@ fn @leak(%p: Set<u64>) -> Set<u64> {
 "#;
     let p = planned(text);
     assert_eq!(p.ir, unchanged(text));
-    assert!(p.cloned.is_empty());
     assert_eq!(
         p.events,
         [
@@ -484,13 +480,12 @@ fn unpatchable_union_drops_the_class_and_its_enumeration() {
     let text = include_str!("../../../examples/ir/dropped_class.memoir");
     let p = planned(text);
     assert_eq!(p.ir, unchanged(text));
-    assert!(p.cloned.is_empty());
     assert_eq!(
         p.events,
         [
-            "- trims [rte] func=main enum=0 trim_enc=1 trim_dec=2 trim_add=1 benefit=4",
-            "- trims [rte] func=widen enum=0 trim_enc=0 trim_dec=0 trim_add=0 benefit=0",
-            "- enum-dropped [interproc] func=widen enum=0 reason=unpatchable site",
+            "- trims [rte] func=main class=0 trim_enc=1 trim_dec=2 trim_add=1 benefit=4",
+            "- trims [rte] func=widen class=0 trim_enc=0 trim_dec=0 trim_add=0 benefit=0",
+            "- enum-dropped [interproc] func=widen class=0 reason=unpatchable site",
             "- retargeted-call-sites [interproc] value=0",
         ]
     );

@@ -2,8 +2,13 @@
 //! wrapper so everything is testable in-process).
 //!
 //! Pipeline: parse textual IR → verify → (optionally) run ADE under a
-//! named artifact configuration → verify again → print the result
-//! and/or execute it with statistics.
+//! named artifact configuration → verify again (when the pass ran) →
+//! print the result and/or execute it with statistics.
+//!
+//! The compile always runs under an enabled tracer: its events are the
+//! one record of the pass's decisions, and the `[ade]` lines
+//! ([`DriveOutput::candidates`]), the `--explain` selection report and
+//! the `--trace` log are all rendered from them.
 //!
 //! ```
 //! use ade_driver::{drive, Options};
@@ -23,16 +28,17 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 use ade_interp::{DecodeOptions, DecodedModule, Interpreter, Outcome};
 use ade_obs::json::Value;
-use ade_obs::Tracer;
+use ade_obs::{Event, Tracer};
 use ade_workloads::{Config, ConfigKind};
 
 /// Where a report flag sends its text: the pipeline trace
-/// (`--trace[=FILE]`) and the selection-ledger explain report
-/// (`--explain[=FILE]`).
+/// (`--trace[=FILE]`) and the explain report (`--explain[=FILE]`).
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub enum Destination {
     /// No report.
@@ -67,9 +73,9 @@ pub struct Options {
     /// heap high-water mark, loop entries by tier, plan ticks and
     /// collections by backend.
     pub metrics: Option<String>,
-    /// Selection-ledger explain report destination (`--explain[=FILE]`):
-    /// per keyed site, the applied implementations and the rule that
-    /// decided them.
+    /// Explain report destination (`--explain[=FILE]`): per keyed site,
+    /// the applied implementations and the rule that decided them, then
+    /// the loops the decoder left generic.
     pub explain: Destination,
     /// Abort execution after this many interpreted instructions
     /// (`--fuel`; default: unlimited).
@@ -130,13 +136,16 @@ pub struct DriveOutput {
     pub stats: Option<String>,
     /// ADE pass report, if the configuration ran the pass.
     pub report: Option<ade_core::AdeReport>,
+    /// One `@f: enum eN over M member(s), benefit B` line per planned
+    /// candidate (`adec` prints each after `[ade] `), rendered from the
+    /// `translations [transform]` events.
+    pub candidates: Vec<String>,
     /// Pipeline trace events (when [`Options::wants_trace`]).
-    pub events: Vec<ade_obs::Event>,
+    pub events: Vec<Event>,
     /// The finished run's counts as JSON (when `Options::metrics` is
     /// set).
     pub metrics: Option<String>,
-    /// Rendered selection-ledger explain report (when
-    /// [`Options::wants_explain`]).
+    /// Rendered explain report (when [`Options::wants_explain`]).
     pub explain: Option<String>,
 }
 
@@ -193,11 +202,7 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
         )
     })?;
     let config = Config::new(kind);
-    let tracer = if options.wants_trace() {
-        Tracer::enabled()
-    } else {
-        Tracer::disabled()
-    };
+    let tracer = Tracer::enabled();
 
     let mut module = {
         let _span = tracer.span("driver", "parse");
@@ -212,28 +217,31 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
         let _span = tracer.span("driver", "compile");
         config.compile_traced(&mut module, &tracer)
     };
-    {
+    // A module no pass touched is the one just verified.
+    if report.is_some() {
         let _span = tracer.span("driver", "verify-post");
         ade_ir::verify::verify_module(&module)
             .map_err(|e| err("verify", format!("after ADE: {e}")))?;
     }
 
+    let decisions = tracer.events();
     let mut out = DriveOutput {
         report,
+        candidates: candidate_lines(&decisions),
         ..DriveOutput::default()
     };
     if options.emit_ir {
         out.ir = Some(ade_ir::print::print_module(&module));
     }
     if options.wants_explain() {
-        let ledger = match &out.report {
-            Some(report) => report.ledger.render_report(),
+        let selection = match out.report {
+            Some(_) => explain_selection(&decisions),
             None => format!(
                 "no ADE pass ran (configuration `{}`); no selection decisions to explain\n",
                 options.config
             ),
         };
-        out.explain = Some(ledger + &explain_generic_loops(&module));
+        out.explain = Some(selection + &explain_generic_loops(&module));
     }
     if options.run || options.stats {
         let mut exec = config.exec.clone();
@@ -260,8 +268,107 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
         }
         out.program_output = Some(outcome.output);
     }
-    out.events = tracer.events();
+    if options.wants_trace() {
+        out.events = tracer.events();
+    }
     Ok(out)
+}
+
+/// The decision events of category `cat` named `name`, in pass order.
+fn decisions<'e>(
+    events: &'e [Event],
+    cat: &'e str,
+    name: &'e str,
+) -> impl Iterator<Item = &'e Event> {
+    events
+        .iter()
+        .filter(move |e| e.cat == cat && e.name == name)
+}
+
+/// The field `key` of a decision event as the trace prints it (empty
+/// when the event has no such field).
+fn arg(event: &Event, key: &str) -> String {
+    event
+        .field(key)
+        .map(ToString::to_string)
+        .unwrap_or_default()
+}
+
+/// One `@f: enum eN over M member(s), benefit B` line per
+/// `translations [transform]` event: one per planned candidate, in pass
+/// order.
+fn candidate_lines(events: &[Event]) -> Vec<String> {
+    decisions(events, "transform", "translations")
+        .map(|e| {
+            format!(
+                "@{}: enum e{} over {} member(s), benefit {}",
+                arg(e, "func"),
+                arg(e, "enum"),
+                arg(e, "members"),
+                arg(e, "benefit")
+            )
+        })
+        .collect()
+}
+
+/// The selection part of `--explain`, rendered from the
+/// `choice [select]` events: one block per keyed member with the rule
+/// that decided it (the class's `select(...)` directive, or the static
+/// default for the set the member received), then a per-function
+/// summary. Deterministic, since the events carry no timings.
+fn explain_selection(events: &[Event]) -> String {
+    let choices: Vec<&Event> = decisions(events, "select", "choice").collect();
+    let directive = choices
+        .iter()
+        .filter(|e| arg(e, "source") == "directive")
+        .count();
+    let mut out = format!(
+        "selection ledger: {} decision(s) ({} static, {directive} directive)\n",
+        choices.len(),
+        choices.len() - directive,
+    );
+    let mut per_func: BTreeMap<String, Vec<&Event>> = BTreeMap::new();
+    for &e in &choices {
+        let (set, source) = (arg(e, "set"), arg(e, "source"));
+        let deciding = if source == "directive" {
+            "select(...) directive governs the class".to_string()
+        } else {
+            format!("static heuristic ({set})")
+        };
+        let _ = write!(
+            out,
+            "\n@{} {} (depth {}, class {}) -> set={set} map={} [{source}]\n  deciding: {deciding}\n",
+            arg(e, "func"),
+            arg(e, "root"),
+            arg(e, "depth"),
+            arg(e, "enum"),
+            arg(e, "map"),
+        );
+        per_func.entry(arg(e, "func")).or_default().push(e);
+    }
+    out.push_str("\nper-function summary:\n");
+    if per_func.is_empty() {
+        out.push_str("  (no keyed sites)\n");
+    }
+    for (func, choices) in per_func {
+        // `name xN` for each value of `key`, in name order.
+        let tally = |key| {
+            let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+            for e in &choices {
+                *counts.entry(arg(e, key)).or_default() += 1;
+            }
+            let counts: Vec<String> = counts.iter().map(|(v, n)| format!("{v} x{n}")).collect();
+            counts.join(", ")
+        };
+        let _ = writeln!(
+            out,
+            "  @{func}: {} keyed site(s); set {}; {}",
+            choices.len(),
+            tally("set"),
+            tally("source")
+        );
+    }
+    out
 }
 
 /// The `--metrics` file (schema `ade-metrics-v1`): one row per count the
@@ -383,10 +490,11 @@ usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
   --metrics FILE       the finished run's counts as JSON (implies --run):
                        fuel ticks, heap high-water mark, loop tiers, plan
                        ticks and collections by backend (ade-metrics-v1)
-  --explain[=FILE]     selection-ledger report to stderr (or FILE): per keyed
-                       site, the applied set/map implementations and whether
-                       a select(...) directive or the static default decided;
-                       then each loop the decoder left generic, with why
+  --explain[=FILE]     selection decisions to stderr (or FILE), rendered from
+                       the pass's choice events: per keyed site, the applied
+                       set/map implementations and whether a select(...)
+                       directive or the static default decided; then each
+                       loop the decoder left generic, with why
   --help, -h           show this message
 
 exit codes: 0 success, 1 guest trap or limit at runtime, 2 usage error
@@ -804,6 +912,24 @@ fn @main() -> void {
         );
         assert!(text.contains("set=Bit map=Bit [static]"), "{text}");
         assert!(text.contains("per-function summary:"), "{text}");
+
+        // A compile with no keyed site renders the empty stub.
+        let empty = drive(
+            "fn @main() -> void {\n  ret\n}\n",
+            &Options {
+                explain: Destination::Stderr,
+                ..Options::default()
+            },
+        )
+        .expect("drives");
+        let text = empty.explain.expect("explain text");
+        assert!(
+            text.starts_with(
+                "selection ledger: 0 decision(s) (0 static, 0 directive)\n\n\
+                 per-function summary:\n  (no keyed sites)\n"
+            ),
+            "{text}"
+        );
 
         // memoir runs no pass: the explain text says so instead of
         // rendering an empty ledger.

@@ -14,9 +14,11 @@
 //! events as JSON. `--metrics FILE` executes the program and writes the
 //! counts the finished run returned (fuel ticks, heap high-water mark,
 //! loop tiers, plan ticks, collections by backend) as JSON.
-//! `--explain[=FILE]` renders the selection ledger (per keyed site, the
-//! applied implementations and whether a directive or the static
-//! default decided them).
+//! `--explain[=FILE]` renders the selection decisions from the same
+//! events as `--trace` (per keyed site, the applied implementations and
+//! whether a directive or the static default decided them), then the
+//! loops the decoder left generic. The `[ade]` lines on stderr come
+//! from those events too.
 //! `--fuel`/`--max-heap-cells`/`--max-depth` bound execution; a tripped
 //! limit reports a typed error, like any guest trap. `--reference` runs
 //! the reference interpreter (no loop plans; observationally inert, for
@@ -50,10 +52,8 @@ fn main() {
     };
     match ade_driver::drive(&source, &options) {
         Ok(out) => {
-            if let Some(report) = &out.report {
-                for line in &report.candidates {
-                    eprintln!("[ade] {line}");
-                }
+            for line in &out.candidates {
+                eprintln!("[ade] {line}");
             }
             if let Some(ir) = out.ir {
                 print!("{ir}");

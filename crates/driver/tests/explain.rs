@@ -1,7 +1,8 @@
-//! The selection ledger and the decoder's loop decisions, end to end
-//! through the `adec` binary: `--explain` renders them, and the rendered
-//! report is byte-identical across repeated runs and the `--reference`
-//! switch (it holds compile-time decisions only).
+//! The selection decisions and the decoder's loop decisions, end to end
+//! through the `adec` binary: `--explain` renders them (the selection
+//! part from the same `choice [select]` events `--trace-json` dumps),
+//! and the rendered report is byte-identical across repeated runs and
+//! the `--reference` switch (it holds compile-time decisions only).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -123,4 +124,85 @@ fn explain_lists_the_loops_the_decoder_left_generic() {
         assert_eq!(reference, err, "{config}: --reference changes no decision");
     }
     let _ = std::fs::remove_file(input);
+}
+
+/// `--explain` and `--trace-json` render one event list: the report
+/// holds exactly one decision block per `choice [select]` event of the
+/// trace, naming the same function, member, enumeration, set, map and
+/// source, in the same order.
+#[test]
+fn explain_has_one_decision_block_per_choice_event() {
+    for sample in ["directives", "cloned_callee"] {
+        let input = format!(
+            "{}/../../examples/ir/{sample}.memoir",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let explain = temp_path(&format!("{sample}-explain.txt"));
+        let trace = temp_path(&format!("{sample}-trace.json"));
+        let explain_arg = format!("--explain={}", explain.to_str().expect("utf-8 path"));
+        let trace_arg = trace.to_str().expect("utf-8 path");
+        let (code, _, err) = adec(&[
+            "--config",
+            "ade",
+            &explain_arg,
+            "--trace-json",
+            trace_arg,
+            &input,
+        ]);
+        assert_eq!(code, 0, "{sample}: {err}");
+        let report = std::fs::read_to_string(&explain).expect("explain written");
+        let json = std::fs::read_to_string(&trace).expect("trace written");
+        let _ = std::fs::remove_file(&explain);
+        let _ = std::fs::remove_file(&trace);
+
+        let blocks: Vec<&str> = report
+            .lines()
+            .filter(|l| l.starts_with('@') && l.contains(" -> set="))
+            .collect();
+        let events = ade_obs::json::Value::parse(&json).expect("trace is JSON");
+        let choices: Vec<String> = events
+            .as_array()
+            .expect("an event array")
+            .iter()
+            .filter(|e| {
+                let s = |key| e.get(key).and_then(|v| v.as_str());
+                s("kind") == Some("event")
+                    && s("cat") == Some("select")
+                    && s("name") == Some("choice")
+            })
+            .map(|e| {
+                let args = e.get("args").expect("args");
+                // A string field's text, or a number as JSON writes it.
+                let arg = |key| match args.get(key) {
+                    Some(v) => v.as_str().map_or_else(|| v.to_string(), String::from),
+                    None => panic!("{sample}: choice without {key}"),
+                };
+                format!(
+                    "@{} {} (depth {}, class {}) -> set={} map={} [{}]",
+                    arg("func"),
+                    arg("root"),
+                    arg("depth"),
+                    arg("enum"),
+                    arg("set"),
+                    arg("map"),
+                    arg("source")
+                )
+            })
+            .collect();
+        assert!(!choices.is_empty(), "{sample}: no choice events\n{json}");
+        assert_eq!(blocks, choices, "{sample}\n{report}");
+        if sample == "directives" {
+            // Both sources, counted in the header and the summary.
+            assert!(
+                report.starts_with("selection ledger: 3 decision(s) (2 static, 1 directive)\n"),
+                "{report}"
+            );
+            assert!(
+                report.contains(
+                    "\n  @main: 3 keyed site(s); set Bit x2, SparseBit x1; directive x1, static x2\n"
+                ),
+                "{report}"
+            );
+        }
+    }
 }

@@ -79,7 +79,7 @@ fn reported_benefits_are_their_class_candidates_benefit() {
                 (field(e, "func"), field(e, "key_ty"), benefit)
             })
             .collect();
-        let lines = &out.report.expect("report").candidates;
+        let lines = &out.candidates;
         for line in lines {
             // "@f: enum eN over M member(s), benefit B"
             let (func, rest) = line.split_once(": enum ").expect("[ade] line");

@@ -18,8 +18,8 @@ use std::mem::size_of;
 
 use ade_collections::fx::FxHasher;
 use ade_collections::{
-    ArraySeq, BitMap, ChainedHashMap, ChainedHashSet, DynamicBitSet, FlatSet, SparseBitSet,
-    SwissMap, SwissSet,
+    BitMap, ChainedHashMap, ChainedHashSet, DynamicBitSet, FlatSet, SparseBitSet, SwissMap,
+    SwissSet,
 };
 use ade_ir::{MapSel, SetSel, Type};
 
@@ -154,7 +154,7 @@ pub(crate) fn seed(kind: Kind) -> u64 {
 /// One Table I implementation, storing `E`s.
 #[derive(Clone)]
 enum Imp<E> {
-    Seq(ArraySeq<E>),
+    Seq(Vec<E>),
     HashSet(ChainedHashSet<E>),
     SwissSet(SwissSet<E>),
     FlatSet(FlatSet<E>),
@@ -254,7 +254,7 @@ impl<E: Elem> Imp<E> {
                     MapSel::Bit => Imp::BitMap(BitMap::new()),
                 }
             }
-            _ => Imp::Seq(ArraySeq::new()),
+            _ => Imp::Seq(Vec::new()),
         }
     }
 
@@ -293,7 +293,7 @@ impl<E: Elem> Imp<E> {
     /// boxed layouts, and capacity grows alike at both widths.
     fn bytes_estimate(&self) -> usize {
         match self {
-            Imp::Seq(s) => s.heap_bytes_fast_as(size_of::<Value>()),
+            Imp::Seq(s) => s.capacity() * size_of::<Value>(),
             Imp::HashSet(s) => s.heap_bytes_fast_as(size_of::<(Value, ())>()),
             Imp::SwissSet(s) => s.heap_bytes_fast_as(size_of::<Option<(Value, ())>>()),
             Imp::FlatSet(s) => s.heap_bytes_fast_as(size_of::<Value>()),
@@ -355,7 +355,7 @@ impl<E: Elem> Imp<E> {
                 if i as usize >= s.len() {
                     return Err(out_of_bounds(i, s.len()));
                 }
-                s.set(i as usize, val);
+                s[i as usize] = val;
             }
             Imp::HashMap(m) => drop(m.insert(E::own(key, kind), val)),
             Imp::SwissMap(m) => drop(m.insert(E::own(key, kind), val)),
@@ -991,21 +991,20 @@ mod tests {
     }
 
     /// `Vec`'s growth policy is element-size independent in the small
-    /// element class, so a backend of register bits priced via
-    /// `heap_bytes_fast_as(boxed width)` reports exactly its boxed
-    /// twin's capacity trajectory. This is the assumption behind
-    /// `heap_bytes_fast_as` (see `ade_collections::seq`); the twin test
-    /// above exercises it end-to-end, this one isolates the claim.
+    /// element class, so a sequence of register bits priced at the boxed
+    /// width (`Imp::bytes_estimate`) reports exactly its boxed twin's
+    /// capacity trajectory. The twin test above exercises it end to end;
+    /// this one isolates the claim.
     #[test]
     fn capacity_trajectories_match_across_element_widths() {
-        let mut boxed: ArraySeq<Value> = ArraySeq::new();
-        let mut unboxed: ArraySeq<u64> = ArraySeq::new();
+        let mut boxed: Vec<Value> = Vec::new();
+        let mut unboxed: Vec<u64> = Vec::new();
         for i in 0..1000u64 {
             boxed.push(Value::U64(i));
             unboxed.push(i);
             assert_eq!(
-                boxed.heap_bytes_fast(),
-                unboxed.heap_bytes_fast_as(size_of::<Value>()),
+                boxed.capacity(),
+                unboxed.capacity(),
                 "capacity diverged at push {i}"
             );
         }

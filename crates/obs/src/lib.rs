@@ -1,6 +1,6 @@
 //! Zero-dependency observability layer for the ADE pipeline.
 //!
-//! Three pieces, all built on `std` alone:
+//! Two pieces, both built on `std` alone:
 //!
 //! - [`Tracer`]: a cheaply clonable handle over a thread-safe event sink.
 //!   A *disabled* tracer (the default) is a `None` and every call on it
@@ -12,9 +12,10 @@
 //!   and reader (`Value::parse`); every emitted artifact is built as a
 //!   `Value` tree, so emitted files can be checked — and read back —
 //!   without external dependencies.
-//! - [`ledger`]: the selection ledger — structured records of every
-//!   backend decision the selection pass makes and the rule that
-//!   decided it, plus the deterministic `--explain` report renderer.
+//!
+//! The event list is the one record of the ADE pass's decisions:
+//! `adec` renders its `[ade]` lines, its `--explain` selection report
+//! and its `--trace` log from the same events.
 //!
 //! Run-time counts are not here: the interpreter returns them with the
 //! run (`ade_interp::Outcome`).
@@ -27,10 +28,8 @@
 #![forbid(unsafe_code)]
 
 pub mod json;
-pub mod ledger;
 
-pub use ledger::{DecisionSource, SelectionDecision, SelectionLedger};
-
+use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -84,14 +83,15 @@ impl From<&FieldValue> for json::Value {
     }
 }
 
-impl FieldValue {
-    fn render(&self) -> String {
+/// The value as the text log prints it (floats to three places).
+impl fmt::Display for FieldValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FieldValue::U64(v) => v.to_string(),
-            FieldValue::I64(v) => v.to_string(),
-            FieldValue::F64(v) => format!("{v:.3}"),
-            FieldValue::Bool(v) => v.to_string(),
-            FieldValue::Str(v) => v.clone(),
+            FieldValue::U64(v) => write!(f, "{v}"),
+            FieldValue::I64(v) => write!(f, "{v}"),
+            FieldValue::F64(v) => write!(f, "{v:.3}"),
+            FieldValue::Bool(v) => write!(f, "{v}"),
+            FieldValue::Str(v) => f.write_str(v),
         }
     }
 }
@@ -137,6 +137,13 @@ pub struct Event {
     pub name: String,
     /// Structured key/value payload.
     pub fields: Vec<(&'static str, FieldValue)>,
+}
+
+impl Event {
+    /// The value of the field named `key`, if the event carries one.
+    pub fn field(&self, key: &str) -> Option<&FieldValue> {
+        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
 }
 
 struct Sink {
@@ -267,7 +274,7 @@ pub fn render_events(events: &[Event], include_ts: bool) -> String {
             }
         }
         for (k, v) in &e.fields {
-            out.push_str(&format!(" {k}={}", v.render()));
+            out.push_str(&format!(" {k}={v}"));
         }
         out.push('\n');
     }

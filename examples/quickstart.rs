@@ -1,14 +1,15 @@
 //! Quickstart: the paper's Listing 1 → Listing 2 transformation.
 //!
 //! Builds the histogram program from the paper's §III-B, runs it as-is
-//! (the MEMOIR baseline), applies Automatic Data Enumeration, prints the
-//! transformed IR, and shows the sparse→dense access shift.
+//! (the MEMOIR baseline), applies Automatic Data Enumeration, prints its
+//! candidate and selection decisions (trace events) and the transformed
+//! IR, and shows the sparse→dense access shift.
 //!
 //! ```sh
 //! cargo run --example quickstart
 //! ```
 
-use ade::ade::{run_ade, AdeOptions};
+use ade::ade::{run_ade_traced, AdeOptions};
 use ade::interp::{ExecConfig, Interpreter};
 use ade::ir::builder::FunctionBuilder;
 use ade::ir::{Module, Type};
@@ -70,12 +71,21 @@ fn main() {
         .expect("baseline runs");
     println!("baseline output:  {}", baseline.output.trim());
 
-    // 2. Automatic data enumeration.
+    // 2. Automatic data enumeration. The tracer's events are the pass's
+    //    record of what it decided: one `translations` event per
+    //    candidate, one `choice` event per selected collection.
     let mut module = histogram_module();
-    let report = run_ade(&mut module, &AdeOptions::default());
+    let tracer = ade_obs::Tracer::enabled();
+    let report = run_ade_traced(&mut module, &AdeOptions::default(), &tracer);
+    let decisions: Vec<_> = tracer
+        .events()
+        .into_iter()
+        .filter(|e| matches!(e.name.as_str(), "translations" | "choice"))
+        .collect();
     println!(
-        "ADE created {} enumeration(s); candidates: {:?}",
-        report.enums_created, report.candidates
+        "ADE created {} enumeration(s); decisions:\n{}",
+        report.enums_created,
+        ade_obs::render_events(&decisions, false).trim_end()
     );
     println!(
         "\ntransformed IR:\n{}",

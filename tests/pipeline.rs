@@ -295,13 +295,15 @@ fn cloning_preserves_both_call_paths() {
     assert_eq!(baseline.output, "7 21 3\n");
 
     let mut module = parse_module(text).expect("parses");
-    let report = run_ade(&mut module, &AdeOptions::default());
+    run_ade(&mut module, &AdeOptions::default());
     ade::ir::verify::verify_module(&module).expect("verifies");
-    assert_eq!(
-        report.cloned_functions,
-        vec!["summarize$ade".to_string()],
-        "{report:?}"
-    );
+    let clones: Vec<&str> = module
+        .funcs
+        .iter()
+        .map(|f| f.name.as_str())
+        .filter(|name| name.ends_with("$ade"))
+        .collect();
+    assert_eq!(clones, ["summarize$ade"]);
     let transformed = Interpreter::new(&module, ExecConfig::default())
         .run("main")
         .expect("runs");
@@ -573,33 +575,41 @@ fn executed_work_matches_the_golden_counts() {
 }
 
 /// Static selection at scale 4: `ABBREV func member depth class set map
-/// source` rows, one per ledger decision of every benchmark under `ade`.
+/// source` rows, one per `choice [select]` event of every benchmark
+/// under `ade`.
 const GOLDEN_SELECTION: &str = include_str!("golden/selection_scale4.txt");
 
-/// Every paper program's selection ledger under `ade` matches
+/// Every paper program's selection decisions under `ade` match
 /// `tests/golden/selection_scale4.txt`: which keyed member of which
-/// enumeration class received which set and map implementation, and
-/// whether a directive or the static default decided it. A change to
-/// the selection pass shows up here as a diff of decisions.
+/// enumeration received which set and map implementation, and whether
+/// a directive or the static default decided it, read from the
+/// `choice [select]` events. A change to the selection pass shows up
+/// here as a diff of decisions.
 #[test]
 fn static_selection_matches_the_golden_ledger() {
     let mut table = String::new();
     for bench in ade::workloads::all_benchmarks() {
         let mut module = (bench.build)(4);
-        let report = Config::new(ConfigKind::Ade)
-            .compile(&mut module)
+        let tracer = ade_obs::Tracer::enabled();
+        Config::new(ConfigKind::Ade)
+            .compile_traced(&mut module, &tracer)
             .expect("ade runs the pass");
-        for d in &report.ledger.decisions {
+        for e in tracer
+            .events()
+            .iter()
+            .filter(|e| e.cat == "select" && e.name == "choice")
+        {
+            let arg = |key| e.field(key).expect("choice field").to_string();
             table.push_str(&format!(
                 "{} {} {} {} {} {} {} {}\n",
                 bench.abbrev,
-                d.func,
-                d.member,
-                d.depth,
-                d.enum_class,
-                d.set_impl,
-                d.map_impl,
-                d.source
+                arg("func"),
+                arg("root"),
+                arg("depth"),
+                arg("enum"),
+                arg("set"),
+                arg("map"),
+                arg("source")
             ));
         }
     }
@@ -622,7 +632,7 @@ const GOLDEN_EVENTS: &str = include_str!("golden/ade_events_scale4.txt");
 /// timestamps, match `tests/golden/ade_events_scale4.txt` under every
 /// configuration that runs the pass. The events carry what printed IR
 /// does not show: escape verdicts, candidate benefits, RTE trims,
-/// poisoned classes, clones and the ledger's rows, and the end-to-end
+/// poisoned classes, clones and the selection choices, and the end-to-end
 /// benchmark reads its translation and trim counts from them. A
 /// rewrite of the planner that changes any decision shows up here.
 #[test]
